@@ -144,8 +144,9 @@ func BenchmarkT6Baselines(b *testing.B) {
 }
 
 // BenchmarkF1Stages measures the staged pipeline on representative
-// questions (the figure plots the per-stage split from core.Timings).
-// The answer cache is off: a profile of cache hits would time nothing.
+// questions and reports the per-stage split from core.Timings, averaged
+// per question, beside ns/op (the figure plots it). The answer cache is
+// off: a profile of cache hits would time nothing.
 func BenchmarkF1Stages(b *testing.B) {
 	opts := core.DefaultOptions()
 	opts.AnswerCacheSize = 0
@@ -157,10 +158,19 @@ func BenchmarkF1Stages(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
+	stages := []string{"correct", "annotate", "parse", "rank", "generate", "plan", "bind", "execute", "verbalize"}
+	sums := make([]time.Duration, len(stages))
 	for i := 0; i < b.N; i++ {
-		if p := bench.Profile(e, questions); p.N != len(questions) {
+		p := bench.Profile(e, questions)
+		if p.N != len(questions) {
 			b.Fatalf("only %d/%d questions answered", p.N, len(questions))
 		}
+		for j, d := range []time.Duration{p.Correct, p.Annotate, p.Parse, p.Rank, p.Generate, p.Plan, p.Bind, p.Execute, p.Verbalize} {
+			sums[j] += d
+		}
+	}
+	for j, name := range stages {
+		b.ReportMetric(float64(sums[j].Nanoseconds())/float64(b.N), name+"-ns/q")
 	}
 }
 

@@ -331,14 +331,14 @@ func expF1() error {
 			"show the name and salary of instructors in the Computer Science department",
 		}},
 	}
-	fmt.Printf("%-8s %10s %10s %10s %10s %10s %10s %10s %10s\n",
-		"set", "correct", "annotate", "parse", "rank", "generate", "plan", "execute", "total")
+	fmt.Printf("%-8s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
+		"set", "correct", "annotate", "parse", "rank", "generate", "plan", "execute", "verbalize", "total")
 	for _, set := range sets {
 		// Warm up, then profile.
 		bench.Profile(e, set.questions)
 		p := bench.Profile(e, set.questions)
-		fmt.Printf("%-8s %10s %10s %10s %10s %10s %10s %10s %10s\n", set.name,
-			p.Correct, p.Annotate, p.Parse, p.Rank, p.Generate, p.Plan, p.Execute, p.Total)
+		fmt.Printf("%-8s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n", set.name,
+			p.Correct, p.Annotate, p.Parse, p.Rank, p.Generate, p.Plan, p.Execute, p.Verbalize, p.Total)
 	}
 	return nil
 }

@@ -197,16 +197,17 @@ func RowsEqual(a, b store.Row) bool {
 // StageProfile is the averaged per-stage latency over a question set
 // (figure F1).
 type StageProfile struct {
-	N        int
-	Correct  time.Duration
-	Annotate time.Duration
-	Parse    time.Duration
-	Rank     time.Duration
-	Generate time.Duration
-	Plan     time.Duration
-	Bind     time.Duration // plan-cache hits: normalize + lookup + bind
-	Execute  time.Duration
-	Total    time.Duration
+	N         int
+	Correct   time.Duration
+	Annotate  time.Duration
+	Parse     time.Duration
+	Rank      time.Duration
+	Generate  time.Duration
+	Plan      time.Duration
+	Bind      time.Duration // plan-cache hits: normalize + lookup + bind
+	Execute   time.Duration
+	Verbalize time.Duration
+	Total     time.Duration
 }
 
 // Profile asks every question once and averages the stage timings.

@@ -173,6 +173,7 @@ func accumulate(p *StageProfile, ans *core.Answer) {
 	p.Plan += ans.Timings.Plan
 	p.Bind += ans.Timings.Bind
 	p.Execute += ans.Timings.Execute
+	p.Verbalize += ans.Timings.Verbalize
 	p.Total += ans.Timings.Total
 }
 
@@ -189,5 +190,6 @@ func finishProfile(p *StageProfile) {
 	p.Plan /= n
 	p.Bind /= n
 	p.Execute /= n
+	p.Verbalize /= n
 	p.Total /= n
 }

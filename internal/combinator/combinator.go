@@ -14,6 +14,11 @@
 //   - Many/Many1 require their element parser to consume at least one
 //     token on success; this is asserted at runtime to fail fast on
 //     grammars that would otherwise loop forever.
+//   - A constructed Parser is immutable: running it writes nothing it
+//     closes over, so one parser tree may be built once and run from
+//     any number of goroutines at once. Ref targets are assigned once,
+//     before the first parse. Functions handed to Map, Bind, Filter and
+//     the Seq family must keep to the same rule.
 package combinator
 
 // Result is a single successful parse: the semantic value plus the
@@ -237,20 +242,9 @@ func SepBy1[T, R, S any](p Parser[T, R], sep Parser[T, S]) Parser[T, []R] {
 	})
 }
 
-// Lazy defers construction of p until first use, enabling recursive
-// grammars.
-func Lazy[T, R any](f func() Parser[T, R]) Parser[T, R] {
-	var p Parser[T, R]
-	return func(toks []T, pos int) []Result[R] {
-		if p == nil {
-			p = f()
-		}
-		return p(toks, pos)
-	}
-}
-
-// Ref returns a parser that forwards to *p at call time; assign the
-// real parser to *p after constructing the mutually recursive rules.
+// Ref returns a parser that forwards to *p at call time, enabling
+// recursive grammars: assign the real parser to *p once, after
+// constructing the mutually recursive rules and before the first parse.
 func Ref[T, R any](p *Parser[T, R]) Parser[T, R] {
 	return func(toks []T, pos int) []Result[R] {
 		return (*p)(toks, pos)

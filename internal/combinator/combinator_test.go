@@ -174,19 +174,6 @@ func TestRecursionWithRef(t *testing.T) {
 	}
 }
 
-func TestLazy(t *testing.T) {
-	calls := 0
-	p := Lazy(func() Parser[string, string] {
-		calls++
-		return lit("x")
-	})
-	p(toks("x"), 0)
-	p(toks("x"), 0)
-	if calls != 1 {
-		t.Fatalf("Lazy constructed %d times", calls)
-	}
-}
-
 func TestLongest(t *testing.T) {
 	short := lit("new")
 	long := Seq2(lit("new"), lit("york"), func(a, b string) string { return a + " " + b })

@@ -97,16 +97,17 @@ func DefaultOptions() Options {
 
 // Timings is the per-stage latency breakdown of one question.
 type Timings struct {
-	Queue    time.Duration // admission-control wait before the pipeline ran (set by the serving layer)
-	Correct  time.Duration // spelling correction
-	Annotate time.Duration // semantic-index span annotation
-	Parse    time.Duration // semantic-grammar parsing
-	Rank     time.Duration // interpretation ranking
-	Generate time.Duration // IQL -> SQL translation
-	Plan     time.Duration // query planning and optimization (template compiles included)
-	Bind     time.Duration // plan-cache hit: normalize + shape lookup + bind, no planning
-	Execute  time.Duration // plan execution
-	Total    time.Duration
+	Queue     time.Duration // admission-control wait before the pipeline ran (set by the serving layer)
+	Correct   time.Duration // spelling correction
+	Annotate  time.Duration // semantic-index span annotation
+	Parse     time.Duration // semantic-grammar parsing
+	Rank      time.Duration // interpretation ranking
+	Generate  time.Duration // IQL -> SQL translation
+	Plan      time.Duration // query planning and optimization (template compiles included)
+	Bind      time.Duration // plan-cache hit: normalize + shape lookup + bind, no planning
+	Execute   time.Duration // plan execution
+	Verbalize time.Duration // English paraphrase of the interpretation and rendering of the result
+	Total     time.Duration
 }
 
 // Answer is the full outcome of one question.
@@ -422,8 +423,11 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, stmt *sql.SelectStmt,
 		return fmt.Errorf("core: executing %q: %w", stmt, err)
 	}
 	ans.Result = res
+
+	start = time.Now()
 	ans.Paraphrase = nlg.Paraphrase(ans.Query, e.DB.Schema)
 	ans.Response = nlg.Respond(ans.Query, res, e.DB.Schema)
+	tm.Verbalize = time.Since(start)
 	return nil
 }
 

@@ -31,8 +31,8 @@ func TestAskEndToEnd(t *testing.T) {
 	if !strings.Contains(ans.Response, "30") {
 		t.Errorf("response = %q", ans.Response)
 	}
-	if ans.Timings.Total <= 0 {
-		t.Error("timings not recorded")
+	if ans.Timings.Total <= 0 || ans.Timings.Verbalize <= 0 {
+		t.Errorf("timings not recorded: %+v", ans.Timings)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestConversationCorrectionsAndTimings(t *testing.T) {
 	if len(ans.Corrections) != 1 || ans.Corrections[0].To != "gpa" {
 		t.Errorf("follow-up corrections = %+v", ans.Corrections)
 	}
-	if ans.Timings.Total <= 0 || ans.Timings.Execute <= 0 {
+	if ans.Timings.Total <= 0 || ans.Timings.Execute <= 0 || ans.Timings.Verbalize <= 0 {
 		t.Errorf("follow-up timings not populated: %+v", ans.Timings)
 	}
 	if ans.Question != "only those with gpq over 3.5" {

@@ -3,7 +3,7 @@ package grammar
 import (
 	c "repro/internal/combinator"
 	"repro/internal/iql"
-	"repro/internal/semindex"
+	"repro/internal/strutil"
 )
 
 // ParseUpdate parses a follow-up fragment as an update to a previous
@@ -15,68 +15,39 @@ import (
 //
 // Candidates are deduplicated best-first, like Parse. An empty result
 // means the fragment could not be related to the previous query.
-func (g *Grammar) ParseUpdate(toks []tk, prev *iql.Query) []Candidate {
+func (g *Grammar) ParseUpdate(toks []strutil.Token, prev *iql.Query) []Candidate {
 	if prev == nil {
 		return nil
 	}
-	toks = stripNoise(toks)
-	if len(toks) == 0 {
+	p := g.Prepare(toks)
+	if len(p.Toks) == 0 {
 		return nil
 	}
-	anns := g.idx.Annotate(toks)
-	byStart := map[int][]semindex.Annotation{}
-	for _, a := range anns {
-		byStart[a.Start] = append(byStart[a.Start], a)
-	}
-	s := &session{g: g, anns: byStart}
-	s.npP = s.np() // fragments may embed noun phrases (nested mods)
-
-	top := s.fragmentTop(prev)
-	drafts := c.ParseAll(top, toks)
-
-	best := map[string]Candidate{}
-	var order []string
-	for _, d := range drafts {
-		q, ok := d.finalize(g.idx)
-		if !ok {
-			continue
-		}
-		key := q.String()
-		if prevCand, seen := best[key]; !seen || d.score > prevCand.Score {
-			if !seen {
-				order = append(order, key)
-			}
-			best[key] = Candidate{Query: q, Score: d.score}
-		}
-	}
-	out := make([]Candidate, 0, len(best))
-	for _, k := range order {
-		out = append(out, best[k])
-	}
-	sortCandidates(out)
-	return out
+	return g.candidates(c.ParseAll(g.fragmentTop(prev), annotated(p)))
 }
 
-// fragmentTop builds the follow-up start symbol.
-func (s *session) fragmentTop(prev *iql.Query) parser[*draft] {
+// fragmentTop builds the follow-up start symbol. It is assembled per
+// turn because its rules close over prev; the modifiers and atoms it
+// runs are the grammar's shared ones.
+func (g *Grammar) fragmentTop(prev *iql.Query) parser[*draft] {
 	return c.Alt(
-		s.refineFrag(prev),
-		s.countFrag(prev),
-		s.showFrag(prev),
-		s.sortFrag(prev),
-		s.groupFrag(prev),
-		s.dropFrag(prev),
-		s.rollupFrag(prev),
+		g.refineFrag(prev),
+		countFrag(prev),
+		showFrag(prev),
+		sortFrag(prev),
+		g.groupFrag(prev),
+		dropFrag(prev),
+		rollupFrag(prev),
 	)
 }
 
 // rollupFrag: "roll up", "remove the grouping" — drops the GROUP BY of
 // the context query, returning to the overall aggregate.
-func (s *session) rollupFrag(prev *iql.Query) parser[*draft] {
+func rollupFrag(prev *iql.Query) parser[*draft] {
 	intro := c.Alt(
 		c.Map(c.Seq2(word("roll"), word("up"), func(a, b tk) tk { return b }),
 			func(tk) struct{} { return struct{}{} }),
-		c.Map(c.Seq3(word("remove", "drop", "clear"), dets(),
+		c.Map(c.Seq3(word("remove", "drop", "clear"), dets,
 			word("grouping", "groups", "breakdown"),
 			func(_ tk, _ struct{}, w tk) tk { return w }),
 			func(tk) struct{} { return struct{}{} }),
@@ -94,11 +65,11 @@ func (s *session) rollupFrag(prev *iql.Query) parser[*draft] {
 
 // dropFrag: "remove the gpa condition", "forget the department filter"
 // — deletes inherited conditions on the named column or table.
-func (s *session) dropFrag(prev *iql.Query) parser[*draft] {
-	intro := c.Then(word("remove", "drop", "forget", "clear", "ignore"), dets())
+func dropFrag(prev *iql.Query) parser[*draft] {
+	intro := c.Then(word("remove", "drop", "forget", "clear", "ignore"), dets)
 	trailer := optWords("condition", "filter", "restriction", "requirement", "constraint")
 
-	byColumn := c.Seq3(intro, s.columnAtom(), trailer,
+	byColumn := c.Seq3(intro, columnAtom, trailer,
 		func(_ struct{}, f fieldRef, _ struct{}) *draft {
 			d := draftFromQuery(prev)
 			kept := d.conds[:0:0]
@@ -115,7 +86,7 @@ func (s *session) dropFrag(prev *iql.Query) parser[*draft] {
 			return d
 		})
 
-	byTable := c.Seq3(intro, s.tableAtom(), trailer,
+	byTable := c.Seq3(intro, tableAtom, trailer,
 		func(_ struct{}, e entRef, _ struct{}) *draft {
 			d := draftFromQuery(prev)
 			kept := d.conds[:0:0]
@@ -137,13 +108,11 @@ func (s *session) dropFrag(prev *iql.Query) parser[*draft] {
 
 // fragNoise consumes follow-up filler ("only the ones", "what about",
 // "and now", "of those").
-func fragNoise() parser[struct{}] {
-	noise := word("only", "just", "and", "also", "now", "then", "what",
-		"how", "about", "of", "those", "them", "these", "the", "ones",
-		"one", "restrict", "filter", "to", "show", "me", "please",
-		"for", "but", "instead", "same")
-	return c.Map(c.Many(noise), func([]tk) struct{} { return struct{}{} })
-}
+var fragNoise = c.Map(c.Many(word("only", "just", "and", "also", "now", "then", "what",
+	"how", "about", "of", "those", "them", "these", "the", "ones",
+	"one", "restrict", "filter", "to", "show", "me", "please",
+	"for", "but", "instead", "same")),
+	func([]tk) struct{} { return struct{}{} })
 
 // draftFromQuery seeds a draft with the previous turn's query.
 func draftFromQuery(prev *iql.Query) *draft {
@@ -162,8 +131,8 @@ func draftFromQuery(prev *iql.Query) *draft {
 
 // refineFrag applies ordinary post-modifiers to the previous query:
 // "only those in CS", "with gpa over 3.5", "what about Math".
-func (s *session) refineFrag(prev *iql.Query) parser[*draft] {
-	return c.Seq2(fragNoise(), s.mods(), func(_ struct{}, ms []mod) *draft {
+func (g *Grammar) refineFrag(prev *iql.Query) parser[*draft] {
+	return c.Seq2(fragNoise, g.mods, func(_ struct{}, ms []mod) *draft {
 		if len(ms) == 0 {
 			return &draft{} // empty entity: finalize rejects
 		}
@@ -220,7 +189,7 @@ func replaceRefinedConds(conds []iql.Condition, inherited int) []iql.Condition {
 
 // countFrag: "how many", "how many of those", "count them" — switch the
 // focus to counting while keeping all restrictions.
-func (s *session) countFrag(prev *iql.Query) parser[*draft] {
+func countFrag(prev *iql.Query) parser[*draft] {
 	howMany := c.Seq2(word("how"), word("many"), func(a, b tk) tk { return b })
 	countThem := word("count")
 	intro := c.Alt(howMany, countThem)
@@ -237,11 +206,11 @@ func (s *session) countFrag(prev *iql.Query) parser[*draft] {
 
 // showFrag: "show their salaries", "what are their names" — change the
 // projected columns, keeping restrictions.
-func (s *session) showFrag(prev *iql.Query) parser[*draft] {
+func showFrag(prev *iql.Query) parser[*draft] {
 	intro := c.Map(c.Many1(word("show", "list", "display", "give", "what",
 		"is", "are", "me", "their", "its", "the")),
 		func([]tk) struct{} { return struct{}{} })
-	colList := c.SepBy1(s.columnAtom(), word("and"))
+	colList := c.SepBy1(columnAtom, word("and"))
 	trailer := c.Map(c.Many(word("of", "for", "those", "them", "these", "instead")),
 		func([]tk) struct{} { return struct{}{} })
 	return c.Seq3(intro, colList, trailer, func(_ struct{}, cols []fieldRef, _ struct{}) *draft {
@@ -256,7 +225,7 @@ func (s *session) showFrag(prev *iql.Query) parser[*draft] {
 }
 
 // sortFrag: "sort them by gpa", "order by salary descending".
-func (s *session) sortFrag(prev *iql.Query) parser[*draft] {
+func sortFrag(prev *iql.Query) parser[*draft] {
 	intro := c.Then(
 		word("sort", "order", "rank", "arrange", "sorted", "ordered"),
 		c.Then(c.Map(c.Many(word("them", "those", "these", "it")),
@@ -265,7 +234,7 @@ func (s *session) sortFrag(prev *iql.Query) parser[*draft] {
 		func(t tk) bool {
 			return t.Lower == "descending" || t.Lower == "desc" || t.Lower == "decreasing"
 		}), false)
-	return c.Seq3(c.Then(intro, s.columnAtom()), dir, optWords("order"),
+	return c.Seq3(c.Then(intro, columnAtom), dir, optWords("order"),
 		func(f fieldRef, desc bool, _ struct{}) *draft {
 			d := draftFromQuery(prev)
 			d.order = &iql.OrderSpec{Field: f.f, Desc: desc}
@@ -275,24 +244,24 @@ func (s *session) sortFrag(prev *iql.Query) parser[*draft] {
 }
 
 // groupFrag: "group them by department", "break it down by region".
-func (s *session) groupFrag(prev *iql.Query) parser[*draft] {
+func (g *Grammar) groupFrag(prev *iql.Query) parser[*draft] {
 	intro := c.Then(
 		c.Alt(word("group", "split", "break"),
 			word("grouped")),
 		c.Then(c.Map(c.Many(word("them", "those", "these", "it", "down")),
 			func([]tk) struct{} { return struct{}{} }), word("by")))
-	byColumn := c.Map(s.columnAtom(), func(f fieldRef) groupTarget {
+	byColumn := c.Map(columnAtom, func(f fieldRef) groupTarget {
 		return groupTarget{f: f.f, score: f.score}
 	})
-	byTable := c.Map(s.tableAtom(), func(e entRef) groupTarget {
-		t := s.g.idx.Schema.Table(e.table)
+	byTable := c.Map(tableAtom, func(e entRef) groupTarget {
+		t := g.idx.Schema.Table(e.table)
 		return groupTarget{f: iql.FieldRef{Table: e.table, Column: t.NameColumn()}, score: e.score}
 	})
-	return c.Seq3(intro, dets(), c.Alt(byColumn, byTable),
-		func(_ tk, _ struct{}, g groupTarget) *draft {
+	return c.Seq3(intro, dets, c.Alt(byColumn, byTable),
+		func(_ tk, _ struct{}, gt groupTarget) *draft {
 			d := draftFromQuery(prev)
-			d.group = append(d.group, g.f)
-			d.score += g.score
+			d.group = append(d.group, gt.f)
+			d.score += gt.score
 			// Grouping a plain listing implies counting per group.
 			if len(d.outputs) == 0 || (allPlain(d.outputs) && d.having == nil && d.order == nil) {
 				d.outputs = []iql.Output{{CountStar: true}}

@@ -22,7 +22,14 @@ import (
 	"repro/internal/strutil"
 )
 
-type tk = strutil.Token
+// tk is the token the parsers read: a question token together with the
+// semantic-index annotations that start at it. Everything that differs
+// between two questions reaches the parsers this way, through their
+// input, so the parsers themselves hold nothing per question.
+type tk struct {
+	strutil.Token
+	anns []semindex.Annotation
+}
 
 // parser is the token-level combinator parser type used throughout.
 type parser[R any] = c.Parser[tk, R]
@@ -97,9 +104,22 @@ type Options struct {
 func DefaultOptions() Options { return Options{Groups: AllGroups()} }
 
 // Grammar parses questions against one semantic index.
+//
+// New builds the combinator tree once: each nonterminal is constructed
+// once and shared by reference wherever the grammar uses it, and what
+// does not depend on the index or the rule groups (determiners, the
+// opener, numbers, the annotation atoms, the token-only modifiers) is
+// built once per process. Parsing only runs the tree. The tree closes
+// over the index and nothing that changes afterwards, so one Grammar
+// parses any number of questions from any number of goroutines at once.
 type Grammar struct {
 	idx  *semindex.Index
 	opts Options
+
+	top    parser[*draft]   // start symbol over the enabled rule groups
+	np     parser[*draft]   // noun phrase
+	mods   parser[[]mod]    // post-modifier sequence
+	numCol parser[fieldRef] // columnAtom restricted to numeric columns
 }
 
 // New creates a grammar over the given semantic index.
@@ -107,7 +127,17 @@ func New(idx *semindex.Index, opts Options) *Grammar {
 	if opts.Groups == 0 {
 		opts.Groups = AllGroups()
 	}
-	return &Grammar{idx: idx, opts: opts}
+	g := &Grammar{idx: idx, opts: opts}
+	g.numCol = c.Filter(columnAtom, func(f fieldRef) bool {
+		ct, ok := idx.ColumnType(f.f.Table, f.f.Column)
+		return ok && ct.IsNumeric()
+	})
+	// np -> mods -> nestedAvgMod -> np: mods reaches the noun phrase
+	// through c.Ref(&g.np), assigned below before any parse.
+	g.mods = g.buildMods()
+	g.np = g.buildNP()
+	g.top = g.buildTop()
+	return g
 }
 
 // Candidate is one complete parse of a question.
@@ -119,14 +149,15 @@ type Candidate struct {
 // Prepared is a question after lexical preparation: noise stripped and
 // every span annotated by the semantic index. Splitting preparation
 // from parsing lets the timing experiment (F1) attribute annotation
-// and parsing costs separately.
+// and parsing costs separately. Anns is ordered by Start, as
+// Index.Annotate returns it.
 type Prepared struct {
-	Toks []tk
+	Toks []strutil.Token
 	Anns []semindex.Annotation
 }
 
 // Prepare strips noise tokens and annotates the question.
-func (g *Grammar) Prepare(toks []tk) Prepared {
+func (g *Grammar) Prepare(toks []strutil.Token) Prepared {
 	toks = stripNoise(toks)
 	return Prepared{Toks: toks, Anns: g.idx.Annotate(toks)}
 }
@@ -134,56 +165,60 @@ func (g *Grammar) Prepare(toks []tk) Prepared {
 // Parse parses a tokenized question into logical query candidates,
 // deduplicated, best score first. An empty result means the question is
 // outside the grammar's coverage.
-func (g *Grammar) Parse(toks []tk) []Candidate {
+func (g *Grammar) Parse(toks []strutil.Token) []Candidate {
 	return g.ParsePrepared(g.Prepare(toks))
 }
 
 // ParsePrepared parses an already-prepared question.
 func (g *Grammar) ParsePrepared(p Prepared) []Candidate {
-	toks := p.Toks
-	if len(toks) == 0 {
+	if len(p.Toks) == 0 {
 		return nil
 	}
-	byStart := map[int][]semindex.Annotation{}
-	for _, a := range p.Anns {
-		byStart[a.Start] = append(byStart[a.Start], a)
-	}
-	s := &session{g: g, anns: byStart}
-	top := s.top()
-	drafts := c.ParseAll(top, toks)
+	return g.candidates(c.ParseAll(g.top, annotated(p)))
+}
 
-	best := map[string]Candidate{}
-	var order []string
+// annotated pairs each token with the annotations starting at it: the
+// run of p.Anns with that Start.
+func annotated(p Prepared) []tk {
+	out := make([]tk, len(p.Toks))
+	i := 0
+	for pos, t := range p.Toks {
+		lo := i
+		for i < len(p.Anns) && p.Anns[i].Start == pos {
+			i++
+		}
+		out[pos] = tk{Token: t, anns: p.Anns[lo:i]}
+	}
+	return out
+}
+
+// candidates finalizes the complete parses and keeps, for each distinct
+// query, its best-scoring draft at the place the query was first found;
+// the result is ordered best score first, stably.
+func (g *Grammar) candidates(drafts []*draft) []Candidate {
+	var out []Candidate
+	at := map[string]int{} // Query.String() -> index in out
 	for _, d := range drafts {
 		q, ok := d.finalize(g.idx)
 		if !ok {
 			continue
 		}
 		key := q.String()
-		if prev, seen := best[key]; !seen || d.score > prev.Score {
-			if !seen {
-				order = append(order, key)
-			}
-			best[key] = Candidate{Query: q, Score: d.score}
+		if i, seen := at[key]; !seen {
+			at[key] = len(out)
+			out = append(out, Candidate{Query: q, Score: d.score})
+		} else if d.score > out[i].Score {
+			out[i] = Candidate{Query: q, Score: d.score}
 		}
 	}
-	out := make([]Candidate, 0, len(best))
-	for _, k := range order {
-		out = append(out, best[k])
-	}
-	sortCandidates(out)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
-}
-
-// sortCandidates orders candidates best score first, stably.
-func sortCandidates(cands []Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Score > cands[j].Score })
 }
 
 // stripNoise removes the trailing question mark, leading politeness and
 // other tokens that carry no meaning for any rule.
-func stripNoise(toks []tk) []tk {
-	var out []tk
+func stripNoise(toks []strutil.Token) []strutil.Token {
+	out := make([]strutil.Token, 0, len(toks))
 	for i, t := range toks {
 		if t.Kind == strutil.Punct {
 			continue // "?" and "," — list commas are re-handled as "and"
@@ -196,46 +231,43 @@ func stripNoise(toks []tk) []tk {
 	return out
 }
 
-// session holds per-question state the primitive parsers close over.
-type session struct {
-	g    *Grammar
-	anns map[int][]semindex.Annotation
-	// npP caches the noun-phrase parser; rules that need a nested noun
-	// phrase (nestedAvgMod) forward to it lazily to break the
-	// construction cycle np -> mods -> nestedAvgMod -> np.
-	npP parser[*draft]
-}
-
-// npFwd forwards to the cached noun-phrase parser at parse time.
-func (s *session) npFwd() parser[*draft] {
-	return func(toks []tk, pos int) []c.Result[*draft] {
-		if s.npP == nil {
-			return nil
-		}
-		return s.npP(toks, pos)
-	}
-}
-
 // ---- primitive parsers ----
 
-// word matches one token whose lowercase form is in ws.
+// word matches one token whose lowercase form is one of ws. The sets
+// are short, so a scan of the literal beats hashing and the parser
+// retains nothing but the literal.
 func word(ws ...string) parser[tk] {
-	set := map[string]bool{}
-	for _, w := range ws {
-		set[w] = true
-	}
-	return c.Satisfy(func(t tk) bool { return t.Kind == strutil.Word && set[t.Lower] })
+	return c.Satisfy(func(t tk) bool {
+		if t.Kind != strutil.Word {
+			return false
+		}
+		for _, w := range ws {
+			if w == t.Lower {
+				return true
+			}
+		}
+		return false
+	})
 }
 
-// opt wraps a parser to be optional, discarding its value.
+// optWords makes word(ws...) optional, discarding its value.
 func optWords(ws ...string) parser[struct{}] {
 	return c.Opt(c.Map(word(ws...), func(tk) struct{} { return struct{}{} }), struct{}{})
 }
 
-// dets skips determiners.
-func dets() parser[struct{}] {
-	return c.Map(c.Many(word("a", "an", "the", "all", "every", "any")),
-		func([]tk) struct{} { return struct{}{} })
+// dets skips determiners: the longest run, like c.Many, but written
+// out because it runs at nearly every position and would otherwise
+// collect the tokens it skips.
+func dets(toks []tk, pos int) []c.Result[struct{}] {
+	for pos < len(toks) && toks[pos].Kind == strutil.Word {
+		switch toks[pos].Lower {
+		case "a", "an", "the", "all", "every", "any":
+			pos++
+			continue
+		}
+		break
+	}
+	return []c.Result[struct{}]{{Next: pos}}
 }
 
 // entRef is a parsed table reference.
@@ -258,75 +290,68 @@ type valRef struct {
 }
 
 // tableAtom yields one parse per table annotation starting here.
-func (s *session) tableAtom() parser[entRef] {
-	return func(toks []tk, pos int) []c.Result[entRef] {
-		var out []c.Result[entRef]
-		for _, a := range s.anns[pos] {
-			if a.Kind == semindex.TableElem {
-				out = append(out, c.Result[entRef]{
-					Value: entRef{table: a.Table, score: a.Score},
-					Next:  a.End,
-				})
-			}
-		}
-		return out
+func tableAtom(toks []tk, pos int) []c.Result[entRef] {
+	if pos >= len(toks) {
+		return nil
 	}
+	var out []c.Result[entRef]
+	for _, a := range toks[pos].anns {
+		if a.Kind == semindex.TableElem {
+			out = append(out, c.Result[entRef]{
+				Value: entRef{table: a.Table, score: a.Score},
+				Next:  a.End,
+			})
+		}
+	}
+	return out
 }
 
 // columnAtom yields one parse per column annotation starting here.
-func (s *session) columnAtom() parser[fieldRef] {
-	return func(toks []tk, pos int) []c.Result[fieldRef] {
-		var out []c.Result[fieldRef]
-		for _, a := range s.anns[pos] {
-			if a.Kind == semindex.ColumnElem {
-				out = append(out, c.Result[fieldRef]{
-					Value: fieldRef{f: iql.FieldRef{Table: a.Table, Column: a.Column}, score: a.Score},
-					Next:  a.End,
-				})
-			}
-		}
-		return out
+func columnAtom(toks []tk, pos int) []c.Result[fieldRef] {
+	if pos >= len(toks) {
+		return nil
 	}
-}
-
-// numericColumnAtom restricts columnAtom to numeric columns.
-func (s *session) numericColumnAtom() parser[fieldRef] {
-	return c.Filter(s.columnAtom(), func(f fieldRef) bool {
-		ct, ok := s.g.idx.ColumnType(f.f.Table, f.f.Column)
-		return ok && ct.IsNumeric()
-	})
+	var out []c.Result[fieldRef]
+	for _, a := range toks[pos].anns {
+		if a.Kind == semindex.ColumnElem {
+			out = append(out, c.Result[fieldRef]{
+				Value: fieldRef{f: iql.FieldRef{Table: a.Table, Column: a.Column}, score: a.Score},
+				Next:  a.End,
+			})
+		}
+	}
+	return out
 }
 
 // valueAtom yields one parse per value annotation starting here.
-func (s *session) valueAtom() parser[valRef] {
-	return func(toks []tk, pos int) []c.Result[valRef] {
-		var out []c.Result[valRef]
-		for _, a := range s.anns[pos] {
-			if a.Kind == semindex.ValueElem {
-				out = append(out, c.Result[valRef]{
-					Value: valRef{
-						f:     iql.FieldRef{Table: a.Table, Column: a.Column},
-						v:     a.Value,
-						score: a.Score,
-					},
-					Next: a.End,
-				})
-			}
-		}
-		return out
+func valueAtom(toks []tk, pos int) []c.Result[valRef] {
+	if pos >= len(toks) {
+		return nil
 	}
+	var out []c.Result[valRef]
+	for _, a := range toks[pos].anns {
+		if a.Kind == semindex.ValueElem {
+			out = append(out, c.Result[valRef]{
+				Value: valRef{
+					f:     iql.FieldRef{Table: a.Table, Column: a.Column},
+					v:     a.Value,
+					score: a.Score,
+				},
+				Next: a.End,
+			})
+		}
+	}
+	return out
 }
 
-// quotedAtom matches a quoted token, yielding its verbatim text.
-func quotedAtom() parser[string] {
-	return c.Map(
-		c.Satisfy(func(t tk) bool { return t.Kind == strutil.Quoted }),
-		func(t tk) string { return t.Text })
-}
+// quoted matches a quoted token, yielding its verbatim text.
+var quoted = c.Map(
+	c.Satisfy(func(t tk) bool { return t.Kind == strutil.Quoted }),
+	func(t tk) string { return t.Text })
 
 // number parses a numeric token (optionally scaled: "1.5 million") or a
 // run of spelled-out number words ("twenty five").
-func number() parser[float64] {
+var number = func() parser[float64] {
 	numTok := c.Map(
 		c.Satisfy(func(t tk) bool { return t.Kind == strutil.Number }),
 		func(t tk) float64 {
@@ -362,4 +387,4 @@ func number() parser[float64] {
 		func(v float64) bool { return v >= 0 })
 
 	return c.Alt(scaledTok, spelled)
-}
+}()

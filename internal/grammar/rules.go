@@ -8,25 +8,22 @@ import (
 	"repro/internal/strutil"
 )
 
-// top builds the start symbol from the enabled rule groups.
-func (s *session) top() parser[*draft] {
-	groups := s.g.opts.Groups
-	np := s.np()
-	s.npP = np
-
+// buildTop builds the start symbol from the enabled rule groups.
+func (g *Grammar) buildTop() parser[*draft] {
+	groups := g.opts.Groups
 	var tops []parser[*draft]
 	if groups.Has(GCore) {
-		tops = append(tops, s.listQ(np))
+		tops = append(tops, g.listQ())
 	}
 	if groups.Has(GProj) {
-		tops = append(tops, s.projQ(np))
+		tops = append(tops, g.projQ())
 	}
 	if groups.Has(GAgg) {
-		tops = append(tops, s.howManyQ(np), s.numberOfQ(np), s.aggQ(np),
-			s.howMuchQ(), s.howManyColQ())
+		tops = append(tops, g.howManyQ(), g.numberOfQ(), g.aggQ(),
+			g.howMuchQ(), g.howManyColQ())
 	}
 	if groups.Has(GSuper) {
-		tops = append(tops, s.whichSuperQ(), s.topNQ())
+		tops = append(tops, g.whichSuperQ(), g.topNQ())
 	}
 	if len(tops) == 0 {
 		return c.Fail[tk, *draft]()
@@ -36,12 +33,12 @@ func (s *session) top() parser[*draft] {
 
 // opener consumes question-initial boilerplate: "show me all", "what
 // are the", "give me a list of", or nothing.
-func (s *session) opener() parser[struct{}] {
+var opener = func() parser[struct{}] {
 	unit := struct{}{}
 	cmd := c.Satisfy(func(t tk) bool { return t.Kind == strutil.Word && lexicon.IsCommandVerb(t.Lower) })
 	listOf := c.Opt(c.Seq2(word("list", "table", "names"), word("of"),
 		func(tk, tk) struct{} { return unit }), unit)
-	cmdOpen := c.Seq4(cmd, optWords("me", "us"), dets(), listOf,
+	cmdOpen := c.Seq4(cmd, optWords("me", "us"), dets, listOf,
 		func(tk, struct{}, struct{}, struct{}) struct{} { return unit })
 
 	wh := c.Satisfy(func(t tk) bool { return t.Kind == strutil.Word && lexicon.WhWords[t.Lower] })
@@ -49,43 +46,43 @@ func (s *session) opener() parser[struct{}] {
 		func(tk, struct{}) struct{} { return unit })
 
 	return c.Alt(cmdOpen, whOpen, c.Succeed[tk](unit))
-}
+}()
 
-// np parses a noun phrase: determiners, an optional superlative, the
-// entity noun, then any number of post-modifiers.
-func (s *session) np() parser[*draft] {
-	ent := s.tableAtom()
-	mods := s.mods()
+// superWord matches a superlative adjective or adverb ("largest",
+// "most").
+var superWord = c.Satisfy(func(t tk) bool {
+	_, ok := lexicon.Superlatives[t.Lower]
+	return t.Kind == strutil.Word && ok
+})
 
-	plain := c.Seq3(dets(), ent, mods, func(_ struct{}, e entRef, ms []mod) *draft {
+// buildNP builds the noun phrase: determiners, an optional superlative,
+// the entity noun, then any number of post-modifiers.
+func (g *Grammar) buildNP() parser[*draft] {
+	plain := c.Seq3(dets, tableAtom, g.mods, func(_ struct{}, e entRef, ms []mod) *draft {
 		d := &draft{entity: e, score: e.score}
 		return d.apply(ms)
 	})
 	// Value-premodified noun phrase: "History students", "Computer
 	// Science instructors" — the value restricts the entity through the
 	// join graph.
-	valueFirst := c.Seq4(dets(), s.valueAtom(), ent, mods,
+	valueFirst := c.Seq4(dets, valueAtom, tableAtom, g.mods,
 		func(_ struct{}, v valRef, e entRef, ms []mod) *draft {
 			d := &draft{entity: e, score: e.score + v.score}
 			d.conds = append(d.conds, iql.Condition{Field: v.f, Op: lexicon.Eq, Value: v.v})
 			return d.apply(ms)
 		})
-	if !s.g.opts.Groups.Has(GSuper) {
+	if !g.opts.Groups.Has(GSuper) {
 		return c.Alt(plain, valueFirst)
 	}
-	return c.Alt(plain, valueFirst, s.superNP(ent, mods))
+	return c.Alt(plain, valueFirst, g.superNP())
 }
 
 // superNP parses "the largest country [by area]" — a superlative
 // adjective before the entity. Without an explicit attribute, each
 // numeric attribute of the entity yields a candidate; a lexical hint
 // ("longest" -> length) boosts the hinted attribute.
-func (s *session) superNP(ent parser[entRef], mods parser[[]mod]) parser[*draft] {
-	superWord := c.Satisfy(func(t tk) bool {
-		_, ok := lexicon.Superlatives[t.Lower]
-		return t.Kind == strutil.Word && ok
-	})
-	byCol := c.Opt(c.Then(word("by"), s.numericColumnAtom()), fieldRef{})
+func (g *Grammar) superNP() parser[*draft] {
+	byCol := c.Opt(c.Then(word("by"), g.numCol), fieldRef{})
 
 	// Optional plain adjective between the superlative and the noun:
 	// "the most expensive product". The adjective supplies the
@@ -100,7 +97,7 @@ func (s *session) superNP(ent parser[entRef], mods parser[[]mod]) parser[*draft]
 		e   entRef
 		by  fieldRef
 	}
-	head := c.Seq4(c.Then(dets(), superWord), adj, ent, byCol,
+	head := c.Seq4(c.Then(dets, superWord), adj, tableAtom, byCol,
 		func(sw tk, hint string, e entRef, by fieldRef) superHead {
 			sup := lexicon.Superlatives[sw.Lower]
 			if hint != "" {
@@ -110,11 +107,11 @@ func (s *session) superNP(ent parser[entRef], mods parser[[]mod]) parser[*draft]
 		})
 
 	return c.Bind(head, func(h superHead) parser[*draft] {
-		return c.Map(mods, func(ms []mod) *draft {
+		return c.Map(g.mods, func(ms []mod) *draft {
 			base := &draft{entity: h.e, score: h.e.score}
 			base.apply(ms)
 			base.order = nil // superlative owns the ordering
-			return s.applySuper(base, h.sup, h.by)
+			return g.applySuper(base, h.sup, h.by)
 		})
 	})
 }
@@ -124,14 +121,14 @@ func (s *session) superNP(ent parser[entRef], mods parser[[]mod]) parser[*draft]
 // that by calling applySuper once per candidate — here we pick the
 // hinted or sole numeric attribute, and mark the draft unusable
 // otherwise (finalize drops order-less superlatives).
-func (s *session) applySuper(d *draft, sup lexicon.Superlative, by fieldRef) *draft {
+func (g *Grammar) applySuper(d *draft, sup lexicon.Superlative, by fieldRef) *draft {
 	limit := 1
 	if !by.f.Zero() {
 		d.order = &iql.OrderSpec{Field: by.f, Desc: sup.Desc, Limit: limit}
 		d.score += by.score
 		return d
 	}
-	attrs := numericAttrs(s.g.idx, d.entity.table)
+	attrs := numericAttrs(g.idx, d.entity.table)
 	var chosen iql.FieldRef
 	switch {
 	case len(attrs) == 0:
@@ -140,7 +137,7 @@ func (s *session) applySuper(d *draft, sup lexicon.Superlative, by fieldRef) *dr
 		chosen = attrs[0]
 	default:
 		for _, a := range attrs {
-			if hintMatch(s.g.idx, a, sup.Hint) {
+			if hintMatch(g.idx, a, sup.Hint) {
 				chosen = a
 				break
 			}
@@ -155,24 +152,23 @@ func (s *session) applySuper(d *draft, sup lexicon.Superlative, by fieldRef) *dr
 }
 
 // listQ is the core form: "[show me all] students [in CS] [...]".
-func (s *session) listQ(np parser[*draft]) parser[*draft] {
-	return c.Seq2(s.opener(), np, func(_ struct{}, d *draft) *draft { return d })
+func (g *Grammar) listQ() parser[*draft] {
+	return c.Seq2(opener, g.np, func(_ struct{}, d *draft) *draft { return d })
 }
 
 // projQ projects columns: "[what is] the salary of Ada Lovelace",
 // "names and gpas of students in CS".
-func (s *session) projQ(np parser[*draft]) parser[*draft] {
-	colList := c.SepBy1(s.columnAtom(), word("and"))
+func (g *Grammar) projQ() parser[*draft] {
+	colList := c.SepBy1(columnAtom, word("and"))
 	of := word("of", "for", "from", "in", "at")
 
-	npTarget := c.Map(np, func(d *draft) *draft { return d })
 	// A value target may carry an appositive head noun naming its own
 	// table: "the budget of the Physics department".
 	valTarget := c.Bind(
-		c.Seq2(dets(), s.valueAtom(), func(_ struct{}, v valRef) valRef { return v }),
+		c.Seq2(dets, valueAtom, func(_ struct{}, v valRef) valRef { return v }),
 		func(v valRef) parser[*draft] {
 			headNoun := c.Opt(
-				c.Filter(s.tableAtom(), func(e entRef) bool { return e.table == v.f.Table }),
+				c.Filter(tableAtom, func(e entRef) bool { return e.table == v.f.Table }),
 				entRef{})
 			return c.Map(headNoun, func(entRef) *draft {
 				return &draft{
@@ -181,9 +177,9 @@ func (s *session) projQ(np parser[*draft]) parser[*draft] {
 				}
 			})
 		})
-	target := c.Alt(npTarget, valTarget)
+	target := c.Alt(g.np, valTarget)
 
-	head := c.Seq3(s.opener(), dets(), colList,
+	head := c.Seq3(opener, dets, colList,
 		func(_ struct{}, _ struct{}, cols []fieldRef) []fieldRef { return cols })
 
 	return c.Seq3(head, of, target, func(cols []fieldRef, _ tk, d *draft) *draft {
@@ -200,8 +196,8 @@ func (s *session) projQ(np parser[*draft]) parser[*draft] {
 }
 
 // howManyQ: "how many students [are] [in CS]".
-func (s *session) howManyQ(np parser[*draft]) parser[*draft] {
-	return c.Seq3(word("how"), word("many"), np, func(_, _ tk, d *draft) *draft {
+func (g *Grammar) howManyQ() parser[*draft] {
+	return c.Seq3(word("how"), word("many"), g.np, func(_, _ tk, d *draft) *draft {
 		out := d.clone()
 		out.outputs = append([]iql.Output{{CountStar: true}}, out.outputs...)
 		return out
@@ -210,8 +206,8 @@ func (s *session) howManyQ(np parser[*draft]) parser[*draft] {
 
 // howMuchQ: "how much revenue ..." — a mass-noun sum over a numeric
 // column ("revenue" resolves through column synonyms).
-func (s *session) howMuchQ() parser[*draft] {
-	return c.Seq4(word("how"), word("much"), s.numericColumnAtom(), s.mods(),
+func (g *Grammar) howMuchQ() parser[*draft] {
+	return c.Seq4(word("how"), word("much"), g.numCol, g.mods,
 		func(_, _ tk, col fieldRef, ms []mod) *draft {
 			d := &draft{
 				entity:  entRef{table: col.f.Table, score: 0.5},
@@ -225,8 +221,8 @@ func (s *session) howMuchQ() parser[*draft] {
 // howManyColQ: "how many people live in China" — a count-word over a
 // numeric column reads as projecting that column of the restricted
 // entity (the population value), not counting rows.
-func (s *session) howManyColQ() parser[*draft] {
-	return c.Seq4(word("how"), word("many"), s.numericColumnAtom(), s.mods(),
+func (g *Grammar) howManyColQ() parser[*draft] {
+	return c.Seq4(word("how"), word("many"), g.numCol, g.mods,
 		func(_, _ tk, col fieldRef, ms []mod) *draft {
 			d := &draft{
 				entity:  entRef{table: col.f.Table, score: 0.5},
@@ -238,9 +234,9 @@ func (s *session) howManyColQ() parser[*draft] {
 }
 
 // numberOfQ: "[what is] the number of students [in CS]".
-func (s *session) numberOfQ(np parser[*draft]) parser[*draft] {
-	return c.Seq4(s.opener(), dets(), c.Seq2(word("number", "count"), word("of"),
-		func(tk, tk) struct{} { return struct{}{} }), np,
+func (g *Grammar) numberOfQ() parser[*draft] {
+	return c.Seq4(opener, dets, c.Seq2(word("number", "count"), word("of"),
+		func(tk, tk) struct{} { return struct{}{} }), g.np,
 		func(_, _ struct{}, _ struct{}, d *draft) *draft {
 			out := d.clone()
 			out.outputs = append([]iql.Output{{CountStar: true}}, out.outputs...)
@@ -250,22 +246,22 @@ func (s *session) numberOfQ(np parser[*draft]) parser[*draft] {
 
 // aggQ: "[what is] the average salary [of instructors [in CS]] [per
 // department]".
-func (s *session) aggQ(np parser[*draft]) parser[*draft] {
+func (g *Grammar) aggQ() parser[*draft] {
 	aggWord := c.Satisfy(func(t tk) bool {
 		a, ok := lexicon.Aggregates[t.Lower]
 		return t.Kind == strutil.Word && ok && a != lexicon.Count
 	})
 	ofNP := c.Opt(
-		c.Map(c.Then(word("of", "for", "among", "across", "over"), np), func(d *draft) *draft { return d }),
+		c.Then(word("of", "for", "among", "across", "over"), g.np),
 		(*draft)(nil))
 
-	head := c.Seq4(s.opener(), dets(), aggWord, c.Then(dets(), s.numericColumnAtom()),
+	head := c.Seq4(opener, dets, aggWord, c.Then(dets, g.numCol),
 		func(_ struct{}, _ struct{}, aw tk, col fieldRef) func() (lexicon.Agg, fieldRef) {
 			agg := lexicon.Aggregates[aw.Lower]
 			return func() (lexicon.Agg, fieldRef) { return agg, col }
 		})
 
-	return c.Seq3(head, ofNP, s.mods(),
+	return c.Seq3(head, ofNP, g.mods,
 		func(get func() (lexicon.Agg, fieldRef), target *draft, ms []mod) *draft {
 			agg, col := get()
 			var d *draft
@@ -283,11 +279,7 @@ func (s *session) aggQ(np parser[*draft]) parser[*draft] {
 // whichSuperQ: "which country has the largest population",
 // "who has the highest salary", "which department has the most
 // students".
-func (s *session) whichSuperQ() parser[*draft] {
-	superWord := c.Satisfy(func(t tk) bool {
-		_, ok := lexicon.Superlatives[t.Lower]
-		return t.Kind == strutil.Word && ok
-	})
+func (g *Grammar) whichSuperQ() parser[*draft] {
 	has := word("has", "have", "with", "had", "earns", "holds", "offers")
 
 	// Entity with optional restrictive modifiers before the verb:
@@ -296,21 +288,21 @@ func (s *session) whichSuperQ() parser[*draft] {
 		e  entRef
 		ms []mod
 	}
-	entPart := c.Seq4(optWords("which", "what"), dets(), s.tableAtom(), s.mods(),
+	entPart := c.Seq4(optWords("which", "what"), dets, tableAtom, g.mods,
 		func(_ struct{}, _ struct{}, e entRef, ms []mod) entMods {
 			return entMods{e: e, ms: ms}
 		})
 
 	// which ENTITY has the SUPER COLUMN
 	withCol := c.Seq4(
-		c.Map(entPart, func(em entMods) entMods { return em }),
+		entPart,
 		has,
-		c.Seq3(dets(), superWord, c.Then(dets(), s.numericColumnAtom()),
+		c.Seq3(dets, superWord, c.Then(dets, g.numCol),
 			func(_ struct{}, sw tk, col fieldRef) func() (lexicon.Superlative, fieldRef) {
 				sup := lexicon.Superlatives[sw.Lower]
 				return func() (lexicon.Superlative, fieldRef) { return sup, col }
 			}),
-		s.mods(),
+		g.mods,
 		func(em entMods, _ tk, get func() (lexicon.Superlative, fieldRef), ms []mod) *draft {
 			sup, col := get()
 			d := &draft{entity: em.e, score: em.e.score + col.score}
@@ -323,14 +315,14 @@ func (s *session) whichSuperQ() parser[*draft] {
 	// which ENTITY has the most/fewest ENTITY2
 	mostWord := word("most", "fewest", "least")
 	withCount := c.Seq4(
-		c.Map(entPart, func(em entMods) entMods { return em }),
+		entPart,
 		has,
-		c.Seq3(dets(), mostWord, c.Then(dets(), s.tableAtom()),
+		c.Seq3(dets, mostWord, c.Then(dets, tableAtom),
 			func(_ struct{}, mw tk, e2 entRef) func() (bool, entRef) {
 				desc := mw.Lower == "most"
 				return func() (bool, entRef) { return desc, e2 }
 			}),
-		s.mods(),
+		g.mods,
 		func(em entMods, _ tk, get func() (bool, entRef), ms []mod) *draft {
 			desc, e2 := get()
 			d := &draft{entity: em.e, score: em.e.score + e2.score}
@@ -342,12 +334,12 @@ func (s *session) whichSuperQ() parser[*draft] {
 
 	// who has the SUPER COLUMN — entity inferred from the column.
 	whoSuper := c.Seq4(word("who"), has,
-		c.Seq3(dets(), superWord, c.Then(dets(), s.numericColumnAtom()),
+		c.Seq3(dets, superWord, c.Then(dets, g.numCol),
 			func(_ struct{}, sw tk, col fieldRef) func() (lexicon.Superlative, fieldRef) {
 				sup := lexicon.Superlatives[sw.Lower]
 				return func() (lexicon.Superlative, fieldRef) { return sup, col }
 			}),
-		s.mods(),
+		g.mods,
 		func(_ tk, _ tk, get func() (lexicon.Superlative, fieldRef), ms []mod) *draft {
 			sup, col := get()
 			d := &draft{entity: entRef{table: col.f.Table, score: 0.5}, score: col.score}
@@ -359,26 +351,26 @@ func (s *session) whichSuperQ() parser[*draft] {
 	// which ENTITY is the SUPER [COLUMN] — predicate superlative
 	// ("which river is the longest").
 	pred := c.Seq4(
-		c.Map(entPart, func(em entMods) entMods { return em }),
-		c.Then(word("is", "are"), dets()),
+		entPart,
+		c.Then(word("is", "are"), dets),
 		superWord,
-		c.Opt(c.Then(dets(), s.numericColumnAtom()), fieldRef{}),
+		c.Opt(c.Then(dets, g.numCol), fieldRef{}),
 		func(em entMods, _ struct{}, sw tk, col fieldRef) *draft {
 			d := &draft{entity: em.e, score: em.e.score}
 			d.apply(em.ms)
-			return s.applySuper(d, lexicon.Superlatives[sw.Lower], col)
+			return g.applySuper(d, lexicon.Superlatives[sw.Lower], col)
 		})
 
 	return c.Alt(withCol, withCount, whoSuper, pred)
 }
 
 // topNQ: "top 5 instructors by salary".
-func (s *session) topNQ() parser[*draft] {
+func (g *Grammar) topNQ() parser[*draft] {
 	return c.Seq4(
-		c.Then(s.opener(), c.Then(optWords("the"), word("top", "first"))),
-		number(),
-		s.tableAtom(),
-		c.Seq2(c.Then(word("by"), s.numericColumnAtom()), s.mods(),
+		c.Then(opener, c.Then(optWords("the"), word("top", "first"))),
+		number,
+		tableAtom,
+		c.Seq2(c.Then(word("by"), g.numCol), g.mods,
 			func(col fieldRef, ms []mod) func() (fieldRef, []mod) {
 				return func() (fieldRef, []mod) { return col, ms }
 			}),
@@ -393,10 +385,11 @@ func (s *session) topNQ() parser[*draft] {
 
 // ---- post-modifiers ----
 
-// mods parses zero or more post-modifiers, preserving every way of
-// carving the remaining tokens (ambiguity flows to the ranker).
-func (s *session) mods() parser[[]mod] {
-	single := s.modAlternatives()
+// buildMods builds the post-modifier sequence: zero or more modifiers,
+// preserving every way of carving the remaining tokens (ambiguity flows
+// to the ranker).
+func (g *Grammar) buildMods() parser[[]mod] {
+	single := g.modAlternatives()
 	var rec parser[[]mod]
 	rec = c.Alt(
 		c.Seq2(single, c.Ref(&rec), func(m mod, rest []mod) []mod {
@@ -409,55 +402,54 @@ func (s *session) mods() parser[[]mod] {
 	return rec
 }
 
-func (s *session) modAlternatives() parser[mod] {
-	groups := s.g.opts.Groups
+func (g *Grammar) modAlternatives() parser[mod] {
+	groups := g.opts.Groups
 	var alts []parser[mod]
-	alts = append(alts, s.linkMod())
+	alts = append(alts, linkMod)
 	if groups.Has(GCore) {
-		alts = append(alts, s.valueListMod(), s.valueMod(), s.namedMod())
+		alts = append(alts, valueListMod, valueMod, g.namedMod())
 	}
 	if groups.Has(GCmp) {
-		alts = append(alts, s.cmpMod(), s.betweenMod(), s.containsMod())
+		alts = append(alts, cmpMod, g.betweenMod(), g.containsMod())
 	}
 	if groups.Has(GNeg) {
-		alts = append(alts, s.negValueMod())
+		alts = append(alts, negValueMod)
 	}
 	if groups.Has(GGroup) {
-		alts = append(alts, s.groupMod())
+		alts = append(alts, g.groupMod())
 	}
 	if groups.Has(GOrder) {
-		alts = append(alts, s.orderMod())
+		alts = append(alts, orderMod)
 	}
 	if groups.Has(GHavingCount) {
-		alts = append(alts, s.havingCountMod())
+		alts = append(alts, havingCountMod)
 	}
 	if groups.Has(GNested) {
-		alts = append(alts, s.nestedAvgMod(), s.nestedValueMod())
+		alts = append(alts, g.nestedAvgMod(), g.nestedValueMod())
 	}
 	return c.Alt(alts...)
 }
 
 // linkMod consumes meaning-free linking verbs and relativizers so that
 // "students who are enrolled in CS" parses like "students in CS".
-func (s *session) linkMod() parser[mod] {
-	link := word("who", "that", "which", "are", "is", "was", "were",
+var linkMod = c.Map(
+	word("who", "that", "which", "are", "is", "was", "were",
 		"there", "live", "lives", "living", "located", "study",
 		"studies", "studying", "work", "works", "working", "enrolled",
 		"majoring", "taught", "offered", "registered", "based",
-		"currently")
-	return c.Map(link, func(tk) mod { return func(*draft) {} })
-}
+		"currently"),
+	func(tk) mod { return func(*draft) {} })
 
 // valueMod: "[in|from|at|of|on] [the] Computer Science [department]" —
 // an equality condition from the value index, with an optional
 // appositive head noun naming the value's own table.
-func (s *session) valueMod() parser[mod] {
+var valueMod = func() parser[mod] {
 	prep := optWords("in", "from", "at", "of", "on", "for", "within", "to")
-	core := c.Seq3(prep, dets(), s.valueAtom(),
+	core := c.Seq3(prep, dets, valueAtom,
 		func(_ struct{}, _ struct{}, v valRef) valRef { return v })
 	withHead := c.Bind(core, func(v valRef) parser[mod] {
 		headNoun := c.Opt(
-			c.Filter(s.tableAtom(), func(e entRef) bool { return e.table == v.f.Table }),
+			c.Filter(tableAtom, func(e entRef) bool { return e.table == v.f.Table }),
 			entRef{})
 		return c.Map(headNoun, func(entRef) mod {
 			return func(d *draft) {
@@ -467,19 +459,19 @@ func (s *session) valueMod() parser[mod] {
 		})
 	})
 	return withHead
-}
+}()
 
 // valueListMod: "in Computer Science or Mathematics" — a disjunction of
 // values on the same column, compiled to an IN list. "and" is read as
 // union too: the user means membership in either group.
-func (s *session) valueListMod() parser[mod] {
+var valueListMod = func() parser[mod] {
 	prep := optWords("in", "from", "at", "of", "on", "for", "within", "to")
-	first := c.Seq3(prep, dets(), s.valueAtom(),
+	first := c.Seq3(prep, dets, valueAtom,
 		func(_ struct{}, _ struct{}, v valRef) valRef { return v })
 	return c.Bind(first, func(v valRef) parser[mod] {
 		more := c.Many1(
 			c.Filter(
-				c.Seq3(word("or", "and"), dets(), s.valueAtom(),
+				c.Seq3(word("or", "and"), dets, valueAtom,
 					func(_ tk, _ struct{}, w valRef) valRef { return w }),
 				func(w valRef) bool { return w.f == v.f }))
 		return c.Map(more, func(ws []valRef) mod {
@@ -495,15 +487,15 @@ func (s *session) valueListMod() parser[mod] {
 			}
 		})
 	})
-}
+}()
 
 // namedMod: `named "X"` / `called Ada Lovelace` — equality on the
 // entity's display-name column, resolved when the mod is applied.
-func (s *session) namedMod() parser[mod] {
+func (g *Grammar) namedMod() parser[mod] {
 	intro := word("named", "called", "titled")
-	byQuote := c.Seq2(intro, quotedAtom(), func(_ tk, q string) mod {
+	byQuote := c.Seq2(intro, quoted, func(_ tk, q string) mod {
 		return func(d *draft) {
-			t := s.g.idx.Schema.Table(d.entity.table)
+			t := g.idx.Schema.Table(d.entity.table)
 			if t == nil {
 				d.entity.table = "" // poisons the draft; finalize rejects
 				return
@@ -515,7 +507,7 @@ func (s *session) namedMod() parser[mod] {
 			d.score += 1.0
 		}
 	})
-	byValue := c.Seq2(intro, s.valueAtom(), func(_ tk, v valRef) mod {
+	byValue := c.Seq2(intro, valueAtom, func(_ tk, v valRef) mod {
 		return func(d *draft) {
 			d.conds = append(d.conds, iql.Condition{Field: v.f, Op: lexicon.Eq, Value: v.v})
 			d.score += v.score
@@ -533,16 +525,15 @@ type cmpRHS struct {
 	score  float64
 }
 
-// cmpOperator parses the comparison operator phrase, yielding the
-// operator and whether it was negated.
-func cmpOperator() parser[struct {
+// cmpOp is a parsed comparison operator phrase: the operator and
+// whether it was negated.
+type cmpOp struct {
 	op  lexicon.CompareOp
 	neg bool
-}] {
-	type opv = struct {
-		op  lexicon.CompareOp
-		neg bool
-	}
+}
+
+// cmpOperator parses the comparison operator phrase.
+var cmpOperator = func() parser[cmpOp] {
 	is := optWords("is", "are", "was", "were")
 	not := c.Opt(c.Map(word("not"), func(tk) bool { return true }), false)
 
@@ -550,11 +541,6 @@ func cmpOperator() parser[struct {
 		_, ok := lexicon.Comparatives[t.Lower]
 		return t.Kind == strutil.Word && ok
 	}), func(t tk) lexicon.CompareOp { return lexicon.Comparatives[t.Lower] })
-
-	adjThan := c.Skip(c.Map(c.Satisfy(func(t tk) bool {
-		_, ok := lexicon.ComparativeAdjs[t.Lower]
-		return t.Kind == strutil.Word && ok
-	}), func(t tk) lexicon.CompareOp { return lexicon.ComparativeAdjs[t.Lower] }), word("than"))
 
 	atLeast := c.Seq2(word("at"), word("least", "most"), func(_, w tk) lexicon.CompareOp {
 		if w.Lower == "least" {
@@ -568,27 +554,32 @@ func cmpOperator() parser[struct {
 	bare := c.Succeed[tk](lexicon.Eq)
 
 	opWord := c.Alt(single, adjThan, atLeast, equalTo, exactly, bare)
-	return c.Seq3(is, not, opWord, func(_ struct{}, neg bool, op lexicon.CompareOp) opv {
-		return opv{op: op, neg: neg}
+	return c.Seq3(is, not, opWord, func(_ struct{}, neg bool, op lexicon.CompareOp) cmpOp {
+		return cmpOp{op: op, neg: neg}
 	})
-}
+}()
+
+// compAdj matches a comparative adjective ("longer", "higher").
+var compAdj = c.Satisfy(func(t tk) bool {
+	_, ok := lexicon.ComparativeAdjs[t.Lower]
+	return t.Kind == strutil.Word && ok
+})
+
+// adjThan parses "<comparative adjective> than" into its operator.
+var adjThan = c.Skip(
+	c.Map(compAdj, func(t tk) lexicon.CompareOp { return lexicon.ComparativeAdjs[t.Lower] }),
+	word("than"))
 
 // cmpMod: "with gpa over 3.5", "whose salary is at least 50000",
 // "with title 'Professor'", "with grade A".
-func (s *session) cmpMod() parser[mod] {
+var cmpMod = func() parser[mod] {
 	rel := c.Then(word("whose", "with", "having", "where", "and",
-		"in", "at", "on", "from", "of"), dets())
-	col := s.columnAtom()
-	op := cmpOperator()
-
-	rhsNum := c.Map(number(), func(v float64) cmpRHS { return cmpRHS{num: v} })
-	rhsQuoted := c.Map(quotedAtom(), func(q string) cmpRHS { return cmpRHS{text: q, isText: true} })
+		"in", "at", "on", "from", "of"), dets)
+	rhsNum := c.Map(number, func(v float64) cmpRHS { return cmpRHS{num: v} })
+	rhsQuoted := c.Map(quoted, func(q string) cmpRHS { return cmpRHS{text: q, isText: true} })
 	rhs := c.Alt(rhsNum, rhsQuoted)
 
-	withOp := c.Seq4(rel, col, op, rhs, func(_ struct{}, f fieldRef, o struct {
-		op  lexicon.CompareOp
-		neg bool
-	}, r cmpRHS) mod {
+	withOp := c.Seq4(rel, columnAtom, cmpOperator, rhs, func(_ struct{}, f fieldRef, o cmpOp, r cmpRHS) mod {
 		return func(d *draft) {
 			cond := iql.Condition{Field: f.f, Op: o.op, Negated: o.neg}
 			if r.isText {
@@ -603,7 +594,7 @@ func (s *session) cmpMod() parser[mod] {
 
 	// column + indexed value: "with title Assistant Professor" — the
 	// value annotation must belong to the named column.
-	withValue := c.Seq3(rel, col, c.Then(optWords("is", "are"), s.valueAtom()),
+	withValue := c.Seq3(rel, columnAtom, c.Then(optWords("is", "are"), valueAtom),
 		func(_ struct{}, f fieldRef, v valRef) mod {
 			return func(d *draft) {
 				if v.f != f.f {
@@ -616,15 +607,15 @@ func (s *session) cmpMod() parser[mod] {
 		})
 
 	return c.Alt(withOp, withValue)
-}
+}()
 
 // containsMod: `containing "Intro"`, `whose title starts with "Advanced"`,
 // `ending with "Systems"` — substring matching on the entity's display
 // column or an explicit text column, compiled to LIKE.
-func (s *session) containsMod() parser[mod] {
+func (g *Grammar) containsMod() parser[mod] {
 	optCol := c.Opt(c.Seq2(
-		c.Then(word("whose", "with", "where"), dets()),
-		s.columnAtom(),
+		c.Then(word("whose", "with", "where"), dets),
+		columnAtom,
 		func(_ struct{}, f fieldRef) fieldRef { return f }), fieldRef{})
 
 	kind := c.Alt(
@@ -636,11 +627,11 @@ func (s *session) containsMod() parser[mod] {
 			func(_, w tk) tk { return w }), func(tk) string { return "suffix" }),
 	)
 
-	return c.Seq3(optCol, kind, quotedAtom(), func(col fieldRef, k, text string) mod {
+	return c.Seq3(optCol, kind, quoted, func(col fieldRef, k, text string) mod {
 		return func(d *draft) {
 			f := col.f
 			if f.Zero() {
-				t := s.g.idx.Schema.Table(d.entity.table)
+				t := g.idx.Schema.Table(d.entity.table)
 				if t == nil {
 					d.entity.table = ""
 					return
@@ -663,13 +654,13 @@ func (s *session) containsMod() parser[mod] {
 }
 
 // betweenMod: "with salary between 50000 and 90000".
-func (s *session) betweenMod() parser[mod] {
-	rel := c.Then(word("whose", "with", "having", "where", "and"), dets())
+func (g *Grammar) betweenMod() parser[mod] {
+	rel := c.Then(word("whose", "with", "having", "where", "and"), dets)
 	return c.Seq4(
-		c.Then(rel, s.numericColumnAtom()),
+		c.Then(rel, g.numCol),
 		c.Then(optWords("is", "are"), word("between")),
-		number(),
-		c.Then(word("and"), number()),
+		number,
+		c.Then(word("and"), number),
 		func(f fieldRef, _ tk, lo, hi float64) mod {
 			return func(d *draft) {
 				d.conds = append(d.conds, iql.Condition{
@@ -681,7 +672,7 @@ func (s *session) betweenMod() parser[mod] {
 }
 
 // negValueMod: "not in CS", "without grade A", "except History".
-func (s *session) negValueMod() parser[mod] {
+var negValueMod = func() parser[mod] {
 	intro := c.Alt(
 		c.Map(c.Seq2(word("not"), optWords("in", "from", "at", "of"),
 			func(tk, struct{}) tk { return tk{} }), func(tk) struct{} { return struct{}{} }),
@@ -689,7 +680,7 @@ func (s *session) negValueMod() parser[mod] {
 	)
 	// An optional column head before the value ("without grade F")
 	// must name the value's own column.
-	withCol := c.Seq4(intro, dets(), s.columnAtom(), s.valueAtom(),
+	withCol := c.Seq4(intro, dets, columnAtom, valueAtom,
 		func(_ struct{}, _ struct{}, f fieldRef, v valRef) mod {
 			return func(d *draft) {
 				if f.f != v.f {
@@ -701,11 +692,11 @@ func (s *session) negValueMod() parser[mod] {
 			}
 		})
 	bare := c.Bind(
-		c.Seq3(intro, dets(), s.valueAtom(), func(_ struct{}, _ struct{}, v valRef) valRef { return v }),
+		c.Seq3(intro, dets, valueAtom, func(_ struct{}, _ struct{}, v valRef) valRef { return v }),
 		func(v valRef) parser[mod] {
 			// Optional appositive head noun: "not in the North region".
 			headNoun := c.Opt(
-				c.Filter(s.tableAtom(), func(e entRef) bool { return e.table == v.f.Table }),
+				c.Filter(tableAtom, func(e entRef) bool { return e.table == v.f.Table }),
 				entRef{})
 			return c.Map(headNoun, func(entRef) mod {
 				return func(d *draft) {
@@ -715,7 +706,7 @@ func (s *session) negValueMod() parser[mod] {
 			})
 		})
 	return c.Alt(withCol, bare)
-}
+}()
 
 // groupTarget is a resolved grouping key.
 type groupTarget struct {
@@ -724,48 +715,48 @@ type groupTarget struct {
 }
 
 // groupMod: "per department", "by region", "for each continent".
-func (s *session) groupMod() parser[mod] {
+func (g *Grammar) groupMod() parser[mod] {
 	marker := c.Alt(
 		c.Map(word("per", "by"), func(tk) struct{} { return struct{}{} }),
 		c.Map(c.Seq2(word("for", "in"), word("each", "every"), func(a, b tk) tk { return b }),
 			func(tk) struct{} { return struct{}{} }),
 		c.Map(word("each"), func(tk) struct{} { return struct{}{} }),
 	)
-	byColumn := c.Map(s.columnAtom(), func(f fieldRef) groupTarget {
+	byColumn := c.Map(columnAtom, func(f fieldRef) groupTarget {
 		return groupTarget{f: f.f, score: f.score}
 	})
-	byTable := c.Map(s.tableAtom(), func(e entRef) groupTarget {
-		t := s.g.idx.Schema.Table(e.table)
+	byTable := c.Map(tableAtom, func(e entRef) groupTarget {
+		t := g.idx.Schema.Table(e.table)
 		return groupTarget{f: iql.FieldRef{Table: e.table, Column: t.NameColumn()}, score: e.score}
 	})
 	target := c.Alt(byColumn, byTable)
-	return c.Seq3(marker, dets(), target, func(_ struct{}, _ struct{}, g groupTarget) mod {
+	return c.Seq3(marker, dets, target, func(_ struct{}, _ struct{}, gt groupTarget) mod {
 		return func(d *draft) {
-			d.group = append(d.group, g.f)
-			d.score += g.score
+			d.group = append(d.group, gt.f)
+			d.score += gt.score
 		}
 	})
 }
 
 // orderMod: "sorted by salary descending", "ordered by name".
-func (s *session) orderMod() parser[mod] {
+var orderMod = func() parser[mod] {
 	intro := c.Skip(word("sorted", "ordered", "ranked", "arranged", "sort", "order"), word("by"))
 	dir := c.Opt(c.Map(word("descending", "desc", "decreasing", "ascending", "asc", "increasing"),
 		func(t tk) bool {
 			return t.Lower == "descending" || t.Lower == "desc" || t.Lower == "decreasing"
 		}), false)
-	return c.Seq3(c.Then(intro, s.columnAtom()), dir, optWords("order"),
+	return c.Seq3(c.Then(intro, columnAtom), dir, optWords("order"),
 		func(f fieldRef, desc bool, _ struct{}) mod {
 			return func(d *draft) {
 				d.order = &iql.OrderSpec{Field: f.f, Desc: desc}
 				d.score += f.score
 			}
 		})
-}
+}()
 
 // havingCountMod: "with more than 2 enrollments", "having at least 3
 // courses" — counts related rows per entity.
-func (s *session) havingCountMod() parser[mod] {
+var havingCountMod = func() parser[mod] {
 	rel := word("with", "having", "who", "that")
 	moreThan := c.Seq2(word("more"), word("than"), func(tk, tk) lexicon.CompareOp { return lexicon.Gt })
 	fewerThan := c.Seq2(word("fewer", "less"), word("than"), func(tk, tk) lexicon.CompareOp { return lexicon.Lt })
@@ -778,40 +769,34 @@ func (s *session) havingCountMod() parser[mod] {
 	exactly := c.Map(word("exactly"), func(tk) lexicon.CompareOp { return lexicon.Eq })
 	opP := c.Alt(moreThan, fewerThan, atLeast, exactly)
 
-	return c.Seq4(c.Then(rel, c.Then(optWords("have", "has"), opP)), number(), s.tableAtom(), optWords("records", "rows"),
+	return c.Seq4(c.Then(rel, c.Then(optWords("have", "has"), opP)), number, tableAtom, optWords("records", "rows"),
 		func(op lexicon.CompareOp, n float64, e entRef, _ struct{}) mod {
 			return func(d *draft) {
 				d.having = &iql.Having{CountTable: e.table, Op: op, Value: n}
 				d.score += e.score
 			}
 		})
-}
+}()
 
 // nestedAvgMod: "with salary above the average", "whose gpa is higher
 // than the average gpa of History students" — an uncorrelated
 // aggregate subquery comparison.
-func (s *session) nestedAvgMod() parser[mod] {
-	rel := c.Then(word("whose", "with", "having", "where", "earning"), dets())
-	col := s.numericColumnAtom()
-
+func (g *Grammar) nestedAvgMod() parser[mod] {
+	rel := c.Then(word("whose", "with", "having", "where", "earning"), dets)
 	overUnder := c.Map(word("above", "over", "below", "under"), func(t tk) lexicon.CompareOp {
 		if t.Lower == "above" || t.Lower == "over" {
 			return lexicon.Gt
 		}
 		return lexicon.Lt
 	})
-	adjThan := c.Skip(c.Map(c.Satisfy(func(t tk) bool {
-		_, ok := lexicon.ComparativeAdjs[t.Lower]
-		return t.Kind == strutil.Word && ok
-	}), func(t tk) lexicon.CompareOp { return lexicon.ComparativeAdjs[t.Lower] }), word("than"))
 	opP := c.Seq2(optWords("is", "are"), c.Alt(overUnder, adjThan),
 		func(_ struct{}, op lexicon.CompareOp) lexicon.CompareOp { return op })
 
-	avgWord := c.Then(dets(), word("average", "mean"))
-	subCol := c.Opt(s.numericColumnAtom(), fieldRef{})
-	subNP := c.Opt(c.Then(word("of", "for", "among", "in"), s.npFwd()), (*draft)(nil))
+	avgWord := c.Then(dets, word("average", "mean"))
+	subCol := c.Opt(g.numCol, fieldRef{})
+	subNP := c.Opt(c.Then(word("of", "for", "among", "in"), c.Ref(&g.np)), (*draft)(nil))
 
-	withCol := c.Seq4(c.Seq2(rel, col, func(_ struct{}, f fieldRef) fieldRef { return f }),
+	withCol := c.Seq4(c.Seq2(rel, g.numCol, func(_ struct{}, f fieldRef) fieldRef { return f }),
 		c.Skip(opP, avgWord), subCol, subNP,
 		func(f fieldRef, op lexicon.CompareOp, sc fieldRef, sub *draft) mod {
 			return func(d *draft) {
@@ -839,12 +824,12 @@ func (s *session) nestedAvgMod() parser[mod] {
 	// Column-less form: "earning more than the average salary" — the
 	// compared attribute comes from the column after "average" and is
 	// re-anchored onto the entity when it owns a same-named column.
-	relBare := c.Then(word("earning", "making", "with", "whose", "having"), dets())
-	noCol := c.Seq3(c.Then(relBare, c.Skip(opP, avgWord)), s.numericColumnAtom(), subNP,
+	relBare := c.Then(word("earning", "making", "with", "whose", "having"), dets)
+	noCol := c.Seq3(c.Then(relBare, c.Skip(opP, avgWord)), g.numCol, subNP,
 		func(op lexicon.CompareOp, sc fieldRef, sub *draft) mod {
 			return func(d *draft) {
 				outer := sc.f
-				if t := s.g.idx.Schema.Table(d.entity.table); t != nil && t.Column(sc.f.Column) != nil {
+				if t := g.idx.Schema.Table(d.entity.table); t != nil && t.Column(sc.f.Column) != nil {
 					outer = iql.FieldRef{Table: d.entity.table, Column: sc.f.Column}
 				}
 				var subConds []iql.Condition
@@ -866,18 +851,14 @@ func (s *session) nestedAvgMod() parser[mod] {
 // nestedValueMod: "longer than the Rhine", "with population larger
 // than Tokyo" — comparison against a named entity's attribute value,
 // compiled to a MAX() subquery pinned to that entity.
-func (s *session) nestedValueMod() parser[mod] {
-	adj := c.Satisfy(func(t tk) bool {
-		_, ok := lexicon.ComparativeAdjs[t.Lower]
-		return t.Kind == strutil.Word && ok
-	})
+func (g *Grammar) nestedValueMod() parser[mod] {
 	relCol := c.Opt(c.Seq2(
-		c.Then(word("whose", "with", "having", "where"), dets()),
-		s.numericColumnAtom(),
+		c.Then(word("whose", "with", "having", "where"), dets),
+		g.numCol,
 		func(_ struct{}, f fieldRef) fieldRef { return f }), fieldRef{})
 
 	return c.Bind(
-		c.Seq4(relCol, c.Skip(c.Then(optWords("is", "are"), adj), word("than")), dets(), s.valueAtom(),
+		c.Seq4(relCol, c.Skip(c.Then(optWords("is", "are"), compAdj), word("than")), dets, valueAtom,
 			func(col fieldRef, at tk, _ struct{}, v valRef) [3]any {
 				return [3]any{col, at, v}
 			}),
@@ -890,10 +871,10 @@ func (s *session) nestedValueMod() parser[mod] {
 			// hinted/sole numeric attribute of the value's table.
 			field := col.f
 			if field.Zero() {
-				attrs := numericAttrs(s.g.idx, v.f.Table)
+				attrs := numericAttrs(g.idx, v.f.Table)
 				hint := comparativeHint(at.Lower)
 				for _, a := range attrs {
-					if hintMatch(s.g.idx, a, hint) {
+					if hintMatch(g.idx, a, hint) {
 						field = a
 						break
 					}
@@ -908,13 +889,13 @@ func (s *session) nestedValueMod() parser[mod] {
 			// The subquery aggregates the same attribute on the value's
 			// table; that table must actually have the column.
 			subTable := v.f.Table
-			if t := s.g.idx.Schema.Table(subTable); t == nil || t.Column(field.Column) == nil {
+			if t := g.idx.Schema.Table(subTable); t == nil || t.Column(field.Column) == nil {
 				return c.Fail[tk, mod]()
 			}
 			subField := iql.FieldRef{Table: subTable, Column: field.Column}
 			return c.Succeed[tk](mod(func(d *draft) {
 				outer := field
-				if t := s.g.idx.Schema.Table(d.entity.table); t != nil && t.Column(field.Column) != nil {
+				if t := g.idx.Schema.Table(d.entity.table); t != nil && t.Column(field.Column) != nil {
 					outer = iql.FieldRef{Table: d.entity.table, Column: field.Column}
 				}
 				d.sub = &iql.SubCompare{

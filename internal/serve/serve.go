@@ -123,6 +123,11 @@ type Server struct {
 	base       context.Context
 	cancelBase context.CancelCauseFunc
 
+	// drainMu orders every inflight.Add before Shutdown's Wait, as
+	// sync.WaitGroup requires of an Add that may find the counter at
+	// zero: begin adds under the read lock, Shutdown sets draining
+	// under the write lock.
+	drainMu   sync.RWMutex
 	draining  atomic.Bool
 	inflight  sync.WaitGroup
 	janitorCh chan struct{} // closed to stop the janitor
@@ -181,7 +186,9 @@ func (s *Server) janitor() {
 // checkpoint and return 503), and sessions are purged. Returns nil if
 // everything drained before the deadline, ctx's error otherwise.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.drainMu.Lock()
 	s.draining.Store(true)
+	s.drainMu.Unlock()
 	stop := context.AfterFunc(ctx, func() { s.cancelBase(errDraining) })
 	defer stop()
 
@@ -213,30 +220,32 @@ type askRequest struct {
 // timingsJSON is Timings in microseconds — the resolution the
 // dashboards aggregate at.
 type timingsJSON struct {
-	QueueUS    int64 `json:"queue_us"`
-	CorrectUS  int64 `json:"correct_us"`
-	AnnotateUS int64 `json:"annotate_us"`
-	ParseUS    int64 `json:"parse_us"`
-	RankUS     int64 `json:"rank_us"`
-	GenerateUS int64 `json:"generate_us"`
-	PlanUS     int64 `json:"plan_us"`
-	BindUS     int64 `json:"bind_us"`
-	ExecuteUS  int64 `json:"execute_us"`
-	TotalUS    int64 `json:"total_us"`
+	QueueUS     int64 `json:"queue_us"`
+	CorrectUS   int64 `json:"correct_us"`
+	AnnotateUS  int64 `json:"annotate_us"`
+	ParseUS     int64 `json:"parse_us"`
+	RankUS      int64 `json:"rank_us"`
+	GenerateUS  int64 `json:"generate_us"`
+	PlanUS      int64 `json:"plan_us"`
+	BindUS      int64 `json:"bind_us"`
+	ExecuteUS   int64 `json:"execute_us"`
+	VerbalizeUS int64 `json:"verbalize_us"`
+	TotalUS     int64 `json:"total_us"`
 }
 
 func toTimingsJSON(tm core.Timings) timingsJSON {
 	return timingsJSON{
-		QueueUS:    tm.Queue.Microseconds(),
-		CorrectUS:  tm.Correct.Microseconds(),
-		AnnotateUS: tm.Annotate.Microseconds(),
-		ParseUS:    tm.Parse.Microseconds(),
-		RankUS:     tm.Rank.Microseconds(),
-		GenerateUS: tm.Generate.Microseconds(),
-		PlanUS:     tm.Plan.Microseconds(),
-		BindUS:     tm.Bind.Microseconds(),
-		ExecuteUS:  tm.Execute.Microseconds(),
-		TotalUS:    tm.Total.Microseconds(),
+		QueueUS:     tm.Queue.Microseconds(),
+		CorrectUS:   tm.Correct.Microseconds(),
+		AnnotateUS:  tm.Annotate.Microseconds(),
+		ParseUS:     tm.Parse.Microseconds(),
+		RankUS:      tm.Rank.Microseconds(),
+		GenerateUS:  tm.Generate.Microseconds(),
+		PlanUS:      tm.Plan.Microseconds(),
+		BindUS:      tm.Bind.Microseconds(),
+		ExecuteUS:   tm.Execute.Microseconds(),
+		VerbalizeUS: tm.Verbalize.Microseconds(),
+		TotalUS:     tm.Total.Microseconds(),
 	}
 }
 
@@ -470,20 +479,19 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // begin registers one in-flight request, refusing it when draining.
-// The order — Add, then re-check — pairs with Shutdown's store-then-
-// wait so no request slips past the drain untracked.
+// Checking and adding under drainMu pairs with Shutdown's store under
+// the write lock, so no request slips past the drain untracked.
 func (s *Server) begin(w http.ResponseWriter) bool {
-	if s.draining.Load() {
-		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return false
+	s.drainMu.RLock()
+	ok := !s.draining.Load()
+	if ok {
+		s.inflight.Add(1)
 	}
-	s.inflight.Add(1)
-	if s.draining.Load() {
-		s.inflight.Done()
+	s.drainMu.RUnlock()
+	if !ok {
 		writeError(w, http.StatusServiceUnavailable, errDraining)
-		return false
 	}
-	return true
+	return ok
 }
 
 func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {

@@ -99,6 +99,9 @@ func TestAskEndToEnd(t *testing.T) {
 	if tm["total_us"].(float64) <= 0 {
 		t.Error("zero total timing")
 	}
+	if _, ok := tm["verbalize_us"]; !ok {
+		t.Error("verbalize_us missing from the timings")
+	}
 }
 
 func TestInterpretDoesNotExecute(t *testing.T) {
