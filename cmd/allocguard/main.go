@@ -1,5 +1,6 @@
 // Command allocguard compares `go test -bench -benchmem` output against
-// recorded allocs/op baselines and fails when a benchmark regresses.
+// recorded allocs/op (and, optionally, B/op) baselines and fails when a
+// benchmark regresses.
 //
 // Usage:
 //
@@ -7,9 +8,14 @@
 //
 // The baselines file lists one benchmark per line as
 //
-//	BenchmarkName <max-allocs-per-op>
+//	BenchmarkName <max-allocs-per-op> [<max-bytes-per-op>]
 //
-// with '#' comments and blank lines ignored. Benchmark names match with
+// with '#' comments and blank lines ignored. The byte bound is for
+// benchmarks whose regression would be a bigger allocation rather than
+// one more — a buffer per batch sized by the batch is a single
+// allocation however large — and is left unchecked when absent.
+// Sub-benchmarks are named as the output prints them
+// (BenchmarkName/sub). Benchmark names match with
 // the -N GOMAXPROCS suffix stripped, so baselines stay portable across
 // machines. Benchmarks present in the input but absent from the
 // baselines file are reported but do not fail the run; baselines with
@@ -36,20 +42,21 @@ func main() {
 		os.Exit(2)
 	}
 
-	measured := map[string]int64{}
+	measured := map[string]sample{}
 	var extras []string
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		name, allocs, ok := parseBenchLine(sc.Text())
+		name, got, ok := parseBenchLine(sc.Text())
 		if !ok {
 			continue
 		}
 		// Keep the worst observation if a benchmark appears twice
 		// (e.g. -count>1).
-		if prev, seen := measured[name]; !seen || allocs > prev {
-			measured[name] = allocs
+		if prev, seen := measured[name]; seen {
+			got.allocs, got.bytes = max(got.allocs, prev.allocs), max(got.bytes, prev.bytes)
 		}
+		measured[name] = got
 		if _, guarded := baselines[name]; !guarded && !seen(extras, name) {
 			extras = append(extras, name)
 		}
@@ -60,23 +67,30 @@ func main() {
 	}
 
 	failed := false
-	fmt.Printf("%-34s %12s %12s  %s\n", "benchmark", "allocs/op", "max", "status")
+	fmt.Printf("%-40s %10s %10s %12s %12s  %s\n", "benchmark", "allocs/op", "max", "B/op", "max", "status")
 	for _, name := range order {
-		max := baselines[name]
+		limit := baselines[name]
+		maxBytes := "-"
+		if limit.bytes >= 0 {
+			maxBytes = strconv.FormatInt(limit.bytes, 10)
+		}
 		got, ok := measured[name]
 		switch {
 		case !ok:
-			fmt.Printf("%-34s %12s %12d  MISSING (not in bench output)\n", name, "-", max)
+			fmt.Printf("%-40s %10s %10d %12s %12s  MISSING (not in bench output)\n", name, "-", limit.allocs, "-", maxBytes)
 			failed = true
-		case got > max:
-			fmt.Printf("%-34s %12d %12d  FAIL (+%d)\n", name, got, max, got-max)
+		case got.allocs > limit.allocs:
+			fmt.Printf("%-40s %10d %10d %12d %12s  FAIL (+%d allocs)\n", name, got.allocs, limit.allocs, got.bytes, maxBytes, got.allocs-limit.allocs)
+			failed = true
+		case limit.bytes >= 0 && got.bytes > limit.bytes:
+			fmt.Printf("%-40s %10d %10d %12d %12s  FAIL (+%d bytes)\n", name, got.allocs, limit.allocs, got.bytes, maxBytes, got.bytes-limit.bytes)
 			failed = true
 		default:
-			fmt.Printf("%-34s %12d %12d  ok\n", name, got, max)
+			fmt.Printf("%-40s %10d %10d %12d %12s  ok\n", name, got.allocs, limit.allocs, got.bytes, maxBytes)
 		}
 	}
 	for _, name := range extras {
-		fmt.Printf("%-34s %12d %12s  unguarded\n", name, measured[name], "-")
+		fmt.Printf("%-40s %10d %10s %12d %12s  unguarded\n", name, measured[name].allocs, "-", measured[name].bytes, "-")
 	}
 	if failed {
 		fmt.Println("allocguard: FAIL — allocation regression (or missing benchmark); " +
@@ -85,6 +99,10 @@ func main() {
 	}
 	fmt.Println("allocguard: ok")
 }
+
+// sample is one benchmark's allocation figures: measured, or as a
+// baseline's bounds, where bytes < 0 leaves B/op unchecked.
+type sample struct{ allocs, bytes int64 }
 
 func seen(xs []string, s string) bool {
 	for _, x := range xs {
@@ -95,54 +113,87 @@ func seen(xs []string, s string) bool {
 	return false
 }
 
-func readBaselines(path string) (map[string]int64, []string, error) {
+func readBaselines(path string) (map[string]sample, []string, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	out := map[string]int64{}
+	out := map[string]sample{}
 	var order []string
 	sc := bufio.NewScanner(f)
 	ln := 0
 	for sc.Scan() {
 		ln++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		name, limit, ok, err := parseBaseline(sc.Text())
+		if err != nil {
+			return nil, nil, fmt.Errorf("%s:%d: %v", path, ln, err)
+		}
+		if !ok {
 			continue
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 2 {
-			return nil, nil, fmt.Errorf("%s:%d: want \"BenchmarkName max-allocs\", got %q", path, ln, line)
+		if _, dup := out[name]; dup {
+			return nil, nil, fmt.Errorf("%s:%d: duplicate baseline %s", path, ln, name)
 		}
-		max, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil || max < 0 {
-			return nil, nil, fmt.Errorf("%s:%d: bad allocation bound %q", path, ln, fields[1])
-		}
-		if _, dup := out[fields[0]]; dup {
-			return nil, nil, fmt.Errorf("%s:%d: duplicate baseline %s", path, ln, fields[0])
-		}
-		out[fields[0]] = max
-		order = append(order, fields[0])
+		out[name] = limit
+		order = append(order, name)
 	}
 	return out, order, sc.Err()
 }
 
-// parseBenchLine extracts (name, allocs/op) from one line of
+// parseBaseline reads one baselines line; ok is false for blank and
+// comment lines.
+func parseBaseline(line string) (name string, limit sample, ok bool, err error) {
+	line = strings.TrimSpace(line)
+	if line == "" || strings.HasPrefix(line, "#") {
+		return "", sample{}, false, nil
+	}
+	fields := strings.Fields(line)
+	if len(fields) != 2 && len(fields) != 3 {
+		return "", sample{}, false, fmt.Errorf("want \"BenchmarkName max-allocs [max-bytes]\", got %q", line)
+	}
+	limit.bytes = -1
+	for i, dst := range []*int64{&limit.allocs, &limit.bytes}[:len(fields)-1] {
+		v, err := strconv.ParseInt(fields[1+i], 10, 64)
+		if err != nil || v < 0 {
+			return "", sample{}, false, fmt.Errorf("bad allocation bound %q", fields[1+i])
+		}
+		*dst = v
+	}
+	return fields[0], limit, true, nil
+}
+
+// parseBenchLine extracts (name, allocs/op and B/op) from one line of
 // `go test -bench -benchmem` output, e.g.
 //
 //	BenchmarkLoadCSVHinted-8   	     226	   5203911 ns/op	 3049213 B/op	    5037 allocs/op
-func parseBenchLine(line string) (string, int64, bool) {
+//
+// Metrics are read by their unit, so custom b.ReportMetric columns in
+// between do not matter.
+func parseBenchLine(line string) (string, sample, bool) {
 	if !strings.HasPrefix(line, "Benchmark") {
-		return "", 0, false
+		return "", sample{}, false
 	}
 	fields := strings.Fields(line)
-	if len(fields) < 3 || fields[len(fields)-1] != "allocs/op" {
-		return "", 0, false
+	got := sample{allocs: -1, bytes: -1}
+	for i := 2; i+1 < len(fields); i++ {
+		var dst *int64
+		switch fields[i+1] {
+		case "allocs/op":
+			dst = &got.allocs
+		case "B/op":
+			dst = &got.bytes
+		default:
+			continue
+		}
+		v, err := strconv.ParseInt(fields[i], 10, 64)
+		if err != nil {
+			return "", sample{}, false
+		}
+		*dst = v
 	}
-	allocs, err := strconv.ParseInt(fields[len(fields)-2], 10, 64)
-	if err != nil {
-		return "", 0, false
+	if got.allocs < 0 || got.bytes < 0 {
+		return "", sample{}, false
 	}
 	name := fields[0]
 	if i := strings.LastIndexByte(name, '-'); i > 0 {
@@ -151,5 +202,5 @@ func parseBenchLine(line string) (string, int64, bool) {
 			name = name[:i]
 		}
 	}
-	return name, allocs, true
+	return name, got, true
 }

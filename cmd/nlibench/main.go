@@ -990,6 +990,11 @@ func expF13() error {
 		}
 	}
 	dbFlat := dataset.Telemetry(n)
+	// Seal both layouts at the same small boundary: split 8 ways, a
+	// smoke-sized log would otherwise leave every partition an unsealed
+	// plain tail and time encoded segments against unencoded ones.
+	dbPart.Table("events").SetSegmentRows(8192)
+	dbFlat.Table("events").SetSegmentRows(8192)
 	queries := []struct{ name, query string }{
 		{"levels via FK join", "SELECT level, COUNT(*) FROM events, devices " +
 			"WHERE events.device_id = devices.device_id GROUP BY level ORDER BY level"},

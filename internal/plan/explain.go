@@ -12,7 +12,7 @@ import (
 // console's :explain command and the planner's golden tests.
 func (p *Plan) Explain() string {
 	var b strings.Builder
-	explainNode(&b, p.Root, "", "", 0, false)
+	explainNode(&b, p.Root, "", "", 0, false, false)
 	return strings.TrimRight(b.String(), "\n")
 }
 
@@ -21,13 +21,18 @@ func (p *Plan) Explain() string {
 // node below an Exchange is annotated with the worker count driving
 // it. pw marks nodes inside a PartitionWise subtree, whose hash joins
 // build per-partition; an Aggregate directly over a PartitionWise
-// merges per-partition states, so both carry [partition-wise]. Nodes
-// that execute batch-at-a-time over column vectors carry [vec]; a node
-// without the mark falls back to the row iterator while its
-// vectorizable neighbors stay in batches.
-func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, pw bool) {
+// merges per-partition states, so both carry [partition-wise]. build
+// marks the child a hash join hashes — its right input, the one the
+// optimizer estimated smaller — with [build]; the other child streams
+// as the probe. Nodes that execute batch-at-a-time over column vectors
+// carry [vec]; a node without the mark falls back to the row iterator
+// while its vectorizable neighbors stay in batches.
+func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, pw, build bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
+	if build {
+		b.WriteString(" [build]")
+	}
 	switch t := n.(type) {
 	case *HashJoin:
 		if pw {
@@ -53,12 +58,13 @@ func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int
 		childPar = x.Workers
 		childPW = true
 	}
+	_, isHashJoin := n.(*HashJoin)
 	children := n.Children()
 	for i, c := range children {
 		if i == len(children)-1 {
-			explainNode(b, c, childPrefix+"└─ ", childPrefix+"   ", childPar, childPW)
+			explainNode(b, c, childPrefix+"└─ ", childPrefix+"   ", childPar, childPW, isHashJoin)
 		} else {
-			explainNode(b, c, childPrefix+"├─ ", childPrefix+"│  ", childPar, childPW)
+			explainNode(b, c, childPrefix+"├─ ", childPrefix+"│  ", childPar, childPW, false)
 		}
 	}
 }

@@ -44,14 +44,14 @@ limit 5 [vec]
 └─ sort by s.name [vec]
    └─ project s.name, c.title [vec]
       └─ hash join on (e.student_id = s.id) [est=12] [vec]
-         ├─ hash join on (e.course_id = c.course_id) [est=36] [vec]
-         │  ├─ hash join on (c.dept_id = d.dept_id) [est=4] [vec]
-         │  │  ├─ filter (d.name = 'Computer Science') [est=1] [vec]
-         │  │  │  └─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0] [vec]
-         │  │  └─ scan courses AS c cols=3/5 [est=36 segments=1 skipped=0] [vec]
-         │  └─ scan enrollments AS e cols=2/3 [est=360 segments=1 skipped=0] [vec]
-         └─ filter (s.gpa > 3.7) [est=40] [vec]
-            └─ scan students AS s cols=3/5 [est=120 segments=1 skipped=0] [vec]`,
+         ├─ filter (s.gpa > 3.7) [est=40] [vec]
+         │  └─ scan students AS s cols=3/5 [est=120 segments=1 skipped=0] [vec]
+         └─ hash join on (e.course_id = c.course_id) [est=36] [build] [vec]
+            ├─ scan enrollments AS e cols=2/3 [est=360 segments=1 skipped=0] [vec]
+            └─ hash join on (c.dept_id = d.dept_id) [est=4] [build] [vec]
+               ├─ scan courses AS c cols=3/5 [est=36 segments=1 skipped=0] [vec]
+               └─ filter (d.name = 'Computer Science') [est=1] [build] [vec]
+                  └─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0] [vec]`,
 		},
 		{
 			name: "aggregation with HAVING and alias sort",
@@ -61,8 +61,8 @@ limit 5 [vec]
 sort by avg_sal desc [vec]
 └─ aggregate d.name, AVG(i.salary) group by d.name having (COUNT(*) > 2) [vec]
    └─ hash join on (i.dept_id = d.dept_id) [est=24] [vec]
-      ├─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0] [vec]
-      └─ scan instructors AS i cols=2/5 [est=24 segments=1 skipped=0] [vec]`,
+      ├─ scan instructors AS i cols=2/5 [est=24 segments=1 skipped=0] [vec]
+      └─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0] [build] [vec]`,
 		},
 		{
 			name: "distinct projection prunes to one column",
@@ -104,7 +104,7 @@ sort by avg_sal desc [vec]
    └─ filter (i.dept_id = d.dept_id) [est=144] [vec]
       └─ hash join on (i.dept_id = d.dept_id) [est=144] [vec]
          ├─ scan instructors AS i [est=24] [vec]
-         └─ scan departments AS d [est=6] [vec]`, "\n")
+         └─ scan departments AS d [est=6] [build] [vec]`, "\n")
 	if got := p.Explain(); got != want {
 		t.Errorf("naive explain mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}

@@ -72,13 +72,18 @@ func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value, wa
 	}
 
 	order := greedyJoinOrder(sn, bindings, est, cls.joins)
+	work, buildAcc := simulateJoins(sn, bindings, pps, cls.joins, order)
 
-	// Assemble the left-deep join tree, consuming join conjuncts.
+	// Assemble the join tree in greedy order, consuming join conjuncts.
+	// Each hash join probes with its larger estimated input and builds
+	// on the smaller (buildAcc): smallest-first ordering keeps the
+	// accumulated side small, so it is usually the one to hash, and the
+	// binding joining it streams.
 	used := make([]bool, len(cls.joins))
 	root := scans[order[0]]
 	placed := map[int]bool{order[0]: true}
 	outEst := est[order[0]]
-	for _, bi := range order[1:] {
+	for k, bi := range order[1:] {
 		var lkey, rkey []int
 		var conds []sql.Expr
 		sel := 1.0
@@ -96,13 +101,16 @@ func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value, wa
 			conds = append(conds, jc.cond.Expr)
 			sel *= joinSelectivity(sn, bindings, jc)
 		}
-		rel := joinRel(root.Rel(), scans[bi].Rel())
 		outEst = outEst * est[bi] * sel
+		l, r := root, scans[bi]
 		if len(lkey) > 0 {
-			root = &HashJoin{L: root, R: scans[bi], LKey: lkey, RKey: rkey,
-				Conds: conds, Est: ceilEst(outEst), rel: rel}
+			if buildAcc[k] {
+				l, r, lkey, rkey = r, l, rkey, lkey
+			}
+			root = &HashJoin{L: l, R: r, LKey: lkey, RKey: rkey,
+				Conds: conds, Est: ceilEst(outEst), rel: joinRel(l.Rel(), r.Rel())}
 		} else {
-			root = &CrossJoin{L: root, R: scans[bi], Est: ceilEst(outEst), rel: rel}
+			root = &CrossJoin{L: l, R: r, Est: ceilEst(outEst), rel: joinRel(l.Rel(), r.Rel())}
 		}
 		placed[bi] = true
 	}
@@ -130,7 +138,8 @@ func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value, wa
 		joins:    cls.joins,
 		paths:    pps,
 		order:    order,
-		work:     simulateWork(sn, bindings, pps, cls.joins, order),
+		buildAcc: buildAcc,
+		work:     work,
 	}
 	for i := range pps {
 		if pps[i].choice.kind == pathRange && (pps[i].loP >= 0 || pps[i].hiP >= 0) {
@@ -140,41 +149,49 @@ func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value, wa
 	return p, checks, nil
 }
 
-// simulateWork re-derives the pipeline-work gate input (the largest
+// simulateJoins walks the join order over per-binding path estimates
+// alone, without building nodes, and returns the two things the tree
+// bakes in from that walk: the pipeline-work gate input (the largest
 // estimated operator cardinality, as pipelineWork reads off the built
-// tree) from per-binding path estimates alone, without building nodes.
-// Template compilation records this number and Bind recomputes it with
-// the same function, so the parallelize-gate comparison is exact for
-// identical inputs.
-func simulateWork(sn *store.Snapshot, bindings []Binding, pps []pathPlan, joins []boundJoin, order []int) int {
-	work := 0
+// tree) and, per join step, whether the accumulated side is the
+// smaller input and therefore the hash join's build side (false: the
+// newly joined binding is; ties keep it; a step no equi-join conjunct
+// connects becomes a CrossJoin, which has no build side, and records
+// false whatever the sizes). optimize assembles the tree from this
+// result and Bind recomputes it with the same function, so both
+// comparisons are exact for identical inputs.
+func simulateJoins(sn *store.Snapshot, bindings []Binding, pps []pathPlan, joins []boundJoin, order []int) (work int, buildAcc []bool) {
 	for i := range pps {
 		if w := ceilEst(pps[i].scanEst); w > work {
 			work = w
 		}
 	}
 	if len(order) < 2 {
-		return work
+		return work, nil
 	}
+	buildAcc = make([]bool, 0, len(order)-1)
 	used := make([]bool, len(joins))
 	placed := map[int]bool{order[0]: true}
 	outEst := pps[order[0]].outEst
 	for _, bi := range order[1:] {
 		sel := 1.0
+		hashed := false
 		for ci, jc := range joins {
 			if used[ci] || !connects(jc, placed, bi) {
 				continue
 			}
 			used[ci] = true
+			hashed = true
 			sel *= joinSelectivity(sn, bindings, jc)
 		}
+		buildAcc = append(buildAcc, hashed && outEst < pps[bi].outEst)
 		outEst = outEst * pps[bi].outEst * sel
 		if w := ceilEst(outEst); w > work {
 			work = w
 		}
 		placed[bi] = true
 	}
-	return work
+	return work, buildAcc
 }
 
 // fromOrderRel lays the bindings out in declaration order (offsets are

@@ -184,8 +184,9 @@ type Filter struct {
 }
 
 // HashJoin equi-joins two inputs: the right (build) side is hashed on
-// RKey, the left (probe) side streams. Conds holds the consumed
-// conjuncts for Explain.
+// RKey, the left (probe) side streams. The optimizer lays the input it
+// estimates smaller on the right. Conds holds the consumed conjuncts
+// for Explain.
 type HashJoin struct {
 	L, R  Node
 	LKey  []int // offsets into left rows

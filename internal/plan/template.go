@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -61,7 +62,8 @@ type bindChecks struct {
 	joins    []boundJoin  // two-table equi-join conjuncts
 	paths    []pathPlan   // full access-path decision per binding
 	order    []int        // greedy join order
-	work     int          // pipeline-work gate input (see simulateWork)
+	buildAcc []bool       // per join step: the accumulated side is the build side
+	work     int          // pipeline-work gate input (see simulateJoins)
 
 	// valueSensitive marks plans whose estimates read a parameter
 	// value: a param-driven index range bound is the only such input
@@ -152,13 +154,14 @@ func (t *Template) sameEpoch(sn *store.Snapshot) bool {
 
 // Bind produces a runnable plan for one parameter binding. The fast
 // path revalidates the cached plan's selectivity-sensitive choices —
-// access paths, join order, the parallelize gate — against the bound
-// values and sn's statistics and returns the shared compiled tree when
-// they all stand (reused reports this). When any choice would change
-// (table statistics drifted after a load, an index was dropped, an
-// outlier constant moved a range estimate), Bind falls back to a full
-// recompile at the new values, returning a plan optimized for them;
-// results are identical either way, only the tree shape differs.
+// access paths, join order, hash-join build sides, the parallelize
+// gate — against the bound values and sn's statistics and returns the
+// shared compiled tree when they all stand (reused reports this). When
+// any choice would change (table statistics drifted after a load, an
+// index was dropped, an outlier constant moved a range estimate), Bind
+// falls back to a full recompile at the new values, returning a plan
+// optimized for them; results are identical either way, only the tree
+// shape differs.
 func (t *Template) Bind(sn *store.Snapshot, params []store.Value, par int) (p *Plan, reused bool, err error) {
 	if err := t.Validate(params); err != nil {
 		return nil, false, err
@@ -247,10 +250,16 @@ func (t *Template) rebindOK(sn *store.Snapshot, params []store.Value) bool {
 			return false
 		}
 	}
+	// Which input of each hash join is the smaller one decides its
+	// build side; a load that inverts two inputs' sizes without moving
+	// the join order still stales the tree.
+	work, buildAcc := simulateJoins(sn, c.bindings, pps, c.joins, order)
+	if !slices.Equal(buildAcc, c.buildAcc) {
+		return false
+	}
 	// The parallelize gate compares against the same threshold the
 	// rewrite used; crossing it in either direction means the cached
 	// tree's exchange decision no longer matches what a fresh compile
 	// would choose.
-	work := simulateWork(sn, c.bindings, pps, c.joins, order)
 	return (work >= minParallelRows) == (c.work >= minParallelRows)
 }

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -38,6 +39,15 @@ const maxBatch = 1024
 // through the codes; everything else materializes strings lazily via
 // str. Selection-preserving operators (gatherCol) keep codes intact,
 // so strings for filtered-out rows are never built at all.
+//
+// An int column may likewise travel encoded: seg non-nil (ints then
+// nil), the batch's rows being rows [off, off+n) of that immutable
+// FOR- or RLE-encoded segment column. Tests against constants run on
+// the encoded form (vnumrange), point readers go through intAt or
+// gatherCol, and anything that needs the vector decodes it through
+// vbatch.col. A column only a pushed-down predicate reads is therefore
+// never decoded at all. Scans are the only producers of the form and
+// it never crosses the projection boundary.
 type vcol struct {
 	kind    store.Kind
 	ints    []int64
@@ -47,6 +57,8 @@ type vcol struct {
 	nulls   []bool // nil when the column has no NULLs
 	codes   []int32
 	dict    []string
+	seg     *store.SegCol
+	off     int
 	isConst bool // every row holds the same value (a broadcast constant)
 }
 
@@ -61,6 +73,23 @@ func (c *vcol) str(i int) string {
 	return c.strs[i]
 }
 
+// intAt returns the int at row i, decoding through the segment
+// encoding while the column travels encoded.
+func (c *vcol) intAt(i int) int64 {
+	if c.seg != nil {
+		return c.seg.IntAt(c.off + i)
+	}
+	return c.ints[i]
+}
+
+// floatAt returns the numeric value at row i widened to float64.
+func (c *vcol) floatAt(i int) float64 {
+	if c.kind == store.KindInt {
+		return float64(c.intAt(i))
+	}
+	return c.floats[i]
+}
+
 // value boxes row i back into a store.Value.
 func (c *vcol) value(i int) store.Value {
 	if c.kind == store.KindNull || c.null(i) {
@@ -68,7 +97,7 @@ func (c *vcol) value(i int) store.Value {
 	}
 	switch c.kind {
 	case store.KindInt:
-		return store.Int(c.ints[i])
+		return store.Int(c.intAt(i))
 	case store.KindFloat:
 		return store.Float(c.floats[i])
 	case store.KindText:
@@ -81,12 +110,25 @@ func (c *vcol) value(i int) store.Value {
 
 // vbatch is one unit of batch-at-a-time execution: n physical rows of
 // column vectors, with an optional selection vector listing the rows
-// that survived upstream filters. Kernels compute over all physical
-// rows (cheap, branch-free); consumers iterate the selection.
+// that survived upstream filters. Expression kernels compute over all
+// physical rows (cheap, branch-free); consumers iterate the selection.
+//
+// Ownership: everything reachable from a batch an operator returns is
+// private to that batch — an Exchange retains whole batches until its
+// merge — or immutable (segment and column-vector storage, a
+// constant's broadcast). Everything else an operator computes about a
+// batch lives in scratch the operator instance owns and reuses for its
+// next batch. scratch is how that reaches the expression kernels: an
+// operator whose expression results die inside it (Filter, Aggregate,
+// the join probe) points it at its own vscratch for the duration of
+// the evaluation and clears it before the batch moves on; with it nil
+// (Project, the aggregate's output items), kernels allocate, and their
+// output may escape.
 type vbatch struct {
-	n    int
-	cols []vcol
-	sel  []int32 // retained physical row indexes, nil = all n rows
+	n       int
+	cols    []vcol
+	sel     []int32 // retained physical row indexes, nil = all n rows
+	scratch *vscratch
 }
 
 // rows returns the number of selected rows.
@@ -110,6 +152,99 @@ func (b *vbatch) forSel(f func(i int)) {
 	}
 }
 
+// col returns column c in directly indexable form: an int column
+// travelling encoded is decoded, into the evaluating operator's
+// scratch when the batch carries one (the vector then dies with that
+// evaluation), otherwise into a fresh slice that replaces the encoded
+// form on the batch, so a column is decoded at most once.
+func (b *vbatch) col(c int) vcol {
+	vc := b.cols[c]
+	if vc.seg == nil {
+		return vc
+	}
+	vc.ints, vc.seg = vc.seg.DecodeInts(vc.off, vc.off+b.n, b.scratch.intBuf(b.n)), nil
+	if b.scratch == nil {
+		b.cols[c] = vc
+	}
+	return vc
+}
+
+// vscratch is the reusable working memory of one operator instance:
+// the buffers expression kernels, key hashing and column decoding
+// write results into that do not outlive the operator's handling of
+// one batch. Buffers are handed out in call order and grow to the
+// batch in hand, never ahead of it, so a pipeline over a few hundred
+// rows pays for a few hundred rows. A nil *vscratch allocates.
+type vscratch struct {
+	bools  bufPool[bool]
+	ints   bufPool[int64]
+	floats bufPool[float64]
+	hashes bufPool[uint64]
+}
+
+// reset makes every buffer available again; the operator calls it
+// once per batch, before evaluating anything over it.
+func (s *vscratch) reset() {
+	s.bools.used, s.ints.used, s.floats.used, s.hashes.used = 0, 0, 0, 0
+}
+
+// bufPool hands out the k-th buffer of a batch's evaluation from the
+// same backing array every batch.
+type bufPool[T any] struct {
+	bufs [][]T
+	used int
+}
+
+// take returns a buffer of n elements with unspecified contents.
+func (p *bufPool[T]) take(n int) []T {
+	if p.used == len(p.bufs) {
+		p.bufs = append(p.bufs, nil)
+	}
+	buf := p.bufs[p.used]
+	if cap(buf) < n {
+		buf = make([]T, n)
+		p.bufs[p.used] = buf
+	}
+	p.used++
+	return buf[:n]
+}
+
+// boolBuf returns n cleared bools — a kernel's result vector or a
+// null mask it will set sparsely.
+func (s *vscratch) boolBuf(n int) []bool {
+	if s == nil {
+		return make([]bool, n)
+	}
+	buf := s.bools.take(n)
+	clear(buf)
+	return buf
+}
+
+// intBuf and floatBuf return n values the kernel overwrites in full.
+func (s *vscratch) intBuf(n int) []int64 {
+	if s == nil {
+		return make([]int64, n)
+	}
+	return s.ints.take(n)
+}
+
+func (s *vscratch) floatBuf(n int) []float64 {
+	if s == nil {
+		return make([]float64, n)
+	}
+	return s.floats.take(n)
+}
+
+// hashBuf returns n zeroed hash accumulators.
+func (s *vscratch) hashBuf(n int) []uint64 {
+	if s == nil {
+		return make([]uint64, n)
+	}
+	buf := s.hashes.take(n)
+	clear(buf)
+	return buf
+}
+
 // relKinds maps every row slot of rel to its stored value kind.
 func relKinds(rel *Rel) []store.Kind {
 	kinds := make([]store.Kind, rel.Width)
@@ -121,32 +256,40 @@ func relKinds(rel *Rel) []store.Kind {
 	return kinds
 }
 
-// orNulls unions two null masks (either may be nil).
-func orNulls(a, b []bool, n int) []bool {
-	if a == nil && b == nil {
-		return nil
+// orNulls unions two null masks (either may be nil). With at most one
+// mask present the result aliases it: kernels treat operand masks as
+// read-only, and one that goes on to mark rows of its own takes a copy
+// first (ownNulls).
+func orNulls(s *vscratch, a, b []bool, n int) []bool {
+	if a == nil {
+		return b
 	}
-	out := make([]bool, n)
-	if a != nil {
-		copy(out, a)
+	if b == nil {
+		return a
 	}
-	if b != nil {
-		for i := 0; i < n; i++ {
-			if b[i] {
-				out[i] = true
-			}
-		}
+	out := s.boolBuf(n)
+	for i := 0; i < n; i++ {
+		out[i] = a[i] || b[i]
 	}
 	return out
 }
 
-// asFloats widens a numeric column to float64s (a view for FLOAT
-// columns, a converted copy for INT).
-func asFloats(c *vcol, n int) []float64 {
+// ownNulls returns a mask the kernel may write: a copy of an operand's
+// mask, or a cleared one when the operand has none.
+func ownNulls(s *vscratch, nulls []bool, n int) []bool {
+	out := s.boolBuf(n)
+	copy(out, nulls)
+	return out
+}
+
+// asFloats widens a numeric column to float64s for arithmetic (a view
+// for FLOAT columns, a converted copy for INT). Comparisons never
+// widen: they convert per element.
+func asFloats(s *vscratch, c *vcol, n int) []float64 {
 	if c.kind == store.KindFloat {
 		return c.floats[:n]
 	}
-	out := make([]float64, n)
+	out := s.floatBuf(n)
 	for i, v := range c.ints[:n] {
 		out[i] = float64(v)
 	}
@@ -156,7 +299,9 @@ func asFloats(c *vcol, n int) []float64 {
 // vexpr is a compiled vector expression: eval produces a column
 // aligned with the batch's physical rows. Kernels are total — every
 // scalar error case (division by zero, NULL operands) maps to NULL —
-// so evaluation over filtered-out rows is harmless.
+// so evaluation over filtered-out rows is harmless. Result vectors
+// come from the batch's scratch handle (see vbatch), operand vectors
+// are read-only, and a result may alias an operand's null mask.
 type vexpr interface {
 	kind() store.Kind
 	eval(b *vbatch) vcol
@@ -171,7 +316,7 @@ type vcolRef struct {
 }
 
 func (v *vcolRef) kind() store.Kind    { return v.k }
-func (v *vcolRef) eval(b *vbatch) vcol { return b.cols[v.off] }
+func (v *vcolRef) eval(b *vbatch) vcol { return b.col(v.off) }
 
 // vconst broadcasts a constant; the backing slice grows monotonically
 // and is shared across batches (constants never change).
@@ -259,8 +404,8 @@ func (v *vcmp) kind() store.Kind { return store.KindBool }
 func (v *vcmp) eval(b *vbatch) vcol {
 	lc, rc := v.l.eval(b), v.r.eval(b)
 	n := b.n
-	out := make([]bool, n)
-	nulls := orNulls(lc.nulls, rc.nulls, n)
+	out := b.scratch.boolBuf(n)
+	nulls := orNulls(b.scratch, lc.nulls, rc.nulls, n)
 	op := v.op
 	switch {
 	case lc.kind == store.KindInt && rc.kind == store.KindInt:
@@ -274,7 +419,7 @@ func (v *vcmp) eval(b *vbatch) vcol {
 			// Code space vs constant: one comparison per dictionary
 			// entry, then a table gather over the codes.
 			rv := rc.str(0)
-			res := make([]bool, len(lc.dict))
+			res := b.scratch.boolBuf(len(lc.dict))
 			for d, s := range lc.dict {
 				res[d] = cmpOpStr(op, s, rv)
 			}
@@ -284,7 +429,7 @@ func (v *vcmp) eval(b *vbatch) vcol {
 			}
 		case rc.dict != nil && lc.isConst && n > 0:
 			lv := lc.str(0)
-			res := make([]bool, len(rc.dict))
+			res := b.scratch.boolBuf(len(rc.dict))
 			for d, s := range rc.dict {
 				res[d] = cmpOpStr(op, lv, s)
 			}
@@ -307,10 +452,9 @@ func (v *vcmp) eval(b *vbatch) vcol {
 		for i := 0; i < n; i++ {
 			out[i] = cmpOpInt(op, boolRank(lb[i]), boolRank(rb[i]))
 		}
-	default: // numeric, at least one side FLOAT
-		lf, rf := asFloats(&lc, n), asFloats(&rc, n)
+	default: // numeric, at least one side FLOAT: an INT side converts per element
 		for i := 0; i < n; i++ {
-			out[i] = cmpOpFloat(op, lf[i], rf[i])
+			out[i] = cmpOpFloat(op, lc.floatAt(i), rc.floatAt(i))
 		}
 	}
 	return vcol{kind: store.KindBool, bools: out, nulls: nulls}
@@ -377,6 +521,171 @@ func cmpOpStr(op sql.BinOp, a, b string) bool {
 	return false
 }
 
+// ---- numeric tests against constants ----
+
+// vnumrange tests a numeric expression against constant bounds: the
+// compiled form of  x OP c  and  x [NOT] BETWEEN c1 AND c2  when every
+// bound is a non-NULL numeric constant — which is every numeric
+// predicate a question template generates. The bounds fold at compile
+// time into one closed interval in x's own domain, [ilo, ihi] over
+// int64 for an INT x and [flo, fhi] over float64 for a FLOAT x, whose
+// membership (inverted by neg) is exactly what the generic kernels
+// compute row by row: an INT x against a FLOAT bound compares as
+// float64(x), so its interval is the set of integers whose conversion
+// satisfies the bound, found by bisection with that very comparison.
+// An empty interval has lo > hi.
+//
+// One interval test serves every operator and both constant kinds,
+// needs no broadcast constant vector, and — the point — runs directly
+// on a segment's encoded ints (store.SegCol.IntsInRange): FOR deltas
+// compare against the interval rebased once per batch, RLE runs
+// compare once each, and the column is never decoded.
+type vnumrange struct {
+	x        vexpr
+	neg      bool
+	ilo, ihi int64
+	flo, fhi float64
+}
+
+func (v *vnumrange) kind() store.Kind { return store.KindBool }
+
+func (v *vnumrange) eval(b *vbatch) vcol {
+	var xc vcol
+	if ref, ok := v.x.(*vcolRef); ok {
+		xc = b.cols[ref.off] // an encoded column stays encoded
+	} else {
+		xc = v.x.eval(b)
+	}
+	n := b.n
+	out := b.scratch.boolBuf(n)
+	switch {
+	case xc.seg != nil:
+		xc.seg.IntsInRange(out, xc.off, xc.off+n, v.ilo, v.ihi, v.neg)
+	case xc.kind == store.KindInt:
+		lo, hi, neg := v.ilo, v.ihi, v.neg
+		for i, x := range xc.ints[:n] {
+			out[i] = (x >= lo && x <= hi) != neg
+		}
+	default:
+		lo, hi, neg := v.flo, v.fhi, v.neg
+		for i, x := range xc.floats[:n] {
+			out[i] = (x >= lo && x <= hi) != neg
+		}
+	}
+	return vcol{kind: store.KindBool, bools: out, nulls: xc.nulls}
+}
+
+// numBound is one end of a vnumrange under construction: the constant
+// and whether the comparison excludes it.
+type numBound struct {
+	v      store.Value
+	strict bool
+}
+
+// cmpBounds maps  x OP c  onto interval bounds (nil = unbounded).
+func cmpBounds(op sql.BinOp, c store.Value) (lo, hi *numBound, neg bool) {
+	switch op {
+	case sql.OpEq, sql.OpNe:
+		return &numBound{v: c}, &numBound{v: c}, op == sql.OpNe
+	case sql.OpGt, sql.OpGe:
+		return &numBound{v: c, strict: op == sql.OpGt}, nil, false
+	default: // OpLt, OpLe
+		return nil, &numBound{v: c, strict: op == sql.OpLt}, false
+	}
+}
+
+// newNumRange folds the bounds (nil = unbounded on that side) into x's
+// domain.
+func newNumRange(x vexpr, lo, hi *numBound, neg bool) *vnumrange {
+	v := &vnumrange{x: x, neg: neg, ilo: math.MinInt64, ihi: math.MaxInt64,
+		flo: math.Inf(-1), fhi: math.Inf(1)}
+	if x.kind() == store.KindFloat {
+		// x > c is x >= the next float up, except above +Inf where
+		// nothing lies; a NaN bound fails every comparison.
+		if lo != nil {
+			f, _ := lo.v.AsFloat()
+			if f != f || (lo.strict && math.IsInf(f, 1)) {
+				v.flo, v.fhi = 1, 0
+				return v
+			}
+			if lo.strict {
+				f = math.Nextafter(f, math.Inf(1))
+			}
+			v.flo = f
+		}
+		if hi != nil {
+			f, _ := hi.v.AsFloat()
+			if f != f || (hi.strict && math.IsInf(f, -1)) {
+				v.flo, v.fhi = 1, 0
+				return v
+			}
+			if hi.strict {
+				f = math.Nextafter(f, math.Inf(-1))
+			}
+			v.fhi = f
+		}
+		return v
+	}
+	// INT x. With any FLOAT bound every comparison is between float64s,
+	// exactly as the generic kernels widen.
+	inFloats := (lo != nil && lo.v.Kind() == store.KindFloat) || (hi != nil && hi.v.Kind() == store.KindFloat)
+	// above reports x > c (x >= c unless strict) in that domain. It is
+	// monotone in x, so the integers passing a lower bound, and those
+	// failing an upper one, each start at one point.
+	above := func(x int64, bd *numBound, strict bool) bool {
+		if inFloats {
+			c, _ := bd.v.AsFloat()
+			if strict {
+				return float64(x) > c
+			}
+			return float64(x) >= c
+		}
+		if strict {
+			return x > bd.v.Int64()
+		}
+		return x >= bd.v.Int64()
+	}
+	if lo != nil {
+		first, ok := firstInt(func(x int64) bool { return above(x, lo, lo.strict) })
+		if !ok {
+			v.ilo, v.ihi = 1, 0
+			return v
+		}
+		v.ilo = first
+	}
+	if hi != nil {
+		// x fails  x < c  from the first x >= c on, and  x <= c  from
+		// the first x > c on. Against NaN everything fails.
+		c, _ := hi.v.AsFloat()
+		first, ok := firstInt(func(x int64) bool { return c != c || above(x, hi, !hi.strict) })
+		switch {
+		case ok && first == math.MinInt64:
+			v.ilo, v.ihi = 1, 0
+		case ok:
+			v.ihi = first - 1
+		}
+	}
+	return v
+}
+
+// firstInt returns the smallest int64 satisfying pred, a predicate
+// that once true stays true as x grows; ok is false when none does.
+func firstInt(pred func(int64) bool) (x int64, ok bool) {
+	if !pred(math.MaxInt64) {
+		return 0, false
+	}
+	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+	for lo < hi {
+		mid := lo + int64((uint64(hi)-uint64(lo))/2)
+		if pred(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo, true
+}
+
 // ---- boolean logic (three-valued) ----
 
 type vlogic struct {
@@ -389,7 +698,7 @@ func (v *vlogic) kind() store.Kind { return store.KindBool }
 func (v *vlogic) eval(b *vbatch) vcol {
 	lc, rc := v.l.eval(b), v.r.eval(b)
 	n := b.n
-	out := make([]bool, n)
+	out := b.scratch.boolBuf(n)
 	var nulls []bool
 	for i := 0; i < n; i++ {
 		lt := !lc.null(i) && lc.kind == store.KindBool && lc.bools[i]
@@ -404,7 +713,7 @@ func (v *vlogic) eval(b *vbatch) vcol {
 				out[i] = true
 			default:
 				if nulls == nil {
-					nulls = make([]bool, n)
+					nulls = b.scratch.boolBuf(n)
 				}
 				nulls[i] = true
 			}
@@ -416,7 +725,7 @@ func (v *vlogic) eval(b *vbatch) vcol {
 				out[i] = false
 			default:
 				if nulls == nil {
-					nulls = make([]bool, n)
+					nulls = b.scratch.boolBuf(n)
 				}
 				nulls[i] = true
 			}
@@ -432,18 +741,13 @@ func (v *vnot) kind() store.Kind { return store.KindBool }
 func (v *vnot) eval(b *vbatch) vcol {
 	xc := v.x.eval(b)
 	n := b.n
-	out := make([]bool, n)
-	var nulls []bool
-	if xc.nulls != nil {
-		nulls = make([]bool, n)
-		copy(nulls, xc.nulls[:n])
-	}
+	out := b.scratch.boolBuf(n)
 	if xc.kind == store.KindBool {
 		for i := 0; i < n; i++ {
 			out[i] = !xc.bools[i]
 		}
 	}
-	return vcol{kind: store.KindBool, bools: out, nulls: nulls}
+	return vcol{kind: store.KindBool, bools: out, nulls: xc.nulls}
 }
 
 // ---- arithmetic ----
@@ -459,10 +763,10 @@ func (v *varith) kind() store.Kind { return v.out }
 func (v *varith) eval(b *vbatch) vcol {
 	lc, rc := v.l.eval(b), v.r.eval(b)
 	n := b.n
-	nulls := orNulls(lc.nulls, rc.nulls, n)
+	nulls := orNulls(b.scratch, lc.nulls, rc.nulls, n)
 	if v.out == store.KindInt {
 		li, ri := lc.ints[:n], rc.ints[:n]
-		out := make([]int64, n)
+		out := b.scratch.intBuf(n)
 		switch v.op {
 		case sql.OpAdd:
 			for i := 0; i < n; i++ {
@@ -479,8 +783,8 @@ func (v *varith) eval(b *vbatch) vcol {
 		}
 		return vcol{kind: store.KindInt, ints: out, nulls: nulls}
 	}
-	lf, rf := asFloats(&lc, n), asFloats(&rc, n)
-	out := make([]float64, n)
+	lf, rf := asFloats(b.scratch, &lc, n), asFloats(b.scratch, &rc, n)
+	out := b.scratch.floatBuf(n)
 	switch v.op {
 	case sql.OpAdd:
 		for i := 0; i < n; i++ {
@@ -496,12 +800,14 @@ func (v *varith) eval(b *vbatch) vcol {
 		}
 	case sql.OpDiv:
 		// Division by zero yields NULL, exactly like the scalar path.
+		owned := false
 		for i := 0; i < n; i++ {
 			if rf[i] == 0 {
-				if nulls == nil {
-					nulls = make([]bool, n)
+				if !owned {
+					nulls, owned = ownNulls(b.scratch, nulls, n), true
 				}
 				nulls[i] = true
+				out[i] = 0
 				continue
 			}
 			out[i] = lf[i] / rf[i]
@@ -520,23 +826,18 @@ func (v *vneg) kind() store.Kind { return v.out }
 func (v *vneg) eval(b *vbatch) vcol {
 	xc := v.x.eval(b)
 	n := b.n
-	var nulls []bool
-	if xc.nulls != nil {
-		nulls = make([]bool, n)
-		copy(nulls, xc.nulls[:n])
-	}
 	if v.out == store.KindInt {
-		out := make([]int64, n)
+		out := b.scratch.intBuf(n)
 		for i, x := range xc.ints[:n] {
 			out[i] = -x
 		}
-		return vcol{kind: store.KindInt, ints: out, nulls: nulls}
+		return vcol{kind: store.KindInt, ints: out, nulls: xc.nulls}
 	}
-	out := make([]float64, n)
+	out := b.scratch.floatBuf(n)
 	for i, x := range xc.floats[:n] {
 		out[i] = -x
 	}
-	return vcol{kind: store.KindFloat, floats: out, nulls: nulls}
+	return vcol{kind: store.KindFloat, floats: out, nulls: xc.nulls}
 }
 
 // ---- IS NULL / BETWEEN / IN / LIKE ----
@@ -551,7 +852,7 @@ func (v *visnull) kind() store.Kind { return store.KindBool }
 func (v *visnull) eval(b *vbatch) vcol {
 	xc := v.x.eval(b)
 	n := b.n
-	out := make([]bool, n)
+	out := b.scratch.boolBuf(n)
 	for i := 0; i < n; i++ {
 		out[i] = xc.null(i) != v.negated
 	}
@@ -560,7 +861,8 @@ func (v *visnull) eval(b *vbatch) vcol {
 
 // vbetween implements BETWEEN directly rather than as an AND of
 // comparisons: the scalar path returns NULL whenever any operand is
-// NULL, even when another bound already disqualifies the row.
+// NULL, even when another bound already disqualifies the row. Numeric
+// BETWEEN against constant bounds compiles to vnumrange instead.
 type vbetween struct {
 	x, lo, hi vexpr
 	negated   bool
@@ -572,12 +874,12 @@ func (v *vbetween) kind() store.Kind { return store.KindBool }
 func (v *vbetween) eval(b *vbatch) vcol {
 	xc, loc, hic := v.x.eval(b), v.lo.eval(b), v.hi.eval(b)
 	n := b.n
-	nulls := orNulls(orNulls(xc.nulls, loc.nulls, n), hic.nulls, n)
-	out := make([]bool, n)
+	nulls := orNulls(b.scratch, orNulls(b.scratch, xc.nulls, loc.nulls, n), hic.nulls, n)
+	out := b.scratch.boolBuf(n)
 	if v.text {
 		if xc.dict != nil && loc.isConst && hic.isConst && n > 0 {
 			lo, hi := loc.str(0), hic.str(0)
-			res := make([]bool, len(xc.dict))
+			res := b.scratch.boolBuf(len(xc.dict))
 			for d, s := range xc.dict {
 				res[d] = (s >= lo && s <= hi) != v.negated
 			}
@@ -599,24 +901,15 @@ func (v *vbetween) eval(b *vbatch) vcol {
 			}
 		}
 	} else if xc.kind == store.KindInt && loc.kind == store.KindInt && hic.kind == store.KindInt {
-		xs := xc.ints[:n]
-		if loc.isConst && hic.isConst && n > 0 {
-			lo, hi := loc.ints[0], hic.ints[0]
-			for i := 0; i < n; i++ {
-				in := xs[i] >= lo && xs[i] <= hi
-				out[i] = in != v.negated
-			}
-		} else {
-			los, his := loc.ints[:n], hic.ints[:n]
-			for i := 0; i < n; i++ {
-				in := xs[i] >= los[i] && xs[i] <= his[i]
-				out[i] = in != v.negated
-			}
-		}
-	} else {
-		xf, lof, hif := asFloats(&xc, n), asFloats(&loc, n), asFloats(&hic, n)
+		xs, los, his := xc.ints[:n], loc.ints[:n], hic.ints[:n]
 		for i := 0; i < n; i++ {
-			in := xf[i] >= lof[i] && xf[i] <= hif[i]
+			in := xs[i] >= los[i] && xs[i] <= his[i]
+			out[i] = in != v.negated
+		}
+	} else { // numeric with a FLOAT operand: INT operands convert per element
+		for i := 0; i < n; i++ {
+			x := xc.floatAt(i)
+			in := x >= loc.floatAt(i) && x <= hic.floatAt(i)
 			out[i] = in != v.negated
 		}
 	}
@@ -643,12 +936,8 @@ func (v *vin) kind() store.Kind { return store.KindBool }
 func (v *vin) eval(b *vbatch) vcol {
 	xc := v.x.eval(b)
 	n := b.n
-	out := make([]bool, n)
-	var nulls []bool
-	if xc.nulls != nil {
-		nulls = make([]bool, n)
-		copy(nulls, xc.nulls[:n])
-	}
+	out := b.scratch.boolBuf(n)
+	nulls, owned := xc.nulls, false
 	strIn := func(x string) bool {
 		for _, e := range v.strElems {
 			if x == e {
@@ -661,7 +950,7 @@ func (v *vin) eval(b *vbatch) vcol {
 	// up through the codes.
 	var dictIn []bool
 	if xc.kind == store.KindText && xc.dict != nil {
-		dictIn = make([]bool, len(xc.dict))
+		dictIn = b.scratch.boolBuf(len(xc.dict))
 		for d, s := range xc.dict {
 			dictIn[d] = strIn(s)
 		}
@@ -710,8 +999,8 @@ func (v *vin) eval(b *vbatch) vcol {
 		case found(i):
 			out[i] = !v.negated
 		case v.sawNull:
-			if nulls == nil {
-				nulls = make([]bool, n)
+			if !owned {
+				nulls, owned = ownNulls(b.scratch, nulls, n), true
 			}
 			nulls[i] = true
 		default:
@@ -732,16 +1021,12 @@ func (v *vlike) kind() store.Kind { return store.KindBool }
 func (v *vlike) eval(b *vbatch) vcol {
 	xc := v.x.eval(b)
 	n := b.n
-	out := make([]bool, n)
-	var nulls []bool
-	if xc.nulls != nil {
-		nulls = make([]bool, n)
-		copy(nulls, xc.nulls[:n])
-	}
+	out := b.scratch.boolBuf(n)
+	nulls := xc.nulls
 	// Code space: LIKE is matched once per dictionary entry.
 	var dictRes []bool
 	if xc.dict != nil {
-		dictRes = make([]bool, len(xc.dict))
+		dictRes = b.scratch.boolBuf(len(xc.dict))
 		for d, s := range xc.dict {
 			dictRes[d] = strutil.MatchLike(s, v.pattern) != v.negated
 		}
@@ -882,6 +1167,16 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 			if !comparable {
 				return nil, false // cross-kind comparison: row path
 			}
+			if numericOrNull(lk) {
+				if k, ok := r.(*vconst); ok {
+					lo, hi, neg := cmpBounds(n.Op, k.val)
+					return newNumRange(l, lo, hi, neg), true
+				}
+				if k, ok := l.(*vconst); ok {
+					lo, hi, neg := cmpBounds(flipCmp(n.Op), k.val)
+					return newNumRange(r, lo, hi, neg), true
+				}
+			}
 			return &vcmp{op: n.Op, l: l, r: r}, true
 		default: // arithmetic
 			if !numericOrNull(lk) || !numericOrNull(rk) {
@@ -951,6 +1246,13 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 		allText := ks[0] == store.KindText && ks[1] == store.KindText && ks[2] == store.KindText
 		if !allNum && !allText {
 			return nil, false
+		}
+		if allNum {
+			lk, lok := lo.(*vconst)
+			hk, hok := hi.(*vconst)
+			if lok && hok {
+				return newNumRange(x, &numBound{v: lk.val}, &numBound{v: hk.val}, n.Negated), true
+			}
 		}
 		return &vbetween{x: x, lo: lo, hi: hi, negated: n.Negated, text: allText}, true
 	case *sql.InExpr:
@@ -1080,28 +1382,37 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// hashCol folds column c (rows [0, n)) into the per-row hash
-// accumulators hs. Numeric values hash through their canonical float64
-// form, so an INT key column and a FLOAT key column hash equal values
-// identically (matching Value.Key equality for joins).
-func hashCol(c *vcol, n int, hs []uint64) {
+// hashCol folds the selected rows of column c (all n when sel is nil)
+// into the per-row hash accumulators hs, which are indexed by physical
+// row. Numeric values hash through their canonical float64 form, so an
+// INT key column and a FLOAT key column hash equal values identically
+// (matching Value.Key equality for joins).
+func hashCol(c *vcol, n int, sel []int32, hs []uint64, sc *vscratch) {
 	// Code space: hash each dictionary entry once, gather through the
 	// codes — GROUP BY and join keys on dictionary columns never hash
 	// the same string twice per batch.
 	var dictH []uint64
 	if c.kind == store.KindText && c.dict != nil {
-		dictH = make([]uint64, len(c.dict))
+		dictH = sc.hashBuf(len(c.dict))
 		for d, s := range c.dict {
 			dictH[d] = hashString(s)
 		}
 	}
-	for i := 0; i < n; i++ {
+	m := n
+	if sel != nil {
+		m = len(sel)
+	}
+	for k := 0; k < m; k++ {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
 		var h uint64
 		switch {
 		case c.kind == store.KindNull || c.null(i):
 			h = hashNullTag
 		case c.kind == store.KindInt:
-			h = hashFloat(float64(c.ints[i]))
+			h = hashFloat(float64(c.intAt(i)))
 		case c.kind == store.KindFloat:
 			h = hashFloat(c.floats[i])
 		case c.kind == store.KindText:
@@ -1136,14 +1447,14 @@ func eqVals(a *vcol, i int, b *vcol, j int) bool {
 	case store.KindInt:
 		switch b.kind {
 		case store.KindInt:
-			return a.ints[i] == b.ints[j]
+			return a.intAt(i) == b.intAt(j)
 		case store.KindFloat:
-			return keyEqIntFloat(a.ints[i], b.floats[j])
+			return keyEqIntFloat(a.intAt(i), b.floats[j])
 		}
 	case store.KindFloat:
 		switch b.kind {
 		case store.KindInt:
-			return keyEqIntFloat(b.ints[j], a.floats[i])
+			return keyEqIntFloat(b.intAt(j), a.floats[i])
 		case store.KindFloat:
 			x, y := a.floats[i], b.floats[j]
 			return x == y || (x != x && y != y)
@@ -1201,7 +1512,7 @@ func (cb *colbuf) push(src *vcol, i int) {
 	case store.KindInt:
 		var v int64
 		if !isNull {
-			v = src.ints[i]
+			v = src.intAt(i)
 		}
 		cb.ints = append(cb.ints, v)
 	case store.KindFloat:
@@ -1222,6 +1533,18 @@ func (cb *colbuf) push(src *vcol, i int) {
 			v = src.bools[i]
 		}
 		cb.bools = append(cb.bools, v)
+	}
+}
+
+// gatherVals copies src[sel[k]] to dst[k]; a nil sel copies the first
+// len(dst) values straight across.
+func gatherVals[T any](dst, src []T, sel []int32) {
+	if sel == nil {
+		copy(dst, src)
+		return
+	}
+	for k, i := range sel {
+		dst[k] = src[i]
 	}
 }
 
@@ -1294,64 +1617,44 @@ func (cb *colbuf) col() vcol {
 
 // gatherCol materializes src rows idxs into a dense column. This is
 // the join-output and projection hot path, so each kind gathers
-// through a tight preallocated loop.
+// through a tight preallocated loop; an encoded int column decodes
+// only the gathered rows.
 func gatherCol(src *vcol, idxs []int32) vcol {
 	n := len(idxs)
 	out := vcol{kind: src.kind}
 	if src.nulls != nil {
 		nulls := make([]bool, n)
-		any := false
-		for k, i := range idxs {
-			if src.nulls[i] {
-				nulls[k] = true
-				any = true
-			}
-		}
-		if any {
+		gatherVals(nulls, src.nulls, idxs)
+		if slices.Contains(nulls, true) {
 			out.nulls = nulls
 		}
 	}
 	switch src.kind {
 	case store.KindInt:
-		arr := make([]int64, n)
-		for k, i := range idxs {
-			arr[k] = src.ints[i]
+		out.ints = make([]int64, n)
+		if src.seg != nil {
+			src.seg.GatherInts(out.ints, src.off, idxs)
+		} else {
+			gatherVals(out.ints, src.ints, idxs)
 		}
-		out.ints = arr
 	case store.KindFloat:
-		arr := make([]float64, n)
-		for k, i := range idxs {
-			arr[k] = src.floats[i]
-		}
-		out.floats = arr
+		out.floats = make([]float64, n)
+		gatherVals(out.floats, src.floats, idxs)
 	case store.KindText:
 		if src.dict != nil {
 			// Late materialization: gather codes, share the dictionary —
 			// strings are only built when a consumer finally asks.
-			arr := make([]int32, n)
-			for k, i := range idxs {
-				arr[k] = src.codes[i]
-			}
-			out.codes, out.dict = arr, src.dict
+			out.codes, out.dict = make([]int32, n), src.dict
+			gatherVals(out.codes, src.codes, idxs)
 			break
 		}
-		arr := make([]string, n)
-		for k, i := range idxs {
-			arr[k] = src.strs[i]
-		}
-		out.strs = arr
+		out.strs = make([]string, n)
+		gatherVals(out.strs, src.strs, idxs)
 	case store.KindBool:
-		arr := make([]bool, n)
-		for k, i := range idxs {
-			arr[k] = src.bools[i]
-		}
-		out.bools = arr
+		out.bools = make([]bool, n)
+		gatherVals(out.bools, src.bools, idxs)
 	case store.KindNull:
-		nulls := make([]bool, n)
-		for k := range nulls {
-			nulls[k] = true
-		}
-		out.nulls = nulls
+		out.nulls = allNullCol(n).nulls
 	}
 	return out
 }

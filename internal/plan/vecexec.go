@@ -382,9 +382,11 @@ func segFault(ctx *Ctx, seg *store.Segment) ([]*store.SegCol, error) {
 // batches. Whole segments whose zone maps refute a skip predicate are
 // dropped without touching their data (a segment-wide proof of
 // non-TRUE holds for any window of it, so partial morsel overlap skips
-// too). Plain/float/bool/string payloads and dictionary codes are
-// zero-copy views; RLE- and FOR-encoded ints decode into fresh slices
-// per batch, never a shared scratch — Exchange workers retain batches.
+// too). Every column is a zero-copy view of immutable segment storage:
+// plain payloads and dictionary codes as slices, RLE- and FOR-encoded
+// ints as the encoded column plus the window's offset (see vcol). The
+// one thing a batch owns is a materialized null mask, fresh per batch —
+// Exchange workers retain batches.
 func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []boundZone, skipAll bool) viter {
 	sc := ctx.SegC
 	pos := lo
@@ -436,7 +438,9 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []b
 
 // segWindowCol views rows [lo, hi) of one segment column as a kernel
 // column. Dictionary-encoded text surfaces codes+dict unmaterialized —
-// the kernels compare and hash codes directly.
+// the kernels compare and hash codes directly — and RLE/FOR ints
+// surface encoded, to be tested in place or decoded by whoever first
+// needs the values.
 func segWindowCol(sc *store.SegCol, lo, hi int) vcol {
 	vc := vcol{kind: sc.Kind, nulls: sc.NullMask(lo, hi)}
 	switch sc.Kind {
@@ -444,7 +448,7 @@ func segWindowCol(sc *store.SegCol, lo, hi int) vcol {
 		if sc.Enc == store.SegPlain {
 			vc.ints = sc.Ints[lo:hi]
 		} else {
-			vc.ints = sc.DecodeInts(lo, hi, nil)
+			vc.seg, vc.off = sc, lo
 		}
 	case store.KindFloat:
 		vc.floats = sc.Floats[lo:hi]
@@ -542,23 +546,49 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 	if !ok {
 		return nil, errUnknownTable("<filter predicate not vectorizable>")
 	}
+	// The predicate's vectors and the survivor list die here; what the
+	// batch keeps is an exact-size copy of the survivors, and nothing at
+	// all when every row passed.
+	sc := &vscratch{}
+	var keep []int32
 	return func() (*vbatch, error) {
 		for {
 			b, err := in()
 			if err != nil || b == nil {
 				return nil, err
 			}
+			sc.reset()
+			b.scratch = sc
 			pc := pred.eval(b)
-			sel := make([]int32, 0, b.rows())
-			b.forSel(func(i int) {
-				if pc.kind == store.KindBool && !pc.null(i) && pc.bools[i] {
-					sel = append(sel, int32(i))
-				}
-			})
-			if len(sel) == 0 {
-				continue
+			b.scratch = nil
+			if pc.kind != store.KindBool {
+				continue // an all-NULL predicate keeps nothing
 			}
-			b.sel = sel
+			if cap(keep) < b.rows() {
+				keep = make([]int32, 0, b.rows())
+			}
+			keep = keep[:0]
+			if b.sel == nil {
+				for i, t := range pc.bools[:b.n] {
+					if t && !pc.null(i) {
+						keep = append(keep, int32(i))
+					}
+				}
+			} else {
+				for _, i := range b.sel {
+					if pc.bools[i] && !pc.null(int(i)) {
+						keep = append(keep, i)
+					}
+				}
+			}
+			switch len(keep) {
+			case 0:
+				continue
+			case b.rows():
+				// Every row passed: the selection stands as it is.
+			default:
+				b.sel = append(make([]int32, 0, len(keep)), keep...)
+			}
 			return b, nil
 		}
 	}, nil
@@ -617,7 +647,7 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	}
 	hs := make([]uint64, n)
 	for _, off := range j.RKey {
-		hashCol(&bt.cols[off], n, hs)
+		hashCol(&bt.cols[off], n, nil, hs, nil)
 	}
 	for i := 0; i < n; i++ {
 		nullKey := false
@@ -645,28 +675,38 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 		return nil, err
 	}
 	lWidth := j.L.Rel().Width
+	// Probe-side working state dies with each input batch; only the
+	// gathered output columns leave.
+	sc := &vscratch{}
+	keys := make([]vcol, len(j.LKey))
+	var lidx, ridx []int32
 	return func() (*vbatch, error) {
 		for {
 			b, err := in()
 			if err != nil || b == nil {
 				return nil, err
 			}
-			hs := make([]uint64, b.n)
-			for _, off := range j.LKey {
-				hashCol(&b.cols[off], b.n, hs)
+			sc.reset()
+			b.scratch = sc
+			for k, off := range j.LKey {
+				keys[k] = b.col(off)
 			}
-			lidx := make([]int32, 0, b.rows())
-			ridx := make([]int32, 0, b.rows())
+			b.scratch = nil
+			hs := sc.hashBuf(b.n)
+			for k := range keys {
+				hashCol(&keys[k], b.n, b.sel, hs, sc)
+			}
+			lidx, ridx = lidx[:0], ridx[:0]
 			b.forSel(func(i int) {
-				for _, off := range j.LKey {
-					if b.cols[off].kind == store.KindNull || b.cols[off].null(i) {
+				for k := range keys {
+					if keys[k].kind == store.KindNull || keys[k].null(i) {
 						return
 					}
 				}
 				for _, cand := range bt.table[hs[i]] {
 					match := true
-					for k, loff := range j.LKey {
-						if !eqVals(&b.cols[loff], i, &bt.cols[j.RKey[k]], int(cand)) {
+					for k := range keys {
+						if !eqVals(&keys[k], i, &bt.cols[j.RKey[k]], int(cand)) {
 							match = false
 							break
 						}
@@ -715,6 +755,12 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 		}
 		out := &vbatch{n: b.rows(), cols: make([]vcol, len(exprs))}
 		for x, ve := range exprs {
+			if ref, ok := ve.(*vcolRef); ok && b.sel != nil {
+				// A bare column gathers straight from its stored form: an
+				// encoded one decodes only the selected rows.
+				out.cols[x] = gatherCol(&b.cols[ref.off], b.sel)
+				continue
+			}
 			rc := ve.eval(b)
 			if b.sel != nil {
 				rc = gatherCol(&rc, b.sel)
@@ -1034,6 +1080,17 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 		}
 	}
 
+	// Per-batch working state, reused from batch to batch: the key and
+	// argument vectors (evaluated into scratch), the row hashes, and
+	// views of the group keys collected so far, refreshed whenever a new
+	// group extends them.
+	sc := &vscratch{}
+	keyCols := make([]vcol, nk)
+	argCols := make([]vcol, len(ap.slots))
+	groupKeys := make([]vcol, nk)
+	for k := range keyBufs {
+		groupKeys[k] = keyBufs[k].col()
+	}
 	for {
 		b, err := in()
 		if err != nil {
@@ -1042,21 +1099,22 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 		if b == nil {
 			break
 		}
-		keyCols := make([]vcol, nk)
+		sc.reset()
+		b.scratch = sc
 		for k, ve := range ap.keys {
 			keyCols[k] = ve.eval(b)
 		}
-		argCols := make([]vcol, len(ap.slots))
 		for s := range ap.slots {
 			if ap.slots[s].arg != nil {
 				argCols[s] = ap.slots[s].arg.eval(b)
 			}
 		}
+		b.scratch = nil
 		var hs []uint64
 		if nk > 0 {
-			hs = make([]uint64, b.n)
+			hs = sc.hashBuf(b.n)
 			for k := range keyCols {
-				hashCol(&keyCols[k], b.n, hs)
+				hashCol(&keyCols[k], b.n, b.sel, hs, sc)
 			}
 		}
 		b.forSel(func(i int) {
@@ -1067,8 +1125,7 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 				for _, cand := range groupIdx[h] {
 					match := true
 					for k := range keyCols {
-						kc := keyBufs[k].col()
-						if !eqVals(&keyCols[k], i, &kc, int(cand)) {
+						if !eqVals(&keyCols[k], i, &groupKeys[k], int(cand)) {
 							match = false
 							break
 						}
@@ -1083,6 +1140,7 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 					ngroups++
 					for k := range keyCols {
 						keyBufs[k].push(&keyCols[k], i)
+						groupKeys[k] = keyBufs[k].col()
 					}
 					groupIdx[h] = append(groupIdx[h], int32(gid))
 					for s := range states {
@@ -1098,9 +1156,7 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 
 	// Assemble the group pseudo-relation: keys, then aggregate results.
 	g := &vbatch{n: ngroups, cols: make([]vcol, nk+len(ap.slots))}
-	for k := range keyBufs {
-		g.cols[k] = keyBufs[k].col()
-	}
+	copy(g.cols, groupKeys)
 	for s := range ap.slots {
 		g.cols[nk+s] = ap.slots[s].col(&states[s], ngroups)
 	}
@@ -1143,8 +1199,11 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 		return nil, err
 	}
 	var seen []*colbuf
+	var seenCols []vcol // views of seen, refreshed as it grows
 	idx := map[uint64][]int32{}
 	total := 0
+	sc := &vscratch{}
+	var kept []int32
 	return func() (*vbatch, error) {
 		for {
 			b, err := in()
@@ -1157,21 +1216,23 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 			}
 			if seen == nil {
 				seen = make([]*colbuf, nkey)
+				seenCols = make([]vcol, nkey)
 				for c := 0; c < nkey; c++ {
 					seen[c] = newColbuf(b.cols[c].kind)
+					seenCols[c] = seen[c].col()
 				}
 			}
-			hs := make([]uint64, b.n)
+			sc.reset()
+			hs := sc.hashBuf(b.n)
 			for c := 0; c < nkey; c++ {
-				hashCol(&b.cols[c], b.n, hs)
+				hashCol(&b.cols[c], b.n, b.sel, hs, sc)
 			}
-			var kept []int32
+			kept = kept[:0]
 			b.forSel(func(i int) {
 				for _, cand := range idx[hs[i]] {
 					match := true
 					for c := 0; c < nkey; c++ {
-						sc := seen[c].col()
-						if !eqVals(&b.cols[c], i, &sc, int(cand)) {
+						if !eqVals(&b.cols[c], i, &seenCols[c], int(cand)) {
 							match = false
 							break
 						}
@@ -1182,6 +1243,7 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 				}
 				for c := 0; c < nkey; c++ {
 					seen[c].push(&b.cols[c], i)
+					seenCols[c] = seen[c].col()
 				}
 				idx[hs[i]] = append(idx[hs[i]], int32(total))
 				total++
@@ -1216,7 +1278,7 @@ func vcolCompare(a *vcol, i int, b *vcol, j int) int {
 	}
 	switch a.kind {
 	case store.KindInt:
-		x, y := a.ints[i], b.ints[j]
+		x, y := a.intAt(i), b.intAt(j)
 		switch {
 		case x < y:
 			return -1

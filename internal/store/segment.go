@@ -225,6 +225,129 @@ func (c *SegCol) DecodeInts(lo, hi int, dst []int64) []int64 {
 	return dst
 }
 
+// GatherInts decodes the cells at rows lo+idxs[k] of an int column
+// into dst[k] — the read a consumer makes when it wants a handful of
+// rows out of an encoded window rather than the window itself. idxs
+// normally ascend (selection vectors, join match lists), which lets
+// the RLE form step from run to run; any order is correct.
+func (c *SegCol) GatherInts(dst []int64, lo int, idxs []int32) {
+	dst = dst[:len(idxs)]
+	switch c.Enc {
+	case SegPlain:
+		src := c.Ints[lo:]
+		for k, i := range idxs {
+			dst[k] = src[i]
+		}
+	case SegRLE:
+		r, start, end := -1, 0, 0 // run r covers rows [start, end)
+		for k, i := range idxs {
+			row := lo + int(i)
+			if row < start || row >= end {
+				if row >= end && r+1 < len(c.RunEnds) && row < int(c.RunEnds[r+1]) {
+					r++
+				} else {
+					r = c.runOf(row)
+				}
+				start, end = 0, int(c.RunEnds[r])
+				if r > 0 {
+					start = int(c.RunEnds[r-1])
+				}
+			}
+			dst[k] = c.RunVals[r]
+		}
+	case SegFOR:
+		switch {
+		case c.D8 != nil:
+			gatherFOR(dst, c.Base, c.D8[lo:], idxs)
+		case c.D16 != nil:
+			gatherFOR(dst, c.Base, c.D16[lo:], idxs)
+		default:
+			gatherFOR(dst, c.Base, c.D32[lo:], idxs)
+		}
+	}
+}
+
+func gatherFOR[T uint8 | uint16 | uint32](dst []int64, base int64, ds []T, idxs []int32) {
+	for k, i := range idxs {
+		dst[k] = int64(uint64(base) + uint64(ds[i]))
+	}
+}
+
+// IntsInRange sets dst[i] to whether row lo+i of an int column lies in
+// [min, max] (an interval with min > max is empty), inverted when neg,
+// for every row of [lo, hi) — evaluated on the encoded form, never
+// through a decoded copy. FOR columns rebase the interval into delta
+// space once and compare the packed deltas; RLE columns compare once
+// per run. NULL cells hold encoding zeros, so their results are
+// meaningless: callers mask them with the null bitmap.
+func (c *SegCol) IntsInRange(dst []bool, lo, hi int, min, max int64, neg bool) {
+	dst = dst[:hi-lo]
+	switch c.Enc {
+	case SegPlain:
+		maskRange(dst, c.Ints[lo:hi], min, max, neg)
+	case SegRLE:
+		r := c.runOf(lo)
+		for i := lo; i < hi; r++ {
+			end := int(c.RunEnds[r])
+			if end > hi {
+				end = hi
+			}
+			v := c.RunVals[r]
+			in := (v >= min && v <= max) != neg
+			for ; i < end; i++ {
+				dst[i-lo] = in
+			}
+		}
+	case SegFOR:
+		// value = Base + delta with delta >= 0, so the interval in delta
+		// space is [min-Base, max-Base] cut off at zero; two's-complement
+		// subtraction is exact for any ordered int64 pair.
+		if min > max || max < c.Base {
+			fillBools(dst, neg)
+			return
+		}
+		var dlo uint64
+		if min > c.Base {
+			dlo = uint64(min) - uint64(c.Base)
+		}
+		dhi := uint64(max) - uint64(c.Base)
+		switch {
+		case c.D8 != nil:
+			maskFOR(dst, c.D8[lo:hi], dlo, dhi, neg)
+		case c.D16 != nil:
+			maskFOR(dst, c.D16[lo:hi], dlo, dhi, neg)
+		default:
+			maskFOR(dst, c.D32[lo:hi], dlo, dhi, neg)
+		}
+	}
+}
+
+// maskFOR is IntsInRange over packed deltas: the delta-space interval
+// is clipped to what the delta width can hold, then compared narrow.
+func maskFOR[T uint8 | uint16 | uint32](dst []bool, ds []T, dlo, dhi uint64, neg bool) {
+	top := uint64(^T(0))
+	if dlo > top {
+		fillBools(dst, neg)
+		return
+	}
+	if dhi > top {
+		dhi = top
+	}
+	maskRange(dst, ds, T(dlo), T(dhi), neg)
+}
+
+func fillBools(dst []bool, v bool) {
+	for i := range dst {
+		dst[i] = v
+	}
+}
+
+func maskRange[T int64 | uint8 | uint16 | uint32](dst []bool, xs []T, min, max T, neg bool) {
+	for i, x := range xs {
+		dst[i] = (x >= min && x <= max) != neg
+	}
+}
+
 // Bytes is the resident data footprint of the encoded column: slice
 // contents plus string headers and bytes, the same accounting
 // ColVecsBytes uses for the uncompressed layout.
