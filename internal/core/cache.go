@@ -17,10 +17,42 @@ type tableDep struct {
 }
 
 // cacheEntry is one memoized answer plus the exact per-table versions
-// it was computed against.
+// it was computed against, and the slot a serving layer renders that
+// answer into once. The rendering lives and dies with the entry: a
+// stale or evicted entry takes it along, a re-stored key starts empty.
 type cacheEntry struct {
-	ans  *Answer
-	deps []tableDep
+	ans      *Answer
+	deps     []tableDep
+	rendered Rendering
+}
+
+// Rendering is the write-once slot of one answer-cache entry for the
+// bytes a caller encodes the entry's immutable part into — for
+// internal/serve, the paraphrase-to-rows middle of its JSON response.
+// core stores what the caller's function built and knows nothing of
+// the format. Answers reach it through a pointer (Answer.Rendered), so
+// copying an Answer never copies the Once.
+type Rendering struct {
+	once sync.Once
+	b    []byte
+}
+
+// Bytes returns the entry's rendering, calling build to produce it if
+// no caller has yet; concurrent first callers wait for the one build.
+// build must depend only on the answer's entry-owned fields (Result,
+// SQL, Paraphrase, Response), and the returned bytes are read-only.
+func (r *Rendering) Bytes(build func() []byte) []byte {
+	r.once.Do(func() { r.b = build() })
+	return r.b
+}
+
+// hit returns a per-request copy of the entry's Answer struct. Its
+// Result (and everything else behind a pointer) is still the entry's
+// own and must not be written; Rendered points at the entry's slot.
+func (e *cacheEntry) hit() *Answer {
+	cp := *e.ans
+	cp.Rendered = &e.rendered
+	return &cp
 }
 
 // answerCache memoizes complete answers by their corrected-token key
@@ -61,7 +93,9 @@ func newAnswerCache(size, maxRows, maxBytes int) *answerCache {
 
 // cacheable reports whether an answer's result fits the per-entry
 // caps. Byte size is an estimate: fixed Value overhead plus text
-// payload — what the copy in snapshotAnswer will actually retain.
+// payload — what the copy in cacheableAnswer will actually retain. A
+// rendering, once a hit builds one, is the same payload spelled out
+// and is bounded by the same caps.
 func (c *answerCache) cacheable(ans *Answer) bool {
 	if ans.Result == nil {
 		return true
@@ -101,10 +135,10 @@ func (e *cacheEntry) stale(current func(table string) uint64) bool {
 	return false
 }
 
-// lookup returns the cached answer for key if every table it depends
+// lookup returns the entry cached for key if every table it depends
 // on is still at the version the answer was computed at, per current.
 // A stale entry is evicted on sight.
-func (c *answerCache) lookup(key string, current func(table string) uint64) *Answer {
+func (c *answerCache) lookup(key string, current func(table string) uint64) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -118,7 +152,7 @@ func (c *answerCache) lookup(key string, current func(table string) uint64) *Ans
 		return nil
 	}
 	c.hits++
-	return e.ans
+	return e
 }
 
 // stats returns the cumulative lookup hit/miss counters.
@@ -169,36 +203,48 @@ func snapshotDeps(tables []string, sn *store.Snapshot) []tableDep {
 	return deps
 }
 
-// snapshotAnswer is the defensive copy an answer crosses the cache
-// boundary as — in both directions. The struct is copied and the
-// result rows are cloned, so a caller sorting or rewriting the rows of
-// its answer cannot poison the cached entry, and vice versa.
-// Interpretation structures (Query, SQL, Plan, Ranked) stay shared:
-// they are treated as immutable once the answer is built.
-// cacheableAnswer is snapshotAnswer with the per-ask serving flags
-// cleared: whether this ask ran degraded or queued is a fact about the
-// load at the moment it ran, not about the answer, and must not leak
-// into later asks served from the cache.
+// cacheableAnswer is the defensive copy an answer enters the cache as:
+// the struct is copied and the result rows are cloned, so the caller
+// of the miss, who owns the original, can sort or rewrite its rows
+// without poisoning the entry. Interpretation structures (Query, SQL,
+// Plan, Ranked) stay shared: they are treated as immutable once the
+// answer is built. The per-ask serving flags are cleared: whether this
+// ask ran degraded or queued is a fact about the load at the moment it
+// ran, not about the answer, and must not leak into later asks served
+// from the cache.
 func cacheableAnswer(ans *Answer) *Answer {
-	cp := snapshotAnswer(ans)
+	cp := *ans
+	cp.Result = cloneResult(ans.Result)
 	cp.Degraded = false
 	cp.Timings.Queue = 0
-	return cp
+	return &cp
 }
 
-func snapshotAnswer(ans *Answer) *Answer {
-	cp := *ans
-	if ans.Result != nil {
-		res := &exec.Result{
-			Cols: append([]string(nil), ans.Result.Cols...),
-			Rows: make([]store.Row, len(ans.Result.Rows)),
-		}
-		for i, r := range ans.Result.Rows {
-			res.Rows[i] = append(store.Row(nil), r...)
-		}
-		cp.Result = res
+// owned is the same defence in the other direction, applied by the
+// entry points that promise their caller an answer it may mutate
+// (Ask, AskCtx): a hit's rows are cloned out of the entry and the
+// entry's rendering slot, which describes rows the caller is now free
+// to change, is dropped. A miss is the caller's own already.
+func owned(ans *Answer) *Answer {
+	if ans != nil && ans.Rendered != nil {
+		ans.Result = cloneResult(ans.Result)
+		ans.Rendered = nil
 	}
-	return &cp
+	return ans
+}
+
+func cloneResult(res *exec.Result) *exec.Result {
+	if res == nil {
+		return nil
+	}
+	cp := &exec.Result{
+		Cols: append([]string(nil), res.Cols...),
+		Rows: make([]store.Row, len(res.Rows)),
+	}
+	for i, r := range res.Rows {
+		cp.Rows[i] = append(store.Row(nil), r...)
+	}
+	return cp
 }
 
 // cacheKey normalizes corrected tokens into the answer-cache key:

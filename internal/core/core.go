@@ -132,6 +132,14 @@ type Answer struct {
 	PlanCacheHits   uint64
 	PlanCacheMisses uint64
 
+	// Rendered is non-nil exactly when AskShedCtx served this answer
+	// from the answer cache: Result is then the cache entry's own rows,
+	// shared with every other hit and read-only, and Rendered is the
+	// entry's slot for whatever encoding of them the caller memoizes
+	// (see Rendering). Ask and AskCtx return owning copies and leave it
+	// nil.
+	Rendered *Rendering
+
 	Timings Timings
 }
 
@@ -342,9 +350,10 @@ func (e *Engine) Interpret(question string) (*Answer, error) {
 // are all unchanged — skip the whole pipeline; writes to unrelated
 // tables leave entries hot. A miss pins one store snapshot for
 // planning and execution, so the answer is computed over a single
-// consistent data version even while writers are active.
+// consistent data version even while writers are active. The answer is
+// the caller's to keep and mutate.
 func (e *Engine) Ask(question string) (*Answer, error) {
-	return e.AskShedCtx(context.Background(), question, 0)
+	return e.AskCtx(context.Background(), question)
 }
 
 // AskCtx is Ask under a request context: execution observes ctx
@@ -352,7 +361,8 @@ func (e *Engine) Ask(question string) (*Answer, error) {
 // instead of finishing work nobody is waiting for. A background
 // context makes it exactly Ask.
 func (e *Engine) AskCtx(ctx context.Context, question string) (*Answer, error) {
-	return e.AskShedCtx(ctx, question, 0)
+	ans, err := e.AskShedCtx(ctx, question, 0)
+	return owned(ans), err
 }
 
 // AskShedCtx is AskCtx with an execution-time parallelism cap: execPar
@@ -361,6 +371,12 @@ func (e *Engine) AskCtx(ctx context.Context, question string) (*Answer, error) {
 // layer's graceful-degradation path under load. Results are row-for-
 // row identical at any degree; the answer reports Degraded when the
 // cap actually lowered the degree.
+//
+// Unlike Ask and AskCtx, a cache hit here copies only the Answer
+// struct: its Result is the cache entry's own and must not be written
+// (see Answer.Rendered). That is the contract the serving layer, which
+// only encodes the rows, asks for — what a hit costs then does not
+// grow with the size of its result.
 func (e *Engine) AskShedCtx(ctx context.Context, question string, execPar int) (*Answer, error) {
 	total := time.Now()
 	toks, fixes, correct := e.correctTokens(question)
@@ -368,8 +384,8 @@ func (e *Engine) AskShedCtx(ctx context.Context, question string, execPar int) (
 	var key string
 	if e.cache != nil {
 		key = cacheKey(toks)
-		if hit := e.cache.lookup(key, e.DB.TableVersion); hit != nil {
-			ans := snapshotAnswer(hit)
+		if entry := e.cache.lookup(key, e.DB.TableVersion); entry != nil {
+			ans := entry.hit()
 			ans.Question = question
 			ans.Corrections = fixes // this ask's repairs, not the cached ask's
 			ans.Cached = true
@@ -583,18 +599,19 @@ func (c *Conversation) Context() *iql.Query {
 // Follow-ups never touch the cache: their meaning depends on context,
 // not just on their tokens.
 func (c *Conversation) Ask(question string) (*Answer, bool, error) {
-	return c.AskShedCtx(context.Background(), question, 0)
+	return c.AskCtx(context.Background(), question)
 }
 
 // AskCtx is Ask under a request context (see Engine.AskCtx).
 func (c *Conversation) AskCtx(ctx context.Context, question string) (*Answer, bool, error) {
-	return c.AskShedCtx(ctx, question, 0)
+	ans, followUp, err := c.AskShedCtx(ctx, question, 0)
+	return owned(ans), followUp, err
 }
 
 // AskShedCtx is AskCtx with an execution-time parallelism cap (see
 // Engine.AskShedCtx) — the form the serving layer calls, threading the
 // request deadline and the admission controller's degradation verdict
-// into the turn.
+// into the turn, and with the same read-only Result on a cache hit.
 func (c *Conversation) AskShedCtx(ctx context.Context, question string, execPar int) (*Answer, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -610,8 +627,8 @@ func (c *Conversation) AskShedCtx(ctx context.Context, question string, execPar 
 	var key string
 	if c.e.cache != nil && !turn.FollowUp {
 		key = cacheKey(toks)
-		if hit := c.e.cache.lookup(key, c.e.DB.TableVersion); hit != nil {
-			ans := snapshotAnswer(hit)
+		if entry := c.e.cache.lookup(key, c.e.DB.TableVersion); entry != nil {
+			ans := entry.hit()
 			ans.Question = question
 			ans.Corrections = fixes // this turn's repairs, not the cached ask's
 			ans.Cached = true

@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/store"
 )
 
 // StatusClientClosedRequest is the non-standard 499 (nginx convention)
@@ -217,105 +216,13 @@ type askRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// timingsJSON is Timings in microseconds — the resolution the
-// dashboards aggregate at.
-type timingsJSON struct {
-	QueueUS     int64 `json:"queue_us"`
-	CorrectUS   int64 `json:"correct_us"`
-	AnnotateUS  int64 `json:"annotate_us"`
-	ParseUS     int64 `json:"parse_us"`
-	RankUS      int64 `json:"rank_us"`
-	GenerateUS  int64 `json:"generate_us"`
-	PlanUS      int64 `json:"plan_us"`
-	BindUS      int64 `json:"bind_us"`
-	ExecuteUS   int64 `json:"execute_us"`
-	VerbalizeUS int64 `json:"verbalize_us"`
-	TotalUS     int64 `json:"total_us"`
-}
-
-func toTimingsJSON(tm core.Timings) timingsJSON {
-	return timingsJSON{
-		QueueUS:     tm.Queue.Microseconds(),
-		CorrectUS:   tm.Correct.Microseconds(),
-		AnnotateUS:  tm.Annotate.Microseconds(),
-		ParseUS:     tm.Parse.Microseconds(),
-		RankUS:      tm.Rank.Microseconds(),
-		GenerateUS:  tm.Generate.Microseconds(),
-		PlanUS:      tm.Plan.Microseconds(),
-		BindUS:      tm.Bind.Microseconds(),
-		ExecuteUS:   tm.Execute.Microseconds(),
-		VerbalizeUS: tm.Verbalize.Microseconds(),
-		TotalUS:     tm.Total.Microseconds(),
-	}
-}
-
-// askResponse is the wire form of an answered question.
-type askResponse struct {
-	Question   string      `json:"question"`
-	Paraphrase string      `json:"paraphrase,omitempty"`
-	Response   string      `json:"response,omitempty"`
-	SQL        string      `json:"sql,omitempty"`
-	Columns    []string    `json:"columns,omitempty"`
-	Rows       [][]any     `json:"rows,omitempty"`
-	Session    string      `json:"session,omitempty"`
-	FollowUp   bool        `json:"follow_up,omitempty"`
-	Cached     bool        `json:"cached,omitempty"`
-	PlanCached bool        `json:"plan_cached,omitempty"`
-	Degraded   bool        `json:"degraded,omitempty"`
-	Timings    timingsJSON `json:"timings"`
-}
-
 // errorResponse is the wire form of every non-2xx outcome.
 type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// valueJSON maps a store value onto its JSON shape.
-func valueJSON(v store.Value) any {
-	switch v.Kind() {
-	case store.KindInt:
-		return v.Int64()
-	case store.KindFloat:
-		f, _ := v.AsFloat()
-		return f
-	case store.KindText:
-		return v.Str()
-	case store.KindBool:
-		return v.BoolVal()
-	default:
-		return nil
-	}
-}
-
-func answerJSON(ans *core.Answer, session string, followUp bool) *askResponse {
-	resp := &askResponse{
-		Question:   ans.Question,
-		Paraphrase: ans.Paraphrase,
-		Response:   ans.Response,
-		Session:    session,
-		FollowUp:   followUp,
-		Cached:     ans.Cached,
-		PlanCached: ans.PlanCached,
-		Degraded:   ans.Degraded,
-		Timings:    toTimingsJSON(ans.Timings),
-	}
-	if ans.SQL != nil {
-		resp.SQL = ans.SQL.String()
-	}
-	if ans.Result != nil {
-		resp.Columns = ans.Result.Cols
-		resp.Rows = make([][]any, len(ans.Result.Rows))
-		for i, r := range ans.Result.Rows {
-			row := make([]any, len(r))
-			for j, v := range r {
-				row[j] = valueJSON(v)
-			}
-			resp.Rows[i] = row
-		}
-	}
-	return resp
-}
-
+// writeJSON sends the small fixed-shape bodies — errors, /healthz,
+// /api/stats. Answers go through writeAnswer (encode.go).
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -341,11 +248,12 @@ const maxBody = 1 << 16
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request) (*askRequest, bool) {
 	var req askRequest
-	// Read one byte past the bound so an oversized body is
-	// distinguishable from one that exactly fits: a bare
-	// LimitReader(maxBody) would silently truncate and surface as a
-	// baffling JSON syntax error instead of the real problem.
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	// The body is read into a pooled buffer; json.Unmarshal copies the
+	// strings it keeps, so the buffer goes back as soon as it returns.
+	p := getBuf()
+	defer putBuf(p)
+	body, err := readBody(r.Body, *p)
+	*p = body
 	if err == nil && len(body) > maxBody {
 		writeError(w, http.StatusRequestEntityTooLarge,
 			fmt.Errorf("serve: request body exceeds %d bytes", maxBody))
@@ -363,6 +271,28 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request) (*askRequest, bo
 		return nil, false
 	}
 	return &req, true
+}
+
+// readBody appends r to buf until EOF or one byte past maxBody,
+// whichever comes first. Reading one byte past the bound makes an
+// oversized body distinguishable from one that exactly fits: stopping
+// at maxBody would silently truncate and surface as a baffling JSON
+// syntax error instead of the real problem.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	for len(buf) <= maxBody {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), maxBody+1)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // requestCtx derives the execution context of one ask: the HTTP
@@ -538,7 +468,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ans.Timings.Queue = tkt.queue
-	writeJSON(w, http.StatusOK, answerJSON(ans, req.Session, followUp))
+	writeAnswer(w, ans, req.Session, followUp)
 }
 
 func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
@@ -557,7 +487,7 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, answerJSON(ans, "", false))
+	writeAnswer(w, ans, "", false)
 }
 
 // Stats reports serving-layer observability counters.

@@ -443,7 +443,13 @@ func TestShutdownUnderFire(t *testing.T) {
 // Degraded plus its queue wait, and the answer cache never leaks one
 // ask's degraded verdict into another ask's answer.
 func TestDegradedReporting(t *testing.T) {
-	s := New(parEngine(t), Config{Capacity: 1, MaxQueue: 4, MaxQueueWait: 2 * time.Second})
+	// An engine of its own: on the shared parEngine a second -count
+	// iteration finds the question in the answer cache, and a hit is
+	// (rightly) never degraded.
+	opts := core.DefaultOptions()
+	opts.Parallelism = 4
+	eng := core.NewEngine(dataset.University(1), opts)
+	s := New(eng, Config{Capacity: 1, MaxQueue: 4, MaxQueueWait: 2 * time.Second})
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

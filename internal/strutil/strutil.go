@@ -7,6 +7,7 @@ package strutil
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies a token produced by Tokenize.
@@ -59,71 +60,93 @@ func (t Token) IsNumber() bool { return t.Kind == Number }
 // preserves quoted spans verbatim as single tokens, strips possessive
 // "'s", and keeps "?" and "," as punctuation tokens (the grammar uses
 // commas in lists). All other punctuation is dropped.
+//
+// The question is walked in place: a token's Text is a substring of s,
+// and so is its Lower wherever no case folding or comma stripping is
+// needed, so a lowercase question costs the token slice and nothing
+// else.
 func Tokenize(s string) []Token {
-	var toks []Token
-	runes := []rune(s)
-	n := len(runes)
-	i := 0
-	byteOff := 0
-	advance := func(k int) {
-		for j := 0; j < k; j++ {
-			byteOff += len(string(runes[i+j]))
-		}
-		i += k
-	}
-	for i < n {
-		r := runes[i]
+	toks := make([]Token, 0, estimateTokens(s))
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
 		switch {
 		case r == '\'' || r == '"' || r == '“' || r == '‘':
-			close := matchingQuote(r)
-			j := i + 1
-			for j < n && runes[j] != close {
-				j++
-			}
-			if j < n && j > i+1 {
-				text := string(runes[i+1 : j])
-				toks = append(toks, Token{Text: text, Lower: text, Kind: Quoted, Pos: byteOff})
-				advance(j - i + 1)
+			closing := matchingQuote(r)
+			body := i + size
+			if k := strings.IndexRune(s[body:], closing); k > 0 {
+				text := s[body : body+k]
+				toks = append(toks, Token{Text: text, Lower: text, Kind: Quoted, Pos: i})
+				i = body + k + utf8.RuneLen(closing)
 				continue
 			}
-			// Unbalanced quote: skip it.
-			advance(1)
+			// Unbalanced (or empty) quote: skip it.
+			i += size
 		case unicode.IsDigit(r):
-			j := i
-			for j < n && (unicode.IsDigit(runes[j]) ||
-				(runes[j] == '.' && j+1 < n && unicode.IsDigit(runes[j+1])) ||
-				(runes[j] == ',' && j+1 < n && unicode.IsDigit(runes[j+1]))) {
-				j++
+			j := i + size
+			for j < len(s) {
+				c, w := utf8.DecodeRuneInString(s[j:])
+				if !unicode.IsDigit(c) && !((c == '.' || c == ',') && startsWith(s[j+w:], unicode.IsDigit)) {
+					break
+				}
+				j += w
 			}
-			raw := string(runes[i:j])
-			clean := strings.ReplaceAll(raw, ",", "")
-			toks = append(toks, Token{Text: raw, Lower: clean, Kind: Number, Pos: byteOff})
-			advance(j - i)
+			raw := s[i:j]
+			toks = append(toks, Token{Text: raw, Lower: strings.ReplaceAll(raw, ",", ""), Kind: Number, Pos: i})
+			i = j
 		case unicode.IsLetter(r):
-			j := i
-			for j < n && (unicode.IsLetter(runes[j]) || unicode.IsDigit(runes[j]) || runes[j] == '_' ||
-				(runes[j] == '\'' && j+1 < n && unicode.IsLetter(runes[j+1]))) {
-				j++
+			j := i + size
+			for j < len(s) {
+				c, w := utf8.DecodeRuneInString(s[j:])
+				if !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '_' &&
+					!(c == '\'' && startsWith(s[j+w:], unicode.IsLetter)) {
+					break
+				}
+				j += w
 			}
-			word := string(runes[i:j])
-			// Strip possessive suffixes.
-			if lw := strings.ToLower(word); strings.HasSuffix(lw, "'s") {
-				word = word[:len(word)-2]
-			} else if strings.HasSuffix(word, "'") {
-				word = word[:len(word)-1]
+			word := s[i:j]
+			// Strip the possessive "'s"; a bare trailing apostrophe
+			// never joins the word, since one is only taken before a letter.
+			if n := len(word); n >= 2 && word[n-2] == '\'' && (word[n-1] == 's' || word[n-1] == 'S') {
+				word = word[:n-2]
 			}
-			if word != "" {
-				toks = append(toks, Token{Text: word, Lower: strings.ToLower(word), Kind: Word, Pos: byteOff})
-			}
-			advance(j - i)
+			toks = append(toks, Token{Text: word, Lower: strings.ToLower(word), Kind: Word, Pos: i})
+			i = j
 		case r == '?' || r == ',':
-			toks = append(toks, Token{Text: string(r), Lower: string(r), Kind: Punct, Pos: byteOff})
-			advance(1)
+			toks = append(toks, Token{Text: s[i : i+1], Lower: s[i : i+1], Kind: Punct, Pos: i})
+			i++
 		default:
-			advance(1)
+			i += size
 		}
 	}
 	return toks
+}
+
+// startsWith reports whether the first rune of s satisfies is. An
+// empty s decodes to utf8.RuneError, which is neither letter nor digit.
+func startsWith(s string, is func(rune) bool) bool {
+	r, _ := utf8.DecodeRuneInString(s)
+	return is(r)
+}
+
+// estimateTokens sizes Tokenize's slice in one pass over the bytes: a
+// token per run of non-space bytes and one per "?" or ",". It is a
+// guess, not a bound — "gpa>3.5" holds more tokens than it counts,
+// "1,200" fewer — and append covers the difference.
+func estimateTokens(s string) int {
+	n, inRun := 0, false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == ' ':
+			inRun = false
+		case c == '?' || c == ',':
+			n++
+			inRun = false
+		case !inRun:
+			n++
+			inRun = true
+		}
+	}
+	return n
 }
 
 func matchingQuote(open rune) rune {

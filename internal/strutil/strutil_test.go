@@ -1,8 +1,11 @@
 package strutil
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"unicode"
+	"unicode/utf8"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -385,9 +388,123 @@ func TestLowersAndJoin(t *testing.T) {
 	}
 }
 
+// tokenizeRunes is Tokenize as it stood before it learned to walk the
+// string in place — a []rune copy, every token text a fresh string —
+// kept as the oracle the fuzz target compares the fast path with.
+func tokenizeRunes(s string) []Token {
+	var toks []Token
+	runes := []rune(s)
+	n := len(runes)
+	i := 0
+	byteOff := 0
+	advance := func(k int) {
+		for j := 0; j < k; j++ {
+			byteOff += len(string(runes[i+j]))
+		}
+		i += k
+	}
+	for i < n {
+		r := runes[i]
+		switch {
+		case r == '\'' || r == '"' || r == '“' || r == '‘':
+			close := matchingQuote(r)
+			j := i + 1
+			for j < n && runes[j] != close {
+				j++
+			}
+			if j < n && j > i+1 {
+				text := string(runes[i+1 : j])
+				toks = append(toks, Token{Text: text, Lower: text, Kind: Quoted, Pos: byteOff})
+				advance(j - i + 1)
+				continue
+			}
+			// Unbalanced quote: skip it.
+			advance(1)
+		case unicode.IsDigit(r):
+			j := i
+			for j < n && (unicode.IsDigit(runes[j]) ||
+				(runes[j] == '.' && j+1 < n && unicode.IsDigit(runes[j+1])) ||
+				(runes[j] == ',' && j+1 < n && unicode.IsDigit(runes[j+1]))) {
+				j++
+			}
+			raw := string(runes[i:j])
+			clean := strings.ReplaceAll(raw, ",", "")
+			toks = append(toks, Token{Text: raw, Lower: clean, Kind: Number, Pos: byteOff})
+			advance(j - i)
+		case unicode.IsLetter(r):
+			j := i
+			for j < n && (unicode.IsLetter(runes[j]) || unicode.IsDigit(runes[j]) || runes[j] == '_' ||
+				(runes[j] == '\'' && j+1 < n && unicode.IsLetter(runes[j+1]))) {
+				j++
+			}
+			word := string(runes[i:j])
+			// Strip possessive suffixes.
+			if lw := strings.ToLower(word); strings.HasSuffix(lw, "'s") {
+				word = word[:len(word)-2]
+			} else if strings.HasSuffix(word, "'") {
+				word = word[:len(word)-1]
+			}
+			if word != "" {
+				toks = append(toks, Token{Text: word, Lower: strings.ToLower(word), Kind: Word, Pos: byteOff})
+			}
+			advance(j - i)
+		case r == '?' || r == ',':
+			toks = append(toks, Token{Text: string(r), Lower: string(r), Kind: Punct, Pos: byteOff})
+			advance(1)
+		default:
+			advance(1)
+		}
+	}
+	return toks
+}
+
+// FuzzTokenize requires Tokenize to produce, token for token, what the
+// rune-based oracle produces. The oracle converts its input to runes
+// first, which turns every byte of invalid UTF-8 into U+FFFD — three
+// bytes — and counts Pos in that sanitized string; Tokenize reports
+// offsets into the string it was given and keeps quoted bytes
+// verbatim. The two are therefore compared on the sanitized input,
+// which is the input itself whenever it is valid UTF-8 (always, behind
+// the server: json.Unmarshal sanitizes the question the same way).
 func FuzzTokenize(f *testing.F) {
-	f.Add("show students with gpa over 3.5")
-	f.Add(`"quoted value" and 1,200 items?`)
+	for _, s := range []string{
+		"show students with gpa over 3.5",
+		`"quoted value" and 1,200 items?`,
+		// gold corpus (internal/bench imports this package, so copied)
+		"what is the budget of the Physics department",
+		"show the name and salary of instructors in Computer Science",
+		`instructors named "Ada Lovelace"`,
+		"instructors with salary between 50000 and 70000",
+		"departments with budget over 1.5 million",
+		"students whose gpa is higher than the average gpa of History students",
+		"top 3 instructors by salary",
+		"cities with population between 1000000 and 5000000",
+		"total population of countries in Africa or Oceania",
+		"what is the price of the Falcon Laptop",
+		"customers not in the North region",
+		// typo corpus (bench.TypoCases at one and two edits)
+		"show all studenst",
+		"how many instructors are in Phhysics",
+		"instructors with salary beteen 50000 and 70000",
+		"how many ordderrs per year",
+		// dialogue corpus
+		"only those with gpa over 3.5",
+		"what about Mathematics",
+		"sort them by gpa descending",
+		"remove the gpa condition",
+		// quoting, numbers, possessives, offsets past multi-byte runes
+		"who teaches “Operating Systems”?",
+		"courses titled ‘Compilers’ or 'Databases'",
+		`an "unclosed quote and an empty "" pair`,
+		"population over 1,000,000 or 1,200.5, or 7.",
+		"the students' grades and Ada's gpa and O'Brien'S",
+		"Ünïcödé Zürich's größte 東京 cities, café 3.5?",
+		"é“x”é'y'é1,2é?é,éa_b'c",
+		"٣٫٥ and ١٢٣ digits",
+		"bad \xff bytes \"in \xfe quotes\" after\xc3",
+	} {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
 		toks := Tokenize(s)
 		for _, tok := range toks {
@@ -396,6 +513,18 @@ func FuzzTokenize(f *testing.F) {
 			}
 			if tok.Pos < 0 || tok.Pos > len(s) {
 				t.Errorf("bad position %d for input of length %d", tok.Pos, len(s))
+			}
+		}
+		want := tokenizeRunes(s)
+		if !utf8.ValidString(s) {
+			toks = Tokenize(string([]rune(s)))
+		}
+		if len(toks) != len(want) {
+			t.Fatalf("%q: %d tokens %v, oracle has %d %v", s, len(toks), toks, len(want), want)
+		}
+		for i := range want {
+			if toks[i] != want[i] {
+				t.Errorf("%q: token %d = %+v, oracle has %+v", s, i, toks[i], want[i])
 			}
 		}
 	})
