@@ -6,6 +6,7 @@
 package nli
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -185,7 +186,7 @@ func BenchmarkF2Scale(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d/indexed", indexed.TotalRows()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(indexed, point); err != nil {
+				if _, err := exec.Query(indexed.Snapshot(), point); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,7 +194,7 @@ func BenchmarkF2Scale(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d/scan", scan.TotalRows()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(scan, point); err != nil {
+				if _, err := exec.Query(scan.Snapshot(), point); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -256,7 +257,7 @@ func BenchmarkF4JoinPath(b *testing.B) {
 
 // BenchmarkF5JoinHeavy measures join-heavy queries at dataset scale 4
 // through the streaming planner (exec.Query) and the seed-style
-// materializing executor (exec.ReferenceQuery). The planned/reference
+// materializing executor (exec.ReferenceQueryAt). The planned/reference
 // pairs quantify what predicate pushdown, index access paths and
 // cost-based join ordering buy on multi-table equi-joins.
 func BenchmarkF5JoinHeavy(b *testing.B) {
@@ -286,7 +287,7 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 		b.Run(q.name+"/planned", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(db, stmt); err != nil {
+				if _, err := exec.Query(db.Snapshot(), stmt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -294,7 +295,7 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 		// Compiles per iteration exactly like /planned above, so the
 		// two series differ only in execution strategy.
 		b.Run(q.name+"/planned-parallel", func(b *testing.B) {
-			p, err := exec.BuildPlanParallel(db, stmt, par)
+			p, err := exec.Compile(db.Snapshot(), stmt, par)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -304,7 +305,12 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.QueryParallel(db, stmt, par); err != nil {
+				sn := db.Snapshot()
+				p, err := exec.Compile(sn, stmt, par)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -312,7 +318,7 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 		b.Run(q.name+"/reference", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.ReferenceQuery(db, stmt); err != nil {
+				if _, err := exec.ReferenceQueryAt(db.Snapshot(), stmt); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -369,7 +375,7 @@ func BenchmarkF7VectorizedSpeedup(b *testing.B) {
 	for _, q := range queries {
 		stmt := sql.MustParse(q.query)
 		for _, degree := range []int{1, par} {
-			p, err := exec.BuildPlanParallel(db, stmt, degree)
+			p, err := exec.Compile(db.Snapshot(), stmt, degree)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -383,7 +389,7 @@ func BenchmarkF7VectorizedSpeedup(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/vec/%s", q.name, suffix), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := exec.Run(db, p); err != nil {
+					if _, err := exec.Run(context.Background(), db.Snapshot(), p, exec.RunOpts{}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -391,7 +397,7 @@ func BenchmarkF7VectorizedSpeedup(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/row/%s", q.name, suffix), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := exec.RunNoVec(db, p); err != nil {
+					if _, err := exec.Run(context.Background(), db.Snapshot(), p, exec.RunOpts{NoVec: true}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -520,7 +526,7 @@ func BenchmarkF8ConcurrentReadWrite(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := exec.Query(db, query)
+			res, err := exec.Query(db.Snapshot(), query)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -551,7 +557,7 @@ func BenchmarkF8ConcurrentReadWrite(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := exec.Query(db, query)
+			res, err := exec.Query(db.Snapshot(), query)
 			if err != nil {
 				b.Fatal(err)
 			}

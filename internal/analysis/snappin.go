@@ -33,7 +33,6 @@ var snappinTableReads = map[string]bool{
 	"HasOrderedIndex": true,
 	"LookupRange":     true,
 	"Stats":           true,
-	"ColVecs":         true,
 	"Segments":        true,
 }
 

@@ -9,7 +9,6 @@ func torn(db *store.DB) int {
 	n := t.Len()        // want "store.Table.Len pins its own version per call"
 	rows := t.Rows()    // want "store.Table.Rows pins its own version per call"
 	_, _ = t.Stats("c") // want "store.Table.Stats pins its own version per call"
-	_ = t.ColVecs()     // want "store.Table.ColVecs pins its own version per call"
 	_ = rows
 	return n
 }
@@ -26,7 +25,6 @@ func pinned(db *store.DB) int {
 	n := s.Len()
 	_ = s.Rows()
 	_, _ = s.Stats("c")
-	_ = s.ColVecs()
 	_ = s.Segments()
 
 	sn := db.Snapshot()

@@ -11,8 +11,6 @@ type Row []Value
 
 type ColStats struct{ Min, Max int64 }
 
-type ColVec struct{ Ints []int64 }
-
 type SegSet struct{ N int }
 
 type tableData struct {
@@ -32,8 +30,6 @@ func (t *Table) Rows() []Row { return t.Snap().Rows() }
 
 func (t *Table) Stats(col string) (ColStats, bool) { return t.Snap().Stats(col) }
 
-func (t *Table) ColVecs() []*ColVec { return t.Snap().ColVecs() }
-
 func (t *Table) Segments() *SegSet { return t.Snap().Segments() }
 
 type TableSnap struct{ d *tableData }
@@ -43,8 +39,6 @@ func (s *TableSnap) Len() int { return len(s.d.rows) }
 func (s *TableSnap) Rows() []Row { return s.d.rows }
 
 func (s *TableSnap) Stats(col string) (ColStats, bool) { return ColStats{}, false }
-
-func (s *TableSnap) ColVecs() []*ColVec { return nil }
 
 func (s *TableSnap) Segments() *SegSet { return &SegSet{} }
 

@@ -73,7 +73,7 @@ func EvaluateAmbiguity(e *core.Engine, db *store.DB, cases []Case) (*AmbiguityRe
 			if err != nil {
 				continue
 			}
-			res, err := exec.Query(db, stmt)
+			res, err := exec.Query(db.Snapshot(), stmt)
 			if err != nil {
 				continue
 			}
@@ -95,5 +95,5 @@ func GoldResult(db *store.DB, cs Case) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.Query(db, stmt)
+	return exec.Query(db.Snapshot(), stmt)
 }

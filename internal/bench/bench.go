@@ -118,7 +118,7 @@ func Evaluate(sys System, db *store.DB, cases []Case) (*Report, error) {
 		stmt, err := sys.Translate(cs.Question)
 		if err == nil {
 			out.SysSQL = stmt.String()
-			sysRes, execErr := exec.Query(db, stmt)
+			sysRes, execErr := exec.Query(db.Snapshot(), stmt)
 			if execErr == nil {
 				out.Answered = true
 				stats.Answered++
@@ -144,7 +144,7 @@ func runSQL(db *store.DB, q string) (*exec.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return exec.Query(db, stmt)
+	return exec.Query(db.Snapshot(), stmt)
 }
 
 // SameResult compares two results as bags of row tuples (order
@@ -192,6 +192,19 @@ func RowsEqual(a, b store.Row) bool {
 		}
 	}
 	return true
+}
+
+// sameRows requires two executions of one probe to agree row for row.
+func sameRows(name, got string, g *exec.Result, want string, w *exec.Result) error {
+	if len(g.Rows) != len(w.Rows) {
+		return fmt.Errorf("bench: %q: %s returned %d rows, %s %d", name, got, len(g.Rows), want, len(w.Rows))
+	}
+	for r := range g.Rows {
+		if !RowsEqual(g.Rows[r], w.Rows[r]) {
+			return fmt.Errorf("bench: %q: %s row %d diverges from %s", name, got, r, want)
+		}
+	}
+	return nil
 }
 
 // StageProfile is the averaged per-stage latency over a question set

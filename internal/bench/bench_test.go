@@ -26,7 +26,7 @@ func TestCorpusGoldIsExecutable(t *testing.T) {
 				t.Errorf("%s: gold does not parse: %v", cs.ID, err)
 				continue
 			}
-			res, err := exec.Query(db, stmt)
+			res, err := exec.Query(db.Snapshot(), stmt)
 			if err != nil {
 				t.Errorf("%s: gold does not execute: %v", cs.ID, err)
 				continue
@@ -55,7 +55,7 @@ func TestCorpusSuperlativesAreTieFree(t *testing.T) {
 			// the cut, otherwise the gold answer depends on tie order.
 			limit := stmt.Limit
 			stmt.Limit = limit + 1
-			res, err := exec.Query(db, stmt)
+			res, err := exec.Query(db.Snapshot(), stmt)
 			if err != nil {
 				t.Fatalf("%s: %v", cs.ID, err)
 			}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -10,23 +11,28 @@ import (
 )
 
 // ColdScan is one probe of the larger-than-memory experiment (F12):
-// the same query timed cold (every sealed payload evicted, reads fault
-// through the segment cache from disk), warm (payloads left resident
-// by the previous run), and against the fully resident uncompressed
-// column vectors — the execution the cache must match row for row.
+// the same query timed resident (before the DB spills: every segment
+// payload in memory, no cache in the loop — the execution the cache
+// must match row for row), then cold (every sealed payload evicted,
+// reads fault through the segment cache from disk) and warm (payloads
+// left resident by the previous run).
 type ColdScan struct {
 	Name     string
 	Par      int
 	Rows     int           // table rows the scan is over
 	Cold     time.Duration // EvictAll before each rep; min over reps
 	Warm     time.Duration // cache state carried between reps
-	Resident time.Duration // uncompressed colvecs, no cache in the loop
+	Resident time.Duration // same segments before EnableSpill
 	ColdMiss int64         // segments faulted in per cold run
 	ColdMB   float64       // bytes faulted from disk per cold run (MiB)
 	WarmHit  float64       // warm-run hit ratio: hits / (hits + misses)
 	Scanned  int64         // segments decoded by the scan (per run)
 	Skipped  int64         // segments pruned by zone maps (per run)
 	OutRows  int           // result cardinality
+
+	table string
+	stmt  *sql.SelectStmt
+	res   *exec.Result // the resident rows MeasureCold must reproduce
 }
 
 // ColdPenalty is Cold/Resident (>1 means faulting from disk cost that
@@ -47,71 +53,76 @@ func (q ColdScan) ColdRowsPerSec() float64 {
 	return float64(q.Rows) / q.Cold.Seconds()
 }
 
-// MeasureColdScan times one query on a spill-enabled DB in the three
-// modes and enforces the experiment's correctness bars in-run:
-//
-//   - the cold read-through result is row-for-row identical to the
-//     fully resident (no-segment) execution — faulting segments back
-//     from disk must never change an answer;
-//   - at par 1 with every segment sealed, the number of disk faults in
-//     a cold run equals the number of segments the scan decoded: a
-//     zone-pruned segment is skipped on its resident zone maps alone
-//     and never touches disk.
-//
-// Timing details mirror MeasureSegQuery: per-mode time is the minimum
-// over reps, counters come from a dedicated counted run so the timed
-// loops stay untouched.
-func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (ColdScan, error) {
-	cache := db.SegCache()
-	if cache == nil {
-		return ColdScan{}, fmt.Errorf("bench: F12 %q needs a spill-enabled DB (EnableSpill first)", name)
+// MeasureResident times one query on a DB that has not enabled spill
+// yet — the baseline half of a ColdScan. Timing details mirror
+// MeasureSegQuery: per-mode time is the minimum over reps.
+func MeasureResident(db *store.DB, table, name, query string, par, reps int) (ColdScan, error) {
+	if db.SegCache() != nil {
+		return ColdScan{}, fmt.Errorf("bench: F12 %q: the resident baseline runs before EnableSpill", name)
 	}
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return ColdScan{}, err
 	}
 	sn := db.Snapshot()
-	p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+	p, err := exec.Compile(sn, stmt, par)
 	if err != nil {
 		return ColdScan{}, err
 	}
-
-	minOver := func(run func() (*exec.Result, error)) (time.Duration, error) {
-		best := time.Duration(-1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := run(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); best < 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	// Warm-up: builds the segment layout and funnels sealed segments
-	// into the cache (adoption spills them to disk).
-	if _, err := exec.RunAt(sn, p); err != nil {
+	ctx := context.Background()
+	res, err := exec.Run(ctx, sn, p, exec.RunOpts{}) // warm-up: builds the segment layout
+	if err != nil {
 		return ColdScan{}, err
 	}
-	ss := sn.Table(table).Segments()
+	resident, err := minOver(reps, func() (*exec.Result, error) { return exec.Run(ctx, sn, p, exec.RunOpts{}) })
+	if err != nil {
+		return ColdScan{}, err
+	}
+	return ColdScan{
+		Name: name, Par: par,
+		Rows:     sn.Table(table).Len(),
+		Resident: resident,
+		OutRows:  len(res.Rows),
+		table:    table, stmt: stmt, res: res,
+	}, nil
+}
+
+// MeasureCold times the probe cold and warm once db has spilled, and
+// enforces the experiment's correctness bars in-run:
+//
+//   - the cold read-through result is row-for-row identical to the
+//     resident execution MeasureResident saw — faulting segments back
+//     from disk must never change an answer;
+//   - at par 1 with every segment sealed, the number of disk faults in
+//     a cold run equals the number of segments the scan decoded: a
+//     zone-pruned segment is skipped on its resident zone maps alone
+//     and never touches disk.
+//
+// Counters come from a dedicated counted run so the timed loops stay
+// untouched.
+func (q *ColdScan) MeasureCold(db *store.DB, reps int) error {
+	cache := db.SegCache()
+	if cache == nil {
+		return fmt.Errorf("bench: F12 %q needs a spill-enabled DB (EnableSpill first)", q.Name)
+	}
+	sn := db.Snapshot()
+	p, err := exec.Compile(sn, q.stmt, q.Par)
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+	run := func() (*exec.Result, error) { return exec.Run(ctx, sn, p, exec.RunOpts{}) }
+
+	// Warm-up: funnels sealed segments into the cache (adoption spills
+	// them to disk).
+	if _, err := run(); err != nil {
+		return err
+	}
 	allSealed := true
-	for _, seg := range ss.Segs {
+	for _, seg := range sn.Table(q.table).Segments().Segs {
 		if !seg.Sealed {
 			allSealed = false
 		}
-	}
-
-	// Fully resident baseline: uncompressed column vectors, no segment
-	// cache anywhere in the loop.
-	resRes, err := exec.RunNoSegAt(sn, p)
-	if err != nil {
-		return ColdScan{}, err
-	}
-	resident, err := minOver(func() (*exec.Result, error) { return exec.RunNoSegAt(sn, p) })
-	if err != nil {
-		return ColdScan{}, err
 	}
 
 	// Counted cold run: evict everything, then record which segments the
@@ -122,61 +133,45 @@ func MeasureColdScan(db *store.DB, table, name, query string, par, reps int) (Co
 	cache.EvictAll()
 	before := cache.Stats()
 	var ctr store.SegCounters
-	coldRes, err := exec.RunCountedAt(sn, p, &ctr)
+	coldRes, err := exec.Run(ctx, sn, p, exec.RunOpts{SegC: &ctr})
 	if err != nil {
-		return ColdScan{}, err
+		return err
 	}
 	after := cache.Stats()
-	coldMiss := after.Misses - before.Misses
-	coldMB := float64(after.FaultBytes-before.FaultBytes) / (1 << 20)
-	scanned, skipped := ctr.Scanned.Load(), ctr.Skipped.Load()
+	q.ColdMiss = after.Misses - before.Misses
+	q.ColdMB = float64(after.FaultBytes-before.FaultBytes) / (1 << 20)
+	q.Scanned, q.Skipped = ctr.Scanned.Load(), ctr.Skipped.Load()
 
-	if len(coldRes.Rows) != len(resRes.Rows) {
-		return ColdScan{}, fmt.Errorf("bench: F12 %q: cold read-through returned %d rows, resident execution %d",
-			name, len(coldRes.Rows), len(resRes.Rows))
+	if err := sameRows("F12 "+q.Name, "cold read-through", coldRes, "resident execution", q.res); err != nil {
+		return err
 	}
-	for r := range coldRes.Rows {
-		if !RowsEqual(coldRes.Rows[r], resRes.Rows[r]) {
-			return ColdScan{}, fmt.Errorf("bench: F12 %q: cold read-through row %d diverges from resident execution", name, r)
-		}
-	}
-	if par == 1 && allSealed && coldMiss != scanned {
-		return ColdScan{}, fmt.Errorf("bench: F12 %q: %d disk faults for %d decoded segments — zone-pruned segments must skip on resident zone maps without I/O",
-			name, coldMiss, scanned)
+	if q.Par == 1 && allSealed && q.ColdMiss != q.Scanned {
+		return fmt.Errorf("bench: F12 %q: %d disk faults for %d decoded segments — zone-pruned segments must skip on resident zone maps without I/O",
+			q.Name, q.ColdMiss, q.Scanned)
 	}
 
 	// Cold timing: evict before every rep so each one faults from disk.
-	cold := time.Duration(-1)
+	q.Cold = -1
 	for i := 0; i < reps; i++ {
 		cache.EvictAll()
 		start := time.Now()
-		if _, err := exec.RunAt(sn, p); err != nil {
-			return ColdScan{}, err
+		if _, err := run(); err != nil {
+			return err
 		}
-		if d := time.Since(start); cold < 0 || d < cold {
-			cold = d
+		if d := time.Since(start); q.Cold < 0 || d < q.Cold {
+			q.Cold = d
 		}
 	}
 
 	// Warm timing: cache state carries over from the last cold rep, so
 	// whatever fits in budget is served from memory.
 	w0 := cache.Stats()
-	warm, err := minOver(func() (*exec.Result, error) { return exec.RunAt(sn, p) })
-	if err != nil {
-		return ColdScan{}, err
+	if q.Warm, err = minOver(reps, run); err != nil {
+		return err
 	}
 	w1 := cache.Stats()
-	warmHit := 0.0
 	if acc := (w1.Hits - w0.Hits) + (w1.Misses - w0.Misses); acc > 0 {
-		warmHit = float64(w1.Hits-w0.Hits) / float64(acc)
+		q.WarmHit = float64(w1.Hits-w0.Hits) / float64(acc)
 	}
-
-	return ColdScan{
-		Name: name, Par: par,
-		Rows: sn.Table(table).Len(),
-		Cold: cold, Warm: warm, Resident: resident,
-		ColdMiss: coldMiss, ColdMB: coldMB, WarmHit: warmHit,
-		Scanned: scanned, Skipped: skipped,
-		OutRows: len(coldRes.Rows),
-	}, nil
+	return nil
 }

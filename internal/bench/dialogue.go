@@ -159,7 +159,7 @@ func EvaluateDialogue(opts core.Options, cases []DialogueCase) ([]DialogueOutcom
 		if err != nil {
 			return nil, fmt.Errorf("bench: gold for %s: %w", cs.ID, err)
 		}
-		goldRes, err := exec.Query(db, goldStmt)
+		goldRes, err := exec.Query(db.Snapshot(), goldStmt)
 		if err != nil {
 			return nil, fmt.Errorf("bench: gold for %s: %w", cs.ID, err)
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -37,34 +38,35 @@ func MeasureParallelSpeedup(db *store.DB, name, query string, par, reps int) (Pa
 	if err != nil {
 		return ParSpeedup{}, err
 	}
-	sp, err := exec.BuildPlan(db, stmt)
+	ctx, sn := context.Background(), db.Snapshot()
+	sp, err := exec.Compile(sn, stmt, 1)
 	if err != nil {
 		return ParSpeedup{}, err
 	}
-	pp, err := exec.BuildPlanParallel(db, stmt, par)
+	pp, err := exec.Compile(sn, stmt, par)
 	if err != nil {
 		return ParSpeedup{}, err
 	}
 
-	serialRes, err := exec.Run(db, sp) // warm-up and baseline rows
+	serialRes, err := exec.Run(ctx, sn, sp, exec.RunOpts{}) // warm-up and baseline rows
 	if err != nil {
 		return ParSpeedup{}, err
 	}
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := exec.Run(db, sp); err != nil {
+		if _, err := exec.Run(ctx, sn, sp, exec.RunOpts{}); err != nil {
 			return ParSpeedup{}, err
 		}
 	}
 	serial := time.Since(start) / time.Duration(reps)
 
-	parRes, err := exec.Run(db, pp) // warm-up
+	parRes, err := exec.Run(ctx, sn, pp, exec.RunOpts{}) // warm-up
 	if err != nil {
 		return ParSpeedup{}, err
 	}
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		if parRes, err = exec.Run(db, pp); err != nil {
+		if parRes, err = exec.Run(ctx, sn, pp, exec.RunOpts{}); err != nil {
 			return ParSpeedup{}, err
 		}
 	}

@@ -121,7 +121,7 @@ func MeasureParallelLoad(newDB func() *store.DB, table, col string,
 		return d, nil
 	}
 
-	minOver := func(partitioned bool) (time.Duration, error) {
+	minLoad := func(partitioned bool) (time.Duration, error) {
 		best := time.Duration(-1)
 		for i := 0; i < reps; i++ {
 			d, err := loadOnce(partitioned)
@@ -136,10 +136,10 @@ func MeasureParallelLoad(newDB func() *store.DB, table, col string,
 	}
 
 	var err error
-	if out.Single, err = minOver(false); err != nil {
+	if out.Single, err = minLoad(false); err != nil {
 		return ParallelLoad{}, err
 	}
-	if out.Parted, err = minOver(true); err != nil {
+	if out.Parted, err = minLoad(true); err != nil {
 		return ParallelLoad{}, err
 	}
 	return out, nil
@@ -185,49 +185,39 @@ func MeasurePartitionJoin(dbPart, dbFlat *store.DB, table, name, query string,
 	}
 	snP := dbPart.Snapshot()
 	snF := dbFlat.Snapshot()
-	pp, err := exec.BuildPlanParallelAt(snP, stmt, par)
+	pp, err := exec.Compile(snP, stmt, par)
 	if err != nil {
 		return PartJoin{}, err
 	}
 	if n := pp.OperatorCounts()["partition-wise"]; n == 0 {
 		return PartJoin{}, fmt.Errorf("bench: plan for %q has no partition-wise operator", name)
 	}
-	pf, err := exec.BuildPlanParallelAt(snF, stmt, par)
+	pf, err := exec.Compile(snF, stmt, par)
 	if err != nil {
 		return PartJoin{}, err
 	}
 
-	minOver := func(sn *store.Snapshot, p *plan.Plan) (time.Duration, error) {
-		best := time.Duration(-1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := exec.RunAt(sn, p); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); best < 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
+	timed := func(sn *store.Snapshot, p *plan.Plan) (time.Duration, error) {
+		return minOver(reps, func() (*exec.Result, error) { return exec.Run(context.Background(), sn, p, exec.RunOpts{}) })
 	}
 
-	wiseRes, err := exec.RunAt(snP, pp) // warm-up and baseline rows
+	wiseRes, err := exec.Run(context.Background(), snP, pp, exec.RunOpts{}) // warm-up and baseline rows
 	if err != nil {
 		return PartJoin{}, err
 	}
 	var c store.PartCounters
-	if _, err := exec.RunPartCountedAt(snP, pp, &c); err != nil {
+	if _, err := exec.Run(context.Background(), snP, pp, exec.RunOpts{PartC: &c}); err != nil {
 		return PartJoin{}, err
 	}
-	wise, err := minOver(snP, pp)
+	wise, err := timed(snP, pp)
 	if err != nil {
 		return PartJoin{}, err
 	}
-	sharedRes, err := exec.RunAt(snF, pf) // warm-up
+	sharedRes, err := exec.Run(context.Background(), snF, pf, exec.RunOpts{}) // warm-up
 	if err != nil {
 		return PartJoin{}, err
 	}
-	shared, err := minOver(snF, pf)
+	shared, err := timed(snF, pf)
 	if err != nil {
 		return PartJoin{}, err
 	}
@@ -283,12 +273,12 @@ func MeasurePartitionPrune(db *store.DB, table, name, query string, kept []int) 
 	if tab == nil {
 		return PartPrune{}, fmt.Errorf("bench: unknown table %s", table)
 	}
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 1)
+	p, err := exec.Compile(sn, stmt, 1)
 	if err != nil {
 		return PartPrune{}, err
 	}
 
-	if _, err := exec.RunAt(sn, p); err != nil { // warm-up: builds + spills segments
+	if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil { // warm-up: builds + spills segments
 		return PartPrune{}, err
 	}
 	keptBytes := int64(0)
@@ -300,7 +290,7 @@ func MeasurePartitionPrune(db *store.DB, table, name, query string, kept []int) 
 
 	var partc store.PartCounters
 	var segc store.SegCounters
-	res, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 1, &segc, &partc)
+	res, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Par: 1, SegC: &segc, PartC: &partc})
 	if err != nil {
 		return PartPrune{}, err
 	}

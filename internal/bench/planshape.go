@@ -74,7 +74,7 @@ func PlanShapes(db *store.DB, cases []Case) (*PlanShape, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: gold for %s does not parse: %w", cs.ID, err)
 		}
-		p, err := exec.BuildPlan(db, stmt)
+		p, err := exec.Compile(db.Snapshot(), stmt, 1)
 		if err != nil {
 			return nil, fmt.Errorf("bench: gold for %s does not plan: %w", cs.ID, err)
 		}
@@ -117,11 +117,11 @@ func MeasureSpeedup(db *store.DB, name, query string, reps int) (Speedup, error)
 		}
 		return time.Since(start) / time.Duration(reps), nil
 	}
-	planned, err := run(func() error { _, err := exec.Query(db, stmt); return err })
+	planned, err := run(func() error { _, err := exec.Query(db.Snapshot(), stmt); return err })
 	if err != nil {
 		return Speedup{}, err
 	}
-	reference, err := run(func() error { _, err := exec.ReferenceQuery(db, stmt); return err })
+	reference, err := run(func() error { _, err := exec.ReferenceQueryAt(db.Snapshot(), stmt); return err })
 	if err != nil {
 		return Speedup{}, err
 	}

@@ -1,7 +1,7 @@
 package bench
 
 import (
-	"fmt"
+	"context"
 	"time"
 
 	"repro/internal/exec"
@@ -10,30 +10,34 @@ import (
 )
 
 // SegQuery is one probe of the compressed-segment experiment (F11): a
-// query over the telemetry log timed on the segment layout (zone-map
-// skipping live) and on the uncompressed column vectors, at one worker
-// degree. Rows/s figures use the table's row count — the work a full
-// scan would touch — so skipping shows up as throughput, not as a
-// smaller denominator.
+// query over the telemetry log timed on the sealed segment layout
+// (zone-map skipping live) and on the same rows resealed as one plain
+// unsealed segment — the uncompressed layout — at one worker degree.
+// Rows/s figures use the table's row count — the work a full scan
+// would touch — so skipping shows up as throughput, not as a smaller
+// denominator.
 type SegQuery struct {
 	Name      string
 	Par       int
 	Rows      int           // table rows the scan is over
-	Seg       time.Duration // segment layout, zone maps live
-	NoSeg     time.Duration // uncompressed column vectors
+	Seg       time.Duration // sealed segments, zone maps live
+	Plain     time.Duration // one plain segment (set by MeasurePlain)
 	RowMode   time.Duration // row-at-a-time ablation
 	SegN      int64         // segments decoded (per run)
 	SegSkip   int64         // segments skipped by zone maps (per run)
 	OutRows   int           // result cardinality
 	SkipRatio float64       // SegSkip / (SegN + SegSkip)
+
+	stmt *sql.SelectStmt
+	res  *exec.Result // the segment-path rows MeasurePlain must reproduce
 }
 
-// Factor is NoSeg/Seg (>1 means the segment layout won).
+// Factor is Plain/Seg (>1 means the compressed layout won).
 func (q SegQuery) Factor() float64 {
 	if q.Seg <= 0 {
 		return 0
 	}
-	return float64(q.NoSeg) / float64(q.Seg)
+	return float64(q.Plain) / float64(q.Seg)
 }
 
 // RowsPerSec is table rows over segment-path time.
@@ -44,41 +48,33 @@ func (q SegQuery) RowsPerSec() float64 {
 	return float64(q.Rows) / q.Seg.Seconds()
 }
 
-// SegFootprint compares the storage footprints of one table's two
-// columnar layouts.
+// SegFootprint is the storage footprint of one table's segment layout
+// under its current seal boundary.
 type SegFootprint struct {
 	Rows          int
-	SegBytes      int // compressed segment layout
-	ColBytes      int // uncompressed column vectors
+	SegBytes      int
 	SegPerRow     float64
-	ColPerRow     float64
-	Compression   float64 // ColBytes / SegBytes
 	Segments      int
 	SealedRatio   float64 // sealed segments / total
 	EncodingCount map[string]int
 }
 
-// MeasureSegFootprint builds both layouts of the named table and
-// reports their footprints. The table is pinned to one snapshot so
-// row count, segment bytes and column-vector bytes all describe the
-// same version even while writers publish (snappin: the unpinned
-// Table accessors would pin a fresh version per call).
+// MeasureSegFootprint builds the named table's segment layout and
+// reports its footprint. The table is pinned to one snapshot so row
+// count and segment bytes describe the same version even while writers
+// publish (snappin: the unpinned Table accessors would pin a fresh
+// version per call).
 func MeasureSegFootprint(db *store.DB, table string) SegFootprint {
 	t := db.Table(table).Snap()
 	ss := t.Segments()
 	f := SegFootprint{
 		Rows:          t.Len(),
 		SegBytes:      ss.Bytes(),
-		ColBytes:      store.ColVecsBytes(t.ColVecs()),
 		Segments:      len(ss.Segs),
 		EncodingCount: map[string]int{},
 	}
 	if f.Rows > 0 {
 		f.SegPerRow = float64(f.SegBytes) / float64(f.Rows)
-		f.ColPerRow = float64(f.ColBytes) / float64(f.Rows)
-	}
-	if f.SegBytes > 0 {
-		f.Compression = float64(f.ColBytes) / float64(f.SegBytes)
 	}
 	sealed := 0
 	for _, seg := range ss.Segs {
@@ -95,97 +91,102 @@ func MeasureSegFootprint(db *store.DB, table string) SegFootprint {
 	return f
 }
 
-// MeasureSegQuery times one query over the segment layout and the
-// uncompressed column-vector layout at worker degree par, averaging
-// over reps, and requires the three modes (segment, no-segment,
-// row-at-a-time) to agree row for row — the skip logic must never
-// change results. Counters come from a dedicated counted run so the
-// timed loops stay untouched.
+// minOver is the per-mode timing both F11 and F12 use: the minimum
+// over reps, not the mean — the first query after a dataset build
+// otherwise absorbs a GC cycle over the fresh heap and reads 5-10x
+// slower than steady state.
+func minOver(reps int, run func() (*exec.Result, error)) (time.Duration, error) {
+	best := time.Duration(-1)
+	for i := 0; i < reps; i++ {
+		start := time.Now()
+		if _, err := run(); err != nil {
+			return 0, err
+		}
+		if d := time.Since(start); best < 0 || d < best {
+			best = d
+		}
+	}
+	return best, nil
+}
+
+// MeasureSegQuery times one query over the table's segment layout at
+// worker degree par, vectorized and row-at-a-time, and requires the
+// two to agree row for row — the skip logic must never change results.
+// Counters come from a dedicated counted run so the timed loops stay
+// untouched. MeasurePlain adds the uncompressed column once the caller
+// has resealed the table.
 func MeasureSegQuery(db *store.DB, table, name, query string, par, reps int) (SegQuery, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return SegQuery{}, err
 	}
 	sn := db.Snapshot()
-	p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+	p, err := exec.Compile(sn, stmt, par)
 	if err != nil {
 		return SegQuery{}, err
 	}
+	ctx := context.Background()
 
-	// Per-mode time is the minimum over reps, not the mean: the first
-	// query after a dataset build otherwise absorbs a GC cycle over the
-	// fresh heap and reads 5-10x slower than steady state.
-	minOver := func(run func() (*exec.Result, error)) (time.Duration, error) {
-		best := time.Duration(-1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			if _, err := run(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); best < 0 || d < best {
-				best = d
-			}
-		}
-		return best, nil
-	}
-
-	segRes, err := exec.RunAt(sn, p) // warm-up: forces segment build
+	segRes, err := exec.Run(ctx, sn, p, exec.RunOpts{}) // warm-up: forces segment build
 	if err != nil {
 		return SegQuery{}, err
 	}
 	var c store.SegCounters
-	if _, err := exec.RunCountedAt(sn, p, &c); err != nil {
+	if _, err := exec.Run(ctx, sn, p, exec.RunOpts{SegC: &c}); err != nil {
 		return SegQuery{}, err
 	}
-	seg, err := minOver(func() (*exec.Result, error) { return exec.RunAt(sn, p) })
+	seg, err := minOver(reps, func() (*exec.Result, error) { return exec.Run(ctx, sn, p, exec.RunOpts{}) })
 	if err != nil {
 		return SegQuery{}, err
 	}
 
-	noSegRes, err := exec.RunNoSegAt(sn, p) // warm-up: forces colvec build
+	rowRes, err := exec.Run(ctx, sn, p, exec.RunOpts{NoVec: true})
 	if err != nil {
 		return SegQuery{}, err
 	}
-	noSeg, err := minOver(func() (*exec.Result, error) { return exec.RunNoSegAt(sn, p) })
+	rowMode, err := minOver(reps, func() (*exec.Result, error) { return exec.Run(ctx, sn, p, exec.RunOpts{NoVec: true}) })
 	if err != nil {
 		return SegQuery{}, err
 	}
-
-	rowRes, err := exec.RunNoVecAt(sn, p)
-	if err != nil {
+	if err := sameRows(name, "segment path", segRes, "row-mode path", rowRes); err != nil {
 		return SegQuery{}, err
-	}
-	rowMode, err := minOver(func() (*exec.Result, error) { return exec.RunNoVecAt(sn, p) })
-	if err != nil {
-		return SegQuery{}, err
-	}
-
-	for _, pair := range []struct {
-		name string
-		res  *exec.Result
-	}{{"no-segment", noSegRes}, {"row-mode", rowRes}} {
-		if len(segRes.Rows) != len(pair.res.Rows) {
-			return SegQuery{}, fmt.Errorf("bench: segment path returned %d rows, %s path %d for %q",
-				len(segRes.Rows), pair.name, len(pair.res.Rows), name)
-		}
-		for r := range segRes.Rows {
-			if !RowsEqual(segRes.Rows[r], pair.res.Rows[r]) {
-				return SegQuery{}, fmt.Errorf("bench: segment row %d diverges from %s path for %q",
-					r, pair.name, name)
-			}
-		}
 	}
 
 	out := SegQuery{
 		Name: name, Par: par,
 		Rows: sn.Table(table).Len(),
-		Seg:  seg, NoSeg: noSeg, RowMode: rowMode,
+		Seg:  seg, RowMode: rowMode,
 		SegN:    c.Scanned.Load(),
 		SegSkip: c.Skipped.Load(),
 		OutRows: len(segRes.Rows),
+		stmt:    stmt, res: segRes,
 	}
 	if total := out.SegN + out.SegSkip; total > 0 {
 		out.SkipRatio = float64(out.SegSkip) / float64(total)
 	}
 	return out, nil
+}
+
+// MeasurePlain times the probe again on db's current layout and fills
+// q.Plain, requiring the rows MeasureSegQuery saw. F11 calls it after
+// resealing the table as one plain unsealed segment
+// (SetSegmentRows(rows+1)): the same typed slices uncompressed, no
+// zone map worth consulting — what compression and skipping are
+// measured against.
+func (q *SegQuery) MeasurePlain(db *store.DB, reps int) error {
+	sn := db.Snapshot()
+	p, err := exec.Compile(sn, q.stmt, q.Par)
+	if err != nil {
+		return err
+	}
+	ctx := context.Background()
+	res, err := exec.Run(ctx, sn, p, exec.RunOpts{}) // warm-up: forces the reseal
+	if err != nil {
+		return err
+	}
+	if err := sameRows(q.Name, "plain-segment path", res, "sealed-segment path", q.res); err != nil {
+		return err
+	}
+	q.Plain, err = minOver(reps, func() (*exec.Result, error) { return exec.Run(ctx, sn, p, exec.RunOpts{}) })
+	return err
 }

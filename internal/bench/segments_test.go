@@ -9,13 +9,14 @@ import (
 )
 
 // Regression test for the snappin finding in MeasureSegFootprint: the
-// old code read Len, Segments and ColVecs through the raw Table, so
-// each call pinned whatever version writers had published by then and
-// the reported footprint mixed row counts and byte totals from
-// different versions. With one pinned TableSnap the figures must be
-// internally consistent: a single-int-column table with no NULLs has
-// ColBytes == Rows*8 exactly (ColVecsBytes accounting), at every
-// version, no matter how the measurement interleaves with writers.
+// old code read Len and Segments through the raw Table, so each call
+// pinned whatever version writers had published by then and the
+// reported footprint mixed row counts and byte totals from different
+// versions. With one pinned TableSnap the figures must be internally
+// consistent: a single-int-column table with no NULLs, short of its
+// first seal, is one plain segment of SegBytes == Rows*8 exactly, at
+// every version, no matter how the measurement interleaves with
+// writers.
 func TestMeasureSegFootprintConsistentUnderWrites(t *testing.T) {
 	sc := schema.MustNew("pin", []*schema.Table{{
 		Name:       "ticks",
@@ -44,9 +45,9 @@ func TestMeasureSegFootprintConsistentUnderWrites(t *testing.T) {
 
 	for i := 0; i < 300; i++ {
 		f := MeasureSegFootprint(db, "ticks")
-		if f.ColBytes != f.Rows*8 {
-			t.Fatalf("footprint mixes versions: Rows=%d implies ColBytes=%d, got %d",
-				f.Rows, f.Rows*8, f.ColBytes)
+		if f.SegBytes != f.Rows*8 {
+			t.Fatalf("footprint mixes versions: Rows=%d implies SegBytes=%d, got %d",
+				f.Rows, f.Rows*8, f.SegBytes)
 		}
 		if f.Rows < 64 {
 			t.Fatalf("Rows=%d went below the pre-writer population", f.Rows)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -39,55 +40,50 @@ func MeasureVecSpeedup(db *store.DB, name, query string, par, reps int) (VecSpee
 	if err != nil {
 		return VecSpeedup{}, err
 	}
-	p, err := exec.BuildPlanParallel(db, stmt, par)
+	ctx, sn := context.Background(), db.Snapshot()
+	p, err := exec.Compile(sn, stmt, par)
 	if err != nil {
 		return VecSpeedup{}, err
 	}
 
-	vecRes, err := exec.Run(db, p) // warm-up and baseline rows
+	vecRes, err := exec.Run(ctx, sn, p, exec.RunOpts{}) // warm-up and baseline rows
 	if err != nil {
 		return VecSpeedup{}, err
 	}
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := exec.Run(db, p); err != nil {
+		if _, err := exec.Run(ctx, sn, p, exec.RunOpts{}); err != nil {
 			return VecSpeedup{}, err
 		}
 	}
 	vec := time.Since(start) / time.Duration(reps)
 
-	rowRes, err := exec.RunNoVec(db, p) // warm-up
+	rowRes, err := exec.Run(ctx, sn, p, exec.RunOpts{NoVec: true}) // warm-up
 	if err != nil {
 		return VecSpeedup{}, err
 	}
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := exec.RunNoVec(db, p); err != nil {
+		if _, err := exec.Run(ctx, sn, p, exec.RunOpts{NoVec: true}); err != nil {
 			return VecSpeedup{}, err
 		}
 	}
 	row := time.Since(start) / time.Duration(reps)
 
-	refRes, err := exec.ReferenceQuery(db, stmt)
+	refRes, err := exec.ReferenceQueryAt(sn, stmt)
 	if err != nil {
 		return VecSpeedup{}, err
 	}
 	start = time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := exec.ReferenceQuery(db, stmt); err != nil {
+		if _, err := exec.ReferenceQueryAt(sn, stmt); err != nil {
 			return VecSpeedup{}, err
 		}
 	}
 	ref := time.Since(start) / time.Duration(reps)
 
-	if len(vecRes.Rows) != len(rowRes.Rows) {
-		return VecSpeedup{}, fmt.Errorf("bench: vectorized returned %d rows, row path %d for %q",
-			len(vecRes.Rows), len(rowRes.Rows), name)
-	}
-	for i := range vecRes.Rows {
-		if !RowsEqual(vecRes.Rows[i], rowRes.Rows[i]) {
-			return VecSpeedup{}, fmt.Errorf("bench: vectorized row %d diverges from row path for %q", i, name)
-		}
+	if err := sameRows(name, "vectorized path", vecRes, "row path", rowRes); err != nil {
+		return VecSpeedup{}, err
 	}
 	if !SameResult(vecRes, refRes) {
 		return VecSpeedup{}, fmt.Errorf("bench: vectorized result diverges from reference for %q", name)

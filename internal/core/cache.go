@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
@@ -224,11 +225,19 @@ func cacheableAnswer(ans *Answer) *Answer {
 // entry points that promise their caller an answer it may mutate
 // (Ask, AskCtx): a hit's rows are cloned out of the entry and the
 // entry's rendering slot, which describes rows the caller is now free
-// to change, is dropped. A miss is the caller's own already.
+// to change, is dropped. A miss's rows are the caller's own already,
+// but its Cols is the cached plan's slice (see exec's executor.run),
+// shared with every later ask of the plan shape — so that is cloned
+// here, not in the executor, and the AskShedCtx path serve drives pays
+// nothing for it.
 func owned(ans *Answer) *Answer {
-	if ans != nil && ans.Rendered != nil {
+	switch {
+	case ans == nil:
+	case ans.Rendered != nil:
 		ans.Result = cloneResult(ans.Result)
 		ans.Rendered = nil
+	case ans.Result != nil:
+		ans.Result.Cols = slices.Clone(ans.Result.Cols)
 	}
 	return ans
 }

@@ -374,9 +374,10 @@ func (e *Engine) AskCtx(ctx context.Context, question string) (*Answer, error) {
 //
 // Unlike Ask and AskCtx, a cache hit here copies only the Answer
 // struct: its Result is the cache entry's own and must not be written
-// (see Answer.Rendered). That is the contract the serving layer, which
-// only encodes the rows, asks for — what a hit costs then does not
-// grow with the size of its result.
+// (see Answer.Rendered), and a miss's Result.Cols is the cached plan's
+// own slice, read-only likewise. That is the contract the serving
+// layer, which only encodes the result, asks for — what a hit costs
+// then does not grow with the size of its result.
 func (e *Engine) AskShedCtx(ctx context.Context, question string, execPar int) (*Answer, error) {
 	total := time.Now()
 	toks, fixes, correct := e.correctTokens(question)
@@ -433,7 +434,7 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, stmt *sql.SelectStmt,
 	ans.Degraded = execPar > 0 && execPar < e.opts.Parallelism
 
 	start := time.Now()
-	res, err := exec.RunBoundCountedAtCtx(ctx, sn, p, params, execPar, &e.segC, &e.partC)
+	res, err := exec.Run(ctx, sn, p, exec.RunOpts{Params: params, Par: execPar, SegC: &e.segC, PartC: &e.partC})
 	tm.Execute = time.Since(start)
 	if err != nil {
 		return fmt.Errorf("core: executing %q: %w", stmt, err)
@@ -460,7 +461,7 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, stmt *sql.SelectStmt,
 func (e *Engine) planFor(ans *Answer, stmt *sql.SelectStmt, sn *store.Snapshot, tm *Timings) (*plan.Plan, []store.Value, error) {
 	if e.plans == nil {
 		start := time.Now()
-		p, err := exec.BuildPlanParallelAt(sn, stmt, e.opts.Parallelism)
+		p, err := exec.Compile(sn, stmt, e.opts.Parallelism)
 		tm.Plan = time.Since(start)
 		return p, nil, err
 	}

@@ -247,6 +247,43 @@ func TestAnswerCache(t *testing.T) {
 	}
 }
 
+// TestMissOwnsItsCols: a miss's Result.Cols must be the caller's own,
+// not the cached plan's slice. Overwriting a column name on one answer
+// and then asking the same shape with another constant (plan-cache
+// hit, answer-cache miss) must still report the original name — from
+// the engine and from a conversation alike.
+func TestMissOwnsItsCols(t *testing.T) {
+	for _, viaConversation := range []bool{false, true} {
+		e := uniEngine(t)
+		ask := e.Ask
+		if viaConversation {
+			conv := e.NewConversation()
+			ask = func(q string) (*Answer, error) {
+				ans, _, err := conv.Ask(q)
+				return ans, err
+			}
+		}
+		first, err := ask("students with gpa over 3.5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := first.Result.Cols[0]
+		first.Result.Cols[0] = "clobbered"
+		second, err := ask("students with gpa over 3.6")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !second.PlanCached || second.Cached {
+			t.Fatalf("conversation=%v: second ask PlanCached=%v Cached=%v, want a plan-cache hit and an answer-cache miss",
+				viaConversation, second.PlanCached, second.Cached)
+		}
+		if got := second.Result.Cols[0]; got != want {
+			t.Errorf("conversation=%v: column renamed to %q for a later ask of the plan shape, want %q",
+				viaConversation, got, want)
+		}
+	}
+}
+
 // TestParallelismAblation: Parallelism 1 must produce byte-identical
 // plans and results to the default hardware-width setting.
 func TestParallelismAblation(t *testing.T) {

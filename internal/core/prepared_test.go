@@ -81,7 +81,7 @@ func TestPlanCacheAcrossConstants(t *testing.T) {
 	}
 
 	// The bound plan answers exactly as a fresh compile would.
-	want, err := exec.Query(e.DB, hot.SQL)
+	want, err := exec.Query(e.DB.Snapshot(), hot.SQL)
 	if err != nil {
 		t.Fatal(err)
 	}

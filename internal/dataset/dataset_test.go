@@ -98,7 +98,7 @@ func TestForeignKeysResolve(t *testing.T) {
 
 func TestGeoFacts(t *testing.T) {
 	db := Geo()
-	res, err := exec.Query(db, sql.MustParse(
+	res, err := exec.Query(db.Snapshot(), sql.MustParse(
 		"SELECT name FROM countries ORDER BY population DESC LIMIT 1"))
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestGeoFacts(t *testing.T) {
 	if res.Rows[0][0].Str() != "China" {
 		t.Errorf("most populous = %v", res.Rows[0][0])
 	}
-	res, err = exec.Query(db, sql.MustParse(
+	res, err = exec.Query(db.Snapshot(), sql.MustParse(
 		"SELECT name FROM rivers ORDER BY length DESC LIMIT 1"))
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +116,7 @@ func TestGeoFacts(t *testing.T) {
 	}
 	// Every country has exactly one capital city... except those with
 	// no city rows at all (none in this dataset).
-	res, err = exec.Query(db, sql.MustParse(
+	res, err = exec.Query(db.Snapshot(), sql.MustParse(
 		"SELECT country_id, COUNT(*) FROM cities WHERE capital = TRUE GROUP BY country_id HAVING COUNT(*) <> 1"))
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestGeoFacts(t *testing.T) {
 func TestSalesAmountsConsistent(t *testing.T) {
 	db := Sales(1)
 	// amount = quantity * product price for every line item.
-	res, err := exec.Query(db, sql.MustParse(
+	res, err := exec.Query(db.Snapshot(), sql.MustParse(
 		"SELECT COUNT(*) FROM order_items i, products p "+
 			"WHERE i.product_id = p.product_id AND i.amount <> i.quantity * p.price"))
 	if err != nil {
@@ -142,7 +142,7 @@ func TestSalesAmountsConsistent(t *testing.T) {
 
 func TestUniversityCourseInstructorSameDept(t *testing.T) {
 	db := University(2)
-	res, err := exec.Query(db, sql.MustParse(
+	res, err := exec.Query(db.Snapshot(), sql.MustParse(
 		"SELECT COUNT(*) FROM courses c, instructors i "+
 			"WHERE c.instructor_id = i.id AND c.dept_id <> i.dept_id"))
 	if err != nil {
@@ -202,7 +202,7 @@ func TestSchemasHaveSynonyms(t *testing.T) {
 
 func TestScaledDatabasesStayConsistent(t *testing.T) {
 	db := Sales(3)
-	res, err := exec.Query(db, sql.MustParse(
+	res, err := exec.Query(db.Snapshot(), sql.MustParse(
 		"SELECT COUNT(*) FROM orders o, customers c WHERE o.customer_id = c.customer_id"))
 	if err != nil {
 		t.Fatal(err)

@@ -155,7 +155,7 @@ func TestMultiTurnSessionExecutes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
-		res, err := exec.Query(db, stmt)
+		res, err := exec.Query(db.Snapshot(), stmt)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -172,7 +172,7 @@ func TestMultiTurnSessionExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.Query(db, stmt)
+	res, err := exec.Query(db.Snapshot(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

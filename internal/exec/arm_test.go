@@ -3,9 +3,9 @@ package exec
 // Internal regression tests for executor.arm — the contract that
 // Background/TODO contexts keep the zero-overhead nil signal while any
 // context carrying a Done channel always arms the executor. The
-// external halves (observable cancellation through RunAtCtx and the
-// prepared RunBoundAtCtx) live in ctx_test.go; these pin the signal
-// wiring itself so a refactor cannot silently disconnect it.
+// external half (observable cancellation through Run, literal and
+// prepared) lives in ctx_test.go; these pin the signal wiring itself
+// so a refactor cannot silently disconnect it.
 
 import (
 	"context"
@@ -28,7 +28,7 @@ func TestArmSignal(t *testing.T) {
 		{"background", context.Background()},
 		{"todo", context.TODO()},
 	} {
-		ex := newExecutor(sn)
+		ex := newExecutor(sn, RunOpts{})
 		ex.arm(tc.ctx)
 		if ex.done != nil || ex.cause != nil {
 			t.Errorf("%s context armed the executor; want nil signal", tc.name)
@@ -50,7 +50,7 @@ func TestArmSignal(t *testing.T) {
 		{"deadline", deadlined},
 		{"derived", derived},
 	} {
-		ex := newExecutor(sn)
+		ex := newExecutor(sn, RunOpts{})
 		ex.arm(tc.ctx)
 		if ex.done == nil {
 			t.Errorf("%s context did not arm the executor", tc.name)
@@ -63,7 +63,7 @@ func TestArmSignal(t *testing.T) {
 
 	// The armed cause callback reports the context's actual cause.
 	cctx, ccancel := context.WithCancelCause(context.Background())
-	ex := newExecutor(sn)
+	ex := newExecutor(sn, RunOpts{})
 	ex.arm(cctx)
 	wantErr := context.Canceled
 	ccancel(nil)

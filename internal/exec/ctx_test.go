@@ -19,21 +19,24 @@ const heavyStmt = `SELECT d.name, AVG(s.gpa) FROM students s, departments d
 	WHERE s.dept_id = d.dept_id AND s.gpa > 1.0 GROUP BY d.name ORDER BY d.name`
 
 // TestRunAtCtxBackgroundMatchesRunAt: a background context adds no
-// cancellation signal, and the ctx path returns row-for-row what the
-// plain path returns — the delegation contract of the ...Ctx variants.
+// cancellation signal, a live cancelable one arms every checkpoint,
+// and the two runs return the same rows — checkpoints observe, they
+// never change results.
 func TestRunAtCtxBackgroundMatchesRunAt(t *testing.T) {
 	db := dataset.University(2)
 	stmt := sql.MustParse(heavyStmt)
 	sn := db.Snapshot()
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 4)
+	p, err := exec.Compile(sn, stmt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := exec.RunAt(sn, p)
+	plain, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := exec.RunAtCtx(context.Background(), sn, p)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxed, err := exec.Run(ctx, sn, p, exec.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,14 +51,14 @@ func TestRunAtCtxPreCanceled(t *testing.T) {
 	db := dataset.University(1)
 	stmt := sql.MustParse(heavyStmt)
 	sn := db.Snapshot()
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 4)
+	p, err := exec.Compile(sn, stmt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cause := errors.New("request abandoned")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
-	if _, err := exec.RunAtCtx(ctx, sn, p); !errors.Is(err, cause) {
+	if _, err := exec.Run(ctx, sn, p, exec.RunOpts{}); !errors.Is(err, cause) {
 		t.Fatalf("pre-canceled run returned %v, want cause %v", err, cause)
 	}
 }
@@ -67,15 +70,15 @@ func TestRunBoundAtCtxParCapMatchesSerial(t *testing.T) {
 	db := dataset.University(4)
 	stmt := sql.MustParse(heavyStmt)
 	sn := db.Snapshot()
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 4)
+	p, err := exec.Compile(sn, stmt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := exec.RunBoundAtCtx(context.Background(), sn, p, nil, 0)
+	full, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shed, err := exec.RunBoundAtCtx(context.Background(), sn, p, nil, 1)
+	shed, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Par: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +87,15 @@ func TestRunBoundAtCtxParCapMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunBoundAtCtxArmsCancellation: the prepared/bound entry point —
-// the one the serving layer actually calls — arms the executor exactly
-// like RunAtCtx: an already-dead context aborts before iterator work
+// TestRunBoundAtCtxArmsCancellation: arming does not depend on the
+// run's options: an already-dead context aborts before iterator work
 // with the context's cause, at full degree and under the serial
-// load-shed cap alike.
+// load-shed cap the serving layer uses alike.
 func TestRunBoundAtCtxArmsCancellation(t *testing.T) {
 	db := dataset.University(1)
 	stmt := sql.MustParse(heavyStmt)
 	sn := db.Snapshot()
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 4)
+	p, err := exec.Compile(sn, stmt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestRunBoundAtCtxArmsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
 	for _, par := range []int{0, 1} {
-		if _, err := exec.RunBoundAtCtx(ctx, sn, p, nil, par); !errors.Is(err, cause) {
+		if _, err := exec.Run(ctx, sn, p, exec.RunOpts{Par: par}); !errors.Is(err, cause) {
 			t.Errorf("par=%d: pre-canceled bound run returned %v, want cause %v", par, err, cause)
 		}
 	}
@@ -114,7 +116,7 @@ func TestRunAtCtxCancelMidFlight(t *testing.T) {
 	db := dataset.University(8)
 	stmt := sql.MustParse(heavyStmt)
 	sn := db.Snapshot()
-	p, err := exec.BuildPlanParallelAt(sn, stmt, runtime.GOMAXPROCS(0))
+	p, err := exec.Compile(sn, stmt, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestRunAtCtxCancelMidFlight(t *testing.T) {
 			cancel(cause)
 		}()
 		start := time.Now()
-		_, err := exec.RunAtCtx(ctx, sn, p)
+		_, err := exec.Run(ctx, sn, p, exec.RunOpts{})
 		elapsed := time.Since(start)
 		if err != nil && !errors.Is(err, cause) {
 			t.Fatalf("run %d: unexpected error %v", i, err)

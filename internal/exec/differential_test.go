@@ -26,11 +26,11 @@ func TestDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 			}
-			planned, err := exec.Query(db, stmt)
+			planned, err := exec.Query(db.Snapshot(), stmt)
 			if err != nil {
 				t.Fatalf("%s: planned execution failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
-			reference, err := exec.ReferenceQuery(db, stmt)
+			reference, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
 			if err != nil {
 				t.Fatalf("%s: reference execution failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
@@ -53,7 +53,7 @@ func TestNullLiteralComparisons(t *testing.T) {
 		"SELECT name FROM students WHERE id > NULL",
 		"SELECT name FROM students WHERE id BETWEEN NULL AND 10",
 	} {
-		res, err := exec.Query(db, sql.MustParse(q))
+		res, err := exec.Query(db.Snapshot(), sql.MustParse(q))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,11 +75,11 @@ func TestDifferentialScaledIndexesDropped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned, err := exec.Query(db, stmt)
+		planned, err := exec.Query(db.Snapshot(), stmt)
 		if err != nil {
 			t.Fatalf("%s: planned execution failed: %v", cs.ID, err)
 		}
-		reference, err := exec.ReferenceQuery(db, stmt)
+		reference, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
 		if err != nil {
 			t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
 		}

@@ -30,10 +30,10 @@ func (ex *executor) eval(f *plan.Frame, e sql.Expr) (store.Value, error) {
 	case sql.Literal:
 		return n.Val, nil
 	case sql.Param:
-		if n.Idx < 0 || n.Idx >= len(ex.params) {
+		if n.Idx < 0 || n.Idx >= len(ex.opts.Params) {
 			return store.Value{}, fmt.Errorf("exec: unbound parameter $%d", n.Idx+1)
 		}
-		return ex.params[n.Idx], nil
+		return ex.opts.Params[n.Idx], nil
 	case *sql.BinaryExpr:
 		return ex.evalBinary(f, n)
 	case *sql.NotExpr:
@@ -284,16 +284,15 @@ func (ex *executor) evalIn(f *plan.Frame, n *sql.InExpr) (store.Value, error) {
 }
 
 // runSubquery executes sub with f as the correlation parent. Results
-// are memoized only for subqueries proven uncorrelated, and the cache
-// key carries the correlation status as a guard: a correlated subquery
-// must never be served a result computed under a different outer row.
+// are memoized only for subqueries proven uncorrelated; the early
+// return is the guard: a correlated subquery never reaches the cache,
+// so it is never served a result computed under a different outer row.
 func (ex *executor) runSubquery(sub *sql.SelectStmt, f *plan.Frame) (*Result, error) {
 	if ex.correlated(sub, f) {
 		return ex.selectStmt(sub, f)
 	}
-	key := subKey{stmt: sub, correlated: false}
 	ex.mu.Lock()
-	cached, ok := ex.subCache[key]
+	cached, ok := ex.subCache[sub]
 	ex.mu.Unlock()
 	if ok {
 		return cached, nil
@@ -303,7 +302,7 @@ func (ex *executor) runSubquery(sub *sql.SelectStmt, f *plan.Frame) (*Result, er
 		return nil, err
 	}
 	ex.mu.Lock()
-	ex.subCache[key] = res
+	ex.subCache[sub] = res
 	ex.mu.Unlock()
 	return res, nil
 }

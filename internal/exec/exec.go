@@ -12,12 +12,13 @@
 // NULL yield NULL, AND/OR/NOT propagate NULL, and a WHERE/HAVING accepts
 // a row only when the predicate is exactly TRUE.
 //
-// ReferenceQuery preserves the pre-planner execution strategy
+// ReferenceQueryAt preserves the pre-planner execution strategy
 // (materialize the full join product, then filter) as a differential-
 // testing baseline.
 package exec
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/plan"
@@ -31,60 +32,12 @@ type Result struct {
 	Rows []store.Row
 }
 
-// Query evaluates stmt against db through the planning layer,
-// serially — the reproducible single-worker path every differential
-// baseline compares against. A snapshot of the database is pinned for
-// the whole query (planning, execution, every subquery): concurrent
-// writers never change what an in-flight query sees.
-func Query(db *store.DB, stmt *sql.SelectStmt) (*Result, error) {
-	return QueryAt(db.Snapshot(), stmt)
-}
-
-// QueryAt is Query against an already-pinned snapshot — the form used
-// when the caller needs several operations to observe the same data
-// version (the engine pins once per ask).
-func QueryAt(sn *store.Snapshot, stmt *sql.SelectStmt) (*Result, error) {
-	p, err := plan.Compile(sn, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return RunAt(sn, p)
-}
-
-// QueryParallel evaluates stmt with intra-query parallelism at degree
-// par; par <= 1 is exactly Query. Results are row-for-row identical to
-// the serial path (the exchange operator merges worker outputs in
-// morsel order). Like Query, the whole run is pinned to one snapshot.
-func QueryParallel(db *store.DB, stmt *sql.SelectStmt, par int) (*Result, error) {
-	return QueryParallelAt(db.Snapshot(), stmt, par)
-}
-
-// QueryParallelAt is QueryParallel against an already-pinned snapshot.
-func QueryParallelAt(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*Result, error) {
-	p, err := BuildPlanParallelAt(sn, stmt, par)
-	if err != nil {
-		return nil, err
-	}
-	return RunAt(sn, p)
-}
-
-// BuildPlan compiles stmt into an optimized plan without running it —
-// the seam core uses to time planning separately and surface the
-// chosen plan in answers.
-func BuildPlan(db *store.DB, stmt *sql.SelectStmt) (*plan.Plan, error) {
-	return plan.Compile(db.Snapshot(), stmt)
-}
-
-// BuildPlanParallel compiles stmt and rewrites the plan for intra-query
-// parallelism at degree par (see plan.Parallelize for when the rewrite
-// declines).
-func BuildPlanParallel(db *store.DB, stmt *sql.SelectStmt, par int) (*plan.Plan, error) {
-	return BuildPlanParallelAt(db.Snapshot(), stmt, par)
-}
-
-// BuildPlanParallelAt is BuildPlanParallel against an already-pinned
-// snapshot.
-func BuildPlanParallelAt(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*plan.Plan, error) {
+// Compile compiles stmt against a pinned snapshot into an optimized
+// plan without running it, rewritten for intra-query parallelism at
+// degree par (par <= 1 keeps the serial plan; see plan.Parallelize for
+// when the rewrite declines) — the seam core uses to time planning
+// separately and surface the chosen plan in answers.
+func Compile(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*plan.Plan, error) {
 	p, err := plan.Compile(sn, stmt)
 	if err != nil {
 		return nil, err
@@ -92,102 +45,69 @@ func BuildPlanParallelAt(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*pl
 	return plan.Parallelize(sn, p, par), nil
 }
 
-// Run executes a compiled plan against a fresh snapshot of db.
-func Run(db *store.DB, p *plan.Plan) (*Result, error) {
-	return RunAt(db.Snapshot(), p)
+// RunOpts are the independently settable axes of one plan execution.
+// The zero value runs the plan as compiled.
+type RunOpts struct {
+	// Params is the parameter vector of a prepared execution: the
+	// values sql.Param slots evaluate to, shared by the outer plan and
+	// every subquery (slots are numbered across the whole statement
+	// tree). nil for fully-literal statements.
+	Params []store.Value
+
+	// Par, when > 0, caps the execution-time parallel degree below the
+	// plan's compiled degree; 0 runs at the compiled degree. The serving
+	// layer uses 1 to shed a cached parallel plan to serial execution
+	// under load without recompiling it — Exchange degrades to a
+	// passthrough when its worker cap is 1, rows stay identical.
+	Par int
+
+	// NoVec forces row-at-a-time execution everywhere, subqueries
+	// included: it reads the row face only, consults no zone map and
+	// touches no segment cache — the oracle the vectorized and segment
+	// differential tests and the F7/F11/F12 experiments compare against.
+	NoVec bool
+
+	// SegC and PartC, when set, accumulate segments decoded vs skipped
+	// by zone maps and partitions read vs pruned by bound predicates,
+	// across every scan of the run including subqueries and parallel
+	// workers — the cumulative numbers behind /api/stats.
+	SegC  *store.SegCounters
+	PartC *store.PartCounters
 }
 
-// RunAt executes a compiled plan against a pinned snapshot. To make
-// plan-time choices (index scans, estimates) and run-time data agree
-// exactly, pass the snapshot the plan was compiled on.
-func RunAt(sn *store.Snapshot, p *plan.Plan) (*Result, error) {
-	return newExecutor(sn).run(p, nil)
+// Run executes a compiled plan against a pinned snapshot — the one way
+// to run a plan. The snapshot is held for the whole run (every
+// subquery included), so concurrent writers never change what an
+// in-flight query sees; to make plan-time choices (index scans,
+// estimates) and run-time data agree exactly, pass the snapshot the
+// plan was compiled on. The run observes ctx cancellation at batch
+// granularity (leaf scans, materialize loops, exchange morsel claims,
+// segment fault-in waits) and returns context.Cause(ctx) promptly
+// instead of finishing work nobody is waiting for; see arm for what a
+// background context costs (nothing).
+func Run(ctx context.Context, sn *store.Snapshot, p *plan.Plan, o RunOpts) (*Result, error) {
+	ex := newExecutor(sn, o)
+	ex.arm(ctx)
+	return ex.run(p, nil)
 }
 
-// QueryNoVec evaluates stmt with vectorized execution disabled
-// everywhere (including subqueries) — the row-at-a-time ablation
-// baseline the vectorized differential tests and the F7 experiment
-// compare against. Results are row-for-row identical to Query.
-func QueryNoVec(db *store.DB, stmt *sql.SelectStmt) (*Result, error) {
-	return QueryNoVecAt(db.Snapshot(), stmt)
-}
-
-// QueryNoVecAt is QueryNoVec against an already-pinned snapshot.
-func QueryNoVecAt(sn *store.Snapshot, stmt *sql.SelectStmt) (*Result, error) {
-	p, err := plan.Compile(sn, stmt)
+// Query compiles stmt serially and runs it with default options — the
+// reproducible single-worker path every differential baseline compares
+// against.
+func Query(sn *store.Snapshot, stmt *sql.SelectStmt) (*Result, error) {
+	p, err := Compile(sn, stmt, 1)
 	if err != nil {
 		return nil, err
 	}
-	return RunNoVecAt(sn, p)
+	return Run(context.Background(), sn, p, RunOpts{})
 }
 
-// QueryParallelNoVec is QueryParallel with vectorization disabled.
-func QueryParallelNoVec(db *store.DB, stmt *sql.SelectStmt, par int) (*Result, error) {
-	sn := db.Snapshot()
-	p, err := BuildPlanParallelAt(sn, stmt, par)
-	if err != nil {
-		return nil, err
-	}
-	return RunNoVecAt(sn, p)
-}
-
-// RunNoVec executes a compiled plan row-at-a-time.
-func RunNoVec(db *store.DB, p *plan.Plan) (*Result, error) {
-	return RunNoVecAt(db.Snapshot(), p)
-}
-
-// RunNoVecAt executes a compiled plan row-at-a-time against an
-// already-pinned snapshot.
-func RunNoVecAt(sn *store.Snapshot, p *plan.Plan) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.noVec = true
-	return ex.run(p, nil)
-}
-
-// RunNoSeg executes a compiled plan with vectorized scans reading the
-// uncompressed column vectors instead of the segment layout (zone-map
-// skipping disabled with them) — the ablation baseline of the
-// compressed-segment experiment (F11). Results are row-for-row
-// identical to Run.
-func RunNoSeg(db *store.DB, p *plan.Plan) (*Result, error) {
-	return RunNoSegAt(db.Snapshot(), p)
-}
-
-// RunNoSegAt is RunNoSeg against an already-pinned snapshot.
-func RunNoSegAt(sn *store.Snapshot, p *plan.Plan) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.noSeg = true
-	return ex.run(p, nil)
-}
-
-// RunCountedAt is RunAt with runtime segment counters: c accumulates
-// segments decoded vs segments skipped by zone maps across every scan
-// of the run, including subqueries and Exchange workers.
-func RunCountedAt(sn *store.Snapshot, p *plan.Plan, c *store.SegCounters) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.segC = c
-	return ex.run(p, nil)
-}
-
-// RunPartCountedAt is RunAt with runtime partition counters: c
-// accumulates partitions read vs partitions pruned by bound predicates
-// across every scan of the run, including parallel workers.
-func RunPartCountedAt(sn *store.Snapshot, p *plan.Plan, c *store.PartCounters) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.partC = c
-	return ex.run(p, nil)
-}
-
-// subKey keys the subquery result cache by statement and correlation
-// status. Today only uncorrelated results are ever inserted (correlated
-// subqueries return before the cache, their result depending on the
-// outer row), so entries always carry correlated=false; the field is
-// schema, not logic — it makes the cache's contract explicit and keeps
-// a future caching of correlated results from colliding with these
-// entries under the same statement pointer.
-type subKey struct {
-	stmt       *sql.SelectStmt
-	correlated bool
+// RunBoundCountedAtCtx is Run with its options spelled positionally.
+// It exists only because benchmark/ is frozen and compiles against this
+// name; it goes when benchmark/replay.go is next opened.
+func RunBoundCountedAtCtx(ctx context.Context, sn *store.Snapshot, p *plan.Plan, params []store.Value, par int,
+	segc *store.SegCounters, partc *store.PartCounters) (*Result, error) {
+	return Run(ctx, sn, p, RunOpts{Params: params, Par: par, SegC: segc, PartC: partc})
 }
 
 // executor evaluates expressions for plan iterators and runs nested
@@ -202,51 +122,63 @@ type subKey struct {
 // insert identical results.
 type executor struct {
 	sn        *store.Snapshot
+	opts      RunOpts // applied to the outer plan and every subquery run
 	mu        sync.Mutex
-	subCache  map[subKey]*Result
+	subCache  map[*sql.SelectStmt]*Result // uncorrelated subquery results
 	planCache map[*sql.SelectStmt]*plan.Plan
 	corrCache map[*sql.SelectStmt]bool // memoized correlation verdicts
 	reference bool                     // route subqueries through the reference path too
-	noVec     bool                     // force row-at-a-time execution (ablation)
-	noSeg     bool                     // scan column vectors, not segments (ablation)
-	segC      *store.SegCounters       // optional segment scan/skip counters
-	partC     *store.PartCounters      // optional partition scan/prune counters
-
-	// params is the parameter vector of a prepared execution: the
-	// values sql.Param slots evaluate to, shared by the outer plan and
-	// every subquery (slots are numbered across the whole statement
-	// tree). nil for fully-literal statements.
-	params []store.Value
 
 	// done and cause carry a served request's cancellation signal into
 	// plan.Ctx — the Done channel and context.Cause of the request's
-	// context, extracted by the ...Ctx entry points. They are channel
-	// and callback, not a stored context (the ctxfirst rule): contexts
-	// flow through call chains, never into struct fields.
+	// context, extracted by arm. They are channel and callback, not a
+	// stored context (the ctxfirst rule): contexts flow through call
+	// chains, never into struct fields.
 	done  <-chan struct{}
 	cause func() error
-
-	// par, when > 0, caps the execution-time parallel degree (plan.Ctx
-	// Par) below the plan's compiled degree. The serving layer uses
-	// par=1 to shed a cached parallel plan to serial execution under
-	// load without recompiling it — Exchange degrades to a passthrough
-	// when its worker cap is 1.
-	par int
 }
 
-func newExecutor(sn *store.Snapshot) *executor {
+func newExecutor(sn *store.Snapshot, o RunOpts) *executor {
 	return &executor{
 		sn:        sn,
-		subCache:  map[subKey]*Result{},
+		opts:      o,
+		subCache:  map[*sql.SelectStmt]*Result{},
 		planCache: map[*sql.SelectStmt]*plan.Plan{},
 		corrCache: map[*sql.SelectStmt]bool{},
 	}
 }
 
+// arm points the executor's cancellation signal at ctx. The contract,
+// pinned by TestArmSignal:
+//
+//   - context.Background(), context.TODO(), and any other context whose
+//     Done() returns nil keep the executor's signal nil — the unserved
+//     paths (tests, benchmarks, nlibench) pay zero cancellation
+//     overhead, because plan's checkpoint wrappers (ctxIter/ctxViter)
+//     return iterators unchanged when Done is nil;
+//   - any context with a Done channel — cancelable, deadline-bearing,
+//     or derived from one — always arms the executor, so every
+//     iterator checkpoint, exchange morsel claim and segment fault-in
+//     wait observes it.
+func (ex *executor) arm(ctx context.Context) {
+	if ctx == nil {
+		return
+	}
+	if done := ctx.Done(); done != nil {
+		ex.done = done
+		ex.cause = func() error { return context.Cause(ctx) }
+	}
+}
+
+// run executes p under the executor's options. The Result's Cols is the
+// plan's own slice, shared with every other run of a cached plan:
+// read-only to callers (core.owned clones it where an answer is handed
+// out to keep).
 func (ex *executor) run(p *plan.Plan, parent *plan.Frame) (*Result, error) {
+	o := &ex.opts
 	rows, err := plan.Run(p, &plan.Ctx{Snap: ex.sn, Ev: ex, Parent: parent,
-		NoVec: ex.noVec, NoSeg: ex.noSeg, SegC: ex.segC, PartC: ex.partC,
-		Params: ex.params, Par: ex.par, Done: ex.done, Cause: ex.cause})
+		NoVec: o.NoVec, SegC: o.SegC, PartC: o.PartC,
+		Params: o.Params, Par: o.Par, Done: ex.done, Cause: ex.cause})
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +199,7 @@ func (ex *executor) selectStmt(stmt *sql.SelectStmt, parent *plan.Frame) (*Resul
 	ex.mu.Unlock()
 	if !ok {
 		var err error
-		p, err = plan.CompileWith(ex.sn, stmt, ex.params)
+		p, err = plan.CompileWith(ex.sn, stmt, ex.opts.Params)
 		if err != nil {
 			return nil, err
 		}

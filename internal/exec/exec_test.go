@@ -83,7 +83,7 @@ func fixture(t testing.TB) *store.DB {
 
 func run(t testing.TB, db *store.DB, q string) *Result {
 	t.Helper()
-	res, err := Query(db, sql.MustParse(q))
+	res, err := Query(db.Snapshot(), sql.MustParse(q))
 	if err != nil {
 		t.Fatalf("Query(%q): %v", q, err)
 	}
@@ -386,7 +386,7 @@ func TestErrors(t *testing.T) {
 		"SELECT name FROM students WHERE gpa > (SELECT gpa FROM students)",  // scalar subquery rows
 	}
 	for _, q := range bad {
-		if _, err := Query(db, sql.MustParse(q)); err == nil {
+		if _, err := Query(db.Snapshot(), sql.MustParse(q)); err == nil {
 			t.Errorf("Query(%q) succeeded, want error", q)
 		}
 	}
@@ -467,7 +467,7 @@ func BenchmarkJoinAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Query(db, stmt); err != nil {
+		if _, err := Query(db.Snapshot(), stmt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // queries — so the generator needs no oracle beyond the executor
 // itself plus the naive reference path:
 //
-//  1. differential: the planned executor and ReferenceQuery agree (bag
+//  1. differential: the planned executor and ReferenceQueryAt agree (bag
 //     equality) on every generated query;
 //  2. filter monotonicity: AND-ing any additional conjunct onto WHERE
 //     never grows the result bag;
@@ -151,7 +151,7 @@ func mustQueryAt(t *testing.T, sn *store.Snapshot, q string) *exec.Result {
 	if err != nil {
 		t.Fatalf("generated query does not parse: %v\n%s", err, q)
 	}
-	res, err := exec.QueryAt(sn, stmt)
+	res, err := exec.Query(sn, stmt)
 	if err != nil {
 		t.Fatalf("executing %s: %v", q, err)
 	}
@@ -187,7 +187,7 @@ func TestMetamorphicCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: generated query does not parse: %v\n%s", domain, err, base)
 			}
-			planned, err := exec.QueryAt(sn, stmt)
+			planned, err := exec.Query(sn, stmt)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", domain, base, err)
 			}

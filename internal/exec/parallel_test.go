@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -56,11 +57,11 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 			}
-			serial, err := exec.Query(db, stmt)
+			serial, err := exec.Query(db.Snapshot(), stmt)
 			if err != nil {
 				t.Fatalf("%s: serial execution failed: %v", cs.ID, err)
 			}
-			reference, err := exec.ReferenceQuery(db, stmt)
+			reference, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
 			if err != nil {
 				t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
 			}
@@ -68,14 +69,14 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 				t.Errorf("%s: serial and reference results differ", cs.ID)
 			}
 			for _, par := range []int{2, 4, 8} {
-				p, err := exec.BuildPlanParallel(db, stmt, par)
+				p, err := exec.Compile(db.Snapshot(), stmt, par)
 				if err != nil {
 					t.Fatalf("%s: parallel planning failed: %v", cs.ID, err)
 				}
 				if p.OperatorCounts()["exchange"] > 0 {
 					exchanges++
 				}
-				parallel, err := exec.Run(db, p)
+				parallel, err := exec.Run(context.Background(), db.Snapshot(), p, exec.RunOpts{})
 				if err != nil {
 					t.Fatalf("%s: parallel execution (par=%d) failed: %v", cs.ID, par, err)
 				}
@@ -109,12 +110,12 @@ func TestParallelJoinHeavyRowForRow(t *testing.T) {
 			"WHERE s.dept_id = d.dept_id GROUP BY d.name ORDER BY AVG(s.gpa) DESC",
 	} {
 		stmt := sql.MustParse(q)
-		serial, err := exec.Query(db, stmt)
+		serial, err := exec.Query(db.Snapshot(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 3, 4, 8, 16} {
-			parallel, err := exec.QueryParallel(db, stmt, par)
+			parallel, err := compileRun(db.Snapshot(), stmt, par, exec.RunOpts{})
 			if err != nil {
 				t.Fatalf("par=%d: %v", par, err)
 			}
@@ -132,7 +133,7 @@ func TestParallelExplain(t *testing.T) {
 	db := dataset.University(4)
 	stmt := sql.MustParse("SELECT d.name, COUNT(*) FROM students s, enrollments e, departments d " +
 		"WHERE e.student_id = s.id AND s.dept_id = d.dept_id GROUP BY d.name")
-	p, err := exec.BuildPlanParallel(db, stmt, 4)
+	p, err := exec.Compile(db.Snapshot(), stmt, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +149,11 @@ func TestParallelExplain(t *testing.T) {
 	}
 
 	// Parallelism 1 must reproduce the serial plan exactly.
-	serial, err := exec.BuildPlanParallel(db, stmt, 1)
+	serial, err := exec.Compile(db.Snapshot(), stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := exec.BuildPlan(db, stmt)
+	plain, err := exec.Compile(db.Snapshot(), stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +168,7 @@ func TestParallelExplain(t *testing.T) {
 // materialize every worker's output first, so the rewrite declines.
 func TestParallelSkipsStreamingLimit(t *testing.T) {
 	db := dataset.University(4)
-	limited, err := exec.BuildPlanParallel(db,
-		sql.MustParse("SELECT name FROM students LIMIT 3"), 4)
+	limited, err := exec.Compile(db.Snapshot(), sql.MustParse("SELECT name FROM students LIMIT 3"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,7 @@ func TestParallelSkipsStreamingLimit(t *testing.T) {
 	}
 
 	// With a Sort below the Limit everything is read anyway — eligible.
-	sorted, err := exec.BuildPlanParallel(db,
-		sql.MustParse("SELECT name FROM students ORDER BY gpa DESC LIMIT 3"), 4)
+	sorted, err := exec.Compile(db.Snapshot(), sql.MustParse("SELECT name FROM students ORDER BY gpa DESC LIMIT 3"), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +185,11 @@ func TestParallelSkipsStreamingLimit(t *testing.T) {
 		t.Errorf("sorted LIMIT got %d exchange operators, want 1", n)
 	}
 
-	serial, err := exec.Query(db, sql.MustParse("SELECT name FROM students ORDER BY gpa DESC LIMIT 3"))
+	serial, err := exec.Query(db.Snapshot(), sql.MustParse("SELECT name FROM students ORDER BY gpa DESC LIMIT 3"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := exec.Run(db, sorted)
+	parallel, err := exec.Run(context.Background(), db.Snapshot(), sorted, exec.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,21 +93,21 @@ func TestPartitionDifferentialCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 				}
-				pFlat, err := exec.BuildPlanParallelAt(snFlat, stmt, 1)
+				pFlat, err := exec.Compile(snFlat, stmt, 1)
 				if err != nil {
 					t.Fatalf("%s: flat compile failed: %v", cs.ID, err)
 				}
-				want, err := exec.RunAt(snFlat, pFlat)
+				want, err := exec.Run(context.Background(), snFlat, pFlat, exec.RunOpts{})
 				if err != nil {
 					t.Fatalf("%s: flat execution failed: %v", cs.ID, err)
 				}
 				var serial *exec.Result
 				for _, par := range []int{1, 4} {
-					p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+					p, err := exec.Compile(sn, stmt, par)
 					if err != nil {
 						t.Fatalf("%s: compile failed (parts=%d par=%d): %v", cs.ID, parts, par, err)
 					}
-					got, err := exec.RunAt(sn, p)
+					got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
 					if err != nil {
 						t.Fatalf("%s: execution failed (parts=%d par=%d): %v", cs.ID, parts, par, err)
 					}
@@ -167,7 +167,7 @@ func TestPartitionWiseJoinDifferential(t *testing.T) {
 	for _, tc := range queries {
 		stmt := sql.MustParse(tc.q)
 		for _, par := range []int{2, 8} {
-			pp, err := exec.BuildPlanParallelAt(snP, stmt, par)
+			pp, err := exec.Compile(snP, stmt, par)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.q, err)
 			}
@@ -180,16 +180,16 @@ func TestPartitionWiseJoinDifferential(t *testing.T) {
 					t.Errorf("par=%d: explain missing partition annotations for: %s\n%s", par, tc.q, ex)
 				}
 			}
-			pf, err := exec.BuildPlanParallelAt(snF, stmt, par)
+			pf, err := exec.Compile(snF, stmt, par)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var c store.PartCounters
-			got, err := exec.RunPartCountedAt(snP, pp, &c)
+			got, err := exec.Run(context.Background(), snP, pp, exec.RunOpts{PartC: &c})
 			if err != nil {
 				t.Fatalf("%s (par=%d): %v", tc.q, par, err)
 			}
-			want, err := exec.RunAt(snF, pf)
+			want, err := exec.Run(context.Background(), snF, pf, exec.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,11 +229,12 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 
 	stmt := sql.MustParse(fmt.Sprintf(
 		"SELECT COUNT(*), MIN(status), MAX(status) FROM events WHERE ts < %d", 1_700_000_000+span/parts))
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 1)
+	p, err := exec.Compile(sn, stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.RunNoSegAt(sn, p) // baseline off the column vectors
+	// Baseline off the rows: no segment, so no fault can reach it.
+	want, err := exec.Run(context.Background(), sn, p, exec.RunOpts{NoVec: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,14 +242,14 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 	db.SegCache().EvictAll()
 	before := db.SegCache().Stats()
 	var partc store.PartCounters
-	got, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, nil, 1, nil, &partc)
+	got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Par: 1, PartC: &partc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := db.SegCache().Stats()
 
 	if err := rowsIdentical(got, want); err != nil {
-		t.Errorf("pruned run vs column-vector baseline: %v", err)
+		t.Errorf("pruned run vs row-executor baseline: %v", err)
 	}
 	if pruned := partc.Pruned.Load(); pruned != parts-1 {
 		t.Errorf("pruned %d partitions, want %d (scanned %d)", pruned, parts-1, partc.Scanned.Load())
@@ -272,20 +273,20 @@ func BenchmarkPartitionWiseJoin(b *testing.B) {
 	sn := dbPart.Snapshot()
 	stmt := sql.MustParse("SELECT level, COUNT(*) FROM events, devices " +
 		"WHERE events.device_id = devices.device_id GROUP BY level ORDER BY level")
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 4)
+	p, err := exec.Compile(sn, stmt, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
 	if p.OperatorCounts()["partition-wise"] == 0 {
 		b.Fatal("plan has no partition-wise operator")
 	}
-	if _, err := exec.RunAt(sn, p); err != nil { // warm-up: builds segments
+	if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil { // warm-up: builds segments
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunAt(sn, p); err != nil {
+		if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -79,11 +79,11 @@ func TestPartitionConcurrentLoaders(t *testing.T) {
 
 	for name, fn := range queryFns() {
 		wg.Add(1)
-		go func(name string, fn func(*store.DB, *sql.SelectStmt) (*Result, error)) {
+		go func(name string, fn func(*store.Snapshot, *sql.SelectStmt) (*Result, error)) {
 			defer wg.Done()
 			prev := int64(0)
 			for !done.Load() {
-				res, err := fn(db, countSum)
+				res, err := fn(db.Snapshot(), countSum)
 				if err != nil {
 					t.Errorf("%s count/sum: %v", name, err)
 					return
@@ -108,7 +108,7 @@ func TestPartitionConcurrentLoaders(t *testing.T) {
 				}
 				prev = n
 
-				res, err = fn(db, torn)
+				res, err = fn(db.Snapshot(), torn)
 				if err != nil {
 					t.Errorf("%s torn groups: %v", name, err)
 					return
@@ -118,7 +118,7 @@ func TestPartitionConcurrentLoaders(t *testing.T) {
 					return
 				}
 
-				res, err = fn(db, probe)
+				res, err = fn(db.Snapshot(), probe)
 				if err != nil {
 					t.Errorf("%s probe: %v", name, err)
 					return
@@ -133,7 +133,7 @@ func TestPartitionConcurrentLoaders(t *testing.T) {
 	wg.Wait()
 
 	// Final state: every loader's every batch, spread across partitions.
-	res, err := Query(db, countSum)
+	res, err := Query(db.Snapshot(), countSum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestPartitionSnapshotRepeatable(t *testing.T) {
 	}
 	sn := db.Snapshot()
 	q := sql.MustParse("SELECT batch, COUNT(*), SUM(val) FROM events GROUP BY batch ORDER BY batch")
-	before, err := QueryAt(sn, q)
+	before, err := Query(sn, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestPartitionSnapshotRepeatable(t *testing.T) {
 	}
 	wg.Wait()
 
-	after, err := QueryAt(sn, q)
+	after, err := Query(sn, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestPartitionSnapshotRepeatable(t *testing.T) {
 			}
 		}
 	}
-	live, err := Query(db, q)
+	live, err := Query(db.Snapshot(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@
 package exec
 
 import (
+	"context"
+
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -24,21 +26,11 @@ type PreparedQuery struct {
 
 // Prepare normalizes stmt — lifting its literal constants into a
 // parameter vector — and compiles a plan template against the slots,
-// with the lifted values as the optimizer's exemplar binding. The
+// with the lifted values as the optimizer's exemplar binding and the
+// cached plan rewritten for intra-query parallelism at degree par. The
 // returned vector re-creates the original statement's semantics when
-// passed back to RunAt.
-func Prepare(db *store.DB, stmt *sql.SelectStmt) (*PreparedQuery, []store.Value, error) {
-	return PrepareAt(db.Snapshot(), stmt)
-}
-
-// PrepareAt is Prepare against an already-pinned snapshot.
-func PrepareAt(sn *store.Snapshot, stmt *sql.SelectStmt) (*PreparedQuery, []store.Value, error) {
-	return PrepareParallelAt(sn, stmt, 1)
-}
-
-// PrepareParallelAt is PrepareAt with the template's cached plan
-// rewritten for intra-query parallelism at degree par.
-func PrepareParallelAt(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*PreparedQuery, []store.Value, error) {
+// passed back to PreparedQuery.Run.
+func Prepare(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*PreparedQuery, []store.Value, error) {
 	tmpl, params := sql.Parameterize(stmt)
 	pq, err := PrepareTemplateAt(sn, tmpl, params, par)
 	if err != nil {
@@ -77,51 +69,13 @@ func (pq *PreparedQuery) BindPinned(sn *store.Snapshot, params []store.Value, pa
 	return pq.Tmpl.BindPinned(sn, params, par)
 }
 
-// RunAt binds and executes the prepared query serially against a
-// pinned snapshot. Results are row-for-row identical to executing the
-// original statement through Query.
-func (pq *PreparedQuery) RunAt(sn *store.Snapshot, params []store.Value) (*Result, error) {
-	return pq.runAt(sn, params, 1)
-}
-
-// RunParallelAt is RunAt with intra-query parallelism at degree par.
-func (pq *PreparedQuery) RunParallelAt(sn *store.Snapshot, params []store.Value, par int) (*Result, error) {
-	return pq.runAt(sn, params, par)
-}
-
-func (pq *PreparedQuery) runAt(sn *store.Snapshot, params []store.Value, par int) (*Result, error) {
+// Run binds the prepared query at degree par (<= 1 is serial) and
+// executes it against a pinned snapshot. Results are row-for-row
+// identical to executing the original statement through Query.
+func (pq *PreparedQuery) Run(ctx context.Context, sn *store.Snapshot, params []store.Value, par int) (*Result, error) {
 	p, _, err := pq.Bind(sn, params, par)
 	if err != nil {
 		return nil, err
 	}
-	return RunBoundAt(sn, p, params)
-}
-
-// RunBoundAt executes a compiled plan with a parameter vector bound —
-// the run half of the engine's bind-then-execute hot path. A nil
-// vector makes it exactly RunAt.
-func RunBoundAt(sn *store.Snapshot, p *plan.Plan, params []store.Value) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.params = params
-	return ex.run(p, nil)
-}
-
-// RunBoundCountedAt is RunBoundAt with runtime segment counters (see
-// RunCountedAt) — scans re-derive their zone-map skip sets from the
-// bound parameter vector, so the counters report the skipping this
-// particular binding earned.
-func RunBoundCountedAt(sn *store.Snapshot, p *plan.Plan, params []store.Value, c *store.SegCounters) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.params = params
-	ex.segC = c
-	return ex.run(p, nil)
-}
-
-// RunBoundNoSegAt is RunBoundAt over the uncompressed column vectors
-// (see RunNoSegAt).
-func RunBoundNoSegAt(sn *store.Snapshot, p *plan.Plan, params []store.Value) (*Result, error) {
-	ex := newExecutor(sn)
-	ex.params = params
-	ex.noSeg = true
-	return ex.run(p, nil)
+	return Run(ctx, sn, p, RunOpts{Params: params})
 }

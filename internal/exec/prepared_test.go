@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,26 +32,26 @@ func TestPreparedCorpusDifferential(t *testing.T) {
 				t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 			}
 			sn := db.Snapshot()
-			oneShot, err := exec.QueryAt(sn, stmt)
+			oneShot, err := exec.Query(sn, stmt)
 			if err != nil {
 				t.Fatalf("%s: one-shot execution failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
-			pq, params, err := exec.PrepareAt(sn, stmt)
+			pq, params, err := exec.Prepare(sn, stmt, 1)
 			if err != nil {
 				t.Fatalf("%s: prepare failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
-			prepared, err := pq.RunAt(sn, params)
+			prepared, err := pq.Run(context.Background(), sn, params, 1)
 			if err != nil {
 				t.Fatalf("%s: prepared execution failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
 			if err := rowsIdentical(prepared, oneShot); err != nil {
 				t.Errorf("%s: prepared vs one-shot: %v\nsql: %s", cs.ID, err, cs.Gold)
 			}
-			pqPar, paramsPar, err := exec.PrepareParallelAt(sn, stmt, 4)
+			pqPar, paramsPar, err := exec.Prepare(sn, stmt, 4)
 			if err != nil {
 				t.Fatalf("%s: parallel prepare failed: %v", cs.ID, err)
 			}
-			parallel, err := pqPar.RunParallelAt(sn, paramsPar, 4)
+			parallel, err := pqPar.Run(context.Background(), sn, paramsPar, 4)
 			if err != nil {
 				t.Fatalf("%s: parallel prepared execution failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
@@ -83,7 +84,7 @@ func TestPreparedRebindRowForRow(t *testing.T) {
 	for _, pair := range pairs {
 		first, second := sql.MustParse(pair[0]), sql.MustParse(pair[1])
 		sn := db.Snapshot()
-		pq, params, err := exec.PrepareAt(sn, first)
+		pq, params, err := exec.Prepare(sn, first, 1)
 		if err != nil {
 			t.Fatalf("prepare %s: %v", pair[0], err)
 		}
@@ -96,11 +97,11 @@ func TestPreparedRebindRowForRow(t *testing.T) {
 			stmt   *sql.SelectStmt
 			params []store.Value
 		}{{"original", first, params}, {"rebound", second, params2}} {
-			got, err := pq.RunAt(sn, bind.params)
+			got, err := pq.Run(context.Background(), sn, bind.params, 1)
 			if err != nil {
 				t.Fatalf("prepared run (%s) %s: %v", bind.name, bind.stmt, err)
 			}
-			want, err := exec.QueryAt(sn, bind.stmt)
+			want, err := exec.Query(sn, bind.stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,14 +119,14 @@ func TestPreparedRebindRowForRow(t *testing.T) {
 func TestPreparedPlanWithoutVectorErrors(t *testing.T) {
 	db := dataset.University(1)
 	sn := db.Snapshot()
-	pq, params, err := exec.PrepareAt(sn, sql.MustParse("SELECT name FROM students WHERE gpa > 3.5"))
+	pq, params, err := exec.Prepare(sn, sql.MustParse("SELECT name FROM students WHERE gpa > 3.5"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.RunBoundAt(sn, pq.Tmpl.Plan(), nil); err == nil {
+	if _, err := exec.Run(context.Background(), sn, pq.Tmpl.Plan(), exec.RunOpts{}); err == nil {
 		t.Error("running a parameterized plan with no vector must error, not answer")
 	}
-	if _, err := exec.RunBoundAt(sn, pq.Tmpl.Plan(), params); err != nil {
+	if _, err := exec.Run(context.Background(), sn, pq.Tmpl.Plan(), exec.RunOpts{Params: params}); err != nil {
 		t.Errorf("running with the vector bound: %v", err)
 	}
 }
@@ -143,16 +144,16 @@ func TestPreparedRebindSupersededBound(t *testing.T) {
 	second := sql.MustParse("SELECT id FROM students WHERE id BETWEEN 0 AND 5 AND id <= 20 ORDER BY id")
 
 	sn := db.Snapshot()
-	pq, _, err := exec.PrepareAt(sn, first)
+	pq, _, err := exec.Prepare(sn, first, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, params2 := sql.Parameterize(second)
-	got, err := pq.RunAt(sn, params2)
+	got, err := pq.Run(context.Background(), sn, params2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.QueryAt(sn, second)
+	want, err := exec.Query(sn, second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +164,11 @@ func TestPreparedRebindSupersededBound(t *testing.T) {
 	// compile time, a plain bound at rebind time.
 	third := sql.MustParse("SELECT id FROM students WHERE id BETWEEN 0 AND 40 AND id <= 5 ORDER BY id")
 	_, params3 := sql.Parameterize(third)
-	got3, err := pq.RunAt(sn, params3)
+	got3, err := pq.Run(context.Background(), sn, params3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want3, err := exec.QueryAt(sn, third)
+	want3, err := exec.Query(sn, third)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestPreparedRebindAfterBulkLoad(t *testing.T) {
 	}
 
 	stmt := sql.MustParse("SELECT id, region FROM orders, custs WHERE orders.cust = custs.cid AND region = 3")
-	pq, params, err := exec.PrepareAt(db.Snapshot(), stmt)
+	pq, params, err := exec.Prepare(db.Snapshot(), stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +221,11 @@ func TestPreparedRebindAfterBulkLoad(t *testing.T) {
 	if strings.Split(before, "\n")[2] == strings.Split(after, "\n")[2] {
 		t.Errorf("recompiled plan should probe from the other side\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	got, err := exec.RunBoundAt(sn, p, params)
+	got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.QueryAt(sn, stmt)
+	want, err := exec.Query(sn, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestExecutorInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(4711))
 	for i := 0; i < 500; i++ {
 		stmt := randSelect(r)
-		res, err := Query(db, stmt)
+		res, err := Query(db.Snapshot(), stmt)
 		if err != nil {
 			t.Fatalf("query %s failed: %v", stmt, err)
 		}
@@ -64,7 +64,7 @@ func TestExecutorInvariants(t *testing.T) {
 		if stmt.Where != nil && stmt.Limit < 0 {
 			unfiltered := *stmt
 			unfiltered.Where = nil
-			all, err := Query(db, &unfiltered)
+			all, err := Query(db.Snapshot(), &unfiltered)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,7 +77,7 @@ func TestExecutorInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("printed form does not reparse: %s: %v", stmt, err)
 		}
-		res2, err := Query(db, reparsed)
+		res2, err := Query(db.Snapshot(), reparsed)
 		if err != nil {
 			t.Fatalf("reparsed query failed: %v", err)
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -63,15 +64,28 @@ func eventBatch(i int) []store.Row {
 	return rows
 }
 
-// queryFns enumerates the executor modes under test. Each pins its own
-// snapshot internally.
-func queryFns() map[string]func(*store.DB, *sql.SelectStmt) (*Result, error) {
-	return map[string]func(*store.DB, *sql.SelectStmt) (*Result, error){
+// compileRun compiles stmt at degree par and runs it under o, all on
+// the one pinned snapshot.
+func compileRun(sn *store.Snapshot, stmt *sql.SelectStmt, par int, o RunOpts) (*Result, error) {
+	p, err := Compile(sn, stmt, par)
+	if err != nil {
+		return nil, err
+	}
+	return Run(context.Background(), sn, p, o)
+}
+
+// queryFns enumerates the executor modes under test, each over the
+// snapshot it is handed.
+func queryFns() map[string]func(*store.Snapshot, *sql.SelectStmt) (*Result, error) {
+	mode := func(par int, o RunOpts) func(*store.Snapshot, *sql.SelectStmt) (*Result, error) {
+		return func(sn *store.Snapshot, s *sql.SelectStmt) (*Result, error) { return compileRun(sn, s, par, o) }
+	}
+	return map[string]func(*store.Snapshot, *sql.SelectStmt) (*Result, error){
 		"serial":    Query,
-		"parallel":  func(db *store.DB, s *sql.SelectStmt) (*Result, error) { return QueryParallel(db, s, 4) },
-		"novec":     QueryNoVec,
-		"novec-par": func(db *store.DB, s *sql.SelectStmt) (*Result, error) { return QueryParallelNoVec(db, s, 4) },
-		"reference": ReferenceQuery,
+		"parallel":  mode(4, RunOpts{}),
+		"novec":     mode(1, RunOpts{NoVec: true}),
+		"novec-par": mode(4, RunOpts{NoVec: true}),
+		"reference": ReferenceQueryAt,
 	}
 }
 
@@ -127,10 +141,10 @@ func TestConcurrentReadersUnderWriters(t *testing.T) {
 
 	for name, fn := range queryFns() {
 		wg.Add(1)
-		go func(name string, fn func(*store.DB, *sql.SelectStmt) (*Result, error)) {
+		go func(name string, fn func(*store.Snapshot, *sql.SelectStmt) (*Result, error)) {
 			defer wg.Done()
 			for !done.Load() {
-				res, err := fn(db, countSum)
+				res, err := fn(db.Snapshot(), countSum)
 				if err != nil {
 					t.Errorf("%s count/sum: %v", name, err)
 					return
@@ -150,7 +164,7 @@ func TestConcurrentReadersUnderWriters(t *testing.T) {
 					return
 				}
 
-				res, err = fn(db, torn)
+				res, err = fn(db.Snapshot(), torn)
 				if err != nil {
 					t.Errorf("%s torn groups: %v", name, err)
 					return
@@ -160,7 +174,7 @@ func TestConcurrentReadersUnderWriters(t *testing.T) {
 					return
 				}
 
-				res, err = fn(db, probe)
+				res, err = fn(db.Snapshot(), probe)
 				if err != nil {
 					t.Errorf("%s probe: %v", name, err)
 					return
@@ -171,7 +185,7 @@ func TestConcurrentReadersUnderWriters(t *testing.T) {
 				}
 
 				for _, q := range []*sql.SelectStmt{auxQ, csvQ} {
-					res, err = fn(db, q)
+					res, err = fn(db.Snapshot(), q)
 					if err != nil {
 						t.Errorf("%s aux/csv: %v", name, err)
 						return
@@ -197,7 +211,7 @@ func TestConcurrentReadersUnderWriters(t *testing.T) {
 	wg.Wait()
 
 	// The final state must contain everything the writer published.
-	res, err := Query(db, countSum)
+	res, err := Query(db.Snapshot(), countSum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +223,7 @@ func TestConcurrentReadersUnderWriters(t *testing.T) {
 // TestSnapshotQueryRepeatable: a query plan compiled and run on an
 // explicitly pinned snapshot returns identical results before and
 // after concurrent writes — the API-level snapshot-pinning contract
-// (exec.QueryAt / RunAt) the engine relies on.
+// (exec.Query / Run on one Snapshot) the engine relies on.
 func TestSnapshotQueryRepeatable(t *testing.T) {
 	db := raceDB(t)
 	for i := 0; i < 4; i++ {
@@ -219,7 +233,7 @@ func TestSnapshotQueryRepeatable(t *testing.T) {
 	}
 	sn := db.Snapshot()
 	q := sql.MustParse("SELECT batch, COUNT(*), SUM(val) FROM events GROUP BY batch ORDER BY batch")
-	before, err := QueryAt(sn, q)
+	before, err := Query(sn, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +242,14 @@ func TestSnapshotQueryRepeatable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, err := QueryAt(sn, q)
+	after, err := Query(sn, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(before.Rows) != 4 || len(after.Rows) != len(before.Rows) {
 		t.Fatalf("pinned snapshot drifted: %d then %d groups", len(before.Rows), len(after.Rows))
 	}
-	live, err := Query(db, q)
+	live, err := Query(db.Snapshot(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

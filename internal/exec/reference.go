@@ -9,25 +9,18 @@ import (
 	"repro/internal/store"
 )
 
-// ReferenceQuery evaluates stmt with the pre-planner strategy the seed
-// executor used: FROM-order left-deep joins (hash joins on equi-join
-// conjuncts found in WHERE, bounded cartesian products otherwise) that
-// materialize the full join product, with the complete WHERE predicate
-// re-applied to every joined row and no index access paths beyond the
-// base-table equality prune. It exists as the differential-testing
-// baseline for the planner and as the yardstick its speedups are
-// measured against; subqueries encountered along the way also run
-// through this path. Like Query, the whole evaluation is pinned to one
-// snapshot of the database.
-func ReferenceQuery(db *store.DB, stmt *sql.SelectStmt) (*Result, error) {
-	return ReferenceQueryAt(db.Snapshot(), stmt)
-}
-
-// ReferenceQueryAt is ReferenceQuery against an already-pinned
-// snapshot, the form the concurrency and metamorphic tests use to
-// compare executors over one frozen data version.
+// ReferenceQueryAt evaluates stmt with the pre-planner strategy the
+// seed executor used: FROM-order left-deep joins (hash joins on
+// equi-join conjuncts found in WHERE, bounded cartesian products
+// otherwise) that materialize the full join product, with the complete
+// WHERE predicate re-applied to every joined row and no index access
+// paths beyond the base-table equality prune. It exists as the
+// differential-testing baseline for the planner and as the yardstick
+// its speedups are measured against; subqueries encountered along the
+// way also run through this path. Like Query, the whole evaluation
+// reads the one pinned snapshot.
 func ReferenceQueryAt(sn *store.Snapshot, stmt *sql.SelectStmt) (*Result, error) {
-	ex := newExecutor(sn)
+	ex := newExecutor(sn, RunOpts{})
 	ex.reference = true
 	return ex.referenceSelect(stmt, nil)
 }

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -149,18 +150,18 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 			t.Fatalf("reference: %v\nsql: %s", err, q)
 		}
 		for _, par := range []int{1, 2, 4} {
-			p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+			p, err := exec.Compile(sn, stmt, par)
 			if err != nil {
 				t.Fatalf("compile: %v\nsql: %s", err, q)
 			}
 			if !p.Vec {
 				t.Fatalf("plan does not vectorize end to end:\n%s\nsql: %s", p.Explain(), q)
 			}
-			vec, err := exec.RunAt(sn, p)
+			vec, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
 			if err != nil {
 				t.Fatalf("vectorized run (par=%d): %v\nsql: %s", par, err, q)
 			}
-			row, err := exec.RunNoVecAt(sn, p)
+			row, err := exec.Run(context.Background(), sn, p, exec.RunOpts{NoVec: true})
 			if err != nil {
 				t.Fatalf("row run (par=%d): %v\nsql: %s", par, err, q)
 			}

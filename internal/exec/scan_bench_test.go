@@ -45,11 +45,12 @@ func scanTemplates() []struct{ name, sql string } {
 
 // BenchmarkScanTemplates runs each ask_scan question shape the way the
 // engine's ask path does — template compiled once, plan bound, then
-// RunBoundCountedAtCtx at two workers — with everything but the run
-// outside the timed region. B/op is what one question allocates inside
-// the executor: it must follow the rows a question keeps, not the rows
-// it scans, which allocs/op cannot see (an 8 KiB slice per batch is one
-// allocation), so cmd/allocguard bounds both columns. It is also the
+// Run with parameters and counters at two workers — with everything
+// but the run outside the timed region. B/op is what one question
+// allocates inside the executor: it must follow the rows a question
+// keeps, not the rows it scans, which allocs/op cannot see (an 8 KiB
+// slice per batch is one allocation), so cmd/allocguard bounds both
+// columns. It is also the
 // profiling hook for the scan path:
 //
 //	go test -run none -bench ScanTemplates/region_join -memprofile mem.out ./internal/exec
@@ -68,7 +69,7 @@ func BenchmarkScanTemplates(b *testing.B) {
 			}
 			var segc store.SegCounters
 			run := func() {
-				if _, err := exec.RunBoundCountedAtCtx(context.Background(), sn, p, params, 0, &segc, nil); err != nil {
+				if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: params, SegC: &segc}); err != nil {
 					b.Fatal(err)
 				}
 			}

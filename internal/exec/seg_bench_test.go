@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -21,11 +22,11 @@ func BenchmarkSegCacheHit(b *testing.B) {
 	}
 	sn := db.Snapshot()
 	stmt := sql.MustParse("SELECT COUNT(*) FROM events WHERE level = 'error'")
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 1)
+	p, err := exec.Compile(sn, stmt, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := exec.RunAt(sn, p); err != nil { // build + adopt + warm
+	if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil { // build + adopt + warm
 		b.Fatal(err)
 	}
 	base := db.SegCache().Stats()
@@ -35,7 +36,7 @@ func BenchmarkSegCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunAt(sn, p); err != nil {
+		if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -46,29 +47,22 @@ func BenchmarkSegCacheHit(b *testing.B) {
 }
 
 // segBenchPlan compiles one query over a 100K-row event log and hands
-// back the pinned snapshot and plan, with both columnar layouts built
-// outside the timed region.
-func segBenchPlan(b *testing.B, query string) (*exec.Result, func(noSeg bool) (*exec.Result, error)) {
+// back a closure that runs it on the pinned snapshot, with the segment
+// layout built outside the timed region.
+func segBenchPlan(b *testing.B, query string) func() (*exec.Result, error) {
 	b.Helper()
 	db := dataset.Events(100_000)
 	sn := db.Snapshot()
 	stmt := sql.MustParse(query)
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 1)
+	p, err := exec.Compile(sn, stmt, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	db.Table("events").Segments() // build segment layout outside the loop
-	db.Table("events").ColVecs()  // and the uncompressed one
-	warm, err := exec.RunAt(sn, p)
-	if err != nil {
+	run := func() (*exec.Result, error) { return exec.Run(context.Background(), sn, p, exec.RunOpts{}) }
+	if _, err := run(); err != nil { // warm-up: builds the segment layout
 		b.Fatal(err)
 	}
-	return warm, func(noSeg bool) (*exec.Result, error) {
-		if noSeg {
-			return exec.RunNoSegAt(sn, p)
-		}
-		return exec.RunAt(sn, p)
-	}
+	return run
 }
 
 // BenchmarkSegScanDictFilter pins the allocation budget of the
@@ -77,11 +71,11 @@ func segBenchPlan(b *testing.B, query string) (*exec.Result, func(noSeg bool) (*
 // dictionary codes and int batches decode per batch. Guarded by
 // cmd/allocguard in CI.
 func BenchmarkSegScanDictFilter(b *testing.B) {
-	_, run := segBenchPlan(b, "SELECT COUNT(*) FROM events WHERE level = 'error'")
+	run := segBenchPlan(b, "SELECT COUNT(*) FROM events WHERE level = 'error'")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(false); err != nil {
+		if _, err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,25 +85,12 @@ func BenchmarkSegScanDictFilter(b *testing.B) {
 // scan — most segments are skipped from zone maps alone, so allocs/op
 // must stay far below the full-scan budget.
 func BenchmarkSegScanZoneSkip(b *testing.B) {
-	_, run := segBenchPlan(b,
+	run := segBenchPlan(b,
 		"SELECT COUNT(*) FROM events WHERE ts BETWEEN 1700006000 AND 1700006250")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSegScanNoSeg is the uncompressed column-vector baseline of
-// BenchmarkSegScanDictFilter.
-func BenchmarkSegScanNoSeg(b *testing.B) {
-	_, run := segBenchPlan(b, "SELECT COUNT(*) FROM events WHERE level = 'error'")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := run(true); err != nil {
+		if _, err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -23,8 +24,8 @@ func setSegmentRows(db *store.DB, n int) {
 // TestSegDifferentialCorpus runs the full benchmark corpus over tiny
 // segments (sizes chosen to straddle encoding and batch boundaries,
 // including non-multiples of 64 and 1024) and requires the segment
-// scan path, the uncompressed column-vector path and the row path to
-// produce row-for-row identical output, serially and in parallel.
+// scan path and the row path — which reads no segment — to produce
+// row-for-row identical output, serially and in parallel.
 func TestSegDifferentialCorpus(t *testing.T) {
 	for _, segRows := range []int{7, 100, 1025} {
 		for _, domain := range dataset.Names() {
@@ -40,23 +41,15 @@ func TestSegDifferentialCorpus(t *testing.T) {
 				}
 				for _, par := range []int{1, 4} {
 					sn := db.Snapshot()
-					p, err := exec.BuildPlanParallelAt(sn, stmt, par)
+					p, err := exec.Compile(sn, stmt, par)
 					if err != nil {
 						t.Fatalf("%s: compile failed: %v", cs.ID, err)
 					}
-					seg, err := exec.RunAt(sn, p)
+					seg, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
 					if err != nil {
 						t.Fatalf("%s: segment execution failed (segRows=%d par=%d): %v", cs.ID, segRows, par, err)
 					}
-					noseg, err := exec.RunNoSegAt(sn, p)
-					if err != nil {
-						t.Fatalf("%s: noseg execution failed: %v", cs.ID, err)
-					}
-					if err := rowsIdentical(seg, noseg); err != nil {
-						t.Errorf("%s (segRows=%d par=%d): segment vs column-vector scan: %v\nsql: %s",
-							cs.ID, segRows, par, err, cs.Gold)
-					}
-					row, err := exec.RunNoVecAt(sn, p)
+					row, err := exec.Run(context.Background(), sn, p, exec.RunOpts{NoVec: true})
 					if err != nil {
 						t.Fatalf("%s: row execution failed: %v", cs.ID, err)
 					}
@@ -131,27 +124,28 @@ func TestSegZoneSkipCounts(t *testing.T) {
 		for _, tc := range queries {
 			stmt := sql.MustParse(tc.q)
 			sn := db.Snapshot()
-			p, err := exec.QueryAt(sn, stmt)
+			p, err := exec.Query(sn, stmt)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.q, err)
 			}
-			plan, err := exec.BuildPlan(db, stmt)
+			plan, err := exec.Compile(sn, stmt, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var c store.SegCounters
-			counted, err := exec.RunCountedAt(sn, plan, &c)
+			counted, err := exec.Run(context.Background(), sn, plan, exec.RunOpts{SegC: &c})
 			if err != nil {
 				t.Fatalf("%s: counted run: %v", tc.q, err)
 			}
 			if err := rowsIdentical(counted, p); err != nil {
 				t.Errorf("%s (segRows=%d): counted vs plain: %v", tc.q, segRows, err)
 			}
-			noseg, err := exec.RunNoSegAt(sn, plan)
+			// The row executor consults no zone map: the unskipped oracle.
+			unskipped, err := exec.Run(context.Background(), sn, plan, exec.RunOpts{NoVec: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rowsIdentical(counted, noseg); err != nil {
+			if err := rowsIdentical(counted, unskipped); err != nil {
 				t.Errorf("%s (segRows=%d): skipping changed results: %v", tc.q, segRows, err)
 			}
 			skipped := c.Skipped.Load()
@@ -168,13 +162,14 @@ func TestSegZoneSkipCounts(t *testing.T) {
 
 // TestSegSkipPrepared pins bind-time skip derivation: one prepared
 // template, rebound with different constants, must skip according to
-// each binding's values — and always match the unskipped baseline.
+// each binding's values — and always match the row executor, which
+// consults no zone map.
 func TestSegSkipPrepared(t *testing.T) {
 	db := segSkipDB(t, 5000)
 	setSegmentRows(db, 500)
 	sn := db.Snapshot()
-	pq, params, err := exec.PrepareAt(sn, sql.MustParse(
-		"SELECT COUNT(*) FROM events WHERE ts BETWEEN 10 AND 20"))
+	pq, params, err := exec.Prepare(sn, sql.MustParse(
+		"SELECT COUNT(*) FROM events WHERE ts BETWEEN 10 AND 20"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +191,11 @@ func TestSegSkipPrepared(t *testing.T) {
 			t.Fatal(err)
 		}
 		var c store.SegCounters
-		got, err := exec.RunBoundCountedAt(sn, p, ps, &c)
+		got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: ps, SegC: &c})
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := exec.RunBoundNoSegAt(sn, p, ps)
+		want, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: ps, NoVec: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,17 +213,17 @@ func TestSegSkipPrepared(t *testing.T) {
 	// A NULL bound makes the predicate non-TRUE everywhere (3VL), so
 	// every segment skips without being decoded. Bind rejects NULL
 	// parameters, so this arrives as a literal.
-	p, err := exec.BuildPlan(db, sql.MustParse(
-		"SELECT COUNT(*) FROM events WHERE ts > NULL"))
+	p, err := exec.Compile(sn, sql.MustParse(
+		"SELECT COUNT(*) FROM events WHERE ts > NULL"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var c store.SegCounters
-	got, err := exec.RunCountedAt(sn, p, &c)
+	got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{SegC: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.RunNoSegAt(sn, p)
+	want, err := exec.Run(context.Background(), sn, p, exec.RunOpts{NoVec: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,11 +288,11 @@ func TestSegNullEdgeBatches(t *testing.T) {
 			for _, q := range queries {
 				stmt := sql.MustParse(q)
 				sn := db.Snapshot()
-				vec, err := exec.QueryAt(sn, stmt)
+				vec, err := exec.Query(sn, stmt)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sh.name, q, err)
 				}
-				row, err := exec.QueryNoVecAt(sn, stmt)
+				row, err := compileRun(sn, stmt, 1, exec.RunOpts{NoVec: true})
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sh.name, q, err)
 				}

@@ -33,9 +33,9 @@ func TestCorrelatedSubqueryNotCached(t *testing.T) {
 // FROM clause, and plain uncorrelated subqueries.
 func TestCorrelationDetection(t *testing.T) {
 	db := fixture(t)
-	ex := newExecutor(db.Snapshot())
+	ex := newExecutor(db.Snapshot(), RunOpts{})
 
-	outerPlan, err := BuildPlan(db, sql.MustParse("SELECT name FROM students s"))
+	outerPlan, err := Compile(db.Snapshot(), sql.MustParse("SELECT name FROM students s"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,24 +67,21 @@ func TestCorrelationDetection(t *testing.T) {
 
 // TestUncorrelatedCacheReused proves the cache actually serves repeat
 // evaluations: after one query, the uncorrelated subquery's result is
-// in the cache under the uncorrelated key.
+// the cache's one entry, keyed by the subquery's own statement.
 func TestUncorrelatedCacheReused(t *testing.T) {
 	db := fixture(t)
 	stmt := sql.MustParse("SELECT name FROM students WHERE gpa >= (SELECT MAX(gpa) FROM students)")
-	p, err := BuildPlan(db, stmt)
+	sub := stmt.Where.(*sql.BinaryExpr).R.(*sql.SubqueryExpr).Sub
+	sn := db.Snapshot()
+	p, err := Compile(sn, stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := newExecutor(db.Snapshot())
+	ex := newExecutor(sn, RunOpts{})
 	if _, err := ex.run(p, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(ex.subCache) != 1 {
-		t.Fatalf("subCache has %d entries, want 1", len(ex.subCache))
-	}
-	for k := range ex.subCache {
-		if k.correlated {
-			t.Fatal("cached entry keyed as correlated")
-		}
+	if len(ex.subCache) != 1 || ex.subCache[sub] == nil {
+		t.Fatalf("subCache = %v, want one entry under the subquery statement", ex.subCache)
 	}
 }

@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/dataset"
@@ -10,7 +11,7 @@ import (
 
 // Allocation guards for the vectorized filter and join hot paths,
 // enforced by cmd/allocguard in CI alongside the segment-scan
-// budgets. Plans are compiled and both columnar layouts built outside
+// budgets. Plans are compiled and the segment layout built outside
 // the timed region, so allocs/op is the per-query steady state:
 // batch-count-proportional, never row-proportional.
 
@@ -19,12 +20,12 @@ import (
 // of a 100K-row event log (zone maps cannot skip, dictionaries do not
 // apply), reduced by COUNT so output stays O(1).
 func BenchmarkVecFilterNumeric(b *testing.B) {
-	_, run := segBenchPlan(b,
+	run := segBenchPlan(b,
 		"SELECT COUNT(*) FROM events WHERE latency_ms > 200 AND device_id < 1024")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(false); err != nil {
+		if _, err := run(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,17 +39,17 @@ func BenchmarkVecHashJoin(b *testing.B) {
 	sn := db.Snapshot()
 	stmt := sql.MustParse("SELECT c.name, COUNT(*) FROM orders o, customers c " +
 		"WHERE o.customer_id = c.customer_id GROUP BY c.name ORDER BY COUNT(*) DESC")
-	p, err := exec.BuildPlanParallelAt(sn, stmt, 1)
+	p, err := exec.Compile(sn, stmt, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := exec.RunAt(sn, p); err != nil { // warm-up builds layouts
+	if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil { // warm-up builds layouts
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.RunAt(sn, p); err != nil {
+		if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil {
 			b.Fatal(err)
 		}
 	}

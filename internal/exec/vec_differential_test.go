@@ -1,6 +1,7 @@
 package exec_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -33,16 +34,17 @@ func TestVecDifferentialCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 			}
-			reference, err := exec.ReferenceQuery(db, stmt)
+			sn := db.Snapshot()
+			reference, err := exec.ReferenceQueryAt(sn, stmt)
 			if err != nil {
 				t.Fatalf("%s: reference execution failed: %v\n%s", cs.ID, err, cs.Gold)
 			}
 			for _, par := range []int{1, 4} {
-				vec, err := exec.QueryParallel(db, stmt, par)
+				vec, err := compileRun(sn, stmt, par, exec.RunOpts{})
 				if err != nil {
 					t.Fatalf("%s: vectorized execution failed (par=%d): %v\n%s", cs.ID, par, err, cs.Gold)
 				}
-				row, err := exec.QueryParallelNoVec(db, stmt, par)
+				row, err := compileRun(sn, stmt, par, exec.RunOpts{NoVec: true})
 				if err != nil {
 					t.Fatalf("%s: row execution failed (par=%d): %v\n%s", cs.ID, par, err, cs.Gold)
 				}
@@ -55,6 +57,17 @@ func TestVecDifferentialCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// compileRun compiles stmt at degree par and runs it under o, all on
+// the one pinned snapshot — the pair the differential suites vary one
+// axis of at a time.
+func compileRun(sn *store.Snapshot, stmt *sql.SelectStmt, par int, o exec.RunOpts) (*exec.Result, error) {
+	p, err := exec.Compile(sn, stmt, par)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Run(context.Background(), sn, p, o)
 }
 
 func rowsIdentical(a, b *exec.Result) error {
@@ -84,11 +97,11 @@ func TestVecDifferentialScaled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vec, err := exec.Query(db, stmt)
+			vec, err := exec.Query(db.Snapshot(), stmt)
 			if err != nil {
 				t.Fatalf("%s: vectorized execution failed: %v", cs.ID, err)
 			}
-			row, err := exec.QueryNoVec(db, stmt)
+			row, err := compileRun(db.Snapshot(), stmt, 1, exec.RunOpts{NoVec: true})
 			if err != nil {
 				t.Fatalf("%s: row execution failed: %v", cs.ID, err)
 			}
@@ -126,11 +139,11 @@ func TestVecFallback(t *testing.T) {
 		if p.Vec {
 			t.Errorf("plan unexpectedly fully vectorizable: %s", q)
 		}
-		vec, err := exec.Query(db, stmt)
+		vec, err := exec.Query(db.Snapshot(), stmt)
 		if err != nil {
 			t.Fatalf("execution failed: %v\n%s", err, q)
 		}
-		row, err := exec.QueryNoVec(db, stmt)
+		row, err := compileRun(db.Snapshot(), stmt, 1, exec.RunOpts{NoVec: true})
 		if err != nil {
 			t.Fatalf("row execution failed: %v\n%s", err, q)
 		}
@@ -199,11 +212,11 @@ func TestVecAggBigIntExact(t *testing.T) {
 		"SELECT MAX(a) FROM t",
 	} {
 		stmt := sql.MustParse(q)
-		vec, err := exec.Query(db, stmt)
+		vec, err := exec.Query(db.Snapshot(), stmt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := exec.QueryNoVec(db, stmt)
+		row, err := compileRun(db.Snapshot(), stmt, 1, exec.RunOpts{NoVec: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -502,7 +502,7 @@ func TestEndToEndExecution(t *testing.T) {
 			t.Errorf("%q: ToSQL: %v", c.q, err)
 			continue
 		}
-		res, err := exec.Query(db, stmt)
+		res, err := exec.Query(db.Snapshot(), stmt)
 		if err != nil {
 			t.Errorf("%q: exec: %v (sql: %s)", c.q, err, stmt)
 			continue
@@ -525,7 +525,7 @@ func TestHowManyCountValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.Query(db, stmt)
+	res, err := exec.Query(db.Snapshot(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -581,7 +581,7 @@ func TestParseValueDisjunctionExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.Query(db, stmt)
+	res, err := exec.Query(db.Snapshot(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -677,7 +677,7 @@ func TestParseContainsExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.Query(db, stmt)
+	res, err := exec.Query(db.Snapshot(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func runQ(t *testing.T, q *Query) *exec.Result {
 	if err != nil {
 		t.Fatalf("ToSQL(%s): %v", q, err)
 	}
-	res, err := exec.Query(db, stmt)
+	res, err := exec.Query(db.Snapshot(), stmt)
 	if err != nil {
 		t.Fatalf("exec of %q: %v", stmt, err)
 	}

@@ -106,7 +106,7 @@ func TestExecutesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := exec.Query(db, stmt)
+	res, err := exec.Query(db.Snapshot(), stmt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ const MaxProduct = 5_000_000
 // When Par > 1 the Evaluator must be safe for concurrent use.
 //
 // Snap is a store.Snapshot, so the whole plan — scans, index probes,
-// column vectors, statistics — reads one frozen version of the data:
+// segments, statistics — reads one frozen version of the data:
 // concurrent writers publish new versions without ever being observed
 // mid-query.
 type Ctx struct {
@@ -35,12 +35,6 @@ type Ctx struct {
 	// NoVec forces row-at-a-time execution everywhere — the ablation
 	// and differential-testing baseline for the vectorized engine.
 	NoVec bool
-
-	// NoSeg forces vectorized scans to read the uncompressed column
-	// vectors instead of the segment layout (and disables zone-map
-	// skipping with them) — the ablation baseline for the compressed
-	// segment experiment (F11).
-	NoSeg bool
 
 	// SegC, when set, accumulates runtime segment counters: segments
 	// decoded vs segments skipped by zone maps across all scans of the

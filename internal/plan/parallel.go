@@ -190,8 +190,8 @@ func baseRows(n Node, ctx *Ctx) ([]store.Row, []int, Binding, error) {
 
 // morselRun tells a leaf scan inside a worker which slice of its base
 // rows to produce instead of the full table. The row iterator consumes
-// rows; the vectorized scan consumes the [lo, hi) range (a zero-copy
-// window over the column vectors) or, for index scans, the ids to
+// rows; the vectorized scan consumes the [lo, hi) range (zero-copy
+// windows over the segment columns) or, for index scans, the ids to
 // gather.
 type morselRun struct {
 	node   Node // identity of the partitioned leaf

@@ -1569,42 +1569,6 @@ func (cb *colbuf) pushValue(v store.Value) {
 	}
 }
 
-// pushStore appends row id of a store column vector, honoring its
-// null bitmap.
-func (cb *colbuf) pushStore(cv *store.ColVec, id int) {
-	isNull := cv.IsNull(id)
-	cb.nulls = append(cb.nulls, isNull)
-	if isNull {
-		cb.anyNull = true
-	}
-	switch cb.kind {
-	case store.KindInt:
-		var v int64
-		if !isNull {
-			v = cv.Ints[id]
-		}
-		cb.ints = append(cb.ints, v)
-	case store.KindFloat:
-		var v float64
-		if !isNull {
-			v = cv.Floats[id]
-		}
-		cb.floats = append(cb.floats, v)
-	case store.KindText:
-		var v string
-		if !isNull {
-			v = cv.Strs[id]
-		}
-		cb.strs = append(cb.strs, v)
-	case store.KindBool:
-		var v bool
-		if !isNull {
-			v = cv.Bools[id]
-		}
-		cb.bools = append(cb.bools, v)
-	}
-}
-
 // col freezes the builder into a column.
 func (cb *colbuf) col() vcol {
 	out := vcol{kind: cb.kind, ints: cb.ints, floats: cb.floats,

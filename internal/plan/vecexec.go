@@ -210,83 +210,13 @@ func vecIter(op viter) iter {
 
 // ---- scans ----
 
-// retainedVecs picks the binding's retained column vectors.
-func retainedVecs(tab *store.TableSnap, b Binding) []*store.ColVec {
-	all := tab.ColVecs()
-	out := make([]*store.ColVec, len(b.Cols))
-	for p, ci := range b.Cols {
-		out[p] = all[ci]
-	}
-	return out
-}
-
-// sliceBatches iterates [lo, hi) of the column vectors as zero-copy
-// batch views.
-func sliceBatches(cvs []*store.ColVec, lo, hi int) viter {
-	pos := lo
-	return func() (*vbatch, error) {
-		if pos >= hi {
-			return nil, nil
-		}
-		end := pos + maxBatch
-		if end > hi {
-			end = hi
-		}
-		b := &vbatch{n: end - pos, cols: make([]vcol, len(cvs))}
-		for c, cv := range cvs {
-			b.cols[c] = vcol{
-				kind:  cv.Kind,
-				nulls: cv.NullMask(pos, end),
-			}
-			switch cv.Kind {
-			case store.KindInt:
-				b.cols[c].ints = cv.Ints[pos:end]
-			case store.KindFloat:
-				b.cols[c].floats = cv.Floats[pos:end]
-			case store.KindText:
-				b.cols[c].strs = cv.Strs[pos:end]
-			case store.KindBool:
-				b.cols[c].bools = cv.Bools[pos:end]
-			}
-		}
-		pos = end
-		return b, nil
-	}
-}
-
-// gatherBatches materializes the given row ids of the column vectors
-// into dense batches — the index-scan and morsel-over-ids form.
-func gatherBatches(cvs []*store.ColVec, ids []int) viter {
-	pos := 0
-	return func() (*vbatch, error) {
-		if pos >= len(ids) {
-			return nil, nil
-		}
-		end := pos + maxBatch
-		if end > len(ids) {
-			end = len(ids)
-		}
-		chunk := ids[pos:end]
-		b := &vbatch{n: len(chunk), cols: make([]vcol, len(cvs))}
-		for c, cv := range cvs {
-			cb := newColbuf(cv.Kind)
-			for _, id := range chunk {
-				cb.pushStore(cv, id)
-			}
-			b.cols[c] = cb.col()
-		}
-		pos = end
-		return b, nil
-	}
-}
-
 func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 	tab := ctx.Snap.Table(s.B.Meta.Name)
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
 	}
 	// A partition-wise worker reads exactly its claimed partition's
-	// stream: the partition view's own column vectors and segment set.
+	// stream: the partition view's own segment set.
 	if pw := ctx.pw; pw != nil {
 		if _, ok := pw.scans[s]; ok {
 			tab = tab.Part(pw.pi)
@@ -295,25 +225,8 @@ func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 			}
 		}
 	}
-	if ctx.NoSeg {
-		cvs := retainedVecs(tab, s.B)
-		if mr := ctx.part; mr != nil && mr.node == Node(s) {
-			if mr.ids != nil {
-				return gatherBatches(cvs, mr.ids), nil
-			}
-			return sliceBatches(cvs, mr.lo, mr.hi), nil
-		}
-		if ranges := s.pruneParts(ctx, tab); ranges != nil {
-			its := make([]viter, len(ranges))
-			for i, r := range ranges {
-				its[i] = sliceBatches(cvs, r[0], r[1])
-			}
-			return chainViters(its), nil
-		}
-		return sliceBatches(cvs, 0, tab.Len()), nil
-	}
-	// Segment path: skip predicates re-bind against this run's
-	// parameters, so a prepared template skips per its bound constants.
+	// Skip predicates re-bind against this run's parameters, so a
+	// prepared template skips per its bound constants.
 	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
 	ss := tab.Segments()
 	if mr := ctx.part; mr != nil && mr.node == Node(s) {
@@ -339,17 +252,6 @@ func (s *IndexScan) vopen(ctx *Ctx) (viter, error) {
 	tab := ctx.Snap.Table(s.B.Meta.Name)
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
-	}
-	if ctx.NoSeg {
-		cvs := retainedVecs(tab, s.B)
-		if mr := ctx.part; mr != nil && mr.node == Node(s) {
-			return gatherBatches(cvs, mr.ids), nil
-		}
-		ids, err := s.lookupIDs(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return gatherBatches(cvs, ids), nil
 	}
 	ss := tab.Segments()
 	if mr := ctx.part; mr != nil && mr.node == Node(s) {

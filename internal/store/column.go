@@ -4,14 +4,10 @@ import (
 	"repro/internal/schema"
 )
 
-// This file is the columnar face of the store: per-column typed
-// vectors with null bitmaps, built once per table snapshot and shared
-// read-only by the vectorized executor (internal/plan). The row slice
-// stays the source of truth — columns are a derived, cached layout
-// living on the immutable snapshot (see snapshot.go), extended
-// copy-on-write by writers instead of being invalidated.
+// This file holds what the segment layout (segment.go) shares with its
+// readers: the null bitmap and the schema-type → value-kind mapping.
 
-// Bitmap is a bitset over row ids, the null mask of a column vector.
+// Bitmap is a bitset over row ids, the null mask of a segment column.
 // The nil Bitmap reports every bit clear, so columns without NULLs
 // carry no mask at all.
 type Bitmap []uint64
@@ -43,70 +39,6 @@ func (b Bitmap) AnyRange(lo, hi int) bool {
 	return false
 }
 
-// ColVec is one column of a table laid out as a typed vector: exactly
-// one of the data slices is populated according to Kind, and Nulls
-// marks NULL cells (whose data slots hold zero values). Coercion at
-// insert time guarantees a column holds a single kind: INT values
-// widen to FLOAT on their way into FLOAT columns.
-type ColVec struct {
-	Kind   Kind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Bools  []bool
-	Nulls  Bitmap // nil when the column holds no NULLs
-}
-
-// Len returns the number of rows in the vector.
-func (c *ColVec) Len() int {
-	switch c.Kind {
-	case KindInt:
-		return len(c.Ints)
-	case KindFloat:
-		return len(c.Floats)
-	case KindText:
-		return len(c.Strs)
-	case KindBool:
-		return len(c.Bools)
-	}
-	return 0
-}
-
-// IsNull reports whether row i is NULL.
-func (c *ColVec) IsNull(i int) bool { return c.Nulls.Get(i) }
-
-// Value boxes row i back into a Value.
-func (c *ColVec) Value(i int) Value {
-	if c.Nulls.Get(i) {
-		return Null()
-	}
-	switch c.Kind {
-	case KindInt:
-		return Int(c.Ints[i])
-	case KindFloat:
-		return Float(c.Floats[i])
-	case KindText:
-		return Text(c.Strs[i])
-	case KindBool:
-		return Bool(c.Bools[i])
-	}
-	return Null()
-}
-
-// NullMask materializes the null mask of rows [lo, hi) as a bool
-// slice, or nil when the range holds no NULLs — the form the batch
-// executor consumes.
-func (c *ColVec) NullMask(lo, hi int) []bool {
-	if !c.Nulls.AnyRange(lo, hi) {
-		return nil
-	}
-	mask := make([]bool, hi-lo)
-	for i := range mask {
-		mask[i] = c.Nulls.Get(lo + i)
-	}
-	return mask
-}
-
 // KindOfColType maps a schema column type to the Value kind its cells
 // are stored as.
 func KindOfColType(t schema.ColType) Kind {
@@ -121,81 +53,4 @@ func KindOfColType(t schema.ColType) Kind {
 		return KindBool
 	}
 	return KindNull
-}
-
-// buildColVecs materializes the columnar layout of a frozen row set:
-// one typed vector per schema column — the from-scratch path
-// TableSnap.ColVecs takes when the writer had no built layout to
-// extend (see extendCols in snapshot.go).
-func buildColVecs(meta *schema.Table, rows []Row) []*ColVec {
-	cols := make([]*ColVec, len(meta.Columns))
-	n := len(rows)
-	for ci, mc := range meta.Columns {
-		cv := &ColVec{Kind: KindOfColType(mc.Type)}
-		switch cv.Kind {
-		case KindInt:
-			cv.Ints = make([]int64, n)
-		case KindFloat:
-			cv.Floats = make([]float64, n)
-		case KindText:
-			cv.Strs = make([]string, n)
-		case KindBool:
-			cv.Bools = make([]bool, n)
-		}
-		for i, row := range rows {
-			v := row[ci]
-			if v.IsNull() {
-				if cv.Nulls == nil {
-					cv.Nulls = NewBitmap(n)
-				}
-				cv.Nulls.Set(i)
-				continue
-			}
-			switch cv.Kind {
-			case KindInt:
-				cv.Ints[i] = v.Int64()
-			case KindFloat:
-				f, _ := v.AsFloat()
-				cv.Floats[i] = f
-			case KindText:
-				cv.Strs[i] = v.Str()
-			case KindBool:
-				cv.Bools[i] = v.BoolVal()
-			}
-		}
-		cols[ci] = cv
-	}
-	return cols
-}
-
-// appendValue appends one non-NULL cell to the vector's data slice.
-// Appending in place past the published length is safe under the
-// store's copy-on-write contract: only the serialized writer extends
-// a vector, and pinned readers hold shorter slice headers.
-func (c *ColVec) appendValue(v Value) {
-	switch c.Kind {
-	case KindInt:
-		c.Ints = append(c.Ints, v.Int64())
-	case KindFloat:
-		f, _ := v.AsFloat()
-		c.Floats = append(c.Floats, f)
-	case KindText:
-		c.Strs = append(c.Strs, v.Str())
-	case KindBool:
-		c.Bools = append(c.Bools, v.BoolVal())
-	}
-}
-
-// appendZero appends the zero cell backing a NULL.
-func (c *ColVec) appendZero() {
-	switch c.Kind {
-	case KindInt:
-		c.Ints = append(c.Ints, 0)
-	case KindFloat:
-		c.Floats = append(c.Floats, 0)
-	case KindText:
-		c.Strs = append(c.Strs, "")
-	case KindBool:
-		c.Bools = append(c.Bools, false)
-	}
 }

@@ -22,10 +22,11 @@ func colTestDB(t *testing.T) *DB {
 	return NewDB(s)
 }
 
-// TestColVecsRoundTrip: the columnar layout must hold exactly the
-// row values — including INT→FLOAT coercion widening into FLOAT
-// columns and NULLs in the bitmap — and box them back unchanged.
-func TestColVecsRoundTrip(t *testing.T) {
+// TestSegColsRoundTrip: the columnar layout — the segment columns —
+// must hold exactly the row values, including INT→FLOAT coercion
+// widening into FLOAT columns and NULLs in the bitmap, and box them
+// back unchanged.
+func TestSegColsRoundTrip(t *testing.T) {
 	db := colTestDB(t)
 	tab := db.Table("m")
 	rows := []Row{
@@ -38,7 +39,12 @@ func TestColVecsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cols := tab.ColVecs()
+	snap := tab.Snap()
+	ss := snap.Segments()
+	if len(ss.Segs) != 1 || ss.Segs[0].Sealed {
+		t.Fatalf("3 rows laid out as %d segments (first sealed=%v), want one plain tail", len(ss.Segs), ss.Segs[0].Sealed)
+	}
+	cols := ss.Segs[0].MustCols()
 	if cols[1].Kind != KindFloat {
 		t.Fatalf("score column kind = %v, want FLOAT", cols[1].Kind)
 	}
@@ -47,10 +53,10 @@ func TestColVecsRoundTrip(t *testing.T) {
 	}
 	for ri := range rows {
 		for ci := range cols {
-			want := tab.Row(ri)[ci]
+			want := snap.Row(ri)[ci]
 			got := cols[ci].Value(ri)
 			if want.Key() != got.Key() {
-				t.Errorf("row %d col %d: vector holds %v, row holds %v", ri, ci, got, want)
+				t.Errorf("row %d col %d: column holds %v, row holds %v", ri, ci, got, want)
 			}
 		}
 	}
@@ -58,16 +64,15 @@ func TestColVecsRoundTrip(t *testing.T) {
 		t.Error("text null bitmap wrong")
 	}
 
-	// The snapshot is cached until a mutation, then rebuilt.
-	if &tab.ColVecs()[0].Ints[0] != &cols[0].Ints[0] {
-		t.Error("ColVecs not cached across calls")
+	// The layout is cached until a mutation, then extended.
+	if tab.Segments() != ss {
+		t.Error("Segments not cached across calls")
 	}
 	if err := tab.Insert(Int(4), Float(1), Text("d"), Bool(true)); err != nil {
 		t.Fatal(err)
 	}
-	fresh := tab.ColVecs()
-	if fresh[0].Len() != 4 {
-		t.Errorf("rebuilt vector has %d rows, want 4", fresh[0].Len())
+	if fresh := tab.Segments(); fresh.N != 4 {
+		t.Errorf("extended layout has %d rows, want 4", fresh.N)
 	}
 }
 

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -12,8 +13,9 @@ import (
 //     it (its length and a content fingerprint stay frozen);
 //   - the live table always equals the model: every published version
 //     contains exactly the rows written before it, in order;
-//   - a snapshot's column vectors agree with its rows (no torn or
-//     leaked cells from copy-on-write extension).
+//   - a snapshot's segment layout agrees with its rows (no torn or
+//     leaked cells from sealing or copy-on-write extension; the seal
+//     boundary is 5 rows so both are crossed).
 //
 // Each input byte is one operation; low bits select the op, high bits
 // parameterize it — tiny inputs still exercise interleavings.
@@ -30,6 +32,7 @@ func FuzzSnapshotVisibility(f *testing.F) {
 		}
 		db := snapTestDB(t)
 		tab := db.Table("m")
+		tab.SetSegmentRows(5)
 
 		type pinned struct {
 			snap *TableSnap
@@ -88,7 +91,7 @@ func FuzzSnapshotVisibility(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 3: // warm lazy caches (exercises incremental extension)
-				tab.ColVecs()
+				tab.Segments()
 				tab.Stats("id")
 			case 4: // pin a snapshot
 				s := tab.Snap()
@@ -117,17 +120,7 @@ func FuzzSnapshotVisibility(f *testing.F) {
 			if got := fingerprint(p.snap.Rows()); got != p.sum {
 				t.Fatalf("pin %d: contents moved (%d -> %d)", i, p.sum, got)
 			}
-			cols := p.snap.ColVecs()
-			for ci := range p.snap.Meta.Columns {
-				if cols[ci].Len() != p.len {
-					t.Fatalf("pin %d col %d: vector len %d != %d", i, ci, cols[ci].Len(), p.len)
-				}
-				for ri, row := range p.snap.Rows() {
-					if Compare(cols[ci].Value(ri), row[ci]) != 0 {
-						t.Fatalf("pin %d: vector cell (%d,%d) diverges", i, ri, ci)
-					}
-				}
-			}
+			checkSegSet(t, p.snap, fmt.Sprintf("pin %d", i))
 		}
 	})
 }

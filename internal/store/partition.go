@@ -17,7 +17,7 @@ import (
 //
 // The canonical row order of a partitioned table is the concatenation of
 // its partitions (partition 0 first). Every merged read view — rows,
-// indexes, stats, column vectors, segments — presents exactly that
+// indexes, stats, segments — presents exactly that
 // order, so execution layers that are unaware of partitioning stay
 // row-for-row identical to a single-partition table with the same
 // contents in the same canonical order.
@@ -131,7 +131,7 @@ type partSet struct {
 	cum     []int // cum[p] = global row offset of partition p; len N+1
 
 	// merged holds the lazily-built merged read views of this set (rows,
-	// stats, column vectors, segments in canonical order). Fresh per
+	// stats, segments in canonical order). Fresh per
 	// partSet: a new publish starts a new merged cache, exactly like
 	// dataCaches per tableData.
 	merged *mergedData
@@ -140,7 +140,6 @@ type partSet struct {
 type mergedData struct {
 	mu    sync.Mutex
 	rows  []Row
-	cols  []*ColVec
 	segs  *SegSet
 	stats map[string]ColStats
 }
@@ -167,12 +166,6 @@ func (ps *partSet) mergedRows() []Row {
 	m := ps.merged
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return ps.mergedRowsLocked()
-}
-
-// mergedRowsLocked is mergedRows for callers already holding merged.mu.
-func (ps *partSet) mergedRowsLocked() []Row {
-	m := ps.merged
 	if m.rows == nil {
 		out := make([]Row, 0, ps.totalRows())
 		for _, d := range ps.datas {

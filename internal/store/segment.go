@@ -29,7 +29,7 @@ const DefaultSegmentRows = 64 * 1024
 type SegEncoding uint8
 
 const (
-	// SegPlain stores the typed slice as-is (the ColVec layout).
+	// SegPlain stores the typed slice as-is.
 	SegPlain SegEncoding = iota
 	// SegDict stores low-cardinality strings as codes into a
 	// per-segment dictionary of distinct values.
@@ -349,8 +349,8 @@ func maskRange[T int64 | uint8 | uint16 | uint32](dst []bool, xs []T, min, max T
 }
 
 // Bytes is the resident data footprint of the encoded column: slice
-// contents plus string headers and bytes, the same accounting
-// ColVecsBytes uses for the uncompressed layout.
+// contents plus string headers and bytes, accounted the same way for
+// every encoding so plain and compressed layouts compare directly.
 func (c *SegCol) Bytes() int {
 	b := len(c.Ints)*8 + len(c.Floats)*8 + len(c.Bools) + len(c.Nuls)*8
 	for _, s := range c.Strs {
@@ -486,20 +486,6 @@ func (s *SegSet) Bytes() int {
 	b := 0
 	for _, seg := range s.Segs {
 		b += seg.Bytes()
-	}
-	return b
-}
-
-// ColVecsBytes is the resident data footprint of the uncompressed
-// columnar layout, accounted identically to SegSet.Bytes — the
-// baseline the compression experiments compare against.
-func ColVecsBytes(cols []*ColVec) int {
-	b := 0
-	for _, cv := range cols {
-		b += len(cv.Ints)*8 + len(cv.Floats)*8 + len(cv.Bools) + len(cv.Nulls)*8
-		for _, s := range cv.Strs {
-			b += 16 + len(s)
-		}
 	}
 	return b
 }

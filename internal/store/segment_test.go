@@ -358,8 +358,8 @@ func TestSegmentFORBoundaries(t *testing.T) {
 }
 
 // TestSegmentBytesCompresses sanity-checks the compression accounting:
-// a clustered low-cardinality table must be much smaller encoded than
-// as plain column vectors.
+// a clustered low-cardinality table must be much smaller sealed than
+// the same rows resealed as one plain segment.
 func TestSegmentBytesCompresses(t *testing.T) {
 	tab := segTestTable(t)
 	tab.SetSegmentRows(1024)
@@ -370,10 +370,13 @@ func TestSegmentBytesCompresses(t *testing.T) {
 	if err := tab.BulkInsert(rows); err != nil {
 		t.Fatal(err)
 	}
-	snap := tab.Snap()
-	segBytes := snap.Segments().Bytes()
-	vecBytes := ColVecsBytes(snap.ColVecs())
-	if segBytes*2 > vecBytes {
-		t.Fatalf("segments %d bytes vs colvecs %d bytes: expected ≥2× compression", segBytes, vecBytes)
+	segBytes := tab.Segments().Bytes()
+	tab.SetSegmentRows(len(rows) + 1)
+	plain := tab.Segments()
+	if len(plain.Segs) != 1 || plain.Segs[0].Sealed {
+		t.Fatalf("a seal boundary past the last row left %d segments", len(plain.Segs))
+	}
+	if plainBytes := plain.Bytes(); segBytes*2 > plainBytes {
+		t.Fatalf("sealed %d bytes vs plain %d bytes: expected ≥2× compression", segBytes, plainBytes)
 	}
 }

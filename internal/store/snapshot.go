@@ -12,7 +12,7 @@ import (
 // writers build the next version copy-on-write under the table's write
 // lock and publish it with one atomic pointer store; readers pin a
 // version (TableSnap, or a whole-database Snapshot) and see it frozen
-// — rows, hash and ordered indexes, statistics and columnar vectors
+// — rows, hash and ordered indexes, statistics and the segment layout
 // all describe the same instant, with no locks on the read path.
 //
 // Copy-on-write is chunk-grained, not wholesale:
@@ -23,8 +23,8 @@ import (
 //     per-key id slices the new rows touch;
 //   - ordered indexes merge the sorted new ids with the old run in
 //     O(n+k) instead of re-sorting;
-//   - statistics and column vectors carry over incrementally when the
-//     previous version had them built (see extendStats, extendCols).
+//   - statistics and the segment layout carry over incrementally when
+//     the previous version had them built (see extendStats, extendSegs).
 //
 // Writers to one table serialize on wmu; writers to different tables
 // are independent. Version numbers are per table and bump only on row
@@ -44,16 +44,13 @@ type tableData struct {
 }
 
 // dataCaches holds the lazily-built derivatives of one data version:
-// per-column statistics and the columnar layout. Index-only republishes
+// per-column statistics and the segment layout. Index-only republishes
 // share the caches of the version they mirror (same rows, same stats,
-// same vectors); row mutations allocate a fresh one, pre-seeded
+// same segments); row mutations allocate a fresh one, pre-seeded
 // incrementally where possible.
 type dataCaches struct {
 	statsMu sync.Mutex
 	stats   map[string]ColStats
-
-	colsMu sync.Mutex
-	cols   []*ColVec // nil until built
 
 	segsMu sync.Mutex
 	segs   *SegSet // nil until built
@@ -61,7 +58,7 @@ type dataCaches struct {
 
 // TableSnap is a pinned, immutable view of one table version. All read
 // accessors of Table exist here too; a query that resolves its tables
-// once through a Snapshot sees rows, indexes, stats and column vectors
+// once through a Snapshot sees rows, indexes, stats and segments
 // that are mutually consistent for its whole plan, regardless of
 // concurrent writers.
 //
@@ -366,29 +363,6 @@ func (s *TableSnap) mergedStats(col string) ColStats {
 	return st
 }
 
-// ColVecs returns the snapshot's columnar layout: one typed vector per
-// schema column, built lazily and cached on the pinned version.
-// Concurrent readers of one snapshot share a single build; writers
-// extend a built layout copy-on-write instead of invalidating it.
-func (s *TableSnap) ColVecs() []*ColVec {
-	if s.d == nil {
-		m := s.ps.merged
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if m.cols == nil {
-			m.cols = buildColVecs(s.Meta, s.ps.mergedRowsLocked())
-		}
-		return m.cols
-	}
-	c := s.d.caches
-	c.colsMu.Lock()
-	defer c.colsMu.Unlock()
-	if c.cols == nil {
-		c.cols = buildColVecs(s.Meta, s.d.rows)
-	}
-	return c.cols
-}
-
 // Segments returns the snapshot's segment layout: sealed compressed
 // segments covering full chunks of the row set plus at most one plain
 // mutable tail, built lazily and cached on the pinned version. Writers
@@ -465,8 +439,8 @@ func (s *TableSnap) SegmentRows() int {
 // Snapshot is a pinned, immutable view of the whole database: one
 // TableSnap per table, each at the version current when Snapshot() was
 // called. Queries (planning and execution) resolve tables through one
-// Snapshot so every access — scans, index probes, stats, column
-// vectors — observes the same instant.
+// Snapshot so every access — scans, index probes, stats, segments —
+// observes the same instant.
 type Snapshot struct {
 	Schema *schema.Schema
 	tables map[string]*TableSnap
@@ -580,8 +554,8 @@ func (t *Table) publishPart(layout *partLayout, p int, staged []Row) bool {
 }
 
 // buildNext appends staged rows to one partition stream copy-on-write:
-// indexes are maintained incrementally, statistics and column vectors
-// carry over from the previous version when built there. Row ids are
+// indexes are maintained incrementally, statistics and the segment
+// layout carry over from the previous version when built there. Row ids are
 // partition-local.
 func buildNext(meta *schema.Table, colIdx map[string]int, cur *tableData, staged []Row) *tableData {
 	base := len(cur.rows)
@@ -641,7 +615,6 @@ func buildNext(meta *schema.Table, colIdx map[string]int, cur *tableData, staged
 
 	next.caches = &dataCaches{
 		stats: extendStats(colIdx, cur, next, staged),
-		cols:  extendCols(meta, cur, staged),
 		segs:  extendSegs(meta, cur, next),
 	}
 	return next
@@ -739,48 +712,6 @@ func extendStats(colIdx map[string]int, cur, next *tableData, staged []Row) map[
 	}
 	if len(out) == 0 {
 		return nil
-	}
-	return out
-}
-
-// extendCols extends the previous version's columnar layout with the
-// staged rows, when that layout was built. Data slices append in place
-// (safe for the same reason rows do); null bitmaps are copied — their
-// last word is shared otherwise — and regrown to cover the new length.
-func extendCols(meta *schema.Table, cur *tableData, staged []Row) []*ColVec {
-	cur.caches.colsMu.Lock()
-	cols := cur.caches.cols
-	cur.caches.colsMu.Unlock()
-	if cols == nil {
-		return nil
-	}
-	n := len(cur.rows)
-	m := n + len(staged)
-	out := make([]*ColVec, len(cols))
-	for ci, cv := range cols {
-		ncv := &ColVec{Kind: cv.Kind, Ints: cv.Ints, Floats: cv.Floats, Strs: cv.Strs, Bools: cv.Bools}
-		anyNull := cv.Nulls != nil
-		for _, row := range staged {
-			if row[ci].IsNull() {
-				anyNull = true
-				break
-			}
-		}
-		if anyNull {
-			nb := NewBitmap(m)
-			copy(nb, cv.Nulls)
-			ncv.Nulls = nb
-		}
-		for i, row := range staged {
-			v := row[ci]
-			if v.IsNull() {
-				ncv.Nulls.Set(n + i)
-				ncv.appendZero()
-				continue
-			}
-			ncv.appendValue(v)
-		}
-		out[ci] = ncv
 	}
 	return out
 }

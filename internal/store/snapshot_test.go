@@ -33,7 +33,7 @@ func randRow(r *rand.Rand, i int) Row {
 }
 
 // verifySnapConsistent asserts that everything reachable from one
-// pinned snapshot — column vectors, statistics, ordered-index range
+// pinned snapshot — the segment layout, statistics, ordered-index range
 // scans, hash-index probes — agrees with the snapshot's own row data.
 // This is the snapshot-semantics property the planner and both
 // executors rely on: all access paths of a pinned version describe the
@@ -45,19 +45,9 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 		t.Fatalf("Len %d != len(Rows) %d", snap.Len(), len(rows))
 	}
 
-	// Column vectors mirror the row data cell for cell.
-	cols := snap.ColVecs()
-	for ci := range snap.Meta.Columns {
-		cv := cols[ci]
-		if cv.Len() != len(rows) {
-			t.Fatalf("col %d: vector len %d != %d rows", ci, cv.Len(), len(rows))
-		}
-		for i, row := range rows {
-			if Compare(cv.Value(i), row[ci]) != 0 {
-				t.Fatalf("col %d row %d: vector %v != row %v", ci, i, cv.Value(i), row[ci])
-			}
-		}
-	}
+	// The segment layout — the face every question scans — mirrors the
+	// row data cell for cell.
+	checkSegSet(t, snap, "pinned snapshot")
 
 	// Stats agree with a direct scan of the snapshot's rows.
 	for ci, mc := range snap.Meta.Columns {
@@ -130,12 +120,14 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 // TestSnapshotPinnedUnderWrites is the snapshot-semantics property
 // test: snapshots pinned between arbitrary interleaved writes (single
 // inserts, bulk batches, index DDL) stay frozen — their length, rows,
-// column vectors, statistics and index scans all keep describing the
-// pinned instant after any number of later writes to the live table.
+// segments, statistics and index scans all keep describing the pinned
+// instant after any number of later writes to the live table. The seal
+// boundary is small so the writes cross seals and extendSegs.
 func TestSnapshotPinnedUnderWrites(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	db := snapTestDB(t)
 	tab := db.Table("m")
+	tab.SetSegmentRows(5)
 
 	type pinned struct {
 		snap *TableSnap
@@ -181,7 +173,7 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 		case 4:
 			// Warm the lazy caches so later writes take the
 			// incremental extension paths.
-			tab.ColVecs()
+			tab.Segments()
 			tab.Stats("score")
 			tab.Stats("id")
 		}
@@ -207,7 +199,7 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 }
 
 // TestIncrementalMaintenanceEquivalence: a table whose indexes, stats
-// and column vectors were maintained incrementally across many bulk
+// and segments were maintained incrementally across many bulk
 // inserts must be indistinguishable from one loaded in a single batch
 // and indexed afterwards — the correctness contract of the
 // copy-on-write merge/extend paths.
@@ -217,6 +209,7 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	next := 0
 
 	inc := snapTestDB(t).Table("m")
+	inc.SetSegmentRows(7)
 	if err := inc.BuildIndex("id"); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +218,7 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	}
 	for round := 0; round < 8; round++ {
 		// Warm caches first so every round extends rather than rebuilds.
-		inc.ColVecs()
+		inc.Segments()
 		inc.Stats("id")
 		inc.Stats("score")
 		inc.Stats("tag")

@@ -102,7 +102,7 @@ func (t *Table) Insert(vals ...Value) error {
 
 // BulkInsert appends many rows as one new version: rows are validated
 // and coerced like Insert, then published in a single atomic step with
-// indexes, statistics and column vectors maintained incrementally on
+// indexes, statistics and segments maintained incrementally on
 // the new snapshot (merge into the ordered runs, copy-on-write into
 // the hash buckets — never a full rebuild). Concurrent readers see
 // either none or all of the batch. Loaders (store/csv,
@@ -235,10 +235,6 @@ func (t *Table) LookupRange(col string, lo, hi *Value, loIncl, hiIncl bool) ([]i
 // Stats returns statistics for the named column at the current
 // version (see TableSnap.Stats).
 func (t *Table) Stats(col string) (ColStats, bool) { return t.Snap().Stats(col) }
-
-// ColVecs returns the current version's columnar layout (see
-// TableSnap.ColVecs).
-func (t *Table) ColVecs() []*ColVec { return t.Snap().ColVecs() }
 
 // Segments returns the current version's segment layout (see
 // TableSnap.Segments).

@@ -139,7 +139,7 @@ func Explain(db *DB, stmt *sql.SelectStmt) (string, error) {
 // actually executes, exchange operator and per-node worker
 // annotations included. The console's :explain command uses this.
 func ExplainParallel(db *DB, stmt *sql.SelectStmt, par int) (string, error) {
-	p, err := exec.BuildPlanParallel(db, stmt, par)
+	p, err := exec.Compile(db.Snapshot(), stmt, par)
 	if err != nil {
 		return "", err
 	}
