@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dialog"
 	"repro/internal/exec"
 	"repro/internal/grammar"
 	"repro/internal/interp"
@@ -280,8 +279,18 @@ func (e *Engine) Options() Options { return e.opts }
 // Translate maps a question to SQL without executing it — the
 // interface the benchmark harness evaluates all systems through.
 func (e *Engine) Translate(question string) (*sql.SelectStmt, error) {
-	_, stmt, _, err := e.interpret(question)
-	return stmt, err
+	ans, err := e.Interpret(question)
+	return ans.SQL, err
+}
+
+// Interpret runs the pipeline up to SQL generation without executing,
+// exposing every ranked interpretation (used by the ambiguity
+// experiment T3).
+func (e *Engine) Interpret(question string) (*Answer, error) {
+	toks, fixes, correct := e.correctTokens(question)
+	ans := &Answer{Question: question, Corrections: fixes, Timings: Timings{Correct: correct}}
+	_, err := e.interpret(ans, toks, nil)
+	return ans, err
 }
 
 // correctTokens tokenizes the question and repairs spelling, returning
@@ -296,16 +305,21 @@ func (e *Engine) correctTokens(question string) ([]strutil.Token, []semindex.Cor
 	return toks, fixes, time.Since(start)
 }
 
-// interpret runs the pipeline up to SQL generation.
-func (e *Engine) interpret(question string) (*Answer, *sql.SelectStmt, Timings, error) {
-	toks, fixes, d := e.correctTokens(question)
-	return e.interpretTokens(question, toks, fixes, d)
-}
-
-// interpretTokens runs the pipeline from corrected tokens to SQL.
-func (e *Engine) interpretTokens(question string, toks []strutil.Token, fixes []semindex.Correction, correct time.Duration) (*Answer, *sql.SelectStmt, Timings, error) {
-	tm := Timings{Correct: correct}
-	ans := &Answer{Question: question, Corrections: fixes}
+// interpret is the linguistic half of the pipeline, corrected tokens to
+// SQL: it fills ans.Ranked, Query and SQL and the stage Timings of
+// whatever ran, error returns included.
+//
+// prev is the conversation context, nil for a single-shot question or a
+// fresh conversation. A turn is always read as a complete question
+// first, and that reading never consults prev — so a non-follow-up
+// turn's interpretation is a pure function of its tokens, which is what
+// lets the answer cache key on them alone. Only when the full reading
+// ranks nothing is the turn read as a fragment refining prev ("students
+// in Math" starts a new question, "only those in Math" narrows the
+// current one), over the same Prepared; followUp reports that the
+// fragment reading was the one chosen.
+func (e *Engine) interpret(ans *Answer, toks []strutil.Token, prev *iql.Query) (followUp bool, err error) {
+	tm := &ans.Timings
 
 	start := time.Now()
 	prepared := e.G.Prepare(toks)
@@ -314,15 +328,30 @@ func (e *Engine) interpretTokens(question string, toks []strutil.Token, fixes []
 	start = time.Now()
 	cands := e.G.ParsePrepared(prepared)
 	tm.Parse = time.Since(start)
-	if len(cands) == 0 {
-		return ans, nil, tm, fmt.Errorf("core: %q is outside the grammar's coverage", question)
-	}
 
-	start = time.Now()
-	ans.Ranked = interp.Rank(cands, e.DB.Schema, e.opts.Weights)
-	tm.Rank = time.Since(start)
+	if len(cands) > 0 {
+		start = time.Now()
+		ans.Ranked = interp.Rank(cands, e.DB.Schema, e.opts.Weights)
+		tm.Rank = time.Since(start)
+	}
 	if len(ans.Ranked) == 0 {
-		return ans, nil, tm, fmt.Errorf("core: no interpretation of %q connects over the schema", question)
+		if prev == nil {
+			if len(cands) == 0 {
+				return false, fmt.Errorf("core: %q is outside the grammar's coverage", ans.Question)
+			}
+			return false, fmt.Errorf("core: no interpretation of %q connects over the schema", ans.Question)
+		}
+		start = time.Now()
+		cands = e.G.ParseUpdate(prepared, prev)
+		tm.Parse += time.Since(start)
+
+		start = time.Now()
+		ans.Ranked = interp.Rank(cands, e.DB.Schema, e.opts.Weights)
+		tm.Rank += time.Since(start)
+		if len(ans.Ranked) == 0 {
+			return false, fmt.Errorf("core: could not relate %q to the current context", ans.Question)
+		}
+		followUp = true
 	}
 	ans.Query = ans.Ranked[0].Query
 
@@ -330,19 +359,10 @@ func (e *Engine) interpretTokens(question string, toks []strutil.Token, fixes []
 	stmt, err := iql.ToSQL(ans.Query, e.DB.Schema)
 	tm.Generate = time.Since(start)
 	if err != nil {
-		return ans, nil, tm, fmt.Errorf("core: generating SQL: %w", err)
+		return followUp, fmt.Errorf("core: generating SQL: %w", err)
 	}
 	ans.SQL = stmt
-	return ans, stmt, tm, nil
-}
-
-// Interpret runs the pipeline up to SQL generation without executing,
-// exposing every ranked interpretation (used by the ambiguity
-// experiment T3).
-func (e *Engine) Interpret(question string) (*Answer, error) {
-	ans, _, tm, err := e.interpret(question)
-	ans.Timings = tm
-	return ans, err
+	return followUp, nil
 }
 
 // Ask answers a question end to end. Repeated questions whose
@@ -379,6 +399,21 @@ func (e *Engine) AskCtx(ctx context.Context, question string) (*Answer, error) {
 // layer, which only encodes the result, asks for — what a hit costs
 // then does not grow with the size of its result.
 func (e *Engine) AskShedCtx(ctx context.Context, question string, execPar int) (*Answer, error) {
+	ans, _, err := e.ask(ctx, question, nil, execPar)
+	return ans, err
+}
+
+// ask is the one pipeline behind every entry point, single-shot and
+// conversational: correct → answer-cache lookup → interpret → snapshot
+// → execute → store. prev is the conversation context (see interpret);
+// it never reaches the cache. The lookup comes before any parsing and
+// is right whatever prev is, because only non-follow-up answers are
+// ever stored and a stored key's tokens read as a complete question —
+// the reading that wins regardless of context — so a hit is never a
+// follow-up. A failed ask returns the partial answer, with the stage
+// latencies of what did run: the serving dashboards aggregate error
+// paths as much as successes.
+func (e *Engine) ask(ctx context.Context, question string, prev *iql.Query, execPar int) (ans *Answer, followUp bool, err error) {
 	total := time.Now()
 	toks, fixes, correct := e.correctTokens(question)
 
@@ -386,38 +421,33 @@ func (e *Engine) AskShedCtx(ctx context.Context, question string, execPar int) (
 	if e.cache != nil {
 		key = cacheKey(toks)
 		if entry := e.cache.lookup(key, e.DB.TableVersion); entry != nil {
-			ans := entry.hit()
+			ans = entry.hit()
 			ans.Question = question
 			ans.Corrections = fixes // this ask's repairs, not the cached ask's
 			ans.Cached = true
 			ans.Timings = Timings{Correct: correct, Total: time.Since(total)}
-			return ans, nil
+			return ans, false, nil
 		}
 	}
 
-	ans, stmt, tm, err := e.interpretTokens(question, toks, fixes, correct)
+	ans = &Answer{Question: question, Corrections: fixes, Timings: Timings{Correct: correct}}
+	var sn *store.Snapshot
+	followUp, err = e.interpret(ans, toks, prev)
+	if err == nil {
+		sn = e.DB.Snapshot()
+		err = e.execute(ctx, ans, sn, execPar)
+	}
+	ans.Timings.Total = time.Since(total)
 	if err != nil {
-		// Failed asks report their stage latencies too: the serving
-		// dashboards aggregate error paths as much as successes.
-		tm.Total = time.Since(total)
-		ans.Timings = tm
-		return ans, err
+		return ans, followUp, err
 	}
-	sn := e.DB.Snapshot()
-	if err := e.execute(ctx, ans, stmt, sn, &tm, execPar); err != nil {
-		tm.Total = time.Since(total)
-		ans.Timings = tm
-		return ans, err
+	if e.cache != nil && !followUp {
+		e.cache.store(key, snapshotDeps(sql.Tables(ans.SQL), sn), cacheableAnswer(ans), e.DB.TableVersion)
 	}
-	tm.Total = time.Since(total)
-	ans.Timings = tm
-	if e.cache != nil {
-		e.cache.store(key, snapshotDeps(sql.Tables(stmt), sn), cacheableAnswer(ans), e.DB.TableVersion)
-	}
-	return ans, nil
+	return ans, followUp, nil
 }
 
-// execute plans stmt at the engine's parallelism degree against the
+// execute plans ans.SQL at the engine's parallelism degree against the
 // pinned snapshot — through the plan-template cache when enabled —
 // runs it on that same snapshot and verbalizes the result into ans,
 // filling the plan/bind/execute timings. Plans are always compiled and
@@ -425,8 +455,9 @@ func (e *Engine) AskShedCtx(ctx context.Context, question string, execPar int) (
 // at run time only (Exchange degrades to a serial passthrough at cap
 // 1), so a load-shed ask reuses the cached parallel plan without
 // recompiling and the template cache never forks per degree.
-func (e *Engine) execute(ctx context.Context, ans *Answer, stmt *sql.SelectStmt, sn *store.Snapshot, tm *Timings, execPar int) error {
-	p, params, err := e.planFor(ans, stmt, sn, tm)
+func (e *Engine) execute(ctx context.Context, ans *Answer, sn *store.Snapshot, execPar int) error {
+	stmt, tm := ans.SQL, &ans.Timings
+	p, params, err := e.planFor(ans, sn)
 	if err != nil {
 		return fmt.Errorf("core: planning %q: %w", stmt, err)
 	}
@@ -448,7 +479,7 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, stmt *sql.SelectStmt,
 	return nil
 }
 
-// planFor obtains the execution plan for stmt, plus the parameter
+// planFor obtains the execution plan for ans.SQL, plus the parameter
 // vector execution must bind (nil on the one-shot path). With the
 // plan-template cache enabled, the statement is normalized into a
 // template and constant vector, the cache is consulted under the
@@ -458,7 +489,8 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, stmt *sql.SelectStmt,
 // statistics. A miss compiles and caches a fresh template
 // (Timings.Plan), fingerprinted with the snapshot's table versions so
 // stats drift invalidates it.
-func (e *Engine) planFor(ans *Answer, stmt *sql.SelectStmt, sn *store.Snapshot, tm *Timings) (*plan.Plan, []store.Value, error) {
+func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.Value, error) {
+	stmt, tm := ans.SQL, &ans.Timings
 	if e.plans == nil {
 		start := time.Now()
 		p, err := exec.Compile(sn, stmt, e.opts.Parallelism)
@@ -549,56 +581,50 @@ var shapeScratchPool = sync.Pool{New: func() any {
 	return &shapeScratch{buf: make([]byte, 0, 256), params: make([]store.Value, 0, 8)}
 }}
 
-// Conversation is a multi-turn session over the engine. The dialogue
-// context is mutable state, so a Conversation serializes its own turns
-// internally — concurrent Asks on one Conversation are safe, they just
-// order arbitrarily. Independent Conversations over a shared engine
-// run fully in parallel.
+// Conversation is a multi-turn session over the engine: the engine's
+// one ask pipeline plus a context, the interpretation of the last turn
+// that succeeded. The context is mutable state, so a Conversation
+// serializes its own turns internally — concurrent Asks on one
+// Conversation are safe, they just order arbitrarily. Independent
+// Conversations over a shared engine run fully in parallel.
 type Conversation struct {
-	mu sync.Mutex
-	e  *Engine
-	s  *dialog.Session
+	mu   sync.Mutex
+	e    *Engine
+	prev *iql.Query // nil when fresh; shared with the answers that carried it, never written
 }
 
 // NewConversation starts a dialogue session.
 func (e *Engine) NewConversation() *Conversation {
-	return &Conversation{
-		e: e,
-		s: dialog.NewSession(e.G, e.DB.Schema, e.opts.Weights),
-	}
+	return &Conversation{e: e}
 }
 
 // Reset clears the conversational context.
 func (c *Conversation) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.s.Reset()
+	c.prev = nil
 }
 
 // Context exposes the current context query (nil when fresh).
 func (c *Conversation) Context() *iql.Query {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.s.Context()
+	return c.prev
 }
 
 // Ask interprets one utterance against the conversation context and
-// executes it. The returned Answer notes whether context was used, and
-// carries the same corrections and per-stage timings a single-shot
-// Engine.Ask reports: corrected tokens flow into the dialogue parser
-// directly (no lossy string round-trip) and each stage is timed. Each
-// turn executes against its own pinned store snapshot, so a
-// conversation keeps answering consistently while a bulk load runs —
-// later turns simply observe later versions.
+// executes it, reporting whether the context was used. It is
+// Engine.Ask with one more input: the same corrections, timings,
+// snapshot pinning, classified errors and answer cache. A complete
+// question replaces the context and, repeated, is served from the
+// cache single-shot asks share; a fragment ("only those in Math", "how
+// many") refines the context and is never cached, its meaning being
+// the context's as much as its own.
 //
-// Standalone (non-follow-up) turns share the engine answer cache with
-// single-shot asks: a full parse of the same corrected tokens always
-// yields the same interpretation regardless of context, so a repeated
-// standalone question inside a conversation is served cached, skipping
-// generation, planning and execution. The dialogue context still
-// advances — the parse above the cache updates it either way.
-// Follow-ups never touch the cache: their meaning depends on context,
-// not just on their tokens.
+// The context moves only when the turn succeeds. A turn that fails at
+// any stage — outside coverage, unrelatable, a planning or execution
+// error, a deadline, a client gone — leaves it exactly as it was, so
+// the next fragment refines the last question the caller saw answered.
 func (c *Conversation) Ask(question string) (*Answer, bool, error) {
 	return c.AskCtx(context.Background(), question)
 }
@@ -616,51 +642,9 @@ func (c *Conversation) AskCtx(ctx context.Context, question string) (*Answer, bo
 func (c *Conversation) AskShedCtx(ctx context.Context, question string, execPar int) (*Answer, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	total := time.Now()
-
-	toks, fixes, correct := c.e.correctTokens(question)
-	turn, err := c.s.AskTokens(toks)
-	if err != nil {
-		return nil, false, err
+	ans, followUp, err := c.e.ask(ctx, question, c.prev, execPar)
+	if err == nil {
+		c.prev = ans.Query
 	}
-	tm := Timings{Correct: correct, Annotate: turn.Annotate, Parse: turn.Parse, Rank: turn.Rank}
-
-	var key string
-	if c.e.cache != nil && !turn.FollowUp {
-		key = cacheKey(toks)
-		if entry := c.e.cache.lookup(key, c.e.DB.TableVersion); entry != nil {
-			ans := entry.hit()
-			ans.Question = question
-			ans.Corrections = fixes // this turn's repairs, not the cached ask's
-			ans.Cached = true
-			tm.Total = time.Since(total)
-			ans.Timings = tm
-			return ans, false, nil
-		}
-	}
-
-	ans := &Answer{Question: question, Corrections: fixes, Ranked: turn.Ranked, Query: turn.Query}
-
-	start := time.Now()
-	stmt, err := iql.ToSQL(turn.Query, c.e.DB.Schema)
-	tm.Generate = time.Since(start)
-	if err != nil {
-		tm.Total = time.Since(total)
-		ans.Timings = tm
-		return ans, turn.FollowUp, err
-	}
-	ans.SQL = stmt
-
-	sn := c.e.DB.Snapshot()
-	if err := c.e.execute(ctx, ans, stmt, sn, &tm, execPar); err != nil {
-		tm.Total = time.Since(total)
-		ans.Timings = tm
-		return ans, turn.FollowUp, err
-	}
-	tm.Total = time.Since(total)
-	ans.Timings = tm
-	if c.e.cache != nil && !turn.FollowUp {
-		c.e.cache.store(key, snapshotDeps(sql.Tables(stmt), sn), cacheableAnswer(ans), c.e.DB.TableVersion)
-	}
-	return ans, turn.FollowUp, nil
+	return ans, followUp, err
 }

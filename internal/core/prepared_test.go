@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -12,31 +13,49 @@ import (
 
 // TestAskErrorPathsFillTimings: failed asks must report per-stage
 // latencies exactly like successful ones (regression: the error
-// returns in Engine.Ask dropped the accumulated Timings).
+// returns in Engine.Ask dropped the accumulated Timings; a failed
+// conversation turn returned no Answer at all, and a message of its
+// own). Both entry points are one pipeline, so both return the partial
+// answer and the same classified error.
 func TestAskErrorPathsFillTimings(t *testing.T) {
 	e := uniEngine(t)
+	conv := e.NewConversation()
 
-	ans, err := e.Ask("colorless green ideas sleep furiously")
-	if err == nil {
-		t.Fatal("expected an out-of-coverage error")
-	}
-	if ans == nil {
-		t.Fatal("failed asks still return the partial answer")
-	}
-	if ans.Timings.Total <= 0 {
-		t.Error("interpret-error path returned zero Timings.Total")
-	}
-	if ans.Timings.Annotate+ans.Timings.Parse <= 0 {
-		t.Error("interpret-error path dropped the stage timings that did run")
+	for _, tc := range []struct {
+		name string
+		ask  func(string) (*Answer, error)
+	}{
+		{"engine", e.Ask},
+		{"conversation", func(q string) (*Answer, error) {
+			ans, _, err := conv.Ask(q)
+			return ans, err
+		}},
+	} {
+		const q = "colorless green studnets sleep furiously"
+		ans, err := tc.ask(q)
+		if err == nil || !strings.Contains(err.Error(), "outside the grammar's coverage") {
+			t.Fatalf("%s: expected an out-of-coverage error, got %v", tc.name, err)
+		}
+		if ans == nil {
+			t.Fatalf("%s: failed asks still return the partial answer", tc.name)
+		}
+		if ans.Question != q || len(ans.Corrections) != 1 || ans.Corrections[0].To != "students" {
+			t.Errorf("%s: partial answer lost the question or its corrections: %q %+v", tc.name, ans.Question, ans.Corrections)
+		}
+		if ans.Timings.Total <= 0 {
+			t.Errorf("%s: interpret-error path returned zero Timings.Total", tc.name)
+		}
+		if ans.Timings.Annotate+ans.Timings.Parse <= 0 {
+			t.Errorf("%s: interpret-error path dropped the stage timings that did run", tc.name)
+		}
 	}
 
 	// The execute-error path fills the planning timing it spent.
-	var tm Timings
-	bad := sql.MustParse("SELECT x FROM nonexistent")
-	if err := e.execute(context.Background(), &Answer{}, bad, e.DB.Snapshot(), &tm, 0); err == nil {
+	bad := &Answer{SQL: sql.MustParse("SELECT x FROM nonexistent")}
+	if err := e.execute(context.Background(), bad, e.DB.Snapshot(), 0); err == nil {
 		t.Fatal("expected a planning error for an unknown table")
 	}
-	if tm.Plan <= 0 {
+	if bad.Timings.Plan <= 0 {
 		t.Error("execute-error path returned zero Timings.Plan")
 	}
 }

@@ -3,24 +3,21 @@ package grammar
 import (
 	c "repro/internal/combinator"
 	"repro/internal/iql"
-	"repro/internal/strutil"
 )
 
-// ParseUpdate parses a follow-up fragment as an update to a previous
-// query: elliptical turns such as "only those in Computer Science",
-// "what about Math", "how many", "sort them by gpa", "show their
-// salaries". The previous query supplies everything the fragment
-// leaves unsaid — the dialogue-context mechanism of conversational
-// interfaces.
+// ParseUpdate parses an already-prepared turn as a follow-up fragment
+// updating a previous query: elliptical turns such as "only those in
+// Computer Science", "what about Math", "how many", "sort them by gpa",
+// "show their salaries". The previous query supplies everything the
+// fragment leaves unsaid — the dialogue-context mechanism of
+// conversational interfaces. It takes the Prepared the full-question
+// attempt (ParsePrepared) already ran over, so a turn is annotated once
+// however many ways it is read.
 //
 // Candidates are deduplicated best-first, like Parse. An empty result
 // means the fragment could not be related to the previous query.
-func (g *Grammar) ParseUpdate(toks []strutil.Token, prev *iql.Query) []Candidate {
-	if prev == nil {
-		return nil
-	}
-	p := g.Prepare(toks)
-	if len(p.Toks) == 0 {
+func (g *Grammar) ParseUpdate(p Prepared, prev *iql.Query) []Candidate {
+	if prev == nil || len(p.Toks) == 0 {
 		return nil
 	}
 	return g.candidates(c.ParseAll(g.fragmentTop(prev), annotated(p)))

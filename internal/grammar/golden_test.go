@@ -61,7 +61,7 @@ func (it item) run(g *grammar.Grammar) (out string, n int) {
 		cands = g.Parse(it.toks)
 	} else {
 		kind = "update"
-		cands = g.ParseUpdate(it.toks, it.prev)
+		cands = g.ParseUpdate(g.Prepare(it.toks), it.prev)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s %q\n", it.id, kind, strutil.Join(it.toks))
@@ -115,8 +115,8 @@ var extraQuestions = []struct{ dom, q string }{
 // corpusItems lists every parser call the corpora make: the gold corpus
 // of all domains, the same questions with one typo (spell-corrected the
 // way the engine does it), extraQuestions, and every dialogue turn.
-// Follow-up turns are parsed both ways, as the dialogue manager may try
-// both; the context moves on as it does there.
+// Follow-up turns are parsed both ways over one Prepared, as core's ask
+// pipeline may read them; the context moves on as it does there.
 func corpusItems() []item {
 	doms := domains()
 	var items []item
@@ -138,11 +138,12 @@ func corpusItems() []item {
 			toks, _ := d.idx.Correct(strutil.Tokenize(turn), 1)
 			id := fmt.Sprintf("%s.%d", dc.ID, i+1)
 			items = append(items, item{id: id, dom: dc.Domain, toks: toks})
-			cands := d.g.Parse(toks)
+			p := d.g.Prepare(toks)
+			cands := d.g.ParsePrepared(p)
 			if prev != nil {
 				items = append(items, item{id: id, dom: dc.Domain, toks: toks, prev: prev})
 				if len(interp.Rank(cands, d.idx.Schema, interp.DefaultWeights())) == 0 {
-					cands = d.g.ParseUpdate(toks, prev)
+					cands = d.g.ParseUpdate(p, prev)
 				}
 			}
 			if ranked := interp.Rank(cands, d.idx.Schema, interp.DefaultWeights()); len(ranked) > 0 {

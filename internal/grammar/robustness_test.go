@@ -65,7 +65,7 @@ func TestParseUpdateNeverPanics(t *testing.T) {
 		for i := range parts {
 			parts[i] = words[r.Intn(len(words))]
 		}
-		cands := g.ParseUpdate(strutil.Tokenize(strings.Join(parts, " ")), prev)
+		cands := g.ParseUpdate(g.Prepare(strutil.Tokenize(strings.Join(parts, " "))), prev)
 		for _, c := range cands {
 			if c.Query == nil || c.Query.Entity == "" {
 				return false

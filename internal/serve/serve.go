@@ -14,7 +14,9 @@
 //	GET  /healthz
 //
 // Asks with a session ID share that session's dialogue context
-// (follow-ups resolve against it); asks without one are stateless.
+// (follow-ups resolve against it, and only an answered turn moves it: a
+// 400, 499, 503 or 504 leaves the session where the client last saw
+// it); asks without one are stateless.
 // Every ask pins one store snapshot for its whole pipeline, so answers
 // are computed over a single consistent data version no matter what
 // writers do meanwhile.

@@ -148,6 +148,29 @@ func TestSessionFollowUp(t *testing.T) {
 	}
 }
 
+// TestFailedTurnKeepsContext: a session turn that times out answered
+// nothing, so it must not become what the next fragment refines
+// (regression: the turn moved the session's context when it parsed,
+// and "only those with gpa over 3.5" then narrowed the instructors the
+// client was never shown).
+func TestFailedTurnKeepsContext(t *testing.T) {
+	// Any request naming a timeout_ms is past its deadline on arrival.
+	s := newTestServer(t, Config{MaxDeadline: time.Nanosecond})
+	first := askJSON(t, s, `{"question": "students in Computer Science", "session": "k"}`, 200)
+	askJSON(t, s, `{"question": "instructors in Physics with salary over 91234", "session": "k", "timeout_ms": 1}`, 504)
+
+	second := askJSON(t, s, `{"question": "only those with gpa over 3.5", "session": "k"}`, 200)
+	if fu, _ := second["follow_up"].(bool); !fu {
+		t.Error("fragment after the failed turn not resolved as a follow-up")
+	}
+	if sql, _ := second["sql"].(string); !strings.Contains(sql, "students") || strings.Contains(sql, "instructors") {
+		t.Errorf("fragment refined the turn that timed out: %s", sql)
+	}
+	if n, all := len(second["rows"].([]any)), len(first["rows"].([]any)); n == 0 || n >= all {
+		t.Errorf("refinement of %d students returned %d rows", all, n)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	s := newTestServer(t, Config{})
 	for _, tc := range []struct {

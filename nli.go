@@ -30,6 +30,13 @@
 //	conv.Ask("only those with gpa over 3.5")
 //	conv.Ask("how many")
 //
+// A conversation turn is the same pipeline as Ask with one more input,
+// the interpretation of the last turn that succeeded: a complete
+// question replaces it (and is cached and corrected exactly as outside
+// a conversation), a fragment the full grammar rejects refines it, and
+// a turn that fails — at any stage, a cancelled context included —
+// leaves it untouched (DESIGN.md § 2.10).
+//
 // Everything is pure Go standard library; the three bundled datasets
 // (university, geo, sales) are deterministic, so all results in
 // EXPERIMENTS.md regenerate exactly.
