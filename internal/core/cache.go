@@ -93,7 +93,7 @@ func newAnswerCache(size, maxRows, maxBytes int) *answerCache {
 }
 
 // cacheable reports whether an answer's result fits the per-entry
-// caps. Byte size is an estimate: fixed Value overhead plus text
+// caps. Byte size is an estimate: store.ValueSize a cell plus text
 // payload — what the copy in cacheableAnswer will actually retain. A
 // rendering, once a hit builds one, is the same payload spelled out
 // and is bounded by the same caps.
@@ -108,10 +108,9 @@ func (c *answerCache) cacheable(ans *Answer) bool {
 	if c.maxBytes <= 0 {
 		return true
 	}
-	const valueOverhead = 48 // sizeof(store.Value) rounded up
 	bytes := 0
 	for _, r := range ans.Result.Rows {
-		bytes += len(r) * valueOverhead
+		bytes += len(r) * store.ValueSize
 		for _, v := range r {
 			if v.Kind() == store.KindText {
 				bytes += len(v.Str())

@@ -201,3 +201,33 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 		t.Error("entry under the byte cap was not cached")
 	}
 }
+
+// TestAnswerCacheByteCapFollowsValueSize: the byte estimate charges a
+// cell what a cell occupies, store.ValueSize, not a figure copied from
+// an older layout — a result one byte under AnswerCacheMaxBytes by that
+// estimate is cached, one byte over is not.
+func TestAnswerCacheByteCapFollowsValueSize(t *testing.T) {
+	const rows, cols, text = 64, 3, 10
+	estimate := rows * (cols*store.ValueSize + text)
+	res := &exec.Result{Cols: []string{"id", "score", "name"}}
+	for i := 0; i < rows; i++ {
+		res.Rows = append(res.Rows, store.Row{
+			store.Int(int64(i)), store.Float(0.5), store.Text(strings.Repeat("x", text))})
+	}
+	current := func(string) uint64 { return 0 }
+	for _, c := range []struct {
+		maxBytes int
+		cached   bool
+	}{
+		{estimate + 1, true},
+		{estimate, true},
+		{estimate - 1, false},
+	} {
+		cache := newAnswerCache(8, 0, c.maxBytes)
+		cache.store("q", nil, &Answer{Result: res}, current)
+		if got := cache.lookup("q", current) != nil; got != c.cached {
+			t.Errorf("estimate %d B against AnswerCacheMaxBytes %d: cached = %v, want %v",
+				estimate, c.maxBytes, got, c.cached)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -103,6 +104,51 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	}
 	if !db2.Table("people").Row(1)[1].IsNull() {
 		t.Error("NULL did not round-trip")
+	}
+}
+
+// TestWriteCSVRoundTripExtremes: every cell WriteCSV can be handed
+// comes back from LoadCSV as the cell it was — the non-finite floats
+// used to be written "NaN.0" / "+Inf.0", which LoadCSV rejects.
+func TestWriteCSVRoundTripExtremes(t *testing.T) {
+	db := NewDB(miniSchema(t))
+	for i, score := range []Value{
+		Float(math.NaN()), Float(math.Inf(1)), Float(math.Inf(-1)),
+		Float(math.Copysign(0, -1)), Float(1e21), Float(-1e21),
+		Float(math.SmallestNonzeroFloat64), Float(math.MaxFloat64), Null(),
+	} {
+		// Primary keys from both ends of int64, MinInt64 and MaxInt64 first.
+		id := math.MinInt64 + int64(i/2)
+		if i%2 == 1 {
+			id = math.MaxInt64 - int64(i/2)
+		}
+		db.MustInsert("people", Int(id), Null(), score)
+	}
+	var buf bytes.Buffer
+	if err := db.Table("people").WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	written := buf.String()
+	db2 := NewDB(miniSchema(t))
+	if _, err := db2.LoadCSV("people", &buf); err != nil {
+		t.Fatalf("LoadCSV rejected what WriteCSV wrote: %v\n%s", err, written)
+	}
+	want, got := db.Table("people").Snap().Rows(), db2.Table("people").Snap().Rows()
+	if len(got) != len(want) {
+		t.Fatalf("round trip loaded %d rows, wrote %d", len(got), len(want))
+	}
+	for i := range want {
+		for c := range want[i] {
+			w, g := want[i][c], got[i][c]
+			wf, _ := w.AsFloat()
+			gf, _ := g.AsFloat()
+			// A NaN's payload is not text; everything else is bit-exact.
+			same := w.Kind() == g.Kind() && w.Int64() == g.Int64() &&
+				(math.Float64bits(wf) == math.Float64bits(gf) || math.IsNaN(wf) && math.IsNaN(gf))
+			if !same {
+				t.Errorf("row %d col %d: wrote %v (%s), loaded %v (%s)", i, c, w, w.Kind(), g, g.Kind())
+			}
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -46,28 +47,43 @@ func (k Kind) String() string {
 }
 
 // Value is a single typed cell. The zero Value is NULL.
+//
+// A cell is four words: the kind, one payload word that holds
+// whichever scalar the kind names — the int64 itself,
+// math.Float64bits of the float64, 0 or 1 for the bool — and the text.
+// At most one scalar is ever live, so they share the word; because
+// they share it, every accessor checks the kind before it reads, which
+// is what keeps "0 unless KindInt" true of a float cell.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	bits uint64
 	s    string
-	b    bool
 }
+
+// ValueSize is the size of a Value in bytes on a 64-bit platform —
+// what one cell of a resident row or a cached answer costs before its
+// text. TestValueSize pins it to the struct.
+const ValueSize = 32
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // Int makes an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, bits: uint64(i)} }
 
 // Float makes a floating-point value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(f)} }
 
 // Text makes a string value.
 func Text(s string) Value { return Value{kind: KindText, s: s} }
 
 // Bool makes a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, bits: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind returns the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -79,22 +95,30 @@ func (v Value) IsNull() bool { return v.kind == KindNull }
 func (v Value) IsNumeric() bool { return v.kind == KindInt || v.kind == KindFloat }
 
 // Int64 returns the integer content (0 unless KindInt).
-func (v Value) Int64() int64 { return v.i }
+func (v Value) Int64() int64 {
+	if v.kind != KindInt {
+		return 0
+	}
+	return int64(v.bits)
+}
+
+// float is the float64 content; the caller has checked KindFloat.
+func (v Value) float() float64 { return math.Float64frombits(v.bits) }
 
 // Str returns the text content ("" unless KindText).
 func (v Value) Str() string { return v.s }
 
 // BoolVal returns the boolean content (false unless KindBool).
-func (v Value) BoolVal() bool { return v.b }
+func (v Value) BoolVal() bool { return v.kind == KindBool && v.bits != 0 }
 
 // AsFloat returns the numeric content with INT coerced to FLOAT. The
 // second result is false for non-numeric values.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindInt:
-		return float64(v.i), true
+		return float64(int64(v.bits)), true
 	case KindFloat:
-		return v.f, true
+		return v.float(), true
 	}
 	return 0, false
 }
@@ -105,17 +129,20 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.bits), 10)
 	case KindFloat:
-		s := strconv.FormatFloat(v.f, 'f', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
+		f := v.float()
+		s := strconv.FormatFloat(f, 'f', -1, 64)
+		// An integral float says it is one ("7.0"); NaN and ±Inf have
+		// no digits to add to and stay as ParseFloat reads them.
+		if !strings.ContainsAny(s, ".eE") && !math.IsNaN(f) && !math.IsInf(f, 0) {
 			s += ".0"
 		}
 		return s
 	case KindText:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.bits != 0 {
 			return "true"
 		}
 		return "false"
@@ -140,19 +167,20 @@ func (v Value) AppendKey(buf []byte) []byte {
 	case KindNull:
 		return append(buf, '\x00', 'N')
 	case KindInt:
-		return strconv.AppendInt(append(buf, '\x01'), v.i, 10)
+		return strconv.AppendInt(append(buf, '\x01'), int64(v.bits), 10)
 	case KindFloat:
 		buf = append(buf, '\x01')
+		f := v.float()
 		// An integral float in int64 range converts exactly; format it
 		// like the equal integer so 1 and 1.0 share a key.
-		if v.f == float64(int64(v.f)) {
-			return strconv.AppendInt(buf, int64(v.f), 10)
+		if f == float64(int64(f)) {
+			return strconv.AppendInt(buf, int64(f), 10)
 		}
-		return strconv.AppendFloat(buf, v.f, 'g', -1, 64)
+		return strconv.AppendFloat(buf, f, 'g', -1, 64)
 	case KindText:
 		return append(append(buf, '\x02'), v.s...)
 	case KindBool:
-		if v.b {
+		if v.bits != 0 {
 			return append(buf, '\x03', 't')
 		}
 		return append(buf, '\x03', 'f')
@@ -170,10 +198,11 @@ func Compare(a, b Value) int {
 		// (which collapses distinct values beyond 2^53) — this keeps
 		// Compare consistent with Key equality for integers.
 		if a.kind == KindInt && b.kind == KindInt {
+			ai, bi := int64(a.bits), int64(b.bits)
 			switch {
-			case a.i < b.i:
+			case ai < bi:
 				return -1
-			case a.i > b.i:
+			case ai > bi:
 				return 1
 			}
 			return 0
@@ -204,10 +233,11 @@ func Compare(a, b Value) int {
 	case KindText:
 		return strings.Compare(a.s, b.s)
 	case KindBool:
+		// The payload is 0 or 1, so false < true is the word order.
 		switch {
-		case !a.b && b.b:
+		case a.bits < b.bits:
 			return -1
-		case a.b && !b.b:
+		case a.bits > b.bits:
 			return 1
 		}
 		return 0
