@@ -5,22 +5,26 @@ import (
 	"go/types"
 )
 
-// BatchRetain enforces the zero-copy batch contract from DESIGN.md
-// §2.4/§2.7: slices handed out by a batch (vcol/vbatch/colbuf payload
-// slices) or carved from the segment layout (store.SegCol) are views
-// of storage the producer may reuse or that a later version extends in
-// place. Operators may retain whole *vbatch values (Exchange workers
-// do), but a payload slice stored into long-lived operator state — a
-// struct field or a variable captured from an enclosing scope inside a
-// closure — survives across Next calls and turns into silent wrong
-// answers when the view's backing moves. Retention requires an explicit copy (append to a fresh
+// BatchRetain enforces the lend/keep batch contract from DESIGN.md
+// §2.4/§2.7 from both ends. Slices handed out by a batch
+// (vcol/vbatch/colbuf payload slices) or carved from the segment layout
+// (store.SegCol) are views of storage the producer reuses for its next
+// batch or that a later version extends in place: a payload slice
+// stored into long-lived operator state — a struct field or a variable
+// captured from an enclosing scope inside a closure — survives across
+// Next calls and turns into silent wrong answers when the view's
+// backing moves. Retention requires an explicit copy (append to a fresh
 // slice, or a colbuf push); assignments whose right-hand side is a
 // call already are copies and are never flagged. Building one view
 // container out of another (a vcol from a SegCol window) is the
-// layout plumbing itself and is exempt.
+// layout plumbing itself and is exempt. And a whole *vbatch is lent
+// too — header, null masks and selection are its producer's again at
+// the next pull — so appending a pulled batch to a slice, or storing
+// it in a field or an element, is a finding unless it went through the
+// one helper that copies what was lent (a call: b.keep()).
 var BatchRetain = &Analyzer{
 	Name: "batchretain",
-	Doc:  "zero-copy batch/segment slices must not be retained in fields or captured state without a copy",
+	Doc:  "zero-copy batch/segment slices, and lent batches, must not be retained in fields, slices or captured state without a copy",
 	Run:  runBatchRetain,
 }
 
@@ -90,6 +94,27 @@ func viewOwner(info *types.Info, lhs ast.Expr) (*types.Named, bool) {
 	return namedOf(s.Recv()), true
 }
 
+// lentBatch reports whether e evaluates to a *vbatch somebody else
+// made: anything of that type but a call's result (keep's copy), a
+// freshly built &vbatch{...} or nil.
+func lentBatch(info *types.Info, e ast.Expr) bool {
+	e = ast.Unparen(e)
+	switch x := e.(type) {
+	case *ast.CallExpr:
+		return false
+	case *ast.UnaryExpr:
+		if _, lit := x.X.(*ast.CompositeLit); lit {
+			return false
+		}
+	}
+	ptr, ok := info.TypeOf(e).(*types.Pointer)
+	if !ok {
+		return false
+	}
+	n := namedOf(ptr)
+	return n != nil && n.Obj().Name() == "vbatch"
+}
+
 func runBatchRetain(p *Pass) {
 	for _, f := range p.Files {
 		// Collect function literals so capture checks can tell whether
@@ -115,15 +140,33 @@ func runBatchRetain(p *Pass) {
 
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch st := n.(type) {
+			case *ast.CallExpr:
+				if id, ok := st.Fun.(*ast.Ident); !ok || id.Name != "append" || len(st.Args) < 2 {
+					return true
+				}
+				for _, arg := range st.Args[1:] {
+					if lentBatch(p.Info, arg) {
+						p.Reportf(arg.Pos(),
+							"lent *vbatch appended to a slice outlives its pull; append its keep() copy")
+					}
+				}
 			case *ast.AssignStmt:
 				if len(st.Lhs) != len(st.Rhs) {
 					return true
 				}
 				for i, rhs := range st.Rhs {
+					lhs := st.Lhs[i]
+					if lentBatch(p.Info, rhs) {
+						_, isField := viewOwner(p.Info, lhs)
+						if _, isElem := ast.Unparen(lhs).(*ast.IndexExpr); isField || isElem {
+							p.Reportf(rhs.Pos(),
+								"lent *vbatch stored in a field or element outlives its pull; store its keep() copy")
+						}
+						continue
+					}
 					if !batchView(p.Info, rhs) {
 						continue
 					}
-					lhs := st.Lhs[i]
 					if owner, isField := viewOwner(p.Info, lhs); isField {
 						if owner != nil && batchViewTypes[owner.Obj().Name()] {
 							continue // building a batch out of views

@@ -81,3 +81,38 @@ func good(b *vbatch, sc *SegCol, o *op, c *colbuf) {
 	}
 	_ = f()
 }
+
+// A whole batch is lent: its header, null masks and selection are the
+// producer's again at the next pull, so holding one needs keep's copy.
+type merge struct {
+	last *vbatch
+	outs [][]*vbatch
+}
+
+func (b *vbatch) keep() *vbatch {
+	return &vbatch{cols: append([]vcol(nil), b.cols...), sel: append([]int(nil), b.sel...)}
+}
+
+func retainPulled(pull func() *vbatch, m *merge) []*vbatch {
+	var kept []*vbatch
+	for b := pull(); b != nil; b = pull() {
+		kept = append(kept, b) // want "appended to a slice"
+		m.last = b             // want "stored in a field or element"
+		m.outs[0][0] = b       // want "stored in a field or element"
+	}
+	return kept
+}
+
+func keepPulled(pull func() *vbatch, m *merge) []*vbatch {
+	var kept []*vbatch
+	for b := pull(); b != nil; b = pull() {
+		kept = append(kept, b.keep()) // the one helper: a copy of what was lent
+		m.last = b.keep()
+		m.outs[0] = kept // a slice of kept batches, not a batch
+		cur := b         // local to one pull
+		_ = cur
+	}
+	m.last = &vbatch{} // its own batch
+	m.last = nil
+	return kept
+}

@@ -102,15 +102,17 @@ func retainDB(t *testing.T, n int) *store.DB {
 }
 
 // TestRetainedBatchesNeverSeeScratch pins the vectorized pipeline's
-// ownership rule from the outside: an operator's working memory is
-// reused from batch to batch, while an Exchange (or a join build)
-// holds on to every batch it was handed until it merges them — so
-// anything reachable from a returned batch must be that batch's own.
+// ownership rule from the outside: a batch is lent — its header, null
+// masks and selection are reused for the producer's next batch, like
+// the operator scratch behind them — so whoever holds data past the
+// next pull must have copied it: the exchange's keep sink (AVG and
+// Project plans here; COUNT/MIN/MAX plans fold inside the workers and
+// keep nothing), and serially Limit, Sort, Distinct and the join build.
 // Over a table cut into 32 segments, at one, two and four workers (16
 // morsels of two segments each), every query must equal the reference
 // executor as a bag and its own plan run row-at-a-time row for row;
-// a batch whose selection or columns still pointed into scratch would
-// have been overwritten by its successors long before the merge.
+// anything still pointing at a lent part or at scratch would have been
+// overwritten by the batch's successors long before the merge.
 func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 	const n = 32*retainSegRows + 37
 	db := retainDB(t, n)
@@ -122,8 +124,18 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		"SELECT ts, status FROM events WHERE status > 250.0 ORDER BY ts, status",
 		"SELECT seq, wide, d8, d32, service FROM events WHERE d8 BETWEEN -10 AND 60.5 AND d32 > 1000",
 		"SELECT seq, status + d8, wide FROM events WHERE NOT (status = 200) ORDER BY seq DESC LIMIT 700",
-		// No selection at all: encoded columns leave through a bare projection.
+		// No selection at all: encoded columns, and the scan's lent null
+		// masks, leave through a bare projection.
 		"SELECT ts, d8, device_id, d32, status FROM events",
+		"SELECT seq, latency_ms, service FROM events WHERE seq >= 0",
+		// Kept by the exchange until an aggregate that cannot merge
+		// partials reads them: float sums, with NULL arguments.
+		"SELECT service, AVG(latency_ms), COUNT(*) FROM events WHERE status > 250.0 GROUP BY service",
+		"SELECT d8, SUM(latency_ms), MIN(latency_ms) FROM events GROUP BY d8",
+		// Consumers that hold rows across pulls, serial or above the merge:
+		// a streaming LIMIT that ends mid-batch, DISTINCT's seen set.
+		"SELECT seq, d8, service FROM events WHERE d8 > 100 LIMIT 1500",
+		"SELECT DISTINCT status, d8 FROM events WHERE wide > 0",
 		// The six ask_scan shapes: Exchange over Filter, Aggregate above.
 		"SELECT COUNT(*) FROM events WHERE (events.latency_ms > 120.5)",
 		"SELECT events.service, COUNT(*) FROM events WHERE events.ts BETWEEN " + win(span/4) + " GROUP BY events.service",

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
@@ -20,9 +21,12 @@ const scanTemplateRows = 1 << 17
 // benchmark's ask_scan workload, as the SQL the engine generates for
 // them: float constants against INT and FLOAT columns, ts windows a
 // quarter, an eighth and a sixteenth of the log wide.
-func scanTemplates() []struct{ name, sql string } {
+func scanTemplates() []struct{ name, sql string } { return scanTemplatesAt(scanTemplateRows) }
+
+// scanTemplatesAt sizes the ts windows for a log of the given length.
+func scanTemplatesAt(rows int) []struct{ name, sql string } {
 	const ts0 = 1_700_000_000
-	span := scanTemplateRows / 8
+	span := rows / 8
 	win := func(width int) string {
 		lo := ts0 + span/3
 		return fmt.Sprintf("%d.0 AND %d.0", lo, lo+width)
@@ -43,6 +47,22 @@ func scanTemplates() []struct{ name, sql string } {
 	}
 }
 
+// bindScanTemplate prepares q the way the engine's ask path does:
+// parameterized, compiled as a template and bound, at two workers.
+func bindScanTemplate(tb testing.TB, sn *store.Snapshot, q string) (*plan.Plan, []store.Value) {
+	tb.Helper()
+	tmpl, params := sql.Parameterize(sql.MustParse(q))
+	pq, err := exec.PrepareTemplateAt(sn, tmpl, params, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p, _, err := pq.BindPinned(sn, params, 2)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, params
+}
+
 // BenchmarkScanTemplates runs each ask_scan question shape the way the
 // engine's ask path does — template compiled once, plan bound, then
 // Run with parameters and counters at two workers — with everything
@@ -58,15 +78,7 @@ func BenchmarkScanTemplates(b *testing.B) {
 	sn := dataset.Telemetry(scanTemplateRows).Snapshot()
 	for _, tc := range scanTemplates() {
 		b.Run(tc.name, func(b *testing.B) {
-			tmpl, params := sql.Parameterize(sql.MustParse(tc.sql))
-			pq, err := exec.PrepareTemplateAt(sn, tmpl, params, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, _, err := pq.BindPinned(sn, params, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
+			p, params := bindScanTemplate(b, sn, tc.sql)
 			var segc store.SegCounters
 			run := func() {
 				if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: params, SegC: &segc}); err != nil {

@@ -184,11 +184,11 @@ func TestEncodedKernelsEqualDecoded(t *testing.T) {
 					lo := r.Intn(sc.N)
 					hi := lo + 1 + r.Intn(min(sc.N-lo, maxBatch))
 					n := hi - lo
-					enc := segWindowCol(sc, lo, hi)
+					enc := segWindowCol(sc, lo, hi, nil)
 					if enc.seg != nil {
 						encodedSeen[sh.name] = true
 					}
-					dec := vcol{kind: store.KindInt, ints: sc.DecodeInts(lo, hi, nil), nulls: sc.NullMask(lo, hi)}
+					dec := vcol{kind: store.KindInt, ints: sc.DecodeInts(lo, hi, nil), nulls: sc.NullMask(lo, hi, nil)}
 					at := fmt.Sprintf("%s segRows=%d nulls=1/%d window=[%d,%d)", sh.name, segRows, nullEvery, lo, hi)
 					sel := randSel(r, n)
 					batch := func() *vbatch { return &vbatch{n: n, cols: []vcol{enc}} }

@@ -63,6 +63,7 @@ type Ctx struct {
 	part    *morselRun   // set inside an Exchange worker: the leaf's morsel
 	pw      *pwRun       // set inside a PartitionWise worker: the claimed partition
 	shared  *sharedState // per-run state shared across Exchange workers
+	vs      *scratchSet  // set inside an Exchange worker: see takeScratch
 	scratch []byte       // reusable composite-key buffer; see keyScratch
 }
 

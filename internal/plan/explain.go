@@ -26,7 +26,11 @@ func (p *Plan) Explain() string {
 // optimizer estimated smaller — with [build]; the other child streams
 // as the probe. Nodes that execute batch-at-a-time over column vectors
 // carry [vec]; a node without the mark falls back to the row iterator
-// while its vectorizable neighbors stay in batches.
+// while its vectorizable neighbors stay in batches. A vectorized
+// aggregate that folds inside the workers of the Exchange or
+// PartitionWise below it carries [partial ×morsel] or [partial
+// ×partition]; one left unmarked (SUM, AVG, a float MIN/MAX)
+// aggregates the merged stream.
 func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, pw, build bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
@@ -45,6 +49,12 @@ func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int
 	}
 	if staticVec(n) {
 		b.WriteString(" [vec]")
+		if a, ok := n.(*Aggregate); ok {
+			ap, _ := planVecAgg(a, nil, true)
+			if f := a.partialOver(ap); f != nil {
+				b.WriteString(" [partial ×" + f.unit() + "]")
+			}
+		}
 	}
 	if par > 1 {
 		fmt.Fprintf(b, " [par=%d]", par)

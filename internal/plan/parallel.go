@@ -23,10 +23,11 @@ const minChunkRows = 128
 // Exchange runs its subtree on a bounded pool of Workers goroutines.
 // Each worker repeatedly claims a morsel (a contiguous row range) of
 // the partitioned leaf scan, runs its own copy of the subtree's
-// iterators over just that morsel, and deposits the output rows into a
-// per-morsel slot. The merged stream concatenates the slots in morsel
-// order, so parallel execution is row-for-row identical to the serial
-// plan. Build sides of hash joins inside the subtree are built once
+// iterators over just that morsel, and deposits the output — rows,
+// kept batches, or the group table of an aggregate folding right there
+// — into a per-morsel slot. The slots merge in morsel order, so
+// parallel execution is row-for-row identical to the serial plan.
+// Build sides of hash joins inside the subtree are built once
 // and shared read-only across workers (see HashJoin.buildTable).
 type Exchange struct {
 	In      Node
@@ -200,34 +201,69 @@ type morselRun struct {
 	ids    []int // index-selected row ids (IndexScan morsels)
 }
 
-func (e *Exchange) open(ctx *Ctx) (iter, error) {
-	// ctx.Par caps the plan's worker degree; an explicit Par of 1
-	// (e.g. a caller whose Evaluator is not thread-safe) degrades the
-	// exchange to a serial passthrough.
+// fanOut is an operator that runs its subtree once per slot — a morsel
+// (Exchange) or a partition (PartitionWise) — on a worker pool, such
+// that merging what the slots leave behind in slot order reproduces the
+// serial plan.
+type fanOut interface {
+	Node
+	// slots sizes one run: the number of slots and the worker loop that
+	// hands sink each one, with the context its leaves read that slot
+	// under. What a slot leaves behind is the sink's business — drained
+	// rows (drainSlots), kept batches (keepSlots) or a partial group
+	// table (Aggregate.vopen) — in storage it indexes by slot. n == 0:
+	// the operator degrades to a serial passthrough of its input.
+	slots(ctx *Ctx) (n int, run func(sink slotSink) error, err error)
+	// unit names a slot for Explain: "morsel", "partition".
+	unit() string
+}
+
+type slotSink func(slot int, wctx *Ctx) error
+
+// slots cuts the partitioned leaf into morsels. ctx.Par caps the plan's
+// worker degree, so an explicit Par of 1 (e.g. a caller whose Evaluator
+// is not thread-safe) or a single-row leaf runs the subtree as it
+// stands.
+//
+// Morsels adapt to the leaf: ~4 per worker for stealing slack, but
+// never more — a small probe leaf driving heavy joins still splits,
+// its downstream cost dwarfs the per-morsel iterator setup. A
+// partitioned leaf cuts on partition boundaries, so workers claim
+// whole partitions before splitting any one into smaller morsels.
+func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 	workers := e.Workers
 	if ctx.Par > 0 && ctx.Par < workers {
 		workers = ctx.Par
 	}
 	rows, ids, _, err := baseRows(e.part, ctx)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if workers > len(rows) {
 		workers = len(rows)
 	}
 	if workers <= 1 {
-		return e.In.open(ctx)
+		return 0, nil, nil
 	}
-
-	// Morsels adapt to the leaf: ~4 per worker for stealing slack, but
-	// never more — a small probe leaf driving heavy joins still splits,
-	// its downstream cost dwarfs the per-morsel iterator setup. A
-	// partitioned leaf cuts on partition boundaries, so workers claim
-	// whole partitions before splitting any one into smaller morsels.
 	spans := morselSpans(len(rows), workers, partBoundsFor(ctx, e.part, ids))
-	nm := len(spans)
+	return len(spans), func(sink slotSink) error {
+		return runSlots(ctx, workers, len(spans), func(m int, wctx *Ctx) error {
+			lo, hi := spans[m][0], spans[m][1]
+			mr := &morselRun{node: e.part, rows: rows[lo:hi], lo: lo, hi: hi}
+			if ids != nil {
+				mr.ids = ids[lo:hi]
+			}
+			wctx.part = mr
+			return sink(m, wctx)
+		})
+	}, nil
+}
 
-	outs := make([][]store.Row, nm)
+// runSlots is the one worker loop: workers claim slots from a shared
+// counter and hand each to sink with a context of the worker's own — a
+// copy of ctx with no key buffer and the worker's scratch set, rewound.
+// The first error stops the pool and is returned.
+func runSlots(ctx *Ctx, workers, n int, sink slotSink) error {
 	var next atomic.Int64
 	var failed atomic.Bool
 	var firstErr error
@@ -237,53 +273,67 @@ func (e *Exchange) open(ctx *Ctx) (iter, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			vs := &scratchSet{}
 			for {
-				m := int(next.Add(1)) - 1
-				if m >= nm || failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n || failed.Load() {
 					return
 				}
-				if err := ctx.canceled(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
+				err := ctx.canceled()
+				if err == nil {
+					wctx := *ctx
+					wctx.scratch = nil // never share key buffers across workers
+					wctx.vs, vs.used = vs, 0
+					err = sink(i, &wctx)
 				}
-				lo, hi := spans[m][0], spans[m][1]
-				wctx := *ctx
-				wctx.scratch = nil // never share key buffers across workers
-				mr := &morselRun{node: e.part, rows: rows[lo:hi], lo: lo, hi: hi}
-				if ids != nil {
-					mr.ids = ids[lo:hi]
-				}
-				wctx.part = mr
-				out, err := drain(e.In, &wctx)
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })
 					failed.Store(true)
 					return
 				}
-				outs[m] = out
 			}
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
+	return firstErr
+}
 
-	mi, ri := 0, 0
+// drainSlots is the row-at-a-time open of a fanOut: every slot's rows,
+// concatenated in slot order.
+func drainSlots(f fanOut, ctx *Ctx) (iter, error) {
+	in := f.Children()[0]
+	n, run, err := f.slots(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return in.open(ctx)
+	}
+	outs := make([][]store.Row, n)
+	err = run(func(i int, wctx *Ctx) (err error) {
+		outs[i], err = drain(in, wctx)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	oi, ri := 0, 0
 	return func() (store.Row, error) {
-		for mi < len(outs) {
-			if ri < len(outs[mi]) {
-				r := outs[mi][ri]
+		for oi < len(outs) {
+			if ri < len(outs[oi]) {
+				r := outs[oi][ri]
 				ri++
 				return r, nil
 			}
-			mi++
+			oi++
 			ri = 0
 		}
 		return nil, nil
 	}, nil
 }
+
+func (e *Exchange) open(ctx *Ctx) (iter, error) { return drainSlots(e, ctx) }
+func (e *Exchange) unit() string                { return "morsel" }
 
 // sharedState carries per-execution state shared by the workers of
 // every Exchange in the plan: hash-join build sides (row tables or

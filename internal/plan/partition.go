@@ -2,8 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/store"
 )
@@ -90,121 +88,28 @@ func (e *PartitionWise) ready(ctx *Ctx) (workers int, ok bool) {
 	return workers, true
 }
 
-// runParts drives the worker pool: partitions are claimed atomically,
-// each worker's context gets a fresh scratch buffer, no shared build
-// state (builds are per-partition by construction) and a serial inner
-// degree — the parallelism budget is the partition fan-out itself.
-func (e *PartitionWise) runParts(ctx *Ctx, workers int, run func(wctx *Ctx, p int) error) error {
-	var next atomic.Int64
-	var failed atomic.Bool
-	var firstErr error
-	var errOnce sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				p := int(next.Add(1)) - 1
-				if p >= e.N || failed.Load() {
-					return
-				}
-				if err := ctx.canceled(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-				wctx := *ctx
-				wctx.scratch = nil
-				wctx.shared = nil
-				wctx.Par = 1
-				wctx.pw = &pwRun{pi: p, scans: e.scans}
-				if err := run(&wctx, p); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-func (e *PartitionWise) open(ctx *Ctx) (iter, error) {
+// slots hands out whole partitions: each worker's context gets no
+// shared build state (builds are per-partition by construction) and a
+// serial inner degree — the parallelism budget is the partition fan-out
+// itself.
+func (e *PartitionWise) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 	workers, ok := e.ready(ctx)
 	if !ok {
-		return e.In.open(ctx)
+		return 0, nil, nil
 	}
-	outs := make([][]store.Row, e.N)
-	err := e.runParts(ctx, workers, func(wctx *Ctx, p int) error {
-		out, err := drain(e.In, wctx)
-		if err != nil {
-			return err
-		}
-		outs[p] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pi, ri := 0, 0
-	return func() (store.Row, error) {
-		for pi < len(outs) {
-			if ri < len(outs[pi]) {
-				r := outs[pi][ri]
-				ri++
-				return r, nil
-			}
-			pi++
-			ri = 0
-		}
-		return nil, nil
+	return e.N, func(sink slotSink) error {
+		return runSlots(ctx, workers, e.N, func(p int, wctx *Ctx) error {
+			wctx.shared = nil
+			wctx.Par = 1
+			wctx.pw = &pwRun{pi: p, scans: e.scans}
+			return sink(p, wctx)
+		})
 	}, nil
 }
 
-func (e *PartitionWise) vopen(ctx *Ctx) (viter, error) {
-	workers, ok := e.ready(ctx)
-	if !ok {
-		return vecOpen(e.In, ctx)
-	}
-	outs := make([][]*vbatch, e.N)
-	err := e.runParts(ctx, workers, func(wctx *Ctx, p int) error {
-		op, err := vecOpen(e.In, wctx)
-		if err != nil {
-			return err
-		}
-		var batches []*vbatch
-		for {
-			b, err := op()
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			batches = append(batches, b)
-		}
-		outs[p] = batches
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	pi, bi := 0, 0
-	return func() (*vbatch, error) {
-		for pi < len(outs) {
-			if bi < len(outs[pi]) {
-				b := outs[pi][bi]
-				bi++
-				return b, nil
-			}
-			pi++
-			bi = 0
-		}
-		return nil, nil
-	}, nil
-}
+func (e *PartitionWise) open(ctx *Ctx) (iter, error)   { return drainSlots(e, ctx) }
+func (e *PartitionWise) vopen(ctx *Ctx) (viter, error) { return keepSlots(e, ctx) }
+func (e *PartitionWise) unit() string                  { return "partition" }
 
 // ---- plan-time eligibility ----
 

@@ -113,22 +113,39 @@ func (c *vcol) value(i int) store.Value {
 // that survived upstream filters. Expression kernels compute over all
 // physical rows (cheap, branch-free); consumers iterate the selection.
 //
-// Ownership: everything reachable from a batch an operator returns is
-// private to that batch — an Exchange retains whole batches until its
-// merge — or immutable (segment and column-vector storage, a
-// constant's broadcast). Everything else an operator computes about a
-// batch lives in scratch the operator instance owns and reuses for its
-// next batch. scratch is how that reaches the expression kernels: an
-// operator whose expression results die inside it (Filter, Aggregate,
-// the join probe) points it at its own vscratch for the duration of
-// the evaluation and clears it before the batch moves on; with it nil
-// (Project, the aggregate's output items), kernels allocate, and their
-// output may escape.
+// Ownership: a returned batch is lent. It is the consumer's, header
+// included (Filter and Limit set sel on it), until the consumer pulls
+// the next one; then the producer may reuse all of it that is not
+// immutable storage (segment payloads, dictionaries, a constant's
+// broadcast): header, cols slice, null masks, selection. An operator
+// forwarding lent parts in its own batch (Project's column refs) lends
+// them on under the same term. Whoever holds a batch longer takes
+// keep's copy; keepBatches is the one retainer. Everything else an
+// operator computes about a batch lives in scratch the operator
+// instance owns and reuses for its next batch. scratch is how that
+// reaches the expression kernels: an operator whose expression results
+// die inside it (Filter, Aggregate, the join probe) points it at its
+// own vscratch for the duration of the evaluation and clears it before
+// the batch moves on; with it nil (Project, the aggregate's output
+// items), kernels allocate, and their output may escape.
 type vbatch struct {
 	n       int
 	cols    []vcol
 	sel     []int32 // retained physical row indexes, nil = all n rows
 	scratch *vscratch
+}
+
+// keep returns a copy of b that stays valid after b's producer is
+// pulled again: its own header, cols slice, null masks and selection
+// over the same immutable payloads.
+func (b *vbatch) keep() *vbatch {
+	out := &vbatch{n: b.n, cols: slices.Clone(b.cols), sel: slices.Clone(b.sel)}
+	for c := range out.cols {
+		if !out.cols[c].isConst {
+			out.cols[c].nulls = slices.Clone(out.cols[c].nulls)
+		}
+	}
+	return out
 }
 
 // rows returns the number of selected rows.
@@ -180,12 +197,36 @@ type vscratch struct {
 	ints   bufPool[int64]
 	floats bufPool[float64]
 	hashes bufPool[uint64]
+	sels   bufPool[int32]
 }
 
 // reset makes every buffer available again; the operator calls it
 // once per batch, before evaluating anything over it.
 func (s *vscratch) reset() {
-	s.bools.used, s.ints.used, s.floats.used, s.hashes.used = 0, 0, 0, 0
+	s.bools.used, s.ints.used, s.floats.used, s.hashes.used, s.sels.used = 0, 0, 0, 0, 0
+}
+
+// scratchSet is the working memory of one exchange worker: the pipeline
+// it opens for each morsel takes, in open order, the vscratches its
+// previous morsel's did — that pipeline is drained, and whatever it
+// lent folded or copied, before the worker claims again.
+type scratchSet struct {
+	all  []*vscratch
+	used int
+}
+
+// takeScratch hands an operator instance its vscratch at open time: a
+// fresh one, or inside an exchange worker the next of the worker's set.
+func (c *Ctx) takeScratch() *vscratch {
+	ss := c.vs
+	if ss == nil {
+		return &vscratch{}
+	}
+	if ss.used == len(ss.all) {
+		ss.all = append(ss.all, &vscratch{})
+	}
+	ss.used++
+	return ss.all[ss.used-1]
 }
 
 // bufPool hands out the k-th buffer of a batch's evaluation from the
@@ -234,6 +275,9 @@ func (s *vscratch) floatBuf(n int) []float64 {
 	}
 	return s.floats.take(n)
 }
+
+// selBuf returns an empty selection list with room for n rows.
+func (s *vscratch) selBuf(n int) []int32 { return s.sels.take(n)[:0] }
 
 // hashBuf returns n zeroed hash accumulators.
 func (s *vscratch) hashBuf(n int) []uint64 {

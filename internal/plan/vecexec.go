@@ -2,8 +2,6 @@ package plan
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -287,14 +285,16 @@ func segFault(ctx *Ctx, seg *store.Segment) ([]*store.SegCol, error) {
 // too). Every column is a zero-copy view of immutable segment storage:
 // plain payloads and dictionary codes as slices, RLE- and FOR-encoded
 // ints as the encoded column plus the window's offset (see vcol). The
-// one thing a batch owns is a materialized null mask, fresh per batch —
-// Exchange workers retain batches.
+// batch itself is lent: one header, one cols slice and one null-mask
+// buffer per column serve every batch of the iterator.
 func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []boundZone, skipAll bool) viter {
 	sc := ctx.SegC
 	pos := lo
 	si := -1
 	segEnd := 0
 	var segCols []*store.SegCol
+	out := &vbatch{cols: make([]vcol, len(b.Cols))}
+	masks := make([][]bool, len(b.Cols))
 	return func() (*vbatch, error) {
 		for pos < hi {
 			if si < 0 || pos >= segEnd {
@@ -327,9 +327,12 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []b
 			if whi-wlo > maxBatch {
 				whi = wlo + maxBatch
 			}
-			out := &vbatch{n: whi - wlo, cols: make([]vcol, len(b.Cols))}
+			out.n, out.sel = whi-wlo, nil
 			for c, ci := range b.Cols {
-				out.cols[c] = segWindowCol(segCols[ci], wlo, whi)
+				out.cols[c] = segWindowCol(segCols[ci], wlo, whi, masks[c])
+				if out.cols[c].nulls != nil {
+					masks[c] = out.cols[c].nulls
+				}
 			}
 			pos = segStart + whi
 			return out, nil
@@ -342,9 +345,10 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []b
 // column. Dictionary-encoded text surfaces codes+dict unmaterialized —
 // the kernels compare and hash codes directly — and RLE/FOR ints
 // surface encoded, to be tested in place or decoded by whoever first
-// needs the values.
-func segWindowCol(sc *store.SegCol, lo, hi int) vcol {
-	vc := vcol{kind: sc.Kind, nulls: sc.NullMask(lo, hi)}
+// needs the values. The null mask is materialized into mask, grown when
+// the window outgrows it.
+func segWindowCol(sc *store.SegCol, lo, hi int, mask []bool) vcol {
+	vc := vcol{kind: sc.Kind, nulls: sc.NullMask(lo, hi, mask)}
 	switch sc.Kind {
 	case store.KindInt:
 		if sc.Enc == store.SegPlain {
@@ -448,11 +452,9 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 	if !ok {
 		return nil, errUnknownTable("<filter predicate not vectorizable>")
 	}
-	// The predicate's vectors and the survivor list die here; what the
-	// batch keeps is an exact-size copy of the survivors, and nothing at
-	// all when every row passed.
-	sc := &vscratch{}
-	var keep []int32
+	// The predicate's vectors die here; the survivor list is lent with
+	// the batch, and not at all when every row passed.
+	sc := ctx.takeScratch()
 	return func() (*vbatch, error) {
 		for {
 			b, err := in()
@@ -466,10 +468,7 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 			if pc.kind != store.KindBool {
 				continue // an all-NULL predicate keeps nothing
 			}
-			if cap(keep) < b.rows() {
-				keep = make([]int32, 0, b.rows())
-			}
-			keep = keep[:0]
+			keep := sc.selBuf(b.rows())
 			if b.sel == nil {
 				for i, t := range pc.bools[:b.n] {
 					if t && !pc.null(i) {
@@ -489,7 +488,7 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 			case b.rows():
 				// Every row passed: the selection stands as it is.
 			default:
-				b.sel = append(make([]int32, 0, len(keep)), keep...)
+				b.sel = keep
 			}
 			return b, nil
 		}
@@ -579,9 +578,10 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 	lWidth := j.L.Rel().Width
 	// Probe-side working state dies with each input batch; only the
 	// gathered output columns leave.
-	sc := &vscratch{}
+	sc := ctx.takeScratch()
 	keys := make([]vcol, len(j.LKey))
 	var lidx, ridx []int32
+	out := &vbatch{cols: make([]vcol, j.rel.Width)}
 	return func() (*vbatch, error) {
 		for {
 			b, err := in()
@@ -622,7 +622,7 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 			if len(lidx) == 0 {
 				continue
 			}
-			out := &vbatch{n: len(lidx), cols: make([]vcol, j.rel.Width)}
+			out.n, out.sel = len(lidx), nil
 			for c := 0; c < lWidth; c++ {
 				out.cols[c] = gatherCol(&b.cols[c], lidx)
 			}
@@ -650,12 +650,13 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 		}
 		exprs = append(exprs, ve)
 	}
+	out := &vbatch{cols: make([]vcol, len(exprs))}
 	return func() (*vbatch, error) {
 		b, err := in()
 		if err != nil || b == nil {
 			return nil, err
 		}
-		out := &vbatch{n: b.rows(), cols: make([]vcol, len(exprs))}
+		out.n, out.sel = b.rows(), nil
 		for x, ve := range exprs {
 			if ref, ok := ve.(*vcolRef); ok && b.sel != nil {
 				// A bare column gathers straight from its stored form: an
@@ -812,14 +813,27 @@ type aggState struct {
 	has    []bool
 }
 
-func (st *aggState) grow() {
-	st.counts = append(st.counts, 0)
-	st.sums = append(st.sums, 0)
-	st.ints = append(st.ints, 0)
-	st.floats = append(st.floats, 0)
-	st.strs = append(st.strs, "")
-	st.bools = append(st.bools, false)
-	st.has = append(st.has, false)
+// grow adds one group to the accumulators the slot's function reads.
+func (slot *vecAggSlot) grow(st *aggState) {
+	switch slot.fn {
+	case "SUM", "AVG":
+		st.sums = append(st.sums, 0)
+		fallthrough
+	case "COUNT":
+		st.counts = append(st.counts, 0)
+	default: // MIN, MAX
+		st.has = append(st.has, false)
+		switch slot.argKind {
+		case store.KindInt:
+			st.ints = append(st.ints, 0)
+		case store.KindFloat:
+			st.floats = append(st.floats, 0)
+		case store.KindText:
+			st.strs = append(st.strs, "")
+		case store.KindBool:
+			st.bools = append(st.bools, false)
+		}
+	}
 }
 
 // update folds value i of the argument column into group gid, exactly
@@ -957,110 +971,233 @@ func allNullCol(n int) vcol {
 	return vcol{kind: store.KindNull, nulls: nulls}
 }
 
+// mergesExactly reports whether per-morsel partial states of every
+// slot merge into exactly the serial result: COUNTs add, and a MIN/MAX
+// over ints, text or bools picks among identical equals. SUM and AVG
+// depend on float64 summation order, and a float MIN/MAX keeps a
+// leading NaN forever (update), so a morsel that opens on one would
+// hide the rest of its values from the merge.
+func (ap *vecAggPlan) mergesExactly() bool {
+	for _, slot := range ap.slots {
+		minMax := slot.fn == "MIN" || slot.fn == "MAX"
+		if slot.fn != "COUNT" && !(minMax && slot.argKind != store.KindFloat) {
+			return false
+		}
+	}
+	return true
+}
+
+// partialOver returns the fanOut whose workers a folds inside — the one
+// directly below it, when every slot merges exactly — or nil when a
+// aggregates its input's merged stream. vopen and Explain both ask here.
+func (a *Aggregate) partialOver(ap *vecAggPlan) fanOut {
+	if f, ok := a.In.(fanOut); ok && ap.mergesExactly() {
+		return f
+	}
+	return nil
+}
+
+// groupTable is the accumulate half of a vectorized aggregate: the
+// groups seen so far — key columns in first-seen order, the hash index
+// over them, one aggState per slot — and per-batch working state reused
+// from batch to batch: key and argument vectors (evaluated into sc) and
+// views of the key columns, refreshed whenever a new group extends them.
+type groupTable struct {
+	ap        *vecAggPlan
+	keyBufs   []*colbuf
+	groupKeys []vcol
+	groupIdx  map[uint64][]int32
+	states    []aggState
+	ngroups   int
+
+	sc               *vscratch
+	keyCols, argCols []vcol
+}
+
+func newGroupTable(ap *vecAggPlan, sc *vscratch) *groupTable {
+	nk := len(ap.keys)
+	t := &groupTable{ap: ap, sc: sc, keyBufs: make([]*colbuf, nk), groupKeys: make([]vcol, nk),
+		groupIdx: map[uint64][]int32{}, states: make([]aggState, len(ap.slots)),
+		keyCols: make([]vcol, nk), argCols: make([]vcol, len(ap.slots))}
+	for k, ve := range ap.keys {
+		t.keyBufs[k] = newColbuf(ve.kind())
+		t.groupKeys[k] = t.keyBufs[k].col()
+	}
+	if nk == 0 {
+		// The global group exists even over empty input.
+		t.ngroups = 1
+		for s := range t.states {
+			ap.slots[s].grow(&t.states[s])
+		}
+	}
+	return t
+}
+
+// group returns the id of the group keyed by row i of keys, whose hash
+// is hs[i], appending a new group when the key is unseen.
+func (t *groupTable) group(keys []vcol, i int, hs []uint64) int {
+	if len(keys) == 0 {
+		return 0 // the global group
+	}
+	h := hs[i]
+	for _, cand := range t.groupIdx[h] {
+		match := true
+		for k := range keys {
+			if !eqVals(&keys[k], i, &t.groupKeys[k], int(cand)) {
+				match = false
+				break
+			}
+		}
+		if match {
+			return int(cand)
+		}
+	}
+	gid := t.ngroups
+	t.ngroups++
+	for k := range keys {
+		t.keyBufs[k].push(&keys[k], i)
+		t.groupKeys[k] = t.keyBufs[k].col()
+	}
+	t.groupIdx[h] = append(t.groupIdx[h], int32(gid))
+	for s := range t.states {
+		t.ap.slots[s].grow(&t.states[s])
+	}
+	return gid
+}
+
+// hashKeys folds the selected rows of the key columns into per-row
+// hashes (nil for the global group).
+func hashKeys(keys []vcol, n int, sel []int32, sc *vscratch) []uint64 {
+	if len(keys) == 0 {
+		return nil
+	}
+	hs := sc.hashBuf(n)
+	for k := range keys {
+		hashCol(&keys[k], n, sel, hs, sc)
+	}
+	return hs
+}
+
+// add folds one batch into the table.
+func (t *groupTable) add(b *vbatch) {
+	t.sc.reset()
+	b.scratch = t.sc
+	for k, ve := range t.ap.keys {
+		t.keyCols[k] = ve.eval(b)
+	}
+	for s := range t.ap.slots {
+		if t.ap.slots[s].arg != nil {
+			t.argCols[s] = t.ap.slots[s].arg.eval(b)
+		}
+	}
+	b.scratch = nil
+	hs := hashKeys(t.keyCols, b.n, b.sel, t.sc)
+	b.forSel(func(i int) {
+		gid := t.group(t.keyCols, i, hs)
+		for s := range t.ap.slots {
+			t.ap.slots[s].update(&t.states[s], gid, &t.argCols[s], i)
+		}
+	})
+}
+
+// merge folds src, the table of a later stretch of the same input, into
+// t as if its rows had been added after t's: src's groups arrive in its
+// first-seen order, so group order and (given mergesExactly) every
+// result equal the serial fold's.
+func (t *groupTable) merge(src *groupTable) {
+	hs := hashKeys(src.groupKeys, src.ngroups, nil, nil)
+	for s := range src.states {
+		// A partial MIN/MAX is one more value to fold; partial COUNTs add.
+		t.argCols[s] = t.ap.slots[s].col(&src.states[s], src.ngroups)
+	}
+	for g := 0; g < src.ngroups; g++ {
+		gid := t.group(src.groupKeys, g, hs)
+		for s := range t.ap.slots {
+			if t.ap.slots[s].fn == "COUNT" {
+				t.states[s].counts[gid] += t.argCols[s].ints[g]
+			} else {
+				t.ap.slots[s].update(&t.states[s], gid, &t.argCols[s], g)
+			}
+		}
+	}
+}
+
+// fold drains in into a new group table.
+func (ap *vecAggPlan) fold(ctx *Ctx, in viter) (*groupTable, error) {
+	t := newGroupTable(ap, ctx.takeScratch())
+	for {
+		b, err := in()
+		if err != nil || b == nil {
+			return t, err
+		}
+		t.add(b)
+	}
+}
+
+// vopen folds the input into a group table and finishes it. Directly
+// above a fanOut, an aggregate that merges exactly folds where the rows
+// are: each worker drains its slot into that slot's own table — no
+// batch outlives its pull, so a question's bytes follow the groups it
+// returns, not the rows it scans — and the tables merge in slot order.
 func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 	ap, ok := planVecAgg(a, ctx.Params, false)
 	if !ok {
 		return nil, errUnknownTable("<aggregate not vectorizable>")
 	}
-	in, err := vecChild(a.In, ctx)
-	if err != nil {
-		return nil, err
-	}
-	nk := len(ap.keys)
-	keyBufs := make([]*colbuf, nk)
-	for i, k := range ap.keys {
-		keyBufs[i] = newColbuf(k.kind())
-	}
-	groupIdx := map[uint64][]int32{}
-	states := make([]aggState, len(ap.slots))
-	ngroups := 0
-	if nk == 0 {
-		// The global group exists even over empty input.
-		ngroups = 1
-		for s := range states {
-			states[s].grow()
-		}
-	}
-
-	// Per-batch working state, reused from batch to batch: the key and
-	// argument vectors (evaluated into scratch), the row hashes, and
-	// views of the group keys collected so far, refreshed whenever a new
-	// group extends them.
-	sc := &vscratch{}
-	keyCols := make([]vcol, nk)
-	argCols := make([]vcol, len(ap.slots))
-	groupKeys := make([]vcol, nk)
-	for k := range keyBufs {
-		groupKeys[k] = keyBufs[k].col()
-	}
-	for {
-		b, err := in()
+	in := a.In
+	if f := a.partialOver(ap); f != nil {
+		in = f.Children()[0] // a serial run folds the subtree as it stands
+		n, run, err := f.slots(ctx)
 		if err != nil {
 			return nil, err
 		}
-		if b == nil {
-			break
-		}
-		sc.reset()
-		b.scratch = sc
-		for k, ve := range ap.keys {
-			keyCols[k] = ve.eval(b)
-		}
-		for s := range ap.slots {
-			if ap.slots[s].arg != nil {
-				argCols[s] = ap.slots[s].arg.eval(b)
+		if n > 0 {
+			// vecChild's choice, made once for all slots: the subtree may
+			// hold what only the row iterator runs (a subquery filter, a
+			// cross join), and its leaves read the slot from wctx either way.
+			open := rowSource
+			if staticVec(in) {
+				open = vecOpen
 			}
-		}
-		b.scratch = nil
-		var hs []uint64
-		if nk > 0 {
-			hs = sc.hashBuf(b.n)
-			for k := range keyCols {
-				hashCol(&keyCols[k], b.n, b.sel, hs, sc)
-			}
-		}
-		b.forSel(func(i int) {
-			gid := 0
-			if nk > 0 {
-				h := hs[i]
-				gid = -1
-				for _, cand := range groupIdx[h] {
-					match := true
-					for k := range keyCols {
-						if !eqVals(&keyCols[k], i, &groupKeys[k], int(cand)) {
-							match = false
-							break
-						}
-					}
-					if match {
-						gid = int(cand)
-						break
-					}
+			tabs := make([]*groupTable, n)
+			err := run(func(i int, wctx *Ctx) error {
+				op, err := open(in, wctx)
+				if err == nil {
+					// Compiled programs hold per-instance state (a constant's
+					// broadcast), so every slot folds through its own.
+					wap, _ := planVecAgg(a, wctx.Params, false)
+					tabs[i], err = wap.fold(wctx, op)
 				}
-				if gid < 0 {
-					gid = ngroups
-					ngroups++
-					for k := range keyCols {
-						keyBufs[k].push(&keyCols[k], i)
-						groupKeys[k] = keyBufs[k].col()
-					}
-					groupIdx[h] = append(groupIdx[h], int32(gid))
-					for s := range states {
-						states[s].grow()
-					}
-				}
+				return err
+			})
+			if err != nil {
+				return nil, err
 			}
-			for s := range ap.slots {
-				ap.slots[s].update(&states[s], gid, &argCols[s], i)
+			for _, src := range tabs[1:] {
+				tabs[0].merge(src)
 			}
-		})
+			return tabs[0].finish(), nil
+		}
 	}
+	op, err := vecChild(in, ctx)
+	if err != nil {
+		return nil, err
+	}
+	t, err := ap.fold(ctx, op)
+	if err != nil {
+		return nil, err
+	}
+	return t.finish(), nil
+}
 
-	// Assemble the group pseudo-relation: keys, then aggregate results.
-	g := &vbatch{n: ngroups, cols: make([]vcol, nk+len(ap.slots))}
-	copy(g.cols, groupKeys)
+// finish assembles the group pseudo-relation — keys, then aggregate
+// results — and evaluates HAVING and the output items over it.
+func (t *groupTable) finish() viter {
+	ap, nk := t.ap, len(t.ap.keys)
+	g := &vbatch{n: t.ngroups, cols: make([]vcol, nk+len(ap.slots))}
+	copy(g.cols, t.groupKeys)
 	for s := range ap.slots {
-		g.cols[nk+s] = ap.slots[s].col(&states[s], ngroups)
+		g.cols[nk+s] = ap.slots[s].col(&t.states[s], t.ngroups)
 	}
 	if ap.having != nil {
 		hc := ap.having.eval(g)
@@ -1072,7 +1209,7 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 		}
 		g.sel = sel
 		if len(sel) == 0 {
-			return func() (*vbatch, error) { return nil, nil }, nil
+			return func() (*vbatch, error) { return nil, nil }
 		}
 	}
 	out := &vbatch{n: g.rows(), cols: make([]vcol, len(ap.items))}
@@ -1090,7 +1227,7 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 		}
 		done = true
 		return out, nil
-	}, nil
+	}
 }
 
 // ---- distinct ----
@@ -1104,7 +1241,7 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 	var seenCols []vcol // views of seen, refreshed as it grows
 	idx := map[uint64][]int32{}
 	total := 0
-	sc := &vscratch{}
+	sc := ctx.takeScratch()
 	var kept []int32
 	return func() (*vbatch, error) {
 		for {
@@ -1326,97 +1463,61 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 
 // vopen runs the exchange's subtree vectorized: morsels hand each
 // worker a contiguous batch range of the partitioned leaf (an id range
-// for index scans), workers drain their vectorized pipelines, and the
-// merged stream concatenates morsel outputs in order — identical rows
-// to the serial vectorized plan, which is itself identical to the
-// serial row plan.
-func (e *Exchange) vopen(ctx *Ctx) (viter, error) {
-	workers := e.Workers
-	if ctx.Par > 0 && ctx.Par < workers {
-		workers = ctx.Par
-	}
-	rows, ids, _, err := baseRows(e.part, ctx)
+// for index scans), workers drain their vectorized pipelines keeping
+// every batch, and the merged stream concatenates morsel outputs in
+// order — identical rows to the serial vectorized plan, which is
+// itself identical to the serial row plan. An aggregate that merges
+// exactly folds inside the workers instead (Aggregate.vopen).
+func (e *Exchange) vopen(ctx *Ctx) (viter, error) { return keepSlots(e, ctx) }
+
+// keepSlots is the vectorized open of a fanOut whose consumer wants the
+// batches themselves: every slot's, kept, in slot order.
+func keepSlots(f fanOut, ctx *Ctx) (viter, error) {
+	in := f.Children()[0]
+	n, run, err := f.slots(ctx)
 	if err != nil {
 		return nil, err
 	}
-	total := len(rows)
-	if workers > total {
-		workers = total
+	if n == 0 {
+		return vecOpen(in, ctx)
 	}
-	if workers <= 1 {
-		return vecOpen(e.In, ctx)
+	outs := make([][]*vbatch, n)
+	err = run(func(i int, wctx *Ctx) (err error) {
+		outs[i], err = keepBatches(in, wctx)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	spans := morselSpans(total, workers, partBoundsFor(ctx, e.part, ids))
-	nm := len(spans)
-
-	outs := make([][]*vbatch, nm)
-	var next atomic.Int64
-	var failed atomic.Bool
-	var firstErr error
-	var errOnce sync.Once
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				m := int(next.Add(1)) - 1
-				if m >= nm || failed.Load() {
-					return
-				}
-				if err := ctx.canceled(); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-				lo, hi := spans[m][0], spans[m][1]
-				wctx := *ctx
-				wctx.scratch = nil
-				mr := &morselRun{node: e.part, rows: rows[lo:hi], lo: lo, hi: hi}
-				if ids != nil {
-					mr.ids = ids[lo:hi]
-				}
-				wctx.part = mr
-				op, err := vecOpen(e.In, &wctx)
-				if err == nil {
-					var batches []*vbatch
-					for {
-						b, berr := op()
-						if berr != nil {
-							err = berr
-							break
-						}
-						if b == nil {
-							break
-						}
-						batches = append(batches, b)
-					}
-					if err == nil {
-						outs[m] = batches
-						continue
-					}
-				}
-				errOnce.Do(func() { firstErr = err })
-				failed.Store(true)
-				return
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	mi, bi := 0, 0
+	oi, bi := 0, 0
 	return func() (*vbatch, error) {
-		for mi < len(outs) {
-			if bi < len(outs[mi]) {
-				b := outs[mi][bi]
+		for oi < len(outs) {
+			if bi < len(outs[oi]) {
+				b := outs[oi][bi]
 				bi++
 				return b, nil
 			}
-			mi++
+			oi++
 			bi = 0
 		}
 		return nil, nil
 	}, nil
+}
+
+// keepBatches drains a worker's pipeline into batches that outlive it:
+// the one place that holds a batch past the next pull, so the one that
+// copies what the batch was lent (see vbatch).
+func keepBatches(n Node, ctx *Ctx) ([]*vbatch, error) {
+	op, err := vecOpen(n, ctx)
+	if err != nil {
+		return nil, err
+	}
+	var kept []*vbatch
+	for {
+		b, err := op()
+		if err != nil || b == nil {
+			return kept, err
+		}
+		kept = append(kept, b.keep())
+	}
 }

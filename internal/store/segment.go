@@ -107,12 +107,16 @@ type SegCol struct {
 func (c *SegCol) IsNull(i int) bool { return c.Nuls.Get(i) }
 
 // NullMask materializes the null mask of rows [lo, hi) as a bool
-// slice, or nil when the range holds no NULLs.
-func (c *SegCol) NullMask(lo, hi int) []bool {
+// slice (mask, reused when capacious enough), or nil when the range
+// holds no NULLs.
+func (c *SegCol) NullMask(lo, hi int, mask []bool) []bool {
 	if !c.Nuls.AnyRange(lo, hi) {
 		return nil
 	}
-	mask := make([]bool, hi-lo)
+	if cap(mask) < hi-lo {
+		mask = make([]bool, hi-lo)
+	}
+	mask = mask[:hi-lo]
 	for i := range mask {
 		mask[i] = c.Nuls.Get(lo + i)
 	}

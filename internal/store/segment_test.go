@@ -199,14 +199,21 @@ func checkSegColWindows(t *testing.T, sc *SegCol, rows []Row, base, ci int, ctx 
 		windows = append(windows, [2]int{63, 65}, [2]int{1, 64})
 	}
 	var ibuf []int64
+	var mbuf []bool // reused like ibuf, and left dirty: a mask must overwrite all of its window
 	for _, w := range windows {
 		lo, hi := w[0], w[1]
-		mask := sc.NullMask(lo, hi)
+		mask := sc.NullMask(lo, hi, mbuf)
 		for i := lo; i < hi; i++ {
 			wantNull := rows[base+i][ci].IsNull()
 			gotNull := mask != nil && mask[i-lo]
 			if gotNull != wantNull {
 				t.Fatalf("%s: NullMask(%d,%d)[%d]=%v, want %v", ctx, lo, hi, i-lo, gotNull, wantNull)
+			}
+		}
+		if mask != nil {
+			mbuf = mask[:cap(mask)]
+			for i := range mbuf {
+				mbuf[i] = true
 			}
 		}
 		if sc.Kind == KindInt {
@@ -297,7 +304,7 @@ func TestSegmentNullExtremes(t *testing.T) {
 			if sc.Zone.Nulls != 0 || sc.Nuls != nil {
 				t.Fatalf("n=%d col %d: spurious nulls in no-null segment", n, ci)
 			}
-			if sc.NullMask(0, n) != nil {
+			if sc.NullMask(0, n, nil) != nil {
 				t.Fatalf("n=%d col %d: NullMask non-nil for no-null segment", n, ci)
 			}
 		}
