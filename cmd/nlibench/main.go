@@ -497,13 +497,12 @@ func expF6() error {
 	return nil
 }
 
-// expF7 prints the vectorized-execution speedup: batch-at-a-time over
-// typed column vectors versus the row-at-a-time Volcano iterators
-// (both on prebuilt plans) and the materializing reference path,
-// serial and parallel, on scan-, join- and aggregate-heavy queries at
-// scale 4.
+// expF7 prints the vectorized engine's speedup: batch-at-a-time over
+// typed column vectors on a prebuilt plan versus the materializing
+// reference executor, serial and parallel, on scan-, join- and
+// aggregate-heavy queries at scale 4.
 func expF7() error {
-	header("F7", fmt.Sprintf("vectorized speedup vs row-at-a-time (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)))
+	header("F7", fmt.Sprintf("vectorized engine vs reference executor (GOMAXPROCS=%d)", runtime.GOMAXPROCS(0)))
 	db := dataset.University(4)
 	queries := []struct{ name, query string }{
 		{"scan-filter-aggregate", "SELECT AVG(gpa), COUNT(*) FROM students WHERE gpa > 2.5"},
@@ -514,16 +513,16 @@ func expF7() error {
 			"WHERE e.student_id = s.id AND s.dept_id = d.dept_id AND s.gpa > 3.5 GROUP BY d.name"},
 		{"distinct projection", "SELECT DISTINCT year, dept_id FROM students ORDER BY year, dept_id"},
 	}
-	fmt.Printf("%-24s %6s %12s %12s %12s %8s\n",
-		"query (university, x4)", "par", "vectorized", "row-at-time", "reference", "speedup")
+	fmt.Printf("%-24s %6s %12s %12s %8s\n",
+		"query (university, x4)", "par", "vectorized", "reference", "speedup")
 	for _, q := range queries {
 		for _, par := range []int{1, 4} {
 			sp, err := bench.MeasureVecSpeedup(db, q.name, q.query, par, 20)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("%-24s %6d %12s %12s %12s %7.2fx\n",
-				sp.Name, sp.Par, sp.Vec, sp.Row, sp.Reference, sp.Factor())
+			fmt.Printf("%-24s %6d %12s %12s %7.2fx\n",
+				sp.Name, sp.Par, sp.Vec, sp.Reference, sp.Factor())
 		}
 	}
 	return nil
@@ -765,10 +764,10 @@ var f11Rows int
 // scan/filter/aggregate throughput with zone-map skipping live, serial
 // and parallel. Every probe is measured sealed, the table is resealed
 // once, and every probe is measured again; each timed query is verified
-// row-for-row across the sealed, plain and row-at-a-time paths inside
-// MeasureSegQuery/MeasurePlain. Selective predicates on the clustered
-// timestamp must beat the uncompressed layout by >=3x; the footprint
-// must shrink by >=2x.
+// row-for-row across the sealed and plain layouts, and parallel against
+// serial, inside MeasureSegQuery/MeasurePlain. Selective predicates on
+// the clustered timestamp must beat the uncompressed layout by >=3x;
+// the footprint must shrink by >=2x.
 func expF11() error {
 	n := f11Rows
 	header("F11", fmt.Sprintf("compressed segments + zone-map skipping, %d-row event log (GOMAXPROCS=%d)",
@@ -819,16 +818,16 @@ func expF11() error {
 	fmt.Printf("%-38s %12d (sealed %s)\n", "segments", fp.Segments, pct(fp.SealedRatio))
 	fmt.Printf("%-38s %v\n", "column encodings", fp.EncodingCount)
 
-	fmt.Printf("\n%-26s %4s %11s %11s %11s %8s %9s %14s %7s\n",
-		"query", "par", "segments", "plain", "row-mode", "speedup", "skipped", "rows/s", "out")
+	fmt.Printf("\n%-26s %4s %11s %11s %8s %9s %14s %7s\n",
+		"query", "par", "segments", "plain", "speedup", "skipped", "rows/s", "out")
 	var tsSerialFactor float64
 	for i := range probes {
 		sq := &probes[i]
 		if err := sq.MeasurePlain(db, reps); err != nil {
 			return err
 		}
-		fmt.Printf("%-26s %4d %11s %11s %11s %7.2fx %9s %14.0f %7d\n",
-			sq.Name, sq.Par, sq.Seg, sq.Plain, sq.RowMode, sq.Factor(),
+		fmt.Printf("%-26s %4d %11s %11s %7.2fx %9s %14.0f %7d\n",
+			sq.Name, sq.Par, sq.Seg, sq.Plain, sq.Factor(),
 			pct(sq.SkipRatio), sq.RowsPerSec(), sq.OutRows)
 		if sq.Name == "ts window ~2% count" && sq.Par == 1 {
 			tsSerialFactor = sq.Factor()

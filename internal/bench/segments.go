@@ -22,7 +22,6 @@ type SegQuery struct {
 	Rows      int           // table rows the scan is over
 	Seg       time.Duration // sealed segments, zone maps live
 	Plain     time.Duration // one plain segment (set by MeasurePlain)
-	RowMode   time.Duration // row-at-a-time ablation
 	SegN      int64         // segments decoded (per run)
 	SegSkip   int64         // segments skipped by zone maps (per run)
 	OutRows   int           // result cardinality
@@ -110,11 +109,11 @@ func minOver(reps int, run func() (*exec.Result, error)) (time.Duration, error) 
 }
 
 // MeasureSegQuery times one query over the table's segment layout at
-// worker degree par, vectorized and row-at-a-time, and requires the
-// two to agree row for row — the skip logic must never change results.
-// Counters come from a dedicated counted run so the timed loops stay
-// untouched. MeasurePlain adds the uncompressed column once the caller
-// has resealed the table.
+// worker degree par, requiring a parallel run to agree row for row
+// with the serial one. Counters come from a dedicated counted run so
+// the timed loops stay untouched. MeasurePlain adds the uncompressed
+// column once the caller has resealed the table, and checks that the
+// skip logic never changes results.
 func MeasureSegQuery(db *store.DB, table, name, query string, par, reps int) (SegQuery, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -140,22 +139,14 @@ func MeasureSegQuery(db *store.DB, table, name, query string, par, reps int) (Se
 		return SegQuery{}, err
 	}
 
-	rowRes, err := exec.Run(ctx, sn, p, exec.RunOpts{NoVec: true})
-	if err != nil {
-		return SegQuery{}, err
-	}
-	rowMode, err := minOver(reps, func() (*exec.Result, error) { return exec.Run(ctx, sn, p, exec.RunOpts{NoVec: true}) })
-	if err != nil {
-		return SegQuery{}, err
-	}
-	if err := sameRows(name, "segment path", segRes, "row-mode path", rowRes); err != nil {
+	if err := sameAsSerial(ctx, sn, p, name, segRes); err != nil {
 		return SegQuery{}, err
 	}
 
 	out := SegQuery{
 		Name: name, Par: par,
-		Rows: sn.Table(table).Len(),
-		Seg:  seg, RowMode: rowMode,
+		Rows:    sn.Table(table).Len(),
+		Seg:     seg,
 		SegN:    c.Scanned.Load(),
 		SegSkip: c.Skipped.Load(),
 		OutRows: len(segRes.Rows),

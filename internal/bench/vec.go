@@ -6,35 +6,33 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
 
-// VecSpeedup is one vectorized-versus-row-at-a-time timing comparison
-// for a query (experiment F7), with the seed-style materializing
-// reference path as the outer baseline.
+// VecSpeedup is one vectorized-engine timing for a query (experiment
+// F7) against the seed-style materializing reference executor.
 type VecSpeedup struct {
 	Name      string
 	Par       int           // 1 = serial pipelines
 	Vec       time.Duration // batch-at-a-time over column vectors
-	Row       time.Duration // row-at-a-time Volcano iterators
 	Reference time.Duration // materializing reference executor
 }
 
-// Factor is Row/Vec (>1 means vectorization won).
+// Factor is Reference/Vec (>1 means the engine won).
 func (s VecSpeedup) Factor() float64 {
 	if s.Vec <= 0 {
 		return 0
 	}
-	return float64(s.Row) / float64(s.Vec)
+	return float64(s.Reference) / float64(s.Vec)
 }
 
-// MeasureVecSpeedup times one query through the vectorized pipeline
-// and the row-at-a-time pipeline at worker degree par (1 = serial),
-// plus the reference executor, averaging over reps. Both planned sides
-// run prebuilt plans so the factor isolates execution. The vectorized
-// rows are checked row-for-row against the row-at-a-time baseline —
-// order included — and by bag against the reference path.
+// MeasureVecSpeedup times one query through the engine at worker
+// degree par (1 = serial) on a prebuilt plan, so the time isolates
+// execution, and through the reference executor, averaging over reps.
+// The engine's rows are checked by bag against the reference and, at
+// par > 1, row for row — order included — against the serial run.
 func MeasureVecSpeedup(db *store.DB, name, query string, par, reps int) (VecSpeedup, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
@@ -58,18 +56,6 @@ func MeasureVecSpeedup(db *store.DB, name, query string, par, reps int) (VecSpee
 	}
 	vec := time.Since(start) / time.Duration(reps)
 
-	rowRes, err := exec.Run(ctx, sn, p, exec.RunOpts{NoVec: true}) // warm-up
-	if err != nil {
-		return VecSpeedup{}, err
-	}
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := exec.Run(ctx, sn, p, exec.RunOpts{NoVec: true}); err != nil {
-			return VecSpeedup{}, err
-		}
-	}
-	row := time.Since(start) / time.Duration(reps)
-
 	refRes, err := exec.ReferenceQueryAt(sn, stmt)
 	if err != nil {
 		return VecSpeedup{}, err
@@ -82,11 +68,24 @@ func MeasureVecSpeedup(db *store.DB, name, query string, par, reps int) (VecSpee
 	}
 	ref := time.Since(start) / time.Duration(reps)
 
-	if err := sameRows(name, "vectorized path", vecRes, "row path", rowRes); err != nil {
+	if err := sameAsSerial(ctx, sn, p, name, vecRes); err != nil {
 		return VecSpeedup{}, err
 	}
 	if !SameResult(vecRes, refRes) {
 		return VecSpeedup{}, fmt.Errorf("bench: vectorized result diverges from reference for %q", name)
 	}
-	return VecSpeedup{Name: name, Par: par, Vec: vec, Row: row, Reference: ref}, nil
+	return VecSpeedup{Name: name, Par: par, Vec: vec, Reference: ref}, nil
+}
+
+// sameAsSerial requires res, from a run of p at its compiled degree,
+// to equal p run serially row for row; a serial plan passes as is.
+func sameAsSerial(ctx context.Context, sn *store.Snapshot, p *plan.Plan, name string, res *exec.Result) error {
+	if p.Par <= 1 {
+		return nil
+	}
+	serial, err := exec.Run(ctx, sn, p, exec.RunOpts{Par: 1})
+	if err != nil {
+		return err
+	}
+	return sameRows(name, "parallel run", res, "serial run", serial)
 }

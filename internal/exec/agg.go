@@ -2,17 +2,38 @@ package exec
 
 import (
 	"fmt"
+	"math/big"
 
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
 
+// group is a set of rows sharing GROUP BY key values, the reference
+// executor's evaluation context for aggregate expressions.
+type group struct {
+	rel    *plan.Rel
+	rows   []store.Row
+	parent *plan.Frame
+}
+
+// rep returns a frame over the group's first row, used for evaluating
+// grouped (non-aggregate) expressions. An empty group (the global
+// aggregate over empty input) yields an all-NULL row.
+func (g *group) rep() *plan.Frame {
+	var row store.Row
+	if len(g.rows) > 0 {
+		row = g.rows[0]
+	} else {
+		row = make(store.Row, g.rel.Width)
+	}
+	return &plan.Frame{Rel: g.rel, Row: row, Parent: g.parent}
+}
+
 // evalGroup evaluates an expression in group context: aggregate calls
 // fold over the group's rows, everything else evaluates on the
-// representative row. plan's Aggregate operator calls this through the
-// plan.Evaluator interface.
-func (ex *executor) evalGroup(g *plan.Group, e sql.Expr) (store.Value, error) {
+// representative row.
+func (ex *executor) evalGroup(g *group, e sql.Expr) (store.Value, error) {
 	switch n := e.(type) {
 	case *sql.FuncCall:
 		return ex.evalAggregate(g, n)
@@ -27,7 +48,7 @@ func (ex *executor) evalGroup(g *plan.Group, e sql.Expr) (store.Value, error) {
 				return store.Value{}, err
 			}
 			// Re-run the operator logic on pre-computed operands.
-			return ex.evalBinary(g.Rep(), &sql.BinaryExpr{
+			return ex.evalBinary(g.rep(), &sql.BinaryExpr{
 				Op: n.Op, L: sql.Lit(l), R: sql.Lit(r),
 			})
 		}
@@ -48,23 +69,23 @@ func (ex *executor) evalGroup(g *plan.Group, e sql.Expr) (store.Value, error) {
 			if err != nil {
 				return store.Value{}, err
 			}
-			return ex.eval(g.Rep(), &sql.NegExpr{X: sql.Lit(v)})
+			return ex.eval(g.rep(), &sql.NegExpr{X: sql.Lit(v)})
 		}
 	}
-	return ex.eval(g.Rep(), e)
+	return ex.eval(g.rep(), e)
 }
 
-func (ex *executor) evalAggregate(g *plan.Group, fc *sql.FuncCall) (store.Value, error) {
+func (ex *executor) evalAggregate(g *group, fc *sql.FuncCall) (store.Value, error) {
 	if fc.Star {
 		if fc.Name != "COUNT" {
 			return store.Value{}, fmt.Errorf("exec: %s(*) is not valid", fc.Name)
 		}
-		return store.Int(int64(len(g.Rows))), nil
+		return store.Int(int64(len(g.rows))), nil
 	}
 	var vals []store.Value
 	seen := map[string]bool{}
-	f := &plan.Frame{Rel: g.Rel, Parent: g.Parent}
-	for _, r := range g.Rows {
+	f := &plan.Frame{Rel: g.rel, Parent: g.parent}
+	for _, r := range g.rows {
 		f.Row = r
 		v, err := ex.eval(f, fc.Arg)
 		if err != nil {
@@ -101,7 +122,8 @@ func (ex *executor) evalAggregate(g *plan.Group, fc *sql.FuncCall) (store.Value,
 		if len(vals) == 0 {
 			return store.Null(), nil
 		}
-		sum := 0.0
+		// Integers add exactly, in big arithmetic; floats in float64.
+		sum, exact := 0.0, new(big.Int)
 		allInt := true
 		for _, v := range vals {
 			fv, ok := v.AsFloat()
@@ -112,14 +134,20 @@ func (ex *executor) evalAggregate(g *plan.Group, fc *sql.FuncCall) (store.Value,
 				allInt = false
 			}
 			sum += fv
-		}
-		if fc.Name == "AVG" {
-			return store.Float(sum / float64(len(vals))), nil
+			exact.Add(exact, big.NewInt(v.Int64()))
 		}
 		if allInt {
-			return store.Int(int64(sum)), nil
+			sum, _ = new(big.Float).SetInt(exact).Float64()
 		}
-		return store.Float(sum), nil
+		switch {
+		case fc.Name == "AVG":
+			return store.Float(sum / float64(len(vals))), nil
+		case !allInt:
+			return store.Float(sum), nil
+		case !exact.IsInt64():
+			return store.Value{}, fmt.Errorf("exec: SUM overflows INT")
+		}
+		return store.Int(exact.Int64()), nil
 	}
 	return store.Value{}, fmt.Errorf("exec: unknown aggregate %q", fc.Name)
 }

@@ -17,9 +17,17 @@ func (ex *executor) Eval(f *plan.Frame, e sql.Expr) (store.Value, error) {
 	return ex.eval(f, e)
 }
 
-// EvalGroup implements plan.Evaluator for aggregate contexts.
-func (ex *executor) EvalGroup(g *plan.Group, e sql.Expr) (store.Value, error) {
-	return ex.evalGroup(g, e)
+// SubqueryRows implements plan.Evaluator: the rows of a one-column
+// subquery under correlation parent f.
+func (ex *executor) SubqueryRows(f *plan.Frame, sub *sql.SelectStmt) ([]store.Row, error) {
+	res, err := ex.runSubquery(sub, f)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Cols) != 1 {
+		return nil, fmt.Errorf("exec: IN subquery must return one column, got %d", len(res.Cols))
+	}
+	return res.Rows, nil
 }
 
 // eval evaluates a scalar (non-aggregate) expression in a row frame.
@@ -241,14 +249,11 @@ func (ex *executor) evalIn(f *plan.Frame, n *sql.InExpr) (store.Value, error) {
 	}
 	var found, sawNull bool
 	if n.Sub != nil {
-		res, err := ex.runSubquery(n.Sub, f)
+		rows, err := ex.SubqueryRows(f, n.Sub)
 		if err != nil {
 			return store.Value{}, err
 		}
-		if len(res.Cols) != 1 {
-			return store.Value{}, fmt.Errorf("exec: IN subquery must return one column, got %d", len(res.Cols))
-		}
-		for _, row := range res.Rows {
+		for _, row := range rows {
 			if row[0].IsNull() {
 				sawNull = true
 				continue
@@ -460,12 +465,17 @@ func (ex *executor) scalarSubquery(sub *sql.SelectStmt, f *plan.Frame) (store.Va
 }
 
 // resolveValue finds the value of a column reference, searching the
-// current frame first and then the parent chain (correlation).
+// current frame first and then the parent chain (correlation). A frame
+// with no row is an operator's probe (see plan.Frame): the reference
+// reads a row that is not there yet.
 func resolveValue(f *plan.Frame, ref sql.ColumnRef) (store.Value, error) {
 	for cur := f; cur != nil; cur = cur.Parent {
 		off, ok, ambiguous := plan.OffsetIn(cur.Rel, ref)
 		if ambiguous {
 			return store.Value{}, fmt.Errorf("exec: ambiguous column %q", ref.String())
+		}
+		if ok && cur.Row == nil {
+			return store.Value{}, fmt.Errorf("exec: column %q is read before its row", ref.String())
 		}
 		if ok {
 			return cur.Row[off], nil

@@ -1,12 +1,11 @@
 // Package exec evaluates SQL ASTs (internal/sql) against the in-memory
 // store (internal/store). Queries are compiled by internal/plan into a
 // cost-optimized operator tree (predicate pushdown, column pruning,
-// index-aware join ordering) and executed by plan's Volcano-style
-// streaming iterators; this package contributes the scalar-expression
-// evaluator those iterators call back into, covering multi-table
-// equi-joins, aggregation with GROUP BY and HAVING, DISTINCT, ORDER BY
-// with alias references, LIMIT, IN/EXISTS and scalar subqueries
-// including correlated ones.
+// index-aware join ordering) and executed by plan's vectorized engine;
+// this package contributes the scalar-expression evaluator the engine
+// calls back into for what its kernels leave over — IN/EXISTS and
+// scalar subqueries including correlated ones, cross-kind comparisons
+// — and runs the subqueries themselves.
 //
 // Evaluation uses collapsed three-valued logic: comparisons involving
 // NULL yield NULL, AND/OR/NOT propagate NULL, and a WHERE/HAVING accepts
@@ -61,12 +60,6 @@ type RunOpts struct {
 	// passthrough when its worker cap is 1, rows stay identical.
 	Par int
 
-	// NoVec forces row-at-a-time execution everywhere, subqueries
-	// included: it reads the row face only, consults no zone map and
-	// touches no segment cache — the oracle the vectorized and segment
-	// differential tests and the F7/F11/F12 experiments compare against.
-	NoVec bool
-
 	// SegC and PartC, when set, accumulate segments decoded vs skipped
 	// by zone maps and partitions read vs pruned by bound predicates,
 	// across every scan of the run including subqueries and parallel
@@ -115,8 +108,8 @@ func RunBoundCountedAtCtx(ctx context.Context, sn *store.Snapshot, p *plan.Plan,
 // subquery plans. It holds the query's pinned snapshot: the outer
 // plan, every subquery plan and every subquery run read the same data
 // version, so a query's parts can never observe different writes.
-// Parallel plans call Eval/EvalGroup from multiple exchange workers at
-// once, so every cache access takes mu; the cached values themselves
+// Parallel plans call Eval/SubqueryRows from multiple exchange workers
+// at once, so every cache access takes mu; the cached values themselves
 // are immutable once published. Two workers racing on the same cold
 // entry may both compute it — the duplicated work is bounded and both
 // insert identical results.
@@ -154,8 +147,8 @@ func newExecutor(sn *store.Snapshot, o RunOpts) *executor {
 //   - context.Background(), context.TODO(), and any other context whose
 //     Done() returns nil keep the executor's signal nil — the unserved
 //     paths (tests, benchmarks, nlibench) pay zero cancellation
-//     overhead, because plan's checkpoint wrappers (ctxIter/ctxViter)
-//     return iterators unchanged when Done is nil;
+//     overhead, because plan's checkpoint wrapper (Ctx.checkpoint)
+//     returns iterators unchanged when Done is nil;
 //   - any context with a Done channel — cancelable, deadline-bearing,
 //     or derived from one — always arms the executor, so every
 //     iterator checkpoint, exchange morsel claim and segment fault-in
@@ -177,7 +170,7 @@ func (ex *executor) arm(ctx context.Context) {
 func (ex *executor) run(p *plan.Plan, parent *plan.Frame) (*Result, error) {
 	o := &ex.opts
 	rows, err := plan.Run(p, &plan.Ctx{Snap: ex.sn, Ev: ex, Parent: parent,
-		NoVec: o.NoVec, SegC: o.SegC, PartC: o.PartC,
+		SegC: o.SegC, PartC: o.PartC,
 		Params: o.Params, Par: o.Par, Done: ex.done, Cause: ex.cause})
 	if err != nil {
 		return nil, err

@@ -149,7 +149,7 @@ func TestParallelExplain(t *testing.T) {
 	}
 	// A COUNT folds inside the exchange's workers and says so; the same
 	// plan with an AVG aggregates the merged stream and carries no mark.
-	if !strings.Contains(out, "group by d.name [vec] [partial ×morsel]\n") {
+	if !strings.Contains(out, "group by d.name [partial ×morsel]\n") {
 		t.Errorf("Explain misses the per-morsel fold on the COUNT aggregate:\n%s", out)
 	}
 	avg, err := exec.Compile(db.Snapshot(), sql.MustParse(strings.Replace(stmt.String(), "COUNT(*)", "AVG(s.gpa)", 1)), 4)

@@ -234,7 +234,7 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Baseline off the rows: no segment, so no fault can reach it.
-	want, err := exec.Run(context.Background(), sn, p, exec.RunOpts{NoVec: true})
+	want, err := exec.ReferenceQueryAt(sn, stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 	after := db.SegCache().Stats()
 
 	if err := rowsIdentical(got, want); err != nil {
-		t.Errorf("pruned run vs row-executor baseline: %v", err)
+		t.Errorf("pruned run vs reference baseline: %v", err)
 	}
 	if pruned := partc.Pruned.Load(); pruned != parts-1 {
 		t.Errorf("pruned %d partitions, want %d (scanned %d)", pruned, parts-1, partc.Scanned.Load())

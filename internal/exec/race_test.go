@@ -83,8 +83,7 @@ func queryFns() map[string]func(*store.Snapshot, *sql.SelectStmt) (*Result, erro
 	return map[string]func(*store.Snapshot, *sql.SelectStmt) (*Result, error){
 		"serial":    Query,
 		"parallel":  mode(4, RunOpts{}),
-		"novec":     mode(1, RunOpts{NoVec: true}),
-		"novec-par": mode(4, RunOpts{NoVec: true}),
+		"shed":      mode(4, RunOpts{Par: 1}), // a parallel plan run serially
 		"reference": ReferenceQueryAt,
 	}
 }

@@ -341,11 +341,11 @@ func (ex *executor) referenceAggregate(stmt *sql.SelectStmt, mr *matRel, parent 
 	}
 
 	// Partition into groups.
-	var groups []*plan.Group
+	var groups []*group
 	if len(stmt.GroupBy) == 0 {
-		groups = []*plan.Group{{Rel: mr.rel, Rows: kept, Parent: parent}}
+		groups = []*group{{rel: mr.rel, rows: kept, parent: parent}}
 	} else {
-		byKey := map[string]*plan.Group{}
+		byKey := map[string]*group{}
 		var order []string
 		for _, r := range kept {
 			f := &plan.Frame{Rel: mr.rel, Row: r, Parent: parent}
@@ -359,11 +359,11 @@ func (ex *executor) referenceAggregate(stmt *sql.SelectStmt, mr *matRel, parent 
 			}
 			g, ok := byKey[key]
 			if !ok {
-				g = &plan.Group{Rel: mr.rel, Parent: parent}
+				g = &group{rel: mr.rel, parent: parent}
 				byKey[key] = g
 				order = append(order, key)
 			}
-			g.Rows = append(g.Rows, r)
+			g.rows = append(g.rows, r)
 		}
 		for _, k := range order {
 			groups = append(groups, byKey[k])

@@ -24,8 +24,8 @@ func setSegmentRows(db *store.DB, n int) {
 // TestSegDifferentialCorpus runs the full benchmark corpus over tiny
 // segments (sizes chosen to straddle encoding and batch boundaries,
 // including non-multiples of 64 and 1024) and requires the segment
-// scan path and the row path — which reads no segment — to produce
-// row-for-row identical output, serially and in parallel.
+// scan path to equal the reference executor — which reads no segment —
+// as a bag, and its parallel run to equal its serial run row for row.
 func TestSegDifferentialCorpus(t *testing.T) {
 	for _, segRows := range []int{7, 100, 1025} {
 		for _, domain := range dataset.Names() {
@@ -39,6 +39,11 @@ func TestSegDifferentialCorpus(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
 				}
+				ref, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
+				if err != nil {
+					t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
+				}
+				var serial *exec.Result
 				for _, par := range []int{1, 4} {
 					sn := db.Snapshot()
 					p, err := exec.Compile(sn, stmt, par)
@@ -49,12 +54,14 @@ func TestSegDifferentialCorpus(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: segment execution failed (segRows=%d par=%d): %v", cs.ID, segRows, par, err)
 					}
-					row, err := exec.Run(context.Background(), sn, p, exec.RunOpts{NoVec: true})
-					if err != nil {
-						t.Fatalf("%s: row execution failed: %v", cs.ID, err)
+					if err := sameBag(seg, ref); err != nil {
+						t.Errorf("%s (segRows=%d par=%d): segment vs reference: %v\nsql: %s",
+							cs.ID, segRows, par, err, cs.Gold)
 					}
-					if err := rowsIdentical(seg, row); err != nil {
-						t.Errorf("%s (segRows=%d par=%d): segment vs row-at-a-time: %v\nsql: %s",
+					if serial == nil {
+						serial = seg
+					} else if err := rowsIdentical(seg, serial); err != nil {
+						t.Errorf("%s (segRows=%d par=%d): parallel vs serial: %v\nsql: %s",
 							cs.ID, segRows, par, err, cs.Gold)
 					}
 				}
@@ -140,12 +147,12 @@ func TestSegZoneSkipCounts(t *testing.T) {
 			if err := rowsIdentical(counted, p); err != nil {
 				t.Errorf("%s (segRows=%d): counted vs plain: %v", tc.q, segRows, err)
 			}
-			// The row executor consults no zone map: the unskipped oracle.
-			unskipped, err := exec.Run(context.Background(), sn, plan, exec.RunOpts{NoVec: true})
+			// The reference executor consults no zone map: the unskipped oracle.
+			unskipped, err := exec.ReferenceQueryAt(sn, stmt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rowsIdentical(counted, unskipped); err != nil {
+			if err := sameBag(counted, unskipped); err != nil {
 				t.Errorf("%s (segRows=%d): skipping changed results: %v", tc.q, segRows, err)
 			}
 			skipped := c.Skipped.Load()
@@ -195,7 +202,8 @@ func TestSegSkipPrepared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: ps, NoVec: true})
+		want, err := exec.ReferenceQueryAt(sn, sql.MustParse(fmt.Sprintf(
+			"SELECT COUNT(*) FROM events WHERE ts BETWEEN %d AND %d", b.lo, b.hi)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +231,7 @@ func TestSegSkipPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(context.Background(), sn, p, exec.RunOpts{NoVec: true})
+	want, err := exec.ReferenceQueryAt(sn, sql.MustParse("SELECT COUNT(*) FROM events WHERE ts > NULL"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +247,7 @@ func TestSegSkipPrepared(t *testing.T) {
 // whose null layout stresses bitmap word and batch boundaries:
 // all-null columns, no-null columns, nulls exactly at multiples of 64
 // and 1024, and single-row tables. The segment path must agree with
-// the row path on every one.
+// the reference executor on every one.
 func TestSegNullEdgeBatches(t *testing.T) {
 	build := func(n int, nullAt func(i int) bool) *store.DB {
 		s := schema.MustNew("nulledge", []*schema.Table{{
@@ -292,11 +300,11 @@ func TestSegNullEdgeBatches(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sh.name, q, err)
 				}
-				row, err := compileRun(sn, stmt, 1, exec.RunOpts{NoVec: true})
+				ref, err := exec.ReferenceQueryAt(sn, stmt)
 				if err != nil {
 					t.Fatalf("%s/%s: %v", sh.name, q, err)
 				}
-				if err := rowsIdentical(vec, row); err != nil {
+				if err := rowsIdentical(vec, ref); err != nil {
 					t.Errorf("%s (segRows=%d): %s: %v", sh.name, segRows, q, err)
 				}
 			}

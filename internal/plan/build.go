@@ -145,11 +145,7 @@ func finishPlan(root Node, outRel *Rel, stmt *sql.SelectStmt) (*Plan, error) {
 	if stmt.Limit >= 0 {
 		root = &Limit{In: root, N: stmt.Limit}
 	}
-	// The vectorized pipeline is chosen when every expression in the
-	// tree compiles to a vector program; otherwise the row-at-a-time
-	// iterators run wherever needed, with vectorizable sections still
-	// batch-executed node-by-node (see openChild and vecChild).
-	return &Plan{Root: root, Cols: cols, Stmt: stmt, Vec: fullyVec(root)}, nil
+	return &Plan{Root: root, Cols: cols, Stmt: stmt}, nil
 }
 
 // EquiJoin is one "a.x = b.y" conjunct.

@@ -1,28 +1,17 @@
 package plan
 
-import (
-	"context"
-
-	"repro/internal/store"
-)
+import "context"
 
 // Request cancellation. A served query carries the request's
 // cancellation signal into the executing plan as a done channel plus a
 // cause callback — never as a context.Context stored in a struct (the
 // ctxfirst analyzer enforces that rule; database/sql's driver layer
 // uses the same split). Checkpoints sit at batch granularity: every
-// leaf scan checks once per emitted batch (or once per cancelCheckRows
-// rows on the row path), every Exchange worker checks at each morsel
-// claim, and the materializing loops (Run, drain) re-check as they
-// accumulate. A canceled request therefore stops burning CPU within
-// one batch of work per worker instead of finishing a multi-second
-// scan nobody is waiting for.
-
-// cancelCheckRows is how many rows a row-at-a-time iterator produces
-// between cancellation checks — the row path's "batch" granularity,
-// sized like a vectorized batch so both modes observe cancellation at
-// comparable latency and the per-row overhead stays a counter test.
-const cancelCheckRows = 1024
+// leaf scan checks once per emitted batch, every Exchange worker checks
+// at each morsel claim, and Run re-checks as it materializes each
+// batch. A canceled request therefore stops burning CPU within one
+// batch of work per worker instead of finishing a multi-second scan
+// nobody is waiting for.
 
 // canceled reports the run's cancellation error once Done is closed,
 // nil before then (and always nil for runs without a signal).
@@ -43,37 +32,17 @@ func (c *Ctx) canceled() error {
 	}
 }
 
-// ctxIter wraps a row iterator with a cancellation checkpoint every
-// cancelCheckRows rows. Runs without a signal get the iterator back
-// unchanged — the unserved paths (tests, benchmarks, nlibench) pay
-// nothing.
-func ctxIter(c *Ctx, it iter) iter {
-	if c.Done == nil {
-		return it
-	}
-	n := 0
-	return func() (store.Row, error) {
-		n++
-		if n >= cancelCheckRows {
-			n = 0
-			if err := c.canceled(); err != nil {
-				return nil, err
-			}
-		}
-		return it()
-	}
-}
-
-// ctxViter wraps a batch iterator with a per-batch cancellation
-// checkpoint; runs without a signal get the iterator back unchanged.
-func ctxViter(c *Ctx, it viter) viter {
-	if c.Done == nil {
-		return it
+// checkpoint wraps a batch iterator (or passes on its open's error)
+// with a per-batch cancellation check; runs without a signal get the
+// iterator back unchanged.
+func (c *Ctx) checkpoint(it viter, err error) (viter, error) {
+	if err != nil || c.Done == nil {
+		return it, err
 	}
 	return func() (*vbatch, error) {
 		if err := c.canceled(); err != nil {
 			return nil, err
 		}
 		return it()
-	}
+	}, nil
 }

@@ -159,7 +159,7 @@ func TestEncodedKernelsEqualDecoded(t *testing.T) {
 	x := sql.Col("", "x")
 	compile := func(e sql.Expr) vexpr {
 		t.Helper()
-		ve, ok := compileRelWith(rel, nil).compile(e)
+		ve, ok := newCompiler(rel, &Ctx{}).compile(e)
 		if !ok {
 			t.Fatalf("%s does not vectorize", e)
 		}

@@ -24,13 +24,10 @@ func (p *Plan) Explain() string {
 // merges per-partition states, so both carry [partition-wise]. build
 // marks the child a hash join hashes — its right input, the one the
 // optimizer estimated smaller — with [build]; the other child streams
-// as the probe. Nodes that execute batch-at-a-time over column vectors
-// carry [vec]; a node without the mark falls back to the row iterator
-// while its vectorizable neighbors stay in batches. A vectorized
-// aggregate that folds inside the workers of the Exchange or
-// PartitionWise below it carries [partial ×morsel] or [partial
-// ×partition]; one left unmarked (SUM, AVG, a float MIN/MAX)
-// aggregates the merged stream.
+// as the probe. An aggregate that folds inside the workers of the
+// Exchange or PartitionWise below it carries [partial ×morsel] or
+// [partial ×partition]; one left unmarked (SUM, AVG, a float MIN/MAX,
+// DISTINCT) aggregates the merged stream.
 func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, pw, build bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
@@ -46,14 +43,10 @@ func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int
 		if _, ok := t.In.(*PartitionWise); ok {
 			b.WriteString(" [partition-wise]")
 		}
-	}
-	if staticVec(n) {
-		b.WriteString(" [vec]")
-		if a, ok := n.(*Aggregate); ok {
-			ap, _ := planVecAgg(a, nil, true)
-			if f := a.partialOver(ap); f != nil {
-				b.WriteString(" [partial ×" + f.unit() + "]")
-			}
+		// With no run to bind against, subqueries and parameters compile
+		// row by row; slot kinds are what the decision reads.
+		if f := t.partialOver(planVecAgg(t, &Ctx{})); f != nil {
+			b.WriteString(" [partial ×" + f.unit() + "]")
 		}
 	}
 	if par > 1 {

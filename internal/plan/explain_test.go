@@ -24,15 +24,15 @@ func TestExplainGolden(t *testing.T) {
 			name: "point lookup uses the primary-key index",
 			sql:  "SELECT name FROM students WHERE id = 7",
 			want: `
-project name [vec]
-└─ index scan students (id = 7) cols=2/5 [est=1] [vec]`,
+project name
+└─ index scan students (id = 7) cols=2/5 [est=1]`,
 		},
 		{
 			name: "range predicate uses the ordered index",
 			sql:  "SELECT name FROM instructors WHERE id BETWEEN 5 AND 10",
 			want: `
-project name [vec]
-└─ index scan instructors (id in [5, 10]) cols=2/5 [est=6] [vec]`,
+project name
+└─ index scan instructors (id in [5, 10]) cols=2/5 [est=6]`,
 		},
 		{
 			name: "join-heavy query: pushdown, pruning, selective-first join order",
@@ -40,37 +40,37 @@ project name [vec]
 				"WHERE e.student_id = s.id AND e.course_id = c.course_id AND c.dept_id = d.dept_id " +
 				"AND d.name = 'Computer Science' AND s.gpa > 3.7 ORDER BY s.name LIMIT 5",
 			want: `
-limit 5 [vec]
-└─ sort by s.name [vec]
-   └─ project s.name, c.title [vec]
-      └─ hash join on (e.student_id = s.id) [est=12] [vec]
-         ├─ filter (s.gpa > 3.7) [est=40] [vec]
-         │  └─ scan students AS s cols=3/5 [est=120 segments=1 skipped=0] [vec]
-         └─ hash join on (e.course_id = c.course_id) [est=36] [build] [vec]
-            ├─ scan enrollments AS e cols=2/3 [est=360 segments=1 skipped=0] [vec]
-            └─ hash join on (c.dept_id = d.dept_id) [est=4] [build] [vec]
-               ├─ scan courses AS c cols=3/5 [est=36 segments=1 skipped=0] [vec]
-               └─ filter (d.name = 'Computer Science') [est=1] [build] [vec]
-                  └─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0] [vec]`,
+limit 5
+└─ sort by s.name
+   └─ project s.name, c.title
+      └─ hash join on (e.student_id = s.id) [est=12]
+         ├─ filter (s.gpa > 3.7) [est=40]
+         │  └─ scan students AS s cols=3/5 [est=120 segments=1 skipped=0]
+         └─ hash join on (e.course_id = c.course_id) [est=36] [build]
+            ├─ scan enrollments AS e cols=2/3 [est=360 segments=1 skipped=0]
+            └─ hash join on (c.dept_id = d.dept_id) [est=4] [build]
+               ├─ scan courses AS c cols=3/5 [est=36 segments=1 skipped=0]
+               └─ filter (d.name = 'Computer Science') [est=1] [build]
+                  └─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0]`,
 		},
 		{
 			name: "aggregation with HAVING and alias sort",
 			sql: "SELECT d.name, AVG(i.salary) AS avg_sal FROM instructors i, departments d " +
 				"WHERE i.dept_id = d.dept_id GROUP BY d.name HAVING COUNT(*) > 2 ORDER BY avg_sal DESC",
 			want: `
-sort by avg_sal desc [vec]
-└─ aggregate d.name, AVG(i.salary) group by d.name having (COUNT(*) > 2) [vec]
-   └─ hash join on (i.dept_id = d.dept_id) [est=24] [vec]
-      ├─ scan instructors AS i cols=2/5 [est=24 segments=1 skipped=0] [vec]
-      └─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0] [build] [vec]`,
+sort by avg_sal desc
+└─ aggregate d.name, AVG(i.salary) group by d.name having (COUNT(*) > 2)
+   └─ hash join on (i.dept_id = d.dept_id) [est=24]
+      ├─ scan instructors AS i cols=2/5 [est=24 segments=1 skipped=0]
+      └─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0] [build]`,
 		},
 		{
 			name: "distinct projection prunes to one column",
 			sql:  "SELECT DISTINCT dept_id FROM students",
 			want: `
-distinct [vec]
-└─ project dept_id [vec]
-   └─ scan students cols=1/5 [est=120 segments=1 skipped=0] [vec]`,
+distinct
+└─ project dept_id
+   └─ scan students cols=1/5 [est=120 segments=1 skipped=0]`,
 		},
 	}
 	for _, c := range cases {
@@ -99,12 +99,12 @@ func TestExplainNaiveGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.TrimPrefix(`
-sort by avg_sal desc [vec]
-└─ aggregate d.name, AVG(i.salary) group by d.name having (COUNT(*) > 2) [vec]
-   └─ filter (i.dept_id = d.dept_id) [est=144] [vec]
-      └─ hash join on (i.dept_id = d.dept_id) [est=144] [vec]
-         ├─ scan instructors AS i [est=24] [vec]
-         └─ scan departments AS d [est=6] [build] [vec]`, "\n")
+sort by avg_sal desc
+└─ aggregate d.name, AVG(i.salary) group by d.name having (COUNT(*) > 2)
+   └─ filter (i.dept_id = d.dept_id) [est=144]
+      └─ hash join on (i.dept_id = d.dept_id) [est=144]
+         ├─ scan instructors AS i [est=24]
+         └─ scan departments AS d [est=6] [build]`, "\n")
 	if got := p.Explain(); got != want {
 		t.Errorf("naive explain mismatch\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}

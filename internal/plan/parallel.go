@@ -12,23 +12,15 @@ import (
 // its worker pool and merge; cheaper pipelines run serially.
 const minParallelRows = 256
 
-// minParallelGroups is the smallest group count for which fanning
-// group evaluation (HAVING + aggregate items) across workers pays.
-const minParallelGroups = 8
-
-// minChunkRows is the smallest chunk a materialized row set is split
-// into for parallel hashing and grouping.
-const minChunkRows = 128
-
 // Exchange runs its subtree on a bounded pool of Workers goroutines.
 // Each worker repeatedly claims a morsel (a contiguous row range) of
 // the partitioned leaf scan, runs its own copy of the subtree's
-// iterators over just that morsel, and deposits the output — rows,
-// kept batches, or the group table of an aggregate folding right there
-// — into a per-morsel slot. The slots merge in morsel order, so
-// parallel execution is row-for-row identical to the serial plan.
-// Build sides of hash joins inside the subtree are built once
-// and shared read-only across workers (see HashJoin.buildTable).
+// iterators over just that morsel, and deposits the output — kept
+// batches, or the group table of an aggregate folding right there —
+// into a per-morsel slot. The slots merge in morsel order, so parallel
+// execution is row-for-row identical to the serial plan. Build sides
+// of hash joins inside the subtree are built once and shared read-only
+// across workers (see HashJoin.vecBuild).
 type Exchange struct {
 	In      Node
 	Workers int
@@ -80,9 +72,9 @@ walk:
 	switch n := node.(type) {
 	case *Aggregate:
 		// The parallel operator goes below the aggregate (a pipeline
-		// breaker regardless of LIMIT): workers produce partial row
-		// streams, the aggregate itself parallelizes its grouping and
-		// group evaluation with per-worker partial states.
+		// breaker regardless of LIMIT): workers produce partial
+		// streams, or fold them into per-slot group tables when every
+		// aggregate merges exactly (Aggregate.vopen).
 		if pipelineWork(n.In) >= minParallelRows {
 			if deg, scans := partitionWise(sn, n.In, par); deg > 0 {
 				n.In = &PartitionWise{In: n.In, Workers: par, N: deg, scans: scans}
@@ -163,40 +155,30 @@ func partitionLeaf(n Node) Node {
 	return nil
 }
 
-// baseRows materializes the unprojected row set of the partitioned
-// leaf: the full table for a Scan (ids nil — positions are row ids),
-// the index-selected rows and their ids for an IndexScan.
-func baseRows(n Node, ctx *Ctx) ([]store.Row, []int, Binding, error) {
+// baseSpan sizes the partitioned leaf: the table's row count for a
+// Scan (ids nil — positions are row ids), the index-selected ids for
+// an IndexScan.
+func baseSpan(n Node, ctx *Ctx) (int, []int, error) {
 	switch s := n.(type) {
 	case *Scan:
 		tab := ctx.Snap.Table(s.B.Meta.Name)
 		if tab == nil {
-			return nil, nil, Binding{}, errUnknownTable(s.B.Meta.Name)
+			return 0, nil, errUnknownTable(s.B.Meta.Name)
 		}
-		return tab.Rows(), nil, s.B, nil
+		return tab.Len(), nil, nil
 	case *IndexScan:
 		ids, err := s.lookupIDs(ctx)
-		if err != nil {
-			return nil, nil, Binding{}, err
-		}
-		tab := ctx.Snap.Table(s.B.Meta.Name)
-		rows := make([]store.Row, len(ids))
-		for i, id := range ids {
-			rows[i] = tab.Row(id)
-		}
-		return rows, ids, s.B, nil
+		return len(ids), ids, err
 	}
-	return nil, nil, Binding{}, errUnknownTable("<not a leaf>")
+	return 0, nil, errUnknownTable("<not a leaf>")
 }
 
 // morselRun tells a leaf scan inside a worker which slice of its base
-// rows to produce instead of the full table. The row iterator consumes
-// rows; the vectorized scan consumes the [lo, hi) range (zero-copy
-// windows over the segment columns) or, for index scans, the ids to
-// gather.
+// rows to produce instead of the full table: the [lo, hi) range
+// (zero-copy windows over the segment columns) or, for index scans,
+// the ids to gather.
 type morselRun struct {
-	node   Node // identity of the partitioned leaf
-	rows   []store.Row
+	node   Node  // identity of the partitioned leaf
 	lo, hi int   // base-table row range (Scan morsels)
 	ids    []int // index-selected row ids (IndexScan morsels)
 }
@@ -209,10 +191,10 @@ type fanOut interface {
 	Node
 	// slots sizes one run: the number of slots and the worker loop that
 	// hands sink each one, with the context its leaves read that slot
-	// under. What a slot leaves behind is the sink's business — drained
-	// rows (drainSlots), kept batches (keepSlots) or a partial group
-	// table (Aggregate.vopen) — in storage it indexes by slot. n == 0:
-	// the operator degrades to a serial passthrough of its input.
+	// under. What a slot leaves behind is the sink's business — kept
+	// batches (keepSlots) or a partial group table (Aggregate.vopen) —
+	// in storage it indexes by slot. n == 0: the operator degrades to a
+	// serial passthrough of its input.
 	slots(ctx *Ctx) (n int, run func(sink slotSink) error, err error)
 	// unit names a slot for Explain: "morsel", "partition".
 	unit() string
@@ -235,21 +217,21 @@ func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 	if ctx.Par > 0 && ctx.Par < workers {
 		workers = ctx.Par
 	}
-	rows, ids, _, err := baseRows(e.part, ctx)
+	total, ids, err := baseSpan(e.part, ctx)
 	if err != nil {
 		return 0, nil, err
 	}
-	if workers > len(rows) {
-		workers = len(rows)
+	if workers > total {
+		workers = total
 	}
 	if workers <= 1 {
 		return 0, nil, nil
 	}
-	spans := morselSpans(len(rows), workers, partBoundsFor(ctx, e.part, ids))
+	spans := morselSpans(total, workers, partBoundsFor(ctx, e.part, ids))
 	return len(spans), func(sink slotSink) error {
 		return runSlots(ctx, workers, len(spans), func(m int, wctx *Ctx) error {
 			lo, hi := spans[m][0], spans[m][1]
-			mr := &morselRun{node: e.part, rows: rows[lo:hi], lo: lo, hi: hi}
+			mr := &morselRun{node: e.part, lo: lo, hi: hi}
 			if ids != nil {
 				mr.ids = ids[lo:hi]
 			}
@@ -261,8 +243,8 @@ func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 
 // runSlots is the one worker loop: workers claim slots from a shared
 // counter and hand each to sink with a context of the worker's own — a
-// copy of ctx with no key buffer and the worker's scratch set, rewound.
-// The first error stops the pool and is returned.
+// copy of ctx with the worker's scratch set, rewound. The first error
+// stops the pool and is returned.
 func runSlots(ctx *Ctx, workers, n int, sink slotSink) error {
 	var next atomic.Int64
 	var failed atomic.Bool
@@ -282,7 +264,6 @@ func runSlots(ctx *Ctx, workers, n int, sink slotSink) error {
 				err := ctx.canceled()
 				if err == nil {
 					wctx := *ctx
-					wctx.scratch = nil // never share key buffers across workers
 					wctx.vs, vs.used = vs, 0
 					err = sink(i, &wctx)
 				}
@@ -298,60 +279,17 @@ func runSlots(ctx *Ctx, workers, n int, sink slotSink) error {
 	return firstErr
 }
 
-// drainSlots is the row-at-a-time open of a fanOut: every slot's rows,
-// concatenated in slot order.
-func drainSlots(f fanOut, ctx *Ctx) (iter, error) {
-	in := f.Children()[0]
-	n, run, err := f.slots(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return in.open(ctx)
-	}
-	outs := make([][]store.Row, n)
-	err = run(func(i int, wctx *Ctx) (err error) {
-		outs[i], err = drain(in, wctx)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	oi, ri := 0, 0
-	return func() (store.Row, error) {
-		for oi < len(outs) {
-			if ri < len(outs[oi]) {
-				r := outs[oi][ri]
-				ri++
-				return r, nil
-			}
-			oi++
-			ri = 0
-		}
-		return nil, nil
-	}, nil
-}
-
-func (e *Exchange) open(ctx *Ctx) (iter, error) { return drainSlots(e, ctx) }
-func (e *Exchange) unit() string                { return "morsel" }
+func (e *Exchange) unit() string { return "morsel" }
 
 // sharedState carries per-execution state shared by the workers of
-// every Exchange in the plan: hash-join build sides (row tables or
-// columnar vectorized builds, depending on the mode the join executes
-// in) are computed once and probed concurrently.
+// every Exchange in the plan: hash-join build sides are computed once
+// and probed concurrently.
 type sharedState struct {
-	mu        sync.Mutex
-	builds    map[*HashJoin]*buildEntry
-	vecBuilds map[*HashJoin]*vecBuildEntry
+	mu     sync.Mutex
+	builds map[*HashJoin]*buildEntry
 }
 
 type buildEntry struct {
-	once  sync.Once
-	table map[string][]store.Row
-	err   error
-}
-
-type vecBuildEntry struct {
 	once  sync.Once
 	build *vecBuildTable
 	err   error
@@ -369,186 +307,4 @@ func (s *sharedState) entry(j *HashJoin) *buildEntry {
 		s.builds[j] = e
 	}
 	return e
-}
-
-func (s *sharedState) vecEntry(j *HashJoin) *vecBuildEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.vecBuilds == nil {
-		s.vecBuilds = map[*HashJoin]*vecBuildEntry{}
-	}
-	e, ok := s.vecBuilds[j]
-	if !ok {
-		e = &vecBuildEntry{}
-		s.vecBuilds[j] = e
-	}
-	return e
-}
-
-// parallelHash builds the join hash table from already-materialized
-// build rows using per-worker partial tables merged in chunk order, so
-// the per-key row order matches a serial build exactly.
-func parallelHash(rows []store.Row, key []int, par int) map[string][]store.Row {
-	chunk := (len(rows) + par - 1) / par
-	if chunk < minChunkRows {
-		chunk = minChunkRows
-	}
-	nc := (len(rows) + chunk - 1) / chunk
-	partials := make([]map[string][]store.Row, nc)
-	var wg sync.WaitGroup
-	for c := 0; c < nc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			part := map[string][]store.Row{}
-			var buf []byte // per-goroutine scratch, never shared
-			for _, r := range rows[lo:hi] {
-				if k, ok := appendJoinKey(buf[:0], r, key); ok {
-					buf = k
-					part[string(k)] = append(part[string(k)], r)
-				}
-			}
-			partials[c] = part
-		}(c)
-	}
-	wg.Wait()
-	if nc == 1 {
-		return partials[0]
-	}
-	table := map[string][]store.Row{}
-	for _, part := range partials {
-		for k, rs := range part {
-			table[k] = append(table[k], rs...)
-		}
-	}
-	return table
-}
-
-// parallelGroups partitions input rows into GROUP BY groups using
-// per-worker partial group maps merged in chunk order: group discovery
-// order and the row order inside every group match the serial
-// partitioning exactly.
-func (a *Aggregate) parallelGroups(ctx *Ctx, rel *Rel, input []store.Row, par int) ([]*Group, error) {
-	type partial struct {
-		byKey map[string]*Group
-		order []string
-	}
-	chunk := (len(input) + par - 1) / par
-	if chunk < minChunkRows {
-		chunk = minChunkRows
-	}
-	nc := (len(input) + chunk - 1) / chunk
-	partials := make([]partial, nc)
-	errs := make([]error, nc)
-	var wg sync.WaitGroup
-	for c := 0; c < nc; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > len(input) {
-				hi = len(input)
-			}
-			if err := ctx.canceled(); err != nil {
-				errs[c] = err
-				return
-			}
-			p := partial{byKey: map[string]*Group{}}
-			frame := &Frame{Rel: rel, Parent: ctx.Parent}
-			var buf []byte // per-goroutine scratch, never shared
-			for _, r := range input[lo:hi] {
-				frame.Row = r
-				k, err := a.appendGroupKey(ctx, frame, buf[:0])
-				if err != nil {
-					errs[c] = err
-					return
-				}
-				buf = k
-				g, ok := p.byKey[string(k)]
-				if !ok {
-					g = &Group{Rel: rel, Parent: ctx.Parent}
-					p.byKey[string(k)] = g
-					p.order = append(p.order, string(k))
-				}
-				g.Rows = append(g.Rows, r)
-			}
-			partials[c] = p
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	byKey := map[string]*Group{}
-	var groups []*Group
-	for _, p := range partials {
-		for _, k := range p.order {
-			g, ok := byKey[k]
-			if !ok {
-				byKey[k] = p.byKey[k]
-				groups = append(groups, p.byKey[k])
-				continue
-			}
-			g.Rows = append(g.Rows, p.byKey[k].Rows...)
-		}
-	}
-	return groups, nil
-}
-
-// evalGroups evaluates HAVING and the output items of every group,
-// fanning the independent group evaluations across par workers while
-// keeping group order: slot i of the result belongs to group i, with
-// nil marking a group HAVING filtered out.
-func (a *Aggregate) evalGroups(ctx *Ctx, groups []*Group, par int) ([]store.Row, error) {
-	out := make([]store.Row, len(groups))
-	if par > len(groups) {
-		par = len(groups)
-	}
-	var next atomic.Int64
-	errs := make([]error, par)
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				gi := int(next.Add(1)) - 1
-				if gi >= len(groups) {
-					return
-				}
-				if err := ctx.canceled(); err != nil {
-					errs[w] = err
-					return
-				}
-				row, keep, err := a.evalGroup(ctx, groups[gi])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				if keep {
-					out[gi] = row
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	kept := out[:0]
-	for _, r := range out {
-		if r != nil {
-			kept = append(kept, r)
-		}
-	}
-	return kept, nil
 }

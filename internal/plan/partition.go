@@ -107,7 +107,6 @@ func (e *PartitionWise) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 	}, nil
 }
 
-func (e *PartitionWise) open(ctx *Ctx) (iter, error)   { return drainSlots(e, ctx) }
 func (e *PartitionWise) vopen(ctx *Ctx) (viter, error) { return keepSlots(e, ctx) }
 func (e *PartitionWise) unit() string                  { return "partition" }
 
@@ -203,17 +202,7 @@ func offsetIsPartCol(sn *store.Snapshot, rel *Rel, off int) bool {
 // usual). The decision reads only per-partition statistics and the
 // probe values — never rows or segments — so a pruned partition does
 // zero segment I/O.
-func (s *Scan) pruneParts(ctx *Ctx, tab *store.TableSnap) [][2]int {
-	if tab.NumParts() <= 1 {
-		return nil
-	}
-	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
-	return s.prunePartsBound(ctx, tab, preds, skipAll)
-}
-
-// prunePartsBound is pruneParts for a caller that already bound the
-// skip set (the vectorized scan binds it once for both decisions).
-func (s *Scan) prunePartsBound(ctx *Ctx, tab *store.TableSnap, preds []boundZone, skipAll bool) [][2]int {
+func (s *Scan) pruneParts(ctx *Ctx, tab *store.TableSnap, preds []boundZone, skipAll bool) [][2]int {
 	n := tab.NumParts()
 	if n <= 1 {
 		return nil
@@ -347,29 +336,6 @@ func partScanStats(sn *store.Snapshot, b Binding, skips []ZonePred, params []sto
 }
 
 // ---- iterator plumbing ----
-
-// projectRowRanges is projectRows over the kept global row ranges of a
-// partition-pruned scan, in ascending (canonical) order.
-func projectRowRanges(rows []store.Row, ranges [][2]int, b Binding) iter {
-	ri := 0
-	var cur iter
-	return func() (store.Row, error) {
-		for {
-			if cur == nil {
-				if ri >= len(ranges) {
-					return nil, nil
-				}
-				cur = projectRows(rows[ranges[ri][0]:ranges[ri][1]], b)
-				ri++
-			}
-			r, err := cur()
-			if err != nil || r != nil {
-				return r, err
-			}
-			cur = nil
-		}
-	}
-}
 
 // chainViters concatenates batch iterators in order.
 func chainViters(its []viter) viter {

@@ -2,12 +2,13 @@
 // the store: a logical-plan IR built from sql.SelectStmt (Build), a
 // cost-aware rewriter doing predicate pushdown, column pruning and
 // index-aware join ordering driven by table statistics (Optimize), a
-// Volcano-style streaming executor (Run) and an Explain renderer.
+// vectorized batch-at-a-time executor (Run) and an Explain renderer.
 //
-// The scalar-expression semantics (three-valued logic, correlated
-// subqueries, aggregates) stay in internal/exec, which implements the
-// Evaluator interface; plan owns everything relational: access paths,
-// join order and shape, and the operator pipeline.
+// The scalar-expression semantics the vector kernels do not reproduce
+// (subqueries, cross-kind comparisons and the like) stay in
+// internal/exec, which implements the Evaluator interface; plan owns
+// everything relational: access paths, join order and shape, and the
+// operator pipeline.
 package plan
 
 import (
@@ -44,40 +45,24 @@ type Rel struct {
 }
 
 // Frame is one row in evaluation context, with a parent chain for
-// correlated subqueries.
+// correlated subqueries. An operator opening binds subqueries through
+// a probe frame whose Row is nil: a subquery that reads that row fails
+// and is evaluated row by row instead (see vcompiler.bind).
 type Frame struct {
 	Rel    *Rel
 	Row    store.Row
 	Parent *Frame
 }
 
-// Group is a set of rows sharing GROUP BY key values, the evaluation
-// context for aggregate expressions.
-type Group struct {
-	Rel    *Rel
-	Rows   []store.Row
-	Parent *Frame
-}
-
-// Rep returns a frame over the group's first row, used for evaluating
-// grouped (non-aggregate) expressions. An empty group (the global
-// aggregate over empty input) yields an all-NULL row.
-func (g *Group) Rep() *Frame {
-	var row store.Row
-	if len(g.Rows) > 0 {
-		row = g.Rows[0]
-	} else {
-		row = make(store.Row, g.Rel.Width)
-	}
-	return &Frame{Rel: g.Rel, Row: row, Parent: g.Parent}
-}
-
-// Evaluator computes scalar and aggregate expressions over frames and
-// groups. internal/exec provides the implementation (three-valued
+// Evaluator computes what the vector kernels leave to the scalar
+// evaluator: any expression over one frame, and the rows of an IN
+// subquery. internal/exec provides the implementation (three-valued
 // logic, subqueries, correlation); plan stays purely relational.
 type Evaluator interface {
 	Eval(f *Frame, e sql.Expr) (store.Value, error)
-	EvalGroup(g *Group, e sql.Expr) (store.Value, error)
+	// SubqueryRows runs sub with f as its correlation parent and
+	// returns its rows, failing unless it has exactly one column.
+	SubqueryRows(f *Frame, sub *sql.SelectStmt) ([]store.Row, error)
 }
 
 // OffsetIn resolves a column reference to an offset inside rel.
@@ -131,8 +116,8 @@ type Node interface {
 	// rows are output values, not table slots.
 	Rel() *Rel
 	Children() []Node
-	// open starts the operator's iterator in ctx.
-	open(ctx *Ctx) (iter, error)
+	// vopen starts the operator's batch iterator in ctx.
+	vopen(ctx *Ctx) (viter, error)
 	// describe renders the operator's Explain line (without tree art).
 	describe() string
 }
@@ -266,17 +251,12 @@ func (l *Limit) Children() []Node     { return []Node{l.In} }
 
 // Plan is a compiled query: the operator tree plus output column names.
 // Par records the worker degree Parallelize rewrote the tree for
-// (0 or 1 means serial). Vec records that every operator vectorizes,
-// so Run executes the whole tree batch-at-a-time over typed column
-// vectors; plans with non-vectorizable expressions still batch-execute
-// their vectorizable sections, falling back to row iterators
-// node-by-node (Ctx.NoVec disables vectorization entirely).
+// (0 or 1 means serial).
 type Plan struct {
 	Root Node
 	Cols []string
 	Stmt *sql.SelectStmt
 	Par  int
-	Vec  bool
 }
 
 // Walk visits every node of the tree in pre-order.

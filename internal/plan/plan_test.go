@@ -122,5 +122,7 @@ func TestCrossProductGuard(t *testing.T) {
 // expression evaluation (the guard fires while joining).
 type nopEvaluator struct{}
 
-func (nopEvaluator) Eval(*plan.Frame, sql.Expr) (store.Value, error)      { return store.Value{}, nil }
-func (nopEvaluator) EvalGroup(*plan.Group, sql.Expr) (store.Value, error) { return store.Value{}, nil }
+func (nopEvaluator) Eval(*plan.Frame, sql.Expr) (store.Value, error) { return store.Value{}, nil }
+func (nopEvaluator) SubqueryRows(*plan.Frame, *sql.SelectStmt) ([]store.Row, error) {
+	return nil, nil
+}

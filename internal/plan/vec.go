@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"slices"
 
@@ -15,12 +16,12 @@ import (
 // 64-bit hashing used for join, GROUP BY and DISTINCT keys. The
 // operators that consume these live in vecexec.go.
 //
-// A vexpr compiles only when its semantics can be reproduced exactly
-// batch-at-a-time: comparison/boolean/arithmetic expressions, BETWEEN,
-// IN over literal lists, LIKE against a literal pattern, IS NULL.
-// Anything else (subqueries, correlation, cross-kind comparisons,
-// aggregate calls outside the Aggregate operator) declines, and the
-// node falls back to the row-at-a-time iterator.
+// The kernels reproduce the scalar semantics exactly for comparison,
+// boolean and arithmetic expressions, BETWEEN, IN over constant lists,
+// LIKE against a constant pattern and IS NULL. Subqueries and outer
+// column references that are constant for the run bind when the
+// operator opens; what is left evaluates row by row through the
+// executor (vscalar). See vcompiler.
 
 // maxBatch is the number of rows a scan packs into one batch: large
 // enough to amortize per-batch overhead, small enough to keep a
@@ -128,11 +129,15 @@ func (c *vcol) value(i int) store.Value {
 // own vscratch for the duration of the evaluation and clears it before
 // the batch moves on; with it nil (Project, the aggregate's output
 // items), kernels allocate, and their output may escape.
+//
+// err is where a vscalar reports the first evaluation error among the
+// rows it evaluated; the operator that evaluated the batch returns it.
 type vbatch struct {
 	n       int
 	cols    []vcol
 	sel     []int32 // retained physical row indexes, nil = all n rows
 	scratch *vscratch
+	err     error
 }
 
 // keep returns a copy of b that stays valid after b's producer is
@@ -1088,111 +1093,315 @@ func (v *vlike) eval(b *vbatch) vcol {
 	return vcol{kind: store.KindBool, bools: out, nulls: nulls}
 }
 
+// ---- per-row evaluation ----
+
+// vframe is the row shape a vscalar evaluates over: the slots of rel,
+// read from batch columns cols (nil: the batch's columns are rel's
+// slots in order).
+type vframe struct {
+	rel  *Rel
+	cols []int
+}
+
+// vscalar evaluates an expression the kernels cannot reproduce through
+// the executor's scalar evaluator, one selected row at a time, over a
+// Frame of that row whose parent is the run's correlation parent. Its
+// kind is declared at compile time (exprKind); a NULL result sets the
+// row's null bit, and an evaluation error — or a value of another kind
+// — is recorded on the batch (vbatch.err) for the operator to return.
+type vscalar struct {
+	e      sql.Expr
+	k      store.Kind
+	ev     Evaluator
+	parent *Frame
+	frame  *vframe
+}
+
+func (v *vscalar) kind() store.Kind { return v.k }
+
+func (v *vscalar) eval(b *vbatch) vcol {
+	n := b.n
+	out := vcol{kind: v.k, nulls: b.scratch.boolBuf(n)}
+	for i := range out.nulls {
+		out.nulls[i] = true
+	}
+	switch v.k {
+	case store.KindInt:
+		out.ints = b.scratch.intBuf(n)
+	case store.KindFloat:
+		out.floats = b.scratch.floatBuf(n)
+	case store.KindText:
+		out.strs = make([]string, n)
+	case store.KindBool:
+		out.bools = b.scratch.boolBuf(n)
+	}
+	cols := v.frame.cols
+	width := len(cols)
+	if cols == nil {
+		width = len(b.cols)
+	}
+	f := &Frame{Rel: v.frame.rel, Row: make(store.Row, width), Parent: v.parent}
+	b.forSel(func(i int) {
+		if b.err != nil {
+			return
+		}
+		for p := range f.Row {
+			c := p
+			if cols != nil {
+				c = cols[p]
+			}
+			f.Row[p] = b.cols[c].value(i)
+		}
+		val, err := v.ev.Eval(f, v.e)
+		switch {
+		case err != nil:
+			b.err = err
+		case val.IsNull():
+		case val.Kind() != v.k:
+			b.err = fmt.Errorf("plan: %s evaluated to %s, compiled as %s", v.e, val.Kind(), v.k)
+		default:
+			out.nulls[i] = false
+			switch v.k {
+			case store.KindInt:
+				out.ints[i] = val.Int64()
+			case store.KindFloat:
+				out.floats[i], _ = val.AsFloat()
+			case store.KindText:
+				out.strs[i] = val.Str()
+			case store.KindBool:
+				out.bools[i] = val.BoolVal()
+			}
+		}
+	})
+	return out
+}
+
+// exprKind is the kind e evaluates to whenever it is not NULL, the kind
+// a vscalar declares. Columns resolve through scope, innermost first;
+// sn types the FROM clause of a scalar subquery, whose kind is that of
+// its output column. Predicates are bool; an expression that can only
+// fail or be NULL (arithmetic over text, an unknown column) is NULL.
+func exprKind(sn *store.Snapshot, e sql.Expr, scope []*Rel) store.Kind {
+	switch n := e.(type) {
+	case sql.Literal:
+		return n.Val.Kind()
+	case sql.Param:
+		return n.Kind
+	case sql.ColumnRef:
+		for _, rel := range scope {
+			if k, ok := refKind(rel, n); ok {
+				return k
+			}
+		}
+		return store.KindNull
+	case *sql.BinaryExpr:
+		if n.Op == sql.OpAnd || n.Op == sql.OpOr || n.Op.IsComparison() {
+			return store.KindBool
+		}
+		l, r := exprKind(sn, n.L, scope), exprKind(sn, n.R, scope)
+		switch {
+		case l == store.KindInt && r == store.KindInt && n.Op != sql.OpDiv:
+			return store.KindInt
+		case numericOrNull(l) && numericOrNull(r) && l != store.KindNull && r != store.KindNull:
+			return store.KindFloat
+		}
+		return store.KindNull
+	case *sql.NegExpr:
+		if k := exprKind(sn, n.X, scope); k == store.KindInt || k == store.KindFloat {
+			return k
+		}
+		return store.KindNull
+	case *sql.FuncCall:
+		switch n.Name {
+		case "COUNT":
+			return store.KindInt
+		case "AVG":
+			return store.KindFloat
+		}
+		k := exprKind(sn, n.Arg, scope)
+		if n.Name == "SUM" && !numericOrNull(k) {
+			return store.KindNull
+		}
+		return k
+	case *sql.SubqueryExpr:
+		bs, err := bindFrom(sn, n.Sub)
+		if err != nil || len(n.Sub.Items) == 0 {
+			return store.KindNull
+		}
+		inner := fromOrderRel(bs)
+		if it := n.Sub.Items[0]; !it.Star {
+			return exprKind(sn, it.Expr, append([]*Rel{inner}, scope...))
+		}
+		return store.KindOfColType(bs[0].Meta.Columns[0].Type)
+	}
+	return store.KindBool
+}
+
+// refKind is the stored kind of the column ref names in rel.
+func refKind(rel *Rel, ref sql.ColumnRef) (store.Kind, bool) {
+	if rel == nil {
+		return store.KindNull, false
+	}
+	for _, b := range rel.Bindings {
+		if ref.Table != "" && ref.Table != b.Name {
+			continue
+		}
+		if ci := indexOfColumn(b.Meta, ref.Column); ci >= 0 {
+			return store.KindOfColType(b.Meta.Columns[ci].Type), true
+		}
+	}
+	return store.KindNull, false
+}
+
 // ---- compiler ----
 
-// vcompiler compiles sql.Expr into vexprs. resolve is the leaf hook:
-// it maps column references (and, for the aggregate output compiler,
-// whole grouped/aggregate subexpressions) to columns. It returns
-// handled=false to let structural compilation proceed, or handled=true
-// with a nil vexpr to decline.
+// vcompiler compiles sql.Expr into vexprs for one operator instance as
+// it opens. resolve is the leaf hook: it maps column references (and,
+// for the aggregate output compiler, whole grouped/aggregate
+// subexpressions) to columns. It returns handled=false to let
+// structural compilation proceed, or handled=true with a nil vexpr to
+// decline.
 //
-// Parameter slots resolve in one of two modes. The structural mode
-// (compileRel — the staticVec/fullyVec vectorizability checks)
-// substitutes a kind-representative surrogate that is never evaluated:
-// every structural decision depends only on the parameter's declared
-// kind, so the check agrees with any later bound compile of the same
-// shape. The runtime mode (compileRelWith — operator vopens) resolves
-// through the run's actual vector and *declines* on a missing slot,
-// sending the expression to the row path, which raises the unbound-
-// parameter error — a plan executed without its vector must fail
-// loudly, never silently filter on a surrogate.
+// Every expression compiles. What is constant for the run binds here,
+// the way a parameter does: a parameter slot, a column of an enclosing
+// query's row (ctx.Parent), and a subquery that reads no column of the
+// current row — a scalar subquery becomes its value, IN (subquery) a
+// vin over its rows, EXISTS a bool (bind). What is left — a subquery
+// that does read the row, a cross-kind comparison, NOT over a non-bool,
+// a LIKE pattern or IN list that is not constant — becomes a vscalar:
+// the smallest predicate or scalar subquery around it evaluates row by
+// row. A node with no kind of its own to declare (arithmetic over
+// text, an unknown column) declines to its parent, and expr wraps the
+// whole expression.
 type vcompiler struct {
-	resolve    func(e sql.Expr) (vexpr, bool)
-	params     []store.Value
-	structural bool
+	resolve func(e sql.Expr) (vexpr, bool)
+	ctx     *Ctx
+	rel     *Rel   // the row shape the current row of a subquery probe has
+	frame   vframe // what a vscalar evaluates over
+	// subst rewrites an expression before a vscalar evaluates it; the
+	// aggregate output compiler points aggregate calls at their slots.
+	subst func(sql.Expr) sql.Expr
 }
 
-// compileRel builds a structural-mode compiler over a relational row
-// shape.
-func compileRel(rel *Rel) *vcompiler {
-	c := compileRelWith(rel, nil)
-	c.structural = true
-	return c
-}
-
-// compileRelWith builds a runtime-mode compiler with the run's
-// parameter vector bound.
-func compileRelWith(rel *Rel, params []store.Value) *vcompiler {
+// newCompiler builds a compiler over a relational row shape for one
+// run.
+func newCompiler(rel *Rel, ctx *Ctx) *vcompiler {
 	kinds := relKinds(rel)
-	return &vcompiler{params: params, resolve: func(e sql.Expr) (vexpr, bool) {
+	c := &vcompiler{ctx: ctx, rel: rel, frame: vframe{rel: rel}}
+	c.resolve = func(e sql.Expr) (vexpr, bool) {
 		ref, ok := e.(sql.ColumnRef)
 		if !ok {
 			return nil, false
 		}
 		off, found, ambiguous := OffsetIn(rel, ref)
-		if !found || ambiguous {
-			// Unknown here: correlation into an outer frame, a pruned
-			// column, or an ambiguous name — all row-path territory.
+		switch {
+		case found:
+			return &vcolRef{off: off, k: kinds[off]}, true
+		case ambiguous:
 			return nil, true
 		}
-		return &vcolRef{off: off, k: kinds[off]}, true
-	}}
+		return c.outerRef(ref), true
+	}
+	return c
 }
 
-// paramVal resolves a parameter slot per the compiler's mode; ok is
-// false when a runtime compile finds no bound value.
-func (c *vcompiler) paramVal(p sql.Param) (store.Value, bool) {
-	if p.Idx >= 0 && p.Idx < len(c.params) {
-		return c.params[p.Idx], true
+// outerRef binds a column of an enclosing query's row: nil when no
+// frame of the parent chain has it, when it is ambiguous there, or when
+// the frame holding it is a probe's (no row yet).
+func (c *vcompiler) outerRef(ref sql.ColumnRef) vexpr {
+	for f := c.ctx.Parent; f != nil; f = f.Parent {
+		off, found, ambiguous := OffsetIn(f.Rel, ref)
+		if ambiguous || (found && f.Row == nil) {
+			return nil
+		}
+		if found {
+			return &vconst{val: f.Row[off]}
+		}
 	}
-	if c.structural {
-		return surrogateVal(p.Kind), true
-	}
-	return store.Value{}, false
+	return nil
 }
 
-// surrogateVal is a kind-representative stand-in value used only to
-// answer "would this expression vectorize" — never evaluated.
-func surrogateVal(k store.Kind) store.Value {
-	switch k {
-	case store.KindInt:
-		return store.Int(0)
-	case store.KindFloat:
-		return store.Float(0)
-	case store.KindText:
-		return store.Text("")
-	case store.KindBool:
-		return store.Bool(false)
+// probe is the frame a subquery binds under: the current row shape
+// with no row in it, over the run's correlation parent.
+func (c *vcompiler) probe() *Frame {
+	return &Frame{Rel: c.rel, Parent: c.ctx.Parent}
+}
+
+// bind evaluates a subquery expression once for the run. ok is false
+// when the evaluation fails — which is what a subquery reading the
+// current row does under the probe, and what a failing one does
+// anyway; either then evaluates row by row, where a real error
+// surfaces on the first row that needs the value, exactly as when
+// every row evaluated it.
+func (c *vcompiler) bind(e sql.Expr) (store.Value, bool) {
+	if c.ctx.Ev == nil {
+		return store.Value{}, false
 	}
-	return store.Null()
+	v, err := c.ctx.Ev.Eval(c.probe(), e)
+	return v, err == nil
+}
+
+// rowwise compiles e to a vscalar of kind k.
+func (c *vcompiler) rowwise(e sql.Expr, k store.Kind) vexpr {
+	if c.subst != nil {
+		e = c.subst(e)
+	}
+	return &vscalar{e: e, k: k, ev: c.ctx.Ev, parent: c.ctx.Parent, frame: &c.frame}
+}
+
+// kindOf is exprKind over the compiler's row shape and the run's
+// parent chain.
+func (c *vcompiler) kindOf(e sql.Expr) store.Kind {
+	scope := []*Rel{c.rel}
+	for f := c.ctx.Parent; f != nil; f = f.Parent {
+		scope = append(scope, f.Rel)
+	}
+	return exprKind(c.ctx.Snap, e, scope)
+}
+
+// expr compiles e, evaluating it row by row when it declines.
+func (c *vcompiler) expr(e sql.Expr) vexpr {
+	if ve, ok := c.compile(e); ok {
+		return ve
+	}
+	return c.rowwise(e, c.kindOf(e))
 }
 
 func numericOrNull(k store.Kind) bool {
 	return k == store.KindInt || k == store.KindFloat || k == store.KindNull
 }
 
-// compile lowers e to a vexpr; ok is false when e (or a subexpression)
-// is not vectorizable.
+// boundVal reports the value of a compiled constant.
+func boundVal(ve vexpr, ok bool) (store.Value, bool) {
+	if k, isConst := ve.(*vconst); ok && isConst {
+		return k.val, true
+	}
+	return store.Value{}, false
+}
+
+// compile lowers e to a vexpr; ok is false when e declines to its
+// parent (see vcompiler).
 func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 	if ve, handled := c.resolve(e); handled {
 		return ve, ve != nil
 	}
+	pred := func() (vexpr, bool) { return c.rowwise(e, store.KindBool), true }
 	switch n := e.(type) {
 	case sql.Literal:
 		return &vconst{val: n.Val}, true
 	case sql.Param:
-		v, ok := c.paramVal(n)
-		if !ok {
-			return nil, false
+		if n.Idx < 0 || n.Idx >= len(c.ctx.Params) {
+			return nil, false // unbound: the evaluator raises the error
 		}
-		return &vconst{val: v}, true
+		return &vconst{val: c.ctx.Params[n.Idx]}, true
 	case *sql.BinaryExpr:
-		l, ok := c.compile(n.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := c.compile(n.R)
-		if !ok {
+		l, lok := c.compile(n.L)
+		r, rok := c.compile(n.R)
+		isPred := n.Op == sql.OpAnd || n.Op == sql.OpOr || n.Op.IsComparison()
+		if !lok || !rok {
+			if isPred {
+				return pred()
+			}
 			return nil, false
 		}
 		lk, rk := l.kind(), r.kind()
@@ -1200,16 +1409,15 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 		case n.Op == sql.OpAnd || n.Op == sql.OpOr:
 			if (lk != store.KindBool && lk != store.KindNull) ||
 				(rk != store.KindBool && rk != store.KindNull) {
-				return nil, false
+				return pred()
 			}
 			return &vlogic{and: n.Op == sql.OpAnd, l: l, r: r}, true
 		case n.Op.IsComparison():
 			if lk == store.KindNull || rk == store.KindNull {
 				return allNull(), true
 			}
-			comparable := (numericOrNull(lk) && numericOrNull(rk)) || lk == rk
-			if !comparable {
-				return nil, false // cross-kind comparison: row path
+			if !(numericOrNull(lk) && numericOrNull(rk)) && lk != rk {
+				return pred() // cross-kind comparison
 			}
 			if numericOrNull(lk) {
 				if k, ok := r.(*vconst); ok {
@@ -1237,18 +1445,16 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 		}
 	case *sql.NotExpr:
 		x, ok := c.compile(n.X)
-		if !ok {
-			return nil, false
-		}
-		switch x.kind() {
-		case store.KindNull:
+		switch {
+		case !ok:
+		case x.kind() == store.KindNull:
 			return allNull(), true
-		case store.KindBool:
+		case x.kind() == store.KindBool:
 			return &vnot{x: x}, true
 		}
 		// NOT over a non-boolean: the scalar path treats any non-TRUE
-		// value as falsy; reproduce by declining to the row path.
-		return nil, false
+		// value as falsy.
+		return pred()
 	case *sql.NegExpr:
 		x, ok := c.compile(n.X)
 		if !ok {
@@ -1264,21 +1470,15 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 	case *sql.IsNullExpr:
 		x, ok := c.compile(n.X)
 		if !ok {
-			return nil, false
+			return pred()
 		}
 		return &visnull{x: x, negated: n.Negated}, true
 	case *sql.BetweenExpr:
-		x, ok := c.compile(n.X)
-		if !ok {
-			return nil, false
-		}
-		lo, ok := c.compile(n.Lo)
-		if !ok {
-			return nil, false
-		}
-		hi, ok := c.compile(n.Hi)
-		if !ok {
-			return nil, false
+		x, xok := c.compile(n.X)
+		lo, lok := c.compile(n.Lo)
+		hi, hok := c.compile(n.Hi)
+		if !xok || !lok || !hok {
+			return pred()
 		}
 		ks := [3]store.Kind{x.kind(), lo.kind(), hi.kind()}
 		for _, k := range ks {
@@ -1289,7 +1489,7 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 		allNum := numericOrNull(ks[0]) && numericOrNull(ks[1]) && numericOrNull(ks[2])
 		allText := ks[0] == store.KindText && ks[1] == store.KindText && ks[2] == store.KindText
 		if !allNum && !allText {
-			return nil, false
+			return pred()
 		}
 		if allNum {
 			lk, lok := lo.(*vconst)
@@ -1300,90 +1500,80 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
 		}
 		return &vbetween{x: x, lo: lo, hi: hi, negated: n.Negated, text: allText}, true
 	case *sql.InExpr:
-		if n.Sub != nil {
-			return nil, false
-		}
 		x, ok := c.compile(n.X)
 		if !ok {
-			return nil, false
+			return pred()
+		}
+		in := &vin{x: x, negated: n.Negated}
+		if n.Sub != nil {
+			if c.ctx.Ev == nil {
+				return pred()
+			}
+			rows, err := c.ctx.Ev.SubqueryRows(c.probe(), n.Sub)
+			if err != nil {
+				return pred()
+			}
+			for _, r := range rows {
+				in.add(r[0])
+			}
+		}
+		for _, le := range n.List {
+			val, ok := boundVal(c.compile(le))
+			if !ok {
+				return pred()
+			}
+			in.add(val)
 		}
 		if x.kind() == store.KindNull {
 			return allNull(), true
 		}
-		in := &vin{x: x, negated: n.Negated}
-		for _, le := range n.List {
-			var val store.Value
-			switch l := le.(type) {
-			case sql.Literal:
-				val = l.Val
-			case sql.Param:
-				var ok bool
-				if val, ok = c.paramVal(l); !ok {
-					return nil, false
-				}
-			default:
-				return nil, false
-			}
-			switch val.Kind() {
-			case store.KindNull:
-				in.sawNull = true
-			case store.KindInt:
-				in.intElems = append(in.intElems, val.Int64())
-			case store.KindFloat:
-				f, _ := val.AsFloat()
-				in.fltElems = append(in.fltElems, f)
-			case store.KindText:
-				in.strElems = append(in.strElems, val.Str())
-			case store.KindBool:
-				if val.BoolVal() {
-					in.hasTrue = true
-				} else {
-					in.hasFalse = true
-				}
-			}
-		}
 		return in, true
 	case *sql.LikeExpr:
 		x, ok := c.compile(n.X)
-		if !ok {
-			return nil, false
-		}
-		var pat store.Value
-		switch p := n.Pattern.(type) {
-		case sql.Literal:
-			pat = p.Val
-		case sql.Param:
-			var ok bool
-			if pat, ok = c.paramVal(p); !ok {
-				return nil, false
-			}
-		default:
-			return nil, false
-		}
-		if x.kind() == store.KindNull || pat.IsNull() {
+		pat, pok := boundVal(c.compile(n.Pattern))
+		switch {
+		case !ok || !pok:
+			return pred()
+		case x.kind() == store.KindNull || pat.IsNull():
 			return allNull(), true
-		}
-		if x.kind() != store.KindText || pat.Kind() != store.KindText {
-			return nil, false
+		case x.kind() != store.KindText || pat.Kind() != store.KindText:
+			return pred()
 		}
 		return &vlike{x: x, pattern: pat.Str(), negated: n.Negated}, true
+	case *sql.ExistsExpr:
+		if v, ok := c.bind(n); ok {
+			return &vconst{val: v}, true
+		}
+		return pred()
+	case *sql.SubqueryExpr:
+		if v, ok := c.bind(n); ok {
+			return &vconst{val: v}, true
+		}
+		return c.rowwise(n, c.kindOf(n)), true
 	}
-	// FuncCall (aggregates), subqueries, EXISTS: row path.
+	// An aggregate call outside the Aggregate operator.
 	return nil, false
 }
 
-// compilesOver reports whether every expression compiles over rel.
-func compilesOver(rel *Rel, exprs ...sql.Expr) bool {
-	c := compileRel(rel)
-	for _, e := range exprs {
-		if e == nil {
-			continue
-		}
-		if _, ok := c.compile(e); !ok {
-			return false
+// add puts one element into the IN list.
+func (v *vin) add(val store.Value) {
+	switch val.Kind() {
+	case store.KindNull:
+		v.sawNull = true
+	case store.KindInt:
+		v.intElems = append(v.intElems, val.Int64())
+	case store.KindFloat:
+		f, _ := val.AsFloat()
+		v.fltElems = append(v.fltElems, f)
+	case store.KindText:
+		v.strElems = append(v.strElems, val.Str())
+	case store.KindBool:
+		if val.BoolVal() {
+			v.hasTrue = true
+		} else {
+			v.hasFalse = true
 		}
 	}
-	return true
 }
 
 // ---- typed hashing ----
@@ -1589,27 +1779,6 @@ func gatherVals[T any](dst, src []T, sel []int32) {
 	}
 	for k, i := range sel {
 		dst[k] = src[i]
-	}
-}
-
-// pushValue appends a boxed value directly (the rows-to-batches
-// adapter path), with no intermediate column wrapper.
-func (cb *colbuf) pushValue(v store.Value) {
-	isNull := v.IsNull()
-	cb.nulls = append(cb.nulls, isNull)
-	if isNull {
-		cb.anyNull = true
-	}
-	switch cb.kind {
-	case store.KindInt:
-		cb.ints = append(cb.ints, v.Int64())
-	case store.KindFloat:
-		f, _ := v.AsFloat()
-		cb.floats = append(cb.floats, f)
-	case store.KindText:
-		cb.strs = append(cb.strs, v.Str())
-	case store.KindBool:
-		cb.bools = append(cb.bools, v.BoolVal())
 	}
 }
 

@@ -1,214 +1,45 @@
 package plan
 
 import (
+	"errors"
+	"fmt"
+	"math/big"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 
+	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
 
-// This file is the operator half of the vectorized executor:
-// batch-at-a-time scan, filter, project, hash join, aggregate, sort,
-// distinct and limit over the typed column vectors of vec.go, plus the
-// adapters that let vectorized and row-at-a-time operators nest freely
-// in either direction (rowSource wraps a row subtree into batches,
-// vecIter wraps a batch subtree into a row iterator).
+// This file is the operator half of the executor: batch-at-a-time
+// scan, filter, project, hash and cross join, aggregate, sort, distinct
+// and limit over the typed column vectors of vec.go. Every operator
+// opens its inputs batch-at-a-time, and every expression compiles (see
+// vcompiler): subqueries and outer references that are constant for
+// the run bind when the operator opens, and the rest evaluates row by
+// row through the executor.
 //
-// Every operator preserves the row path's output order exactly, so a
-// vectorized plan is row-for-row identical to its serial row-at-a-time
-// execution — the property the differential tests pin.
+// Every operator preserves the reference semantics' output order — the
+// stable order of a row-at-a-time nested evaluation — so a parallel
+// plan is row-for-row identical to the serial one.
 
 // viter is a pull iterator over batches; nil signals exhaustion.
 // Returned batches always have at least one selected row.
 type viter func() (*vbatch, error)
 
-// fullyVec reports whether every operator in the tree vectorizes —
-// the "vectorized pipeline chosen end-to-end" property Plan.Vec
-// records. Pipeline operators without expressions of their own
-// (Sort/Distinct/Limit/Exchange) vectorize with their inputs.
-func fullyVec(root Node) bool {
-	all := true
-	Walk(root, func(n Node) {
-		switch n.(type) {
-		case *Distinct, *Sort, *Limit, *Exchange, *PartitionWise:
-		default:
-			if !staticVec(n) {
-				all = false
-			}
-		}
-	})
-	return all
-}
-
-// staticVec reports whether node n executes batch-at-a-time: its own
-// expressions must compile to vector programs. Operators above the
-// projection boundary (Sort/Distinct/Limit) vectorize exactly when
-// their input does — wrapping a row-mode projection in batches buys
-// nothing. A node whose expressions decline (subqueries, correlation,
-// cross-kind comparisons) falls back to the row iterator while its
-// neighbors stay vectorized.
-func staticVec(n Node) bool {
-	switch t := n.(type) {
-	case *Scan, *IndexScan:
-		return true
-	case *Filter:
-		return compilesOver(t.In.Rel(), t.Pred)
-	case *HashJoin:
-		return true
-	case *CrossJoin:
-		return false
-	case *Project:
-		exprs := append(append([]sql.Expr{}, t.Items...), t.SortKeys...)
-		return compilesOver(t.In.Rel(), exprs...)
-	case *Aggregate:
-		_, ok := planVecAgg(t, nil, true)
-		return ok
-	case *Distinct:
-		return staticVec(t.In)
-	case *Sort:
-		return staticVec(t.In)
-	case *Limit:
-		return staticVec(t.In)
-	case *Exchange:
-		return staticVec(t.In)
-	case *PartitionWise:
-		return staticVec(t.In)
-	}
-	return false
-}
-
-// vecOpen starts the batch iterator of a vectorizable node. Callers
-// must have checked staticVec(n).
-func vecOpen(n Node, ctx *Ctx) (viter, error) {
-	switch t := n.(type) {
-	case *Scan:
-		// Leaf scans carry the cancellation checkpoint: every batch a
-		// vectorized pipeline processes is pulled through a leaf, so a
-		// per-batch check here covers the whole operator tree.
-		it, err := t.vopen(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return ctxViter(ctx, it), nil
-	case *IndexScan:
-		it, err := t.vopen(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return ctxViter(ctx, it), nil
-	case *Filter:
-		return t.vopen(ctx)
-	case *HashJoin:
-		return t.vopen(ctx)
-	case *Project:
-		return t.vopen(ctx)
-	case *Aggregate:
-		return t.vopen(ctx)
-	case *Distinct:
-		return t.vopen(ctx)
-	case *Sort:
-		return t.vopen(ctx)
-	case *Limit:
-		return t.vopen(ctx)
-	case *Exchange:
-		return t.vopen(ctx)
-	case *PartitionWise:
-		return t.vopen(ctx)
-	}
-	return nil, errUnknownTable("<not vectorizable>")
-}
-
-// vecChild opens a relational child: vectorized when it can be,
-// adapted from its row iterator otherwise (node-by-node fallback).
-func vecChild(n Node, ctx *Ctx) (viter, error) {
-	if staticVec(n) {
-		return vecOpen(n, ctx)
-	}
-	return rowSource(n, ctx)
-}
-
-// rowSource adapts a row-at-a-time subtree into batches. Only
-// relational nodes are adapted — their column kinds are known from the
-// schema bindings.
-func rowSource(n Node, ctx *Ctx) (viter, error) {
-	it, err := n.open(ctx)
-	if err != nil {
-		return nil, err
-	}
-	kinds := relKinds(n.Rel())
-	done := false
-	return func() (*vbatch, error) {
-		if done {
-			return nil, nil
-		}
-		bufs := make([]*colbuf, len(kinds))
-		for c, k := range kinds {
-			bufs[c] = newColbuf(k)
-		}
-		rows := 0
-		for rows < maxBatch {
-			r, err := it()
-			if err != nil {
-				return nil, err
-			}
-			if r == nil {
-				done = true
-				break
-			}
-			for c := range bufs {
-				bufs[c].pushValue(r[c])
-			}
-			rows++
-		}
-		if rows == 0 {
-			return nil, nil
-		}
-		b := &vbatch{n: rows, cols: make([]vcol, len(bufs))}
-		for c := range bufs {
-			b.cols[c] = bufs[c].col()
-		}
-		return b, nil
-	}, nil
-}
-
-// vecIter adapts a batch iterator into a row iterator — the bridge a
-// row-mode parent uses over a vectorized subtree.
-func vecIter(op viter) iter {
-	var b *vbatch
-	pos := 0
-	return func() (store.Row, error) {
-		for {
-			if b == nil {
-				nb, err := op()
-				if err != nil {
-					return nil, err
-				}
-				if nb == nil {
-					return nil, nil
-				}
-				b, pos = nb, 0
-			}
-			if pos >= b.rows() {
-				b = nil
-				continue
-			}
-			i := pos
-			if b.sel != nil {
-				i = int(b.sel[pos])
-			}
-			pos++
-			row := make(store.Row, len(b.cols))
-			for c := range b.cols {
-				row[c] = b.cols[c].value(i)
-			}
-			return row, nil
-		}
-	}
-}
-
 // ---- scans ----
 
-func (s *Scan) vopen(ctx *Ctx) (viter, error) {
+// vopen carries the cancellation checkpoint: every batch a pipeline
+// processes is pulled through a leaf, so a per-batch check here covers
+// the whole operator tree.
+func (s *Scan) vopen(ctx *Ctx) (viter, error)      { return ctx.checkpoint(s.batches(ctx)) }
+func (s *IndexScan) vopen(ctx *Ctx) (viter, error) { return ctx.checkpoint(s.batches(ctx)) }
+
+// batches is the scan's iterator before the cancellation checkpoint.
+func (s *Scan) batches(ctx *Ctx) (viter, error) {
 	tab := ctx.Snap.Table(s.B.Meta.Name)
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
@@ -236,7 +67,7 @@ func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 	// Partition boundaries are segment boundaries in the merged set, so
 	// a pruned partition's segments are never located, faulted or
 	// decoded — pruning happens strictly before any segment I/O.
-	if ranges := s.prunePartsBound(ctx, tab, preds, skipAll); ranges != nil {
+	if ranges := s.pruneParts(ctx, tab, preds, skipAll); ranges != nil {
 		its := make([]viter, len(ranges))
 		for i, r := range ranges {
 			its[i] = segScanBatches(ctx, ss, s.B, r[0], r[1], preds, skipAll)
@@ -246,7 +77,7 @@ func (s *Scan) vopen(ctx *Ctx) (viter, error) {
 	return segScanBatches(ctx, ss, s.B, 0, ss.N, preds, skipAll), nil
 }
 
-func (s *IndexScan) vopen(ctx *Ctx) (viter, error) {
+func (s *IndexScan) batches(ctx *Ctx) (viter, error) {
 	tab := ctx.Snap.Table(s.B.Meta.Name)
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
@@ -443,19 +274,25 @@ func (cb *colbuf) pushSegCol(sc *store.SegCol, i int) {
 
 // ---- filter ----
 
+// vopen keeps the rows every conjunct of the predicate passes. The
+// conjuncts narrow the selection one after another, so a conjunct
+// evaluated row by row sees only the rows all earlier ones kept, as
+// with a short-circuit AND. Their vectors die here; the survivor list
+// is lent with the batch, and not at all when every row passed.
 func (f *Filter) vopen(ctx *Ctx) (viter, error) {
-	in, err := vecChild(f.In, ctx)
+	in, err := f.In.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
-	pred, ok := compileRelWith(f.In.Rel(), ctx.Params).compile(f.Pred)
-	if !ok {
-		return nil, errUnknownTable("<filter predicate not vectorizable>")
+	c := newCompiler(f.In.Rel(), ctx)
+	conjs := conjuncts(f.Pred)
+	preds := make([]vexpr, len(conjs))
+	for i, conj := range conjs {
+		preds[i] = c.expr(conj)
 	}
-	// The predicate's vectors die here; the survivor list is lent with
-	// the batch, and not at all when every row passed.
 	sc := ctx.takeScratch()
 	return func() (*vbatch, error) {
+	next:
 		for {
 			b, err := in()
 			if err != nil || b == nil {
@@ -463,39 +300,85 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 			}
 			sc.reset()
 			b.scratch = sc
-			pc := pred.eval(b)
+			own := false // b.sel is this filter's survivor list
+			for _, pred := range preds {
+				pc := pred.eval(b)
+				if b.err != nil {
+					return nil, b.err
+				}
+				// A later conjunct narrows its own survivor list in place.
+				keep := b.sel[:0]
+				if !own {
+					keep = sc.selBuf(b.rows())
+				}
+				switch {
+				case pc.kind != store.KindBool: // an all-NULL predicate keeps nothing
+				case b.sel == nil:
+					for i, t := range pc.bools[:b.n] {
+						if t && !pc.null(i) {
+							keep = append(keep, int32(i))
+						}
+					}
+				default:
+					for _, i := range b.sel {
+						if pc.bools[i] && !pc.null(int(i)) {
+							keep = append(keep, i)
+						}
+					}
+				}
+				switch len(keep) {
+				case 0:
+					b.scratch = nil
+					continue next
+				case b.rows():
+					// Every row passed: the selection stands as it is.
+				default:
+					b.sel, own = keep, true
+				}
+			}
 			b.scratch = nil
-			if pc.kind != store.KindBool {
-				continue // an all-NULL predicate keeps nothing
-			}
-			keep := sc.selBuf(b.rows())
-			if b.sel == nil {
-				for i, t := range pc.bools[:b.n] {
-					if t && !pc.null(i) {
-						keep = append(keep, int32(i))
-					}
-				}
-			} else {
-				for _, i := range b.sel {
-					if pc.bools[i] && !pc.null(int(i)) {
-						keep = append(keep, i)
-					}
-				}
-			}
-			switch len(keep) {
-			case 0:
-				continue
-			case b.rows():
-				// Every row passed: the selection stands as it is.
-			default:
-				b.sel = keep
-			}
 			return b, nil
 		}
 	}, nil
 }
 
-// ---- hash join ----
+// ---- joins ----
+
+// drainCols materializes a relational subtree into columns, returning
+// them with the row count: the build side of a hash join, both sides of
+// a cross join.
+func drainCols(n Node, ctx *Ctx) ([]vcol, int, error) {
+	in, err := n.vopen(ctx)
+	if err != nil {
+		return nil, 0, err
+	}
+	kinds := relKinds(n.Rel())
+	bufs := make([]*colbuf, len(kinds))
+	for c, k := range kinds {
+		bufs[c] = newColbuf(k)
+	}
+	rows := 0
+	for {
+		b, err := in()
+		if err != nil {
+			return nil, 0, err
+		}
+		if b == nil {
+			break
+		}
+		rows += b.rows()
+		b.forSel(func(i int) {
+			for c := range bufs {
+				bufs[c].push(&b.cols[c], i)
+			}
+		})
+	}
+	cols := make([]vcol, len(bufs))
+	for c := range bufs {
+		cols[c] = bufs[c].col()
+	}
+	return cols, rows, nil
+}
 
 // vecBuildTable is a materialized, hashed build side: the right
 // input's columns plus a typed hash table from 64-bit key hash to
@@ -505,47 +388,25 @@ type vecBuildTable struct {
 	table map[uint64][]int32
 }
 
+// vecBuild materializes and hashes the join's right input. Inside a
+// parallel run the table is built exactly once (the first worker to
+// arrive builds, the rest wait on the entry's once) and then probed
+// concurrently.
 func (j *HashJoin) vecBuild(ctx *Ctx) (*vecBuildTable, error) {
 	if ctx.shared == nil {
 		return j.vecBuildLocal(ctx)
 	}
-	e := ctx.shared.vecEntry(j)
+	e := ctx.shared.entry(j)
 	e.once.Do(func() { e.build, e.err = j.vecBuildLocal(ctx) })
 	return e.build, e.err
 }
 
 func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
-	in, err := vecChild(j.R, ctx)
+	cols, n, err := drainCols(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	kinds := relKinds(j.R.Rel())
-	bufs := make([]*colbuf, len(kinds))
-	for c, k := range kinds {
-		bufs[c] = newColbuf(k)
-	}
-	for {
-		b, err := in()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		b.forSel(func(i int) {
-			for c := range bufs {
-				bufs[c].push(&b.cols[c], i)
-			}
-		})
-	}
-	bt := &vecBuildTable{cols: make([]vcol, len(bufs)), table: map[uint64][]int32{}}
-	for c := range bufs {
-		bt.cols[c] = bufs[c].col()
-	}
-	n := 0
-	if len(bufs) > 0 {
-		n = bufs[0].len()
-	}
+	bt := &vecBuildTable{cols: cols, table: map[uint64][]int32{}}
 	hs := make([]uint64, n)
 	for _, off := range j.RKey {
 		hashCol(&bt.cols[off], n, nil, hs, nil)
@@ -571,7 +432,7 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 	if err != nil {
 		return nil, err
 	}
-	in, err := vecChild(j.L, ctx)
+	in, err := j.L.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -634,21 +495,58 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 	}, nil
 }
 
-// ---- project ----
-
-func (p *Project) vopen(ctx *Ctx) (viter, error) {
-	in, err := vecChild(p.In, ctx)
+// vopen materializes both inputs, refuses a product over MaxProduct,
+// and emits every (left, right) pair left-major, a batch at a time.
+func (j *CrossJoin) vopen(ctx *Ctx) (viter, error) {
+	lcols, ln, err := drainCols(j.L, ctx)
 	if err != nil {
 		return nil, err
 	}
-	c := compileRelWith(p.In.Rel(), ctx.Params)
-	exprs := make([]vexpr, 0, len(p.Items)+len(p.SortKeys))
-	for _, e := range append(append([]sql.Expr{}, p.Items...), p.SortKeys...) {
-		ve, ok := c.compile(e)
-		if !ok {
-			return nil, errUnknownTable("<projection not vectorizable>")
+	rcols, rn, err := drainCols(j.R, ctx)
+	if err != nil {
+		return nil, err
+	}
+	if ln*rn > MaxProduct {
+		name := j.R.Rel().Bindings[0].Meta.Name
+		return nil, fmt.Errorf("plan: join of %s would produce over %d rows; add a join condition",
+			name, MaxProduct)
+	}
+	out := &vbatch{cols: make([]vcol, len(lcols)+len(rcols))}
+	var lidx, ridx []int32
+	li, ri := 0, 0
+	return func() (*vbatch, error) {
+		if rn == 0 || li == ln {
+			return nil, nil
 		}
-		exprs = append(exprs, ve)
+		lidx, ridx = lidx[:0], ridx[:0]
+		for len(lidx) < maxBatch && li < ln {
+			lidx, ridx = append(lidx, int32(li)), append(ridx, int32(ri))
+			if ri++; ri == rn {
+				li, ri = li+1, 0
+			}
+		}
+		out.n, out.sel = len(lidx), nil
+		for c := range lcols {
+			out.cols[c] = gatherCol(&lcols[c], lidx)
+		}
+		for c := range rcols {
+			out.cols[len(lcols)+c] = gatherCol(&rcols[c], ridx)
+		}
+		return out, nil
+	}, nil
+}
+
+// ---- project ----
+
+func (p *Project) vopen(ctx *Ctx) (viter, error) {
+	in, err := p.In.vopen(ctx)
+	if err != nil {
+		return nil, err
+	}
+	c := newCompiler(p.In.Rel(), ctx)
+	exprs := make([]vexpr, 0, len(p.Items)+len(p.SortKeys))
+	for _, e := range append(slices.Clip(p.Items), p.SortKeys...) {
+		exprs = append(exprs, c.expr(e))
 	}
 	out := &vbatch{cols: make([]vcol, len(exprs))}
 	return func() (*vbatch, error) {
@@ -665,6 +563,9 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 				continue
 			}
 			rc := ve.eval(b)
+			if b.err != nil {
+				return nil, b.err
+			}
 			if b.sel != nil {
 				rc = gatherCol(&rc, b.sel)
 			}
@@ -677,13 +578,44 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 // ---- aggregate ----
 
 // vecAggSlot is one aggregate computation: the function, its compiled
-// argument over the input relation, and its result kind.
+// argument over the input relation, and its result kind. fn is COUNT,
+// SUM, AVG, MIN, MAX, or FIRST — the value of the group's first row,
+// which is what a bare column outside GROUP BY evaluates to. A distinct
+// slot folds each value once per group, deduplicating on Value.Key (so
+// NaNs are one value, and -0.0 and 0.0 another).
 type vecAggSlot struct {
-	fn      string
-	star    bool
-	arg     vexpr
-	argKind store.Kind
-	outKind store.Kind
+	fn       string
+	star     bool
+	distinct bool
+	arg      vexpr
+	argKind  store.Kind
+	outKind  store.Kind
+}
+
+// newSlot compiles an aggregate call over the input relation. SUM and
+// AVG over a non-numeric argument have NULL results and fail on the
+// first non-NULL value (groupTable.add), like the scalar evaluator.
+func newSlot(in *vcompiler, fc *sql.FuncCall) vecAggSlot {
+	slot := vecAggSlot{fn: fc.Name, star: fc.Star, distinct: fc.Distinct, outKind: store.KindInt}
+	if fc.Star {
+		return slot // COUNT(*), the only starred aggregate the parser accepts
+	}
+	slot.arg = in.expr(fc.Arg)
+	slot.argKind = slot.arg.kind()
+	switch fc.Name {
+	case "SUM", "AVG":
+		switch {
+		case !numericOrNull(slot.argKind):
+			slot.outKind = store.KindNull
+		case fc.Name == "AVG" && slot.argKind != store.KindNull:
+			slot.outKind = store.KindFloat
+		default:
+			slot.outKind = slot.argKind
+		}
+	case "MIN", "MAX":
+		slot.outKind = slot.argKind
+	}
+	return slot
 }
 
 // vecAggPlan is the decomposed Aggregate: GROUP BY key programs over
@@ -698,131 +630,171 @@ type vecAggPlan struct {
 	nOut   int // len(Items) + len(SortKeys)
 }
 
-// planVecAgg decomposes a into a vectorized aggregation plan, or
-// reports it non-vectorizable: every output item must reduce to GROUP
-// BY expressions, standard non-DISTINCT aggregates over vectorizable
-// arguments, and vectorizable combinations thereof. params is the
-// run's parameter vector; structural marks the vectorizability check
-// (parameters then compile against kind surrogates, see vcompiler).
-func planVecAgg(a *Aggregate, params []store.Value, structural bool) (*vecAggPlan, bool) {
+// aggBinding names the group frame's aggregate columns (see
+// planVecAgg); the SQL lexer cannot produce it.
+const aggBinding = "#agg"
+
+// planVecAgg decomposes a into a vectorized aggregation plan for one
+// run: every output item reduces to GROUP BY expressions, aggregate
+// slots and vector programs over them. Whatever of an item does not
+// vectorize evaluates per group through the executor, over a frame of
+// the group's first row (the input's columns, as FIRST slots) followed
+// by its keys and aggregates under aggBinding, from which the
+// expression's aggregate calls are read.
+func planVecAgg(a *Aggregate, ctx *Ctx) *vecAggPlan {
 	rel := a.In.Rel()
-	in := compileRelWith(rel, params)
-	in.structural = structural
+	kinds := relKinds(rel)
+	in := newCompiler(rel, ctx)
 	ap := &vecAggPlan{}
 	pseudoIdx := map[string]int{}
 	var pseudoKinds []store.Kind
 	for i, g := range a.GroupBy {
-		ve, ok := in.compile(g)
-		if !ok {
-			return nil, false
-		}
+		ve := in.expr(g)
 		ap.keys = append(ap.keys, ve)
 		pseudoIdx[g.String()] = i
 		pseudoKinds = append(pseudoKinds, ve.kind())
 	}
-	makeSlot := func(fc *sql.FuncCall) (vecAggSlot, bool) {
-		if fc.Distinct {
-			return vecAggSlot{}, false
+	// slot returns the pseudo column of the slot under key, adding it.
+	slot := func(key string, mk func() vecAggSlot) int {
+		if idx, ok := pseudoIdx[key]; ok {
+			return idx
 		}
-		slot := vecAggSlot{fn: fc.Name, star: fc.Star}
-		if fc.Star {
-			if fc.Name != "COUNT" {
-				return vecAggSlot{}, false
-			}
-			slot.outKind = store.KindInt
-			return slot, true
-		}
-		arg, ok := in.compile(fc.Arg)
-		if !ok {
-			return vecAggSlot{}, false
-		}
-		slot.arg, slot.argKind = arg, arg.kind()
-		switch fc.Name {
-		case "COUNT":
-			slot.outKind = store.KindInt
-		case "SUM":
-			if !numericOrNull(slot.argKind) {
-				return vecAggSlot{}, false
-			}
-			slot.outKind = slot.argKind
-		case "AVG":
-			if !numericOrNull(slot.argKind) {
-				return vecAggSlot{}, false
-			}
-			slot.outKind = store.KindFloat
-			if slot.argKind == store.KindNull {
-				slot.outKind = store.KindNull
-			}
-		case "MIN", "MAX":
-			slot.outKind = slot.argKind
-		default:
-			return vecAggSlot{}, false
-		}
-		return slot, true
+		s := mk()
+		pseudoIdx[key] = len(pseudoKinds)
+		pseudoKinds = append(pseudoKinds, s.outKind)
+		ap.slots = append(ap.slots, s)
+		return len(pseudoKinds) - 1
 	}
-	outer := &vcompiler{params: params, structural: structural}
+	agg := func(fc *sql.FuncCall) int {
+		return slot(fc.String(), func() vecAggSlot { return newSlot(in, fc) })
+	}
+	first := func(off int) int {
+		return slot("FIRST "+strconv.Itoa(off), func() vecAggSlot {
+			return vecAggSlot{fn: "FIRST", arg: &vcolRef{off: off, k: kinds[off]},
+				argKind: kinds[off], outKind: kinds[off]}
+		})
+	}
+	ref := func(idx int) vexpr { return &vcolRef{off: idx, k: pseudoKinds[idx]} }
+	outer := &vcompiler{ctx: ctx, rel: rel}
 	outer.resolve = func(e sql.Expr) (vexpr, bool) {
 		if idx, ok := pseudoIdx[e.String()]; ok {
-			return &vcolRef{off: idx, k: pseudoKinds[idx]}, true
+			return ref(idx), true
 		}
-		if fc, ok := e.(*sql.FuncCall); ok {
-			slot, ok := makeSlot(fc)
-			if !ok {
-				return nil, true
+		switch n := e.(type) {
+		case *sql.FuncCall:
+			return ref(agg(n)), true
+		case sql.ColumnRef:
+			if off, ok, ambiguous := OffsetIn(rel, n); ok && !ambiguous {
+				return ref(first(off)), true // a bare column outside GROUP BY
 			}
-			idx := len(pseudoKinds)
-			pseudoIdx[fc.String()] = idx
-			pseudoKinds = append(pseudoKinds, slot.outKind)
-			ap.slots = append(ap.slots, slot)
-			return &vcolRef{off: idx, k: slot.outKind}, true
-		}
-		if _, ok := e.(sql.ColumnRef); ok {
-			// A bare column that is not a GROUP BY key: the row path
-			// evaluates it on the group's representative row.
-			return nil, true
+			return in.resolve(e)
 		}
 		return nil, false
 	}
-	for _, e := range append(append([]sql.Expr{}, a.Items...), a.SortKeys...) {
-		ve, ok := outer.compile(e)
-		if !ok {
-			return nil, false
+	var repCols []int
+	framed := false
+	outer.subst = func(e sql.Expr) sql.Expr {
+		framed = true
+		for off := len(repCols); off < rel.Width; off++ {
+			repCols = append(repCols, first(off))
 		}
-		ap.items = append(ap.items, ve)
+		return substAggs(e, func(fc *sql.FuncCall) sql.Expr {
+			return sql.ColumnRef{Table: aggBinding, Column: strconv.Itoa(agg(fc))}
+		})
+	}
+	for _, e := range append(slices.Clip(a.Items), a.SortKeys...) {
+		ap.items = append(ap.items, outer.expr(e))
 	}
 	if a.Having != nil {
-		ve, ok := outer.compile(a.Having)
-		if !ok {
-			return nil, false
-		}
-		ap.having = ve
+		ap.having = outer.expr(a.Having)
 	}
 	ap.nOut = len(a.Items) + len(a.SortKeys)
-	return ap, true
+	if framed {
+		n := len(pseudoKinds)
+		b := Binding{Name: aggBinding, Meta: &schema.Table{Name: aggBinding, Columns: make([]schema.Column, n)},
+			Off: rel.Width, Cols: make([]int, n)}
+		for i := range b.Cols {
+			b.Meta.Columns[i].Name, b.Cols[i] = strconv.Itoa(i), i
+		}
+		outer.frame = vframe{
+			rel:  &Rel{Bindings: append(slices.Clip(rel.Bindings), b), Width: rel.Width + n},
+			cols: append(repCols, b.Cols...),
+		}
+	}
+	return ap
+}
+
+// substAggs copies e with every aggregate call outside nested
+// subqueries replaced by sub(call).
+func substAggs(e sql.Expr, sub func(*sql.FuncCall) sql.Expr) sql.Expr {
+	s := func(x sql.Expr) sql.Expr { return substAggs(x, sub) }
+	switch n := e.(type) {
+	case *sql.FuncCall:
+		return sub(n)
+	case *sql.BinaryExpr:
+		return &sql.BinaryExpr{Op: n.Op, L: s(n.L), R: s(n.R)}
+	case *sql.NotExpr:
+		return &sql.NotExpr{X: s(n.X)}
+	case *sql.NegExpr:
+		return &sql.NegExpr{X: s(n.X)}
+	case *sql.InExpr:
+		c := *n
+		c.X, c.List = s(n.X), nil
+		for _, le := range n.List {
+			c.List = append(c.List, s(le))
+		}
+		return &c
+	case *sql.BetweenExpr:
+		return &sql.BetweenExpr{X: s(n.X), Lo: s(n.Lo), Hi: s(n.Hi), Negated: n.Negated}
+	case *sql.LikeExpr:
+		return &sql.LikeExpr{X: s(n.X), Pattern: s(n.Pattern), Negated: n.Negated}
+	case *sql.IsNullExpr:
+		return &sql.IsNullExpr{X: s(n.X), Negated: n.Negated}
+	}
+	return e
 }
 
 // aggState holds the running accumulators of one slot, one entry per
-// group.
+// group. An INT SUM or AVG adds exactly, into a 128-bit two's-complement
+// (hi, lo) pair per group.
 type aggState struct {
 	counts []int64
 	sums   []float64
+	lo     []uint64
+	hi     []int64
 	ints   []int64
 	floats []float64
 	strs   []string
 	bools  []bool
 	has    []bool
+	nulls  []bool                   // FIRST: the first row's value was NULL
+	seen   map[distinctKey]struct{} // DISTINCT: values folded so far
 }
+
+type distinctKey struct {
+	gid int
+	key string
+}
+
+// errSumOverflow is the error of an INT SUM whose exact value lies
+// outside int64.
+var errSumOverflow = errors.New("plan: SUM overflows INT")
 
 // grow adds one group to the accumulators the slot's function reads.
 func (slot *vecAggSlot) grow(st *aggState) {
 	switch slot.fn {
 	case "SUM", "AVG":
-		st.sums = append(st.sums, 0)
+		if slot.argKind == store.KindInt {
+			st.lo, st.hi = append(st.lo, 0), append(st.hi, 0)
+		} else {
+			st.sums = append(st.sums, 0)
+		}
 		fallthrough
 	case "COUNT":
 		st.counts = append(st.counts, 0)
-	default: // MIN, MAX
+	default: // MIN, MAX, FIRST
 		st.has = append(st.has, false)
+		st.nulls = append(st.nulls, false)
 		switch slot.argKind {
 		case store.KindInt:
 			st.ints = append(st.ints, 0)
@@ -837,15 +809,37 @@ func (slot *vecAggSlot) grow(st *aggState) {
 }
 
 // update folds value i of the argument column into group gid, exactly
-// reproducing the scalar aggregate semantics (NULLs skipped, SUM/AVG
-// accumulate in float64, MIN/MAX keep the first of equals).
+// reproducing the scalar aggregate semantics (NULLs skipped, INT sums
+// exact, FLOAT sums accumulate in float64, MIN/MAX keep the first of
+// equals, FIRST the first row's value even when NULL).
 func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
 	if slot.star {
 		st.counts[gid]++
 		return
 	}
-	if arg.kind == store.KindNull || arg.null(i) {
+	isNull := arg.kind == store.KindNull || arg.null(i)
+	if slot.fn == "FIRST" {
+		if st.has[gid] {
+			return
+		}
+		st.has[gid], st.nulls[gid] = true, isNull
+		if !isNull {
+			slot.set(st, gid, arg, i)
+		}
 		return
+	}
+	if isNull {
+		return
+	}
+	if slot.distinct {
+		k := distinctKey{gid: gid, key: arg.value(i).Key()}
+		if _, dup := st.seen[k]; dup {
+			return
+		}
+		if st.seen == nil {
+			st.seen = map[distinctKey]struct{}{}
+		}
+		st.seen[k] = struct{}{}
 	}
 	switch slot.fn {
 	case "COUNT":
@@ -853,99 +847,125 @@ func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
 	case "SUM", "AVG":
 		st.counts[gid]++
 		if arg.kind == store.KindInt {
-			st.sums[gid] += float64(arg.ints[i])
+			x := arg.ints[i]
+			var carry uint64
+			st.lo[gid], carry = bits.Add64(st.lo[gid], uint64(x), 0)
+			st.hi[gid] += int64(carry) + x>>63
 		} else {
 			st.sums[gid] += arg.floats[i]
 		}
 	case "MIN", "MAX":
 		min := slot.fn == "MIN"
+		better := !st.has[gid]
 		switch slot.argKind {
 		case store.KindInt:
-			// Exact integer comparison, matching the row path's
+			// Exact integer comparison, matching the scalar path's
 			// int-int store.Compare (a float64 round-trip collapses
 			// distinct values beyond 2^53).
-			v := arg.ints[i]
-			cur := st.ints[gid]
-			if !st.has[gid] || (min && v < cur) || (!min && v > cur) {
-				st.ints[gid] = v
-				st.has[gid] = true
-			}
+			v, cur := arg.ints[i], st.ints[gid]
+			better = better || (min && v < cur) || (!min && v > cur)
 		case store.KindFloat:
-			f := arg.floats[i]
-			cur := st.floats[gid]
-			if !st.has[gid] || (min && f < cur) || (!min && f > cur) {
-				st.floats[gid] = f
-				st.has[gid] = true
-			}
+			f, cur := arg.floats[i], st.floats[gid]
+			better = better || (min && f < cur) || (!min && f > cur)
 		case store.KindText:
-			s := arg.str(i)
-			if !st.has[gid] || (min && s < st.strs[gid]) || (!min && s > st.strs[gid]) {
-				st.strs[gid] = s
-				st.has[gid] = true
-			}
+			s, cur := arg.str(i), st.strs[gid]
+			better = better || (min && s < cur) || (!min && s > cur)
 		case store.KindBool:
-			v := arg.bools[i]
-			cur := st.bools[gid]
-			if !st.has[gid] || (min && !v && cur) || (!min && v && !cur) {
-				st.bools[gid] = v
-				st.has[gid] = true
-			}
+			v, cur := arg.bools[i], st.bools[gid]
+			better = better || (min && !v && cur) || (!min && v && !cur)
+		}
+		if better {
+			st.has[gid] = true
+			slot.set(st, gid, arg, i)
 		}
 	}
 }
 
+// set stores value i of the argument column as group gid's MIN, MAX or
+// FIRST.
+func (slot *vecAggSlot) set(st *aggState, gid int, arg *vcol, i int) {
+	switch slot.argKind {
+	case store.KindInt:
+		st.ints[gid] = arg.ints[i]
+	case store.KindFloat:
+		st.floats[gid] = arg.floats[i]
+	case store.KindText:
+		st.strs[gid] = arg.str(i)
+	case store.KindBool:
+		st.bools[gid] = arg.bools[i]
+	}
+}
+
+// exactFloat rounds the 128-bit sum hi·2^64 + lo to the nearest
+// float64.
+func exactFloat(hi int64, lo uint64) float64 {
+	if hi == int64(lo)>>63 {
+		return float64(int64(lo))
+	}
+	x := new(big.Int).Lsh(big.NewInt(hi), 64)
+	f, _ := new(big.Float).SetInt(x.Add(x, new(big.Int).SetUint64(lo))).Float64()
+	return f
+}
+
 // col freezes the slot's per-group results into an output column.
-func (slot *vecAggSlot) col(st *aggState, n int) vcol {
+func (slot *vecAggSlot) col(st *aggState, n int) (vcol, error) {
 	switch slot.fn {
 	case "COUNT":
-		return vcol{kind: store.KindInt, ints: st.counts[:n]}
+		return vcol{kind: store.KindInt, ints: st.counts[:n]}, nil
 	case "SUM":
 		nulls := countNulls(st.counts[:n])
-		if slot.outKind == store.KindInt {
+		switch slot.outKind {
+		case store.KindInt:
 			out := make([]int64, n)
-			for i := 0; i < n; i++ {
-				out[i] = int64(st.sums[i])
+			for i := range out {
+				if st.hi[i] != int64(st.lo[i])>>63 {
+					return vcol{}, errSumOverflow
+				}
+				out[i] = int64(st.lo[i])
 			}
-			return vcol{kind: store.KindInt, ints: out, nulls: nulls}
+			return vcol{kind: store.KindInt, ints: out, nulls: nulls}, nil
+		case store.KindNull:
+			return allNullCol(n), nil
 		}
-		if slot.outKind == store.KindNull {
-			return allNullCol(n)
-		}
-		return vcol{kind: store.KindFloat, floats: st.sums[:n], nulls: nulls}
+		return vcol{kind: store.KindFloat, floats: st.sums[:n], nulls: nulls}, nil
 	case "AVG":
 		if slot.outKind == store.KindNull {
-			return allNullCol(n)
+			return allNullCol(n), nil
 		}
 		nulls := countNulls(st.counts[:n])
 		out := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if st.counts[i] > 0 {
+		for i := range out {
+			switch {
+			case st.counts[i] == 0:
+			case slot.argKind == store.KindInt:
+				out[i] = exactFloat(st.hi[i], st.lo[i]) / float64(st.counts[i])
+			default:
 				out[i] = st.sums[i] / float64(st.counts[i])
 			}
 		}
-		return vcol{kind: store.KindFloat, floats: out, nulls: nulls}
-	default: // MIN, MAX
-		var nulls []bool
-		for i := 0; i < n; i++ {
-			if !st.has[i] {
-				if nulls == nil {
-					nulls = make([]bool, n)
-				}
-				nulls[i] = true
-			}
-		}
-		switch slot.argKind {
-		case store.KindInt:
-			return vcol{kind: store.KindInt, ints: st.ints[:n], nulls: nulls}
-		case store.KindFloat:
-			return vcol{kind: store.KindFloat, floats: st.floats[:n], nulls: nulls}
-		case store.KindText:
-			return vcol{kind: store.KindText, strs: st.strs[:n], nulls: nulls}
-		case store.KindBool:
-			return vcol{kind: store.KindBool, bools: st.bools[:n], nulls: nulls}
-		}
-		return allNullCol(n)
+		return vcol{kind: store.KindFloat, floats: out, nulls: nulls}, nil
 	}
+	// MIN, MAX, FIRST
+	var nulls []bool
+	for i := 0; i < n; i++ {
+		if !st.has[i] || st.nulls[i] {
+			if nulls == nil {
+				nulls = make([]bool, n)
+			}
+			nulls[i] = true
+		}
+	}
+	switch slot.argKind {
+	case store.KindInt:
+		return vcol{kind: store.KindInt, ints: st.ints[:n], nulls: nulls}, nil
+	case store.KindFloat:
+		return vcol{kind: store.KindFloat, floats: st.floats[:n], nulls: nulls}, nil
+	case store.KindText:
+		return vcol{kind: store.KindText, strs: st.strs[:n], nulls: nulls}, nil
+	case store.KindBool:
+		return vcol{kind: store.KindBool, bools: st.bools[:n], nulls: nulls}, nil
+	}
+	return allNullCol(n), nil
 }
 
 // countNulls marks groups with a zero non-NULL count (SUM/AVG of an
@@ -976,11 +996,12 @@ func allNullCol(n int) vcol {
 // over ints, text or bools picks among identical equals. SUM and AVG
 // depend on float64 summation order, and a float MIN/MAX keeps a
 // leading NaN forever (update), so a morsel that opens on one would
-// hide the rest of its values from the merge.
+// hide the rest of its values from the merge. A DISTINCT slot's
+// partials would count a value once per morsel.
 func (ap *vecAggPlan) mergesExactly() bool {
 	for _, slot := range ap.slots {
 		minMax := slot.fn == "MIN" || slot.fn == "MAX"
-		if slot.fn != "COUNT" && !(minMax && slot.argKind != store.KindFloat) {
+		if slot.distinct || (slot.fn != "COUNT" && !(minMax && slot.argKind != store.KindFloat)) {
 			return false
 		}
 	}
@@ -1079,18 +1100,31 @@ func hashKeys(keys []vcol, n int, sel []int32, sc *vscratch) []uint64 {
 }
 
 // add folds one batch into the table.
-func (t *groupTable) add(b *vbatch) {
+func (t *groupTable) add(b *vbatch) error {
 	t.sc.reset()
 	b.scratch = t.sc
 	for k, ve := range t.ap.keys {
 		t.keyCols[k] = ve.eval(b)
 	}
-	for s := range t.ap.slots {
-		if t.ap.slots[s].arg != nil {
-			t.argCols[s] = t.ap.slots[s].arg.eval(b)
+	for s, slot := range t.ap.slots {
+		if slot.arg != nil {
+			t.argCols[s] = slot.arg.eval(b)
 		}
 	}
 	b.scratch = nil
+	if b.err != nil {
+		return b.err
+	}
+	for s, slot := range t.ap.slots {
+		if arg := &t.argCols[s]; slot.outKind == store.KindNull && slot.argKind != store.KindNull {
+			// SUM/AVG over a non-numeric kind: any value is an error.
+			some := false
+			b.forSel(func(i int) { some = some || !arg.null(i) })
+			if some {
+				return fmt.Errorf("plan: %s over non-numeric value %s", slot.fn, slot.argKind)
+			}
+		}
+	}
 	hs := hashKeys(t.keyCols, b.n, b.sel, t.sc)
 	b.forSel(func(i int) {
 		gid := t.group(t.keyCols, i, hs)
@@ -1098,17 +1132,21 @@ func (t *groupTable) add(b *vbatch) {
 			t.ap.slots[s].update(&t.states[s], gid, &t.argCols[s], i)
 		}
 	})
+	return nil
 }
 
 // merge folds src, the table of a later stretch of the same input, into
 // t as if its rows had been added after t's: src's groups arrive in its
 // first-seen order, so group order and (given mergesExactly) every
 // result equal the serial fold's.
-func (t *groupTable) merge(src *groupTable) {
+func (t *groupTable) merge(src *groupTable) error {
 	hs := hashKeys(src.groupKeys, src.ngroups, nil, nil)
 	for s := range src.states {
 		// A partial MIN/MAX is one more value to fold; partial COUNTs add.
-		t.argCols[s] = t.ap.slots[s].col(&src.states[s], src.ngroups)
+		var err error
+		if t.argCols[s], err = t.ap.slots[s].col(&src.states[s], src.ngroups); err != nil {
+			return err
+		}
 	}
 	for g := 0; g < src.ngroups; g++ {
 		gid := t.group(src.groupKeys, g, hs)
@@ -1120,6 +1158,7 @@ func (t *groupTable) merge(src *groupTable) {
 			}
 		}
 	}
+	return nil
 }
 
 // fold drains in into a new group table.
@@ -1130,7 +1169,9 @@ func (ap *vecAggPlan) fold(ctx *Ctx, in viter) (*groupTable, error) {
 		if err != nil || b == nil {
 			return t, err
 		}
-		t.add(b)
+		if err := t.add(b); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -1140,10 +1181,7 @@ func (ap *vecAggPlan) fold(ctx *Ctx, in viter) (*groupTable, error) {
 // batch outlives its pull, so a question's bytes follow the groups it
 // returns, not the rows it scans — and the tables merge in slot order.
 func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
-	ap, ok := planVecAgg(a, ctx.Params, false)
-	if !ok {
-		return nil, errUnknownTable("<aggregate not vectorizable>")
-	}
+	ap := planVecAgg(a, ctx)
 	in := a.In
 	if f := a.partialOver(ap); f != nil {
 		in = f.Children()[0] // a serial run folds the subtree as it stands
@@ -1152,21 +1190,13 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 			return nil, err
 		}
 		if n > 0 {
-			// vecChild's choice, made once for all slots: the subtree may
-			// hold what only the row iterator runs (a subquery filter, a
-			// cross join), and its leaves read the slot from wctx either way.
-			open := rowSource
-			if staticVec(in) {
-				open = vecOpen
-			}
 			tabs := make([]*groupTable, n)
 			err := run(func(i int, wctx *Ctx) error {
-				op, err := open(in, wctx)
+				op, err := in.vopen(wctx)
 				if err == nil {
 					// Compiled programs hold per-instance state (a constant's
 					// broadcast), so every slot folds through its own.
-					wap, _ := planVecAgg(a, wctx.Params, false)
-					tabs[i], err = wap.fold(wctx, op)
+					tabs[i], err = planVecAgg(a, wctx).fold(wctx, op)
 				}
 				return err
 			})
@@ -1174,12 +1204,14 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 				return nil, err
 			}
 			for _, src := range tabs[1:] {
-				tabs[0].merge(src)
+				if err := tabs[0].merge(src); err != nil {
+					return nil, err
+				}
 			}
-			return tabs[0].finish(), nil
+			return tabs[0].finish()
 		}
 	}
-	op, err := vecChild(in, ctx)
+	op, err := in.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1187,20 +1219,27 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return t.finish(), nil
+	return t.finish()
 }
 
 // finish assembles the group pseudo-relation — keys, then aggregate
 // results — and evaluates HAVING and the output items over it.
-func (t *groupTable) finish() viter {
+func (t *groupTable) finish() (viter, error) {
 	ap, nk := t.ap, len(t.ap.keys)
 	g := &vbatch{n: t.ngroups, cols: make([]vcol, nk+len(ap.slots))}
 	copy(g.cols, t.groupKeys)
 	for s := range ap.slots {
-		g.cols[nk+s] = ap.slots[s].col(&t.states[s], t.ngroups)
+		var err error
+		if g.cols[nk+s], err = ap.slots[s].col(&t.states[s], t.ngroups); err != nil {
+			return nil, err
+		}
 	}
+	none := func() (*vbatch, error) { return nil, nil }
 	if ap.having != nil {
 		hc := ap.having.eval(g)
+		if g.err != nil {
+			return nil, g.err
+		}
 		var sel []int32
 		for i := 0; i < g.n; i++ {
 			if hc.kind == store.KindBool && !hc.null(i) && hc.bools[i] {
@@ -1209,31 +1248,37 @@ func (t *groupTable) finish() viter {
 		}
 		g.sel = sel
 		if len(sel) == 0 {
-			return func() (*vbatch, error) { return nil, nil }
+			return none, nil
 		}
 	}
 	out := &vbatch{n: g.rows(), cols: make([]vcol, len(ap.items))}
 	for x, ve := range ap.items {
 		rc := ve.eval(g)
+		if g.err != nil {
+			return nil, g.err
+		}
 		if g.sel != nil {
 			rc = gatherCol(&rc, g.sel)
 		}
 		out.cols[x] = rc
 	}
+	if out.n == 0 {
+		return none, nil
+	}
 	done := false
 	return func() (*vbatch, error) {
-		if done || out.n == 0 {
+		if done {
 			return nil, nil
 		}
 		done = true
 		return out, nil
-	}
+	}, nil
 }
 
 // ---- distinct ----
 
 func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
-	in, err := vecOpen(d.In, ctx)
+	in, err := d.In.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1353,7 +1398,7 @@ func vcolCompare(a *vcol, i int, b *vcol, j int) int {
 }
 
 func (s *Sort) vopen(ctx *Ctx) (viter, error) {
-	in, err := vecOpen(s.In, ctx)
+	in, err := s.In.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1426,7 +1471,7 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 	if l.N <= 0 {
 		return func() (*vbatch, error) { return nil, nil }, nil
 	}
-	in, err := vecOpen(l.In, ctx)
+	in, err := l.In.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -1479,7 +1524,7 @@ func keepSlots(f fanOut, ctx *Ctx) (viter, error) {
 		return nil, err
 	}
 	if n == 0 {
-		return vecOpen(in, ctx)
+		return in.vopen(ctx)
 	}
 	outs := make([][]*vbatch, n)
 	err = run(func(i int, wctx *Ctx) (err error) {
@@ -1508,7 +1553,7 @@ func keepSlots(f fanOut, ctx *Ctx) (viter, error) {
 // the one place that holds a batch past the next pull, so the one that
 // copies what the batch was lent (see vbatch).
 func keepBatches(n Node, ctx *Ctx) ([]*vbatch, error) {
-	op, err := vecOpen(n, ctx)
+	op, err := n.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}

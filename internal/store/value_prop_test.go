@@ -143,8 +143,8 @@ func TestValueSize(t *testing.T) {
 
 // TestValueAccessorsRoundTrip: int, float and bool share one payload
 // word, so the contract callers lean on when they read a cell by its
-// column's kind rather than its own (colbuf.pushValue, the segment
-// codec, serve's encoder) is checked for every constructor: Kind is
+// column's kind rather than its own (the segment codec, serve's
+// encoder) is checked for every constructor: Kind is
 // right, the own-kind accessor returns the input bit for bit, and every
 // other accessor returns its zero.
 func TestValueAccessorsRoundTrip(t *testing.T) {
