@@ -1,7 +1,6 @@
 // Partitioned-table measurements (experiment F13): parallel bulk-load
-// throughput across independent partition writer locks, partition-wise
-// join execution against the shared-build exchange baseline, and
-// partition pruning's segment-I/O profile.
+// throughput across independent partition writer locks, and partition
+// pruning's segment-I/O profile, serial and under an exchange.
 
 package bench
 
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/exec"
-	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
@@ -145,98 +143,6 @@ func MeasureParallelLoad(newDB func() *store.DB, table, col string,
 	return out, nil
 }
 
-// PartJoin is one partition-wise join comparison: the same query at
-// the same worker degree over co-partitioned tables (per-partition
-// build+probe, no shared build side) and over the unpartitioned layout
-// (shared-build exchange).
-type PartJoin struct {
-	Name    string
-	Par     int
-	Parts   int
-	Rows    int           // probe-side table rows
-	Wise    time.Duration // partition-wise plan on the partitioned layout
-	Shared  time.Duration // shared-build exchange on the flat layout
-	OutRows int
-	Scanned int64 // partitions read by the counted partition-wise run
-	Pruned  int64 // partitions pruned by it
-}
-
-// Factor is Shared/Wise (>1 means the partition-wise join won).
-func (j PartJoin) Factor() float64 {
-	if j.Wise <= 0 {
-		return 0
-	}
-	return float64(j.Shared) / float64(j.Wise)
-}
-
-// MeasurePartitionJoin times query at degree par over dbPart (tables
-// co-partitioned on the join key) and dbFlat (same data,
-// unpartitioned), best of reps. It fails if the partitioned plan did
-// not actually engage the partition-wise operator — a baseline racing
-// a baseline proves nothing — and requires the two layouts to agree
-// row for row, so the query should carry an ORDER BY (hash routing
-// reorders base tables, and an unordered comparison would have to
-// forgive reorderings the operator must not introduce elsewhere).
-func MeasurePartitionJoin(dbPart, dbFlat *store.DB, table, name, query string,
-	par, reps int) (PartJoin, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return PartJoin{}, err
-	}
-	snP := dbPart.Snapshot()
-	snF := dbFlat.Snapshot()
-	pp, err := exec.Compile(snP, stmt, par)
-	if err != nil {
-		return PartJoin{}, err
-	}
-	if n := pp.OperatorCounts()["partition-wise"]; n == 0 {
-		return PartJoin{}, fmt.Errorf("bench: plan for %q has no partition-wise operator", name)
-	}
-	pf, err := exec.Compile(snF, stmt, par)
-	if err != nil {
-		return PartJoin{}, err
-	}
-
-	timed := func(sn *store.Snapshot, p *plan.Plan) (time.Duration, error) {
-		return minOver(reps, func() (*exec.Result, error) { return exec.Run(context.Background(), sn, p, exec.RunOpts{}) })
-	}
-
-	wiseRes, err := exec.Run(context.Background(), snP, pp, exec.RunOpts{}) // warm-up and baseline rows
-	if err != nil {
-		return PartJoin{}, err
-	}
-	var c store.PartCounters
-	if _, err := exec.Run(context.Background(), snP, pp, exec.RunOpts{PartC: &c}); err != nil {
-		return PartJoin{}, err
-	}
-	wise, err := timed(snP, pp)
-	if err != nil {
-		return PartJoin{}, err
-	}
-	sharedRes, err := exec.Run(context.Background(), snF, pf, exec.RunOpts{}) // warm-up
-	if err != nil {
-		return PartJoin{}, err
-	}
-	shared, err := timed(snF, pf)
-	if err != nil {
-		return PartJoin{}, err
-	}
-
-	if !SameResult(wiseRes, sharedRes) {
-		return PartJoin{}, fmt.Errorf("bench: partition-wise result diverges from flat layout for %q", name)
-	}
-	tab := snP.Table(table)
-	return PartJoin{
-		Name: name, Par: par,
-		Parts: tab.NumParts(),
-		Rows:  tab.Len(),
-		Wise:  wise, Shared: shared,
-		OutRows: len(wiseRes.Rows),
-		Scanned: c.Scanned.Load(),
-		Pruned:  c.Pruned.Load(),
-	}, nil
-}
-
 // PartPrune is one partition-pruning probe over a spill-enabled
 // database: partitions pruned by resident statistics alone, and the
 // segment bytes the run actually faulted back from disk versus the
@@ -251,15 +157,16 @@ type PartPrune struct {
 	OutRows   int
 }
 
-// MeasurePartitionPrune runs query serially over db — partitioned,
+// MeasurePartitionPrune runs query at degree par over db — partitioned,
 // spill-enabled — with every segment evicted to disk first, and
 // verifies the zero-I/O contract: pruning must fire (kept lists which
 // partition indexes the predicate admits; everything else must be
 // pruned), and the bytes faulted back in must not exceed the kept
 // partitions' total segment footprint. Pruning decisions read resident
 // per-partition statistics only, so a pruned partition's segments
-// never leave the spill directory.
-func MeasurePartitionPrune(db *store.DB, table, name, query string, kept []int) (PartPrune, error) {
+// never leave the spill directory — serially or under an exchange,
+// whose morsels are cut inside the kept partitions.
+func MeasurePartitionPrune(db *store.DB, table, name, query string, kept []int, par int) (PartPrune, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return PartPrune{}, err
@@ -273,9 +180,12 @@ func MeasurePartitionPrune(db *store.DB, table, name, query string, kept []int) 
 	if tab == nil {
 		return PartPrune{}, fmt.Errorf("bench: unknown table %s", table)
 	}
-	p, err := exec.Compile(sn, stmt, 1)
+	p, err := exec.Compile(sn, stmt, par)
 	if err != nil {
 		return PartPrune{}, err
+	}
+	if par > 1 && p.OperatorCounts()["exchange"] == 0 {
+		return PartPrune{}, fmt.Errorf("bench: plan for %q at par %d has no exchange", name, par)
 	}
 
 	if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil { // warm-up: builds + spills segments
@@ -290,7 +200,7 @@ func MeasurePartitionPrune(db *store.DB, table, name, query string, kept []int) 
 
 	var partc store.PartCounters
 	var segc store.SegCounters
-	res, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Par: 1, SegC: &segc, PartC: &partc})
+	res, err := exec.Run(context.Background(), sn, p, exec.RunOpts{SegC: &segc, PartC: &partc})
 	if err != nil {
 		return PartPrune{}, err
 	}
@@ -306,12 +216,12 @@ func MeasurePartitionPrune(db *store.DB, table, name, query string, kept []int) 
 		OutRows:   len(res.Rows),
 	}
 	if want := int64(tab.NumParts() - len(kept)); out.Pruned != want {
-		return PartPrune{}, fmt.Errorf("bench: %q pruned %d partitions, want %d of %d",
-			name, out.Pruned, want, tab.NumParts())
+		return PartPrune{}, fmt.Errorf("bench: %q at par %d pruned %d partitions, want %d of %d",
+			name, par, out.Pruned, want, tab.NumParts())
 	}
 	if out.FaultIn > out.KeptBytes {
-		return PartPrune{}, fmt.Errorf("bench: %q faulted %d bytes but kept partitions hold only %d — pruned partitions did segment I/O",
-			name, out.FaultIn, out.KeptBytes)
+		return PartPrune{}, fmt.Errorf("bench: %q at par %d faulted %d bytes but kept partitions hold only %d — pruned partitions did segment I/O",
+			name, par, out.FaultIn, out.KeptBytes)
 	}
 	return out, nil
 }

@@ -41,11 +41,13 @@ type Options struct {
 
 	// Partitions, when > 1, hash-partitions every table N ways at engine
 	// construction: tables joined by a foreign key are co-partitioned on
-	// the FK columns (equal join keys land in the same partition index,
-	// so their joins run partition-wise with no shared build side), and
-	// tables no foreign key touches partition on their primary key. Bulk
-	// loads then land under per-partition writer locks and scale with
-	// concurrent loaders. 0 or 1 keeps every table single-stream — the
+	// the FK columns (an equality on an FK column prunes to the one
+	// partition its value routes to, on either table), and tables no
+	// foreign key touches partition on their primary key. Bulk loads
+	// then land under per-partition writer locks and scale with
+	// concurrent loaders. Queries read a partitioned table like any
+	// other, serially or through an exchange, minus the partitions their
+	// predicates prune. 0 or 1 keeps every table single-stream — the
 	// pre-partitioning layout, and the F13 ablation baseline.
 	Partitions int
 
@@ -211,9 +213,9 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 // partitionTables hash-partitions every table of db n ways on its
 // natural co-partitioning column. Foreign keys drive the assignment —
 // both endpoint columns of each FK (in declaration order, first
-// assignment wins) — so FK-joined tables are co-partitioned and their
-// joins run partition-wise; tables no foreign key touches fall back to
-// their primary key.
+// assignment wins) — so FK-joined tables are co-partitioned and an FK
+// equality prunes by hash routing on either side; tables no foreign key
+// touches fall back to their primary key.
 func partitionTables(db *store.DB, n int) error {
 	cols := map[string]string{}
 	for _, fk := range db.Schema.ForeignKeys {

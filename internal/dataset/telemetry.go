@@ -16,8 +16,8 @@ const TelemetryDevices = 4096
 // table experiment (F13): the F11 event log joined to a device
 // dimension through a foreign key. The FK is what drives automatic
 // co-partitioning — hash-partitioning both tables on device_id at the
-// same degree confines equal join keys to one partition index, the
-// prerequisite for partition-wise joins with no shared build side.
+// same degree confines equal join keys to one partition index, so a
+// device_id probe prunes to one partition of either table.
 func TelemetrySchema() *schema.Schema {
 	return schema.MustNew("telemetry", []*schema.Table{
 		{

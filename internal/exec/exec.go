@@ -41,7 +41,7 @@ func Compile(sn *store.Snapshot, stmt *sql.SelectStmt, par int) (*plan.Plan, err
 	if err != nil {
 		return nil, err
 	}
-	return plan.Parallelize(sn, p, par), nil
+	return plan.Parallelize(p, par), nil
 }
 
 // RunOpts are the independently settable axes of one plan execution.

@@ -17,11 +17,10 @@ import (
 )
 
 // How Explain shows an aggregate that folds inside the workers of the
-// exchange, or the partition-wise operator, below it.
+// exchange below it.
 const (
-	perMorsel    = "[partial ×morsel]"
-	perPartition = "[partial ×partition]"
-	notPartial   = ""
+	perMorsel  = "[partial ×morsel]"
+	notPartial = ""
 )
 
 // rowsBitIdentical is rowsIdentical without Key's folding: kinds must
@@ -53,8 +52,8 @@ func floatBits(v store.Value) uint64 {
 
 // checkPartial runs q at par 2, 4 and 8 and requires every run to equal
 // the par = 1 run of the same statement row for row and bit for bit,
-// the reference executor as a bag, and the plan to have one fan-out
-// operator under an aggregate carrying exactly the wanted mark.
+// the reference executor as a bag, and the plan to have one exchange
+// under an aggregate carrying exactly the wanted mark.
 func checkPartial(t *testing.T, sn *store.Snapshot, q, wantMark string) {
 	t.Helper()
 	stmt := sql.MustParse(q)
@@ -72,9 +71,8 @@ func checkPartial(t *testing.T, sn *store.Snapshot, q, wantMark string) {
 			t.Fatalf("compile: %v\nsql: %s", err, q)
 		}
 		explain := p.Explain()
-		ops := p.OperatorCounts()
-		if ops["exchange"]+ops["partition-wise"] != 1 || (wantMark == perPartition) != (ops["partition-wise"] == 1) {
-			t.Fatalf("par=%d: want a plan over one fan-out operator:\n%s\nsql: %s", par, explain, q)
+		if p.OperatorCounts()["exchange"] != 1 {
+			t.Fatalf("par=%d: want a plan over one exchange:\n%s\nsql: %s", par, explain, q)
 		}
 		if got := strings.Count(explain, "[partial"); got != strings.Count(wantMark, "[partial") || !strings.Contains(explain, wantMark) {
 			t.Errorf("par=%d: want mark %q:\n%s\nsql: %s", par, wantMark, explain, q)
@@ -205,14 +203,14 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 		checkPartial(t, sn, q, perMorsel)
 	}
 
-	// Co-partitioned joins fan out by partition instead, and fold per
-	// partition on the same terms.
+	// Co-partitioned joins: morsels cut inside the partitions, and the
+	// fold runs per morsel on the same terms.
 	dbPart, _ := telemetryPair(20_000, 8)
 	sn = dbPart.Snapshot()
 	const fk = "FROM events, devices WHERE events.device_id = devices.device_id"
-	checkPartial(t, sn, "SELECT level, COUNT(*), MIN(ts), MAX(service) "+fk+" GROUP BY level", perPartition)
-	checkPartial(t, sn, "SELECT region, COUNT(latency_ms) "+fk+" AND level = 'error' GROUP BY region", perPartition)
-	checkPartial(t, sn, "SELECT COUNT(*) "+fk+" AND status > 9000", perPartition)
+	checkPartial(t, sn, "SELECT level, COUNT(*), MIN(ts), MAX(service) "+fk+" GROUP BY level", perMorsel)
+	checkPartial(t, sn, "SELECT region, COUNT(latency_ms) "+fk+" AND level = 'error' GROUP BY region", perMorsel)
+	checkPartial(t, sn, "SELECT COUNT(*) "+fk+" AND status > 9000", perMorsel)
 }
 
 // TestPartialAggregateExtrema pins the merge's exactness at the values

@@ -3,6 +3,8 @@ package exec_test
 import (
 	"context"
 	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -72,8 +74,8 @@ func sameBag(a, b *exec.Result) error {
 // every dataset partitioned 1, 8 and 32 ways and requires: (a) results
 // bag-equal to the unpartitioned layout at every degree, and (b) the
 // parallel run row-for-row identical to the serial run on the same
-// layout — partition-wise execution and partition-aligned exchanges
-// must merge in exactly serial order.
+// layout — an exchange's morsels, cut inside the kept partitions, must
+// merge in exactly serial order.
 func TestPartitionDifferentialCorpus(t *testing.T) {
 	for _, domain := range dataset.Names() {
 		flat, err := dataset.ByName(domain, 1)
@@ -139,46 +141,35 @@ func telemetryPair(rows, parts int) (dbPart, dbFlat *store.DB) {
 	return dbPart, dataset.Telemetry(rows)
 }
 
-// TestPartitionWiseJoinDifferential pins the partition-wise join path:
-// over co-partitioned telemetry tables the FK-join plans must engage
-// the partition-wise operator (visible in Explain, with partition
-// counts on the scans), and their results must match the flat layout
-// row for row — every query carries an ORDER BY that makes its output
-// deterministic across layouts.
-func TestPartitionWiseJoinDifferential(t *testing.T) {
+// TestCoPartitionedJoinDifferential pins FK joins over co-partitioned
+// telemetry tables: the scans report their partition counts in Explain
+// and charge the partition counter, and the results match the flat
+// layout row for row — every query carries an ORDER BY that makes its
+// output deterministic across layouts.
+func TestCoPartitionedJoinDifferential(t *testing.T) {
 	const parts = 8
 	dbPart, dbFlat := telemetryPair(20_000, parts)
 	snP, snF := dbPart.Snapshot(), dbFlat.Snapshot()
-	queries := []struct {
-		q        string
-		wantWise bool // aggregate over the co-partitioned join
-	}{
-		{"SELECT level, COUNT(*) FROM events, devices " +
-			"WHERE events.device_id = devices.device_id GROUP BY level ORDER BY level", true},
-		{"SELECT region, COUNT(*), SUM(status) FROM events, devices " +
-			"WHERE events.device_id = devices.device_id GROUP BY region ORDER BY region", true},
-		{"SELECT region, COUNT(*) FROM events, devices " +
+	for _, q := range []string{
+		"SELECT level, COUNT(*) FROM events, devices " +
+			"WHERE events.device_id = devices.device_id GROUP BY level ORDER BY level",
+		"SELECT region, COUNT(*), SUM(status) FROM events, devices " +
+			"WHERE events.device_id = devices.device_id GROUP BY region ORDER BY region",
+		"SELECT region, COUNT(*) FROM events, devices " +
 			"WHERE events.device_id = devices.device_id AND level = 'error' " +
-			"GROUP BY region ORDER BY region", true},
-		{"SELECT event_id, region FROM events, devices " +
+			"GROUP BY region ORDER BY region",
+		"SELECT event_id, region FROM events, devices " +
 			"WHERE events.device_id = devices.device_id AND status = 503 " +
-			"ORDER BY event_id LIMIT 100", false},
-	}
-	for _, tc := range queries {
-		stmt := sql.MustParse(tc.q)
+			"ORDER BY event_id LIMIT 100",
+	} {
+		stmt := sql.MustParse(q)
 		for _, par := range []int{2, 8} {
 			pp, err := exec.Compile(snP, stmt, par)
 			if err != nil {
-				t.Fatalf("%s: %v", tc.q, err)
+				t.Fatalf("%s: %v", q, err)
 			}
-			if tc.wantWise {
-				if pp.OperatorCounts()["partition-wise"] == 0 {
-					t.Errorf("par=%d: no partition-wise operator in plan for: %s\n%s", par, tc.q, pp.Explain())
-				}
-				ex := pp.Explain()
-				if !strings.Contains(ex, "[partition-wise]") || !strings.Contains(ex, fmt.Sprintf("partitions=%d", parts)) {
-					t.Errorf("par=%d: explain missing partition annotations for: %s\n%s", par, tc.q, ex)
-				}
+			if ex := pp.Explain(); !strings.Contains(ex, fmt.Sprintf("partitions=%d", parts)) {
+				t.Errorf("par=%d: explain missing partition counts for: %s\n%s", par, q, ex)
 			}
 			pf, err := exec.Compile(snF, stmt, par)
 			if err != nil {
@@ -187,17 +178,114 @@ func TestPartitionWiseJoinDifferential(t *testing.T) {
 			var c store.PartCounters
 			got, err := exec.Run(context.Background(), snP, pp, exec.RunOpts{PartC: &c})
 			if err != nil {
-				t.Fatalf("%s (par=%d): %v", tc.q, par, err)
+				t.Fatalf("%s (par=%d): %v", q, par, err)
 			}
 			want, err := exec.Run(context.Background(), snF, pf, exec.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := rowsIdentical(got, want); err != nil {
-				t.Errorf("par=%d: partitioned vs flat: %v\nsql: %s", par, err, tc.q)
+				t.Errorf("par=%d: partitioned vs flat: %v\nsql: %s", par, err, q)
 			}
-			if tc.wantWise && c.Scanned.Load() == 0 {
-				t.Errorf("par=%d: partition counter never incremented for: %s", par, tc.q)
+			if c.Scanned.Load() == 0 {
+				t.Errorf("par=%d: partition counter never incremented for: %s", par, q)
+			}
+		}
+	}
+}
+
+// TestPartitionPruneUnderExchange pins that an exchange prunes what the
+// serial scan prunes: its morsels are cut inside the scan's kept ranges,
+// so at every degree the run reads the partitions par 1 reads — the
+// pruned=K Explain prints — and counts each segment once. The probes
+// route-prune an 8-way hash layout on device_id (= k, IN (k, j)) and
+// statistics-prune an 8-way range layout on ts (a window); each runs as
+// a COUNT folded per morsel, an AVG whose batches are kept, and a bare
+// projection.
+func TestPartitionPruneUnderExchange(t *testing.T) {
+	const n, parts = 1 << 15, 8
+	hashDB := dataset.Telemetry(n)
+	if err := hashDB.PartitionTable("events", store.HashPartition("device_id", parts)); err != nil {
+		t.Fatal(err)
+	}
+	span := int64(n / 8) // ts advances one tick every 8 rows
+	var bounds []store.Value
+	for i := 1; i < parts; i++ {
+		bounds = append(bounds, store.Int(1_700_000_000+int64(i)*span/parts))
+	}
+	rangeDB := dataset.Telemetry(n)
+	if err := rangeDB.PartitionTable("events", store.RangePartition("ts", bounds)); err != nil {
+		t.Fatal(err)
+	}
+	// Small segments: every partition is many of them, so morsels start
+	// mid-segment and zone maps skip inside the kept partitions.
+	hashDB.Table("events").SetSegmentRows(512)
+	rangeDB.Table("events").SetSegmentRows(512)
+	lo := 1_700_000_000 + 3*span/parts + span/(3*parts)
+	window := fmt.Sprintf("ts >= %d AND ts < %d", lo, lo+span/parts)
+
+	pruned := regexp.MustCompile(`partitions=(\d+) pruned=(\d+)`)
+	for _, c := range []struct {
+		db    *store.DB
+		where string
+	}{
+		{hashDB, "device_id = 17"},
+		{hashDB, "device_id IN (17, 4000)"},
+		{rangeDB, window},
+	} {
+		sn := c.db.Snapshot()
+		for _, q := range []string{
+			"SELECT COUNT(*), MIN(ts) FROM events WHERE " + c.where,
+			"SELECT COUNT(*), AVG(latency_ms) FROM events WHERE " + c.where,
+			"SELECT event_id, status FROM events WHERE " + c.where,
+		} {
+			stmt := sql.MustParse(q)
+			ref, err := exec.ReferenceQueryAt(sn, stmt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var serial *exec.Result
+			var serialPart, serialSeg [2]int64
+			for _, par := range []int{1, 2, 4, 8} {
+				p, err := exec.Compile(sn, stmt, par)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ex := p.Explain()
+				if par > 1 && p.OperatorCounts()["exchange"] != 1 {
+					t.Fatalf("par=%d: want an exchange:\n%s\nsql: %s", par, ex, q)
+				}
+				var k int64
+				if m := pruned.FindStringSubmatch(ex); m == nil || m[1] != fmt.Sprint(parts) || m[2] == "0" {
+					t.Fatalf("par=%d: want a scan that prunes partitions:\n%s\nsql: %s", par, ex, q)
+				} else {
+					k, _ = strconv.ParseInt(m[2], 10, 64)
+				}
+				var partc store.PartCounters
+				var segc store.SegCounters
+				got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{PartC: &partc, SegC: &segc})
+				if err != nil {
+					t.Fatalf("par=%d: %v\nsql: %s", par, err, q)
+				}
+				gotPart := [2]int64{partc.Scanned.Load(), partc.Pruned.Load()}
+				gotSeg := [2]int64{segc.Scanned.Load(), segc.Skipped.Load()}
+				if want := [2]int64{parts - k, k}; gotPart != want {
+					t.Errorf("par=%d: partitions scanned/pruned %v, Explain says %v\nsql: %s", par, gotPart, want, q)
+				}
+				if err := sameBag(got, ref); err != nil {
+					t.Errorf("par=%d vs reference: %v\nsql: %s", par, err, q)
+				}
+				if par == 1 {
+					serial, serialPart, serialSeg = got, gotPart, gotSeg
+					continue
+				}
+				if err := rowsIdentical(got, serial); err != nil {
+					t.Errorf("par=%d vs par=1: %v\nsql: %s", par, err, q)
+				}
+				if gotPart != serialPart || gotSeg != serialSeg {
+					t.Errorf("par=%d: partitions %v, segments scanned/skipped %v; par=1: %v, %v\nsql: %s",
+						par, gotPart, gotSeg, serialPart, serialSeg, q)
+				}
 			}
 		}
 	}
@@ -265,10 +353,11 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 	}
 }
 
-// BenchmarkPartitionWiseJoin is the allocation guard for the
-// partition-wise join path: per-partition build+probe over the
-// co-partitioned telemetry FK join at 8 partitions and 4 workers.
-func BenchmarkPartitionWiseJoin(b *testing.B) {
+// BenchmarkPartitionedJoin is the allocation guard for an FK join over
+// co-partitioned telemetry tables at 8 partitions and 4 workers: the
+// exchange cuts morsels inside the kept partitions, builds the devices
+// side once, and folds the COUNT per morsel.
+func BenchmarkPartitionedJoin(b *testing.B) {
 	dbPart, _ := telemetryPair(20_000, 8)
 	sn := dbPart.Snapshot()
 	stmt := sql.MustParse("SELECT level, COUNT(*) FROM events, devices " +
@@ -277,8 +366,8 @@ func BenchmarkPartitionWiseJoin(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if p.OperatorCounts()["partition-wise"] == 0 {
-		b.Fatal("plan has no partition-wise operator")
+	if p.OperatorCounts()["exchange"] == 0 {
+		b.Fatal("plan has no exchange")
 	}
 	if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil { // warm-up: builds segments
 		b.Fatal(err)

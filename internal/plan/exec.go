@@ -56,7 +56,6 @@ type Ctx struct {
 	Cause func() error
 
 	part   *morselRun   // set inside an Exchange worker: the leaf's morsel
-	pw     *pwRun       // set inside a PartitionWise worker: the claimed partition
 	shared *sharedState // per-run state shared across Exchange workers
 	vs     *scratchSet  // set inside an Exchange worker: see takeScratch
 }

@@ -12,62 +12,43 @@ import (
 // console's :explain command and the planner's golden tests.
 func (p *Plan) Explain() string {
 	var b strings.Builder
-	explainNode(&b, p.Root, "", "", 0, false, false)
+	explainNode(&b, p.Root, "", "", 0, false)
 	return strings.TrimRight(b.String(), "\n")
 }
 
 // explainNode renders one operator line. par is the degree of
 // parallelism the node executes under (0 outside any exchange): every
 // node below an Exchange is annotated with the worker count driving
-// it. pw marks nodes inside a PartitionWise subtree, whose hash joins
-// build per-partition; an Aggregate directly over a PartitionWise
-// merges per-partition states, so both carry [partition-wise]. build
-// marks the child a hash join hashes — its right input, the one the
-// optimizer estimated smaller — with [build]; the other child streams
-// as the probe. An aggregate that folds inside the workers of the
-// Exchange or PartitionWise below it carries [partial ×morsel] or
-// [partial ×partition]; one left unmarked (SUM, AVG, a float MIN/MAX,
-// DISTINCT) aggregates the merged stream.
-func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, pw, build bool) {
+// it. build marks the child a hash join hashes — its right input, the
+// one the optimizer estimated smaller — with [build]; the other child
+// streams as the probe. An aggregate that folds inside the workers of
+// the Exchange below it carries [partial ×morsel]; one left unmarked
+// (SUM, AVG, a float MIN/MAX, DISTINCT) aggregates the merged stream.
+func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, build bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
 	if build {
 		b.WriteString(" [build]")
 	}
-	switch t := n.(type) {
-	case *HashJoin:
-		if pw {
-			b.WriteString(" [partition-wise]")
-		}
-	case *Aggregate:
-		if _, ok := t.In.(*PartitionWise); ok {
-			b.WriteString(" [partition-wise]")
-		}
-		// With no run to bind against, subqueries and parameters compile
-		// row by row; slot kinds are what the decision reads.
-		if f := t.partialOver(planVecAgg(t, &Ctx{})); f != nil {
-			b.WriteString(" [partial ×" + f.unit() + "]")
-		}
+	// With no run to bind against, subqueries and parameters compile row
+	// by row; slot kinds are what the decision reads.
+	if a, ok := n.(*Aggregate); ok && a.partialOver(planVecAgg(a, &Ctx{})) != nil {
+		b.WriteString(" [partial ×morsel]")
 	}
 	if par > 1 {
 		fmt.Fprintf(b, " [par=%d]", par)
 	}
 	b.WriteByte('\n')
-	childPar, childPW := par, pw
-	switch x := n.(type) {
-	case *Exchange:
-		childPar = x.Workers
-	case *PartitionWise:
-		childPar = x.Workers
-		childPW = true
+	if x, ok := n.(*Exchange); ok {
+		par = x.Workers
 	}
 	_, isHashJoin := n.(*HashJoin)
 	children := n.Children()
 	for i, c := range children {
 		if i == len(children)-1 {
-			explainNode(b, c, childPrefix+"└─ ", childPrefix+"   ", childPar, childPW, isHashJoin)
+			explainNode(b, c, childPrefix+"└─ ", childPrefix+"   ", par, isHashJoin)
 		} else {
-			explainNode(b, c, childPrefix+"├─ ", childPrefix+"│  ", childPar, childPW, false)
+			explainNode(b, c, childPrefix+"├─ ", childPrefix+"│  ", par, false)
 		}
 	}
 }

@@ -19,6 +19,65 @@ import (
 // through a second operator tree.
 func TestOneExecutor(t *testing.T) {
 	banned := map[string]bool{"NoVec": true, "staticVec": true, "rowSource": true}
+	inspectPackages(t, func(dir string, pos token.Position, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if banned[n.Name] {
+				t.Errorf("%s: %s is back", pos, n.Name)
+			}
+		case *ast.FuncDecl:
+			if n.Recv != nil && n.Name.Name == "open" && takesCtx(n.Type) {
+				t.Errorf("%s: %s has a row-at-a-time open(*Ctx)", pos, recvName(n.Recv))
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && dir == "." &&
+				sel.Sel.Name == "Rows" && len(n.Args) == 0 {
+				t.Errorf("%s: the executor reads a table's row face", pos)
+			}
+		}
+	})
+}
+
+// TestOneFanOut pins that the Exchange is the only operator that fans a
+// subtree out over workers, and Scan.keptRanges the only place a scan
+// drops partitions: neither the partition-wise operator nor what
+// existed only for it — its per-worker partition pin (pwRun, Ctx.pw),
+// its plan-time eligibility walk (partitionWise, copartJoins,
+// offsetIsPartCol), the interface over the two fan-outs (fanOut and its
+// unit method) and the exchange's second partition read path
+// (partBoundsFor) — is declared or named again.
+func TestOneFanOut(t *testing.T) {
+	banned := map[string]bool{"PartitionWise": true, "pwRun": true, "partitionWise": true,
+		"copartJoins": true, "offsetIsPartCol": true, "fanOut": true, "partBoundsFor": true}
+	inspectPackages(t, func(_ string, pos token.Position, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if banned[n.Name] {
+				t.Errorf("%s: %s is back", pos, n.Name)
+			}
+		case *ast.FuncDecl:
+			if n.Recv != nil && n.Name.Name == "unit" {
+				t.Errorf("%s: %s names a fan-out unit again", pos, recvName(n.Recv))
+			}
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Ctx" {
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						if name.Name == "pw" {
+							t.Errorf("%s: Ctx.pw is back", pos)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// inspectPackages walks every node of the non-test files of this
+// package and internal/exec, handing visit the directory, the node's
+// position and the node.
+func inspectPackages(t *testing.T, visit func(dir string, pos token.Position, n ast.Node)) {
+	t.Helper()
 	for _, dir := range []string{".", "../exec"} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
@@ -30,21 +89,8 @@ func TestOneExecutor(t *testing.T) {
 		for _, pkg := range pkgs {
 			for _, f := range pkg.Files {
 				ast.Inspect(f, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.Ident:
-						if banned[n.Name] {
-							t.Errorf("%s: %s is back", fset.Position(n.Pos()), n.Name)
-						}
-					case *ast.FuncDecl:
-						if n.Recv != nil && n.Name.Name == "open" && takesCtx(n.Type) {
-							t.Errorf("%s: %s has a row-at-a-time open(*Ctx)",
-								fset.Position(n.Pos()), recvName(n.Recv))
-						}
-					case *ast.CallExpr:
-						if sel, ok := n.Fun.(*ast.SelectorExpr); ok && dir == "." &&
-							sel.Sel.Name == "Rows" && len(n.Args) == 0 {
-							t.Errorf("%s: the executor reads a table's row face", fset.Position(n.Pos()))
-						}
+					if n != nil {
+						visit(dir, fset.Position(n.Pos()), n)
 					}
 					return true
 				})

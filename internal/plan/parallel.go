@@ -3,8 +3,6 @@ package plan
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/store"
 )
 
 // minParallelRows is the smallest estimated operator cardinality
@@ -14,10 +12,10 @@ const minParallelRows = 256
 
 // Exchange runs its subtree on a bounded pool of Workers goroutines.
 // Each worker repeatedly claims a morsel (a contiguous row range) of
-// the partitioned leaf scan, runs its own copy of the subtree's
-// iterators over just that morsel, and deposits the output — kept
-// batches, or the group table of an aggregate folding right there —
-// into a per-morsel slot. The slots merge in morsel order, so parallel
+// the rows the leaf scan keeps this run (a pruned partition is never
+// cut), runs its own copy of the subtree's iterators over just that
+// morsel, and deposits the output — kept batches, or the group table of
+// an aggregate folding right there — into a per-morsel slot. The slots merge in morsel order, so parallel
 // execution is row-for-row identical to the serial plan. Build sides
 // of hash joins inside the subtree are built once and shared read-only
 // across workers (see HashJoin.vecBuild).
@@ -31,18 +29,14 @@ func (e *Exchange) Rel() *Rel        { return e.In.Rel() }
 func (e *Exchange) Children() []Node { return []Node{e.In} }
 
 // Parallelize rewrites a compiled plan for intra-query parallelism at
-// degree par. Co-partitioned join pipelines (every leaf hash-
-// partitioned at one degree, every join keyed on the partition
-// columns) get a PartitionWise operator — whole partitions fan out,
-// joins build per-partition with no shared build side. Everything else
-// gets an Exchange over the streaming pipeline segment (the operators
-// between the projection boundary and the leaves) partitioned on the
-// probe-side leftmost base scan into morsels. Either way the plan is
-// marked so Run sizes its worker pool. par <= 1, tiny inputs, and
-// plans whose LIMIT streams without a Sort (where early exit beats
-// parallel materialization) are returned unchanged — ablation runs
-// with Parallelism 1 therefore execute exactly today's serial plans.
-func Parallelize(sn *store.Snapshot, p *Plan, par int) *Plan {
+// degree par: an Exchange goes over the streaming pipeline segment (the
+// operators between the projection boundary and the leaves), splitting
+// the probe-side leftmost base scan into morsels, and the plan is marked
+// so Run sizes its worker pool. par <= 1, tiny inputs, and plans whose
+// LIMIT streams without a Sort (where early exit beats parallel
+// materialization) are returned unchanged — ablation runs with
+// Parallelism 1 therefore execute exactly today's serial plans.
+func Parallelize(p *Plan, par int) *Plan {
 	if par <= 1 || p.Par > 1 {
 		return p
 	}
@@ -71,15 +65,12 @@ walk:
 
 	switch n := node.(type) {
 	case *Aggregate:
-		// The parallel operator goes below the aggregate (a pipeline
-		// breaker regardless of LIMIT): workers produce partial
-		// streams, or fold them into per-slot group tables when every
-		// aggregate merges exactly (Aggregate.vopen).
+		// The exchange goes below the aggregate (a pipeline breaker
+		// regardless of LIMIT): workers produce partial streams, or fold
+		// them into per-morsel group tables when every aggregate merges
+		// exactly (Aggregate.vopen).
 		if pipelineWork(n.In) >= minParallelRows {
-			if deg, scans := partitionWise(sn, n.In, par); deg > 0 {
-				n.In = &PartitionWise{In: n.In, Workers: par, N: deg, scans: scans}
-				p.Par = par
-			} else if leaf := partitionLeaf(n.In); leaf != nil {
+			if leaf := partitionLeaf(n.In); leaf != nil {
 				n.In = &Exchange{In: n.In, Workers: par, part: leaf}
 				p.Par = par
 			}
@@ -91,14 +82,10 @@ walk:
 			// first would do strictly more work.
 			return p
 		}
-		// The parallel operator goes above the projection so item
-		// evaluation parallelizes too; output rows merge in partition
-		// or morsel order.
+		// The exchange goes above the projection so item evaluation
+		// parallelizes too; output rows merge in morsel order.
 		if pipelineWork(n.In) >= minParallelRows {
-			if deg, scans := partitionWise(sn, n.In, par); deg > 0 {
-				attach(&PartitionWise{In: n, Workers: par, N: deg, scans: scans})
-				p.Par = par
-			} else if leaf := partitionLeaf(n.In); leaf != nil {
+			if leaf := partitionLeaf(n.In); leaf != nil {
 				attach(&Exchange{In: n, Workers: par, part: leaf})
 				p.Par = par
 			}
@@ -155,24 +142,6 @@ func partitionLeaf(n Node) Node {
 	return nil
 }
 
-// baseSpan sizes the partitioned leaf: the table's row count for a
-// Scan (ids nil — positions are row ids), the index-selected ids for
-// an IndexScan.
-func baseSpan(n Node, ctx *Ctx) (int, []int, error) {
-	switch s := n.(type) {
-	case *Scan:
-		tab := ctx.Snap.Table(s.B.Meta.Name)
-		if tab == nil {
-			return 0, nil, errUnknownTable(s.B.Meta.Name)
-		}
-		return tab.Len(), nil, nil
-	case *IndexScan:
-		ids, err := s.lookupIDs(ctx)
-		return len(ids), ids, err
-	}
-	return 0, nil, errUnknownTable("<not a leaf>")
-}
-
 // morselRun tells a leaf scan inside a worker which slice of its base
 // rows to produce instead of the full table: the [lo, hi) range
 // (zero-copy windows over the segment columns) or, for index scans,
@@ -183,51 +152,32 @@ type morselRun struct {
 	ids    []int // index-selected row ids (IndexScan morsels)
 }
 
-// fanOut is an operator that runs its subtree once per slot — a morsel
-// (Exchange) or a partition (PartitionWise) — on a worker pool, such
-// that merging what the slots leave behind in slot order reproduces the
-// serial plan.
-type fanOut interface {
-	Node
-	// slots sizes one run: the number of slots and the worker loop that
-	// hands sink each one, with the context its leaves read that slot
-	// under. What a slot leaves behind is the sink's business — kept
-	// batches (keepSlots) or a partial group table (Aggregate.vopen) —
-	// in storage it indexes by slot. n == 0: the operator degrades to a
-	// serial passthrough of its input.
-	slots(ctx *Ctx) (n int, run func(sink slotSink) error, err error)
-	// unit names a slot for Explain: "morsel", "partition".
-	unit() string
-}
-
+// slotSink receives one morsel of an Exchange run with the context its
+// leaf reads that morsel under. What a morsel leaves behind is the
+// sink's business — kept batches (keepSlots) or a partial group table
+// (Aggregate.vopen) — in storage it indexes by morsel.
 type slotSink func(slot int, wctx *Ctx) error
 
-// slots cuts the partitioned leaf into morsels. ctx.Par caps the plan's
-// worker degree, so an explicit Par of 1 (e.g. a caller whose Evaluator
-// is not thread-safe) or a single-row leaf runs the subtree as it
-// stands.
-//
-// Morsels adapt to the leaf: ~4 per worker for stealing slack, but
-// never more — a small probe leaf driving heavy joins still splits,
-// its downstream cost dwarfs the per-morsel iterator setup. A
-// partitioned leaf cuts on partition boundaries, so workers claim
-// whole partitions before splitting any one into smaller morsels.
+// slots sizes one run: the number of morsels and the worker loop that
+// hands sink each one. n == 0: the exchange degrades to a serial
+// passthrough of its input — ctx.Par caps the plan's worker degree, so
+// an explicit Par of 1 (e.g. a caller whose Evaluator is not
+// thread-safe) or a single-row leaf runs the subtree as it stands.
 func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 	workers := e.Workers
 	if ctx.Par > 0 && ctx.Par < workers {
 		workers = ctx.Par
 	}
-	total, ids, err := baseSpan(e.part, ctx)
-	if err != nil {
-		return 0, nil, err
-	}
-	if workers > total {
-		workers = total
-	}
 	if workers <= 1 {
 		return 0, nil, nil
 	}
-	spans := morselSpans(total, workers, partBoundsFor(ctx, e.part, ids))
+	var one [1][2]int
+	ranges, ids, ok, err := leafRanges(ctx, e.part, one[:0])
+	if !ok || err != nil {
+		return 0, nil, err
+	}
+	spans := morselSpans(ranges, workers)
+	workers = min(workers, len(spans))
 	return len(spans), func(sink slotSink) error {
 		return runSlots(ctx, workers, len(spans), func(m int, wctx *Ctx) error {
 			lo, hi := spans[m][0], spans[m][1]
@@ -239,6 +189,67 @@ func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 			return sink(m, wctx)
 		})
 	}, nil
+}
+
+// leafRanges appends to buf the ascending row ranges one run of the
+// exchange's leaf reads: a Scan's kept ranges — Scan.keptRanges, what
+// the serial walk reads, so pruned partitions are gone before any
+// morsel is cut — or one range of positions into the ids an IndexScan
+// selected, returned beside it. ok is false when the leaf holds at most
+// one row before pruning: the exchange passes through, and the scan
+// prunes for itself.
+func leafRanges(ctx *Ctx, leaf Node, buf [][2]int) (ranges [][2]int, ids []int, ok bool, err error) {
+	switch s := leaf.(type) {
+	case *Scan:
+		tab := ctx.Snap.Table(s.B.Meta.Name)
+		if tab == nil {
+			return nil, nil, false, errUnknownTable(s.B.Meta.Name)
+		}
+		if tab.Len() <= 1 {
+			return nil, nil, false, nil
+		}
+		return s.keptRanges(ctx, tab, buf), nil, true, nil
+	case *IndexScan:
+		ids, err := s.lookupIDs(ctx)
+		if err != nil || len(ids) <= 1 {
+			return nil, nil, false, err
+		}
+		return append(buf, [2]int{0, len(ids)}), ids, true, nil
+	}
+	return nil, nil, false, errUnknownTable("<not a leaf>")
+}
+
+// morselSpans cuts ranges into contiguous morsels, about four per
+// worker for stealing slack, never across a range: a small range (one
+// kept partition, say) is one morsel, a large one splits evenly. Ranges
+// ascend, so spans do and the in-order merge stays canonical. Morsels
+// adapt to the leaf — a small probe leaf driving heavy joins still
+// splits, its downstream cost dwarfs the per-morsel iterator setup. A
+// leaf with no rows left (every partition pruned) is one empty morsel,
+// so the subtree still runs once and an aggregate's global group
+// answers.
+func morselSpans(ranges [][2]int, workers int) [][2]int {
+	total := 0
+	for _, r := range ranges {
+		total += r[1] - r[0]
+	}
+	target := max(1, (total+workers*4-1)/(workers*4))
+	var spans [][2]int
+	for _, r := range ranges {
+		n := r[1] - r[0]
+		if n == 0 {
+			continue
+		}
+		cuts := (n + target - 1) / target
+		step := (n + cuts - 1) / cuts
+		for lo := r[0]; lo < r[1]; lo += step {
+			spans = append(spans, [2]int{lo, min(lo+step, r[1])})
+		}
+	}
+	if spans == nil {
+		spans = [][2]int{{}}
+	}
+	return spans
 }
 
 // runSlots is the one worker loop: workers claim slots from a shared
@@ -278,8 +289,6 @@ func runSlots(ctx *Ctx, workers, n int, sink slotSink) error {
 	wg.Wait()
 	return firstErr
 }
-
-func (e *Exchange) unit() string { return "morsel" }
 
 // sharedState carries per-execution state shared by the workers of
 // every Exchange in the plan: hash-join build sides are computed once

@@ -1,18 +1,17 @@
 package plan
 
 import (
-	"fmt"
-
 	"repro/internal/store"
 )
 
 // This file is the planner/executor half of partitioned tables (the
-// store half lives in store/partition.go): bind-time partition pruning
-// for scans, and the PartitionWise operator that runs co-partitioned
-// join pipelines with no shared build side — each worker claims whole
-// partitions, builds and probes only that partition's streams, and the
-// outputs merge in partition order, which is the store's canonical row
-// order, so results stay row-for-row identical to serial execution.
+// store half lives in store/partition.go): partition pruning for scans.
+// A partitioned table reads like any other — its canonical row order is
+// its partitions concatenated, and partition boundaries are segment
+// boundaries — except that a scan first drops the partitions its bound
+// predicates rule out. Scan.keptRanges is the one place that happens:
+// the serial walk and an Exchange's morsels both read the ranges it
+// keeps, so a parallel run prunes exactly what a serial one does.
 //
 // Like zone-map skips, the pruning decision is re-derived from the
 // bound parameter vector at every open: one prepared template prunes
@@ -20,209 +19,33 @@ import (
 // is advisory — every conjunct a pruning predicate derives from stays
 // in the Filter above the scan.
 
-// PartitionWise runs its subtree once per partition on a bounded pool
-// of Workers goroutines. Each worker repeatedly claims a whole
-// partition and runs its own copy of the subtree's iterators with
-// every partitioned leaf scan pinned to that partition — hash joins
-// inside build per-partition tables (never the shared build side an
-// Exchange uses), which is sound because the plan-time eligibility
-// check proved every join key equates the partition columns of both
-// sides: equal keys always live in the same partition index.
-type PartitionWise struct {
-	In      Node
-	Workers int
-	N       int // partition degree every leaf table shares
-
-	// scans maps each partitioned leaf scan to the partition column
-	// index its table was hash-partitioned on at plan time. Open
-	// revalidates the live schemes against it and degrades to serial
-	// execution when a repartition changed the world under a cached
-	// plan.
-	scans map[*Scan]int
-}
-
-func (e *PartitionWise) Rel() *Rel        { return e.In.Rel() }
-func (e *PartitionWise) Children() []Node { return []Node{e.In} }
-
-func (e *PartitionWise) describe() string {
-	return fmt.Sprintf("partition-wise workers=%d partitions=%d (per-partition build+probe, partition-order merge)",
-		e.Workers, e.N)
-}
-
-// pwRun tells the leaf scans inside a partition-wise worker which
-// partition to read.
-type pwRun struct {
-	pi    int
-	scans map[*Scan]int
-}
-
-// ready validates that the runtime partitioning still matches the
-// compiled plan and sizes the worker pool; ok is false when the
-// operator must degrade to a serial passthrough (worker cap 1, a
-// repartitioned or dropped table under a cached template, or an
-// enclosing parallel context that already owns the leaves).
-func (e *PartitionWise) ready(ctx *Ctx) (workers int, ok bool) {
-	if ctx.part != nil || ctx.pw != nil {
-		return 0, false
-	}
-	workers = e.Workers
-	if ctx.Par > 0 && ctx.Par < workers {
-		workers = ctx.Par
-	}
-	if workers <= 1 {
-		return 0, false
-	}
-	for s, ci := range e.scans {
-		tab := ctx.Snap.Table(s.B.Meta.Name)
-		if tab == nil {
-			return 0, false
-		}
-		sch := tab.Scheme()
-		if sch.Kind != store.PartHash || sch.N != e.N || sch.Ci != ci {
-			return 0, false
-		}
-	}
-	if workers > e.N {
-		workers = e.N
-	}
-	return workers, true
-}
-
-// slots hands out whole partitions: each worker's context gets no
-// shared build state (builds are per-partition by construction) and a
-// serial inner degree — the parallelism budget is the partition fan-out
-// itself.
-func (e *PartitionWise) slots(ctx *Ctx) (int, func(slotSink) error, error) {
-	workers, ok := e.ready(ctx)
-	if !ok {
-		return 0, nil, nil
-	}
-	return e.N, func(sink slotSink) error {
-		return runSlots(ctx, workers, e.N, func(p int, wctx *Ctx) error {
-			wctx.shared = nil
-			wctx.Par = 1
-			wctx.pw = &pwRun{pi: p, scans: e.scans}
-			return sink(p, wctx)
-		})
-	}, nil
-}
-
-func (e *PartitionWise) vopen(ctx *Ctx) (viter, error) { return keepSlots(e, ctx) }
-func (e *PartitionWise) unit() string                  { return "partition" }
-
-// ---- plan-time eligibility ----
-
-// partitionWise decides whether the pipeline subtree rel can run
-// partition-wise, returning the common partition degree and the leaf
-// scans pinned per worker (0, nil when it cannot). At least one hash
-// join must benefit — a join-free subtree parallelizes better under
-// the morsel exchange, whose work-stealing handles skewed partitions.
-func partitionWise(sn *store.Snapshot, rel Node, par int) (int, map[*Scan]int) {
-	if sn == nil || par <= 1 {
-		return 0, nil
-	}
-	scans := map[*Scan]int{}
-	deg, joins, ok := copartJoins(sn, rel, scans)
-	if !ok || joins == 0 || deg <= 1 {
-		return 0, nil
-	}
-	return deg, scans
-}
-
-// copartJoins walks the pipeline subtree verifying the partition-wise
-// invariant: every leaf is a Scan (optionally under a Filter) of a
-// hash-partitioned table, all tables share one partition degree, and
-// every hash join carries at least one key pair equating the partition
-// columns of both sides. Join equality hashes the same canonical key
-// bytes partition routing does, so equal join keys are confined to one
-// partition index — per-partition builds then see exactly the build
-// rows a shared build would offer each probe.
-func copartJoins(sn *store.Snapshot, n Node, scans map[*Scan]int) (deg, joins int, ok bool) {
-	switch t := n.(type) {
-	case *Scan:
-		tab := sn.Table(t.B.Meta.Name)
-		if tab == nil {
-			return 0, 0, false
-		}
-		sch := tab.Scheme()
-		if sch.Kind != store.PartHash || sch.N <= 1 {
-			return 0, 0, false
-		}
-		scans[t] = sch.Ci
-		return sch.N, 0, true
-	case *Filter:
-		return copartJoins(sn, t.In, scans)
-	case *HashJoin:
-		ld, lj, lok := copartJoins(sn, t.L, scans)
-		if !lok {
-			return 0, 0, false
-		}
-		rd, rj, rok := copartJoins(sn, t.R, scans)
-		if !rok || ld != rd {
-			return 0, 0, false
-		}
-		aligned := false
-		for k := range t.LKey {
-			if offsetIsPartCol(sn, t.L.Rel(), t.LKey[k]) &&
-				offsetIsPartCol(sn, t.R.Rel(), t.RKey[k]) {
-				aligned = true
-				break
-			}
-		}
-		if !aligned {
-			return 0, 0, false
-		}
-		return ld, lj + rj + 1, true
-	}
-	return 0, 0, false
-}
-
-// offsetIsPartCol reports whether row offset off of rel holds the
-// partition column of the hash-partitioned table it belongs to.
-func offsetIsPartCol(sn *store.Snapshot, rel *Rel, off int) bool {
-	for _, b := range rel.Bindings {
-		if off < b.Off || off >= b.Off+len(b.Cols) {
-			continue
-		}
-		tab := sn.Table(b.Meta.Name)
-		if tab == nil {
-			return false
-		}
-		sch := tab.Scheme()
-		return sch.Kind == store.PartHash && b.Cols[off-b.Off] == sch.Ci
-	}
-	return false
-}
-
 // ---- partition pruning ----
 
-// pruneParts evaluates the scan's bound predicates against each
-// partition's resident statistics and hash routing, returning the kept
-// global row ranges; nil means the table is unpartitioned (scan as
-// usual). The decision reads only per-partition statistics and the
-// probe values — never rows or segments — so a pruned partition does
-// zero segment I/O.
-func (s *Scan) pruneParts(ctx *Ctx, tab *store.TableSnap, preds []boundZone, skipAll bool) [][2]int {
+// keptRanges appends to buf the ascending global row ranges this run of
+// the scan reads: the whole table when it is unpartitioned, else one
+// range per partition that survives the scan's bound predicates against
+// its resident statistics and hash routing. PartC is charged here, once
+// a run. The decision reads only per-partition statistics and the probe
+// values — never rows or segments — so a pruned partition does zero
+// segment I/O.
+func (s *Scan) keptRanges(ctx *Ctx, tab *store.TableSnap, buf [][2]int) [][2]int {
 	n := tab.NumParts()
 	if n <= 1 {
-		return nil
+		return append(buf, [2]int{0, tab.Len()})
 	}
-	keep := partKeep(tab, s.B, preds, skipAll)
-	ranges := make([][2]int, 0, n)
+	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
 	kept := 0
-	for p := 0; p < n; p++ {
-		if !keep[p] {
-			continue
+	for p, keep := range partKeep(tab, s.B, preds, skipAll) {
+		if keep {
+			kept++
+			buf = append(buf, [2]int{tab.PartStart(p), tab.PartStart(p + 1)})
 		}
-		kept++
-		lo := tab.PartStart(p)
-		ranges = append(ranges, [2]int{lo, lo + tab.Part(p).Len()})
 	}
 	if ctx.PartC != nil {
 		ctx.PartC.Scanned.Add(int64(kept))
 		ctx.PartC.Pruned.Add(int64(n - kept))
 	}
-	return ranges
+	return buf
 }
 
 // partKeep computes the kept-partition set of a scan: a partition
@@ -350,62 +173,4 @@ func chainViters(its []viter) viter {
 		}
 		return nil, nil
 	}
-}
-
-// ---- exchange integration ----
-
-// partBoundsFor returns the partition row offsets of an exchange's
-// leaf table when it is partitioned (nil otherwise): morsels then cut
-// on partition boundaries, handing out whole partitions before
-// splitting any single partition into intra-partition morsels.
-func partBoundsFor(ctx *Ctx, leaf Node, ids []int) []int {
-	if ids != nil {
-		return nil // index-selected ids do not align with partitions
-	}
-	s, ok := leaf.(*Scan)
-	if !ok {
-		return nil
-	}
-	tab := ctx.Snap.Table(s.B.Meta.Name)
-	if tab == nil || tab.NumParts() <= 1 {
-		return nil
-	}
-	n := tab.NumParts()
-	bounds := make([]int, n+1)
-	for p := 0; p < n; p++ {
-		bounds[p] = tab.PartStart(p)
-	}
-	bounds[n] = tab.Len()
-	return bounds
-}
-
-// morselSpans cuts total rows into contiguous morsels of roughly four
-// per worker. With partition bounds, cuts align to partitions: a small
-// partition is one whole-partition morsel, a large one splits into
-// intra-partition morsels — either way spans ascend, so the in-order
-// merge stays canonical.
-func morselSpans(total, workers int, bounds []int) [][2]int {
-	target := (total + workers*4 - 1) / (workers * 4)
-	if target < 1 {
-		target = 1
-	}
-	var spans [][2]int
-	if bounds == nil {
-		for lo := 0; lo < total; lo += target {
-			spans = append(spans, [2]int{lo, min(lo+target, total)})
-		}
-		return spans
-	}
-	for p := 0; p+1 < len(bounds); p++ {
-		plo, phi := bounds[p], bounds[p+1]
-		if plo == phi {
-			continue
-		}
-		cuts := (phi - plo + target - 1) / target
-		step := (phi - plo + cuts - 1) / cuts
-		for lo := plo; lo < phi; lo += step {
-			spans = append(spans, [2]int{lo, min(lo+step, phi)})
-		}
-	}
-	return spans
 }

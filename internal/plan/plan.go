@@ -138,7 +138,7 @@ type Scan struct {
 	// PartN/PartPruned are the table's partition count and the
 	// partitions the same predicates prune under the compile-time
 	// values, reported by Explain. Runtime opens re-derive pruning from
-	// their own parameters (see Scan.pruneParts).
+	// their own parameters (see Scan.keptRanges).
 	PartN, PartPruned int
 	rel               *Rel
 }
@@ -299,8 +299,6 @@ func (p *Plan) OperatorCounts() map[string]int {
 			counts["limit"]++
 		case *Exchange:
 			counts["exchange"]++
-		case *PartitionWise:
-			counts["partition-wise"]++
 		}
 	})
 	return counts

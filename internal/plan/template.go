@@ -98,7 +98,7 @@ func CompileTemplate(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Va
 		Stmt:       stmt,
 		ParamKinds: kinds,
 		Par:        par,
-		plan:       Parallelize(sn, p, par),
+		plan:       Parallelize(p, par),
 		checks:     checks,
 		tables:     tables,
 		versions:   versions,
@@ -187,7 +187,7 @@ func (t *Template) recompile(sn *store.Snapshot, params []store.Value, par int) 
 	if err != nil {
 		return nil, false, err
 	}
-	return Parallelize(sn, fresh, par), false, nil
+	return Parallelize(fresh, par), false, nil
 }
 
 // BindPinned is Bind for a caller that has already pinned the

@@ -44,37 +44,27 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
 	}
-	// A partition-wise worker reads exactly its claimed partition's
-	// stream: the partition view's own segment set.
-	if pw := ctx.pw; pw != nil {
-		if _, ok := pw.scans[s]; ok {
-			tab = tab.Part(pw.pi)
-			if ctx.PartC != nil {
-				ctx.PartC.Scanned.Add(1)
-			}
-		}
-	}
 	// Skip predicates re-bind against this run's parameters, so a
 	// prepared template skips per its bound constants.
 	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
 	ss := tab.Segments()
+	// An Exchange worker reads its morsel, cut inside the kept ranges.
 	if mr := ctx.part; mr != nil && mr.node == Node(s) {
-		if mr.ids != nil {
-			return segGatherBatches(ctx, ss, s.B, mr.ids), nil
-		}
 		return segScanBatches(ctx, ss, s.B, mr.lo, mr.hi, preds, skipAll), nil
 	}
 	// Partition boundaries are segment boundaries in the merged set, so
 	// a pruned partition's segments are never located, faulted or
 	// decoded — pruning happens strictly before any segment I/O.
-	if ranges := s.pruneParts(ctx, tab, preds, skipAll); ranges != nil {
-		its := make([]viter, len(ranges))
-		for i, r := range ranges {
-			its[i] = segScanBatches(ctx, ss, s.B, r[0], r[1], preds, skipAll)
-		}
-		return chainViters(its), nil
+	var one [1][2]int
+	ranges := s.keptRanges(ctx, tab, one[:0])
+	if len(ranges) == 1 {
+		return segScanBatches(ctx, ss, s.B, ranges[0][0], ranges[0][1], preds, skipAll), nil
 	}
-	return segScanBatches(ctx, ss, s.B, 0, ss.N, preds, skipAll), nil
+	its := make([]viter, len(ranges))
+	for i, r := range ranges {
+		its[i] = segScanBatches(ctx, ss, s.B, r[0], r[1], preds, skipAll)
+	}
+	return chainViters(its), nil
 }
 
 func (s *IndexScan) batches(ctx *Ctx) (viter, error) {
@@ -113,11 +103,14 @@ func segFault(ctx *Ctx, seg *store.Segment) ([]*store.SegCol, error) {
 // batches. Whole segments whose zone maps refute a skip predicate are
 // dropped without touching their data (a segment-wide proof of
 // non-TRUE holds for any window of it, so partial morsel overlap skips
-// too). Every column is a zero-copy view of immutable segment storage:
-// plain payloads and dictionary codes as slices, RLE- and FOR-encoded
-// ints as the encoded column plus the window's offset (see vcol). The
-// batch itself is lent: one header, one cols slice and one null-mask
-// buffer per column serve every batch of the iterator.
+// too). SegC counts a segment only in the window that enters it at its
+// first row: kept ranges start on segment boundaries and morsels tile
+// them, so a run counts each segment once at any degree. Every column
+// is a zero-copy view of immutable segment storage: plain payloads and
+// dictionary codes as slices, RLE- and FOR-encoded ints as the encoded
+// column plus the window's offset (see vcol). The batch itself is lent:
+// one header, one cols slice and one null-mask buffer per column serve
+// every batch of the iterator.
 func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []boundZone, skipAll bool) viter {
 	sc := ctx.SegC
 	pos := lo
@@ -129,15 +122,16 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []b
 	return func() (*vbatch, error) {
 		for pos < hi {
 			if si < 0 || pos >= segEnd {
-				nsi, _ := ss.Locate(pos)
+				nsi, off := ss.Locate(pos)
 				si = nsi
 				seg := ss.Segs[si]
 				segEnd = ss.Start[si] + seg.N
+				count := sc != nil && off == 0
 				// The skip decision reads only the always-resident zone
 				// maps; an evicted segment that skips is pruned without
 				// faulting its payload back in.
 				if skipAll || skipSegment(seg, preds) {
-					if sc != nil {
+					if count {
 						sc.Skipped.Add(1)
 					}
 					pos = segEnd
@@ -148,7 +142,7 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []b
 				if segCols, err = segFault(ctx, seg); err != nil {
 					return nil, err
 				}
-				if sc != nil {
+				if count {
 					sc.Scanned.Add(1)
 				}
 			}
@@ -1008,12 +1002,12 @@ func (ap *vecAggPlan) mergesExactly() bool {
 	return true
 }
 
-// partialOver returns the fanOut whose workers a folds inside — the one
-// directly below it, when every slot merges exactly — or nil when a
+// partialOver returns the Exchange whose workers a folds inside — the
+// one directly below it, when every slot merges exactly — or nil when a
 // aggregates its input's merged stream. vopen and Explain both ask here.
-func (a *Aggregate) partialOver(ap *vecAggPlan) fanOut {
-	if f, ok := a.In.(fanOut); ok && ap.mergesExactly() {
-		return f
+func (a *Aggregate) partialOver(ap *vecAggPlan) *Exchange {
+	if x, ok := a.In.(*Exchange); ok && ap.mergesExactly() {
+		return x
 	}
 	return nil
 }
@@ -1176,16 +1170,16 @@ func (ap *vecAggPlan) fold(ctx *Ctx, in viter) (*groupTable, error) {
 }
 
 // vopen folds the input into a group table and finishes it. Directly
-// above a fanOut, an aggregate that merges exactly folds where the rows
-// are: each worker drains its slot into that slot's own table — no
-// batch outlives its pull, so a question's bytes follow the groups it
-// returns, not the rows it scans — and the tables merge in slot order.
+// above an Exchange, an aggregate that merges exactly folds where the
+// rows are: each worker drains its morsel into that morsel's own table —
+// no batch outlives its pull, so a question's bytes follow the groups it
+// returns, not the rows it scans — and the tables merge in morsel order.
 func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 	ap := planVecAgg(a, ctx)
 	in := a.In
-	if f := a.partialOver(ap); f != nil {
-		in = f.Children()[0] // a serial run folds the subtree as it stands
-		n, run, err := f.slots(ctx)
+	if x := a.partialOver(ap); x != nil {
+		in = x.In // a serial run folds the subtree as it stands
+		n, run, err := x.slots(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -1515,11 +1509,11 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 // exactly folds inside the workers instead (Aggregate.vopen).
 func (e *Exchange) vopen(ctx *Ctx) (viter, error) { return keepSlots(e, ctx) }
 
-// keepSlots is the vectorized open of a fanOut whose consumer wants the
-// batches themselves: every slot's, kept, in slot order.
-func keepSlots(f fanOut, ctx *Ctx) (viter, error) {
-	in := f.Children()[0]
-	n, run, err := f.slots(ctx)
+// keepSlots is the vectorized open of an Exchange whose consumer wants
+// the batches themselves: every morsel's, kept, in morsel order.
+func keepSlots(e *Exchange, ctx *Ctx) (viter, error) {
+	in := e.In
+	n, run, err := e.slots(ctx)
 	if err != nil {
 		return nil, err
 	}

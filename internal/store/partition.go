@@ -29,10 +29,10 @@ const (
 	// PartNone is the unpartitioned layout: one stream, one writer lock.
 	PartNone PartKind = iota
 	// PartHash routes a row by an FNV-1a hash of its partition-column
-	// value. Tables hash-partitioned on their join columns at the same
-	// degree are co-partitioned: equal keys always land in the same
-	// partition index, which is what lets joins run partition-wise with
-	// no shared build side (see plan.PartitionWise).
+	// value, so an equality or IN probe on that column prunes to the
+	// partitions its values route to. Tables hash-partitioned on their
+	// join columns at the same degree are co-partitioned: equal keys
+	// always land in the same partition index.
 	PartHash
 	// PartRange routes a row by binary search over ascending upper
 	// bounds, so value-clustered predicates prune whole partitions.
