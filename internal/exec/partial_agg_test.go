@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/plan"
 	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -292,35 +293,16 @@ func TestPartialAggregateExtrema(t *testing.T) {
 // drained them all is the scheduler's call. A selection copy alone
 // would be 4 B a kept row, some 200 KiB more over the larger table.
 func TestScanBytesFollowGroups(t *testing.T) {
-	bytesPerRun := func(rows int) map[string]float64 {
-		sn := dataset.Telemetry(rows).Snapshot()
-		out := map[string]float64{}
-		for _, tc := range scanTemplatesAt(rows) {
-			if strings.Contains(tc.sql, "AVG") {
-				continue
-			}
-			p, params := bindScanTemplate(t, sn, tc.sql)
-			if !strings.Contains(p.Explain(), perMorsel) {
-				t.Fatalf("%s does not fold per morsel:\n%s", tc.name, p.Explain())
-			}
-			run := func() {
-				if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: params}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			run() // builds the segment layout
-			const runs = 10
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				run()
-			}
-			runtime.ReadMemStats(&after)
-			out[tc.name] = float64(after.TotalAlloc-before.TotalAlloc) / runs
+	skipAVG := func(name, sql string, p *plan.Plan) bool {
+		if strings.Contains(sql, "AVG") {
+			return false
 		}
-		return out
+		if !strings.Contains(p.Explain(), perMorsel) {
+			t.Fatalf("%s does not fold per morsel:\n%s", name, p.Explain())
+		}
+		return true
 	}
-	small, large := bytesPerRun(1<<15), bytesPerRun(1<<17)
+	small, large := scanBytesPerRun(t, 1<<15, skipAVG), scanBytesPerRun(t, 1<<17, skipAVG)
 	if len(small) != 4 {
 		t.Fatalf("want the four COUNT shapes, got %v", small)
 	}
@@ -330,5 +312,57 @@ func TestScanBytesFollowGroups(t *testing.T) {
 		} else {
 			t.Logf("%s: %.0f B/run over 2^15 events, %.0f over 2^17", name, s, l)
 		}
+	}
+}
+
+// scanBytesPerRun binds the ask_scan templates over a telemetry log of
+// the given length, at two workers, and returns what one run of each
+// template that use accepts allocates, averaged over ten runs.
+func scanBytesPerRun(t *testing.T, rows int, use func(name, sql string, p *plan.Plan) bool) map[string]float64 {
+	t.Helper()
+	sn := dataset.Telemetry(rows).Snapshot()
+	out := map[string]float64{}
+	for _, tc := range scanTemplatesAt(rows) {
+		p, params := bindScanTemplate(t, sn, tc.sql)
+		if !use(tc.name, tc.sql, p) {
+			continue
+		}
+		run := func() {
+			if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: params}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // builds the segment layout
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		out[tc.name] = float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	return out
+}
+
+// TestJoinBytesFollowKeptRows: what the join question allocates grows
+// with the rows it keeps, and by no more than the build columns a
+// forwarding probe writes at each of them. region_join keeps an eighth
+// of the events; from 2^15 to 2^17 events its bytes per run may grow by
+// 36 B per extra kept row — 24 B of devices.device_id and region
+// written at the probe rows, plus the keep sink's copies of the lent
+// null masks and selections. A probe that gathers every matched column
+// (events.device_id, ts and latency_ms, region as strings) costs about
+// 54 B.
+func TestJoinBytesFollowKeptRows(t *testing.T) {
+	join := func(name, _ string, _ *plan.Plan) bool { return name == "region_join" }
+	small := scanBytesPerRun(t, 1<<15, join)["region_join"]
+	large := scanBytesPerRun(t, 1<<17, join)["region_join"]
+	perRow := (large - small) / float64((1<<17-1<<15)/8)
+	if perRow > 36 {
+		t.Errorf("region_join: %.0f B/run over 2^15 events, %.0f over 2^17: %.1f B per extra kept row, want <= 36",
+			small, large, perRow)
+	} else {
+		t.Logf("region_join: %.0f B/run over 2^15 events, %.0f over 2^17: %.1f B per extra kept row", small, large, perRow)
 	}
 }

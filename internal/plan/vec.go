@@ -47,8 +47,9 @@ const maxBatch = 1024
 // the encoded form (vnumrange), point readers go through intAt or
 // gatherCol, and anything that needs the vector decodes it through
 // vbatch.col. A column only a pushed-down predicate reads is therefore
-// never decoded at all. Scans are the only producers of the form and
-// it never crosses the projection boundary.
+// never decoded at all. Scans are the only producers of the form, a
+// join probe that forwards its input carries it on, and it never
+// crosses the projection boundary.
 type vcol struct {
 	kind    store.Kind
 	ints    []int64
@@ -119,8 +120,9 @@ func (c *vcol) value(i int) store.Value {
 // the next one; then the producer may reuse all of it that is not
 // immutable storage (segment payloads, dictionaries, a constant's
 // broadcast): header, cols slice, null masks, selection. An operator
-// forwarding lent parts in its own batch (Project's column refs) lends
-// them on under the same term. Whoever holds a batch longer takes
+// forwarding lent parts in its own batch (Project's column refs, a join
+// probe's input columns and its match list as the selection) lends them
+// on under the same term. Whoever holds a batch longer takes
 // keep's copy; keepBatches is the one retainer. Everything else an
 // operator computes about a batch lives in scratch the operator
 // instance owns and reuses for its next batch. scratch is how that
@@ -1719,8 +1721,8 @@ func keyEqIntFloat(i int64, f float64) bool {
 // ---- column builders ----
 
 // colbuf accumulates rows into a growing typed column — the builder
-// behind join build sides, GROUP BY key sets, DISTINCT seen sets and
-// sort buffers.
+// behind join and cross-join inputs, index-scan batches, GROUP BY key
+// sets, DISTINCT seen sets and sort buffers.
 type colbuf struct {
 	kind    store.Kind
 	ints    []int64
@@ -1734,6 +1736,22 @@ type colbuf struct {
 func newColbuf(kind store.Kind) *colbuf { return &colbuf{kind: kind} }
 
 func (cb *colbuf) len() int { return len(cb.nulls) }
+
+// grow makes room for n more rows, so a builder that knows its length
+// allocates each vector once.
+func (cb *colbuf) grow(n int) {
+	cb.nulls = slices.Grow(cb.nulls, n)
+	switch cb.kind {
+	case store.KindInt:
+		cb.ints = slices.Grow(cb.ints, n)
+	case store.KindFloat:
+		cb.floats = slices.Grow(cb.floats, n)
+	case store.KindText:
+		cb.strs = slices.Grow(cb.strs, n)
+	case store.KindBool:
+		cb.bools = slices.Grow(cb.bools, n)
+	}
+}
 
 // push appends value i of src.
 func (cb *colbuf) push(src *vcol, i int) {
@@ -1770,15 +1788,17 @@ func (cb *colbuf) push(src *vcol, i int) {
 	}
 }
 
-// gatherVals copies src[sel[k]] to dst[k]; a nil sel copies the first
-// len(dst) values straight across.
-func gatherVals[T any](dst, src []T, sel []int32) {
-	if sel == nil {
-		copy(dst, src)
+// moveVals copies src[si[k]] to dst[di[k]] for every k; a nil di
+// stands for 0, 1, 2, … (a gather).
+func moveVals[T any](dst []T, di []int32, src []T, si []int32) {
+	if di == nil {
+		for k, i := range si {
+			dst[k] = src[i]
+		}
 		return
 	}
-	for k, i := range sel {
-		dst[k] = src[i]
+	for k, i := range di {
+		dst[i] = src[si[k]]
 	}
 }
 
@@ -1792,16 +1812,23 @@ func (cb *colbuf) col() vcol {
 	return out
 }
 
-// gatherCol materializes src rows idxs into a dense column. This is
-// the join-output and projection hot path, so each kind gathers
-// through a tight preallocated loop; an encoded int column decodes
-// only the gathered rows.
-func gatherCol(src *vcol, idxs []int32) vcol {
-	n := len(idxs)
+// gatherCol materializes src rows idxs into a dense column: the
+// join-output and projection hot path.
+func gatherCol(src *vcol, idxs []int32) vcol { return scatterCol(src, len(idxs), nil, idxs) }
+
+// scatterCol materializes an n-row column holding row si[k] of src at
+// row di[k] for every k (di nil: at row k), and zero values
+// at rows no k writes. With di nil it gathers; with di set it writes a
+// join's build columns at the probe rows they matched. Each kind moves
+// through a tight preallocated loop, and dictionary text moves its codes
+// and shares the dictionary, so strings are only built when a consumer
+// finally asks. An encoded int column decodes only the rows it gathers;
+// only drained columns, never encoded, scatter.
+func scatterCol(src *vcol, n int, di, si []int32) vcol {
 	out := vcol{kind: src.kind}
 	if src.nulls != nil {
 		nulls := make([]bool, n)
-		gatherVals(nulls, src.nulls, idxs)
+		moveVals(nulls, di, src.nulls, si)
 		if slices.Contains(nulls, true) {
 			out.nulls = nulls
 		}
@@ -1810,26 +1837,24 @@ func gatherCol(src *vcol, idxs []int32) vcol {
 	case store.KindInt:
 		out.ints = make([]int64, n)
 		if src.seg != nil {
-			src.seg.GatherInts(out.ints, src.off, idxs)
+			src.seg.GatherInts(out.ints, src.off, si)
 		} else {
-			gatherVals(out.ints, src.ints, idxs)
+			moveVals(out.ints, di, src.ints, si)
 		}
 	case store.KindFloat:
 		out.floats = make([]float64, n)
-		gatherVals(out.floats, src.floats, idxs)
+		moveVals(out.floats, di, src.floats, si)
 	case store.KindText:
 		if src.dict != nil {
-			// Late materialization: gather codes, share the dictionary —
-			// strings are only built when a consumer finally asks.
 			out.codes, out.dict = make([]int32, n), src.dict
-			gatherVals(out.codes, src.codes, idxs)
+			moveVals(out.codes, di, src.codes, si)
 			break
 		}
 		out.strs = make([]string, n)
-		gatherVals(out.strs, src.strs, idxs)
+		moveVals(out.strs, di, src.strs, si)
 	case store.KindBool:
 		out.bools = make([]bool, n)
-		gatherVals(out.bools, src.bools, idxs)
+		moveVals(out.bools, di, src.bools, si)
 	case store.KindNull:
 		out.nulls = allNullCol(n).nulls
 	}

@@ -340,46 +340,45 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 
 // drainCols materializes a relational subtree into columns, returning
 // them with the row count: the build side of a hash join, both sides of
-// a cross join.
+// a cross join. It keeps the input's batches first and counts them, so
+// every column's builder is sized once and never grows by appending.
+// Until the copy is made the kept batches also hold whatever their
+// producer allocated — a join's output columns — so a side that is
+// itself a join is briefly in memory twice; a scan's batches are views
+// of segment storage and cost only their headers and null masks.
 func drainCols(n Node, ctx *Ctx) ([]vcol, int, error) {
-	in, err := n.vopen(ctx)
+	bs, err := keepBatches(n, ctx)
 	if err != nil {
 		return nil, 0, err
 	}
-	kinds := relKinds(n.Rel())
-	bufs := make([]*colbuf, len(kinds))
-	for c, k := range kinds {
-		bufs[c] = newColbuf(k)
-	}
 	rows := 0
-	for {
-		b, err := in()
-		if err != nil {
-			return nil, 0, err
-		}
-		if b == nil {
-			break
-		}
+	for _, b := range bs {
 		rows += b.rows()
-		b.forSel(func(i int) {
-			for c := range bufs {
-				bufs[c].push(&b.cols[c], i)
-			}
-		})
 	}
-	cols := make([]vcol, len(bufs))
-	for c := range bufs {
-		cols[c] = bufs[c].col()
+	kinds := relKinds(n.Rel())
+	cols := make([]vcol, len(kinds))
+	for c, k := range kinds {
+		cb := newColbuf(k)
+		cb.grow(rows)
+		for _, b := range bs {
+			b.forSel(func(i int) { cb.push(&b.cols[c], i) })
+		}
+		cols[c] = cb.col()
 	}
 	return cols, rows, nil
 }
 
-// vecBuildTable is a materialized, hashed build side: the right
-// input's columns plus a typed hash table from 64-bit key hash to
-// build row ids (verified by value on probe).
+// vecBuildTable is a materialized, hashed build side: the right input's
+// columns, each row's key hash, and a chained hash table over the rows.
+// head has a power-of-two number of buckets, at least one per row, and
+// holds the first row of each bucket's chain plus one (0: empty); next
+// holds, per row, the row after it in its chain, the same way. Chains
+// ascend by row, so a probe meets its matches in build-row order. Rows
+// with a NULL key are in no chain: they never join.
 type vecBuildTable struct {
-	cols  []vcol
-	table map[uint64][]int32
+	cols       []vcol
+	hs         []uint64
+	head, next []int32
 }
 
 // vecBuild materializes and hashes the join's right input. Inside a
@@ -395,32 +394,74 @@ func (j *HashJoin) vecBuild(ctx *Ctx) (*vecBuildTable, error) {
 	return e.build, e.err
 }
 
+// vecBuildLocal drains the right input, hashes its keys once, and
+// chains the rows into a table sized to them.
 func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	cols, n, err := drainCols(j.R, ctx)
 	if err != nil {
 		return nil, err
 	}
-	bt := &vecBuildTable{cols: cols, table: map[uint64][]int32{}}
-	hs := make([]uint64, n)
-	for _, off := range j.RKey {
-		hashCol(&bt.cols[off], n, nil, hs, nil)
+	buckets := 1
+	for buckets < n {
+		buckets <<= 1
 	}
-	for i := 0; i < n; i++ {
-		nullKey := false
-		for _, off := range j.RKey {
-			if bt.cols[off].kind == store.KindNull || bt.cols[off].null(i) {
-				nullKey = true
-				break
-			}
+	bt := &vecBuildTable{cols: cols, hs: make([]uint64, n),
+		head: make([]int32, buckets), next: make([]int32, n)}
+	keys := make([]vcol, len(j.RKey))
+	for k, off := range j.RKey {
+		keys[k] = bt.cols[off]
+		hashCol(&keys[k], n, nil, bt.hs, nil)
+	}
+	mask := uint64(buckets - 1)
+	// Pushing rows last to first leaves every chain ascending.
+	for i := n - 1; i >= 0; i-- {
+		if nullKey(keys, i) {
+			continue
 		}
-		if nullKey {
-			continue // NULL keys never join
-		}
-		bt.table[hs[i]] = append(bt.table[hs[i]], int32(i))
+		h := bt.hs[i] & mask
+		bt.next[i], bt.head[h] = bt.head[h], int32(i+1)
 	}
 	return bt, nil
 }
 
+// nullKey reports whether row i is NULL in any of the key columns.
+func nullKey(keys []vcol, i int) bool {
+	for k := range keys {
+		if keys[k].kind == store.KindNull || keys[k].null(i) {
+			return true
+		}
+	}
+	return false
+}
+
+// rowBytes is what one row of c costs as a dense column: its value and,
+// if it has one, its null mask.
+func rowBytes(c *vcol) int {
+	b := 0
+	switch {
+	case c.kind == store.KindInt || c.kind == store.KindFloat:
+		b = 8
+	case c.kind == store.KindText && c.dict != nil:
+		b = 4
+	case c.kind == store.KindText:
+		b = 16
+	case c.kind == store.KindBool:
+		b = 1
+	}
+	if c.nulls != nil || c.kind == store.KindNull {
+		b++
+	}
+	return b
+}
+
+// vopen probes the build table with each input batch. When no probe row
+// of the batch matched twice, the output is the input batch itself: its
+// columns lent on as they came (segment views, encoded ints still
+// encoded), the match list as its selection, and only the build columns
+// written, each match at its probe row. Otherwise — and wherever writing
+// the build columns at every physical row would allocate more than
+// gathering every column at the matched rows — the matches are gathered
+// into dense columns.
 func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 	bt, err := j.vecBuild(ctx)
 	if err != nil {
@@ -431,11 +472,15 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 		return nil, err
 	}
 	lWidth := j.L.Rel().Width
-	// Probe-side working state dies with each input batch; only the
-	// gathered output columns leave.
+	rBytes := 0
+	for c := range bt.cols {
+		rBytes += rowBytes(&bt.cols[c])
+	}
+	mask := uint64(len(bt.head) - 1)
+	// Probe-side working state — decoded keys, hashes, the match lists —
+	// dies with each input batch; a forwarded selection is lent scratch.
 	sc := ctx.takeScratch()
 	keys := make([]vcol, len(j.LKey))
-	var lidx, ridx []int32
 	out := &vbatch{cols: make([]vcol, j.rel.Width)}
 	return func() (*vbatch, error) {
 		for {
@@ -453,36 +498,52 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 			for k := range keys {
 				hashCol(&keys[k], b.n, b.sel, hs, sc)
 			}
-			lidx, ridx = lidx[:0], ridx[:0]
+			lidx, ridx := sc.selBuf(b.rows()), sc.selBuf(b.rows())
+			dup := false
 			b.forSel(func(i int) {
-				for k := range keys {
-					if keys[k].kind == store.KindNull || keys[k].null(i) {
-						return
-					}
+				if nullKey(keys, i) {
+					return
 				}
-				for _, cand := range bt.table[hs[i]] {
-					match := true
+				h, first := hs[i], len(lidx)
+			chain:
+				for e := bt.head[h&mask]; e != 0; e = bt.next[e-1] {
+					r := int(e - 1)
+					if bt.hs[r] != h {
+						continue
+					}
 					for k := range keys {
-						if !eqVals(&keys[k], i, &bt.cols[j.RKey[k]], int(cand)) {
-							match = false
-							break
+						if !eqVals(&keys[k], i, &bt.cols[j.RKey[k]], r) {
+							continue chain
 						}
 					}
-					if match {
-						lidx = append(lidx, int32(i))
-						ridx = append(ridx, cand)
-					}
+					lidx, ridx = append(lidx, int32(i)), append(ridx, int32(r))
 				}
+				dup = dup || len(lidx) > first+1
 			})
 			if len(lidx) == 0 {
 				continue
+			}
+			lBytes := 0
+			for c := 0; c < lWidth; c++ {
+				lBytes += rowBytes(&b.cols[c])
+			}
+			if !dup && b.n*rBytes <= len(lidx)*(lBytes+rBytes) {
+				out.n, out.sel = b.n, lidx
+				if b.sel == nil && len(lidx) == b.n {
+					out.sel = nil
+				}
+				copy(out.cols, b.cols[:lWidth])
+				for c := range bt.cols {
+					out.cols[lWidth+c] = scatterCol(&bt.cols[c], b.n, lidx, ridx)
+				}
+				return out, nil
 			}
 			out.n, out.sel = len(lidx), nil
 			for c := 0; c < lWidth; c++ {
 				out.cols[c] = gatherCol(&b.cols[c], lidx)
 			}
-			for c := lWidth; c < j.rel.Width; c++ {
-				out.cols[c] = gatherCol(&bt.cols[c-lWidth], ridx)
+			for c := range bt.cols {
+				out.cols[lWidth+c] = gatherCol(&bt.cols[c], ridx)
 			}
 			return out, nil
 		}
@@ -1543,9 +1604,10 @@ func keepSlots(e *Exchange, ctx *Ctx) (viter, error) {
 	}, nil
 }
 
-// keepBatches drains a worker's pipeline into batches that outlive it:
-// the one place that holds a batch past the next pull, so the one that
-// copies what the batch was lent (see vbatch).
+// keepBatches drains a pipeline into batches that outlive it — an
+// exchange worker's morsel, or a join input until drainCols has copied
+// it: the one place that holds a batch past the next pull, so the one
+// that copies what the batch was lent (see vbatch).
 func keepBatches(n Node, ctx *Ctx) ([]*vbatch, error) {
 	op, err := n.vopen(ctx)
 	if err != nil {
