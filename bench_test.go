@@ -175,26 +175,16 @@ func BenchmarkF1Stages(b *testing.B) {
 	}
 }
 
-// BenchmarkF2Scale measures generated-SQL execution versus data size
-// with the index access path on and off.
+// BenchmarkF2Scale measures generated-SQL execution versus data size:
+// a primary-key lookup, answered by a scan.
 func BenchmarkF2Scale(b *testing.B) {
 	point := sql.MustParse("SELECT name FROM students WHERE id = 7")
 	for _, scale := range []int{1, 4, 16, 64} {
-		indexed := dataset.University(scale)
-		scan := dataset.University(scale)
-		scan.DropAllIndexes()
-		b.Run(fmt.Sprintf("rows=%d/indexed", indexed.TotalRows()), func(b *testing.B) {
+		db := dataset.University(scale)
+		b.Run(fmt.Sprintf("rows=%d/scan", db.TotalRows()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(indexed.Snapshot(), point); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("rows=%d/scan", scan.TotalRows()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := exec.Query(scan.Snapshot(), point); err != nil {
+				if _, err := exec.Query(db.Snapshot(), point); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -258,8 +248,8 @@ func BenchmarkF4JoinPath(b *testing.B) {
 // BenchmarkF5JoinHeavy measures join-heavy queries at dataset scale 4
 // through the streaming planner (exec.Query) and the seed-style
 // materializing executor (exec.ReferenceQueryAt). The planned/reference
-// pairs quantify what predicate pushdown, index access paths and
-// cost-based join ordering buy on multi-table equi-joins.
+// pairs quantify what predicate pushdown and cost-based join ordering
+// buy on multi-table equi-joins.
 func BenchmarkF5JoinHeavy(b *testing.B) {
 	db := dataset.University(4)
 	queries := []struct {
@@ -271,9 +261,9 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 			"AND d.name = 'Computer Science' AND s.gpa > 3.7", true},
 		{"join3agg", "SELECT d.name, COUNT(*) FROM students s, enrollments e, departments d " +
 			"WHERE e.student_id = s.id AND s.dept_id = d.dept_id AND s.gpa > 3.5 GROUP BY d.name", true},
-		// A point lookup stays serial: the rewrite declines cheap plans.
+		// A key lookup scans students, and a scan that size fans out.
 		{"pointjoin", "SELECT s.name, d.name FROM students s, departments d " +
-			"WHERE s.dept_id = d.dept_id AND s.id = 7", false},
+			"WHERE s.dept_id = d.dept_id AND s.id = 7", true},
 	}
 	// The parallel worker degree: hardware width, but at least 4 so the
 	// exchange machinery is exercised (and regressions fail loudly)

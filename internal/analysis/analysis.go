@@ -3,9 +3,6 @@
 // before any race has to manifest. The contracts it guards are stated
 // in DESIGN.md and were previously enforced only by tests:
 //
-//   - snappin: read paths outside the store must resolve table data
-//     through a pinned Snapshot/TableSnap, never through the
-//     per-call-pinning convenience accessors on store.Table (§2.5).
 //   - batchretain: vectorized operators must not retain zero-copy
 //     batch or segment-window slices in long-lived state without an
 //     explicit copy (§2.4, §2.7).
@@ -83,7 +80,7 @@ func (d Diagnostic) String() string {
 
 // Suite returns the nlivet analyzers in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{Snappin, BatchRetain, AtomicField, SkipAdvisory, DetGen, CtxFirst}
+	return []*Analyzer{BatchRetain, AtomicField, SkipAdvisory, DetGen, CtxFirst}
 }
 
 // Run executes the analyzers over one loaded package and returns the

@@ -13,8 +13,8 @@ import (
 // comment `// want "substring"` on a line asserts exactly one finding
 // on that line whose message contains the substring (several wants on
 // one line assert several findings). Lines without a want comment
-// must produce no finding. Fixtures model engine types (store.Table,
-// vbatch, Scan, ...) locally — the analyzers match types by package
+// must produce no finding. Fixtures model engine types (vbatch, Scan,
+// ...) locally — the analyzers match types by package
 // and type name precisely so the contracts are testable without
 // importing the engine.
 
@@ -96,7 +96,6 @@ func checkAnalyzer(t *testing.T, pkgPath string, analyzers ...*Analyzer) {
 	}
 }
 
-func TestSnappin(t *testing.T)      { checkAnalyzer(t, "snappin", Snappin) }
 func TestBatchRetain(t *testing.T)  { checkAnalyzer(t, "batchretain", BatchRetain) }
 func TestAtomicField(t *testing.T)  { checkAnalyzer(t, "atomicfield", AtomicField) }
 func TestSkipAdvisory(t *testing.T) { checkAnalyzer(t, "skipadvisory", SkipAdvisory) }
@@ -123,14 +122,15 @@ func TestSuppression(t *testing.T) {
 	for _, d := range diags {
 		byAnalyzer[d.Analyzer]++
 	}
-	// Five Table.Len violations in the fixture: two suppressed by valid
-	// directives, three surviving because their directives are
-	// malformed. Each malformed directive is a "nlivet" finding.
-	if byAnalyzer["snappin"] != 3 || byAnalyzer["nlivet"] != 3 || len(diags) != 6 {
+	// Five plain reads of an atomic field in the fixture: two
+	// suppressed by valid directives, three surviving because their
+	// directives are malformed. Each malformed directive is a "nlivet"
+	// finding.
+	if byAnalyzer["atomicfield"] != 3 || byAnalyzer["nlivet"] != 3 || len(diags) != 6 {
 		for _, d := range diags {
 			t.Logf("  %s", d)
 		}
-		t.Fatalf("got %d snappin + %d nlivet findings (want 3 + 3)", byAnalyzer["snappin"], byAnalyzer["nlivet"])
+		t.Fatalf("got %d atomicfield + %d nlivet findings (want 3 + 3)", byAnalyzer["atomicfield"], byAnalyzer["nlivet"])
 	}
 	for _, substr := range []string{
 		"needs an analyzer name and a reason",

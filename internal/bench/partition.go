@@ -55,11 +55,8 @@ func (l ParallelLoad) RowsPerSec() float64 {
 // concurrent goroutines, once into a fresh single-stream table and
 // once into the table hash-partitioned parts ways on col, best of
 // reps. newDB must return a fresh database each call (a load mutates
-// its target, so timed runs cannot share one). An index on col is
-// built first on both sides so each publish carries the real
-// incremental-maintenance work a loaded table pays, not just a row
-// append. Row counts are verified after every load — a fast load that
-// lost rows is no load.
+// its target, so timed runs cannot share one). Row counts are verified
+// after every load — a fast load that lost rows is no load.
 func MeasureParallelLoad(newDB func() *store.DB, table, col string,
 	rows []store.Row, parts, loaders, reps int) (ParallelLoad, error) {
 	if loaders < 1 {
@@ -85,9 +82,6 @@ func MeasureParallelLoad(newDB func() *store.DB, table, col string,
 		t := db.Table(table)
 		if t == nil {
 			return 0, fmt.Errorf("bench: unknown table %s", table)
-		}
-		if err := t.BuildIndex(col); err != nil {
-			return 0, err
 		}
 		base := t.Snap().Len()
 

@@ -13,8 +13,7 @@ import (
 )
 
 // PlanShape aggregates the operator mix the planner chose across a
-// query set — how often it found an index access path, how many joins
-// ran hashed versus cartesian, and how many predicates it pushed below
+// query set — how many joins ran hashed versus cartesian, and how many predicates it pushed below
 // a join. These counters make planner decisions visible in benchmark
 // reports without diffing Explain trees by hand.
 type PlanShape struct {

@@ -61,8 +61,7 @@ type SegFootprint struct {
 // MeasureSegFootprint builds the named table's segment layout and
 // reports its footprint. The table is pinned to one snapshot so row
 // count and segment bytes describe the same version even while writers
-// publish (snappin: the unpinned Table accessors would pin a fresh
-// version per call).
+// publish.
 func MeasureSegFootprint(db *store.DB, table string) SegFootprint {
 	t := db.Table(table).Snap()
 	ss := t.Segments()

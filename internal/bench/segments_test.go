@@ -8,11 +8,10 @@ import (
 	"repro/internal/store"
 )
 
-// Regression test for the snappin finding in MeasureSegFootprint: the
-// old code read Len and Segments through the raw Table, so each call
-// pinned whatever version writers had published by then and the
-// reported footprint mixed row counts and byte totals from different
-// versions. With one pinned TableSnap the figures must be internally
+// Regression test for MeasureSegFootprint reading Len and Segments
+// through two separate pins: each would observe whatever version
+// writers had published by then, and the reported footprint would mix
+// row counts and byte totals from different versions. With one pinned TableSnap the figures must be internally
 // consistent: a single-int-column table with no NULLs, short of its
 // first seal, is one plain segment of SegBytes == Rows*8 exactly, at
 // every version, no matter how the measurement interleaves with

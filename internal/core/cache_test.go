@@ -47,7 +47,7 @@ func TestAnswerCacheEvictionGranularity(t *testing.T) {
 	}
 
 	// A write to a dependency table evicts exactly this entry.
-	id := int64(e.DB.Table("students").Len() + 1)
+	id := int64(e.DB.Table("students").Snap().Len() + 1)
 	if err := e.DB.Insert("students",
 		store.Int(id), store.Text("Grace Hopper"), store.Int(1),
 		store.Int(4), store.Float(3.97)); err != nil {
@@ -97,7 +97,7 @@ func TestConversationsKeepAnsweringMidLoad(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		next := int64(e.DB.Table("students").Len() + 1)
+		next := int64(e.DB.Table("students").Snap().Len() + 1)
 		for b := 0; b < batches; b++ {
 			rows := make([]store.Row, per)
 			for i := range rows {

@@ -486,11 +486,9 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, sn *store.Snapshot, e
 // plan-template cache enabled, the statement is normalized into a
 // template and constant vector, the cache is consulted under the
 // shape key, and a hit skips planning entirely: the cached template
-// re-binds to the new constants (Timings.Bind), re-checking its
-// selectivity-sensitive choices against the pinned snapshot's
-// statistics. A miss compiles and caches a fresh template
-// (Timings.Plan), fingerprinted with the snapshot's table versions so
-// stats drift invalidates it.
+// re-binds to the new constants (Timings.Bind). A miss compiles and
+// caches a fresh template (Timings.Plan), fingerprinted with the
+// snapshot's table versions so stats drift invalidates it.
 func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.Value, error) {
 	stmt, tm := ans.SQL, &ans.Timings
 	if e.plans == nil {
@@ -507,45 +505,23 @@ func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.V
 	sc := shapeScratchPool.Get().(*shapeScratch)
 	keyBytes, params := sql.ShapeInto(stmt, sc.buf[:0], sc.params[:0])
 	if pq := e.plans.lookup(keyBytes, sn); pq != nil {
-		if !pq.Tmpl.IndexesLive(sn) {
-			// Permanently stale: index DDL is invisible to the version
-			// fingerprint, and every future bind of this entry would
-			// recompile. Drop it and fall through to the miss path,
-			// which stores a fresh template — the shape turns hot
-			// again instead of cold-planning through the cache forever.
-			e.plans.remove(string(keyBytes))
-			e.plans.demote()
-		} else {
-			// The lookup just revalidated the stats epoch against sn,
-			// and the shape key encodes the kind signature: bind
-			// pinned.
-			p, reused, err := pq.BindPinned(sn, params, e.opts.Parallelism)
-			if err == nil {
-				// A bind that had to recompile (an outlier constant
-				// moved a plan decision) is honest about it: the cost
-				// is planning, not binding, the answer is not
-				// plan-cached, and the counters agree.
-				if reused {
-					tm.Bind = time.Since(start)
-					ans.PlanCached = true
-				} else {
-					tm.Plan = time.Since(start)
-					e.plans.demote()
-				}
-				// Execution outlives the scratch: hand it an exact
-				// copy (made outside the timed window — it is pool
-				// mechanics, not plan work).
-				bound := append(make([]store.Value, 0, len(params)), params...)
-				ans.PlanCacheHits, ans.PlanCacheMisses = e.plans.stats()
-				sc.recycle(keyBytes, params)
-				return p, bound, nil
-			}
-			// A cached template that stopped binding (schema drift
-			// broke its shape contract) is dropped and recompiled
-			// below.
-			e.plans.remove(string(keyBytes))
-			e.plans.demote()
+		// The lookup just revalidated the stats epoch against sn, the
+		// shape key encodes the kind signature, and every cached template
+		// was compiled at the engine's degree: the pinned bind reuses its
+		// tree.
+		p, _, err := pq.BindPinned(sn, params, e.opts.Parallelism)
+		tm.Bind = time.Since(start)
+		// Execution outlives the scratch: hand it an exact copy (made
+		// outside the timed window — it is pool mechanics, not plan
+		// work).
+		bound := append(make([]store.Value, 0, len(params)), params...)
+		sc.recycle(keyBytes, params)
+		if err != nil {
+			return nil, nil, err
 		}
+		ans.PlanCached = true
+		ans.PlanCacheHits, ans.PlanCacheMisses = e.plans.stats()
+		return p, bound, nil
 	}
 	key := string(keyBytes)
 	sc.recycle(keyBytes, params)

@@ -229,7 +229,7 @@ func TestAnswerCache(t *testing.T) {
 	// Mutating the store invalidates: the next ask recomputes and sees
 	// the new row.
 	n := len(first.Result.Rows)
-	id := int64(e.DB.Table("students").Len() + 1)
+	id := int64(e.DB.Table("students").Snap().Len() + 1)
 	if err := e.DB.Insert("students",
 		store.Int(id), store.Text("Zefram Cochrane"), store.Int(1),
 		store.Int(4), store.Float(3.99)); err != nil {

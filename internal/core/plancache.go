@@ -16,10 +16,10 @@ import (
 // (the stats epoch) their template was optimized against. A lookup
 // whose pinned snapshot has moved past any dependency version misses:
 // the template's cost model is stale, so the shape is recompiled
-// against fresh statistics and the entry replaced. Within an epoch,
-// constants that would change a selectivity-sensitive plan choice are
-// caught by Template.Bind's own re-checks — the cache only ever hands
-// out templates whose statistics basis is current.
+// against fresh statistics and the entry replaced. No plan decision
+// reads a constant, so within an epoch every hit reuses the cached
+// tree — the cache only ever hands out templates whose statistics
+// basis is current.
 //
 // Recency is a tick stamp refreshed per hit; eviction scans for the
 // stale minimum only when the cache is full. That keeps the hit path
@@ -95,27 +95,6 @@ func (c *planCache) store(key string, pq *exec.PreparedQuery, deps []tableDep) {
 		delete(c.entries, victim)
 	}
 	c.entries[key] = &planEntry{pq: pq, deps: deps, used: c.tick}
-}
-
-// remove drops one entry (a template that stopped binding).
-func (c *planCache) remove(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.entries, key)
-}
-
-// demote reclassifies the most recent hit as a miss: the lookup found
-// a template but its bind had to recompile anyway (an outlier
-// constant, a dropped index), so planning was not skipped. Keeping the
-// counters aligned with Answer.PlanCached is what makes the F9 hit
-// ratio mean "asks that paid a bind instead of a plan".
-func (c *planCache) demote() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.hits > 0 {
-		c.hits--
-		c.misses++
-	}
 }
 
 // stats returns the cumulative hit/miss counters.

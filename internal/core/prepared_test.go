@@ -153,55 +153,6 @@ func TestPlanCacheStatsEpochInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSurvivesDropIndex: index DDL does not move table
-// versions (data is unchanged), so the plan cache's stats-epoch
-// fingerprint cannot see a DropIndex — the template's own
-// index-liveness check must catch it and recompile to a scan plan
-// instead of probing the vanished index on every subsequent ask.
-func TestPlanCacheSurvivesDropIndex(t *testing.T) {
-	opts := DefaultOptions()
-	opts.AnswerCacheSize = 0
-	db := dataset.University(1)
-	if err := db.Table("departments").BuildIndex("name"); err != nil {
-		t.Fatal(err)
-	}
-	e := NewEngine(db, opts)
-
-	first, err := e.Ask("how many students are in Computer Science")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := first.Plan.OperatorCounts(); c["index-scan"] == 0 {
-		t.Fatalf("test premise broken: plan does not probe the name index\n%s", first.Plan.Explain())
-	}
-
-	db.Table("departments").DropIndex("name")
-
-	after, err := e.Ask("how many students are in Physics")
-	if err != nil {
-		t.Fatalf("ask after DropIndex must recompile, not fail: %v", err)
-	}
-	if after.PlanCached {
-		t.Error("a plan probing a dropped index must not be reused")
-	}
-	if c := after.Plan.OperatorCounts(); c["index-scan"] != 0 {
-		t.Errorf("recompiled plan still probes the dropped index\n%s", after.Plan.Explain())
-	}
-	if after.Result.Rows[0][0].Int64() == 0 {
-		t.Error("recompiled plan answered nothing")
-	}
-
-	// The stale entry was replaced, not just bypassed: the shape turns
-	// hot again instead of cold-planning through the cache forever.
-	again, err := e.Ask("how many students are in History")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.PlanCached {
-		t.Error("shape should be hot again after the stale template was replaced")
-	}
-}
-
 // TestConversationAnswerCache: a repeated standalone turn inside a
 // conversation is served from the engine answer cache (regression:
 // Conversation.Ask bypassed it entirely), while follow-ups never touch

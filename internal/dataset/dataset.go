@@ -81,9 +81,8 @@ func mustPositive(scale int) int {
 }
 
 // loader buffers generated rows per table and bulk-inserts each table
-// once: the store's deferred-index bulk path skips per-row version
-// bumps, stats invalidation and (were any index already built)
-// per-row index maintenance during dataset construction.
+// once: the store's bulk path publishes one version per table instead
+// of one per generated row.
 type loader struct {
 	db    *store.DB
 	rows  map[string][]store.Row

@@ -34,7 +34,7 @@ func TestUniversityShape(t *testing.T) {
 		"enrollments": 360,
 	}
 	for tab, want := range counts {
-		if got := db.Table(tab).Len(); got != want {
+		if got := db.Table(tab).Snap().Len(); got != want {
 			t.Errorf("%s rows = %d, want %d", tab, got, want)
 		}
 	}
@@ -43,14 +43,14 @@ func TestUniversityShape(t *testing.T) {
 func TestUniversityScaleGrowsLinearly(t *testing.T) {
 	one := University(1)
 	four := University(4)
-	if four.Table("students").Len() != 4*one.Table("students").Len() {
-		t.Errorf("students: %d vs %d", four.Table("students").Len(), one.Table("students").Len())
+	if four.Table("students").Snap().Len() != 4*one.Table("students").Snap().Len() {
+		t.Errorf("students: %d vs %d", four.Table("students").Snap().Len(), one.Table("students").Snap().Len())
 	}
-	if four.Table("enrollments").Len() != 4*one.Table("enrollments").Len() {
+	if four.Table("enrollments").Snap().Len() != 4*one.Table("enrollments").Snap().Len() {
 		t.Error("enrollments not linear")
 	}
 	// Negative scale clamps to 1.
-	if University(0).Table("students").Len() != one.Table("students").Len() {
+	if University(0).Table("students").Snap().Len() != one.Table("students").Snap().Len() {
 		t.Error("scale clamp failed")
 	}
 }
@@ -58,7 +58,7 @@ func TestUniversityScaleGrowsLinearly(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	a := University(1)
 	b := University(1)
-	ta, tb := a.Table("instructors"), b.Table("instructors")
+	ta, tb := a.Table("instructors").Snap(), b.Table("instructors").Snap()
 	if ta.Len() != tb.Len() {
 		t.Fatal("row counts differ between runs")
 	}
@@ -76,19 +76,20 @@ func TestForeignKeysResolve(t *testing.T) {
 	for _, name := range Names() {
 		db, _ := ByName(name, 1)
 		for _, fk := range db.Schema.ForeignKeys {
-			child := db.Table(fk.Table)
-			parent := db.Table(fk.RefTable)
-			ci := child.ColIndex(fk.Column)
-			if !parent.HasIndex(fk.RefColumn) {
-				t.Fatalf("%s: parent index on %s.%s missing", name, fk.RefTable, fk.RefColumn)
+			child := db.Table(fk.Table).Snap()
+			parent := db.Table(fk.RefTable).Snap()
+			pi := parent.ColIndex(fk.RefColumn)
+			keys := make(map[string]bool, parent.Len())
+			for _, row := range parent.Rows() {
+				keys[row[pi].Key()] = true
 			}
+			ci := child.ColIndex(fk.Column)
 			for _, row := range child.Rows() {
 				v := row[ci]
 				if v.IsNull() {
 					continue
 				}
-				ids, _ := parent.LookupIndex(fk.RefColumn, v)
-				if len(ids) == 0 {
+				if !keys[v.Key()] {
 					t.Fatalf("%s: dangling FK %v in %s.%s", name, v, fk.Table, fk.Column)
 				}
 			}
@@ -158,7 +159,7 @@ func TestUniversityGPARange(t *testing.T) {
 	tab := db.Table("students")
 	gi := tab.ColIndex("gpa")
 	nulls := 0
-	for _, row := range tab.Rows() {
+	for _, row := range tab.Snap().Rows() {
 		v := row[gi]
 		if v.IsNull() {
 			nulls++
@@ -207,8 +208,8 @@ func TestScaledDatabasesStayConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Rows[0][0].Int64(); got != int64(db.Table("orders").Len()) {
-		t.Errorf("join count %d != order count %d", got, db.Table("orders").Len())
+	if got := res.Rows[0][0].Int64(); got != int64(db.Table("orders").Snap().Len()) {
+		t.Errorf("join count %d != order count %d", got, db.Table("orders").Snap().Len())
 	}
 }
 
@@ -219,10 +220,10 @@ func TestEventsDeterministic(t *testing.T) {
 	const n = 20_000
 	a, b := Events(n), Events(n)
 	ta, tb := a.Table("events"), b.Table("events")
-	if ta.Len() != n || tb.Len() != n {
-		t.Fatalf("rows = %d / %d, want %d", ta.Len(), tb.Len(), n)
+	if ta.Snap().Len() != n || tb.Snap().Len() != n {
+		t.Fatalf("rows = %d / %d, want %d", ta.Snap().Len(), tb.Snap().Len(), n)
 	}
-	ra, rb := ta.Rows(), tb.Rows()
+	ra, rb := ta.Snap().Rows(), tb.Snap().Rows()
 	services := map[string]bool{}
 	levels := map[string]bool{}
 	prevTS := int64(-1)
@@ -247,7 +248,7 @@ func TestEventsDeterministic(t *testing.T) {
 	if len(levels) != 4 {
 		t.Errorf("level cardinality = %d, want 4", len(levels))
 	}
-	if db, err := ByName("events", 1); err != nil || db.Table("events").Len() != 100_000 {
+	if db, err := ByName("events", 1); err != nil || db.Table("events").Snap().Len() != 100_000 {
 		t.Errorf("ByName events: db=%v err=%v", db, err)
 	}
 }

@@ -271,8 +271,5 @@ func Geo() *store.DB {
 			store.Int(countryID[m.country]))
 	}
 	ld.flush()
-	if err := db.BuildPrimaryIndexes(); err != nil {
-		panic(err)
-	}
 	return db
 }

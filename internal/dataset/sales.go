@@ -156,8 +156,5 @@ func Sales(scale int) *store.DB {
 		}
 	}
 	ld.flush()
-	if err := db.BuildPrimaryIndexes(); err != nil {
-		panic(err)
-	}
 	return db
 }

@@ -188,8 +188,5 @@ func University(scale int) *store.DB {
 	}
 
 	ld.flush()
-	if err := db.BuildPrimaryIndexes(); err != nil {
-		panic(err)
-	}
 	return db
 }

@@ -71,9 +71,9 @@ type RunOpts struct {
 // Run executes a compiled plan against a pinned snapshot — the one way
 // to run a plan. The snapshot is held for the whole run (every
 // subquery included), so concurrent writers never change what an
-// in-flight query sees; to make plan-time choices (index scans,
-// estimates) and run-time data agree exactly, pass the snapshot the
-// plan was compiled on. The run observes ctx cancellation at batch
+// in-flight query sees; to make plan-time choices (estimates, the
+// skip counts Explain reports) and run-time data agree exactly, pass
+// the snapshot the plan was compiled on. The run observes ctx cancellation at batch
 // granularity (leaf scans, materialize loops, exchange morsel claims,
 // segment fault-in waits) and returns context.Cause(ctx) promptly
 // instead of finishing work nobody is waiting for; see arm for what a

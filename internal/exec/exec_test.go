@@ -472,32 +472,3 @@ func BenchmarkJoinAggregate(b *testing.B) {
 		}
 	}
 }
-
-func TestIndexPruneMatchesScan(t *testing.T) {
-	db := fixture(t)
-	queries := []string{
-		"SELECT name FROM students WHERE id = 3",
-		"SELECT name FROM students WHERE id = 3 AND gpa > 1",
-		"SELECT s.name FROM students s, departments d WHERE s.dept_id = d.dept_id AND d.dept_id = 1 ORDER BY s.name",
-		"SELECT name FROM students WHERE id = 99",
-		"SELECT name FROM students WHERE id = 3 OR id = 4 ORDER BY name", // OR: prune must not fire
-	}
-	var before [][]string
-	for _, q := range queries {
-		before = append(before, names(run(t, db, q)))
-	}
-	if err := db.BuildPrimaryIndexes(); err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		after := names(run(t, db, q))
-		if len(after) != len(before[i]) {
-			t.Fatalf("%q: %v (indexed) != %v (scan)", q, after, before[i])
-		}
-		for j := range after {
-			if after[j] != before[i][j] {
-				t.Fatalf("%q: %v (indexed) != %v (scan)", q, after, before[i])
-			}
-		}
-	}
-}

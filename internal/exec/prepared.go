@@ -2,9 +2,9 @@
 // Prepare splits a statement into a parameterized template (its shape)
 // and a constant vector (its binding), compiles the template through
 // the planning layer once, and lets every later ask of the same shape
-// skip planning — the template's Bind revalidates the plan's
-// selectivity-sensitive choices against the new constants and the
-// snapshot's statistics, recompiling only when one would change.
+// skip planning — the template's Bind reuses the compiled plan while
+// the snapshot's statistics are the ones it was compiled against and
+// recompiles once a load has moved them.
 package exec
 
 import (

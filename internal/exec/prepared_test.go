@@ -18,7 +18,7 @@ import (
 // template, bind the lifted constants back — and requires row-for-row
 // identical results to the one-shot path, serially and at parallel
 // degree 4. This is the prepared layer's end-to-end safety net:
-// parameter lifting, slot-based index probes and template reuse must
+// parameter lifting, slot-based zone-map skips and template reuse must
 // never change results.
 func TestPreparedCorpusDifferential(t *testing.T) {
 	for _, domain := range dataset.Names() {
@@ -131,13 +131,11 @@ func TestPreparedPlanWithoutVectorErrors(t *testing.T) {
 	}
 }
 
-// TestPreparedRebindSupersededBound: regression for a range-merge
-// consumption bug. With "id BETWEEN lo AND hi AND id <= cap", the
-// compile-time merge may take the scan's upper bound from the cap
-// conjunct (when cap is tighter); the BETWEEN must then stay a filter,
-// because a rebind can invert the tightness and its hi side would
-// otherwise be enforced nowhere. Before the fix, the rebind below
-// returned every row up to cap instead of up to the BETWEEN's hi.
+// TestPreparedRebindSupersededBound: "id BETWEEN lo AND hi AND id <=
+// cap" puts two upper bounds on one column, and a rebind can invert
+// which is tighter. Every bound must stay enforced — by the filter, and
+// by zone-map skips re-derived from the bound values — so the rebind
+// below returns rows up to the BETWEEN's hi, not up to cap.
 func TestPreparedRebindSupersededBound(t *testing.T) {
 	db := dataset.University(1)
 	first := sql.MustParse("SELECT id FROM students WHERE id BETWEEN 0 AND 40 AND id <= 20 ORDER BY id")
@@ -177,9 +175,9 @@ func TestPreparedRebindSupersededBound(t *testing.T) {
 	}
 }
 
-// TestPreparedRebindAfterBulkLoad: a bulk load shifts table statistics
+// TestPreparedRebindAfterBulkLoad: a bulk load moves the stats epoch
 // under a cached template; the next bind recompiles to a different —
-// and still correct — plan.
+// and still correct — plan, where a bind inside the epoch reuses it.
 func TestPreparedRebindAfterBulkLoad(t *testing.T) {
 	s := schema.MustNew("drift", []*schema.Table{
 		{Name: "orders", Columns: []schema.Column{
@@ -201,6 +199,9 @@ func TestPreparedRebindAfterBulkLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := pq.Tmpl.Plan().Explain()
+	if _, reused, err := pq.Bind(db.Snapshot(), params, 1); err != nil || !reused {
+		t.Fatalf("bind inside the stats epoch: reused=%v err=%v", reused, err)
+	}
 
 	// Invert the relative sizes: orders becomes the big side.
 	rows := make([]store.Row, 8000)

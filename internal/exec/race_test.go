@@ -45,11 +45,7 @@ func raceDB(t testing.TB) *store.DB {
 			{Name: "val", Type: schema.Int},
 		}},
 	}, nil)
-	db := store.NewDB(s)
-	if err := db.Table("events").BuildIndex("batch"); err != nil {
-		t.Fatal(err)
-	}
-	return db
+	return store.NewDB(s)
 }
 
 // eventBatch builds batch i of the events/csvt tables: batchSize rows,
@@ -179,7 +175,7 @@ func TestConcurrentReadersUnderWriters(t *testing.T) {
 					return
 				}
 				if n, ok := intCell(res.Rows[0][0]); !ok || (n != 0 && n != batchSize) {
-					t.Errorf("%s: index probe saw partial batch: %d rows (numeric=%v)", name, n, ok)
+					t.Errorf("%s: key probe saw partial batch: %d rows (numeric=%v)", name, n, ok)
 					return
 				}
 

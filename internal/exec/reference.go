@@ -13,8 +13,7 @@ import (
 // seed executor used: FROM-order left-deep joins (hash joins on
 // equi-join conjuncts found in WHERE, bounded cartesian products
 // otherwise) that materialize the full join product, with the complete
-// WHERE predicate re-applied to every joined row and no index access
-// paths beyond the base-table equality prune. It exists as the
+// WHERE predicate re-applied to every joined row. It exists as the
 // differential-testing baseline for the planner and as the yardstick
 // its speedups are measured against; subqueries encountered along the
 // way also run through this path. Like Query, the whole evaluation
@@ -78,7 +77,7 @@ func (ex *executor) buildRelation(stmt *sql.SelectStmt) (*matRel, error) {
 			b.Off = 0
 			mr = &matRel{
 				rel:  &plan.Rel{Bindings: []plan.Binding{b}, Width: len(b.Meta.Columns)},
-				rows: indexPrune(tab, b.Name, stmt.Where),
+				rows: tab.Rows(),
 			}
 			continue
 		}
@@ -89,50 +88,6 @@ func (ex *executor) buildRelation(stmt *sql.SelectStmt) (*matRel, error) {
 		}
 	}
 	return mr, nil
-}
-
-// indexPrune narrows the base table's rows using a hash index when the
-// WHERE clause has a top-level "col = literal" conjunct on an indexed
-// column; the full predicate is re-applied afterwards.
-func indexPrune(tab *store.TableSnap, name string, where sql.Expr) []store.Row {
-	var walk func(sql.Expr) []store.Row
-	walk = func(e sql.Expr) []store.Row {
-		be, ok := e.(*sql.BinaryExpr)
-		if !ok {
-			return nil
-		}
-		switch be.Op {
-		case sql.OpAnd:
-			if r := walk(be.L); r != nil {
-				return r
-			}
-			return walk(be.R)
-		case sql.OpEq:
-			col, lit, ok := plan.EqColLiteral(be)
-			if !ok {
-				return nil
-			}
-			if col.Table != "" && col.Table != name {
-				return nil
-			}
-			if tab.ColIndex(col.Column) < 0 || !tab.HasIndex(col.Column) {
-				return nil
-			}
-			ids, _ := tab.LookupIndex(col.Column, lit.Val)
-			pruned := make([]store.Row, 0, len(ids))
-			for _, id := range ids {
-				pruned = append(pruned, tab.Row(id))
-			}
-			return pruned
-		}
-		return nil
-	}
-	if where != nil {
-		if pruned := walk(where); pruned != nil {
-			return pruned
-		}
-	}
-	return tab.Rows()
 }
 
 // refJoinOrder returns binding indexes in an order where each table

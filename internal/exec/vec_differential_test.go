@@ -79,30 +79,24 @@ func rowsIdentical(a, b *exec.Result) error {
 }
 
 // TestVecDifferentialScaled repeats the reference check at a larger
-// scale on the join-heavy university corpus, and again with all
-// indexes dropped (exercising the full-scan batch path).
+// scale on the join-heavy university corpus.
 func TestVecDifferentialScaled(t *testing.T) {
-	for _, drop := range []bool{false, true} {
-		db := dataset.University(2)
-		if drop {
-			db.DropAllIndexes()
+	db := dataset.University(2)
+	for _, cs := range bench.Corpus("university") {
+		stmt, err := sql.Parse(cs.Gold)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, cs := range bench.Corpus("university") {
-			stmt, err := sql.Parse(cs.Gold)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vec, err := exec.Query(db.Snapshot(), stmt)
-			if err != nil {
-				t.Fatalf("%s: vectorized execution failed: %v", cs.ID, err)
-			}
-			ref, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
-			if err != nil {
-				t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
-			}
-			if !bench.SameResult(vec, ref) {
-				t.Errorf("%s (drop=%v): vectorized and reference results differ\nsql: %s", cs.ID, drop, cs.Gold)
-			}
+		vec, err := exec.Query(db.Snapshot(), stmt)
+		if err != nil {
+			t.Fatalf("%s: vectorized execution failed: %v", cs.ID, err)
+		}
+		ref, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
+		if err != nil {
+			t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
+		}
+		if !bench.SameResult(vec, ref) {
+			t.Errorf("%s: vectorized and reference results differ\nsql: %s", cs.ID, cs.Gold)
 		}
 	}
 }

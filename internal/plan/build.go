@@ -7,47 +7,6 @@ import (
 	"repro/internal/store"
 )
 
-// Build lowers stmt into a naive logical plan: scans in FROM order,
-// left-deep joins (hash joins on equi-join conjuncts found in WHERE,
-// guarded cartesian products otherwise), the full WHERE predicate as
-// one filter above the joins, then aggregate-or-project, distinct,
-// sort and limit. Optimize rewrites this tree; running it as-is
-// reproduces the pre-planner executor's shape.
-func Build(sn *store.Snapshot, stmt *sql.SelectStmt) (*Plan, error) {
-	bindings, err := bindFrom(sn, stmt)
-	if err != nil {
-		return nil, err
-	}
-
-	conds := EquiJoinConds(stmt.Where)
-	var root Node
-	rows := 1
-	for i, b := range bindings {
-		b.Off = 0
-		n := sn.Table(b.Meta.Name).Len()
-		scan := &Scan{B: b, Est: n, rel: relFor(b)}
-		rows *= n
-		if i == 0 {
-			root = scan
-			continue
-		}
-		root = joinNodes(root, scan, conds, rows)
-	}
-	if stmt.Where != nil {
-		root = &Filter{In: root, Pred: stmt.Where, Est: root.Rel().estimate(sn)}
-	}
-	return finishPlan(root, root.Rel(), stmt)
-}
-
-// estimate is a crude row-count guess for naive filter nodes.
-func (r *Rel) estimate(sn *store.Snapshot) int {
-	n := 1
-	for _, b := range r.Bindings {
-		n *= sn.Table(b.Meta.Name).Len()
-	}
-	return n
-}
-
 // bindFrom resolves the FROM clause into full-width bindings.
 func bindFrom(sn *store.Snapshot, stmt *sql.SelectStmt) ([]Binding, error) {
 	if len(stmt.From) == 0 {
@@ -74,29 +33,6 @@ func bindFrom(sn *store.Snapshot, stmt *sql.SelectStmt) ([]Binding, error) {
 	return bindings, nil
 }
 
-// joinNodes joins right onto left, hashing on every extracted
-// equi-join conjunct that connects them, cartesian otherwise. The
-// naive estimate is the worst case: the full row product.
-func joinNodes(left Node, right *Scan, conds []EquiJoin, est int) Node {
-	lrel, rrel := left.Rel(), right.Rel()
-	var lkey, rkey []int
-	var used []sql.Expr
-	for _, c := range conds {
-		lo, ro, ok := condOffsets(lrel, rrel, c)
-		if !ok {
-			continue
-		}
-		lkey = append(lkey, lo)
-		rkey = append(rkey, ro)
-		used = append(used, c.Expr)
-	}
-	rel := joinRel(lrel, rrel)
-	if len(lkey) > 0 {
-		return &HashJoin{L: left, R: right, LKey: lkey, RKey: rkey, Conds: used, Est: est, rel: rel}
-	}
-	return &CrossJoin{L: left, R: right, Est: est, rel: rel}
-}
-
 // condOffsets resolves an equi-join conjunct with one side in lrel and
 // the other in rrel, in either orientation. Ambiguous references
 // disqualify the conjunct (it stays a plain filter predicate).
@@ -114,8 +50,8 @@ func condOffsets(lrel, rrel *Rel, c EquiJoin) (lo, ro int, ok bool) {
 	return 0, 0, false
 }
 
-// finishPlan stacks the output operators shared by the naive and
-// optimized lowerings on top of the relational subtree. Items expand
+// finishPlan stacks the output operators on top of the relational
+// subtree. Items expand
 // against outRel, which lists bindings in FROM declaration order so
 // SELECT * column order is independent of join reordering.
 func finishPlan(root Node, outRel *Rel, stmt *sql.SelectStmt) (*Plan, error) {
@@ -145,7 +81,7 @@ func finishPlan(root Node, outRel *Rel, stmt *sql.SelectStmt) (*Plan, error) {
 	if stmt.Limit >= 0 {
 		root = &Limit{In: root, N: stmt.Limit}
 	}
-	return &Plan{Root: root, Cols: cols, Stmt: stmt}, nil
+	return &Plan{Root: root, Cols: cols}, nil
 }
 
 // EquiJoin is one "a.x = b.y" conjunct.

@@ -15,8 +15,8 @@ const MaxProduct = 5_000_000
 // subquery plans, and the parallel-execution state of the current run.
 // When Par > 1 the Evaluator must be safe for concurrent use.
 //
-// Snap is a store.Snapshot, so the whole plan — scans, index probes,
-// segments, statistics — reads one frozen version of the data:
+// Snap is a store.Snapshot, so the whole plan — scans, segments,
+// statistics — reads one frozen version of the data:
 // concurrent writers publish new versions without ever being observed
 // mid-query.
 type Ctx struct {
@@ -26,8 +26,8 @@ type Ctx struct {
 	Par    int // worker budget; <= 1 executes serially
 
 	// Params is the parameter vector of a prepared execution: the
-	// values sql.Param slots in the plan's expressions (and the
-	// parameter-slot probes of index scans) resolve to. nil for plans
+	// values sql.Param slots in the plan's expressions and zone-map
+	// skips resolve to. nil for plans
 	// compiled from fully-literal statements.
 	Params []store.Value
 
@@ -104,66 +104,4 @@ func Run(p *Plan, ctx *Ctx) ([]store.Row, error) {
 
 func errUnknownTable(name string) error {
 	return fmt.Errorf("plan: unknown table %q", name)
-}
-
-// probeVals resolves the scan's probe and bounds against the run's
-// parameter vector: slot-carrying scans read Ctx.Params, literal scans
-// return their baked values.
-func (s *IndexScan) probeVals(ctx *Ctx) (eq, lo, hi *store.Value, err error) {
-	eq, lo, hi = s.Eq, s.Lo, s.Hi
-	at := func(slot int) (*store.Value, error) {
-		if slot >= len(ctx.Params) {
-			return nil, fmt.Errorf("plan: index scan on %s.%s references unbound parameter $%d",
-				s.B.Meta.Name, s.Col, slot+1)
-		}
-		v := ctx.Params[slot]
-		return &v, nil
-	}
-	if s.EqP >= 0 {
-		if eq, err = at(s.EqP); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if s.LoP >= 0 {
-		if lo, err = at(s.LoP); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if s.HiP >= 0 {
-		if hi, err = at(s.HiP); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	return eq, lo, hi, nil
-}
-
-// lookupIDs resolves the index probe or range into matching row ids.
-func (s *IndexScan) lookupIDs(ctx *Ctx) ([]int, error) {
-	tab := ctx.Snap.Table(s.B.Meta.Name)
-	if tab == nil {
-		return nil, errUnknownTable(s.B.Meta.Name)
-	}
-	eq, lo, hi, err := s.probeVals(ctx)
-	if err != nil {
-		return nil, err
-	}
-	// A NULL probe or bound means the consumed conjunct compares
-	// against NULL: three-valued logic makes it NULL for every row, so
-	// the scan matches nothing. (The optimizer never consumes NULL
-	// literals, but a parameter slot can be bound to NULL at run time.)
-	if (eq != nil && eq.IsNull()) || (lo != nil && lo.IsNull()) || (hi != nil && hi.IsNull()) {
-		return nil, nil
-	}
-	var ids []int
-	var ok bool
-	if eq != nil {
-		ids, ok = tab.LookupIndex(s.Col, *eq)
-	} else {
-		ids, ok = tab.LookupRange(s.Col, lo, hi, s.LoIncl, s.HiIncl)
-	}
-	if !ok {
-		return nil, fmt.Errorf("plan: index on %s.%s disappeared after planning",
-			s.B.Meta.Name, s.Col)
-	}
-	return ids, nil
 }

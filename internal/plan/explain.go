@@ -7,8 +7,8 @@ import (
 	"repro/internal/sql"
 )
 
-// Explain renders the plan as an indented operator tree with access
-// paths, join strategies and cardinality estimates — the output of the
+// Explain renders the plan as an indented operator tree with scans,
+// join strategies and cardinality estimates — the output of the
 // console's :explain command and the planner's golden tests.
 func (p *Plan) Explain() string {
 	var b strings.Builder
@@ -54,15 +54,8 @@ func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int
 }
 
 func (e *Exchange) describe() string {
-	name := "?"
-	switch t := e.part.(type) {
-	case *Scan:
-		name = bindingName(t.B)
-	case *IndexScan:
-		name = bindingName(t.B)
-	}
 	return fmt.Sprintf("exchange workers=%d (morsels over %s, order-preserving merge)",
-		e.Workers, name)
+		e.Workers, bindingName(e.part.B))
 }
 
 func (s *Scan) describe() string {
@@ -75,39 +68,6 @@ func (s *Scan) describe() string {
 		part = fmt.Sprintf(" partitions=%d pruned=%d", s.PartN, s.PartPruned)
 	}
 	return fmt.Sprintf("scan %s%s [est=%d%s%s]", bindingName(s.B), prunedNote(s.B), s.Est, part, seg)
-}
-
-func (s *IndexScan) describe() string {
-	slot := func(p int) string { return sql.Param{Idx: p}.String() }
-	var cond string
-	switch {
-	case s.EqP >= 0:
-		cond = fmt.Sprintf("%s = %s", s.Col, slot(s.EqP))
-	case s.Eq != nil:
-		cond = fmt.Sprintf("%s = %s", s.Col, s.Eq)
-	default:
-		lo, hi := "-inf", "+inf"
-		lob, hib := "(", ")"
-		if s.LoP >= 0 {
-			lo = slot(s.LoP)
-		} else if s.Lo != nil {
-			lo = s.Lo.String()
-		}
-		if lo != "-inf" && s.LoIncl {
-			lob = "["
-		}
-		if s.HiP >= 0 {
-			hi = slot(s.HiP)
-		} else if s.Hi != nil {
-			hi = s.Hi.String()
-		}
-		if hi != "+inf" && s.HiIncl {
-			hib = "]"
-		}
-		cond = fmt.Sprintf("%s in %s%s, %s%s", s.Col, lob, lo, hi, hib)
-	}
-	return fmt.Sprintf("index scan %s (%s)%s [est=%d]",
-		bindingName(s.B), cond, prunedNote(s.B), s.Est)
 }
 
 func (f *Filter) describe() string {

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -122,4 +123,90 @@ func recvName(recv *ast.FieldList) string {
 		return id.Name
 	}
 	return "a type"
+}
+
+// TestOneAccessPath pins that a scan is the only way to read a table:
+// no secondary index, no index scan, and none of what existed only for
+// them — index maintenance on publish, the index-fed distinct counts,
+// the planner's access-path choice and range bounds, the template's
+// value-sensitive re-checks, the reference executor's index prune — is
+// declared or named again in any non-test file of the module,
+// benchmark/ included. No Go file at all, tests included, calls index
+// DDL, and store.Table has no read accessors of its own (a read pins a
+// TableSnap first), nor tableData an index field. The naive lowering
+// (plan.Build, plan.Optimize) is gone with them.
+func TestOneAccessPath(t *testing.T) {
+	ddl := map[string]bool{"BuildIndex": true, "BuildOrderedIndex": true, "DropIndex": true,
+		"DropAllIndexes": true, "BuildPrimaryIndexes": true}
+	banned := map[string]bool{"IndexScan": true, "HasIndex": true, "LookupIndex": true,
+		"HasOrderedIndex": true, "LookupRange": true, "mergeOrdered": true, "withOrderedIndex": true,
+		"publishIndex": true, "extendStats": true, "indexPrune": true, "pathPlan": true,
+		"planPath": true, "rangeBounds": true, "rangeSelectivity": true, "eqColConst": true,
+		"cmpColConst": true, "bindChecks": true, "rebindOK": true, "optimizeChecked": true,
+		"sameDecision": true, "indexDeps": true, "joinNodes": true, "EqColLiteral": true}
+	for name := range ddl {
+		banned[name] = true
+	}
+	tableReads := map[string]bool{"Len": true, "Rows": true, "Row": true, "Stats": true, "Segments": true}
+
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("../..", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "../.." && (name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		isTest := strings.HasSuffix(path, "_test.go")
+		rel, err := filepath.Rel("../..", path)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(rel))
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && ddl[sel.Sel.Name] {
+					t.Errorf("%s: calls index DDL (%s)", fset.Position(n.Pos()), sel.Sel.Name)
+				}
+			case *ast.Ident:
+				if !isTest && banned[n.Name] {
+					t.Errorf("%s: %s is back", fset.Position(n.Pos()), n.Name)
+				}
+			case *ast.FuncDecl:
+				switch {
+				case isTest:
+				case dir == "internal/store" && n.Recv != nil && recvName(n.Recv) == "Table" && tableReads[n.Name.Name]:
+					t.Errorf("%s: store.Table.%s reads without a pinned TableSnap", fset.Position(n.Pos()), n.Name.Name)
+				case dir == "internal/plan" && n.Recv == nil && (n.Name.Name == "Build" || n.Name.Name == "Optimize"):
+					t.Errorf("%s: the naive lowering plan.%s is back", fset.Position(n.Pos()), n.Name.Name)
+				}
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok && !isTest && dir == "internal/store" && n.Name.Name == "tableData" {
+					for _, fld := range st.Fields.List {
+						for _, name := range fld.Names {
+							if name.Name == "hash" || name.Name == "ord" {
+								t.Errorf("%s: tableData.%s is back", fset.Position(name.Pos()), name.Name)
+							}
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

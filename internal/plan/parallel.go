@@ -22,7 +22,7 @@ const minParallelRows = 256
 type Exchange struct {
 	In      Node
 	Workers int
-	part    Node // the Scan/IndexScan whose rows are split into morsels
+	part    *Scan // the scan whose rows are split into morsels
 }
 
 func (e *Exchange) Rel() *Rel        { return e.In.Rel() }
@@ -106,8 +106,6 @@ func pipelineWork(n Node) int {
 		switch t := c.(type) {
 		case *Scan:
 			est = t.Est
-		case *IndexScan:
-			est = t.Est
 		case *Filter:
 			est = t.Est
 		case *HashJoin:
@@ -126,11 +124,9 @@ func pipelineWork(n Node) int {
 // of joins) to the base scan whose rows will be morsel-partitioned.
 // Morsel sizing adapts to the leaf, so even a small probe leaf fans
 // its (potentially expensive) downstream work across the pool.
-func partitionLeaf(n Node) Node {
+func partitionLeaf(n Node) *Scan {
 	switch t := n.(type) {
 	case *Scan:
-		return t
-	case *IndexScan:
 		return t
 	case *Filter:
 		return partitionLeaf(t.In)
@@ -142,14 +138,12 @@ func partitionLeaf(n Node) Node {
 	return nil
 }
 
-// morselRun tells a leaf scan inside a worker which slice of its base
-// rows to produce instead of the full table: the [lo, hi) range
-// (zero-copy windows over the segment columns) or, for index scans,
-// the ids to gather.
+// morselRun tells the leaf scan inside a worker which slice of its
+// base rows to produce instead of the full table: the [lo, hi) range,
+// read as zero-copy windows over the segment columns.
 type morselRun struct {
-	node   Node  // identity of the partitioned leaf
-	lo, hi int   // base-table row range (Scan morsels)
-	ids    []int // index-selected row ids (IndexScan morsels)
+	node   *Scan // identity of the partitioned leaf
+	lo, hi int   // base-table row range
 }
 
 // slotSink receives one morsel of an Exchange run with the context its
@@ -171,52 +165,27 @@ func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 	if workers <= 1 {
 		return 0, nil, nil
 	}
-	var one [1][2]int
-	ranges, ids, ok, err := leafRanges(ctx, e.part, one[:0])
-	if !ok || err != nil {
-		return 0, nil, err
+	tab := ctx.Snap.Table(e.part.B.Meta.Name)
+	if tab == nil {
+		return 0, nil, errUnknownTable(e.part.B.Meta.Name)
 	}
+	// A leaf of at most one row before pruning passes through, and the
+	// scan prunes for itself.
+	if tab.Len() <= 1 {
+		return 0, nil, nil
+	}
+	// The scan's kept ranges are what the serial walk reads, so pruned
+	// partitions are gone before any morsel is cut.
+	var one [1][2]int
+	ranges := e.part.keptRanges(ctx, tab, one[:0])
 	spans := morselSpans(ranges, workers)
 	workers = min(workers, len(spans))
 	return len(spans), func(sink slotSink) error {
 		return runSlots(ctx, workers, len(spans), func(m int, wctx *Ctx) error {
-			lo, hi := spans[m][0], spans[m][1]
-			mr := &morselRun{node: e.part, lo: lo, hi: hi}
-			if ids != nil {
-				mr.ids = ids[lo:hi]
-			}
-			wctx.part = mr
+			wctx.part = &morselRun{node: e.part, lo: spans[m][0], hi: spans[m][1]}
 			return sink(m, wctx)
 		})
 	}, nil
-}
-
-// leafRanges appends to buf the ascending row ranges one run of the
-// exchange's leaf reads: a Scan's kept ranges — Scan.keptRanges, what
-// the serial walk reads, so pruned partitions are gone before any
-// morsel is cut — or one range of positions into the ids an IndexScan
-// selected, returned beside it. ok is false when the leaf holds at most
-// one row before pruning: the exchange passes through, and the scan
-// prunes for itself.
-func leafRanges(ctx *Ctx, leaf Node, buf [][2]int) (ranges [][2]int, ids []int, ok bool, err error) {
-	switch s := leaf.(type) {
-	case *Scan:
-		tab := ctx.Snap.Table(s.B.Meta.Name)
-		if tab == nil {
-			return nil, nil, false, errUnknownTable(s.B.Meta.Name)
-		}
-		if tab.Len() <= 1 {
-			return nil, nil, false, nil
-		}
-		return s.keptRanges(ctx, tab, buf), nil, true, nil
-	case *IndexScan:
-		ids, err := s.lookupIDs(ctx)
-		if err != nil || len(ids) <= 1 {
-			return nil, nil, false, err
-		}
-		return append(buf, [2]int{0, len(ids)}), ids, true, nil
-	}
-	return nil, nil, false, errUnknownTable("<not a leaf>")
 }
 
 // morselSpans cuts ranges into contiguous morsels, about four per

@@ -1,14 +1,14 @@
 // Package plan is the query-planning layer between SQL generation and
-// the store: a logical-plan IR built from sql.SelectStmt (Build), a
-// cost-aware rewriter doing predicate pushdown, column pruning and
-// index-aware join ordering driven by table statistics (Optimize), a
-// vectorized batch-at-a-time executor (Run) and an Explain renderer.
+// the store: a logical-plan IR compiled from sql.SelectStmt with
+// predicate pushdown, zone-map skips, column pruning and join ordering
+// driven by table statistics (Compile), a vectorized batch-at-a-time
+// executor (Run) and an Explain renderer.
 //
 // The scalar-expression semantics the vector kernels do not reproduce
 // (subqueries, cross-kind comparisons and the like) stay in
 // internal/exec, which implements the Evaluator interface; plan owns
-// everything relational: access paths, join order and shape, and the
-// operator pipeline.
+// everything relational: scans, join order and shape, and the operator
+// pipeline.
 package plan
 
 import (
@@ -143,24 +143,6 @@ type Scan struct {
 	rel               *Rel
 }
 
-// IndexScan reads rows matching an indexed predicate: Eq via the hash
-// index, or a Lo/Hi range via the ordered index. A probe or bound that
-// came from a parameterized conjunct carries a parameter slot (EqP /
-// LoP / HiP, -1 when unused) instead of a baked value: it is resolved
-// from Ctx.Params when the scan opens, which is what lets one compiled
-// template plan serve every binding of its shape.
-type IndexScan struct {
-	B              Binding
-	Col            string       // indexed column name
-	Eq             *store.Value // equality probe; nil for a range scan
-	Lo, Hi         *store.Value // range bounds; nil = unbounded
-	EqP            int          // parameter slot of the probe; -1 = none
-	LoP, HiP       int          // parameter slots of the bounds; -1 = none
-	LoIncl, HiIncl bool
-	Est            int
-	rel            *Rel
-}
-
 // Filter keeps rows for which Pred evaluates to exactly TRUE.
 type Filter struct {
 	In   Node
@@ -228,7 +210,6 @@ type Limit struct {
 }
 
 func (s *Scan) Rel() *Rel      { return s.rel }
-func (s *IndexScan) Rel() *Rel { return s.rel }
 func (f *Filter) Rel() *Rel    { return f.In.Rel() }
 func (j *HashJoin) Rel() *Rel  { return j.rel }
 func (j *CrossJoin) Rel() *Rel { return j.rel }
@@ -239,7 +220,6 @@ func (s *Sort) Rel() *Rel      { return nil }
 func (l *Limit) Rel() *Rel     { return nil }
 
 func (s *Scan) Children() []Node      { return nil }
-func (s *IndexScan) Children() []Node { return nil }
 func (f *Filter) Children() []Node    { return []Node{f.In} }
 func (j *HashJoin) Children() []Node  { return []Node{j.L, j.R} }
 func (j *CrossJoin) Children() []Node { return []Node{j.L, j.R} }
@@ -255,7 +235,6 @@ func (l *Limit) Children() []Node     { return []Node{l.In} }
 type Plan struct {
 	Root Node
 	Cols []string
-	Stmt *sql.SelectStmt
 	Par  int
 }
 
@@ -270,8 +249,8 @@ func Walk(n Node, visit func(Node)) {
 	}
 }
 
-// OperatorCounts tallies the plan's node kinds ("scan", "index-scan",
-// "filter", "hash-join", "cross-join", ...) — the plan-shape counters
+// OperatorCounts tallies the plan's node kinds ("scan", "filter",
+// "hash-join", "cross-join", ...) — the plan-shape counters
 // the benchmark harness reports.
 func (p *Plan) OperatorCounts() map[string]int {
 	counts := map[string]int{}
@@ -279,8 +258,6 @@ func (p *Plan) OperatorCounts() map[string]int {
 		switch n.(type) {
 		case *Scan:
 			counts["scan"]++
-		case *IndexScan:
-			counts["index-scan"]++
 		case *Filter:
 			counts["filter"]++
 		case *HashJoin:

@@ -12,8 +12,8 @@ import (
 )
 
 // TestTemplateBindFastPath: constants of the same shape rebind onto
-// the shared compiled tree — the plan pointer itself — with the index
-// probe left as a parameter slot.
+// the shared compiled tree — the plan pointer itself — with the key
+// predicate left as a parameter slot. Another worker degree recompiles.
 func TestTemplateBindFastPath(t *testing.T) {
 	db := dataset.University(1)
 	tmplStmt, params := sql.Parameterize(sql.MustParse("SELECT name FROM students WHERE id = 7"))
@@ -23,7 +23,7 @@ func TestTemplateBindFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ex := tmpl.Plan().Explain(); !strings.Contains(ex, "id = $1") {
-		t.Errorf("template plan should probe through a parameter slot:\n%s", ex)
+		t.Errorf("template plan should filter through a parameter slot:\n%s", ex)
 	}
 
 	_, params2 := sql.Parameterize(sql.MustParse("SELECT name FROM students WHERE id = 23"))
@@ -36,6 +36,9 @@ func TestTemplateBindFastPath(t *testing.T) {
 	}
 	if p != tmpl.Plan() {
 		t.Error("fast path should return the shared compiled tree")
+	}
+	if p, reused, err := tmpl.Bind(sn, params2, 2); err != nil || reused || p == tmpl.Plan() {
+		t.Errorf("a bind at another degree must recompile: reused=%v err=%v", reused, err)
 	}
 }
 
@@ -70,9 +73,9 @@ func explainLine(explain, substr string) string {
 
 // TestTemplateRebindAfterDrift: a hash join hashes the input the
 // optimizer estimates smaller and probes with the larger. A bulk load
-// that inverts two tables' relative sizes inverts that choice; Bind
-// detects the stale decision from the fresh statistics and recompiles
-// instead of reusing the cached tree.
+// that inverts two tables' relative sizes inverts that choice; the load
+// moves the stats epoch, so Bind recompiles instead of reusing the
+// cached tree.
 func TestTemplateRebindAfterDrift(t *testing.T) {
 	s := schema.MustNew("drift", []*schema.Table{
 		{Name: "small", Columns: []schema.Column{
@@ -132,7 +135,8 @@ func TestTemplateRebindAfterDrift(t *testing.T) {
 // greedy order alone — a is still the smallest table and b the only
 // one connected to it — and keeps every estimate on the same side of
 // the parallelize gate, but grows c past the a-b join it is joined to:
-// c was the side to hash, now the join result is. Bind must notice.
+// c was the side to hash, now the join result is. The load moves the
+// stats epoch, so Bind recompiles and the fresh tree hashes the join.
 // driftDB is a ten-row a, a hundred-row b referencing it, and a c
 // that loadC fills with rows [from, to) referencing b.
 func driftDB() (db *store.DB, loadC func(from, to int)) {
@@ -198,8 +202,9 @@ func TestTemplateRebindBuildSideDrift(t *testing.T) {
 }
 
 // A cross join hashes nothing, so which of its inputs is smaller is not
-// a decision the tree bakes in: the same drift that staled the tree
-// above must leave this one reusable.
+// a decision the tree bakes in. The same drift still moves the stats
+// epoch, so Bind recompiles — and the fresh tree has the same shape:
+// a cross join with no build side on c.
 func TestTemplateRebindCrossJoinIgnoresSizes(t *testing.T) {
 	db, loadC := driftDB()
 	loadC(0, 50)
@@ -218,8 +223,11 @@ func TestTemplateRebindCrossJoinIgnoresSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reused {
-		t.Errorf("c outgrowing the a-b join changes nothing about a cross join, yet Bind recompiled:\n%s\n--- became ---\n%s",
-			before, p.Explain())
+	if reused {
+		t.Errorf("a load moved the stats epoch, yet Bind reused the cached tree:\n%s", before)
+	}
+	after := p.Explain()
+	if !strings.Contains(after, "cross join") || strings.Contains(explainLine(after, "scan c "), "[build]") {
+		t.Errorf("c outgrowing the a-b join changed the cross join's shape:\n%s\n--- became ---\n%s", before, after)
 	}
 }

@@ -1721,8 +1721,8 @@ func keyEqIntFloat(i int64, f float64) bool {
 // ---- column builders ----
 
 // colbuf accumulates rows into a growing typed column — the builder
-// behind join and cross-join inputs, index-scan batches, GROUP BY key
-// sets, DISTINCT seen sets and sort buffers.
+// behind join and cross-join inputs, GROUP BY key sets, DISTINCT seen
+// sets and sort buffers.
 type colbuf struct {
 	kind    store.Kind
 	ints    []int64

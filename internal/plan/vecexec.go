@@ -35,8 +35,7 @@ type viter func() (*vbatch, error)
 // vopen carries the cancellation checkpoint: every batch a pipeline
 // processes is pulled through a leaf, so a per-batch check here covers
 // the whole operator tree.
-func (s *Scan) vopen(ctx *Ctx) (viter, error)      { return ctx.checkpoint(s.batches(ctx)) }
-func (s *IndexScan) vopen(ctx *Ctx) (viter, error) { return ctx.checkpoint(s.batches(ctx)) }
+func (s *Scan) vopen(ctx *Ctx) (viter, error) { return ctx.checkpoint(s.batches(ctx)) }
 
 // batches is the scan's iterator before the cancellation checkpoint.
 func (s *Scan) batches(ctx *Ctx) (viter, error) {
@@ -49,7 +48,7 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
 	ss := tab.Segments()
 	// An Exchange worker reads its morsel, cut inside the kept ranges.
-	if mr := ctx.part; mr != nil && mr.node == Node(s) {
+	if mr := ctx.part; mr != nil && mr.node == s {
 		return segScanBatches(ctx, ss, s.B, mr.lo, mr.hi, preds, skipAll), nil
 	}
 	// Partition boundaries are segment boundaries in the merged set, so
@@ -65,22 +64,6 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 		its[i] = segScanBatches(ctx, ss, s.B, r[0], r[1], preds, skipAll)
 	}
 	return chainViters(its), nil
-}
-
-func (s *IndexScan) batches(ctx *Ctx) (viter, error) {
-	tab := ctx.Snap.Table(s.B.Meta.Name)
-	if tab == nil {
-		return nil, errUnknownTable(s.B.Meta.Name)
-	}
-	ss := tab.Segments()
-	if mr := ctx.part; mr != nil && mr.node == Node(s) {
-		return segGatherBatches(ctx, ss, s.B, mr.ids), nil
-	}
-	ids, err := s.lookupIDs(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return segGatherBatches(ctx, ss, s.B, ids), nil
 }
 
 // segFault resolves a segment's decoded columns through Segment.Cols,
@@ -193,77 +176,6 @@ func segWindowCol(sc *store.SegCol, lo, hi int, mask []bool) vcol {
 		vc.bools = sc.Bools[lo:hi]
 	}
 	return vc
-}
-
-// segGatherBatches materializes the given row ids from the segment
-// layout into dense batches — the index-scan and morsel-over-ids form.
-func segGatherBatches(ctx *Ctx, ss *store.SegSet, b Binding, ids []int) viter {
-	pos := 0
-	// Gathers hop between segments by row id; memoize the last faulted
-	// segment so runs of ids inside one segment fault it once.
-	lastSi := -1
-	var lastCols []*store.SegCol
-	return func() (*vbatch, error) {
-		if pos >= len(ids) {
-			return nil, nil
-		}
-		end := min(pos+maxBatch, len(ids))
-		chunk := ids[pos:end]
-		out := &vbatch{n: len(chunk), cols: make([]vcol, len(b.Cols))}
-		for c, ci := range b.Cols {
-			cb := newColbuf(store.KindOfColType(b.Meta.Columns[ci].Type))
-			for _, id := range chunk {
-				si, off := ss.Locate(id)
-				if si != lastSi {
-					cols, err := segFault(ctx, ss.Segs[si])
-					if err != nil {
-						return nil, err
-					}
-					lastSi, lastCols = si, cols
-				}
-				cb.pushSegCol(lastCols[ci], off)
-			}
-			out.cols[c] = cb.col()
-		}
-		pos = end
-		return out, nil
-	}
-}
-
-// pushSegCol appends segment-local row i of a segment column, decoding
-// through its encoding.
-func (cb *colbuf) pushSegCol(sc *store.SegCol, i int) {
-	isNull := sc.IsNull(i)
-	cb.nulls = append(cb.nulls, isNull)
-	if isNull {
-		cb.anyNull = true
-	}
-	switch cb.kind {
-	case store.KindInt:
-		var v int64
-		if !isNull {
-			v = sc.IntAt(i)
-		}
-		cb.ints = append(cb.ints, v)
-	case store.KindFloat:
-		var v float64
-		if !isNull {
-			v = sc.Floats[i]
-		}
-		cb.floats = append(cb.floats, v)
-	case store.KindText:
-		var v string
-		if !isNull {
-			v = sc.StrAt(i)
-		}
-		cb.strs = append(cb.strs, v)
-	case store.KindBool:
-		var v bool
-		if !isNull {
-			v = sc.Bools[i]
-		}
-		cb.bools = append(cb.bools, v)
-	}
 }
 
 // ---- filter ----
@@ -1562,8 +1474,7 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 // ---- exchange ----
 
 // vopen runs the exchange's subtree vectorized: morsels hand each
-// worker a contiguous batch range of the partitioned leaf (an id range
-// for index scans), workers drain their vectorized pipelines keeping
+// worker a contiguous batch range of the partitioned leaf, workers drain their vectorized pipelines keeping
 // every batch, and the merged stream concatenates morsel outputs in
 // order — identical rows to the serial vectorized plan, which is
 // itself identical to the serial row plan. An aggregate that merges

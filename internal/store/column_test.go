@@ -65,13 +65,13 @@ func TestSegColsRoundTrip(t *testing.T) {
 	}
 
 	// The layout is cached until a mutation, then extended.
-	if tab.Segments() != ss {
+	if tab.Snap().Segments() != ss {
 		t.Error("Segments not cached across calls")
 	}
 	if err := tab.Insert(Int(4), Float(1), Text("d"), Bool(true)); err != nil {
 		t.Fatal(err)
 	}
-	if fresh := tab.Segments(); fresh.N != 4 {
+	if fresh := tab.Snap().Segments(); fresh.N != 4 {
 		t.Errorf("extended layout has %d rows, want 4", fresh.N)
 	}
 }
@@ -90,48 +90,30 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 	}
 
 	_, a := mk()
-	if err := a.BuildIndex("id"); err != nil { // indexes exist before the load
-		t.Fatal(err)
-	}
 	if err := a.BulkInsert(rows); err != nil {
 		t.Fatal(err)
 	}
 
 	_, b := mk()
-	if err := b.BuildIndex("id"); err != nil {
-		t.Fatal(err)
-	}
 	for _, r := range rows {
 		if err := b.Insert(r...); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if a.Len() != b.Len() {
-		t.Fatalf("row counts differ: %d vs %d", a.Len(), b.Len())
+	sa, sb := a.Snap(), b.Snap()
+	if sa.Len() != sb.Len() {
+		t.Fatalf("row counts differ: %d vs %d", sa.Len(), sb.Len())
 	}
-	for i := 0; i < a.Len(); i++ {
-		if a.Row(i).String() != b.Row(i).String() {
-			t.Errorf("row %d differs: %s vs %s", i, a.Row(i), b.Row(i))
+	for i := 0; i < sa.Len(); i++ {
+		if sa.Row(i).String() != sb.Row(i).String() {
+			t.Errorf("row %d differs: %s vs %s", i, sa.Row(i), sb.Row(i))
 		}
 	}
-	for _, probe := range []Value{Int(0), Int(150), Int(299), Int(1000)} {
-		ia, oka := a.LookupIndex("id", probe)
-		ib, okb := b.LookupIndex("id", probe)
-		if oka != okb || len(ia) != len(ib) {
-			t.Errorf("index lookup %v differs: %v/%v vs %v/%v", probe, ia, oka, ib, okb)
-		}
-	}
-	lo, hi := Int(10), Int(20)
-	ra, oka := a.LookupRange("id", &lo, &hi, true, true)
-	rb, okb := b.LookupRange("id", &lo, &hi, true, true)
-	if !oka || !okb || len(ra) != len(rb) {
-		t.Errorf("range lookup differs: %d/%v vs %d/%v", len(ra), oka, len(rb), okb)
-	}
-	sa, _ := a.Stats("score")
-	sb, _ := b.Stats("score")
-	if sa != sb {
-		t.Errorf("stats differ: %+v vs %+v", sa, sb)
+	sta, _ := sa.Stats("score")
+	stb, _ := sb.Stats("score")
+	if sta != stb {
+		t.Errorf("stats differ: %+v vs %+v", sta, stb)
 	}
 	if a.Version() == 0 {
 		t.Error("BulkInsert did not bump the data version")
@@ -163,8 +145,8 @@ func TestBulkInsertValidates(t *testing.T) {
 	if err == nil {
 		t.Fatal("mixed batch error not caught")
 	}
-	if tab.Len() != 0 {
-		t.Errorf("failed bulk insert left %d rows behind", tab.Len())
+	if tab.Snap().Len() != 0 {
+		t.Errorf("failed bulk insert left %d rows behind", tab.Snap().Len())
 	}
 	if tab.Version() != before {
 		t.Error("failed bulk insert bumped the data version")

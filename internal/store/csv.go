@@ -76,10 +76,8 @@ func (db *DB) LoadCSVHint(table string, r io.Reader, rowHint int) (int, error) {
 		}
 	}
 
-	// Parse every record first, then append through the bulk path: any
-	// pre-existing indexes are rebuilt once after the load instead of
-	// being maintained per row (per-row ordered-index maintenance made
-	// large CSV loads O(n²)).
+	// Parse every record first, then append through the bulk path as
+	// one published version.
 	//
 	// Buffers are sized from the row hint — given by the caller, or
 	// estimated as remaining file bytes over the first record's width —
@@ -166,8 +164,8 @@ func parseCell(cell string, want schema.ColType) (Value, error) {
 }
 
 // LoadCSVDir loads <table>.csv from dir for every schema table that
-// has a matching file, then builds the primary indexes. Missing files
-// are skipped (tables may legitimately start empty).
+// has a matching file. Missing files are skipped (tables may
+// legitimately start empty).
 func (db *DB) LoadCSVDir(dir string) error {
 	for _, t := range db.Schema.Tables {
 		path := filepath.Join(dir, t.Name+".csv")
@@ -187,7 +185,7 @@ func (db *DB) LoadCSVDir(dir string) error {
 			return closeErr
 		}
 	}
-	return db.BuildPrimaryIndexes()
+	return nil
 }
 
 // WriteCSV writes the table (header plus all rows of the current

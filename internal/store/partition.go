@@ -17,7 +17,7 @@ import (
 //
 // The canonical row order of a partitioned table is the concatenation of
 // its partitions (partition 0 first). Every merged read view — rows,
-// indexes, stats, segments — presents exactly that
+// stats, segments — presents exactly that
 // order, so execution layers that are unaware of partitioning stay
 // row-for-row identical to a single-partition table with the same
 // contents in the same canonical order.
@@ -186,7 +186,7 @@ type PartCounters struct {
 }
 
 // Partition reshapes the table into scheme's partition streams,
-// rerouting every existing row and rebuilding indexes per partition.
+// rerouting every existing row.
 // It is a row-order mutation (the canonical order becomes the new
 // partition concatenation), so the data version bumps and caches keyed
 // on it invalidate. Concurrent writers retry under the new layout;
@@ -232,14 +232,10 @@ func (t *Table) Partition(scheme PartScheme) error {
 		}
 	}
 
-	// The index DDL set carries over: rebuild each index per partition
-	// over partition-local row ids.
-	d0 := ps.datas[0]
-	hashCols := sortedKeys(d0.hash)
-	ordCols := sortedKeys(d0.ord)
+	segRows := ps.datas[0].segRows
 	datas := make([]*tableData, scheme.N)
 	for p, rows := range parts {
-		datas[p] = buildPartData(t.colIdx, rows, hashCols, ordCols, d0.segRows)
+		datas[p] = &tableData{rows: rows, segRows: segRows, caches: &dataCaches{}}
 	}
 
 	layout := &partLayout{scheme: scheme, locks: make([]sync.Mutex, scheme.N)}
@@ -247,40 +243,6 @@ func (t *Table) Partition(scheme PartScheme) error {
 	t.pset.Store(newPartSet(layout, datas, ps.version+1))
 	t.pubMu.Unlock()
 	return nil
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// buildPartData builds one partition's tableData from scratch: rows in
-// routed order, hash and ordered indexes over partition-local ids.
-func buildPartData(colIdx map[string]int, rows []Row, hashCols, ordCols []string, segRows int) *tableData {
-	d := &tableData{rows: rows, segRows: segRows, caches: &dataCaches{}}
-	if len(hashCols) > 0 {
-		d.hash = make(map[string]map[string][]int, len(hashCols))
-		for _, col := range hashCols {
-			ci := colIdx[col]
-			idx := make(map[string][]int)
-			for id, row := range rows {
-				k := row[ci].Key()
-				idx[k] = append(idx[k], id)
-			}
-			d.hash[col] = idx
-		}
-	}
-	for _, col := range ordCols {
-		d.ord = withOrderedIndex(d, col, colIdx[col])
-	}
-	return d
 }
 
 // lockAll acquires every partition writer lock of the table's current

@@ -76,8 +76,8 @@ func BenchmarkPartitionedParallelLoad(b *testing.B) {
 			}(w)
 		}
 		wg.Wait()
-		if t.Len() != len(src) {
-			b.Fatalf("loaded %d rows, want %d", t.Len(), len(src))
+		if t.Snap().Len() != len(src) {
+			b.Fatalf("loaded %d rows, want %d", t.Snap().Len(), len(src))
 		}
 	}
 }

@@ -85,12 +85,6 @@ func TestPartitionedReadsMatchSingle(t *testing.T) {
 			single := NewDB(partSchema(t))
 			parted := NewDB(partSchema(t))
 			for _, db := range []*DB{single, parted} {
-				if err := db.Table("items").BuildIndex("id"); err != nil {
-					t.Fatal(err)
-				}
-				if err := db.Table("items").BuildIndex("grp"); err != nil {
-					t.Fatal(err)
-				}
 				db.MustBulkInsert("items", partRows(n))
 			}
 			if err := parted.PartitionTable("items", tc.scheme); err != nil {
@@ -121,45 +115,6 @@ func TestPartitionedReadsMatchSingle(t *testing.T) {
 					if Compare(r[c], pr[c]) != 0 && !(r[c].IsNull() && pr[c].IsNull()) {
 						t.Fatalf("row id=%d column %d differs", r[0].Int64(), c)
 					}
-				}
-			}
-
-			// Point probes resolve the same rows through the merged index.
-			for _, g := range []int64{0, 7, 16} {
-				sids, _ := ss.LookupIndex("grp", Int(g))
-				pids, ok := ps.LookupIndex("grp", Int(g))
-				if !ok {
-					t.Fatalf("merged view lost the grp index")
-				}
-				if len(sids) != len(pids) {
-					t.Fatalf("grp=%d: %d ids vs %d", g, len(sids), len(pids))
-				}
-				for _, id := range pids {
-					if ps.Row(id)[1].Int64() != g {
-						t.Fatalf("grp=%d probe returned row with grp=%d", g, ps.Row(id)[1].Int64())
-					}
-				}
-			}
-
-			// Range probes return the same multiset of values, ascending.
-			lo, hi := Int(50), Int(199)
-			sids, _ := ss.LookupRange("id", &lo, &hi, true, true)
-			pids, ok := ps.LookupRange("id", &lo, &hi, true, true)
-			if !ok {
-				t.Fatalf("merged view lost the ordered index")
-			}
-			if len(sids) != len(pids) {
-				t.Fatalf("range: %d ids vs %d", len(sids), len(pids))
-			}
-			prev := int64(-1 << 62)
-			for i := range pids {
-				v := ps.Row(pids[i])[0].Int64()
-				if v < prev {
-					t.Fatalf("merged LookupRange out of order: %d after %d", v, prev)
-				}
-				prev = v
-				if sv := ss.Row(sids[i])[0].Int64(); sv != v {
-					t.Fatalf("range position %d: %d vs %d", i, sv, v)
 				}
 			}
 
@@ -235,18 +190,16 @@ func TestPartitionedSegmentsCoverAllRows(t *testing.T) {
 	}
 }
 
-// TestRepartitionVersioning: index DDL leaves the data version alone,
+// TestRepartitionVersioning: a reseal leaves the data version alone,
 // row loads and repartitioning bump it.
 func TestRepartitionVersioning(t *testing.T) {
 	db := NewDB(partSchema(t))
 	tab := db.Table("items")
 	db.MustBulkInsert("items", partRows(10))
 	v0 := tab.Version()
-	if err := tab.BuildIndex("grp"); err != nil {
-		t.Fatal(err)
-	}
+	tab.SetSegmentRows(4)
 	if v := tab.Version(); v != v0 {
-		t.Fatalf("index DDL moved the version: %d -> %d", v0, v)
+		t.Fatalf("reseal moved the version: %d -> %d", v0, v)
 	}
 	if err := tab.Partition(HashPartition("grp", 4)); err != nil {
 		t.Fatal(err)
@@ -259,8 +212,8 @@ func TestRepartitionVersioning(t *testing.T) {
 	if v := tab.Version(); v <= v1 {
 		t.Fatalf("partitioned load must bump the version: %d -> %d", v1, v)
 	}
-	if !tab.HasIndex("grp") {
-		t.Fatal("repartition dropped the grp index")
+	if sr := tab.Snap().SegmentRows(); sr != 4 {
+		t.Fatalf("repartition dropped the seal boundary: %d rows per segment, want 4", sr)
 	}
 }
 
@@ -330,12 +283,12 @@ func TestConcurrentPartitionLoadsAtomic(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	if got, want := tab.Len(), loaders*batches*batchRows; got != want {
+	if got, want := tab.Snap().Len(), loaders*batches*batchRows; got != want {
 		t.Fatalf("loaded %d rows, want %d", got, want)
 	}
 	// No duplicates: every id must be unique.
 	ids := map[int64]bool{}
-	for _, row := range tab.Rows() {
+	for _, row := range tab.Snap().Rows() {
 		if ids[row[0].Int64()] {
 			t.Fatalf("duplicate id %d after concurrent loads", row[0].Int64())
 		}
@@ -382,11 +335,11 @@ func TestRepartitionUnderLoad(t *testing.T) {
 	wg.Wait()
 
 	want := loaders * batches * batchRows
-	if got := tab.Len(); got != want {
+	if got := tab.Snap().Len(); got != want {
 		t.Fatalf("after repartition under load: %d rows, want %d", got, want)
 	}
 	ids := map[int64]bool{}
-	for _, row := range tab.Rows() {
+	for _, row := range tab.Snap().Rows() {
 		if ids[row[0].Int64()] {
 			t.Fatalf("duplicate id %d after repartition under load", row[0].Int64())
 		}

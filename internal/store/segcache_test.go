@@ -91,7 +91,7 @@ func TestSegCacheSpillEvictFault(t *testing.T) {
 func TestSegCacheHitPath(t *testing.T) {
 	db, tab := spillTable(t, 1024, 256, 64<<20)
 	c := db.SegCache()
-	ss := tab.Segments()
+	ss := tab.Snap().Segments()
 	base := c.Stats()
 	if base.Evictions != 0 {
 		t.Fatalf("%d evictions under an ample budget", base.Evictions)
@@ -118,7 +118,7 @@ func TestSegCacheHitPath(t *testing.T) {
 func TestSegCacheSingleflight(t *testing.T) {
 	db, tab := spillTable(t, 512, 256, 64<<20)
 	c := db.SegCache()
-	ss := tab.Segments()
+	ss := tab.Snap().Segments()
 	seg := ss.Segs[0]
 	if !seg.Sealed {
 		t.Fatal("fixture: first segment not sealed")
@@ -157,7 +157,7 @@ func TestSegCacheSingleflight(t *testing.T) {
 func TestSegCacheFaultCancellation(t *testing.T) {
 	db, tab := spillTable(t, 512, 256, 64<<20)
 	c := db.SegCache()
-	seg := tab.Segments().Segs[0]
+	seg := tab.Snap().Segments().Segs[0]
 	c.EvictAll()
 
 	done := make(chan struct{})
@@ -177,7 +177,7 @@ func TestSegCacheFaultCancellation(t *testing.T) {
 func TestSegCacheClockSecondChance(t *testing.T) {
 	db, tab := spillTable(t, 2048, 256, 64<<20)
 	c := db.SegCache()
-	ss := tab.Segments()
+	ss := tab.Snap().Segments()
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("pre-test evictions: %d", st.Evictions)
 	}

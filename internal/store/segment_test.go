@@ -80,10 +80,10 @@ func TestSegmentIncrementalPublish(t *testing.T) {
 	}
 
 	add(37)
-	prev := tab.Segments() // force the layout so publishes extend it
+	prev := tab.Snap().Segments() // force the layout so publishes extend it
 	for _, k := range []int{1, 62, 1, 250, 99, 3} {
 		add(k)
-		cur := tab.Segments()
+		cur := tab.Snap().Segments()
 		if cur.N != next {
 			t.Fatalf("after +%d: segset covers %d rows, want %d", k, cur.N, next)
 		}
@@ -99,7 +99,7 @@ func TestSegmentIncrementalPublish(t *testing.T) {
 	}
 
 	// The final incremental layout must match a from-scratch encode.
-	scratch := buildSegments(tab.Meta, tab.Rows(), 100)
+	scratch := buildSegments(tab.Meta, tab.Snap().Rows(), 100)
 	if len(scratch.Segs) != len(prev.Segs) {
 		t.Fatalf("incremental has %d segments, scratch %d", len(prev.Segs), len(scratch.Segs))
 	}
@@ -377,9 +377,9 @@ func TestSegmentBytesCompresses(t *testing.T) {
 	if err := tab.BulkInsert(rows); err != nil {
 		t.Fatal(err)
 	}
-	segBytes := tab.Segments().Bytes()
+	segBytes := tab.Snap().Segments().Bytes()
 	tab.SetSegmentRows(len(rows) + 1)
-	plain := tab.Segments()
+	plain := tab.Snap().Segments()
 	if len(plain.Segs) != 1 || plain.Segs[0].Sealed {
 		t.Fatalf("a seal boundary past the last row left %d segments", len(plain.Segs))
 	}

@@ -12,42 +12,37 @@ import (
 // writers build the next version copy-on-write under the table's write
 // lock and publish it with one atomic pointer store; readers pin a
 // version (TableSnap, or a whole-database Snapshot) and see it frozen
-// — rows, hash and ordered indexes, statistics and the segment layout
-// all describe the same instant, with no locks on the read path.
+// — rows, statistics and the segment layout all describe the same
+// instant, with no locks on the read path.
 //
 // Copy-on-write is chunk-grained, not wholesale:
 //
 //   - rows append in place: a published []Row is only ever extended
 //     past its length, which readers of the shorter header never see;
-//   - hash indexes clone the outer map (shallow) and copy only the
-//     per-key id slices the new rows touch;
-//   - ordered indexes merge the sorted new ids with the old run in
-//     O(n+k) instead of re-sorting;
-//   - statistics and the segment layout carry over incrementally when
-//     the previous version had them built (see extendStats, extendSegs).
+//   - the segment layout carries over incrementally when the previous
+//     version had it built: sealed segments are shared by pointer and
+//     only the tail is re-encoded (see extendSegs);
+//   - statistics are recomputed lazily, per column, on first demand.
 //
-// Writers to one table serialize on wmu; writers to different tables
-// are independent. Version numbers are per table and bump only on row
-// mutations — index DDL republishes the same data under the same
-// version, so caches keyed on versions stay valid.
+// Writers to one partition serialize on its lock; writers to different
+// tables are independent. Version numbers are per table and bump only
+// on row mutations — a reseal (SetSegmentRows) republishes the same
+// data under the same version, so caches keyed on versions stay valid.
 
 // tableData is one immutable version of a table's contents. Everything
 // reachable from it is frozen at publish time except the lazy caches,
 // which are guarded and only ever move from empty to built.
 type tableData struct {
 	rows    []Row
-	hash    map[string]map[string][]int // column -> value key -> row ids
-	ord     map[string][]int            // column -> row ids sorted by value
 	version uint64
 	segRows int // seal boundary for the segment layout (0 = default)
 	caches  *dataCaches
 }
 
 // dataCaches holds the lazily-built derivatives of one data version:
-// per-column statistics and the segment layout. Index-only republishes
-// share the caches of the version they mirror (same rows, same stats,
-// same segments); row mutations allocate a fresh one, pre-seeded
-// incrementally where possible.
+// per-column statistics and the segment layout. Row mutations allocate
+// a fresh one, its segment layout pre-seeded incrementally when the
+// previous version had one built.
 type dataCaches struct {
 	statsMu sync.Mutex
 	stats   map[string]ColStats
@@ -58,8 +53,8 @@ type dataCaches struct {
 
 // TableSnap is a pinned, immutable view of one table version. All read
 // accessors of Table exist here too; a query that resolves its tables
-// once through a Snapshot sees rows, indexes, stats and segments
-// that are mutually consistent for its whole plan, regardless of
+// once through a Snapshot sees rows, stats and segments that are
+// mutually consistent for its whole plan, regardless of
 // concurrent writers.
 //
 // For a partitioned table the pinned state is a whole partSet — one
@@ -106,7 +101,7 @@ func (s *TableSnap) NumParts() int {
 // Part returns the pinned view of partition i alone. It behaves
 // exactly like an unpartitioned table holding just that partition's
 // rows (partition-local ids), which is what lets every read path —
-// scans, segment iteration, index probes — run per-partition without
+// scans, segment iteration, statistics — run per-partition without
 // partition-specific code.
 func (s *TableSnap) Part(i int) *TableSnap {
 	if s.d != nil {
@@ -124,7 +119,7 @@ func (s *TableSnap) Part(i int) *TableSnap {
 func (s *TableSnap) PartStart(i int) int { return s.ps.cum[i] }
 
 // data0 is the representative tableData for properties uniform across
-// partitions (index DDL set, seal boundary).
+// partitions (the seal boundary).
 func (s *TableSnap) data0() *tableData {
 	if s.d != nil {
 		return s.d
@@ -167,145 +162,11 @@ func (s *TableSnap) Row(i int) Row {
 	return ps.datas[p].rows[i-ps.cum[p]]
 }
 
-// HasIndex reports whether the column has a hash index. Index DDL is
-// table-wide, so partition 0 speaks for every partition.
-func (s *TableSnap) HasIndex(col string) bool {
-	_, ok := s.data0().hash[col]
-	return ok
-}
-
-// LookupIndex returns the ids of rows whose column equals v, using the
-// hash index. The second result is false when no index exists. On a
-// merged view the per-partition probes concatenate, mapped to global
-// ids — ascending, since partition-local ids ascend and partitions are
-// visited in canonical order.
-func (s *TableSnap) LookupIndex(col string, v Value) ([]int, bool) {
-	if s.d != nil {
-		idx, ok := s.d.hash[col]
-		if !ok {
-			return nil, false
-		}
-		return idx[v.Key()], true
-	}
-	if _, ok := s.data0().hash[col]; !ok {
-		return nil, false
-	}
-	k := v.Key()
-	var out []int
-	for p, d := range s.ps.datas {
-		ids := d.hash[col][k]
-		if len(ids) == 0 {
-			continue
-		}
-		base := s.ps.cum[p]
-		if out == nil {
-			out = make([]int, 0, len(ids))
-		}
-		for _, id := range ids {
-			out = append(out, base+id)
-		}
-	}
-	return out, true
-}
-
-// HasOrderedIndex reports whether the column has an ordered index.
-func (s *TableSnap) HasOrderedIndex(col string) bool {
-	_, ok := s.data0().ord[col]
-	return ok
-}
-
-// LookupRange returns the ids of rows whose column value lies between
-// lo and hi (either bound may be nil for unbounded), honoring bound
-// inclusivity, in ascending value order. NULL cells never match. The
-// second result is false when the column has no ordered index. On a
-// merged view the per-partition runs merge by (value, global id), so
-// the result is ascending by value with deterministic tie order.
-func (s *TableSnap) LookupRange(col string, lo, hi *Value, loIncl, hiIncl bool) ([]int, bool) {
-	if s.d == nil {
-		if _, ok := s.data0().ord[col]; !ok {
-			return nil, false
-		}
-		ci := s.colIdx[col]
-		runs := make([][]int, 0, len(s.ps.datas))
-		total := 0
-		for p := range s.ps.datas {
-			ids, _ := s.Part(p).LookupRange(col, lo, hi, loIncl, hiIncl)
-			runs = append(runs, ids)
-			total += len(ids)
-		}
-		if total == 0 {
-			return nil, true
-		}
-		out := make([]int, 0, total)
-		heads := make([]int, len(runs))
-		for len(out) < total {
-			best := -1
-			var bestV Value
-			bestID := 0
-			for p, run := range runs {
-				if heads[p] >= len(run) {
-					continue
-				}
-				id := s.ps.cum[p] + run[heads[p]]
-				v := s.ps.datas[p].rows[run[heads[p]]][ci]
-				if best < 0 || Compare(v, bestV) < 0 || (Compare(v, bestV) == 0 && id < bestID) {
-					best, bestV, bestID = p, v, id
-				}
-			}
-			out = append(out, bestID)
-			heads[best]++
-		}
-		return out, true
-	}
-	ids, ok := s.d.ord[col]
-	if !ok {
-		return nil, false
-	}
-	ci := s.colIdx[col]
-	rows := s.d.rows
-	val := func(i int) Value { return rows[ids[i]][ci] }
-
-	// Start: skip NULLs (which sort first), then apply the low bound.
-	start := sort.Search(len(ids), func(i int) bool { return !val(i).IsNull() })
-	if lo != nil {
-		start = sort.Search(len(ids), func(i int) bool {
-			v := val(i)
-			if v.IsNull() {
-				return false
-			}
-			c := Compare(v, *lo)
-			if loIncl {
-				return c >= 0
-			}
-			return c > 0
-		})
-	}
-	end := len(ids)
-	if hi != nil {
-		end = sort.Search(len(ids), func(i int) bool {
-			v := val(i)
-			if v.IsNull() {
-				return false
-			}
-			c := Compare(v, *hi)
-			if hiIncl {
-				return c > 0
-			}
-			return c >= 0
-		})
-	}
-	if start >= end {
-		return nil, true
-	}
-	return ids[start:end], true
-}
-
 // Stats returns the (lazily computed, cached) statistics for the named
 // column at this snapshot. The second result is false when the column
 // does not exist. The cache lives on the pinned version, so a snapshot's
 // stats always describe exactly its rows — writers never invalidate
-// them, they publish new versions with their own caches (seeded
-// incrementally when the previous version had stats built).
+// them, they publish new versions with their own, empty caches.
 func (s *TableSnap) Stats(col string) (ColStats, bool) {
 	ci := s.ColIndex(col)
 	if ci < 0 {
@@ -439,8 +300,8 @@ func (s *TableSnap) SegmentRows() int {
 // Snapshot is a pinned, immutable view of the whole database: one
 // TableSnap per table, each at the version current when Snapshot() was
 // called. Queries (planning and execution) resolve tables through one
-// Snapshot so every access — scans, index probes, stats, segments —
-// observes the same instant.
+// Snapshot so every access — scans, stats, segments — observes the
+// same instant.
 type Snapshot struct {
 	Schema *schema.Schema
 	tables map[string]*TableSnap
@@ -542,7 +403,7 @@ func (t *Table) publishPart(layout *partLayout, p int, staged []Row) bool {
 	// Holding locks[p] pins the layout (a repartition needs every
 	// partition lock) and freezes datas[p]; other partitions may
 	// publish concurrently, so reload the latest set under pubMu.
-	next := buildNext(t.Meta, t.colIdx, ps.datas[p], staged)
+	next := buildNext(t.Meta, ps.datas[p], staged)
 	t.pubMu.Lock()
 	cur := t.pset.Load()
 	datas := make([]*tableData, len(cur.datas))
@@ -554,11 +415,9 @@ func (t *Table) publishPart(layout *partLayout, p int, staged []Row) bool {
 }
 
 // buildNext appends staged rows to one partition stream copy-on-write:
-// indexes are maintained incrementally, statistics and the segment
-// layout carry over from the previous version when built there. Row ids are
-// partition-local.
-func buildNext(meta *schema.Table, colIdx map[string]int, cur *tableData, staged []Row) *tableData {
-	base := len(cur.rows)
+// the segment layout carries over from the previous version when built
+// there, statistics start empty and are recomputed on demand.
+func buildNext(meta *schema.Table, cur *tableData, staged []Row) *tableData {
 	next := &tableData{
 		// Appending in place is safe: readers pinned to cur hold a
 		// shorter slice header and never look past it, and writers are
@@ -566,57 +425,9 @@ func buildNext(meta *schema.Table, colIdx map[string]int, cur *tableData, staged
 		// written once.
 		rows:    append(cur.rows, staged...),
 		version: cur.version + 1,
-		ord:     cur.ord,
 		segRows: cur.segRows,
 	}
-
-	// Hash indexes: shallow-clone the outer map, copy-and-extend only
-	// the id slices the new rows' keys touch.
-	if len(cur.hash) > 0 {
-		next.hash = make(map[string]map[string][]int, len(cur.hash))
-		for col, idx := range cur.hash {
-			ci := colIdx[col]
-			add := make(map[string][]int)
-			for i, row := range staged {
-				k := row[ci].Key()
-				add[k] = append(add[k], base+i)
-			}
-			nidx := make(map[string][]int, len(idx)+len(add))
-			for k, ids := range idx {
-				nidx[k] = ids
-			}
-			for k, ids := range add {
-				old := nidx[k]
-				merged := make([]int, 0, len(old)+len(ids))
-				merged = append(append(merged, old...), ids...)
-				nidx[k] = merged
-			}
-			next.hash[col] = nidx
-		}
-	}
-
-	// Ordered indexes: sort only the new ids, then merge with the old
-	// sorted run — O(n+k) per index instead of an O(n log n) rebuild.
-	if len(cur.ord) > 0 {
-		next.ord = make(map[string][]int, len(cur.ord))
-		for col, ids := range cur.ord {
-			ci := colIdx[col]
-			newIDs := make([]int, len(staged))
-			for i := range newIDs {
-				newIDs[i] = base + i
-			}
-			rows := next.rows
-			sort.SliceStable(newIDs, func(a, b int) bool {
-				return Compare(rows[newIDs[a]][ci], rows[newIDs[b]][ci]) < 0
-			})
-			next.ord[col] = mergeOrdered(rows, ci, ids, newIDs)
-		}
-	}
-
-	next.caches = &dataCaches{
-		stats: extendStats(colIdx, cur, next, staged),
-		segs:  extendSegs(meta, cur, next),
-	}
+	next.caches = &dataCaches{segs: extendSegs(meta, cur, next)}
 	return next
 }
 
@@ -642,103 +453,4 @@ func extendSegs(meta *schema.Table, cur, next *tableData) *SegSet {
 		sealedRows += seg.N
 	}
 	return composeSegs(meta, next.rows, sealed, sealedRows, next.segRows)
-}
-
-// mergeOrdered merges two id runs already sorted by column value into
-// a fresh sorted run. Ties keep old ids first, matching what a stable
-// re-sort over ascending ids would produce.
-func mergeOrdered(rows []Row, ci int, old, add []int) []int {
-	out := make([]int, 0, len(old)+len(add))
-	i, j := 0, 0
-	for i < len(old) && j < len(add) {
-		if Compare(rows[old[i]][ci], rows[add[j]][ci]) <= 0 {
-			out = append(out, old[i])
-			i++
-		} else {
-			out = append(out, add[j])
-			j++
-		}
-	}
-	out = append(out, old[i:]...)
-	return append(out, add[j:]...)
-}
-
-// extendStats seeds the next version's stats cache from the previous
-// version's computed entries. Row, NULL and min/max summaries extend
-// exactly from the new rows alone; the distinct count is carried only
-// when the column has a hash index on the next version (its key count
-// is the exact distinct count, minus the NULL key when present) —
-// otherwise the entry is dropped and recomputed lazily on demand.
-func extendStats(colIdx map[string]int, cur, next *tableData, staged []Row) map[string]ColStats {
-	cur.caches.statsMu.Lock()
-	prev := cur.caches.stats
-	var seed map[string]ColStats
-	if len(prev) > 0 {
-		seed = make(map[string]ColStats, len(prev))
-		for col, st := range prev {
-			seed[col] = st
-		}
-	}
-	cur.caches.statsMu.Unlock()
-	if seed == nil {
-		return nil
-	}
-	out := make(map[string]ColStats, len(seed))
-	for col, st := range seed {
-		ci := colIdx[col]
-		st.Rows += len(staged)
-		for _, row := range staged {
-			v := row[ci]
-			if v.IsNull() {
-				st.Nulls++
-				continue
-			}
-			if st.Min.IsNull() || Compare(v, st.Min) < 0 {
-				st.Min = v
-			}
-			if st.Max.IsNull() || Compare(v, st.Max) > 0 {
-				st.Max = v
-			}
-		}
-		idx, ok := next.hash[col]
-		if !ok {
-			continue // distinct not derivable incrementally; recompute lazily
-		}
-		st.Distinct = len(idx)
-		if st.Nulls > 0 {
-			st.Distinct-- // the NULL key's entry
-		}
-		out[col] = st
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// publishIndex republishes the current data with mutate applied to
-// every partition's hash/ordered index maps, under all partition locks
-// (index DDL is table-wide — each partition rebuilds over its own
-// local row ids). The data version does not move (rows are unchanged)
-// and the lazy caches are shared with the previous publication.
-func (t *Table) publishIndex(mutate func(cur *tableData, next *tableData)) {
-	layout := t.lockAll()
-	defer unlockAll(layout)
-	ps := t.pset.Load()
-	datas := make([]*tableData, len(ps.datas))
-	for i, cur := range ps.datas {
-		next := &tableData{
-			rows:    cur.rows,
-			hash:    cur.hash,
-			ord:     cur.ord,
-			version: cur.version,
-			segRows: cur.segRows,
-			caches:  cur.caches,
-		}
-		mutate(cur, next)
-		datas[i] = next
-	}
-	t.pubMu.Lock()
-	t.pset.Store(newPartSet(layout, datas, ps.version))
-	t.pubMu.Unlock()
 }

@@ -33,11 +33,10 @@ func randRow(r *rand.Rand, i int) Row {
 }
 
 // verifySnapConsistent asserts that everything reachable from one
-// pinned snapshot — the segment layout, statistics, ordered-index range
-// scans, hash-index probes — agrees with the snapshot's own row data.
-// This is the snapshot-semantics property the planner and both
-// executors rely on: all access paths of a pinned version describe the
-// same rows.
+// pinned snapshot — the segment layout and the statistics — agrees with
+// the snapshot's own row data. This is the snapshot-semantics property
+// the planner and both executors rely on: every face of a pinned
+// version describes the same rows.
 func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 	t.Helper()
 	rows := snap.Rows()
@@ -61,68 +60,14 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 			t.Fatalf("stats for %s: got %+v want %+v", mc.Name, st, want)
 		}
 	}
-
-	// Ordered-index range scans match a naive filter over the rows.
-	for ci, mc := range snap.Meta.Columns {
-		if !snap.HasOrderedIndex(mc.Name) {
-			continue
-		}
-		st, _ := snap.Stats(mc.Name)
-		if st.Min.IsNull() {
-			continue
-		}
-		lo, hi := st.Min, st.Max
-		ids, ok := snap.LookupRange(mc.Name, &lo, &hi, true, true)
-		if !ok {
-			t.Fatalf("ordered index on %s vanished", mc.Name)
-		}
-		want := 0
-		for _, row := range rows {
-			if !row[ci].IsNull() {
-				want++
-			}
-		}
-		if len(ids) != want {
-			t.Fatalf("range scan on %s: %d ids, want %d non-NULL rows", mc.Name, len(ids), want)
-		}
-		for k := 1; k < len(ids); k++ {
-			if Compare(rows[ids[k-1]][ci], rows[ids[k]][ci]) > 0 {
-				t.Fatalf("range scan on %s not sorted at %d", mc.Name, k)
-			}
-		}
-	}
-
-	// Hash probes return exactly the matching row ids.
-	for ci, mc := range snap.Meta.Columns {
-		if !snap.HasIndex(mc.Name) {
-			continue
-		}
-		for _, probe := range rows {
-			v := probe[ci]
-			ids, ok := snap.LookupIndex(mc.Name, v)
-			if !ok {
-				t.Fatalf("hash index on %s vanished", mc.Name)
-			}
-			want := 0
-			for _, row := range rows {
-				if Compare(row[ci], v) == 0 {
-					want++
-				}
-			}
-			if len(ids) != want {
-				t.Fatalf("hash probe on %s=%v: %d ids, want %d", mc.Name, v, len(ids), want)
-			}
-			break // one probe per column keeps the test fast
-		}
-	}
 }
 
 // TestSnapshotPinnedUnderWrites is the snapshot-semantics property
 // test: snapshots pinned between arbitrary interleaved writes (single
-// inserts, bulk batches, index DDL) stay frozen — their length, rows,
-// segments, statistics and index scans all keep describing the pinned
-// instant after any number of later writes to the live table. The seal
-// boundary is small so the writes cross seals and extendSegs.
+// inserts, bulk batches, reseals) stay frozen — their length, rows,
+// segments and statistics all keep describing the pinned instant after
+// any number of later writes to the live table. The seal boundary is
+// small so the writes cross seals and extendSegs.
 func TestSnapshotPinnedUnderWrites(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	db := snapTestDB(t)
@@ -162,20 +107,16 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 			if err := tab.BulkInsert(batch); err != nil {
 				t.Fatal(err)
 			}
-		case 2:
-			if err := tab.BuildIndex("tag"); err != nil {
-				t.Fatal(err)
-			}
-		case 3:
-			if err := tab.BuildOrderedIndex("score"); err != nil {
-				t.Fatal(err)
-			}
+		case 2, 3:
+			// Reseal: the same rows republished under another seal
+			// boundary, at the same version.
+			tab.SetSegmentRows(3 + r.Intn(5))
 		case 4:
 			// Warm the lazy caches so later writes take the
 			// incremental extension paths.
-			tab.Segments()
-			tab.Stats("score")
-			tab.Stats("id")
+			tab.Snap().Segments()
+			tab.Snap().Stats("score")
+			tab.Snap().Stats("id")
 		}
 		if r.Intn(3) == 0 {
 			pin()
@@ -198,11 +139,11 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 	}
 }
 
-// TestIncrementalMaintenanceEquivalence: a table whose indexes, stats
-// and segments were maintained incrementally across many bulk
-// inserts must be indistinguishable from one loaded in a single batch
-// and indexed afterwards — the correctness contract of the
-// copy-on-write merge/extend paths.
+// TestIncrementalMaintenanceEquivalence: a table whose stats and
+// segments were maintained incrementally across many bulk inserts, and
+// resealed part way through, must be indistinguishable from one loaded
+// in a single batch — the correctness contract of the copy-on-write
+// extend path.
 func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var all []Row
@@ -210,18 +151,19 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 
 	inc := snapTestDB(t).Table("m")
 	inc.SetSegmentRows(7)
-	if err := inc.BuildIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := inc.BuildIndex("tag"); err != nil {
-		t.Fatal(err)
-	}
 	for round := 0; round < 8; round++ {
 		// Warm caches first so every round extends rather than rebuilds.
-		inc.Segments()
-		inc.Stats("id")
-		inc.Stats("score")
-		inc.Stats("tag")
+		inc.Snap().Segments()
+		inc.Snap().Stats("score")
+		if round == 4 {
+			// A reseal republishes the same version with cold caches, so
+			// the rounds after it extend a layout built from scratch.
+			v := inc.Version()
+			inc.SetSegmentRows(7)
+			if inc.Version() != v {
+				t.Fatalf("reseal moved the version: %d -> %d", v, inc.Version())
+			}
+		}
 		batch := make([]Row, 1+r.Intn(30))
 		for i := range batch {
 			batch[i] = randRow(r, next)
@@ -234,13 +176,8 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	}
 
 	fresh := snapTestDB(t).Table("m")
+	fresh.SetSegmentRows(7)
 	if err := fresh.BulkInsert(all); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.BuildIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.BuildIndex("tag"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -250,6 +187,11 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	if a.Len() != b.Len() {
 		t.Fatalf("row counts differ: %d vs %d", a.Len(), b.Len())
 	}
+	for i, row := range a.Rows() {
+		if row.String() != b.Row(i).String() {
+			t.Fatalf("row %d diverges: %s vs %s", i, row, b.Row(i))
+		}
+	}
 	for _, col := range []string{"id", "score", "tag"} {
 		sa, _ := a.Stats(col)
 		sb, _ := b.Stats(col)
@@ -258,38 +200,32 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 			t.Errorf("stats for %s diverge: incremental %+v, fresh %+v", col, sa, sb)
 		}
 	}
-	lo, hi := Int(0), Int(int64(next))
-	ra, _ := a.LookupRange("id", &lo, &hi, true, false)
-	rb, _ := b.LookupRange("id", &lo, &hi, true, false)
-	if len(ra) != len(rb) {
-		t.Errorf("range scans diverge: %d vs %d ids", len(ra), len(rb))
+	sa, sb := a.Segments(), b.Segments()
+	if len(sa.Segs) != len(sb.Segs) {
+		t.Fatalf("segment counts diverge: %d vs %d", len(sa.Segs), len(sb.Segs))
 	}
-	for i := range ra {
-		if Compare(a.Row(ra[i])[0], b.Row(rb[i])[0]) != 0 {
-			t.Fatalf("range scan order diverges at %d", i)
+	for i := range sa.Segs {
+		if sa.Start[i] != sb.Start[i] || sa.Segs[i].Sealed != sb.Segs[i].Sealed {
+			t.Fatalf("segment %d diverges: start %d/%d sealed %v/%v",
+				i, sa.Start[i], sb.Start[i], sa.Segs[i].Sealed, sb.Segs[i].Sealed)
 		}
 	}
 }
 
-// TestIndexDDLKeepsVersion: building or dropping indexes republishes
-// the same data — the per-table version (the answer cache's
-// invalidation token) must not move, while row writes must move it.
-func TestIndexDDLKeepsVersion(t *testing.T) {
+// TestResealKeepsVersion: a reseal republishes the same data — the
+// per-table version (the answer cache's invalidation token) must not
+// move, while row writes must move it.
+func TestResealKeepsVersion(t *testing.T) {
 	db := snapTestDB(t)
 	tab := db.Table("m")
 	if err := tab.Insert(Int(1), Float(1), Text("a")); err != nil {
 		t.Fatal(err)
 	}
 	v := tab.Version()
-	if err := tab.BuildIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.BuildOrderedIndex("score"); err != nil {
-		t.Fatal(err)
-	}
-	tab.DropIndex("id")
+	tab.SetSegmentRows(2)
+	tab.SetSegmentRows(0)
 	if tab.Version() != v {
-		t.Errorf("index DDL moved the version: %d -> %d", v, tab.Version())
+		t.Errorf("reseal moved the version: %d -> %d", v, tab.Version())
 	}
 	if err := tab.Insert(Int(2), Float(2), Text("b")); err != nil {
 		t.Fatal(err)

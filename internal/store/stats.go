@@ -1,7 +1,5 @@
 package store
 
-import "sort"
-
 // ColStats summarizes one column for the query planner: row and NULL
 // counts, the number of distinct non-NULL values, and the value range.
 // Min/Max are NULL values when the column holds no non-NULL cells.
@@ -29,9 +27,8 @@ func (s ColStats) Selectivity() float64 {
 	return sel
 }
 
-// computeStats scans a frozen row set for one column's statistics —
-// the from-scratch path TableSnap.Stats takes when the snapshot's
-// cache was not seeded incrementally by the writer.
+// computeStats scans a frozen row set for one column's statistics, the
+// first time TableSnap.Stats is asked for that column at that version.
 func computeStats(rows []Row, ci int) ColStats {
 	s := ColStats{Rows: len(rows)}
 	distinct := make(map[string]struct{})
@@ -51,24 +48,4 @@ func computeStats(rows []Row, ci int) ColStats {
 	}
 	s.Distinct = len(distinct)
 	return s
-}
-
-// withOrderedIndex returns cur's ordered-index map extended (copy-on-
-// write) with a freshly built run for column ci: row ids sorted by
-// value, NULLs first, store.Compare order.
-func withOrderedIndex(cur *tableData, col string, ci int) map[string][]int {
-	ids := make([]int, len(cur.rows))
-	for i := range ids {
-		ids[i] = i
-	}
-	rows := cur.rows
-	sort.SliceStable(ids, func(a, b int) bool {
-		return Compare(rows[ids[a]][ci], rows[ids[b]][ci]) < 0
-	})
-	out := make(map[string][]int, len(cur.ord)+1)
-	for k, v := range cur.ord {
-		out[k] = v
-	}
-	out[col] = ids
-	return out
 }

@@ -26,7 +26,7 @@ func statsFixture(t *testing.T) *Table {
 
 func TestColStats(t *testing.T) {
 	tab := statsFixture(t)
-	s, ok := tab.Stats("v")
+	s, ok := tab.Snap().Stats("v")
 	if !ok {
 		t.Fatal("no stats for v")
 	}
@@ -39,7 +39,7 @@ func TestColStats(t *testing.T) {
 	if f, _ := s.Max.AsFloat(); f != 3 {
 		t.Errorf("max = %v", s.Max)
 	}
-	if _, ok := tab.Stats("nosuch"); ok {
+	if _, ok := tab.Snap().Stats("nosuch"); ok {
 		t.Error("stats for unknown column")
 	}
 
@@ -47,60 +47,11 @@ func TestColStats(t *testing.T) {
 	if err := tab.Insert(Int(6), Float(9)); err != nil {
 		t.Fatal(err)
 	}
-	s, _ = tab.Stats("v")
+	s, _ = tab.Snap().Stats("v")
 	if s.Rows != 6 || s.Distinct != 4 {
 		t.Errorf("stats not refreshed after insert: %+v", s)
 	}
 	if f, _ := s.Max.AsFloat(); f != 9 {
 		t.Errorf("max not refreshed: %v", s.Max)
 	}
-}
-
-func TestLookupRange(t *testing.T) {
-	tab := statsFixture(t)
-	if _, ok := tab.LookupRange("v", nil, nil, false, false); ok {
-		t.Fatal("range lookup without an ordered index")
-	}
-	if err := tab.BuildOrderedIndex("v"); err != nil {
-		t.Fatal(err)
-	}
-
-	vOf := func(ids []int) []float64 {
-		out := make([]float64, len(ids))
-		for i, id := range ids {
-			out[i], _ = tab.Row(id)[1].AsFloat()
-		}
-		return out
-	}
-	check := func(name string, ids []int, want ...float64) {
-		t.Helper()
-		got := vOf(ids)
-		if len(got) != len(want) {
-			t.Fatalf("%s: got %v, want %v", name, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: got %v, want %v", name, got, want)
-			}
-		}
-	}
-
-	lo, hi := Float(2), Float(3)
-	ids, _ := tab.LookupRange("v", &lo, &hi, true, true)
-	check("[2,3]", ids, 2, 2, 3)
-	ids, _ = tab.LookupRange("v", &lo, &hi, false, true)
-	check("(2,3]", ids, 3)
-	ids, _ = tab.LookupRange("v", &lo, &hi, true, false)
-	check("[2,3)", ids, 2, 2)
-	ids, _ = tab.LookupRange("v", nil, &lo, false, false)
-	check("(-inf,2): NULL excluded", ids, 1)
-	ids, _ = tab.LookupRange("v", nil, nil, false, false)
-	check("unbounded skips NULLs", ids, 1, 2, 2, 3)
-
-	// Ordered index is maintained across inserts.
-	if err := tab.Insert(Int(6), Float(1.5)); err != nil {
-		t.Fatal(err)
-	}
-	ids, _ = tab.LookupRange("v", nil, nil, false, false)
-	check("after insert", ids, 1, 1.5, 2, 2, 3)
 }

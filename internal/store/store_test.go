@@ -1,7 +1,6 @@
 package store
 
 import (
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -178,10 +177,11 @@ func TestInsertAndRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := db.Table("people")
-	if tab.Len() != 3 {
-		t.Fatalf("Len = %d", tab.Len())
+	snap := tab.Snap()
+	if snap.Len() != 3 {
+		t.Fatalf("Len = %d", snap.Len())
 	}
-	if got := tab.Row(1)[2]; got.Kind() != KindFloat {
+	if got := snap.Row(1)[2]; got.Kind() != KindFloat {
 		t.Errorf("widened value kind = %v", got.Kind())
 	}
 	if tab.ColIndex("score") != 2 || tab.ColIndex("missing") != -1 {
@@ -203,7 +203,7 @@ func TestInsertErrors(t *testing.T) {
 	if err := db.Insert("nosuch", Int(1)); err == nil {
 		t.Error("unknown table error expected")
 	}
-	if db.Table("people").Len() != 0 {
+	if db.Table("people").Snap().Len() != 0 {
 		t.Error("failed inserts must not leave rows behind")
 	}
 }
@@ -216,96 +216,6 @@ func TestMustInsertPanics(t *testing.T) {
 		}
 	}()
 	db.MustInsert("people", Int(1))
-}
-
-func TestHashIndex(t *testing.T) {
-	db := NewDB(miniSchema(t))
-	for i := int64(0); i < 100; i++ {
-		db.MustInsert("people", Int(i), Text("p"), Float(float64(i%10)))
-	}
-	tab := db.Table("people")
-	if err := tab.BuildIndex("score"); err != nil {
-		t.Fatal(err)
-	}
-	if !tab.HasIndex("score") || tab.HasIndex("name") {
-		t.Error("HasIndex wrong")
-	}
-	ids, ok := tab.LookupIndex("score", Float(3))
-	if !ok || len(ids) != 10 {
-		t.Fatalf("LookupIndex = %v,%v", ids, ok)
-	}
-	// Integer probe hits float entries (key equivalence).
-	ids, ok = tab.LookupIndex("score", Int(3))
-	if !ok || len(ids) != 10 {
-		t.Fatalf("LookupIndex int probe = %v,%v", ids, ok)
-	}
-	if _, ok := tab.LookupIndex("name", Text("p")); ok {
-		t.Error("lookup on unindexed column should report no index")
-	}
-	if err := tab.BuildIndex("bogus"); err == nil {
-		t.Error("BuildIndex on missing column should fail")
-	}
-}
-
-func TestIndexMaintainedOnInsert(t *testing.T) {
-	db := NewDB(miniSchema(t))
-	tab := db.Table("people")
-	if err := tab.BuildIndex("id"); err != nil {
-		t.Fatal(err)
-	}
-	db.MustInsert("people", Int(42), Text("Zed"), Float(1))
-	ids, ok := tab.LookupIndex("id", Int(42))
-	if !ok || len(ids) != 1 || ids[0] != 0 {
-		t.Fatalf("index not maintained: %v %v", ids, ok)
-	}
-}
-
-func TestBuildPrimaryIndexes(t *testing.T) {
-	db := NewDB(miniSchema(t))
-	db.MustInsert("people", Int(1), Text("Ada"), Float(1))
-	db.MustInsert("pets", Int(1), Text("cat"))
-	if err := db.BuildPrimaryIndexes(); err != nil {
-		t.Fatal(err)
-	}
-	if !db.Table("people").HasIndex("id") {
-		t.Error("primary key index missing")
-	}
-	if !db.Table("pets").HasIndex("owner_id") {
-		t.Error("foreign key index missing")
-	}
-	if db.TotalRows() != 2 {
-		t.Errorf("TotalRows = %d", db.TotalRows())
-	}
-}
-
-func TestIndexLookupMatchesScan(t *testing.T) {
-	db := NewDB(miniSchema(t))
-	for i := int64(0); i < 500; i++ {
-		db.MustInsert("people", Int(i), Text("p"), Float(float64(i%7)))
-	}
-	tab := db.Table("people")
-	if err := tab.BuildIndex("score"); err != nil {
-		t.Fatal(err)
-	}
-	for probe := 0; probe < 7; probe++ {
-		v := Float(float64(probe))
-		var scan []int
-		for id, row := range tab.Rows() {
-			if Equal(row[2], v) {
-				scan = append(scan, id)
-			}
-		}
-		idx, _ := tab.LookupIndex("score", v)
-		sort.Ints(idx)
-		if len(idx) != len(scan) {
-			t.Fatalf("probe %d: index %d rows, scan %d rows", probe, len(idx), len(scan))
-		}
-		for i := range idx {
-			if idx[i] != scan[i] {
-				t.Fatalf("probe %d: index and scan disagree", probe)
-			}
-		}
-	}
 }
 
 func TestRowCloneAndString(t *testing.T) {
@@ -339,25 +249,6 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-func BenchmarkIndexLookup(b *testing.B) {
-	s := schema.MustNew("b", []*schema.Table{
-		{Name: "t", Columns: []schema.Column{{Name: "a", Type: schema.Int}}},
-	}, nil)
-	db := NewDB(s)
-	for i := 0; i < 100000; i++ {
-		db.MustInsert("t", Int(int64(i)))
-	}
-	tab := db.Table("t")
-	if err := tab.BuildIndex("a"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tab.LookupIndex("a", Int(int64(i%100000)))
-	}
-}
-
 // TestDataVersion: the version token must move on every mutation, on
 // any table, and stay put across reads — the answer cache's
 // invalidation contract.
@@ -379,5 +270,8 @@ func TestDataVersion(t *testing.T) {
 	}
 	if db.DataVersion() == v1 {
 		t.Error("version unchanged after insert into a second table")
+	}
+	if db.TotalRows() != 2 {
+		t.Errorf("TotalRows = %d, want 2", db.TotalRows())
 	}
 }

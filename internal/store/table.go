@@ -12,10 +12,10 @@ import (
 // immutable snapshots (see snapshot.go): writers build the next
 // version copy-on-write and publish it atomically; readers pin a
 // version with Snap (or database-wide with DB.Snapshot) and are never
-// blocked by — or exposed to — concurrent writers. The read accessors
-// on Table itself each pin the current version, so two successive
-// calls may observe different versions; queries that need a mutually
-// consistent view must go through one TableSnap/Snapshot.
+// blocked by — or exposed to — concurrent writers. Table has no read
+// accessors of its own: every read of table data goes through a
+// TableSnap (Snap) or a Snapshot (DB.Snapshot), so a reader cannot
+// straddle two versions by accident.
 //
 // A table is one or more partition streams (see partition.go). Writers
 // to one partition serialize on that partition's lock and do all their
@@ -60,7 +60,7 @@ func (t *Table) ColIndex(name string) int {
 
 // Version returns the table's current data version: a per-table
 // monotonic counter bumped by every row mutation (and only by row
-// mutations — index DDL leaves it unchanged; repartitioning bumps it,
+// mutations — resealing leaves it unchanged; repartitioning bumps it,
 // since the canonical row order changes). Equal versions imply equal
 // contents, the invalidation token for caches keyed on this table's
 // data.
@@ -69,19 +69,9 @@ func (t *Table) Version() uint64 { return t.pset.Load().version }
 // PartScheme returns the table's current partitioning scheme.
 func (t *Table) PartScheme() PartScheme { return t.pset.Load().layout.scheme }
 
-// Len returns the current row count.
-func (t *Table) Len() int { return t.Snap().Len() }
-
-// Rows returns the current version's rows. Callers must not mutate
-// them.
-func (t *Table) Rows() []Row { return t.Snap().Rows() }
-
-// Row returns row i of the current version.
-func (t *Table) Row(i int) Row { return t.Snap().Row(i) }
-
 // Insert appends a row after validating arity and column types. INT
 // values are accepted into FLOAT columns (widening); NULL is accepted
-// anywhere. Indexes are maintained on the published snapshot.
+// anywhere.
 func (t *Table) Insert(vals ...Value) error {
 	if len(vals) != len(t.Meta.Columns) {
 		return fmt.Errorf("store: table %s expects %d values, got %d",
@@ -101,10 +91,10 @@ func (t *Table) Insert(vals ...Value) error {
 }
 
 // BulkInsert appends many rows as one new version: rows are validated
-// and coerced like Insert, then published in a single atomic step with
-// indexes, statistics and segments maintained incrementally on
-// the new snapshot (merge into the ordered runs, copy-on-write into
-// the hash buckets — never a full rebuild). Concurrent readers see
+// and coerced like Insert, then published in a single atomic step,
+// the segment layout extended incrementally on the new snapshot
+// (sealed segments shared, only the tail re-encoded — never a full
+// rebuild). Concurrent readers see
 // either none or all of the batch. Loaders (store/csv,
 // internal/dataset) should prefer this for anything beyond a handful
 // of rows.
@@ -169,77 +159,6 @@ func coerce(v Value, want schema.ColType) (Value, error) {
 	return Value{}, fmt.Errorf("cannot store %s value into %s column", v.Kind(), want)
 }
 
-// BuildIndex creates (or rebuilds) a hash index on the named column,
-// along with an ordered companion index that serves range predicates.
-// Like every write it publishes a new snapshot; pinned readers keep
-// the index set they planned against.
-func (t *Table) BuildIndex(col string) error {
-	ci := t.ColIndex(col)
-	if ci < 0 {
-		return errNoColumn(t, col)
-	}
-	t.publishIndex(func(cur, next *tableData) {
-		idx := make(map[string][]int)
-		for id, row := range cur.rows {
-			k := row[ci].Key()
-			idx[k] = append(idx[k], id)
-		}
-		next.hash = cloneIndexMap(cur.hash)
-		next.hash[col] = idx
-		next.ord = withOrderedIndex(cur, col, ci)
-	})
-	return nil
-}
-
-// BuildOrderedIndex creates (or rebuilds) an ordered index on the
-// named column: row ids sorted by column value (NULLs first,
-// store.Compare order). It enables LookupRange for range predicates.
-func (t *Table) BuildOrderedIndex(col string) error {
-	ci := t.ColIndex(col)
-	if ci < 0 {
-		return errNoColumn(t, col)
-	}
-	t.publishIndex(func(cur, next *tableData) {
-		next.ord = withOrderedIndex(cur, col, ci)
-	})
-	return nil
-}
-
-func cloneIndexMap(m map[string]map[string][]int) map[string]map[string][]int {
-	out := make(map[string]map[string][]int, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// HasIndex reports whether the column currently has a hash index.
-func (t *Table) HasIndex(col string) bool { return t.Snap().HasIndex(col) }
-
-// LookupIndex probes the current version's hash index (see
-// TableSnap.LookupIndex).
-func (t *Table) LookupIndex(col string, v Value) ([]int, bool) {
-	return t.Snap().LookupIndex(col, v)
-}
-
-// HasOrderedIndex reports whether the column currently has an ordered
-// index.
-func (t *Table) HasOrderedIndex(col string) bool { return t.Snap().HasOrderedIndex(col) }
-
-// LookupRange scans the current version's ordered index (see
-// TableSnap.LookupRange).
-func (t *Table) LookupRange(col string, lo, hi *Value, loIncl, hiIncl bool) ([]int, bool) {
-	return t.Snap().LookupRange(col, lo, hi, loIncl, hiIncl)
-}
-
-// Stats returns statistics for the named column at the current
-// version (see TableSnap.Stats).
-func (t *Table) Stats(col string) (ColStats, bool) { return t.Snap().Stats(col) }
-
-// Segments returns the current version's segment layout (see
-// TableSnap.Segments).
-func (t *Table) Segments() *SegSet { return t.Snap().Segments() }
-
 // SetSegmentRows changes the table's seal boundary (rows per sealed
 // segment; 0 restores the default) and republishes the current data
 // under it with a fresh segment cache. Contents are unchanged so the
@@ -253,8 +172,6 @@ func (t *Table) SetSegmentRows(n int) {
 	for i, cur := range ps.datas {
 		datas[i] = &tableData{
 			rows:    cur.rows,
-			hash:    cur.hash,
-			ord:     cur.ord,
 			version: cur.version,
 			segRows: n,
 			caches:  &dataCaches{},
@@ -263,20 +180,6 @@ func (t *Table) SetSegmentRows(n int) {
 	t.pubMu.Lock()
 	t.pset.Store(newPartSet(layout, datas, ps.version))
 	t.pubMu.Unlock()
-}
-
-// DropIndex removes the hash and ordered indexes on the named column,
-// if any.
-func (t *Table) DropIndex(col string) {
-	t.publishIndex(func(cur, next *tableData) {
-		next.hash = cloneIndexMap(cur.hash)
-		delete(next.hash, col)
-		next.ord = make(map[string][]int, len(cur.ord))
-		for k, v := range cur.ord {
-			next.ord[k] = v
-		}
-		delete(next.ord, col)
-	})
 }
 
 func errNoColumn(t *Table, col string) error {
@@ -374,38 +277,6 @@ func (db *DB) MustInsert(table string, vals ...Value) {
 	}
 }
 
-// BuildPrimaryIndexes creates hash indexes on every primary key and
-// foreign key column, the access paths the executor exploits.
-func (db *DB) BuildPrimaryIndexes() error {
-	for _, mt := range db.Schema.Tables {
-		if mt.PrimaryKey != "" {
-			if err := db.tables[mt.Name].BuildIndex(mt.PrimaryKey); err != nil {
-				return err
-			}
-		}
-	}
-	for _, fk := range db.Schema.ForeignKeys {
-		if err := db.tables[fk.Table].BuildIndex(fk.Column); err != nil {
-			return err
-		}
-		if err := db.tables[fk.RefTable].BuildIndex(fk.RefColumn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DropAllIndexes removes every index in the database — the "scan"
-// configuration of the access-path experiment (F2).
-func (db *DB) DropAllIndexes() {
-	for _, t := range db.tables {
-		t.publishIndex(func(cur, next *tableData) {
-			next.hash = nil
-			next.ord = nil
-		})
-	}
-}
-
 // DataVersion is a monotonic counter over the database's contents:
 // any row mutation changes it, so equal versions imply equal data.
 // Whole-database caches use it as their invalidation token; caches
@@ -432,7 +303,7 @@ func (db *DB) TableVersion(name string) uint64 {
 func (db *DB) TotalRows() int {
 	n := 0
 	for _, t := range db.tables {
-		n += t.Len()
+		n += t.Snap().Len()
 	}
 	return n
 }

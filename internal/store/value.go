@@ -1,7 +1,6 @@
 // Package store is the in-memory relational storage engine underneath
-// the natural language interface: typed values, tables with hash and
-// ordered indexes, per-column statistics and a columnar layout, and a
-// database bound to a schema. The SQL executor (internal/exec)
+// the natural language interface: typed values, tables with per-column
+// statistics and a columnar layout, and a database bound to a schema. The SQL executor (internal/exec)
 // evaluates generated queries against it.
 //
 // The store is multi-version (see snapshot.go): each table's contents
