@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	nlibench [-exp T1|T2|T3|T4|T5|T6|F1|F2|F3|F4|F5|F6|F7|F8|F9|F10|F11|F12|F13|all]
+//	nlibench [-exp T1|T2|T3|T4|T5|T6|F1|F2|F3|F4|F5|F6|F7|F8|F9|F10|F11|F12|all]
 package main
 
 import (
@@ -27,14 +27,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (T1..T6, F1..F13) or 'all'")
+	exp := flag.String("exp", "all", "experiment id (T1..T6, F1..F12) or 'all'")
 	flag.IntVar(&f11Rows, "f11rows", 10_000_000, "event-log rows for experiment F11")
 	flag.IntVar(&f12Rows, "f12rows", 4_194_304, "event-log rows for experiment F12 (rounded up to whole 64K segments)")
 	flag.IntVar(&f12CacheMB, "f12cache", 0, "segment-cache budget in MiB for F12 (0 = dataset/8, keeping the 4x larger-than-memory bar)")
 	flag.StringVar(&f10Sessions, "f10sessions", "1,64,1024", "comma-separated concurrent session counts for experiment F10")
 	flag.IntVar(&f10Asks, "f10asks", 32, "asks per session for experiment F10")
 	flag.DurationVar(&f10Deadline, "f10deadline", time.Second, "per-request deadline (the F10 latency bar)")
-	flag.IntVar(&f13Rows, "f13rows", 1_048_576, "telemetry event rows for experiment F13")
 	flag.Parse()
 
 	experiments := map[string]func() error{
@@ -43,9 +42,8 @@ func main() {
 		"F1": expF1, "F2": expF2, "F3": expF3, "F4": expF4,
 		"F5": expF5, "F6": expF6, "F7": expF7, "F8": expF8,
 		"F9": expF9, "F10": expF10, "F11": expF11, "F12": expF12,
-		"F13": expF13,
 	}
-	order := []string{"T1", "T2", "T3", "T4", "T5", "T6", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12", "F13"}
+	order := []string{"T1", "T2", "T3", "T4", "T5", "T6", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12"}
 
 	run := func(id string) {
 		f, ok := experiments[id]
@@ -75,14 +73,6 @@ func main() {
 		flag.Visit(func(f *flag.Flag) { f12Set = f12Set || f.Name == "f12rows" })
 		if !f12Set && f12Rows > 1_048_576 {
 			f12Rows = 1_048_576
-		}
-		// Same for F13: each timed load rebuilds and reloads the whole
-		// dataset, so the sweep keeps a log just big enough to exercise
-		// the structural bars.
-		f13Set := false
-		flag.Visit(func(f *flag.Flag) { f13Set = f13Set || f.Name == "f13rows" })
-		if !f13Set && f13Rows > 262_144 {
-			f13Rows = 262_144
 		}
 		// Same for F10: the standalone default includes a 1024-session
 		// scenario (~33K requests); the sweep keeps the bar-bearing 64
@@ -866,7 +856,8 @@ var (
 // read-through results are row-for-row identical to resident
 // execution; at par 1 the selective window query skips evicted
 // segments on zone maps alone (disk faults == segments decoded, with
-// a nonzero skip count).
+// a nonzero skip count); and at par 1 and 4 alike it skips segments
+// and faults fewer than the table holds.
 func expF12() error {
 	n := f12Rows
 	if r := n % store.DefaultSegmentRows; r != 0 {
@@ -928,7 +919,7 @@ func expF12() error {
 
 	fmt.Printf("\n%-22s %4s %11s %11s %11s %9s %8s %9s %8s %14s %6s\n",
 		"query", "par", "cold", "warm", "resident", "penalty", "faults", "fault MB", "warm hit", "cold rows/s", "out")
-	var windowSerial bench.ColdScan
+	var windows []bench.ColdScan
 	for i := range probes {
 		cs := &probes[i]
 		if err := cs.MeasureCold(db, reps); err != nil {
@@ -937,100 +928,22 @@ func expF12() error {
 		fmt.Printf("%-22s %4d %11s %11s %11s %8.2fx %8d %9.1f %8s %14.0f %6d\n",
 			cs.Name, cs.Par, cs.Cold, cs.Warm, cs.Resident, cs.ColdPenalty(),
 			cs.ColdMiss, cs.ColdMB, pct(cs.WarmHit), cs.ColdRowsPerSec(), cs.OutRows)
-		if cs.Name == "ts window ~2% count" && cs.Par == 1 {
-			windowSerial = *cs
+		if cs.Name == "ts window ~2% count" {
+			windows = append(windows, *cs)
 		}
 	}
-	if windowSerial.Skipped == 0 {
-		return fmt.Errorf("F12: the selective window query skipped no segments — zone maps must prune evicted segments")
-	}
-	if windowSerial.ColdMiss >= windowSerial.Skipped+windowSerial.Scanned {
-		return fmt.Errorf("F12: cold window query faulted %d segments with only %d decoded — pruning saved no I/O",
-			windowSerial.ColdMiss, windowSerial.Scanned)
-	}
-	fmt.Printf("\nbars: dataset %.1fx cache budget; cold results row-for-row identical to resident execution;\n"+
-		"window scan faulted %d of %d segments (zone maps pruned %d without disk I/O)\n",
-		float64(segBytes)/float64(budget), windowSerial.ColdMiss,
-		windowSerial.Scanned+windowSerial.Skipped, windowSerial.Skipped)
-	return nil
-}
-
-// f13Rows sizes the F13 telemetry event log (flag -f13rows).
-var f13Rows int
-
-// expF13: partitioned tables (DESIGN.md § 2.13). Two measurements over
-// the telemetry domain: (1) the same row set bulk-loaded by 8
-// concurrent loaders into a single-stream table versus the table
-// hash-partitioned on device_id, reported with every row's publication
-// verified; (2) a ts predicate over a range-partitioned, spill-enabled
-// log with every segment evicted, serially and under a 4-worker
-// exchange — partition pruning must come from resident statistics
-// alone at either degree, so pruned partitions fault zero bytes from
-// disk. The load carries no timing bar: a publish holds its writer
-// lock only to append rows, so per-partition locks have no maintenance
-// work to overlap.
-func expF13() error {
-	n := f13Rows
-	const parts, loaders = 8, 8
-	header("F13", fmt.Sprintf("partitioned tables, %d-row telemetry log, %d partitions (GOMAXPROCS=%d)",
-		n, parts, runtime.GOMAXPROCS(0)))
-
-	// -- parallel bulk loads --
-	rows := dataset.TelemetryEventRows(n)
-	newDB := func() *store.DB { return store.NewDB(dataset.TelemetrySchema()) }
-	fmt.Printf("\n%-14s %5s %7s %12s %12s %8s %14s\n",
-		"load", "parts", "loaders", "single-lock", "partitioned", "speedup", "rows/s")
-	for _, p := range []int{2, parts} {
-		pl, err := bench.MeasureParallelLoad(newDB, "events", "device_id", rows, p, loaders, 3)
-		if err != nil {
-			return err
+	fmt.Printf("\nbars: dataset %.1fx cache budget; cold results row-for-row identical to resident execution\n",
+		float64(segBytes)/float64(budget))
+	for _, w := range windows {
+		if w.Skipped == 0 {
+			return fmt.Errorf("F12: the selective window query at par %d skipped no segments — zone maps must prune evicted segments", w.Par)
 		}
-		fmt.Printf("%-14s %5d %7d %12s %12s %7.2fx %14.0f\n",
-			pl.Name, pl.Parts, pl.Loaders, pl.Single, pl.Parted, pl.Factor(), pl.RowsPerSec())
-	}
-
-	// -- partition pruning: zero segment I/O for pruned partitions --
-	// ts advances one tick every 8 rows; 7 ascending bounds carve the
-	// log into 8 ranges, and the probe keeps only the first.
-	span := int64(n / 8)
-	var bounds []store.Value
-	for i := 1; i < parts; i++ {
-		bounds = append(bounds, store.Int(1_700_000_000+int64(i)*span/parts))
-	}
-	dbRange := dataset.Telemetry(n)
-	if err := dbRange.PartitionTable("events", store.RangePartition("ts", bounds)); err != nil {
-		return err
-	}
-	// Segments seal per partition, so a smoke-sized log split 8 ways
-	// would never reach the default 64K boundary — shrink it so every
-	// partition holds sealed, spillable segments at any -f13rows.
-	dbRange.Table("events").SetSegmentRows(8192)
-	segBytes := int64(dbRange.Table("events").Snap().Segments().Bytes())
-	dir, err := os.MkdirTemp("", "nlibench-f13-")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	if err := dbRange.EnableSpill(dir, segBytes); err != nil {
-		return err
-	}
-	_ = dbRange.Table("events").Snap().Segments() // adoption: spill sealed segments
-	probe := fmt.Sprintf("SELECT COUNT(*), AVG(latency_ms) FROM events WHERE ts < %d", 1_700_000_000+span/parts)
-	fmt.Printf("\n%-20s %4s %5s %7s %7s %12s %12s %7s\n",
-		"prune", "par", "parts", "scanned", "pruned", "fault B", "kept seg B", "out")
-	for _, par := range []int{1, 4} {
-		pr, err := bench.MeasurePartitionPrune(dbRange, "events", "first-range count", probe, []int{0}, par)
-		if err != nil {
-			return err
+		if w.ColdMiss >= w.Skipped+w.Scanned {
+			return fmt.Errorf("F12: cold window query at par %d faulted %d segments with only %d decoded — pruning saved no I/O",
+				w.Par, w.ColdMiss, w.Scanned)
 		}
-		if pr.FaultIn == 0 {
-			return fmt.Errorf("F13: prune probe at par %d faulted nothing — the kept partition's segments never reached the spill cache", par)
-		}
-		fmt.Printf("%-20s %4d %5d %7d %7d %12d %12d %7d\n",
-			pr.Name, par, pr.Parts, pr.Scanned, pr.Pruned, pr.FaultIn, pr.KeptBytes, pr.OutRows)
+		fmt.Printf("window scan at par %d faulted %d of %d segments (zone maps pruned %d without disk I/O)\n",
+			w.Par, w.ColdMiss, w.Scanned+w.Skipped, w.Skipped)
 	}
-
-	fmt.Printf("\nbars: concurrent loads published every row; the prune probe read 1 of %d partitions at par 1 and 4,\n"+
-		"faulting no more than the kept partition's segment bytes\n", parts)
 	return nil
 }

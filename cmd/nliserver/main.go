@@ -55,7 +55,6 @@ func run() error {
 	drain := flag.Duration("drain", 5*time.Second, "shutdown drain deadline before stragglers are canceled")
 	spillDir := flag.String("spill-dir", "", "directory for on-disk segment spill (empty = fully in-memory)")
 	cacheMB := flag.Int64("cache", 256, "segment-cache byte budget in MiB when -spill-dir is set")
-	partitions := flag.Int("partitions", 0, "hash-partition tables N ways on their FK/PK join columns (0 = unpartitioned)")
 	flag.Parse()
 
 	db, err := nli.Dataset(*datasetName, *scale)
@@ -65,7 +64,6 @@ func run() error {
 	opts := nli.DefaultOptions()
 	opts.SpillDir = *spillDir
 	opts.SegCacheBytes = *cacheMB << 20
-	opts.Partitions = *partitions
 	eng := nli.New(db, opts)
 	srv := serve.New(eng, serve.Config{
 		DefaultDeadline: *deadline,

@@ -20,9 +20,9 @@ import (
 //  2. A function deriving X.Skips = zonePreds(b, conjs) must also pass
 //     the same conjs to sql.And — the Filter construction — so every
 //     skip-feeding conjunct stays enforced.
-//  3. Scan.Skips may only be read as an argument to bindZonePreds,
-//     segScanStats or partScanStats — the advisory consumers. Any
-//     other read is a path toward using skips as enforcement.
+//  3. Scan.Skips may only be read as an argument to bindZonePreds or
+//     segScanStats — the advisory consumers. Any other read is a path
+//     toward using skips as enforcement.
 var SkipAdvisory = &Analyzer{
 	Name: "skipadvisory",
 	Doc:  "zone-map skips must be derived by zonePreds, re-enforced by the Filter, and consumed only advisorily",
@@ -30,13 +30,9 @@ var SkipAdvisory = &Analyzer{
 }
 
 // skipConsumers are the functions allowed to read Scan.Skips.
-// partScanStats is partition pruning's segScanStats: it binds the
-// skips and counts prunable partitions for Explain, while runtime
-// opens re-derive the kept set from their own parameters.
 var skipConsumers = map[string]bool{
 	"bindZonePreds": true,
 	"segScanStats":  true,
-	"partScanStats": true,
 }
 
 // isSkipsField reports whether sel reads/writes the Skips field of a
@@ -168,7 +164,7 @@ func (p *Pass) skipAdvisoryFunc(fd *ast.FuncDecl) {
 		if !ok || exempt[sel] || !isSkipsField(p.Info, sel) {
 			return true
 		}
-		p.Reportf(sel.Sel.Pos(), "Scan.Skips may only be consumed by bindZonePreds/segScanStats/partScanStats (advisory skip evaluation); reading it elsewhere invites using skips as enforcement")
+		p.Reportf(sel.Sel.Pos(), "Scan.Skips may only be consumed by bindZonePreds/segScanStats (advisory skip evaluation); reading it elsewhere invites using skips as enforcement")
 		return true
 	})
 }

@@ -21,8 +21,6 @@ func bindZonePreds(skips []ZonePred, params []Expr) []ZonePred { return skips }
 
 func segScanStats(b *binder, skips []ZonePred) (int64, int64) { return 0, 0 }
 
-func partScanStats(b *binder, skips []ZonePred) (int, int) { return 0, 0 }
-
 func And(conjs ...Expr) Expr { return nil }
 
 // The sanctioned shape: derive from the leftover conjuncts, re-enforce
@@ -35,8 +33,6 @@ func good(b *binder, conjs []Expr, params []Expr) *Scan {
 	_ = bound
 	n, skip := segScanStats(b, sc.Skips)
 	_, _ = n, skip
-	pn, pruned := partScanStats(b, sc.Skips)
-	_, _ = pn, pruned
 	return sc
 }
 

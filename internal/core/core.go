@@ -39,18 +39,6 @@ type Options struct {
 	// plans exactly (the ablation setting).
 	Parallelism int
 
-	// Partitions, when > 1, hash-partitions every table N ways at engine
-	// construction: tables joined by a foreign key are co-partitioned on
-	// the FK columns (an equality on an FK column prunes to the one
-	// partition its value routes to, on either table), and tables no
-	// foreign key touches partition on their primary key. Bulk loads
-	// then land under per-partition writer locks and scale with
-	// concurrent loaders. Queries read a partitioned table like any
-	// other, serially or through an exchange, minus the partitions their
-	// predicates prune. 0 or 1 keeps every table single-stream — the
-	// pre-partitioning layout, and the F13 ablation baseline.
-	Partitions int
-
 	// AnswerCacheSize bounds the engine answer cache (entries), keyed
 	// by corrected tokens and invalidated by the store data version.
 	// 0 disables caching — set that when measuring pipeline latency.
@@ -158,13 +146,11 @@ type Engine struct {
 	cache *answerCache // nil when AnswerCacheSize is 0
 	plans *planCache   // nil when PlanCacheSize is 0
 
-	// segC / partC accumulate runtime scan counters across every ask
-	// the engine serves: segments decoded vs skipped by zone maps, and
-	// partitions read vs pruned by bound predicates. Atomic fields —
-	// always addressed through the pointer receivers below, never
-	// copied — surfaced by the serving layer's /api/stats.
-	segC  store.SegCounters
-	partC store.PartCounters
+	// segC accumulates runtime scan counters across every ask the
+	// engine serves: segments decoded vs skipped by zone maps. Atomic
+	// fields — always addressed through the pointer receivers below,
+	// never copied — surfaced by the serving layer's /api/stats.
+	segC store.SegCounters
 }
 
 // NewEngine builds the semantic index and grammar for db.
@@ -178,13 +164,6 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 			// that cannot be created is a deployment misconfiguration,
 			// not a runtime condition to degrade around.
 			panic(fmt.Sprintf("core: enabling segment spill: %v", err))
-		}
-	}
-	if opts.Partitions > 1 {
-		if err := partitionTables(db, opts.Partitions); err != nil {
-			// Same stance as spill: the schema names the partition
-			// columns, so a failure here is a misconfiguration.
-			panic(fmt.Sprintf("core: partitioning tables: %v", err))
 		}
 	}
 	idx := semindex.Build(db, opts.Index)
@@ -210,37 +189,6 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 	return e
 }
 
-// partitionTables hash-partitions every table of db n ways on its
-// natural co-partitioning column. Foreign keys drive the assignment —
-// both endpoint columns of each FK (in declaration order, first
-// assignment wins) — so FK-joined tables are co-partitioned and an FK
-// equality prunes by hash routing on either side; tables no foreign key
-// touches fall back to their primary key.
-func partitionTables(db *store.DB, n int) error {
-	cols := map[string]string{}
-	for _, fk := range db.Schema.ForeignKeys {
-		if _, ok := cols[fk.Table]; !ok {
-			cols[fk.Table] = fk.Column
-		}
-		if _, ok := cols[fk.RefTable]; !ok {
-			cols[fk.RefTable] = fk.RefColumn
-		}
-	}
-	for _, t := range db.Schema.Tables {
-		col, ok := cols[t.Name]
-		if !ok {
-			col = t.PrimaryKey
-		}
-		if col == "" {
-			continue // no usable partition column; stays single-stream
-		}
-		if err := db.Table(t.Name).Partition(store.HashPartition(col, n)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PlanCacheStats returns the cumulative plan-template cache hit/miss
 // counters (zeros when the cache is disabled).
 func (e *Engine) PlanCacheStats() (hits, misses uint64) {
@@ -263,13 +211,6 @@ func (e *Engine) AnswerCacheStats() (hits, misses uint64) {
 // every ask served: segments decoded vs segments skipped by zone maps.
 func (e *Engine) SegmentStats() (scanned, skipped int64) {
 	return e.segC.Scanned.Load(), e.segC.Skipped.Load()
-}
-
-// PartitionStats returns the cumulative runtime partition counters
-// across every ask served: partitions read vs partitions pruned by
-// bound predicates against partition statistics.
-func (e *Engine) PartitionStats() (scanned, pruned int64) {
-	return e.partC.Scanned.Load(), e.partC.Pruned.Load()
 }
 
 // Name identifies the full pipeline in benchmark reports.
@@ -467,7 +408,7 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, sn *store.Snapshot, e
 	ans.Degraded = execPar > 0 && execPar < e.opts.Parallelism
 
 	start := time.Now()
-	res, err := exec.Run(ctx, sn, p, exec.RunOpts{Params: params, Par: execPar, SegC: &e.segC, PartC: &e.partC})
+	res, err := exec.Run(ctx, sn, p, exec.RunOpts{Params: params, Par: execPar, SegC: &e.segC})
 	tm.Execute = time.Since(start)
 	if err != nil {
 		return fmt.Errorf("core: executing %q: %w", stmt, err)

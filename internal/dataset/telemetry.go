@@ -12,12 +12,9 @@ import (
 // join is total.
 const TelemetryDevices = 4096
 
-// TelemetrySchema is the two-table telemetry schema of the partitioned-
-// table experiment (F13): the F11 event log joined to a device
-// dimension through a foreign key. The FK is what drives automatic
-// co-partitioning — hash-partitioning both tables on device_id at the
-// same degree confines equal join keys to one partition index, so a
-// device_id probe prunes to one partition of either table.
+// TelemetrySchema is the two-table telemetry schema the ask_scan
+// workload and the exchange join tests read: the F11 event log joined
+// to a device dimension through a foreign key on device_id.
 func TelemetrySchema() *schema.Schema {
 	return schema.MustNew("telemetry", []*schema.Table{
 		{
@@ -71,8 +68,8 @@ func DeviceRows() []store.Row {
 // TelemetryEventRows generates n event rows, fully deterministic in n
 // — the same distributions as Events (clustered monotonic ts, FOR-
 // packable device_id, dictionary-friendly service/level, ~3% NULL
-// latency), exposed as bare rows so load benchmarks can route them
-// into differently-partitioned tables.
+// latency), exposed as bare rows so a loader can time or split the
+// load itself.
 func TelemetryEventRows(n int) []store.Row {
 	r := rng(11)
 	rows := make([]store.Row, 0, n)

@@ -60,12 +60,10 @@ type RunOpts struct {
 	// passthrough when its worker cap is 1, rows stay identical.
 	Par int
 
-	// SegC and PartC, when set, accumulate segments decoded vs skipped
-	// by zone maps and partitions read vs pruned by bound predicates,
-	// across every scan of the run including subqueries and parallel
-	// workers — the cumulative numbers behind /api/stats.
-	SegC  *store.SegCounters
-	PartC *store.PartCounters
+	// SegC, when set, accumulates segments decoded vs skipped by zone
+	// maps across every scan of the run, subqueries and parallel
+	// workers included — the cumulative numbers behind /api/stats.
+	SegC *store.SegCounters
 }
 
 // Run executes a compiled plan against a pinned snapshot — the one way
@@ -97,10 +95,11 @@ func Query(sn *store.Snapshot, stmt *sql.SelectStmt) (*Result, error) {
 
 // RunBoundCountedAtCtx is Run with its options spelled positionally.
 // It exists only because benchmark/ is frozen and compiles against this
-// name; it goes when benchmark/replay.go is next opened.
+// name; it goes when benchmark/replay.go is next opened, and with it
+// partc, which nothing reads.
 func RunBoundCountedAtCtx(ctx context.Context, sn *store.Snapshot, p *plan.Plan, params []store.Value, par int,
 	segc *store.SegCounters, partc *store.PartCounters) (*Result, error) {
-	return Run(ctx, sn, p, RunOpts{Params: params, Par: par, SegC: segc, PartC: partc})
+	return Run(ctx, sn, p, RunOpts{Params: params, Par: par, SegC: segc})
 }
 
 // executor evaluates expressions for plan iterators and runs nested
@@ -170,7 +169,7 @@ func (ex *executor) arm(ctx context.Context) {
 func (ex *executor) run(p *plan.Plan, parent *plan.Frame) (*Result, error) {
 	o := &ex.opts
 	rows, err := plan.Run(p, &plan.Ctx{Snap: ex.sn, Ev: ex, Parent: parent,
-		SegC: o.SegC, PartC: o.PartC,
+		SegC:   o.SegC,
 		Params: o.Params, Par: o.Par, Done: ex.done, Cause: ex.cause})
 	if err != nil {
 		return nil, err

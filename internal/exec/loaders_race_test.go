@@ -11,41 +11,31 @@ import (
 	"repro/internal/store"
 )
 
-// The partitioned-load race battery. A partitioned table's BulkInsert
-// routes a batch per partition and publishes each chunk independently,
-// so whole-batch atomicity is only guaranteed when a batch lands in
-// one partition. These tests construct exactly that: events is hash-
-// partitioned on the batch column, every batch shares one batch id,
-// and batches therefore publish atomically under a single partition
-// lock while distinct batch ids spread across all 8 partitions. The
-// readers' invariants mirror race_test.go: COUNT(*) divisible by
-// batchSize, SUM(val) = 0, no partial batch group — all of which hold
-// on every published version and on no torn mix.
+// The multi-writer race battery: several loaders bulk-insert into one
+// table at once, each batch one batch id. The table's writer lock
+// serializes their publishes and each BulkInsert publishes as one
+// version, so the readers' invariants mirror race_test.go's single-
+// writer battery: COUNT(*) divisible by batchSize, SUM(val) = 0, no
+// partial batch group — all of which hold on every published version
+// and on no torn mix.
 
-const partRaceParts = 8
-
-func partRaceDB(t testing.TB) *store.DB {
+func loadRaceDB(t testing.TB) *store.DB {
 	t.Helper()
-	s := schema.MustNew("partrace", []*schema.Table{
+	s := schema.MustNew("loadrace", []*schema.Table{
 		{Name: "events", Columns: []schema.Column{
 			{Name: "batch", Type: schema.Int},
 			{Name: "val", Type: schema.Int},
 		}},
 	}, nil)
-	db := store.NewDB(s)
-	if err := db.PartitionTable("events", store.HashPartition("batch", partRaceParts)); err != nil {
-		t.Fatal(err)
-	}
-	return db
+	return store.NewDB(s)
 }
 
 // TestPartitionConcurrentLoaders drives 4 concurrent loaders, each
-// publishing its own disjoint batch ids into the partitioned table,
-// against readers running every executor mode. Loaders overlap on
-// disjoint partitions (the point of per-partition writer locks); any
-// reader observing a torn batch or a partial publish fails.
+// publishing its own disjoint batch ids into one table, against readers
+// running every executor mode; any reader observing a torn batch or a
+// partial publish fails.
 func TestPartitionConcurrentLoaders(t *testing.T) {
-	db := partRaceDB(t)
+	db := loadRaceDB(t)
 	countSum := sql.MustParse("SELECT COUNT(*), SUM(val) FROM events")
 	torn := sql.MustParse(fmt.Sprintf(
 		"SELECT batch, COUNT(*) FROM events GROUP BY batch HAVING COUNT(*) <> %d", batchSize))
@@ -129,7 +119,7 @@ func TestPartitionConcurrentLoaders(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Final state: every loader's every batch, spread across partitions.
+	// Final state: every loader's every batch.
 	res, err := Query(db.Snapshot(), countSum)
 	if err != nil {
 		t.Fatal(err)
@@ -137,23 +127,13 @@ func TestPartitionConcurrentLoaders(t *testing.T) {
 	if n, ok := intCell(res.Rows[0][0]); !ok || n != loaders*perLoader*batchSize {
 		t.Fatalf("final events count %d (numeric=%v), want %d", n, ok, loaders*perLoader*batchSize)
 	}
-	snap := db.Table("events").Snap()
-	if snap.NumParts() != partRaceParts {
-		t.Fatalf("table ended with %d partitions, want %d", snap.NumParts(), partRaceParts)
-	}
-	for p := 0; p < snap.NumParts(); p++ {
-		if snap.Part(p).Len() == 0 {
-			t.Errorf("partition %d empty — batch ids never spread across partitions", p)
-		}
-	}
 }
 
 // TestPartitionSnapshotRepeatable: a plan compiled and run on a pinned
-// snapshot of a partitioned table returns identical results before and
-// after concurrent per-partition loads — partitioned MVCC keeps the
-// snapshot-pinning contract.
+// snapshot returns identical results before and after 4 concurrent
+// loaders publish into the same table.
 func TestPartitionSnapshotRepeatable(t *testing.T) {
-	db := partRaceDB(t)
+	db := loadRaceDB(t)
 	for i := 0; i < 8; i++ {
 		if err := db.BulkInsert("events", eventBatch(i)); err != nil {
 			t.Fatal(err)

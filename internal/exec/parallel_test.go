@@ -127,7 +127,7 @@ func TestParallelJoinHeavyRowForRow(t *testing.T) {
 }
 
 // TestParallelExplain checks the plan rewrite is visible: the exchange
-// operator names its worker degree and partitioned scan, and every
+// operator names its worker degree and the scan it splits, and every
 // node below it is annotated with its degree of parallelism.
 func TestParallelExplain(t *testing.T) {
 	db := dataset.University(4)

@@ -204,10 +204,9 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 		checkPartial(t, sn, q, perMorsel)
 	}
 
-	// Co-partitioned joins: morsels cut inside the partitions, and the
-	// fold runs per morsel on the same terms.
-	dbPart, _ := telemetryPair(20_000, 8)
-	sn = dbPart.Snapshot()
+	// FK joins over the telemetry pair: the fold runs per morsel above
+	// the probe on the same terms.
+	sn = dataset.Telemetry(20_000).Snapshot()
 	const fk = "FROM events, devices WHERE events.device_id = devices.device_id"
 	checkPartial(t, sn, "SELECT level, COUNT(*), MIN(ts), MAX(service) "+fk+" GROUP BY level", perMorsel)
 	checkPartial(t, sn, "SELECT region, COUNT(latency_ms) "+fk+" AND level = 'error' GROUP BY region", perMorsel)

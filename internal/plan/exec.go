@@ -36,12 +36,6 @@ type Ctx struct {
 	// run (including Exchange workers — the fields are atomic).
 	SegC *store.SegCounters
 
-	// PartC, when set, accumulates runtime partition counters: the
-	// partitions scans actually read vs the partitions pruned by bound
-	// predicates against partition statistics (atomic fields, shared by
-	// parallel workers like SegC).
-	PartC *store.PartCounters
-
 	// Done, when non-nil, is the cancellation signal of the request
 	// this run serves (a context's Done channel, threaded by exec).
 	// Iterator loops check it at batch granularity — see cancel.go —

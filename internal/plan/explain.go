@@ -63,11 +63,7 @@ func (s *Scan) describe() string {
 	if s.SegN > 0 {
 		seg = fmt.Sprintf(" segments=%d skipped=%d", s.SegN, s.SegSkip)
 	}
-	part := ""
-	if s.PartN > 1 {
-		part = fmt.Sprintf(" partitions=%d pruned=%d", s.PartN, s.PartPruned)
-	}
-	return fmt.Sprintf("scan %s%s [est=%d%s%s]", bindingName(s.B), prunedNote(s.B), s.Est, part, seg)
+	return fmt.Sprintf("scan %s%s [est=%d%s]", bindingName(s.B), prunedNote(s.B), s.Est, seg)
 }
 
 func (f *Filter) describe() string {

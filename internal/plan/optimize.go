@@ -275,14 +275,13 @@ func walkRefs(e sql.Expr, visit func(sql.ColumnRef)) {
 // accessPath reads one binding: a full scan whose zone-map skip
 // predicates derive from the pushed conjuncts, under a filter that
 // re-enforces every one of them. It returns the node and its estimated
-// output rows. The scan bakes in the compile-time skip and prune
-// statistics Explain reports.
+// output rows. The scan bakes in the compile-time skip statistics
+// Explain reports.
 func accessPath(sn *store.Snapshot, b Binding, pushed []sql.Expr, params []store.Value) (Node, float64) {
 	n := float64(sn.Table(b.Meta.Name).Len())
 	sc := &Scan{B: b, Est: ceilEst(n), rel: relFor(b)}
 	sc.Skips = zonePreds(b, pushed)
 	sc.SegN, sc.SegSkip = segScanStats(sn, b, sc.Skips, params)
-	sc.PartN, sc.PartPruned = partScanStats(sn, b, sc.Skips, params)
 	out := n * selProduct(pushed)
 	if pred := sql.And(pushed...); pred != nil {
 		return &Filter{In: sc, Pred: pred, Est: ceilEst(out)}, out

@@ -12,10 +12,10 @@ const minParallelRows = 256
 
 // Exchange runs its subtree on a bounded pool of Workers goroutines.
 // Each worker repeatedly claims a morsel (a contiguous row range) of
-// the rows the leaf scan keeps this run (a pruned partition is never
-// cut), runs its own copy of the subtree's iterators over just that
-// morsel, and deposits the output — kept batches, or the group table of
-// an aggregate folding right there — into a per-morsel slot. The slots merge in morsel order, so parallel
+// the leaf scan's table, runs its own copy of the subtree's iterators
+// over just that morsel, and deposits the output — kept batches, or the
+// group table of an aggregate folding right there — into a per-morsel
+// slot. The slots merge in morsel order, so parallel
 // execution is row-for-row identical to the serial plan. Build sides
 // of hash joins inside the subtree are built once and shared read-only
 // across workers (see HashJoin.vecBuild).
@@ -142,7 +142,7 @@ func partitionLeaf(n Node) *Scan {
 // base rows to produce instead of the full table: the [lo, hi) range,
 // read as zero-copy windows over the segment columns.
 type morselRun struct {
-	node   *Scan // identity of the partitioned leaf
+	node   *Scan // identity of the leaf scan
 	lo, hi int   // base-table row range
 }
 
@@ -169,16 +169,12 @@ func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 	if tab == nil {
 		return 0, nil, errUnknownTable(e.part.B.Meta.Name)
 	}
-	// A leaf of at most one row before pruning passes through, and the
-	// scan prunes for itself.
-	if tab.Len() <= 1 {
+	// A leaf of at most one row passes through.
+	n := tab.Len()
+	if n <= 1 {
 		return 0, nil, nil
 	}
-	// The scan's kept ranges are what the serial walk reads, so pruned
-	// partitions are gone before any morsel is cut.
-	var one [1][2]int
-	ranges := e.part.keptRanges(ctx, tab, one[:0])
-	spans := morselSpans(ranges, workers)
+	spans := morselSpans(n, workers)
 	workers = min(workers, len(spans))
 	return len(spans), func(sink slotSink) error {
 		return runSlots(ctx, workers, len(spans), func(m int, wctx *Ctx) error {
@@ -188,35 +184,18 @@ func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 	}, nil
 }
 
-// morselSpans cuts ranges into contiguous morsels, about four per
-// worker for stealing slack, never across a range: a small range (one
-// kept partition, say) is one morsel, a large one splits evenly. Ranges
-// ascend, so spans do and the in-order merge stays canonical. Morsels
-// adapt to the leaf — a small probe leaf driving heavy joins still
-// splits, its downstream cost dwarfs the per-morsel iterator setup. A
-// leaf with no rows left (every partition pruned) is one empty morsel,
-// so the subtree still runs once and an aggregate's global group
-// answers.
-func morselSpans(ranges [][2]int, workers int) [][2]int {
-	total := 0
-	for _, r := range ranges {
-		total += r[1] - r[0]
-	}
-	target := max(1, (total+workers*4-1)/(workers*4))
-	var spans [][2]int
-	for _, r := range ranges {
-		n := r[1] - r[0]
-		if n == 0 {
-			continue
-		}
-		cuts := (n + target - 1) / target
-		step := (n + cuts - 1) / cuts
-		for lo := r[0]; lo < r[1]; lo += step {
-			spans = append(spans, [2]int{lo, min(lo+step, r[1])})
-		}
-	}
-	if spans == nil {
-		spans = [][2]int{{}}
+// morselSpans cuts the n rows of a leaf into contiguous, ascending
+// morsels, about four per worker for stealing slack, so the in-order
+// merge stays canonical. Morsels adapt to the leaf — a small probe
+// leaf driving heavy joins still splits, its downstream cost dwarfs
+// the per-morsel iterator setup.
+func morselSpans(n, workers int) [][2]int {
+	target := max(1, (n+workers*4-1)/(workers*4))
+	cuts := (n + target - 1) / target
+	step := (n + cuts - 1) / cuts
+	spans := make([][2]int, 0, cuts)
+	for lo := 0; lo < n; lo += step {
+		spans = append(spans, [2]int{lo, min(lo+step, n)})
 	}
 	return spans
 }

@@ -135,12 +135,7 @@ type Scan struct {
 	// SegN/SegSkip are the segment count and skip count under the
 	// values the plan was compiled with, reported by Explain.
 	SegN, SegSkip int
-	// PartN/PartPruned are the table's partition count and the
-	// partitions the same predicates prune under the compile-time
-	// values, reported by Explain. Runtime opens re-derive pruning from
-	// their own parameters (see Scan.keptRanges).
-	PartN, PartPruned int
-	rel               *Rel
+	rel           *Rel
 }
 
 // Filter keeps rows for which Pred evaluates to exactly TRUE.

@@ -17,8 +17,8 @@ import (
 //
 // No planning decision reads a parameter value: estimates come from
 // row counts, distinct counts and shape-based selectivities, and the
-// only value-dependent work — zone-map skips and partition pruning —
-// is re-derived from Ctx.Params at every open. So the cached tree is
+// only value-dependent work — zone-map skips — is re-derived from
+// Ctx.Params at every open. So the cached tree is
 // exactly what a fresh compile would build for as long as the
 // statistics it read stand, that is, while every table it reads is at
 // the version it was compiled against (the stats epoch) and the worker

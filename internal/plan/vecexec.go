@@ -47,23 +47,11 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 	// prepared template skips per its bound constants.
 	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
 	ss := tab.Segments()
-	// An Exchange worker reads its morsel, cut inside the kept ranges.
+	// An Exchange worker reads its morsel; a serial scan reads the table.
 	if mr := ctx.part; mr != nil && mr.node == s {
 		return segScanBatches(ctx, ss, s.B, mr.lo, mr.hi, preds, skipAll), nil
 	}
-	// Partition boundaries are segment boundaries in the merged set, so
-	// a pruned partition's segments are never located, faulted or
-	// decoded — pruning happens strictly before any segment I/O.
-	var one [1][2]int
-	ranges := s.keptRanges(ctx, tab, one[:0])
-	if len(ranges) == 1 {
-		return segScanBatches(ctx, ss, s.B, ranges[0][0], ranges[0][1], preds, skipAll), nil
-	}
-	its := make([]viter, len(ranges))
-	for i, r := range ranges {
-		its[i] = segScanBatches(ctx, ss, s.B, r[0], r[1], preds, skipAll)
-	}
-	return chainViters(its), nil
+	return segScanBatches(ctx, ss, s.B, 0, tab.Len(), preds, skipAll), nil
 }
 
 // segFault resolves a segment's decoded columns through Segment.Cols,
@@ -87,8 +75,8 @@ func segFault(ctx *Ctx, seg *store.Segment) ([]*store.SegCol, error) {
 // dropped without touching their data (a segment-wide proof of
 // non-TRUE holds for any window of it, so partial morsel overlap skips
 // too). SegC counts a segment only in the window that enters it at its
-// first row: kept ranges start on segment boundaries and morsels tile
-// them, so a run counts each segment once at any degree. Every column
+// first row: a scan starts on a segment boundary and morsels tile the
+// table, so a run counts each segment once at any degree. Every column
 // is a zero-copy view of immutable segment storage: plain payloads and
 // dictionary codes as slices, RLE- and FOR-encoded ints as the encoded
 // column plus the window's offset (see vcol). The batch itself is lent:
@@ -1474,7 +1462,7 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 // ---- exchange ----
 
 // vopen runs the exchange's subtree vectorized: morsels hand each
-// worker a contiguous batch range of the partitioned leaf, workers drain their vectorized pipelines keeping
+// worker a contiguous batch range of the leaf scan, workers drain their vectorized pipelines keeping
 // every batch, and the merged stream concatenates morsel outputs in
 // order — identical rows to the serial vectorized plan, which is
 // itself identical to the serial row plan. An aggregate that merges

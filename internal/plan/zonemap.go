@@ -284,14 +284,8 @@ func (p *boundZone) skips(seg *store.Segment) bool {
 	if z.AllNull() {
 		return true
 	}
-	return p.skipsRange(z.Min, z.Max)
-}
-
-// skipsRange reports whether the recorded value range [mn, mx] — a
-// segment zone map's or a whole partition's — proves the predicate
-// non-TRUE for every row inside it. A NULL endpoint means no usable
-// range was recorded: never skip.
-func (p *boundZone) skipsRange(mn, mx store.Value) bool {
+	// A NULL endpoint means no usable range was recorded: never skip.
+	mn, mx := z.Min, z.Max
 	if mn.IsNull() || mx.IsNull() {
 		return false
 	}

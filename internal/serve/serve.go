@@ -349,7 +349,6 @@ type statsResponse struct {
 	AnswerCache cacheStatsJSON     `json:"answer_cache"`
 	PlanCache   cacheStatsJSON     `json:"plan_cache"`
 	Segments    scanStatsJSON      `json:"segments"`
-	Partitions  partStatsJSON      `json:"partitions"`
 	SegCache    *segCacheStatsJSON `json:"segment_cache,omitempty"` // absent without a spill dir
 	Sessions    sessionStatsJSON   `json:"sessions"`
 }
@@ -362,11 +361,6 @@ type cacheStatsJSON struct {
 type scanStatsJSON struct {
 	Scanned int64 `json:"scanned"`
 	Skipped int64 `json:"skipped"`
-}
-
-type partStatsJSON struct {
-	Scanned int64 `json:"scanned"`
-	Pruned  int64 `json:"pruned"`
 }
 
 type segCacheStatsJSON struct {
@@ -389,7 +383,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.AnswerCache.Hits, resp.AnswerCache.Misses = s.eng.AnswerCacheStats()
 	resp.PlanCache.Hits, resp.PlanCache.Misses = s.eng.PlanCacheStats()
 	resp.Segments.Scanned, resp.Segments.Skipped = s.eng.SegmentStats()
-	resp.Partitions.Scanned, resp.Partitions.Pruned = s.eng.PartitionStats()
 	if sc := s.eng.DB.SegCache(); sc != nil {
 		st := sc.Stats()
 		resp.SegCache = &segCacheStatsJSON{

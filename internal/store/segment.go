@@ -777,3 +777,12 @@ type SegCounters struct {
 	Scanned atomic.Int64
 	Skipped atomic.Int64
 }
+
+// PartCounters is a shim with no reader or writer in the engine: the
+// benchmark's replay still declares one and passes it to
+// exec.RunBoundCountedAtCtx, which ignores it. Both go when that
+// replay is next rewritten.
+type PartCounters struct {
+	Scanned atomic.Int64
+	Pruned  atomic.Int64
+}

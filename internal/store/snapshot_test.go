@@ -55,8 +55,7 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 			t.Fatalf("no stats for %s", mc.Name)
 		}
 		want := computeStats(rows, ci)
-		if st.Rows != want.Rows || st.Nulls != want.Nulls || st.Distinct != want.Distinct ||
-			Compare(st.Min, want.Min) != 0 || Compare(st.Max, want.Max) != 0 {
+		if st != want {
 			t.Fatalf("stats for %s: got %+v want %+v", mc.Name, st, want)
 		}
 	}
@@ -195,8 +194,7 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	for _, col := range []string{"id", "score", "tag"} {
 		sa, _ := a.Stats(col)
 		sb, _ := b.Stats(col)
-		if sa.Rows != sb.Rows || sa.Nulls != sb.Nulls || sa.Distinct != sb.Distinct ||
-			Compare(sa.Min, sb.Min) != 0 || Compare(sa.Max, sb.Max) != 0 {
+		if sa != sb {
 			t.Errorf("stats for %s diverge: incremental %+v, fresh %+v", col, sa, sb)
 		}
 	}

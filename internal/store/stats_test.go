@@ -33,12 +33,6 @@ func TestColStats(t *testing.T) {
 	if s.Rows != 5 || s.Nulls != 1 || s.Distinct != 3 {
 		t.Errorf("stats = %+v", s)
 	}
-	if f, _ := s.Min.AsFloat(); f != 1 {
-		t.Errorf("min = %v", s.Min)
-	}
-	if f, _ := s.Max.AsFloat(); f != 3 {
-		t.Errorf("max = %v", s.Max)
-	}
 	if _, ok := tab.Snap().Stats("nosuch"); ok {
 		t.Error("stats for unknown column")
 	}
@@ -50,8 +44,5 @@ func TestColStats(t *testing.T) {
 	s, _ = tab.Snap().Stats("v")
 	if s.Rows != 6 || s.Distinct != 4 {
 		t.Errorf("stats not refreshed after insert: %+v", s)
-	}
-	if f, _ := s.Max.AsFloat(); f != 9 {
-		t.Errorf("max not refreshed: %v", s.Max)
 	}
 }

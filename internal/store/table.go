@@ -17,18 +17,15 @@ import (
 // TableSnap (Snap) or a Snapshot (DB.Snapshot), so a reader cannot
 // straddle two versions by accident.
 //
-// A table is one or more partition streams (see partition.go). Writers
-// to one partition serialize on that partition's lock and do all their
-// copy-on-write work under it; pubMu is held only for the final
-// partSet swap, so concurrent loaders into different partitions
-// overlap everywhere except the pointer publish itself.
+// A table is one stream: writers serialize on mu and do all their
+// copy-on-write work under it, then publish the next version with one
+// pointer store, so a batch is atomic to every reader.
 type Table struct {
 	Meta   *schema.Table
 	colIdx map[string]int
 
-	pubMu  sync.Mutex              // serializes partSet publication only
-	pset   atomic.Pointer[partSet] // current published partition set
-	ticket atomic.Uint64           // rotates partition publish order across loaders
+	mu   sync.Mutex                // serializes writers
+	data atomic.Pointer[tableData] // current published version
 
 	// spill, when set (DB.EnableSpill), is the segment cache that
 	// adopts this table's sealed segments: serialized write-once to
@@ -45,8 +42,7 @@ func NewTable(meta *schema.Table) *Table {
 	for i, c := range meta.Columns {
 		t.colIdx[c.Name] = i
 	}
-	layout := &partLayout{scheme: PartScheme{Kind: PartNone, N: 1}, locks: make([]sync.Mutex, 1)}
-	t.pset.Store(newPartSet(layout, []*tableData{{caches: &dataCaches{}}}, 0))
+	t.data.Store(&tableData{caches: &dataCaches{}})
 	return t
 }
 
@@ -60,14 +56,10 @@ func (t *Table) ColIndex(name string) int {
 
 // Version returns the table's current data version: a per-table
 // monotonic counter bumped by every row mutation (and only by row
-// mutations — resealing leaves it unchanged; repartitioning bumps it,
-// since the canonical row order changes). Equal versions imply equal
-// contents, the invalidation token for caches keyed on this table's
-// data.
-func (t *Table) Version() uint64 { return t.pset.Load().version }
-
-// PartScheme returns the table's current partitioning scheme.
-func (t *Table) PartScheme() PartScheme { return t.pset.Load().layout.scheme }
+// mutations — resealing leaves it unchanged). Equal versions imply
+// equal contents, the invalidation token for caches keyed on this
+// table's data.
+func (t *Table) Version() uint64 { return t.data.Load().version }
 
 // Insert appends a row after validating arity and column types. INT
 // values are accepted into FLOAT columns (widening); NULL is accepted
@@ -165,25 +157,15 @@ func coerce(v Value, want schema.ColType) (Value, error) {
 // version does not move. Intended for tests and experiments that need
 // small segments or boundary-straddling row counts.
 func (t *Table) SetSegmentRows(n int) {
-	layout := t.lockAll()
-	defer unlockAll(layout)
-	ps := t.pset.Load()
-	datas := make([]*tableData, len(ps.datas))
-	for i, cur := range ps.datas {
-		datas[i] = &tableData{
-			rows:    cur.rows,
-			version: cur.version,
-			segRows: n,
-			caches:  &dataCaches{},
-		}
-	}
-	t.pubMu.Lock()
-	t.pset.Store(newPartSet(layout, datas, ps.version))
-	t.pubMu.Unlock()
-}
-
-func errNoColumn(t *Table, col string) error {
-	return fmt.Errorf("store: table %s has no column %s", t.Meta.Name, col)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	cur := t.data.Load()
+	t.data.Store(&tableData{
+		rows:    cur.rows,
+		version: cur.version,
+		segRows: n,
+		caches:  &dataCaches{},
+	})
 }
 
 // DB is a collection of populated tables bound to a schema.
@@ -249,16 +231,6 @@ func (db *DB) BulkInsert(table string, rows []Row) error {
 		return fmt.Errorf("store: unknown table %s", table)
 	}
 	return t.BulkInsert(rows)
-}
-
-// PartitionTable reshapes the named table into the given scheme's
-// partition streams (see Table.Partition).
-func (db *DB) PartitionTable(name string, scheme PartScheme) error {
-	t := db.tables[name]
-	if t == nil {
-		return fmt.Errorf("store: unknown table %s", name)
-	}
-	return t.Partition(scheme)
 }
 
 // MustBulkInsert is BulkInsert panicking on error, for dataset
