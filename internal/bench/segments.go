@@ -58,8 +58,8 @@ type SegFootprint struct {
 	EncodingCount map[string]int
 }
 
-// MeasureSegFootprint builds the named table's segment layout and
-// reports its footprint. The table is pinned to one snapshot so row
+// MeasureSegFootprint reports the footprint of the named table's
+// segment layout. The table is pinned to one snapshot so row
 // count and segment bytes describe the same version even while writers
 // publish.
 func MeasureSegFootprint(db *store.DB, table string) SegFootprint {

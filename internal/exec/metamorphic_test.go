@@ -46,9 +46,10 @@ func (g *qgen) sampleValue(ci int) (string, bool) {
 	if tab.Len() == 0 {
 		return "", false
 	}
+	ss := tab.Segments()
 	for try := 0; try < 8; try++ {
-		row := tab.Row(g.r.Intn(tab.Len()))
-		v := row[ci]
+		si, off := ss.Locate(g.r.Intn(tab.Len()))
+		v := ss.Segs[si].MustCols()[ci].Value(off)
 		if v.IsNull() {
 			continue
 		}

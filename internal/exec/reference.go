@@ -73,16 +73,19 @@ func (ex *executor) buildRelation(stmt *sql.SelectStmt) (*matRel, error) {
 	for _, bi := range order {
 		b := bindings[bi]
 		tab := ex.sn.Table(b.Meta.Name)
+		rows, err := tab.Rows()
+		if err != nil {
+			return nil, err
+		}
 		if mr == nil {
 			b.Off = 0
 			mr = &matRel{
 				rel:  &plan.Rel{Bindings: []plan.Binding{b}, Width: len(b.Meta.Columns)},
-				rows: tab.Rows(),
+				rows: rows,
 			}
 			continue
 		}
-		var err error
-		mr, err = joinOne(mr, b, tab, conds)
+		mr, err = joinOne(mr, b, rows, conds)
 		if err != nil {
 			return nil, err
 		}
@@ -139,7 +142,7 @@ func refJoinOrder(bindings []plan.Binding, conds []plan.EquiJoin) []int {
 
 // joinOne joins mr with table b, hash-joining when an extracted
 // equi-join connects them, and materializes the result.
-func joinOne(mr *matRel, b plan.Binding, tab *store.TableSnap, conds []plan.EquiJoin) (*matRel, error) {
+func joinOne(mr *matRel, b plan.Binding, newRows []store.Row, conds []plan.EquiJoin) (*matRel, error) {
 	b.Off = mr.rel.Width
 	outRel := &plan.Rel{
 		Bindings: append(append([]plan.Binding{}, mr.rel.Bindings...), b),
@@ -165,7 +168,6 @@ func joinOne(mr *matRel, b plan.Binding, tab *store.TableSnap, conds []plan.Equi
 		}
 	}
 
-	newRows := tab.Rows()
 	if leftOff >= 0 {
 		// Hash join: build on the new table, probe from mr.
 		index := make(map[string][]store.Row, len(newRows))

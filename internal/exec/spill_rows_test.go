@@ -1,0 +1,61 @@
+package exec_test
+
+import (
+	"bytes"
+	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/exec"
+	"repro/internal/sql"
+)
+
+// TestRowsAfterEvictAll: under a spill-enabled store a sealed segment
+// is a table's only copy of its rows, so the readers that decode whole
+// tables — the reference executor's row materializer and the CSV
+// writer — must fault evicted payloads back in and give exactly the
+// rows they gave while every payload was resident.
+func TestRowsAfterEvictAll(t *testing.T) {
+	db := dataset.Telemetry(6000)
+	db.Table("events").SetSegmentRows(512)
+	queries := []string{
+		"SELECT * FROM events WHERE status = 503",
+		"SELECT events.event_id, devices.region FROM events, devices WHERE events.device_id = devices.device_id AND events.level = 'error'",
+		"SELECT service, COUNT(*), AVG(latency_ms) FROM events GROUP BY service",
+	}
+	read := func() ([]*exec.Result, []byte) {
+		sn := db.Snapshot()
+		var res []*exec.Result
+		for _, q := range queries {
+			r, err := exec.ReferenceQueryAt(sn, sql.MustParse(q))
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			res = append(res, r)
+		}
+		var csv bytes.Buffer
+		if err := db.Table("events").WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		return res, csv.Bytes()
+	}
+
+	wantRes, wantCSV := read()
+	if err := db.EnableSpill(t.TempDir(), 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	db.Snapshot().Table("events").Segments() // adopt: every sealed segment spills
+	c := db.SegCache()
+	c.EvictAll()
+	gotRes, gotCSV := read()
+	if st := c.Stats(); st.Misses == 0 || st.FaultErrs != 0 {
+		t.Fatalf("reads after EvictAll faulted %d segments in (%d errors)", st.Misses, st.FaultErrs)
+	}
+	for i, q := range queries {
+		if err := rowsIdentical(gotRes[i], wantRes[i]); err != nil {
+			t.Errorf("%s: after EvictAll: %v", q, err)
+		}
+	}
+	if !bytes.Equal(gotCSV, wantCSV) {
+		t.Errorf("WriteCSV after EvictAll wrote %d bytes that differ from the %d written before", len(gotCSV), len(wantCSV))
+	}
+}

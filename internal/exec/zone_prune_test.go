@@ -140,7 +140,8 @@ func TestPartitionPruneZeroSegIO(t *testing.T) {
 	bound := tsAt(n, 0.125)
 	stmt := sql.MustParse(fmt.Sprintf(
 		"SELECT COUNT(*), MIN(status), MAX(status) FROM events WHERE ts < %d", bound))
-	// Baseline off the rows: no segment, so no fault can reach it.
+	// Baseline before any eviction: every payload is resident, so no
+	// fault can reach it.
 	want, err := exec.ReferenceQueryAt(sn, stmt)
 	if err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 
 // TestOneExecutor pins that the vectorized engine is the only executor:
 // no operator has a row-at-a-time open(*Ctx), nothing in the package
-// reads a table's row face (TableSnap.Rows), and neither the switch
+// materializes a table's rows (TableSnap.Rows), and neither the switch
 // that used to pick the row engine (NoVec) nor the machinery that
 // decided or bridged it (staticVec, rowSource) is declared or named
 // again, here or in internal/exec. An expression the kernels cannot
@@ -33,7 +33,7 @@ func TestOneExecutor(t *testing.T) {
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && dir == "." &&
 				sel.Sel.Name == "Rows" && len(n.Args) == 0 {
-				t.Errorf("%s: the executor reads a table's row face", pos)
+				t.Errorf("%s: the executor materializes a table's rows", pos)
 			}
 		}
 	})

@@ -1,9 +1,12 @@
 package semindex
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/lexicon"
 	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/strutil"
@@ -278,5 +281,106 @@ func BenchmarkBuildIndex(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Build(db, DefaultOptions())
+	}
+}
+
+// TestValueIndexFromSegments: Build reads each sealed segment's
+// dictionary (or its plain strings) and the tail's strings, and must
+// index exactly the values a pass over the decoded rows would — the
+// same distinct-value cap, the same NULLs left out — whatever the seal
+// boundary.
+func TestValueIndexFromSegments(t *testing.T) {
+	entries := func(idx *Index) map[string]bool {
+		set := map[string]bool{}
+		for key, es := range idx.values {
+			for _, e := range es {
+				set[key+"|"+e.table+"."+e.column+"|"+e.value.Key()] = true
+			}
+		}
+		return set
+	}
+	fromRows := func(db *store.DB) *Index {
+		ref := &Index{Vocab: lexicon.NewVocabulary(), values: map[string][]valueEntry{}}
+		sn := db.Snapshot()
+		for _, mt := range db.Schema.Tables {
+			rows, err := sn.Table(mt.Name).Rows()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, c := range mt.Columns {
+				if c.Type != schema.Text {
+					continue
+				}
+				distinct := map[string]bool{}
+				for _, row := range rows {
+					if !row[ci].IsNull() {
+						distinct[row[ci].Str()] = true
+					}
+				}
+				if !c.NameLike && len(distinct) > maxValueDistinct {
+					continue
+				}
+				for s := range distinct {
+					ref.registerValue(s, valueEntry{table: mt.Name, column: c.Name, value: store.Text(s)})
+				}
+			}
+		}
+		return ref
+	}
+	for _, db := range []*store.DB{dataset.University(1), dataset.Telemetry(70_000)} {
+		for _, segRows := range []int{0, 64, 7} {
+			for _, mt := range db.Schema.Tables {
+				db.Table(mt.Name).SetSegmentRows(segRows)
+			}
+			got, want := entries(Build(db, DefaultOptions())), entries(fromRows(db))
+			if len(got) == 0 || len(got) != len(want) {
+				t.Fatalf("%s at %d rows a segment: %d value entries, %d from rows", db.Schema.Name, segRows, len(got), len(want))
+			}
+			for e := range want {
+				if !got[e] {
+					t.Fatalf("%s at %d rows a segment: %s missing", db.Schema.Name, segRows, e)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildReportsUnreadableValues: a value column whose spilled
+// segment cannot be read back is left out and reported by Err, not a
+// panic.
+func TestBuildReportsUnreadableValues(t *testing.T) {
+	db := dataset.Telemetry(2000)
+	db.Table("events").SetSegmentRows(256)
+	dir := t.TempDir()
+	if err := db.EnableSpill(dir, 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	if idx := Build(db, DefaultOptions()); idx.Err() != nil { // adopts: every sealed segment spills
+		t.Fatalf("resident build: %v", idx.Err())
+	}
+	db.SegCache().EvictAll()
+	files, _ := filepath.Glob(filepath.Join(dir, "*"))
+	for _, f := range files {
+		if err := os.Remove(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(files) == 0 {
+		t.Fatal("nothing spilled")
+	}
+	idx := Build(db, DefaultOptions())
+	if idx.Err() == nil {
+		t.Fatal("Build over lost segments reported no error")
+	}
+	regions := 0
+	for _, es := range idx.values {
+		for _, e := range es {
+			if e.table == "devices" && e.column == "region" {
+				regions++
+			}
+		}
+	}
+	if regions == 0 {
+		t.Error("the readable columns were not indexed")
 	}
 }

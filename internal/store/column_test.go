@@ -53,7 +53,7 @@ func TestSegColsRoundTrip(t *testing.T) {
 	}
 	for ri := range rows {
 		for ci := range cols {
-			want := snap.Row(ri)[ci]
+			want := rowAt(t, snap, ri)[ci]
 			got := cols[ci].Value(ri)
 			if want.Key() != got.Key() {
 				t.Errorf("row %d col %d: column holds %v, row holds %v", ri, ci, got, want)
@@ -64,9 +64,9 @@ func TestSegColsRoundTrip(t *testing.T) {
 		t.Error("text null bitmap wrong")
 	}
 
-	// The layout is cached until a mutation, then extended.
+	// The layout is the version's own until a mutation, then extended.
 	if tab.Snap().Segments() != ss {
-		t.Error("Segments not cached across calls")
+		t.Error("Segments differ across calls at one version")
 	}
 	if err := tab.Insert(Int(4), Float(1), Text("d"), Bool(true)); err != nil {
 		t.Fatal(err)
@@ -106,8 +106,8 @@ func TestBulkInsertMatchesInsert(t *testing.T) {
 		t.Fatalf("row counts differ: %d vs %d", sa.Len(), sb.Len())
 	}
 	for i := 0; i < sa.Len(); i++ {
-		if sa.Row(i).String() != sb.Row(i).String() {
-			t.Errorf("row %d differs: %s vs %s", i, sa.Row(i), sb.Row(i))
+		if rowAt(t, sa, i).String() != rowAt(t, sb, i).String() {
+			t.Errorf("row %d differs: %s vs %s", i, rowAt(t, sa, i), rowAt(t, sb, i))
 		}
 	}
 	sta, _ := sa.Stats("score")

@@ -189,24 +189,31 @@ func (db *DB) LoadCSVDir(dir string) error {
 }
 
 // WriteCSV writes the table (header plus all rows of the current
-// snapshot) to w. NULLs are written as empty cells, round-tripping
-// with LoadCSV.
+// snapshot) to w, one segment at a time. NULLs are written as empty
+// cells, round-tripping with LoadCSV. An evicted segment is faulted
+// back in; a fault that fails is returned as an error.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.Meta.ColumnNames()); err != nil {
 		return err
 	}
 	rec := make([]string, len(t.Meta.Columns))
-	for _, row := range t.Snap().Rows() {
-		for i, v := range row {
-			if v.IsNull() {
-				rec[i] = ""
-			} else {
-				rec[i] = v.String()
-			}
+	for _, seg := range t.Snap().Segments().Segs {
+		cols, err := seg.Cols(nil)
+		if err != nil {
+			return fmt.Errorf("store: writing %s: %w", t.Meta.Name, err)
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
+		for r := 0; r < seg.N; r++ {
+			for i, c := range cols {
+				if c.IsNull(r) {
+					rec[i] = ""
+				} else {
+					rec[i] = c.Value(r).String()
+				}
+			}
+			if err := cw.Write(rec); err != nil {
+				return err
+			}
 		}
 	}
 	cw.Flush()

@@ -62,10 +62,8 @@ func BenchmarkLoadCSVUnhinted(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkInsert measures the arena-staged bulk path on prebuilt
-// rows — the loader's second half, isolated from CSV parsing.
-func BenchmarkBulkInsert(b *testing.B) {
-	const n = 5000
+// bulkBenchRows builds n rows of the loader benchmark's table.
+func bulkBenchRows(n int) []Row {
 	src := make([]Row, n)
 	for i := range src {
 		src[i] = Row{
@@ -73,6 +71,34 @@ func BenchmarkBulkInsert(b *testing.B) {
 			Text(fmt.Sprintf("svc-%02d", i%24)), Float(float64(i%250) + 0.5),
 		}
 	}
+	return src
+}
+
+// BenchmarkBulkInsert measures the bulk path on prebuilt rows — the
+// loader's second half, isolated from CSV parsing. 5,000 rows stay in
+// the tail: the cells are checked and written straight into four
+// plain typed columns, so what it allocates is those columns and a
+// version's headers, nothing per row.
+func BenchmarkBulkInsert(b *testing.B) {
+	src := bulkBenchRows(5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		db := NewDB(loaderBenchSchema())
+		if err := db.BulkInsert("events", src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBulkInsertSeal measures a load that seals: two full
+// default-size chunks, each transposed into plain columns and encoded
+// (FOR ids and timestamps, a dictionary for the service, plain floats)
+// on its own worker before the one publish. What it allocates is per
+// chunk and per column; a per-row allocation in sealing would add
+// 131,072.
+func BenchmarkBulkInsertSeal(b *testing.B) {
+	src := bulkBenchRows(2 * DefaultSegmentRows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -22,15 +22,15 @@ func TestLoadCSVBasic(t *testing.T) {
 		t.Fatalf("loaded %d rows", n)
 	}
 	tab := db.Table("people")
-	if tab.Snap().Row(0)[1].Str() != "Ada" {
-		t.Errorf("row 0 = %v", tab.Snap().Row(0))
+	if rowAt(t, tab.Snap(), 0)[1].Str() != "Ada" {
+		t.Errorf("row 0 = %v", rowAt(t, tab.Snap(), 0))
 	}
-	if !tab.Snap().Row(2)[1].IsNull() || !tab.Snap().Row(2)[2].IsNull() {
-		t.Errorf("empty cells should be NULL: %v", tab.Snap().Row(2))
+	if !rowAt(t, tab.Snap(), 2)[1].IsNull() || !rowAt(t, tab.Snap(), 2)[2].IsNull() {
+		t.Errorf("empty cells should be NULL: %v", rowAt(t, tab.Snap(), 2))
 	}
 	// Int widens into Float column.
-	if f, _ := tab.Snap().Row(1)[2].AsFloat(); f != 7 {
-		t.Errorf("row 1 score = %v", tab.Snap().Row(1)[2])
+	if f, _ := rowAt(t, tab.Snap(), 1)[2].AsFloat(); f != 7 {
+		t.Errorf("row 1 score = %v", rowAt(t, tab.Snap(), 1)[2])
 	}
 }
 
@@ -40,7 +40,7 @@ func TestLoadCSVHeaderReordering(t *testing.T) {
 	if _, err := db.LoadCSV("people", strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
-	row := db.Table("people").Snap().Row(0)
+	row := rowAt(t, db.Table("people").Snap(), 0)
 	if row[0].Int64() != 1 || row[1].Str() != "Ada" {
 		t.Errorf("reordered header misloaded: %v", row)
 	}
@@ -74,8 +74,8 @@ func TestLoadCSVBool(t *testing.T) {
 	tab := db2.Table("flags")
 	want := []bool{true, false, true, false}
 	for i, w := range want {
-		if tab.Snap().Row(i)[1].BoolVal() != w {
-			t.Errorf("row %d = %v, want %v", i, tab.Snap().Row(i)[1], w)
+		if rowAt(t, tab.Snap(), i)[1].BoolVal() != w {
+			t.Errorf("row %d = %v, want %v", i, rowAt(t, tab.Snap(), i)[1], w)
 		}
 	}
 	if _, err := db2.LoadCSV("flags", strings.NewReader("id,flag\n1,maybe\n")); err == nil {
@@ -99,10 +99,10 @@ func TestWriteCSVRoundTrip(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("round trip loaded %d rows", n)
 	}
-	if db2.Table("people").Snap().Row(0)[1].Str() != "Ada, the first" {
+	if rowAt(t, db2.Table("people").Snap(), 0)[1].Str() != "Ada, the first" {
 		t.Error("comma in value did not round-trip")
 	}
-	if !db2.Table("people").Snap().Row(1)[1].IsNull() {
+	if !rowAt(t, db2.Table("people").Snap(), 1)[1].IsNull() {
 		t.Error("NULL did not round-trip")
 	}
 }
@@ -133,7 +133,7 @@ func TestWriteCSVRoundTripExtremes(t *testing.T) {
 	if _, err := db2.LoadCSV("people", &buf); err != nil {
 		t.Fatalf("LoadCSV rejected what WriteCSV wrote: %v\n%s", err, written)
 	}
-	want, got := db.Table("people").Snap().Rows(), db2.Table("people").Snap().Rows()
+	want, got := mustRows(t, db.Table("people").Snap()), mustRows(t, db2.Table("people").Snap())
 	if len(got) != len(want) {
 		t.Fatalf("round trip loaded %d rows, wrote %d", len(got), len(want))
 	}

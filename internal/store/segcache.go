@@ -84,7 +84,7 @@ func (c *SegCache) path(id uint64) string {
 }
 
 // adopt takes ownership of every sealed, not-yet-adopted segment in the
-// set. Unsealed tails are rebuilt on each publish and never spill.
+// set. Unsealed tails grow in place until they seal and never spill.
 func (c *SegCache) adopt(ss *SegSet) {
 	for _, s := range ss.Segs {
 		if s.Sealed && s.src.Load() == nil {

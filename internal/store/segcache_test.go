@@ -16,11 +16,7 @@ func spillTable(t *testing.T, n, segRows int, budget int64) (*DB, *Table) {
 		t.Fatal(err)
 	}
 	tab.SetSegmentRows(segRows)
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = segTestRow(i)
-	}
-	if err := tab.BulkInsert(rows); err != nil {
+	if err := tab.BulkInsert(segTestRows(n)); err != nil {
 		t.Fatal(err)
 	}
 	return db, tab
@@ -70,9 +66,9 @@ func TestSegCacheSpillEvictFault(t *testing.T) {
 		t.Fatal("no sealed segment is evicted")
 	}
 
-	// Cold read-through: every cell equals the row layout.
+	// Cold read-through: every cell equals the rows inserted.
 	c.EvictAll()
-	checkSegSet(t, snap, "after EvictAll")
+	checkSegSet(t, snap, segTestRows(n), "after EvictAll")
 	if st := c.Stats(); st.Misses == 0 {
 		t.Fatal("cold read faulted nothing in")
 	}
@@ -232,7 +228,7 @@ func TestSegCacheStatsShape(t *testing.T) {
 	snap := tab.Snap()
 	_ = snap.Segments()
 	c.EvictAll()
-	checkSegSet(t, snap, "stats cycle")
+	checkSegSet(t, snap, segTestRows(2048), "stats cycle")
 	st := c.Stats()
 	if st.SpilledBytes <= 0 || st.FaultBytes <= 0 {
 		t.Fatalf("byte counters not advancing: %+v", st)

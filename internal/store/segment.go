@@ -7,20 +7,21 @@ import (
 	"repro/internal/schema"
 )
 
-// This file is the compressed segment layout of the store — the primary
-// columnar representation the vectorized executor scans. A table
-// version is covered by a run of immutable sealed segments (~64K rows
-// each) whose columns are encoded per segment — dictionary codes for
-// low-cardinality strings, run-length runs for sorted/clustered ints,
-// frame-of-reference deltas for narrow-range ints — plus at most one
-// plain-encoded mutable tail for the rows past the last seal boundary.
-// Every sealed column carries a zone map (min/max + null count) the
-// planner tests bound predicates against to skip whole segments.
+// This file is the compressed segment layout of the store — a table's
+// only data. A table version is covered by a run of immutable sealed
+// segments (~64K rows each) whose columns are encoded per segment —
+// dictionary codes for low-cardinality strings, run-length runs for
+// sorted/clustered ints, frame-of-reference deltas for narrow-range
+// ints — plus at most one plain-encoded tail for the rows past the
+// last seal boundary. Every column carries a zone map (min/max + null
+// count) the planner tests bound predicates against to skip whole
+// segments.
 //
-// MVCC composes: publishRows hands the previous version's sealed
-// segments to the next version by pointer (they are immutable) and only
-// re-encodes the tail, sealing full chunks as the tail crosses the
-// segment size — appending rows never re-compresses sealed history.
+// MVCC composes: a write hands the previous version's sealed segments
+// to the next version by pointer (they are immutable), appends its
+// rows to the tail's plain columns in place (appendCol), and seals the
+// tail as soon as it reaches the segment size — appending rows never
+// re-encodes sealed history or the rows already in the tail.
 
 // DefaultSegmentRows is the seal boundary: rows per sealed segment.
 const DefaultSegmentRows = 64 * 1024
@@ -372,7 +373,7 @@ func (c *SegCol) Bytes() int {
 // Segment is one immutable run of table rows with per-column encodings
 // and zone maps. Sealed segments never change and are shared by
 // pointer across table versions; the single unsealed tail segment is
-// rebuilt (plain-encoded) on each publish.
+// plain-encoded and republished, longer, by each write.
 //
 // The struct splits into an always-resident identity — row count,
 // seal flag and per-column zone maps — and a faultable payload (the
@@ -407,14 +408,27 @@ type segSrc struct {
 }
 
 // newSegment wraps freshly encoded columns into a resident segment.
+// Only a sealed segment counts its bytes up front (the segment cache
+// budgets them); a tail counts them when asked, so a write costs what
+// it appends, not what the tail holds.
 func newSegment(cols []*SegCol, n int, sealed bool) *Segment {
 	s := &Segment{N: n, Sealed: sealed, Zones: make([]ZoneMap, len(cols))}
 	for i, c := range cols {
 		s.Zones[i] = c.Zone
-		s.bytes += c.Bytes()
+	}
+	if sealed {
+		s.bytes = colBytes(cols)
 	}
 	s.pay.Store(&cols)
 	return s
+}
+
+func colBytes(cols []*SegCol) int {
+	b := 0
+	for _, c := range cols {
+		b += c.Bytes()
+	}
+	return b
 }
 
 // Cols returns the segment's decoded columns, faulting them in through
@@ -460,7 +474,12 @@ func (s *Segment) Resident() []*SegCol {
 
 // Bytes is the data footprint of the segment's encoded payload,
 // whether or not it is currently resident.
-func (s *Segment) Bytes() int { return s.bytes }
+func (s *Segment) Bytes() int {
+	if !s.Sealed {
+		return colBytes(s.Resident()) // a tail is never evicted
+	}
+	return s.bytes
+}
 
 // SegSet is the segment layout of one table version: sealed segments
 // in row order, then at most one unsealed plain tail. Start[i] is the
@@ -504,98 +523,262 @@ const (
 	segRLEMinRun   = 8       // average run length that justifies RLE
 )
 
-// buildSegments encodes a frozen row set from scratch: sealed full
-// chunks of segRows rows, then a plain unsealed tail for the rest.
-func buildSegments(meta *schema.Table, rows []Row, segRows int) *SegSet {
-	return composeSegs(meta, rows, nil, 0, segRows)
-}
+// transposeBlock is how many rows appendCols hands each column at a
+// time: a block of rows stays in cache while every column takes its
+// cells, where whole-batch passes would read each row from memory once
+// per column.
+const transposeBlock = 1024
 
-// composeSegs shares the already-sealed prefix and encodes the rest:
-// full chunks seal (compress), the remainder becomes the plain tail.
-func composeSegs(meta *schema.Table, rows []Row, sealed []*Segment, sealedRows, segRows int) *SegSet {
-	if segRows <= 0 {
-		segRows = DefaultSegmentRows
-	}
-	segs := append([]*Segment(nil), sealed...)
-	pos := sealedRows
-	for len(rows)-pos >= segRows {
-		segs = append(segs, encodeSegment(meta, rows, pos, pos+segRows, true))
-		pos += segRows
-	}
-	if pos < len(rows) {
-		segs = append(segs, encodeSegment(meta, rows, pos, len(rows), false))
-	}
-	ss := &SegSet{Segs: segs, Start: make([]int, len(segs)), N: len(rows)}
-	start := 0
-	for i, seg := range segs {
-		ss.Start[i] = start
-		start += seg.N
-	}
-	return ss
-}
-
-// encodeSegment encodes rows [lo, hi) as one segment. Sealed segments
-// pick a compressed encoding per column where it pays; the mutable
-// tail stays plain (it is rebuilt on every publish).
-func encodeSegment(meta *schema.Table, rows []Row, lo, hi int, sealed bool) *Segment {
-	cols := make([]*SegCol, len(meta.Columns))
+// appendCols returns plain columns prev (nil: empty columns of meta's
+// types) extended by rows, or ok false when a cell does not fit its
+// column's type. The new headers are copies; see appendCol for what
+// they share with prev. Growth is geometric and never past limit, the
+// seal boundary, so a full tail is exactly one segment's arrays.
+func appendCols(meta *schema.Table, prev []*SegCol, rows []Row, limit int) ([]*SegCol, bool) {
+	block := make([]SegCol, len(meta.Columns))
+	cols := make([]*SegCol, len(block))
 	for ci, mc := range meta.Columns {
-		cols[ci] = encodeSegCol(KindOfColType(mc.Type), rows, ci, lo, hi, sealed)
+		c := &block[ci]
+		if prev != nil {
+			*c = *prev[ci]
+		} else {
+			*c = SegCol{Kind: KindOfColType(mc.Type), Enc: SegPlain}
+		}
+		switch c.Kind {
+		case KindInt:
+			c.Ints = grow(c.Ints, len(rows), limit)
+		case KindFloat:
+			c.Floats = grow(c.Floats, len(rows), limit)
+		case KindText:
+			c.Strs = grow(c.Strs, len(rows), limit)
+		case KindBool:
+			c.Bools = grow(c.Bools, len(rows), limit)
+		}
+		cols[ci] = c
 	}
-	return newSegment(cols, hi-lo, sealed)
+	// Blocks after the first start on a multiple of transposeBlock, so
+	// only the first can begin inside a published bitmap word.
+	n0 := block[0].N
+	for lo := 0; lo < len(rows); {
+		hi := min(len(rows), lo+transposeBlock-(n0+lo)%transposeBlock)
+		for ci, c := range cols {
+			if !appendCol(c, rows[lo:hi], ci, limit) {
+				return nil, false
+			}
+		}
+		lo = hi
+	}
+	return cols, true
 }
 
-func encodeSegCol(kind Kind, rows []Row, ci, lo, hi int, sealed bool) *SegCol {
-	n := hi - lo
-	c := &SegCol{Kind: kind, Enc: SegPlain, N: n}
-	c.Zone.Rows = n
-	var nulls Bitmap
+// appendCol extends plain column header c by column ci of rows, and
+// reports false when a cell does not fit the column's kind. It appends
+// in place: published versions hold shorter headers over the same
+// arrays and never look past their length, and the one writer only
+// writes past every published length. The one cell a reader can see
+// change is the last, partial word of the null bitmap, so a batch that
+// must set a bit there copies the bitmap first. The typed slice must
+// have room for rows (appendCols reserves it). The zone map carries
+// over from c's and takes in the new cells.
+func appendCol(c *SegCol, rows []Row, ci, limit int) bool {
+	n0, k := c.N, len(rows)
+	n := n0 + k
+	c.N, c.Zone.Rows = n, n
+	words := (n + 63) / 64
+	if c.Nuls != nil {
+		c.Nuls = extendNulls(c.Nuls, words, limit)
+	}
+	// The published last word is shared while n0 is not a word
+	// boundary; cow records that this batch owns its own copy.
+	cow := n0%64 == 0
 	setNull := func(i int) {
-		if nulls == nil {
-			nulls = NewBitmap(n)
+		switch {
+		case c.Nuls == nil:
+			c.Nuls = extendNulls(nil, words, limit)
+		case !cow && i>>6 == n0>>6:
+			c.Nuls = append(make(Bitmap, 0, cap(c.Nuls)), c.Nuls...)
+			cow = true
 		}
-		nulls.Set(i)
+		c.Nuls.Set(i)
 		c.Zone.Nulls++
 	}
 
-	switch kind {
+	z := &c.Zone
+	switch c.Kind {
 	case KindInt:
-		vals := make([]int64, n)
-		var min, max int64
-		runs, seen := 0, false
-		for i := 0; i < n; i++ {
-			v := rows[lo+i][ci]
-			if v.IsNull() {
-				setNull(i)
-				// A null cell breaks a value run (runs carry nullness).
-				runs++
-				continue
-			}
-			x := v.Int64()
-			vals[i] = x
-			if !seen {
-				min, max, seen = x, x, true
-				runs++
-			} else {
-				if x < min {
+		seen := !z.Min.IsNull()
+		min, max := z.Min.Int64(), z.Max.Int64()
+		for i, row := range rows {
+			v := row[ci]
+			var x int64
+			switch v.Kind() {
+			case KindNull:
+				setNull(n0 + i)
+			case KindInt:
+				x = v.Int64()
+				if !seen {
+					min, max, seen = x, x, true
+				} else if x < min {
 					min = x
-				}
-				if x > max {
+				} else if x > max {
 					max = x
 				}
-				prevNull := nulls.Get(i - 1)
-				if prevNull || vals[i-1] != x {
-					runs++
-				}
+			default:
+				return false
 			}
+			c.Ints = append(c.Ints, x)
 		}
 		if seen {
-			c.Zone.Min, c.Zone.Max = Int(min), Int(max)
+			z.Min, z.Max = Int(min), Int(max)
 		}
-		c.Nuls = nulls
-		if !sealed || !seen {
+
+	case KindFloat:
+		// A NaN leaves the zone range unknown (NULL) for good, so the
+		// skip rule never drops a segment it cannot reason about; NULL
+		// bounds over non-NULL cells mean one was seen.
+		hasNaN := z.Min.IsNull() && z.Nulls < n0
+		seen := !z.Min.IsNull()
+		min, max := z.Min.float(), z.Max.float()
+		for i, row := range rows {
+			v := row[ci]
+			var f float64
+			switch v.Kind() {
+			case KindNull:
+				setNull(n0 + i)
+			case KindFloat, KindInt:
+				f, _ = v.AsFloat()
+				switch {
+				case f != f:
+					hasNaN = true
+				case !seen:
+					min, max, seen = f, f, true
+				case f < min:
+					min = f
+				case f > max:
+					max = f
+				}
+			default:
+				return false
+			}
+			c.Floats = append(c.Floats, f)
+		}
+		if seen && !hasNaN {
+			z.Min, z.Max = Float(min), Float(max)
+		} else {
+			z.Min, z.Max = Null(), Null()
+		}
+
+	case KindText:
+		seen := !z.Min.IsNull()
+		min, max := z.Min.Str(), z.Max.Str()
+		for i, row := range rows {
+			v := row[ci]
+			var s string
+			switch v.Kind() {
+			case KindNull:
+				setNull(n0 + i)
+			case KindText:
+				s = v.Str()
+				if !seen {
+					min, max, seen = s, s, true
+				} else if s < min {
+					min = s
+				} else if s > max {
+					max = s
+				}
+			default:
+				return false
+			}
+			c.Strs = append(c.Strs, s)
+		}
+		if seen {
+			z.Min, z.Max = Text(min), Text(max)
+		}
+
+	case KindBool:
+		sawT, sawF := z.Max.BoolVal(), !z.Min.IsNull() && !z.Min.BoolVal()
+		for i, row := range rows {
+			v := row[ci]
+			var b bool
+			switch v.Kind() {
+			case KindNull:
+				setNull(n0 + i)
+			case KindBool:
+				b = v.BoolVal()
+				sawT, sawF = sawT || b, sawF || !b
+			default:
+				return false
+			}
+			c.Bools = append(c.Bools, b)
+		}
+		if sawT || sawF {
+			z.Min, z.Max = Bool(!sawF), Bool(sawT)
+		}
+	}
+	return true
+}
+
+// grow returns s with room for k more elements, reallocating when its
+// capacity falls short: doubling, but never past limit.
+func grow[T any](s []T, k, limit int) []T {
+	need := len(s) + k
+	if need <= cap(s) {
+		return s
+	}
+	c := 2 * cap(s)
+	if c > limit {
+		c = limit
+	}
+	if c < need {
+		c = need
+	}
+	ns := make([]T, len(s), c)
+	copy(ns, s)
+	return ns
+}
+
+// extendNulls lengthens a null bitmap to words, clearing the words it
+// adds: they may hold bits a batch that failed validation set.
+func extendNulls(b Bitmap, words, limit int) Bitmap {
+	old := len(b)
+	b = grow(b, words-old, (limit+63)/64)[:words]
+	clear(b[old:])
+	return b
+}
+
+// encodeSegCol seals a full chunk's plain column p: it picks the
+// compressed encoding that pays and keeps p's zone map and null
+// bitmap. Arrays it keeps plain are p's own; p must not be appended to
+// again.
+func encodeSegCol(p *SegCol) *SegCol {
+	n := p.N
+	c := &SegCol{Kind: p.Kind, Enc: SegPlain, N: n, Zone: p.Zone}
+	if p.Nuls != nil {
+		w := (n + 63) / 64
+		c.Nuls = p.Nuls[:w:w]
+	}
+	nulls := c.Nuls
+	seen := !p.Zone.Min.IsNull()
+
+	switch p.Kind {
+	case KindInt:
+		vals := p.Ints
+		if !seen {
 			c.Ints = vals
 			return c
+		}
+		runs, first := 0, true
+		for i, x := range vals {
+			switch {
+			case nulls.Get(i):
+				// A null cell breaks a value run (runs carry nullness).
+				runs++
+			case first:
+				first = false
+				runs++
+			case nulls.Get(i-1) || vals[i-1] != x:
+				runs++
+			}
 		}
 		if runs*segRLEMinRun <= n {
 			c.Enc = SegRLE
@@ -603,9 +786,6 @@ func encodeSegCol(kind Kind, rows []Row, ci, lo, hi int, sealed bool) *SegCol {
 			c.RunEnds = make([]int32, 0, runs)
 			for i := 0; i < n; i++ {
 				v := vals[i]
-				if nulls.Get(i) {
-					v = 0
-				}
 				last := len(c.RunVals) - 1
 				if last >= 0 && c.RunVals[last] == v && int(c.RunEnds[last]) == i &&
 					nulls.Get(i) == nulls.Get(i-1) {
@@ -619,6 +799,7 @@ func encodeSegCol(kind Kind, rows []Row, ci, lo, hi int, sealed bool) *SegCol {
 		}
 		// Frame-of-reference: two's-complement subtraction gives the
 		// exact unsigned range for any int64 pair.
+		min, max := p.Zone.Min.Int64(), p.Zone.Max.Int64()
 		span := uint64(max) - uint64(min)
 		switch {
 		case span < 1<<8:
@@ -650,76 +831,15 @@ func encodeSegCol(kind Kind, rows []Row, ci, lo, hi int, sealed bool) *SegCol {
 		}
 		return c
 
-	case KindFloat:
-		c.Floats = make([]float64, n)
-		var min, max float64
-		seen, hasNaN := false, false
-		for i := 0; i < n; i++ {
-			v := rows[lo+i][ci]
-			if v.IsNull() {
-				setNull(i)
-				continue
-			}
-			f, _ := v.AsFloat()
-			c.Floats[i] = f
-			if f != f {
-				hasNaN = true
-				continue
-			}
-			if !seen {
-				min, max, seen = f, f, true
-			} else {
-				if f < min {
-					min = f
-				}
-				if f > max {
-					max = f
-				}
-			}
-		}
-		// NaN is unordered: leave the zone range unknown so the skip
-		// rule never drops a segment it cannot reason about.
-		if seen && !hasNaN {
-			c.Zone.Min, c.Zone.Max = Float(min), Float(max)
-		}
-		c.Nuls = nulls
-		return c
-
 	case KindText:
-		strs := make([]string, n)
-		var min, max string
-		seen := false
-		for i := 0; i < n; i++ {
-			v := rows[lo+i][ci]
-			if v.IsNull() {
-				setNull(i)
-				continue
-			}
-			s := v.Str()
-			strs[i] = s
-			if !seen {
-				min, max, seen = s, s, true
-			} else {
-				if s < min {
-					min = s
-				}
-				if s > max {
-					max = s
-				}
-			}
-		}
-		if seen {
-			c.Zone.Min, c.Zone.Max = Text(min), Text(max)
-		}
-		c.Nuls = nulls
-		if !sealed || !seen {
+		strs := p.Strs
+		if !seen {
 			c.Strs = strs
 			return c
 		}
 		codes := make([]int32, n)
 		dict := make([]string, 0, 16)
 		byVal := make(map[string]int32, 16)
-		ok := true
 		for i, s := range strs {
 			if nulls.Get(i) {
 				continue
@@ -727,8 +847,8 @@ func encodeSegCol(kind Kind, rows []Row, ci, lo, hi int, sealed bool) *SegCol {
 			code, found := byVal[s]
 			if !found {
 				if len(dict) >= segDictMaxCard || len(dict) >= (n+1)/2 {
-					ok = false
-					break
+					c.Strs = strs
+					return c
 				}
 				code = int32(len(dict))
 				dict = append(dict, s)
@@ -736,37 +856,10 @@ func encodeSegCol(kind Kind, rows []Row, ci, lo, hi int, sealed bool) *SegCol {
 			}
 			codes[i] = code
 		}
-		if ok {
-			c.Enc, c.Codes, c.Dict = SegDict, codes, dict
-		} else {
-			c.Strs = strs
-		}
-		return c
-
-	case KindBool:
-		c.Bools = make([]bool, n)
-		var sawT, sawF bool
-		for i := 0; i < n; i++ {
-			v := rows[lo+i][ci]
-			if v.IsNull() {
-				setNull(i)
-				continue
-			}
-			b := v.BoolVal()
-			c.Bools[i] = b
-			if b {
-				sawT = true
-			} else {
-				sawF = true
-			}
-		}
-		if sawT || sawF {
-			c.Zone.Min, c.Zone.Max = Bool(!sawF), Bool(sawT)
-		}
-		c.Nuls = nulls
+		c.Enc, c.Codes, c.Dict = SegDict, codes, dict
 		return c
 	}
-	c.Nuls = nulls
+	c.Floats, c.Bools = p.Floats, p.Bools
 	return c
 }
 

@@ -41,22 +41,40 @@ func segTestRow(i int) Row {
 	return row
 }
 
+// segTestRows builds rows 0..n-1 of segTestRow.
+func segTestRows(n int) []Row {
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = segTestRow(i)
+	}
+	return rows
+}
+
+// sealRows lays rows out at segRows rows per segment in a fresh
+// one-column-per-meta-column table and returns its segments.
+func sealRows(t *testing.T, meta *schema.Table, rows []Row, segRows int) *SegSet {
+	t.Helper()
+	tab := NewTable(meta)
+	tab.SetSegmentRows(segRows)
+	if err := tab.BulkInsert(rows); err != nil {
+		t.Fatal(err)
+	}
+	return tab.Snap().Segments()
+}
+
 // TestSegmentRoundtrip drives every encoding through boundary-hostile
 // segment sizes and row counts (not multiples of 64 or 1024, single-row
-// tails) and checks cell-exact equality against the row layout.
+// tails) and checks cell-exact equality against the rows inserted.
 func TestSegmentRoundtrip(t *testing.T) {
 	for _, segRows := range []int{1, 7, 100, 1000, DefaultSegmentRows} {
 		for _, n := range []int{0, 1, 6, 7, 8, 63, 64, 65, 100, 101, 999, 1000, 1001, 1023, 1024, 1025, 4097} {
 			tab := segTestTable(t)
 			tab.SetSegmentRows(segRows)
-			rows := make([]Row, n)
-			for i := range rows {
-				rows[i] = segTestRow(i)
-			}
+			rows := segTestRows(n)
 			if err := tab.BulkInsert(rows); err != nil {
 				t.Fatal(err)
 			}
-			checkSegSet(t, tab.Snap(), fmt.Sprintf("segRows=%d n=%d", segRows, n))
+			checkSegSet(t, tab.Snap(), rows, fmt.Sprintf("segRows=%d n=%d", segRows, n))
 		}
 	}
 }
@@ -69,18 +87,14 @@ func TestSegmentIncrementalPublish(t *testing.T) {
 	tab.SetSegmentRows(100)
 	next := 0
 	add := func(k int) {
-		rows := make([]Row, k)
-		for i := range rows {
-			rows[i] = segTestRow(next + i)
-		}
-		if err := tab.BulkInsert(rows); err != nil {
+		if err := tab.BulkInsert(segTestRows(next + k)[next:]); err != nil {
 			t.Fatal(err)
 		}
 		next += k
 	}
 
 	add(37)
-	prev := tab.Snap().Segments() // force the layout so publishes extend it
+	prev := tab.Snap().Segments()
 	for _, k := range []int{1, 62, 1, 250, 99, 3} {
 		add(k)
 		cur := tab.Snap().Segments()
@@ -94,12 +108,12 @@ func TestSegmentIncrementalPublish(t *testing.T) {
 				t.Fatalf("after +%d: sealed segment %d was rebuilt", k, i)
 			}
 		}
-		checkSegSet(t, tab.Snap(), fmt.Sprintf("after +%d", k))
+		checkSegSet(t, tab.Snap(), segTestRows(next), fmt.Sprintf("after +%d", k))
 		prev = cur
 	}
 
 	// The final incremental layout must match a from-scratch encode.
-	scratch := buildSegments(tab.Meta, tab.Snap().Rows(), 100)
+	scratch := sealRows(t, tab.Meta, segTestRows(next), 100)
 	if len(scratch.Segs) != len(prev.Segs) {
 		t.Fatalf("incremental has %d segments, scratch %d", len(prev.Segs), len(scratch.Segs))
 	}
@@ -112,14 +126,25 @@ func TestSegmentIncrementalPublish(t *testing.T) {
 }
 
 // checkSegSet verifies a snapshot's segment layout cell-for-cell
-// against its rows, plus structural invariants: seal boundaries, Start
-// offsets, Locate, zone maps, null masks and decoders.
-func checkSegSet(t *testing.T, s *TableSnap, ctx string) {
+// against the rows written to it, plus structural invariants: seal
+// boundaries, Start offsets, Locate, zone maps, null masks, decoders
+// and the row materializer.
+func checkSegSet(t *testing.T, s *TableSnap, rows []Row, ctx string) {
 	t.Helper()
 	ss := s.Segments()
-	rows := s.Rows()
-	if ss.N != len(rows) {
-		t.Fatalf("%s: segset N=%d, want %d", ctx, ss.N, len(rows))
+	if ss.N != len(rows) || s.Len() != len(rows) {
+		t.Fatalf("%s: segset N=%d, Len=%d, want %d", ctx, ss.N, s.Len(), len(rows))
+	}
+	got, err := s.Rows()
+	if err != nil {
+		t.Fatalf("%s: Rows: %v", ctx, err)
+	}
+	for i, row := range got {
+		for ci, v := range row {
+			if want := rows[i][ci]; Compare(v, want) != 0 || v.Kind() != want.Kind() {
+				t.Fatalf("%s: Rows()[%d][%d] = %v, want %v", ctx, i, ci, v, want)
+			}
+		}
 	}
 	segRows := s.SegmentRows()
 	start := 0
@@ -258,7 +283,7 @@ func TestSegmentEncodingSelection(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			meta := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "c", Type: tc.typ}}}
-			ss := buildSegments(meta, mkRows(tc.gen), n) // one sealed segment
+			ss := sealRows(t, meta, mkRows(tc.gen), n) // one sealed segment
 			if len(ss.Segs) != 1 || !ss.Segs[0].Sealed {
 				t.Fatalf("want 1 sealed segment, got %d", len(ss.Segs))
 			}
@@ -285,7 +310,7 @@ func TestSegmentNullExtremes(t *testing.T) {
 			allNull[i] = Row{Null(), Null(), Null()}
 			noNull[i] = Row{Int(int64(i % 3)), Text("x"), Float(1.5)}
 		}
-		ss := buildSegments(meta, allNull, n)
+		ss := sealRows(t, meta, allNull, n)
 		for ci, sc := range ss.Segs[0].MustCols() {
 			if !sc.Zone.AllNull() {
 				t.Fatalf("n=%d col %d: AllNull()=false for all-null segment", n, ci)
@@ -299,7 +324,7 @@ func TestSegmentNullExtremes(t *testing.T) {
 				}
 			}
 		}
-		ss = buildSegments(meta, noNull, n)
+		ss = sealRows(t, meta, noNull, n)
 		for ci, sc := range ss.Segs[0].MustCols() {
 			if sc.Zone.Nulls != 0 || sc.Nuls != nil {
 				t.Fatalf("n=%d col %d: spurious nulls in no-null segment", n, ci)
@@ -316,7 +341,7 @@ func TestSegmentNullExtremes(t *testing.T) {
 func TestSegmentNaNZone(t *testing.T) {
 	meta := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "f", Type: schema.Float}}}
 	rows := []Row{{Float(1)}, {Float(math.NaN())}, {Float(3)}}
-	ss := buildSegments(meta, rows, 3)
+	ss := sealRows(t, meta, rows, 3)
 	sc := ss.Segs[0].MustCols()[0]
 	if !sc.Zone.Min.IsNull() || !sc.Zone.Max.IsNull() {
 		t.Fatalf("NaN segment published a zone range: [%v,%v]", sc.Zone.Min, sc.Zone.Max)
@@ -350,7 +375,7 @@ func TestSegmentFORBoundaries(t *testing.T) {
 			for i, v := range tc.vals {
 				rows[i] = Row{Int(v)}
 			}
-			ss := buildSegments(meta, rows, len(rows))
+			ss := sealRows(t, meta, rows, len(rows))
 			sc := ss.Segs[0].MustCols()[0]
 			if sc.Enc != tc.want {
 				t.Fatalf("encoding = %s, want %s", sc.Enc, tc.want)
@@ -370,10 +395,7 @@ func TestSegmentFORBoundaries(t *testing.T) {
 func TestSegmentBytesCompresses(t *testing.T) {
 	tab := segTestTable(t)
 	tab.SetSegmentRows(1024)
-	rows := make([]Row, 8192)
-	for i := range rows {
-		rows[i] = segTestRow(i)
-	}
+	rows := segTestRows(8192)
 	if err := tab.BulkInsert(rows); err != nil {
 		t.Fatal(err)
 	}

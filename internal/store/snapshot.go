@@ -1,7 +1,10 @@
 package store
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/schema"
 )
@@ -11,16 +14,19 @@ import (
 // writers build the next version copy-on-write under the table's write
 // lock and publish it with one atomic pointer store; readers pin a
 // version (TableSnap, or a whole-database Snapshot) and see it frozen
-// — rows, statistics and the segment layout all describe the same
-// instant, with no locks on the read path.
+// — segments and statistics describe the same instant, with no locks
+// on the read path.
 //
-// Copy-on-write is chunk-grained, not wholesale:
+// A version's data is its segment set and nothing else: one resident
+// copy. Copy-on-write is chunk-grained, not wholesale:
 //
-//   - rows append in place: a published []Row is only ever extended
-//     past its length, which readers of the shorter header never see;
-//   - the segment layout carries over incrementally when the previous
-//     version had it built: sealed segments are shared by pointer and
-//     only the tail is re-encoded (see extendSegs);
+//   - sealed segments are immutable and shared by pointer;
+//   - the tail's plain columns append in place: a published column is
+//     only ever extended past its length, which readers of the shorter
+//     header never see (the null bitmap's last partial word, the one
+//     cell a reader sees change, is copied first — see appendCol);
+//   - a write seals every chunk it fills before it publishes, fanning
+//     the full chunks of a large batch out over GOMAXPROCS workers;
 //   - statistics are recomputed lazily, per column, on first demand.
 //
 // Writers to one table serialize on its writer lock; writers to
@@ -30,25 +36,20 @@ import (
 // stay valid.
 
 // tableData is one immutable version of a table's contents. Everything
-// reachable from it is frozen at publish time except the lazy caches,
-// which are guarded and only ever move from empty to built.
+// reachable from it is frozen at publish time except the lazy stats
+// cache, which is guarded and only ever moves from empty to built.
 type tableData struct {
-	rows    []Row
+	segs    *SegSet
 	version uint64
 	segRows int // seal boundary for the segment layout (0 = default)
 	caches  *dataCaches
 }
 
-// dataCaches holds the lazily-built derivatives of one data version:
-// per-column statistics and the segment layout. Row mutations allocate
-// a fresh one, its segment layout pre-seeded incrementally when the
-// previous version had one built.
+// dataCaches holds the lazily-built per-column statistics of one data
+// version. Row mutations allocate a fresh one.
 type dataCaches struct {
 	statsMu sync.Mutex
 	stats   map[string]ColStats
-
-	segsMu sync.Mutex
-	segs   *SegSet // nil until built
 }
 
 // TableSnap is a pinned, immutable view of one table version. All read
@@ -64,8 +65,10 @@ type TableSnap struct {
 }
 
 // Snap pins the table's current version.
-func (t *Table) Snap() *TableSnap {
-	return &TableSnap{Meta: t.Meta, colIdx: t.colIdx, d: t.data.Load(), spill: t.spill.Load()}
+func (t *Table) Snap() *TableSnap { return t.snapOf(t.data.Load()) }
+
+func (t *Table) snapOf(d *tableData) *TableSnap {
+	return &TableSnap{Meta: t.Meta, colIdx: t.colIdx, d: d, spill: t.spill.Load()}
 }
 
 // Version returns the data version this snapshot was pinned at.
@@ -80,19 +83,41 @@ func (s *TableSnap) ColIndex(name string) int {
 }
 
 // Len returns the row count.
-func (s *TableSnap) Len() int { return len(s.d.rows) }
+func (s *TableSnap) Len() int { return s.d.segs.N }
 
-// Rows returns the snapshot's rows. Callers must not mutate them.
-func (s *TableSnap) Rows() []Row { return s.d.rows }
-
-// Row returns row i.
-func (s *TableSnap) Row(i int) Row { return s.d.rows[i] }
+// Rows materializes the snapshot's rows by decoding its segments, in
+// O(n) time and space — for the reference executor and tests; the
+// engine scans segments. An evicted segment is faulted back in, and a
+// fault that fails is returned as an error.
+func (s *TableSnap) Rows() ([]Row, error) {
+	ss := s.Segments()
+	nc := len(s.Meta.Columns)
+	rows := make([]Row, ss.N)
+	arena := make([]Value, ss.N*nc)
+	for i := range rows {
+		rows[i] = arena[i*nc : (i+1)*nc : (i+1)*nc]
+	}
+	for si, seg := range ss.Segs {
+		cols, err := seg.Cols(nil)
+		if err != nil {
+			return nil, fmt.Errorf("store: table %s: %w", s.Meta.Name, err)
+		}
+		for i, row := range rows[ss.Start[si] : ss.Start[si]+seg.N] {
+			for ci, c := range cols {
+				row[ci] = c.Value(i)
+			}
+		}
+	}
+	return rows, nil
+}
 
 // Stats returns the (lazily computed, cached) statistics for the named
 // column at this snapshot. The second result is false when the column
-// does not exist. The cache lives on the pinned version, so a snapshot's
-// stats always describe exactly its rows — writers never invalidate
-// them, they publish new versions with their own, empty caches.
+// does not exist, or when a spilled segment of it could not be read
+// back (the planner then estimates without it). The cache lives on the
+// pinned version, so a snapshot's stats always describe exactly its
+// rows — writers never invalidate them, they publish new versions with
+// their own, empty caches.
 func (s *TableSnap) Stats(col string) (ColStats, bool) {
 	ci := s.ColIndex(col)
 	if ci < 0 {
@@ -104,7 +129,10 @@ func (s *TableSnap) Stats(col string) (ColStats, bool) {
 	if st, ok := c.stats[col]; ok {
 		return st, true
 	}
-	st := computeStats(s.d.rows, ci)
+	st, err := computeStats(s.Segments(), ci)
+	if err != nil {
+		return ColStats{}, false
+	}
 	if c.stats == nil {
 		c.stats = make(map[string]ColStats, len(s.Meta.Columns))
 	}
@@ -112,28 +140,18 @@ func (s *TableSnap) Stats(col string) (ColStats, bool) {
 	return st, true
 }
 
-// Segments returns the snapshot's segment layout: sealed compressed
-// segments covering full chunks of the row set plus at most one plain
-// mutable tail, built lazily and cached on the pinned version. Writers
-// extend a built layout by sharing the sealed prefix by pointer and
-// re-encoding only the tail (see extendSegs).
+// Segments returns the snapshot's data: sealed compressed segments
+// covering full chunks of the rows plus at most one plain tail.
 func (s *TableSnap) Segments() *SegSet {
-	c := s.d.caches
-	c.segsMu.Lock()
-	if c.segs == nil {
-		c.segs = buildSegments(s.Meta, s.d.rows, s.d.segRows)
-	}
-	ss := c.segs
-	c.segsMu.Unlock()
 	// Under a spill-enabled store, hand any not-yet-adopted sealed
 	// segments to the segment cache (write-once serialization + byte
-	// budget). Adoption is idempotent per segment, so covering both the
-	// fresh-build and extendSegs paths here — the one funnel every
-	// reader passes through — keeps the write path untouched.
+	// budget). Adoption is idempotent per segment, so doing it here —
+	// the one funnel every reader passes through — also covers the
+	// segments sealed before spilling was enabled.
 	if s.spill != nil {
-		s.spill.adopt(ss)
+		s.spill.adopt(s.d.segs)
 	}
-	return ss
+	return s.d.segs
 }
 
 // SegmentRows returns the snapshot's seal boundary (rows per sealed
@@ -189,48 +207,154 @@ func (s *Snapshot) TableVersion(name string) uint64 {
 
 // ---- write path ----
 
-// publishRows appends staged (already validated and coerced) rows as
-// the table's next version. The copy-on-write work happens under the
-// writer lock and the version publishes with one pointer store, so a
-// reader's snapshot sees the whole batch or none of it.
-func (t *Table) publishRows(staged []Row) {
+// appendRows validates rows against the schema and publishes them as
+// the table's next version; a row that does not fit leaves the table
+// untouched. The copy-on-write work happens under the writer lock and
+// the version publishes with one pointer store, so a reader's snapshot
+// sees the whole batch or none of it.
+func (t *Table) appendRows(rows []Row) error {
+	nc := len(t.Meta.Columns)
+	for _, row := range rows {
+		if len(row) != nc {
+			return t.rowError(rows)
+		}
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.data.Load()
-	next := &tableData{
-		// Appending in place is safe: readers pinned to cur hold a
-		// shorter slice header and never look past it, and writers are
-		// serialized, so each backing array position is written once.
-		rows:    append(cur.rows, staged...),
+	segs, ok := appendSegs(t.Meta, cur.segs, rows, cur.segRows)
+	if !ok {
+		return t.rowError(rows)
+	}
+	t.data.Store(&tableData{
+		segs:    segs,
 		version: cur.version + 1,
 		segRows: cur.segRows,
-	}
-	// The segment layout carries over from the previous version when
-	// built there; statistics start empty and are recomputed on demand.
-	next.caches = &dataCaches{segs: extendSegs(t.Meta, cur, next)}
-	t.data.Store(next)
+		caches:  &dataCaches{},
+	})
+	return nil
 }
 
-// extendSegs extends the previous version's segment layout, when built:
-// sealed segments are immutable and rows only ever append, so the next
-// version shares them by pointer and re-encodes just the region past
-// the last seal — sealing any full chunks the append completed and
-// rebuilding the plain tail. Publish cost is O(tail + new), independent
-// of table size.
-func extendSegs(meta *schema.Table, cur, next *tableData) *SegSet {
-	cur.caches.segsMu.Lock()
-	prev := cur.caches.segs
-	cur.caches.segsMu.Unlock()
-	if prev == nil {
-		return nil
+// rowError reports the first row, in row order, that does not fit the
+// table: wrong arity, or a cell its column cannot store.
+func (t *Table) rowError(rows []Row) error {
+	cols := t.Meta.Columns
+	for _, row := range rows {
+		if len(row) != len(cols) {
+			return fmt.Errorf("store: table %s expects %d values, got %d",
+				t.Meta.Name, len(cols), len(row))
+		}
+		for i, v := range row {
+			if _, err := coerce(v, cols[i].Type); err != nil {
+				return fmt.Errorf("store: table %s column %s: %w",
+					t.Meta.Name, cols[i].Name, err)
+			}
+		}
 	}
-	sealed := prev.Segs
-	if n := len(sealed); n > 0 && !sealed[n-1].Sealed {
-		sealed = sealed[:n-1]
+	return nil
+}
+
+// appendSegs returns prev extended by rows under seal boundary segRows
+// (0: the default), or ok false when a cell does not fit its column.
+// Sealed segments carry over by pointer. Rows first top up the tail,
+// sealing it if they fill it; whole chunks past that are transposed
+// and sealed in parallel; what is left starts the next tail.
+func appendSegs(meta *schema.Table, prev *SegSet, rows []Row, segRows int) (*SegSet, bool) {
+	if segRows <= 0 {
+		segRows = DefaultSegmentRows
 	}
-	sealedRows := 0
-	for _, seg := range sealed {
-		sealedRows += seg.N
+	segs := append([]*Segment(nil), prev.Segs...)
+	var tail []*SegCol
+	if n := len(segs); n > 0 && !segs[n-1].Sealed {
+		tail = segs[n-1].Resident() // a tail is never adopted, so never evicted
+		segs = segs[:n-1]
 	}
-	return composeSegs(meta, next.rows, sealed, sealedRows, next.segRows)
+	ok := true
+	extend := func(rows []Row) {
+		if len(rows) > 0 && ok {
+			tail, ok = appendCols(meta, tail, rows, segRows)
+		}
+	}
+
+	var filled []*SegCol // the tail, when the batch fills it
+	pos := 0
+	if tail != nil {
+		pos = min(segRows-tail[0].N, len(rows))
+		extend(rows[:pos])
+		if ok && tail[0].N == segRows {
+			filled, tail = tail, nil
+		}
+	}
+	whole := (len(rows) - pos) / segRows
+	sealed := make([]*Segment, whole)
+	if filled != nil {
+		sealed = append(sealed, nil)
+	}
+	if ok && len(sealed) > 0 {
+		ok = sealChunks(sealed, func(i int) ([]*SegCol, bool) {
+			if filled != nil {
+				if i == 0 {
+					return filled, true
+				}
+				i--
+			}
+			lo := pos + i*segRows
+			return appendCols(meta, nil, rows[lo:lo+segRows], segRows)
+		})
+	}
+	extend(rows[pos+whole*segRows:])
+	if !ok {
+		return nil, false
+	}
+
+	segs = append(segs, sealed...)
+	if tail != nil {
+		segs = append(segs, newSegment(tail, tail[0].N, false))
+	}
+	ss := &SegSet{Segs: segs, Start: make([]int, len(segs))}
+	for i, seg := range segs {
+		ss.Start[i] = ss.N
+		ss.N += seg.N
+	}
+	return ss, true
+}
+
+// sealChunks seals chunk i of a batch into out[i] for every i, over
+// up to GOMAXPROCS workers; plain(i) gives the chunk's plain columns.
+// It reports false when plain does.
+func sealChunks(out []*Segment, plain func(i int) ([]*SegCol, bool)) bool {
+	var bad atomic.Bool
+	seal := func(i int) {
+		cols, ok := plain(i)
+		if !ok {
+			bad.Store(true)
+			return
+		}
+		sealed := make([]*SegCol, len(cols))
+		for ci, c := range cols {
+			sealed[ci] = encodeSegCol(c)
+		}
+		out[i] = newSegment(sealed, cols[0].N, true)
+	}
+
+	workers := min(runtime.GOMAXPROCS(0), len(out))
+	if workers <= 1 {
+		for i := range out {
+			seal(i)
+		}
+		return !bad.Load()
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(out) && !bad.Load(); i = int(next.Add(1) - 1) {
+				seal(i)
+			}
+		}()
+	}
+	wg.Wait()
+	return !bad.Load()
 }

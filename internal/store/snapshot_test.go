@@ -33,28 +33,29 @@ func randRow(r *rand.Rand, i int) Row {
 }
 
 // verifySnapConsistent asserts that everything reachable from one
-// pinned snapshot — the segment layout and the statistics — agrees with
-// the snapshot's own row data. This is the snapshot-semantics property
-// the planner and both executors rely on: every face of a pinned
-// version describes the same rows.
-func verifySnapConsistent(t *testing.T, snap *TableSnap) {
+// pinned snapshot — the segment layout and the statistics — describes
+// exactly the rows written before it was pinned. This is the
+// snapshot-semantics property the planner and both executors rely on.
+func verifySnapConsistent(t *testing.T, snap *TableSnap, rows []Row) {
 	t.Helper()
-	rows := snap.Rows()
-	if snap.Len() != len(rows) {
-		t.Fatalf("Len %d != len(Rows) %d", snap.Len(), len(rows))
-	}
+	checkSegSet(t, snap, rows, "pinned snapshot")
 
-	// The segment layout — the face every question scans — mirrors the
-	// row data cell for cell.
-	checkSegSet(t, snap, "pinned snapshot")
-
-	// Stats agree with a direct scan of the snapshot's rows.
+	// Stats agree with a direct scan of the rows.
 	for ci, mc := range snap.Meta.Columns {
 		st, ok := snap.Stats(mc.Name)
 		if !ok {
 			t.Fatalf("no stats for %s", mc.Name)
 		}
-		want := computeStats(rows, ci)
+		want := ColStats{Rows: len(rows)}
+		distinct := map[string]bool{}
+		for _, row := range rows {
+			if row[ci].IsNull() {
+				want.Nulls++
+			} else {
+				distinct[row[ci].Key()] = true
+			}
+		}
+		want.Distinct = len(distinct)
 		if st != want {
 			t.Fatalf("stats for %s: got %+v want %+v", mc.Name, st, want)
 		}
@@ -66,7 +67,7 @@ func verifySnapConsistent(t *testing.T, snap *TableSnap) {
 // inserts, bulk batches, reseals) stay frozen — their length, rows,
 // segments and statistics all keep describing the pinned instant after
 // any number of later writes to the live table. The seal boundary is
-// small so the writes cross seals and extendSegs.
+// small so the writes cross seals and the tail's in-place appends.
 func TestSnapshotPinnedUnderWrites(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	db := snapTestDB(t)
@@ -82,27 +83,28 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 	pin := func() {
 		s := tab.Snap()
 		var sum int64
-		for _, row := range s.Rows() {
+		for _, row := range mustRows(t, s) {
 			sum += row[0].Int64()
 		}
 		pins = append(pins, pinned{snap: s, len: s.Len(), sum: sum})
 	}
 
-	next := 0
+	var model []Row
 	pin()
 	for step := 0; step < 60; step++ {
 		switch r.Intn(5) {
 		case 0:
-			if err := tab.Insert(randRow(r, next)...); err != nil {
+			row := randRow(r, len(model))
+			model = append(model, row)
+			if err := tab.Insert(row...); err != nil {
 				t.Fatal(err)
 			}
-			next++
 		case 1:
 			batch := make([]Row, 1+r.Intn(20))
 			for i := range batch {
-				batch[i] = randRow(r, next)
-				next++
+				batch[i] = randRow(r, len(model)+i)
 			}
+			model = append(model, batch...)
 			if err := tab.BulkInsert(batch); err != nil {
 				t.Fatal(err)
 			}
@@ -111,9 +113,7 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 			// boundary, at the same version.
 			tab.SetSegmentRows(3 + r.Intn(5))
 		case 4:
-			// Warm the lazy caches so later writes take the
-			// incremental extension paths.
-			tab.Snap().Segments()
+			// Warm the lazy stats cache of the current version.
 			tab.Snap().Stats("score")
 			tab.Snap().Stats("id")
 		}
@@ -128,21 +128,21 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 			t.Fatalf("pin %d: length moved %d -> %d", i, p.len, p.snap.Len())
 		}
 		var sum int64
-		for _, row := range p.snap.Rows() {
+		for _, row := range mustRows(t, p.snap) {
 			sum += row[0].Int64()
 		}
 		if sum != p.sum {
 			t.Fatalf("pin %d: contents moved (sum %d -> %d)", i, p.sum, sum)
 		}
-		verifySnapConsistent(t, p.snap)
+		verifySnapConsistent(t, p.snap, model[:p.len])
 	}
 }
 
 // TestIncrementalMaintenanceEquivalence: a table whose stats and
 // segments were maintained incrementally across many bulk inserts, and
 // resealed part way through, must be indistinguishable from one loaded
-// in a single batch — the correctness contract of the copy-on-write
-// extend path.
+// in a single batch — the correctness contract of the tail's in-place
+// appends.
 func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var all []Row
@@ -151,12 +151,11 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	inc := snapTestDB(t).Table("m")
 	inc.SetSegmentRows(7)
 	for round := 0; round < 8; round++ {
-		// Warm caches first so every round extends rather than rebuilds.
-		inc.Snap().Segments()
 		inc.Snap().Stats("score")
 		if round == 4 {
-			// A reseal republishes the same version with cold caches, so
-			// the rounds after it extend a layout built from scratch.
+			// A reseal republishes the same version with a cold stats
+			// cache, so the rounds after it extend a layout built from
+			// the decoded rows.
 			v := inc.Version()
 			inc.SetSegmentRows(7)
 			if inc.Version() != v {
@@ -181,16 +180,8 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	}
 
 	a, b := inc.Snap(), fresh.Snap()
-	verifySnapConsistent(t, a)
-	verifySnapConsistent(t, b)
-	if a.Len() != b.Len() {
-		t.Fatalf("row counts differ: %d vs %d", a.Len(), b.Len())
-	}
-	for i, row := range a.Rows() {
-		if row.String() != b.Row(i).String() {
-			t.Fatalf("row %d diverges: %s vs %s", i, row, b.Row(i))
-		}
-	}
+	verifySnapConsistent(t, a, all)
+	verifySnapConsistent(t, b, all)
 	for _, col := range []string{"id", "score", "tag"} {
 		sa, _ := a.Stats(col)
 		sb, _ := b.Stats(col)

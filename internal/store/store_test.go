@@ -181,7 +181,7 @@ func TestInsertAndRead(t *testing.T) {
 	if snap.Len() != 3 {
 		t.Fatalf("Len = %d", snap.Len())
 	}
-	if got := snap.Row(1)[2]; got.Kind() != KindFloat {
+	if got := rowAt(t, snap, 1)[2]; got.Kind() != KindFloat {
 		t.Errorf("widened value kind = %v", got.Kind())
 	}
 	if tab.ColIndex("score") != 2 || tab.ColIndex("missing") != -1 {
@@ -274,4 +274,20 @@ func TestDataVersion(t *testing.T) {
 	if db.TotalRows() != 2 {
 		t.Errorf("TotalRows = %d, want 2", db.TotalRows())
 	}
+}
+
+// mustRows decodes a snapshot's rows through the materializer.
+func mustRows(t testing.TB, s *TableSnap) []Row {
+	t.Helper()
+	rows, err := s.Rows()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// rowAt decodes row i of a snapshot.
+func rowAt(t testing.TB, s *TableSnap, i int) Row {
+	t.Helper()
+	return mustRows(t, s)[i]
 }

@@ -42,7 +42,7 @@ func NewTable(meta *schema.Table) *Table {
 	for i, c := range meta.Columns {
 		t.colIdx[c.Name] = i
 	}
-	t.data.Store(&tableData{caches: &dataCaches{}})
+	t.data.Store(&tableData{segs: &SegSet{}, caches: &dataCaches{}})
 	return t
 }
 
@@ -65,62 +65,22 @@ func (t *Table) Version() uint64 { return t.data.Load().version }
 // values are accepted into FLOAT columns (widening); NULL is accepted
 // anywhere.
 func (t *Table) Insert(vals ...Value) error {
-	if len(vals) != len(t.Meta.Columns) {
-		return fmt.Errorf("store: table %s expects %d values, got %d",
-			t.Meta.Name, len(t.Meta.Columns), len(vals))
-	}
-	row := make(Row, len(vals))
-	for i, v := range vals {
-		coerced, err := coerce(v, t.Meta.Columns[i].Type)
-		if err != nil {
-			return fmt.Errorf("store: table %s column %s: %w",
-				t.Meta.Name, t.Meta.Columns[i].Name, err)
-		}
-		row[i] = coerced
-	}
-	t.publishRows([]Row{row})
-	return nil
+	return t.appendRows([]Row{vals})
 }
 
 // BulkInsert appends many rows as one new version: rows are validated
-// and coerced like Insert, then published in a single atomic step,
-// the segment layout extended incrementally on the new snapshot
-// (sealed segments shared, only the tail re-encoded — never a full
-// rebuild). Concurrent readers see
-// either none or all of the batch. Loaders (store/csv,
+// like Insert and written straight into the table's segments — the
+// tail's plain columns, and every chunk the batch fills sealed before
+// the version publishes. Concurrent readers see either none or all of
+// the batch, and a row that does not fit leaves the table unchanged.
+// The table keeps no reference to rows. Loaders (store/csv,
 // internal/dataset) should prefer this for anything beyond a handful
 // of rows.
 func (t *Table) BulkInsert(rows []Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	// Validate and coerce every row before publishing, so a mid-batch
-	// error leaves no partial mutation behind (Insert gives the same
-	// guarantee per row). The staged rows carve slices out of one
-	// arena sized up front from the batch's row count — len(rows)
-	// small allocations collapse into one, which is most of the
-	// loader's alloc/op budget at bulk sizes.
-	nc := len(t.Meta.Columns)
-	staged := make([]Row, len(rows))
-	arena := make(Row, len(rows)*nc)
-	for ri, vals := range rows {
-		if len(vals) != nc {
-			return fmt.Errorf("store: table %s expects %d values, got %d",
-				t.Meta.Name, nc, len(vals))
-		}
-		row := arena[ri*nc : (ri+1)*nc : (ri+1)*nc]
-		for i, v := range vals {
-			coerced, err := coerce(v, t.Meta.Columns[i].Type)
-			if err != nil {
-				return fmt.Errorf("store: table %s column %s: %w",
-					t.Meta.Name, t.Meta.Columns[i].Name, err)
-			}
-			row[i] = coerced
-		}
-		staged[ri] = row
-	}
-	t.publishRows(staged)
-	return nil
+	return t.appendRows(rows)
 }
 
 func coerce(v Value, want schema.ColType) (Value, error) {
@@ -152,20 +112,27 @@ func coerce(v Value, want schema.ColType) (Value, error) {
 }
 
 // SetSegmentRows changes the table's seal boundary (rows per sealed
-// segment; 0 restores the default) and republishes the current data
-// under it with a fresh segment cache. Contents are unchanged so the
-// version does not move. Intended for tests and experiments that need
+// segment; 0 restores the default) and reseals the current data under
+// it: the rows are decoded and written again, at the same version,
+// with a fresh statistics cache. It fails only when a spilled segment
+// cannot be read back. Intended for tests and experiments that need
 // small segments or boundary-straddling row counts.
-func (t *Table) SetSegmentRows(n int) {
+func (t *Table) SetSegmentRows(n int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.data.Load()
+	rows, err := t.snapOf(cur).Rows()
+	if err != nil {
+		return err
+	}
+	segs, _ := appendSegs(t.Meta, &SegSet{}, rows, n) // decoded rows fit their columns
 	t.data.Store(&tableData{
-		rows:    cur.rows,
+		segs:    segs,
 		version: cur.version,
 		segRows: n,
 		caches:  &dataCaches{},
 	})
+	return nil
 }
 
 // DB is a collection of populated tables bound to a schema.
