@@ -337,7 +337,8 @@ func TestSegmentNullExtremes(t *testing.T) {
 }
 
 // TestSegmentNaNZone pins the NaN rule: a float segment containing NaN
-// publishes no zone range (never skippable) but still roundtrips.
+// publishes no zone range (never skippable) but still roundtrips, and
+// so does a tail a NaN reaches write by write.
 func TestSegmentNaNZone(t *testing.T) {
 	meta := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "f", Type: schema.Float}}}
 	rows := []Row{{Float(1)}, {Float(math.NaN())}, {Float(3)}}
@@ -348,6 +349,38 @@ func TestSegmentNaNZone(t *testing.T) {
 	}
 	if !math.IsNaN(sc.Floats[1]) || sc.Floats[2] != 3 {
 		t.Fatalf("NaN segment did not roundtrip: %v", sc.Floats)
+	}
+
+	// A NaN reaching the tail in a later write than the first float
+	// leaves the tail's zone range unknown for good, as one pass over
+	// the same cells would, and sealing keeps it so.
+	tab := segTestTable(t)
+	tab.SetSegmentRows(5)
+	steps := []struct {
+		f        float64
+		min, max Value
+	}{
+		{2, Float(2), Float(2)},
+		{1, Float(1), Float(2)},
+		{math.NaN(), Null(), Null()},
+		{3, Null(), Null()},
+	}
+	for i, st := range steps {
+		row := segTestRow(i)
+		row[4] = Float(st.f)
+		if err := tab.Insert(row...); err != nil {
+			t.Fatal(err)
+		}
+		z := tab.Snap().Segments().Segs[0].Zones[4]
+		if z.Min != st.min || z.Max != st.max {
+			t.Fatalf("tail after %d rows: zone [%v, %v], want [%v, %v]", i+1, z.Min, z.Max, st.min, st.max)
+		}
+	}
+	if err := tab.Insert(segTestRow(4)...); err != nil {
+		t.Fatal(err)
+	}
+	if seg := tab.Snap().Segments().Segs[0]; !seg.Sealed || !seg.Zones[4].Min.IsNull() {
+		t.Fatalf("sealed NaN segment: sealed %v, zone min %v", seg.Sealed, seg.Zones[4].Min)
 	}
 }
 

@@ -3,7 +3,6 @@ package store
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -72,41 +71,6 @@ func TestLayoutIndependentOfBatchShape(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestTailNaNZone: a NaN reaching the tail in a later write than the
-// first float leaves the tail's zone range unknown for good, as one
-// pass over the same cells would, and sealing keeps it so.
-func TestTailNaNZone(t *testing.T) {
-	tab := NewTable(segTestTable(t).Meta)
-	tab.SetSegmentRows(5)
-	steps := []struct {
-		f        float64
-		min, max Value
-	}{
-		{2, Float(2), Float(2)},
-		{1, Float(1), Float(2)},
-		{math.NaN(), Null(), Null()},
-		{3, Null(), Null()},
-	}
-	for i, st := range steps {
-		row := segTestRow(i)
-		row[4] = Float(st.f)
-		if err := tab.Insert(row...); err != nil {
-			t.Fatal(err)
-		}
-		z := tab.Snap().Segments().Segs[0].Zones[4]
-		if z.Min != st.min || z.Max != st.max {
-			t.Fatalf("after %d rows: zone [%v, %v], want [%v, %v]", i+1, z.Min, z.Max, st.min, st.max)
-		}
-	}
-	if err := tab.Insert(segTestRow(4)...); err != nil {
-		t.Fatal(err)
-	}
-	seg := tab.Snap().Segments().Segs[0]
-	if !seg.Sealed || !seg.Zones[4].Min.IsNull() {
-		t.Fatalf("sealed NaN segment: sealed %v, zone min %v", seg.Sealed, seg.Zones[4].Min)
 	}
 }
 
