@@ -46,7 +46,7 @@ type Options struct {
 
 	// PlanCacheSize bounds the plan-template cache (entries), keyed by
 	// query shape (parameterized SQL + constant kinds) and validated
-	// against per-table stats epochs: questions repeating a shape with
+	// against per-table version epochs: questions repeating a shape with
 	// different constants skip planning and pay only a bind. 0 disables
 	// the cache — every ask then plans from scratch (the F9 ablation).
 	PlanCacheSize int
@@ -428,8 +428,8 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, sn *store.Snapshot, e
 // template and constant vector, the cache is consulted under the
 // shape key, and a hit skips planning entirely: the cached template
 // re-binds to the new constants (Timings.Bind). A miss compiles and
-// caches a fresh template (Timings.Plan), fingerprinted with the
-// snapshot's table versions so stats drift invalidates it.
+// caches a fresh template (Timings.Plan), whose epoch — the
+// snapshot's table versions — a later write moves past.
 func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.Value, error) {
 	stmt, tm := ans.SQL, &ans.Timings
 	if e.plans == nil {
@@ -446,7 +446,7 @@ func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.V
 	sc := shapeScratchPool.Get().(*shapeScratch)
 	keyBytes, params := sql.ShapeInto(stmt, sc.buf[:0], sc.params[:0])
 	if pq := e.plans.lookup(keyBytes, sn); pq != nil {
-		// The lookup just revalidated the stats epoch against sn, the
+		// The lookup just revalidated the epoch against sn, the
 		// shape key encodes the kind signature, and every cached template
 		// was compiled at the engine's degree: the pinned bind reuses its
 		// tree.
@@ -474,7 +474,7 @@ func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.V
 		tm.Plan = time.Since(start)
 		return nil, nil, err
 	}
-	e.plans.store(key, pq, snapshotDeps(sql.Tables(tmpl), sn))
+	e.plans.store(key, pq)
 	// The template was compiled at this snapshot, binding and degree:
 	// its cached plan IS the bind result, no re-derivation needed.
 	p := pq.Tmpl.Plan()

@@ -12,14 +12,14 @@ import (
 // shape (same template, same parameter kinds — "sales in march" /
 // "sales in april") reuse one compiled plan and pay only a bind.
 //
-// Entries are keyed on the shape key and carry the per-table versions
-// (the stats epoch) their template was optimized against. A lookup
-// whose pinned snapshot has moved past any dependency version misses:
-// the template's cost model is stale, so the shape is recompiled
-// against fresh statistics and the entry replaced. No plan decision
-// reads a constant, so within an epoch every hit reuses the cached
-// tree — the cache only ever hands out templates whose statistics
-// basis is current.
+// Entries are keyed on the shape key. A lookup asks the template
+// whether the pinned snapshot is still in its epoch (the per-table
+// versions it was optimized against, plan.Template.SameEpoch); one
+// that has moved past any dependency version misses: the template's
+// row counts are stale, so the shape is recompiled and the entry
+// replaced. No plan decision reads a constant, so within an epoch
+// every hit reuses the cached tree — the cache only ever hands out
+// templates whose row counts are current.
 //
 // Recency is a tick stamp refreshed per hit; eviction scans for the
 // stale minimum only when the cache is full. That keeps the hit path
@@ -39,7 +39,6 @@ type planCache struct {
 
 type planEntry struct {
 	pq   *exec.PreparedQuery
-	deps []tableDep
 	used uint64 // tick of the last hit
 }
 
@@ -61,12 +60,10 @@ func (c *planCache) lookup(key []byte, sn *store.Snapshot) *exec.PreparedQuery {
 		c.misses++
 		return nil
 	}
-	for _, d := range e.deps {
-		if sn.TableVersion(d.Table) != d.Version {
-			delete(c.entries, string(key))
-			c.misses++
-			return nil
-		}
+	if !e.pq.Tmpl.SameEpoch(sn) {
+		delete(c.entries, string(key))
+		c.misses++
+		return nil
 	}
 	c.tick++
 	e.used = c.tick
@@ -76,12 +73,12 @@ func (c *planCache) lookup(key []byte, sn *store.Snapshot) *exec.PreparedQuery {
 
 // store records a freshly compiled template, evicting the least
 // recently used entry when full.
-func (c *planCache) store(key string, pq *exec.PreparedQuery, deps []tableDep) {
+func (c *planCache) store(key string, pq *exec.PreparedQuery) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick++
 	if e, ok := c.entries[key]; ok {
-		e.pq, e.deps, e.used = pq, deps, c.tick
+		e.pq, e.used = pq, c.tick
 		return
 	}
 	if len(c.entries) >= c.size {
@@ -94,7 +91,7 @@ func (c *planCache) store(key string, pq *exec.PreparedQuery, deps []tableDep) {
 		}
 		delete(c.entries, victim)
 	}
-	c.entries[key] = &planEntry{pq: pq, deps: deps, used: c.tick}
+	c.entries[key] = &planEntry{pq: pq, used: c.tick}
 }
 
 // stats returns the cumulative hit/miss counters.

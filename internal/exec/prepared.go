@@ -3,7 +3,7 @@
 // and a constant vector (its binding), compiles the template through
 // the planning layer once, and lets every later ask of the same shape
 // skip planning — the template's Bind reuses the compiled plan while
-// the snapshot's statistics are the ones it was compiled against and
+// the snapshot's row counts are the ones it was compiled against and
 // recompiles once a load has moved them.
 package exec
 
@@ -63,7 +63,7 @@ func (pq *PreparedQuery) Bind(sn *store.Snapshot, params []store.Value, par int)
 	return pq.Tmpl.Bind(sn, params, par)
 }
 
-// BindPinned is Bind minus the kind and stats-epoch validation, for a
+// BindPinned is Bind minus the kind and epoch validation, for a
 // caller that has already established both (see Template.BindPinned).
 func (pq *PreparedQuery) BindPinned(sn *store.Snapshot, params []store.Value, par int) (*plan.Plan, bool, error) {
 	return pq.Tmpl.BindPinned(sn, params, par)

@@ -175,7 +175,7 @@ func TestPreparedRebindSupersededBound(t *testing.T) {
 	}
 }
 
-// TestPreparedRebindAfterBulkLoad: a bulk load moves the stats epoch
+// TestPreparedRebindAfterBulkLoad: a bulk load moves the epoch
 // under a cached template; the next bind recompiles to a different —
 // and still correct — plan, where a bind inside the epoch reuses it.
 func TestPreparedRebindAfterBulkLoad(t *testing.T) {
@@ -200,7 +200,7 @@ func TestPreparedRebindAfterBulkLoad(t *testing.T) {
 	}
 	before := pq.Tmpl.Plan().Explain()
 	if _, reused, err := pq.Bind(db.Snapshot(), params, 1); err != nil || !reused {
-		t.Fatalf("bind inside the stats epoch: reused=%v err=%v", reused, err)
+		t.Fatalf("bind inside the epoch: reused=%v err=%v", reused, err)
 	}
 
 	// Invert the relative sizes: orders becomes the big side.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/sql"
+	"repro/internal/store"
 )
 
 // TestRowsAfterEvictAll: under a spill-enabled store a sealed segment
@@ -57,5 +58,51 @@ func TestRowsAfterEvictAll(t *testing.T) {
 	}
 	if !bytes.Equal(gotCSV, wantCSV) {
 		t.Errorf("WriteCSV after EvictAll wrote %d bytes that differ from the %d written before", len(gotCSV), len(wantCSV))
+	}
+}
+
+// TestPlanningFaultsNoSegment: planning reads row counts and the
+// resident zone maps, never a segment's values, so preparing the
+// ask_scan region join over evicted segments faults none of them back
+// in, and plans what the same data planned while resident.
+func TestPlanningFaultsNoSegment(t *testing.T) {
+	const rows = 1 << 14
+	var q string
+	for _, tc := range scanTemplatesAt(rows) {
+		if tc.name == "region_join" {
+			q = tc.sql
+		}
+	}
+	telemetry := func() *store.DB {
+		db := dataset.Telemetry(rows)
+		if err := db.Table("events").SetSegmentRows(512); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	prepare := func(db *store.DB) string {
+		pq, _, err := exec.Prepare(db.Snapshot(), sql.MustParse(q), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pq.Tmpl.Plan().Explain()
+	}
+
+	want := prepare(telemetry())
+	db := telemetry()
+	if err := db.EnableSpill(t.TempDir(), 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	db.Snapshot().Table("events").Segments() // adopt: every sealed segment spills
+	c := db.SegCache()
+	c.EvictAll()
+	before := c.Stats()
+	got := prepare(db)
+	after := c.Stats()
+	if misses, bytes := after.Misses-before.Misses, after.FaultBytes-before.FaultBytes; misses != 0 || bytes != 0 {
+		t.Errorf("planning over evicted segments faulted %d in (%d bytes)", misses, bytes)
+	}
+	if got != want {
+		t.Errorf("plan after EvictAll:\n%s\nwant the plan prepared while resident:\n%s", got, want)
 	}
 }

@@ -15,8 +15,8 @@ const MaxProduct = 5_000_000
 // subquery plans, and the parallel-execution state of the current run.
 // When Par > 1 the Evaluator must be safe for concurrent use.
 //
-// Snap is a store.Snapshot, so the whole plan — scans, segments,
-// statistics — reads one frozen version of the data:
+// Snap is a store.Snapshot, so the whole plan — row counts, scans,
+// segments — reads one frozen version of the data:
 // concurrent writers publish new versions without ever being observed
 // mid-query.
 type Ctx struct {

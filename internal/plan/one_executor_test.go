@@ -237,6 +237,37 @@ func TestOneTableStream(t *testing.T) {
 	})
 }
 
+// TestNoColumnStatistics pins that plans come from the schema and row
+// counts: joinSelectivity bounds a join column's distinct values by
+// table lengths and declared keys, so nothing decodes a segment to
+// count them. The row-scanning statistics — ColStats, computeStats,
+// the per-version cache (dataCaches, statsMu, tableData.caches) and
+// TableSnap.Stats — are declared or named again in no Go file of the
+// module, tests and benchmark/ included.
+func TestNoColumnStatistics(t *testing.T) {
+	banned := map[string]bool{"ColStats": true, "computeStats": true, "dataCaches": true, "statsMu": true}
+	inspectModule(t, func(pos token.Position, dir string, _ bool, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if banned[n.Name] {
+				t.Errorf("%s: %s is back", pos, n.Name)
+			}
+		case *ast.FuncDecl:
+			if dir == "internal/store" && n.Recv != nil && recvName(n.Recv) == "TableSnap" && n.Name.Name == "Stats" {
+				t.Errorf("%s: TableSnap.Stats is back", pos)
+			}
+		case *ast.TypeSpec:
+			if dir == "internal/store" && n.Name.Name == "tableData" {
+				for _, name := range fieldNames(n) {
+					if name == "caches" {
+						t.Errorf("%s: tableData.caches is back", pos)
+					}
+				}
+			}
+		}
+	})
+}
+
 // inspectModule walks every node of every Go file of the module,
 // benchmark/ included, skipping testdata and dot directories. visit
 // gets the node's position, its file's directory relative to the

@@ -15,10 +15,11 @@ import (
 // conjunct is either pushed, consumed by a hash join, or kept in a
 // residual filter above the joins, and three-valued logic is preserved
 // because a top-level AND accepts a row only when every conjunct is
-// exactly TRUE. Planning reads the pinned snapshot (row counts,
-// statistics, segment zone maps), so a plan compiled and run against
-// the same Snapshot is internally consistent even while writers publish
-// new versions.
+// exactly TRUE. Planning reads the schema's keys and the pinned
+// snapshot's row counts and resident segment zone maps — never a
+// segment's values — so a plan compiled and run against the same
+// Snapshot is internally consistent even while writers publish new
+// versions.
 func Compile(sn *store.Snapshot, stmt *sql.SelectStmt) (*Plan, error) {
 	return optimize(sn, stmt, nil)
 }
@@ -360,7 +361,8 @@ func greedyJoinOrder(sn *store.Snapshot, bindings []Binding, est []float64, join
 }
 
 // joinSelectivity estimates an equi-join conjunct as 1/max(distinct
-// values on either side).
+// values on either side), each side's count bounded from the schema
+// and row counts by distinctBound.
 func joinSelectivity(sn *store.Snapshot, bindings []Binding, jc boundJoin) float64 {
 	d := 1
 	for _, side := range []struct {
@@ -374,11 +376,26 @@ func joinSelectivity(sn *store.Snapshot, bindings []Binding, jc boundJoin) float
 		if indexOfColumn(b.Meta, side.ref.Column) < 0 {
 			continue
 		}
-		if st, ok := sn.Table(b.Meta.Name).Stats(side.ref.Column); ok && st.Distinct > d {
-			d = st.Distinct
-		}
+		d = max(d, distinctBound(sn, b.Meta.Name, side.ref.Column))
 	}
 	return 1.0 / float64(d)
+}
+
+// distinctBound bounds the distinct values of table.col without
+// reading a row: a declared foreign key holds at most as many as the
+// table it references has rows, and no column — a primary key, whose
+// count this is exactly, or an undeclared one — more than its own
+// table has rows. For the FK → PK joins the schema declares, the
+// larger side's bound is the PK table's row count, its exact distinct
+// count.
+func distinctBound(sn *store.Snapshot, table, col string) int {
+	n := sn.Table(table).Len()
+	for _, fk := range sn.Schema.ForeignKeys {
+		if fk.Table == table && fk.Column == col {
+			return min(n, sn.Table(fk.RefTable).Len())
+		}
+	}
+	return n
 }
 
 func ceilEst(f float64) int {

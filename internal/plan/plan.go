@@ -1,8 +1,8 @@
 // Package plan is the query-planning layer between SQL generation and
 // the store: a logical-plan IR compiled from sql.SelectStmt with
 // predicate pushdown, zone-map skips, column pruning and join ordering
-// driven by table statistics (Compile), a vectorized batch-at-a-time
-// executor (Run) and an Explain renderer.
+// driven by row counts and the schema's keys (Compile), a vectorized
+// batch-at-a-time executor (Run) and an Explain renderer.
 //
 // The scalar-expression semantics the vector kernels do not reproduce
 // (subqueries, cross-kind comparisons and the like) stay in

@@ -16,13 +16,13 @@ import (
 // orders of magnitude cheaper than planning from scratch.
 //
 // No planning decision reads a parameter value: estimates come from
-// row counts, distinct counts and shape-based selectivities, and the
+// row counts, the schema's keys and shape-based selectivities, and the
 // only value-dependent work — zone-map skips — is re-derived from
-// Ctx.Params at every open. So the cached tree is
-// exactly what a fresh compile would build for as long as the
-// statistics it read stand, that is, while every table it reads is at
-// the version it was compiled against (the stats epoch) and the worker
-// degree is the same. Bind reuses it then and recompiles otherwise.
+// Ctx.Params at every open. So the cached tree is exactly what a fresh
+// compile would build for as long as the row counts it read stand,
+// that is, while every table it reads is at the version it was
+// compiled against (its epoch) and the worker degree is the same. Bind
+// reuses it then and recompiles otherwise.
 //
 // The cached plan is shared and immutable: every expression keeps its
 // sql.Param leaves, resolved from Ctx.Params at open time, so
@@ -34,8 +34,8 @@ type Template struct {
 
 	plan *Plan
 
-	// tables/versions fingerprint the statistics epoch the template
-	// was optimized against.
+	// tables/versions fingerprint the epoch the template was
+	// optimized against.
 	tables   []string
 	versions []uint64
 }
@@ -77,10 +77,10 @@ func CompileTemplate(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Va
 // benchmark/replay.go is next opened.
 func (t *Template) IndexesLive(*store.Snapshot) bool { return true }
 
-// sameEpoch reports whether sn still holds every dependency table at
+// SameEpoch reports whether sn still holds every dependency table at
 // the version the template was compiled against — and therefore the
-// exact statistics its cost decisions were made from.
-func (t *Template) sameEpoch(sn *store.Snapshot) bool {
+// exact row counts its cost decisions were made from.
+func (t *Template) SameEpoch(sn *store.Snapshot) bool {
 	for i, name := range t.tables {
 		if sn.TableVersion(name) != t.versions[i] {
 			return false
@@ -90,7 +90,7 @@ func (t *Template) sameEpoch(sn *store.Snapshot) bool {
 }
 
 // Bind produces a runnable plan for one parameter binding: the shared
-// compiled tree when sn is in the template's stats epoch and par is its
+// compiled tree when sn is in the template's epoch and par is its
 // degree (reused reports this), a fresh compile at the bound values
 // otherwise. Results are identical either way; only the tree shape may
 // differ.
@@ -98,7 +98,7 @@ func (t *Template) Bind(sn *store.Snapshot, params []store.Value, par int) (p *P
 	if err := t.Validate(params); err != nil {
 		return nil, false, err
 	}
-	if par == t.Par && t.sameEpoch(sn) {
+	if par == t.Par && t.SameEpoch(sn) {
 		return t.plan, true, nil
 	}
 	return t.recompile(sn, params, par)
@@ -116,9 +116,9 @@ func (t *Template) recompile(sn *store.Snapshot, params []store.Value, par int) 
 
 // BindPinned is Bind for a caller that has already pinned the
 // template's validity — the engine's plan cache, whose shape key
-// encodes the parameter kind signature and whose lookup revalidates
-// the per-table stats epoch against the same snapshot. With both
-// guaranteed, only the degree is left to check.
+// encodes the parameter kind signature and whose lookup checks
+// SameEpoch against the same snapshot. With both guaranteed, only the
+// degree is left to check.
 func (t *Template) BindPinned(sn *store.Snapshot, params []store.Value, par int) (p *Plan, reused bool, err error) {
 	if par == t.Par {
 		return t.plan, true, nil

@@ -74,7 +74,7 @@ func explainLine(explain, substr string) string {
 // TestTemplateRebindAfterDrift: a hash join hashes the input the
 // optimizer estimates smaller and probes with the larger. A bulk load
 // that inverts two tables' relative sizes inverts that choice; the load
-// moves the stats epoch, so Bind recompiles instead of reusing the
+// moves the template's epoch, so Bind recompiles instead of reusing the
 // cached tree.
 func TestTemplateRebindAfterDrift(t *testing.T) {
 	s := schema.MustNew("drift", []*schema.Table{
@@ -136,9 +136,12 @@ func TestTemplateRebindAfterDrift(t *testing.T) {
 // one connected to it — and keeps every estimate on the same side of
 // the parallelize gate, but grows c past the a-b join it is joined to:
 // c was the side to hash, now the join result is. The load moves the
-// stats epoch, so Bind recompiles and the fresh tree hashes the join.
+// template's epoch, so Bind recompiles and the fresh tree hashes the
+// join.
 // driftDB is a ten-row a, a hundred-row b referencing it, and a c
-// that loadC fills with rows [from, to) referencing b.
+// that loadC fills with rows [from, to) referencing b. The schema
+// declares those keys, which the rows satisfy, so the planner
+// estimates a⋈b at b's hundred rows.
 func driftDB() (db *store.DB, loadC func(from, to int)) {
 	cols := func(names ...string) []schema.Column {
 		out := make([]schema.Column, len(names))
@@ -148,10 +151,13 @@ func driftDB() (db *store.DB, loadC func(from, to int)) {
 		return out
 	}
 	s := schema.MustNew("drift3", []*schema.Table{
-		{Name: "a", Columns: cols("id")},
-		{Name: "b", Columns: cols("id", "aid")},
+		{Name: "a", PrimaryKey: "id", Columns: cols("id")},
+		{Name: "b", PrimaryKey: "id", Columns: cols("id", "aid")},
 		{Name: "c", Columns: cols("bid", "w")},
-	}, nil)
+	}, []schema.ForeignKey{
+		{Table: "b", Column: "aid", RefTable: "a", RefColumn: "id"},
+		{Table: "c", Column: "bid", RefTable: "b", RefColumn: "id"},
+	})
 	db = store.NewDB(s)
 	for i := 0; i < 10; i++ {
 		db.MustInsert("a", store.Int(int64(i)))
@@ -202,8 +208,8 @@ func TestTemplateRebindBuildSideDrift(t *testing.T) {
 }
 
 // A cross join hashes nothing, so which of its inputs is smaller is not
-// a decision the tree bakes in. The same drift still moves the stats
-// epoch, so Bind recompiles — and the fresh tree has the same shape:
+// a decision the tree bakes in. The same drift still moves the
+// template's epoch, so Bind recompiles — and the fresh tree has the same shape:
 // a cross join with no build side on c.
 func TestTemplateRebindCrossJoinIgnoresSizes(t *testing.T) {
 	db, loadC := driftDB()
@@ -224,7 +230,7 @@ func TestTemplateRebindCrossJoinIgnoresSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reused {
-		t.Errorf("a load moved the stats epoch, yet Bind reused the cached tree:\n%s", before)
+		t.Errorf("a load moved the template's epoch, yet Bind reused the cached tree:\n%s", before)
 	}
 	after := p.Explain()
 	if !strings.Contains(after, "cross join") || strings.Contains(explainLine(after, "scan c "), "[build]") {

@@ -14,8 +14,8 @@ import (
 // writers build the next version copy-on-write under the table's write
 // lock and publish it with one atomic pointer store; readers pin a
 // version (TableSnap, or a whole-database Snapshot) and see it frozen
-// — segments and statistics describe the same instant, with no locks
-// on the read path.
+// — its row count and segments describe the same instant, with no
+// locks on the read path.
 //
 // A version's data is its segment set and nothing else: one resident
 // copy. Copy-on-write is chunk-grained, not wholesale:
@@ -26,8 +26,7 @@ import (
 //     header never see (the null bitmap's last partial word, the one
 //     cell a reader sees change, is copied first — see appendCol);
 //   - a write seals every chunk it fills before it publishes, fanning
-//     the full chunks of a large batch out over GOMAXPROCS workers;
-//   - statistics are recomputed lazily, per column, on first demand.
+//     the full chunks of a large batch out over GOMAXPROCS workers.
 //
 // Writers to one table serialize on its writer lock; writers to
 // different tables are independent. Version numbers are per table and
@@ -35,26 +34,17 @@ import (
 // the same data under the same version, so caches keyed on versions
 // stay valid.
 
-// tableData is one immutable version of a table's contents. Everything
-// reachable from it is frozen at publish time except the lazy stats
-// cache, which is guarded and only ever moves from empty to built.
+// tableData is one immutable version of a table's contents: everything
+// reachable from it is frozen at publish time.
 type tableData struct {
 	segs    *SegSet
 	version uint64
 	segRows int // seal boundary for the segment layout (0 = default)
-	caches  *dataCaches
-}
-
-// dataCaches holds the lazily-built per-column statistics of one data
-// version. Row mutations allocate a fresh one.
-type dataCaches struct {
-	statsMu sync.Mutex
-	stats   map[string]ColStats
 }
 
 // TableSnap is a pinned, immutable view of one table version. All read
 // accessors of Table exist here too; a query that resolves its tables
-// once through a Snapshot sees rows, stats and segments that are
+// once through a Snapshot sees row counts and segments that are
 // mutually consistent for its whole plan, regardless of
 // concurrent writers.
 type TableSnap struct {
@@ -111,35 +101,6 @@ func (s *TableSnap) Rows() ([]Row, error) {
 	return rows, nil
 }
 
-// Stats returns the (lazily computed, cached) statistics for the named
-// column at this snapshot. The second result is false when the column
-// does not exist, or when a spilled segment of it could not be read
-// back (the planner then estimates without it). The cache lives on the
-// pinned version, so a snapshot's stats always describe exactly its
-// rows — writers never invalidate them, they publish new versions with
-// their own, empty caches.
-func (s *TableSnap) Stats(col string) (ColStats, bool) {
-	ci := s.ColIndex(col)
-	if ci < 0 {
-		return ColStats{}, false
-	}
-	c := s.d.caches
-	c.statsMu.Lock()
-	defer c.statsMu.Unlock()
-	if st, ok := c.stats[col]; ok {
-		return st, true
-	}
-	st, err := computeStats(s.Segments(), ci)
-	if err != nil {
-		return ColStats{}, false
-	}
-	if c.stats == nil {
-		c.stats = make(map[string]ColStats, len(s.Meta.Columns))
-	}
-	c.stats[col] = st
-	return st, true
-}
-
 // Segments returns the snapshot's data: sealed compressed segments
 // covering full chunks of the rows plus at most one plain tail.
 func (s *TableSnap) Segments() *SegSet {
@@ -166,7 +127,7 @@ func (s *TableSnap) SegmentRows() int {
 // Snapshot is a pinned, immutable view of the whole database: one
 // TableSnap per table, each at the version current when Snapshot() was
 // called. Queries (planning and execution) resolve tables through one
-// Snapshot so every access — scans, stats, segments — observes the
+// Snapshot so every access — row counts, scans, segments — observes the
 // same instant.
 type Snapshot struct {
 	Schema *schema.Schema
@@ -230,7 +191,6 @@ func (t *Table) appendRows(rows []Row) error {
 		segs:    segs,
 		version: cur.version + 1,
 		segRows: cur.segRows,
-		caches:  &dataCaches{},
 	})
 	return nil
 }

@@ -32,40 +32,19 @@ func randRow(r *rand.Rand, i int) Row {
 	return Row{Int(int64(i)), score, Text(fmt.Sprintf("tag%d", r.Intn(5)))}
 }
 
-// verifySnapConsistent asserts that everything reachable from one
-// pinned snapshot — the segment layout and the statistics — describes
-// exactly the rows written before it was pinned. This is the
-// snapshot-semantics property the planner and both executors rely on.
+// verifySnapConsistent asserts that the segment layout reachable from
+// one pinned snapshot describes exactly the rows written before it was
+// pinned. This is the snapshot-semantics property the planner and both
+// executors rely on.
 func verifySnapConsistent(t *testing.T, snap *TableSnap, rows []Row) {
 	t.Helper()
 	checkSegSet(t, snap, rows, "pinned snapshot")
-
-	// Stats agree with a direct scan of the rows.
-	for ci, mc := range snap.Meta.Columns {
-		st, ok := snap.Stats(mc.Name)
-		if !ok {
-			t.Fatalf("no stats for %s", mc.Name)
-		}
-		want := ColStats{Rows: len(rows)}
-		distinct := map[string]bool{}
-		for _, row := range rows {
-			if row[ci].IsNull() {
-				want.Nulls++
-			} else {
-				distinct[row[ci].Key()] = true
-			}
-		}
-		want.Distinct = len(distinct)
-		if st != want {
-			t.Fatalf("stats for %s: got %+v want %+v", mc.Name, st, want)
-		}
-	}
 }
 
 // TestSnapshotPinnedUnderWrites is the snapshot-semantics property
 // test: snapshots pinned between arbitrary interleaved writes (single
-// inserts, bulk batches, reseals) stay frozen — their length, rows,
-// segments and statistics all keep describing the pinned instant after
+// inserts, bulk batches, reseals) stay frozen — their length, rows
+// and segments all keep describing the pinned instant after
 // any number of later writes to the live table. The seal boundary is
 // small so the writes cross seals and the tail's in-place appends.
 func TestSnapshotPinnedUnderWrites(t *testing.T) {
@@ -113,9 +92,7 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 			// boundary, at the same version.
 			tab.SetSegmentRows(3 + r.Intn(5))
 		case 4:
-			// Warm the lazy stats cache of the current version.
-			tab.Snap().Stats("score")
-			tab.Snap().Stats("id")
+			// No write: the step at most pins the current version.
 		}
 		if r.Intn(3) == 0 {
 			pin()
@@ -138,8 +115,8 @@ func TestSnapshotPinnedUnderWrites(t *testing.T) {
 	}
 }
 
-// TestIncrementalMaintenanceEquivalence: a table whose stats and
-// segments were maintained incrementally across many bulk inserts, and
+// TestIncrementalMaintenanceEquivalence: a table whose segments were
+// maintained incrementally across many bulk inserts, and
 // resealed part way through, must be indistinguishable from one loaded
 // in a single batch — the correctness contract of the tail's in-place
 // appends.
@@ -151,11 +128,9 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	inc := snapTestDB(t).Table("m")
 	inc.SetSegmentRows(7)
 	for round := 0; round < 8; round++ {
-		inc.Snap().Stats("score")
 		if round == 4 {
-			// A reseal republishes the same version with a cold stats
-			// cache, so the rounds after it extend a layout built from
-			// the decoded rows.
+			// A reseal republishes the same version, so the rounds after
+			// it extend a layout built from the decoded rows.
 			v := inc.Version()
 			inc.SetSegmentRows(7)
 			if inc.Version() != v {
@@ -182,13 +157,6 @@ func TestIncrementalMaintenanceEquivalence(t *testing.T) {
 	a, b := inc.Snap(), fresh.Snap()
 	verifySnapConsistent(t, a, all)
 	verifySnapConsistent(t, b, all)
-	for _, col := range []string{"id", "score", "tag"} {
-		sa, _ := a.Stats(col)
-		sb, _ := b.Stats(col)
-		if sa != sb {
-			t.Errorf("stats for %s diverge: incremental %+v, fresh %+v", col, sa, sb)
-		}
-	}
 	sa, sb := a.Segments(), b.Segments()
 	if len(sa.Segs) != len(sb.Segs) {
 		t.Fatalf("segment counts diverge: %d vs %d", len(sa.Segs), len(sb.Segs))

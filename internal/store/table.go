@@ -42,7 +42,7 @@ func NewTable(meta *schema.Table) *Table {
 	for i, c := range meta.Columns {
 		t.colIdx[c.Name] = i
 	}
-	t.data.Store(&tableData{segs: &SegSet{}, caches: &dataCaches{}})
+	t.data.Store(&tableData{segs: &SegSet{}})
 	return t
 }
 
@@ -113,10 +113,10 @@ func coerce(v Value, want schema.ColType) (Value, error) {
 
 // SetSegmentRows changes the table's seal boundary (rows per sealed
 // segment; 0 restores the default) and reseals the current data under
-// it: the rows are decoded and written again, at the same version,
-// with a fresh statistics cache. It fails only when a spilled segment
-// cannot be read back. Intended for tests and experiments that need
-// small segments or boundary-straddling row counts.
+// it: the rows are decoded and written again, at the same version. It
+// fails only when a spilled segment cannot be read back. Intended for
+// tests and experiments that need small segments or boundary-straddling
+// row counts.
 func (t *Table) SetSegmentRows(n int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -130,7 +130,6 @@ func (t *Table) SetSegmentRows(n int) error {
 		segs:    segs,
 		version: cur.version,
 		segRows: n,
-		caches:  &dataCaches{},
 	})
 	return nil
 }

@@ -178,8 +178,8 @@ func isClosed(c <-chan struct{}) bool {
 
 // TestUnreadableSpillIsAnError: once a spilled segment's file is gone,
 // every reader that decodes whole columns — the row materializer, the
-// CSV writer, statistics and a reseal — reports an error rather than
-// panicking, and leaves the table as it was.
+// CSV writer and a reseal — reports an error rather than panicking,
+// and leaves the table as it was.
 func TestUnreadableSpillIsAnError(t *testing.T) {
 	db, tab := spillTable(t, 2048, 256, 1<<30)
 	c := db.SegCache()
@@ -200,9 +200,6 @@ func TestUnreadableSpillIsAnError(t *testing.T) {
 	}
 	if err := tab.WriteCSV(&bytes.Buffer{}); err == nil {
 		t.Error("WriteCSV over a lost segment returned no error")
-	}
-	if _, ok := snap.Stats("cat"); ok {
-		t.Error("Stats over a lost segment reported statistics")
 	}
 	v := tab.Version()
 	if err := tab.SetSegmentRows(64); err == nil {
