@@ -1,5 +1,5 @@
 // Benchmark harness: one testing.B target per reconstructed table and
-// figure (T1–T6, F1–F4). The printed rows/series themselves come from
+// figure (T1–T6, F2–F8). The printed rows/series themselves come from
 // cmd/nlibench, which shares this package's code paths; the benchmarks
 // here measure the cost of regenerating each experiment and keep every
 // experiment wired into `go test -bench`.
@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -141,37 +140,6 @@ func BenchmarkT6Baselines(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkF1Stages measures the staged pipeline on representative
-// questions and reports the per-stage split from core.Timings, averaged
-// per question, beside ns/op (the figure plots it). The answer cache is
-// off: a profile of cache hits would time nothing.
-func BenchmarkF1Stages(b *testing.B) {
-	opts := core.DefaultOptions()
-	opts.AnswerCacheSize = 0
-	e := core.NewEngine(dataset.University(1), opts)
-	questions := []string{
-		"show all students",
-		"students with gpa over 3.5",
-		"average salary of instructors in Computer Science per department",
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	stages := []string{"correct", "annotate", "parse", "rank", "generate", "plan", "bind", "execute", "verbalize"}
-	sums := make([]time.Duration, len(stages))
-	for i := 0; i < b.N; i++ {
-		p := bench.Profile(e, questions)
-		if p.N != len(questions) {
-			b.Fatalf("only %d/%d questions answered", p.N, len(questions))
-		}
-		for j, d := range []time.Duration{p.Correct, p.Annotate, p.Parse, p.Rank, p.Generate, p.Plan, p.Bind, p.Execute, p.Verbalize} {
-			sums[j] += d
-		}
-	}
-	for j, name := range stages {
-		b.ReportMetric(float64(sums[j].Nanoseconds())/float64(b.N), name+"-ns/q")
 	}
 }
 
@@ -442,53 +410,6 @@ func BenchmarkAskCachedMixed(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(hits)/float64(b.N), "hit-ratio")
-}
-
-// BenchmarkF9PreparedPlanCache measures the prepared-query serving
-// path: the F9 template workload (same shapes, rotating constants,
-// answer cache off) asked through an engine whose plan-template cache
-// is on versus one planning from scratch, with the realized plan-cache
-// hit ratio reported. The allocation counts guard the bind path — the
-// shape key and constants are computed into pooled scratch, so a
-// plan-cache hit must not regress into per-ask planning allocations.
-func BenchmarkF9PreparedPlanCache(b *testing.B) {
-	questions := func() []string {
-		var qs []string
-		for _, shape := range bench.PreparedWorkload() {
-			qs = append(qs, shape...)
-		}
-		return qs
-	}()
-	run := func(b *testing.B, planCache int) {
-		opts := DefaultOptions()
-		opts.AnswerCacheSize = 0
-		opts.PlanCacheSize = planCache
-		opts.Parallelism = 1
-		eng := New(dataset.University(1), opts)
-		for _, q := range questions { // warm (and compile the templates)
-			if _, err := eng.Ask(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var planStage time.Duration
-		for i := 0; i < b.N; i++ {
-			ans, err := eng.Ask(questions[i%len(questions)])
-			if err != nil {
-				b.Fatal(err)
-			}
-			planStage += ans.Timings.Plan + ans.Timings.Bind
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(planStage.Nanoseconds())/float64(b.N), "plan-ns/op")
-		hits, misses := eng.PlanCacheStats()
-		if hits+misses > 0 {
-			b.ReportMetric(float64(hits)/float64(hits+misses), "hit-ratio")
-		}
-	}
-	b.Run("plan-cached", func(b *testing.B) { run(b, 256) })
-	b.Run("cold-planned", func(b *testing.B) { run(b, 0) })
 }
 
 // BenchmarkF8ConcurrentReadWrite measures read latency with and

@@ -3,7 +3,10 @@
 //
 // Usage:
 //
-//	nlibench [-exp T1|T2|T3|T4|T5|T6|F1|F2|F3|F4|F5|F6|F7|F8|F9|F10|F11|F12|all]
+//	nlibench [-exp all|ID[,ID...]] [-f11rows N] [-f12rows N] [-f12cache MiB]
+//
+// where each ID is one of T1..T6, F2..F8, F10, F11 or F12. F1 and F9
+// are retired: the question benchmark (benchmark/) records them.
 package main
 
 import (
@@ -27,36 +30,22 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (T1..T6, F1..F12) or 'all'")
+	exp := flag.String("exp", "all", "comma-separated experiment ids (T1..T6, F2..F8, F10..F12) or 'all'")
 	flag.IntVar(&f11Rows, "f11rows", 10_000_000, "event-log rows for experiment F11")
 	flag.IntVar(&f12Rows, "f12rows", 4_194_304, "event-log rows for experiment F12 (rounded up to whole 64K segments)")
 	flag.IntVar(&f12CacheMB, "f12cache", 0, "segment-cache budget in MiB for F12 (0 = dataset/8, keeping the 4x larger-than-memory bar)")
-	flag.StringVar(&f10Sessions, "f10sessions", "1,64,1024", "comma-separated concurrent session counts for experiment F10")
-	flag.IntVar(&f10Asks, "f10asks", 32, "asks per session for experiment F10")
-	flag.DurationVar(&f10Deadline, "f10deadline", time.Second, "per-request deadline (the F10 latency bar)")
 	flag.Parse()
 
 	experiments := map[string]func() error{
 		"T1": expT1, "T2": expT2, "T3": expT3, "T4": expT4,
 		"T5": expT5, "T6": expT6,
-		"F1": expF1, "F2": expF2, "F3": expF3, "F4": expF4,
-		"F5": expF5, "F6": expF6, "F7": expF7, "F8": expF8,
-		"F9": expF9, "F10": expF10, "F11": expF11, "F12": expF12,
+		"F2": expF2, "F3": expF3, "F4": expF4, "F5": expF5,
+		"F6": expF6, "F7": expF7, "F8": expF8, "F10": expF10,
+		"F11": expF11, "F12": expF12,
 	}
-	order := []string{"T1", "T2", "T3", "T4", "T5", "T6", "F1", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F9", "F10", "F11", "F12"}
+	order := []string{"T1", "T2", "T3", "T4", "T5", "T6", "F2", "F3", "F4", "F5", "F6", "F7", "F8", "F10", "F11", "F12"}
 
-	run := func(id string) {
-		f, ok := experiments[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "nlibench: unknown experiment %q (have %v)\n", id, order)
-			os.Exit(2)
-		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "nlibench: %s: %v\n", id, err)
-			os.Exit(1)
-		}
-	}
-
+	ids := order
 	if *exp == "all" {
 		// The F11 default (10M rows) is sized for a standalone run;
 		// inside the full sweep it would dwarf every other experiment,
@@ -74,20 +63,21 @@ func main() {
 		if !f12Set && f12Rows > 1_048_576 {
 			f12Rows = 1_048_576
 		}
-		// Same for F10: the standalone default includes a 1024-session
-		// scenario (~33K requests); the sweep keeps the bar-bearing 64
-		// sessions only.
-		f10Set := false
-		flag.Visit(func(f *flag.Flag) { f10Set = f10Set || f.Name == "f10sessions" })
-		if !f10Set {
-			f10Sessions = "1,64"
+	} else {
+		ids = strings.Split(strings.ToUpper(*exp), ",")
+		for _, id := range ids {
+			if experiments[id] == nil {
+				fmt.Fprintf(os.Stderr, "nlibench: unknown experiment %q (have %v)\n", id, order)
+				os.Exit(2)
+			}
 		}
-		for _, id := range order {
-			run(id)
-		}
-		return
 	}
-	run(strings.ToUpper(*exp))
+	for _, id := range ids {
+		if err := experiments[id](); err != nil {
+			fmt.Fprintf(os.Stderr, "nlibench: %s: %v\n", id, err)
+			os.Exit(1)
+		}
+	}
 }
 
 func header(id, title string) {
@@ -287,48 +277,6 @@ func expT6() error {
 				pct(float64(o.Answered)/float64(o.Total)),
 				pct(o.Accuracy()), pct(o.Precision()))
 		}
-	}
-	return nil
-}
-
-// expF1 prints the per-stage latency profile by question complexity.
-func expF1() error {
-	header("F1", "per-stage latency (averages)")
-	db, err := dataset.ByName("university", 1)
-	if err != nil {
-		return err
-	}
-	// The answer cache is off: F1 profiles the pipeline stages, and a
-	// profile of cache hits would time nothing.
-	opts := core.DefaultOptions()
-	opts.AnswerCacheSize = 0
-	e := core.NewEngine(db, opts)
-	sets := []struct {
-		name      string
-		questions []string
-	}{
-		{"short", []string{
-			"show all students", "list the departments", "how many courses",
-		}},
-		{"medium", []string{
-			"students with gpa over 3.5",
-			"how many students are in Computer Science",
-			"instructors with salary between 50000 and 70000",
-		}},
-		{"long", []string{
-			"average salary of instructors in Computer Science per department",
-			"students whose gpa is higher than the average gpa of History students",
-			"show the name and salary of instructors in the Computer Science department",
-		}},
-	}
-	fmt.Printf("%-8s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n",
-		"set", "correct", "annotate", "parse", "rank", "generate", "plan", "execute", "verbalize", "total")
-	for _, set := range sets {
-		// Warm up, then profile.
-		bench.Profile(e, set.questions)
-		p := bench.Profile(e, set.questions)
-		fmt.Printf("%-8s %10s %10s %10s %10s %10s %10s %10s %10s %10s\n", set.name,
-			p.Correct, p.Annotate, p.Parse, p.Rank, p.Generate, p.Plan, p.Execute, p.Verbalize, p.Total)
 	}
 	return nil
 }
@@ -594,127 +542,38 @@ func expF8() error {
 	return nil
 }
 
-// expF9 measures the prepared-query layer: a template workload (same
-// question shapes, rotating constants, answer cache disabled) runs
-// through an engine with the plan-template cache and one without.
-// Constant-differing asks must hit the cache (ratio bar: 90%) and the
-// planning stage must collapse to a bind (bar: 5x cheaper than cold
-// planning, compared at per-ask medians — the stage is microseconds,
-// so a stray GC cycle would dominate a mean). Both engines must
-// answer every question row-for-row identically, which RunF9 itself
-// enforces.
-func expF9() error {
-	header("F9", "prepared-query plan cache: template workload with rotating constants")
-	r, err := bench.RunF9(2, 8)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-38s %8d (%d shapes)\n", "asks (answer cache off)", r.Asks, r.Shapes)
-	fmt.Printf("%-38s %8d / %d\n", "plan-cache hits / misses", r.Hits, r.Misses)
-	fmt.Printf("%-38s %8s   (bar: 90%%)\n", "hit ratio", pct(r.HitRatio()))
-	fmt.Printf("%-38s %8s\n", "plan stage, cold (median)", r.ColdPlan)
-	fmt.Printf("%-38s %8s   (normalize + lookup + bind)\n", "plan stage, cached (median)", r.HotPlan)
-	fmt.Printf("%-38s %7.1fx   (bar: 5x)\n", "plan-stage speedup", r.PlanSpeedup())
-
-	fmt.Printf("\n%-12s %10s %10s %10s %10s %10s %10s\n",
-		"per-stage", "rank", "generate", "plan", "bind", "execute", "total")
-	fmt.Printf("%-12s %10s %10s %10s %10s %10s %10s\n", "with cache",
-		r.Hot.Rank, r.Hot.Generate, r.Hot.Plan, r.Hot.Bind, r.Hot.Execute, r.Hot.Total)
-	fmt.Printf("%-12s %10s %10s %10s %10s %10s %10s\n", "without",
-		r.Cold.Rank, r.Cold.Generate, r.Cold.Plan, r.Cold.Bind, r.Cold.Execute, r.Cold.Total)
-
-	if r.HitRatio() < 0.9 {
-		return fmt.Errorf("F9: plan-cache hit ratio %.1f%% below the 90%% bar", 100*r.HitRatio())
-	}
-	// The experiment's bar is 5x; the hard failure threshold is looser
-	// because a loaded 1-core CI container adds scheduling noise even
-	// to medians. What must never happen is the cache failing to cut
-	// planning at all.
-	if r.PlanSpeedup() < 3 {
-		return fmt.Errorf("F9: plan-stage speedup %.1fx collapsed (bar 5x, hard floor 3x)", r.PlanSpeedup())
-	}
-	return nil
-}
-
-// F10 knobs (flags -f10sessions, -f10asks, -f10deadline).
-var (
-	f10Sessions string
-	f10Asks     int
-	f10Deadline time.Duration
-)
-
-// expF10 measures the serving layer (internal/serve) under closed-loop
-// load: sustained QPS and p50/p99 latency at each concurrent-session
-// count with a hot/cold cache mix, then an overload burst against a
-// tightly-sized admission controller. Bars: zero requests may end
-// without a definite status, p99 at 64 sessions stays under the
-// configured deadline, the overload run rejects its excess with 429
-// while its admitted requests stay under the deadline, and the whole
-// experiment leaks no goroutines.
+// expF10 measures the serving layer (internal/serve) under an
+// overload burst against a tightly-sized admission controller. Bars:
+// zero requests end without a definite status, the excess is
+// rejected with 429, the admitted requests' p99 stays under the
+// deadline, and the run leaks no goroutines.
 func expF10() error {
-	header("F10", fmt.Sprintf("serving layer under load: deadline %v, %d asks/session (GOMAXPROCS=%d)",
-		f10Deadline, f10Asks, runtime.GOMAXPROCS(0)))
-	var sessions []int
-	for _, s := range strings.Split(f10Sessions, ",") {
-		n := 0
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n <= 0 {
-			return fmt.Errorf("F10: bad -f10sessions entry %q", s)
-		}
-		sessions = append(sessions, n)
-	}
-	r, err := bench.RunF10(2, sessions, f10Asks, f10Deadline)
+	header("F10", fmt.Sprintf("serving layer under overload: deadline %v, %d asks/client (GOMAXPROCS=%d)",
+		bench.F10Deadline, bench.F10AsksPerClient, runtime.GOMAXPROCS(0)))
+	r, err := bench.RunF10(2)
 	if err != nil {
 		return err
 	}
-
 	fmt.Printf("%-10s %8s %7s %7s %7s %6s %7s %9s %11s %11s\n",
-		"sessions", "asks", "200", "429", "504", "err", "cached", "QPS", "p50", "p99")
-	row := func(name string, sc bench.F10Scenario) {
-		fmt.Printf("%-10s %8d %7d %7d %7d %6d %7d %9.0f %11s %11s\n",
-			name, sc.Asks, sc.Served, sc.Rejected, sc.Timeout, sc.Errors,
-			sc.Cached, sc.QPS, sc.P50, sc.P99)
-	}
-	for _, sc := range r.Scenarios {
-		row(fmt.Sprintf("%d", sc.Sessions), sc)
-	}
-	row("overload", r.Overload)
-	fmt.Printf("\n%-38s %8d (degraded answers: sustained %d, overload %d)\n",
-		"goroutine growth after shutdown", r.GoroutineGrowth,
-		sumDegraded(r.Scenarios), r.Overload.Degraded)
-	fmt.Printf("%-38s %8s   (bar: < %v)\n", "overload admitted p99", r.AdmittedP99, r.Deadline)
+		"clients", "asks", "200", "429", "504", "err", "cached", "QPS", "p50", "p99")
+	fmt.Printf("%-10d %8d %7d %7d %7d %6d %7d %9.0f %11s %11s\n",
+		r.Clients, r.Asks, r.Served, r.Rejected, r.Timeout, r.Errors, r.Cached, r.QPS, r.P50, r.P99)
+	fmt.Printf("\n%-38s %8d (degraded answers: %d)\n", "goroutine growth after shutdown", r.GoroutineGrowth, r.Degraded)
+	fmt.Printf("%-38s %8s   (bar: < %v)\n", "admitted p99", r.P99, bench.F10Deadline)
 
-	// Bars. Every request must resolve — a hung request would have
-	// stalled the closed loop forever, an unexpected status counts
-	// here.
-	for _, sc := range r.Scenarios {
-		if sc.Errors > 0 {
-			return fmt.Errorf("F10: %d requests at %d sessions ended with unexpected statuses", sc.Errors, sc.Sessions)
-		}
-		if sc.Sessions == 64 && sc.P99 >= r.Deadline {
-			return fmt.Errorf("F10: p99 %v at 64 sessions breaches the %v deadline bar", sc.P99, r.Deadline)
-		}
+	if r.Errors > 0 {
+		return fmt.Errorf("F10: %d overload requests ended with unexpected statuses", r.Errors)
 	}
-	if r.Overload.Errors > 0 {
-		return fmt.Errorf("F10: %d overload requests ended with unexpected statuses", r.Overload.Errors)
-	}
-	if r.Overload.Rejected == 0 {
+	if r.Rejected == 0 {
 		return fmt.Errorf("F10: overload rejected nothing — backpressure never engaged")
 	}
-	if r.Overload.Served > 0 && r.AdmittedP99 >= r.Deadline {
-		return fmt.Errorf("F10: admitted overload p99 %v breaches the %v deadline bar", r.AdmittedP99, r.Deadline)
+	if r.Served > 0 && r.P99 >= bench.F10Deadline {
+		return fmt.Errorf("F10: admitted overload p99 %v breaches the %v deadline bar", r.P99, bench.F10Deadline)
 	}
 	if r.GoroutineGrowth > 2 {
 		return fmt.Errorf("F10: %d goroutines leaked across the run", r.GoroutineGrowth)
 	}
 	return nil
-}
-
-func sumDegraded(scs []bench.F10Scenario) int {
-	n := 0
-	for _, sc := range scs {
-		n += sc.Degraded
-	}
-	return n
 }
 
 // chainSchema builds t0 -> t1 -> ... -> t(n-1) linked by foreign keys.

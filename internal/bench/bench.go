@@ -1,15 +1,13 @@
 // Package bench is the evaluation harness: the gold question/SQL
 // corpus over the three domains, execution-match scoring, typo
-// injection, grammar-coverage sweeps and stage-timing profiles. Every
-// table and figure in EXPERIMENTS.md is regenerated through this
-// package (see cmd/nlibench and the root bench_test.go).
+// injection and grammar-coverage sweeps. Every table and figure
+// EXPERIMENTS.md has not retired is regenerated through this package
+// (see cmd/nlibench and the root bench_test.go).
 package bench
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -205,37 +203,4 @@ func sameRows(name, got string, g *exec.Result, want string, w *exec.Result) err
 		}
 	}
 	return nil
-}
-
-// StageProfile is the averaged per-stage latency over a question set
-// (figure F1).
-type StageProfile struct {
-	N         int
-	Correct   time.Duration
-	Annotate  time.Duration
-	Parse     time.Duration
-	Rank      time.Duration
-	Generate  time.Duration
-	Plan      time.Duration
-	Bind      time.Duration // plan-cache hits: normalize + lookup + bind
-	Execute   time.Duration
-	Verbalize time.Duration
-	Total     time.Duration
-}
-
-// Profile asks every question once and averages the stage timings.
-// Questions that fail are skipped (they never reach all stages).
-func Profile(e *core.Engine, questions []string) StageProfile {
-	var p StageProfile
-	for _, q := range questions {
-		ans, err := e.Ask(q)
-		if err != nil {
-			continue
-		}
-		accumulate(&p, ans)
-	}
-	if p.N > 0 {
-		finishProfile(&p)
-	}
-	return p
 }

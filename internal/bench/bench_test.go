@@ -3,6 +3,7 @@ package bench
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -282,18 +283,23 @@ func TestSameResult(t *testing.T) {
 	}
 }
 
-func TestProfileStages(t *testing.T) {
-	e, _ := fullEngine(t, "university")
-	p := Profile(e, []string{
-		"students with gpa over 3.5",
-		"average salary of instructors per department",
-		"utter gibberish question",
-	})
-	if p.N != 2 {
-		t.Errorf("N = %d, want 2 (gibberish skipped)", p.N)
-	}
-	if p.Total <= 0 || p.Parse <= 0 {
-		t.Errorf("timings not accumulated: %+v", p)
+// TestPercentilesNearestRank: p50 and p99 are the ceil(q·n)-th
+// smallest samples, so with fewer than 100 samples p99 is the slowest.
+func TestPercentilesNearestRank(t *testing.T) {
+	for _, tc := range []struct{ n, p50, p99 int }{
+		{1, 1, 1},
+		{22, 11, 22},
+		{100, 50, 99},
+		{101, 51, 100},
+	} {
+		ds := make([]time.Duration, tc.n)
+		for i := range ds {
+			ds[i] = time.Duration(tc.n - i) // descending: percentiles must sort
+		}
+		p50, p99 := percentiles(ds)
+		if p50 != time.Duration(tc.p50) || p99 != time.Duration(tc.p99) {
+			t.Errorf("n=%d: p50, p99 = %d, %d; want %d, %d", tc.n, p50, p99, tc.p50, tc.p99)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -17,25 +17,30 @@ import (
 	"repro/internal/serve"
 )
 
-// F10: the serving-layer load experiment. A closed-loop generator
-// drives the HTTP front door (internal/serve) the way concurrent
-// interactive users would: N sessions, each issuing asks back to back
-// with a hot/cold cache mix (half repeat a session-stable question and
-// hit the answer cache, half rotate constants and execute). Measured:
-// sustained QPS and p50/p99 latency at each session count, then an
-// overload scenario — a burst far past admission capacity — asserting
-// the robustness bars: admitted requests stay under the deadline,
-// the excess is rejected with 429 (never queued unboundedly, never
-// hung), and the run leaks no goroutines.
+// F10: the serving layer under overload. A burst of concurrent clients
+// far past admission capacity drives the HTTP front door
+// (internal/serve), asserting the robustness bars: admitted requests
+// stay under the deadline, the excess is rejected with 429 (never
+// queued unboundedly, never hung), and the run leaks no goroutines.
+// Sustained closed-loop latency is not measured here: the question
+// benchmark's ask_repeat workload records it.
 //
 // Requests go through serve.Server.ServeHTTP directly (full handler
 // path: decode, admission, deadline context, execution, JSON encode)
 // without a TCP listener, so the numbers isolate the serving layer
 // from kernel socket behavior.
 
-// F10Scenario is one measured closed-loop run.
-type F10Scenario struct {
-	Sessions int // concurrent closed-loop clients
+const (
+	// F10Deadline is the per-request deadline the server enforces —
+	// the experiment's latency bar.
+	F10Deadline = time.Second
+	// F10AsksPerClient is how many asks each burst client issues.
+	F10AsksPerClient = 32
+)
+
+// F10Result is the overload burst's outcome.
+type F10Result struct {
+	Clients  int // concurrent clients in the burst
 	Asks     int // total requests issued
 	Served   int // 200s
 	Rejected int // 429s
@@ -43,62 +48,17 @@ type F10Scenario struct {
 	Errors   int // anything else (bar: zero)
 	Degraded int // answers reporting degraded (serial) execution
 	Cached   int // answers served from the answer cache
-	P50      time.Duration
-	P99      time.Duration
-	Wall     time.Duration
-	QPS      float64 // completed requests per second of wall time
-}
-
-// F10Result is the full experiment outcome.
-type F10Result struct {
-	Scale     int
-	Deadline  time.Duration
-	Scenarios []F10Scenario
-
-	// Overload is the burst scenario over a deliberately tight
-	// admission configuration.
-	Overload F10Scenario
-
-	// AdmittedP99 is the p99 latency of the overload scenario's
-	// admitted (200) requests only — the bar is that backpressure
-	// protects the admitted, not that rejects are fast (they are).
-	AdmittedP99 time.Duration
+	// P50 and P99 cover the admitted (200) requests only — the bar is
+	// that backpressure protects the admitted, not that rejects are
+	// fast (they are).
+	P50 time.Duration
+	P99 time.Duration
+	QPS float64 // completed requests per second of wall time
 
 	// GoroutineGrowth is the post-run goroutine count minus the
 	// pre-run count after shutdown settled (bar: ~0, small slack for
 	// runtime background goroutines).
 	GoroutineGrowth int
-}
-
-// f10Client is one closed-loop session: it issues its next ask only
-// after the previous one completed.
-type f10Client struct {
-	session string
-	hotQ    string
-	colds   []string
-}
-
-func f10Clients(n int) []*f10Client {
-	gpas := []string{"2.1", "2.3", "2.5", "2.7", "2.9", "3.1", "3.3", "3.5", "3.7", "3.9"}
-	hots := []string{
-		"how many students are in Computer Science",
-		"average salary of instructors in Physics",
-		"how many courses are in Mathematics",
-		"students with gpa over 3.8",
-	}
-	clients := make([]*f10Client, n)
-	for i := range clients {
-		colds := make([]string, 0, len(gpas))
-		for _, g := range gpas {
-			colds = append(colds, "students with gpa over "+g)
-		}
-		clients[i] = &f10Client{
-			session: fmt.Sprintf("f10-%d", i),
-			hotQ:    hots[i%len(hots)],
-			colds:   colds,
-		}
-	}
-	return clients
 }
 
 // doAsk issues one request through the handler and reports status,
@@ -121,75 +81,26 @@ func doAsk(s *serve.Server, session, question string) (code int, d time.Duration
 	return w.Code, d, cached, degraded
 }
 
-// runScenario drives one closed-loop configuration to completion.
-func runScenario(s *serve.Server, clients []*f10Client, asksPer int) F10Scenario {
-	sc := F10Scenario{Sessions: len(clients)}
-	var mu sync.Mutex
-	var lats []time.Duration
-	var wg sync.WaitGroup
-	start := time.Now()
-	for _, c := range clients {
-		wg.Add(1)
-		go func(c *f10Client) {
-			defer wg.Done()
-			for i := 0; i < asksPer; i++ {
-				q := c.hotQ
-				if i%2 == 1 { // hot/cold mix: alternate
-					q = c.colds[i%len(c.colds)]
-				}
-				code, d, cached, degraded := doAsk(s, c.session, q)
-				mu.Lock()
-				sc.Asks++
-				lats = append(lats, d)
-				switch code {
-				case http.StatusOK:
-					sc.Served++
-					if cached {
-						sc.Cached++
-					}
-					if degraded {
-						sc.Degraded++
-					}
-				case http.StatusTooManyRequests:
-					sc.Rejected++
-				case http.StatusGatewayTimeout:
-					sc.Timeout++
-				default:
-					sc.Errors++
-				}
-				mu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	sc.Wall = time.Since(start)
-	sc.P50, sc.P99 = percentiles(lats)
-	if sc.Wall > 0 {
-		sc.QPS = float64(sc.Asks) / sc.Wall.Seconds()
-	}
-	return sc
-}
-
+// percentiles returns the nearest-rank p50 and p99 of ds: the
+// ceil(q·n)-th smallest sample, so below 100 samples p99 is the
+// slowest one.
 func percentiles(ds []time.Duration) (p50, p99 time.Duration) {
 	if len(ds) == 0 {
 		return 0, 0
 	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := func(q float64) time.Duration {
-		i := int(q * float64(len(sorted)-1))
-		return sorted[i]
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	rank := func(pct int) time.Duration {
+		return sorted[(pct*len(sorted)+99)/100-1]
 	}
-	return idx(0.50), idx(0.99)
+	return rank(50), rank(99)
 }
 
-// RunF10 measures the serving layer: closed-loop QPS/latency at each
-// session count in sessions (asksPer asks per session), then the
-// overload burst. deadline is the per-request deadline the server
-// enforces — the latency bar of the experiment.
-func RunF10(scale int, sessions []int, asksPer int, deadline time.Duration) (*F10Result, error) {
-	if scale <= 0 || asksPer <= 0 || len(sessions) == 0 {
-		return nil, fmt.Errorf("bench: F10 needs positive scale, sessions and asks")
+// RunF10 runs the overload burst against a university database at the
+// given scale.
+func RunF10(scale int) (*F10Result, error) {
+	if scale <= 0 {
+		return nil, fmt.Errorf("bench: F10 needs a positive scale")
 	}
 	db := dataset.University(scale)
 	opts := core.DefaultOptions()
@@ -201,36 +112,17 @@ func RunF10(scale int, sessions []int, asksPer int, deadline time.Duration) (*F1
 	eng := core.NewEngine(db, opts)
 	before := runtime.NumGoroutine()
 
-	res := &F10Result{Scale: scale, Deadline: deadline}
-
-	// Sustained-load scenarios: generous admission (the point is
-	// latency under concurrency, not rejection). Queue wait gets half
-	// the deadline so an ask admitted at the wait bound still has
-	// headroom to execute inside its deadline.
-	s := serve.New(eng, serve.Config{
-		DefaultDeadline: deadline,
-		Capacity:        4 * opts.Parallelism,
-		MaxQueue:        4096,
-		MaxQueueWait:    deadline / 2,
-	})
-	for _, n := range sessions {
-		res.Scenarios = append(res.Scenarios, runScenario(s, f10Clients(n), asksPer))
-	}
-	if err := shutdownServer(s); err != nil {
-		return nil, err
-	}
-
-	// Overload: a fresh tightly-sized server and a burst 8× past
-	// capacity. Backpressure must reject the excess with 429 while the
-	// admitted stay under the deadline. The burst arrives while the
-	// server's capacity is saturated (serve.Saturate) — without that,
-	// queries fast enough to finish inside a scheduler quantum would
-	// never overlap on a small machine and the ladder would never
-	// engage; holding the capacity down for a few queue-wait periods
-	// forces every concurrent client through the reject path exactly as
-	// a genuinely slow backlog would.
+	// A tightly-sized server and a burst 8× past capacity.
+	// Backpressure must reject the excess with 429 while the admitted
+	// stay under the deadline. The burst arrives while the server's
+	// capacity is saturated (serve.Saturate) — without that, queries
+	// fast enough to finish inside a scheduler quantum would never
+	// overlap on a small machine and the ladder would never engage;
+	// holding the capacity down for a few queue-wait periods forces
+	// every concurrent client through the reject path exactly as a
+	// genuinely slow backlog would.
 	tight := serve.New(eng, serve.Config{
-		DefaultDeadline: deadline,
+		DefaultDeadline: F10Deadline,
 		Capacity:        opts.Parallelism,
 		MaxQueue:        opts.Parallelism,
 		MaxQueueWait:    10 * time.Millisecond,
@@ -241,18 +133,21 @@ func RunF10(scale int, sessions []int, asksPer int, deadline time.Duration) (*F1
 	}
 	hold := time.AfterFunc(50*time.Millisecond, release)
 	defer hold.Stop()
-	burst := f10Clients(8 * opts.Parallelism)
+	var questions []string
+	for _, g := range []string{"2.1", "2.3", "2.5", "2.7", "2.9", "3.1", "3.3", "3.5", "3.7", "3.9"} {
+		questions = append(questions, "students with gpa over "+g)
+	}
+	res := &F10Result{Clients: 8 * opts.Parallelism}
 	var admitted []time.Duration
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	ov := F10Scenario{Sessions: len(burst)}
 	start := time.Now()
-	for _, c := range burst {
+	for c := 0; c < res.Clients; c++ {
 		wg.Add(1)
-		go func(c *f10Client) {
+		go func(session string) {
 			defer wg.Done()
-			for i := 0; i < asksPer; i++ {
-				code, d, cached, degraded := doAsk(tight, c.session, c.colds[i%len(c.colds)])
+			for i := 0; i < F10AsksPerClient; i++ {
+				code, d, cached, degraded := doAsk(tight, session, questions[i%len(questions)])
 				if code == http.StatusTooManyRequests {
 					// A well-behaved client honors backpressure: back off
 					// before retrying the next ask. This also keeps the
@@ -262,37 +157,36 @@ func RunF10(scale int, sessions []int, asksPer int, deadline time.Duration) (*F1
 					time.Sleep(20 * time.Millisecond)
 				}
 				mu.Lock()
-				ov.Asks++
+				res.Asks++
 				switch code {
 				case http.StatusOK:
-					ov.Served++
+					res.Served++
 					admitted = append(admitted, d)
 					if cached {
-						ov.Cached++
+						res.Cached++
 					}
 					if degraded {
-						ov.Degraded++
+						res.Degraded++
 					}
 				case http.StatusTooManyRequests:
-					ov.Rejected++
+					res.Rejected++
 				case http.StatusGatewayTimeout:
-					ov.Timeout++
+					res.Timeout++
 				default:
-					ov.Errors++
+					res.Errors++
 				}
 				mu.Unlock()
 			}
-		}(c)
+		}(fmt.Sprintf("f10-%d", c))
 	}
 	wg.Wait()
-	ov.Wall = time.Since(start)
-	if ov.Wall > 0 {
-		ov.QPS = float64(ov.Asks) / ov.Wall.Seconds()
+	if wall := time.Since(start); wall > 0 {
+		res.QPS = float64(res.Asks) / wall.Seconds()
 	}
-	ov.P50, ov.P99 = percentiles(admitted)
-	res.Overload = ov
-	_, res.AdmittedP99 = percentiles(admitted)
-	if err := shutdownServer(tight); err != nil {
+	res.P50, res.P99 = percentiles(admitted)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := tight.Shutdown(ctx); err != nil {
 		return nil, err
 	}
 
@@ -304,10 +198,4 @@ func RunF10(scale int, sessions []int, asksPer int, deadline time.Duration) (*F1
 		res.GoroutineGrowth = runtime.NumGoroutine() - before
 	}
 	return res, nil
-}
-
-func shutdownServer(s *serve.Server) error {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	return s.Shutdown(ctx)
 }

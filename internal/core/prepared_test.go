@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/exec"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
@@ -60,52 +59,100 @@ func TestAskErrorPathsFillTimings(t *testing.T) {
 	}
 }
 
-// TestPlanCacheAcrossConstants: questions repeating a shape with
-// different constants bind a cached template instead of planning, and
-// answer exactly what a fresh plan would.
+// planCacheWorkload is template traffic: six question shapes asked
+// over and over with rotating constants. Most join through
+// departments, as production template traffic does; the last family
+// mixes two phrasings ("students in X …" / "names of students in X …")
+// that generate one SQL shape — the cache keys on the normalized
+// query, not on the surface text.
+var planCacheWorkload = [][]string{
+	{"students with gpa over 2.1", "students with gpa over 2.4",
+		"students with gpa over 2.6", "students with gpa over 2.8"},
+	{"how many students are in Computer Science", "how many students are in Mathematics",
+		"how many students are in Physics", "how many students are in History"},
+	{"instructors with salary between 50000 and 70000", "instructors with salary between 60000 and 90000",
+		"instructors with salary between 45000 and 65000", "instructors with salary between 80000 and 120000"},
+	{"average salary of instructors in Computer Science", "average salary of instructors in Mathematics",
+		"average salary of instructors in Physics", "average salary of instructors in History"},
+	{"how many courses are in Computer Science", "how many courses are in Mathematics",
+		"how many courses are in Physics", "how many courses are in History"},
+	{"students in Computer Science with gpa over 2.1", "names of students in Computer Science with gpa over 3.8",
+		"students in Mathematics with gpa over 2.4", "names of students in Mathematics with gpa over 3.6",
+		"students in Physics with gpa over 2.6", "names of students in Physics with gpa over 3.3",
+		"students in History with gpa over 2.8", "names of students in History with gpa over 3.1"},
+}
+
+// TestPlanCacheAcrossConstants: over two rounds of planCacheWorkload,
+// every ask after a shape's first binds the cached template instead of
+// planning — exactly one miss per shape — and answers row for row what
+// an engine without a plan cache answers.
 func TestPlanCacheAcrossConstants(t *testing.T) {
 	opts := DefaultOptions()
 	opts.AnswerCacheSize = 0 // isolate the plan cache
-	e := NewEngine(dataset.University(1), opts)
+	opts.Parallelism = 1
+	db := dataset.University(1)
+	e := NewEngine(db, opts)
+	refOpts := opts
+	refOpts.PlanCacheSize = 0
+	ref := NewEngine(db, refOpts)
 
-	cold, err := e.Ask("students with gpa over 3.5")
-	if err != nil {
-		t.Fatal(err)
+	var hits, misses uint64
+	for round := 0; round < 2; round++ {
+		for _, shape := range planCacheWorkload {
+			for i, q := range shape {
+				got, err := e.Ask(q)
+				if err != nil {
+					t.Fatalf("%q: %v", q, err)
+				}
+				want, err := ref.Ask(q)
+				if err != nil {
+					t.Fatalf("reference %q: %v", q, err)
+				}
+				if got.Cached || want.Cached {
+					t.Fatal("test premise broken: answer cache should be off")
+				}
+				if round == 0 && i == 0 {
+					misses++
+					if got.PlanCached || got.Timings.Plan <= 0 {
+						t.Errorf("%q: the first ask of a shape must plan (cached=%v plan=%v)",
+							q, got.PlanCached, got.Timings.Plan)
+					}
+				} else {
+					hits++
+					if !got.PlanCached || got.Timings.Bind <= 0 || got.Timings.Plan != 0 {
+						t.Errorf("%q: should bind the cached template, not plan (cached=%v bind=%v plan=%v)",
+							q, got.PlanCached, got.Timings.Bind, got.Timings.Plan)
+					}
+				}
+				if got.PlanCacheHits != hits || got.PlanCacheMisses != misses {
+					t.Errorf("%q: answer counters = %d/%d, want %d/%d",
+						q, got.PlanCacheHits, got.PlanCacheMisses, hits, misses)
+				}
+				if want.PlanCached || want.Timings.Plan <= 0 {
+					t.Errorf("%q: the reference engine must plan every ask", q)
+				}
+				if len(want.Result.Rows) == 0 || len(got.Result.Rows) != len(want.Result.Rows) {
+					t.Fatalf("%q: cached-template answer has %d rows, fresh plan %d",
+						q, len(got.Result.Rows), len(want.Result.Rows))
+				}
+				for r, row := range got.Result.Rows {
+					if len(row) != len(want.Result.Rows[r]) {
+						t.Fatalf("%q: row %d has %d columns, fresh plan %d", q, r, len(row), len(want.Result.Rows[r]))
+					}
+					for c, v := range row {
+						if v.Key() != want.Result.Rows[r][c].Key() {
+							t.Fatalf("%q: row %d column %d = %v, fresh plan %v", q, r, c, v, want.Result.Rows[r][c])
+						}
+					}
+				}
+			}
+		}
 	}
-	if cold.PlanCached {
-		t.Error("first ask of a shape cannot be a plan-cache hit")
+	if h, m := e.PlanCacheStats(); m != uint64(len(planCacheWorkload)) || h != hits || m != misses {
+		t.Errorf("stats = %d hits / %d misses, want %d / %d", h, m, hits, len(planCacheWorkload))
 	}
-	if cold.Timings.Plan <= 0 {
-		t.Error("cold ask should report planning time")
-	}
-
-	hot, err := e.Ask("students with gpa over 2.5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hot.PlanCached {
-		t.Fatal("constant-differing repeat should bind the cached template")
-	}
-	if hot.Cached {
-		t.Fatal("test premise broken: answer cache should be off")
-	}
-	if hot.Timings.Bind <= 0 || hot.Timings.Plan != 0 {
-		t.Errorf("hot ask should bind, not plan: bind=%v plan=%v", hot.Timings.Bind, hot.Timings.Plan)
-	}
-	if hits, misses := e.PlanCacheStats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits / %d misses, want 1/1", hits, misses)
-	}
-	if hot.PlanCacheHits != 1 || hot.PlanCacheMisses != 1 {
-		t.Errorf("answer counters = %d/%d, want 1/1", hot.PlanCacheHits, hot.PlanCacheMisses)
-	}
-
-	// The bound plan answers exactly as a fresh compile would.
-	want, err := exec.Query(e.DB.Snapshot(), hot.SQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Rows) == 0 || len(hot.Result.Rows) != len(want.Rows) {
-		t.Errorf("cached-template answer has %d rows, fresh plan %d", len(hot.Result.Rows), len(want.Rows))
+	if h, m := ref.PlanCacheStats(); h != 0 || m != 0 {
+		t.Errorf("reference engine stats = %d/%d, want 0/0", h, m)
 	}
 }
 

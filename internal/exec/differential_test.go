@@ -62,12 +62,12 @@ func TestNullLiteralComparisons(t *testing.T) {
 	}
 }
 
-// TestDifferentialScaledIndexesDropped repeats the differential check
+// TestDifferentialScaled repeats the differential check
 // at a larger scale now that no table has an index: key equalities and
 // ranges are plain scan filters, over small segments so zone maps skip
 // most of each table. Serial and parallel runs must both agree with
 // the reference, which skips nothing.
-func TestDifferentialScaledIndexesDropped(t *testing.T) {
+func TestDifferentialScaled(t *testing.T) {
 	db := dataset.University(2)
 	setSegmentRows(db, 64)
 	for _, cs := range bench.Corpus("university") {

@@ -30,11 +30,11 @@ func loadRaceDB(t testing.TB) *store.DB {
 	return store.NewDB(s)
 }
 
-// TestPartitionConcurrentLoaders drives 4 concurrent loaders, each
+// TestConcurrentLoaders drives 4 concurrent loaders, each
 // publishing its own disjoint batch ids into one table, against readers
 // running every executor mode; any reader observing a torn batch or a
 // partial publish fails.
-func TestPartitionConcurrentLoaders(t *testing.T) {
+func TestConcurrentLoaders(t *testing.T) {
 	db := loadRaceDB(t)
 	countSum := sql.MustParse("SELECT COUNT(*), SUM(val) FROM events")
 	torn := sql.MustParse(fmt.Sprintf(
@@ -129,10 +129,10 @@ func TestPartitionConcurrentLoaders(t *testing.T) {
 	}
 }
 
-// TestPartitionSnapshotRepeatable: a plan compiled and run on a pinned
+// TestSnapshotRepeatableUnderLoaders: a plan compiled and run on a pinned
 // snapshot returns identical results before and after 4 concurrent
 // loaders publish into the same table.
-func TestPartitionSnapshotRepeatable(t *testing.T) {
+func TestSnapshotRepeatableUnderLoaders(t *testing.T) {
 	db := loadRaceDB(t)
 	for i := 0; i < 8; i++ {
 		if err := db.BulkInsert("events", eventBatch(i)); err != nil {

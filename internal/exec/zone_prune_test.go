@@ -56,7 +56,7 @@ func tsAt(n int, frac float64) int64 {
 	return 1_700_000_000 + int64(frac*float64(n/8))
 }
 
-// TestPartitionPruneUnderExchange pins that an exchange skips what the
+// TestZoneSkipUnderExchange pins that an exchange skips what the
 // serial scan skips: its morsels tile the table, so at every degree the
 // run reads and skips the segments par 1 does, counting each once. The
 // probes are ts windows over a ts-clustered log cut into 512-row
@@ -64,7 +64,7 @@ func tsAt(n int, frac float64) int64 {
 // mid-segment at every degree, and zone maps skip most of the table.
 // Each probe runs as a COUNT folded per morsel, an AVG whose batches
 // are kept, and a bare projection.
-func TestPartitionPruneUnderExchange(t *testing.T) {
+func TestZoneSkipUnderExchange(t *testing.T) {
 	const n = 30_000
 	db := dataset.Telemetry(n)
 	db.Table("events").SetSegmentRows(512)
@@ -120,13 +120,13 @@ func TestPartitionPruneUnderExchange(t *testing.T) {
 	}
 }
 
-// TestPartitionPruneZeroSegIO pins the zone-map I/O contract on a
+// TestZoneSkipZeroSegIO pins the zone-map I/O contract on a
 // spill-enabled, ts-clustered log: a ts < X probe must skip every
 // segment whose zone map starts at or past X from resident zone maps
 // alone — after evicting all segments to disk, the counted run may
 // fault back at most the bytes of the segments zone maps keep, serially
 // and under an exchange.
-func TestPartitionPruneZeroSegIO(t *testing.T) {
+func TestZoneSkipZeroSegIO(t *testing.T) {
 	const n = 16_384
 	db := dataset.Telemetry(n)
 	db.Table("events").SetSegmentRows(512)

@@ -65,11 +65,11 @@ func TestColumnPruning(t *testing.T) {
 	})
 }
 
-// TestNullLiteralNeverTakesIndexPath: "col = NULL" and "col > NULL"
+// TestNullLiteralStaysInFilter: "col = NULL" and "col > NULL"
 // must evaluate under three-valued logic (reject every row). The one
 // access path is a scan, and the conjunct must stay in the filter above
 // it, where the executor evaluates it row by row.
-func TestNullLiteralNeverTakesIndexPath(t *testing.T) {
+func TestNullLiteralStaysInFilter(t *testing.T) {
 	db := dataset.University(1)
 	for _, q := range []string{
 		"SELECT name FROM students WHERE id = NULL",
