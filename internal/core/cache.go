@@ -78,8 +78,8 @@ const (
 type answerCache struct {
 	mu       sync.Mutex
 	size     int
-	maxRows  int // per-entry result row cap; <= 0 means uncapped
-	maxBytes int // per-entry approximate result byte cap; <= 0 means uncapped
+	maxRows  int // per-entry result row cap
+	maxBytes int // per-entry approximate result byte cap
 	entries  map[string]*cacheEntry
 
 	// hits / misses count lookups under mu: a stale entry evicted on
@@ -101,12 +101,8 @@ func (c *answerCache) cacheable(ans *Answer) bool {
 	if ans.Result == nil {
 		return true
 	}
-	rows := len(ans.Result.Rows)
-	if c.maxRows > 0 && rows > c.maxRows {
+	if len(ans.Result.Rows) > c.maxRows {
 		return false
-	}
-	if c.maxBytes <= 0 {
-		return true
 	}
 	bytes := 0
 	for _, r := range ans.Result.Rows {

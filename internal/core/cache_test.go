@@ -153,16 +153,15 @@ func answerCount(t *testing.T, ans *Answer) int {
 // pin a huge result set behind a single LRU slot. Small results still
 // cache normally under the same configuration.
 func TestAnswerCacheEntrySizeCap(t *testing.T) {
-	opts := DefaultOptions()
-	opts.AnswerCacheMaxRows = 3 // list queries return far more students
-	e := NewEngine(dataset.University(1), opts)
+	e := NewEngine(dataset.University(1), DefaultOptions())
+	e.cache.maxRows = 3 // list queries return far more students
 
 	big := "students with gpa over 3.5"
 	first, err := e.Ask(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(first.Result.Rows); n <= opts.AnswerCacheMaxRows {
+	if n := len(first.Result.Rows); n <= e.cache.maxRows {
 		t.Fatalf("test premise broken: %q returned only %d rows", big, n)
 	}
 	again, err := e.Ask(big)
@@ -171,7 +170,7 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	}
 	if again.Cached {
 		t.Errorf("oversized result (%d rows > cap %d) was cached",
-			len(first.Result.Rows), opts.AnswerCacheMaxRows)
+			len(first.Result.Rows), e.cache.maxRows)
 	}
 
 	small := "how many students with gpa over 3.5"
@@ -187,7 +186,7 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	}
 
 	// The byte cap rejects few-but-fat rows independently of the row cap.
-	c := newAnswerCache(8, 0, 64)
+	c := newAnswerCache(8, defaultCacheMaxRows, 64)
 	fat := &Answer{Result: &exec.Result{Cols: []string{"name"}, Rows: []store.Row{
 		{store.Text(strings.Repeat("x", 256))},
 	}}}
@@ -204,7 +203,7 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 
 // TestAnswerCacheByteCapFollowsValueSize: the byte estimate charges a
 // cell what a cell occupies, store.ValueSize, not a figure copied from
-// an older layout — a result one byte under AnswerCacheMaxBytes by that
+// an older layout — a result one byte under the byte cap by that
 // estimate is cached, one byte over is not.
 func TestAnswerCacheByteCapFollowsValueSize(t *testing.T) {
 	const rows, cols, text = 64, 3, 10
@@ -223,10 +222,10 @@ func TestAnswerCacheByteCapFollowsValueSize(t *testing.T) {
 		{estimate, true},
 		{estimate - 1, false},
 	} {
-		cache := newAnswerCache(8, 0, c.maxBytes)
+		cache := newAnswerCache(8, defaultCacheMaxRows, c.maxBytes)
 		cache.store("q", nil, &Answer{Result: res}, current)
 		if got := cache.lookup("q", current) != nil; got != c.cached {
-			t.Errorf("estimate %d B against AnswerCacheMaxBytes %d: cached = %v, want %v",
+			t.Errorf("estimate %d B against a byte cap of %d: cached = %v, want %v",
 				estimate, c.maxBytes, got, c.cached)
 		}
 	}

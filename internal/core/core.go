@@ -48,16 +48,11 @@ type Options struct {
 	// query shape (parameterized SQL + constant kinds) and validated
 	// against per-table version epochs: questions repeating a shape with
 	// different constants skip planning and pay only a bind. 0 disables
-	// the cache — every ask then plans from scratch (the F9 ablation).
+	// the cache — every ask then plans from scratch, as the reference
+	// engine of TestPlanCacheAcrossConstants does; the question
+	// benchmark's core.plan_cache_hit_share on ask_fresh records how
+	// often the cache serves.
 	PlanCacheSize int
-
-	// AnswerCacheMaxRows / AnswerCacheMaxBytes cap a single answer-cache
-	// entry: a result exceeding either cap is served but never cached,
-	// so one pathological question cannot pin a huge result set behind
-	// an LRU slot. 0 resolves to the defaults (4096 rows, 1 MiB);
-	// negative disables the cap.
-	AnswerCacheMaxRows  int
-	AnswerCacheMaxBytes int
 
 	// SpillDir, when non-empty, enables larger-than-memory operation:
 	// sealed segments are serialized write-once into this directory and
@@ -116,8 +111,9 @@ type Answer struct {
 
 	// PlanCacheHits / PlanCacheMisses are the engine's cumulative
 	// plan-template cache counters at the time this answer was
-	// produced — the serving-path observability the F9 experiment
-	// reads its hit ratio from.
+	// produced — the serving-path observability behind
+	// TestPlanCacheAcrossConstants and the question benchmark's
+	// core.plan_cache_hit_share on ask_fresh.
 	PlanCacheHits   uint64
 	PlanCacheMisses uint64
 
@@ -174,14 +170,7 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 		opts: opts,
 	}
 	if opts.AnswerCacheSize > 0 {
-		maxRows, maxBytes := opts.AnswerCacheMaxRows, opts.AnswerCacheMaxBytes
-		if maxRows == 0 {
-			maxRows = defaultCacheMaxRows
-		}
-		if maxBytes == 0 {
-			maxBytes = defaultCacheMaxBytes
-		}
-		e.cache = newAnswerCache(opts.AnswerCacheSize, maxRows, maxBytes)
+		e.cache = newAnswerCache(opts.AnswerCacheSize, defaultCacheMaxRows, defaultCacheMaxBytes)
 	}
 	if opts.PlanCacheSize > 0 {
 		e.plans = newPlanCache(opts.PlanCacheSize)

@@ -5,9 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/schema"
-	"repro/internal/sql"
 	"repro/internal/store"
 )
 
@@ -183,64 +181,20 @@ var rowPathCorpus = []rowPathCase{
 
 // TestFormerRowPathCorpus runs rowPathCorpus at parallelism 1, 2 and 4
 // over plain, dictionary, RLE and FOR segments. Every run must match
-// the reference executor as a bag (value and kind), error for error,
-// and in order wherever the SQL fixes one.
+// the reference executor as a bag, error for error, and in order
+// wherever the SQL fixes one; the parallel runs the serial one row for
+// row.
 func TestFormerRowPathCorpus(t *testing.T) {
 	for _, l := range rowPathLayouts {
-		db := rowPathDB(t, l)
-		for _, c := range rowPathCorpus {
-			stmt := sql.MustParse(c.sql)
-			sn := db.Snapshot()
-			want, werr := exec.ReferenceQueryAt(sn, stmt)
-			for _, par := range []int{1, 2, 4} {
-				if c.serial && par > 1 {
-					continue
+		sn := rowPathDB(t, l).Snapshot()
+		t.Run(l.name, func(t *testing.T) {
+			for _, c := range rowPathCorpus {
+				o := diffOpts{pars: []int{1, 2, 4}, ordered: c.ordered, mayFail: true}
+				if c.serial {
+					o.pars = nil
 				}
-				got, err := compileRun(sn, stmt, par, exec.RunOpts{})
-				if (err != nil) != (werr != nil) {
-					t.Errorf("%s par=%d: %s\nerror %v, reference error %v", l.name, par, c.sql, err, werr)
-					continue
-				}
-				if err != nil {
-					continue
-				}
-				if msg := sameTyped(got, want, c.ordered); msg != "" {
-					t.Errorf("%s par=%d: %s\n%s", l.name, par, c.sql, msg)
-				}
+				differential(t, sn, c.sql, o)
 			}
-		}
+		})
 	}
-}
-
-// sameTyped compares two results by value key and kind, as bags or,
-// when ordered, row for row.
-func sameTyped(got, want *exec.Result, ordered bool) string {
-	if len(got.Rows) != len(want.Rows) {
-		return fmt.Sprintf("%d rows, reference %d", len(got.Rows), len(want.Rows))
-	}
-	key := func(r store.Row) string {
-		s := ""
-		for _, v := range r {
-			s += fmt.Sprintf("%d:%s\x1f", v.Kind(), v.Key())
-		}
-		return s
-	}
-	if ordered {
-		for i := range got.Rows {
-			if key(got.Rows[i]) != key(want.Rows[i]) {
-				return fmt.Sprintf("row %d: %v, reference %v", i, got.Rows[i], want.Rows[i])
-			}
-		}
-		return ""
-	}
-	counts := map[string]int{}
-	for _, r := range want.Rows {
-		counts[key(r)]++
-	}
-	for _, r := range got.Rows {
-		if counts[key(r)]--; counts[key(r)] < 0 {
-			return fmt.Sprintf("row %v not in the reference result", r)
-		}
-	}
-	return ""
 }

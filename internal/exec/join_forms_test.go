@@ -1,15 +1,12 @@
 package exec_test
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/schema"
-	"repro/internal/sql"
 	"repro/internal/store"
 )
 
@@ -195,31 +192,9 @@ var joinFormsCorpus = []joinFormsCase{
 func TestHashJoinOutputForms(t *testing.T) {
 	sn := joinFormsDB(t).Snapshot()
 	for _, c := range joinFormsCorpus {
-		stmt := sql.MustParse(c.sql)
-		ref, err := exec.ReferenceQueryAt(sn, stmt)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", c.name, err)
-		}
-		var serial *exec.Result
-		for _, par := range []int{1, 2, 4} {
-			p, err := exec.Compile(sn, stmt, par)
-			if err != nil {
-				t.Fatalf("%s: compile: %v", c.name, err)
-			}
-			if c.build != "" && !hasBuildLine(p.Explain(), c.build) {
-				t.Fatalf("%s par=%d: no [build] line starting %q:\n%s", c.name, par, c.build, p.Explain())
-			}
-			got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
-			if err != nil {
-				t.Fatalf("%s par=%d: %v", c.name, par, err)
-			}
-			if serial == nil {
-				serial = got
-			} else if err := rowsIdentical(got, serial); err != nil {
-				t.Errorf("%s par=%d vs par=1: %v", c.name, par, err)
-			}
-			if err := sameBag(got, ref); err != nil {
-				t.Errorf("%s par=%d vs reference: %v", c.name, par, err)
+		for _, r := range differential(t, sn, c.sql, diffOpts{pars: []int{1, 2, 4}}) {
+			if c.build != "" && !hasBuildLine(r.plan.Explain(), c.build) {
+				t.Errorf("%s par=%d: no [build] line starting %q:\n%s", c.name, r.par, c.build, r.plan.Explain())
 			}
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/schema"
@@ -122,20 +121,6 @@ func (g *qgen) projection() string {
 	return strings.Join(cols, ", ")
 }
 
-// bag turns a result into a multiset keyed by canonical row keys.
-func bag(res *exec.Result) map[string]int {
-	out := make(map[string]int, len(res.Rows))
-	for _, r := range res.Rows {
-		var b []byte
-		for _, v := range r {
-			b = v.AppendKey(b)
-			b = append(b, '\x1f')
-		}
-		out[string(b)]++
-	}
-	return out
-}
-
 // subBag reports whether a is contained in b as multisets.
 func subBag(a, b map[string]int) bool {
 	for k, n := range a {
@@ -184,23 +169,7 @@ func TestMetamorphicCorpus(t *testing.T) {
 			base := fmt.Sprintf("SELECT %s FROM %s WHERE %s", g.projection(), tbl.Name, pred)
 
 			// 1. Differential vs the reference executor.
-			stmt, err := sql.Parse(base)
-			if err != nil {
-				t.Fatalf("%s: generated query does not parse: %v\n%s", domain, err, base)
-			}
-			planned, err := exec.Query(sn, stmt)
-			if err != nil {
-				t.Fatalf("%s: %s: %v", domain, base, err)
-			}
-			reference, err := exec.ReferenceQueryAt(sn, stmt)
-			if err != nil {
-				t.Fatalf("%s: reference %s: %v", domain, base, err)
-			}
-			if !bench.SameResult(planned, reference) {
-				t.Errorf("%s: planned and reference disagree\n%s\nplanned %d rows, reference %d",
-					domain, base, len(planned.Rows), len(reference.Rows))
-				continue
-			}
+			differential(t, sn, base, diffOpts{})
 
 			// 2. Adding a conjunct never grows the result.
 			if extra, ok := g.predicate(); ok {

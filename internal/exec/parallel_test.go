@@ -2,43 +2,19 @@ package exec_test
 
 import (
 	"context"
-	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/sql"
-	"repro/internal/store"
 )
 
-// sameRows requires exact row-for-row equality, order included — the
-// contract of the order-preserving exchange merge: a parallel plan
-// must be indistinguishable from the serial one.
-func sameRows(a, b *exec.Result) error {
-	if len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("row counts differ: %d vs %d", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		if len(a.Rows[i]) != len(b.Rows[i]) {
-			return fmt.Errorf("row %d widths differ", i)
-		}
-		for j := range a.Rows[i] {
-			av, bv := a.Rows[i][j], b.Rows[i][j]
-			if av.IsNull() != bv.IsNull() || (!av.IsNull() && !store.Equal(av, bv)) {
-				return fmt.Errorf("row %d col %d: %v vs %v", i, j, av, bv)
-			}
-		}
-	}
-	return nil
-}
-
 // TestParallelDifferentialCorpus runs every gold query of the full
-// benchmark corpus through the serial planner path, the parallel path
-// at several degrees, and the materializing reference path. Parallel
-// must match serial row for row (exchange merge preserves order) and
-// the reference as a bag (join reordering may permute rows). The
+// benchmark corpus serially and at several degrees: parallel must
+// match serial row for row (exchange merge preserves order) and the
+// reference as a bag (join reordering may permute rows). The
 // university domain runs at scale 4 so probe sides clear the
 // parallelization threshold and the exchange paths actually execute.
 func TestParallelDifferentialCorpus(t *testing.T) {
@@ -48,46 +24,8 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 		if domain == "university" {
 			scale = 4
 		}
-		db, err := dataset.ByName(domain, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cs := range bench.Corpus(domain) {
-			stmt, err := sql.Parse(cs.Gold)
-			if err != nil {
-				t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
-			}
-			serial, err := exec.Query(db.Snapshot(), stmt)
-			if err != nil {
-				t.Fatalf("%s: serial execution failed: %v", cs.ID, err)
-			}
-			reference, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
-			if err != nil {
-				t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
-			}
-			if !bench.SameResult(serial, reference) {
-				t.Errorf("%s: serial and reference results differ", cs.ID)
-			}
-			for _, par := range []int{2, 4, 8} {
-				p, err := exec.Compile(db.Snapshot(), stmt, par)
-				if err != nil {
-					t.Fatalf("%s: parallel planning failed: %v", cs.ID, err)
-				}
-				if p.OperatorCounts()["exchange"] > 0 {
-					exchanges++
-				}
-				parallel, err := exec.Run(context.Background(), db.Snapshot(), p, exec.RunOpts{})
-				if err != nil {
-					t.Fatalf("%s: parallel execution (par=%d) failed: %v", cs.ID, par, err)
-				}
-				if err := sameRows(serial, parallel); err != nil {
-					t.Errorf("%s: parallel (par=%d) diverges from serial: %v\nsql: %s",
-						cs.ID, par, err, cs.Gold)
-				}
-				if !bench.SameResult(parallel, reference) {
-					t.Errorf("%s: parallel (par=%d) and reference results differ", cs.ID, par)
-				}
-			}
+		for _, r := range corpusDifferential(t, domain, scale, 0, diffOpts{pars: []int{1, 2, 4, 8}}) {
+			exchanges += r.plan.OperatorCounts()["exchange"]
 		}
 	}
 	if exchanges == 0 {
@@ -99,7 +37,7 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 // the ones the parallel speedup is claimed on — to exact serial
 // equality at every worker degree.
 func TestParallelJoinHeavyRowForRow(t *testing.T) {
-	db := dataset.University(4)
+	sn := dataset.University(4).Snapshot()
 	for _, q := range []string{
 		"SELECT s.name, c.title FROM students s, enrollments e, courses c, departments d " +
 			"WHERE e.student_id = s.id AND e.course_id = c.course_id AND c.dept_id = d.dept_id " +
@@ -109,20 +47,7 @@ func TestParallelJoinHeavyRowForRow(t *testing.T) {
 		"SELECT d.name, AVG(s.gpa) FROM students s, departments d " +
 			"WHERE s.dept_id = d.dept_id GROUP BY d.name ORDER BY AVG(s.gpa) DESC",
 	} {
-		stmt := sql.MustParse(q)
-		serial, err := exec.Query(db.Snapshot(), stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, par := range []int{2, 3, 4, 8, 16} {
-			parallel, err := compileRun(db.Snapshot(), stmt, par, exec.RunOpts{})
-			if err != nil {
-				t.Fatalf("par=%d: %v", par, err)
-			}
-			if err := sameRows(serial, parallel); err != nil {
-				t.Errorf("par=%d: %v\nsql: %s", par, err, q)
-			}
-		}
+		differential(t, sn, q, diffOpts{pars: []int{1, 2, 3, 4, 8, 16}})
 	}
 }
 
@@ -160,18 +85,22 @@ func TestParallelExplain(t *testing.T) {
 		t.Errorf("an AVG aggregate must stay above the exchange's merge, unmarked:\n%s", out)
 	}
 
-	// Parallelism 1 must reproduce the serial plan exactly.
+	// Parallelism 1 keeps the serial plan: no exchange, no [par=] mark,
+	// and the degree-4 plan's operators less its one exchange.
 	serial, err := exec.Compile(db.Snapshot(), stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := exec.Compile(db.Snapshot(), stmt, 1)
-	if err != nil {
-		t.Fatal(err)
+	if out := serial.Explain(); strings.Contains(out, "exchange") || strings.Contains(out, "[par=") {
+		t.Errorf("the Parallelism=1 plan is rewritten for workers:\n%s", out)
 	}
-	if serial.Explain() != plain.Explain() {
-		t.Errorf("Parallelism=1 plan differs from the serial plan:\n%s\nvs\n%s",
-			serial.Explain(), plain.Explain())
+	want := p.OperatorCounts()
+	if want["exchange"] != 1 {
+		t.Fatalf("the degree-4 plan has %d exchanges, want 1:\n%s", want["exchange"], p.Explain())
+	}
+	delete(want, "exchange")
+	if got := serial.OperatorCounts(); !maps.Equal(got, want) {
+		t.Errorf("Parallelism=1 operators %v, want the degree-4 plan's less its exchange: %v", got, want)
 	}
 }
 
@@ -205,7 +134,7 @@ func TestParallelSkipsStreamingLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sameRows(serial, parallel); err != nil {
+	if err := sameResult(parallel, serial, true); err != nil {
 		t.Errorf("sorted LIMIT diverges: %v", err)
 	}
 }

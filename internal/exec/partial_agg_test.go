@@ -24,69 +24,18 @@ const (
 	notPartial = ""
 )
 
-// rowsBitIdentical is rowsIdentical without Key's folding: kinds must
-// match and floats compare by bit pattern, so -0.0 is not +0.0 and a
-// NaN is only the same NaN.
-func rowsBitIdentical(a, b *exec.Result) error {
-	if len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("%d rows vs %d rows", len(a.Rows), len(b.Rows))
-	}
-	for i := range a.Rows {
-		for c := range a.Rows[i] {
-			x, y := a.Rows[i][c], b.Rows[i][c]
-			same := x.Kind() == y.Kind() && x.Key() == y.Key()
-			if same && x.Kind() == store.KindFloat {
-				same = floatBits(x) == floatBits(y)
-			}
-			if !same {
-				return fmt.Errorf("row %d differs: %s vs %s", i, a.Rows[i], b.Rows[i])
-			}
-		}
-	}
-	return nil
-}
-
-func floatBits(v store.Value) uint64 {
-	f, _ := v.AsFloat()
-	return math.Float64bits(f)
-}
-
-// checkPartial runs q at par 2, 4 and 8 and requires every run to equal
-// the par = 1 run of the same statement row for row and bit for bit,
-// the reference executor as a bag, and the plan to have one exchange
-// under an aggregate carrying exactly the wanted mark.
+// checkPartial runs q at par 1, 2, 4 and 8 through differential, and
+// requires each parallel plan to have one exchange under an aggregate
+// carrying exactly the wanted mark.
 func checkPartial(t *testing.T, sn *store.Snapshot, q, wantMark string) {
 	t.Helper()
-	stmt := sql.MustParse(q)
-	serial, err := compileRun(sn, stmt, 1, exec.RunOpts{})
-	if err != nil {
-		t.Fatalf("serial: %v\nsql: %s", err, q)
-	}
-	ref, err := exec.ReferenceQueryAt(sn, stmt)
-	if err != nil {
-		t.Fatalf("reference: %v\nsql: %s", err, q)
-	}
-	for _, par := range []int{2, 4, 8} {
-		p, err := exec.Compile(sn, stmt, par)
-		if err != nil {
-			t.Fatalf("compile: %v\nsql: %s", err, q)
-		}
-		explain := p.Explain()
-		if p.OperatorCounts()["exchange"] != 1 {
-			t.Fatalf("par=%d: want a plan over one exchange:\n%s\nsql: %s", par, explain, q)
+	for _, r := range differential(t, sn, q, diffOpts{pars: []int{1, 2, 4, 8}})[1:] {
+		explain := r.plan.Explain()
+		if r.plan.OperatorCounts()["exchange"] != 1 {
+			t.Fatalf("par=%d: want a plan over one exchange:\n%s\nsql: %s", r.par, explain, q)
 		}
 		if got := strings.Count(explain, "[partial"); got != strings.Count(wantMark, "[partial") || !strings.Contains(explain, wantMark) {
-			t.Errorf("par=%d: want mark %q:\n%s\nsql: %s", par, wantMark, explain, q)
-		}
-		got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
-		if err != nil {
-			t.Fatalf("par=%d: %v\nsql: %s", par, err, q)
-		}
-		if err := rowsBitIdentical(got, serial); err != nil {
-			t.Errorf("par=%d vs par=1: %v\nsql: %s", par, err, q)
-		}
-		if err := sameBag(got, ref); err != nil {
-			t.Errorf("par=%d vs reference: %v\nsql: %s", par, err, q)
+			t.Errorf("par=%d: want mark %q:\n%s\nsql: %s", r.par, wantMark, explain, q)
 		}
 	}
 }
@@ -273,13 +222,14 @@ func TestPartialAggregateExtrema(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	minF := func(g int) store.Value { return got.Rows[g][1] }
-	if f, _ := minF(0).AsFloat(); !math.IsNaN(f) || floatBits(minF(1)) != math.Float64bits(negZero) ||
-		floatBits(minF(2)) != 0 || floatBits(minF(3)) != math.Float64bits(-5) {
-		t.Errorf("MIN(f) by g = %v, %v, %v, %v; want NaN, -0, +0, -5", minF(0), minF(1), minF(2), minF(3))
-	}
-	if lo, hi := got.Rows[2][2].Int64(), got.Rows[2][3].Int64(); lo != -big-1 || hi != big+1 {
-		t.Errorf("int extrema = %d, %d; want %d, %d", lo, hi, -big-1, big+1)
+	want := &exec.Result{Cols: got.Cols, Rows: []store.Row{
+		{store.Int(0), store.Float(nan), store.Int(0), store.Int(96)},
+		{store.Int(1), store.Float(negZero), store.Int(0), store.Int(96)},
+		{store.Int(2), store.Float(0), store.Int(-big - 1), store.Int(big + 1)},
+		{store.Int(3), store.Float(-5), store.Int(0), store.Int(96)},
+	}}
+	if err := sameResult(got, want, true); err != nil {
+		t.Errorf("MIN(f), MIN(i), MAX(i) by g: %v", err)
 	}
 }
 

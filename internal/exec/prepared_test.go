@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/schema"
@@ -22,43 +21,7 @@ import (
 // never change results.
 func TestPreparedCorpusDifferential(t *testing.T) {
 	for _, domain := range dataset.Names() {
-		db, err := dataset.ByName(domain, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cs := range bench.Corpus(domain) {
-			stmt, err := sql.Parse(cs.Gold)
-			if err != nil {
-				t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
-			}
-			sn := db.Snapshot()
-			oneShot, err := exec.Query(sn, stmt)
-			if err != nil {
-				t.Fatalf("%s: one-shot execution failed: %v\n%s", cs.ID, err, cs.Gold)
-			}
-			pq, params, err := exec.Prepare(sn, stmt, 1)
-			if err != nil {
-				t.Fatalf("%s: prepare failed: %v\n%s", cs.ID, err, cs.Gold)
-			}
-			prepared, err := pq.Run(context.Background(), sn, params, 1)
-			if err != nil {
-				t.Fatalf("%s: prepared execution failed: %v\n%s", cs.ID, err, cs.Gold)
-			}
-			if err := rowsIdentical(prepared, oneShot); err != nil {
-				t.Errorf("%s: prepared vs one-shot: %v\nsql: %s", cs.ID, err, cs.Gold)
-			}
-			pqPar, paramsPar, err := exec.Prepare(sn, stmt, 4)
-			if err != nil {
-				t.Fatalf("%s: parallel prepare failed: %v", cs.ID, err)
-			}
-			parallel, err := pqPar.Run(context.Background(), sn, paramsPar, 4)
-			if err != nil {
-				t.Fatalf("%s: parallel prepared execution failed: %v\n%s", cs.ID, err, cs.Gold)
-			}
-			if err := rowsIdentical(parallel, oneShot); err != nil {
-				t.Errorf("%s: parallel prepared vs one-shot: %v\nsql: %s", cs.ID, err, cs.Gold)
-			}
-		}
+		corpusDifferential(t, domain, 1, 0, diffOpts{pars: []int{1, 4}, prepared: true})
 	}
 }
 
@@ -105,7 +68,7 @@ func TestPreparedRebindRowForRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := rowsIdentical(got, want); err != nil {
+			if err := sameResult(got, want, true); err != nil {
 				t.Errorf("prepared (%s) vs one-shot for %s: %v", bind.name, bind.stmt, err)
 			}
 		}
@@ -155,7 +118,7 @@ func TestPreparedRebindSupersededBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rowsIdentical(got, want); err != nil {
+	if err := sameResult(got, want, true); err != nil {
 		t.Errorf("rebind with inverted bound tightness: %v", err)
 	}
 	// And the mirrored shape: the BETWEEN supplies the tighter cap at
@@ -170,7 +133,7 @@ func TestPreparedRebindSupersededBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rowsIdentical(got3, want3); err != nil {
+	if err := sameResult(got3, want3, true); err != nil {
 		t.Errorf("rebind with plain bound tightest: %v", err)
 	}
 }
@@ -230,7 +193,7 @@ func TestPreparedRebindAfterBulkLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rowsIdentical(got, want); err != nil {
+	if err := sameResult(got, want, true); err != nil {
 		t.Errorf("recompiled bind answers differently: %v", err)
 	}
 }

@@ -1,14 +1,11 @@
 package exec_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/exec"
 	"repro/internal/schema"
-	"repro/internal/sql"
 	"repro/internal/store"
 )
 
@@ -156,29 +153,6 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		"SELECT d.region, COUNT(*), MIN(e.d32) FROM events e, devices d WHERE e.device_id = d.device_id AND e.status > 250 GROUP BY d.region",
 	}
 	for _, q := range queries {
-		stmt := sql.MustParse(q)
-		ref, err := exec.ReferenceQueryAt(sn, stmt)
-		if err != nil {
-			t.Fatalf("reference: %v\nsql: %s", err, q)
-		}
-		var serial *exec.Result
-		for _, par := range []int{1, 2, 4} {
-			p, err := exec.Compile(sn, stmt, par)
-			if err != nil {
-				t.Fatalf("compile: %v\nsql: %s", err, q)
-			}
-			vec, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
-			if err != nil {
-				t.Fatalf("vectorized run (par=%d): %v\nsql: %s", par, err, q)
-			}
-			if serial == nil {
-				serial = vec
-			} else if err := rowsIdentical(vec, serial); err != nil {
-				t.Errorf("par=%d vs par=1: %v\nsql: %s", par, err, q)
-			}
-			if err := sameBag(vec, ref); err != nil {
-				t.Errorf("par=%d: vectorized vs reference: %v\nsql: %s", par, err, q)
-			}
-		}
+		differential(t, sn, q, diffOpts{pars: []int{1, 2, 4}})
 	}
 }

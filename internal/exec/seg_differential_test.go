@@ -1,11 +1,9 @@
 package exec_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/dataset"
 	"repro/internal/exec"
 	"repro/internal/schema"
@@ -29,43 +27,7 @@ func setSegmentRows(db *store.DB, n int) {
 func TestSegDifferentialCorpus(t *testing.T) {
 	for _, segRows := range []int{7, 100, 1025} {
 		for _, domain := range dataset.Names() {
-			db, err := dataset.ByName(domain, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			setSegmentRows(db, segRows)
-			for _, cs := range bench.Corpus(domain) {
-				stmt, err := sql.Parse(cs.Gold)
-				if err != nil {
-					t.Fatalf("%s: gold does not parse: %v", cs.ID, err)
-				}
-				ref, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
-				if err != nil {
-					t.Fatalf("%s: reference execution failed: %v", cs.ID, err)
-				}
-				var serial *exec.Result
-				for _, par := range []int{1, 4} {
-					sn := db.Snapshot()
-					p, err := exec.Compile(sn, stmt, par)
-					if err != nil {
-						t.Fatalf("%s: compile failed: %v", cs.ID, err)
-					}
-					seg, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
-					if err != nil {
-						t.Fatalf("%s: segment execution failed (segRows=%d par=%d): %v", cs.ID, segRows, par, err)
-					}
-					if err := sameBag(seg, ref); err != nil {
-						t.Errorf("%s (segRows=%d par=%d): segment vs reference: %v\nsql: %s",
-							cs.ID, segRows, par, err, cs.Gold)
-					}
-					if serial == nil {
-						serial = seg
-					} else if err := rowsIdentical(seg, serial); err != nil {
-						t.Errorf("%s (segRows=%d par=%d): parallel vs serial: %v\nsql: %s",
-							cs.ID, segRows, par, err, cs.Gold)
-					}
-				}
-			}
+			corpusDifferential(t, domain, 1, segRows, diffOpts{pars: []int{1, 4}})
 		}
 	}
 }
@@ -129,32 +91,8 @@ func TestSegZoneSkipCounts(t *testing.T) {
 			{"SELECT COUNT(*) FROM events WHERE level = 'error'", false},
 		}
 		for _, tc := range queries {
-			stmt := sql.MustParse(tc.q)
-			sn := db.Snapshot()
-			p, err := exec.Query(sn, stmt)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.q, err)
-			}
-			plan, err := exec.Compile(sn, stmt, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var c store.SegCounters
-			counted, err := exec.Run(context.Background(), sn, plan, exec.RunOpts{SegC: &c})
-			if err != nil {
-				t.Fatalf("%s: counted run: %v", tc.q, err)
-			}
-			if err := rowsIdentical(counted, p); err != nil {
-				t.Errorf("%s (segRows=%d): counted vs plain: %v", tc.q, segRows, err)
-			}
 			// The reference executor consults no zone map: the unskipped oracle.
-			unskipped, err := exec.ReferenceQueryAt(sn, stmt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sameBag(counted, unskipped); err != nil {
-				t.Errorf("%s (segRows=%d): skipping changed results: %v", tc.q, segRows, err)
-			}
+			c := differential(t, db.Snapshot(), tc.q, diffOpts{counted: true})[0].segc
 			skipped := c.Skipped.Load()
 			if tc.wantSkip && skipped == 0 {
 				t.Errorf("%s (segRows=%d): expected zone-map skips, got none (scanned=%d)",
@@ -169,8 +107,8 @@ func TestSegZoneSkipCounts(t *testing.T) {
 
 // TestSegSkipPrepared pins bind-time skip derivation: one prepared
 // template, rebound with different constants, must skip according to
-// each binding's values — and always match the row executor, which
-// consults no zone map.
+// each binding's values — and always match the reference executor,
+// which consults no zone map, and a one-shot compile of the same SQL.
 func TestSegSkipPrepared(t *testing.T) {
 	db := segSkipDB(t, 5000)
 	setSegmentRows(db, 500)
@@ -192,24 +130,8 @@ func TestSegSkipPrepared(t *testing.T) {
 		{0, 1_000_000, false}, // covers every segment
 		{900, 930, true},      // narrow range mid-table
 	} {
-		ps := []store.Value{store.Int(b.lo), store.Int(b.hi)}
-		p, _, err := pq.Bind(sn, ps, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var c store.SegCounters
-		got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: ps, SegC: &c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := exec.ReferenceQueryAt(sn, sql.MustParse(fmt.Sprintf(
-			"SELECT COUNT(*) FROM events WHERE ts BETWEEN %d AND %d", b.lo, b.hi)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rowsIdentical(got, want); err != nil {
-			t.Errorf("binding [%d,%d]: %v", b.lo, b.hi, err)
-		}
+		c := differential(t, sn, fmt.Sprintf("SELECT COUNT(*) FROM events WHERE ts BETWEEN %d AND %d", b.lo, b.hi),
+			diffOpts{ordered: true, prepared: true, tmpl: pq, counted: true})[0].segc
 		if b.wantSkip && c.Skipped.Load() == 0 {
 			t.Errorf("binding [%d,%d]: expected skips, scanned=%d skipped=0",
 				b.lo, b.hi, c.Scanned.Load())
@@ -221,23 +143,7 @@ func TestSegSkipPrepared(t *testing.T) {
 	// A NULL bound makes the predicate non-TRUE everywhere (3VL), so
 	// every segment skips without being decoded. Bind rejects NULL
 	// parameters, so this arrives as a literal.
-	p, err := exec.Compile(sn, sql.MustParse(
-		"SELECT COUNT(*) FROM events WHERE ts > NULL"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c store.SegCounters
-	got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{SegC: &c})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := exec.ReferenceQueryAt(sn, sql.MustParse("SELECT COUNT(*) FROM events WHERE ts > NULL"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rowsIdentical(got, want); err != nil {
-		t.Errorf("NULL bound: %v", err)
-	}
+	c := differential(t, sn, "SELECT COUNT(*) FROM events WHERE ts > NULL", diffOpts{ordered: true, counted: true})[0].segc
 	if c.Scanned.Load() != 0 {
 		t.Errorf("NULL bound: expected all segments skipped, scanned=%d", c.Scanned.Load())
 	}
@@ -293,21 +199,11 @@ func TestSegNullEdgeBatches(t *testing.T) {
 		for _, segRows := range []int{1, 63, 64, 65, 1000, 1024} {
 			db := build(sh.n, sh.nullAt)
 			setSegmentRows(db, segRows)
-			for _, q := range queries {
-				stmt := sql.MustParse(q)
-				sn := db.Snapshot()
-				vec, err := exec.Query(sn, stmt)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", sh.name, q, err)
+			t.Run(fmt.Sprintf("%s,segRows=%d", sh.name, segRows), func(t *testing.T) {
+				for _, q := range queries {
+					differential(t, db.Snapshot(), q, diffOpts{ordered: true})
 				}
-				ref, err := exec.ReferenceQueryAt(sn, stmt)
-				if err != nil {
-					t.Fatalf("%s/%s: %v", sh.name, q, err)
-				}
-				if err := rowsIdentical(vec, ref); err != nil {
-					t.Errorf("%s (segRows=%d): %s: %v", sh.name, segRows, q, err)
-				}
-			}
+			})
 		}
 	}
 }

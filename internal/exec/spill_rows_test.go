@@ -52,7 +52,7 @@ func TestRowsAfterEvictAll(t *testing.T) {
 		t.Fatalf("reads after EvictAll faulted %d segments in (%d errors)", st.Misses, st.FaultErrs)
 	}
 	for i, q := range queries {
-		if err := rowsIdentical(gotRes[i], wantRes[i]); err != nil {
+		if err := sameResult(gotRes[i], wantRes[i], true); err != nil {
 			t.Errorf("%s: after EvictAll: %v", q, err)
 		}
 	}

@@ -3,7 +3,6 @@ package exec_test
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -11,43 +10,6 @@ import (
 	"repro/internal/sql"
 	"repro/internal/store"
 )
-
-// sameBag compares two results as bags of rows, for comparisons whose
-// row order legitimately differs (a reference executor, another plan
-// shape). Float cells are quantized to 9 significant digits before
-// keying: float aggregation is non-associative, so summing in another
-// order legitimately moves AVG/SUM by an ulp, while any real defect
-// (lost or doubled rows) shifts whole digits.
-func sameBag(a, b *exec.Result) error {
-	if len(a.Rows) != len(b.Rows) {
-		return fmt.Errorf("%d rows vs %d rows", len(a.Rows), len(b.Rows))
-	}
-	key := func(r store.Row) string {
-		var sb strings.Builder
-		for _, v := range r {
-			if v.Kind() == store.KindFloat {
-				f, _ := v.AsFloat()
-				fmt.Fprintf(&sb, "%.9g", f)
-			} else {
-				sb.WriteString(v.Key())
-			}
-			sb.WriteByte('\x1f')
-		}
-		return sb.String()
-	}
-	counts := map[string]int{}
-	for _, r := range a.Rows {
-		counts[key(r)]++
-	}
-	for _, r := range b.Rows {
-		k := key(r)
-		counts[k]--
-		if counts[k] < 0 {
-			return fmt.Errorf("row bags differ at %s", r)
-		}
-	}
-	return nil
-}
 
 // tsAt is the ts value a fraction of the way through a telemetry log
 // of n rows: ts starts at 1_700_000_000 and advances one tick every 8
@@ -78,42 +40,18 @@ func TestZoneSkipUnderExchange(t *testing.T) {
 			"SELECT COUNT(*), AVG(latency_ms) FROM events WHERE " + where,
 			"SELECT event_id, status FROM events WHERE " + where,
 		} {
-			stmt := sql.MustParse(q)
-			ref, err := exec.ReferenceQueryAt(sn, stmt)
-			if err != nil {
-				t.Fatal(err)
+			runs := differential(t, sn, q, diffOpts{pars: []int{1, 2, 4, 8}, counted: true})
+			serial := runs[0].segc
+			if serial.Skipped.Load() == 0 {
+				t.Fatalf("par=1: zone maps skipped no segment (scanned %d)\nsql: %s", serial.Scanned.Load(), q)
 			}
-			var serial *exec.Result
-			var serialSeg [2]int64
-			for _, par := range []int{1, 2, 4, 8} {
-				p, err := exec.Compile(sn, stmt, par)
-				if err != nil {
-					t.Fatal(err)
+			for _, r := range runs[1:] {
+				if r.plan.OperatorCounts()["exchange"] != 1 {
+					t.Fatalf("par=%d: want an exchange:\n%s\nsql: %s", r.par, r.plan.Explain(), q)
 				}
-				if par > 1 && p.OperatorCounts()["exchange"] != 1 {
-					t.Fatalf("par=%d: want an exchange:\n%s\nsql: %s", par, p.Explain(), q)
-				}
-				var segc store.SegCounters
-				got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{SegC: &segc})
-				if err != nil {
-					t.Fatalf("par=%d: %v\nsql: %s", par, err, q)
-				}
-				gotSeg := [2]int64{segc.Scanned.Load(), segc.Skipped.Load()}
-				if err := sameBag(got, ref); err != nil {
-					t.Errorf("par=%d vs reference: %v\nsql: %s", par, err, q)
-				}
-				if par == 1 {
-					if gotSeg[1] == 0 {
-						t.Fatalf("par=1: zone maps skipped no segment (scanned %d)\nsql: %s", gotSeg[0], q)
-					}
-					serial, serialSeg = got, gotSeg
-					continue
-				}
-				if err := rowsIdentical(got, serial); err != nil {
-					t.Errorf("par=%d vs par=1: %v\nsql: %s", par, err, q)
-				}
-				if gotSeg != serialSeg {
-					t.Errorf("par=%d: segments scanned/skipped %v; par=1: %v\nsql: %s", par, gotSeg, serialSeg, q)
+				if got, want := [2]int64{r.segc.Scanned.Load(), r.segc.Skipped.Load()},
+					[2]int64{serial.Scanned.Load(), serial.Skipped.Load()}; got != want {
+					t.Errorf("par=%d: segments scanned/skipped %v; par=1: %v\nsql: %s", r.par, got, want, q)
 				}
 			}
 		}
@@ -173,7 +111,7 @@ func TestZoneSkipZeroSegIO(t *testing.T) {
 		}
 		after := db.SegCache().Stats()
 
-		if err := rowsIdentical(got, want); err != nil {
+		if err := sameResult(got, want, true); err != nil {
 			t.Errorf("par=%d: skipping run vs reference baseline: %v", par, err)
 		}
 		if skipped := segc.Skipped.Load(); skipped != int64(len(ss.Segs)-keptSegs) {
