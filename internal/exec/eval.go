@@ -375,69 +375,17 @@ func (ex *executor) correlated(sub *sql.SelectStmt, f *plan.Frame) bool {
 		}
 
 		corr := false
-		var walkE func(e sql.Expr)
-		walkE = func(e sql.Expr) {
-			if corr || e == nil {
-				return
+		sql.WalkStmt(s, func(e sql.Expr) bool {
+			if corr {
+				return false
 			}
-			switch n := e.(type) {
-			case sql.ColumnRef:
-				if n.Table != "" {
-					if !inScopeName(n.Table) {
-						corr = true
-					}
-				} else if !inScopeColumn(n.Column) {
-					corr = true
-				}
-			case *sql.BinaryExpr:
-				walkE(n.L)
-				walkE(n.R)
-			case *sql.NotExpr:
-				walkE(n.X)
-			case *sql.NegExpr:
-				walkE(n.X)
-			case *sql.FuncCall:
-				walkE(n.Arg)
-			case *sql.InExpr:
-				walkE(n.X)
-				for _, le := range n.List {
-					walkE(le)
-				}
-				if n.Sub != nil && stmtCorrelated(n.Sub, scopes) {
-					corr = true
-				}
-			case *sql.ExistsExpr:
-				if stmtCorrelated(n.Sub, scopes) {
-					corr = true
-				}
-			case *sql.SubqueryExpr:
-				if stmtCorrelated(n.Sub, scopes) {
-					corr = true
-				}
-			case *sql.BetweenExpr:
-				walkE(n.X)
-				walkE(n.Lo)
-				walkE(n.Hi)
-			case *sql.LikeExpr:
-				walkE(n.X)
-				walkE(n.Pattern)
-			case *sql.IsNullExpr:
-				walkE(n.X)
+			if n, ok := e.(sql.ColumnRef); ok {
+				corr = n.Table != "" && !inScopeName(n.Table) || n.Table == "" && !inScopeColumn(n.Column)
+			} else if sub := sql.Nested(e); sub != nil {
+				corr = stmtCorrelated(sub, scopes)
 			}
-		}
-		for _, it := range s.Items {
-			if !it.Star {
-				walkE(it.Expr)
-			}
-		}
-		walkE(s.Where)
-		for _, g := range s.GroupBy {
-			walkE(g)
-		}
-		walkE(s.Having)
-		for _, o := range s.OrderBy {
-			walkE(o.Expr)
-		}
+			return !corr
+		})
 		return corr
 	}
 	v = stmtCorrelated(sub, nil)

@@ -1,11 +1,12 @@
 // Package exec evaluates SQL ASTs (internal/sql) against the in-memory
 // store (internal/store). Queries are compiled by internal/plan into a
 // cost-optimized operator tree (predicate pushdown, column pruning,
-// index-aware join ordering) and executed by plan's vectorized engine;
-// this package contributes the scalar-expression evaluator the engine
-// calls back into for what its kernels leave over — IN/EXISTS and
-// scalar subqueries including correlated ones, cross-kind comparisons
-// — and runs the subqueries themselves.
+// join ordering from row counts and declared keys) and executed by
+// plan's vectorized engine; this package contributes the
+// scalar-expression evaluator the engine calls back into for what its
+// kernels leave over — IN/EXISTS and scalar subqueries including
+// correlated ones, cross-kind comparisons — and runs the subqueries
+// themselves.
 //
 // Evaluation uses collapsed three-valued logic: comparisons involving
 // NULL yield NULL, AND/OR/NOT propagate NULL, and a WHERE/HAVING accepts

@@ -153,35 +153,14 @@ func Aggregated(stmt *sql.SelectStmt) bool {
 // outside of nested subqueries (whose aggregates belong to the
 // subquery).
 func ContainsAggregate(e sql.Expr) bool {
-	switch n := e.(type) {
-	case nil:
-		return false
-	case *sql.FuncCall:
-		return true
-	case *sql.BinaryExpr:
-		return ContainsAggregate(n.L) || ContainsAggregate(n.R)
-	case *sql.NotExpr:
-		return ContainsAggregate(n.X)
-	case *sql.NegExpr:
-		return ContainsAggregate(n.X)
-	case *sql.InExpr:
-		if ContainsAggregate(n.X) {
-			return true
+	found := false
+	sql.Walk(e, func(x sql.Expr) bool {
+		if _, ok := x.(*sql.FuncCall); ok {
+			found = true
 		}
-		for _, le := range n.List {
-			if ContainsAggregate(le) {
-				return true
-			}
-		}
-		return false
-	case *sql.BetweenExpr:
-		return ContainsAggregate(n.X) || ContainsAggregate(n.Lo) || ContainsAggregate(n.Hi)
-	case *sql.LikeExpr:
-		return ContainsAggregate(n.X) || ContainsAggregate(n.Pattern)
-	case *sql.IsNullExpr:
-		return ContainsAggregate(n.X)
-	}
-	return false
+		return !found
+	})
+	return found
 }
 
 // ExpandItems resolves SELECT items (expanding *) into expressions and
@@ -242,104 +221,4 @@ func SubstituteAliases(stmt *sql.SelectStmt, items []sql.Expr) []sql.Expr {
 		out[i] = e
 	}
 	return out
-}
-
-// WalkExprs visits every expression in the statement, including nested
-// subqueries.
-func WalkExprs(s *sql.SelectStmt, visit func(sql.Expr)) {
-	var walkE func(sql.Expr)
-	walkE = func(e sql.Expr) {
-		if e == nil {
-			return
-		}
-		visit(e)
-		switch n := e.(type) {
-		case *sql.BinaryExpr:
-			walkE(n.L)
-			walkE(n.R)
-		case *sql.NotExpr:
-			walkE(n.X)
-		case *sql.NegExpr:
-			walkE(n.X)
-		case *sql.FuncCall:
-			walkE(n.Arg)
-		case *sql.InExpr:
-			walkE(n.X)
-			for _, le := range n.List {
-				walkE(le)
-			}
-			if n.Sub != nil {
-				WalkExprs(n.Sub, visit)
-			}
-		case *sql.ExistsExpr:
-			WalkExprs(n.Sub, visit)
-		case *sql.SubqueryExpr:
-			WalkExprs(n.Sub, visit)
-		case *sql.BetweenExpr:
-			walkE(n.X)
-			walkE(n.Lo)
-			walkE(n.Hi)
-		case *sql.LikeExpr:
-			walkE(n.X)
-			walkE(n.Pattern)
-		case *sql.IsNullExpr:
-			walkE(n.X)
-		}
-	}
-	for _, it := range s.Items {
-		if !it.Star {
-			walkE(it.Expr)
-		}
-	}
-	walkE(s.Where)
-	for _, g := range s.GroupBy {
-		walkE(g)
-	}
-	walkE(s.Having)
-	for _, o := range s.OrderBy {
-		walkE(o.Expr)
-	}
-}
-
-// containsSubquery reports whether e contains any nested SELECT.
-func containsSubquery(e sql.Expr) bool {
-	found := false
-	var walkE func(sql.Expr)
-	walkE = func(e sql.Expr) {
-		switch n := e.(type) {
-		case nil:
-		case *sql.BinaryExpr:
-			walkE(n.L)
-			walkE(n.R)
-		case *sql.NotExpr:
-			walkE(n.X)
-		case *sql.NegExpr:
-			walkE(n.X)
-		case *sql.FuncCall:
-			walkE(n.Arg)
-		case *sql.InExpr:
-			if n.Sub != nil {
-				found = true
-			}
-			walkE(n.X)
-			for _, le := range n.List {
-				walkE(le)
-			}
-		case *sql.ExistsExpr:
-			found = true
-		case *sql.SubqueryExpr:
-			found = true
-		case *sql.BetweenExpr:
-			walkE(n.X)
-			walkE(n.Lo)
-			walkE(n.Hi)
-		case *sql.LikeExpr:
-			walkE(n.X)
-			walkE(n.Pattern)
-		case *sql.IsNullExpr:
-			walkE(n.X)
-		}
-	}
-	walkE(e)
-	return found
 }

@@ -268,6 +268,90 @@ func TestNoColumnStatistics(t *testing.T) {
 	})
 }
 
+// TestOneTreeWalk pins that internal/sql alone knows which children each
+// AST node has: inside it only the printer (printer.expr), the
+// read-only visitor (Walk) and the copying rewriter (rewriter.expr)
+// type-switch on BetweenExpr, the stand-in for every node with
+// operands; outside it only the switches that give nodes their
+// meaning do — the reference evaluator (executor.eval), the vector
+// compiler (vcompiler.compile) and the zone-map derivation
+// (zonePreds). A new node kind is taught to those six. None of the
+// hand-rolled walks the three replaced, nor sql.Shape and sql.ShapeKey
+// (ShapeInto and ShapeKeyOfKinds are the forms callers use), is
+// declared or named again in a non-test file of the module.
+func TestOneTreeWalk(t *testing.T) {
+	allowed := map[string]bool{
+		"internal/sql printer.expr": true, "internal/sql Walk": true, "internal/sql rewriter.expr": true,
+		"internal/exec executor.eval": true, "internal/plan vcompiler.compile": true, "internal/plan zonePreds": true,
+	}
+	banned := map[string]bool{"collectStmtTables": true, "collectExprTables": true, "parameterizer": true,
+		"shapeWriter": true, "WalkExprs": true, "containsSubquery": true, "walkRefs": true,
+		"substAggs": true, "walkE": true}
+	seen := map[string]bool{}
+	inspectModule(t, func(pos token.Position, dir string, isTest bool, n ast.Node) {
+		if isTest {
+			return
+		}
+		switch n := n.(type) {
+		case *ast.Ident:
+			if banned[n.Name] {
+				t.Errorf("%s: %s is back", pos, n.Name)
+			}
+		case *ast.File:
+			for _, decl := range n.Decls {
+				name := "a package-level declaration"
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					name = fd.Name.Name
+					if fd.Recv != nil {
+						name = recvName(fd.Recv) + "." + name
+					}
+					if dir == "internal/sql" && (name == "Shape" || name == "ShapeKey") {
+						t.Errorf("%s: sql.%s is back", pos.Filename, name)
+					}
+				}
+				ast.Inspect(decl, func(m ast.Node) bool {
+					if ts, ok := m.(*ast.TypeSwitchStmt); ok && switchesOnBetween(ts) {
+						seen[dir+" "+name] = true
+						if !allowed[dir+" "+name] {
+							t.Errorf("%s: %s type-switches on BetweenExpr", pos.Filename, name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	})
+	for name := range allowed {
+		if !seen[name] {
+			t.Errorf("%s no longer type-switches on BetweenExpr; this test has gone stale", name)
+		}
+	}
+}
+
+// switchesOnBetween reports whether a type switch has a case for
+// *BetweenExpr, qualified or not.
+func switchesOnBetween(ts *ast.TypeSwitchStmt) bool {
+	for _, stmt := range ts.Body.List {
+		for _, e := range stmt.(*ast.CaseClause).List {
+			star, ok := e.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			switch x := star.X.(type) {
+			case *ast.Ident:
+				if x.Name == "BetweenExpr" {
+					return true
+				}
+			case *ast.SelectorExpr:
+				if x.Sel.Name == "BetweenExpr" {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // inspectModule walks every node of every Go file of the module,
 // benchmark/ included, skipping testdata and dot directories. visit
 // gets the node's position, its file's directory relative to the

@@ -135,20 +135,28 @@ func pruneColumns(bindings []Binding, stmt *sql.SelectStmt) {
 	for i := range retained {
 		retained[i] = map[int]bool{}
 	}
-	WalkExprs(stmt, func(e sql.Expr) {
-		ref, ok := e.(sql.ColumnRef)
-		if !ok {
-			return
-		}
-		for i, b := range bindings {
-			if ref.Table != "" && ref.Table != b.Name {
-				continue
+	var retain func(*sql.SelectStmt)
+	retain = func(s *sql.SelectStmt) {
+		sql.WalkStmt(s, func(e sql.Expr) bool {
+			if sub := sql.Nested(e); sub != nil {
+				retain(sub)
 			}
-			if ci := indexOfColumn(b.Meta, ref.Column); ci >= 0 {
-				retained[i][ci] = true
+			ref, ok := e.(sql.ColumnRef)
+			if !ok {
+				return true
 			}
-		}
-	})
+			for i, b := range bindings {
+				if ref.Table != "" && ref.Table != b.Name {
+					continue
+				}
+				if ci := indexOfColumn(b.Meta, ref.Column); ci >= 0 {
+					retained[i][ci] = true
+				}
+			}
+			return true
+		})
+	}
+	retain(stmt)
 	for i := range bindings {
 		cols := make([]int, 0, len(retained[i]))
 		for ci := range retained[i] {
@@ -189,13 +197,16 @@ func classify(bindings []Binding, where sql.Expr) classified {
 }
 
 func (cls *classified) place(bindings []Binding, c sql.Expr) {
-	if containsSubquery(c) {
-		cls.residual = append(cls.residual, c)
-		return
-	}
 	touched := map[int]bool{}
 	clean := true
-	walkRefs(c, func(ref sql.ColumnRef) {
+	sql.Walk(c, func(e sql.Expr) bool {
+		if sql.Nested(e) != nil {
+			clean = false
+		}
+		ref, ok := e.(sql.ColumnRef)
+		if !ok {
+			return clean
+		}
 		matches := 0
 		for i, b := range bindings {
 			if ref.Table != "" && ref.Table != b.Name {
@@ -209,6 +220,7 @@ func (cls *classified) place(bindings []Binding, c sql.Expr) {
 		if matches != 1 {
 			clean = false
 		}
+		return clean
 	})
 	switch {
 	case !clean:
@@ -239,37 +251,6 @@ func (cls *classified) place(bindings []Binding, c sql.Expr) {
 		cls.residual = append(cls.residual, c)
 	default:
 		cls.residual = append(cls.residual, c)
-	}
-}
-
-// walkRefs visits the column references of a subquery-free expression.
-func walkRefs(e sql.Expr, visit func(sql.ColumnRef)) {
-	switch n := e.(type) {
-	case sql.ColumnRef:
-		visit(n)
-	case *sql.BinaryExpr:
-		walkRefs(n.L, visit)
-		walkRefs(n.R, visit)
-	case *sql.NotExpr:
-		walkRefs(n.X, visit)
-	case *sql.NegExpr:
-		walkRefs(n.X, visit)
-	case *sql.FuncCall:
-		walkRefs(n.Arg, visit)
-	case *sql.InExpr:
-		walkRefs(n.X, visit)
-		for _, le := range n.List {
-			walkRefs(le, visit)
-		}
-	case *sql.BetweenExpr:
-		walkRefs(n.X, visit)
-		walkRefs(n.Lo, visit)
-		walkRefs(n.Hi, visit)
-	case *sql.LikeExpr:
-		walkRefs(n.X, visit)
-		walkRefs(n.Pattern, visit)
-	case *sql.IsNullExpr:
-		walkRefs(n.X, visit)
 	}
 }
 

@@ -653,8 +653,14 @@ func planVecAgg(a *Aggregate, ctx *Ctx) *vecAggPlan {
 		for off := len(repCols); off < rel.Width; off++ {
 			repCols = append(repCols, first(off))
 		}
-		return substAggs(e, func(fc *sql.FuncCall) sql.Expr {
-			return sql.ColumnRef{Table: aggBinding, Column: strconv.Itoa(agg(fc))}
+		// Every aggregate outside nested statements becomes a column of
+		// the aggregate binding; nested statements stay shared.
+		return sql.Rewrite(e, func(x sql.Expr) (sql.Expr, bool) {
+			fc, ok := x.(*sql.FuncCall)
+			if !ok {
+				return nil, false
+			}
+			return sql.ColumnRef{Table: aggBinding, Column: strconv.Itoa(agg(fc))}, true
 		})
 	}
 	for _, e := range append(slices.Clip(a.Items), a.SortKeys...) {
@@ -677,36 +683,6 @@ func planVecAgg(a *Aggregate, ctx *Ctx) *vecAggPlan {
 		}
 	}
 	return ap
-}
-
-// substAggs copies e with every aggregate call outside nested
-// subqueries replaced by sub(call).
-func substAggs(e sql.Expr, sub func(*sql.FuncCall) sql.Expr) sql.Expr {
-	s := func(x sql.Expr) sql.Expr { return substAggs(x, sub) }
-	switch n := e.(type) {
-	case *sql.FuncCall:
-		return sub(n)
-	case *sql.BinaryExpr:
-		return &sql.BinaryExpr{Op: n.Op, L: s(n.L), R: s(n.R)}
-	case *sql.NotExpr:
-		return &sql.NotExpr{X: s(n.X)}
-	case *sql.NegExpr:
-		return &sql.NegExpr{X: s(n.X)}
-	case *sql.InExpr:
-		c := *n
-		c.X, c.List = s(n.X), nil
-		for _, le := range n.List {
-			c.List = append(c.List, s(le))
-		}
-		return &c
-	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{X: s(n.X), Lo: s(n.Lo), Hi: s(n.Hi), Negated: n.Negated}
-	case *sql.LikeExpr:
-		return &sql.LikeExpr{X: s(n.X), Pattern: s(n.Pattern), Negated: n.Negated}
-	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{X: s(n.X), Negated: n.Negated}
-	}
-	return e
 }
 
 // aggState holds the running accumulators of one slot, one entry per

@@ -18,15 +18,18 @@
 // with expressions over columns, literals, arithmetic, comparisons,
 // AND/OR/NOT, IN (list | subquery), EXISTS, BETWEEN, LIKE, IS [NOT]
 // NULL, scalar subqueries, and the aggregates COUNT/SUM/AVG/MIN/MAX
-// (COUNT(*), COUNT(DISTINCT x)).
+// (COUNT(*), COUNT(DISTINCT x)). Identifiers are ASCII,
+// [A-Za-z_][A-Za-z0-9_]*, and lower-cased; keywords match in any case.
+// A byte of 0x80 or above is an error anywhere but inside a string
+// literal.
+//
+// The tree's structure — which children each node has — is known to
+// three functions only: the printer (print.go), the read-only visitor
+// Walk and the copying rewriter Rewrite (walk.go). Everything else
+// asks one of them.
 package sql
 
-import (
-	"strconv"
-	"strings"
-
-	"repro/internal/store"
-)
+import "repro/internal/store"
 
 // SelectStmt is a (possibly nested) SELECT query.
 type SelectStmt struct {
@@ -88,7 +91,7 @@ type Literal struct {
 // statement by Parameterize, to be supplied through a parameter vector
 // when the statement is bound for execution. Idx indexes that vector.
 // Kind is the lifted constant's value kind and is part of the query's
-// *shape* (see ShapeKey): compiled plans are reused only across
+// *shape* (see ShapeKeyOfKinds): compiled plans are reused only across
 // bindings with identical kinds, which keeps every kind-dependent
 // compilation decision — comparability, arithmetic result widths,
 // vectorizability — stable no matter which values are later bound.
@@ -259,160 +262,6 @@ func And(exprs ...Expr) Expr {
 
 // Cmp builds a comparison.
 func Cmp(op BinOp, l, r Expr) Expr { return &BinaryExpr{Op: op, L: l, R: r} }
-
-// ---- canonical printing ----
-
-func (c ColumnRef) String() string {
-	if c.Table != "" {
-		return c.Table + "." + c.Column
-	}
-	return c.Column
-}
-
-func (l Literal) String() string {
-	v := l.Val
-	if v.Kind() == store.KindText {
-		return "'" + strings.ReplaceAll(v.Str(), "'", "''") + "'"
-	}
-	return v.String()
-}
-
-func (p Param) String() string { return "$" + strconv.Itoa(p.Idx+1) }
-
-func (b *BinaryExpr) String() string {
-	return "(" + b.L.String() + " " + b.Op.String() + " " + b.R.String() + ")"
-}
-
-func (n *NotExpr) String() string { return "(NOT " + n.X.String() + ")" }
-
-func (n *NegExpr) String() string { return "(-" + n.X.String() + ")" }
-
-func (f *FuncCall) String() string {
-	if f.Star {
-		return f.Name + "(*)"
-	}
-	if f.Distinct {
-		return f.Name + "(DISTINCT " + f.Arg.String() + ")"
-	}
-	return f.Name + "(" + f.Arg.String() + ")"
-}
-
-func (i *InExpr) String() string {
-	var b strings.Builder
-	b.WriteString(i.X.String())
-	if i.Negated {
-		b.WriteString(" NOT")
-	}
-	b.WriteString(" IN (")
-	if i.Sub != nil {
-		b.WriteString(i.Sub.String())
-	} else {
-		for j, e := range i.List {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(e.String())
-		}
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
-func (e *ExistsExpr) String() string {
-	s := "EXISTS (" + e.Sub.String() + ")"
-	if e.Negated {
-		return "NOT " + s
-	}
-	return s
-}
-
-func (s *SubqueryExpr) String() string { return "(" + s.Sub.String() + ")" }
-
-func (b *BetweenExpr) String() string {
-	not := ""
-	if b.Negated {
-		not = "NOT "
-	}
-	return b.X.String() + " " + not + "BETWEEN " + b.Lo.String() + " AND " + b.Hi.String()
-}
-
-func (l *LikeExpr) String() string {
-	not := ""
-	if l.Negated {
-		not = "NOT "
-	}
-	return l.X.String() + " " + not + "LIKE " + l.Pattern.String()
-}
-
-func (i *IsNullExpr) String() string {
-	if i.Negated {
-		return i.X.String() + " IS NOT NULL"
-	}
-	return i.X.String() + " IS NULL"
-}
-
-// String renders the statement as canonical SQL.
-func (s *SelectStmt) String() string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	if s.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		if it.Star {
-			b.WriteString("*")
-		} else {
-			b.WriteString(it.Expr.String())
-			if it.Alias != "" {
-				b.WriteString(" AS " + it.Alias)
-			}
-		}
-	}
-	b.WriteString(" FROM ")
-	for i, t := range s.From {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(t.Table)
-		if t.Alias != "" {
-			b.WriteString(" " + t.Alias)
-		}
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE " + s.Where.String())
-	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, e := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(e.String())
-		}
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING " + s.Having.String())
-	}
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(o.Expr.String())
-			if o.Desc {
-				b.WriteString(" DESC")
-			}
-		}
-	}
-	if s.Limit >= 0 {
-		b.WriteString(" LIMIT " + store.Int(int64(s.Limit)).String())
-	}
-	return b.String()
-}
 
 // NewSelect returns an empty statement with Limit disabled.
 func NewSelect() *SelectStmt { return &SelectStmt{Limit: -1} }

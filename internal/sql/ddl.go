@@ -22,7 +22,9 @@ import (
 // BOOL/BOOLEAN. The non-standard SYNONYMS clause feeds the semantic
 // index; NAMED marks a column as NameLike (entity-identifying) for the
 // value index — by convention, TEXT columns called "name" or "title"
-// are NameLike automatically.
+// are NameLike automatically. Names lex as in queries: ASCII
+// [A-Za-z_][A-Za-z0-9_]*, lower-cased; any other byte outside a quoted
+// synonym is an error.
 func ParseSchema(name, src string) (*schema.Schema, error) {
 	toks, err := lex(src)
 	if err != nil {

@@ -3,7 +3,6 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
 )
 
 type tokKind int
@@ -65,22 +64,22 @@ func lex(src string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tkString, text: sb.String(), pos: i})
 			i = j + 1
-		case c >= '0' && c <= '9':
+		case isDigit(c):
 			j := i
-			for j < n && (src[j] >= '0' && src[j] <= '9') {
+			for j < n && isDigit(src[j]) {
 				j++
 			}
-			if j < n && src[j] == '.' && j+1 < n && src[j+1] >= '0' && src[j+1] <= '9' {
+			if j+1 < n && src[j] == '.' && isDigit(src[j+1]) {
 				j++
-				for j < n && src[j] >= '0' && src[j] <= '9' {
+				for j < n && isDigit(src[j]) {
 					j++
 				}
 			}
 			toks = append(toks, token{kind: tkNumber, text: src[i:j], pos: i})
 			i = j
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			j := i
-			for j < n && isIdentPart(rune(src[j])) {
+			for j < n && (isIdentStart(src[j]) || isDigit(src[j])) {
 				j++
 			}
 			word := src[i:j]
@@ -130,10 +129,12 @@ func lex(src string) ([]token, error) {
 	return toks, nil
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+// isIdentStart reports whether c may start an identifier. Identifiers
+// are ASCII: a byte of 0x80 or above outside a string literal is an
+// unexpected character, not a letter of some other encoding, so an
+// identifier survives lower-casing and re-lexing unchanged.
+func isIdentStart(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
 }
 
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_'
-}
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }

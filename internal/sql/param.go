@@ -1,136 +1,51 @@
 package sql
 
-import (
-	"strconv"
-	"strings"
-
-	"repro/internal/store"
-)
+import "repro/internal/store"
 
 // Parameterize splits a statement into its reusable shape and its
 // constants: it returns a deep copy of stmt in which every non-NULL
 // literal — including literals inside nested subqueries — is replaced
-// by a Param slot, plus the vector of lifted values in slot order.
-// Questions that differ only in their constants ("sales in march" /
-// "sales in april") therefore normalize to the same template, which is
-// what lets the engine cache one compiled plan across all of them.
+// by a Param slot, plus the vector of lifted values in slot order, the
+// order they print in. Questions that differ only in their constants
+// ("sales in march" / "sales in april") therefore normalize to the
+// same template, which is what lets the engine cache one compiled plan
+// across all of them.
 //
 // NULL literals stay inline: their three-valued-logic constant folds
-// (a comparison against NULL rejects every row, an index path must
-// never consume one) are decisions the planner makes from the literal
-// itself, so NULL-ness is part of the shape, not a binding.
+// (a comparison against NULL rejects every row) are decisions the
+// planner makes from the literal itself, so NULL-ness is part of the
+// shape, not a binding.
 //
 // The original statement is never mutated, and the copy shares no
 // expression nodes with it.
 func Parameterize(stmt *SelectStmt) (*SelectStmt, []store.Value) {
-	p := &parameterizer{}
-	out := p.stmt(stmt)
-	return out, p.vals
+	var vals []store.Value
+	r := rewriter{deep: true, f: func(e Expr) (Expr, bool) {
+		l, ok := e.(Literal)
+		if !ok || l.Val.IsNull() {
+			return nil, false
+		}
+		vals = append(vals, l.Val)
+		return Param{Idx: len(vals) - 1, Kind: l.Val.Kind()}, true
+	}}
+	return r.stmt(stmt), vals
 }
 
-type parameterizer struct {
-	vals []store.Value
-}
-
-func (p *parameterizer) stmt(s *SelectStmt) *SelectStmt {
-	if s == nil {
-		return nil
-	}
-	out := &SelectStmt{Distinct: s.Distinct, Limit: s.Limit}
-	out.Items = make([]SelectItem, len(s.Items))
-	for i, it := range s.Items {
-		out.Items[i] = SelectItem{Star: it.Star, Alias: it.Alias, Expr: p.expr(it.Expr)}
-	}
-	out.From = append([]TableRef(nil), s.From...)
-	out.Where = p.expr(s.Where)
-	if len(s.GroupBy) > 0 {
-		out.GroupBy = make([]Expr, len(s.GroupBy))
-		for i, g := range s.GroupBy {
-			out.GroupBy[i] = p.expr(g)
-		}
-	}
-	out.Having = p.expr(s.Having)
-	if len(s.OrderBy) > 0 {
-		out.OrderBy = make([]OrderItem, len(s.OrderBy))
-		for i, o := range s.OrderBy {
-			out.OrderBy[i] = OrderItem{Expr: p.expr(o.Expr), Desc: o.Desc}
-		}
-	}
-	return out
-}
-
-func (p *parameterizer) expr(e Expr) Expr {
-	switch n := e.(type) {
-	case nil:
-		return nil
-	case ColumnRef:
-		return n
-	case Param:
-		// Already parameterized input: keep the slot as-is.
-		return n
-	case Literal:
-		if n.Val.IsNull() {
-			return n
-		}
-		slot := Param{Idx: len(p.vals), Kind: n.Val.Kind()}
-		p.vals = append(p.vals, n.Val)
-		return slot
-	case *BinaryExpr:
-		return &BinaryExpr{Op: n.Op, L: p.expr(n.L), R: p.expr(n.R)}
-	case *NotExpr:
-		return &NotExpr{X: p.expr(n.X)}
-	case *NegExpr:
-		return &NegExpr{X: p.expr(n.X)}
-	case *FuncCall:
-		return &FuncCall{Name: n.Name, Star: n.Star, Distinct: n.Distinct, Arg: p.expr(n.Arg)}
-	case *InExpr:
-		out := &InExpr{X: p.expr(n.X), Negated: n.Negated, Sub: p.stmt(n.Sub)}
-		if len(n.List) > 0 {
-			out.List = make([]Expr, len(n.List))
-			for i, le := range n.List {
-				out.List[i] = p.expr(le)
-			}
-		}
-		return out
-	case *ExistsExpr:
-		return &ExistsExpr{Sub: p.stmt(n.Sub), Negated: n.Negated}
-	case *SubqueryExpr:
-		return &SubqueryExpr{Sub: p.stmt(n.Sub)}
-	case *BetweenExpr:
-		return &BetweenExpr{X: p.expr(n.X), Lo: p.expr(n.Lo), Hi: p.expr(n.Hi), Negated: n.Negated}
-	case *LikeExpr:
-		return &LikeExpr{X: p.expr(n.X), Pattern: p.expr(n.Pattern), Negated: n.Negated}
-	case *IsNullExpr:
-		return &IsNullExpr{X: p.expr(n.X), Negated: n.Negated}
-	}
-	return e
-}
-
-// ShapeKey identifies a template's plan shape: the canonical SQL of
-// the parameterized statement plus the kind signature of its
+// ShapeKeyOfKinds identifies a template's plan shape: the canonical SQL
+// of the parameterized statement plus the kind signature of its
 // parameters. Two questions share a shape key exactly when a plan
 // compiled for one is structurally valid for the other — same
 // template, same parameter kinds — which makes it the plan-template
-// cache key.
-func ShapeKey(tmpl *SelectStmt, params []store.Value) string {
-	kinds := make([]store.Kind, len(params))
-	for i, v := range params {
-		kinds[i] = v.Kind()
-	}
-	return ShapeKeyOfKinds(tmpl, kinds)
-}
-
-// ShapeKeyOfKinds is ShapeKey from a kind signature alone — the form
-// a compiled template (which records kinds, not values) identifies
-// itself by.
+// cache key. A compiled template, which records kinds rather than
+// values, identifies itself by it.
 func ShapeKeyOfKinds(tmpl *SelectStmt, kinds []store.Kind) string {
-	var b strings.Builder
-	b.WriteString(tmpl.String())
-	b.WriteByte('|')
+	var p printer
+	p.stmt(tmpl)
+	p.str("|")
 	for _, k := range kinds {
-		b.WriteByte(kindLetter(k))
+		p.buf = append(p.buf, kindLetter(k))
 	}
-	return b.String()
+	return string(p.buf)
 }
 
 func kindLetter(k store.Kind) byte {
@@ -147,273 +62,42 @@ func kindLetter(k store.Kind) byte {
 	return 'n'
 }
 
-// Shape computes, in one pass and without building the template tree,
-// exactly what Parameterize + ShapeKey would: the shape key of stmt
-// and its lifted constant vector, in Parameterize's slot order. This
-// is the plan-cache hit path — called on every ask, so it writes the
-// key into one grown byte buffer instead of materializing a statement
-// copy. The agreement between Shape and Parameterize/ShapeKey is
-// pinned by TestShapeAgreesWithParameterize.
-func Shape(stmt *SelectStmt) (key string, params []store.Value) {
-	k, p := ShapeInto(stmt, make([]byte, 0, 160), nil)
-	return string(k), p
-}
-
-// ShapeInto is Shape appending the key into buf and the constants into
-// spare — the allocation-free form the engine's per-ask hot path uses
-// with pooled scratch (the returned slices alias the scratch backing
-// arrays; copy before retaining).
+// ShapeInto computes, in one pass and without building the template
+// tree, exactly what Parameterize + ShapeKeyOfKinds would: the shape
+// key of stmt, appended into buf, and its lifted constants in
+// Parameterize's slot order, appended into spare. This is the
+// plan-cache hit path — called on every ask with pooled scratch, so it
+// allocates nothing once the scratch has grown (the returned slices
+// alias the scratch backing arrays; copy before retaining). The
+// agreement is pinned by TestShapeAgreesWithParameterize.
 func ShapeInto(stmt *SelectStmt, buf []byte, spare []store.Value) (key []byte, params []store.Value) {
-	w := shapeWriter{buf: buf, params: spare}
-	w.stmt(stmt)
-	w.buf = append(w.buf, '|')
-	for _, v := range w.params {
-		w.buf = append(w.buf, kindLetter(v.Kind()))
+	p := printer{buf: buf, lift: true, params: spare}
+	p.stmt(stmt)
+	p.str("|")
+	for _, v := range p.params {
+		p.buf = append(p.buf, kindLetter(v.Kind()))
 	}
-	return w.buf, w.params
-}
-
-// shapeWriter serializes a statement in the canonical String() form
-// with every non-NULL literal replaced by its parameter slot. Each
-// case mirrors the corresponding String method in ast.go.
-type shapeWriter struct {
-	buf    []byte
-	params []store.Value
-}
-
-func (w *shapeWriter) str(s string) { w.buf = append(w.buf, s...) }
-
-func (w *shapeWriter) stmt(s *SelectStmt) {
-	w.str("SELECT ")
-	if s.Distinct {
-		w.str("DISTINCT ")
-	}
-	for i, it := range s.Items {
-		if i > 0 {
-			w.str(", ")
-		}
-		if it.Star {
-			w.str("*")
-		} else {
-			w.expr(it.Expr)
-			if it.Alias != "" {
-				w.str(" AS ")
-				w.str(it.Alias)
-			}
-		}
-	}
-	w.str(" FROM ")
-	for i, t := range s.From {
-		if i > 0 {
-			w.str(", ")
-		}
-		w.str(t.Table)
-		if t.Alias != "" {
-			w.buf = append(w.buf, ' ')
-			w.str(t.Alias)
-		}
-	}
-	if s.Where != nil {
-		w.str(" WHERE ")
-		w.expr(s.Where)
-	}
-	if len(s.GroupBy) > 0 {
-		w.str(" GROUP BY ")
-		for i, e := range s.GroupBy {
-			if i > 0 {
-				w.str(", ")
-			}
-			w.expr(e)
-		}
-	}
-	if s.Having != nil {
-		w.str(" HAVING ")
-		w.expr(s.Having)
-	}
-	if len(s.OrderBy) > 0 {
-		w.str(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				w.str(", ")
-			}
-			w.expr(o.Expr)
-			if o.Desc {
-				w.str(" DESC")
-			}
-		}
-	}
-	if s.Limit >= 0 {
-		w.str(" LIMIT ")
-		w.buf = strconv.AppendInt(w.buf, int64(s.Limit), 10)
-	}
-}
-
-func (w *shapeWriter) expr(e Expr) {
-	switch n := e.(type) {
-	case ColumnRef:
-		if n.Table != "" {
-			w.str(n.Table)
-			w.buf = append(w.buf, '.')
-		}
-		w.str(n.Column)
-	case Param:
-		w.buf = append(w.buf, '$')
-		w.buf = strconv.AppendInt(w.buf, int64(n.Idx+1), 10)
-	case Literal:
-		if n.Val.IsNull() {
-			w.str(n.String())
-			return
-		}
-		w.buf = append(w.buf, '$')
-		w.buf = strconv.AppendInt(w.buf, int64(len(w.params)+1), 10)
-		w.params = append(w.params, n.Val)
-	case *BinaryExpr:
-		w.str("(")
-		w.expr(n.L)
-		w.buf = append(w.buf, ' ')
-		w.str(n.Op.String())
-		w.buf = append(w.buf, ' ')
-		w.expr(n.R)
-		w.str(")")
-	case *NotExpr:
-		w.str("(NOT ")
-		w.expr(n.X)
-		w.str(")")
-	case *NegExpr:
-		w.str("(-")
-		w.expr(n.X)
-		w.str(")")
-	case *FuncCall:
-		w.str(n.Name)
-		switch {
-		case n.Star:
-			w.str("(*)")
-		case n.Distinct:
-			w.str("(DISTINCT ")
-			w.expr(n.Arg)
-			w.str(")")
-		default:
-			w.str("(")
-			w.expr(n.Arg)
-			w.str(")")
-		}
-	case *InExpr:
-		w.expr(n.X)
-		if n.Negated {
-			w.str(" NOT")
-		}
-		w.str(" IN (")
-		if n.Sub != nil {
-			w.stmt(n.Sub)
-		} else {
-			for i, le := range n.List {
-				if i > 0 {
-					w.str(", ")
-				}
-				w.expr(le)
-			}
-		}
-		w.str(")")
-	case *ExistsExpr:
-		if n.Negated {
-			w.str("NOT ")
-		}
-		w.str("EXISTS (")
-		w.stmt(n.Sub)
-		w.str(")")
-	case *SubqueryExpr:
-		w.str("(")
-		w.stmt(n.Sub)
-		w.str(")")
-	case *BetweenExpr:
-		w.expr(n.X)
-		if n.Negated {
-			w.str(" NOT BETWEEN ")
-		} else {
-			w.str(" BETWEEN ")
-		}
-		w.expr(n.Lo)
-		w.str(" AND ")
-		w.expr(n.Hi)
-	case *LikeExpr:
-		w.expr(n.X)
-		if n.Negated {
-			w.str(" NOT LIKE ")
-		} else {
-			w.str(" LIKE ")
-		}
-		w.expr(n.Pattern)
-	case *IsNullExpr:
-		w.expr(n.X)
-		if n.Negated {
-			w.str(" IS NOT NULL")
-		} else {
-			w.str(" IS NULL")
-		}
-	}
+	return p.buf, p.params
 }
 
 // NumParams returns how many parameter slots the (sub)statement tree
 // references: one past the highest slot index found.
 func NumParams(stmt *SelectStmt) int {
 	n := 0
-	var walkStmt func(*SelectStmt)
-	var walkE func(Expr)
-	walkE = func(e Expr) {
-		switch x := e.(type) {
-		case nil:
-		case Param:
-			if x.Idx+1 > n {
-				n = x.Idx + 1
+	var count func(*SelectStmt)
+	count = func(s *SelectStmt) {
+		WalkStmt(s, func(e Expr) bool {
+			if p, ok := e.(Param); ok {
+				n = max(n, p.Idx+1)
 			}
-		case *BinaryExpr:
-			walkE(x.L)
-			walkE(x.R)
-		case *NotExpr:
-			walkE(x.X)
-		case *NegExpr:
-			walkE(x.X)
-		case *FuncCall:
-			walkE(x.Arg)
-		case *InExpr:
-			walkE(x.X)
-			for _, le := range x.List {
-				walkE(le)
+			if sub := Nested(e); sub != nil {
+				count(sub)
 			}
-			walkStmt(x.Sub)
-		case *ExistsExpr:
-			walkStmt(x.Sub)
-		case *SubqueryExpr:
-			walkStmt(x.Sub)
-		case *BetweenExpr:
-			walkE(x.X)
-			walkE(x.Lo)
-			walkE(x.Hi)
-		case *LikeExpr:
-			walkE(x.X)
-			walkE(x.Pattern)
-		case *IsNullExpr:
-			walkE(x.X)
-		}
+			return true
+		})
 	}
-	walkStmt = func(s *SelectStmt) {
-		if s == nil {
-			return
-		}
-		for _, it := range s.Items {
-			if !it.Star {
-				walkE(it.Expr)
-			}
-		}
-		walkE(s.Where)
-		for _, g := range s.GroupBy {
-			walkE(g)
-		}
-		walkE(s.Having)
-		for _, o := range s.OrderBy {
-			walkE(o.Expr)
-		}
+	if stmt != nil {
+		count(stmt)
 	}
-	walkStmt(stmt)
 	return n
 }

@@ -1,6 +1,7 @@
 package sql_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sql"
@@ -39,12 +40,12 @@ func TestParameterizeSharedAcrossConstants(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("templates differ: %s vs %s", a, b)
 	}
-	if sql.ShapeKey(a, pa) != sql.ShapeKey(b, pb) {
+	if shapeKey(a, pa) != shapeKey(b, pb) {
 		t.Error("constant-differing questions should share a shape key")
 	}
 	// Same template text, different constant kind: distinct shapes.
 	c, pc := sql.Parameterize(sql.MustParse("SELECT name FROM students WHERE gpa > 3"))
-	if sql.ShapeKey(a, pa) == sql.ShapeKey(c, pc) {
+	if shapeKey(a, pa) == shapeKey(c, pc) {
 		t.Error("int- and float-constant questions must not share a shape key")
 	}
 }
@@ -59,42 +60,67 @@ func TestParameterizeKeepsNullInline(t *testing.T) {
 	}
 }
 
+// shapeKey is the key of a template and the constants lifted from it.
+func shapeKey(tmpl *sql.SelectStmt, params []store.Value) string {
+	kinds := make([]store.Kind, len(params))
+	for i, v := range params {
+		kinds[i] = v.Kind()
+	}
+	return sql.ShapeKeyOfKinds(tmpl, kinds)
+}
+
+// shapeQueries span every SQL construct the subset supports.
+var shapeQueries = []string{
+	"SELECT name FROM students WHERE gpa > 3.5 AND year = 2",
+	"SELECT DISTINCT s.name AS who FROM students s, departments d " +
+		"WHERE s.dept_id = d.dept_id AND d.name = 'CS' ORDER BY who DESC LIMIT 5",
+	"SELECT name FROM students WHERE id BETWEEN 5 AND 40 AND name LIKE 'A%'",
+	"SELECT name FROM students WHERE year IN (1, 2, 3) AND gpa IS NOT NULL",
+	"SELECT name FROM students WHERE NOT (gpa < 2.0) AND id = NULL",
+	"SELECT COUNT(DISTINCT dept_id), AVG(gpa), -(gpa) FROM students WHERE gpa > 1.5 GROUP BY year HAVING COUNT(*) > 3",
+	"SELECT name FROM students WHERE dept_id IN (SELECT dept_id FROM departments WHERE budget > 1000000)",
+	"SELECT name FROM students WHERE EXISTS " +
+		"(SELECT * FROM enrollments WHERE enrollments.student_id = students.id AND grade = 'A')",
+	"SELECT name FROM students WHERE gpa > " +
+		"(SELECT AVG(gpa) FROM students WHERE year = 1)",
+	"SELECT name FROM students WHERE (name LIKE 'A%') IS NULL AND (year IN (1, 2)) = TRUE",
+}
+
 // TestShapeAgreesWithParameterize pins the contract between the
-// one-pass Shape (the plan-cache hit path) and the tree-building
-// Parameterize + ShapeKey (the miss path): identical keys, identical
-// constant vectors, across every SQL construct the subset supports.
+// one-pass ShapeInto (the plan-cache hit path) and the tree-building
+// Parameterize + ShapeKeyOfKinds (the miss path): identical keys and
+// constant vectors, and no allocation on the hit path once its scratch
+// has grown.
 func TestShapeAgreesWithParameterize(t *testing.T) {
-	queries := []string{
-		"SELECT name FROM students WHERE gpa > 3.5 AND year = 2",
-		"SELECT DISTINCT s.name AS who FROM students s, departments d " +
-			"WHERE s.dept_id = d.dept_id AND d.name = 'CS' ORDER BY who DESC LIMIT 5",
-		"SELECT name FROM students WHERE id BETWEEN 5 AND 40 AND name LIKE 'A%'",
-		"SELECT name FROM students WHERE year IN (1, 2, 3) AND gpa IS NOT NULL",
-		"SELECT name FROM students WHERE NOT (gpa < 2.0) AND id = NULL",
-		"SELECT COUNT(DISTINCT dept_id), AVG(gpa), -(gpa) FROM students WHERE gpa > 1.5 GROUP BY year HAVING COUNT(*) > 3",
-		"SELECT name FROM students WHERE dept_id IN (SELECT dept_id FROM departments WHERE budget > 1000000)",
-		"SELECT name FROM students WHERE EXISTS " +
-			"(SELECT * FROM enrollments WHERE enrollments.student_id = students.id AND grade = 'A')",
-		"SELECT name FROM students WHERE gpa > " +
-			"(SELECT AVG(gpa) FROM students WHERE year = 1)",
-	}
-	for _, q := range queries {
+	buf, spare := make([]byte, 0, 512), make([]store.Value, 0, 16)
+	for _, q := range shapeQueries {
 		stmt := sql.MustParse(q)
-		key, params := sql.Shape(stmt)
-		tmpl, wantParams := sql.Parameterize(stmt)
-		wantKey := sql.ShapeKey(tmpl, wantParams)
-		if key != wantKey {
-			t.Errorf("Shape key mismatch for %s:\n one-pass %s\n two-pass %s", q, key, wantKey)
+		key, params := sql.ShapeInto(stmt, buf[:0], spare[:0])
+		if msg := shapeAgrees(stmt, key, params); msg != "" {
+			t.Errorf("%s: %s", q, msg)
 		}
-		if len(params) != len(wantParams) {
-			t.Fatalf("param count mismatch for %s: %d vs %d", q, len(params), len(wantParams))
-		}
-		for i := range params {
-			if params[i].Key() != wantParams[i].Key() {
-				t.Errorf("param %d mismatch for %s: %v vs %v", i, q, params[i], wantParams[i])
-			}
+		if n := testing.AllocsPerRun(10, func() { sql.ShapeInto(stmt, buf[:0], spare[:0]) }); n != 0 {
+			t.Errorf("ShapeInto allocates %v times into grown scratch for %s", n, q)
 		}
 	}
+}
+
+// shapeAgrees reports how ShapeInto's key and constants for stmt differ
+// from Parameterize's, or "" when they agree.
+func shapeAgrees(stmt *sql.SelectStmt, key []byte, params []store.Value) string {
+	tmpl, wantParams := sql.Parameterize(stmt)
+	if want := shapeKey(tmpl, wantParams); string(key) != want {
+		return fmt.Sprintf("key mismatch:\n one-pass %s\n two-pass %s", key, want)
+	}
+	if len(params) != len(wantParams) {
+		return fmt.Sprintf("param count mismatch: %d vs %d", len(params), len(wantParams))
+	}
+	for i := range params {
+		if params[i].Key() != wantParams[i].Key() {
+			return fmt.Sprintf("param %d mismatch: %v vs %v", i, params[i], wantParams[i])
+		}
+	}
+	return ""
 }
 
 func TestParameterizeNumbersSubqueriesGlobally(t *testing.T) {

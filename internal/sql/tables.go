@@ -10,65 +10,25 @@ import "sort"
 // tables has changed.
 func Tables(stmt *SelectStmt) []string {
 	seen := map[string]bool{}
-	collectStmtTables(stmt, seen)
+	var read func(*SelectStmt)
+	read = func(s *SelectStmt) {
+		for _, ref := range s.From {
+			seen[ref.Table] = true
+		}
+		WalkStmt(s, func(e Expr) bool {
+			if sub := Nested(e); sub != nil {
+				read(sub)
+			}
+			return true
+		})
+	}
+	if stmt != nil {
+		read(stmt)
+	}
 	out := make([]string, 0, len(seen))
 	for name := range seen {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-func collectStmtTables(stmt *SelectStmt, seen map[string]bool) {
-	if stmt == nil {
-		return
-	}
-	for _, ref := range stmt.From {
-		seen[ref.Table] = true
-	}
-	for _, it := range stmt.Items {
-		collectExprTables(it.Expr, seen)
-	}
-	collectExprTables(stmt.Where, seen)
-	for _, g := range stmt.GroupBy {
-		collectExprTables(g, seen)
-	}
-	collectExprTables(stmt.Having, seen)
-	for _, o := range stmt.OrderBy {
-		collectExprTables(o.Expr, seen)
-	}
-}
-
-func collectExprTables(e Expr, seen map[string]bool) {
-	switch x := e.(type) {
-	case nil:
-	case *BinaryExpr:
-		collectExprTables(x.L, seen)
-		collectExprTables(x.R, seen)
-	case *NotExpr:
-		collectExprTables(x.X, seen)
-	case *NegExpr:
-		collectExprTables(x.X, seen)
-	case *FuncCall:
-		collectExprTables(x.Arg, seen)
-	case *InExpr:
-		collectExprTables(x.X, seen)
-		for _, el := range x.List {
-			collectExprTables(el, seen)
-		}
-		collectStmtTables(x.Sub, seen)
-	case *ExistsExpr:
-		collectStmtTables(x.Sub, seen)
-	case *SubqueryExpr:
-		collectStmtTables(x.Sub, seen)
-	case *BetweenExpr:
-		collectExprTables(x.X, seen)
-		collectExprTables(x.Lo, seen)
-		collectExprTables(x.Hi, seen)
-	case *LikeExpr:
-		collectExprTables(x.X, seen)
-		collectExprTables(x.Pattern, seen)
-	case *IsNullExpr:
-		collectExprTables(x.X, seen)
-	}
 }
