@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"repro/internal/plan"
@@ -122,32 +123,65 @@ func (ex *executor) evalAggregate(g *group, fc *sql.FuncCall) (store.Value, erro
 		if len(vals) == 0 {
 			return store.Null(), nil
 		}
-		// Integers add exactly, in big arithmetic; floats in float64.
-		sum, exact := 0.0, new(big.Int)
-		allInt := true
-		for _, v := range vals {
-			fv, ok := v.AsFloat()
-			if !ok {
-				return store.Value{}, fmt.Errorf("exec: %s over non-numeric value %s", fc.Name, v.Kind())
-			}
-			if v.Kind() != store.KindInt {
-				allInt = false
-			}
-			sum += fv
-			exact.Add(exact, big.NewInt(v.Int64()))
+		sum, err := exactSum(fc.Name, vals)
+		if err != nil || fc.Name == "SUM" {
+			return sum, err
 		}
-		if allInt {
-			sum, _ = new(big.Float).SetInt(exact).Float64()
-		}
-		switch {
-		case fc.Name == "AVG":
-			return store.Float(sum / float64(len(vals))), nil
-		case !allInt:
-			return store.Float(sum), nil
-		case !exact.IsInt64():
-			return store.Value{}, fmt.Errorf("exec: SUM overflows INT")
-		}
-		return store.Int(exact.Int64()), nil
+		f, _ := sum.AsFloat()
+		return store.Float(f / float64(len(vals))), nil
 	}
 	return store.Value{}, fmt.Errorf("exec: unknown aggregate %q", fc.Name)
+}
+
+// sumPrec is the precision of the reference's float sums: every finite
+// float64 is a multiple of 2^-1074 below 2^1024, so 2,200 bits hold the
+// exact sum of up to 2^100 of them.
+const sumPrec = 2200
+
+// exactSum adds the non-NULL values of a SUM or AVG exactly. Integers
+// add in big.Int, and their SUM fails when the total leaves int64. Any
+// float makes the sum a FLOAT: the values add in big.Float, infinities
+// and NaN apart (NaN, or both infinities, sum to NaN), and the total is
+// rounded once to the nearest float64, an exact zero to +0.0 — the
+// engine's order-free exact sum, so the two agree bit for bit however
+// the engine split the rows.
+func exactSum(fn string, vals []store.Value) (store.Value, error) {
+	ints, floats := new(big.Int), new(big.Float).SetPrec(sumPrec)
+	allInt, posInf, negInf, nan := true, false, false, false
+	for _, v := range vals {
+		switch v.Kind() {
+		case store.KindInt:
+			ints.Add(ints, big.NewInt(v.Int64()))
+			continue
+		case store.KindFloat:
+		default:
+			return store.Value{}, fmt.Errorf("exec: %s over non-numeric value %s", fn, v.Kind())
+		}
+		allInt = false
+		switch f, _ := v.AsFloat(); {
+		case math.IsNaN(f):
+			nan = true
+		case math.IsInf(f, 1):
+			posInf = true
+		case math.IsInf(f, -1):
+			negInf = true
+		default:
+			floats.Add(floats, new(big.Float).SetFloat64(f))
+		}
+	}
+	switch {
+	case allInt && fn == "SUM":
+		if !ints.IsInt64() {
+			return store.Value{}, fmt.Errorf("exec: SUM overflows INT")
+		}
+		return store.Int(ints.Int64()), nil
+	case nan || posInf && negInf:
+		return store.Float(math.NaN()), nil
+	case posInf:
+		return store.Float(math.Inf(1)), nil
+	case negInf:
+		return store.Float(math.Inf(-1)), nil
+	}
+	f, _ := floats.Add(floats, new(big.Float).SetInt(ints)).Float64()
+	return store.Float(f + 0), nil
 }

@@ -178,6 +178,16 @@ var joinFormsCorpus = []joinFormsCase{
 	{"build-join", "SELECT p.id, d.name, m.id FROM p, d, m WHERE p.k = d.k AND d.id = m.k", "hash join on (d.id = m.k)"},
 	{"build-join/agg", "SELECT m.g, COUNT(*), MIN(p.ts) FROM p, d, m WHERE p.k = d.k AND d.id = m.k AND p.s < 12 GROUP BY m.g", "hash join on (d.id = m.k)"},
 	{"build-join/unique", "SELECT p.id, p.ts, p.v, b.w FROM p, d a, d b WHERE p.k = a.k AND a.id = b.id AND b.id >= 0", "hash join on (a.id = b.id)"},
+	// The build columns a probe writes are lent from its scratch, which
+	// its next batch overwrites; whoever holds them longer must copy.
+	// Above an exchange the merge keeps every morsel's batches (par 2
+	// and 4); a join whose probe spans p's three segments, drained whole
+	// as the build side of another join or as a cross join's input,
+	// keeps them at every degree.
+	{"lent/keep", "SELECT p.id, d.name, d.w, d.g FROM p, d WHERE p.k = d.k AND p.s < 15", "scan d"},
+	{"lent/build-join", "SELECT d.name, m.g, p.id FROM p, d, m WHERE p.k = m.k AND p.s < 4 AND p.s = d.id", "hash join on (p.k = m.k)"},
+	{"lent/build-join/gather", "SELECT a.name, d.name, p.id FROM p, d, d a WHERE p.k = d.k AND p.s = 2 AND p.s = a.id", "hash join on (p.k = d.k)"},
+	{"lent/cross", "SELECT d.name, m.g, p.id FROM p, d, m WHERE p.k = m.k AND p.s = 2 AND p.ts = d.id + 1700000000", ""},
 	// Cross joins drain both sides: d filtered, and m from three
 	// dictionaries.
 	{"cross", "SELECT d.id, d.g, m.id, m.g FROM d, m WHERE d.id < 3 AND m.id > 30", ""},
@@ -186,9 +196,10 @@ var joinFormsCorpus = []joinFormsCase{
 
 // TestHashJoinOutputForms runs joinFormsCorpus at parallelism 1, 2 and
 // 4. Every run must equal the reference executor as a bag, and the
-// parallel runs the serial one row for row — where the probe forwards
-// its input, the kept batches above an exchange carry lent probe columns
-// and a selection lent from the probe's scratch through the join.
+// parallel runs the serial one row for row — the kept batches above an
+// exchange, and a drained join, carry lent probe columns, build columns
+// the probe wrote into its scratch and a selection lent from that
+// scratch through the join.
 func TestHashJoinOutputForms(t *testing.T) {
 	sn := joinFormsDB(t).Snapshot()
 	for _, c := range joinFormsCorpus {

@@ -72,17 +72,20 @@ func TestParallelExplain(t *testing.T) {
 	if !strings.Contains(out, "[par=4]") {
 		t.Errorf("Explain misses per-node parallelism annotations:\n%s", out)
 	}
-	// A COUNT folds inside the exchange's workers and says so; the same
-	// plan with an AVG aggregates the merged stream and carries no mark.
+	// A COUNT folds inside the exchange's workers and says so, and so
+	// does an AVG, whose exact sums merge; a DISTINCT aggregate
+	// aggregates the merged stream and carries no mark.
 	if !strings.Contains(out, "group by d.name [partial ×morsel]\n") {
 		t.Errorf("Explain misses the per-morsel fold on the COUNT aggregate:\n%s", out)
 	}
-	avg, err := exec.Compile(db.Snapshot(), sql.MustParse(strings.Replace(stmt.String(), "COUNT(*)", "AVG(s.gpa)", 1)), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := avg.Explain(); !strings.Contains(out, "exchange workers=4") || strings.Contains(out, "partial") {
-		t.Errorf("an AVG aggregate must stay above the exchange's merge, unmarked:\n%s", out)
+	for agg, partial := range map[string]bool{"AVG(s.gpa)": true, "COUNT(DISTINCT s.gpa)": false} {
+		p, err := exec.Compile(db.Snapshot(), sql.MustParse(strings.Replace(stmt.String(), "COUNT(*)", agg, 1)), 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out := p.Explain(); !strings.Contains(out, "exchange workers=4") || strings.Contains(out, "partial") != partial {
+			t.Errorf("%s: want the [partial ×morsel] mark %v:\n%s", agg, partial, out)
+		}
 	}
 
 	// Parallelism 1 keeps the serial plan: no exchange, no [par=] mark,

@@ -102,9 +102,10 @@ func retainDB(t *testing.T, n int) *store.DB {
 // ownership rule from the outside: a batch is lent — its header, null
 // masks and selection are reused for the producer's next batch, like
 // the operator scratch behind them — so whoever holds data past the
-// next pull must have copied it: the exchange's keep sink (AVG and
-// Project plans here; COUNT/MIN/MAX plans fold inside the workers and
-// keep nothing), and serially Limit, Sort, Distinct and the join build.
+// next pull must have copied it: the exchange's keep sink (Project
+// plans and DISTINCT aggregates here; every other aggregate folds
+// inside the workers and keeps nothing), and serially Limit, Sort,
+// Distinct and the join build.
 // Over a table cut into 32 segments, at one, two and four workers (16
 // morsels of two segments each), every query must equal the reference
 // executor as a bag and its one-worker run row for row; anything still
@@ -125,10 +126,14 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		// masks, leave through a bare projection.
 		"SELECT ts, d8, device_id, d32, status FROM events",
 		"SELECT seq, latency_ms, service FROM events WHERE seq >= 0",
-		// Kept by the exchange until an aggregate that cannot merge
-		// partials reads them: float sums, with NULL arguments.
+		// Float sums, with NULL arguments, fold per morsel; kept by the
+		// exchange until a DISTINCT aggregate, which cannot merge
+		// partials, reads them — over a join, with the build column
+		// the probe wrote into its scratch.
 		"SELECT service, AVG(latency_ms), COUNT(*) FROM events WHERE status > 250.0 GROUP BY service",
 		"SELECT d8, SUM(latency_ms), MIN(latency_ms) FROM events GROUP BY d8",
+		"SELECT service, AVG(DISTINCT latency_ms), COUNT(*) FROM events WHERE status > 250.0 GROUP BY service",
+		"SELECT d.region, COUNT(DISTINCT e.d8), SUM(e.latency_ms) FROM events e, devices d WHERE e.device_id = d.device_id GROUP BY d.region",
 		// Consumers that hold rows across pulls, serial or above the merge:
 		// a streaming LIMIT that ends mid-batch, DISTINCT's seen set.
 		"SELECT seq, d8, service FROM events WHERE d8 > 100 LIMIT 1500",

@@ -23,16 +23,14 @@ func (p *Plan) Explain() string {
 // one the optimizer estimated smaller — with [build]; the other child
 // streams as the probe. An aggregate that folds inside the workers of
 // the Exchange below it carries [partial ×morsel]; one left unmarked
-// (SUM, AVG, a float MIN/MAX, DISTINCT) aggregates the merged stream.
+// (with a DISTINCT aggregate call) aggregates the merged stream.
 func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, build bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
 	if build {
 		b.WriteString(" [build]")
 	}
-	// With no run to bind against, subqueries and parameters compile row
-	// by row; slot kinds are what the decision reads.
-	if a, ok := n.(*Aggregate); ok && a.partialOver(planVecAgg(a, &Ctx{})) != nil {
+	if a, ok := n.(*Aggregate); ok && a.partialOver() != nil {
 		b.WriteString(" [partial ×morsel]")
 	}
 	if par > 1 {

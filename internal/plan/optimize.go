@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/sql"
@@ -107,7 +108,91 @@ func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value) (*
 	}
 
 	// SELECT * must expand in FROM order regardless of join order.
-	return finishPlan(root, fromOrderRel(bindings), stmt)
+	p, err := finishPlan(root, fromOrderRel(bindings), stmt)
+	if err != nil {
+		return nil, err
+	}
+	markLive(p.Root, nil)
+	return p, nil
+}
+
+// markLive records on every join under n which of its output columns
+// the operators above it read — need, over n's row shape, nil for all
+// of them — so that a join drains and writes only those and its own
+// keys (HashJoin.vopen). Offsets stay as they are: a column nothing
+// reads travels all-NULL. Pruning the scans (pruneColumns) cannot do
+// this, because a join key is read by its join and by nothing above.
+func markLive(n Node, need []bool) {
+	switch t := n.(type) {
+	case *Project:
+		markLive(t.In, addReads(make([]bool, t.In.Rel().Width), t.In.Rel(), t.Items, t.SortKeys))
+	case *Aggregate:
+		markLive(t.In, addReads(make([]bool, t.In.Rel().Width), t.In.Rel(),
+			t.GroupBy, t.Items, t.SortKeys, []sql.Expr{t.Having}))
+	case *Filter:
+		markLive(t.In, addReads(need, t.In.Rel(), []sql.Expr{t.Pred}))
+	case *HashJoin:
+		t.live = need
+		l, r := splitNeed(need, t.L.Rel().Width)
+		if need != nil {
+			for _, off := range t.LKey {
+				l[off] = true
+			}
+			for _, off := range t.RKey {
+				r[off] = true
+			}
+		}
+		markLive(t.L, l)
+		markLive(t.R, r)
+	case *CrossJoin:
+		t.live = need
+		l, r := splitNeed(need, t.L.Rel().Width)
+		markLive(t.L, l)
+		markLive(t.R, r)
+	default:
+		for _, c := range n.Children() {
+			markLive(c, nil)
+		}
+	}
+}
+
+// splitNeed cuts a join's need at the width of its left input into
+// copies a side may extend; for nil, every column of both sides.
+func splitNeed(need []bool, lWidth int) (l, r []bool) {
+	if need == nil {
+		return nil, nil
+	}
+	return slices.Clone(need[:lWidth]), slices.Clone(need[lWidth:])
+}
+
+// addReads marks in need the columns of rel that exprs read, and
+// returns need — or nil, every column, when need is nil or an
+// expression may read a column it does not name: a nested statement's
+// correlated references, or a reference that resolves ambiguously.
+func addReads(need []bool, rel *Rel, exprs ...[]sql.Expr) []bool {
+	for _, es := range exprs {
+		for _, e := range es {
+			sql.Walk(e, func(x sql.Expr) bool {
+				if need == nil {
+					return false
+				}
+				if sql.Nested(x) != nil {
+					need = nil
+					return false
+				}
+				if ref, ok := x.(sql.ColumnRef); ok {
+					switch off, ok, ambiguous := OffsetIn(rel, ref); {
+					case ambiguous:
+						need = nil
+					case ok:
+						need[off] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return need
 }
 
 // fromOrderRel lays the bindings out in declaration order (offsets are

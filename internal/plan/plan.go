@@ -156,6 +156,7 @@ type HashJoin struct {
 	Conds []sql.Expr
 	Est   int
 	rel   *Rel
+	live  []bool // output columns the operators above read (markLive); nil: all
 }
 
 // CrossJoin is a guarded cartesian product (no usable equi-join).
@@ -163,6 +164,7 @@ type CrossJoin struct {
 	L, R Node
 	Est  int
 	rel  *Rel
+	live []bool // as HashJoin's
 }
 
 // Project evaluates the select items (plus trailing ORDER BY keys) for

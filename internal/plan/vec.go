@@ -50,6 +50,12 @@ const maxBatch = 1024
 // never decoded at all. Scans are the only producers of the form, a
 // join probe that forwards its input carries it on, and it never
 // crosses the projection boundary.
+//
+// A column marked lent has data vectors that are not the batch's to
+// keep: a join probe writes its output columns into its own scratch,
+// to be overwritten by its next batch, and vbatch.keep copies them. A
+// column that no operator above its join reads travels as the zero
+// vcol, all-NULL, and is never written (HashJoin.live).
 type vcol struct {
 	kind    store.Kind
 	ints    []int64
@@ -62,6 +68,7 @@ type vcol struct {
 	seg     *store.SegCol
 	off     int
 	isConst bool // every row holds the same value (a broadcast constant)
+	lent    bool // the data vector is its producer's scratch (see vbatch)
 }
 
 func (c *vcol) null(i int) bool { return c.nulls != nil && c.nulls[i] }
@@ -119,18 +126,23 @@ func (c *vcol) value(i int) store.Value {
 // included (Filter and Limit set sel on it), until the consumer pulls
 // the next one; then the producer may reuse all of it that is not
 // immutable storage (segment payloads, dictionaries, a constant's
-// broadcast): header, cols slice, null masks, selection. An operator
+// broadcast): header, cols slice, null masks, selection, and the data
+// vectors of columns marked lent — what a join probe writes, build
+// columns and gathered matches, lives in its scratch. An operator
 // forwarding lent parts in its own batch (Project's column refs, a join
 // probe's input columns and its match list as the selection) lends them
-// on under the same term. Whoever holds a batch longer takes
-// keep's copy; keepBatches is the one retainer. Everything else an
-// operator computes about a batch lives in scratch the operator
-// instance owns and reuses for its next batch. scratch is how that
-// reaches the expression kernels: an operator whose expression results
-// die inside it (Filter, Aggregate, the join probe) points it at its
-// own vscratch for the duration of the evaluation and clears it before
-// the batch moves on; with it nil (Project, the aggregate's output
-// items), kernels allocate, and their output may escape.
+// on under the same term. Whoever holds a batch longer takes keep's
+// copy; keepBatches is the one retainer. Every other consumer is done
+// with a batch by its next pull: an aggregate folds it (group keys and
+// held values are copied or immutable strings), Sort and Distinct push
+// its rows into builders of their own, and Run boxes its rows.
+// Everything else an operator computes about a batch lives in scratch
+// the operator instance owns and reuses for its next batch. scratch is
+// how that reaches the expression kernels: an operator whose expression
+// results die inside it (Filter, Aggregate, the join probe) points it
+// at its own vscratch for the duration of the evaluation and clears it
+// before the batch moves on; with it nil (Project, the aggregate's
+// output items), kernels allocate, and their output may escape.
 //
 // err is where a vscalar reports the first evaluation error among the
 // rows it evaluated; the operator that evaluated the batch returns it.
@@ -143,13 +155,19 @@ type vbatch struct {
 }
 
 // keep returns a copy of b that stays valid after b's producer is
-// pulled again: its own header, cols slice, null masks and selection
-// over the same immutable payloads.
+// pulled again: its own header, cols slice, null masks, selection and
+// lent data vectors, over the same immutable payloads.
 func (b *vbatch) keep() *vbatch {
 	out := &vbatch{n: b.n, cols: slices.Clone(b.cols), sel: slices.Clone(b.sel)}
 	for c := range out.cols {
-		if !out.cols[c].isConst {
-			out.cols[c].nulls = slices.Clone(out.cols[c].nulls)
+		col := &out.cols[c]
+		if col.isConst {
+			continue
+		}
+		col.nulls = slices.Clone(col.nulls)
+		if col.lent {
+			col.ints, col.floats, col.strs = slices.Clone(col.ints), slices.Clone(col.floats), slices.Clone(col.strs)
+			col.bools, col.codes, col.lent = slices.Clone(col.bools), slices.Clone(col.codes), false
 		}
 	}
 	return out
@@ -203,6 +221,7 @@ type vscratch struct {
 	bools  bufPool[bool]
 	ints   bufPool[int64]
 	floats bufPool[float64]
+	strs   bufPool[string]
 	hashes bufPool[uint64]
 	sels   bufPool[int32]
 }
@@ -210,16 +229,31 @@ type vscratch struct {
 // reset makes every buffer available again; the operator calls it
 // once per batch, before evaluating anything over it.
 func (s *vscratch) reset() {
-	s.bools.used, s.ints.used, s.floats.used, s.hashes.used, s.sels.used = 0, 0, 0, 0, 0
+	s.bools.used, s.ints.used, s.floats.used, s.strs.used, s.hashes.used, s.sels.used = 0, 0, 0, 0, 0, 0
 }
 
 // scratchSet is the working memory of one exchange worker: the pipeline
 // it opens for each morsel takes, in open order, the vscratches its
 // previous morsel's did — that pipeline is drained, and whatever it
-// lent folded or copied, before the worker claims again.
+// lent folded or copied, before the worker claims again. An aggregate
+// folding per morsel compiles once per worker, too: its programs hold
+// per-instance state (a constant's broadcast), so workers cannot share
+// one, but a worker's morsels run one after another.
 type scratchSet struct {
 	all  []*vscratch
 	used int
+
+	agg *Aggregate
+	ap  *vecAggPlan
+}
+
+// aggPlan returns the worker's compilation of a, compiling it in ctx
+// on the worker's first morsel.
+func (ss *scratchSet) aggPlan(a *Aggregate, ctx *Ctx) *vecAggPlan {
+	if ss.agg != a {
+		ss.agg, ss.ap = a, planVecAgg(a, ctx)
+	}
+	return ss.ap
 }
 
 // takeScratch hands an operator instance its vscratch at open time: a
@@ -281,6 +315,27 @@ func (s *vscratch) floatBuf(n int) []float64 {
 		return make([]float64, n)
 	}
 	return s.floats.take(n)
+}
+
+// strBuf and codeBuf return n empty strings and n zero dictionary
+// codes: a column some rows of which are never written must still hold
+// valid values there, for kernels that compute over every physical row.
+func (s *vscratch) strBuf(n int) []string {
+	if s == nil {
+		return make([]string, n)
+	}
+	buf := s.strs.take(n)
+	clear(buf)
+	return buf
+}
+
+func (s *vscratch) codeBuf(n int) []int32 {
+	if s == nil {
+		return make([]int32, n)
+	}
+	buf := s.sels.take(n)
+	clear(buf)
+	return buf
 }
 
 // selBuf returns an empty selection list with room for n rows.
@@ -1813,21 +1868,23 @@ func (cb *colbuf) col() vcol {
 }
 
 // gatherCol materializes src rows idxs into a dense column: the
-// join-output and projection hot path.
-func gatherCol(src *vcol, idxs []int32) vcol { return scatterCol(src, len(idxs), nil, idxs) }
+// projection hot path.
+func gatherCol(src *vcol, idxs []int32) vcol { return scatterCol(src, len(idxs), nil, idxs, nil) }
 
 // scatterCol materializes an n-row column holding row si[k] of src at
-// row di[k] for every k (di nil: at row k), and zero values
-// at rows no k writes. With di nil it gathers; with di set it writes a
-// join's build columns at the probe rows they matched. Each kind moves
-// through a tight preallocated loop, and dictionary text moves its codes
-// and shares the dictionary, so strings are only built when a consumer
+// row di[k] for every k (di nil: at row k), and zero values at rows no
+// k writes. With di nil it gathers; with di set it writes a join's
+// build columns at the probe rows they matched. Each kind moves through
+// a tight preallocated loop, and dictionary text moves its codes and
+// shares the dictionary, so strings are only built when a consumer
 // finally asks. An encoded int column decodes only the rows it gathers;
-// only drained columns, never encoded, scatter.
-func scatterCol(src *vcol, n int, di, si []int32) vcol {
-	out := vcol{kind: src.kind}
+// only drained columns, never encoded, scatter. With sc the column is
+// written into the operator's scratch and marked lent (see vbatch); a
+// nil sc allocates.
+func scatterCol(src *vcol, n int, di, si []int32, sc *vscratch) vcol {
+	out := vcol{kind: src.kind, lent: sc != nil}
 	if src.nulls != nil {
-		nulls := make([]bool, n)
+		nulls := sc.boolBuf(n)
 		moveVals(nulls, di, src.nulls, si)
 		if slices.Contains(nulls, true) {
 			out.nulls = nulls
@@ -1835,28 +1892,37 @@ func scatterCol(src *vcol, n int, di, si []int32) vcol {
 	}
 	switch src.kind {
 	case store.KindInt:
-		out.ints = make([]int64, n)
+		out.ints = sc.intBuf(n)
+		if di != nil {
+			clear(out.ints)
+		}
 		if src.seg != nil {
 			src.seg.GatherInts(out.ints, src.off, si)
 		} else {
 			moveVals(out.ints, di, src.ints, si)
 		}
 	case store.KindFloat:
-		out.floats = make([]float64, n)
+		out.floats = sc.floatBuf(n)
+		if di != nil {
+			clear(out.floats)
+		}
 		moveVals(out.floats, di, src.floats, si)
 	case store.KindText:
 		if src.dict != nil {
-			out.codes, out.dict = make([]int32, n), src.dict
+			out.codes, out.dict = sc.codeBuf(n), src.dict
 			moveVals(out.codes, di, src.codes, si)
 			break
 		}
-		out.strs = make([]string, n)
+		out.strs = sc.strBuf(n)
 		moveVals(out.strs, di, src.strs, si)
 	case store.KindBool:
-		out.bools = make([]bool, n)
+		out.bools = sc.boolBuf(n)
 		moveVals(out.bools, di, src.bools, si)
 	case store.KindNull:
-		out.nulls = allNullCol(n).nulls
+		out.nulls = sc.boolBuf(n)
+		for i := range out.nulls {
+			out.nulls[i] = true
+		}
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 	"slices"
@@ -240,13 +241,15 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 
 // drainCols materializes a relational subtree into columns, returning
 // them with the row count: the build side of a hash join, both sides of
-// a cross join. It keeps the input's batches first and counts them, so
-// every column's builder is sized once and never grows by appending.
-// Until the copy is made the kept batches also hold whatever their
-// producer allocated — a join's output columns — so a side that is
-// itself a join is briefly in memory twice; a scan's batches are views
-// of segment storage and cost only their headers and null masks.
-func drainCols(n Node, ctx *Ctx) ([]vcol, int, error) {
+// a cross join. need marks the columns anything reads (nil: all); the
+// rest stay all-NULL. It keeps the input's batches first and counts
+// them, so every column's builder is sized once and never grows by
+// appending. Until the copy is made the kept batches also hold what
+// keep copied of their lent columns — a join's output columns — so a
+// side that is itself a join is briefly in memory twice; a scan's
+// batches are views of segment storage and cost only their headers and
+// null masks.
+func drainCols(n Node, ctx *Ctx, need []bool) ([]vcol, int, error) {
 	bs, err := keepBatches(n, ctx)
 	if err != nil {
 		return nil, 0, err
@@ -258,6 +261,9 @@ func drainCols(n Node, ctx *Ctx) ([]vcol, int, error) {
 	kinds := relKinds(n.Rel())
 	cols := make([]vcol, len(kinds))
 	for c, k := range kinds {
+		if need != nil && !need[c] {
+			continue
+		}
 		cb := newColbuf(k)
 		cb.grow(rows)
 		for _, b := range bs {
@@ -297,7 +303,15 @@ func (j *HashJoin) vecBuild(ctx *Ctx) (*vecBuildTable, error) {
 // vecBuildLocal drains the right input, hashes its keys once, and
 // chains the rows into a table sized to them.
 func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
-	cols, n, err := drainCols(j.R, ctx)
+	lw := j.L.Rel().Width
+	var need []bool
+	if j.live != nil {
+		need = slices.Clone(j.live[lw:])
+		for _, off := range j.RKey {
+			need[off] = true
+		}
+	}
+	cols, n, err := drainCols(j.R, ctx, need)
 	if err != nil {
 		return nil, err
 	}
@@ -359,9 +373,11 @@ func rowBytes(c *vcol) int {
 // columns lent on as they came (segment views, encoded ints still
 // encoded), the match list as its selection, and only the build columns
 // written, each match at its probe row. Otherwise — and wherever writing
-// the build columns at every physical row would allocate more than
+// the build columns at every physical row would move more than
 // gathering every column at the matched rows — the matches are gathered
-// into dense columns.
+// into dense columns. Either way what the probe writes goes into its
+// scratch and is lent with the batch (see vbatch), and only the columns
+// the operators above read (live) are written at all.
 func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 	bt, err := j.vecBuild(ctx)
 	if err != nil {
@@ -372,13 +388,16 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 		return nil, err
 	}
 	lWidth := j.L.Rel().Width
+	live := func(c int) bool { return j.live == nil || j.live[c] }
 	rBytes := 0
 	for c := range bt.cols {
-		rBytes += rowBytes(&bt.cols[c])
+		if live(lWidth + c) {
+			rBytes += rowBytes(&bt.cols[c])
+		}
 	}
 	mask := uint64(len(bt.head) - 1)
 	// Probe-side working state — decoded keys, hashes, the match lists —
-	// dies with each input batch; a forwarded selection is lent scratch.
+	// and the columns written die with each input batch.
 	sc := ctx.takeScratch()
 	keys := make([]vcol, len(j.LKey))
 	out := &vbatch{cols: make([]vcol, j.rel.Width)}
@@ -425,8 +444,11 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 			}
 			lBytes := 0
 			for c := 0; c < lWidth; c++ {
-				lBytes += rowBytes(&b.cols[c])
+				if live(c) {
+					lBytes += rowBytes(&b.cols[c])
+				}
 			}
+			clear(out.cols)
 			if !dup && b.n*rBytes <= len(lidx)*(lBytes+rBytes) {
 				out.n, out.sel = b.n, lidx
 				if b.sel == nil && len(lidx) == b.n {
@@ -434,16 +456,22 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 				}
 				copy(out.cols, b.cols[:lWidth])
 				for c := range bt.cols {
-					out.cols[lWidth+c] = scatterCol(&bt.cols[c], b.n, lidx, ridx)
+					if live(lWidth + c) {
+						out.cols[lWidth+c] = scatterCol(&bt.cols[c], b.n, lidx, ridx, sc)
+					}
 				}
 				return out, nil
 			}
 			out.n, out.sel = len(lidx), nil
 			for c := 0; c < lWidth; c++ {
-				out.cols[c] = gatherCol(&b.cols[c], lidx)
+				if live(c) {
+					out.cols[c] = scatterCol(&b.cols[c], len(lidx), nil, lidx, sc)
+				}
 			}
 			for c := range bt.cols {
-				out.cols[lWidth+c] = gatherCol(&bt.cols[c], ridx)
+				if live(lWidth + c) {
+					out.cols[lWidth+c] = scatterCol(&bt.cols[c], len(ridx), nil, ridx, sc)
+				}
 			}
 			return out, nil
 		}
@@ -453,11 +481,16 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 // vopen materializes both inputs, refuses a product over MaxProduct,
 // and emits every (left, right) pair left-major, a batch at a time.
 func (j *CrossJoin) vopen(ctx *Ctx) (viter, error) {
-	lcols, ln, err := drainCols(j.L, ctx)
+	lWidth := j.L.Rel().Width
+	var lneed, rneed []bool
+	if j.live != nil {
+		lneed, rneed = j.live[:lWidth], j.live[lWidth:]
+	}
+	lcols, ln, err := drainCols(j.L, ctx, lneed)
 	if err != nil {
 		return nil, err
 	}
-	rcols, rn, err := drainCols(j.R, ctx)
+	rcols, rn, err := drainCols(j.R, ctx, rneed)
 	if err != nil {
 		return nil, err
 	}
@@ -482,10 +515,14 @@ func (j *CrossJoin) vopen(ctx *Ctx) (viter, error) {
 		}
 		out.n, out.sel = len(lidx), nil
 		for c := range lcols {
-			out.cols[c] = gatherCol(&lcols[c], lidx)
+			if lneed == nil || lneed[c] {
+				out.cols[c] = gatherCol(&lcols[c], lidx)
+			}
 		}
 		for c := range rcols {
-			out.cols[len(lcols)+c] = gatherCol(&rcols[c], ridx)
+			if rneed == nil || rneed[c] {
+				out.cols[len(lcols)+c] = gatherCol(&rcols[c], ridx)
+			}
 		}
 		return out, nil
 	}, nil
@@ -686,20 +723,28 @@ func planVecAgg(a *Aggregate, ctx *Ctx) *vecAggPlan {
 }
 
 // aggState holds the running accumulators of one slot, one entry per
-// group. An INT SUM or AVG adds exactly, into a 128-bit two's-complement
-// (hi, lo) pair per group.
+// group, in per-slot vectors that grow by appending: a group costs no
+// allocation of its own. An INT SUM or AVG adds exactly, into a 128-bit
+// two's-complement (hi, lo) pair per group; a FLOAT one into the
+// group's exact sum in x. Every state merges exactly (vecAggSlot.merge),
+// so a slot's partials over consecutive stretches of the input combine
+// into the serial fold's state.
 type aggState struct {
 	counts []int64
-	sums   []float64
 	lo     []uint64
 	hi     []int64
+	x      xsums
 	ints   []int64
 	floats []float64
 	strs   []string
 	bools  []bool
-	has    []bool
-	nulls  []bool                   // FIRST: the first row's value was NULL
-	seen   map[distinctKey]struct{} // DISTINCT: values folded so far
+	// has: MIN, MAX hold a best value (never NaN); FIRST has seen its
+	// row. led records what came first, which the rest cannot change:
+	// for FIRST, that the first row's value was NULL; for a float MIN
+	// or MAX, that the first non-NULL value was NaN, which wins
+	// (store.Compare finds NaN neither below nor above a number).
+	has, led []bool
+	seen     map[distinctKey]struct{} // DISTINCT: values folded so far
 }
 
 type distinctKey struct {
@@ -715,34 +760,67 @@ var errSumOverflow = errors.New("plan: SUM overflows INT")
 func (slot *vecAggSlot) grow(st *aggState) {
 	switch slot.fn {
 	case "SUM", "AVG":
-		if slot.argKind == store.KindInt {
+		switch slot.argKind {
+		case store.KindInt:
 			st.lo, st.hi = append(st.lo, 0), append(st.hi, 0)
-		} else {
-			st.sums = append(st.sums, 0)
+		case store.KindFloat:
+			st.x.grow()
 		}
 		fallthrough
 	case "COUNT":
 		st.counts = append(st.counts, 0)
-	default: // MIN, MAX, FIRST
-		st.has = append(st.has, false)
-		st.nulls = append(st.nulls, false)
-		switch slot.argKind {
-		case store.KindInt:
-			st.ints = append(st.ints, 0)
-		case store.KindFloat:
-			st.floats = append(st.floats, 0)
-		case store.KindText:
-			st.strs = append(st.strs, "")
-		case store.KindBool:
-			st.bools = append(st.bools, false)
+		return
+	case "FIRST":
+		st.led = append(st.led, false)
+	default: // MIN, MAX
+		if slot.argKind == store.KindFloat {
+			st.led = append(st.led, false)
 		}
+	}
+	st.has = append(st.has, false)
+	switch slot.argKind {
+	case store.KindInt:
+		st.ints = append(st.ints, 0)
+	case store.KindFloat:
+		st.floats = append(st.floats, 0)
+	case store.KindText:
+		st.strs = append(st.strs, "")
+	case store.KindBool:
+		st.bools = append(st.bools, false)
 	}
 }
 
+// fold folds the batch's selected rows of the argument column into
+// their groups (gids by physical row; nil: the global group). A FLOAT
+// SUM or AVG, the one fold that costs more than a comparison a row,
+// runs its own loop; every other slot updates row by row.
+func (slot *vecAggSlot) fold(st *aggState, gids []int32, arg *vcol, b *vbatch) {
+	gid := func(i int) int {
+		if gids == nil {
+			return 0
+		}
+		return int(gids[i])
+	}
+	if (slot.fn == "SUM" || slot.fn == "AVG") && !slot.distinct && arg.kind == store.KindFloat {
+		n := 0
+		b.forSel(func(i int) {
+			if !arg.null(i) {
+				g := gid(i)
+				st.counts[g]++
+				st.x.add(g, arg.floats[i])
+				n++
+			}
+		})
+		st.x.added(n)
+		return
+	}
+	b.forSel(func(i int) { slot.update(st, gid(i), arg, i) })
+}
+
 // update folds value i of the argument column into group gid, exactly
-// reproducing the scalar aggregate semantics (NULLs skipped, INT sums
-// exact, FLOAT sums accumulate in float64, MIN/MAX keep the first of
-// equals, FIRST the first row's value even when NULL).
+// reproducing the scalar aggregate semantics (NULLs skipped, sums
+// exact, MIN/MAX keep the first of equals and a leading NaN, FIRST the
+// first row's value even when NULL).
 func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
 	if slot.star {
 		st.counts[gid]++
@@ -753,7 +831,7 @@ func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
 		if st.has[gid] {
 			return
 		}
-		st.has[gid], st.nulls[gid] = true, isNull
+		st.has[gid], st.led[gid] = true, isNull
 		if !isNull {
 			slot.set(st, gid, arg, i)
 		}
@@ -783,32 +861,44 @@ func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
 			st.lo[gid], carry = bits.Add64(st.lo[gid], uint64(x), 0)
 			st.hi[gid] += int64(carry) + x>>63
 		} else {
-			st.sums[gid] += arg.floats[i]
+			st.x.add(gid, arg.floats[i])
+			st.x.added(1)
 		}
 	case "MIN", "MAX":
-		min := slot.fn == "MIN"
-		better := !st.has[gid]
-		switch slot.argKind {
-		case store.KindInt:
-			// Exact integer comparison, matching the scalar path's
-			// int-int store.Compare (a float64 round-trip collapses
-			// distinct values beyond 2^53).
-			v, cur := arg.ints[i], st.ints[gid]
-			better = better || (min && v < cur) || (!min && v > cur)
-		case store.KindFloat:
-			f, cur := arg.floats[i], st.floats[gid]
-			better = better || (min && f < cur) || (!min && f > cur)
-		case store.KindText:
-			s, cur := arg.str(i), st.strs[gid]
-			better = better || (min && s < cur) || (!min && s > cur)
-		case store.KindBool:
-			v, cur := arg.bools[i], st.bools[gid]
-			better = better || (min && !v && cur) || (!min && v && !cur)
+		if slot.argKind == store.KindFloat && math.IsNaN(arg.floats[i]) {
+			st.led[gid] = st.led[gid] || !st.has[gid]
+			return
 		}
-		if better {
-			st.has[gid] = true
-			slot.set(st, gid, arg, i)
-		}
+		slot.extreme(st, gid, arg, i)
+	}
+}
+
+// extreme makes value i of arg, neither NULL nor NaN, group gid's MIN
+// or MAX if it is the first or beats the one held; equals keep the
+// earlier.
+func (slot *vecAggSlot) extreme(st *aggState, gid int, arg *vcol, i int) {
+	min := slot.fn == "MIN"
+	better := !st.has[gid]
+	switch slot.argKind {
+	case store.KindInt:
+		// Exact integer comparison, matching the scalar path's int-int
+		// store.Compare (a float64 round-trip collapses distinct values
+		// beyond 2^53).
+		v, cur := arg.ints[i], st.ints[gid]
+		better = better || (min && v < cur) || (!min && v > cur)
+	case store.KindFloat:
+		f, cur := arg.floats[i], st.floats[gid]
+		better = better || (min && f < cur) || (!min && f > cur)
+	case store.KindText:
+		s, cur := arg.str(i), st.strs[gid]
+		better = better || (min && s < cur) || (!min && s > cur)
+	case store.KindBool:
+		v, cur := arg.bools[i], st.bools[gid]
+		better = better || (min && !v && cur) || (!min && v && !cur)
+	}
+	if better {
+		st.has[gid] = true
+		slot.set(st, gid, arg, i)
 	}
 }
 
@@ -827,6 +917,45 @@ func (slot *vecAggSlot) set(st *aggState, gid int, arg *vcol, i int) {
 	}
 }
 
+// merge folds group sg of src — the slot's state over a later stretch
+// of the same input — into group gid of st, leaving st as if the
+// stretch's rows had been folded into it one by one: counts and sums
+// add, a MIN/MAX folds the later best, and a FIRST or a leading NaN
+// already held stays. A DISTINCT slot's partials would count a value
+// once per stretch; such slots never merge (partialOver).
+func (slot *vecAggSlot) merge(st *aggState, gid int, src *aggState, sg int) {
+	switch slot.fn {
+	case "COUNT":
+		st.counts[gid] += src.counts[sg]
+		return
+	case "SUM", "AVG":
+		st.counts[gid] += src.counts[sg]
+		switch slot.argKind {
+		case store.KindInt:
+			var carry uint64
+			st.lo[gid], carry = bits.Add64(st.lo[gid], src.lo[sg], 0)
+			st.hi[gid] += src.hi[sg] + int64(carry)
+		case store.KindFloat:
+			st.x.merge(gid, &src.x, sg)
+		}
+		return
+	}
+	held := vcol{kind: slot.argKind, ints: src.ints, floats: src.floats, strs: src.strs, bools: src.bools}
+	switch {
+	case slot.fn == "FIRST":
+		if !st.has[gid] && src.has[sg] {
+			st.has[gid], st.led[gid] = true, src.led[sg]
+			slot.set(st, gid, &held, sg)
+		}
+		return
+	case slot.argKind == store.KindFloat && !st.has[gid] && !st.led[gid]:
+		st.led[gid] = src.led[sg] // st has seen no value yet
+	}
+	if src.has[sg] {
+		slot.extreme(st, gid, &held, sg)
+	}
+}
+
 // exactFloat rounds the 128-bit sum hi·2^64 + lo to the nearest
 // float64.
 func exactFloat(hi int64, lo uint64) float64 {
@@ -838,15 +967,18 @@ func exactFloat(hi int64, lo uint64) float64 {
 	return f
 }
 
-// col freezes the slot's per-group results into an output column.
+// col freezes the slot's per-group results into an output column. It is
+// the state's last read.
 func (slot *vecAggSlot) col(st *aggState, n int) (vcol, error) {
 	switch slot.fn {
 	case "COUNT":
 		return vcol{kind: store.KindInt, ints: st.counts[:n]}, nil
-	case "SUM":
+	case "SUM", "AVG":
+		if slot.outKind == store.KindNull {
+			return allNullCol(n), nil
+		}
 		nulls := countNulls(st.counts[:n])
-		switch slot.outKind {
-		case store.KindInt:
+		if slot.fn == "SUM" && slot.outKind == store.KindInt {
 			out := make([]int64, n)
 			for i := range out {
 				if st.hi[i] != int64(st.lo[i])>>63 {
@@ -855,31 +987,32 @@ func (slot *vecAggSlot) col(st *aggState, n int) (vcol, error) {
 				out[i] = int64(st.lo[i])
 			}
 			return vcol{kind: store.KindInt, ints: out, nulls: nulls}, nil
-		case store.KindNull:
-			return allNullCol(n), nil
 		}
-		return vcol{kind: store.KindFloat, floats: st.sums[:n], nulls: nulls}, nil
-	case "AVG":
-		if slot.outKind == store.KindNull {
-			return allNullCol(n), nil
-		}
-		nulls := countNulls(st.counts[:n])
 		out := make([]float64, n)
 		for i := range out {
 			switch {
 			case st.counts[i] == 0:
+				continue
 			case slot.argKind == store.KindInt:
-				out[i] = exactFloat(st.hi[i], st.lo[i]) / float64(st.counts[i])
+				out[i] = exactFloat(st.hi[i], st.lo[i])
 			default:
-				out[i] = st.sums[i] / float64(st.counts[i])
+				out[i] = st.x.value(i)
+			}
+			if slot.fn == "AVG" {
+				out[i] /= float64(st.counts[i])
 			}
 		}
 		return vcol{kind: store.KindFloat, floats: out, nulls: nulls}, nil
 	}
 	// MIN, MAX, FIRST
 	var nulls []bool
+	leadNaN := slot.fn != "FIRST" && slot.argKind == store.KindFloat
 	for i := 0; i < n; i++ {
-		if !st.has[i] || st.nulls[i] {
+		if leadNaN && st.led[i] {
+			st.floats[i] = math.NaN()
+			continue
+		}
+		if !st.has[i] || slot.fn == "FIRST" && st.led[i] {
 			if nulls == nil {
 				nulls = make([]bool, n)
 			}
@@ -922,31 +1055,35 @@ func allNullCol(n int) vcol {
 	return vcol{kind: store.KindNull, nulls: nulls}
 }
 
-// mergesExactly reports whether per-morsel partial states of every
-// slot merge into exactly the serial result: COUNTs add, and a MIN/MAX
-// over ints, text or bools picks among identical equals. SUM and AVG
-// depend on float64 summation order, and a float MIN/MAX keeps a
-// leading NaN forever (update), so a morsel that opens on one would
-// hide the rest of its values from the merge. A DISTINCT slot's
-// partials would count a value once per morsel.
-func (ap *vecAggPlan) mergesExactly() bool {
-	for _, slot := range ap.slots {
-		minMax := slot.fn == "MIN" || slot.fn == "MAX"
-		if slot.distinct || (slot.fn != "COUNT" && !(minMax && slot.argKind != store.KindFloat)) {
-			return false
-		}
-	}
-	return true
-}
-
 // partialOver returns the Exchange whose workers a folds inside — the
-// one directly below it, when every slot merges exactly — or nil when a
-// aggregates its input's merged stream. vopen and Explain both ask here.
-func (a *Aggregate) partialOver(ap *vecAggPlan) *Exchange {
-	if x, ok := a.In.(*Exchange); ok && ap.mergesExactly() {
-		return x
+// one directly below it — or nil when a aggregates its input's merged
+// stream: when it has no exchange below, or a DISTINCT aggregate call,
+// whose per-morsel partials would count a value once per morsel. Every
+// other slot merges exactly (vecAggSlot.merge). vopen and Explain both
+// ask here.
+func (a *Aggregate) partialOver() *Exchange {
+	x, ok := a.In.(*Exchange)
+	if !ok {
+		return nil
 	}
-	return nil
+	distinct := false
+	visit := func(e sql.Expr) bool {
+		if fc, ok := e.(*sql.FuncCall); ok && fc.Distinct {
+			distinct = true
+		}
+		return !distinct
+	}
+	for _, e := range a.Items {
+		sql.Walk(e, visit)
+	}
+	for _, e := range a.SortKeys {
+		sql.Walk(e, visit)
+	}
+	sql.Walk(a.Having, visit)
+	if distinct {
+		return nil
+	}
+	return x
 }
 
 // groupTable is the accumulate half of a vectorized aggregate: the
@@ -956,9 +1093,9 @@ func (a *Aggregate) partialOver(ap *vecAggPlan) *Exchange {
 // views of the key columns, refreshed whenever a new group extends them.
 type groupTable struct {
 	ap        *vecAggPlan
-	keyBufs   []*colbuf
+	keyBufs   []colbuf
 	groupKeys []vcol
-	groupIdx  map[uint64][]int32
+	groupIdx  map[uint64][]int32 // nil for the global group
 	states    []aggState
 	ngroups   int
 
@@ -967,20 +1104,24 @@ type groupTable struct {
 }
 
 func newGroupTable(ap *vecAggPlan, sc *vscratch) *groupTable {
-	nk := len(ap.keys)
-	t := &groupTable{ap: ap, sc: sc, keyBufs: make([]*colbuf, nk), groupKeys: make([]vcol, nk),
-		groupIdx: map[uint64][]int32{}, states: make([]aggState, len(ap.slots)),
-		keyCols: make([]vcol, nk), argCols: make([]vcol, len(ap.slots))}
-	for k, ve := range ap.keys {
-		t.keyBufs[k] = newColbuf(ve.kind())
-		t.groupKeys[k] = t.keyBufs[k].col()
-	}
+	nk, ns := len(ap.keys), len(ap.slots)
+	t := &groupTable{ap: ap, sc: sc, states: make([]aggState, ns)}
 	if nk == 0 {
 		// The global group exists even over empty input.
+		t.argCols = make([]vcol, ns)
 		t.ngroups = 1
 		for s := range t.states {
 			ap.slots[s].grow(&t.states[s])
 		}
+		return t
+	}
+	cols := make([]vcol, 3*nk+ns)
+	t.groupKeys, t.keyCols, t.argCols = cols[:nk:nk], cols[nk:2*nk:2*nk], cols[2*nk:]
+	t.keyBufs = make([]colbuf, nk)
+	t.groupIdx = map[uint64][]int32{}
+	for k, ve := range ap.keys {
+		t.keyBufs[k].kind = ve.kind()
+		t.groupKeys[k] = t.keyBufs[k].col()
 	}
 	return t
 }
@@ -1056,40 +1197,31 @@ func (t *groupTable) add(b *vbatch) error {
 			}
 		}
 	}
-	hs := hashKeys(t.keyCols, b.n, b.sel, t.sc)
-	b.forSel(func(i int) {
-		gid := t.group(t.keyCols, i, hs)
-		for s := range t.ap.slots {
-			t.ap.slots[s].update(&t.states[s], gid, &t.argCols[s], i)
-		}
-	})
+	var gids []int32 // by physical row; nil: every row is the global group's
+	if len(t.keyCols) > 0 {
+		hs := hashKeys(t.keyCols, b.n, b.sel, t.sc)
+		gids = t.sc.sels.take(b.n)
+		b.forSel(func(i int) { gids[i] = int32(t.group(t.keyCols, i, hs)) })
+	}
+	for s := range t.ap.slots {
+		t.ap.slots[s].fold(&t.states[s], gids, &t.argCols[s], b)
+	}
 	return nil
 }
 
 // merge folds src, the table of a later stretch of the same input, into
 // t as if its rows had been added after t's: src's groups arrive in its
-// first-seen order, so group order and (given mergesExactly) every
-// result equal the serial fold's.
-func (t *groupTable) merge(src *groupTable) error {
-	hs := hashKeys(src.groupKeys, src.ngroups, nil, nil)
-	for s := range src.states {
-		// A partial MIN/MAX is one more value to fold; partial COUNTs add.
-		var err error
-		if t.argCols[s], err = t.ap.slots[s].col(&src.states[s], src.ngroups); err != nil {
-			return err
-		}
-	}
+// first-seen order and every slot's state merges exactly, so group
+// order and every result equal the serial fold's.
+func (t *groupTable) merge(src *groupTable) {
+	t.sc.reset()
+	hs := hashKeys(src.groupKeys, src.ngroups, nil, t.sc)
 	for g := 0; g < src.ngroups; g++ {
 		gid := t.group(src.groupKeys, g, hs)
 		for s := range t.ap.slots {
-			if t.ap.slots[s].fn == "COUNT" {
-				t.states[s].counts[gid] += t.argCols[s].ints[g]
-			} else {
-				t.ap.slots[s].update(&t.states[s], gid, &t.argCols[s], g)
-			}
+			t.ap.slots[s].merge(&t.states[s], gid, &src.states[s], g)
 		}
 	}
-	return nil
 }
 
 // fold drains in into a new group table.
@@ -1107,14 +1239,14 @@ func (ap *vecAggPlan) fold(ctx *Ctx, in viter) (*groupTable, error) {
 }
 
 // vopen folds the input into a group table and finishes it. Directly
-// above an Exchange, an aggregate that merges exactly folds where the
-// rows are: each worker drains its morsel into that morsel's own table —
-// no batch outlives its pull, so a question's bytes follow the groups it
-// returns, not the rows it scans — and the tables merge in morsel order.
+// above an Exchange, an aggregate without a DISTINCT slot folds where
+// the rows are: each worker drains its morsel into that morsel's own
+// table — no batch outlives its pull, so a question's bytes follow the
+// groups it returns, not the rows it scans — and the tables merge in
+// morsel order.
 func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
-	ap := planVecAgg(a, ctx)
 	in := a.In
-	if x := a.partialOver(ap); x != nil {
+	if x := a.partialOver(); x != nil {
 		in = x.In // a serial run folds the subtree as it stands
 		n, run, err := x.slots(ctx)
 		if err != nil {
@@ -1125,9 +1257,7 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 			err := run(func(i int, wctx *Ctx) error {
 				op, err := in.vopen(wctx)
 				if err == nil {
-					// Compiled programs hold per-instance state (a constant's
-					// broadcast), so every slot folds through its own.
-					tabs[i], err = planVecAgg(a, wctx).fold(wctx, op)
+					tabs[i], err = wctx.vs.aggPlan(a, wctx).fold(wctx, op)
 				}
 				return err
 			})
@@ -1135,13 +1265,12 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 				return nil, err
 			}
 			for _, src := range tabs[1:] {
-				if err := tabs[0].merge(src); err != nil {
-					return nil, err
-				}
+				tabs[0].merge(src)
 			}
 			return tabs[0].finish()
 		}
 	}
+	ap := planVecAgg(a, ctx)
 	op, err := in.vopen(ctx)
 	if err != nil {
 		return nil, err
