@@ -1,8 +1,8 @@
 // Package bench is the evaluation harness: the gold question/SQL
 // corpus over the three domains, execution-match scoring, typo
-// injection and grammar-coverage sweeps. Every table and figure
-// EXPERIMENTS.md has not retired is regenerated through this package
-// (see cmd/nlibench and the root bench_test.go).
+// injection and grammar-coverage sweeps. It scores answers and never
+// times them: cmd/nlibench prints its tables (T1–T6, F3), and speed is
+// the question benchmark's (benchmark/).
 package bench
 
 import (
@@ -175,32 +175,4 @@ func rowKey(r store.Row) string {
 		key += v.Key() + "\x1f"
 	}
 	return key
-}
-
-// RowsEqual compares two rows value-for-value under Key equality
-// (NULL equals NULL, 1 equals 1.0) — the row-for-row check the
-// vectorized differential tests use on top of bag equality.
-func RowsEqual(a, b store.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Key() != b[i].Key() {
-			return false
-		}
-	}
-	return true
-}
-
-// sameRows requires two executions of one probe to agree row for row.
-func sameRows(name, got string, g *exec.Result, want string, w *exec.Result) error {
-	if len(g.Rows) != len(w.Rows) {
-		return fmt.Errorf("bench: %q: %s returned %d rows, %s %d", name, got, len(g.Rows), want, len(w.Rows))
-	}
-	for r := range g.Rows {
-		if !RowsEqual(g.Rows[r], w.Rows[r]) {
-			return fmt.Errorf("bench: %q: %s row %d diverges from %s", name, got, r, want)
-		}
-	}
-	return nil
 }

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -283,26 +287,6 @@ func TestSameResult(t *testing.T) {
 	}
 }
 
-// TestPercentilesNearestRank: p50 and p99 are the ceil(q·n)-th
-// smallest samples, so with fewer than 100 samples p99 is the slowest.
-func TestPercentilesNearestRank(t *testing.T) {
-	for _, tc := range []struct{ n, p50, p99 int }{
-		{1, 1, 1},
-		{22, 11, 22},
-		{100, 50, 99},
-		{101, 51, 100},
-	} {
-		ds := make([]time.Duration, tc.n)
-		for i := range ds {
-			ds[i] = time.Duration(tc.n - i) // descending: percentiles must sort
-		}
-		p50, p99 := percentiles(ds)
-		if p50 != time.Duration(tc.p50) || p99 != time.Duration(tc.p99) {
-			t.Errorf("n=%d: p50, p99 = %d, %d; want %d, %d", tc.n, p50, p99, tc.p50, tc.p99)
-		}
-	}
-}
-
 func TestClassStatsMath(t *testing.T) {
 	s := ClassStats{Total: 10, Answered: 8, Correct: 6}
 	if s.Accuracy() != 0.6 || s.Precision() != 0.75 {
@@ -340,6 +324,21 @@ func TestRankingWeightsMatter(t *testing.T) {
 		if flatRep.Overall.Correct > defRep.Overall.Correct {
 			t.Errorf("%s: flat weights (%d) beat default (%d)",
 				name, flatRep.Overall.Correct, defRep.Overall.Correct)
+		}
+	}
+}
+
+// TestAmbiguityRanksGoldFirst: in every domain the ranker puts some
+// question's gold reading first (T3's top-1 column), and the counts nest.
+func TestAmbiguityRanksGoldFirst(t *testing.T) {
+	for _, name := range dataset.Names() {
+		e, db := fullEngine(t, name)
+		rep, err := EvaluateAmbiguity(e, db, Corpus(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Top1 == 0 || rep.Top1 > rep.Top3 || rep.Top3 > rep.Parsed {
+			t.Errorf("%s: top-1 %d, top-3 %d of %d parsed", name, rep.Top1, rep.Top3, rep.Parsed)
 		}
 	}
 }
@@ -423,5 +422,55 @@ func TestGoldResultHelper(t *testing.T) {
 	bad.Gold = "not sql"
 	if _, err := GoldResult(db, bad); err == nil {
 		t.Error("bad gold should error")
+	}
+}
+
+// TestOneSpeedHarness pins that this package and cmd/nlibench score
+// answers and never time them: speed is the question benchmark's
+// (benchmark/), and every former timing bar is a Go test next to the
+// code it gates. No non-test file of either imports a clock, the
+// runtime or an HTTP stack, and nlibench's experiment table names the
+// accuracy tables T1–T6 and the coverage curve F3 alone.
+func TestOneSpeedHarness(t *testing.T) {
+	banned := map[string]bool{`"time"`: true, `"runtime"`: true, `"net/http"`: true, `"net/http/httptest"`: true}
+	allowed := map[string]bool{`"T1"`: true, `"T2"`: true, `"T3"`: true, `"T4"`: true, `"T5"`: true, `"T6"`: true, `"F3"`: true}
+	fset := token.NewFileSet()
+	experiments := 0
+	for _, dir := range []string{".", "../../cmd/nlibench"} {
+		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
+			return !strings.HasSuffix(fi.Name(), "_test.go")
+		}, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pkg := range pkgs {
+			for _, f := range pkg.Files {
+				for _, imp := range f.Imports {
+					if banned[imp.Path.Value] {
+						t.Errorf("%s: imports %s", fset.Position(imp.Pos()), imp.Path.Value)
+					}
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					lit, ok := n.(*ast.CompositeLit)
+					if !ok || dir == "." {
+						return true
+					}
+					if _, ok := lit.Type.(*ast.MapType); !ok {
+						return true
+					}
+					for _, elt := range lit.Elts {
+						experiments++
+						key := elt.(*ast.KeyValueExpr).Key
+						if id, ok := key.(*ast.BasicLit); !ok || !allowed[id.Value] {
+							t.Errorf("%s: nlibench names experiment %s", fset.Position(key.Pos()), types.ExprString(key))
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if experiments != len(allowed) {
+		t.Errorf("nlibench's experiment table has %d entries, want the %d of T1–T6 and F3", experiments, len(allowed))
 	}
 }

@@ -32,9 +32,9 @@ func ByName(name string, scale int) (*store.DB, error) {
 	case "sales":
 		return Sales(scale), nil
 	case "events":
-		// The F11 telemetry log; scale is in units of 100K rows. Not in
-		// Names() because it has no NL benchmark corpus — it exists for
-		// the storage experiments.
+		// The telemetry event log; scale is in units of 100K rows. Not
+		// in Names() because it has no NL benchmark corpus — it exists
+		// for the storage tests.
 		return Events(mustPositive(scale) * 100_000), nil
 	}
 	return nil, fmt.Errorf("dataset: unknown dataset %q (have %v)", name, Names())

@@ -214,9 +214,9 @@ func TestScaledDatabasesStayConsistent(t *testing.T) {
 	}
 }
 
-// TestEventsDeterministic pins the F11 telemetry generator: exact row
-// count, byte-identical regeneration, monotonic clustered timestamps,
-// and the cardinalities its encodings rely on.
+// TestEventsDeterministic pins the Events telemetry generator: exact
+// row count, byte-identical regeneration, monotonic clustered
+// timestamps, and the cardinalities its encodings rely on.
 func TestEventsDeterministic(t *testing.T) {
 	const n = 20_000
 	a, b := Events(n), Events(n)

@@ -7,11 +7,12 @@ import (
 	"repro/internal/store"
 )
 
-// EventsSchema returns the single-table telemetry schema of the
-// compressed-segment experiment (F11): a wide append-only event log
-// whose columns exhibit the distributions segment encodings target —
-// a clustered monotonic timestamp (zone maps + RLE), low-cardinality
-// strings (dictionary), narrow ints (FOR), and a float measure.
+// EventsSchema returns the single-table telemetry schema the segment
+// tests and benchmarks read (TestClusteredScanSpeedup among them): a
+// wide append-only event log whose columns exhibit the distributions
+// segment encodings target — a clustered monotonic timestamp (zone
+// maps + RLE), low-cardinality strings (dictionary), narrow ints (FOR),
+// and a float measure.
 func EventsSchema() *schema.Schema {
 	return schema.MustNew("events", []*schema.Table{
 		{
@@ -33,7 +34,7 @@ func EventsSchema() *schema.Schema {
 
 // eventLevels is weighted toward the quiet end, like real logs: the
 // selective values ("error", "fatal") are rare, so predicates on them
-// are the selective probes F11 measures.
+// are selective probes.
 var eventLevels = []string{
 	"debug", "debug", "debug", "info", "info", "info", "info",
 	"warn", "warn", "error",

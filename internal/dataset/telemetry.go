@@ -13,8 +13,8 @@ import (
 const TelemetryDevices = 4096
 
 // TelemetrySchema is the two-table telemetry schema the ask_scan
-// workload and the exchange join tests read: the F11 event log joined
-// to a device dimension through a foreign key on device_id.
+// workload and the exchange join tests read: the Events log joined to
+// a device dimension through a foreign key on device_id.
 func TelemetrySchema() *schema.Schema {
 	return schema.MustNew("telemetry", []*schema.Table{
 		{

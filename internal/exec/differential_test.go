@@ -249,9 +249,23 @@ func TestNullLiteralComparisons(t *testing.T) {
 // TestDifferentialScaled repeats the corpus differential at scale 2
 // now that no table has an index: key equalities and ranges are plain
 // scan filters, over 64-row segments so zone maps skip most of each
-// table, serially and at four workers.
+// table, serially and at four workers. At scale 4 it adds a
+// scan-filter-aggregate, a 4-table filtered join, an aggregate over a
+// 3-table join and a DISTINCT projection compared in its ORDER BY.
 func TestDifferentialScaled(t *testing.T) {
 	corpusDifferential(t, "university", 2, 64, diffOpts{pars: []int{1, 4}})
+	sn := dataset.University(4).Snapshot()
+	for _, q := range []string{
+		"SELECT AVG(gpa), COUNT(*) FROM students WHERE gpa > 2.5",
+		"SELECT s.name, c.title FROM students s, enrollments e, courses c, departments d " +
+			"WHERE e.student_id = s.id AND e.course_id = c.course_id AND c.dept_id = d.dept_id " +
+			"AND d.name = 'Computer Science' AND s.gpa > 3.7",
+		"SELECT d.name, COUNT(*) FROM students s, enrollments e, departments d " +
+			"WHERE e.student_id = s.id AND s.dept_id = d.dept_id AND s.gpa > 3.5 GROUP BY d.name",
+		"SELECT DISTINCT year, dept_id FROM students ORDER BY year, dept_id",
+	} {
+		differential(t, sn, q, diffOpts{pars: []int{1, 4}, ordered: strings.Contains(q, "ORDER BY")})
+	}
 }
 
 // TestOneDifferentialOracle pins that every executor differential here
@@ -259,8 +273,8 @@ func TestDifferentialScaled(t *testing.T) {
 // replaced — sameBag's rounded floats, the kind-blind rowsIdentical and
 // sameRows, sameTyped, rowsBitIdentical and its floatBits — is declared
 // or named again in a test file of this package, and none calls
-// bench.SameResult or bench.RowsEqual, whose kind-blind execution match
-// is nlibench's.
+// bench.SameResult or the deleted bench.RowsEqual, whose kind-blind
+// execution match is the accuracy tables'.
 func TestOneDifferentialOracle(t *testing.T) {
 	banned := map[string]bool{"sameBag": true, "sameRows": true, "rowsIdentical": true,
 		"sameTyped": true, "rowsBitIdentical": true, "floatBits": true}

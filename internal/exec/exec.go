@@ -146,7 +146,7 @@ func newExecutor(sn *store.Snapshot, o RunOpts) *executor {
 //
 //   - context.Background(), context.TODO(), and any other context whose
 //     Done() returns nil keep the executor's signal nil — the unserved
-//     paths (tests, benchmarks, nlibench) pay zero cancellation
+//     paths (tests, benchmarks, the accuracy harness) pay zero cancellation
 //     overhead, because plan's checkpoint wrapper (Ctx.checkpoint)
 //     returns iterators unchanged when Done is nil;
 //   - any context with a Done channel — cancelable, deadline-bearing,

@@ -33,9 +33,9 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 	}
 }
 
-// TestParallelJoinHeavyRowForRow pins the F5/F6 benchmark queries —
-// the ones the parallel speedup is claimed on — to exact serial
-// equality at every worker degree.
+// TestParallelJoinHeavyRowForRow pins BenchmarkF5JoinHeavy's join
+// queries and a grouped AVG to exact serial equality at every worker
+// degree.
 func TestParallelJoinHeavyRowForRow(t *testing.T) {
 	sn := dataset.University(4).Snapshot()
 	for _, q := range []string{

@@ -243,27 +243,26 @@ func TestPartialAggregateExtrema(t *testing.T) {
 	}
 }
 
-// TestScanBytesFollowGroups: what a COUNT question allocates inside
-// the executor is its per-morsel pipelines and group tables, not its
-// rows. The four COUNT shapes of ask_scan, run over 2^15 and over 2^17
-// events at two workers, may differ by a tenth in bytes per run for
-// four times the rows — plus 16 KiB, one worker's scratch: whether the
-// second worker claims a morsel of the short run before the first has
-// drained them all is the scheduler's call. A selection copy alone
-// would be 4 B a kept row, some 200 KiB more over the larger table.
+// TestScanBytesFollowGroups: what an ask_scan question allocates
+// inside the executor is its per-morsel pipelines and group tables, not
+// its rows. All six shapes fold per morsel — the two AVG shapes' exact
+// sums merge, and the join's probe writes its build columns into
+// scratch — so each, run over 2^15 and over 2^17 events at two workers,
+// may differ by a tenth in bytes per run for four times the rows — plus
+// 16 KiB, one worker's scratch: whether the second worker claims a
+// morsel of the short run before the first has drained them all is the
+// scheduler's call. A selection copy alone would be 4 B a kept row,
+// some 200 KiB more over the larger table.
 func TestScanBytesFollowGroups(t *testing.T) {
-	skipAVG := func(name, sql string, p *plan.Plan) bool {
-		if strings.Contains(sql, "AVG") {
-			return false
-		}
+	perMorselOnly := func(name, _ string, p *plan.Plan) bool {
 		if !strings.Contains(p.Explain(), perMorsel) {
 			t.Fatalf("%s does not fold per morsel:\n%s", name, p.Explain())
 		}
 		return true
 	}
-	small, large := scanBytesPerRun(t, 1<<15, skipAVG), scanBytesPerRun(t, 1<<17, skipAVG)
-	if len(small) != 4 {
-		t.Fatalf("want the four COUNT shapes, got %v", small)
+	small, large := scanBytesPerRun(t, 1<<15, perMorselOnly), scanBytesPerRun(t, 1<<17, perMorselOnly)
+	if len(small) != 6 {
+		t.Fatalf("want the six ask_scan shapes, got %v", small)
 	}
 	for name, s := range small {
 		if l := large[name]; l > 1.10*s+16<<10 {

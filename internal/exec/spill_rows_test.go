@@ -2,6 +2,7 @@ package exec_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
@@ -11,28 +12,47 @@ import (
 )
 
 // TestRowsAfterEvictAll: under a spill-enabled store a sealed segment
-// is a table's only copy of its rows, so the readers that decode whole
-// tables — the reference executor's row materializer and the CSV
+// is a table's only copy of its rows, so every reader — the reference
+// executor's row materializer, the engine at par 1 and 4, and the CSV
 // writer — must fault evicted payloads back in and give exactly the
-// rows they gave while every payload was resident.
+// rows it gave while every payload was resident. The cache holds an
+// eighth of the segments' bytes, and every read starts cold.
 func TestRowsAfterEvictAll(t *testing.T) {
-	db := dataset.Telemetry(6000)
+	const n = 6000
+	db := dataset.Telemetry(n)
 	db.Table("events").SetSegmentRows(512)
 	queries := []string{
 		"SELECT * FROM events WHERE status = 503",
 		"SELECT events.event_id, devices.region FROM events, devices WHERE events.device_id = devices.device_id AND events.level = 'error'",
 		"SELECT service, COUNT(*), AVG(latency_ms) FROM events GROUP BY service",
+		"SELECT COUNT(*), AVG(latency_ms) FROM events",
+		fmt.Sprintf("SELECT COUNT(*) FROM events WHERE ts BETWEEN %d AND %d", tsAt(n, 0.49), tsAt(n, 0.51)),
+		"SELECT service, COUNT(*) FROM events WHERE level = 'error' GROUP BY service ORDER BY service",
+	}
+	pars := []int{0, 1, 4} // 0 is the reference executor
+	evict := func() {
+		if c := db.SegCache(); c != nil {
+			c.EvictAll()
+		}
 	}
 	read := func() ([]*exec.Result, []byte) {
 		sn := db.Snapshot()
 		var res []*exec.Result
 		for _, q := range queries {
-			r, err := exec.ReferenceQueryAt(sn, sql.MustParse(q))
-			if err != nil {
-				t.Fatalf("%s: %v", q, err)
+			stmt := sql.MustParse(q)
+			for _, par := range pars {
+				evict()
+				r, err := exec.ReferenceQueryAt(sn, stmt)
+				if par > 0 {
+					r, err = compileRun(sn, stmt, par, exec.RunOpts{})
+				}
+				if err != nil {
+					t.Fatalf("par=%d: %s: %v", par, q, err)
+				}
+				res = append(res, r)
 			}
-			res = append(res, r)
 		}
+		evict()
 		var csv bytes.Buffer
 		if err := db.Table("events").WriteCSV(&csv); err != nil {
 			t.Fatal(err)
@@ -41,19 +61,17 @@ func TestRowsAfterEvictAll(t *testing.T) {
 	}
 
 	wantRes, wantCSV := read()
-	if err := db.EnableSpill(t.TempDir(), 1<<30); err != nil {
+	if err := db.EnableSpill(t.TempDir(), int64(db.Snapshot().Table("events").Segments().Bytes())/8); err != nil {
 		t.Fatal(err)
 	}
 	db.Snapshot().Table("events").Segments() // adopt: every sealed segment spills
-	c := db.SegCache()
-	c.EvictAll()
 	gotRes, gotCSV := read()
-	if st := c.Stats(); st.Misses == 0 || st.FaultErrs != 0 {
+	if st := db.SegCache().Stats(); st.Misses == 0 || st.FaultErrs != 0 {
 		t.Fatalf("reads after EvictAll faulted %d segments in (%d errors)", st.Misses, st.FaultErrs)
 	}
-	for i, q := range queries {
+	for i := range gotRes {
 		if err := sameResult(gotRes[i], wantRes[i], true); err != nil {
-			t.Errorf("%s: after EvictAll: %v", q, err)
+			t.Errorf("par=%d: %s: after EvictAll: %v", pars[i%len(pars)], queries[i/len(pars)], err)
 		}
 	}
 	if !bytes.Equal(gotCSV, wantCSV) {

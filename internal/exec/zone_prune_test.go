@@ -59,32 +59,39 @@ func TestZoneSkipUnderExchange(t *testing.T) {
 }
 
 // TestZoneSkipZeroSegIO pins the zone-map I/O contract on a
-// spill-enabled, ts-clustered log: a ts < X probe must skip every
-// segment whose zone map starts at or past X from resident zone maps
-// alone — after evicting all segments to disk, the counted run may
-// fault back at most the bytes of the segments zone maps keep, serially
-// and under an exchange.
+// ts-clustered log spilled behind a cache an eighth of its segment
+// bytes: after evicting every segment, a counted cold run at par 1 and
+// 4 must equal the reference run over the resident segments row for
+// row, and at par 1 fault exactly the segments it decodes. The ts < X
+// probe must skip every segment whose zone map starts at or past X and
+// fault back at most the bytes of those it keeps, the ~2% ts window
+// must skip some segments and fault fewer than the table holds, and a
+// full scan and a grouped filter ride along.
 func TestZoneSkipZeroSegIO(t *testing.T) {
 	const n = 16_384
 	db := dataset.Telemetry(n)
 	db.Table("events").SetSegmentRows(512)
-	if err := db.EnableSpill(t.TempDir(), 64<<20); err != nil {
-		t.Fatal(err)
-	}
 	sn := db.Snapshot()
-	tab := sn.Table("events")
-	ss := tab.Segments() // build + adopt: every sealed segment spills
+	ss := sn.Table("events").Segments()
 
 	bound := tsAt(n, 0.125)
-	stmt := sql.MustParse(fmt.Sprintf(
-		"SELECT COUNT(*), MIN(status), MAX(status) FROM events WHERE ts < %d", bound))
-	// Baseline before any eviction: every payload is resident, so no
-	// fault can reach it.
-	want, err := exec.ReferenceQueryAt(sn, stmt)
-	if err != nil {
-		t.Fatal(err)
+	window := fmt.Sprintf("SELECT COUNT(*) FROM events WHERE ts BETWEEN %d AND %d", tsAt(n, 0.49), tsAt(n, 0.51))
+	probes := []string{
+		fmt.Sprintf("SELECT COUNT(*), MIN(status), MAX(status) FROM events WHERE ts < %d", bound),
+		window,
+		"SELECT COUNT(*), AVG(latency_ms) FROM events",
+		"SELECT service, COUNT(*) FROM events WHERE level = 'error' GROUP BY service ORDER BY service",
 	}
-	tsCol := tab.ColIndex("ts")
+	// Baselines before spill: every payload is resident, so no fault can
+	// reach them.
+	want := make([]*exec.Result, len(probes))
+	for i, q := range probes {
+		var err error
+		if want[i], err = exec.ReferenceQueryAt(sn, sql.MustParse(q)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tsCol := sn.Table("events").ColIndex("ts")
 	var kept int64
 	keptSegs := 0
 	for _, seg := range ss.Segs {
@@ -97,34 +104,49 @@ func TestZoneSkipZeroSegIO(t *testing.T) {
 		t.Fatalf("probe keeps %d of %d segments — the I/O bound below is vacuous", keptSegs, len(ss.Segs))
 	}
 
-	for _, par := range []int{1, 4} {
-		p, err := exec.Compile(sn, stmt, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		db.SegCache().EvictAll()
-		before := db.SegCache().Stats()
-		var segc store.SegCounters
-		got, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Par: par, SegC: &segc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		after := db.SegCache().Stats()
+	if err := db.EnableSpill(t.TempDir(), int64(ss.Bytes())/8); err != nil {
+		t.Fatal(err)
+	}
+	sn = db.Snapshot()
+	sn.Table("events").Segments() // adopt: every sealed segment spills
+	c := db.SegCache()
+	for i, q := range probes {
+		for _, par := range []int{1, 4} {
+			c.EvictAll()
+			before := c.Stats()
+			var segc store.SegCounters
+			got, err := compileRun(sn, sql.MustParse(q), par, exec.RunOpts{SegC: &segc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := c.Stats()
+			faults, faulted := after.Misses-before.Misses, after.FaultBytes-before.FaultBytes
+			scanned, skipped := segc.Scanned.Load(), segc.Skipped.Load()
 
-		if err := sameResult(got, want, true); err != nil {
-			t.Errorf("par=%d: skipping run vs reference baseline: %v", par, err)
-		}
-		if skipped := segc.Skipped.Load(); skipped != int64(len(ss.Segs)-keptSegs) {
-			t.Errorf("par=%d: skipped %d segments, want %d (scanned %d)",
-				par, skipped, len(ss.Segs)-keptSegs, segc.Scanned.Load())
-		}
-		faulted := after.FaultBytes - before.FaultBytes
-		if faulted == 0 {
-			t.Fatalf("par=%d: probe faulted nothing — segments never reached the spill cache, the I/O bound below is vacuous", par)
-		}
-		if faulted > kept {
-			t.Errorf("par=%d: faulted %d bytes but the kept segments hold only %d — skipped segments did segment I/O",
-				par, faulted, kept)
+			if err := sameResult(got, want[i], true); err != nil {
+				t.Errorf("par=%d: cold run vs resident reference: %v\nsql: %s", par, err, q)
+			}
+			if faults == 0 {
+				t.Fatalf("par=%d: probe faulted nothing — segments never reached the spill cache\nsql: %s", par, q)
+			}
+			if par == 1 && faults != scanned {
+				t.Errorf("par=1: %d faults for %d decoded segments — a skipped segment did segment I/O\nsql: %s", faults, scanned, q)
+			}
+			switch q {
+			case probes[0]:
+				if skipped != int64(len(ss.Segs)-keptSegs) {
+					t.Errorf("par=%d: skipped %d segments, want %d (scanned %d)", par, skipped, len(ss.Segs)-keptSegs, scanned)
+				}
+				if faulted > kept {
+					t.Errorf("par=%d: faulted %d bytes but the kept segments hold only %d — skipped segments did segment I/O",
+						par, faulted, kept)
+				}
+			case window:
+				if skipped == 0 || faults >= int64(len(ss.Segs)) {
+					t.Errorf("par=%d: the window skipped %d segments and faulted %d of %d — zone maps saved no I/O",
+						par, skipped, faults, len(ss.Segs))
+				}
+			}
 		}
 	}
 }

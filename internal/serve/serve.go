@@ -489,19 +489,3 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Stats() (liveSessions int, evictedSessions uint64) {
 	return s.sessions.stats()
 }
-
-// Saturate occupies the server's entire admission capacity until the
-// returned release function is called. Load harnesses (the F10
-// overload scenario, the backpressure tests) use it to make contention
-// deterministic: on a machine where real queries finish inside one
-// scheduler quantum, concurrent requests never actually overlap, so
-// the admission ladder would never engage on its own. It fails if any
-// capacity is already held.
-func (s *Server) Saturate() (release func(), err error) {
-	n := int64(s.cfg.Capacity)
-	if !s.adm.sem.tryAcquire(n) {
-		return nil, errors.New("serve: cannot saturate a busy server")
-	}
-	var once sync.Once
-	return func() { once.Do(func() { s.adm.sem.release(n) }) }, nil
-}

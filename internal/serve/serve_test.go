@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -293,16 +294,98 @@ func TestOverloadRejectsWith429(t *testing.T) {
 	t.Logf("overload: %d served, %d rejected", ok, rejected)
 }
 
+// saturate holds the server's whole admission capacity until the
+// returned release is called. On a machine where queries finish inside
+// one scheduler quantum, concurrent requests never overlap on their
+// own, so the admission ladder would never engage.
+func saturate(t testing.TB, s *Server) (release func()) {
+	t.Helper()
+	n := int64(s.cfg.Capacity)
+	if !s.adm.sem.tryAcquire(n) {
+		t.Fatal("cannot saturate a busy server")
+	}
+	var once sync.Once
+	return func() { once.Do(func() { s.adm.sem.release(n) }) }
+}
+
+// TestOverloadBurstMeetsDeadline is the serving layer's overload bar.
+// Eight clients per unit of capacity ask 32 questions each through the
+// handler while the capacity is held for the first 50 ms, backing off
+// 20 ms after a 429. Every request must end 200 or 429, with at least
+// one of each; the slowest admitted request must finish inside the 1 s
+// deadline; and after shutdown at most two goroutines may outlive the
+// run. It times requests, so it skips under -short: CI runs it alone,
+// never under the race detector.
+func TestOverloadBurstMeetsDeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("wall-clock bar: runs without -short")
+	}
+	const deadline = time.Second
+	opts := core.DefaultOptions()
+	opts.Parallelism = max(opts.Parallelism, 2) // the ladder needs a degree to shed from
+	eng := core.NewEngine(dataset.University(2), opts)
+	before := runtime.NumGoroutine()
+	s := New(eng, Config{DefaultDeadline: deadline, Capacity: opts.Parallelism,
+		MaxQueue: opts.Parallelism, MaxQueueWait: 10 * time.Millisecond})
+	hold := time.AfterFunc(50*time.Millisecond, saturate(t, s))
+	defer hold.Stop()
+
+	var mu sync.Mutex
+	var served, rejected int
+	var slowest time.Duration
+	var wg sync.WaitGroup
+	for c := 0; c < 8*opts.Parallelism; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 32; i++ {
+				body := fmt.Sprintf(`{"question": "students with gpa over %.1f", "session": "burst-%d"}`, 2.1+0.2*float64(i%10), c)
+				start := time.Now()
+				code := post(s, "/api/ask", body).Code
+				d := time.Since(start)
+				mu.Lock()
+				switch code {
+				case http.StatusOK:
+					served++
+					slowest = max(slowest, d)
+				case http.StatusTooManyRequests:
+					rejected++
+				default:
+					t.Errorf("client %d ask %d: status %d, want 200 or 429", c, i, code)
+				}
+				mu.Unlock()
+				if code == http.StatusTooManyRequests {
+					time.Sleep(20 * time.Millisecond) // a well-behaved client backs off
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	growth := runtime.NumGoroutine() - before
+	for end := time.Now().Add(2 * time.Second); growth > 2 && time.Now().Before(end); {
+		time.Sleep(20 * time.Millisecond)
+		growth = runtime.NumGoroutine() - before
+	}
+
+	if served == 0 || rejected == 0 || slowest >= deadline || growth > 2 {
+		t.Errorf("%d served, %d rejected, slowest admitted %v, %d goroutines left: want both statuses, < %v and <= 2",
+			served, rejected, slowest, growth, deadline)
+	} else {
+		t.Logf("%d served, %d rejected, slowest admitted %v, %d goroutines left", served, rejected, slowest, growth)
+	}
+}
+
 // TestRetryAfterHeader: a real 429 from the handler carries a
 // Retry-After derived from the admission queue's wait bound — at least
 // the 1-second floor, and consistent with retryAfter()'s estimate.
 func TestRetryAfterHeader(t *testing.T) {
 	s := newTestServer(t, Config{MaxQueueWait: time.Millisecond, MaxQueue: -1})
-	release, err := s.Saturate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
+	defer saturate(t, s)()
 
 	w := post(s, "/api/ask", `{"question": "how many students"}`)
 	if w.Code != http.StatusTooManyRequests {

@@ -155,7 +155,7 @@ func TestTTLReplacesExpiredSessionOnTouch(t *testing.T) {
 
 // TestServeNoGoroutineLeak: a served burst (including canceled and
 // rejected requests) leaves no goroutines behind once the server
-// shuts down — the serving layer's half of the F10 leak bar.
+// shuts down, as TestOverloadBurstMeetsDeadline also requires.
 func TestServeNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(parEngine(t), Config{Capacity: 2, MaxQueue: 2, MaxQueueWait: 5 * time.Millisecond,
