@@ -249,12 +249,13 @@ func TestNullLiteralComparisons(t *testing.T) {
 // TestDifferentialScaled repeats the corpus differential at scale 2
 // now that no table has an index: key equalities and ranges are plain
 // scan filters, over 64-row segments so zone maps skip most of each
-// table, serially and at four workers. At scale 4 it adds a
+// table, serially and at four workers. At scale 10, where every input
+// fills more than a batch and so runs under an exchange, it adds a
 // scan-filter-aggregate, a 4-table filtered join, an aggregate over a
 // 3-table join and a DISTINCT projection compared in its ORDER BY.
 func TestDifferentialScaled(t *testing.T) {
 	corpusDifferential(t, "university", 2, 64, diffOpts{pars: []int{1, 4}})
-	sn := dataset.University(4).Snapshot()
+	sn := dataset.University(10).Snapshot()
 	for _, q := range []string{
 		"SELECT AVG(gpa), COUNT(*) FROM students WHERE gpa > 2.5",
 		"SELECT s.name, c.title FROM students s, enrollments e, courses c, departments d " +

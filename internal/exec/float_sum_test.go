@@ -61,8 +61,8 @@ func (s *floatSum) value() float64 {
 // exact sum rounded once — AVG that sum divided by the count — grouped
 // and not, in the reference executor and at parallelism 1, 2 and 4,
 // where the sum folds per morsel and the partials merge. The tables
-// are long enough for an exchange and cut into 8-row segments, so
-// morsels are many and short.
+// fill more than one batch, so the plan gets an exchange, and are cut
+// into 8-row segments, so morsels are many and short.
 func TestFloatSumExactProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	s := schema.MustNew("floatsum", []*schema.Table{{Name: "t", Columns: []schema.Column{
@@ -86,7 +86,7 @@ func TestFloatSumExactProperty(t *testing.T) {
 			return store.Float(r.NormFloat64() * 1000)
 		}
 		db := store.NewDB(s)
-		rows := make([]store.Row, 300+r.Intn(300))
+		rows := make([]store.Row, 1100+r.Intn(1100))
 		groups := map[int64]*floatSum{}
 		total := &floatSum{sum: new(big.Float).SetPrec(2200)}
 		for i := range rows {

@@ -38,7 +38,8 @@ var rowPathFloats = []store.Value{
 	store.Float(math.Copysign(0, -1)), store.Float(2.5), store.Float(-1), store.Float(1.5),
 }
 
-// rowPathDB builds t (300 rows over 64-row segments) and u (40 rows,
+// rowPathDB builds t (1,200 rows over 64-row segments, more than one
+// batch, so its pipelines run under an exchange) and u (40 rows,
 // NULL keys, LIKE patterns in w and keys shared with t) under one
 // layout.
 func rowPathDB(t *testing.T, l rowPathLayout) *store.DB {
@@ -55,7 +56,7 @@ func rowPathDB(t *testing.T, l rowPathLayout) *store.DB {
 		}},
 	}, nil)
 	db := store.NewDB(s)
-	trows := make([]store.Row, 300)
+	trows := make([]store.Row, 1200)
 	for i := range trows {
 		n := store.Int(int64(i % 5))
 		if i%6 == 0 {
@@ -159,7 +160,7 @@ var rowPathCorpus = []rowPathCase{
 	{"SELECT a.g, b.w FROM t a, u b WHERE a.id < 3", false, false},
 	{"SELECT COUNT(*), SUM(t.n), MIN(u.w) FROM t, u", true, false},
 	{"SELECT t.id, u.id FROM t, u WHERE t.n = 1 AND u.k = 2 ORDER BY t.id, u.id", true, false},
-	{"SELECT COUNT(*) FROM t a, t b, t c", true, true},
+	{"SELECT COUNT(*) FROM t a, u b, t c", true, true},
 
 	// Cross-kind comparisons, NOT over an int, LIKE with a column
 	// pattern.

@@ -14,15 +14,19 @@ import (
 // TestParallelDifferentialCorpus runs every gold query of the full
 // benchmark corpus serially and at several degrees: parallel must
 // match serial row for row (exchange merge preserves order) and the
-// reference as a bag (join reordering may permute rows). The
-// university domain runs at scale 4 so probe sides clear the
-// parallelization threshold and the exchange paths actually execute.
+// reference as a bag (join reordering may permute rows). University
+// runs at scale 10 (1,200 students) and sales at scale 3 (about 1,300
+// order items), so their largest tables fill more than one batch and
+// the exchange paths actually execute.
 func TestParallelDifferentialCorpus(t *testing.T) {
 	exchanges := 0
 	for _, domain := range dataset.Names() {
 		scale := 1
-		if domain == "university" {
-			scale = 4
+		switch domain {
+		case "university":
+			scale = 10
+		case "sales":
+			scale = 3
 		}
 		for _, r := range corpusDifferential(t, domain, scale, 0, diffOpts{pars: []int{1, 2, 4, 8}}) {
 			exchanges += r.plan.OperatorCounts()["exchange"]
@@ -35,9 +39,10 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 
 // TestParallelJoinHeavyRowForRow pins BenchmarkF5JoinHeavy's join
 // queries and a grouped AVG to exact serial equality at every worker
-// degree.
+// degree, over 1,200 students so that each of them runs under an
+// exchange.
 func TestParallelJoinHeavyRowForRow(t *testing.T) {
-	sn := dataset.University(4).Snapshot()
+	sn := dataset.University(10).Snapshot()
 	for _, q := range []string{
 		"SELECT s.name, c.title FROM students s, enrollments e, courses c, departments d " +
 			"WHERE e.student_id = s.id AND e.course_id = c.course_id AND c.dept_id = d.dept_id " +
@@ -110,8 +115,9 @@ func TestParallelExplain(t *testing.T) {
 // TestParallelSkipsStreamingLimit: a LIMIT without ORDER BY stops
 // reading early in the serial pipeline; parallelizing it would
 // materialize every worker's output first, so the rewrite declines.
+// 1,200 students fill more than a batch, so only the LIMIT decides.
 func TestParallelSkipsStreamingLimit(t *testing.T) {
-	db := dataset.University(4)
+	db := dataset.University(10)
 	limited, err := exec.Compile(db.Snapshot(), sql.MustParse("SELECT name FROM students LIMIT 3"), 4)
 	if err != nil {
 		t.Fatal(err)

@@ -18,10 +18,21 @@ import (
 // identical results to the one-shot path, serially and at parallel
 // degree 4. This is the prepared layer's end-to-end safety net:
 // parameter lifting, slot-based zone-map skips and template reuse must
-// never change results.
+// never change results. At scale 1 no table fills a batch, so degree 4
+// binds serial plans; university and sales run again at the scales
+// TestParallelDifferentialCorpus uses, where templates carry
+// exchanges.
 func TestPreparedCorpusDifferential(t *testing.T) {
+	o := diffOpts{pars: []int{1, 4}, prepared: true}
 	for _, domain := range dataset.Names() {
-		corpusDifferential(t, domain, 1, 0, diffOpts{pars: []int{1, 4}, prepared: true})
+		corpusDifferential(t, domain, 1, 0, o)
+	}
+	exchanges := 0
+	for _, r := range append(corpusDifferential(t, "university", 10, 0, o), corpusDifferential(t, "sales", 3, 0, o)...) {
+		exchanges += r.plan.OperatorCounts()["exchange"]
+	}
+	if exchanges == 0 {
+		t.Fatal("no scaled template got an exchange operator")
 	}
 }
 

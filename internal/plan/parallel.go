@@ -5,11 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// minParallelRows is the smallest estimated operator cardinality
-// anywhere in the pipeline for which inserting an Exchange pays for
-// its worker pool and merge; cheaper pipelines run serially.
-const minParallelRows = 256
-
 // Exchange runs its subtree on a bounded pool of Workers goroutines.
 // Each worker repeatedly claims a morsel (a contiguous row range) of
 // the leaf scan's table, runs its own copy of the subtree's iterators
@@ -32,10 +27,11 @@ func (e *Exchange) Children() []Node { return []Node{e.In} }
 // degree par: an Exchange goes over the streaming pipeline segment (the
 // operators between the projection boundary and the leaves), splitting
 // the probe-side leftmost base scan into morsels, and the plan is marked
-// so Run sizes its worker pool. par <= 1, tiny inputs, and plans whose
-// LIMIT streams without a Sort (where early exit beats parallel
-// materialization) are returned unchanged — ablation runs with
-// Parallelism 1 therefore execute exactly today's serial plans.
+// so Run sizes its worker pool. par <= 1, pipelines that fill no batch
+// (see pipelineWork), and plans whose LIMIT streams without a Sort
+// (where early exit beats parallel materialization) are returned
+// unchanged — ablation runs with Parallelism 1 therefore execute
+// exactly today's serial plans.
 func Parallelize(p *Plan, par int) *Plan {
 	if par <= 1 || p.Par > 1 {
 		return p
@@ -69,7 +65,7 @@ walk:
 		// regardless of LIMIT): workers produce partial streams, or fold
 		// them into per-morsel group tables when every aggregate merges
 		// exactly (Aggregate.vopen).
-		if pipelineWork(n.In) >= minParallelRows {
+		if pipelineWork(n.In) >= maxBatch {
 			if leaf := partitionLeaf(n.In); leaf != nil {
 				n.In = &Exchange{In: n.In, Workers: par, part: leaf}
 				p.Par = par
@@ -84,7 +80,7 @@ walk:
 		}
 		// The exchange goes above the projection so item evaluation
 		// parallelizes too; output rows merge in morsel order.
-		if pipelineWork(n.In) >= minParallelRows {
+		if pipelineWork(n.In) >= maxBatch {
 			if leaf := partitionLeaf(n.In); leaf != nil {
 				attach(&Exchange{In: n, Workers: par, part: leaf})
 				p.Par = par
@@ -95,10 +91,14 @@ walk:
 }
 
 // pipelineWork is the largest estimated operator cardinality in the
-// pipeline subtree — the gate for whether a worker pool pays. The
-// probe-side leaf alone understates work badly: the cost-based join
-// order deliberately starts left-deep trees from the smallest input,
-// so a 24-row scan can drive joins over thousands of build rows.
+// pipeline subtree — the gate for whether a worker pool pays. A
+// pipeline none of whose operators is estimated to fill one batch
+// (maxBatch rows) runs serially: a single batch's work is smaller than
+// starting workers, cutting morsels and compiling a copy of the
+// subtree for each. The probe-side leaf alone understates work badly:
+// the cost-based join order deliberately starts left-deep trees from
+// the smallest input, so a 24-row scan can drive joins over thousands
+// of build rows.
 func pipelineWork(n Node) int {
 	work := 0
 	Walk(n, func(c Node) {
@@ -122,8 +122,9 @@ func pipelineWork(n Node) int {
 
 // partitionLeaf descends the probe side of the pipeline (left children
 // of joins) to the base scan whose rows will be morsel-partitioned.
-// Morsel sizing adapts to the leaf, so even a small probe leaf fans
-// its (potentially expensive) downstream work across the pool.
+// Morsel sizing adapts to the leaf, so a small probe leaf whose joins
+// fill more than a batch still fans that downstream work across the
+// pool.
 func partitionLeaf(n Node) *Scan {
 	switch t := n.(type) {
 	case *Scan:
@@ -186,9 +187,10 @@ func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
 
 // morselSpans cuts the n rows of a leaf into contiguous, ascending
 // morsels, about four per worker for stealing slack, so the in-order
-// merge stays canonical. Morsels adapt to the leaf — a small probe
-// leaf driving heavy joins still splits, its downstream cost dwarfs
-// the per-morsel iterator setup.
+// merge stays canonical. Morsels adapt to the leaf, not to the batch:
+// an exchange is placed only where some operator of the pipeline
+// fills a batch, and a small probe leaf driving such joins still
+// splits, its downstream cost dwarfing the per-morsel iterator setup.
 func morselSpans(n, workers int) [][2]int {
 	target := max(1, (n+workers*4-1)/(workers*4))
 	cuts := (n + target - 1) / target

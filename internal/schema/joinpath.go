@@ -2,7 +2,9 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // JoinCond is one equi-join predicate between two tables.
@@ -27,11 +29,15 @@ type edge struct {
 	from, to string // table names; from is the side we traverse out of
 }
 
-// adjacency builds the undirected FK adjacency list with deterministic
-// neighbor order.
-func (s *Schema) adjacency() map[string][]edge {
+// joinGraph builds the undirected FK adjacency list. Each table's
+// neighbours follow the foreign keys sorted by their String form, so
+// the breadth-first search breaks ties between equally short paths the
+// same way whatever order the schema declared its keys in.
+func joinGraph(fks []ForeignKey) map[string][]edge {
+	sorted := slices.Clone(fks)
+	slices.SortFunc(sorted, func(a, b ForeignKey) int { return strings.Compare(a.String(), b.String()) })
 	adj := make(map[string][]edge)
-	for _, fk := range s.sortedFKs() {
+	for _, fk := range sorted {
 		adj[fk.Table] = append(adj[fk.Table], edge{fk: fk, from: fk.Table, to: fk.RefTable})
 		adj[fk.RefTable] = append(adj[fk.RefTable], edge{fk: fk, from: fk.RefTable, to: fk.Table})
 	}
@@ -46,7 +52,9 @@ func (s *Schema) adjacency() map[string][]edge {
 // interpretation is the one connecting the mentioned entities with the
 // fewest joins.
 //
-// The result is deterministic for a given schema and input order.
+// The result is deterministic for a given schema and input order. The
+// foreign-key graph it searches is built once, by New; a call only
+// walks it.
 // Requesting zero tables yields an empty plan; unknown or unreachable
 // tables yield an error.
 func (s *Schema) JoinPath(tables []string) (JoinPlan, error) {
@@ -68,13 +76,12 @@ func (s *Schema) JoinPath(tables []string) (JoinPlan, error) {
 	}
 	inTree := map[string]bool{terms[0]: true}
 	var conds []JoinCond
-	adj := s.adjacency()
 
 	for _, target := range terms[1:] {
 		if inTree[target] {
 			continue
 		}
-		path, err := s.shortestPathToSet(adj, target, inTree)
+		path, err := s.shortestPathToSet(target, inTree)
 		if err != nil {
 			return plan, err
 		}
@@ -107,7 +114,7 @@ func (s *Schema) JoinPath(tables []string) (JoinPlan, error) {
 // shortestPathToSet finds the shortest FK path from start to any table
 // already in the tree, by breadth-first search with deterministic
 // neighbor order.
-func (s *Schema) shortestPathToSet(adj map[string][]edge, start string, tree map[string]bool) ([]edge, error) {
+func (s *Schema) shortestPathToSet(start string, tree map[string]bool) ([]edge, error) {
 	if tree[start] {
 		return nil, nil
 	}
@@ -122,7 +129,7 @@ func (s *Schema) shortestPathToSet(adj map[string][]edge, start string, tree map
 	for len(queue) > 0 && goal == "" {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, e := range adj[cur] {
+		for _, e := range s.adj[cur] {
 			if visited[e.to] {
 				continue
 			}

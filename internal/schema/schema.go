@@ -8,7 +8,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/strutil"
 )
@@ -108,13 +107,15 @@ func (t *Table) NameColumn() string {
 	return t.Columns[0].Name
 }
 
-// Schema is a set of tables and foreign keys.
+// Schema is a set of tables and foreign keys. It is immutable after
+// New, which also builds the join graph every JoinPath call reads.
 type Schema struct {
 	Name        string
 	Tables      []*Table
 	ForeignKeys []ForeignKey
 
 	byName map[string]*Table
+	adj    map[string][]edge // undirected FK graph, see joinGraph
 }
 
 // New creates a schema and validates it.
@@ -153,6 +154,7 @@ func New(name string, tables []*Table, fks []ForeignKey) (*Schema, error) {
 			return nil, fmt.Errorf("schema %s: foreign key %v references unknown column", name, fk)
 		}
 	}
+	s.adj = joinGraph(fks)
 	return s, nil
 }
 
@@ -198,12 +200,4 @@ func (s *Schema) FindColumns(needle string) []ColumnRef {
 		}
 	}
 	return out
-}
-
-// sortedFKs returns the foreign keys in a deterministic order.
-func (s *Schema) sortedFKs() []ForeignKey {
-	fks := make([]ForeignKey, len(s.ForeignKeys))
-	copy(fks, s.ForeignKeys)
-	sort.Slice(fks, func(i, j int) bool { return fks[i].String() < fks[j].String() })
-	return fks
 }

@@ -371,6 +371,10 @@ func decodeSegCol(r *segReader, n int) (*SegCol, error) {
 	}
 	if hasNulls != 0 {
 		words := (n + 63) / 64
+		if _, err := r.bytesFor(words, 8); err != nil {
+			return nil, err
+		}
+		r.off -= words * 8
 		c.Nuls = make(Bitmap, words)
 		for i := range c.Nuls {
 			if c.Nuls[i], err = r.u64(); err != nil {
@@ -402,6 +406,11 @@ func decodeSegCol(r *segReader, n int) (*SegCol, error) {
 				c.Floats[i] = math.Float64frombits(v)
 			}
 		case KindText:
+			// Each string takes at least its one-byte length.
+			if _, err := r.bytesFor(n, 1); err != nil {
+				return nil, err
+			}
+			r.off -= n
 			c.Strs = make([]string, n)
 			for i := range c.Strs {
 				if c.Strs[i], err = r.str(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/schema"
@@ -228,6 +229,32 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, _, _, err := ReadSegmentFile(filepath.Join(dir, "missing.nlsg")); err == nil {
 		t.Fatal("missing file read succeeded")
+	}
+}
+
+// TestSegmentDecodeBoundsRowCount: a header claiming more rows than
+// the body can hold is refused before the decoder allocates for them,
+// for the null bitmap and for a plain TEXT column's strings alike (a
+// fuzzed header once asked for 12.9 GB of string headers).
+func TestSegmentDecodeBoundsRowCount(t *testing.T) {
+	for _, nuls := range []Bitmap{nil, {0b10}} {
+		col := &SegCol{Kind: KindText, Enc: SegPlain, N: 2, Strs: []string{"a", "b"}, Nuls: nuls}
+		data := EncodeSegment([]*SegCol{col}, 2, true)
+		if _, _, _, err := DecodeSegment(data); err != nil {
+			t.Fatalf("nulls %v: the intact segment: %v", nuls != nil, err)
+		}
+		binary.LittleEndian.PutUint32(data[6:10], 1<<24)
+		data = reseal(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := DecodeSegment(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("nulls %v: 2 rows of data decoded as %d", nuls != nil, 1<<24)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("nulls %v: rejecting the header allocated %d bytes", nuls != nil, got)
+		}
 	}
 }
 
