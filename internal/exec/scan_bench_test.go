@@ -67,11 +67,17 @@ func bindScanTemplate(tb testing.TB, sn *store.Snapshot, q string) (*plan.Plan, 
 // engine's ask path does — template compiled once, plan bound, then
 // Run with parameters and counters at two workers — with everything
 // but the run outside the timed region. B/op is what one question
-// allocates inside the executor: it must follow the rows a question
-// keeps, not the rows it scans, which allocs/op cannot see (an 8 KiB
-// slice per batch is one allocation), so cmd/allocguard bounds both
-// columns. It is also the
-// profiling hook for the scan path:
+// allocates inside the executor in the warm-pool steady state: the
+// untimed first run fills the executor's scratch pool, and from then
+// on each run borrows its operator scratch, scan batch headers and
+// null masks and the join's build table from the pool and hands them
+// back, so a run allocates only what it cannot borrow (its compiled
+// programs, per-morsel group tables, the rows it returns) and, after
+// a collection empties the pool, what it borrows afresh. That must
+// follow the rows a question keeps, not the rows it scans, which
+// allocs/op cannot see (an 8 KiB slice per batch is one allocation),
+// so cmd/allocguard bounds both columns. It is also the profiling
+// hook for the scan path:
 //
 //	go test -run none -bench ScanTemplates/region_join -memprofile mem.out ./internal/exec
 func BenchmarkScanTemplates(b *testing.B) {

@@ -160,6 +160,16 @@ func entityNoun(table string) string {
 	return strings.ReplaceAll(table, "_", " ")
 }
 
+// singularNoun is an entity noun for a count of one: "order items"
+// becomes "order item".
+func singularNoun(ent string) string {
+	head, last := "", ent
+	if i := strings.LastIndexByte(ent, ' '); i >= 0 {
+		head, last = ent[:i+1], ent[i+1:]
+	}
+	return head + lexicon.Singular(last)
+}
+
 func aggNoun(a lexicon.Agg) string {
 	switch a {
 	case lexicon.Avg:
@@ -240,6 +250,9 @@ func Respond(q *iql.Query, res *exec.Result, s *schema.Schema) string {
 			o := q.Outputs[0]
 			switch {
 			case o.CountStar:
+				if n, ok := v.AsFloat(); ok && n == 1 {
+					return fmt.Sprintf("There is 1 matching %s.", singularNoun(ent))
+				}
 				return fmt.Sprintf("There are %s matching %s.", v, ent)
 			case o.Agg != lexicon.NoAgg:
 				return fmt.Sprintf("The %s %s is %s.", aggNoun(o.Agg), colPhrase(o.Field), v)
@@ -257,6 +270,9 @@ func Respond(q *iql.Query, res *exec.Result, s *schema.Schema) string {
 			break
 		}
 		names = append(names, row[0].String())
+	}
+	if len(res.Rows) == 1 {
+		ent = singularNoun(ent)
 	}
 	sentence := fmt.Sprintf("Found %d matching %s: %s", len(res.Rows), ent, strings.Join(names, ", "))
 	if len(res.Rows) > maxListed {

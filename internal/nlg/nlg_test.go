@@ -216,3 +216,37 @@ func TestRespondGroupsTruncates(t *testing.T) {
 		t.Errorf("group value pair missing from %q", r)
 	}
 }
+
+// TestRespondCountAgreement: the noun and verb agree with the count,
+// for a COUNT(*) answer and for a listing.
+func TestRespondCountAgreement(t *testing.T) {
+	s := dataset.UniversitySchema()
+	count := &iql.Query{Entity: "students", Outputs: []iql.Output{{CountStar: true}}}
+	listing := &iql.Query{Entity: "students"}
+	names := []store.Row{
+		{store.Text("Ada"), store.Float(3.9)},
+		{store.Text("Bob"), store.Float(3.7)},
+	}
+	for _, tc := range []struct {
+		n                   int
+		wantCount, wantList string
+	}{
+		{0, "There are 0 matching students.", "No matching students were found."},
+		{1, "There is 1 matching student.", "Found 1 matching student: Ada."},
+		{2, "There are 2 matching students.", "Found 2 matching students: Ada, Bob."},
+	} {
+		res := &exec.Result{Cols: []string{"COUNT(*)"}, Rows: []store.Row{{store.Int(int64(tc.n))}}}
+		if got := Respond(count, res, s); got != tc.wantCount {
+			t.Errorf("count %d: respond = %q, want %q", tc.n, got, tc.wantCount)
+		}
+		res = &exec.Result{Cols: []string{"name", "gpa"}, Rows: names[:tc.n]}
+		if got := Respond(listing, res, s); got != tc.wantList {
+			t.Errorf("listing of %d: respond = %q, want %q", tc.n, got, tc.wantList)
+		}
+	}
+	q := &iql.Query{Entity: "order_items", Outputs: []iql.Output{{CountStar: true}}}
+	res := &exec.Result{Cols: []string{"COUNT(*)"}, Rows: []store.Row{{store.Int(1)}}}
+	if got := Respond(q, res, dataset.SalesSchema()); got != "There is 1 matching order item." {
+		t.Errorf("respond = %q", got)
+	}
+}

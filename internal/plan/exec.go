@@ -51,6 +51,7 @@ type Ctx struct {
 
 	part   *morselRun   // set inside an Exchange worker: the leaf's morsel
 	shared *sharedState // per-run state shared across Exchange workers
+	arena  *runArena    // the run's borrowed working memory: see takeScratch
 	vs     *scratchSet  // set inside an Exchange worker: see takeScratch
 }
 
@@ -59,14 +60,23 @@ type Ctx struct {
 // stops reading its inputs early; only sorts, aggregates, join inputs
 // and exchange merges buffer. A plan rewritten by Parallelize carries
 // its worker degree, picked up here unless the caller pinned ctx.Par
-// explicitly.
+// explicitly. The run's working memory — operator scratch, scan
+// batches, join build tables — is borrowed from a process-wide pool
+// and handed back once the rows are boxed (see runArena).
 func Run(p *Plan, ctx *Ctx) ([]store.Row, error) {
 	if ctx.Par == 0 {
 		ctx.Par = p.Par
 	}
-	if ctx.Par > 1 && ctx.shared == nil {
+	// The shared builds and the arena are this run's own: a build
+	// lives in the arena's scratch, which goes back to the pool when
+	// the run ends, so no later run may find it.
+	ctx.shared = nil
+	if ctx.Par > 1 {
 		ctx.shared = &sharedState{}
 	}
+	arena := &runArena{}
+	ctx.arena = arena
+	defer arena.release()
 	if err := ctx.canceled(); err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@ package plan
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
+	"sync"
 
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -217,6 +219,14 @@ func (b *vbatch) col(c int) vcol {
 // one batch. Buffers are handed out in call order and grow to the
 // batch in hand, never ahead of it, so a pipeline over a few hundred
 // rows pays for a few hundred rows. A nil *vscratch allocates.
+//
+// A scan keeps its batch's column headers (cols) and null masks
+// (masks) in one, and a hash join its build table (see
+// HashJoin.vecBuildLocal). Every vscratch is borrowed from the run's
+// arena and goes back to the process-wide pool when Run returns (see
+// runArena), so a buffer may hold a previous question's contents: each
+// take either clears what it hands out or is documented as handing out
+// values its caller overwrites before reading.
 type vscratch struct {
 	bools  bufPool[bool]
 	ints   bufPool[int64]
@@ -224,12 +234,74 @@ type vscratch struct {
 	strs   bufPool[string]
 	hashes bufPool[uint64]
 	sels   bufPool[int32]
+	cols   bufPool[vcol]
+	masks  bufPool[[]bool]
 }
 
 // reset makes every buffer available again; the operator calls it
 // once per batch, before evaluating anything over it.
 func (s *vscratch) reset() {
 	s.bools.used, s.ints.used, s.floats.used, s.strs.used, s.hashes.used, s.sels.used = 0, 0, 0, 0, 0, 0
+	s.cols.used, s.masks.used = 0, 0
+}
+
+// bytes is what the scratch's buffers hold: the measure the pool's
+// cap (maxPooledScratch) is checked against.
+func (s *vscratch) bytes() int {
+	n := s.bools.elems() + 8*(s.ints.elems()+s.floats.elems()+s.hashes.elems()) +
+		16*s.strs.elems() + 4*s.sels.elems() + vcolBytes*s.cols.elems()
+	for _, ms := range s.masks.bufs {
+		for _, m := range ms[:cap(ms)] {
+			n += cap(m)
+		}
+	}
+	return n
+}
+
+// vcolBytes is the size of one column header in a scan's batch.
+var vcolBytes = int(reflect.TypeFor[vcol]().Size())
+
+// maxPooledScratch caps what goes back to the pool: a scratch holding
+// more than 1 MiB of buffers is dropped when its run ends, so one big
+// join build cannot pin its memory in the pool for the questions after
+// it.
+const maxPooledScratch = 1 << 20
+
+// scratchPool holds the vscratches of finished runs for the next ones.
+// A run's operators, its scan batches and its join builds draw their
+// working memory from here instead of allocating it per question; the
+// garbage collector empties the pool like any other sync.Pool.
+var scratchPool = sync.Pool{New: func() any { return new(vscratch) }}
+
+// runArena is the working memory one Run has borrowed from
+// scratchPool, handed back all at once by release. Exchange workers
+// borrow concurrently, hence the mutex.
+type runArena struct {
+	mu   sync.Mutex
+	held []*vscratch
+}
+
+// borrow takes a vscratch from the pool for the rest of the run.
+func (a *runArena) borrow() *vscratch {
+	s := scratchPool.Get().(*vscratch)
+	a.mu.Lock()
+	a.held = append(a.held, s)
+	a.mu.Unlock()
+	return s
+}
+
+// release returns every borrowed vscratch within the cap to the pool.
+// Run calls it once its rows are boxed: every exchange worker has been
+// waited for, and the rows hold only immutable values, so nothing can
+// still read a buffer.
+func (a *runArena) release() {
+	for _, s := range a.held {
+		if s.bytes() <= maxPooledScratch {
+			s.reset()
+			scratchPool.Put(s)
+		}
+	}
+	a.held = nil
 }
 
 // scratchSet is the working memory of one exchange worker: the pipeline
@@ -256,15 +328,17 @@ func (ss *scratchSet) aggPlan(a *Aggregate, ctx *Ctx) *vecAggPlan {
 	return ss.ap
 }
 
-// takeScratch hands an operator instance its vscratch at open time: a
-// fresh one, or inside an exchange worker the next of the worker's set.
+// takeScratch hands an operator instance its vscratch at open time:
+// one borrowed from the run's arena, or inside an exchange worker the
+// next of the worker's set, borrowed on the worker's first morsel that
+// reaches it.
 func (c *Ctx) takeScratch() *vscratch {
 	ss := c.vs
 	if ss == nil {
-		return &vscratch{}
+		return c.arena.borrow()
 	}
 	if ss.used == len(ss.all) {
-		ss.all = append(ss.all, &vscratch{})
+		ss.all = append(ss.all, c.arena.borrow())
 	}
 	ss.used++
 	return ss.all[ss.used-1]
@@ -277,7 +351,8 @@ type bufPool[T any] struct {
 	used int
 }
 
-// take returns a buffer of n elements with unspecified contents.
+// take returns a buffer of n elements with unspecified contents: a
+// previous batch's, or a previous question's.
 func (p *bufPool[T]) take(n int) []T {
 	if p.used == len(p.bufs) {
 		p.bufs = append(p.bufs, nil)
@@ -289,6 +364,15 @@ func (p *bufPool[T]) take(n int) []T {
 	}
 	p.used++
 	return buf[:n]
+}
+
+// elems is the number of elements the pool's buffers hold.
+func (p *bufPool[T]) elems() int {
+	n := 0
+	for _, b := range p.bufs {
+		n += cap(b)
+	}
+	return n
 }
 
 // boolBuf returns n cleared bools — a kernel's result vector or a
@@ -1792,19 +1876,20 @@ func newColbuf(kind store.Kind) *colbuf { return &colbuf{kind: kind} }
 
 func (cb *colbuf) len() int { return len(cb.nulls) }
 
-// grow makes room for n more rows, so a builder that knows its length
-// allocates each vector once.
-func (cb *colbuf) grow(n int) {
-	cb.nulls = slices.Grow(cb.nulls, n)
+// reserve gives an empty builder room for n rows in sc's buffers, so a
+// builder that knows its length takes each vector once; push
+// overwrites whatever they held.
+func (cb *colbuf) reserve(sc *vscratch, n int) {
+	cb.nulls = sc.bools.take(n)[:0]
 	switch cb.kind {
 	case store.KindInt:
-		cb.ints = slices.Grow(cb.ints, n)
+		cb.ints = sc.ints.take(n)[:0]
 	case store.KindFloat:
-		cb.floats = slices.Grow(cb.floats, n)
+		cb.floats = sc.floats.take(n)[:0]
 	case store.KindText:
-		cb.strs = slices.Grow(cb.strs, n)
+		cb.strs = sc.strs.take(n)[:0]
 	case store.KindBool:
-		cb.bools = slices.Grow(cb.bools, n)
+		cb.bools = sc.bools.take(n)[:0]
 	}
 }
 

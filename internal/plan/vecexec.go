@@ -82,15 +82,20 @@ func segFault(ctx *Ctx, seg *store.Segment) ([]*store.SegCol, error) {
 // dictionary codes as slices, RLE- and FOR-encoded ints as the encoded
 // column plus the window's offset (see vcol). The batch itself is lent:
 // one header, one cols slice and one null-mask buffer per column serve
-// every batch of the iterator.
+// every batch of the iterator, the cols slice and the masks in the
+// scan's scratch, so the masks a previous question grew are reused.
 func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []boundZone, skipAll bool) viter {
 	sc := ctx.SegC
 	pos := lo
 	si := -1
 	segEnd := 0
 	var segCols []*store.SegCol
-	out := &vbatch{cols: make([]vcol, len(b.Cols))}
-	masks := make([][]bool, len(b.Cols))
+	scr := ctx.takeScratch()
+	scr.reset()
+	// Every column is written before a batch is returned, and NullMask
+	// overwrites the rows of a mask it reuses.
+	out := &vbatch{cols: scr.cols.take(len(b.Cols))}
+	masks := scr.masks.take(len(b.Cols))
 	return func() (*vbatch, error) {
 		for pos < hi {
 			if si < 0 || pos >= segEnd {
@@ -242,14 +247,15 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 // drainCols materializes a relational subtree into columns, returning
 // them with the row count: the build side of a hash join, both sides of
 // a cross join. need marks the columns anything reads (nil: all); the
-// rest stay all-NULL. It keeps the input's batches first and counts
+// rest stay all-NULL. The columns are written into sc, which must
+// outlive them. It keeps the input's batches first and counts
 // them, so every column's builder is sized once and never grows by
 // appending. Until the copy is made the kept batches also hold what
 // keep copied of their lent columns — a join's output columns — so a
 // side that is itself a join is briefly in memory twice; a scan's
 // batches are views of segment storage and cost only their headers and
 // null masks.
-func drainCols(n Node, ctx *Ctx, need []bool) ([]vcol, int, error) {
+func drainCols(n Node, ctx *Ctx, need []bool, sc *vscratch) ([]vcol, int, error) {
 	bs, err := keepBatches(n, ctx)
 	if err != nil {
 		return nil, 0, err
@@ -265,7 +271,7 @@ func drainCols(n Node, ctx *Ctx, need []bool) ([]vcol, int, error) {
 			continue
 		}
 		cb := newColbuf(k)
-		cb.grow(rows)
+		cb.reserve(sc, rows)
 		for _, b := range bs {
 			b.forSel(func(i int) { cb.push(&b.cols[c], i) })
 		}
@@ -311,7 +317,11 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 			need[off] = true
 		}
 	}
-	cols, n, err := drainCols(j.R, ctx, need)
+	// The table lives in a scratch of the run's own, not in a worker's
+	// rotating set: inside an exchange it outlives the morsel whose
+	// worker built it.
+	sc := ctx.arena.borrow()
+	cols, n, err := drainCols(j.R, ctx, need, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -319,8 +329,10 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	for buckets < n {
 		buckets <<= 1
 	}
-	bt := &vecBuildTable{cols: cols, hs: make([]uint64, n),
-		head: make([]int32, buckets), next: make([]int32, n)}
+	// hs accumulates and head marks empty buckets with 0, so both start
+	// cleared; next is written for every chained row before it is read.
+	bt := &vecBuildTable{cols: cols, hs: sc.hashBuf(n),
+		head: sc.codeBuf(buckets), next: sc.sels.take(n)}
 	keys := make([]vcol, len(j.RKey))
 	for k, off := range j.RKey {
 		keys[k] = bt.cols[off]
@@ -486,11 +498,13 @@ func (j *CrossJoin) vopen(ctx *Ctx) (viter, error) {
 	if j.live != nil {
 		lneed, rneed = j.live[:lWidth], j.live[lWidth:]
 	}
-	lcols, ln, err := drainCols(j.L, ctx, lneed)
+	sc := ctx.takeScratch()
+	sc.reset()
+	lcols, ln, err := drainCols(j.L, ctx, lneed, sc)
 	if err != nil {
 		return nil, err
 	}
-	rcols, rn, err := drainCols(j.R, ctx, rneed)
+	rcols, rn, err := drainCols(j.R, ctx, rneed, sc)
 	if err != nil {
 		return nil, err
 	}
