@@ -275,17 +275,14 @@ func TestScanBytesFollowGroups(t *testing.T) {
 
 // scanBytesPerRun binds the ask_scan templates over a telemetry log of
 // the given length, at two workers, and returns what one run of each
-// template that use accepts allocates: the fewest bytes of ten runs,
-// at one P. A run borrows its scratch and join build from the
-// executor's pool, and a borrow that misses allocates afresh: after a
-// collection empties the pool, after the race detector drops a scratch
-// at random, or when the scratch sits in another P's private slot. At
-// one P the last run's scratch is always in reach, and the two workers'
-// goroutines take turns; what the question itself costs, per-row
-// allocations included, every run pays.
+// template that use accepts allocates, averaged over ten runs. Two
+// collections before each run empty the executor's scratch pool, so
+// every run borrows its scratch and join build afresh, as a question
+// after an idle spell does: the figure does not hang on which P's
+// private slot the last run handed its scratch back to, nor on the
+// race detector dropping a pooled scratch at random.
 func scanBytesPerRun(t *testing.T, rows int, use func(name, sql string, p *plan.Plan) bool) map[string]float64 {
 	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sn := dataset.Telemetry(rows).Snapshot()
 	out := map[string]float64{}
 	for _, tc := range scanTemplatesAt(rows) {
@@ -299,15 +296,18 @@ func scanBytesPerRun(t *testing.T, rows int, use func(name, sql string, p *plan.
 			}
 		}
 		run() // builds the segment layout
+		const runs = 10
 		var before, after runtime.MemStats
-		fewest := uint64(math.MaxUint64)
-		for range 10 {
+		var total uint64
+		for range runs {
+			runtime.GC()
+			runtime.GC()
 			runtime.ReadMemStats(&before)
 			run()
 			runtime.ReadMemStats(&after)
-			fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
+			total += after.TotalAlloc - before.TotalAlloc
 		}
-		out[tc.name] = float64(fewest)
+		out[tc.name] = float64(total) / runs
 	}
 	return out
 }

@@ -1,8 +1,12 @@
 package plan
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"runtime"
+	"sync"
+	"weak"
 
 	"repro/internal/store"
 )
@@ -13,8 +17,14 @@ const MaxPooledScratch = maxPooledScratch
 // poisonBufs and poisonLen size a poisoned scratch: enough buffers of
 // enough elements to serve a 4,096-row join build and every operator's
 // batches, and under the pool's cap, so a poisoned scratch goes back to
-// the pool after its run like any other.
+// the pool after its run like any other. UnpoisonedTakes reports a run
+// that took past them.
 const poisonBufs, poisonLen = 4, 4096
+
+// poisonCols and poisonColsLen size a poisoned scratch's column headers
+// and null masks: a scan's batch takes one buffer of each, one entry a
+// column.
+const poisonCols, poisonColsLen = 2, 16
 
 // poisonA5 is the bit pattern poisoned ints, floats and hashes hold.
 var poisonA5 uint64 = 0xA5A5A5A5A5A5A5A5
@@ -34,25 +44,107 @@ func PoisonScratchPool() (restore func()) {
 	}
 	return func() {
 		scratchPool.New = old
+		poisoned.mu.Lock()
+		poisoned.all = nil
+		poisoned.mu.Unlock()
 		emptyScratchPool()
 	}
 }
 
-// DrainScratchPool empties the pool and returns the bytes each pooled
-// vscratch held. Another P's private slot is out of its reach, so a
-// caller that must see everything runs at GOMAXPROCS 1.
-func DrainScratchPool() []int {
+// poisoned is every scratch PoisonScratchPool has made that a run
+// could still borrow, so UnpoisonedTakes can look at what their runs
+// took. The pointers are weak: a scratch the pool dropped — over the
+// cap, or at random under the race detector — is no one's to borrow,
+// and the collector may have it.
+var poisoned struct {
+	mu  sync.Mutex
+	all []weak.Pointer[vscratch]
+}
+
+// UnpoisonedTakes names each buffer pool of a poisoned scratch that has
+// handed out a buffer it was not poisoned with — one past its poisoned
+// buffers, or one grown past their length — so that take got fresh
+// zeros, not garbage. Call it after every run, before a collection
+// can take a scratch the run dropped.
+func UnpoisonedTakes() []string {
+	poisoned.mu.Lock()
+	defer poisoned.mu.Unlock()
+	var out []string
+	live := poisoned.all[:0]
+	for _, wp := range poisoned.all {
+		s := wp.Value()
+		if s == nil {
+			continue
+		}
+		live = append(live, wp)
+		out = append(out, unpoisoned("bools", &s.bools, poisonBufs, poisonLen)...)
+		out = append(out, unpoisoned("ints", &s.ints, poisonBufs, poisonLen)...)
+		out = append(out, unpoisoned("floats", &s.floats, poisonBufs, poisonLen)...)
+		out = append(out, unpoisoned("strs", &s.strs, poisonBufs, poisonLen)...)
+		out = append(out, unpoisoned("hashes", &s.hashes, poisonBufs, poisonLen)...)
+		out = append(out, unpoisoned("sels", &s.sels, poisonBufs, poisonLen)...)
+		out = append(out, unpoisoned("cols", &s.cols, poisonCols, poisonColsLen)...)
+		out = append(out, unpoisoned("masks", &s.masks, poisonCols, poisonColsLen)...)
+	}
+	clear(poisoned.all[len(live):])
+	poisoned.all = live
+	return out
+}
+
+func unpoisoned[T any](name string, p *bufPool[T], bufs, n int) []string {
+	var out []string
+	if len(p.bufs) > bufs {
+		out = append(out, fmt.Sprintf("%s: %d buffers, %d poisoned", name, len(p.bufs), bufs))
+	}
+	for i, b := range p.bufs {
+		if cap(b) > n {
+			out = append(out, fmt.Sprintf("%s[%d]: %d elements, %d poisoned", name, i, cap(b), n))
+		}
+	}
+	return out
+}
+
+// PooledScratch is what DrainScratchPool found in one pooled vscratch:
+// the bytes its buffers hold, and how many column headers and strings
+// in them still reference memory outside it.
+type PooledScratch struct{ Bytes, Refs int }
+
+// DrainScratchPool empties the pool and describes each vscratch it
+// held. Another P's private slot is out of its reach, so a caller that
+// must see everything runs at GOMAXPROCS 1.
+func DrainScratchPool() []PooledScratch {
 	old := scratchPool.New
 	scratchPool.New = nil
 	defer func() { scratchPool.New = old }()
-	var held []int
+	var held []PooledScratch
 	for {
 		s, _ := scratchPool.Get().(*vscratch)
 		if s == nil {
 			return held
 		}
-		held = append(held, s.bytes())
+		held = append(held, PooledScratch{Bytes: s.bytes(), Refs: s.refs()})
 	}
+}
+
+// refs counts the column headers and strings anywhere in s's buffers
+// that are not zero.
+func (s *vscratch) refs() int {
+	n := 0
+	for _, b := range s.cols.bufs {
+		for _, c := range b[:cap(b)] {
+			if !reflect.ValueOf(c).IsZero() {
+				n++
+			}
+		}
+	}
+	for _, b := range s.strs.bufs {
+		for _, x := range b[:cap(b)] {
+			if x != "" {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // emptyScratchPool drops everything pooled: the first collection moves
@@ -64,14 +156,17 @@ func emptyScratchPool() {
 
 func poisonedScratch() *vscratch {
 	s := &vscratch{}
+	poisoned.mu.Lock()
+	poisoned.all = append(poisoned.all, weak.Make(s))
+	poisoned.mu.Unlock()
 	poison(&s.bools, poisonBufs, poisonLen, true)
 	poison(&s.ints, poisonBufs, poisonLen, int64(poisonA5))
 	poison(&s.floats, poisonBufs, poisonLen, math.Float64frombits(poisonA5))
 	poison(&s.strs, poisonBufs, poisonLen, "☠")
 	poison(&s.hashes, poisonBufs, poisonLen, poisonA5)
 	poison(&s.sels, poisonBufs, poisonLen, -1)
-	poison(&s.cols, 2, 16, vcol{kind: store.KindText, strs: []string{"☠"}, codes: []int32{-1}})
-	poison(&s.masks, 2, 16, []bool(nil))
+	poison(&s.cols, poisonCols, poisonColsLen, vcol{kind: store.KindText, strs: []string{"☠"}, codes: []int32{-1}})
+	poison(&s.masks, poisonCols, poisonColsLen, []bool(nil))
 	for _, masks := range s.masks.bufs {
 		for m := range masks {
 			masks[m] = make([]bool, maxBatch)

@@ -137,11 +137,15 @@ func (e *cancelingEvaluator) SubqueryRows(*plan.Frame, *sql.SelectStmt) ([]store
 // new scratch garbage in every buffer — and every shape the executor
 // has must still equal the reference executor at par 1, 2 and 4: the
 // ask_scan shapes, a kept join, Sort, Limit, Distinct, a DISTINCT
-// aggregate and a cross join. A buffer handed out uncleared and read before written —
-// a join build's hash accumulators, an empty bucket, a null mask —
-// shows as a wrong answer. The same again after runs cancelled mid-scan,
-// whose scratch goes back to the pool half-written. Not skipped under
-// -short: under -race it runs concurrent borrowers against the pool.
+// aggregate and a cross join. A buffer handed out uncleared and read
+// before written — a join build's hash accumulators, an empty bucket,
+// a null mask — shows as a wrong answer. A run that takes a buffer past
+// the poisoned ones — one more of a type, or a longer one — would get
+// zeros there, so it fails the test: every take a fresh borrow makes
+// holds garbage, and a second run holds what the first left. The same
+// again after runs cancelled mid-scan, whose scratch goes back to the
+// pool half-written. Not skipped under -short: under -race it runs
+// concurrent borrowers against the pool.
 func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 	queries := poolQueries(t)
 	want := make([][]store.Row, len(queries))
@@ -169,6 +173,9 @@ func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 					res, err := exec.Run(context.Background(), q.sn, p, exec.RunOpts{})
 					if err != nil {
 						t.Fatalf("par=%d: %v\nsql: %s", par, err, q.sql)
+					}
+					if u := plan.UnpoisonedTakes(); len(u) > 0 {
+						t.Fatalf("par=%d: took buffers the pool was not poisoned with: %v\nsql: %s", par, u, q.sql)
 					}
 					if err := sameAnswer(res.Rows, want[i], q.ordered); err != nil {
 						t.Fatalf("par=%d: %v\nsql: %s", par, err, q.sql)
@@ -201,6 +208,9 @@ func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 			if n := ev.calls.Load(); n >= poolEvents {
 				t.Fatalf("par=%d: %d row evaluations: the scan ran to its end", par, n)
 			}
+			if u := plan.UnpoisonedTakes(); len(u) > 0 {
+				t.Fatalf("par=%d: the cancelled run took buffers the pool was not poisoned with: %v", par, u)
+			}
 		}
 		check(t)
 	})
@@ -231,9 +241,45 @@ func TestOversizedScratchIsNotPooled(t *testing.T) {
 	if n, _ := res.Rows[0][0].AsFloat(); n != rows {
 		t.Fatalf("self-join counted %v rows, want %d", n, rows)
 	}
-	for _, b := range plan.DrainScratchPool() {
-		if b > plan.MaxPooledScratch {
-			t.Errorf("pooled a %d-byte scratch; the cap is %d", b, plan.MaxPooledScratch)
+	for _, s := range plan.DrainScratchPool() {
+		if s.Bytes > plan.MaxPooledScratch {
+			t.Errorf("pooled a %d-byte scratch; the cap is %d", s.Bytes, plan.MaxPooledScratch)
 		}
+	}
+}
+
+// TestPooledScratchPinsNothing: a scratch goes back to the pool without
+// the column headers and strings its run left in it — views of segment
+// payloads and dictionaries — so the pool keeps no evicted payload or
+// dropped snapshot's segments alive. The join drains the devices' text
+// columns into its build and scans events in every encoding.
+func TestPooledScratchPinsNothing(t *testing.T) {
+	// At one P, every pooled scratch is reachable from this goroutine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sn := poolDB(t).Snapshot()
+	stmt := sql.MustParse("SELECT events.event_id, devices.region, devices.model, events.service FROM events, devices WHERE events.device_id = devices.device_id AND events.status > 400")
+	plan.DrainScratchPool()
+	pooled := 0
+	for _, par := range []int{1, 2} {
+		p, err := exec.Compile(sn, stmt, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A few runs: under the race detector the pool drops a scratch
+		// at random.
+		for range 3 {
+			if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range plan.DrainScratchPool() {
+				pooled++
+				if s.Refs > 0 {
+					t.Errorf("par=%d: a pooled scratch holds %d column headers and strings", par, s.Refs)
+				}
+			}
+		}
+	}
+	if pooled == 0 {
+		t.Fatal("no scratch went back to the pool")
 	}
 }

@@ -297,11 +297,25 @@ func (a *runArena) borrow() *vscratch {
 func (a *runArena) release() {
 	for _, s := range a.held {
 		if s.bytes() <= maxPooledScratch {
-			s.reset()
+			s.forget()
 			scratchPool.Put(s)
 		}
 	}
 	a.held = nil
+}
+
+// forget resets s and drops what its buffers reference outside it: a
+// scan's column headers view segment payloads and dictionaries, and
+// strings may be a dictionary's, so a pooled scratch pins neither an
+// evicted payload nor a dropped snapshot's segments.
+func (s *vscratch) forget() {
+	s.reset()
+	for _, b := range s.cols.bufs {
+		clear(b[:cap(b)])
+	}
+	for _, b := range s.strs.bufs {
+		clear(b[:cap(b)])
+	}
 }
 
 // scratchSet is the working memory of one exchange worker: the pipeline
