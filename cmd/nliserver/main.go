@@ -8,13 +8,12 @@
 // Usage:
 //
 //	nliserver [-addr :8080] [-dataset university] [-scale 4]
-//	          [-deadline 2s] [-session-ttl 15m] [-drain 5s]
-//	          [-spill-dir /var/lib/nli/segments] [-cache 256]
+//	          [-deadline 2s] [-session-ttl 15m] [-max-sessions 4096]
+//	          [-drain 5s]
 //
-// With -spill-dir set, sealed columnar segments are serialized to disk
-// and a byte-budgeted read-through cache (-cache, MiB) bounds resident
-// segment memory; zone maps stay resident so selective scans prune
-// evicted segments without I/O (DESIGN.md § 2.12).
+// The dataset is held in memory for the server's life. The former
+// segment-spill flags -spill-dir and -cache are gone, so a command line
+// that still passes either exits with "flag provided but not defined".
 //
 // Endpoints:
 //
@@ -53,18 +52,13 @@ func run() error {
 	sessionTTL := flag.Duration("session-ttl", 15*time.Minute, "idle session eviction TTL")
 	maxSessions := flag.Int("max-sessions", 4096, "live session bound (LRU eviction past it)")
 	drain := flag.Duration("drain", 5*time.Second, "shutdown drain deadline before stragglers are canceled")
-	spillDir := flag.String("spill-dir", "", "directory for on-disk segment spill (empty = fully in-memory)")
-	cacheMB := flag.Int64("cache", 256, "segment-cache byte budget in MiB when -spill-dir is set")
 	flag.Parse()
 
 	db, err := nli.Dataset(*datasetName, *scale)
 	if err != nil {
 		return err
 	}
-	opts := nli.DefaultOptions()
-	opts.SpillDir = *spillDir
-	opts.SegCacheBytes = *cacheMB << 20
-	eng := nli.New(db, opts)
+	eng := nli.New(db, nli.DefaultOptions())
 	srv := serve.New(eng, serve.Config{
 		DefaultDeadline: *deadline,
 		SessionTTL:      *sessionTTL,

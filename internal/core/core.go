@@ -53,15 +53,6 @@ type Options struct {
 	// benchmark's core.plan_cache_hit_share on ask_fresh records how
 	// often the cache serves.
 	PlanCacheSize int
-
-	// SpillDir, when non-empty, enables larger-than-memory operation:
-	// sealed segments are serialized write-once into this directory and
-	// the segment cache evicts decoded payloads (zone maps stay
-	// resident) once they exceed SegCacheBytes
-	// (store.DefaultSegCacheBytes when 0). Empty keeps the store fully
-	// in memory.
-	SpillDir      string
-	SegCacheBytes int64
 }
 
 // DefaultOptions enables everything with spelling correction at
@@ -153,14 +144,6 @@ type Engine struct {
 func NewEngine(db *store.DB, opts Options) *Engine {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if opts.SpillDir != "" {
-		if err := db.EnableSpill(opts.SpillDir, opts.SegCacheBytes); err != nil {
-			// Engine construction has no error path; a spill directory
-			// that cannot be created is a deployment misconfiguration,
-			// not a runtime condition to degrade around.
-			panic(fmt.Sprintf("core: enabling segment spill: %v", err))
-		}
 	}
 	idx := semindex.Build(db, opts.Index)
 	e := &Engine{

@@ -62,7 +62,7 @@ func TestDeterminism(t *testing.T) {
 	if ta.Len() != tb.Len() {
 		t.Fatal("row counts differ between runs")
 	}
-	rowsA, rowsB := mustRows(t, ta), mustRows(t, tb)
+	rowsA, rowsB := ta.Rows(), tb.Rows()
 	for i := 0; i < ta.Len(); i++ {
 		ra, rb := rowsA[i], rowsB[i]
 		for c := range ra {
@@ -81,11 +81,11 @@ func TestForeignKeysResolve(t *testing.T) {
 			parent := db.Table(fk.RefTable).Snap()
 			pi := parent.ColIndex(fk.RefColumn)
 			keys := make(map[string]bool, parent.Len())
-			for _, row := range mustRows(t, parent) {
+			for _, row := range parent.Rows() {
 				keys[row[pi].Key()] = true
 			}
 			ci := child.ColIndex(fk.Column)
-			for _, row := range mustRows(t, child) {
+			for _, row := range child.Rows() {
 				v := row[ci]
 				if v.IsNull() {
 					continue
@@ -160,7 +160,7 @@ func TestUniversityGPARange(t *testing.T) {
 	tab := db.Table("students")
 	gi := tab.ColIndex("gpa")
 	nulls := 0
-	for _, row := range mustRows(t, tab.Snap()) {
+	for _, row := range tab.Snap().Rows() {
 		v := row[gi]
 		if v.IsNull() {
 			nulls++
@@ -224,7 +224,7 @@ func TestEventsDeterministic(t *testing.T) {
 	if ta.Snap().Len() != n || tb.Snap().Len() != n {
 		t.Fatalf("rows = %d / %d, want %d", ta.Snap().Len(), tb.Snap().Len(), n)
 	}
-	ra, rb := mustRows(t, ta.Snap()), mustRows(t, tb.Snap())
+	ra, rb := ta.Snap().Rows(), tb.Snap().Rows()
 	services := map[string]bool{}
 	levels := map[string]bool{}
 	prevTS := int64(-1)
@@ -252,13 +252,4 @@ func TestEventsDeterministic(t *testing.T) {
 	if db, err := ByName("events", 1); err != nil || db.Table("events").Snap().Len() != 100_000 {
 		t.Errorf("ByName events: db=%v err=%v", db, err)
 	}
-}
-
-func mustRows(t *testing.T, s *store.TableSnap) []store.Row {
-	t.Helper()
-	rows, err := s.Rows()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
 }

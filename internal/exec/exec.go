@@ -73,10 +73,10 @@ type RunOpts struct {
 // in-flight query sees; to make plan-time choices (estimates, the
 // skip counts Explain reports) and run-time data agree exactly, pass
 // the snapshot the plan was compiled on. The run observes ctx cancellation at batch
-// granularity (leaf scans, materialize loops, exchange morsel claims,
-// segment fault-in waits) and returns context.Cause(ctx) promptly
-// instead of finishing work nobody is waiting for; see arm for what a
-// background context costs (nothing).
+// granularity (leaf scans, materialize loops, exchange morsel claims)
+// and returns context.Cause(ctx) promptly instead of finishing work
+// nobody is waiting for; see arm for what a background context costs
+// (nothing).
 func Run(ctx context.Context, sn *store.Snapshot, p *plan.Plan, o RunOpts) (*Result, error) {
 	ex := newExecutor(sn, o)
 	ex.arm(ctx)
@@ -151,8 +151,7 @@ func newExecutor(sn *store.Snapshot, o RunOpts) *executor {
 //     returns iterators unchanged when Done is nil;
 //   - any context with a Done channel — cancelable, deadline-bearing,
 //     or derived from one — always arms the executor, so every
-//     iterator checkpoint, exchange morsel claim and segment fault-in
-//     wait observes it.
+//     iterator checkpoint and exchange morsel claim observes it.
 func (ex *executor) arm(ctx context.Context) {
 	if ctx == nil {
 		return

@@ -85,7 +85,7 @@ func rowPathDB(t *testing.T, l rowPathLayout) *store.DB {
 	db.Table("t").SetSegmentRows(64)
 	db.Table("u").SetSegmentRows(16)
 	for ci, want := range map[int]store.SegEncoding{1: l.kEnc, 2: l.gEnc} {
-		if got := db.Snapshot().Table("t").Segments().Segs[0].MustCols()[ci].Enc; got != want {
+		if got := db.Snapshot().Table("t").Segments().Segs[0].Cols()[ci].Enc; got != want {
 			t.Fatalf("%s fixture: t column %d sealed as %v, want %v", l.name, ci, got, want)
 		}
 	}

@@ -108,7 +108,7 @@ func joinFormsDB(t *testing.T) *store.DB {
 			if seg.N < 1024 && want.table == "p" {
 				continue // p's unsealed tail
 			}
-			c := seg.MustCols()[want.col]
+			c := seg.Cols()[want.col]
 			if c.Enc != want.enc {
 				t.Fatalf("fixture: %s segment %d column %d sealed as %v, want %v", want.table, si, want.col, c.Enc, want.enc)
 			}

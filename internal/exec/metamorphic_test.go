@@ -48,7 +48,7 @@ func (g *qgen) sampleValue(ci int) (string, bool) {
 	ss := tab.Segments()
 	for try := 0; try < 8; try++ {
 		si, off := ss.Locate(g.r.Intn(tab.Len()))
-		v := ss.Segs[si].MustCols()[ci].Value(off)
+		v := ss.Segs[si].Cols()[ci].Value(off)
 		if v.IsNull() {
 			continue
 		}

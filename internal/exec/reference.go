@@ -72,11 +72,7 @@ func (ex *executor) buildRelation(stmt *sql.SelectStmt) (*matRel, error) {
 	var mr *matRel
 	for _, bi := range order {
 		b := bindings[bi]
-		tab := ex.sn.Table(b.Meta.Name)
-		rows, err := tab.Rows()
-		if err != nil {
-			return nil, err
-		}
+		rows := ex.sn.Table(b.Meta.Name).Rows()
 		if mr == nil {
 			b.Off = 0
 			mr = &matRel{
@@ -85,8 +81,8 @@ func (ex *executor) buildRelation(stmt *sql.SelectStmt) (*matRel, error) {
 			}
 			continue
 		}
-		mr, err = joinOne(mr, b, rows, conds)
-		if err != nil {
+		var err error
+		if mr, err = joinOne(mr, b, rows, conds); err != nil {
 			return nil, err
 		}
 	}

@@ -72,7 +72,7 @@ func retainDB(t *testing.T, n int) *store.DB {
 	}
 	db.MustBulkInsert("events", rows)
 
-	cols := db.Snapshot().Table("events").Segments().Segs[1].MustCols()
+	cols := db.Snapshot().Table("events").Segments().Segs[1].Cols()
 	for ci, want := range []struct {
 		enc   store.SegEncoding
 		width int // FOR delta bits

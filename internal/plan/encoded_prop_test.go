@@ -70,7 +70,7 @@ func encSegments(t *testing.T, r *rand.Rand, segRows int, nullEvery int) (shapes
 	db.MustBulkInsert("t", rows)
 	for _, seg := range db.Snapshot().Table("t").Segments().Segs {
 		if seg.Sealed {
-			segs = append(segs, seg.MustCols())
+			segs = append(segs, seg.Cols())
 		}
 	}
 	if len(segs) != 3 {

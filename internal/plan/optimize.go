@@ -17,7 +17,7 @@ import (
 // residual filter above the joins, and three-valued logic is preserved
 // because a top-level AND accepts a row only when every conjunct is
 // exactly TRUE. Planning reads the schema's keys and the pinned
-// snapshot's row counts and resident segment zone maps — never a
+// snapshot's row counts and segment zone maps — never a
 // segment's values — so a plan compiled and run against the same
 // Snapshot is internally consistent even while writers publish new
 // versions.

@@ -27,9 +27,7 @@ func poolDB(t *testing.T) *store.DB {
 	t.Helper()
 	db := store.NewDB(dataset.TelemetrySchema())
 	db.MustBulkInsert("devices", dataset.DeviceRows())
-	if err := db.Table("events").SetSegmentRows(4096); err != nil {
-		t.Fatal(err)
-	}
+	db.Table("events").SetSegmentRows(4096)
 	db.MustBulkInsert("events", dataset.TelemetryEventRows(poolEvents))
 	return db
 }

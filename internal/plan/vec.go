@@ -306,8 +306,8 @@ func (a *runArena) release() {
 
 // forget resets s and drops what its buffers reference outside it: a
 // scan's column headers view segment payloads and dictionaries, and
-// strings may be a dictionary's, so a pooled scratch pins neither an
-// evicted payload nor a dropped snapshot's segments.
+// strings may be a dictionary's, so a pooled scratch does not pin a
+// dropped snapshot's segments.
 func (s *vscratch) forget() {
 	s.reset()
 	for _, b := range s.cols.bufs {

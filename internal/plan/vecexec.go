@@ -55,22 +55,6 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 	return segScanBatches(ctx, ss, s.B, 0, tab.Len(), preds, skipAll), nil
 }
 
-// segFault resolves a segment's decoded columns through Segment.Cols,
-// faulting an evicted payload in from the segment cache. The run's
-// Done channel covers the fault-in wait, so a canceled request
-// abandons the disk read queue like any other checkpoint — the
-// cancellation cause wins over the cache's sentinel error.
-func segFault(ctx *Ctx, seg *store.Segment) ([]*store.SegCol, error) {
-	cols, err := seg.Cols(ctx.Done)
-	if err != nil {
-		if cerr := ctx.canceled(); cerr != nil {
-			return nil, cerr
-		}
-		return nil, err
-	}
-	return cols, nil
-}
-
 // segScanBatches iterates rows [lo, hi) of the segment layout as
 // batches. Whole segments whose zone maps refute a skip predicate are
 // dropped without touching their data (a segment-wide proof of
@@ -104,9 +88,6 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []b
 				seg := ss.Segs[si]
 				segEnd = ss.Start[si] + seg.N
 				count := sc != nil && off == 0
-				// The skip decision reads only the always-resident zone
-				// maps; an evicted segment that skips is pruned without
-				// faulting its payload back in.
 				if skipAll || skipSegment(seg, preds) {
 					if count {
 						sc.Skipped.Add(1)
@@ -115,10 +96,7 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []b
 					si = -1
 					continue
 				}
-				var err error
-				if segCols, err = segFault(ctx, seg); err != nil {
-					return nil, err
-				}
+				segCols = seg.Cols()
 				if count {
 					sc.Scanned.Add(1)
 				}

@@ -277,9 +277,8 @@ func zoneComparable(a, b store.Value) bool {
 // in → NULL out → reject); an unknown range (no non-NULL values
 // recorded, or a NaN-poisoned float segment) never skips.
 func (p *boundZone) skips(seg *store.Segment) bool {
-	// Zone maps live on the segment identity, never on the faultable
-	// payload: this test stays pure in-memory — it must never fault an
-	// evicted segment back in just to decide not to read it.
+	// Zone maps sit on the segment beside its columns: deciding not to
+	// read a segment reads none of them.
 	z := seg.Zones[p.ci]
 	if z.AllNull() {
 		return true

@@ -11,7 +11,6 @@
 package semindex
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -104,21 +103,13 @@ type Index struct {
 	values      map[string][]valueEntry
 	maxNameLen  int // longest registered name phrase, in words
 	maxValueLen int
-
-	err error // first value column that could not be read; see Err
 }
-
-// Err reports the first text column whose values Build could not read
-// (a spilled segment that failed to fault back in), or nil. Such a
-// column is left out of the value index, as a column over the
-// distinct-value cap is.
-func (idx *Index) Err() error { return idx.err }
 
 // Build constructs the index for db. Data values are read through one
 // pinned snapshot, so building an engine while a loader is running
 // indexes a consistent instant of the data, and straight from the
 // segments: a sealed segment's dictionary already lists its distinct
-// values. A column it cannot read is reported by Err.
+// values.
 func Build(db *store.DB, opts Options) *Index {
 	sn := db.Snapshot()
 	idx := &Index{
@@ -158,11 +149,7 @@ func Build(db *store.DB, opts Options) *Index {
 				if c.Type != schema.Text {
 					continue
 				}
-				distinct, err := textValues(tab, ci, !c.NameLike)
-				if err != nil && idx.err == nil {
-					idx.err = fmt.Errorf("semindex: values of %s.%s: %w", t.Name, c.Name, err)
-				}
-				for s := range distinct {
+				for s := range textValues(tab, ci, !c.NameLike) {
 					idx.registerValue(s, valueEntry{table: t.Name, column: c.Name, value: store.Text(s)})
 				}
 			}
@@ -177,15 +164,11 @@ func Build(db *store.DB, opts Options) *Index {
 // textValues returns the distinct non-NULL values of text column ci,
 // read from each sealed segment's dictionary (or its plain strings)
 // and the tail's strings; nil when capped and there are more than
-// maxValueDistinct, or when a spilled segment cannot be read back.
-func textValues(tab *store.TableSnap, ci int, capped bool) (map[string]struct{}, error) {
+// maxValueDistinct.
+func textValues(tab *store.TableSnap, ci int, capped bool) map[string]struct{} {
 	distinct := map[string]struct{}{}
 	for _, seg := range tab.Segments().Segs {
-		cols, err := seg.Cols(nil)
-		if err != nil {
-			return nil, err
-		}
-		c := cols[ci]
+		c := seg.Cols()[ci]
 		if c.Enc == store.SegDict {
 			// Every dictionary entry is a value some cell holds.
 			for _, s := range c.Dict {
@@ -199,10 +182,10 @@ func textValues(tab *store.TableSnap, ci int, capped bool) (map[string]struct{},
 			}
 		}
 		if capped && len(distinct) > maxValueDistinct {
-			return nil, nil
+			return nil
 		}
 	}
-	return distinct, nil
+	return distinct
 }
 
 // registerName indexes a phrase under its normalized, singularized and

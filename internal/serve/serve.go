@@ -343,14 +343,13 @@ func statusOf(ctx context.Context, err error) int {
 
 // statsResponse is the wire form of GET /api/stats: the engine's
 // cumulative cache and scan counters, for dashboards and the
-// experiment harnesses. All counters are monotonic since engine start
-// except the segment-cache gauges (used/budget bytes).
+// experiment harnesses. Every counter is monotonic since engine start;
+// sessions.live, the one gauge, is the number of sessions alive now.
 type statsResponse struct {
-	AnswerCache cacheStatsJSON     `json:"answer_cache"`
-	PlanCache   cacheStatsJSON     `json:"plan_cache"`
-	Segments    scanStatsJSON      `json:"segments"`
-	SegCache    *segCacheStatsJSON `json:"segment_cache,omitempty"` // absent without a spill dir
-	Sessions    sessionStatsJSON   `json:"sessions"`
+	AnswerCache cacheStatsJSON   `json:"answer_cache"`
+	PlanCache   cacheStatsJSON   `json:"plan_cache"`
+	Segments    scanStatsJSON    `json:"segments"`
+	Sessions    sessionStatsJSON `json:"sessions"`
 }
 
 type cacheStatsJSON struct {
@@ -363,16 +362,6 @@ type scanStatsJSON struct {
 	Skipped int64 `json:"skipped"`
 }
 
-type segCacheStatsJSON struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Evictions  int64 `json:"evictions"`
-	FaultBytes int64 `json:"fault_bytes"`
-	Spilled    int64 `json:"spilled_segments"`
-	UsedBytes  int64 `json:"used_bytes"`
-	Budget     int64 `json:"budget_bytes"`
-}
-
 type sessionStatsJSON struct {
 	Live    int    `json:"live"`
 	Evicted uint64 `json:"evicted"`
@@ -383,14 +372,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp.AnswerCache.Hits, resp.AnswerCache.Misses = s.eng.AnswerCacheStats()
 	resp.PlanCache.Hits, resp.PlanCache.Misses = s.eng.PlanCacheStats()
 	resp.Segments.Scanned, resp.Segments.Skipped = s.eng.SegmentStats()
-	if sc := s.eng.DB.SegCache(); sc != nil {
-		st := sc.Stats()
-		resp.SegCache = &segCacheStatsJSON{
-			Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
-			FaultBytes: st.FaultBytes, Spilled: st.SpilledSegs,
-			UsedBytes: st.Used, Budget: st.Budget,
-		}
-	}
 	resp.Sessions.Live, resp.Sessions.Evicted = s.sessions.stats()
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -59,14 +59,14 @@ func TestStatsEndpoint(t *testing.T) {
 	if m.Sessions.Live < 1 {
 		t.Errorf("sessions.live = %d, want >= 1 (the asking session)", m.Sessions.Live)
 	}
-	// No spill directory: the segment-cache block must be absent, not
-	// zero-filled.
+	// The store is resident: there is no segment cache to report, not
+	// even a zero-filled one.
 	var raw map[string]json.RawMessage
 	if err := json.Unmarshal(w.Body.Bytes(), &raw); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := raw["segment_cache"]; ok {
-		t.Error("segment_cache present without a spill directory")
+		t.Error("segment_cache present")
 	}
 	for _, key := range []string{"answer_cache", "plan_cache", "segments", "sessions"} {
 		if _, ok := raw[key]; !ok {

@@ -44,7 +44,7 @@ func TestSegColsRoundTrip(t *testing.T) {
 	if len(ss.Segs) != 1 || ss.Segs[0].Sealed {
 		t.Fatalf("3 rows laid out as %d segments (first sealed=%v), want one plain tail", len(ss.Segs), ss.Segs[0].Sealed)
 	}
-	cols := ss.Segs[0].MustCols()
+	cols := ss.Segs[0].Cols()
 	if cols[1].Kind != KindFloat {
 		t.Fatalf("score column kind = %v, want FLOAT", cols[1].Kind)
 	}

@@ -190,8 +190,7 @@ func (db *DB) LoadCSVDir(dir string) error {
 
 // WriteCSV writes the table (header plus all rows of the current
 // snapshot) to w, one segment at a time. NULLs are written as empty
-// cells, round-tripping with LoadCSV. An evicted segment is faulted
-// back in; a fault that fails is returned as an error.
+// cells, round-tripping with LoadCSV.
 func (t *Table) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.Meta.ColumnNames()); err != nil {
@@ -199,10 +198,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	rec := make([]string, len(t.Meta.Columns))
 	for _, seg := range t.Snap().Segments().Segs {
-		cols, err := seg.Cols(nil)
-		if err != nil {
-			return fmt.Errorf("store: writing %s: %w", t.Meta.Name, err)
-		}
+		cols := seg.Cols()
 		for r := 0; r < seg.N; r++ {
 			for i, c := range cols {
 				if c.IsNull(r) {

@@ -84,7 +84,7 @@ func FuzzSnapshotVisibility(f *testing.F) {
 			case 3: // no-op, kept so existing seeds decode to the same interleavings
 			case 4: // pin a snapshot
 				s := tab.Snap()
-				pins = append(pins, pinned{snap: s, len: s.Len(), sum: fingerprint(mustRows(t, s))})
+				pins = append(pins, pinned{snap: s, len: s.Len(), sum: fingerprint(s.Rows())})
 			}
 		}
 
@@ -93,7 +93,7 @@ func FuzzSnapshotVisibility(f *testing.F) {
 		if live.Len() != len(model) {
 			t.Fatalf("live table has %d rows, model %d", live.Len(), len(model))
 		}
-		for i, row := range mustRows(t, live) {
+		for i, row := range live.Rows() {
 			for c := range row {
 				if Compare(row[c], model[i][c]) != 0 {
 					t.Fatalf("row %d col %d: table %v, model %v", i, c, row[c], model[i][c])
@@ -106,7 +106,7 @@ func FuzzSnapshotVisibility(f *testing.F) {
 			if p.snap.Len() != p.len {
 				t.Fatalf("pin %d: len moved %d -> %d", i, p.len, p.snap.Len())
 			}
-			if got := fingerprint(mustRows(t, p.snap)); got != p.sum {
+			if got := fingerprint(p.snap.Rows()); got != p.sum {
 				t.Fatalf("pin %d: contents moved (%d -> %d)", i, p.sum, got)
 			}
 			checkSegSet(t, p.snap, model[:p.len], fmt.Sprintf("pin %d", i))

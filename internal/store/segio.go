@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
 )
 
-// This file is the on-disk serialization of a segment — the spill half
-// of the compressed columnar layout (segment.go). The format mirrors
-// the in-memory encoding exactly: a sealed segment is written once at
-// adoption and never rewritten, and reading it back materializes the
-// same dict/RLE/FOR/plain column payloads, null bitmaps and zone maps
-// byte for byte (the round-trip property tests pin this).
+// This file is the byte serialization of a segment — the codec of the
+// compressed columnar layout (segment.go), kept as the format a warm
+// restart would load. The format mirrors the in-memory encoding
+// exactly: decoding materializes the same dict/RLE/FOR/plain column
+// payloads, null bitmaps and zone maps byte for byte (the round-trip
+// property tests pin this), and no code in the store reads or writes
+// a file of it.
 //
 // Layout (all integers little-endian; var = unsigned varint):
 //
@@ -532,37 +532,4 @@ func decodeSegCol(r *segReader, n int) (*SegCol, error) {
 // remaining input before the caller allocates for them.
 func (r *segReader) bytesFor(n, width int) ([]byte, error) {
 	return r.bytes(n * width)
-}
-
-// WriteSegmentFile atomically writes the serialized segment to path:
-// the bytes land in a temporary sibling first and are renamed into
-// place, so a crash mid-write never leaves a half file under the
-// final name (a torn write under the temp name fails its checksum).
-func WriteSegmentFile(path string, cols []*SegCol, n int, sealed bool) error {
-	return writeSegmentBytes(path, EncodeSegment(cols, n, sealed))
-}
-
-func writeSegmentBytes(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("store: writing segment: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("store: publishing segment: %w", err)
-	}
-	return nil
-}
-
-// ReadSegmentFile reads and decodes one serialized segment.
-func ReadSegmentFile(path string) (cols []*SegCol, n int, sealed bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("store: reading segment: %w", err)
-	}
-	cols, n, sealed, err = DecodeSegment(data)
-	if err != nil {
-		return nil, 0, false, fmt.Errorf("store: reading segment %s: %w", path, err)
-	}
-	return cols, n, sealed, nil
 }

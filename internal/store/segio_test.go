@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -119,13 +117,12 @@ func codecFixtures(t *testing.T) map[string]*Segment {
 	return out
 }
 
-// TestSegmentCodecRoundTrip: encode → write → read → decode equals the
-// in-memory segment for every encoding and zone shape, byte-for-byte
+// TestSegmentCodecRoundTrip: encode → decode equals the in-memory
+// segment for every encoding and zone shape, byte-for-byte
 // stable across a re-encode.
 func TestSegmentCodecRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	for name, seg := range codecFixtures(t) {
-		cols := seg.MustCols()
+		cols := seg.Cols()
 		data := EncodeSegment(cols, seg.N, seg.Sealed)
 
 		// In-memory decode.
@@ -137,20 +134,6 @@ func TestSegmentCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: header (%d,%v), want (%d,%v)", name, n, sealed, seg.N, seg.Sealed)
 		}
 		sameSegCols(t, name, cols, dcols, seg.N)
-
-		// Through the file layer.
-		path := filepath.Join(dir, name+".nlsg")
-		if err := WriteSegmentFile(path, cols, seg.N, seg.Sealed); err != nil {
-			t.Fatal(err)
-		}
-		fcols, fn, fsealed, err := ReadSegmentFile(path)
-		if err != nil {
-			t.Fatalf("%s: read back: %v", name, err)
-		}
-		if fn != seg.N || fsealed != seg.Sealed {
-			t.Fatalf("%s: file header (%d,%v), want (%d,%v)", name, fn, fsealed, seg.N, seg.Sealed)
-		}
-		sameSegCols(t, name+" (file)", cols, fcols, seg.N)
 
 		// Deterministic: re-encoding the decoded columns reproduces the
 		// bytes exactly — the write-once format never churns.
@@ -183,7 +166,7 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg := tab.Snap().Segments().Segs[0]
-	data := EncodeSegment(seg.MustCols(), seg.N, seg.Sealed)
+	data := EncodeSegment(seg.Cols(), seg.N, seg.Sealed)
 
 	// Every flipped byte is either caught by the checksum, or — for the
 	// footer itself — a checksum mismatch against the intact body.
@@ -216,19 +199,6 @@ func TestSegmentDecodeRejectsCorruption(t *testing.T) {
 			}()
 			_, _, _, _ = DecodeSegment(reseal(bad))
 		}()
-	}
-
-	// A truncated file read fails cleanly through ReadSegmentFile too.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "trunc.nlsg")
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := ReadSegmentFile(path); err == nil {
-		t.Fatal("truncated file read succeeded")
-	}
-	if _, _, _, err := ReadSegmentFile(filepath.Join(dir, "missing.nlsg")); err == nil {
-		t.Fatal("missing file read succeeded")
 	}
 }
 
@@ -281,7 +251,7 @@ func FuzzSegmentCodec(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, seg := range tab.Snap().Segments().Segs {
-		f.Add(EncodeSegment(seg.MustCols(), seg.N, seg.Sealed))
+		f.Add(EncodeSegment(seg.Cols(), seg.N, seg.Sealed))
 	}
 	f.Add([]byte{})
 	f.Add(segMagic[:])

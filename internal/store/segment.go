@@ -1,7 +1,6 @@
 package store
 
 import (
-	"errors"
 	"sync/atomic"
 
 	"repro/internal/schema"
@@ -373,112 +372,39 @@ func (c *SegCol) Bytes() int {
 // Segment is one immutable run of table rows with per-column encodings
 // and zone maps. Sealed segments never change and are shared by
 // pointer across table versions; the single unsealed tail segment is
-// plain-encoded and republished, longer, by each write.
-//
-// The struct splits into an always-resident identity — row count,
-// seal flag and per-column zone maps — and a faultable payload (the
-// encoded columns). On a memory-only store the payload never leaves;
-// under a spill-enabled store (DB.EnableSpill) sealed segments are
-// serialized write-once to disk and the segment cache may drop the
-// payload under byte-budget pressure, leaving the zone maps behind so
-// the planner's skip predicates keep pruning without I/O. Readers go
-// through Cols, which faults an evicted payload back in through the
-// cache.
+// plain-encoded and republished, longer, by each write. A segment is
+// plain resident data: its columns are always there to read.
 type Segment struct {
 	N      int
 	Sealed bool
 
-	// Zones holds one zone map per column. It is populated at encode
-	// time and never evicted: segment skipping must stay a pure
-	// in-memory test whatever the cache does to the payload.
+	// Zones holds one zone map per column, copied out of the columns at
+	// encode time so the planner's skip test reads no column.
 	Zones []ZoneMap
 
-	bytes int                       // payload footprint, fixed at encode time
-	ref   atomic.Bool               // CLOCK reference bit (second chance)
-	src   atomic.Pointer[segSrc]    // spill identity; nil until adopted
-	pay   atomic.Pointer[[]*SegCol] // decoded columns; nil when evicted
+	cols []*SegCol
 }
 
-// segSrc is the spill identity of an adopted segment: the cache that
-// owns its on-disk copy and the file id within it. Set once at
-// adoption, before the payload can ever be evicted.
-type segSrc struct {
-	id uint64
-	c  *SegCache
-}
-
-// newSegment wraps freshly encoded columns into a resident segment.
-// Only a sealed segment counts its bytes up front (the segment cache
-// budgets them); a tail counts them when asked, so a write costs what
-// it appends, not what the tail holds.
+// newSegment wraps freshly encoded columns into a segment.
 func newSegment(cols []*SegCol, n int, sealed bool) *Segment {
-	s := &Segment{N: n, Sealed: sealed, Zones: make([]ZoneMap, len(cols))}
+	s := &Segment{N: n, Sealed: sealed, Zones: make([]ZoneMap, len(cols)), cols: cols}
 	for i, c := range cols {
 		s.Zones[i] = c.Zone
 	}
-	if sealed {
-		s.bytes = colBytes(cols)
-	}
-	s.pay.Store(&cols)
 	return s
 }
 
-func colBytes(cols []*SegCol) int {
+// Cols returns the segment's encoded columns, in table column order.
+// They are immutable; a reader may keep them as long as it likes.
+func (s *Segment) Cols() []*SegCol { return s.cols }
+
+// Bytes is the data footprint of the segment's encoded columns.
+func (s *Segment) Bytes() int {
 	b := 0
-	for _, c := range cols {
+	for _, c := range s.cols {
 		b += c.Bytes()
 	}
 	return b
-}
-
-// Cols returns the segment's decoded columns, faulting them in through
-// the segment cache when the payload was evicted. done, when non-nil,
-// aborts a fault-in wait (the cancellation signal of the serving run);
-// a nil done waits indefinitely. The returned columns are immutable
-// and stay valid however the cache evicts afterwards — eviction only
-// drops the cache's reference, never the data under a reader.
-func (s *Segment) Cols(done <-chan struct{}) ([]*SegCol, error) {
-	if p := s.pay.Load(); p != nil {
-		if sp := s.src.Load(); sp != nil {
-			s.ref.Store(true)
-			sp.c.hits.Add(1)
-		}
-		return *p, nil
-	}
-	sp := s.src.Load()
-	if sp == nil {
-		return nil, errors.New("store: segment payload missing and no segment cache to fault from")
-	}
-	return sp.c.fault(s, sp, done)
-}
-
-// MustCols is Cols without a cancellation signal, panicking on fault
-// failure — for tests, benchmarks and footprint accounting over sets
-// that are memory-only or known readable.
-func (s *Segment) MustCols() []*SegCol {
-	cols, err := s.Cols(nil)
-	if err != nil {
-		panic(err)
-	}
-	return cols
-}
-
-// Resident returns the decoded columns when resident, nil when
-// evicted. It never faults and never counts a cache touch.
-func (s *Segment) Resident() []*SegCol {
-	if p := s.pay.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// Bytes is the data footprint of the segment's encoded payload,
-// whether or not it is currently resident.
-func (s *Segment) Bytes() int {
-	if !s.Sealed {
-		return colBytes(s.Resident()) // a tail is never evicted
-	}
-	return s.bytes
 }
 
 // SegSet is the segment layout of one table version: sealed segments

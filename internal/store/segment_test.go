@@ -135,11 +135,7 @@ func checkSegSet(t *testing.T, s *TableSnap, rows []Row, ctx string) {
 	if ss.N != len(rows) || s.Len() != len(rows) {
 		t.Fatalf("%s: segset N=%d, Len=%d, want %d", ctx, ss.N, s.Len(), len(rows))
 	}
-	got, err := s.Rows()
-	if err != nil {
-		t.Fatalf("%s: Rows: %v", ctx, err)
-	}
-	for i, row := range got {
+	for i, row := range s.Rows() {
 		for ci, v := range row {
 			if want := rows[i][ci]; Compare(v, want) != 0 || v.Kind() != want.Kind() {
 				t.Fatalf("%s: Rows()[%d][%d] = %v, want %v", ctx, i, ci, v, want)
@@ -158,7 +154,7 @@ func checkSegSet(t *testing.T, s *TableSnap, rows []Row, ctx string) {
 		if !seg.Sealed && si != len(ss.Segs)-1 {
 			t.Fatalf("%s: unsealed segment %d is not the tail", ctx, si)
 		}
-		for ci, sc := range seg.MustCols() {
+		for ci, sc := range seg.Cols() {
 			if sc.N != seg.N {
 				t.Fatalf("%s: segment %d col %d N=%d, want %d", ctx, si, ci, sc.N, seg.N)
 			}
@@ -287,7 +283,7 @@ func TestSegmentEncodingSelection(t *testing.T) {
 			if len(ss.Segs) != 1 || !ss.Segs[0].Sealed {
 				t.Fatalf("want 1 sealed segment, got %d", len(ss.Segs))
 			}
-			if got := ss.Segs[0].MustCols()[0].Enc; got != tc.want {
+			if got := ss.Segs[0].Cols()[0].Enc; got != tc.want {
 				t.Fatalf("encoding = %s, want %s", got, tc.want)
 			}
 		})
@@ -311,7 +307,7 @@ func TestSegmentNullExtremes(t *testing.T) {
 			noNull[i] = Row{Int(int64(i % 3)), Text("x"), Float(1.5)}
 		}
 		ss := sealRows(t, meta, allNull, n)
-		for ci, sc := range ss.Segs[0].MustCols() {
+		for ci, sc := range ss.Segs[0].Cols() {
 			if !sc.Zone.AllNull() {
 				t.Fatalf("n=%d col %d: AllNull()=false for all-null segment", n, ci)
 			}
@@ -325,7 +321,7 @@ func TestSegmentNullExtremes(t *testing.T) {
 			}
 		}
 		ss = sealRows(t, meta, noNull, n)
-		for ci, sc := range ss.Segs[0].MustCols() {
+		for ci, sc := range ss.Segs[0].Cols() {
 			if sc.Zone.Nulls != 0 || sc.Nuls != nil {
 				t.Fatalf("n=%d col %d: spurious nulls in no-null segment", n, ci)
 			}
@@ -343,7 +339,7 @@ func TestSegmentNaNZone(t *testing.T) {
 	meta := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "f", Type: schema.Float}}}
 	rows := []Row{{Float(1)}, {Float(math.NaN())}, {Float(3)}}
 	ss := sealRows(t, meta, rows, 3)
-	sc := ss.Segs[0].MustCols()[0]
+	sc := ss.Segs[0].Cols()[0]
 	if !sc.Zone.Min.IsNull() || !sc.Zone.Max.IsNull() {
 		t.Fatalf("NaN segment published a zone range: [%v,%v]", sc.Zone.Min, sc.Zone.Max)
 	}
@@ -409,7 +405,7 @@ func TestSegmentFORBoundaries(t *testing.T) {
 				rows[i] = Row{Int(v)}
 			}
 			ss := sealRows(t, meta, rows, len(rows))
-			sc := ss.Segs[0].MustCols()[0]
+			sc := ss.Segs[0].Cols()[0]
 			if sc.Enc != tc.want {
 				t.Fatalf("encoding = %s, want %s", sc.Enc, tc.want)
 			}

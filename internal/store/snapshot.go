@@ -51,14 +51,13 @@ type TableSnap struct {
 	Meta   *schema.Table
 	colIdx map[string]int
 	d      *tableData
-	spill  *SegCache // segment cache adopting sealed segments, or nil
 }
 
 // Snap pins the table's current version.
 func (t *Table) Snap() *TableSnap { return t.snapOf(t.data.Load()) }
 
 func (t *Table) snapOf(d *tableData) *TableSnap {
-	return &TableSnap{Meta: t.Meta, colIdx: t.colIdx, d: d, spill: t.spill.Load()}
+	return &TableSnap{Meta: t.Meta, colIdx: t.colIdx, d: d}
 }
 
 // Version returns the data version this snapshot was pinned at.
@@ -77,10 +76,9 @@ func (s *TableSnap) Len() int { return s.d.segs.N }
 
 // Rows materializes the snapshot's rows by decoding its segments, in
 // O(n) time and space — for the reference executor and tests; the
-// engine scans segments. An evicted segment is faulted back in, and a
-// fault that fails is returned as an error.
-func (s *TableSnap) Rows() ([]Row, error) {
-	ss := s.Segments()
+// engine scans segments.
+func (s *TableSnap) Rows() []Row {
+	ss := s.d.segs
 	nc := len(s.Meta.Columns)
 	rows := make([]Row, ss.N)
 	arena := make([]Value, ss.N*nc)
@@ -88,32 +86,19 @@ func (s *TableSnap) Rows() ([]Row, error) {
 		rows[i] = arena[i*nc : (i+1)*nc : (i+1)*nc]
 	}
 	for si, seg := range ss.Segs {
-		cols, err := seg.Cols(nil)
-		if err != nil {
-			return nil, fmt.Errorf("store: table %s: %w", s.Meta.Name, err)
-		}
+		cols := seg.Cols()
 		for i, row := range rows[ss.Start[si] : ss.Start[si]+seg.N] {
 			for ci, c := range cols {
 				row[ci] = c.Value(i)
 			}
 		}
 	}
-	return rows, nil
+	return rows
 }
 
 // Segments returns the snapshot's data: sealed compressed segments
 // covering full chunks of the rows plus at most one plain tail.
-func (s *TableSnap) Segments() *SegSet {
-	// Under a spill-enabled store, hand any not-yet-adopted sealed
-	// segments to the segment cache (write-once serialization + byte
-	// budget). Adoption is idempotent per segment, so doing it here —
-	// the one funnel every reader passes through — also covers the
-	// segments sealed before spilling was enabled.
-	if s.spill != nil {
-		s.spill.adopt(s.d.segs)
-	}
-	return s.d.segs
-}
+func (s *TableSnap) Segments() *SegSet { return s.d.segs }
 
 // SegmentRows returns the snapshot's seal boundary (rows per sealed
 // segment).
@@ -226,7 +211,7 @@ func appendSegs(meta *schema.Table, prev *SegSet, rows []Row, segRows int) (*Seg
 	segs := append([]*Segment(nil), prev.Segs...)
 	var tail []*SegCol
 	if n := len(segs); n > 0 && !segs[n-1].Sealed {
-		tail = segs[n-1].Resident() // a tail is never adopted, so never evicted
+		tail = segs[n-1].Cols()
 		segs = segs[:n-1]
 	}
 	ok := true

@@ -26,11 +26,6 @@ type Table struct {
 
 	mu   sync.Mutex                // serializes writers
 	data atomic.Pointer[tableData] // current published version
-
-	// spill, when set (DB.EnableSpill), is the segment cache that
-	// adopts this table's sealed segments: serialized write-once to
-	// disk, payload evictable under the cache's byte budget.
-	spill atomic.Pointer[SegCache]
 }
 
 // NewTable creates an empty table for the given schema table.
@@ -113,60 +108,26 @@ func coerce(v Value, want schema.ColType) (Value, error) {
 
 // SetSegmentRows changes the table's seal boundary (rows per sealed
 // segment; 0 restores the default) and reseals the current data under
-// it: the rows are decoded and written again, at the same version. It
-// fails only when a spilled segment cannot be read back. Intended for
-// tests and experiments that need small segments or boundary-straddling
-// row counts.
-func (t *Table) SetSegmentRows(n int) error {
+// it: the rows are decoded and written again, at the same version.
+// Intended for tests and experiments that need small segments or
+// boundary-straddling row counts.
+func (t *Table) SetSegmentRows(n int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := t.data.Load()
-	rows, err := t.snapOf(cur).Rows()
-	if err != nil {
-		return err
-	}
-	segs, _ := appendSegs(t.Meta, &SegSet{}, rows, n) // decoded rows fit their columns
+	segs, _ := appendSegs(t.Meta, &SegSet{}, t.snapOf(cur).Rows(), n) // decoded rows fit their columns
 	t.data.Store(&tableData{
 		segs:    segs,
 		version: cur.version,
 		segRows: n,
 	})
-	return nil
 }
 
 // DB is a collection of populated tables bound to a schema.
 type DB struct {
 	Schema *schema.Schema
 	tables map[string]*Table
-	spill  atomic.Pointer[SegCache]
 }
-
-// EnableSpill turns memory into a cache: sealed segments of every
-// table are adopted by a segment cache that serializes them write-once
-// into dir and evicts decoded payloads (keeping zone maps resident)
-// when their total bytes exceed budget (DefaultSegCacheBytes when
-// budget <= 0). Idempotent — the first successful call wins and later
-// calls are no-ops, so layered setup code can enable it defensively.
-func (db *DB) EnableSpill(dir string, budget int64) error {
-	if db.spill.Load() != nil {
-		return nil
-	}
-	c, err := NewSegCache(dir, budget)
-	if err != nil {
-		return err
-	}
-	if !db.spill.CompareAndSwap(nil, c) {
-		return nil // lost the race to an earlier enable
-	}
-	for _, t := range db.tables {
-		t.spill.Store(c)
-	}
-	return nil
-}
-
-// SegCache returns the database's segment cache, or nil when spilling
-// was never enabled.
-func (db *DB) SegCache() *SegCache { return db.spill.Load() }
 
 // NewDB creates a database with one empty table per schema table.
 func NewDB(s *schema.Schema) *DB {
