@@ -60,7 +60,7 @@ func (s *floatSum) value() float64 {
 // TestFloatSumExactProperty: SUM and AVG over a FLOAT column are the
 // exact sum rounded once — AVG that sum divided by the count — grouped
 // and not, in the reference executor and at parallelism 1, 2 and 4,
-// where the sum folds per morsel and the partials merge. The tables
+// where the sum folds per worker and the partials merge. The tables
 // fill more than one batch, so the plan gets an exchange, and are cut
 // into 8-row segments, so morsels are many and short.
 func TestFloatSumExactProperty(t *testing.T) {
@@ -107,8 +107,8 @@ func TestFloatSumExactProperty(t *testing.T) {
 
 		check := func(q string, want func(row store.Row) *floatSum) {
 			for _, run := range differential(t, sn, q, diffOpts{pars: []int{1, 2, 4}, ordered: true}) {
-				if run.par > 1 && !strings.Contains(run.plan.Explain(), perMorsel) {
-					t.Fatalf("par=%d: the sum does not fold per morsel:\n%s", run.par, run.plan.Explain())
+				if run.par > 1 && !strings.Contains(run.plan.Explain(), perWorker) {
+					t.Fatalf("par=%d: the sum does not fold per worker:\n%s", run.par, run.plan.Explain())
 				}
 				for _, row := range run.res.Rows {
 					w := want(row)

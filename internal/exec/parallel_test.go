@@ -80,8 +80,8 @@ func TestParallelExplain(t *testing.T) {
 	// A COUNT folds inside the exchange's workers and says so, and so
 	// does an AVG, whose exact sums merge; a DISTINCT aggregate
 	// aggregates the merged stream and carries no mark.
-	if !strings.Contains(out, "group by d.name [partial ×morsel]\n") {
-		t.Errorf("Explain misses the per-morsel fold on the COUNT aggregate:\n%s", out)
+	if !strings.Contains(out, "group by d.name [partial ×worker]\n") {
+		t.Errorf("Explain misses the per-worker fold on the COUNT aggregate:\n%s", out)
 	}
 	for agg, partial := range map[string]bool{"AVG(s.gpa)": true, "COUNT(DISTINCT s.gpa)": false} {
 		p, err := exec.Compile(db.Snapshot(), sql.MustParse(strings.Replace(stmt.String(), "COUNT(*)", agg, 1)), 4)
@@ -89,7 +89,7 @@ func TestParallelExplain(t *testing.T) {
 			t.Fatal(err)
 		}
 		if out := p.Explain(); !strings.Contains(out, "exchange workers=4") || strings.Contains(out, "partial") != partial {
-			t.Errorf("%s: want the [partial ×morsel] mark %v:\n%s", agg, partial, out)
+			t.Errorf("%s: want the [partial ×worker] mark %v:\n%s", agg, partial, out)
 		}
 	}
 

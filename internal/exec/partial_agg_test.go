@@ -20,7 +20,7 @@ import (
 // How Explain shows an aggregate that folds inside the workers of the
 // exchange below it.
 const (
-	perMorsel  = "[partial ×morsel]"
+	perWorker  = "[partial ×worker]"
 	notPartial = ""
 )
 
@@ -40,7 +40,7 @@ func checkPartial(t *testing.T, sn *store.Snapshot, q, wantMark string) {
 	}
 }
 
-// partialDB is a random table for the per-morsel fold: NULLs in every
+// partialDB is a random table for the per-worker fold: NULLs in every
 // key and argument column, a key whose values first appear in the last
 // eighth of the rows (groups only late morsels see), and half-batch
 // segments so every morsel is many batches; beside it u, three rows to
@@ -96,13 +96,14 @@ func partialDB(seed int64) (*store.DB, int) {
 
 // TestPartialAggregateEqualsSerial is the differential for DESIGN
 // §2.4's "fold where the rows are": an aggregate above an exchange folds
-// each morsel into its own group table and merges them in morsel order,
-// and must be indistinguishable from the serial fold — group order,
+// the morsels each worker claims into that worker's group table and
+// merges the tables into first-seen order, and must be
+// indistinguishable from the serial fold — group order,
 // empty-input global group, NULL keys and arguments included. COUNT,
 // MIN, MAX and FIRST merge their states; SUM and AVG merge exact sums,
 // 128-bit over INT and a superaccumulator over FLOAT, so a float answer
 // is bit for bit the serial one. Only a DISTINCT aggregate, whose
-// partials would count a value once per morsel, must not take the path.
+// partials would count a value once per worker, must not take the path.
 func TestPartialAggregateEqualsSerial(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		db, n := partialDB(seed)
@@ -110,28 +111,28 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 		for _, c := range []struct {
 			q, mark string
 		}{
-			{"SELECT COUNT(*), COUNT(v), MIN(v), MAX(v), MIN(s), MAX(s), MIN(b), MAX(b) FROM t WHERE v > -100", perMorsel},
-			{"SELECT k1, COUNT(*), MIN(v), MAX(s) FROM t GROUP BY k1", perMorsel},
-			{"SELECT k1, k2, COUNT(f), MAX(b) FROM t WHERE f > 0.0 GROUP BY k1, k2", perMorsel},
+			{"SELECT COUNT(*), COUNT(v), MIN(v), MAX(v), MIN(s), MAX(s), MIN(b), MAX(b) FROM t WHERE v > -100", perWorker},
+			{"SELECT k1, COUNT(*), MIN(v), MAX(s) FROM t GROUP BY k1", perWorker},
+			{"SELECT k1, k2, COUNT(f), MAX(b) FROM t WHERE f > 0.0 GROUP BY k1, k2", perWorker},
 			// Groups the first morsels never see; morsels the filter empties.
-			{"SELECT late, COUNT(*), MIN(seq) FROM t GROUP BY late", perMorsel},
-			{fmt.Sprintf("SELECT k2, COUNT(*), MAX(v) FROM t WHERE seq >= %d GROUP BY k2", n-n/3), perMorsel},
+			{"SELECT late, COUNT(*), MIN(seq) FROM t GROUP BY late", perWorker},
+			{fmt.Sprintf("SELECT k2, COUNT(*), MAX(v) FROM t WHERE seq >= %d GROUP BY k2", n-n/3), perWorker},
 			// A filter that keeps nothing: the global group still answers.
-			{"SELECT COUNT(*), COUNT(v), MIN(v), MAX(s) FROM t WHERE seq < 0", perMorsel},
-			{"SELECT k1, COUNT(*) FROM t WHERE seq < 0 GROUP BY k1", perMorsel},
+			{"SELECT COUNT(*), COUNT(v), MIN(v), MAX(s) FROM t WHERE seq < 0", perWorker},
+			{"SELECT k1, COUNT(*) FROM t WHERE seq < 0 GROUP BY k1", perWorker},
 			// HAVING and ORDER BY run once, over the merged groups.
-			{"SELECT k2, COUNT(*) FROM t GROUP BY k2 HAVING COUNT(*) > 300", perMorsel},
-			{"SELECT k1, COUNT(*) AS c, MIN(s) FROM t GROUP BY k1 ORDER BY c DESC, k1", perMorsel},
+			{"SELECT k2, COUNT(*) FROM t GROUP BY k2 HAVING COUNT(*) > 300", perWorker},
+			{"SELECT k1, COUNT(*) AS c, MIN(s) FROM t GROUP BY k1 ORDER BY c DESC, k1", perWorker},
 			// Exact sums and float extrema merge too.
-			{"SELECT k1, SUM(v) FROM t GROUP BY k1", perMorsel},
-			{"SELECT AVG(f) FROM t WHERE v > 0", perMorsel},
-			{"SELECT k1, COUNT(*), AVG(v) FROM t GROUP BY k1", perMorsel},
-			{"SELECT k2, MIN(f), MAX(f), COUNT(*) FROM t GROUP BY k2", perMorsel},
-			{"SELECT late, SUM(f), AVG(f), SUM(v) FROM t GROUP BY late", perMorsel},
+			{"SELECT k1, SUM(v) FROM t GROUP BY k1", perWorker},
+			{"SELECT AVG(f) FROM t WHERE v > 0", perWorker},
+			{"SELECT k1, COUNT(*), AVG(v) FROM t GROUP BY k1", perWorker},
+			{"SELECT k2, MIN(f), MAX(f), COUNT(*) FROM t GROUP BY k2", perWorker},
+			{"SELECT late, SUM(f), AVG(f), SUM(v) FROM t GROUP BY late", perWorker},
 			// A bare column is its group's first row (FIRST), here behind
 			// morsels the filter empties.
-			{fmt.Sprintf("SELECT s, COUNT(*), SUM(f) FROM t WHERE seq >= %d", n-n/8), perMorsel},
-			{"SELECT k1, s, MIN(f) FROM t GROUP BY k1", perMorsel},
+			{fmt.Sprintf("SELECT s, COUNT(*), SUM(f) FROM t WHERE seq >= %d", n-n/8), perWorker},
+			{"SELECT k1, s, MIN(f) FROM t GROUP BY k1", perWorker},
 			// A DISTINCT aggregate stays above the merge.
 			{"SELECT k1, COUNT(DISTINCT v) FROM t GROUP BY k1", notPartial},
 			{"SELECT SUM(DISTINCT f), COUNT(*) FROM t", notPartial},
@@ -139,15 +140,15 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 			checkPartial(t, sn, c.q, c.mark)
 		}
 		// A subquery filter and a cross join under the exchange fold per
-		// morsel too: the subquery binds once as each worker's pipeline
-		// opens, and the cross join runs in every worker.
+		// worker too: the subquery binds once as each worker's pipeline
+		// opens, and the cross join runs in every worker, once a morsel.
 		for _, q := range []string{
 			"SELECT COUNT(*), MIN(seq) FROM t WHERE v > (SELECT AVG(v) FROM t)",
 			"SELECT k1, COUNT(*), MAX(s) FROM t WHERE v > (SELECT AVG(v) FROM t) GROUP BY k1",
 			"SELECT COUNT(*), COUNT(v), MIN(v), MAX(w) FROM t, u",
 			"SELECT k1, COUNT(*), MIN(w) FROM t, u WHERE v > w GROUP BY k1",
 		} {
-			checkPartial(t, sn, q, perMorsel)
+			checkPartial(t, sn, q, perWorker)
 		}
 	}
 
@@ -160,16 +161,16 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 		"SELECT service, COUNT(latency_ms), MIN(d32), MAX(status) FROM events WHERE latency_ms > 120.5 GROUP BY service",
 		"SELECT d.region, COUNT(*), MIN(e.d32) FROM events e, devices d WHERE e.device_id = d.device_id AND e.status > 250 GROUP BY d.region",
 	} {
-		checkPartial(t, sn, q, perMorsel)
+		checkPartial(t, sn, q, perWorker)
 	}
 
-	// FK joins over the telemetry pair: the fold runs per morsel above
+	// FK joins over the telemetry pair: the fold runs per worker above
 	// the probe on the same terms.
 	sn = dataset.Telemetry(20_000).Snapshot()
 	const fk = "FROM events, devices WHERE events.device_id = devices.device_id"
-	checkPartial(t, sn, "SELECT level, COUNT(*), MIN(ts), MAX(service) "+fk+" GROUP BY level", perMorsel)
-	checkPartial(t, sn, "SELECT region, COUNT(latency_ms) "+fk+" AND level = 'error' GROUP BY region", perMorsel)
-	checkPartial(t, sn, "SELECT COUNT(*) "+fk+" AND status > 9000", perMorsel)
+	checkPartial(t, sn, "SELECT level, COUNT(*), MIN(ts), MAX(service) "+fk+" GROUP BY level", perWorker)
+	checkPartial(t, sn, "SELECT region, COUNT(latency_ms) "+fk+" AND level = 'error' GROUP BY region", perWorker)
+	checkPartial(t, sn, "SELECT COUNT(*) "+fk+" AND status > 9000", perWorker)
 }
 
 // TestPartialAggregateExtrema pins the merge's exactness at the values
@@ -221,10 +222,10 @@ func TestPartialAggregateExtrema(t *testing.T) {
 	db.MustBulkInsert("x", rows)
 	sn := db.Snapshot()
 
-	checkPartial(t, sn, "SELECT g, MIN(f), MAX(f) FROM x GROUP BY g", perMorsel)
-	checkPartial(t, sn, "SELECT MIN(f), MAX(f), COUNT(*) FROM x", perMorsel)
-	checkPartial(t, sn, "SELECT g, MIN(i), MAX(i), MIN(s), MAX(s), MIN(b), MAX(b), COUNT(f) FROM x GROUP BY g", perMorsel)
-	checkPartial(t, sn, "SELECT MIN(i), MAX(i), MIN(s), MAX(b) FROM x WHERE f > 0.0", perMorsel)
+	checkPartial(t, sn, "SELECT g, MIN(f), MAX(f) FROM x GROUP BY g", perWorker)
+	checkPartial(t, sn, "SELECT MIN(f), MAX(f), COUNT(*) FROM x", perWorker)
+	checkPartial(t, sn, "SELECT g, MIN(i), MAX(i), MIN(s), MAX(s), MIN(b), MAX(b), COUNT(f) FROM x GROUP BY g", perWorker)
+	checkPartial(t, sn, "SELECT MIN(i), MAX(i), MIN(s), MAX(b) FROM x WHERE f > 0.0", perWorker)
 
 	// The fixture does what it says: NaN wins g=0, the first zero g=1 and
 	// g=2, the number behind a NaN g=3, and the int extrema are exact.
@@ -243,29 +244,119 @@ func TestPartialAggregateExtrema(t *testing.T) {
 	}
 }
 
+// TestWorkerFoldKeepsSerialGroupOrder: each exchange worker folds every
+// morsel it claims into one group table, and the merge must rebuild the
+// serial fold's group order, FIRST values and float extrema whichever
+// worker claimed which morsel — the scheduler's call, so one run per
+// degree can pass by luck. Each query runs 50 times at two, four and
+// eight workers, and every run must equal the one-worker run row for
+// row: groups only the last morsels see (late), a key first seen in
+// every morsel (s, 3,000 values over the table), a bare column
+// (FIRST) beside a float MIN, region_join's fold above a join probe,
+// and float extrema a merge in creation order would get wrong: a NaN
+// behind NULLs that opens a group's values in a later morsel than a
+// number of another worker's, and a 0.0 whose -0.0 tie comes later.
+func TestWorkerFoldKeepsSerialGroupOrder(t *testing.T) {
+	db, _ := partialDB(1)
+	part := db.Snapshot()
+	tel := dataset.Telemetry(1 << 15).Snapshot()
+	var regionJoin string
+	for _, tc := range scanTemplatesAt(1 << 15) {
+		if tc.name == "region_join" {
+			regionJoin = tc.sql
+		}
+	}
+
+	s := schema.MustNew("lead", []*schema.Table{{
+		Name:    "x",
+		Columns: []schema.Column{{Name: "g", Type: schema.Int}, {Name: "f", Type: schema.Float}},
+	}}, nil)
+	leadDB := store.NewDB(s)
+	leadDB.Table("x").SetSegmentRows(1024)
+	const n = 1 << 15
+	m := n / 8 // a morsel at two workers
+	floats := map[int]float64{
+		4*m + 10: math.NaN(), 5*m + 10: 5, 7*m + 10: -1, // g=0: the NaN comes first
+		2*m + 11: 0, 7*m + 11: math.Copysign(0, -1), // g=1: 0.0 comes first
+	}
+	rows := make([]store.Row, n)
+	for r := range rows {
+		f := store.Null()
+		if v, ok := floats[r]; ok {
+			f = store.Float(v)
+		}
+		rows[r] = store.Row{store.Int(int64(r % 2)), f}
+	}
+	leadDB.MustBulkInsert("x", rows)
+	lead := leadDB.Snapshot()
+
+	for _, c := range []struct {
+		sn *store.Snapshot
+		q  string
+	}{
+		{part, "SELECT late, COUNT(*), MIN(seq) FROM t GROUP BY late"},
+		{part, "SELECT s, COUNT(*), MIN(v), k1 FROM t GROUP BY s"},
+		{part, "SELECT k1, s, MIN(f) FROM t GROUP BY k1"},
+		{tel, regionJoin},
+		{lead, "SELECT g, MIN(f), MAX(f), COUNT(f) FROM x GROUP BY g"},
+	} {
+		serial, err := compileRun(c.sn, sql.MustParse(c.q), 1, exec.RunOpts{})
+		if err != nil {
+			t.Fatalf("%v\nsql: %s", err, c.q)
+		}
+		for _, par := range []int{2, 4, 8} {
+			p, err := exec.Compile(c.sn, sql.MustParse(c.q), par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(p.Explain(), perWorker) {
+				t.Fatalf("par=%d: the aggregate does not fold per worker:\n%s", par, p.Explain())
+			}
+			for run := range 50 {
+				got, err := exec.Run(context.Background(), c.sn, p, exec.RunOpts{})
+				if err != nil {
+					t.Fatalf("par=%d run %d: %v\nsql: %s", par, run, err, c.q)
+				}
+				if err := sameResult(got, serial, true); err != nil {
+					t.Fatalf("par=%d run %d vs par=1: %v\nsql: %s", par, run, err, c.q)
+				}
+			}
+		}
+	}
+}
+
 // TestScanBytesFollowGroups: what an ask_scan question allocates
-// inside the executor is its per-morsel pipelines and group tables, not
-// its rows. All six shapes fold per morsel — the two AVG shapes' exact
+// inside the executor is its workers' pipelines and group tables, not
+// its rows. All six shapes fold per worker — the two AVG shapes' exact
 // sums merge, and the join's probe writes its build columns into
 // scratch — so each, run over 2^15 and over 2^17 events at two workers,
 // may differ by a tenth in bytes per run for four times the rows — plus
-// 16 KiB, one worker's scratch: whether the second worker claims a
-// morsel of the short run before the first has drained them all is the
-// scheduler's call. A selection copy alone would be 4 B a kept row,
-// some 200 KiB more over the larger table.
+// 16 KiB of slack. A run's bytes depend on whether one worker or two
+// claimed a morsel, the scheduler's call, so each size is its largest
+// run: both sides are the two-worker shape. On a loaded machine every
+// run over the short table can go to one worker (region_join's
+// zone-skipped morsels take microseconds), so a shape over the bound
+// samples the short table again, up to five more rounds of ten, for
+// the run with two. A selection copy alone would be 4 B a kept row,
+// some 200 KiB more over the larger table, which no resampling finds.
 func TestScanBytesFollowGroups(t *testing.T) {
-	perMorselOnly := func(name, _ string, p *plan.Plan) bool {
-		if !strings.Contains(p.Explain(), perMorsel) {
-			t.Fatalf("%s does not fold per morsel:\n%s", name, p.Explain())
+	perWorkerOnly := func(name, _ string, p *plan.Plan) bool {
+		if !strings.Contains(p.Explain(), perWorker) {
+			t.Fatalf("%s does not fold per worker:\n%s", name, p.Explain())
 		}
 		return true
 	}
-	small, large := scanBytesPerRun(t, 1<<15, perMorselOnly), scanBytesPerRun(t, 1<<17, perMorselOnly)
+	small, large := scanBytesPerRun(t, 1<<15, perWorkerOnly), scanBytesPerRun(t, 1<<17, perWorkerOnly)
 	if len(small) != 6 {
 		t.Fatalf("want the six ask_scan shapes, got %v", small)
 	}
 	for name, s := range small {
-		if l := large[name]; l > 1.10*s+16<<10 {
+		l := large[name]
+		for round := 0; l > 1.10*s+16<<10 && round < 5; round++ {
+			again := scanBytesPerRun(t, 1<<15, func(n, _ string, _ *plan.Plan) bool { return n == name })
+			s = max(s, again[name])
+		}
+		if l > 1.10*s+16<<10 {
 			t.Errorf("%s: %.0f B/run over 2^15 events, %.0f over 2^17: bytes follow the rows scanned", name, s, l)
 		} else {
 			t.Logf("%s: %.0f B/run over 2^15 events, %.0f over 2^17", name, s, l)
@@ -275,7 +366,7 @@ func TestScanBytesFollowGroups(t *testing.T) {
 
 // scanBytesPerRun binds the ask_scan templates over a telemetry log of
 // the given length, at two workers, and returns what one run of each
-// template that use accepts allocates, averaged over ten runs. Two
+// template that use accepts allocates, the most of ten runs. Two
 // collections before each run empty the executor's scratch pool, so
 // every run borrows its scratch and join build afresh, as a question
 // after an idle spell does: the figure does not hang on which P's
@@ -298,16 +389,16 @@ func scanBytesPerRun(t *testing.T, rows int, use func(name, sql string, p *plan.
 		run() // builds the segment layout
 		const runs = 10
 		var before, after runtime.MemStats
-		var total uint64
+		var most uint64
 		for range runs {
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			run()
 			runtime.ReadMemStats(&after)
-			total += after.TotalAlloc - before.TotalAlloc
+			most = max(most, after.TotalAlloc-before.TotalAlloc)
 		}
-		out[tc.name] = float64(total) / runs
+		out[tc.name] = float64(most)
 	}
 	return out
 }

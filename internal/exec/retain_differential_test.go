@@ -126,7 +126,7 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		// masks, leave through a bare projection.
 		"SELECT ts, d8, device_id, d32, status FROM events",
 		"SELECT seq, latency_ms, service FROM events WHERE seq >= 0",
-		// Float sums, with NULL arguments, fold per morsel; kept by the
+		// Float sums, with NULL arguments, fold per worker; kept by the
 		// exchange until a DISTINCT aggregate, which cannot merge
 		// partials, reads them — over a join, with the build column
 		// the probe wrote into its scratch.

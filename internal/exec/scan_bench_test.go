@@ -72,7 +72,7 @@ func bindScanTemplate(tb testing.TB, sn *store.Snapshot, q string) (*plan.Plan, 
 // on each run borrows its operator scratch, scan batch headers and
 // null masks and the join's build table from the pool and hands them
 // back, so a run allocates only what it cannot borrow (its compiled
-// programs, per-morsel group tables, the rows it returns) and, after
+// programs, per-worker group tables, the rows it returns) and, after
 // a collection empties the pool, what it borrows afresh. That must
 // follow the rows a question keeps, not the rows it scans, which
 // allocs/op cannot see (an 8 KiB slice per batch is one allocation),

@@ -24,7 +24,7 @@ func tsAt(n int, frac float64) int64 {
 // probes are ts windows over a ts-clustered log cut into 512-row
 // segments; the row count is no multiple of 512, so morsels start
 // mid-segment at every degree, and zone maps skip most of the table.
-// Each probe runs as a COUNT folded per morsel, an AVG whose batches
+// Each probe runs as a COUNT folded per worker, an AVG whose batches
 // are kept, and a bare projection.
 func TestZoneSkipUnderExchange(t *testing.T) {
 	const n = 30_000

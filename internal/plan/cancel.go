@@ -8,10 +8,10 @@ import "context"
 // ctxfirst analyzer enforces that rule; database/sql's driver layer
 // uses the same split). Checkpoints sit at batch granularity: every
 // leaf scan checks once per emitted batch, every Exchange worker checks
-// at each morsel claim, and Run re-checks as it materializes each
-// batch. A canceled request therefore stops burning CPU within one
-// batch of work per worker instead of finishing a multi-second scan
-// nobody is waiting for.
+// before each morsel it claims for its one open pipeline, and Run
+// re-checks as it materializes each batch. A canceled request
+// therefore stops burning CPU within one batch of work per worker
+// instead of finishing a multi-second scan nobody is waiting for.
 
 // canceled reports the run's cancellation error once Done is closed,
 // nil before then (and always nil for runs without a signal).

@@ -49,10 +49,9 @@ type Ctx struct {
 	// a client disconnect in the error it maps to a status code.
 	Cause func() error
 
-	part   *morselRun   // set inside an Exchange worker: the leaf's morsel
+	part   *morselRun   // set inside an Exchange worker: the leaf's morsels
 	shared *sharedState // per-run state shared across Exchange workers
-	arena  *runArena    // the run's borrowed working memory: see takeScratch
-	vs     *scratchSet  // set inside an Exchange worker: see takeScratch
+	arena  *runArena    // the run's borrowed working memory: see runArena
 }
 
 // Run executes a compiled plan batch-at-a-time over typed column

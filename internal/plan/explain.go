@@ -22,8 +22,9 @@ func (p *Plan) Explain() string {
 // it. build marks the child a hash join hashes — its right input, the
 // one the optimizer estimated smaller — with [build]; the other child
 // streams as the probe. An aggregate that folds inside the workers of
-// the Exchange below it carries [partial ×morsel]; one left unmarked
-// (with a DISTINCT aggregate call) aggregates the merged stream.
+// the Exchange below it, one group table a worker, carries
+// [partial ×worker]; one left unmarked (with a DISTINCT aggregate call)
+// aggregates the merged stream.
 func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, build bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
@@ -31,7 +32,7 @@ func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int
 		b.WriteString(" [build]")
 	}
 	if a, ok := n.(*Aggregate); ok && a.partialOver() != nil {
-		b.WriteString(" [partial ×morsel]")
+		b.WriteString(" [partial ×worker]")
 	}
 	if par > 1 {
 		fmt.Fprintf(b, " [par=%d]", par)

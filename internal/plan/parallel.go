@@ -6,14 +6,15 @@ import (
 )
 
 // Exchange runs its subtree on a bounded pool of Workers goroutines.
-// Each worker repeatedly claims a morsel (a contiguous row range) of
-// the leaf scan's table, runs its own copy of the subtree's iterators
-// over just that morsel, and deposits the output — kept batches, or the
-// group table of an aggregate folding right there — into a per-morsel
-// slot. The slots merge in morsel order, so parallel
-// execution is row-for-row identical to the serial plan. Build sides
-// of hash joins inside the subtree are built once and shared read-only
-// across workers (see HashJoin.vecBuild).
+// Each worker claims morsels (contiguous row ranges of the leaf scan's
+// table) from a shared counter and opens its own copy of the subtree's
+// iterators once, on its first claim; its leaf scan reads each morsel
+// the worker claims. The output — kept batches in their morsel's slot,
+// or one group table per worker whose groups remember the morsel that
+// created them — merges in morsel order, so parallel execution is
+// row-for-row identical to the serial plan. Build sides of hash joins
+// inside the subtree are built once and shared read-only across
+// workers (see HashJoin.vecBuild).
 type Exchange struct {
 	In      Node
 	Workers int
@@ -63,7 +64,7 @@ walk:
 	case *Aggregate:
 		// The exchange goes below the aggregate (a pipeline breaker
 		// regardless of LIMIT): workers produce partial streams, or fold
-		// them into per-morsel group tables when every aggregate merges
+		// them into one group table each when every aggregate merges
 		// exactly (Aggregate.vopen).
 		if pipelineWork(n.In) >= maxBatch {
 			if leaf := partitionLeaf(n.In); leaf != nil {
@@ -95,10 +96,10 @@ walk:
 // pipeline none of whose operators is estimated to fill one batch
 // (maxBatch rows) runs serially: a single batch's work is smaller than
 // starting workers, cutting morsels and compiling a copy of the
-// subtree for each. The probe-side leaf alone understates work badly:
-// the cost-based join order deliberately starts left-deep trees from
-// the smallest input, so a 24-row scan can drive joins over thousands
-// of build rows.
+// subtree for each worker. The probe-side leaf alone understates work
+// badly: the cost-based join order deliberately starts left-deep trees
+// from the smallest input, so a 24-row scan can drive joins over
+// thousands of build rows.
 func pipelineWork(n Node) int {
 	work := 0
 	Walk(n, func(c Node) {
@@ -139,58 +140,54 @@ func partitionLeaf(n Node) *Scan {
 	return nil
 }
 
-// morselRun tells the leaf scan inside a worker which slice of its
-// base rows to produce instead of the full table: the [lo, hi) range,
-// read as zero-copy windows over the segment columns.
+// morselRun is what an exchange worker's leaf scan reads: the morsel
+// the worker claimed last, m, and its [lo, hi) range of base rows.
 type morselRun struct {
-	node   *Scan // identity of the leaf scan
-	lo, hi int   // base-table row range
+	node      *Scan // identity of the leaf scan
+	m, lo, hi int
 }
 
-// slotSink receives one morsel of an Exchange run with the context its
-// leaf reads that morsel under. What a morsel leaves behind is the
-// sink's business — kept batches (keepSlots) or a partial group table
-// (Aggregate.vopen) — in storage it indexes by morsel.
-type slotSink func(slot int, wctx *Ctx) error
+// exchangeRun is one run of an Exchange: its morsels and workers, the
+// counter they claim morsels by, and whether one of them has failed.
+type exchangeRun struct {
+	x       *Exchange
+	ctx     *Ctx
+	spans   [][2]int
+	workers int
+	next    atomic.Int64
+	failed  atomic.Bool
+}
 
-// slots sizes one run: the number of morsels and the worker loop that
-// hands sink each one. n == 0: the exchange degrades to a serial
-// passthrough of its input — ctx.Par caps the plan's worker degree, so
-// an explicit Par of 1 (e.g. a caller whose Evaluator is not
-// thread-safe) or a single-row leaf runs the subtree as it stands.
-func (e *Exchange) slots(ctx *Ctx) (int, func(slotSink) error, error) {
+// start sizes one run of the exchange. A nil run means the exchange
+// degrades to a serial passthrough of its input — ctx.Par caps the
+// plan's worker degree, so an explicit Par of 1 (e.g. a caller whose
+// Evaluator is not thread-safe) or a single-row leaf runs the subtree
+// as it stands.
+func (e *Exchange) start(ctx *Ctx) (*exchangeRun, error) {
 	workers := e.Workers
 	if ctx.Par > 0 && ctx.Par < workers {
 		workers = ctx.Par
 	}
 	if workers <= 1 {
-		return 0, nil, nil
+		return nil, nil
 	}
 	tab := ctx.Snap.Table(e.part.B.Meta.Name)
 	if tab == nil {
-		return 0, nil, errUnknownTable(e.part.B.Meta.Name)
+		return nil, errUnknownTable(e.part.B.Meta.Name)
 	}
 	// A leaf of at most one row passes through.
-	n := tab.Len()
-	if n <= 1 {
-		return 0, nil, nil
+	if tab.Len() <= 1 {
+		return nil, nil
 	}
-	spans := morselSpans(n, workers)
-	workers = min(workers, len(spans))
-	return len(spans), func(sink slotSink) error {
-		return runSlots(ctx, workers, len(spans), func(m int, wctx *Ctx) error {
-			wctx.part = &morselRun{node: e.part, lo: spans[m][0], hi: spans[m][1]}
-			return sink(m, wctx)
-		})
-	}, nil
+	spans := morselSpans(tab.Len(), workers)
+	return &exchangeRun{x: e, ctx: ctx, spans: spans, workers: min(workers, len(spans))}, nil
 }
 
 // morselSpans cuts the n rows of a leaf into contiguous, ascending
-// morsels, about four per worker for stealing slack, so the in-order
-// merge stays canonical. Morsels adapt to the leaf, not to the batch:
-// an exchange is placed only where some operator of the pipeline
-// fills a batch, and a small probe leaf driving such joins still
-// splits, its downstream cost dwarfing the per-morsel iterator setup.
+// morsels, about four per worker for stealing slack. Morsels adapt to
+// the leaf, not to the batch: an exchange is placed only where some
+// operator of the pipeline fills a batch, and a small probe leaf
+// driving such joins still splits.
 func morselSpans(n, workers int) [][2]int {
 	target := max(1, (n+workers*4-1)/(workers*4))
 	cuts := (n + target - 1) / target
@@ -202,42 +199,62 @@ func morselSpans(n, workers int) [][2]int {
 	return spans
 }
 
-// runSlots is the one worker loop: workers claim slots from a shared
-// counter and hand each to sink with a context of the worker's own — a
-// copy of ctx with the worker's scratch set, rewound. The first error
-// stops the pool and is returned.
-func runSlots(ctx *Ctx, workers, n int, sink slotSink) error {
-	var next atomic.Int64
-	var failed atomic.Bool
+// workerSink is what worker w, running under wctx, does with morsel m:
+// in is the worker's pipeline, which yields the morsel's batches and
+// then nil. What they leave behind — kept batches (Exchange.vopen) or
+// the worker's group table (Aggregate.vopen) — is the sink's business.
+type workerSink func(w int, wctx *Ctx, m int, in viter) error
+
+// run is the one worker loop. A worker claims a morsel, only then opens
+// the subtree, once, under a context whose leaf scan reads the morsel
+// the worker claimed last (segScanBatches), and hands sink the pipeline
+// for each morsel it claims. A claim checks for cancellation first; the
+// first error stops the pool and is returned.
+func (r *exchangeRun) run(sink workerSink) error {
 	var firstErr error
 	var errOnce sync.Once
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range r.workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			vs := &scratchSet{}
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || failed.Load() {
-					return
-				}
-				err := ctx.canceled()
-				if err == nil {
-					wctx := *ctx
-					wctx.vs, vs.used = vs, 0
-					err = sink(i, &wctx)
-				}
-				if err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
+			if err := r.work(w, sink); err != nil {
+				errOnce.Do(func() { firstErr = err })
+				r.failed.Store(true)
 			}
 		}()
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// work is worker w's part of run.
+func (r *exchangeRun) work(w int, sink workerSink) error {
+	mr := &morselRun{node: r.x.part}
+	wctx := *r.ctx
+	wctx.part = mr
+	var op viter
+	for {
+		if err := r.ctx.canceled(); err != nil {
+			return err
+		}
+		// The counter only grows, so a worker's morsels ascend.
+		i := int(r.next.Add(1)) - 1
+		if i >= len(r.spans) || r.failed.Load() {
+			return nil
+		}
+		mr.m, mr.lo, mr.hi = i, r.spans[i][0], r.spans[i][1]
+		var err error
+		if op == nil {
+			op, err = r.x.In.vopen(&wctx)
+		}
+		if err == nil {
+			err = sink(w, &wctx, i, op)
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // sharedState carries per-execution state shared by the workers of

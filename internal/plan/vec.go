@@ -274,7 +274,9 @@ const maxPooledScratch = 1 << 20
 var scratchPool = sync.Pool{New: func() any { return new(vscratch) }}
 
 // runArena is the working memory one Run has borrowed from
-// scratchPool, handed back all at once by release. Exchange workers
+// scratchPool, handed back all at once by release. Every operator
+// instance borrows its vscratch as it opens — an exchange worker opens
+// its pipeline once, for all the morsels it claims — and the workers
 // borrow concurrently, hence the mutex.
 type runArena struct {
 	mu   sync.Mutex
@@ -316,46 +318,6 @@ func (s *vscratch) forget() {
 	for _, b := range s.strs.bufs {
 		clear(b[:cap(b)])
 	}
-}
-
-// scratchSet is the working memory of one exchange worker: the pipeline
-// it opens for each morsel takes, in open order, the vscratches its
-// previous morsel's did — that pipeline is drained, and whatever it
-// lent folded or copied, before the worker claims again. An aggregate
-// folding per morsel compiles once per worker, too: its programs hold
-// per-instance state (a constant's broadcast), so workers cannot share
-// one, but a worker's morsels run one after another.
-type scratchSet struct {
-	all  []*vscratch
-	used int
-
-	agg *Aggregate
-	ap  *vecAggPlan
-}
-
-// aggPlan returns the worker's compilation of a, compiling it in ctx
-// on the worker's first morsel.
-func (ss *scratchSet) aggPlan(a *Aggregate, ctx *Ctx) *vecAggPlan {
-	if ss.agg != a {
-		ss.agg, ss.ap = a, planVecAgg(a, ctx)
-	}
-	return ss.ap
-}
-
-// takeScratch hands an operator instance its vscratch at open time:
-// one borrowed from the run's arena, or inside an exchange worker the
-// next of the worker's set, borrowed on the worker's first morsel that
-// reaches it.
-func (c *Ctx) takeScratch() *vscratch {
-	ss := c.vs
-	if ss == nil {
-		return c.arena.borrow()
-	}
-	if ss.used == len(ss.all) {
-		ss.all = append(ss.all, c.arena.borrow())
-	}
-	ss.used++
-	return ss.all[ss.used-1]
 }
 
 // bufPool hands out the k-th buffer of a batch's evaluation from the

@@ -47,77 +47,87 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 	// Skip predicates re-bind against this run's parameters, so a
 	// prepared template skips per its bound constants.
 	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
-	ss := tab.Segments()
-	// An Exchange worker reads its morsel; a serial scan reads the table.
-	if mr := ctx.part; mr != nil && mr.node == s {
-		return segScanBatches(ctx, ss, s.B, mr.lo, mr.hi, preds, skipAll), nil
+	mr := ctx.part // an Exchange worker's leaf reads its morsels
+	if mr != nil && mr.node != s {
+		mr = nil // a serial scan reads the table
 	}
-	return segScanBatches(ctx, ss, s.B, 0, tab.Len(), preds, skipAll), nil
+	return segScanBatches(ctx, tab.Segments(), s.B, mr, preds, skipAll), nil
 }
 
-// segScanBatches iterates rows [lo, hi) of the segment layout as
-// batches. Whole segments whose zone maps refute a skip predicate are
-// dropped without touching their data (a segment-wide proof of
-// non-TRUE holds for any window of it, so partial morsel overlap skips
-// too). SegC counts a segment only in the window that enters it at its
-// first row: a scan starts on a segment boundary and morsels tile the
-// table, so a run counts each segment once at any degree. Every column
-// is a zero-copy view of immutable segment storage: plain payloads and
-// dictionary codes as slices, RLE- and FOR-encoded ints as the encoded
-// column plus the window's offset (see vcol). The batch itself is lent:
-// one header, one cols slice and one null-mask buffer per column serve
-// every batch of the iterator, the cols slice and the masks in the
-// scan's scratch, so the masks a previous question grew are reused.
-func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, lo, hi int, preds []boundZone, skipAll bool) viter {
+// segScanBatches iterates the rows of mr's morsel of the segment layout
+// (nil mr: the whole table) as batches, then returns nil; pulled again,
+// it reads the morsel mr holds by then, if its exchange worker has
+// claimed another. Whole segments whose zone maps refute a skip
+// predicate are dropped without touching their data (a segment-wide
+// proof of non-TRUE holds for any window of it, so partial morsel
+// overlap skips too). SegC counts a segment only in the window that
+// enters it at its first row: a scan starts on a segment boundary and
+// morsels tile the table, so a run counts each segment once at any
+// degree. Every column is a zero-copy view of immutable segment
+// storage: plain payloads and dictionary codes as slices, RLE- and
+// FOR-encoded ints as the encoded column plus the window's offset (see
+// vcol). The batch itself is lent: one header, one cols slice and one
+// null-mask buffer per column serve every batch of the iterator, the
+// cols slice and the masks in the scan's scratch, so the masks a
+// previous question grew are reused.
+func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, mr *morselRun, preds []boundZone, skipAll bool) viter {
 	sc := ctx.SegC
-	pos := lo
-	si := -1
-	segEnd := 0
-	var segCols []*store.SegCol
-	scr := ctx.takeScratch()
-	scr.reset()
+	// it is where the iterator stands: its morsel, the row it reads
+	// next, the morsel's end, and the segment holding that row (si < 0:
+	// not located yet).
+	it := &struct {
+		m, pos, hi, si, segEnd int
+		segCols                []*store.SegCol
+	}{hi: ss.N, si: -1}
+	if mr != nil {
+		it.m, it.pos, it.hi = mr.m, mr.lo, mr.hi
+	}
+	scr := ctx.arena.borrow()
 	// Every column is written before a batch is returned, and NullMask
 	// overwrites the rows of a mask it reuses.
 	out := &vbatch{cols: scr.cols.take(len(b.Cols))}
 	masks := scr.masks.take(len(b.Cols))
 	return func() (*vbatch, error) {
-		for pos < hi {
-			if si < 0 || pos >= segEnd {
-				nsi, off := ss.Locate(pos)
-				si = nsi
+		for {
+			if it.pos >= it.hi {
+				if mr == nil || mr.m == it.m {
+					return nil, nil
+				}
+				it.m, it.pos, it.hi, it.si = mr.m, mr.lo, mr.hi, -1
+			}
+			if it.si < 0 || it.pos >= it.segEnd {
+				si, off := ss.Locate(it.pos)
 				seg := ss.Segs[si]
-				segEnd = ss.Start[si] + seg.N
+				it.si, it.segEnd = si, ss.Start[si]+seg.N
 				count := sc != nil && off == 0
 				if skipAll || skipSegment(seg, preds) {
 					if count {
 						sc.Skipped.Add(1)
 					}
-					pos = segEnd
-					si = -1
+					it.pos, it.si = it.segEnd, -1
 					continue
 				}
-				segCols = seg.Cols()
+				it.segCols = seg.Cols()
 				if count {
 					sc.Scanned.Add(1)
 				}
 			}
-			segStart := ss.Start[si]
-			wlo := pos - segStart
-			whi := min(segEnd, hi) - segStart
+			segStart := ss.Start[it.si]
+			wlo := it.pos - segStart
+			whi := min(it.segEnd, it.hi) - segStart
 			if whi-wlo > maxBatch {
 				whi = wlo + maxBatch
 			}
 			out.n, out.sel = whi-wlo, nil
 			for c, ci := range b.Cols {
-				out.cols[c] = segWindowCol(segCols[ci], wlo, whi, masks[c])
+				out.cols[c] = segWindowCol(it.segCols[ci], wlo, whi, masks[c])
 				if out.cols[c].nulls != nil {
 					masks[c] = out.cols[c].nulls
 				}
 			}
-			pos = segStart + whi
+			it.pos = segStart + whi
 			return out, nil
 		}
-		return nil, nil
 	}
 }
 
@@ -168,7 +178,7 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 	for i, conj := range conjs {
 		preds[i] = c.expr(conj)
 	}
-	sc := ctx.takeScratch()
+	sc := ctx.arena.borrow()
 	return func() (*vbatch, error) {
 	next:
 		for {
@@ -222,19 +232,19 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 
 // ---- joins ----
 
-// drainCols materializes a relational subtree into columns, returning
-// them with the row count: the build side of a hash join, both sides of
-// a cross join. need marks the columns anything reads (nil: all); the
-// rest stay all-NULL. The columns are written into sc, which must
-// outlive them. It keeps the input's batches first and counts
-// them, so every column's builder is sized once and never grows by
-// appending. Until the copy is made the kept batches also hold what
+// drainCols materializes an opened input over rel into columns,
+// returning them with the row count: the build side of a hash join,
+// both sides of a cross join. need marks the columns anything reads
+// (nil: all); the rest stay all-NULL. The columns are written into sc,
+// which must outlive them. It keeps the input's batches first and
+// counts them, so every column's builder is sized once and never grows
+// by appending. Until the copy is made the kept batches also hold what
 // keep copied of their lent columns — a join's output columns — so a
 // side that is itself a join is briefly in memory twice; a scan's
 // batches are views of segment storage and cost only their headers and
 // null masks.
-func drainCols(n Node, ctx *Ctx, need []bool, sc *vscratch) ([]vcol, int, error) {
-	bs, err := keepBatches(n, ctx)
+func drainCols(in viter, rel *Rel, need []bool, sc *vscratch) ([]vcol, int, error) {
+	bs, err := keepBatches(in)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -242,7 +252,7 @@ func drainCols(n Node, ctx *Ctx, need []bool, sc *vscratch) ([]vcol, int, error)
 	for _, b := range bs {
 		rows += b.rows()
 	}
-	kinds := relKinds(n.Rel())
+	kinds := relKinds(rel)
 	cols := make([]vcol, len(kinds))
 	for c, k := range kinds {
 		if need != nil && !need[c] {
@@ -295,11 +305,12 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 			need[off] = true
 		}
 	}
-	// The table lives in a scratch of the run's own, not in a worker's
-	// rotating set: inside an exchange it outlives the morsel whose
-	// worker built it.
+	in, err := j.R.vopen(ctx)
+	if err != nil {
+		return nil, err
+	}
 	sc := ctx.arena.borrow()
-	cols, n, err := drainCols(j.R, ctx, need, sc)
+	cols, n, err := drainCols(in, j.R.Rel(), need, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -388,7 +399,7 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 	mask := uint64(len(bt.head) - 1)
 	// Probe-side working state — decoded keys, hashes, the match lists —
 	// and the columns written die with each input batch.
-	sc := ctx.takeScratch()
+	sc := ctx.arena.borrow()
 	keys := make([]vcol, len(j.LKey))
 	out := &vbatch{cols: make([]vcol, j.rel.Width)}
 	return func() (*vbatch, error) {
@@ -470,32 +481,50 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 
 // vopen materializes both inputs, refuses a product over MaxProduct,
 // and emits every (left, right) pair left-major, a batch at a time.
+// Pulled again after its nil, it drains its left input anew: inside an
+// exchange worker, the next morsel's rows (segScanBatches).
 func (j *CrossJoin) vopen(ctx *Ctx) (viter, error) {
 	lWidth := j.L.Rel().Width
 	var lneed, rneed []bool
 	if j.live != nil {
 		lneed, rneed = j.live[:lWidth], j.live[lWidth:]
 	}
-	sc := ctx.takeScratch()
-	sc.reset()
-	lcols, ln, err := drainCols(j.L, ctx, lneed, sc)
+	lin, err := j.L.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
-	rcols, rn, err := drainCols(j.R, ctx, rneed, sc)
+	rin, err := j.R.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if ln*rn > MaxProduct {
-		name := j.R.Rel().Bindings[0].Meta.Name
-		return nil, fmt.Errorf("plan: join of %s would produce over %d rows; add a join condition",
-			name, MaxProduct)
+	lsc, rsc := ctx.arena.borrow(), ctx.arena.borrow()
+	var lcols, rcols []vcol
+	li, ri, ln, rn := 0, 0, 0, -1
+	pass := func() (err error) { // the left input's next pass, the right's on the first
+		lsc.reset()
+		li, ri = 0, 0
+		if lcols, ln, err = drainCols(lin, j.L.Rel(), lneed, lsc); err == nil && rn < 0 {
+			rcols, rn, err = drainCols(rin, j.R.Rel(), rneed, rsc)
+		}
+		if err == nil && ln*rn > MaxProduct {
+			err = fmt.Errorf("plan: join of %s would produce over %d rows; add a join condition",
+				j.R.Rel().Bindings[0].Meta.Name, MaxProduct)
+		}
+		return err
+	}
+	if err := pass(); err != nil {
+		return nil, err
 	}
 	out := &vbatch{cols: make([]vcol, len(lcols)+len(rcols))}
 	var lidx, ridx []int32
-	li, ri := 0, 0
 	return func() (*vbatch, error) {
+		if ln < 0 {
+			if err := pass(); err != nil {
+				return nil, err
+			}
+		}
 		if rn == 0 || li == ln {
+			ln = -1 // the next pull starts the next pass
 			return nil, nil
 		}
 		lidx, ridx = lidx[:0], ridx[:0]
@@ -718,9 +747,9 @@ func planVecAgg(a *Aggregate, ctx *Ctx) *vecAggPlan {
 // group, in per-slot vectors that grow by appending: a group costs no
 // allocation of its own. An INT SUM or AVG adds exactly, into a 128-bit
 // two's-complement (hi, lo) pair per group; a FLOAT one into the
-// group's exact sum in x. Every state merges exactly (vecAggSlot.merge),
-// so a slot's partials over consecutive stretches of the input combine
-// into the serial fold's state.
+// group's exact sum in x. Every state merges exactly, in any order
+// (vecAggSlot.merge), so the partials of workers whose morsels
+// interleave combine into the serial fold's state.
 type aggState struct {
 	counts []int64
 	lo     []uint64
@@ -736,7 +765,11 @@ type aggState struct {
 	// or MAX, that the first non-NULL value was NaN, which wins
 	// (store.Compare finds NaN neither below nor above a number).
 	has, led []bool
-	seen     map[distinctKey]struct{} // DISTINCT: values folded so far
+	// firstAt and bestAt are the morsels that what led records and a
+	// float MIN or MAX's best came from, so partials can tell which is
+	// first.
+	firstAt, bestAt []int32
+	seen            map[distinctKey]struct{} // DISTINCT: values folded so far
 }
 
 type distinctKey struct {
@@ -763,10 +796,10 @@ func (slot *vecAggSlot) grow(st *aggState) {
 		st.counts = append(st.counts, 0)
 		return
 	case "FIRST":
-		st.led = append(st.led, false)
+		st.led, st.firstAt = append(st.led, false), append(st.firstAt, 0)
 	default: // MIN, MAX
 		if slot.argKind == store.KindFloat {
-			st.led = append(st.led, false)
+			st.led, st.firstAt, st.bestAt = append(st.led, false), append(st.firstAt, 0), append(st.bestAt, 0)
 		}
 	}
 	st.has = append(st.has, false)
@@ -782,11 +815,11 @@ func (slot *vecAggSlot) grow(st *aggState) {
 	}
 }
 
-// fold folds the batch's selected rows of the argument column into
-// their groups (gids by physical row; nil: the global group). A FLOAT
-// SUM or AVG, the one fold that costs more than a comparison a row,
-// runs its own loop; every other slot updates row by row.
-func (slot *vecAggSlot) fold(st *aggState, gids []int32, arg *vcol, b *vbatch) {
+// fold folds the batch's selected rows of the argument column (rows of
+// morsel at) into their groups (gids by physical row; nil: the global
+// group). A FLOAT SUM or AVG, the one fold that costs more than a
+// comparison a row, runs its own loop; every other slot row by row.
+func (slot *vecAggSlot) fold(st *aggState, gids []int32, arg *vcol, b *vbatch, at int32) {
 	gid := func(i int) int {
 		if gids == nil {
 			return 0
@@ -806,14 +839,14 @@ func (slot *vecAggSlot) fold(st *aggState, gids []int32, arg *vcol, b *vbatch) {
 		st.x.added(n)
 		return
 	}
-	b.forSel(func(i int) { slot.update(st, gid(i), arg, i) })
+	b.forSel(func(i int) { slot.update(st, gid(i), arg, i, at) })
 }
 
-// update folds value i of the argument column into group gid, exactly
-// reproducing the scalar aggregate semantics (NULLs skipped, sums
-// exact, MIN/MAX keep the first of equals and a leading NaN, FIRST the
-// first row's value even when NULL).
-func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
+// update folds value i of the argument column, a row of morsel at,
+// into group gid, exactly reproducing the scalar aggregate semantics
+// (NULLs skipped, sums exact, MIN/MAX keep the first of equals and a
+// leading NaN, FIRST the first row's value even when NULL).
+func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int, at int32) {
 	if slot.star {
 		st.counts[gid]++
 		return
@@ -823,7 +856,7 @@ func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
 		if st.has[gid] {
 			return
 		}
-		st.has[gid], st.led[gid] = true, isNull
+		st.has[gid], st.led[gid], st.firstAt[gid] = true, isNull, at
 		if !isNull {
 			slot.set(st, gid, arg, i)
 		}
@@ -857,18 +890,23 @@ func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int) {
 			st.x.added(1)
 		}
 	case "MIN", "MAX":
-		if slot.argKind == store.KindFloat && math.IsNaN(arg.floats[i]) {
-			st.led[gid] = st.led[gid] || !st.has[gid]
-			return
+		if slot.argKind == store.KindFloat {
+			if !st.has[gid] && !st.led[gid] {
+				st.firstAt[gid] = at
+			}
+			if math.IsNaN(arg.floats[i]) {
+				st.led[gid] = st.led[gid] || !st.has[gid]
+				return
+			}
 		}
-		slot.extreme(st, gid, arg, i)
+		slot.extreme(st, gid, arg, i, at)
 	}
 }
 
-// extreme makes value i of arg, neither NULL nor NaN, group gid's MIN
-// or MAX if it is the first or beats the one held; equals keep the
-// earlier.
-func (slot *vecAggSlot) extreme(st *aggState, gid int, arg *vcol, i int) {
+// extreme makes value i of arg (from morsel at), neither NULL nor NaN,
+// group gid's MIN or MAX if it is the first or beats the one held;
+// equals keep the earlier.
+func (slot *vecAggSlot) extreme(st *aggState, gid int, arg *vcol, i int, at int32) {
 	min := slot.fn == "MIN"
 	better := !st.has[gid]
 	switch slot.argKind {
@@ -880,7 +918,7 @@ func (slot *vecAggSlot) extreme(st *aggState, gid int, arg *vcol, i int) {
 		better = better || (min && v < cur) || (!min && v > cur)
 	case store.KindFloat:
 		f, cur := arg.floats[i], st.floats[gid]
-		better = better || (min && f < cur) || (!min && f > cur)
+		better = better || (min && f < cur) || (!min && f > cur) || (f == cur && at < st.bestAt[gid])
 	case store.KindText:
 		s, cur := arg.str(i), st.strs[gid]
 		better = better || (min && s < cur) || (!min && s > cur)
@@ -891,6 +929,9 @@ func (slot *vecAggSlot) extreme(st *aggState, gid int, arg *vcol, i int) {
 	if better {
 		st.has[gid] = true
 		slot.set(st, gid, arg, i)
+		if slot.argKind == store.KindFloat {
+			st.bestAt[gid] = at
+		}
 	}
 }
 
@@ -909,12 +950,12 @@ func (slot *vecAggSlot) set(st *aggState, gid int, arg *vcol, i int) {
 	}
 }
 
-// merge folds group sg of src — the slot's state over a later stretch
-// of the same input — into group gid of st, leaving st as if the
-// stretch's rows had been folded into it one by one: counts and sums
-// add, a MIN/MAX folds the later best, and a FIRST or a leading NaN
-// already held stays. A DISTINCT slot's partials would count a value
-// once per stretch; such slots never merge (partialOver).
+// merge folds group sg of src, the slot's state over other morsels of
+// the same input, into group gid of st as if the rows had been folded
+// in input order, whichever order partials merge in: counts and sums
+// add, and of two FIRSTs, two leads or two equal bests the one from the
+// earlier morsel stands. A DISTINCT slot's partials would count a value
+// once per worker; such slots never merge (partialOver).
 func (slot *vecAggSlot) merge(st *aggState, gid int, src *aggState, sg int) {
 	switch slot.fn {
 	case "COUNT":
@@ -935,16 +976,21 @@ func (slot *vecAggSlot) merge(st *aggState, gid int, src *aggState, sg int) {
 	held := vcol{kind: slot.argKind, ints: src.ints, floats: src.floats, strs: src.strs, bools: src.bools}
 	switch {
 	case slot.fn == "FIRST":
-		if !st.has[gid] && src.has[sg] {
-			st.has[gid], st.led[gid] = true, src.led[sg]
+		if src.has[sg] && (!st.has[gid] || src.firstAt[sg] < st.firstAt[gid]) {
+			st.has[gid], st.led[gid], st.firstAt[gid] = true, src.led[sg], src.firstAt[sg]
 			slot.set(st, gid, &held, sg)
 		}
 		return
-	case slot.argKind == store.KindFloat && !st.has[gid] && !st.led[gid]:
-		st.led[gid] = src.led[sg] // st has seen no value yet
+	case slot.argKind == store.KindFloat && (src.has[sg] || src.led[sg]) &&
+		(!st.has[gid] && !st.led[gid] || src.firstAt[sg] < st.firstAt[gid]):
+		st.led[gid], st.firstAt[gid] = src.led[sg], src.firstAt[sg] // src's non-NULL came first
 	}
 	if src.has[sg] {
-		slot.extreme(st, gid, &held, sg)
+		at := int32(0) // equal values of other kinds are identical
+		if slot.argKind == store.KindFloat {
+			at = src.bestAt[sg]
+		}
+		slot.extreme(st, gid, &held, sg, at)
 	}
 }
 
@@ -1050,7 +1096,7 @@ func allNullCol(n int) vcol {
 // partialOver returns the Exchange whose workers a folds inside — the
 // one directly below it — or nil when a aggregates its input's merged
 // stream: when it has no exchange below, or a DISTINCT aggregate call,
-// whose per-morsel partials would count a value once per morsel. Every
+// whose per-worker partials would count a value once per worker. Every
 // other slot merges exactly (vecAggSlot.merge). vopen and Explain both
 // ask here.
 func (a *Aggregate) partialOver() *Exchange {
@@ -1080,17 +1126,20 @@ func (a *Aggregate) partialOver() *Exchange {
 
 // groupTable is the accumulate half of a vectorized aggregate: the
 // groups seen so far — key columns in first-seen order, the hash index
-// over them, one aggState per slot — and per-batch working state reused
-// from batch to batch: key and argument vectors (evaluated into sc) and
-// views of the key columns, refreshed whenever a new group extends them.
+// over them, the morsel each was born in, one aggState per slot — and
+// per-batch working state: the morsel being folded, key and argument
+// vectors (evaluated into sc) and views of the key columns, refreshed
+// whenever a new group extends them.
 type groupTable struct {
 	ap        *vecAggPlan
 	keyBufs   []colbuf
 	groupKeys []vcol
 	groupIdx  map[uint64][]int32 // nil for the global group
+	born      []int32
 	states    []aggState
 	ngroups   int
 
+	morsel           int32
 	sc               *vscratch
 	keyCols, argCols []vcol
 }
@@ -1144,6 +1193,7 @@ func (t *groupTable) group(keys []vcol, i int, hs []uint64) int {
 		t.groupKeys[k] = t.keyBufs[k].col()
 	}
 	t.groupIdx[h] = append(t.groupIdx[h], int32(gid))
+	t.born = append(t.born, t.morsel)
 	for s := range t.states {
 		t.ap.slots[s].grow(&t.states[s])
 	}
@@ -1196,82 +1246,99 @@ func (t *groupTable) add(b *vbatch) error {
 		b.forSel(func(i int) { gids[i] = int32(t.group(t.keyCols, i, hs)) })
 	}
 	for s := range t.ap.slots {
-		t.ap.slots[s].fold(&t.states[s], gids, &t.argCols[s], b)
+		t.ap.slots[s].fold(&t.states[s], gids, &t.argCols[s], b, t.morsel)
 	}
 	return nil
 }
 
-// merge folds src, the table of a later stretch of the same input, into
-// t as if its rows had been added after t's: src's groups arrive in its
-// first-seen order and every slot's state merges exactly, so group
-// order and every result equal the serial fold's.
-func (t *groupTable) merge(src *groupTable) {
-	t.sc.reset()
-	hs := hashKeys(src.groupKeys, src.ngroups, nil, t.sc)
-	for g := 0; g < src.ngroups; g++ {
-		gid := t.group(src.groupKeys, g, hs)
+// merge folds the exchange workers' tables into t, empty but for the
+// global group, in the order of the morsels their groups were born in.
+// A worker's morsels ascend, so its groups are in that order already,
+// and a group first reaches t from the worker that read its first row:
+// t's groups are in the serial first-seen order. Slots merge exactly
+// in any order (vecAggSlot.merge).
+func (t *groupTable) merge(srcs []*groupTable) {
+	hs, next := make([][]uint64, len(srcs)), make([]int, len(srcs))
+	for w, src := range srcs {
+		src.sc.reset()
+		hs[w] = hashKeys(src.groupKeys, src.ngroups, nil, src.sc)
+	}
+	for {
+		w := -1
+		for v, src := range srcs {
+			if next[v] < src.ngroups && (w < 0 || len(src.born) > 0 && src.born[next[v]] < srcs[w].born[next[w]]) {
+				w = v
+			}
+		}
+		if w < 0 {
+			return
+		}
+		src, g := srcs[w], next[w]
+		next[w]++
+		gid := t.group(src.groupKeys, g, hs[w])
 		for s := range t.ap.slots {
 			t.ap.slots[s].merge(&t.states[s], gid, &src.states[s], g)
 		}
 	}
 }
 
-// fold drains in into a new group table.
-func (ap *vecAggPlan) fold(ctx *Ctx, in viter) (*groupTable, error) {
-	t := newGroupTable(ap, ctx.takeScratch())
-	for {
-		b, err := in()
-		if err != nil || b == nil {
-			return t, err
-		}
-		if err := t.add(b); err != nil {
+// vopen folds the input into a group table and finishes it. Directly
+// above an Exchange, an aggregate without a DISTINCT slot folds where
+// the rows are: each worker folds every morsel it claims into one table
+// of its own — no batch outlives its pull, so a question's bytes follow
+// the groups it returns, not the rows it scans — and the tables merge
+// into the serial group order (groupTable.merge).
+func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
+	var r *exchangeRun
+	if x := a.partialOver(); x != nil {
+		var err error
+		if r, err = x.start(ctx); err != nil {
 			return nil, err
 		}
 	}
-}
-
-// vopen folds the input into a group table and finishes it. Directly
-// above an Exchange, an aggregate without a DISTINCT slot folds where
-// the rows are: each worker drains its morsel into that morsel's own
-// table — no batch outlives its pull, so a question's bytes follow the
-// groups it returns, not the rows it scans — and the tables merge in
-// morsel order.
-func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
-	in := a.In
-	if x := a.partialOver(); x != nil {
-		in = x.In // a serial run folds the subtree as it stands
-		n, run, err := x.slots(ctx)
+	if r == nil { // serial: the input as it stands
+		t := newGroupTable(planVecAgg(a, ctx), ctx.arena.borrow())
+		in, err := a.In.vopen(ctx)
+		if err == nil {
+			err = t.drain(0, in)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if n > 0 {
-			tabs := make([]*groupTable, n)
-			err := run(func(i int, wctx *Ctx) error {
-				op, err := in.vopen(wctx)
-				if err == nil {
-					tabs[i], err = wctx.vs.aggPlan(a, wctx).fold(wctx, op)
-				}
-				return err
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, src := range tabs[1:] {
-				tabs[0].merge(src)
-			}
-			return tabs[0].finish()
+		return t.finish()
+	}
+	tabs := make([]*groupTable, r.workers)
+	err := r.run(func(w int, wctx *Ctx, m int, in viter) error {
+		if tabs[w] == nil {
+			tabs[w] = newGroupTable(planVecAgg(a, wctx), wctx.arena.borrow())
+		}
+		return tabs[w].drain(m, in)
+	})
+	if err != nil {
+		return nil, err
+	}
+	// A worker that claimed no morsel has no table.
+	tabs = slices.DeleteFunc(tabs, func(t *groupTable) bool { return t == nil })
+	if len(tabs) == 1 {
+		return tabs[0].finish()
+	}
+	t := newGroupTable(tabs[0].ap, ctx.arena.borrow())
+	t.merge(tabs)
+	return t.finish()
+}
+
+// drain folds in, the batches of morsel m, into t up to in's nil.
+func (t *groupTable) drain(m int, in viter) error {
+	t.morsel = int32(m)
+	for {
+		b, err := in()
+		if err != nil || b == nil {
+			return err
+		}
+		if err := t.add(b); err != nil {
+			return err
 		}
 	}
-	ap := planVecAgg(a, ctx)
-	op, err := in.vopen(ctx)
-	if err != nil {
-		return nil, err
-	}
-	t, err := ap.fold(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	return t.finish()
 }
 
 // finish assembles the group pseudo-relation — keys, then aggregate
@@ -1338,7 +1405,7 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 	var seenCols []vcol // views of seen, refreshed as it grows
 	idx := map[uint64][]int32{}
 	total := 0
-	sc := ctx.takeScratch()
+	sc := ctx.arena.borrow()
 	var kept []int32
 	return func() (*vbatch, error) {
 		for {
@@ -1558,60 +1625,46 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 
 // ---- exchange ----
 
-// vopen runs the exchange's subtree vectorized: morsels hand each
-// worker a contiguous batch range of the leaf scan, workers drain their vectorized pipelines keeping
-// every batch, and the merged stream concatenates morsel outputs in
-// order — identical rows to the serial vectorized plan, which is
-// itself identical to the serial row plan. An aggregate that merges
+// vopen runs the exchange's subtree in its workers for a consumer that
+// wants the batches themselves: each kept in the slot of the morsel it
+// came from, and the merged stream concatenates the slots in morsel
+// order — identical rows to the serial plan. An aggregate that merges
 // exactly folds inside the workers instead (Aggregate.vopen).
-func (e *Exchange) vopen(ctx *Ctx) (viter, error) { return keepSlots(e, ctx) }
-
-// keepSlots is the vectorized open of an Exchange whose consumer wants
-// the batches themselves: every morsel's, kept, in morsel order.
-func keepSlots(e *Exchange, ctx *Ctx) (viter, error) {
-	in := e.In
-	n, run, err := e.slots(ctx)
+func (e *Exchange) vopen(ctx *Ctx) (viter, error) {
+	r, err := e.start(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if n == 0 {
-		return in.vopen(ctx)
+	if r == nil {
+		return e.In.vopen(ctx)
 	}
-	outs := make([][]*vbatch, n)
-	err = run(func(i int, wctx *Ctx) (err error) {
-		outs[i], err = keepBatches(in, wctx)
+	outs := make([][]*vbatch, len(r.spans))
+	err = r.run(func(_ int, _ *Ctx, m int, in viter) (err error) {
+		outs[m], err = keepBatches(in)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	oi, bi := 0, 0
+	kept := slices.Concat(outs...)
 	return func() (*vbatch, error) {
-		for oi < len(outs) {
-			if bi < len(outs[oi]) {
-				b := outs[oi][bi]
-				bi++
-				return b, nil
-			}
-			oi++
-			bi = 0
+		if len(kept) == 0 {
+			return nil, nil
 		}
-		return nil, nil
+		b := kept[0]
+		kept = kept[1:]
+		return b, nil
 	}, nil
 }
 
-// keepBatches drains a pipeline into batches that outlive it — an
-// exchange worker's morsel, or a join input until drainCols has copied
-// it: the one place that holds a batch past the next pull, so the one
-// that copies what the batch was lent (see vbatch).
-func keepBatches(n Node, ctx *Ctx) ([]*vbatch, error) {
-	op, err := n.vopen(ctx)
-	if err != nil {
-		return nil, err
-	}
+// keepBatches drains in, up to its nil, into batches that outlive it —
+// an exchange worker's morsel, or a join input until drainCols has
+// copied it: the one place that holds a batch past the next pull, so
+// the one that copies what the batch was lent (see vbatch).
+func keepBatches(in viter) ([]*vbatch, error) {
 	var kept []*vbatch
 	for {
-		b, err := op()
+		b, err := in()
 		if err != nil || b == nil {
 			return kept, err
 		}

@@ -7,7 +7,7 @@ import (
 
 // xsums holds the exact sum of every group of one FLOAT SUM or AVG
 // slot: a fixed-point superaccumulator (Neal, arXiv:1505.05571) per
-// group, so the sum is order-free and per-morsel partials merge into
+// group, so the sum is order-free and per-worker partials merge into
 // exactly the serial result. Every finite float64 is an integer
 // multiple of 2^-1074 below 2^1024, so it is a run of at most 53 bits
 // somewhere in a 2,098-bit fixed-point number. That number is kept as
