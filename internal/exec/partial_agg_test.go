@@ -252,10 +252,12 @@ func TestPartialAggregateExtrema(t *testing.T) {
 // eight workers, and every run must equal the one-worker run row for
 // row: groups only the last morsels see (late), a key first seen in
 // every morsel (s, 3,000 values over the table), a bare column
-// (FIRST) beside a float MIN, region_join's fold above a join probe,
-// and float extrema a merge in creation order would get wrong: a NaN
-// behind NULLs that opens a group's values in a later morsel than a
-// number of another worker's, and a 0.0 whose -0.0 tie comes later.
+// (FIRST) beside a float MIN, the same over the global group, every
+// worker's partial of which holds a FIRST, region_join's fold above a
+// join probe, and float extrema a merge in creation order would get
+// wrong: a NaN behind NULLs that opens a group's values in a later
+// morsel than a number of another worker's, and a 0.0 whose -0.0 tie
+// comes later.
 func TestWorkerFoldKeepsSerialGroupOrder(t *testing.T) {
 	db, _ := partialDB(1)
 	part := db.Snapshot()
@@ -297,6 +299,7 @@ func TestWorkerFoldKeepsSerialGroupOrder(t *testing.T) {
 		{part, "SELECT late, COUNT(*), MIN(seq) FROM t GROUP BY late"},
 		{part, "SELECT s, COUNT(*), MIN(v), k1 FROM t GROUP BY s"},
 		{part, "SELECT k1, s, MIN(f) FROM t GROUP BY k1"},
+		{part, "SELECT s, MIN(f) FROM t WHERE seq >= 3613"},
 		{tel, regionJoin},
 		{lead, "SELECT g, MIN(f), MAX(f), COUNT(f) FROM x GROUP BY g"},
 	} {
@@ -332,13 +335,10 @@ func TestWorkerFoldKeepsSerialGroupOrder(t *testing.T) {
 // scratch — so each, run over 2^15 and over 2^17 events at two workers,
 // may differ by a tenth in bytes per run for four times the rows — plus
 // 16 KiB of slack. A run's bytes depend on whether one worker or two
-// claimed a morsel, the scheduler's call, so each size is its largest
-// run: both sides are the two-worker shape. On a loaded machine every
-// run over the short table can go to one worker (region_join's
-// zone-skipped morsels take microseconds), so a shape over the bound
-// samples the short table again, up to five more rounds of ten, for
-// the run with two. A selection copy alone would be 4 B a kept row,
-// some 200 KiB more over the larger table, which no resampling finds.
+// folded rows, the scheduler's call, so both sizes measure only runs
+// in which both workers did (scanBytesPerRun). A selection copy
+// alone would be 4 B a kept row, some 200 KiB more over the larger
+// table.
 func TestScanBytesFollowGroups(t *testing.T) {
 	perWorkerOnly := func(name, _ string, p *plan.Plan) bool {
 		if !strings.Contains(p.Explain(), perWorker) {
@@ -351,12 +351,7 @@ func TestScanBytesFollowGroups(t *testing.T) {
 		t.Fatalf("want the six ask_scan shapes, got %v", small)
 	}
 	for name, s := range small {
-		l := large[name]
-		for round := 0; l > 1.10*s+16<<10 && round < 5; round++ {
-			again := scanBytesPerRun(t, 1<<15, func(n, _ string, _ *plan.Plan) bool { return n == name })
-			s = max(s, again[name])
-		}
-		if l > 1.10*s+16<<10 {
+		if l := large[name]; l > 1.10*s+16<<10 {
 			t.Errorf("%s: %.0f B/run over 2^15 events, %.0f over 2^17: bytes follow the rows scanned", name, s, l)
 		} else {
 			t.Logf("%s: %.0f B/run over 2^15 events, %.0f over 2^17", name, s, l)
@@ -366,12 +361,15 @@ func TestScanBytesFollowGroups(t *testing.T) {
 
 // scanBytesPerRun binds the ask_scan templates over a telemetry log of
 // the given length, at two workers, and returns what one run of each
-// template that use accepts allocates, the most of ten runs. Two
-// collections before each run empty the executor's scratch pool, so
-// every run borrows its scratch and join build afresh, as a question
-// after an idle spell does: the figure does not hang on which P's
-// private slot the last run handed its scratch back to, nor on the
-// race detector dropping a pooled scratch at random.
+// template that use accepts allocates: the most of ten runs in which
+// both workers folded rows (plan.FoldingWorkers), out of at most a
+// hundred — on a loaded machine one worker can claim every morsel of a
+// short run that holds rows. Two collections before each run empty the
+// executor's scratch pool, so every run borrows its scratch and join
+// build afresh, as a question after an idle spell does: the figure
+// does not hang on which P's private slot the last run handed its
+// scratch back to, nor on the race detector dropping a pooled scratch
+// at random.
 func scanBytesPerRun(t *testing.T, rows int, use func(name, sql string, p *plan.Plan) bool) map[string]float64 {
 	t.Helper()
 	sn := dataset.Telemetry(rows).Snapshot()
@@ -387,16 +385,24 @@ func scanBytesPerRun(t *testing.T, rows int, use func(name, sql string, p *plan.
 			}
 		}
 		run() // builds the segment layout
-		const runs = 10
+		const runs, tries = 10, 100
 		var before, after runtime.MemStats
 		var most uint64
-		for range runs {
+		two := 0
+		for try := 0; two < runs && try < tries; try++ {
+			folding := plan.FoldingWorkers.Load()
 			runtime.GC()
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			run()
 			runtime.ReadMemStats(&after)
-			most = max(most, after.TotalAlloc-before.TotalAlloc)
+			if plan.FoldingWorkers.Load()-folding == 2 {
+				two++
+				most = max(most, after.TotalAlloc-before.TotalAlloc)
+			}
+		}
+		if two == 0 {
+			t.Fatalf("%s over %d events: no run of %d had both workers fold rows", tc.name, rows, tries)
 		}
 		out[tc.name] = float64(most)
 	}

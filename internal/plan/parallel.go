@@ -147,15 +147,14 @@ type morselRun struct {
 	m, lo, hi int
 }
 
-// exchangeRun is one run of an Exchange: its morsels and workers, the
-// counter they claim morsels by, and whether one of them has failed.
+// exchangeRun is one run of an Exchange: its morsels, its workers and
+// the counter they claim morsels by.
 type exchangeRun struct {
 	x       *Exchange
 	ctx     *Ctx
 	spans   [][2]int
 	workers int
 	next    atomic.Int64
-	failed  atomic.Bool
 }
 
 // start sizes one run of the exchange. A nil run means the exchange
@@ -208,8 +207,9 @@ type workerSink func(w int, wctx *Ctx, m int, in viter) error
 // run is the one worker loop. A worker claims a morsel, only then opens
 // the subtree, once, under a context whose leaf scan reads the morsel
 // the worker claimed last (segScanBatches), and hands sink the pipeline
-// for each morsel it claims. A claim checks for cancellation first; the
-// first error stops the pool and is returned.
+// for each morsel it claims. Every claim checks for cancellation; the
+// first error moves the counter past the last morsel, which stops the
+// pool, and is returned.
 func (r *exchangeRun) run(sink workerSink) error {
 	var firstErr error
 	var errOnce sync.Once
@@ -218,9 +218,29 @@ func (r *exchangeRun) run(sink workerSink) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := r.work(w, sink); err != nil {
-				errOnce.Do(func() { firstErr = err })
-				r.failed.Store(true)
+			mr := &morselRun{node: r.x.part}
+			wctx := *r.ctx
+			wctx.part = mr
+			var op viter
+			for {
+				// The counter only grows, so a worker's morsels ascend.
+				i := int(r.next.Add(1)) - 1
+				if i >= len(r.spans) {
+					return
+				}
+				mr.m, mr.lo, mr.hi = i, r.spans[i][0], r.spans[i][1]
+				err := r.ctx.canceled()
+				if err == nil && op == nil {
+					op, err = r.x.In.vopen(&wctx)
+				}
+				if err == nil {
+					err = sink(w, &wctx, i, op)
+				}
+				if err != nil {
+					errOnce.Do(func() { firstErr = err })
+					r.next.Store(int64(len(r.spans)))
+					return
+				}
 			}
 		}()
 	}
@@ -228,34 +248,11 @@ func (r *exchangeRun) run(sink workerSink) error {
 	return firstErr
 }
 
-// work is worker w's part of run.
-func (r *exchangeRun) work(w int, sink workerSink) error {
-	mr := &morselRun{node: r.x.part}
-	wctx := *r.ctx
-	wctx.part = mr
-	var op viter
-	for {
-		if err := r.ctx.canceled(); err != nil {
-			return err
-		}
-		// The counter only grows, so a worker's morsels ascend.
-		i := int(r.next.Add(1)) - 1
-		if i >= len(r.spans) || r.failed.Load() {
-			return nil
-		}
-		mr.m, mr.lo, mr.hi = i, r.spans[i][0], r.spans[i][1]
-		var err error
-		if op == nil {
-			op, err = r.x.In.vopen(&wctx)
-		}
-		if err == nil {
-			err = sink(w, &wctx, i, op)
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
+// FoldingWorkers counts the exchange workers of the process whose group
+// table (Aggregate.vopen) folded a row. How many of a run's workers do
+// is the scheduler's call, and each grows its pipeline's scratch, so a
+// test that measures a run's bytes reads here how many workers it had.
+var FoldingWorkers atomic.Int64
 
 // sharedState carries per-execution state shared by the workers of
 // every Exchange in the plan: hash-join build sides are computed once

@@ -765,9 +765,9 @@ type aggState struct {
 	// or MAX, that the first non-NULL value was NaN, which wins
 	// (store.Compare finds NaN neither below nor above a number).
 	has, led []bool
-	// firstAt and bestAt are the morsels that what led records and a
-	// float MIN or MAX's best came from, so partials can tell which is
-	// first.
+	// firstAt and bestAt, for a float MIN or MAX, are the morsels its
+	// first non-NULL value and its best came from, so partials can tell
+	// which came first.
 	firstAt, bestAt []int32
 	seen            map[distinctKey]struct{} // DISTINCT: values folded so far
 }
@@ -796,7 +796,7 @@ func (slot *vecAggSlot) grow(st *aggState) {
 		st.counts = append(st.counts, 0)
 		return
 	case "FIRST":
-		st.led, st.firstAt = append(st.led, false), append(st.firstAt, 0)
+		st.led = append(st.led, false)
 	default: // MIN, MAX
 		if slot.argKind == store.KindFloat {
 			st.led, st.firstAt, st.bestAt = append(st.led, false), append(st.firstAt, 0), append(st.bestAt, 0)
@@ -856,7 +856,7 @@ func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int, at int32
 		if st.has[gid] {
 			return
 		}
-		st.has[gid], st.led[gid], st.firstAt[gid] = true, isNull, at
+		st.has[gid], st.led[gid] = true, isNull
 		if !isNull {
 			slot.set(st, gid, arg, i)
 		}
@@ -952,8 +952,10 @@ func (slot *vecAggSlot) set(st *aggState, gid int, arg *vcol, i int) {
 
 // merge folds group sg of src, the slot's state over other morsels of
 // the same input, into group gid of st as if the rows had been folded
-// in input order, whichever order partials merge in: counts and sums
-// add, and of two FIRSTs, two leads or two equal bests the one from the
+// in input order. A group's partials merge in the order of the morsels
+// that created them (groupTable.merge), so the first to hold a FIRST
+// holds the group's first row, and its FIRST stands; counts and sums
+// add, and of two float leads or two equal float bests the one from the
 // earlier morsel stands. A DISTINCT slot's partials would count a value
 // once per worker; such slots never merge (partialOver).
 func (slot *vecAggSlot) merge(st *aggState, gid int, src *aggState, sg int) {
@@ -976,8 +978,8 @@ func (slot *vecAggSlot) merge(st *aggState, gid int, src *aggState, sg int) {
 	held := vcol{kind: slot.argKind, ints: src.ints, floats: src.floats, strs: src.strs, bools: src.bools}
 	switch {
 	case slot.fn == "FIRST":
-		if src.has[sg] && (!st.has[gid] || src.firstAt[sg] < st.firstAt[gid]) {
-			st.has[gid], st.led[gid], st.firstAt[gid] = true, src.led[sg], src.firstAt[sg]
+		if !st.has[gid] && src.has[sg] {
+			st.has[gid], st.led[gid] = true, src.led[sg]
 			slot.set(st, gid, &held, sg)
 		}
 		return
@@ -1126,7 +1128,8 @@ func (a *Aggregate) partialOver() *Exchange {
 
 // groupTable is the accumulate half of a vectorized aggregate: the
 // groups seen so far — key columns in first-seen order, the hash index
-// over them, the morsel each was born in, one aggState per slot — and
+// over them, the morsel each was born in (the global group's: that of
+// its first row; none yet, MaxInt32), one aggState per slot — and
 // per-batch working state: the morsel being folded, key and argument
 // vectors (evaluated into sc) and views of the key columns, refreshed
 // whenever a new group extends them.
@@ -1150,7 +1153,7 @@ func newGroupTable(ap *vecAggPlan, sc *vscratch) *groupTable {
 	if nk == 0 {
 		// The global group exists even over empty input.
 		t.argCols = make([]vcol, ns)
-		t.ngroups = 1
+		t.ngroups, t.born = 1, []int32{math.MaxInt32}
 		for s := range t.states {
 			ap.slots[s].grow(&t.states[s])
 		}
@@ -1244,6 +1247,8 @@ func (t *groupTable) add(b *vbatch) error {
 		hs := hashKeys(t.keyCols, b.n, b.sel, t.sc)
 		gids = t.sc.sels.take(b.n)
 		b.forSel(func(i int) { gids[i] = int32(t.group(t.keyCols, i, hs)) })
+	} else if t.born[0] == math.MaxInt32 && b.rows() > 0 {
+		t.born[0] = t.morsel
 	}
 	for s := range t.ap.slots {
 		t.ap.slots[s].fold(&t.states[s], gids, &t.argCols[s], b, t.morsel)
@@ -1255,8 +1260,8 @@ func (t *groupTable) add(b *vbatch) error {
 // global group, in the order of the morsels their groups were born in.
 // A worker's morsels ascend, so its groups are in that order already,
 // and a group first reaches t from the worker that read its first row:
-// t's groups are in the serial first-seen order. Slots merge exactly
-// in any order (vecAggSlot.merge).
+// t's groups are in the serial first-seen order, and each group's
+// partials arrive in the order of their first rows (vecAggSlot.merge).
 func (t *groupTable) merge(srcs []*groupTable) {
 	hs, next := make([][]uint64, len(srcs)), make([]int, len(srcs))
 	for w, src := range srcs {
@@ -1266,7 +1271,7 @@ func (t *groupTable) merge(srcs []*groupTable) {
 	for {
 		w := -1
 		for v, src := range srcs {
-			if next[v] < src.ngroups && (w < 0 || len(src.born) > 0 && src.born[next[v]] < srcs[w].born[next[w]]) {
+			if next[v] < src.ngroups && (w < 0 || src.born[next[v]] < srcs[w].born[next[w]]) {
 				w = v
 			}
 		}
@@ -1319,6 +1324,11 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 	}
 	// A worker that claimed no morsel has no table.
 	tabs = slices.DeleteFunc(tabs, func(t *groupTable) bool { return t == nil })
+	for _, t := range tabs {
+		if len(t.born) > 0 && t.born[0] != math.MaxInt32 {
+			FoldingWorkers.Add(1)
+		}
+	}
 	if len(tabs) == 1 {
 		return tabs[0].finish()
 	}
@@ -1646,13 +1656,15 @@ func (e *Exchange) vopen(ctx *Ctx) (viter, error) {
 	if err != nil {
 		return nil, err
 	}
-	kept := slices.Concat(outs...)
 	return func() (*vbatch, error) {
-		if len(kept) == 0 {
+		for len(outs) > 0 && len(outs[0]) == 0 {
+			outs = outs[1:]
+		}
+		if len(outs) == 0 {
 			return nil, nil
 		}
-		b := kept[0]
-		kept = kept[1:]
+		b := outs[0][0]
+		outs[0] = outs[0][1:]
 		return b, nil
 	}, nil
 }
