@@ -1,14 +1,19 @@
 // Package bench is the evaluation harness: the gold question/SQL
 // corpus over the three domains, execution-match scoring, typo
 // injection and grammar-coverage sweeps. It scores answers and never
-// times them: cmd/nlibench prints its tables (T1–T6, F3), and speed is
-// the question benchmark's (benchmark/).
+// times them: TestAccuracyLedger holds its tables (T1–T6, F3) and one
+// line per evaluated case to testdata/ledger.golden, and speed is the
+// question benchmark's (benchmark/).
 package bench
 
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/exec"
+	"repro/internal/interp"
+	"repro/internal/iql"
+	"repro/internal/semindex"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
@@ -60,6 +65,23 @@ type Outcome struct {
 	Correct  bool // execution matched the gold result
 	SysSQL   string
 	Err      string
+
+	// Filled when the system is the engine, whose Interpret exposes
+	// what Translate drops.
+	Corrections []semindex.Correction // spelling repairs made before parsing
+	Ambiguity   interp.Ambiguity      // readings and top-two margin; zero when interpretation failed
+	GoldRank    int                   // 1-based rank of the first of the top three readings executing to gold, 0 if none
+}
+
+// verdict is "correct", "wrong" or "unanswered".
+func (o Outcome) verdict() string {
+	switch {
+	case o.Correct:
+		return "correct"
+	case o.Answered:
+		return "wrong"
+	}
+	return "unanswered"
 }
 
 // ClassStats aggregates outcomes for one class.
@@ -97,48 +119,91 @@ type Report struct {
 // against the gold SQL on db. A gold query that fails to parse or
 // execute is a corpus bug and returns an error.
 func Evaluate(sys System, db *store.DB, cases []Case) (*Report, error) {
-	rep := &Report{System: sys.Name(), Stats: map[Class]*ClassStats{}}
+	rep := &Report{System: sys.Name()}
+	engine, isEngine := sys.(*core.Engine)
 	for _, cs := range cases {
-		stats := rep.Stats[cs.Class]
-		if stats == nil {
-			stats = &ClassStats{}
-			rep.Stats[cs.Class] = stats
-		}
-		stats.Total++
-		rep.Overall.Total++
-
-		goldRes, err := runSQL(db, cs.Gold)
+		goldRes, err := GoldResult(db, cs)
 		if err != nil {
 			return nil, fmt.Errorf("bench: gold for %s is broken: %w", cs.ID, err)
 		}
 
 		out := Outcome{Case: cs}
-		stmt, err := sys.Translate(cs.Question)
-		if err == nil {
-			out.SysSQL = stmt.String()
-			sysRes, execErr := exec.Query(db.Snapshot(), stmt)
-			if execErr == nil {
-				out.Answered = true
-				stats.Answered++
-				rep.Overall.Answered++
-				if SameResult(goldRes, sysRes) {
-					out.Correct = true
-					stats.Correct++
-					rep.Overall.Correct++
-				}
-			} else {
-				out.Err = execErr.Error()
+		var stmt *sql.SelectStmt
+		var ranked []interp.Scored
+		if isEngine {
+			var ans *core.Answer
+			ans, err = engine.Interpret(cs.Question)
+			stmt, out.Corrections = ans.SQL, ans.Corrections
+			if err == nil {
+				ranked = ans.Ranked
+				out.Ambiguity = ans.Ambiguity()
 			}
 		} else {
+			stmt, err = sys.Translate(cs.Question)
+		}
+		if err == nil {
+			out.SysSQL = stmt.String()
+			var sysRes *exec.Result
+			if sysRes, err = exec.Query(db.Snapshot(), stmt); err == nil {
+				out.Answered = true
+				out.Correct = SameResult(goldRes, sysRes)
+			}
+		}
+		if err != nil {
 			out.Err = err.Error()
 		}
-		rep.Outcomes = append(rep.Outcomes, out)
+		if ranked != nil {
+			out.GoldRank = goldRank(db, goldRes, out.Correct, ranked)
+		}
+		rep.add(out)
 	}
 	return rep, nil
 }
 
-func runSQL(db *store.DB, q string) (*exec.Result, error) {
-	stmt, err := sql.Parse(q)
+// goldRank is the 1-based rank of the first of the top three readings
+// that executes to gold, 0 when none does; the first is the chosen one,
+// whose verdict is correct.
+func goldRank(db *store.DB, gold *exec.Result, correct bool, ranked []interp.Scored) int {
+	if correct {
+		return 1
+	}
+	for k := 1; k < len(ranked) && k < 3; k++ {
+		stmt, err := iql.ToSQL(ranked[k].Query, db.Schema)
+		if err != nil {
+			continue
+		}
+		if res, err := exec.Query(db.Snapshot(), stmt); err == nil && SameResult(gold, res) {
+			return k + 1
+		}
+	}
+	return 0
+}
+
+// add counts one outcome into its class and the overall tally.
+func (r *Report) add(o Outcome) {
+	if r.Stats == nil {
+		r.Stats = map[Class]*ClassStats{}
+	}
+	class := r.Stats[o.Case.Class]
+	if class == nil {
+		class = &ClassStats{}
+		r.Stats[o.Case.Class] = class
+	}
+	for _, s := range []*ClassStats{class, &r.Overall} {
+		s.Total++
+		if o.Answered {
+			s.Answered++
+		}
+		if o.Correct {
+			s.Correct++
+		}
+	}
+	r.Outcomes = append(r.Outcomes, o)
+}
+
+// GoldResult executes a case's gold SQL.
+func GoldResult(db *store.DB, cs Case) (*exec.Result, error) {
+	stmt, err := sql.Parse(cs.Gold)
 	if err != nil {
 		return nil, err
 	}

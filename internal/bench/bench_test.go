@@ -1,20 +1,18 @@
 package bench
 
 import (
-	"go/ast"
+	"errors"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/keyword"
-	"repro/internal/pattern"
-	"repro/internal/semindex"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
@@ -76,22 +74,9 @@ func TestCorpusSuperlativesAreTieFree(t *testing.T) {
 	}
 }
 
-func fullEngine(t testing.TB, domain string) (*core.Engine, *store.DB) {
-	t.Helper()
-	db, err := dataset.ByName(domain, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return core.NewEngine(db, core.DefaultOptions()), db
-}
-
 func TestFullPipelineAccuracy(t *testing.T) {
-	for _, name := range dataset.Names() {
-		e, db := fullEngine(t, name)
-		rep, err := Evaluate(e, db, Corpus(name))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range readLedger(t).domains {
+		name, rep := d.name, d.nli()
 		for _, o := range rep.Outcomes {
 			if !o.Correct {
 				t.Logf("%s MISS %q -> sql=%q err=%q", o.Case.ID, o.Case.Question, o.SysSQL, o.Err)
@@ -106,24 +91,8 @@ func TestFullPipelineAccuracy(t *testing.T) {
 }
 
 func TestBaselinesAreWeaker(t *testing.T) {
-	for _, name := range dataset.Names() {
-		db, _ := dataset.ByName(name, 1)
-		idx := semindex.Build(db, semindex.DefaultOptions())
-		e := core.NewEngine(db, core.DefaultOptions())
-		cases := Corpus(name)
-
-		full, err := Evaluate(e, db, cases)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kw, err := Evaluate(keyword.New(idx), db, cases)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pat, err := Evaluate(pattern.New(idx), db, cases)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range readLedger(t).domains {
+		name, kw, pat, full := d.name, d.systems[0], d.systems[1], d.nli()
 		if kw.Overall.Correct >= full.Overall.Correct {
 			t.Errorf("%s: keyword (%d) not weaker than full (%d)",
 				name, kw.Overall.Correct, full.Overall.Correct)
@@ -145,35 +114,14 @@ func TestBaselinesAreWeaker(t *testing.T) {
 	}
 }
 
+// TestTypoRobustness reads T5's university grid: one typo per
+// question, correction at distance 2 against correction off.
 func TestTypoRobustness(t *testing.T) {
-	name := "university"
-	db, _ := dataset.ByName(name, 1)
-	cases := Corpus(name)
-	typoed := TypoCases(cases, 1)
-
-	withCorrection := core.DefaultOptions()
-	withCorrection.SpellMaxDist = 2
-	eOn := core.NewEngine(db, withCorrection)
-
-	noCorrection := core.DefaultOptions()
-	noCorrection.SpellMaxDist = 0
-	eOff := core.NewEngine(db, noCorrection)
-
-	on, err := Evaluate(eOn, db, typoed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := Evaluate(eOff, db, typoed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	typos := readLedger(t).typos
+	on, off, clean := typos[2][1], typos[0][1], typos[2][0]
 	if on.Overall.Correct <= off.Overall.Correct {
 		t.Errorf("correction on (%d) should beat off (%d)",
 			on.Overall.Correct, off.Overall.Correct)
-	}
-	clean, err := Evaluate(eOn, db, cases)
-	if err != nil {
-		t.Fatal(err)
 	}
 	// With correction, one typo should cost at most a third of accuracy.
 	if float64(on.Overall.Correct) < 0.66*float64(clean.Overall.Correct) {
@@ -205,16 +153,14 @@ func TestInjectTyposDeterministicAndBounded(t *testing.T) {
 }
 
 func TestDialogueCorpus(t *testing.T) {
-	outcomes, err := EvaluateDialogue(core.DefaultOptions(), DialogueCorpus())
-	if err != nil {
-		t.Fatal(err)
-	}
+	outcomes := readLedger(t).dialogue
 	correct := 0
 	for _, o := range outcomes {
 		if o.Correct {
 			correct++
 		} else {
-			t.Logf("%s MISS turns=%v sql=%q err=%q", o.Case.ID, o.Case.Turns, o.SysSQL, o.Err)
+			last := o.Turns[len(o.Turns)-1]
+			t.Logf("%s MISS turns=%v sql=%q err=%q", o.Case.ID, o.Case.Turns, last.SysSQL, last.Err)
 		}
 	}
 	if frac := float64(correct) / float64(len(outcomes)); frac < 0.8 {
@@ -223,10 +169,7 @@ func TestDialogueCorpus(t *testing.T) {
 }
 
 func TestCoverageCurveMonotone(t *testing.T) {
-	points, err := CoverageCurve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := readLedger(t).coverage
 	if len(points) == 0 {
 		t.Fatal("no points")
 	}
@@ -247,13 +190,9 @@ func TestCoverageCurveMonotone(t *testing.T) {
 }
 
 func TestAblationHurts(t *testing.T) {
-	results, err := RunAblation(AllCases())
-	if err != nil {
-		t.Fatal(err)
-	}
 	byName := map[string]*Report{}
-	for _, r := range results {
-		byName[r.Name] = r.Report
+	for _, r := range readLedger(t).ablation {
+		byName[r.System] = r
 	}
 	full := byName["full"].Overall.Correct
 	for _, name := range []string{"-synonyms", "-value-index"} {
@@ -302,22 +241,15 @@ func TestClassStatsMath(t *testing.T) {
 // the join penalty disabled, ranking must never beat the default
 // configuration (join coherence is what disambiguates).
 func TestRankingWeightsMatter(t *testing.T) {
-	for _, name := range dataset.Names() {
+	for _, d := range readLedger(t).domains {
+		name, defRep := d.name, d.nli()
 		db, _ := dataset.ByName(name, 1)
-		cases := Corpus(name)
-
-		defOpts := core.DefaultOptions()
-		eDef := core.NewEngine(db, defOpts)
-		defRep, err := Evaluate(eDef, db, cases)
-		if err != nil {
-			t.Fatal(err)
-		}
 
 		flat := core.DefaultOptions()
 		flat.Weights.JoinPenalty = 0
 		flat.Weights.TablePenalty = 0
 		eFlat := core.NewEngine(db, flat)
-		flatRep, err := Evaluate(eFlat, db, cases)
+		flatRep, err := Evaluate(eFlat, db, Corpus(name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,12 +263,8 @@ func TestRankingWeightsMatter(t *testing.T) {
 // TestAmbiguityRanksGoldFirst: in every domain the ranker puts some
 // question's gold reading first (T3's top-1 column), and the counts nest.
 func TestAmbiguityRanksGoldFirst(t *testing.T) {
-	for _, name := range dataset.Names() {
-		e, db := fullEngine(t, name)
-		rep, err := EvaluateAmbiguity(e, db, Corpus(name))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range readLedger(t).domains {
+		name, rep := d.name, d.nli().Ambiguity()
 		if rep.Top1 == 0 || rep.Top1 > rep.Top3 || rep.Top3 > rep.Parsed {
 			t.Errorf("%s: top-1 %d, top-3 %d of %d parsed", name, rep.Top1, rep.Top3, rep.Parsed)
 		}
@@ -346,13 +274,8 @@ func TestAmbiguityRanksGoldFirst(t *testing.T) {
 // TestDisjunctionClassScored ensures the new construct class is wired
 // into every domain and answered by the full pipeline.
 func TestDisjunctionClassScored(t *testing.T) {
-	for _, name := range dataset.Names() {
-		db, _ := dataset.ByName(name, 1)
-		e := core.NewEngine(db, core.DefaultOptions())
-		rep, err := Evaluate(e, db, Corpus(name))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range readLedger(t).domains {
+		name, rep := d.name, d.nli()
 		s := rep.Stats[ClassIn]
 		if s == nil || s.Total == 0 {
 			t.Errorf("%s: no disjunction cases", name)
@@ -368,18 +291,10 @@ func TestDisjunctionClassScored(t *testing.T) {
 // full pipeline; linguistic variation must not cost accuracy on the
 // rule-based system's own turf.
 func TestParaphraseVariants(t *testing.T) {
-	for _, name := range dataset.Names() {
-		db, _ := dataset.ByName(name, 1)
-		e := core.NewEngine(db, core.DefaultOptions())
-		base := Corpus(name)
-		expanded := WithParaphrases(base)
-		variants := expanded[len(base):]
-		if name == "university" && len(variants) == 0 {
+	for _, d := range readLedger(t).domains {
+		rep := d.paraphrases
+		if d.name == "university" && len(rep.Outcomes) == 0 {
 			t.Fatal("no paraphrase variants registered")
-		}
-		rep, err := Evaluate(e, db, variants)
-		if err != nil {
-			t.Fatal(err)
 		}
 		for _, o := range rep.Outcomes {
 			if !o.Correct {
@@ -425,52 +340,73 @@ func TestGoldResultHelper(t *testing.T) {
 	}
 }
 
-// TestOneSpeedHarness pins that this package and cmd/nlibench score
-// answers and never time them: speed is the question benchmark's
-// (benchmark/), and every former timing bar is a Go test next to the
-// code it gates. No non-test file of either imports a clock, the
-// runtime or an HTTP stack, and nlibench's experiment table names the
-// accuracy tables T1–T6 and the coverage curve F3 alone.
+// TestOneSpeedHarness pins that this package scores answers and never
+// times them: speed is the question benchmark's (benchmark/), and every
+// former timing bar is a Go test next to the code it gates. No non-test
+// file here imports a clock, the runtime or an HTTP stack.
 func TestOneSpeedHarness(t *testing.T) {
 	banned := map[string]bool{`"time"`: true, `"runtime"`: true, `"net/http"`: true, `"net/http/httptest"`: true}
-	allowed := map[string]bool{`"T1"`: true, `"T2"`: true, `"T3"`: true, `"T4"`: true, `"T5"`: true, `"T6"`: true, `"F3"`: true}
 	fset := token.NewFileSet()
-	experiments := 0
-	for _, dir := range []string{".", "../../cmd/nlibench"} {
-		pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				for _, imp := range f.Imports {
-					if banned[imp.Path.Value] {
-						t.Errorf("%s: imports %s", fset.Position(imp.Pos()), imp.Path.Value)
-					}
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, imp := range f.Imports {
+				if banned[imp.Path.Value] {
+					t.Errorf("%s: imports %s", fset.Position(imp.Pos()), imp.Path.Value)
 				}
-				ast.Inspect(f, func(n ast.Node) bool {
-					lit, ok := n.(*ast.CompositeLit)
-					if !ok || dir == "." {
-						return true
-					}
-					if _, ok := lit.Type.(*ast.MapType); !ok {
-						return true
-					}
-					for _, elt := range lit.Elts {
-						experiments++
-						key := elt.(*ast.KeyValueExpr).Key
-						if id, ok := key.(*ast.BasicLit); !ok || !allowed[id.Value] {
-							t.Errorf("%s: nlibench names experiment %s", fset.Position(key.Pos()), types.ExprString(key))
-						}
-					}
-					return true
-				})
 			}
 		}
 	}
-	if experiments != len(allowed) {
-		t.Errorf("nlibench's experiment table has %d entries, want the %d of T1–T6 and F3", experiments, len(allowed))
+}
+
+// TestOneAnswerHarness pins that the accuracy tables have one home,
+// TestAccuracyLedger: the command that used to print them is gone, no
+// non-test main package of the module imports this harness, and
+// testdata/ledger.golden holds each of T1–T6 and F3 exactly once.
+func TestOneAnswerHarness(t *testing.T) {
+	if _, err := os.Stat("../../cmd/nlibench"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("cmd/nlibench exists (%v): the tables are TestAccuracyLedger's", err)
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("../..", func(path string, de fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if de.IsDir() {
+			if path != "../.." && (strings.HasPrefix(de.Name(), ".") || de.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if f.Name.Name == "main" && imp.Path.Value == `"repro/internal/bench"` {
+				t.Errorf("%s: package main imports the accuracy harness", fset.Position(imp.Pos()))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"T1", "T2", "T3", "T4", "T5", "T6", "F3"} {
+		if n := strings.Count(string(golden), "\n================ "+id+": "); n != 1 {
+			t.Errorf("%s holds the %s header %d times, want once", ledgerPath, id, n)
+		}
 	}
 }

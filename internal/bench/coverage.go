@@ -59,85 +59,51 @@ func CoverageCurve() ([]CoveragePoint, error) {
 	return points, nil
 }
 
-// AblationResult is one row of the lexicon-ablation table (T2).
-type AblationResult struct {
-	Name   string
-	Report *Report
+// ablations are the lexicon ablations of T2, each the default engine
+// with one part turned off.
+var ablations = []struct {
+	name string
+	off  func(*core.Options)
+}{
+	{"-synonyms", func(o *core.Options) { o.Index.Synonyms = false }},
+	{"-stemming", func(o *core.Options) { o.Index.Stems = false }},
+	{"-value-index", func(o *core.Options) { o.Index.Values = false }},
+	{"-spelling", func(o *core.Options) { o.SpellMaxDist = 0 }},
 }
 
-// AblationVariants returns the engine options for the T2 ablations.
-func AblationVariants() []struct {
-	Name string
-	Opts core.Options
-} {
-	full := core.DefaultOptions()
-
-	noSyn := core.DefaultOptions()
-	noSyn.Index.Synonyms = false
-
-	noStem := core.DefaultOptions()
-	noStem.Index.Stems = false
-
-	noVal := core.DefaultOptions()
-	noVal.Index.Values = false
-
-	noSpell := core.DefaultOptions()
-	noSpell.SpellMaxDist = 0
-
-	return []struct {
-		Name string
-		Opts core.Options
-	}{
-		{"full", full},
-		{"-synonyms", noSyn},
-		{"-stemming", noStem},
-		{"-value-index", noVal},
-		{"-spelling", noSpell},
-	}
-}
-
-// RunAblation evaluates every T2 variant over all domains and returns
-// one merged report per variant.
-func RunAblation(cases []Case) ([]AblationResult, error) {
-	var out []AblationResult
-	for _, v := range AblationVariants() {
-		merged := &Report{System: v.Name, Stats: map[Class]*ClassStats{}}
+// RunAblation evaluates every T2 ablation over cases and returns one
+// report per ablation, merged across domains and named after it.
+func RunAblation(cases []Case) ([]*Report, error) {
+	var out []*Report
+	for _, v := range ablations {
+		opts := core.DefaultOptions()
+		v.off(&opts)
+		merged := &Report{System: v.name}
 		for _, name := range dataset.Names() {
 			db, err := dataset.ByName(name, 1)
 			if err != nil {
 				return nil, err
 			}
-			e := core.NewEngine(db, v.Opts)
 			var domainCases []Case
 			for _, cs := range cases {
 				if cs.Domain == name {
 					domainCases = append(domainCases, cs)
 				}
 			}
-			rep, err := Evaluate(e, db, domainCases)
+			rep, err := Evaluate(core.NewEngine(db, opts), db, domainCases)
 			if err != nil {
 				return nil, err
 			}
-			mergeReports(merged, rep)
+			merged.merge(rep)
 		}
-		out = append(out, AblationResult{Name: v.Name, Report: merged})
+		out = append(out, merged)
 	}
 	return out, nil
 }
 
-func mergeReports(dst, src *Report) {
-	for class, s := range src.Stats {
-		d := dst.Stats[class]
-		if d == nil {
-			d = &ClassStats{}
-			dst.Stats[class] = d
-		}
-		d.Total += s.Total
-		d.Answered += s.Answered
-		d.Correct += s.Correct
+// merge adds src's outcomes to r.
+func (r *Report) merge(src *Report) {
+	for _, o := range src.Outcomes {
+		r.add(o)
 	}
-	dst.Overall.Total += src.Overall.Total
-	dst.Overall.Answered += src.Overall.Answered
-	dst.Overall.Correct += src.Overall.Correct
-	dst.Outcomes = append(dst.Outcomes, src.Outcomes...)
 }

@@ -6,8 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/sql"
-	"repro/internal/store"
 )
 
 // DialogueCase is one multi-turn session: the final turn's state must
@@ -131,16 +129,14 @@ func DialogueCorpus() []DialogueCase {
 // DialogueOutcome is one evaluated session.
 type DialogueOutcome struct {
 	Case    DialogueCase
-	Correct bool
-	Err     string
-	SysSQL  string
+	Correct bool      // the final turn executed to the gold result
+	Turns   []Outcome // one per turn asked, up to the first that failed; IDs suffixed #N
 }
 
 // EvaluateDialogue runs each session through a fresh conversation and
 // scores the final turn by execution match.
 func EvaluateDialogue(opts core.Options, cases []DialogueCase) ([]DialogueOutcome, error) {
 	engines := map[string]*core.Engine{}
-	dbs := map[string]*store.DB{}
 	var out []DialogueOutcome
 	for _, cs := range cases {
 		e, ok := engines[cs.Domain]
@@ -151,15 +147,8 @@ func EvaluateDialogue(opts core.Options, cases []DialogueCase) ([]DialogueOutcom
 			}
 			e = core.NewEngine(db, opts)
 			engines[cs.Domain] = e
-			dbs[cs.Domain] = db
 		}
-		db := dbs[cs.Domain]
-
-		goldStmt, err := sql.Parse(cs.Gold)
-		if err != nil {
-			return nil, fmt.Errorf("bench: gold for %s: %w", cs.ID, err)
-		}
-		goldRes, err := exec.Query(db.Snapshot(), goldStmt)
+		goldRes, err := GoldResult(e.DB, Case{Gold: cs.Gold})
 		if err != nil {
 			return nil, fmt.Errorf("bench: gold for %s: %w", cs.ID, err)
 		}
@@ -167,22 +156,29 @@ func EvaluateDialogue(opts core.Options, cases []DialogueCase) ([]DialogueOutcom
 		o := DialogueOutcome{Case: cs}
 		conv := e.NewConversation()
 		var last *core.Answer
-		for _, turn := range cs.Turns {
+		for i, turn := range cs.Turns {
 			ans, _, err := conv.Ask(turn)
+			t := Outcome{Case: Case{ID: fmt.Sprintf("%s#%d", cs.ID, i+1), Domain: cs.Domain, Question: turn},
+				Corrections: ans.Corrections}
+			if ans.SQL != nil {
+				t.SysSQL = ans.SQL.String()
+			}
+			last = nil
 			if err != nil {
-				o.Err = err.Error()
-				last = nil
+				t.Err = err.Error()
+				o.Turns = append(o.Turns, t)
 				break
 			}
-			last = ans
+			t.Answered, t.Ambiguity, last = true, ans.Ambiguity(), ans
+			o.Turns = append(o.Turns, t)
 		}
 		if last != nil {
-			o.SysSQL = last.SQL.String()
 			if cs.Ordered {
 				o.Correct = orderedSame(goldRes, last.Result)
 			} else {
 				o.Correct = SameResult(goldRes, last.Result)
 			}
+			o.Turns[len(o.Turns)-1].Correct = o.Correct
 		}
 		out = append(out, o)
 	}

@@ -40,7 +40,8 @@ type Options struct {
 	Parallelism int
 
 	// AnswerCacheSize bounds the engine answer cache (entries), keyed
-	// by corrected tokens and invalidated by the store data version.
+	// by corrected tokens; an entry is stale once any table it read has
+	// a new version (store.DB.TableVersion).
 	// 0 disables caching — set that when measuring pipeline latency.
 	AnswerCacheSize int
 

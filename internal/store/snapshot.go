@@ -133,16 +133,6 @@ func (db *DB) Snapshot() *Snapshot {
 // Table returns the pinned view of the named table, or nil.
 func (s *Snapshot) Table(name string) *TableSnap { return s.tables[name] }
 
-// Version sums the pinned per-table versions — the whole-database data
-// version this snapshot observes.
-func (s *Snapshot) Version() uint64 {
-	var v uint64
-	for _, t := range s.tables {
-		v += t.d.version
-	}
-	return v
-}
-
 // TableVersion returns the pinned version of the named table, or 0.
 func (s *Snapshot) TableVersion(name string) uint64 {
 	if t := s.tables[name]; t != nil {

@@ -249,27 +249,27 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
-// TestDataVersion: the version token must move on every mutation, on
-// any table, and stay put across reads — the answer cache's
-// invalidation contract.
+// TestDataVersion: a table's version stays put across reads, moves on
+// an insert into that table and stays put on an insert into another —
+// the per-table contract the answer cache keys on (DB.TableVersion).
 func TestDataVersion(t *testing.T) {
 	db := NewDB(miniSchema(t))
-	v0 := db.DataVersion()
-	if again := db.DataVersion(); again != v0 {
+	v0 := db.TableVersion("people")
+	if again := db.TableVersion("people"); again != v0 {
 		t.Errorf("version moved without mutation: %d -> %d", v0, again)
 	}
 	if err := db.Insert("people", Int(1), Text("Ada"), Float(9.5)); err != nil {
 		t.Fatal(err)
 	}
-	v1 := db.DataVersion()
+	v1 := db.TableVersion("people")
 	if v1 == v0 {
 		t.Error("version unchanged after insert")
 	}
 	if err := db.Insert("pets", Int(1), Text("cat")); err != nil {
 		t.Fatal(err)
 	}
-	if db.DataVersion() == v1 {
-		t.Error("version unchanged after insert into a second table")
+	if got := db.TableVersion("people"); got != v1 {
+		t.Errorf("insert into another table moved the version: %d -> %d", v1, got)
 	}
 	if db.TotalRows() != 2 {
 		t.Errorf("TotalRows = %d, want 2", db.TotalRows())

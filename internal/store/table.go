@@ -176,19 +176,6 @@ func (db *DB) MustInsert(table string, vals ...Value) {
 	}
 }
 
-// DataVersion is a monotonic counter over the database's contents:
-// any row mutation changes it, so equal versions imply equal data.
-// Whole-database caches use it as their invalidation token; caches
-// that want write locality should key on per-table versions instead
-// (TableVersion), which writes to other tables leave untouched.
-func (db *DB) DataVersion() uint64 {
-	var v uint64
-	for _, t := range db.tables {
-		v += t.Version()
-	}
-	return v
-}
-
 // TableVersion returns the named table's current data version, or 0
 // for an unknown table.
 func (db *DB) TableVersion(name string) uint64 {
