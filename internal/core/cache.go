@@ -10,20 +10,146 @@ import (
 	"repro/internal/strutil"
 )
 
-// tableDep records one table an answer depends on and the version it
-// was read at — the validity fingerprint of a cache entry.
+// tableDep records one table a cache entry depends on and the version
+// it was read at.
 type tableDep struct {
 	Table   string
 	Version uint64
 }
 
-// cacheEntry is one memoized answer plus the exact per-table versions
-// it was computed against, and the slot a serving layer renders that
-// answer into once. The rendering lives and dies with the entry: a
-// stale or evicted entry takes it along, a re-stored key starts empty.
+// snapshotDeps builds the dependency fingerprint of an entry computed
+// on sn: the tables its SQL reads, each at the version sn pins.
+func snapshotDeps(tables []string, sn *store.Snapshot) []tableDep {
+	deps := make([]tableDep, len(tables))
+	for i, name := range tables {
+		deps[i] = tableDep{Table: name, Version: sn.TableVersion(name)}
+	}
+	return deps
+}
+
+// versioned is the engine's one cache: a bounded table of values, each
+// valid while every table it read is still at the version it read.
+// Engine.cache (answers, keyed by corrected tokens) and Engine.plans
+// (compiled plan templates, keyed by query shape) are two instances.
+//
+// The validity rule is checked at lookup, against whatever version
+// function the caller's data view answers to, and a stale entry is
+// evicted on sight. Versions only grow, so a stale entry can never be
+// valid again. Nothing is ever flushed wholesale: a write to one table
+// leaves every entry over other tables hot.
+//
+// The bound is a CLOCK ring. A hit sets its entry's reference bit; a
+// store into a full cache advances the hand, clearing set bits, to the
+// first entry not hit since the hand last passed it, and replaces that
+// one. A stale entry is never hit again, so the hand takes it by its
+// second visit at the latest — before any entry still in use — and a
+// store reads no table version at all.
+//
+// One mutex guards everything: one engine serves every request
+// handler.
+type versioned[V any] struct {
+	mu    sync.Mutex
+	size  int
+	admit func(V) bool // nil admits every value
+	index map[string]int
+	ring  []slot[V]
+	hand  int
+
+	// hits / misses count lookups: a stale entry evicted on sight is a
+	// miss — the ask pays the full work either way.
+	hits, misses uint64
+}
+
+type slot[V any] struct {
+	key  string
+	val  V
+	deps []tableDep
+	live bool // false once evicted on sight
+	ref  bool // hit since the hand last passed
+}
+
+func newVersioned[V any](size int, admit func(V) bool) *versioned[V] {
+	return &versioned[V]{size: size, admit: admit, index: make(map[string]int)}
+}
+
+// lookup returns the value cached for key when every table it depends
+// on is still at the version it was stored with, per version. Every
+// call counts as a hit or a miss. The key is bytes so that a probe
+// never builds a string.
+func (c *versioned[V]) lookup(key []byte, version func(table string) uint64) (v V, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, ok := c.index[string(key)]
+	if !ok {
+		c.misses++
+		return v, false
+	}
+	s := &c.ring[i]
+	for _, d := range s.deps {
+		if version(d.Table) != d.Version {
+			delete(c.index, s.key)
+			c.ring[i] = slot[V]{}
+			c.misses++
+			return v, false
+		}
+	}
+	s.ref = true
+	c.hits++
+	return s.val, true
+}
+
+// store records v under key with its dependency fingerprint, replacing
+// any entry the key already has. Entries racing with writers are
+// harmless: if the data moved between pin and store, deps are already
+// stale and the next lookup evicts the entry instead of serving it.
+func (c *versioned[V]) store(key string, deps []tableDep, v V) {
+	if c.admit != nil && !c.admit(v) {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, ok := c.index[key]
+	switch {
+	case ok:
+	case len(c.ring) < c.size:
+		i = len(c.ring)
+		c.ring = append(c.ring, slot[V]{})
+	default:
+		i = c.victim()
+		if s := &c.ring[i]; s.live {
+			delete(c.index, s.key)
+		}
+	}
+	c.ring[i] = slot[V]{key: key, val: v, deps: deps, live: true}
+	c.index[key] = i
+}
+
+// victim advances the hand past every slot hit since its last visit,
+// clearing their bits, and returns the first slot that was not.
+func (c *versioned[V]) victim() int {
+	for {
+		i := c.hand
+		c.hand = (c.hand + 1) % len(c.ring)
+		if !c.ring[i].ref {
+			return i
+		}
+		c.ring[i].ref = false
+	}
+}
+
+// stats returns the cumulative lookup hit/miss counters.
+func (c *versioned[V]) stats() (hits, misses uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses
+}
+
+// cacheEntry is one memoized answer and the slot a serving layer
+// renders that answer into once. The rendering lives and dies with the
+// entry: a stale or evicted entry takes it along, a re-stored key
+// starts empty.
 type cacheEntry struct {
 	ans      *Answer
-	deps     []tableDep
 	rendered Rendering
 }
 
@@ -56,40 +182,19 @@ func (e *cacheEntry) hit() *Answer {
 	return &cp
 }
 
-// answerCache memoizes complete answers by their corrected-token key
-// so repeated hot questions skip the whole pipeline — the serving-path
-// counterpart of the per-query plan and subquery caches. Invalidation
-// is per table, not wholesale: each entry carries the versions of
-// exactly the tables its query read (including subquery tables), and
-// stays valid while those tables are unchanged. A write to one table
-// therefore leaves every answer over other tables hot — the property
-// that keeps the cache useful on a live, continuously-loaded store.
-// The cache is safe for concurrent lookups and stores (high-QPS
-// serving shares one engine).
-// Per-entry size caps: one entry occupies one LRU slot regardless of
-// its payload, so without a cap a single huge result set pins an
-// arbitrary amount of memory behind the cache bound. Oversized answers
-// are still served — they are just never cached.
+// Per-entry size caps of the answer cache: one entry occupies one slot
+// regardless of its payload, so without a cap a single huge result set
+// pins an arbitrary amount of memory behind the cache bound. Oversized
+// answers are still served — they are just never cached.
 const (
 	defaultCacheMaxRows  = 4096
 	defaultCacheMaxBytes = 1 << 20
 )
 
-type answerCache struct {
-	mu       sync.Mutex
-	size     int
-	maxRows  int // per-entry result row cap
-	maxBytes int // per-entry approximate result byte cap
-	entries  map[string]*cacheEntry
-
-	// hits / misses count lookups under mu: a stale entry evicted on
-	// sight is a miss — the ask pays the full pipeline either way.
-	hits, misses uint64
-}
-
-func newAnswerCache(size, maxRows, maxBytes int) *answerCache {
-	return &answerCache{size: size, maxRows: maxRows, maxBytes: maxBytes,
-		entries: make(map[string]*cacheEntry)}
+// newAnswerCache is the answer instance of the one cache: it admits an
+// answer whose result has at most maxRows rows and maxBytes bytes.
+func newAnswerCache(size, maxRows, maxBytes int) *versioned[*cacheEntry] {
+	return newVersioned(size, func(e *cacheEntry) bool { return cacheable(e.ans, maxRows, maxBytes) })
 }
 
 // cacheable reports whether an answer's result fits the per-entry
@@ -97,11 +202,11 @@ func newAnswerCache(size, maxRows, maxBytes int) *answerCache {
 // payload — what the copy in cacheableAnswer will actually retain. A
 // rendering, once a hit builds one, is the same payload spelled out
 // and is bounded by the same caps.
-func (c *answerCache) cacheable(ans *Answer) bool {
+func cacheable(ans *Answer, maxRows, maxBytes int) bool {
 	if ans.Result == nil {
 		return true
 	}
-	if len(ans.Result.Rows) > c.maxRows {
+	if len(ans.Result.Rows) > maxRows {
 		return false
 	}
 	bytes := 0
@@ -112,91 +217,11 @@ func (c *answerCache) cacheable(ans *Answer) bool {
 				bytes += len(v.Str())
 			}
 		}
-		if bytes > c.maxBytes {
+		if bytes > maxBytes {
 			return false
 		}
 	}
 	return true
-}
-
-// stale reports whether any dependency table has moved past the
-// version the entry was computed at. A stale entry can never become
-// valid again (versions are monotonic).
-func (e *cacheEntry) stale(current func(table string) uint64) bool {
-	for _, d := range e.deps {
-		if current(d.Table) != d.Version {
-			return true
-		}
-	}
-	return false
-}
-
-// lookup returns the entry cached for key if every table it depends
-// on is still at the version the answer was computed at, per current.
-// A stale entry is evicted on sight.
-func (c *answerCache) lookup(key string, current func(table string) uint64) *cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		c.misses++
-		return nil
-	}
-	if e.stale(current) {
-		delete(c.entries, key)
-		c.misses++
-		return nil
-	}
-	c.hits++
-	return e
-}
-
-// stats returns the cumulative lookup hit/miss counters.
-func (c *answerCache) stats() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// store records a successful answer with its dependency fingerprint.
-// Entries racing with writers are harmless: if the data moved between
-// pin and store, the recorded versions are already stale and the next
-// lookup evicts the entry instead of serving it. When full, an
-// already-stale entry is evicted first (stale entries otherwise die
-// only when their own question is re-asked, and must not crowd out
-// live ones), falling back to an arbitrary victim — hot questions
-// re-enter on their next ask, and the bound is what matters.
-func (c *answerCache) store(key string, deps []tableDep, ans *Answer, current func(table string) uint64) {
-	if !c.cacheable(ans) {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; !ok && len(c.entries) >= c.size {
-		victim := ""
-		for k, e := range c.entries {
-			if victim == "" {
-				victim = k
-			}
-			if e.stale(current) {
-				victim = k
-				break
-			}
-		}
-		delete(c.entries, victim)
-	}
-	c.entries[key] = &cacheEntry{ans: ans, deps: deps}
-}
-
-// snapshotDeps builds the dependency fingerprint of an answer: the
-// tables its SQL reads, each at the version pinned by the snapshot the
-// answer was executed on.
-func snapshotDeps(tables []string, sn *store.Snapshot) []tableDep {
-	deps := make([]tableDep, len(tables))
-	for i, name := range tables {
-		deps[i] = tableDep{Table: name, Version: sn.TableVersion(name)}
-	}
-	return deps
 }
 
 // cacheableAnswer is the defensive copy an answer enters the cache as:
@@ -251,19 +276,18 @@ func cloneResult(res *exec.Result) *exec.Result {
 	return cp
 }
 
-// cacheKey normalizes corrected tokens into the answer-cache key:
-// token kind plus surface text, so questions differing only in
+// appendCacheKey appends the answer-cache key of corrected tokens to
+// dst: token kind plus surface text, so questions differing only in
 // whitespace — or in typos the corrector repairs to the same tokens —
 // share an entry, while quoted values keep their case.
-func cacheKey(toks []strutil.Token) string {
-	var b []byte
+func appendCacheKey(dst []byte, toks []strutil.Token) []byte {
 	for i, t := range toks {
 		if i > 0 {
-			b = append(b, '\x1f')
+			dst = append(dst, '\x1f')
 		}
-		b = strconv.AppendInt(b, int64(t.Kind), 10)
-		b = append(b, ':')
-		b = append(b, t.Text...)
+		dst = strconv.AppendInt(dst, int64(t.Kind), 10)
+		dst = append(dst, ':')
+		dst = append(dst, t.Text...)
 	}
-	return string(b)
+	return dst
 }

@@ -1,7 +1,13 @@
 package core
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dataset"
@@ -150,18 +156,19 @@ func answerCount(t *testing.T, ans *Answer) int {
 
 // TestAnswerCacheEntrySizeCap: a result past the per-entry row or byte
 // cap is served but never cached — one pathological question must not
-// pin a huge result set behind a single LRU slot. Small results still
+// pin a huge result set behind a single cache slot. Small results still
 // cache normally under the same configuration.
 func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	e := NewEngine(dataset.University(1), DefaultOptions())
-	e.cache.maxRows = 3 // list queries return far more students
+	const maxRows = 3 // list queries return far more students
+	e.cache = newAnswerCache(DefaultOptions().AnswerCacheSize, maxRows, defaultCacheMaxBytes)
 
 	big := "students with gpa over 3.5"
 	first, err := e.Ask(big)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(first.Result.Rows); n <= e.cache.maxRows {
+	if n := len(first.Result.Rows); n <= maxRows {
 		t.Fatalf("test premise broken: %q returned only %d rows", big, n)
 	}
 	again, err := e.Ask(big)
@@ -170,7 +177,7 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	}
 	if again.Cached {
 		t.Errorf("oversized result (%d rows > cap %d) was cached",
-			len(first.Result.Rows), e.cache.maxRows)
+			len(first.Result.Rows), maxRows)
 	}
 
 	small := "how many students with gpa over 3.5"
@@ -190,13 +197,13 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	fat := &Answer{Result: &exec.Result{Cols: []string{"name"}, Rows: []store.Row{
 		{store.Text(strings.Repeat("x", 256))},
 	}}}
-	c.store("fat", nil, fat, func(string) uint64 { return 0 })
-	if c.lookup("fat", func(string) uint64 { return 0 }) != nil {
+	c.store("fat", nil, &cacheEntry{ans: fat})
+	if _, ok := c.lookup([]byte("fat"), func(string) uint64 { return 0 }); ok {
 		t.Error("entry over the byte cap was cached")
 	}
 	lean := &Answer{Result: &exec.Result{Cols: []string{"n"}, Rows: []store.Row{{store.Int(1)}}}}
-	c.store("lean", nil, lean, func(string) uint64 { return 0 })
-	if c.lookup("lean", func(string) uint64 { return 0 }) == nil {
+	c.store("lean", nil, &cacheEntry{ans: lean})
+	if _, ok := c.lookup([]byte("lean"), func(string) uint64 { return 0 }); !ok {
 		t.Error("entry under the byte cap was not cached")
 	}
 }
@@ -223,10 +230,236 @@ func TestAnswerCacheByteCapFollowsValueSize(t *testing.T) {
 		{estimate - 1, false},
 	} {
 		cache := newAnswerCache(8, defaultCacheMaxRows, c.maxBytes)
-		cache.store("q", nil, &Answer{Result: res}, current)
-		if got := cache.lookup("q", current) != nil; got != c.cached {
+		cache.store("q", nil, &cacheEntry{ans: &Answer{Result: res}})
+		if _, got := cache.lookup([]byte("q"), current); got != c.cached {
 			t.Errorf("estimate %d B against a byte cap of %d: cached = %v, want %v",
 				estimate, c.maxBytes, got, c.cached)
+		}
+	}
+}
+
+// TestCacheEvictionIsBounded pins the one cache's bound on a full
+// 1,024-entry instance. A store reads no table version however many
+// entries the hand passes (the answer cache once checked entries'
+// versions on every store into a full cache, once per entry when none
+// was stale); an entry hit between stores survives a full cycle of
+// fresh stores; and a stale entry, which nothing can hit, goes before
+// live entries that are hit.
+func TestCacheEvictionIsBounded(t *testing.T) {
+	const size = 1024
+	versions := map[string]uint64{}
+	calls := 0
+	version := func(table string) uint64 {
+		calls++
+		return versions[table]
+	}
+	key := func(i int) string { return "q" + strconv.Itoa(i) }
+	fill := func() *versioned[int] {
+		c := newVersioned[int](size, nil)
+		for i := 0; i < size; i++ {
+			c.store(key(i), []tableDep{{Table: key(i)}}, i) // each entry reads a table of its own
+		}
+		return c
+	}
+	hitAll := func(c *versioned[int], except int) {
+		for i := 0; i < size; i++ {
+			if i != except {
+				if _, ok := c.lookup([]byte(key(i)), version); !ok {
+					t.Fatalf("entry %d missing from a full cache", i)
+				}
+			}
+		}
+	}
+
+	// Every entry hit since the hand last passed is the longest sweep a
+	// store makes; it and a lookup of what it stored read one version,
+	// the lookup's.
+	c := fill()
+	hitAll(c, -1)
+	calls = 0
+	c.store("new", []tableDep{{Table: "t"}}, -1)
+	if v, ok := c.lookup([]byte("new"), version); !ok || v != -1 {
+		t.Fatalf("the entry just stored: %v, %v", v, ok)
+	}
+	if calls != 1 {
+		t.Errorf("a store into a full cache and one lookup read %d table versions, want 1", calls)
+	}
+
+	c = fill()
+	hot := []byte(key(7))
+	for i := 0; i < 2*size; i++ {
+		c.store("fresh"+strconv.Itoa(i), nil, size+i)
+		if _, ok := c.lookup(hot, version); !ok {
+			t.Fatalf("an entry hit between stores was evicted by fresh store %d", i+1)
+		}
+	}
+	if len(c.index) != size || len(c.ring) != size {
+		t.Errorf("cache holds %d keys in %d slots, want %d", len(c.index), len(c.ring), size)
+	}
+
+	c = fill()
+	const stale = 500
+	versions[key(stale)]++ // a write to the one table entry 500 read
+	hitAll(c, stale)
+	c.store("new", nil, -1)
+	if _, ok := c.index[key(stale)]; ok {
+		t.Error("a store into a full cache kept the stale entry")
+	}
+	hitAll(c, stale)
+}
+
+// TestCacheConcurrentUse: goroutines storing and looking up keys on one
+// small instance while table versions move never read another key's
+// value or one stored at a version its table has since left, and the
+// cache ends within its bound with its index and ring in agreement.
+func TestCacheConcurrentUse(t *testing.T) {
+	const size, keys, workers, rounds = 16, 64, 4, 3000
+	var mu sync.Mutex
+	versions := map[string]uint64{}
+	version := func(table string) uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		return versions[table]
+	}
+	type val struct {
+		key     string
+		version uint64
+	}
+	c := newVersioned[val](size, nil)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				k := strconv.Itoa((w*31 + r*7) % keys)
+				table := "t" + k[len(k)-1:]
+				if r%97 == 0 {
+					mu.Lock()
+					versions[table]++
+					mu.Unlock()
+				}
+				before := version(table)
+				if v, ok := c.lookup([]byte(k), version); ok {
+					if v.key != k || v.version < before {
+						t.Errorf("lookup of %s at version %d returned %+v", k, before, v)
+					}
+					continue
+				}
+				at := version(table)
+				c.store(k, []tableDep{{Table: table, Version: at}}, val{k, at})
+			}
+		}(w)
+	}
+	wg.Wait()
+	hits, misses := c.stats()
+	if hits+misses != workers*rounds {
+		t.Errorf("%d hits + %d misses, want %d lookups", hits, misses, workers*rounds)
+	}
+	if len(c.index) > size || len(c.ring) > size {
+		t.Errorf("cache holds %d keys in %d slots, bound %d", len(c.index), len(c.ring), size)
+	}
+	for k, i := range c.index {
+		if s := c.ring[i]; !s.live || s.key != k {
+			t.Errorf("index maps %s to slot %d holding %+v", k, i, s)
+		}
+	}
+}
+
+// TestOneCache pins that the engine caches through one type: core
+// declares one type with lookup and store methods, Engine.cache and
+// Engine.plans are both instances of it, and plan.Template keeps no
+// validity of its own — no SameEpoch, Bind or Validate and no table
+// versions — so the entry's deps are the one record of what a cached
+// value read.
+func TestOneCache(t *testing.T) {
+	nonTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	parse := func(dir, pkg string) []*ast.File {
+		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nonTest, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, f := range pkgs[pkg].Files {
+			files = append(files, f)
+		}
+		return files
+	}
+	// typeName strips pointers and type arguments: *versioned[V] is versioned.
+	var typeName func(ast.Expr) string
+	typeName = func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.StarExpr:
+			return typeName(e.X)
+		case *ast.IndexExpr:
+			return typeName(e.X)
+		case *ast.IndexListExpr:
+			return typeName(e.X)
+		case *ast.Ident:
+			return e.Name
+		}
+		return ""
+	}
+	methods := func(files []*ast.File) map[string]map[string]bool {
+		m := map[string]map[string]bool{}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil {
+					recv := typeName(fn.Recv.List[0].Type)
+					if m[recv] == nil {
+						m[recv] = map[string]bool{}
+					}
+					m[recv][fn.Name.Name] = true
+				}
+			}
+		}
+		return m
+	}
+	fields := func(files []*ast.File, typ string) map[string]string {
+		out := map[string]string{}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != typ {
+					return true
+				}
+				for _, fl := range ts.Type.(*ast.StructType).Fields.List {
+					for _, name := range fl.Names {
+						out[name.Name] = typeName(fl.Type)
+					}
+				}
+				return false
+			})
+		}
+		return out
+	}
+
+	core := parse(".", "core")
+	var caches []string
+	for typ, m := range methods(core) {
+		if m["lookup"] && m["store"] {
+			caches = append(caches, typ)
+		}
+	}
+	if len(caches) != 1 {
+		t.Fatalf("core declares cache types %v, want one", caches)
+	}
+	engine := fields(core, "Engine")
+	for _, f := range []string{"cache", "plans"} {
+		if engine[f] != caches[0] {
+			t.Errorf("Engine.%s is a %s, want a %s", f, engine[f], caches[0])
+		}
+	}
+
+	plan := parse("../plan", "plan")
+	for name := range methods(plan)["Template"] {
+		if name == "SameEpoch" || name == "Bind" || name == "Validate" {
+			t.Errorf("plan.Template.%s is back", name)
+		}
+	}
+	for name := range fields(plan, "Template") {
+		if name == "tables" || name == "versions" || name == "ParamKinds" {
+			t.Errorf("plan.Template.%s is back", name)
 		}
 	}
 }

@@ -46,8 +46,9 @@ type Options struct {
 	AnswerCacheSize int
 
 	// PlanCacheSize bounds the plan-template cache (entries), keyed by
-	// query shape (parameterized SQL + constant kinds) and validated
-	// against per-table version epochs: questions repeating a shape with
+	// query shape (parameterized SQL + constant kinds) and, like the
+	// answer cache, stale once any table it read has a new version in
+	// the ask's snapshot: questions repeating a shape with
 	// different constants skip planning and pay only a bind. 0 disables
 	// the cache — every ask then plans from scratch, as the reference
 	// engine of TestPlanCacheAcrossConstants does; the question
@@ -83,7 +84,7 @@ type Timings struct {
 	Bind      time.Duration // plan-cache hit: normalize + shape lookup + bind, no planning
 	Execute   time.Duration // plan execution
 	Verbalize time.Duration // English paraphrase of the interpretation and rendering of the result
-	Total     time.Duration
+	Total     time.Duration // the whole ask, the answer-cache store included
 }
 
 // Answer is the full outcome of one question.
@@ -100,14 +101,6 @@ type Answer struct {
 	Cached      bool   // served from the answer cache, pipeline skipped
 	PlanCached  bool   // plan served from the template cache: bound, not planned
 	Degraded    bool   // executed load-shed to a lower degree than the engine's Parallelism
-
-	// PlanCacheHits / PlanCacheMisses are the engine's cumulative
-	// plan-template cache counters at the time this answer was
-	// produced — the serving-path observability behind
-	// TestPlanCacheAcrossConstants and the question benchmark's
-	// core.plan_cache_hit_share on ask_fresh.
-	PlanCacheHits   uint64
-	PlanCacheMisses uint64
 
 	// Rendered is non-nil exactly when AskShedCtx served this answer
 	// from the answer cache: Result is then the cache entry's own rows,
@@ -131,8 +124,8 @@ type Engine struct {
 	Idx   *semindex.Index
 	G     *grammar.Grammar
 	opts  Options
-	cache *answerCache // nil when AnswerCacheSize is 0
-	plans *planCache   // nil when PlanCacheSize is 0
+	cache *versioned[*cacheEntry]         // answers; nil when AnswerCacheSize is 0
+	plans *versioned[*exec.PreparedQuery] // plan templates; nil when PlanCacheSize is 0
 
 	// segC accumulates runtime scan counters across every ask the
 	// engine serves: segments decoded vs skipped by zone maps. Atomic
@@ -157,7 +150,7 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 		e.cache = newAnswerCache(opts.AnswerCacheSize, defaultCacheMaxRows, defaultCacheMaxBytes)
 	}
 	if opts.PlanCacheSize > 0 {
-		e.plans = newPlanCache(opts.PlanCacheSize)
+		e.plans = newVersioned[*exec.PreparedQuery](opts.PlanCacheSize, nil)
 	}
 	return e
 }
@@ -333,10 +326,11 @@ func (e *Engine) ask(ctx context.Context, question string, prev *iql.Query, exec
 	total := time.Now()
 	toks, fixes, correct := e.correctTokens(question)
 
-	var key string
+	var key []byte
 	if e.cache != nil {
-		key = cacheKey(toks)
-		if entry := e.cache.lookup(key, e.DB.TableVersion); entry != nil {
+		var buf [128]byte // a typical question's key fits: a hit puts no key on the heap
+		key = appendCacheKey(buf[:0], toks)
+		if entry, ok := e.cache.lookup(key, e.DB.TableVersion); ok {
 			ans = entry.hit()
 			ans.Question = question
 			ans.Corrections = fixes // this ask's repairs, not the cached ask's
@@ -353,14 +347,11 @@ func (e *Engine) ask(ctx context.Context, question string, prev *iql.Query, exec
 		sn = e.DB.Snapshot()
 		err = e.execute(ctx, ans, sn, execPar)
 	}
+	if err == nil && e.cache != nil && !followUp {
+		e.cache.store(string(key), snapshotDeps(sql.Tables(ans.SQL), sn), &cacheEntry{ans: cacheableAnswer(ans)})
+	}
 	ans.Timings.Total = time.Since(total)
-	if err != nil {
-		return ans, followUp, err
-	}
-	if e.cache != nil && !followUp {
-		e.cache.store(key, snapshotDeps(sql.Tables(ans.SQL), sn), cacheableAnswer(ans), e.DB.TableVersion)
-	}
-	return ans, followUp, nil
+	return ans, followUp, err
 }
 
 // execute plans ans.SQL at the engine's parallelism degree against the
@@ -401,8 +392,8 @@ func (e *Engine) execute(ctx context.Context, ans *Answer, sn *store.Snapshot, e
 // template and constant vector, the cache is consulted under the
 // shape key, and a hit skips planning entirely: the cached template
 // re-binds to the new constants (Timings.Bind). A miss compiles and
-// caches a fresh template (Timings.Plan), whose epoch — the
-// snapshot's table versions — a later write moves past.
+// caches a fresh template (Timings.Plan) with the versions sn pins for
+// the tables it reads, which a later write moves past.
 func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.Value, error) {
 	stmt, tm := ans.SQL, &ans.Timings
 	if e.plans == nil {
@@ -418,11 +409,11 @@ func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.V
 	// from the surrounding pipeline then never land inside a bind.
 	sc := shapeScratchPool.Get().(*shapeScratch)
 	keyBytes, params := sql.ShapeInto(stmt, sc.buf[:0], sc.params[:0])
-	if pq := e.plans.lookup(keyBytes, sn); pq != nil {
-		// The lookup just revalidated the epoch against sn, the
-		// shape key encodes the kind signature, and every cached template
-		// was compiled at the engine's degree: the pinned bind reuses its
-		// tree.
+	if pq, ok := e.plans.lookup(keyBytes, sn.TableVersion); ok {
+		// The lookup just checked every table the template read against
+		// sn, the shape key encodes the kind signature, and every cached
+		// template was compiled at the engine's degree: the pinned bind
+		// reuses its tree.
 		p, _, err := pq.BindPinned(sn, params, e.opts.Parallelism)
 		tm.Bind = time.Since(start)
 		// Execution outlives the scratch: hand it an exact copy (made
@@ -434,7 +425,6 @@ func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.V
 			return nil, nil, err
 		}
 		ans.PlanCached = true
-		ans.PlanCacheHits, ans.PlanCacheMisses = e.plans.stats()
 		return p, bound, nil
 	}
 	key := string(keyBytes)
@@ -447,12 +437,11 @@ func (e *Engine) planFor(ans *Answer, sn *store.Snapshot) (*plan.Plan, []store.V
 		tm.Plan = time.Since(start)
 		return nil, nil, err
 	}
-	e.plans.store(key, pq)
+	e.plans.store(key, snapshotDeps(sql.Tables(tmpl), sn), pq)
 	// The template was compiled at this snapshot, binding and degree:
 	// its cached plan IS the bind result, no re-derivation needed.
 	p := pq.Tmpl.Plan()
 	tm.Plan = time.Since(start)
-	ans.PlanCacheHits, ans.PlanCacheMisses = e.plans.stats()
 	return p, bound, nil
 }
 

@@ -135,14 +135,14 @@ func differential(t *testing.T, sn *store.Snapshot, q string, o diffOpts) []diff
 		if o.prepared || o.counted {
 			p, ro := r.plan, exec.RunOpts{}
 			if o.prepared {
+				tmpl, params := sql.Parameterize(stmt)
 				pq := o.tmpl
 				if pq == nil {
-					pq, ro.Params, err = exec.Prepare(sn, stmt, par)
-				} else {
-					_, ro.Params = sql.Parameterize(stmt)
+					pq, err = exec.PrepareTemplateAt(sn, tmpl, params, par)
 				}
 				if err == nil {
-					p, _, err = pq.Bind(sn, ro.Params, par)
+					ro.Params = params
+					p, _, err = pq.BindPinned(sn, params, par)
 				}
 				if err != nil {
 					t.Fatalf("par=%d: prepare and bind: %v\nsql: %s", par, err, q)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/exec"
 	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -113,11 +112,7 @@ func TestSegSkipPrepared(t *testing.T) {
 	db := segSkipDB(t, 5000)
 	setSegmentRows(db, 500)
 	sn := db.Snapshot()
-	pq, params, err := exec.Prepare(sn, sql.MustParse(
-		"SELECT COUNT(*) FROM events WHERE ts BETWEEN 10 AND 20"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pq, params := prepare(t, sn, sql.MustParse("SELECT COUNT(*) FROM events WHERE ts BETWEEN 10 AND 20"), 1)
 	if len(params) != 2 {
 		t.Fatalf("expected 2 lifted params, got %d", len(params))
 	}

@@ -19,10 +19,10 @@ import (
 // compiling against the name.
 func TestExportedSurface(t *testing.T) {
 	wantFuncs := []string{
-		"Compile", "FormatResult", "Prepare", "PrepareTemplateAt", "Query",
+		"Compile", "FormatResult", "PrepareTemplateAt", "Query",
 		"ReferenceQueryAt", "Run", "RunBoundCountedAtCtx",
 	}
-	wantMethods := []string{"Bind", "BindPinned", "Run", "ShapeKey"}
+	wantMethods := []string{"BindPinned"}
 
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")

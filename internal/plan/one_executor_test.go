@@ -277,7 +277,7 @@ func TestNoColumnStatistics(t *testing.T) {
 // compiler (vcompiler.compile) and the zone-map derivation
 // (zonePreds). A new node kind is taught to those six. None of the
 // hand-rolled walks the three replaced, nor sql.Shape and sql.ShapeKey
-// (ShapeInto and ShapeKeyOfKinds are the forms callers use), is
+// (ShapeInto is the form callers use), is
 // declared or named again in a non-test file of the module.
 func TestOneTreeWalk(t *testing.T) {
 	allowed := map[string]bool{

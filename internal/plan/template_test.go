@@ -27,7 +27,7 @@ func TestTemplateBindFastPath(t *testing.T) {
 	}
 
 	_, params2 := sql.Parameterize(sql.MustParse("SELECT name FROM students WHERE id = 23"))
-	p, reused, err := tmpl.Bind(sn, params2, 1)
+	p, reused, err := tmpl.BindPinned(sn, params2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,27 +37,8 @@ func TestTemplateBindFastPath(t *testing.T) {
 	if p != tmpl.Plan() {
 		t.Error("fast path should return the shared compiled tree")
 	}
-	if p, reused, err := tmpl.Bind(sn, params2, 2); err != nil || reused || p == tmpl.Plan() {
+	if p, reused, err := tmpl.BindPinned(sn, params2, 2); err != nil || reused || p == tmpl.Plan() {
 		t.Errorf("a bind at another degree must recompile: reused=%v err=%v", reused, err)
-	}
-}
-
-// TestTemplateBindValidates: binding the wrong arity or kind is
-// rejected — the shape contract that keeps kind-dependent compile
-// decisions in the cached plan valid.
-func TestTemplateBindValidates(t *testing.T) {
-	db := dataset.University(1)
-	tmplStmt, params := sql.Parameterize(sql.MustParse("SELECT name FROM students WHERE id = 7"))
-	sn := db.Snapshot()
-	tmpl, err := plan.CompileTemplate(sn, tmplStmt, params, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tmpl.Bind(sn, []store.Value{store.Text("seven")}, 1); err == nil {
-		t.Error("kind-mismatched binding must be rejected")
-	}
-	if _, _, err := tmpl.Bind(sn, nil, 1); err == nil {
-		t.Error("arity-mismatched binding must be rejected")
 	}
 }
 
@@ -73,9 +54,10 @@ func explainLine(explain, substr string) string {
 
 // TestTemplateRebindAfterDrift: a hash join hashes the input the
 // optimizer estimates smaller and probes with the larger. A bulk load
-// that inverts two tables' relative sizes inverts that choice; the load
-// moves the template's epoch, so Bind recompiles instead of reusing the
-// cached tree.
+// that inverts two tables' relative sizes inverts that choice, so a
+// template compiled after the load differs from the one compiled
+// before it — which is why the engine's plan cache drops a template
+// once a table it reads has moved (TestPlanCacheStatsEpochInvalidation).
 func TestTemplateRebindAfterDrift(t *testing.T) {
 	s := schema.MustNew("drift", []*schema.Table{
 		{Name: "small", Columns: []schema.Column{
@@ -102,11 +84,6 @@ func TestTemplateRebindAfterDrift(t *testing.T) {
 		t.Fatalf("premise: the join should build on the smaller small and probe with big:\n%s", before)
 	}
 
-	// Rebinding on an unchanged store stays on the fast path.
-	if _, reused, err := tmpl.Bind(db.Snapshot(), params, 1); err != nil || !reused {
-		t.Fatalf("quiescent rebind: reused=%v err=%v", reused, err)
-	}
-
 	// Grow small past big: which input is the smaller one inverts.
 	rows := make([]store.Row, 5000)
 	for i := range rows {
@@ -114,16 +91,13 @@ func TestTemplateRebindAfterDrift(t *testing.T) {
 	}
 	db.MustBulkInsert("small", rows)
 
-	p, reused, err := tmpl.Bind(db.Snapshot(), params, 1)
+	fresh, err := plan.CompileTemplate(db.Snapshot(), tmplStmt, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
-		t.Fatal("rebind after stats drift must not reuse the cached tree")
-	}
-	after := p.Explain()
+	after := fresh.Plan().Explain()
 	if after == before {
-		t.Errorf("drifted rebind should produce a different plan:\n%s", after)
+		t.Errorf("a template compiled after the load should differ:\n%s", after)
 	}
 	if !strings.Contains(explainLine(after, "[build]"), "scan big") {
 		t.Errorf("fresh plan should build on big, now the smaller input:\n%s", after)
@@ -135,9 +109,8 @@ func TestTemplateRebindAfterDrift(t *testing.T) {
 // greedy order alone — a is still the smallest table and b the only
 // one connected to it — and keeps every estimate on the same side of
 // the parallelize gate, but grows c past the a-b join it is joined to:
-// c was the side to hash, now the join result is. The load moves the
-// template's epoch, so Bind recompiles and the fresh tree hashes the
-// join.
+// c was the side to hash, now the join result is. A template compiled
+// after the load hashes the join.
 // driftDB is a ten-row a, a hundred-row b referencing it, and a c
 // that loadC fills with rows [from, to) referencing b. The schema
 // declares those keys, which the rows satisfy, so the planner
@@ -189,28 +162,21 @@ func TestTemplateRebindBuildSideDrift(t *testing.T) {
 	if !strings.Contains(cLine(before), "[build]") {
 		t.Fatalf("premise: 50-row c should be hashed against the ~100-row a-b join:\n%s", before)
 	}
-	if _, reused, err := tmpl.Bind(db.Snapshot(), params, 1); err != nil || !reused {
-		t.Fatalf("quiescent rebind: reused=%v err=%v", reused, err)
-	}
-
 	loadC(50, 200)
-	p, reused, err := tmpl.Bind(db.Snapshot(), params, 1)
+	fresh, err := plan.CompileTemplate(db.Snapshot(), tmplStmt, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
-		t.Fatalf("rebind after c outgrew the a-b join must not reuse the cached tree:\n%s", before)
-	}
-	after := p.Explain()
+	after := fresh.Plan().Explain()
 	if strings.Contains(cLine(after), "[build]") {
 		t.Errorf("fresh plan should probe with c, now the larger input:\n%s", after)
 	}
 }
 
 // A cross join hashes nothing, so which of its inputs is smaller is not
-// a decision the tree bakes in. The same drift still moves the
-// template's epoch, so Bind recompiles — and the fresh tree has the same shape:
-// a cross join with no build side on c.
+// a decision the tree bakes in: after the same drift, a template
+// compiled afresh has the same shape — a cross join with no build side
+// on c.
 func TestTemplateRebindCrossJoinIgnoresSizes(t *testing.T) {
 	db, loadC := driftDB()
 	loadC(0, 50)
@@ -225,14 +191,11 @@ func TestTemplateRebindCrossJoinIgnoresSizes(t *testing.T) {
 		t.Fatalf("premise: c joins the a-b join by a cross join, with no build side:\n%s", before)
 	}
 	loadC(50, 200)
-	p, reused, err := tmpl.Bind(db.Snapshot(), params, 1)
+	fresh, err := plan.CompileTemplate(db.Snapshot(), tmplStmt, params, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reused {
-		t.Errorf("a load moved the template's epoch, yet Bind reused the cached tree:\n%s", before)
-	}
-	after := p.Explain()
+	after := fresh.Plan().Explain()
 	if !strings.Contains(after, "cross join") || strings.Contains(explainLine(after, "scan c "), "[build]") {
 		t.Errorf("c outgrowing the a-b join changed the cross join's shape:\n%s\n--- became ---\n%s", before, after)
 	}

@@ -11,6 +11,7 @@
 package semindex
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -359,13 +360,13 @@ type Correction struct {
 
 // Correct repairs unknown words against the index vocabulary within
 // maxDist Damerau-Levenshtein edits. Numbers, quoted tokens and known
-// words pass through.
+// words pass through. toks is never written: a question with nothing
+// to repair gets toks itself back, and one with a repair a copy.
 func (idx *Index) Correct(toks []strutil.Token, maxDist int) ([]strutil.Token, []Correction) {
 	if maxDist <= 0 {
 		return toks, nil
 	}
-	out := make([]strutil.Token, len(toks))
-	copy(out, toks)
+	out := toks
 	var fixes []Correction
 	for i, t := range toks {
 		if t.Kind != strutil.Word {
@@ -377,6 +378,9 @@ func (idx *Index) Correct(toks []strutil.Token, maxDist int) ([]strutil.Token, [
 		fixed, ok := idx.Vocab.Correct(t.Lower, maxDist)
 		if !ok {
 			continue
+		}
+		if fixes == nil {
+			out = slices.Clone(toks)
 		}
 		fixes = append(fixes, Correction{From: t.Lower, To: fixed, Pos: i})
 		out[i] = strutil.Token{Text: fixed, Lower: fixed, Kind: strutil.Word, Pos: t.Pos}

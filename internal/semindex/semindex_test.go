@@ -1,6 +1,7 @@
 package semindex
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -189,6 +190,31 @@ func TestCorrectLeavesKnownAndNumbers(t *testing.T) {
 	_, fixes = idx.Correct(strutil.Tokenize("studnets"), 0)
 	if fixes != nil {
 		t.Error("maxDist 0 should disable correction")
+	}
+}
+
+// TestCorrectCopiesOnFirstFix: Correct copies the tokens only once it
+// has a repair to write. A clean question gets its own slice back, and
+// a question repaired twice, after clean words, gets a copy carrying
+// those words and both repairs while its input stays as tokenized.
+func TestCorrectCopiesOnFirstFix(t *testing.T) {
+	idx := uniIndex(t, DefaultOptions())
+	clean := strutil.Tokenize("students with gpa over 3.5")
+	if fixed, _ := idx.Correct(clean, 2); &fixed[0] != &clean[0] || len(fixed) != len(clean) {
+		t.Error("a question with nothing to repair did not get its input slice back")
+	}
+
+	toks := strutil.Tokenize("show students with salery over 50000 in Mathmatics")
+	orig := slices.Clone(toks)
+	fixed, fixes := idx.Correct(toks, 2)
+	if len(fixes) != 2 || fixed[3].Lower != "salary" || fixed[7].Lower != "mathematics" {
+		t.Fatalf("fixed = %v, fixes = %+v", fixed, fixes)
+	}
+	if !slices.Equal(toks, orig) {
+		t.Errorf("input mutated: %v", toks)
+	}
+	if fixed[0] != orig[0] || fixed[6] != orig[6] {
+		t.Errorf("clean words did not carry into the copy: %v", fixed)
 	}
 }
 

@@ -91,7 +91,7 @@ type Literal struct {
 // statement by Parameterize, to be supplied through a parameter vector
 // when the statement is bound for execution. Idx indexes that vector.
 // Kind is the lifted constant's value kind and is part of the query's
-// *shape* (see ShapeKeyOfKinds): compiled plans are reused only across
+// *shape* (see ShapeInto): compiled plans are reused only across
 // bindings with identical kinds, which keeps every kind-dependent
 // compilation decision — comparability, arithmetic result widths,
 // vectorizability — stable no matter which values are later bound.

@@ -31,23 +31,6 @@ func Parameterize(stmt *SelectStmt) (*SelectStmt, []store.Value) {
 	return r.stmt(stmt), vals
 }
 
-// ShapeKeyOfKinds identifies a template's plan shape: the canonical SQL
-// of the parameterized statement plus the kind signature of its
-// parameters. Two questions share a shape key exactly when a plan
-// compiled for one is structurally valid for the other — same
-// template, same parameter kinds — which makes it the plan-template
-// cache key. A compiled template, which records kinds rather than
-// values, identifies itself by it.
-func ShapeKeyOfKinds(tmpl *SelectStmt, kinds []store.Kind) string {
-	var p printer
-	p.stmt(tmpl)
-	p.str("|")
-	for _, k := range kinds {
-		p.buf = append(p.buf, kindLetter(k))
-	}
-	return string(p.buf)
-}
-
 func kindLetter(k store.Kind) byte {
 	switch k {
 	case store.KindInt:
@@ -63,13 +46,17 @@ func kindLetter(k store.Kind) byte {
 }
 
 // ShapeInto computes, in one pass and without building the template
-// tree, exactly what Parameterize + ShapeKeyOfKinds would: the shape
-// key of stmt, appended into buf, and its lifted constants in
-// Parameterize's slot order, appended into spare. This is the
-// plan-cache hit path — called on every ask with pooled scratch, so it
-// allocates nothing once the scratch has grown (the returned slices
-// alias the scratch backing arrays; copy before retaining). The
-// agreement is pinned by TestShapeAgreesWithParameterize.
+// tree, the shape key of stmt, appended into buf, and its lifted
+// constants in Parameterize's slot order, appended into spare. The key
+// is the canonical SQL of the template Parameterize would build, '|',
+// and one letter per constant's kind: two statements share it exactly
+// when a plan compiled for one is structurally valid for the other —
+// same template, same parameter kinds — which makes it the plan-cache
+// key. This is the plan-cache hit path — called on every ask with
+// pooled scratch, so it allocates nothing once the scratch has grown
+// (the returned slices alias the scratch backing arrays; copy before
+// retaining). The agreement with Parameterize is pinned by
+// TestShapeAgreesWithParameterize.
 func ShapeInto(stmt *SelectStmt, buf []byte, spare []store.Value) (key []byte, params []store.Value) {
 	p := printer{buf: buf, lift: true, params: spare}
 	p.stmt(stmt)

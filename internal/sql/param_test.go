@@ -60,13 +60,16 @@ func TestParameterizeKeepsNullInline(t *testing.T) {
 	}
 }
 
-// shapeKey is the key of a template and the constants lifted from it.
+// shapeKey is the plan-cache key a template and the constants lifted
+// from it must share with ShapeInto: the template's SQL, '|', and one
+// letter per constant kind.
 func shapeKey(tmpl *sql.SelectStmt, params []store.Value) string {
-	kinds := make([]store.Kind, len(params))
-	for i, v := range params {
-		kinds[i] = v.Kind()
+	letters := map[store.Kind]string{store.KindInt: "i", store.KindFloat: "f", store.KindText: "t", store.KindBool: "b"}
+	key := tmpl.String() + "|"
+	for _, v := range params {
+		key += letters[v.Kind()]
 	}
-	return sql.ShapeKeyOfKinds(tmpl, kinds)
+	return key
 }
 
 // shapeQueries span every SQL construct the subset supports.
@@ -87,10 +90,11 @@ var shapeQueries = []string{
 }
 
 // TestShapeAgreesWithParameterize pins the contract between the
-// one-pass ShapeInto (the plan-cache hit path) and the tree-building
-// Parameterize + ShapeKeyOfKinds (the miss path): identical keys and
-// constant vectors, and no allocation on the hit path once its scratch
-// has grown.
+// one-pass ShapeInto (the plan-cache key and hit path) and the
+// tree-building Parameterize (the miss path's template): the key spells
+// Parameterize's template and constant kinds, the constant vectors are
+// identical, and the hit path allocates nothing once its scratch has
+// grown.
 func TestShapeAgreesWithParameterize(t *testing.T) {
 	buf, spare := make([]byte, 0, 512), make([]store.Value, 0, 16)
 	for _, q := range shapeQueries {

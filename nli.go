@@ -44,12 +44,14 @@
 // A built engine is safe for concurrent Ask calls and is designed to
 // be shared across request handlers: queries execute on a morsel-
 // driven parallel operator pipeline (Options.Parallelism; see
-// DESIGN.md § 2.2), repeated hot questions are served from a bounded
-// answer cache with per-table invalidation (Options.AnswerCacheSize),
-// and questions repeating a *shape* with different constants ("sales
-// in march" / "sales in april") reuse one compiled plan through the
-// prepared-query template cache (Options.PlanCacheSize; DESIGN.md
-// § 2.6) — hot shapes bind instead of planning.
+// DESIGN.md § 2.2), and the engine caches through one bounded,
+// per-table-versioned cache type with two instances (DESIGN.md § 2.3):
+// repeated hot questions are served whole from the answer cache
+// (Options.AnswerCacheSize), and questions repeating a *shape* with
+// different constants ("sales in march" / "sales in april") reuse one
+// compiled plan from the plan cache (Options.PlanCacheSize; DESIGN.md
+// § 2.6) — hot shapes bind instead of planning. An entry of either is
+// valid while every table it read is at the version it read.
 package nli
 
 import (
