@@ -43,11 +43,6 @@ func Satisfy[T any](pred func(T) bool) Parser[T, T] {
 	}
 }
 
-// Any matches any single token.
-func Any[T any]() Parser[T, T] {
-	return Satisfy(func(T) bool { return true })
-}
-
 // Eq matches exactly the given token (for comparable token types).
 func Eq[T comparable](want T) Parser[T, T] {
 	return Satisfy(func(t T) bool { return t == want })
@@ -153,38 +148,15 @@ func Alt[T, R any](ps ...Parser[T, R]) Parser[T, R] {
 	}
 }
 
-// First tries alternatives in order and commits to the first that
-// yields any parse (PEG-style ordered choice). Use where ambiguity is
-// known to be spurious.
-func First[T, R any](ps ...Parser[T, R]) Parser[T, R] {
-	return func(toks []T, pos int) []Result[R] {
-		for _, p := range ps {
-			if rs := p(toks, pos); len(rs) > 0 {
-				return rs
-			}
-		}
-		return nil
-	}
-}
-
 // Opt makes p optional, yielding def when p fails. When p succeeds,
 // only p's parses are produced (no empty alternative), which keeps the
-// ambiguity fan-out bounded; use OptAmbig to also keep the skip.
+// ambiguity fan-out bounded.
 func Opt[T, R any](p Parser[T, R], def R) Parser[T, R] {
 	return func(toks []T, pos int) []Result[R] {
 		if rs := p(toks, pos); len(rs) > 0 {
 			return rs
 		}
 		return []Result[R]{{Value: def, Next: pos}}
-	}
-}
-
-// OptAmbig makes p optional and keeps both the parse and the skip, so
-// downstream alternatives can still consume the tokens p would take.
-func OptAmbig[T, R any](p Parser[T, R], def R) Parser[T, R] {
-	return func(toks []T, pos int) []Result[R] {
-		rs := p(toks, pos)
-		return append(rs, Result[R]{Value: def, Next: pos})
 	}
 }
 
@@ -251,29 +223,6 @@ func Ref[T, R any](p *Parser[T, R]) Parser[T, R] {
 	}
 }
 
-// Longest keeps only the parses that consumed the most tokens.
-func Longest[T, R any](p Parser[T, R]) Parser[T, R] {
-	return func(toks []T, pos int) []Result[R] {
-		rs := p(toks, pos)
-		if len(rs) <= 1 {
-			return rs
-		}
-		max := rs[0].Next
-		for _, r := range rs[1:] {
-			if r.Next > max {
-				max = r.Next
-			}
-		}
-		var out []Result[R]
-		for _, r := range rs {
-			if r.Next == max {
-				out = append(out, r)
-			}
-		}
-		return out
-	}
-}
-
 // End succeeds only at end of input.
 func End[T any]() Parser[T, struct{}] {
 	return func(toks []T, pos int) []Result[struct{}] {
@@ -294,10 +243,4 @@ func ParseAll[T, R any](p Parser[T, R], toks []T) []R {
 		}
 	}
 	return out
-}
-
-// ParsePrefix runs p against toks and returns all parses, complete or
-// not, longest first is NOT guaranteed; use Longest to filter.
-func ParsePrefix[T, R any](p Parser[T, R], toks []T) []Result[R] {
-	return p(toks, 0)
 }

@@ -79,17 +79,6 @@ func TestAltKeepsAllParses(t *testing.T) {
 	}
 }
 
-func TestFirstCommits(t *testing.T) {
-	p := First(
-		Map(lit("x"), func(string) string { return "first" }),
-		Map(lit("x"), func(string) string { return "second" }),
-	)
-	rs := p(toks("x"), 0)
-	if len(rs) != 1 || rs[0].Value != "first" {
-		t.Fatalf("got %v", rs)
-	}
-}
-
 func TestOpt(t *testing.T) {
 	p := Opt(lit("the"), "")
 	rs := p(toks("the cat"), 0)
@@ -99,14 +88,6 @@ func TestOpt(t *testing.T) {
 	rs = p(toks("cat"), 0)
 	if len(rs) != 1 || rs[0].Value != "" || rs[0].Next != 0 {
 		t.Fatalf("got %v", rs)
-	}
-}
-
-func TestOptAmbigKeepsBoth(t *testing.T) {
-	p := OptAmbig(lit("the"), "")
-	rs := p(toks("the cat"), 0)
-	if len(rs) != 2 {
-		t.Fatalf("expected both parse and skip, got %v", rs)
 	}
 }
 
@@ -174,16 +155,6 @@ func TestRecursionWithRef(t *testing.T) {
 	}
 }
 
-func TestLongest(t *testing.T) {
-	short := lit("new")
-	long := Seq2(lit("new"), lit("york"), func(a, b string) string { return a + " " + b })
-	p := Longest(Alt(Map(short, func(s string) string { return s }), long))
-	rs := p(toks("new york city"), 0)
-	if len(rs) != 1 || rs[0].Value != "new york" {
-		t.Fatalf("got %v", rs)
-	}
-}
-
 func TestEndAndParseAll(t *testing.T) {
 	p := Skip(lit("hello"), End[string]())
 	if rs := ParseAll(p, toks("hello")); len(rs) != 1 {
@@ -219,7 +190,7 @@ func TestBind(t *testing.T) {
 }
 
 func TestFilter(t *testing.T) {
-	p := Filter(Any[string](), func(s string) bool { return len(s) > 3 })
+	p := Filter(Satisfy(func(string) bool { return true }), func(s string) bool { return len(s) > 3 })
 	if rs := p(toks("hello"), 0); len(rs) != 1 {
 		t.Fatalf("got %v", rs)
 	}

@@ -50,7 +50,6 @@ func snapshotDeps(tables []string, sn *store.Snapshot) []tableDep {
 type versioned[V any] struct {
 	mu    sync.Mutex
 	size  int
-	admit func(V) bool // nil admits every value
 	index map[string]int
 	ring  []slot[V]
 	hand  int
@@ -68,8 +67,8 @@ type slot[V any] struct {
 	ref  bool // hit since the hand last passed
 }
 
-func newVersioned[V any](size int, admit func(V) bool) *versioned[V] {
-	return &versioned[V]{size: size, admit: admit, index: make(map[string]int)}
+func newVersioned[V any](size int) *versioned[V] {
+	return &versioned[V]{size: size, index: make(map[string]int)}
 }
 
 // lookup returns the value cached for key when every table it depends
@@ -103,9 +102,6 @@ func (c *versioned[V]) lookup(key []byte, version func(table string) uint64) (v 
 // harmless: if the data moved between pin and store, deps are already
 // stale and the next lookup evicts the entry instead of serving it.
 func (c *versioned[V]) store(key string, deps []tableDep, v V) {
-	if c.admit != nil && !c.admit(v) {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	i, ok := c.index[key]
@@ -191,17 +187,12 @@ const (
 	defaultCacheMaxBytes = 1 << 20
 )
 
-// newAnswerCache is the answer instance of the one cache: it admits an
-// answer whose result has at most maxRows rows and maxBytes bytes.
-func newAnswerCache(size, maxRows, maxBytes int) *versioned[*cacheEntry] {
-	return newVersioned(size, func(e *cacheEntry) bool { return cacheable(e.ans, maxRows, maxBytes) })
-}
-
 // cacheable reports whether an answer's result fits the per-entry
-// caps. Byte size is an estimate: store.ValueSize a cell plus text
-// payload — what the copy in cacheableAnswer will actually retain. A
-// rendering, once a hit builds one, is the same payload spelled out
-// and is bounded by the same caps.
+// caps. Engine.ask asks it of the answer it built, before copying
+// anything into the cache. Byte size is an estimate: store.ValueSize a
+// cell plus text payload — what the copy in cacheableAnswer will
+// actually retain. A rendering, once a hit builds one, is the same
+// payload spelled out and is bounded by the same caps.
 func cacheable(ans *Answer, maxRows, maxBytes int) bool {
 	if ans.Result == nil {
 		return true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -161,7 +162,7 @@ func answerCount(t *testing.T, ans *Answer) int {
 func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	e := NewEngine(dataset.University(1), DefaultOptions())
 	const maxRows = 3 // list queries return far more students
-	e.cache = newAnswerCache(DefaultOptions().AnswerCacheSize, maxRows, defaultCacheMaxBytes)
+	e.maxRows = maxRows
 
 	big := "students with gpa over 3.5"
 	first, err := e.Ask(big)
@@ -193,18 +194,52 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	}
 
 	// The byte cap rejects few-but-fat rows independently of the row cap.
-	c := newAnswerCache(8, defaultCacheMaxRows, 64)
 	fat := &Answer{Result: &exec.Result{Cols: []string{"name"}, Rows: []store.Row{
 		{store.Text(strings.Repeat("x", 256))},
 	}}}
-	c.store("fat", nil, &cacheEntry{ans: fat})
-	if _, ok := c.lookup([]byte("fat"), func(string) uint64 { return 0 }); ok {
-		t.Error("entry over the byte cap was cached")
+	if cacheable(fat, defaultCacheMaxRows, 64) {
+		t.Error("an answer over the byte cap is cacheable")
 	}
 	lean := &Answer{Result: &exec.Result{Cols: []string{"n"}, Rows: []store.Row{{store.Int(1)}}}}
-	c.store("lean", nil, &cacheEntry{ans: lean})
-	if _, ok := c.lookup([]byte("lean"), func(string) uint64 { return 0 }); !ok {
-		t.Error("entry under the byte cap was not cached")
+	if !cacheable(lean, defaultCacheMaxRows, 64) {
+		t.Error("an answer under the byte cap is not cacheable")
+	}
+}
+
+// TestOversizedAnswerIsNotCopied: an answer over the entry cap costs
+// nothing for the cache it never enters. The same ask allocates no
+// more on an engine whose answer cache is on, with a cap the result
+// exceeds, than on one whose cache is off: the cap is checked before
+// the answer's rows are cloned for an entry, not after. A clone costs
+// an allocation a row; the slack of half of that absorbs the race
+// detector, which drops pooled scratch at random.
+func TestOversizedAnswerIsNotCopied(t *testing.T) {
+	const q = "students with gpa over 3.5"
+	opts := DefaultOptions()
+	opts.Parallelism = 1
+	db := dataset.University(1)
+	capped := NewEngine(db, opts)
+	capped.maxRows = 3
+	opts.AnswerCacheSize = 0
+	uncached := NewEngine(db, opts)
+	rows := 0
+	allocs := func(e *Engine) float64 {
+		return testing.AllocsPerRun(20, func() {
+			ans, err := e.AskShedCtx(context.Background(), q, 0)
+			if err != nil || ans.Cached {
+				t.Fatalf("ask %q: cached %v, err %v", q, ans != nil && ans.Cached, err)
+			}
+			rows = len(ans.Result.Rows)
+		})
+	}
+	off := allocs(uncached)
+	on := allocs(capped)
+	if rows <= capped.maxRows {
+		t.Fatalf("test premise broken: %q returned only %d rows", q, rows)
+	}
+	if on >= off+float64(rows)/2 {
+		t.Errorf("a %d-row answer over the cap costs %.0f allocations with the answer cache on, %.0f with it off",
+			rows, on, off)
 	}
 }
 
@@ -220,7 +255,6 @@ func TestAnswerCacheByteCapFollowsValueSize(t *testing.T) {
 		res.Rows = append(res.Rows, store.Row{
 			store.Int(int64(i)), store.Float(0.5), store.Text(strings.Repeat("x", text))})
 	}
-	current := func(string) uint64 { return 0 }
 	for _, c := range []struct {
 		maxBytes int
 		cached   bool
@@ -229,9 +263,7 @@ func TestAnswerCacheByteCapFollowsValueSize(t *testing.T) {
 		{estimate, true},
 		{estimate - 1, false},
 	} {
-		cache := newAnswerCache(8, defaultCacheMaxRows, c.maxBytes)
-		cache.store("q", nil, &cacheEntry{ans: &Answer{Result: res}})
-		if _, got := cache.lookup([]byte("q"), current); got != c.cached {
+		if got := cacheable(&Answer{Result: res}, defaultCacheMaxRows, c.maxBytes); got != c.cached {
 			t.Errorf("estimate %d B against a byte cap of %d: cached = %v, want %v",
 				estimate, c.maxBytes, got, c.cached)
 		}
@@ -255,7 +287,7 @@ func TestCacheEvictionIsBounded(t *testing.T) {
 	}
 	key := func(i int) string { return "q" + strconv.Itoa(i) }
 	fill := func() *versioned[int] {
-		c := newVersioned[int](size, nil)
+		c := newVersioned[int](size)
 		for i := 0; i < size; i++ {
 			c.store(key(i), []tableDep{{Table: key(i)}}, i) // each entry reads a table of its own
 		}
@@ -325,7 +357,7 @@ func TestCacheConcurrentUse(t *testing.T) {
 		key     string
 		version uint64
 	}
-	c := newVersioned[val](size, nil)
+	c := newVersioned[val](size)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

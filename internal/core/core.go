@@ -127,6 +127,10 @@ type Engine struct {
 	cache *versioned[*cacheEntry]         // answers; nil when AnswerCacheSize is 0
 	plans *versioned[*exec.PreparedQuery] // plan templates; nil when PlanCacheSize is 0
 
+	// maxRows and maxBytes cap what one answer-cache entry may hold
+	// (see cacheable).
+	maxRows, maxBytes int
+
 	// segC accumulates runtime scan counters across every ask the
 	// engine serves: segments decoded vs skipped by zone maps. Atomic
 	// fields — always addressed through the pointer receivers below,
@@ -141,16 +145,18 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 	}
 	idx := semindex.Build(db, opts.Index)
 	e := &Engine{
-		DB:   db,
-		Idx:  idx,
-		G:    grammar.New(idx, opts.Grammar),
-		opts: opts,
+		DB:       db,
+		Idx:      idx,
+		G:        grammar.New(idx, opts.Grammar),
+		opts:     opts,
+		maxRows:  defaultCacheMaxRows,
+		maxBytes: defaultCacheMaxBytes,
 	}
 	if opts.AnswerCacheSize > 0 {
-		e.cache = newAnswerCache(opts.AnswerCacheSize, defaultCacheMaxRows, defaultCacheMaxBytes)
+		e.cache = newVersioned[*cacheEntry](opts.AnswerCacheSize)
 	}
 	if opts.PlanCacheSize > 0 {
-		e.plans = newVersioned[*exec.PreparedQuery](opts.PlanCacheSize, nil)
+		e.plans = newVersioned[*exec.PreparedQuery](opts.PlanCacheSize)
 	}
 	return e
 }
@@ -347,7 +353,7 @@ func (e *Engine) ask(ctx context.Context, question string, prev *iql.Query, exec
 		sn = e.DB.Snapshot()
 		err = e.execute(ctx, ans, sn, execPar)
 	}
-	if err == nil && e.cache != nil && !followUp {
+	if err == nil && e.cache != nil && !followUp && cacheable(ans, e.maxRows, e.maxBytes) {
 		e.cache.store(string(key), snapshotDeps(sql.Tables(ans.SQL), sn), &cacheEntry{ans: cacheableAnswer(ans)})
 	}
 	ans.Timings.Total = time.Since(total)

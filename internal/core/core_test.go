@@ -36,6 +36,19 @@ func TestAskEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEchoNamesTablePlurals: the echo of a question names a table by
+// its plural, not by its singular plus "s".
+func TestEchoNamesTablePlurals(t *testing.T) {
+	e := NewEngine(dataset.Geo(), DefaultOptions())
+	ans, err := e.Ask("rivers in China")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ans.Paraphrase, "name of countries") || strings.Contains(ans.Paraphrase, "countrys") {
+		t.Errorf("echo = %q, want it to name countries", ans.Paraphrase)
+	}
+}
+
 func TestAskWithTypo(t *testing.T) {
 	e := uniEngine(t)
 	ans, err := e.Ask("studnets with gpa over 3.5")

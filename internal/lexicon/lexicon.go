@@ -45,21 +45,6 @@ func (op CompareOp) String() string {
 	return "?"
 }
 
-// Flip returns the operator with its operands swapped (a op b == b Flip(op) a).
-func (op CompareOp) Flip() CompareOp {
-	switch op {
-	case Lt:
-		return Gt
-	case Le:
-		return Ge
-	case Gt:
-		return Lt
-	case Ge:
-		return Le
-	}
-	return op
-}
-
 // Agg is an aggregate function recognized in questions.
 type Agg int
 

@@ -66,17 +66,6 @@ func TestPluralSingularRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCompareOpFlip(t *testing.T) {
-	cases := map[CompareOp]CompareOp{
-		Lt: Gt, Gt: Lt, Le: Ge, Ge: Le, Eq: Eq, Ne: Ne,
-	}
-	for in, want := range cases {
-		if got := in.Flip(); got != want {
-			t.Errorf("%v.Flip() = %v, want %v", in, got, want)
-		}
-	}
-}
-
 func TestCompareOpString(t *testing.T) {
 	if Eq.String() != "=" || Ge.String() != ">=" || Ne.String() != "<>" {
 		t.Error("CompareOp string forms wrong")

@@ -153,7 +153,7 @@ func orderPhrase(o *iql.OrderSpec) string {
 }
 
 func colPhrase(f iql.FieldRef) string {
-	return strings.ReplaceAll(f.Column, "_", " ") + " of " + lexicon.Singular(f.Table) + "s"
+	return strings.ReplaceAll(f.Column, "_", " ") + " of " + entityNoun(f.Table)
 }
 
 func entityNoun(table string) string {

@@ -117,6 +117,19 @@ func TestParaphraseNegationAndBetween(t *testing.T) {
 	}
 }
 
+// TestParaphraseColumnNamesItsTable: a column is phrased with its
+// table's name as the schema spells it, underscores as spaces: "order
+// items", not "order_items" nor "order_itemss".
+func TestParaphraseColumnNamesItsTable(t *testing.T) {
+	q := &iql.Query{
+		Entity:  "order_items",
+		Outputs: []iql.Output{{Agg: lexicon.Avg, Field: field("order_items", "quantity")}},
+	}
+	if p := Paraphrase(q, dataset.SalesSchema()); !strings.Contains(p, "the average quantity of order items") {
+		t.Errorf("paraphrase = %q", p)
+	}
+}
+
 func TestRespondScalar(t *testing.T) {
 	s := dataset.UniversitySchema()
 	q := &iql.Query{Entity: "students", Outputs: []iql.Output{{CountStar: true}}}

@@ -169,15 +169,6 @@ func dedupConds(conds []JoinCond) []JoinCond {
 	return out
 }
 
-// Reachable reports whether two tables are connected in the FK graph.
-func (s *Schema) Reachable(a, b string) bool {
-	if a == b {
-		return s.byName[a] != nil
-	}
-	_, err := s.JoinPath([]string{a, b})
-	return err == nil
-}
-
 // PathLength returns the number of joins needed to connect the given
 // tables (the size of the Steiner approximation), used by the
 // interpreter to score interpretations. Returns -1 when unconnectable.

@@ -6,11 +6,7 @@
 // mentions — the heart of rule-based query interpretation.
 package schema
 
-import (
-	"fmt"
-
-	"repro/internal/strutil"
-)
+import "fmt"
 
 // ColType is the type of a column.
 type ColType int
@@ -186,18 +182,3 @@ type ColumnRef struct {
 }
 
 func (r ColumnRef) String() string { return r.Table + "." + r.Column }
-
-// FindColumns returns every column whose normalized name matches the
-// normalized needle, across all tables, in declaration order.
-func (s *Schema) FindColumns(needle string) []ColumnRef {
-	norm := strutil.Normalize(needle)
-	var out []ColumnRef
-	for _, t := range s.Tables {
-		for _, c := range t.Columns {
-			if strutil.Normalize(c.Name) == norm {
-				out = append(out, ColumnRef{Table: t.Name, Column: c.Name})
-			}
-		}
-	}
-	return out
-}

@@ -137,21 +137,6 @@ func TestTableLookups(t *testing.T) {
 	}
 }
 
-func TestFindColumns(t *testing.T) {
-	s := testSchema(t)
-	refs := s.FindColumns("dept_id")
-	if len(refs) != 4 {
-		t.Fatalf("FindColumns(dept_id) = %v", refs)
-	}
-	refs = s.FindColumns("GPA")
-	if len(refs) != 1 || refs[0].Table != "students" {
-		t.Errorf("FindColumns(GPA) = %v", refs)
-	}
-	if refs := s.FindColumns("nothing"); len(refs) != 0 {
-		t.Errorf("FindColumns(nothing) = %v", refs)
-	}
-}
-
 func TestJoinPathDirect(t *testing.T) {
 	s := testSchema(t)
 	plan, err := s.JoinPath([]string{"students", "departments"})
@@ -224,12 +209,6 @@ func TestJoinPathDisconnected(t *testing.T) {
 	}, nil)
 	if _, err := s.JoinPath([]string{"a", "b"}); err == nil {
 		t.Error("expected error for disconnected tables")
-	}
-	if s.Reachable("a", "b") {
-		t.Error("Reachable should be false")
-	}
-	if !s.Reachable("a", "a") {
-		t.Error("table reachable from itself")
 	}
 }
 

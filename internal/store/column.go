@@ -12,9 +12,6 @@ import (
 // carry no mask at all.
 type Bitmap []uint64
 
-// NewBitmap returns a bitmap with capacity for n bits, all clear.
-func NewBitmap(n int) Bitmap { return make(Bitmap, (n+63)/64) }
-
 // Set sets bit i. The bitmap must have been sized to cover i.
 func (b Bitmap) Set(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
 

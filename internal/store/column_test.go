@@ -150,7 +150,7 @@ func TestBulkInsertValidates(t *testing.T) {
 
 // TestBitmap covers the null-bitmap primitive.
 func TestBitmap(t *testing.T) {
-	b := NewBitmap(130)
+	b := make(Bitmap, 3) // 130 bits
 	for _, i := range []int{0, 63, 64, 129} {
 		b.Set(i)
 	}

@@ -9,11 +9,11 @@ import (
 	"repro/internal/store"
 )
 
-// sealedBytesGolden is the SHA-256 over the EncodeSegment bytes of
+// sealedBytesGolden is the SHA-256 over the SegmentFingerprint of
 // every sealed segment of dataset.Telemetry(1<<17), tables in schema
-// order. It pins the sealed encodings and zone maps byte for byte, so
-// a change to how rows reach the encoder cannot move them.
-const sealedBytesGolden = "14c5d893a33f3068f15c004fa0bc80dcc89e883f4203016dc47759c4eec386eb"
+// order. It pins the sealed encodings, zone maps and null bitmaps byte
+// for byte, so a change to how rows reach the encoder cannot move them.
+const sealedBytesGolden = "b9afb1904349ddd993677874efffe87e72656bf1c1d3e9ae0e6486cf2ed80877"
 
 func TestSealedBytesGolden(t *testing.T) {
 	db := dataset.Telemetry(1 << 17)
@@ -25,13 +25,13 @@ func TestSealedBytesGolden(t *testing.T) {
 				continue
 			}
 			sealed++
-			h.Write(store.EncodeSegment(seg.Cols(), seg.N, seg.Sealed))
+			h.Write(store.SegmentFingerprint(seg))
 		}
 	}
 	if sealed == 0 {
 		t.Fatal("no sealed segment")
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != sealedBytesGolden {
-		t.Errorf("sealed segment bytes: sha256 %s over %d segments, want %s", got, sealed, sealedBytesGolden)
+		t.Errorf("sealed segment layout: sha256 %s over %d segments, want %s", got, sealed, sealedBytesGolden)
 	}
 }

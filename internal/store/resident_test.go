@@ -19,8 +19,13 @@ import (
 // "default" aside); Segment.Cols takes no argument and returns no
 // error, so no reader has a read failure to handle; and csv.go, the
 // loader of files a caller names, is the only file that imports os.
+// Nor is a segment serialized to bytes: no package-level name starts
+// with Encode or Decode, and no file imports encoding/binary or
+// hash/crc32. (SegCol.DecodeInts, a method, decompresses a column for
+// a scan.)
 func TestOneResidentStore(t *testing.T) {
 	banned := regexp.MustCompile(`spill|evict|segcache|fault`)
+	codec := regexp.MustCompile(`^(Encode|Decode)`)
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -37,8 +42,14 @@ func TestOneResidentStore(t *testing.T) {
 	for _, pkg := range pkgs {
 		for path, f := range pkg.Files {
 			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "os" && !strings.HasSuffix(path, "csv.go") {
-					t.Errorf("%s: imports os", fset.Position(imp.Pos()))
+				switch p, _ := strconv.Unquote(imp.Path.Value); {
+				case p == "os" && !strings.HasSuffix(path, "csv.go"), p == "encoding/binary", p == "hash/crc32":
+					t.Errorf("%s: imports %s", fset.Position(imp.Pos()), p)
+				}
+			}
+			for _, id := range packageNames(f) {
+				if codec.MatchString(id.Name) {
+					t.Errorf("%s: %s is declared", fset.Position(id.Pos()), id.Name)
 				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -76,6 +87,30 @@ func TestOneResidentStore(t *testing.T) {
 	if !sawCols {
 		t.Error("Segment.Cols is not declared; this test has gone stale")
 	}
+}
+
+// packageNames lists the names a file declares at package level: its
+// functions (not methods), types, variables and constants.
+func packageNames(f *ast.File) []*ast.Ident {
+	var ids []*ast.Ident
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				ids = append(ids, d.Name)
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					ids = append(ids, sp.Name)
+				case *ast.ValueSpec:
+					ids = append(ids, sp.Names...)
+				}
+			}
+		}
+	}
+	return ids
 }
 
 // recvType names a method receiver's type, pointer or not.

@@ -142,7 +142,10 @@ func checkSegSet(t *testing.T, s *TableSnap, rows []Row, ctx string) {
 			}
 		}
 	}
-	segRows := s.SegmentRows()
+	segRows := s.d.segRows
+	if segRows <= 0 {
+		segRows = DefaultSegmentRows
+	}
 	start := 0
 	for si, seg := range ss.Segs {
 		if ss.Start[si] != start {

@@ -100,15 +100,6 @@ func (s *TableSnap) Rows() []Row {
 // covering full chunks of the rows plus at most one plain tail.
 func (s *TableSnap) Segments() *SegSet { return s.d.segs }
 
-// SegmentRows returns the snapshot's seal boundary (rows per sealed
-// segment).
-func (s *TableSnap) SegmentRows() int {
-	if sr := s.d.segRows; sr > 0 {
-		return sr
-	}
-	return DefaultSegmentRows
-}
-
 // Snapshot is a pinned, immutable view of the whole database: one
 // TableSnap per table, each at the version current when Snapshot() was
 // called. Queries (planning and execution) resolve tables through one

@@ -128,24 +128,6 @@ func TestEqualNullSemantics(t *testing.T) {
 	}
 }
 
-func TestParseLiteral(t *testing.T) {
-	if ParseLiteral("null").Kind() != KindNull {
-		t.Error("null")
-	}
-	if v := ParseLiteral("42"); v.Kind() != KindInt || v.Int64() != 42 {
-		t.Error("int")
-	}
-	if v := ParseLiteral("2.5"); v.Kind() != KindFloat {
-		t.Error("float")
-	}
-	if v := ParseLiteral("true"); v.Kind() != KindBool || !v.BoolVal() {
-		t.Error("bool")
-	}
-	if v := ParseLiteral("hello"); v.Kind() != KindText || v.Str() != "hello" {
-		t.Error("text")
-	}
-}
-
 func miniSchema(t *testing.T) *schema.Schema {
 	t.Helper()
 	return schema.MustNew("mini", []*schema.Table{
@@ -227,9 +209,6 @@ func TestRowCloneAndString(t *testing.T) {
 	}
 	if r.String() != "(1, x)" {
 		t.Errorf("Row.String = %q", r.String())
-	}
-	if s := FormatRows([]Row{r, c}); s != "(1, x)\n(2, x)" {
-		t.Errorf("FormatRows = %q", s)
 	}
 }
 

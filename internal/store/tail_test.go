@@ -11,7 +11,7 @@ import (
 // TestLayoutIndependentOfBatchShape: the same rows loaded as one
 // BulkInsert, as 1,024-row batches and as single Inserts give the same
 // segment set — row counts, starts, seal flags, and every segment's
-// serialized bytes (encodings, zone maps, null bitmaps, values) — at
+// SegmentFingerprint (encodings, zone maps, null bitmaps, values) — at
 // small, odd and default seal boundaries. Sealing does not depend on
 // which write filled a chunk, and the tail's incrementally kept zone
 // maps equal what one pass over its rows gives.
@@ -57,10 +57,8 @@ func TestLayoutIndependentOfBatchShape(t *testing.T) {
 					t.Fatalf("%s: segment %d is (start %d, %d rows, sealed %v), bulk (%d, %d, %v)",
 						ctx, i, got.Start[i], seg.N, seg.Sealed, want.Start[i], w.N, w.Sealed)
 				}
-				gb := EncodeSegment(seg.Cols(), seg.N, seg.Sealed)
-				wb := EncodeSegment(w.Cols(), w.N, w.Sealed)
-				if !bytes.Equal(gb, wb) {
-					t.Fatalf("%s: segment %d (sealed %v) encodes differently from the bulk load", ctx, i, seg.Sealed)
+				if !bytes.Equal(SegmentFingerprint(seg), SegmentFingerprint(w)) {
+					t.Fatalf("%s: segment %d (sealed %v) is laid out differently from the bulk load", ctx, i, seg.Sealed)
 				}
 				for ci, z := range seg.Zones {
 					if z != w.Zones[ci] {

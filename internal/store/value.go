@@ -12,7 +12,6 @@
 package store
 
 import (
-	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -268,26 +267,6 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// ParseLiteral converts a source literal into a Value: "null", numbers,
-// booleans, anything else is text.
-func ParseLiteral(s string) Value {
-	switch strings.ToLower(s) {
-	case "null":
-		return Null()
-	case "true":
-		return Bool(true)
-	case "false":
-		return Bool(false)
-	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Int(i)
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Float(f)
-	}
-	return Text(s)
-}
-
 // Row is one tuple.
 type Row []Value
 
@@ -304,16 +283,4 @@ func (r Row) String() string {
 		parts[i] = v.String()
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
-}
-
-// FormatRows renders rows for debugging output.
-func FormatRows(rows []Row) string {
-	var b strings.Builder
-	for i, r := range rows {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		fmt.Fprint(&b, r.String())
-	}
-	return b.String()
 }

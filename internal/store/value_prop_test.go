@@ -143,10 +143,9 @@ func TestValueSize(t *testing.T) {
 
 // TestValueAccessorsRoundTrip: int, float and bool share one payload
 // word, so the contract callers lean on when they read a cell by its
-// column's kind rather than its own (the segment codec, serve's
-// encoder) is checked for every constructor: Kind is
-// right, the own-kind accessor returns the input bit for bit, and every
-// other accessor returns its zero.
+// column's kind rather than its own is checked for every constructor:
+// Kind is right, the own-kind accessor returns the input bit for bit,
+// and every other accessor returns its zero.
 func TestValueAccessorsRoundTrip(t *testing.T) {
 	nanPayload := math.Float64frombits(0x7ff8_0000_dead_beef)
 	ints := []int64{0, 1, -1, 42, math.MinInt64, math.MaxInt64, 1 << 53, -(1 << 53),

@@ -49,12 +49,6 @@ type Token struct {
 	Pos   int       // byte offset of the token start in the input
 }
 
-// IsWord reports whether the token is a plain word.
-func (t Token) IsWord() bool { return t.Kind == Word }
-
-// IsNumber reports whether the token is numeric.
-func (t Token) IsNumber() bool { return t.Kind == Number }
-
 // Tokenize splits an English question into tokens. It lowercases words,
 // recognizes numbers with decimal points and thousands separators,
 // preserves quoted spans verbatim as single tokens, strips possessive
