@@ -399,11 +399,11 @@ func TestCacheConcurrentUse(t *testing.T) {
 }
 
 // TestOneCache pins that the engine caches through one type: core
-// declares one type with lookup and store methods, Engine.cache and
-// Engine.plans are both instances of it, and plan.Template keeps no
-// validity of its own — no SameEpoch, Bind or Validate and no table
-// versions — so the entry's deps are the one record of what a cached
-// value read.
+// declares one type with lookup and store methods, Engine.cache,
+// Engine.plans and Engine.readings are all instances of it, and
+// plan.Template keeps no validity of its own — no SameEpoch, Bind or
+// Validate and no table versions — so the entry's deps are the one
+// record of what a cached value read.
 func TestOneCache(t *testing.T) {
 	nonTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
 	parse := func(dir, pkg string) []*ast.File {
@@ -477,7 +477,7 @@ func TestOneCache(t *testing.T) {
 		t.Fatalf("core declares cache types %v, want one", caches)
 	}
 	engine := fields(core, "Engine")
-	for _, f := range []string{"cache", "plans"} {
+	for _, f := range []string{"cache", "plans", "readings"} {
 		if engine[f] != caches[0] {
 			t.Errorf("Engine.%s is a %s, want a %s", f, engine[f], caches[0])
 		}

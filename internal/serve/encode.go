@@ -20,7 +20,7 @@ import (
 //	{"question":…,                                          per request
 //	 "paraphrase":…,"response":…,"sql":…,"columns":…,"rows":…,   per answer
 //	 "session":…,"follow_up":…,"cached":…,"plan_cached":…,
-//	 "degraded":…,"timings":{…}}\n                           per request
+//	 "reading_cached":…,"degraded":…,"timings":{…}}\n         per request
 //
 // Every field but question and timings is omitted when empty. The
 // middle depends only on what an answer-cache entry owns, so a hit
@@ -78,6 +78,7 @@ func appendAnswer(b []byte, ans *core.Answer, session string, followUp bool) []b
 	b = appendFlag(b, "follow_up", followUp)
 	b = appendFlag(b, "cached", ans.Cached)
 	b = appendFlag(b, "plan_cached", ans.PlanCached)
+	b = appendFlag(b, "reading_cached", ans.ReadingCached)
 	b = appendFlag(b, "degraded", ans.Degraded)
 
 	// Timings in microseconds — the resolution the dashboards

@@ -60,18 +60,19 @@ func toTimingsJSON(tm core.Timings) timingsJSON {
 
 // askResponse is the wire form of an answered question.
 type askResponse struct {
-	Question   string      `json:"question"`
-	Paraphrase string      `json:"paraphrase,omitempty"`
-	Response   string      `json:"response,omitempty"`
-	SQL        string      `json:"sql,omitempty"`
-	Columns    []string    `json:"columns,omitempty"`
-	Rows       [][]any     `json:"rows,omitempty"`
-	Session    string      `json:"session,omitempty"`
-	FollowUp   bool        `json:"follow_up,omitempty"`
-	Cached     bool        `json:"cached,omitempty"`
-	PlanCached bool        `json:"plan_cached,omitempty"`
-	Degraded   bool        `json:"degraded,omitempty"`
-	Timings    timingsJSON `json:"timings"`
+	Question      string      `json:"question"`
+	Paraphrase    string      `json:"paraphrase,omitempty"`
+	Response      string      `json:"response,omitempty"`
+	SQL           string      `json:"sql,omitempty"`
+	Columns       []string    `json:"columns,omitempty"`
+	Rows          [][]any     `json:"rows,omitempty"`
+	Session       string      `json:"session,omitempty"`
+	FollowUp      bool        `json:"follow_up,omitempty"`
+	Cached        bool        `json:"cached,omitempty"`
+	PlanCached    bool        `json:"plan_cached,omitempty"`
+	ReadingCached bool        `json:"reading_cached,omitempty"`
+	Degraded      bool        `json:"degraded,omitempty"`
+	Timings       timingsJSON `json:"timings"`
 }
 
 // valueJSON maps a store value onto its JSON shape.
@@ -93,15 +94,16 @@ func valueJSON(v store.Value) any {
 
 func answerJSON(ans *core.Answer, session string, followUp bool) *askResponse {
 	resp := &askResponse{
-		Question:   ans.Question,
-		Paraphrase: ans.Paraphrase,
-		Response:   ans.Response,
-		Session:    session,
-		FollowUp:   followUp,
-		Cached:     ans.Cached,
-		PlanCached: ans.PlanCached,
-		Degraded:   ans.Degraded,
-		Timings:    toTimingsJSON(ans.Timings),
+		Question:      ans.Question,
+		Paraphrase:    ans.Paraphrase,
+		Response:      ans.Response,
+		Session:       session,
+		FollowUp:      followUp,
+		Cached:        ans.Cached,
+		PlanCached:    ans.PlanCached,
+		ReadingCached: ans.ReadingCached,
+		Degraded:      ans.Degraded,
+		Timings:       toTimingsJSON(ans.Timings),
 	}
 	if ans.SQL != nil {
 		resp.SQL = ans.SQL.String()
@@ -154,7 +156,7 @@ func answerPart(t testing.TB, body []byte) string {
 		t.Fatalf("no timings in %s", body)
 	}
 	part := string(body[:i])
-	for _, flag := range []string{`"degraded":true,`, `"plan_cached":true,`, `"cached":true,`} {
+	for _, flag := range []string{`"degraded":true,`, `"reading_cached":true,`, `"plan_cached":true,`, `"cached":true,`} {
 		part = strings.TrimSuffix(part, flag)
 	}
 	return part
@@ -359,6 +361,33 @@ func TestDegradedBodyMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestReadingCachedBodyMatchesEncodingJSON: a question whose shape
+// the reading cache has not seen is sent without reading_cached; the
+// same shape with a new number is sent with it, spelled as
+// encoding/json spelled it, and with the SQL of the new number.
+func TestReadingCachedBodyMatchesEncodingJSON(t *testing.T) {
+	db := dataset.University(1)
+	s := shutdownOnCleanup(t, New(core.NewEngine(db, core.DefaultOptions()), Config{}))
+	twin := core.NewEngine(db, core.DefaultOptions())
+	for i, q := range []string{"students with gpa over 3.5", "students with gpa over 3.7"} {
+		w := post(s, "/api/ask", askBody(q, ""))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", q, w.Code, w.Body)
+		}
+		ans, err := twin.AskShedCtx(context.Background(), q, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := zeroTimings(t, w.Body.Bytes()), zeroTimings(t, oracleBody(t, ans, "", false))
+		if got != want {
+			t.Errorf("%q:\n got %s\nwant %s", q, got, want)
+		}
+		if flagged := strings.Contains(got, `"reading_cached":true`); flagged != (i == 1) {
+			t.Errorf("%q: reading_cached %v, want %v: %s", q, flagged, i == 1, got)
+		}
+	}
+}
+
 // TestAppendAnswerProperty: over seeded hand-built answers full of what
 // encoders get wrong — strings that need every kind of escape, floats
 // on both sides of the format switch, integers beyond 2^53, NULLs,
@@ -417,13 +446,14 @@ func TestAppendAnswerProperty(t *testing.T) {
 
 	for i := 0; i < 2000; i++ {
 		ans := &core.Answer{
-			Question:   str(),
-			Paraphrase: str(),
-			Response:   str(),
-			SQL:        stmts[r.Intn(len(stmts))],
-			Cached:     r.Intn(2) == 0,
-			PlanCached: r.Intn(2) == 0,
-			Degraded:   r.Intn(4) == 0,
+			Question:      str(),
+			Paraphrase:    str(),
+			Response:      str(),
+			SQL:           stmts[r.Intn(len(stmts))],
+			Cached:        r.Intn(2) == 0,
+			PlanCached:    r.Intn(2) == 0,
+			ReadingCached: r.Intn(2) == 0,
+			Degraded:      r.Intn(4) == 0,
 			Timings: core.Timings{Queue: dur(), Correct: dur(), Annotate: dur(), Parse: dur(), Rank: dur(),
 				Generate: dur(), Plan: dur(), Bind: dur(), Execute: dur(), Verbalize: dur(), Total: dur()},
 		}

@@ -346,10 +346,11 @@ func statusOf(ctx context.Context, err error) int {
 // experiment harnesses. Every counter is monotonic since engine start;
 // sessions.live, the one gauge, is the number of sessions alive now.
 type statsResponse struct {
-	AnswerCache cacheStatsJSON   `json:"answer_cache"`
-	PlanCache   cacheStatsJSON   `json:"plan_cache"`
-	Segments    scanStatsJSON    `json:"segments"`
-	Sessions    sessionStatsJSON `json:"sessions"`
+	AnswerCache  cacheStatsJSON   `json:"answer_cache"`
+	PlanCache    cacheStatsJSON   `json:"plan_cache"`
+	ReadingCache cacheStatsJSON   `json:"reading_cache"`
+	Segments     scanStatsJSON    `json:"segments"`
+	Sessions     sessionStatsJSON `json:"sessions"`
 }
 
 type cacheStatsJSON struct {
@@ -371,6 +372,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	var resp statsResponse
 	resp.AnswerCache.Hits, resp.AnswerCache.Misses = s.eng.AnswerCacheStats()
 	resp.PlanCache.Hits, resp.PlanCache.Misses = s.eng.PlanCacheStats()
+	resp.ReadingCache.Hits, resp.ReadingCache.Misses = s.eng.ReadingCacheStats()
 	resp.Segments.Scanned, resp.Segments.Skipped = s.eng.SegmentStats()
 	resp.Sessions.Live, resp.Sessions.Evicted = s.sessions.stats()
 	writeJSON(w, http.StatusOK, resp)

@@ -45,13 +45,17 @@
 // be shared across request handlers: queries execute on a morsel-
 // driven parallel operator pipeline (Options.Parallelism; see
 // DESIGN.md § 2.2), and the engine caches through one bounded,
-// per-table-versioned cache type with two instances (DESIGN.md § 2.3):
-// repeated hot questions are served whole from the answer cache
-// (Options.AnswerCacheSize), and questions repeating a *shape* with
+// per-table-versioned cache type with three instances (DESIGN.md
+// § 2.3): repeated hot questions are served whole from the answer
+// cache (Options.AnswerCacheSize); questions repeating a *shape* with
 // different constants ("sales in march" / "sales in april") reuse one
 // compiled plan from the plan cache (Options.PlanCacheSize; DESIGN.md
-// § 2.6) — hot shapes bind instead of planning. An entry of either is
-// valid while every table it read is at the version it read.
+// § 2.6) — hot shapes bind instead of planning; and questions
+// repeating an annotated shape with new numbers ("students with gpa
+// over 3.2" / "... over 3.7") bind them into the readings the reading
+// cache holds (sized by Options.PlanCacheSize too) instead of parsing
+// and ranking. An entry is valid while every table it read is at the
+// version it read; a reading reads no table.
 package nli
 
 import (
