@@ -400,7 +400,7 @@ func TestCacheConcurrentUse(t *testing.T) {
 
 // TestOneCache pins that the engine caches through one type: core
 // declares one type with lookup and store methods, Engine.cache,
-// Engine.plans and Engine.readings are all instances of it, and
+// Engine.plans and Parser.readings are all instances of it, and
 // plan.Template keeps no validity of its own — no SameEpoch, Bind or
 // Validate and no table versions — so the entry's deps are the one
 // record of what a cached value read.
@@ -476,10 +476,11 @@ func TestOneCache(t *testing.T) {
 	if len(caches) != 1 {
 		t.Fatalf("core declares cache types %v, want one", caches)
 	}
-	engine := fields(core, "Engine")
-	for _, f := range []string{"cache", "plans", "readings"} {
-		if engine[f] != caches[0] {
-			t.Errorf("Engine.%s is a %s, want a %s", f, engine[f], caches[0])
+	for _, f := range []struct{ typ, field string }{
+		{"Engine", "cache"}, {"Engine", "plans"}, {"Parser", "readings"},
+	} {
+		if got := fields(core, f.typ)[f.field]; got != caches[0] {
+			t.Errorf("%s.%s is a %s, want a %s", f.typ, f.field, got, caches[0])
 		}
 	}
 

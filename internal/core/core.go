@@ -52,8 +52,8 @@ type Options struct {
 	// repeating a shape with different constants skip planning and pay
 	// only a bind. The reading cache is keyed by annotated question
 	// shape, numbers lifted out, and never stale: questions repeating
-	// one skip parse and rank and pay a clone and a bind of the cached
-	// readings. 0 disables both — every ask then parses and plans from
+	// one skip the parse and pay a clone and a bind of the cached
+	// candidates. 0 disables both — every ask then parses and plans from
 	// scratch, as the reference engines of TestPlanCacheAcrossConstants
 	// and TestReadingCacheMatchesParse do; the question benchmark's
 	// core.plan_cache_hit_share on ask_fresh records how often the plan
@@ -81,9 +81,9 @@ type Timings struct {
 	Queue     time.Duration // admission-control wait before the pipeline ran (set by the serving layer)
 	Correct   time.Duration // spelling correction
 	Annotate  time.Duration // semantic-index span annotation
-	Parse     time.Duration // semantic-grammar parsing (a reading-cache miss also parses its shape with sentinels)
+	Parse     time.Duration // semantic-grammar parsing: on a reading-cache hit the lookup and bind, on a miss that learns its shape the sentinel parse too
 	Rank      time.Duration // interpretation ranking
-	Generate  time.Duration // IQL -> SQL translation (on a reading-cache hit, the lookup and bind too)
+	Generate  time.Duration // IQL -> SQL translation
 	Plan      time.Duration // query planning and optimization (template compiles included)
 	Bind      time.Duration // plan-cache hit: normalize + shape lookup + bind, no planning
 	Execute   time.Duration // plan execution
@@ -106,8 +106,8 @@ type Answer struct {
 	PlanCached  bool   // plan served from the template cache: bound, not planned
 	Degraded    bool   // executed load-shed to a lower degree than the engine's Parallelism
 
-	// ReadingCached reports that Ranked was bound from the reading
-	// cache: the question was neither parsed nor ranked.
+	// ReadingCached reports that the candidates Ranked was ranked from
+	// were bound from the reading cache: the question was not parsed.
 	ReadingCached bool
 
 	// Rendered is non-nil exactly when AskShedCtx served this answer
@@ -130,14 +130,10 @@ func (a *Answer) Ambiguity() interp.Ambiguity { return interp.Measure(a.Ranked) 
 type Engine struct {
 	DB    *store.DB
 	Idx   *semindex.Index
-	G     *grammar.Grammar
+	G     *Parser // the grammar, its complete-question parse behind the reading cache
 	opts  Options
 	cache *versioned[*cacheEntry]         // answers; nil when AnswerCacheSize is 0
 	plans *versioned[*exec.PreparedQuery] // plan templates; nil when PlanCacheSize is 0
-
-	// readings holds ranked readings by question shape (see reading);
-	// nil when PlanCacheSize is 0.
-	readings *versioned[*reading]
 
 	// maxRows and maxBytes cap what one answer-cache entry may hold
 	// (see cacheable).
@@ -159,7 +155,7 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 	e := &Engine{
 		DB:       db,
 		Idx:      idx,
-		G:        grammar.New(idx, opts.Grammar),
+		G:        &Parser{Grammar: grammar.New(idx, opts.Grammar)},
 		opts:     opts,
 		maxRows:  defaultCacheMaxRows,
 		maxBytes: defaultCacheMaxBytes,
@@ -169,7 +165,7 @@ func NewEngine(db *store.DB, opts Options) *Engine {
 	}
 	if opts.PlanCacheSize > 0 {
 		e.plans = newVersioned[*exec.PreparedQuery](opts.PlanCacheSize)
-		e.readings = newVersioned[*reading](opts.PlanCacheSize)
+		e.G.readings = newVersioned[*reading](opts.PlanCacheSize)
 	}
 	return e
 }
@@ -183,16 +179,13 @@ func (e *Engine) PlanCacheStats() (hits, misses uint64) {
 	return e.plans.stats()
 }
 
-// ReadingCacheStats returns the cumulative reading-cache hit/miss
-// counters (zeros when the cache is disabled). A hit is a lookup that
-// found its shape: one marked not bindable, or whose numbers collide
-// with the shape's constants, still parses (Answer.ReadingCached is
-// false).
+// ReadingCacheStats returns the cumulative reading-cache counters:
+// hits are complete-question reads served by binding cached candidates,
+// misses those that parsed while the cache was on — a new shape, one
+// not bindable, or numbers the cache cannot tell apart (zeros when the
+// cache is disabled).
 func (e *Engine) ReadingCacheStats() (hits, misses uint64) {
-	if e.readings == nil {
-		return 0, 0
-	}
-	return e.readings.stats()
+	return e.G.served.Load(), e.G.parsed.Load()
 }
 
 // AnswerCacheStats returns the cumulative answer-cache hit/miss
@@ -258,7 +251,7 @@ func (e *Engine) correctTokens(question string) ([]strutil.Token, []semindex.Cor
 // in Math" starts a new question, "only those in Math" narrows the
 // current one), over the same Prepared; followUp reports that the
 // fragment reading was the one chosen. The complete reading goes
-// through the reading cache (readQuestion); the fragment reading never
+// through the reading cache (Parser.parse); the fragment reading never
 // does, its meaning being prev's as much as its tokens'.
 func (e *Engine) interpret(ans *Answer, toks []strutil.Token, prev *iql.Query) (followUp bool, err error) {
 	tm := &ans.Timings
@@ -267,15 +260,25 @@ func (e *Engine) interpret(ans *Answer, toks []strutil.Token, prev *iql.Query) (
 	prepared := e.G.Prepare(toks)
 	tm.Annotate = time.Since(start)
 
-	if parsed := e.readQuestion(ans, prepared); len(ans.Ranked) == 0 {
+	start = time.Now()
+	cands, cached := e.G.parse(prepared)
+	tm.Parse = time.Since(start)
+	ans.ReadingCached = cached
+
+	if len(cands) > 0 {
+		start = time.Now()
+		ans.Ranked = interp.Rank(cands, e.DB.Schema, e.opts.Weights)
+		tm.Rank = time.Since(start)
+	}
+	if len(ans.Ranked) == 0 {
 		if prev == nil {
-			if !parsed {
+			if len(cands) == 0 {
 				return false, fmt.Errorf("core: %q is outside the grammar's coverage", ans.Question)
 			}
 			return false, fmt.Errorf("core: no interpretation of %q connects over the schema", ans.Question)
 		}
 		start = time.Now()
-		cands := e.G.ParseUpdate(prepared, prev)
+		cands = e.G.ParseUpdate(prepared, prev)
 		tm.Parse += time.Since(start)
 
 		start = time.Now()
@@ -290,62 +293,12 @@ func (e *Engine) interpret(ans *Answer, toks []strutil.Token, prev *iql.Query) (
 
 	start = time.Now()
 	stmt, err := iql.ToSQL(ans.Query, e.DB.Schema)
-	tm.Generate += time.Since(start)
+	tm.Generate = time.Since(start)
 	if err != nil {
 		return followUp, fmt.Errorf("core: generating SQL: %w", err)
 	}
 	ans.SQL = stmt
 	return followUp, nil
-}
-
-// readQuestion fills ans.Ranked with p's reading as a complete
-// question and reports whether anything parsed. With the reading cache
-// on, a question whose shape it holds binds its numbers into the
-// cached readings (the lookup and bind count as Generate); any other
-// parses and ranks, and a ranked reading teaches the cache its shape.
-// A question that repeats one of its own numbers neither looks up nor
-// teaches.
-func (e *Engine) readQuestion(ans *Answer, p grammar.Prepared) (parsed bool) {
-	tm := &ans.Timings
-	start := time.Now()
-	var key []byte
-	var vals []float64
-	if e.readings != nil {
-		var buf [512]byte // a typical question's key fits: a hit puts no key on the heap
-		var vbuf [8]float64
-		key, vals = appendReadingKey(buf[:0], vbuf[:0], p)
-		if !distinct(vals) {
-			key = nil
-		} else if r, ok := e.readings.lookup(key, e.DB.TableVersion); ok && r.serves(vals) {
-			ans.Ranked, ans.ReadingCached = r.bind(vals), true
-			tm.Generate = time.Since(start)
-			return true
-		}
-	}
-	tm.Parse = time.Since(start)
-	cands, ranked := e.read(p, tm)
-	ans.Ranked = ranked
-	if len(ranked) > 0 && key != nil {
-		if r := e.learnReading(p, vals, ranked, tm); r != nil {
-			e.readings.store(string(key), nil, r)
-		}
-	}
-	return len(cands) > 0
-}
-
-// read parses p as a complete question and ranks what parsed, adding
-// each stage's latency to tm.
-func (e *Engine) read(p grammar.Prepared, tm *Timings) ([]grammar.Candidate, []interp.Scored) {
-	start := time.Now()
-	cands := e.G.ParsePrepared(p)
-	tm.Parse += time.Since(start)
-	if len(cands) == 0 {
-		return nil, nil
-	}
-	start = time.Now()
-	ranked := interp.Rank(cands, e.DB.Schema, e.opts.Weights)
-	tm.Rank += time.Since(start)
-	return cands, ranked
 }
 
 // Ask answers a question end to end. Repeated questions whose

@@ -404,9 +404,9 @@ func uncachedOptions() Options {
 	return opts
 }
 
-// BenchmarkAskSimple is an uncached ask whose readings come from the
+// BenchmarkAskSimple is an uncached ask whose candidates come from the
 // reading cache: one ask before the timer stores its shape, so every
-// timed ask binds instead of parsing and ranking.
+// timed ask binds instead of parsing.
 func BenchmarkAskSimple(b *testing.B) {
 	e := NewEngine(dataset.University(1), uncachedOptions())
 	if _, err := e.Ask("students with gpa over 3.5"); err != nil {
@@ -418,6 +418,28 @@ func BenchmarkAskSimple(b *testing.B) {
 		if _, err := e.Ask("students with gpa over 3.5"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAskLearn is an ask that misses every cache and learns its
+// shape: with PlanCacheSize 1 the two questions evict each other's
+// reading and plan, so every ask parses, parses its shape again with
+// sentinels, ranks, plans and executes.
+func BenchmarkAskLearn(b *testing.B) {
+	opts := uncachedOptions()
+	opts.PlanCacheSize = 1
+	e := NewEngine(dataset.University(1), opts)
+	qs := []string{"students with gpa over 3.5", "instructors with salary over 50000"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Ask(qs[i%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if h, _ := e.ReadingCacheStats(); h != 0 {
+		b.Fatalf("%d reading-cache hits, want every ask a miss", h)
 	}
 }
 

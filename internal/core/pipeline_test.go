@@ -28,12 +28,13 @@ import (
 // internal/dialog was that second pipeline and must not come back.
 func TestOneAskPipeline(t *testing.T) {
 	want := map[string]int{ // call suffix -> sites, whatever the receiver is spelled
-		".ParsePrepared":   1, // the full-question reading
+		".G.parse":         1, // the full-question reading, through the reading cache
+		".ParsePrepared":   2, // the grammar under it: the question, and the sentinel parse a new shape is learnt from
 		".ParseUpdate":     1, // the fragment reading, over the same Prepared
 		"iql.ToSQL":        1,
 		".cache.lookup":    1,
 		".cache.store":     1,
-		".readings.lookup": 1, // the reading cache, before the full-question reading
+		".readings.lookup": 1,
 		".readings.store":  1,
 	}
 	fset := token.NewFileSet()

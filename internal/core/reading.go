@@ -6,20 +6,27 @@ import (
 	"reflect"
 	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/grammar"
-	"repro/internal/interp"
 	"repro/internal/iql"
 	"repro/internal/semindex"
 	"repro/internal/store"
 	"repro/internal/strutil"
 )
 
-// The reading cache, Engine.readings: the third instance of versioned.
-// It maps the shape of an annotated question to the readings the
-// grammar and the ranker made of it, so that a question repeating a
-// shape with new numbers ("students with gpa over 3.2", then "... over
-// 3.7") skips parse and rank and pays a clone and a bind.
+// Parser is the engine's grammar with the reading cache in front of
+// its complete-question parse: Engine.G. The cache, Parser.readings, is
+// the third instance of versioned. It maps the shape of an annotated
+// question to the candidates the grammar parsed from it, so that a
+// question repeating a shape with new numbers ("students with gpa over
+// 3.2", then "... over 3.7") skips the parse and pays a clone and a
+// bind; ranking, SQL generation and everything after run as for a
+// parsed question. The cache sits under ParsePrepared, not beside it,
+// so that whatever reads a question through the engine's grammar —
+// Engine.interpret, or a caller timing the layers one by one — parses,
+// hits and learns alike. Parse, promoted from grammar.Grammar, does
+// not go through it.
 //
 // A shape is a grammar.Prepared with its slot tokens abstracted: a
 // slot is a Number token no annotation covers, and it enters the key as
@@ -27,46 +34,94 @@ import (
 // text — words, quotes, scale words ("million"), spelled numbers,
 // value words — and every field of every annotation is in the key, so
 // two questions with one key reach the parser as the same input up to
-// the slots' numbers. A reading depends on nothing else but the
-// grammar, the schema and the ranking weights, which are the engine's
-// for life, so an entry carries no table dependencies.
+// the slots' numbers. Candidates depend on nothing else but the
+// grammar, which is the engine's for life, so an entry carries no table
+// dependencies.
 //
 // The parser treats a number as an opaque payload: it copies it into a
 // condition (store.Float), a BETWEEN bound or a HAVING count, and
 // except for LIMIT's int(n) and a scale word's product it never
-// branches on it or transforms it. An entry is learnt, on a miss, by
-// parsing the shape once more with a distinct sentinel number in each
-// slot; the readings that come out hold each sentinel where its slot's
-// number goes. The entry keeps them as a template only if binding the
-// miss's real numbers into it reproduces the real readings exactly,
-// scores included. That check catches every place a number is
-// transformed rather than copied — a LIMIT, "1.5 million" — and the
-// shape is then stored as not bindable, so later asks parse without
-// learning it again.
+// branches on it or transforms it. An entry is learnt, on the first
+// miss of its shape, by parsing the shape once more with a distinct
+// sentinel number in each slot; the candidates that come out hold each
+// sentinel where its slot's number goes. The entry keeps them as a
+// template only if binding the miss's real numbers into it reproduces
+// the real candidates exactly, scores included. That check catches
+// every place a number is transformed rather than copied — a LIMIT,
+// "1.5 million" — and the shape is then stored as not bindable, so
+// later asks parse without learning it again.
 //
 // The grammar dedupes candidates by their printed form, so numbers that
-// print alike could merge two readings the sentinels kept apart. A hit
-// therefore needs slot values that are pairwise distinct and distinct
-// from every numeric constant the shape's candidates hold that no slot
+// print alike could merge two candidates the sentinels kept apart. A
+// hit therefore needs slot values that are pairwise distinct and
+// distinct from every numeric constant the template holds that no slot
 // supplies (reading.lits); otherwise the ask parses, as it does when
 // the question's own numbers repeat ("between 5 and 5").
+type Parser struct {
+	*grammar.Grammar
+	readings *versioned[*reading] // nil when PlanCacheSize is 0
+
+	// served counts the complete-question reads a template answered,
+	// parsed those that parsed while the cache was on.
+	served, parsed atomic.Uint64
+}
+
+// ParsePrepared parses p as a complete question, through the reading
+// cache.
+func (g *Parser) ParsePrepared(p grammar.Prepared) []grammar.Candidate {
+	cands, _ := g.parse(p)
+	return cands
+}
+
+// parse is ParsePrepared that also reports whether the candidates were
+// bound from the reading cache.
+func (g *Parser) parse(p grammar.Prepared) (cands []grammar.Candidate, cached bool) {
+	var key []byte
+	var vals []float64
+	learn := false
+	if g.readings != nil {
+		var buf [512]byte // a typical question's key fits: a hit puts no key on the heap
+		var vbuf [8]float64
+		key, vals = appendReadingKey(buf[:0], vbuf[:0], p)
+		if distinct(vals) {
+			r, ok := g.readings.lookup(key, noVersions)
+			if ok && r.serves(vals) {
+				g.served.Add(1)
+				return r.bind(vals), true
+			}
+			learn = !ok
+		}
+		g.parsed.Add(1)
+	}
+	cands = g.Grammar.ParsePrepared(p)
+	if learn && len(cands) > 0 {
+		if r := g.learn(p, vals, cands); r != nil {
+			g.readings.store(string(key), nil, r)
+		}
+	}
+	return cands, false
+}
+
+// noVersions is the version function reading-cache lookups pass: an
+// entry has no table dependencies, so it is never called.
+func noVersions(string) uint64 { return 0 }
 
 // reading is one reading-cache entry.
 type reading struct {
-	// ranked is the template: the shape's readings, best first, with
-	// sentinel(k) wherever slot k's number goes. nil marks a shape
-	// that is not bindable.
-	ranked []interp.Scored
-	uses   []slotUse // where each slot's number is bound
-	lits   []float64 // numbers the shape's candidates hold that no slot supplies
+	// cands is the template: the shape's candidates, best first, with
+	// sentinel(k) wherever slot k's number goes. nil marks a shape that
+	// is not bindable.
+	cands []grammar.Candidate
+	uses  []slotUse // where each slot's number is bound
+	lits  []float64 // numbers the template holds that no slot supplies
 }
 
 // slotUse is one place in the template a slot's number is bound into.
 type slotUse struct {
-	reading int // index into ranked
-	place   slotPlace
-	cond    int // index into Conds, or Sub.SubConds for the sub places
-	slot    int
+	cand  int // index into cands
+	place slotPlace
+	cond  int // index into Conds, or Sub.SubConds for the sub places
+	slot  int
 }
 
 type slotPlace uint8
@@ -171,25 +226,24 @@ func distinct(vals []float64) bool {
 	return true
 }
 
-// learnReading builds the entry of a shape whose slots held vals, from
-// the readings real that parsing it ranked, or returns nil when vals
-// cannot tell the slots apart from the sentinels and nothing should be
-// stored. The sentinel parse, run when the shape has slots, is charged
-// to tm's Parse and Rank.
-func (e *Engine) learnReading(p grammar.Prepared, vals []float64, real []interp.Scored, tm *Timings) *reading {
-	r := &reading{ranked: real}
-	if len(vals) > 0 {
-		// A number within 1 of a sentinel could transform like it (a
-		// LIMIT's int(n)) and pass the check below by coincidence.
-		for _, v := range vals {
-			if v > sentinel(0)-1 && v < sentinel(len(vals)-1)+1 {
-				return nil
-			}
-		}
-		var cands []grammar.Candidate
-		cands, r.ranked = e.read(sentinelPrepared(p), tm)
-		r.findSlots(len(vals), cands)
+// learn builds the entry of a shape whose slots held vals, from the
+// candidates real that parsing it gave, or returns nil when vals cannot
+// tell the slots apart from the sentinels and nothing should be stored.
+func (g *Parser) learn(p grammar.Prepared, vals []float64, real []grammar.Candidate) *reading {
+	if len(vals) == 0 {
+		// The template is a copy of real, so that nothing the caller
+		// does to its candidates reaches the cache.
+		return &reading{cands: (&reading{cands: real}).bind(nil)}
 	}
+	// A number within 1 of a sentinel could transform like it (a
+	// LIMIT's int(n)) and pass the check below by coincidence.
+	for _, v := range vals {
+		if v > sentinel(0)-1 && v < sentinel(len(vals)-1)+1 {
+			return nil
+		}
+	}
+	r := &reading{cands: g.Grammar.ParsePrepared(sentinelPrepared(p))}
+	r.findSlots(len(vals))
 	if !reflect.DeepEqual(r.bind(vals), real) {
 		return &reading{}
 	}
@@ -197,9 +251,9 @@ func (e *Engine) learnReading(p grammar.Prepared, vals []float64, real []interp.
 }
 
 // findSlots records where each of the n sentinels landed in the
-// template, and every other number the sentinel parse's candidates
-// hold, ranked or not: those took part in the grammar's dedupe too.
-func (r *reading) findSlots(n int, cands []grammar.Candidate) {
+// template, and every other number the template holds: those took part
+// in the grammar's dedupe too.
+func (r *reading) findSlots(n int) {
 	slot := func(v float64) int {
 		for k := range n {
 			if v == sentinel(k) {
@@ -208,15 +262,15 @@ func (r *reading) findSlots(n int, cands []grammar.Candidate) {
 		}
 		return -1
 	}
-	for i, s := range r.ranked {
-		q := s.Query
+	for i, c := range r.cands {
+		q := c.Query
 		use := func(place slotPlace, cond int, v store.Value) {
 			if v.Kind() != store.KindFloat {
 				return
 			}
 			f, _ := v.AsFloat()
 			if k := slot(f); k >= 0 {
-				r.uses = append(r.uses, slotUse{reading: i, place: place, cond: cond, slot: k})
+				r.uses = append(r.uses, slotUse{cand: i, place: place, cond: cond, slot: k})
 			}
 		}
 		for j, c := range q.Conds {
@@ -231,12 +285,10 @@ func (r *reading) findSlots(n int, cands []grammar.Candidate) {
 		}
 		if q.Having != nil {
 			if k := slot(q.Having.Value); k >= 0 {
-				r.uses = append(r.uses, slotUse{reading: i, place: havingValue, slot: k})
+				r.uses = append(r.uses, slotUse{cand: i, place: havingValue, slot: k})
 			}
 		}
-	}
-	for _, c := range cands {
-		numericConstants(c.Query, func(f float64) {
+		numericConstants(q, func(f float64) {
 			if slot(f) < 0 && !slices.Contains(r.lits, f) {
 				r.lits = append(r.lits, f)
 			}
@@ -277,7 +329,7 @@ func numericConstants(q *iql.Query, f func(float64)) {
 // serves reports whether the entry can stand in for parsing a question
 // of its shape whose slots hold vals.
 func (r *reading) serves(vals []float64) bool {
-	if r.ranked == nil {
+	if r.cands == nil {
 		return false
 	}
 	for _, v := range vals {
@@ -288,16 +340,16 @@ func (r *reading) serves(vals []float64) bool {
 	return true
 }
 
-// bind returns the template's readings with vals in the slots: each
-// query cloned, so the answer owns what it is handed.
-func (r *reading) bind(vals []float64) []interp.Scored {
-	out := make([]interp.Scored, len(r.ranked))
-	for i, s := range r.ranked {
-		s.Query = s.Query.Clone()
-		out[i] = s
+// bind returns the template's candidates with vals in the slots: each
+// query cloned, so the caller owns what it is handed.
+func (r *reading) bind(vals []float64) []grammar.Candidate {
+	out := make([]grammar.Candidate, len(r.cands))
+	for i, c := range r.cands {
+		c.Query = c.Query.Clone()
+		out[i] = c
 	}
 	for _, u := range r.uses {
-		q, v := out[u.reading].Query, vals[u.slot]
+		q, v := out[u.cand].Query, vals[u.slot]
 		switch u.place {
 		case condValue:
 			q.Conds[u.cond].Value = store.Float(v)

@@ -345,6 +345,8 @@ func statusOf(ctx context.Context, err error) int {
 // cumulative cache and scan counters, for dashboards and the
 // experiment harnesses. Every counter is monotonic since engine start;
 // sessions.live, the one gauge, is the number of sessions alive now.
+// reading_cache counts complete-question reads: hits were bound from a
+// cached shape, misses parsed (core.Engine.ReadingCacheStats).
 type statsResponse struct {
 	AnswerCache  cacheStatsJSON   `json:"answer_cache"`
 	PlanCache    cacheStatsJSON   `json:"plan_cache"`

@@ -52,10 +52,10 @@
 // compiled plan from the plan cache (Options.PlanCacheSize; DESIGN.md
 // § 2.6) — hot shapes bind instead of planning; and questions
 // repeating an annotated shape with new numbers ("students with gpa
-// over 3.2" / "... over 3.7") bind them into the readings the reading
-// cache holds (sized by Options.PlanCacheSize too) instead of parsing
-// and ranking. An entry is valid while every table it read is at the
-// version it read; a reading reads no table.
+// over 3.2" / "... over 3.7") bind them into the candidates the
+// reading cache holds (sized by Options.PlanCacheSize too) instead of
+// parsing. An entry is valid while every table it read is at the
+// version it read; a parse reads no table.
 package nli
 
 import (
