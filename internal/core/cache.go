@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"strconv"
 	"sync"
 
@@ -188,11 +187,11 @@ const (
 )
 
 // cacheable reports whether an answer's result fits the per-entry
-// caps. Engine.ask asks it of the answer it built, before copying
-// anything into the cache. Byte size is an estimate: store.ValueSize a
-// cell plus text payload — what the copy in cacheableAnswer will
-// actually retain. A rendering, once a hit builds one, is the same
-// payload spelled out and is bounded by the same caps.
+// caps. Engine.ask asks it of the answer it built, before storing
+// anything in the cache. Byte size is an estimate: store.ValueSize a
+// cell plus text payload — what the entry, sharing the result, keeps
+// alive. A rendering, once a hit builds one, is the same payload
+// spelled out and is bounded by the same caps.
 func cacheable(ans *Answer, maxRows, maxBytes int) bool {
 	if ans.Result == nil {
 		return true
@@ -215,40 +214,36 @@ func cacheable(ans *Answer, maxRows, maxBytes int) bool {
 	return true
 }
 
-// cacheableAnswer is the defensive copy an answer enters the cache as:
-// the struct is copied and the result rows are cloned, so the caller
-// of the miss, who owns the original, can sort or rewrite its rows
-// without poisoning the entry. Interpretation structures (Query, SQL,
-// Plan, Ranked) stay shared: they are treated as immutable once the
-// answer is built. The per-ask serving flags are cleared: whether this
-// ask ran degraded or queued is a fact about the load at the moment it
-// ran, not about the answer, and must not leak into later asks served
-// from the cache.
+// cacheableAnswer is the answer as it enters the cache: the struct is
+// copied and its Result shared, not cloned. The rows are read-only once
+// the executor has returned them, the AskShedCtx caller of the miss
+// only reads them, and the entry points that hand a caller rows to
+// keep and mutate clone them (owned). Interpretation structures (Query,
+// SQL, Plan, Ranked) are shared likewise: they are treated as immutable
+// once the answer is built. The per-ask serving flags are cleared:
+// whether this ask ran degraded or queued is a fact about the load at
+// the moment it ran, not about the answer, and must not leak into later
+// asks served from the cache.
 func cacheableAnswer(ans *Answer) *Answer {
 	cp := *ans
-	cp.Result = cloneResult(ans.Result)
 	cp.Degraded = false
 	cp.Timings.Queue = 0
 	return &cp
 }
 
-// owned is the same defence in the other direction, applied by the
-// entry points that promise their caller an answer it may mutate
-// (Ask, AskCtx): a hit's rows are cloned out of the entry and the
-// entry's rendering slot, which describes rows the caller is now free
-// to change, is dropped. A miss's rows are the caller's own already,
-// but its Cols is the cached plan's slice (see exec's executor.run),
-// shared with every later ask of the plan shape — so that is cloned
-// here, not in the executor, and the AskShedCtx path serve drives pays
-// nothing for it.
+// owned is what the entry points that promise their caller an answer
+// it may mutate (Ask, AskCtx, Conversation.Ask and AskCtx) hand out:
+// the result cloned, hit or miss, and the entry's rendering slot, which
+// describes rows the caller is now free to change, dropped. A hit's
+// rows are the cache entry's; a miss's rows are shared with the entry
+// it stored, and its Cols is the cached plan's slice (see exec's
+// executor.run), shared with every later ask of the plan shape. The
+// AskShedCtx path serve drives, which only encodes, pays for none of
+// it.
 func owned(ans *Answer) *Answer {
-	switch {
-	case ans == nil:
-	case ans.Rendered != nil:
+	if ans != nil {
 		ans.Result = cloneResult(ans.Result)
 		ans.Rendered = nil
-	case ans.Result != nil:
-		ans.Result.Cols = slices.Clone(ans.Result.Cols)
 	}
 	return ans
 }

@@ -114,8 +114,9 @@ type Answer struct {
 	// from the answer cache: Result is then the cache entry's own rows,
 	// shared with every other hit and read-only, and Rendered is the
 	// entry's slot for whatever encoding of them the caller memoizes
-	// (see Rendering). Ask and AskCtx return owning copies and leave it
-	// nil.
+	// (see Rendering). An AskShedCtx miss's Result is read-only too,
+	// the entry it stored sharing it. Ask and AskCtx return owning
+	// copies and leave Rendered nil.
 	Rendered *Rendering
 
 	Timings Timings
@@ -328,12 +329,14 @@ func (e *Engine) AskCtx(ctx context.Context, question string) (*Answer, error) {
 // row identical at any degree; the answer reports Degraded when the
 // cap actually lowered the degree.
 //
-// Unlike Ask and AskCtx, a cache hit here copies only the Answer
-// struct: its Result is the cache entry's own and must not be written
-// (see Answer.Rendered), and a miss's Result.Cols is the cached plan's
-// own slice, read-only likewise. That is the contract the serving
-// layer, which only encodes the result, asks for — what a hit costs
-// then does not grow with the size of its result.
+// Unlike Ask and AskCtx, nothing here copies the result. A cache hit
+// copies only the Answer struct: its Result is the cache entry's own
+// and must not be written (see Answer.Rendered). A miss's Result is
+// the one the cache entry it stored shares, rows and all, and its Cols
+// is the cached plan's own slice: read-only likewise. That is the
+// contract the serving layer, which only encodes the result, asks for
+// — the rows of an answer are then written once, by the executor, and
+// what a hit costs does not grow with the size of its result.
 func (e *Engine) AskShedCtx(ctx context.Context, question string, execPar int) (*Answer, error) {
 	ans, _, err := e.ask(ctx, question, nil, execPar)
 	return ans, err

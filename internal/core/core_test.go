@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -260,16 +262,24 @@ func TestAnswerCache(t *testing.T) {
 	}
 }
 
-// TestMissOwnsItsCols: a miss's Result.Cols must be the caller's own,
-// not the cached plan's slice. Overwriting a column name on one answer
-// and then asking the same shape with another constant (plan-cache
-// hit, answer-cache miss) must still report the original name — from
-// the engine and from a conversation alike.
+// TestMissOwnsItsCols: a miss's Result must be the caller's own, not
+// the cached plan's Cols nor the rows the answer-cache entry shares.
+// Overwriting a column name on one answer and then asking the same
+// shape with another constant (plan-cache hit, answer-cache miss) must
+// still report the original name; overwriting, appending to and
+// regrowing the rows of a miss must leave what a later hit of the same
+// question returns as it was — through Ask, AskCtx and a conversation
+// alike.
 func TestMissOwnsItsCols(t *testing.T) {
-	for _, viaConversation := range []bool{false, true} {
+	for _, via := range []string{"Ask", "AskCtx", "Conversation.Ask"} {
 		e := uniEngine(t)
-		ask := e.Ask
-		if viaConversation {
+		var ask func(q string) (*Answer, error)
+		switch via {
+		case "Ask":
+			ask = e.Ask
+		case "AskCtx":
+			ask = func(q string) (*Answer, error) { return e.AskCtx(context.Background(), q) }
+		default:
 			conv := e.NewConversation()
 			ask = func(q string) (*Answer, error) {
 				ans, _, err := conv.Ask(q)
@@ -280,19 +290,41 @@ func TestMissOwnsItsCols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if first.Cached || len(first.Result.Rows) < 2 {
+			t.Fatalf("%s: first ask Cached=%v with %d rows, want a miss of several", via, first.Cached, len(first.Result.Rows))
+		}
 		want := first.Result.Cols[0]
+		wantRows := fmt.Sprint(first.Result.Rows)
 		first.Result.Cols[0] = "clobbered"
+		rows := first.Result.Rows
+		rows[0][0] = store.Text("clobbered")
+		rows[1] = append(rows[1], store.Text("appended"))
+		first.Result.Rows = append(rows[:1], store.Row{store.Text("regrown")})
+
 		second, err := ask("students with gpa over 3.6")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !second.PlanCached || second.Cached {
-			t.Fatalf("conversation=%v: second ask PlanCached=%v Cached=%v, want a plan-cache hit and an answer-cache miss",
-				viaConversation, second.PlanCached, second.Cached)
+			t.Fatalf("%s: second ask PlanCached=%v Cached=%v, want a plan-cache hit and an answer-cache miss",
+				via, second.PlanCached, second.Cached)
 		}
 		if got := second.Result.Cols[0]; got != want {
-			t.Errorf("conversation=%v: column renamed to %q for a later ask of the plan shape, want %q",
-				viaConversation, got, want)
+			t.Errorf("%s: column renamed to %q for a later ask of the plan shape, want %q", via, got, want)
+		}
+
+		hit, err := ask("students with gpa over 3.5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached {
+			t.Fatalf("%s: third ask Cached=false, want an answer-cache hit", via)
+		}
+		if got := fmt.Sprint(hit.Result.Rows); got != wantRows {
+			t.Errorf("%s: a hit after the miss's rows were written returns\n%s\nwant\n%s", via, got, wantRows)
+		}
+		if got := hit.Result.Cols[0]; got != want {
+			t.Errorf("%s: a hit after the miss's Cols were written names column %q, want %q", via, got, want)
 		}
 	}
 }
@@ -440,6 +472,64 @@ func BenchmarkAskLearn(b *testing.B) {
 	b.StopTimer()
 	if h, _ := e.ReadingCacheStats(); h != 0 {
 		b.Fatalf("%d reading-cache hits, want every ask a miss", h)
+	}
+}
+
+// BenchmarkAskFresh is the question benchmark's ask_fresh stream in
+// process: its six question shapes over the university database at
+// scale 4, in rotation, each op with constants no earlier op used,
+// asked through AskShedCtx as the server asks. Every timed op binds its
+// candidates from the reading cache, misses the answer cache, plans
+// through the template cache, executes and stores its answer.
+func BenchmarkAskFresh(b *testing.B) {
+	e := NewEngine(dataset.University(4), DefaultOptions())
+	depts := []string{"Computer Science", "Mathematics", "Physics", "History", "Biology", "Economics"}
+	gpa := func(milli int) string { return strconv.FormatFloat(float64(milli)/1000, 'f', -1, 64) }
+	question := func(i int) string {
+		k := i / 6 % 2048
+		switch i % 6 {
+		case 0:
+			return "students with gpa over " + gpa(1900+k)
+		case 1:
+			lo := 45000 + 100*(k%64)
+			return fmt.Sprintf("instructors with salary between %d and %d", lo, lo+5000+250*(k/64))
+		case 2:
+			return fmt.Sprintf("students in %s with gpa over %s", depts[k%6], gpa(1900+6*(k/6)))
+		case 3:
+			return fmt.Sprintf("names of students in %s with gpa over %s", depts[k%6], gpa(1900+6*(k/6)))
+		case 4:
+			return fmt.Sprintf("show the name and salary of instructors with salary over %d", 45000+25*k)
+		}
+		return fmt.Sprintf("average salary of instructors with salary over %d per department", 45000+25*k)
+	}
+	// A department name is part of a shape, so the six shapes are 16
+	// readings: the first 36 questions store them all.
+	const warm = 36
+	ctx := context.Background()
+	for i := 0; i < warm; i++ {
+		if _, err := e.AskShedCtx(ctx, question(i), 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	qs := make([]string, b.N)
+	for i := range qs {
+		qs[i] = question(warm + i)
+	}
+	answered, _ := e.AnswerCacheStats()
+	bound, _ := e.ReadingCacheStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, q := range qs {
+		if _, err := e.AskShedCtx(ctx, q, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if h, _ := e.AnswerCacheStats(); h != answered {
+		b.Fatalf("%d answer-cache hits, want every ask a miss", h-answered)
+	}
+	if h, _ := e.ReadingCacheStats(); h-bound != uint64(b.N) {
+		b.Fatalf("%d reading-cache hits, want %d", h-bound, b.N)
 	}
 }
 

@@ -335,10 +335,10 @@ func TestWorkerFoldKeepsSerialGroupOrder(t *testing.T) {
 // scratch — so each, run over 2^15 and over 2^17 events at two workers,
 // may differ by a tenth in bytes per run for four times the rows — plus
 // 16 KiB of slack. A run's bytes depend on whether one worker or two
-// folded rows, the scheduler's call, so both sizes measure only runs
-// in which both workers did (scanBytesPerRun). A selection copy
-// alone would be 4 B a kept row, some 200 KiB more over the larger
-// table.
+// folded rows, the scheduler's call, so the two sizes are compared
+// over runs in which the same number did (scanBytesPerRun). A
+// selection copy alone would be 4 B a kept row, some 200 KiB more over
+// the larger table.
 func TestScanBytesFollowGroups(t *testing.T) {
 	perWorkerOnly := func(name, _ string, p *plan.Plan) bool {
 		if !strings.Contains(p.Explain(), perWorker) {
@@ -346,12 +346,12 @@ func TestScanBytesFollowGroups(t *testing.T) {
 		}
 		return true
 	}
-	small, large := scanBytesPerRun(t, 1<<15, perWorkerOnly), scanBytesPerRun(t, 1<<17, perWorkerOnly)
-	if len(small) != 6 {
-		t.Fatalf("want the six ask_scan shapes, got %v", small)
+	got := scanBytesPerRun(t, 1<<15, 1<<17, perWorkerOnly)
+	if len(got) != 6 {
+		t.Fatalf("want the six ask_scan shapes, got %v", got)
 	}
-	for name, s := range small {
-		if l := large[name]; l > 1.10*s+16<<10 {
+	for name, b := range got {
+		if s, l := b[0], b[1]; l > 1.10*s+16<<10 {
 			t.Errorf("%s: %.0f B/run over 2^15 events, %.0f over 2^17: bytes follow the rows scanned", name, s, l)
 		} else {
 			t.Logf("%s: %.0f B/run over 2^15 events, %.0f over 2^17", name, s, l)
@@ -359,52 +359,84 @@ func TestScanBytesFollowGroups(t *testing.T) {
 	}
 }
 
-// scanBytesPerRun binds the ask_scan templates over a telemetry log of
-// the given length, at two workers, and returns what one run of each
-// template that use accepts allocates: the most of ten runs in which
-// both workers folded rows (plan.FoldingWorkers), out of at most a
-// hundred — on a loaded machine one worker can claim every morsel of a
-// short run that holds rows. Two collections before each run empty the
-// executor's scratch pool, so every run borrows its scratch and join
-// build afresh, as a question after an idle spell does: the figure
-// does not hang on which P's private slot the last run handed its
-// scratch back to, nor on the race detector dropping a pooled scratch
-// at random.
-func scanBytesPerRun(t *testing.T, rows int, use func(name, sql string, p *plan.Plan) bool) map[string]float64 {
+// scanBytesPerRun binds the ask_scan templates over telemetry logs of
+// small and of large rows, at two workers, and returns for each
+// template that use accepts what one run allocates over each log. How
+// many workers fold rows (plan.FoldingWorkers) is the scheduler's call
+// and moves a run's bytes, so the two logs are run in turn, under the
+// same load, and compared at one folding count: the most of ten runs a
+// log at the first count both logs reach ten times, two workers before
+// one; failing that within a hundred turns, the count both reached
+// most often. Two collections before each run empty the executor's
+// scratch pool, so every run borrows its scratch and join build
+// afresh, as a question after an idle spell does: the figure does not
+// hang on which P's private slot the last run handed its scratch back
+// to, nor on the race detector dropping a pooled scratch at random.
+func scanBytesPerRun(t *testing.T, small, large int, use func(name, sql string, p *plan.Plan) bool) map[string][2]float64 {
 	t.Helper()
-	sn := dataset.Telemetry(rows).Snapshot()
-	out := map[string]float64{}
-	for _, tc := range scanTemplatesAt(rows) {
-		p, params := bindScanTemplate(t, sn, tc.sql)
-		if !use(tc.name, tc.sql, p) {
+	sizes := [2]int{small, large}
+	var sns [2]*store.Snapshot
+	var tmpls [2][]struct{ name, sql string }
+	for s, rows := range sizes {
+		sns[s], tmpls[s] = dataset.Telemetry(rows).Snapshot(), scanTemplatesAt(rows)
+	}
+	out := map[string][2]float64{}
+	for i, tc := range tmpls[0] {
+		var runs [2]func() int // one run; it returns how many workers folded rows
+		accepted := true
+		for s := range sizes {
+			tc := tmpls[s][i]
+			p, params := bindScanTemplate(t, sns[s], tc.sql)
+			if !use(tc.name, tc.sql, p) {
+				accepted = false
+				break
+			}
+			sn := sns[s]
+			runs[s] = func() int {
+				folding := plan.FoldingWorkers.Load()
+				if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: params}); err != nil {
+					t.Fatal(err)
+				}
+				return int(plan.FoldingWorkers.Load() - folding)
+			}
+			runs[s]() // builds the segment layout
+		}
+		if !accepted {
 			continue
 		}
-		run := func() {
-			if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: params}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run() // builds the segment layout
-		const runs, tries = 10, 100
+		const enough, turns = 10, 100
+		var most, seen [2][3]uint64 // by log and folding count
 		var before, after runtime.MemStats
-		var most uint64
-		two := 0
-		for try := 0; two < runs && try < tries; try++ {
-			folding := plan.FoldingWorkers.Load()
-			runtime.GC()
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			if plan.FoldingWorkers.Load()-folding == 2 {
-				two++
-				most = max(most, after.TotalAlloc-before.TotalAlloc)
+		at := -1
+		for turn := 0; at < 0 && turn < turns; turn++ {
+			for s := range sizes {
+				runtime.GC()
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				k := runs[s]()
+				runtime.ReadMemStats(&after)
+				if k < 1 || k > 2 {
+					t.Fatalf("%s over %d events: %d workers folded rows, want 1 or 2", tc.name, sizes[s], k)
+				}
+				seen[s][k]++
+				most[s][k] = max(most[s][k], after.TotalAlloc-before.TotalAlloc)
+			}
+			for _, k := range []int{2, 1} {
+				if at < 0 && seen[0][k] >= enough && seen[1][k] >= enough {
+					at = k
+				}
 			}
 		}
-		if two == 0 {
-			t.Fatalf("%s over %d events: no run of %d had both workers fold rows", tc.name, rows, tries)
+		if at < 0 {
+			at = 2
+			if min(seen[0][1], seen[1][1]) > min(seen[0][2], seen[1][2]) {
+				at = 1
+			}
+			if min(seen[0][at], seen[1][at]) == 0 {
+				t.Fatalf("%s: the two logs never had the same number of workers fold rows in %d turns: %v", tc.name, turns, seen)
+			}
 		}
-		out[tc.name] = float64(most)
+		out[tc.name] = [2]float64{float64(most[0][at]), float64(most[1][at])}
 	}
 	return out
 }
@@ -420,8 +452,8 @@ func scanBytesPerRun(t *testing.T, rows int, use func(name, sql string, p *plan.
 // gathering every matched column about 54 B.
 func TestJoinBytesFollowKeptRows(t *testing.T) {
 	join := func(name, _ string, _ *plan.Plan) bool { return name == "region_join" }
-	small := scanBytesPerRun(t, 1<<17, join)["region_join"]
-	large := scanBytesPerRun(t, 1<<19, join)["region_join"]
+	got := scanBytesPerRun(t, 1<<17, 1<<19, join)["region_join"]
+	small, large := got[0], got[1]
 	perRow := (large - small) / float64((1<<19-1<<17)/8)
 	if perRow > 2 {
 		t.Errorf("region_join: %.0f B/run over 2^17 events, %.0f over 2^19: %.1f B per extra kept row, want <= 2",

@@ -3,6 +3,7 @@ package exec_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/schema"
@@ -159,5 +160,72 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 	}
 	for _, q := range queries {
 		differential(t, sn, q, diffOpts{pars: []int{1, 2, 4}})
+	}
+}
+
+// TestDistinctAcrossBatches: DISTINCT chains the keys it has seen by
+// hash across every batch of its input and hands out the rows each
+// batch keeps from its scratch. Over 32 segments of half a batch, keys
+// that repeat from batch to batch — one column and several, NULL keys
+// among them, text in code space, and under a projection gathering a
+// filter's selection — must keep exactly the reference executor's
+// first occurrences, at one, two and four workers.
+func TestDistinctAcrossBatches(t *testing.T) {
+	const n = 32*retainSegRows + 37
+	sn := retainDB(t, n).Snapshot()
+	if segs := len(sn.Table("events").Segments().Segs); segs < 4 {
+		t.Fatalf("fixture: %d segments, want more than three batches", segs)
+	}
+	for _, q := range []string{
+		"SELECT DISTINCT d8 FROM events",
+		"SELECT DISTINCT service FROM events",
+		"SELECT DISTINCT latency_ms FROM events",
+		"SELECT DISTINCT service, status FROM events",
+		"SELECT DISTINCT status, d8, service FROM events",
+		// A filter's selection, gathered by the projection below DISTINCT.
+		"SELECT DISTINCT d8 FROM events WHERE status > 250.0",
+		"SELECT DISTINCT service, d8 FROM events WHERE latency_ms > 100.5",
+		"SELECT DISTINCT status + d8, service FROM events WHERE seq >= 100 AND d32 > 1000",
+		"SELECT DISTINCT d8, status FROM events WHERE wide > 0 ORDER BY d8, status",
+		"SELECT DISTINCT service, d8 FROM events WHERE d8 > 0 LIMIT 700",
+	} {
+		differential(t, sn, q, diffOpts{pars: []int{1, 2, 4}, ordered: strings.Contains(q, "ORDER BY")})
+	}
+}
+
+// TestReturnedRowsAreCapped: the executor boxes each output batch into
+// one slab of cells, every row capped at its width, so a caller that
+// appends to a row gets a new array and cannot write into the row after
+// it. Over results of several batches at one, two and four workers,
+// appending to every row must leave the result as it was.
+func TestReturnedRowsAreCapped(t *testing.T) {
+	const n = 32*retainSegRows + 37
+	sn := retainDB(t, n).Snapshot()
+	for _, q := range []string{
+		"SELECT seq, d8, service FROM events WHERE d8 > -20",
+		"SELECT ts, status FROM events",
+		"SELECT DISTINCT d8, status, service FROM events",
+	} {
+		for _, r := range differential(t, sn, q, diffOpts{pars: []int{1, 2, 4}}) {
+			rows := r.res.Rows
+			if len(rows) <= 1024 {
+				t.Fatalf("%s: %d rows, want more than one batch", q, len(rows))
+			}
+			before := make([]string, len(rows))
+			for i, row := range rows {
+				before[i] = rowKey(row)
+			}
+			appended := store.Text("appended")
+			for i, row := range rows {
+				if grown := append(row, appended); grown[len(row)] != appended {
+					t.Fatalf("par=%d: row %d did not grow", r.par, i)
+				}
+			}
+			for i, row := range rows {
+				if rowKey(row) != before[i] {
+					t.Fatalf("par=%d: row %d is %v after appending to every row, was %q\nsql: %s", r.par, i, row, before[i], q)
+				}
+			}
+		}
 	}
 }

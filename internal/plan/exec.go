@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/store"
 )
@@ -55,11 +56,12 @@ type Ctx struct {
 }
 
 // Run executes a compiled plan batch-at-a-time over typed column
-// vectors and materializes the output rows. A LIMIT without ORDER BY
-// stops reading its inputs early; only sorts, aggregates, join inputs
-// and exchange merges buffer. A plan rewritten by Parallelize carries
-// its worker degree, picked up here unless the caller pinned ctx.Par
-// explicitly. The run's working memory — operator scratch, scan
+// vectors and materializes the output rows, boxing each output batch
+// into one slab of cells; the rows are the caller's. A LIMIT without
+// ORDER BY stops reading its inputs early; only sorts, aggregates,
+// join inputs and exchange merges buffer. A plan rewritten by
+// Parallelize carries its worker degree, picked up here unless the
+// caller pinned ctx.Par explicitly. The run's working memory — operator scratch, scan
 // batches, join build tables — is borrowed from a process-wide pool
 // and handed back once the rows are boxed (see runArena).
 func Run(p *Plan, ctx *Ctx) ([]store.Row, error) {
@@ -92,8 +94,15 @@ func Run(p *Plan, ctx *Ctx) ([]store.Row, error) {
 		if b == nil {
 			return rows, nil
 		}
+		// One slab a batch holds its rows' cells, each row capped at its
+		// own width, so appending to a row reallocates it and cannot
+		// write into the next one.
+		w := len(b.cols)
+		slab := make([]store.Value, b.rows()*w)
+		rows = slices.Grow(rows, b.rows())
 		b.forSel(func(i int) {
-			row := make(store.Row, len(b.cols))
+			row := slab[:w:w]
+			slab = slab[w:]
 			for c := range b.cols {
 				row[c] = b.cols[c].value(i)
 			}

@@ -54,8 +54,9 @@ const maxBatch = 1024
 // crosses the projection boundary.
 //
 // A column marked lent has data vectors that are not the batch's to
-// keep: a join probe writes its output columns into its own scratch,
-// to be overwritten by its next batch, and vbatch.keep copies them. A
+// keep: a join probe, and Project and Distinct gathering the rows they
+// hand on, write their output columns into their own scratch, to be
+// overwritten by their next batch, and vbatch.keep copies them. A
 // column that no operator above its join reads travels as the zero
 // vcol, all-NULL, and is never written (HashJoin.live).
 type vcol struct {
@@ -130,7 +131,8 @@ func (c *vcol) value(i int) store.Value {
 // immutable storage (segment payloads, dictionaries, a constant's
 // broadcast): header, cols slice, null masks, selection, and the data
 // vectors of columns marked lent — what a join probe writes, build
-// columns and gathered matches, lives in its scratch. An operator
+// columns and gathered matches, and what Project and Distinct gather,
+// lives in their scratch. An operator
 // forwarding lent parts in its own batch (Project's column refs, a join
 // probe's input columns and its match list as the selection) lends them
 // on under the same term. Whoever holds a batch longer takes keep's
@@ -143,8 +145,9 @@ func (c *vcol) value(i int) store.Value {
 // how that reaches the expression kernels: an operator whose expression
 // results die inside it (Filter, Aggregate, the join probe) points it
 // at its own vscratch for the duration of the evaluation and clears it
-// before the batch moves on; with it nil (Project, the aggregate's
-// output items), kernels allocate, and their output may escape.
+// before the batch moves on; with it nil (Project's expressions, the
+// aggregate's output items), kernels allocate, and their output may
+// escape.
 //
 // err is where a vscalar reports the first evaluation error among the
 // rows it evaluated; the operator that evaluated the batch returns it.

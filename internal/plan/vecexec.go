@@ -551,6 +551,9 @@ func (j *CrossJoin) vopen(ctx *Ctx) (viter, error) {
 
 // ---- project ----
 
+// vopen evaluates the items over each input batch. Over a selection it
+// gathers the selected rows into its scratch, lent with the batch (see
+// vbatch): the consumer that boxes or keeps them makes the one copy.
 func (p *Project) vopen(ctx *Ctx) (viter, error) {
 	in, err := p.In.vopen(ctx)
 	if err != nil {
@@ -562,17 +565,19 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 		exprs = append(exprs, c.expr(e))
 	}
 	out := &vbatch{cols: make([]vcol, len(exprs))}
+	sc := ctx.arena.borrow()
 	return func() (*vbatch, error) {
 		b, err := in()
 		if err != nil || b == nil {
 			return nil, err
 		}
+		sc.reset()
 		out.n, out.sel = b.rows(), nil
 		for x, ve := range exprs {
 			if ref, ok := ve.(*vcolRef); ok && b.sel != nil {
 				// A bare column gathers straight from its stored form: an
 				// encoded one decodes only the selected rows.
-				out.cols[x] = gatherCol(&b.cols[ref.off], b.sel)
+				out.cols[x] = scatterCol(&b.cols[ref.off], len(b.sel), nil, b.sel, sc)
 				continue
 			}
 			rc := ve.eval(b)
@@ -580,7 +585,7 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 				return nil, b.err
 			}
 			if b.sel != nil {
-				rc = gatherCol(&rc, b.sel)
+				rc = scatterCol(&rc, len(b.sel), nil, b.sel, sc)
 			}
 			out.cols[x] = rc
 		}
@@ -1406,6 +1411,12 @@ func (t *groupTable) finish() (viter, error) {
 
 // ---- distinct ----
 
+// vopen keeps the first row of every distinct key (the first d.N
+// columns). The keys seen so far are pushed into builders of its own
+// and chained by hash: head maps a hash to the newest seen key with it
+// and next links each key to the one before, both as row + 1, 0
+// ending a chain. The rows a batch keeps are gathered into its
+// scratch, lent with the batch (see vbatch).
 func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 	in, err := d.In.vopen(ctx)
 	if err != nil {
@@ -1413,10 +1424,10 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 	}
 	var seen []*colbuf
 	var seenCols []vcol // views of seen, refreshed as it grows
-	idx := map[uint64][]int32{}
-	total := 0
+	head := map[uint64]int32{}
+	var next []int32
 	sc := ctx.arena.borrow()
-	var kept []int32
+	var out *vbatch
 	return func() (*vbatch, error) {
 		for {
 			b, err := in()
@@ -1440,34 +1451,35 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 			for c := 0; c < nkey; c++ {
 				hashCol(&b.cols[c], b.n, b.sel, hs, sc)
 			}
-			kept = kept[:0]
+			kept := sc.selBuf(b.rows())
 			b.forSel(func(i int) {
-				for _, cand := range idx[hs[i]] {
-					match := true
+				h := hs[i]
+			chain:
+				for e := head[h]; e != 0; e = next[e-1] {
 					for c := 0; c < nkey; c++ {
-						if !eqVals(&b.cols[c], i, &seenCols[c], int(cand)) {
-							match = false
-							break
+						if !eqVals(&b.cols[c], i, &seenCols[c], int(e-1)) {
+							continue chain
 						}
 					}
-					if match {
-						return
-					}
+					return
 				}
 				for c := 0; c < nkey; c++ {
 					seen[c].push(&b.cols[c], i)
 					seenCols[c] = seen[c].col()
 				}
-				idx[hs[i]] = append(idx[hs[i]], int32(total))
-				total++
+				next = append(next, head[h])
+				head[h] = int32(len(next))
 				kept = append(kept, int32(i))
 			})
 			if len(kept) == 0 {
 				continue
 			}
-			out := &vbatch{n: len(kept), cols: make([]vcol, len(b.cols))}
+			if out == nil {
+				out = &vbatch{cols: make([]vcol, len(b.cols))}
+			}
+			out.n, out.sel = len(kept), nil
 			for c := range b.cols {
-				out.cols[c] = gatherCol(&b.cols[c], kept)
+				out.cols[c] = scatterCol(&b.cols[c], len(kept), nil, kept, sc)
 			}
 			return out, nil
 		}

@@ -265,10 +265,10 @@ func (idx *Index) registerValue(s string, e valueEntry) {
 // map to several schema elements.
 func (idx *Index) Annotate(toks []strutil.Token) []Annotation {
 	var out []Annotation
-	lowers := strutil.Lowers(toks)
-	for start := 0; start < len(toks); start++ {
-		out = append(out, idx.nameMatchesAt(toks, lowers, start)...)
-		out = append(out, idx.valueMatchesAt(toks, lowers, start)...)
+	buf := make([]byte, 0, 64) // every span's lookup keys, built in place
+	for start := range toks {
+		out, buf = idx.nameMatchesAt(out, buf, toks, start)
+		out, buf = idx.valueMatchesAt(out, buf, toks, start)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Start != out[j].Start {
@@ -282,74 +282,96 @@ func (idx *Index) Annotate(toks []strutil.Token) []Annotation {
 	return out
 }
 
-func (idx *Index) nameMatchesAt(toks []strutil.Token, lowers []string, start int) []Annotation {
+// appendKey appends the lookup key of a span to dst: its lowered words,
+// or their stems, joined by single spaces.
+func appendKey(dst []byte, span []strutil.Token, stem bool) []byte {
+	for i, t := range span {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		if stem {
+			dst = strutil.AppendStem(dst, t.Lower)
+		} else {
+			dst = append(dst, t.Lower...)
+		}
+	}
+	return dst
+}
+
+// nameMatchesAt appends to out the name annotations of the longest span
+// at start that names a schema element. The keys it looks up are built
+// in buf, returned for reuse; only a span that matches allocates, for
+// its Surface.
+func (idx *Index) nameMatchesAt(out []Annotation, buf []byte, toks []strutil.Token, start int) ([]Annotation, []byte) {
 	maxL := idx.maxNameLen
 	if start+maxL > len(toks) {
 		maxL = len(toks) - start
 	}
 	for l := maxL; l >= 1; l-- {
-		key := strings.Join(lowers[start:start+l], " ")
-		entries := idx.names[key]
+		span := toks[start : start+l]
+		buf = appendKey(buf[:0], span, false)
+		keyLen := len(buf)
+		entries, viaStem := idx.names[string(buf)], false
 		if len(entries) == 0 && idx.Opts.Stems {
-			stemmed := make([]string, l)
-			for i, w := range lowers[start : start+l] {
-				stemmed[i] = strutil.Stem(w)
-			}
-			stemKey := strings.Join(stemmed, " ")
-			entries = idx.stemNames[stemKey]
+			buf = appendKey(buf, span, true)
+			stemKey := buf[keyLen:]
+			entries = idx.stemNames[string(stemKey)]
 			if len(entries) == 0 {
 				// The stem of the question word may be a registered
 				// name verbatim ("professors" -> "professor").
-				for _, e := range idx.names[stemKey] {
-					e.score = scoreStem
-					entries = append(entries, e)
-				}
+				entries, viaStem = idx.names[string(stemKey)], true
 			}
 		}
 		if len(entries) == 0 {
 			continue
 		}
-		var out []Annotation
+		surface := string(buf[:keyLen])
 		for _, e := range entries {
+			if viaStem {
+				e.score = scoreStem
+			}
 			out = append(out, Annotation{
 				Start: start, End: start + l,
 				Kind: e.kind, Table: e.table, Column: e.column,
-				Score: e.score, Surface: key,
+				Score: e.score, Surface: surface,
 			})
 		}
-		return out
+		return out, buf
 	}
-	return nil
+	return out, buf
 }
 
-func (idx *Index) valueMatchesAt(toks []strutil.Token, lowers []string, start int) []Annotation {
+// valueMatchesAt appends to out the value annotations of the longest
+// span at start that is a stored value, building its keys in buf as
+// nameMatchesAt does.
+func (idx *Index) valueMatchesAt(out []Annotation, buf []byte, toks []strutil.Token, start int) ([]Annotation, []byte) {
 	maxL := idx.maxValueLen
 	if start+maxL > len(toks) {
 		maxL = len(toks) - start
 	}
 	for l := maxL; l >= 1; l-- {
-		key := strings.Join(lowers[start:start+l], " ")
-		entries := idx.values[key]
+		buf = appendKey(buf[:0], toks[start:start+l], false)
+		entries := idx.values[string(buf)]
 		if len(entries) == 0 {
 			continue
 		}
 		// Single-letter values (grades "A".."F") only match when the
 		// question writes them in upper case, so articles don't turn
 		// into grade conditions.
-		if l == 1 && len(key) == 1 && toks[start].Text == key {
+		if l == 1 && len(buf) == 1 && toks[start].Text == string(buf) {
 			continue
 		}
-		var out []Annotation
+		surface := string(buf)
 		for _, e := range entries {
 			out = append(out, Annotation{
 				Start: start, End: start + l,
 				Kind: ValueElem, Table: e.table, Column: e.column,
-				Value: e.value, Score: scoreValue, Surface: key,
+				Value: e.value, Score: scoreValue, Surface: surface,
 			})
 		}
-		return out
+		return out, buf
 	}
-	return nil
+	return out, buf
 }
 
 // Correction records one spelling repair for the user-facing echo.

@@ -11,7 +11,18 @@ func Stem(word string) string {
 	if len(word) <= 2 {
 		return word
 	}
-	s := &stemmer{b: []byte(word)}
+	return string(AppendStem(nil, word))
+}
+
+// AppendStem appends the Porter stem of word to dst, stemming in dst's
+// spare capacity: a caller that reuses dst stems without allocating.
+func AppendStem(dst []byte, word string) []byte {
+	n := len(dst)
+	dst = append(dst, word...)
+	if len(word) <= 2 {
+		return dst
+	}
+	s := &stemmer{b: dst[n:]}
 	s.step1a()
 	s.step1b()
 	s.step1c()
@@ -19,7 +30,7 @@ func Stem(word string) string {
 	s.step3()
 	s.step4()
 	s.step5()
-	return string(s.b)
+	return append(dst[:n], s.b...)
 }
 
 type stemmer struct {

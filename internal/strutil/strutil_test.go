@@ -173,9 +173,18 @@ func TestStemKnownPairs(t *testing.T) {
 		"largest":      "largest",
 		"departments":  "depart",
 	}
+	// AppendStem stems in a reused buffer's spare capacity, after what
+	// the buffer already holds: the prefix must survive, also where a
+	// rule appends to what an earlier one stripped ("hoping" -> "hope").
+	cases["hoping"] = "hope"
+	buf := make([]byte, 0, 64)
 	for in, want := range cases {
 		if got := Stem(in); got != want {
 			t.Errorf("Stem(%q) = %q, want %q", in, got, want)
+		}
+		buf = AppendStem(append(buf[:0], "key "...), in)
+		if got := string(buf); got != "key "+want {
+			t.Errorf("AppendStem(%q, %q) = %q, want %q", "key ", in, got, "key "+want)
 		}
 	}
 }
