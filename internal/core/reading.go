@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/grammar"
-	"repro/internal/iql"
 	"repro/internal/semindex"
 	"repro/internal/store"
 	"repro/internal/strutil"
@@ -44,7 +43,9 @@ import (
 // branches on it or transforms it. An entry is learnt, on the first
 // miss of its shape, by parsing the shape once more with a distinct
 // sentinel number in each slot; the candidates that come out hold each
-// sentinel where its slot's number goes. The entry keeps them as a
+// sentinel where its slot's number goes, and a hit binds by replacing
+// each sentinel through iql.Query.MapNumbers, the one walk over the
+// numbers a query holds. The entry keeps them as a
 // template only if binding the miss's real numbers into it reproduces
 // the real candidates exactly, scores included. That check catches
 // every place a number is transformed rather than copied — a LIMIT,
@@ -112,33 +113,24 @@ type reading struct {
 	// sentinel(k) wherever slot k's number goes. nil marks a shape that
 	// is not bindable.
 	cands []grammar.Candidate
-	uses  []slotUse // where each slot's number is bound
 	lits  []float64 // numbers the template holds that no slot supplies
 }
-
-// slotUse is one place in the template a slot's number is bound into.
-type slotUse struct {
-	cand  int // index into cands
-	place slotPlace
-	cond  int // index into Conds, or Sub.SubConds for the sub places
-	slot  int
-}
-
-type slotPlace uint8
-
-const (
-	condValue slotPlace = iota
-	condHi
-	subValue
-	subHi
-	havingValue
-)
 
 // sentinel is the number parsed in slot k when an entry is learnt: far
 // from the numbers questions use, non-integral so that a LIMIT's int(n)
 // cannot pass for it, and exact in binary so that it survives the
 // token text round trip.
 func sentinel(k int) float64 { return 918273.5 + float64(k) }
+
+// slotOf returns the slot of n whose sentinel x is, or -1.
+func slotOf(x float64, n int) int {
+	for k := range n {
+		if x == sentinel(k) {
+			return k
+		}
+	}
+	return -1
+}
 
 // coverage walks a Prepared's tokens in order and reports which lie
 // inside an annotation's span; Anns is ordered by Start.
@@ -243,87 +235,26 @@ func (g *Parser) learn(p grammar.Prepared, vals []float64, real []grammar.Candid
 		}
 	}
 	r := &reading{cands: g.Grammar.ParsePrepared(sentinelPrepared(p))}
-	r.findSlots(len(vals))
+	// Every other number the template holds took part in the grammar's
+	// dedupe too.
+	lit := func(x float64) {
+		if slotOf(x, len(vals)) < 0 && !slices.Contains(r.lits, x) {
+			r.lits = append(r.lits, x)
+		}
+	}
+	for _, c := range r.cands {
+		c.Query.MapNumbers(func(x float64) (float64, bool) {
+			lit(x)
+			return x, false
+		})
+		if o := c.Query.Order; o != nil && o.Limit > 0 {
+			lit(float64(o.Limit))
+		}
+	}
 	if !reflect.DeepEqual(r.bind(vals), real) {
 		return &reading{}
 	}
 	return r
-}
-
-// findSlots records where each of the n sentinels landed in the
-// template, and every other number the template holds: those took part
-// in the grammar's dedupe too.
-func (r *reading) findSlots(n int) {
-	slot := func(v float64) int {
-		for k := range n {
-			if v == sentinel(k) {
-				return k
-			}
-		}
-		return -1
-	}
-	for i, c := range r.cands {
-		q := c.Query
-		use := func(place slotPlace, cond int, v store.Value) {
-			if v.Kind() != store.KindFloat {
-				return
-			}
-			f, _ := v.AsFloat()
-			if k := slot(f); k >= 0 {
-				r.uses = append(r.uses, slotUse{cand: i, place: place, cond: cond, slot: k})
-			}
-		}
-		for j, c := range q.Conds {
-			use(condValue, j, c.Value)
-			use(condHi, j, c.Hi)
-		}
-		if q.Sub != nil {
-			for j, c := range q.Sub.SubConds {
-				use(subValue, j, c.Value)
-				use(subHi, j, c.Hi)
-			}
-		}
-		if q.Having != nil {
-			if k := slot(q.Having.Value); k >= 0 {
-				r.uses = append(r.uses, slotUse{cand: i, place: havingValue, slot: k})
-			}
-		}
-		numericConstants(q, func(f float64) {
-			if slot(f) < 0 && !slices.Contains(r.lits, f) {
-				r.lits = append(r.lits, f)
-			}
-		})
-	}
-}
-
-// numericConstants calls f with every number q holds: numeric
-// condition values, bounds and list members, the subquery's too, the
-// HAVING count and the LIMIT.
-func numericConstants(q *iql.Query, f func(float64)) {
-	value := func(v store.Value) {
-		if x, ok := v.AsFloat(); ok {
-			f(x)
-		}
-	}
-	conds := func(cs []iql.Condition) {
-		for _, c := range cs {
-			value(c.Value)
-			value(c.Hi)
-			for _, v := range c.In {
-				value(v)
-			}
-		}
-	}
-	conds(q.Conds)
-	if q.Sub != nil {
-		conds(q.Sub.SubConds)
-	}
-	if q.Having != nil {
-		f(q.Having.Value)
-	}
-	if q.Order != nil && q.Order.Limit > 0 {
-		f(float64(q.Order.Limit))
-	}
 }
 
 // serves reports whether the entry can stand in for parsing a question
@@ -341,27 +272,20 @@ func (r *reading) serves(vals []float64) bool {
 }
 
 // bind returns the template's candidates with vals in the slots: each
-// query cloned, so the caller owns what it is handed.
+// query cloned, so the caller owns what it is handed, and every
+// sentinel(k) in it replaced by vals[k]. A sentinel is in the template
+// only where its slot's number went.
 func (r *reading) bind(vals []float64) []grammar.Candidate {
 	out := make([]grammar.Candidate, len(r.cands))
 	for i, c := range r.cands {
 		c.Query = c.Query.Clone()
+		c.Query.MapNumbers(func(x float64) (float64, bool) {
+			if k := slotOf(x, len(vals)); k >= 0 {
+				return vals[k], true
+			}
+			return x, false
+		})
 		out[i] = c
-	}
-	for _, u := range r.uses {
-		q, v := out[u.cand].Query, vals[u.slot]
-		switch u.place {
-		case condValue:
-			q.Conds[u.cond].Value = store.Float(v)
-		case condHi:
-			q.Conds[u.cond].Hi = store.Float(v)
-		case subValue:
-			q.Sub.SubConds[u.cond].Value = store.Float(v)
-		case subHi:
-			q.Sub.SubConds[u.cond].Hi = store.Float(v)
-		case havingValue:
-			q.Having.Value = v
-		}
 	}
 	return out
 }

@@ -12,6 +12,7 @@ package iql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/lexicon"
@@ -98,7 +99,7 @@ type Query struct {
 func (q *Query) Clone() *Query {
 	out := *q
 	out.Outputs = append([]Output(nil), q.Outputs...)
-	out.Conds = append([]Condition(nil), q.Conds...)
+	out.Conds = cloneConds(q.Conds)
 	out.GroupBy = append([]FieldRef(nil), q.GroupBy...)
 	if q.Order != nil {
 		o := *q.Order
@@ -110,10 +111,57 @@ func (q *Query) Clone() *Query {
 	}
 	if q.Sub != nil {
 		s := *q.Sub
-		s.SubConds = append([]Condition(nil), q.Sub.SubConds...)
+		s.SubConds = cloneConds(q.Sub.SubConds)
 		out.Sub = &s
 	}
 	return &out
+}
+
+// cloneConds copies cs and each condition's IN list.
+func cloneConds(cs []Condition) []Condition {
+	out := append([]Condition(nil), cs...)
+	for i := range out {
+		out[i].In = slices.Clone(out[i].In)
+	}
+	return out
+}
+
+// MapNumbers calls f with every numeric constant q holds — each
+// condition's value, BETWEEN bound and IN members, the subquery's
+// conditions' too, and the HAVING count — and, where f returns true,
+// replaces the constant with f's number (a condition's as store.Float).
+// Text values and the LIMIT are not visited. This is the one place that
+// knows which fields of a query hold numbers: the engine's reading
+// cache binds a question's numbers through it.
+func (q *Query) MapNumbers(f func(x float64) (float64, bool)) {
+	mapConds(q.Conds, f)
+	if q.Sub != nil {
+		mapConds(q.Sub.SubConds, f)
+	}
+	if q.Having != nil {
+		if y, ok := f(q.Having.Value); ok {
+			q.Having.Value = y
+		}
+	}
+}
+
+func mapConds(cs []Condition, f func(float64) (float64, bool)) {
+	for i := range cs {
+		c := &cs[i]
+		mapValue(&c.Value, f)
+		mapValue(&c.Hi, f)
+		for j := range c.In {
+			mapValue(&c.In[j], f)
+		}
+	}
+}
+
+func mapValue(v *store.Value, f func(float64) (float64, bool)) {
+	if x, ok := v.AsFloat(); ok {
+		if y, ok := f(x); ok {
+			*v = store.Float(y)
+		}
+	}
 }
 
 // Tables returns every table the query touches, entity first,

@@ -1,6 +1,8 @@
 package iql
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -373,6 +375,102 @@ func TestQueryClone(t *testing.T) {
 	c.Sub.Op = lexicon.Lt
 	if q.Conds[0].Op != lexicon.Gt || q.Order.Limit != 1 || q.Having.Value != 2 || q.Sub.Op != lexicon.Gt {
 		t.Error("Clone aliases the original")
+	}
+}
+
+// TestQueryCloneOwnsItsLists: writing into a clone's IN lists, its
+// subquery's conditions and its HAVING leaves the original as it was.
+func TestQueryCloneOwnsItsLists(t *testing.T) {
+	in := func() []store.Value { return []store.Value{store.Int(1), store.Int(2)} }
+	q := &Query{
+		Entity: "students",
+		Conds:  []Condition{{Field: uniField("students", "year"), In: in()}},
+		Having: &Having{CountTable: "enrollments", Op: lexicon.Gt, Value: 2},
+		Sub: &SubCompare{Field: uniField("students", "gpa"), Op: lexicon.Gt,
+			Agg: lexicon.Avg, SubField: uniField("students", "gpa"),
+			SubConds: []Condition{{Field: uniField("students", "year"), In: in()}}},
+	}
+	c := q.Clone()
+	c.Conds[0].In[0] = store.Int(9)
+	c.Sub.SubConds[0].In[1] = store.Int(9)
+	c.Sub.SubConds[0].Op = lexicon.Lt
+	c.Having.Value = 99
+	if !reflect.DeepEqual(q.Conds[0].In, in()) {
+		t.Errorf("writing a clone's IN changed the original's: %v", q.Conds[0].In)
+	}
+	if !reflect.DeepEqual(q.Sub.SubConds[0].In, in()) || q.Sub.SubConds[0].Op != lexicon.Eq {
+		t.Errorf("writing a clone's subquery changed the original's: %+v", q.Sub.SubConds[0])
+	}
+	if q.Having.Value != 2 {
+		t.Errorf("writing a clone's HAVING changed the original's: %v", q.Having.Value)
+	}
+}
+
+// TestMapNumbers: MapNumbers visits every numeric constant of a query
+// once — values, BETWEEN bounds and IN members of the conditions and
+// the subquery's, and the HAVING count — and neither text values nor
+// the LIMIT; it writes back, as store.Float, only where f says so.
+func TestMapNumbers(t *testing.T) {
+	f := uniField("students", "gpa")
+	query := func() *Query {
+		return &Query{
+			Entity: "students",
+			Conds: []Condition{
+				{Field: f, Op: lexicon.Gt, Value: store.Float(1.5)},
+				{Field: f, Between: true, Value: store.Int(2), Hi: store.Float(3.5)},
+				{Field: f, In: []store.Value{store.Int(4), store.Text("5"), store.Float(6.5)}},
+				{Field: uniField("students", "name"), Op: lexicon.Eq, Value: store.Text("7")},
+				{Field: uniField("students", "name"), Like: "%8%"},
+			},
+			Order:  &OrderSpec{Field: f, Desc: true, Limit: 9},
+			Having: &Having{CountTable: "enrollments", Op: lexicon.Gt, Value: 10},
+			Sub: &SubCompare{Field: f, Op: lexicon.Gt, Agg: lexicon.Avg, SubField: f,
+				SubConds: []Condition{
+					{Field: f, Op: lexicon.Lt, Value: store.Int(11)},
+					{Field: f, Between: true, Value: store.Float(12.5), Hi: store.Int(13)},
+					{Field: f, In: []store.Value{store.Float(14.5), store.Null()}},
+				}},
+		}
+	}
+	all := []float64{1.5, 2, 3.5, 4, 6.5, 10, 11, 12.5, 13, 14.5} // sorted
+	for _, tc := range []struct {
+		name    string
+		replace func(x float64) bool // which constants f rewrites, to x+100
+		want    func(q *Query)       // query() with those constants rewritten
+	}{
+		{"none", func(float64) bool { return false }, func(*Query) {}},
+		{"integral", func(x float64) bool { return x == float64(int(x)) }, func(q *Query) {
+			q.Conds[1].Value = store.Float(102)
+			q.Conds[2].In[0] = store.Float(104)
+			q.Sub.SubConds[0].Value = store.Float(111)
+			q.Sub.SubConds[1].Hi = store.Float(113)
+			q.Having.Value = 110
+		}},
+		{"fractional", func(x float64) bool { return x != float64(int(x)) }, func(q *Query) {
+			q.Conds[0].Value = store.Float(101.5)
+			q.Conds[1].Hi = store.Float(103.5)
+			q.Conds[2].In[2] = store.Float(106.5)
+			q.Sub.SubConds[1].Value = store.Float(112.5)
+			q.Sub.SubConds[2].In[0] = store.Float(114.5)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := query()
+			var seen []float64
+			q.MapNumbers(func(x float64) (float64, bool) {
+				seen = append(seen, x)
+				return x + 100, tc.replace(x)
+			})
+			slices.Sort(seen)
+			if !slices.Equal(seen, all) {
+				t.Errorf("visited %v, want each of %v once", seen, all)
+			}
+			want := query()
+			tc.want(want)
+			if !reflect.DeepEqual(q, want) {
+				t.Errorf("after MapNumbers:\n got %s\nwant %s", q, want)
+			}
+		})
 	}
 }
 

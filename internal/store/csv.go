@@ -12,6 +12,10 @@ import (
 	"repro/internal/schema"
 )
 
+// loaderChunkRows sizes the cell arenas the loader carves rows from:
+// one allocation per chunk of rows instead of one per row.
+const loaderChunkRows = 8192
+
 // LoadCSV reads rows into the named table. The first record must be a
 // header naming the table's columns (any order; all columns required).
 // Cells parse according to the column type; empty cells become NULL.
@@ -19,21 +23,9 @@ import (
 //
 // When r is a regular file (anything with Stat, e.g. *os.File) the
 // loader derives a row-count hint from the file size and the measured
-// width of the first record, and preallocates its buffers to it —
-// callers with a better estimate can pass one via LoadCSVHint.
+// width of the first record, and preallocates its buffers to it. The
+// hint only affects allocation, never correctness.
 func (db *DB) LoadCSV(table string, r io.Reader) (int, error) {
-	return db.LoadCSVHint(table, r, 0)
-}
-
-// loaderChunkRows sizes the cell arenas the loader carves rows from:
-// one allocation per chunk of rows instead of one per row.
-const loaderChunkRows = 8192
-
-// LoadCSVHint is LoadCSV with an explicit expected row count used to
-// preallocate the staging buffers (0 means derive one from the file
-// size when possible). The hint only affects allocation, never
-// correctness.
-func (db *DB) LoadCSVHint(table string, r io.Reader, rowHint int) (int, error) {
 	t := db.Table(table)
 	if t == nil {
 		return 0, fmt.Errorf("store: unknown table %q", table)
@@ -79,24 +71,18 @@ func (db *DB) LoadCSVHint(table string, r io.Reader, rowHint int) (int, error) {
 	// Parse every record first, then append through the bulk path as
 	// one published version.
 	//
-	// Buffers are sized from the row hint — given by the caller, or
-	// estimated as remaining file bytes over the first record's width —
-	// and rows are carved from chunked arenas, so staging costs a
-	// handful of allocations instead of one per row plus slice-growth
-	// copies.
+	// Buffers are sized from the row hint — remaining file bytes over
+	// the first record's width — and rows are carved from chunked
+	// arenas, so staging costs a handful of allocations instead of one
+	// per row plus slice-growth copies.
 	var size int64 = -1
-	if rowHint <= 0 {
-		if st, ok := r.(interface{ Stat() (os.FileInfo, error) }); ok {
-			if fi, err := st.Stat(); err == nil && fi.Mode().IsRegular() {
-				size = fi.Size()
-			}
+	if st, ok := r.(interface{ Stat() (os.FileInfo, error) }); ok {
+		if fi, err := st.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = fi.Size()
 		}
 	}
 	headerEnd := cr.InputOffset()
 	var rows []Row
-	if rowHint > 0 {
-		rows = make([]Row, 0, rowHint)
-	}
 	var arena Row
 	for {
 		rec, err := cr.Read()

@@ -3,6 +3,8 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/schema"
@@ -29,34 +31,37 @@ func loaderBenchCSV(rows int) []byte {
 	return buf.Bytes()
 }
 
-// BenchmarkLoadCSVHinted measures the loader with a row-count hint:
-// the staging slice and the cell arenas are preallocated, so allocs/op
-// is a handful of arena chunks plus the csv reader's own records
-// rather than one Row per line and slice-growth copies. The companion
-// BenchmarkLoadCSVUnhinted is the before-shape (a reader with no Stat
-// and no hint); the gap between the two is what the preallocation
-// buys. Both feed the CI alloc-regression guard (cmd/allocguard).
+// BenchmarkLoadCSVHinted measures the loader as OpenDir runs it,
+// through LoadCSVDir on a file: the row-count hint comes from the file
+// size, so the staging slice and the cell arenas are preallocated and
+// allocs/op is a handful of arena chunks plus the csv reader's own
+// records rather than one Row per line and slice-growth copies. The
+// companion BenchmarkLoadCSVUnhinted is the before-shape (a reader with
+// no Stat, so no hint); the gap between the two is what the
+// preallocation buys. Both feed the CI alloc-regression guard
+// (cmd/allocguard).
 func BenchmarkLoadCSVHinted(b *testing.B) {
-	const rows = 5000
-	data := loaderBenchCSV(rows)
+	dir := b.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "events.csv"), loaderBenchCSV(5000), 0o644); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := NewDB(loaderBenchSchema())
-		if _, err := db.LoadCSVHint("events", bytes.NewReader(data), rows); err != nil {
+		if err := db.LoadCSVDir(dir); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkLoadCSVUnhinted(b *testing.B) {
-	const rows = 5000
-	data := loaderBenchCSV(rows)
+	data := loaderBenchCSV(5000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := NewDB(loaderBenchSchema())
-		if _, err := db.LoadCSVHint("events", bytes.NewReader(data), 0); err != nil {
+		if _, err := db.LoadCSV("events", bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -141,12 +141,6 @@ func Datasets() []string { return dataset.Names() }
 // FormatResult renders a result as an aligned text table.
 func FormatResult(r *Result) string { return exec.FormatResult(r) }
 
-// Explain compiles stmt against db and renders the optimized serial
-// execution plan.
-func Explain(db *DB, stmt *sql.SelectStmt) (string, error) {
-	return ExplainParallel(db, stmt, 1)
-}
-
 // ExplainParallel renders the plan at the given intra-query
 // parallelism degree — what an engine with Options.Parallelism = par
 // actually executes, exchange operator and per-node worker
