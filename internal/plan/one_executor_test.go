@@ -73,6 +73,57 @@ func TestOneFanOut(t *testing.T) {
 	})
 }
 
+// TestOneKeyTable pins that the executor decides key equality in one
+// place: a hash join's build, GROUP BY, DISTINCT and a DISTINCT
+// aggregate all hash their keys (hashKeys), chain them by bucket and
+// confirm a match in (*keyTable).find, the only caller of eqVals. No
+// non-test map in the package is keyed by a hash (uint64), nothing
+// calls Value.Key, and the group index and DISTINCT-aggregate key the
+// keySet replaced (groupIdx, distinctKey) are declared or named again
+// nowhere.
+func TestOneKeyTable(t *testing.T) {
+	banned := map[string]bool{"groupIdx": true, "distinctKey": true}
+	calls := 0
+	inspectPackages(t, func(dir string, pos token.Position, n ast.Node) {
+		if dir != "." {
+			return
+		}
+		switch n := n.(type) {
+		case *ast.Ident:
+			if banned[n.Name] {
+				t.Errorf("%s: %s is back", pos, n.Name)
+			}
+		case *ast.MapType:
+			if id, ok := n.Key.(*ast.Ident); ok && id.Name == "uint64" {
+				t.Errorf("%s: a map keyed by a hash is back", pos)
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Key" && len(n.Args) == 0 {
+				t.Errorf("%s: keys a value by Value.Key", pos)
+			}
+		case *ast.FuncDecl:
+			name := n.Name.Name
+			if n.Recv != nil {
+				name = recvName(n.Recv) + "." + name
+			}
+			ast.Inspect(n, func(m ast.Node) bool {
+				if call, ok := m.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "eqVals" {
+						calls++
+						if name != "keyTable.find" {
+							t.Errorf("%s: %s compares keys with eqVals outside keyTable.find", pos, name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	})
+	if calls == 0 {
+		t.Error("keyTable.find no longer calls eqVals; this test has gone stale")
+	}
+}
+
 // inspectPackages walks every node of the non-test files of this
 // package and internal/exec, handing visit the directory, the node's
 // position and the node.

@@ -1836,11 +1836,105 @@ func keyEqIntFloat(i int64, f float64) bool {
 	return f == float64(int64(f)) && int64(f) == i && f == float64(i)
 }
 
+// ---- key tables ----
+
+// hashKeys folds the selected rows of the key columns into per-row
+// hashes, indexed by physical row.
+func hashKeys(keys []vcol, n int, sel []int32, sc *vscratch) []uint64 {
+	hs := sc.hashBuf(n)
+	for k := range keys {
+		hashCol(&keys[k], n, sel, hs, sc)
+	}
+	return hs
+}
+
+// keyTable chains the rows of its key columns by hash (hs, one a row):
+// head has a power-of-two number of buckets and holds the first row of
+// each bucket's chain plus one (0: empty); next holds, per row, the row
+// after it in its chain, the same way. A hash join's build side is one,
+// sized to its rows; a keySet grows one.
+type keyTable struct {
+	keys       []vcol
+	hs         []uint64
+	head, next []int32
+}
+
+// link pushes row r onto the front of its bucket's chain.
+func (t *keyTable) link(r int) {
+	b := t.hs[r] & uint64(len(t.head)-1)
+	t.next[r], t.head[b] = t.head[b], int32(r+1)
+}
+
+// find walks the chain of hash h from the row after from (0: from the
+// chain's start) and returns the first row, plus one, whose key equals
+// row i of keys; 0 when there is none. Walking on from a match finds
+// the next one.
+func (t *keyTable) find(h uint64, from int32, keys []vcol, i int) int32 {
+	e := t.head[h&uint64(len(t.head)-1)]
+	if from != 0 {
+		e = t.next[from-1]
+	}
+chain:
+	for ; e != 0; e = t.next[e-1] {
+		r := int(e - 1)
+		if t.hs[r] != h {
+			continue
+		}
+		for k := range keys {
+			if !eqVals(&keys[k], i, &t.keys[k], r) {
+				continue chain
+			}
+		}
+		return e
+	}
+	return 0
+}
+
+// keySet numbers keys in first-seen order: key id r is row r of the key
+// columns it builds as it grows (bufs), and it doubles its buckets
+// whenever it holds more keys than buckets, relinking every key from
+// its stored hash. GROUP BY, DISTINCT and a DISTINCT aggregate keep one.
+type keySet struct {
+	keyTable
+	bufs []colbuf
+}
+
+// newKeySet returns an empty set of keys of the kinds of protos.
+func newKeySet(protos []vcol) keySet {
+	s := keySet{bufs: make([]colbuf, len(protos))}
+	s.keys, s.head = make([]vcol, len(protos)), make([]int32, 8)
+	for k := range protos {
+		s.bufs[k].kind = protos[k].kind
+	}
+	return s
+}
+
+// id returns the id of row i of keys, whose hash is h, and whether the
+// set met that key just now.
+func (s *keySet) id(keys []vcol, i int, h uint64) (int, bool) {
+	if e := s.find(h, 0, keys, i); e != 0 {
+		return int(e - 1), false
+	}
+	for k := range keys {
+		s.bufs[k].push(&keys[k], i)
+		s.keys[k] = s.bufs[k].col()
+	}
+	r := len(s.hs)
+	s.hs, s.next = append(s.hs, h), append(s.next, 0)
+	if r == len(s.head) {
+		s.head = make([]int32, 2*r)
+		for q := range r {
+			s.link(q)
+		}
+	}
+	s.link(r)
+	return r, true
+}
+
 // ---- column builders ----
 
 // colbuf accumulates rows into a growing typed column — the builder
-// behind join and cross-join inputs, GROUP BY key sets, DISTINCT seen
-// sets and sort buffers.
+// behind join and cross-join inputs, keySets and sort buffers.
 type colbuf struct {
 	kind    store.Kind
 	ints    []int64

@@ -269,16 +269,13 @@ func drainCols(in viter, rel *Rel, need []bool, sc *vscratch) ([]vcol, int, erro
 }
 
 // vecBuildTable is a materialized, hashed build side: the right input's
-// columns, each row's key hash, and a chained hash table over the rows.
-// head has a power-of-two number of buckets, at least one per row, and
-// holds the first row of each bucket's chain plus one (0: empty); next
-// holds, per row, the row after it in its chain, the same way. Chains
+// columns and a keyTable over their keys, a bucket a row. Its chains
 // ascend by row, so a probe meets its matches in build-row order. Rows
-// with a NULL key are in no chain: they never join.
+// with a NULL key are in no chain, so a NULL key on either side never
+// joins.
 type vecBuildTable struct {
-	cols       []vcol
-	hs         []uint64
-	head, next []int32
+	cols []vcol
+	keyTable
 }
 
 // vecBuild materializes and hashes the join's right input. Inside a
@@ -318,23 +315,19 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	for buckets < n {
 		buckets <<= 1
 	}
-	// hs accumulates and head marks empty buckets with 0, so both start
-	// cleared; next is written for every chained row before it is read.
-	bt := &vecBuildTable{cols: cols, hs: sc.hashBuf(n),
-		head: sc.codeBuf(buckets), next: sc.sels.take(n)}
 	keys := make([]vcol, len(j.RKey))
 	for k, off := range j.RKey {
-		keys[k] = bt.cols[off]
-		hashCol(&keys[k], n, nil, bt.hs, nil)
+		keys[k] = cols[off]
 	}
-	mask := uint64(buckets - 1)
+	// head marks empty buckets with 0, so it starts cleared; next is
+	// written for every chained row before it is read.
+	bt := &vecBuildTable{cols, keyTable{keys: keys, hs: hashKeys(keys, n, nil, sc),
+		head: sc.codeBuf(buckets), next: sc.sels.take(n)}}
 	// Pushing rows last to first leaves every chain ascending.
 	for i := n - 1; i >= 0; i-- {
-		if nullKey(keys, i) {
-			continue
+		if !nullKey(keys, i) {
+			bt.link(i)
 		}
-		h := bt.hs[i] & mask
-		bt.next[i], bt.head[h] = bt.head[h], int32(i+1)
 	}
 	return bt, nil
 }
@@ -396,7 +389,6 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 			rBytes += rowBytes(&bt.cols[c])
 		}
 	}
-	mask := uint64(len(bt.head) - 1)
 	// Probe-side working state — decoded keys, hashes, the match lists —
 	// and the columns written die with each input batch.
 	sc := ctx.arena.borrow()
@@ -414,29 +406,13 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 				keys[k] = b.col(off)
 			}
 			b.scratch = nil
-			hs := sc.hashBuf(b.n)
-			for k := range keys {
-				hashCol(&keys[k], b.n, b.sel, hs, sc)
-			}
+			hs := hashKeys(keys, b.n, b.sel, sc)
 			lidx, ridx := sc.selBuf(b.rows()), sc.selBuf(b.rows())
 			dup := false
 			b.forSel(func(i int) {
-				if nullKey(keys, i) {
-					return
-				}
-				h, first := hs[i], len(lidx)
-			chain:
-				for e := bt.head[h&mask]; e != 0; e = bt.next[e-1] {
-					r := int(e - 1)
-					if bt.hs[r] != h {
-						continue
-					}
-					for k := range keys {
-						if !eqVals(&keys[k], i, &bt.cols[j.RKey[k]], r) {
-							continue chain
-						}
-					}
-					lidx, ridx = append(lidx, int32(i)), append(ridx, int32(r))
+				first := len(lidx)
+				for e := bt.find(hs[i], 0, keys, i); e != 0; e = bt.find(hs[i], e, keys, i) {
+					lidx, ridx = append(lidx, int32(i)), append(ridx, e-1)
 				}
 				dup = dup || len(lidx) > first+1
 			})
@@ -774,12 +750,7 @@ type aggState struct {
 	// first non-NULL value and its best came from, so partials can tell
 	// which came first.
 	firstAt, bestAt []int32
-	seen            map[distinctKey]struct{} // DISTINCT: values folded so far
-}
-
-type distinctKey struct {
-	gid int
-	key string
+	seen            keySet // DISTINCT: the (group, value) pairs folded so far
 }
 
 // errSumOverflow is the error of an INT SUM whose exact value lies
@@ -823,15 +794,31 @@ func (slot *vecAggSlot) grow(st *aggState) {
 // fold folds the batch's selected rows of the argument column (rows of
 // morsel at) into their groups (gids by physical row; nil: the global
 // group). A FLOAT SUM or AVG, the one fold that costs more than a
-// comparison a row, runs its own loop; every other slot row by row.
-func (slot *vecAggSlot) fold(st *aggState, gids []int32, arg *vcol, b *vbatch, at int32) {
+// comparison a row, runs its own loop; every other slot row by row. A
+// DISTINCT slot folds a row only where its set of (group, value) pairs
+// meets the pair first; the pairs' group column is written into sc.
+func (slot *vecAggSlot) fold(st *aggState, gids []int32, arg *vcol, b *vbatch, at int32, sc *vscratch) {
 	gid := func(i int) int {
 		if gids == nil {
 			return 0
 		}
 		return int(gids[i])
 	}
-	if (slot.fn == "SUM" || slot.fn == "AVG") && !slot.distinct && arg.kind == store.KindFloat {
+	if slot.distinct {
+		pair := []vcol{{kind: store.KindInt, ints: sc.intBuf(b.n)}, *arg}
+		b.forSel(func(i int) { pair[0].ints[i] = int64(gid(i)) })
+		if st.seen.head == nil {
+			st.seen = newKeySet([]vcol{{kind: store.KindInt}, {kind: slot.argKind}})
+		}
+		hs := hashKeys(pair, b.n, b.sel, sc)
+		b.forSel(func(i int) {
+			if _, isNew := st.seen.id(pair, i, hs[i]); isNew {
+				slot.update(st, gid(i), arg, i, at)
+			}
+		})
+		return
+	}
+	if (slot.fn == "SUM" || slot.fn == "AVG") && arg.kind == store.KindFloat {
 		n := 0
 		b.forSel(func(i int) {
 			if !arg.null(i) {
@@ -869,16 +856,6 @@ func (slot *vecAggSlot) update(st *aggState, gid int, arg *vcol, i int, at int32
 	}
 	if isNull {
 		return
-	}
-	if slot.distinct {
-		k := distinctKey{gid: gid, key: arg.value(i).Key()}
-		if _, dup := st.seen[k]; dup {
-			return
-		}
-		if st.seen == nil {
-			st.seen = map[distinctKey]struct{}{}
-		}
-		st.seen[k] = struct{}{}
 	}
 	switch slot.fn {
 	case "COUNT":
@@ -1132,20 +1109,16 @@ func (a *Aggregate) partialOver() *Exchange {
 }
 
 // groupTable is the accumulate half of a vectorized aggregate: the
-// groups seen so far — key columns in first-seen order, the hash index
-// over them, the morsel each was born in (the global group's: that of
-// its first row; none yet, MaxInt32), one aggState per slot — and
-// per-batch working state: the morsel being folded, key and argument
-// vectors (evaluated into sc) and views of the key columns, refreshed
-// whenever a new group extends them.
+// groups seen so far — a keySet of their keys (no keys for the global
+// group), the morsel each was born in (the global group's: that of its
+// first row; none yet, MaxInt32), one aggState per slot — and per-batch
+// working state: the morsel being folded and the key and argument
+// vectors, evaluated into sc.
 type groupTable struct {
-	ap        *vecAggPlan
-	keyBufs   []colbuf
-	groupKeys []vcol
-	groupIdx  map[uint64][]int32 // nil for the global group
-	born      []int32
-	states    []aggState
-	ngroups   int
+	ap     *vecAggPlan
+	groups keySet
+	born   []int32
+	states []aggState
 
 	morsel           int32
 	sc               *vscratch
@@ -1155,23 +1128,20 @@ type groupTable struct {
 func newGroupTable(ap *vecAggPlan, sc *vscratch) *groupTable {
 	nk, ns := len(ap.keys), len(ap.slots)
 	t := &groupTable{ap: ap, sc: sc, states: make([]aggState, ns)}
+	cols := make([]vcol, nk+ns)
+	t.keyCols, t.argCols = cols[:nk:nk], cols[nk:]
 	if nk == 0 {
 		// The global group exists even over empty input.
-		t.argCols = make([]vcol, ns)
-		t.ngroups, t.born = 1, []int32{math.MaxInt32}
+		t.born = []int32{math.MaxInt32}
 		for s := range t.states {
 			ap.slots[s].grow(&t.states[s])
 		}
 		return t
 	}
-	cols := make([]vcol, 3*nk+ns)
-	t.groupKeys, t.keyCols, t.argCols = cols[:nk:nk], cols[nk:2*nk:2*nk], cols[2*nk:]
-	t.keyBufs = make([]colbuf, nk)
-	t.groupIdx = map[uint64][]int32{}
 	for k, ve := range ap.keys {
-		t.keyBufs[k].kind = ve.kind()
-		t.groupKeys[k] = t.keyBufs[k].col()
+		t.keyCols[k].kind = ve.kind()
 	}
+	t.groups = newKeySet(t.keyCols)
 	return t
 }
 
@@ -1181,44 +1151,14 @@ func (t *groupTable) group(keys []vcol, i int, hs []uint64) int {
 	if len(keys) == 0 {
 		return 0 // the global group
 	}
-	h := hs[i]
-	for _, cand := range t.groupIdx[h] {
-		match := true
-		for k := range keys {
-			if !eqVals(&keys[k], i, &t.groupKeys[k], int(cand)) {
-				match = false
-				break
-			}
+	gid, isNew := t.groups.id(keys, i, hs[i])
+	if isNew {
+		t.born = append(t.born, t.morsel)
+		for s := range t.states {
+			t.ap.slots[s].grow(&t.states[s])
 		}
-		if match {
-			return int(cand)
-		}
-	}
-	gid := t.ngroups
-	t.ngroups++
-	for k := range keys {
-		t.keyBufs[k].push(&keys[k], i)
-		t.groupKeys[k] = t.keyBufs[k].col()
-	}
-	t.groupIdx[h] = append(t.groupIdx[h], int32(gid))
-	t.born = append(t.born, t.morsel)
-	for s := range t.states {
-		t.ap.slots[s].grow(&t.states[s])
 	}
 	return gid
-}
-
-// hashKeys folds the selected rows of the key columns into per-row
-// hashes (nil for the global group).
-func hashKeys(keys []vcol, n int, sel []int32, sc *vscratch) []uint64 {
-	if len(keys) == 0 {
-		return nil
-	}
-	hs := sc.hashBuf(n)
-	for k := range keys {
-		hashCol(&keys[k], n, sel, hs, sc)
-	}
-	return hs
 }
 
 // add folds one batch into the table.
@@ -1256,7 +1196,7 @@ func (t *groupTable) add(b *vbatch) error {
 		t.born[0] = t.morsel
 	}
 	for s := range t.ap.slots {
-		t.ap.slots[s].fold(&t.states[s], gids, &t.argCols[s], b, t.morsel)
+		t.ap.slots[s].fold(&t.states[s], gids, &t.argCols[s], b, t.morsel, t.sc)
 	}
 	return nil
 }
@@ -1267,16 +1207,13 @@ func (t *groupTable) add(b *vbatch) error {
 // and a group first reaches t from the worker that read its first row:
 // t's groups are in the serial first-seen order, and each group's
 // partials arrive in the order of their first rows (vecAggSlot.merge).
+// A group's key comes with the hash its worker stored.
 func (t *groupTable) merge(srcs []*groupTable) {
-	hs, next := make([][]uint64, len(srcs)), make([]int, len(srcs))
-	for w, src := range srcs {
-		src.sc.reset()
-		hs[w] = hashKeys(src.groupKeys, src.ngroups, nil, src.sc)
-	}
+	next := make([]int, len(srcs))
 	for {
 		w := -1
 		for v, src := range srcs {
-			if next[v] < src.ngroups && (w < 0 || src.born[next[v]] < srcs[w].born[next[w]]) {
+			if next[v] < len(src.born) && (w < 0 || src.born[next[v]] < srcs[w].born[next[w]]) {
 				w = v
 			}
 		}
@@ -1285,7 +1222,7 @@ func (t *groupTable) merge(srcs []*groupTable) {
 		}
 		src, g := srcs[w], next[w]
 		next[w]++
-		gid := t.group(src.groupKeys, g, hs[w])
+		gid := t.group(src.groups.keys, g, src.groups.hs)
 		for s := range t.ap.slots {
 			t.ap.slots[s].merge(&t.states[s], gid, &src.states[s], g)
 		}
@@ -1359,12 +1296,12 @@ func (t *groupTable) drain(m int, in viter) error {
 // finish assembles the group pseudo-relation — keys, then aggregate
 // results — and evaluates HAVING and the output items over it.
 func (t *groupTable) finish() (viter, error) {
-	ap, nk := t.ap, len(t.ap.keys)
-	g := &vbatch{n: t.ngroups, cols: make([]vcol, nk+len(ap.slots))}
-	copy(g.cols, t.groupKeys)
+	ap, nk, n := t.ap, len(t.ap.keys), len(t.born)
+	g := &vbatch{n: n, cols: make([]vcol, nk+len(ap.slots))}
+	copy(g.cols, t.groups.keys)
 	for s := range ap.slots {
 		var err error
-		if g.cols[nk+s], err = ap.slots[s].col(&t.states[s], t.ngroups); err != nil {
+		if g.cols[nk+s], err = ap.slots[s].col(&t.states[s], n); err != nil {
 			return nil, err
 		}
 	}
@@ -1412,20 +1349,14 @@ func (t *groupTable) finish() (viter, error) {
 // ---- distinct ----
 
 // vopen keeps the first row of every distinct key (the first d.N
-// columns). The keys seen so far are pushed into builders of its own
-// and chained by hash: head maps a hash to the newest seen key with it
-// and next links each key to the one before, both as row + 1, 0
-// ending a chain. The rows a batch keeps are gathered into its
-// scratch, lent with the batch (see vbatch).
+// columns), which a keySet numbers. The rows a batch keeps are gathered
+// into its scratch, lent with the batch (see vbatch).
 func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 	in, err := d.In.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var seen []*colbuf
-	var seenCols []vcol // views of seen, refreshed as it grows
-	head := map[uint64]int32{}
-	var next []int32
+	var seen keySet
 	sc := ctx.arena.borrow()
 	var out *vbatch
 	return func() (*vbatch, error) {
@@ -1434,42 +1365,17 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 			if err != nil || b == nil {
 				return nil, err
 			}
-			nkey := d.N
-			if nkey > len(b.cols) {
-				nkey = len(b.cols)
-			}
-			if seen == nil {
-				seen = make([]*colbuf, nkey)
-				seenCols = make([]vcol, nkey)
-				for c := 0; c < nkey; c++ {
-					seen[c] = newColbuf(b.cols[c].kind)
-					seenCols[c] = seen[c].col()
-				}
+			keys := b.cols[:min(d.N, len(b.cols))]
+			if seen.head == nil {
+				seen = newKeySet(keys)
 			}
 			sc.reset()
-			hs := sc.hashBuf(b.n)
-			for c := 0; c < nkey; c++ {
-				hashCol(&b.cols[c], b.n, b.sel, hs, sc)
-			}
+			hs := hashKeys(keys, b.n, b.sel, sc)
 			kept := sc.selBuf(b.rows())
 			b.forSel(func(i int) {
-				h := hs[i]
-			chain:
-				for e := head[h]; e != 0; e = next[e-1] {
-					for c := 0; c < nkey; c++ {
-						if !eqVals(&b.cols[c], i, &seenCols[c], int(e-1)) {
-							continue chain
-						}
-					}
-					return
+				if _, isNew := seen.id(keys, i, hs[i]); isNew {
+					kept = append(kept, int32(i))
 				}
-				for c := 0; c < nkey; c++ {
-					seen[c].push(&b.cols[c], i)
-					seenCols[c] = seen[c].col()
-				}
-				next = append(next, head[h])
-				head[h] = int32(len(next))
-				kept = append(kept, int32(i))
 			})
 			if len(kept) == 0 {
 				continue
