@@ -19,7 +19,7 @@ import (
 //     outlives the request that created it and silently pins that
 //     request's deadline and values to later work. Long-lived state
 //     carries the decomposed form instead — a Done channel and a Cause
-//     func, as plan.Ctx and exec.executor do.
+//     func, as plan.Ctx does.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "request-path packages take context.Context as the first parameter of exported Ctx variants and never store one in a struct",

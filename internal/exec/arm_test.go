@@ -1,8 +1,8 @@
 package exec
 
-// Internal regression tests for executor.arm — the contract that
-// Background/TODO contexts keep the zero-overhead nil signal while any
-// context carrying a Done channel always arms the executor. The
+// Internal regression tests for arm — the contract that Background/TODO
+// contexts keep the zero-overhead nil signal while any context carrying
+// a Done channel always arms the run. The
 // external half (observable cancellation through Run, literal and
 // prepared) lives in ctx_test.go; these pin the signal wiring itself
 // so a refactor cannot silently disconnect it.
@@ -12,12 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
+	"repro/internal/plan"
 )
 
 func TestArmSignal(t *testing.T) {
-	sn := dataset.University(1).Snapshot()
-
 	// Background and TODO: Done() is nil, the signal must stay nil so
 	// unserved runs take the checkpoint-free iterator paths.
 	for _, tc := range []struct {
@@ -28,10 +26,10 @@ func TestArmSignal(t *testing.T) {
 		{"background", context.Background()},
 		{"todo", context.TODO()},
 	} {
-		ex := newExecutor(sn, RunOpts{})
-		ex.arm(tc.ctx)
-		if ex.done != nil || ex.cause != nil {
-			t.Errorf("%s context armed the executor; want nil signal", tc.name)
+		var pc plan.Ctx
+		arm(tc.ctx, &pc)
+		if pc.Done != nil || pc.Cause != nil {
+			t.Errorf("%s context armed the run; want nil signal", tc.name)
 		}
 	}
 
@@ -50,27 +48,27 @@ func TestArmSignal(t *testing.T) {
 		{"deadline", deadlined},
 		{"derived", derived},
 	} {
-		ex := newExecutor(sn, RunOpts{})
-		ex.arm(tc.ctx)
-		if ex.done == nil {
-			t.Errorf("%s context did not arm the executor", tc.name)
+		var pc plan.Ctx
+		arm(tc.ctx, &pc)
+		if pc.Done == nil {
+			t.Errorf("%s context did not arm the run", tc.name)
 			continue
 		}
-		if ex.cause == nil {
+		if pc.Cause == nil {
 			t.Errorf("%s context armed without a cause callback", tc.name)
 		}
 	}
 
 	// The armed cause callback reports the context's actual cause.
 	cctx, ccancel := context.WithCancelCause(context.Background())
-	ex := newExecutor(sn, RunOpts{})
-	ex.arm(cctx)
+	var pc plan.Ctx
+	arm(cctx, &pc)
 	wantErr := context.Canceled
 	ccancel(nil)
-	if ex.cause == nil {
+	if pc.Cause == nil {
 		t.Fatal("cause callback missing")
 	}
-	if got := ex.cause(); got != wantErr {
+	if got := pc.Cause(); got != wantErr {
 		t.Errorf("cause() = %v, want %v", got, wantErr)
 	}
 }

@@ -11,37 +11,15 @@ import (
 	"repro/internal/strutil"
 )
 
-// Eval implements plan.Evaluator: scalar (non-aggregate) expression
-// evaluation in a row frame.
-func (ex *executor) Eval(f *plan.Frame, e sql.Expr) (store.Value, error) {
-	return ex.eval(f, e)
-}
-
-// SubqueryRows implements plan.Evaluator: the rows of a one-column
-// subquery under correlation parent f.
-func (ex *executor) SubqueryRows(f *plan.Frame, sub *sql.SelectStmt) ([]store.Row, error) {
-	res, err := ex.runSubquery(sub, f)
-	if err != nil {
-		return nil, err
-	}
-	if len(res.Cols) != 1 {
-		return nil, fmt.Errorf("exec: IN subquery must return one column, got %d", len(res.Cols))
-	}
-	return res.Rows, nil
-}
-
 // eval evaluates a scalar (non-aggregate) expression in a row frame.
-func (ex *executor) eval(f *plan.Frame, e sql.Expr) (store.Value, error) {
+func (ex *executor) eval(f *frame, e sql.Expr) (store.Value, error) {
 	switch n := e.(type) {
 	case sql.ColumnRef:
 		return resolveValue(f, n)
 	case sql.Literal:
 		return n.Val, nil
 	case sql.Param:
-		if n.Idx < 0 || n.Idx >= len(ex.opts.Params) {
-			return store.Value{}, fmt.Errorf("exec: unbound parameter $%d", n.Idx+1)
-		}
-		return ex.opts.Params[n.Idx], nil
+		return store.Value{}, fmt.Errorf("exec: unbound parameter $%d", n.Idx+1)
 	case *sql.BinaryExpr:
 		return ex.evalBinary(f, n)
 	case *sql.NotExpr:
@@ -137,7 +115,7 @@ func (ex *executor) eval(f *plan.Frame, e sql.Expr) (store.Value, error) {
 	return store.Value{}, fmt.Errorf("exec: unsupported expression %T", e)
 }
 
-func (ex *executor) evalBinary(f *plan.Frame, n *sql.BinaryExpr) (store.Value, error) {
+func (ex *executor) evalBinary(f *frame, n *sql.BinaryExpr) (store.Value, error) {
 	switch n.Op {
 	case sql.OpAnd, sql.OpOr:
 		l, err := ex.eval(f, n.L)
@@ -239,7 +217,7 @@ func (ex *executor) evalBinary(f *plan.Frame, n *sql.BinaryExpr) (store.Value, e
 	return store.Value{}, fmt.Errorf("exec: unsupported operator %v", n.Op)
 }
 
-func (ex *executor) evalIn(f *plan.Frame, n *sql.InExpr) (store.Value, error) {
+func (ex *executor) evalIn(f *frame, n *sql.InExpr) (store.Value, error) {
 	x, err := ex.eval(f, n.X)
 	if err != nil {
 		return store.Value{}, err
@@ -249,11 +227,14 @@ func (ex *executor) evalIn(f *plan.Frame, n *sql.InExpr) (store.Value, error) {
 	}
 	var found, sawNull bool
 	if n.Sub != nil {
-		rows, err := ex.SubqueryRows(f, n.Sub)
+		res, err := ex.runSubquery(n.Sub, f)
 		if err != nil {
 			return store.Value{}, err
 		}
-		for _, row := range rows {
+		if len(res.Cols) != 1 {
+			return store.Value{}, fmt.Errorf("exec: IN subquery must return one column, got %d", len(res.Cols))
+		}
+		for _, row := range res.Rows {
 			if row[0].IsNull() {
 				sawNull = true
 				continue
@@ -292,23 +273,18 @@ func (ex *executor) evalIn(f *plan.Frame, n *sql.InExpr) (store.Value, error) {
 // are memoized only for subqueries proven uncorrelated; the early
 // return is the guard: a correlated subquery never reaches the cache,
 // so it is never served a result computed under a different outer row.
-func (ex *executor) runSubquery(sub *sql.SelectStmt, f *plan.Frame) (*Result, error) {
+func (ex *executor) runSubquery(sub *sql.SelectStmt, f *frame) (*Result, error) {
 	if ex.correlated(sub, f) {
-		return ex.selectStmt(sub, f)
+		return ex.referenceSelect(sub, f)
 	}
-	ex.mu.Lock()
-	cached, ok := ex.subCache[sub]
-	ex.mu.Unlock()
-	if ok {
+	if cached, ok := ex.subCache[sub]; ok {
 		return cached, nil
 	}
-	res, err := ex.selectStmt(sub, nil)
+	res, err := ex.referenceSelect(sub, nil)
 	if err != nil {
 		return nil, err
 	}
-	ex.mu.Lock()
 	ex.subCache[sub] = res
-	ex.mu.Unlock()
 	return res, nil
 }
 
@@ -321,14 +297,11 @@ func (ex *executor) runSubquery(sub *sql.SelectStmt, f *plan.Frame) (*Result, er
 // verdict is memoized per statement: within one execution, a given
 // subquery node is always evaluated under frames of the same shape, so
 // the analysis need not rerun per outer row.
-func (ex *executor) correlated(sub *sql.SelectStmt, f *plan.Frame) bool {
+func (ex *executor) correlated(sub *sql.SelectStmt, f *frame) bool {
 	if f == nil {
 		return false
 	}
-	ex.mu.Lock()
-	v, ok := ex.corrCache[sub]
-	ex.mu.Unlock()
-	if ok {
+	if v, ok := ex.corrCache[sub]; ok {
 		return v
 	}
 	outerNames := map[string]bool{}
@@ -388,14 +361,12 @@ func (ex *executor) correlated(sub *sql.SelectStmt, f *plan.Frame) bool {
 		})
 		return corr
 	}
-	v = stmtCorrelated(sub, nil)
-	ex.mu.Lock()
+	v := stmtCorrelated(sub, nil)
 	ex.corrCache[sub] = v
-	ex.mu.Unlock()
 	return v
 }
 
-func (ex *executor) scalarSubquery(sub *sql.SelectStmt, f *plan.Frame) (store.Value, error) {
+func (ex *executor) scalarSubquery(sub *sql.SelectStmt, f *frame) (store.Value, error) {
 	res, err := ex.runSubquery(sub, f)
 	if err != nil {
 		return store.Value{}, err
@@ -413,17 +384,12 @@ func (ex *executor) scalarSubquery(sub *sql.SelectStmt, f *plan.Frame) (store.Va
 }
 
 // resolveValue finds the value of a column reference, searching the
-// current frame first and then the parent chain (correlation). A frame
-// with no row is an operator's probe (see plan.Frame): the reference
-// reads a row that is not there yet.
-func resolveValue(f *plan.Frame, ref sql.ColumnRef) (store.Value, error) {
+// current frame first and then the parent chain (correlation).
+func resolveValue(f *frame, ref sql.ColumnRef) (store.Value, error) {
 	for cur := f; cur != nil; cur = cur.Parent {
 		off, ok, ambiguous := plan.OffsetIn(cur.Rel, ref)
 		if ambiguous {
 			return store.Value{}, fmt.Errorf("exec: ambiguous column %q", ref.String())
-		}
-		if ok && cur.Row == nil {
-			return store.Value{}, fmt.Errorf("exec: column %q is read before its row", ref.String())
 		}
 		if ok {
 			return cur.Row[off], nil
@@ -431,6 +397,9 @@ func resolveValue(f *plan.Frame, ref sql.ColumnRef) (store.Value, error) {
 	}
 	return store.Value{}, fmt.Errorf("exec: unknown column %q", ref.String())
 }
+
+// isTrue collapses 3VL to acceptance.
+func isTrue(v store.Value) bool { return plan.IsTrue(v) }
 
 // matchLike implements SQL LIKE semantics; the algorithm lives in
 // strutil so the vectorized LIKE kernel shares it.

@@ -1,30 +1,33 @@
 // Package exec evaluates SQL ASTs (internal/sql) against the in-memory
 // store (internal/store). Queries are compiled by internal/plan into a
 // cost-optimized operator tree (predicate pushdown, column pruning,
-// join ordering from row counts and declared keys) and executed by
-// plan's vectorized engine; this package contributes the
-// scalar-expression evaluator the engine calls back into for what its
-// kernels leave over — IN/EXISTS and scalar subqueries including
-// correlated ones, cross-kind comparisons — and runs the subqueries
-// themselves.
-//
-// Evaluation uses collapsed three-valued logic: comparisons involving
-// NULL yield NULL, AND/OR/NOT propagate NULL, and a WHERE/HAVING accepts
-// a row only when the predicate is exactly TRUE.
+// join ordering from row counts and declared keys, each uncorrelated
+// subquery a plan of its own) and executed by plan's vectorized engine
+// (Compile, Run). What its kernels do not compile — a correlated
+// subquery, a cross-kind comparison and the like, none of which the
+// front end emits — fails with ErrUnsupported.
 //
 // ReferenceQueryAt preserves the pre-planner execution strategy
-// (materialize the full join product, then filter) as a differential-
-// testing baseline.
+// (materialize the full join product, then filter, evaluating every
+// expression row by row) as the differential-testing oracle; it alone
+// owns the scalar evaluator (eval.go), with collapsed three-valued
+// logic — comparisons involving NULL yield NULL, AND/OR/NOT propagate
+// NULL, and a WHERE/HAVING accepts a row only when the predicate is
+// exactly TRUE — and correlated subqueries.
 package exec
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/plan"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
+
+// ErrUnsupported is wrapped by the error of a statement the planned
+// executor does not run (see plan.ErrUnsupported); the reference
+// executor runs it.
+var ErrUnsupported = plan.ErrUnsupported
 
 // Result is the output of a query.
 type Result struct {
@@ -77,10 +80,18 @@ type RunOpts struct {
 // and returns context.Cause(ctx) promptly instead of finishing work
 // nobody is waiting for; see arm for what a background context costs
 // (nothing).
+//
+// The Result's Cols is the plan's own slice, shared with every other
+// run of a cached plan: read-only to callers (core.owned clones it
+// where an answer is handed out to keep).
 func Run(ctx context.Context, sn *store.Snapshot, p *plan.Plan, o RunOpts) (*Result, error) {
-	ex := newExecutor(sn, o)
-	ex.arm(ctx)
-	return ex.run(p, nil)
+	pc := &plan.Ctx{Snap: sn, Par: o.Par, Params: o.Params, SegC: o.SegC}
+	arm(ctx, pc)
+	rows, err := plan.Run(p, pc)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Cols: p.Cols, Rows: rows}, nil
 }
 
 // Query compiles stmt serially and runs it with default options — the
@@ -103,104 +114,27 @@ func RunBoundCountedAtCtx(ctx context.Context, sn *store.Snapshot, p *plan.Plan,
 	return Run(ctx, sn, p, RunOpts{Params: params, Par: par, SegC: segc})
 }
 
-// executor evaluates expressions for plan iterators and runs nested
-// subqueries, memoizing uncorrelated subquery results and compiled
-// subquery plans. It holds the query's pinned snapshot: the outer
-// plan, every subquery plan and every subquery run read the same data
-// version, so a query's parts can never observe different writes.
-// Parallel plans call Eval/SubqueryRows from multiple exchange workers
-// at once, so every cache access takes mu; the cached values themselves
-// are immutable once published. Two workers racing on the same cold
-// entry may both compute it — the duplicated work is bounded and both
-// insert identical results.
-type executor struct {
-	sn        *store.Snapshot
-	opts      RunOpts // applied to the outer plan and every subquery run
-	mu        sync.Mutex
-	subCache  map[*sql.SelectStmt]*Result // uncorrelated subquery results
-	planCache map[*sql.SelectStmt]*plan.Plan
-	corrCache map[*sql.SelectStmt]bool // memoized correlation verdicts
-	reference bool                     // route subqueries through the reference path too
-
-	// done and cause carry a served request's cancellation signal into
-	// plan.Ctx — the Done channel and context.Cause of the request's
-	// context, extracted by arm. They are channel and callback, not a
-	// stored context (the ctxfirst rule): contexts flow through call
-	// chains, never into struct fields.
-	done  <-chan struct{}
-	cause func() error
-}
-
-func newExecutor(sn *store.Snapshot, o RunOpts) *executor {
-	return &executor{
-		sn:        sn,
-		opts:      o,
-		subCache:  map[*sql.SelectStmt]*Result{},
-		planCache: map[*sql.SelectStmt]*plan.Plan{},
-		corrCache: map[*sql.SelectStmt]bool{},
-	}
-}
-
-// arm points the executor's cancellation signal at ctx. The contract,
-// pinned by TestArmSignal:
+// arm points a run's cancellation signal at ctx. The contract, pinned
+// by TestArmSignal:
 //
 //   - context.Background(), context.TODO(), and any other context whose
-//     Done() returns nil keep the executor's signal nil — the unserved
-//     paths (tests, benchmarks, the accuracy harness) pay zero cancellation
+//     Done() returns nil leave the signal nil — the unserved paths
+//     (tests, benchmarks, the accuracy harness) pay zero cancellation
 //     overhead, because plan's checkpoint wrapper (Ctx.checkpoint)
 //     returns iterators unchanged when Done is nil;
 //   - any context with a Done channel — cancelable, deadline-bearing,
-//     or derived from one — always arms the executor, so every
-//     iterator checkpoint and exchange morsel claim observes it.
-func (ex *executor) arm(ctx context.Context) {
+//     or derived from one — always arms the run, so every iterator
+//     checkpoint and exchange morsel claim observes it.
+//
+// The signal is the Done channel and a context.Cause callback, not a
+// stored context (the ctxfirst rule): contexts flow through call
+// chains, never into struct fields.
+func arm(ctx context.Context, pc *plan.Ctx) {
 	if ctx == nil {
 		return
 	}
 	if done := ctx.Done(); done != nil {
-		ex.done = done
-		ex.cause = func() error { return context.Cause(ctx) }
+		pc.Done = done
+		pc.Cause = func() error { return context.Cause(ctx) }
 	}
 }
-
-// run executes p under the executor's options. The Result's Cols is the
-// plan's own slice, shared with every other run of a cached plan:
-// read-only to callers (core.owned clones it where an answer is handed
-// out to keep).
-func (ex *executor) run(p *plan.Plan, parent *plan.Frame) (*Result, error) {
-	o := &ex.opts
-	rows, err := plan.Run(p, &plan.Ctx{Snap: ex.sn, Ev: ex, Parent: parent,
-		SegC:   o.SegC,
-		Params: o.Params, Par: o.Par, Done: ex.done, Cause: ex.cause})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Cols: p.Cols, Rows: rows}, nil
-}
-
-// selectStmt executes a (sub)query, compiling and caching its plan.
-// Plans depend only on the statement and the database, never on the
-// outer row, so correlated subqueries recompile nothing per row.
-// Subquery plans are never parallelized: the top-level exchange
-// already saturates the worker budget.
-func (ex *executor) selectStmt(stmt *sql.SelectStmt, parent *plan.Frame) (*Result, error) {
-	if ex.reference {
-		return ex.referenceSelect(stmt, parent)
-	}
-	ex.mu.Lock()
-	p, ok := ex.planCache[stmt]
-	ex.mu.Unlock()
-	if !ok {
-		var err error
-		p, err = plan.CompileWith(ex.sn, stmt, ex.opts.Params)
-		if err != nil {
-			return nil, err
-		}
-		ex.mu.Lock()
-		ex.planCache[stmt] = p
-		ex.mu.Unlock()
-	}
-	return ex.run(p, parent)
-}
-
-// isTrue collapses 3VL to acceptance.
-func isTrue(v store.Value) bool { return plan.IsTrue(v) }

@@ -24,21 +24,27 @@ func TestVecDifferentialScaled(t *testing.T) {
 	corpusDifferential(t, "university", 2, 0, diffOpts{})
 }
 
-// TestVecFallback pins what the kernels leave to the scalar
-// evaluator: a correlated subquery in WHERE, an uncorrelated IN
-// subquery, EXISTS and an aggregate over a subquery-filtered join all
-// run (the operators below the per-row predicate batch-at-a-time as
-// ever) and agree with the reference path.
+// TestVecFallback pins where the kernels stop: an uncorrelated IN
+// subquery and an aggregate over a subquery-filtered join run, each
+// subquery once, and agree with the reference path; a correlated
+// subquery in WHERE, scalar or EXISTS, fails with ErrUnsupported, and
+// the reference answers it as pinned.
 func TestVecFallback(t *testing.T) {
 	sn := dataset.University(1).Snapshot()
 	for _, q := range []string{
-		"SELECT name FROM students WHERE gpa > (SELECT AVG(gpa) FROM students s2 WHERE s2.dept_id = students.dept_id)",
 		"SELECT name FROM students WHERE dept_id IN (SELECT dept_id FROM departments WHERE name = 'Computer Science')",
-		"SELECT name FROM departments d WHERE EXISTS (SELECT 1 FROM students s WHERE s.dept_id = d.dept_id AND s.gpa > 3.9)",
 		"SELECT d.name, COUNT(*) FROM students s, departments d WHERE s.dept_id = d.dept_id " +
 			"AND s.gpa > (SELECT AVG(gpa) FROM students) GROUP BY d.name ORDER BY d.name",
 	} {
 		differential(t, sn, q, diffOpts{})
+	}
+	for _, c := range []unsupportedCase{
+		{"SELECT name FROM students WHERE gpa > (SELECT AVG(gpa) FROM students s2 WHERE s2.dept_id = students.dept_id)",
+			false, map[string]string{"university": "63 rows 85aeb4f4c8cef537"}},
+		{"SELECT name FROM departments d WHERE EXISTS (SELECT 1 FROM students s WHERE s.dept_id = d.dept_id AND s.gpa > 3.9)",
+			false, map[string]string{"university": "4 rows 7578d8d7013188df"}},
+	} {
+		checkUnsupported(t, sn, "university", c, 1)
 	}
 }
 

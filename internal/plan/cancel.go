@@ -19,6 +19,9 @@ func (c *Ctx) canceled() error {
 	if c.Done == nil {
 		return nil
 	}
+	if c.tick != nil {
+		c.tick()
+	}
 	select {
 	case <-c.Done:
 		if c.Cause != nil {

@@ -159,9 +159,9 @@ func TestEncodedKernelsEqualDecoded(t *testing.T) {
 	x := sql.Col("", "x")
 	compile := func(e sql.Expr) vexpr {
 		t.Helper()
-		ve, ok := newCompiler(rel, &Ctx{}).compile(e)
-		if !ok {
-			t.Fatalf("%s does not vectorize", e)
+		ve, err := newCompiler(rel, &Ctx{}).compile(e)
+		if err != nil {
+			t.Fatalf("%s does not vectorize: %v", e, err)
 		}
 		if _, ok := ve.(*vnumrange); !ok {
 			t.Fatalf("%s compiled to %T, want the constant-bounds test", e, ve)

@@ -3,7 +3,9 @@ package plan
 import (
 	"fmt"
 	"slices"
+	"sync"
 
+	"repro/internal/sql"
 	"repro/internal/store"
 )
 
@@ -12,19 +14,15 @@ import (
 const MaxProduct = 5_000_000
 
 // Ctx carries everything an executing plan needs: the pinned database
-// snapshot, the expression evaluator, the correlation parent for
-// subquery plans, and the parallel-execution state of the current run.
-// When Par > 1 the Evaluator must be safe for concurrent use.
+// snapshot, the run's options and the state of the current run.
 //
 // Snap is a store.Snapshot, so the whole plan — row counts, scans,
 // segments — reads one frozen version of the data:
 // concurrent writers publish new versions without ever being observed
 // mid-query.
 type Ctx struct {
-	Snap   *store.Snapshot
-	Ev     Evaluator
-	Parent *Frame
-	Par    int // worker budget; <= 1 executes serially
+	Snap *store.Snapshot
+	Par  int // worker budget; <= 1 executes serially
 
 	// Params is the parameter vector of a prepared execution: the
 	// values sql.Param slots in the plan's expressions and zone-map
@@ -50,9 +48,51 @@ type Ctx struct {
 	// a client disconnect in the error it maps to a status code.
 	Cause func() error
 
+	// tick, when set, is called at each cancellation checkpoint of a
+	// run with a Done channel: the seam a test cancels a run through at
+	// the checkpoint it chooses (CancelAtCheckpoint).
+	tick func()
+
 	part   *morselRun   // set inside an Exchange worker: the leaf's morsels
 	shared *sharedState // per-run state shared across Exchange workers
 	arena  *runArena    // the run's borrowed working memory: see runArena
+
+	// subs are the subqueries of the plan being run and subRuns their
+	// results in this run, shared by its exchange workers; both nil for
+	// a plan without subqueries.
+	subs    []subquery
+	subRuns []subRun
+}
+
+// subRun is one subquery's result in one run: its rows and column
+// count, or the error that stopped it.
+type subRun struct {
+	once sync.Once
+	rows []store.Row
+	cols int
+	err  error
+}
+
+// subquery returns the rows and column count of sub in this run. The
+// first operator to ask runs its plan, serially and under the run's
+// snapshot, parameters, counters and cancellation signal; every later
+// ask, an exchange worker's included, shares that result.
+func (c *Ctx) subquery(sub *sql.SelectStmt) ([]store.Row, int, error) {
+	i := slices.IndexFunc(c.subs, func(s subquery) bool { return s.stmt == sub })
+	if i < 0 {
+		return nil, 0, fmt.Errorf("plan: subquery %s was not compiled with its statement", sub)
+	}
+	s, r := &c.subs[i], &c.subRuns[i]
+	r.once.Do(func() {
+		if s.err != nil {
+			r.err = s.err
+			return
+		}
+		r.rows, r.err = Run(s.plan, &Ctx{Snap: c.Snap, Par: 1, Params: c.Params,
+			SegC: c.SegC, Done: c.Done, Cause: c.Cause})
+		r.cols = len(s.plan.Cols)
+	})
+	return r.rows, r.cols, r.err
 }
 
 // Run executes a compiled plan batch-at-a-time over typed column
@@ -74,6 +114,10 @@ func Run(p *Plan, ctx *Ctx) ([]store.Row, error) {
 	ctx.shared = nil
 	if ctx.Par > 1 {
 		ctx.shared = &sharedState{}
+	}
+	ctx.subs, ctx.subRuns = p.subs, nil
+	if len(p.subs) > 0 {
+		ctx.subRuns = make([]subRun, len(p.subs))
 	}
 	arena := &runArena{}
 	ctx.arena = arena

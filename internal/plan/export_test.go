@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"weak"
 
 	"repro/internal/store"
@@ -13,6 +14,22 @@ import (
 
 // MaxPooledScratch is the pool's cap, for tests in package plan_test.
 const MaxPooledScratch = maxPooledScratch
+
+// CancelAtCheckpoint gives ctx a Done channel that closes at the n-th
+// cancellation checkpoint its run passes, whichever worker passes it
+// (never, for n <= 0), and returns how many checkpoints the run has
+// passed so far.
+func CancelAtCheckpoint(ctx *Ctx, n int64) (passed func() int64) {
+	done := make(chan struct{})
+	var seen atomic.Int64
+	ctx.Done = done
+	ctx.tick = func() {
+		if seen.Add(1) == n {
+			close(done)
+		}
+	}
+	return seen.Load
+}
 
 // poisonBufs and poisonLen size a poisoned scratch: enough buffers of
 // enough elements to serve a 4,096-row join build and every operator's

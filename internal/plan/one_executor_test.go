@@ -15,11 +15,11 @@ import (
 // materializes a table's rows (TableSnap.Rows), and neither the switch
 // that used to pick the row engine (NoVec) nor the machinery that
 // decided or bridged it (staticVec, rowSource) is declared or named
-// again, here or in internal/exec. An expression the kernels cannot
-// reproduce evaluates row by row inside a batch (vscalar), never
-// through a second operator tree.
+// again, here or in internal/exec. Nor is the per-row expression
+// (vscalar) that once ran what the kernels cannot reproduce inside a
+// batch: that is not run at all (ErrUnsupported; TestNoRowwiseFallback).
 func TestOneExecutor(t *testing.T) {
-	banned := map[string]bool{"NoVec": true, "staticVec": true, "rowSource": true}
+	banned := map[string]bool{"NoVec": true, "staticVec": true, "rowSource": true, "vscalar": true}
 	inspectPackages(t, func(dir string, pos token.Position, n ast.Node) {
 		switch n := n.(type) {
 		case *ast.Ident:
@@ -34,6 +34,44 @@ func TestOneExecutor(t *testing.T) {
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && dir == "." &&
 				sel.Sel.Name == "Rows" && len(n.Args) == 0 {
 				t.Errorf("%s: the executor materializes a table's rows", pos)
+			}
+		}
+	})
+}
+
+// TestNoRowwiseFallback pins that the planned executor runs only what
+// its kernels compile: nothing in this package's non-test code
+// declares or names the row-at-a-time escape hatch it had — the
+// per-row expression (vscalar) and its row shape (vframe), the
+// compiler's fallback to it (rowwise) and its kind inference
+// (exprKind), the callback into internal/exec (Evaluator) and the
+// correlation frame (Frame) — and Ctx has no Ev or Parent field. In
+// internal/exec, no struct has a planCache field, and the scalar
+// evaluator is reachable only from the reference executor: the
+// executor type, its constructor and its eval methods are named only
+// in reference.go and eval.go.
+func TestNoRowwiseFallback(t *testing.T) {
+	banned := map[string]bool{"vscalar": true, "vframe": true, "rowwise": true,
+		"exprKind": true, "Evaluator": true, "Frame": true}
+	evalOnly := map[string]bool{"executor": true, "newExecutor": true, "eval": true, "evalGroup": true}
+	evalFiles := map[string]bool{"reference.go": true, "eval.go": true}
+	inspectPackages(t, func(dir string, pos token.Position, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.Ident:
+			switch {
+			case dir == "." && banned[n.Name]:
+				t.Errorf("%s: %s is back", pos, n.Name)
+			case dir == "../exec" && evalOnly[n.Name] && !evalFiles[filepath.Base(pos.Filename)]:
+				t.Errorf("%s: %s is named outside the reference executor", pos, n.Name)
+			}
+		case *ast.TypeSpec:
+			for _, name := range fieldNames(n) {
+				switch {
+				case dir == "." && n.Name.Name == "Ctx" && (name == "Ev" || name == "Parent"):
+					t.Errorf("%s: Ctx.%s is back", pos, name)
+				case dir == "../exec" && name == "planCache":
+					t.Errorf("%s: %s.planCache is back", pos, n.Name.Name)
+				}
 			}
 		}
 	})

@@ -1,8 +1,11 @@
 package plan
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -21,8 +24,12 @@ import (
 // segment's values — so a plan compiled and run against the same
 // Snapshot is internally consistent even while writers publish new
 // versions.
+//
+// Each uncorrelated subquery compiles here too, as a serial plan of its
+// own that every run of this one runs once; a correlated one fails the
+// compile with ErrUnsupported.
 func Compile(sn *store.Snapshot, stmt *sql.SelectStmt) (*Plan, error) {
-	return optimize(sn, stmt, nil)
+	return optimize(sn, stmt, nil, nil)
 }
 
 // CompileWith compiles a parameterized statement (sql.Param slots in
@@ -32,11 +39,23 @@ func Compile(sn *store.Snapshot, stmt *sql.SelectStmt) (*Plan, error) {
 // later binding of the same shape (see Template); the values only feed
 // the skip statistics Explain reports.
 func CompileWith(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value) (*Plan, error) {
-	return optimize(sn, stmt, params)
+	return optimize(sn, stmt, params, nil)
 }
 
-func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value) (*Plan, error) {
+// optimize compiles stmt, a subquery of statements whose FROM clauses
+// outer lays out (outermost first) when it is not empty.
+func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value, outer []*Rel) (*Plan, error) {
 	bindings, err := bindFrom(sn, stmt)
+	if err != nil {
+		return nil, err
+	}
+	if len(outer) > 0 {
+		if ref, ok := outerRef(stmt, fromOrderRel(bindings), outer); ok {
+			return nil, fmt.Errorf("%w: a correlated subquery, reading %s of an enclosing statement, in %s",
+				ErrUnsupported, ref, stmt)
+		}
+	}
+	subs, err := subqueries(sn, stmt, params, outer, bindings)
 	if err != nil {
 		return nil, err
 	}
@@ -113,7 +132,66 @@ func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value) (*
 		return nil, err
 	}
 	markLive(p.Root, nil)
+	p.subs = subs
 	return p, nil
+}
+
+// SubplanCompiles counts the subquery plans the process has compiled.
+// Only a compile compiles one, so a test reads here that running a
+// plan compiles nothing.
+var SubplanCompiles atomic.Int64
+
+// subqueries compiles the subqueries stmt's own expressions name, each
+// once, as a plan of its own in the scope of the statements around it.
+// A correlated one fails the compile with ErrUnsupported; any other
+// error compiling one is kept, for the statement to raise where it
+// needs the value.
+func subqueries(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value, outer []*Rel, bindings []Binding) ([]subquery, error) {
+	var subs []subquery
+	var scope []*Rel
+	var err error
+	sql.WalkStmt(stmt, func(e sql.Expr) bool {
+		sub := sql.Nested(e)
+		if sub == nil || slices.ContainsFunc(subs, func(s subquery) bool { return s.stmt == sub }) {
+			return true
+		}
+		if scope == nil {
+			scope = append(slices.Clip(outer), fromOrderRel(bindings))
+		}
+		SubplanCompiles.Add(1)
+		s := subquery{stmt: sub}
+		if s.plan, s.err = optimize(sn, sub, params, scope); errors.Is(s.err, ErrUnsupported) {
+			err = s.err
+			return false
+		}
+		subs = append(subs, s)
+		return true
+	})
+	return subs, err
+}
+
+// outerRef finds a column reference among stmt's own expressions that
+// resolves not in its FROM clause, rel, but in an enclosing
+// statement's: what makes a subquery correlated. A select-list alias
+// (read by ORDER BY) is stmt's own.
+func outerRef(stmt *sql.SelectStmt, rel *Rel, outer []*Rel) (sql.ColumnRef, bool) {
+	resolves := func(rel *Rel, ref sql.ColumnRef) bool {
+		_, ok, ambiguous := OffsetIn(rel, ref)
+		return ok || ambiguous
+	}
+	var found sql.ColumnRef
+	ok := false
+	sql.WalkStmt(stmt, func(e sql.Expr) bool {
+		ref, isRef := e.(sql.ColumnRef)
+		if !isRef || resolves(rel, ref) ||
+			ref.Table == "" && slices.ContainsFunc(stmt.Items, func(it sql.SelectItem) bool { return it.Alias == ref.Column }) {
+			return true
+		}
+		found = ref
+		ok = slices.ContainsFunc(outer, func(o *Rel) bool { return resolves(o, ref) })
+		return !ok
+	})
+	return found, ok
 }
 
 // markLive records on every join under n which of its output columns
@@ -166,18 +244,14 @@ func splitNeed(need []bool, lWidth int) (l, r []bool) {
 }
 
 // addReads marks in need the columns of rel that exprs read, and
-// returns need — or nil, every column, when need is nil or an
-// expression may read a column it does not name: a nested statement's
-// correlated references, or a reference that resolves ambiguously.
+// returns need — or nil, every column, when need is nil or a reference
+// resolves ambiguously. A nested statement reads none of them: a
+// correlated one does not compile.
 func addReads(need []bool, rel *Rel, exprs ...[]sql.Expr) []bool {
 	for _, es := range exprs {
 		for _, e := range es {
 			sql.Walk(e, func(x sql.Expr) bool {
 				if need == nil {
-					return false
-				}
-				if sql.Nested(x) != nil {
-					need = nil
 					return false
 				}
 				if ref, ok := x.(sql.ColumnRef); ok {

@@ -159,9 +159,8 @@ type exchangeRun struct {
 
 // start sizes one run of the exchange. A nil run means the exchange
 // degrades to a serial passthrough of its input — ctx.Par caps the
-// plan's worker degree, so an explicit Par of 1 (e.g. a caller whose
-// Evaluator is not thread-safe) or a single-row leaf runs the subtree
-// as it stands.
+// plan's worker degree, so an explicit Par of 1 (the serving layer
+// shedding load) or a single-row leaf runs the subtree as it stands.
 func (e *Exchange) start(ctx *Ctx) (*exchangeRun, error) {
 	workers := e.Workers
 	if ctx.Par > 0 && ctx.Par < workers {

@@ -4,11 +4,12 @@
 // driven by row counts and the schema's keys (Compile), a vectorized
 // batch-at-a-time executor (Run) and an Explain renderer.
 //
-// The scalar-expression semantics the vector kernels do not reproduce
-// (subqueries, cross-kind comparisons and the like) stay in
-// internal/exec, which implements the Evaluator interface; plan owns
-// everything relational: scans, join order and shape, and the operator
-// pipeline.
+// Plan runs what its kernels compile, and only that: an uncorrelated
+// subquery is compiled with its statement as a plan of its own and run
+// once a run, and what no kernel reproduces — a correlated subquery, a
+// cross-kind comparison and the like — fails with ErrUnsupported. The
+// reference executor in internal/exec evaluates those row by row; plan
+// does not call into it.
 package plan
 
 import (
@@ -42,27 +43,6 @@ func (b Binding) colPos(ci int) int {
 type Rel struct {
 	Bindings []Binding
 	Width    int
-}
-
-// Frame is one row in evaluation context, with a parent chain for
-// correlated subqueries. An operator opening binds subqueries through
-// a probe frame whose Row is nil: a subquery that reads that row fails
-// and is evaluated row by row instead (see vcompiler.bind).
-type Frame struct {
-	Rel    *Rel
-	Row    store.Row
-	Parent *Frame
-}
-
-// Evaluator computes what the vector kernels leave to the scalar
-// evaluator: any expression over one frame, and the rows of an IN
-// subquery. internal/exec provides the implementation (three-valued
-// logic, subqueries, correlation); plan stays purely relational.
-type Evaluator interface {
-	Eval(f *Frame, e sql.Expr) (store.Value, error)
-	// SubqueryRows runs sub with f as its correlation parent and
-	// returns its rows, failing unless it has exactly one column.
-	SubqueryRows(f *Frame, sub *sql.SelectStmt) ([]store.Row, error)
 }
 
 // OffsetIn resolves a column reference to an offset inside rel.
@@ -233,6 +213,18 @@ type Plan struct {
 	Root Node
 	Cols []string
 	Par  int
+
+	subs []subquery // the statement's subqueries, in the order its expressions name them
+}
+
+// subquery is one uncorrelated subquery of a statement, compiled with
+// it: its own serial plan, or the error compiling it met, which the
+// statement raises where it needs the value, as the reference executor
+// does when it first runs the subquery.
+type subquery struct {
+	stmt *sql.SelectStmt
+	plan *Plan
+	err  error
 }
 
 // Walk visits every node of the tree in pre-order.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/plan"
 	"repro/internal/sql"
-	"repro/internal/store"
 )
 
 // TestOperatorCounts checks the plan-shape counters the benchmark
@@ -96,17 +95,8 @@ func TestCrossProductGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = plan.Run(p, &plan.Ctx{Snap: db.Snapshot(), Ev: nopEvaluator{}})
+	_, err = plan.Run(p, &plan.Ctx{Snap: db.Snapshot()})
 	if err == nil || !strings.Contains(err.Error(), "add a join condition") {
 		t.Fatalf("cross product guard did not fire: %v", err)
 	}
-}
-
-// nopEvaluator satisfies plan.Evaluator for plans that never reach
-// expression evaluation (the guard fires while joining).
-type nopEvaluator struct{}
-
-func (nopEvaluator) Eval(*plan.Frame, sql.Expr) (store.Value, error) { return store.Value{}, nil }
-func (nopEvaluator) SubqueryRows(*plan.Frame, *sql.SelectStmt) ([]store.Row, error) {
-	return nil, nil
 }

@@ -7,8 +7,6 @@ import (
 	"math"
 	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dataset"
@@ -109,27 +107,6 @@ func sameAnswer(got, want []store.Row, ordered bool) error {
 	return nil
 }
 
-// cancelingEvaluator answers every row-by-row evaluation with TRUE and
-// closes done on its after-th call, so a run over a row-wise predicate
-// is cancelled in the middle of its scan, whichever worker gets there.
-type cancelingEvaluator struct {
-	calls atomic.Int64
-	after int64
-	once  sync.Once
-	done  chan struct{}
-}
-
-func (e *cancelingEvaluator) Eval(*plan.Frame, sql.Expr) (store.Value, error) {
-	if e.calls.Add(1) == e.after {
-		e.once.Do(func() { close(e.done) })
-	}
-	return store.Bool(true), nil
-}
-
-func (e *cancelingEvaluator) SubqueryRows(*plan.Frame, *sql.SelectStmt) ([]store.Row, error) {
-	return nil, errors.New("no subqueries")
-}
-
 // TestBorrowedScratchIsNeverTrusted: every vscratch a run borrows may
 // hold a previous question's buffers, so the pool is poisoned — each
 // new scratch garbage in every buffer — and every shape the executor
@@ -192,19 +169,27 @@ func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 
 	t.Run("after cancel", func(t *testing.T) {
 		sn := queries[0].sn
-		stmt := sql.MustParse("SELECT events.level, COUNT(*) FROM events, devices WHERE events.device_id = devices.device_id AND events.service LIKE events.level GROUP BY events.level")
+		stmt := sql.MustParse("SELECT events.level, COUNT(*) FROM events, devices WHERE events.device_id = devices.device_id GROUP BY events.level")
 		for _, par := range []int{1, 4} {
 			p, err := exec.Compile(sn, stmt, par)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ev := &cancelingEvaluator{after: 2500, done: make(chan struct{})}
-			_, err = plan.Run(p, &plan.Ctx{Snap: sn, Ev: ev, Done: ev.done})
+			// A run to its end passes every checkpoint; the cancelled one
+			// closes Done at a quarter of them.
+			full := &plan.Ctx{Snap: sn}
+			all := plan.CancelAtCheckpoint(full, 0)
+			if _, err := plan.Run(p, full); err != nil {
+				t.Fatalf("par=%d: %v", par, err)
+			}
+			ctx := &plan.Ctx{Snap: sn}
+			passed := plan.CancelAtCheckpoint(ctx, all()/4)
+			_, err = plan.Run(p, ctx)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("par=%d: run ended with %v, want it cancelled mid-scan", par, err)
 			}
-			if n := ev.calls.Load(); n >= poolEvents {
-				t.Fatalf("par=%d: %d row evaluations: the scan ran to its end", par, n)
+			if n := passed(); n >= all() {
+				t.Fatalf("par=%d: %d of a full run's %d checkpoints: the scan ran to its end", par, n, all())
 			}
 			if u := plan.UnpoisonedTakes(); len(u) > 0 {
 				t.Fatalf("par=%d: the cancelled run took buffers the pool was not poisoned with: %v", par, u)

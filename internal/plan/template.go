@@ -43,7 +43,7 @@ func CompileTemplate(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Va
 	if n := sql.NumParams(stmt); n > len(params) {
 		return nil, fmt.Errorf("plan: template references $%d but only %d parameter values were supplied", n, len(params))
 	}
-	p, err := optimize(sn, stmt, params)
+	p, err := optimize(sn, stmt, params, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func (t *Template) BindPinned(sn *store.Snapshot, params []store.Value, par int)
 	if par == t.Par {
 		return t.plan, true, nil
 	}
-	fresh, err := optimize(sn, t.Stmt, params)
+	fresh, err := optimize(sn, t.Stmt, params, nil)
 	if err != nil {
 		return nil, false, err
 	}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -20,10 +21,9 @@ import (
 //
 // The kernels reproduce the scalar semantics exactly for comparison,
 // boolean and arithmetic expressions, BETWEEN, IN over constant lists,
-// LIKE against a constant pattern and IS NULL. Subqueries and outer
-// column references that are constant for the run bind when the
-// operator opens; what is left evaluates row by row through the
-// executor (vscalar). See vcompiler.
+// LIKE against a constant pattern and IS NULL. Subqueries, constant
+// for the run, bind when the operator opens; what no kernel reproduces
+// is not run (ErrUnsupported). See vcompiler.
 
 // maxBatch is the number of rows a scan packs into one batch: large
 // enough to amortize per-batch overhead, small enough to keep a
@@ -149,8 +149,8 @@ func (c *vcol) value(i int) store.Value {
 // aggregate's output items), kernels allocate, and their output may
 // escape.
 //
-// err is where a vscalar reports the first evaluation error among the
-// rows it evaluated; the operator that evaluated the batch returns it.
+// err is where a vfail reports its error once a selected row reaches
+// it; the operator that evaluated the batch returns it.
 type vbatch struct {
 	n       int
 	cols    []vcol
@@ -1213,466 +1213,288 @@ func (v *vlike) eval(b *vbatch) vcol {
 	return vcol{kind: store.KindBool, bools: out, nulls: nulls}
 }
 
-// ---- per-row evaluation ----
-
-// vframe is the row shape a vscalar evaluates over: the slots of rel,
-// read from batch columns cols (nil: the batch's columns are rel's
-// slots in order).
-type vframe struct {
-	rel  *Rel
-	cols []int
-}
-
-// vscalar evaluates an expression the kernels cannot reproduce through
-// the executor's scalar evaluator, one selected row at a time, over a
-// Frame of that row whose parent is the run's correlation parent. Its
-// kind is declared at compile time (exprKind); a NULL result sets the
-// row's null bit, and an evaluation error — or a value of another kind
-// — is recorded on the batch (vbatch.err) for the operator to return.
-type vscalar struct {
-	e      sql.Expr
-	k      store.Kind
-	ev     Evaluator
-	parent *Frame
-	frame  *vframe
-}
-
-func (v *vscalar) kind() store.Kind { return v.k }
-
-func (v *vscalar) eval(b *vbatch) vcol {
-	n := b.n
-	out := vcol{kind: v.k, nulls: b.scratch.boolBuf(n)}
-	for i := range out.nulls {
-		out.nulls[i] = true
-	}
-	switch v.k {
-	case store.KindInt:
-		out.ints = b.scratch.intBuf(n)
-	case store.KindFloat:
-		out.floats = b.scratch.floatBuf(n)
-	case store.KindText:
-		out.strs = make([]string, n)
-	case store.KindBool:
-		out.bools = b.scratch.boolBuf(n)
-	}
-	cols := v.frame.cols
-	width := len(cols)
-	if cols == nil {
-		width = len(b.cols)
-	}
-	f := &Frame{Rel: v.frame.rel, Row: make(store.Row, width), Parent: v.parent}
-	b.forSel(func(i int) {
-		if b.err != nil {
-			return
-		}
-		for p := range f.Row {
-			c := p
-			if cols != nil {
-				c = cols[p]
-			}
-			f.Row[p] = b.cols[c].value(i)
-		}
-		val, err := v.ev.Eval(f, v.e)
-		switch {
-		case err != nil:
-			b.err = err
-		case val.IsNull():
-		case val.Kind() != v.k:
-			b.err = fmt.Errorf("plan: %s evaluated to %s, compiled as %s", v.e, val.Kind(), v.k)
-		default:
-			out.nulls[i] = false
-			switch v.k {
-			case store.KindInt:
-				out.ints[i] = val.Int64()
-			case store.KindFloat:
-				out.floats[i], _ = val.AsFloat()
-			case store.KindText:
-				out.strs[i] = val.Str()
-			case store.KindBool:
-				out.bools[i] = val.BoolVal()
-			}
-		}
-	})
-	return out
-}
-
-// exprKind is the kind e evaluates to whenever it is not NULL, the kind
-// a vscalar declares. Columns resolve through scope, innermost first;
-// sn types the FROM clause of a scalar subquery, whose kind is that of
-// its output column. Predicates are bool; an expression that can only
-// fail or be NULL (arithmetic over text, an unknown column) is NULL.
-func exprKind(sn *store.Snapshot, e sql.Expr, scope []*Rel) store.Kind {
-	switch n := e.(type) {
-	case sql.Literal:
-		return n.Val.Kind()
-	case sql.Param:
-		return n.Kind
-	case sql.ColumnRef:
-		for _, rel := range scope {
-			if k, ok := refKind(rel, n); ok {
-				return k
-			}
-		}
-		return store.KindNull
-	case *sql.BinaryExpr:
-		if n.Op == sql.OpAnd || n.Op == sql.OpOr || n.Op.IsComparison() {
-			return store.KindBool
-		}
-		l, r := exprKind(sn, n.L, scope), exprKind(sn, n.R, scope)
-		switch {
-		case l == store.KindInt && r == store.KindInt && n.Op != sql.OpDiv:
-			return store.KindInt
-		case numericOrNull(l) && numericOrNull(r) && l != store.KindNull && r != store.KindNull:
-			return store.KindFloat
-		}
-		return store.KindNull
-	case *sql.NegExpr:
-		if k := exprKind(sn, n.X, scope); k == store.KindInt || k == store.KindFloat {
-			return k
-		}
-		return store.KindNull
-	case *sql.FuncCall:
-		switch n.Name {
-		case "COUNT":
-			return store.KindInt
-		case "AVG":
-			return store.KindFloat
-		}
-		k := exprKind(sn, n.Arg, scope)
-		if n.Name == "SUM" && !numericOrNull(k) {
-			return store.KindNull
-		}
-		return k
-	case *sql.SubqueryExpr:
-		bs, err := bindFrom(sn, n.Sub)
-		if err != nil || len(n.Sub.Items) == 0 {
-			return store.KindNull
-		}
-		inner := fromOrderRel(bs)
-		if it := n.Sub.Items[0]; !it.Star {
-			return exprKind(sn, it.Expr, append([]*Rel{inner}, scope...))
-		}
-		return store.KindOfColType(bs[0].Meta.Columns[0].Type)
-	}
-	return store.KindBool
-}
-
-// refKind is the stored kind of the column ref names in rel.
-func refKind(rel *Rel, ref sql.ColumnRef) (store.Kind, bool) {
-	if rel == nil {
-		return store.KindNull, false
-	}
-	for _, b := range rel.Bindings {
-		if ref.Table != "" && ref.Table != b.Name {
-			continue
-		}
-		if ci := indexOfColumn(b.Meta, ref.Column); ci >= 0 {
-			return store.KindOfColType(b.Meta.Columns[ci].Type), true
-		}
-	}
-	return store.KindNull, false
-}
-
 // ---- compiler ----
+
+// ErrUnsupported is wrapped by the error of a statement the planned
+// executor does not run: a correlated subquery (Compile reports it),
+// or an expression no kernel compiles — a cross-kind comparison, NOT
+// over a non-bool, a LIKE pattern or IN list that is not constant,
+// arithmetic over a non-number (the operator's open reports it). The
+// front end emits none of these; the reference executor
+// (exec.ReferenceQueryAt) evaluates them all.
+var ErrUnsupported = errors.New("plan: not supported by the planned executor")
+
+// unsupported wraps ErrUnsupported with what e asks for.
+func unsupported(e sql.Expr, format string, args ...any) error {
+	return fmt.Errorf("%w: %s in %s", ErrUnsupported, fmt.Sprintf(format, args...), e)
+}
+
+// vfail is an expression the reference executor fails on wherever it
+// evaluates it — an unknown or ambiguous column, an unbound parameter,
+// an aggregate outside one, a subquery whose value does not bind. It
+// fails the same way: its error goes on the first batch with a
+// selected row (vbatch.err), for the operator to return.
+type vfail struct{ err error }
+
+func (v *vfail) kind() store.Kind { return store.KindNull }
+
+func (v *vfail) eval(b *vbatch) vcol {
+	if b.err == nil && b.rows() > 0 {
+		b.err = v.err
+	}
+	return vcol{kind: store.KindNull}
+}
 
 // vcompiler compiles sql.Expr into vexprs for one operator instance as
 // it opens. resolve is the leaf hook: it maps column references (and,
 // for the aggregate output compiler, whole grouped/aggregate
-// subexpressions) to columns. It returns handled=false to let
-// structural compilation proceed, or handled=true with a nil vexpr to
-// decline.
+// subexpressions) to columns, failing for a reference it cannot
+// resolve; a nil vexpr and nil error let structural compilation
+// proceed.
 //
-// Every expression compiles. What is constant for the run binds here,
-// the way a parameter does: a parameter slot, a column of an enclosing
-// query's row (ctx.Parent), and a subquery that reads no column of the
-// current row — a scalar subquery becomes its value, IN (subquery) a
-// vin over its rows, EXISTS a bool (bind). What is left — a subquery
-// that does read the row, a cross-kind comparison, NOT over a non-bool,
-// a LIKE pattern or IN list that is not constant — becomes a vscalar:
-// the smallest predicate or scalar subquery around it evaluates row by
-// row. A node with no kind of its own to declare (arithmetic over
-// text, an unknown column) declines to its parent, and expr wraps the
-// whole expression.
+// What is constant for the run binds here, the way a parameter does: a
+// parameter slot, and a subquery — a scalar subquery becomes its value,
+// IN (subquery) a vin over its rows, EXISTS a bool — run once for the
+// run by its own plan (Ctx.subquery). Everything else lowers to a
+// kernel or fails (see expr).
 type vcompiler struct {
-	resolve func(e sql.Expr) (vexpr, bool)
+	resolve func(e sql.Expr) (vexpr, error)
 	ctx     *Ctx
-	rel     *Rel   // the row shape the current row of a subquery probe has
-	frame   vframe // what a vscalar evaluates over
-	// subst rewrites an expression before a vscalar evaluates it; the
-	// aggregate output compiler points aggregate calls at their slots.
-	subst func(sql.Expr) sql.Expr
 }
 
 // newCompiler builds a compiler over a relational row shape for one
 // run.
 func newCompiler(rel *Rel, ctx *Ctx) *vcompiler {
 	kinds := relKinds(rel)
-	c := &vcompiler{ctx: ctx, rel: rel, frame: vframe{rel: rel}}
-	c.resolve = func(e sql.Expr) (vexpr, bool) {
+	c := &vcompiler{ctx: ctx}
+	c.resolve = func(e sql.Expr) (vexpr, error) {
 		ref, ok := e.(sql.ColumnRef)
 		if !ok {
-			return nil, false
+			return nil, nil
 		}
-		off, found, ambiguous := OffsetIn(rel, ref)
-		switch {
+		switch off, found, ambiguous := OffsetIn(rel, ref); {
 		case found:
-			return &vcolRef{off: off, k: kinds[off]}, true
+			return &vcolRef{off: off, k: kinds[off]}, nil
 		case ambiguous:
-			return nil, true
+			return nil, fmt.Errorf("plan: ambiguous column %q", ref.String())
 		}
-		return c.outerRef(ref), true
+		return nil, fmt.Errorf("plan: unknown column %q", ref.String())
 	}
 	return c
 }
 
-// outerRef binds a column of an enclosing query's row: nil when no
-// frame of the parent chain has it, when it is ambiguous there, or when
-// the frame holding it is a probe's (no row yet).
-func (c *vcompiler) outerRef(ref sql.ColumnRef) vexpr {
-	for f := c.ctx.Parent; f != nil; f = f.Parent {
-		off, found, ambiguous := OffsetIn(f.Rel, ref)
-		if ambiguous || (found && f.Row == nil) {
-			return nil
-		}
-		if found {
-			return &vconst{val: f.Row[off]}
-		}
+// expr compiles e. An expression no kernel compiles fails with
+// ErrUnsupported; one the reference executor fails on wherever it
+// evaluates it compiles to a vfail, which fails on the first selected
+// row as the reference does on the first row it evaluates.
+func (c *vcompiler) expr(e sql.Expr) (vexpr, error) {
+	ve, err := c.compile(e)
+	if err != nil && !errors.Is(err, ErrUnsupported) {
+		return &vfail{err: err}, nil
 	}
-	return nil
-}
-
-// probe is the frame a subquery binds under: the current row shape
-// with no row in it, over the run's correlation parent.
-func (c *vcompiler) probe() *Frame {
-	return &Frame{Rel: c.rel, Parent: c.ctx.Parent}
-}
-
-// bind evaluates a subquery expression once for the run. ok is false
-// when the evaluation fails — which is what a subquery reading the
-// current row does under the probe, and what a failing one does
-// anyway; either then evaluates row by row, where a real error
-// surfaces on the first row that needs the value, exactly as when
-// every row evaluated it.
-func (c *vcompiler) bind(e sql.Expr) (store.Value, bool) {
-	if c.ctx.Ev == nil {
-		return store.Value{}, false
-	}
-	v, err := c.ctx.Ev.Eval(c.probe(), e)
-	return v, err == nil
-}
-
-// rowwise compiles e to a vscalar of kind k.
-func (c *vcompiler) rowwise(e sql.Expr, k store.Kind) vexpr {
-	if c.subst != nil {
-		e = c.subst(e)
-	}
-	return &vscalar{e: e, k: k, ev: c.ctx.Ev, parent: c.ctx.Parent, frame: &c.frame}
-}
-
-// kindOf is exprKind over the compiler's row shape and the run's
-// parent chain.
-func (c *vcompiler) kindOf(e sql.Expr) store.Kind {
-	scope := []*Rel{c.rel}
-	for f := c.ctx.Parent; f != nil; f = f.Parent {
-		scope = append(scope, f.Rel)
-	}
-	return exprKind(c.ctx.Snap, e, scope)
-}
-
-// expr compiles e, evaluating it row by row when it declines.
-func (c *vcompiler) expr(e sql.Expr) vexpr {
-	if ve, ok := c.compile(e); ok {
-		return ve
-	}
-	return c.rowwise(e, c.kindOf(e))
+	return ve, err
 }
 
 func numericOrNull(k store.Kind) bool {
 	return k == store.KindInt || k == store.KindFloat || k == store.KindNull
 }
 
-// boundVal reports the value of a compiled constant.
-func boundVal(ve vexpr, ok bool) (store.Value, bool) {
-	if k, isConst := ve.(*vconst); ok && isConst {
-		return k.val, true
-	}
-	return store.Value{}, false
+func boolOrNull(k store.Kind) bool {
+	return k == store.KindBool || k == store.KindNull
 }
 
-// compile lowers e to a vexpr; ok is false when e declines to its
-// parent (see vcompiler).
-func (c *vcompiler) compile(e sql.Expr) (vexpr, bool) {
-	if ve, handled := c.resolve(e); handled {
-		return ve, ve != nil
+// compile lowers e to a vexpr (see vcompiler and expr).
+func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
+	if ve, err := c.resolve(e); ve != nil || err != nil {
+		return ve, err
 	}
-	pred := func() (vexpr, bool) { return c.rowwise(e, store.KindBool), true }
 	switch n := e.(type) {
 	case sql.Literal:
-		return &vconst{val: n.Val}, true
+		return &vconst{val: n.Val}, nil
 	case sql.Param:
 		if n.Idx < 0 || n.Idx >= len(c.ctx.Params) {
-			return nil, false // unbound: the evaluator raises the error
+			return nil, fmt.Errorf("plan: unbound parameter $%d", n.Idx+1)
 		}
-		return &vconst{val: c.ctx.Params[n.Idx]}, true
+		return &vconst{val: c.ctx.Params[n.Idx]}, nil
 	case *sql.BinaryExpr:
-		l, lok := c.compile(n.L)
-		r, rok := c.compile(n.R)
-		isPred := n.Op == sql.OpAnd || n.Op == sql.OpOr || n.Op.IsComparison()
-		if !lok || !rok {
-			if isPred {
-				return pred()
-			}
-			return nil, false
+		l, err := c.compile(n.L)
+		if err != nil {
+			return nil, err
+		}
+		r, err := c.compile(n.R)
+		if err != nil {
+			return nil, err
 		}
 		lk, rk := l.kind(), r.kind()
 		switch {
 		case n.Op == sql.OpAnd || n.Op == sql.OpOr:
-			if (lk != store.KindBool && lk != store.KindNull) ||
-				(rk != store.KindBool && rk != store.KindNull) {
-				return pred()
+			if !boolOrNull(lk) || !boolOrNull(rk) {
+				return nil, unsupported(e, "%s over %s and %s", n.Op, lk, rk)
 			}
-			return &vlogic{and: n.Op == sql.OpAnd, l: l, r: r}, true
+			return &vlogic{and: n.Op == sql.OpAnd, l: l, r: r}, nil
 		case n.Op.IsComparison():
 			if lk == store.KindNull || rk == store.KindNull {
-				return allNull(), true
+				return allNull(), nil
 			}
 			if !(numericOrNull(lk) && numericOrNull(rk)) && lk != rk {
-				return pred() // cross-kind comparison
+				return nil, unsupported(e, "a comparison of %s with %s", lk, rk)
 			}
 			if numericOrNull(lk) {
 				if k, ok := r.(*vconst); ok {
 					lo, hi, neg := cmpBounds(n.Op, k.val)
-					return newNumRange(l, lo, hi, neg), true
+					return newNumRange(l, lo, hi, neg), nil
 				}
 				if k, ok := l.(*vconst); ok {
 					lo, hi, neg := cmpBounds(flipCmp(n.Op), k.val)
-					return newNumRange(r, lo, hi, neg), true
+					return newNumRange(r, lo, hi, neg), nil
 				}
 			}
-			return &vcmp{op: n.Op, l: l, r: r}, true
+			return &vcmp{op: n.Op, l: l, r: r}, nil
 		default: // arithmetic
 			if !numericOrNull(lk) || !numericOrNull(rk) {
-				return nil, false
+				return nil, unsupported(e, "arithmetic over %s and %s", lk, rk)
 			}
 			if lk == store.KindNull || rk == store.KindNull {
-				return allNull(), true
+				return allNull(), nil
 			}
 			out := store.KindFloat
 			if n.Op != sql.OpDiv && lk == store.KindInt && rk == store.KindInt {
 				out = store.KindInt
 			}
-			return &varith{op: n.Op, l: l, r: r, out: out}, true
+			return &varith{op: n.Op, l: l, r: r, out: out}, nil
 		}
 	case *sql.NotExpr:
-		x, ok := c.compile(n.X)
+		x, err := c.compile(n.X)
 		switch {
-		case !ok:
+		case err != nil:
+			return nil, err
 		case x.kind() == store.KindNull:
-			return allNull(), true
+			return allNull(), nil
 		case x.kind() == store.KindBool:
-			return &vnot{x: x}, true
+			return &vnot{x: x}, nil
 		}
-		// NOT over a non-boolean: the scalar path treats any non-TRUE
-		// value as falsy.
-		return pred()
+		return nil, unsupported(e, "NOT over %s", x.kind())
 	case *sql.NegExpr:
-		x, ok := c.compile(n.X)
-		if !ok {
-			return nil, false
+		x, err := c.compile(n.X)
+		if err != nil {
+			return nil, err
 		}
 		switch x.kind() {
 		case store.KindNull:
-			return allNull(), true
+			return allNull(), nil
 		case store.KindInt, store.KindFloat:
-			return &vneg{x: x, out: x.kind()}, true
+			return &vneg{x: x, out: x.kind()}, nil
 		}
-		return nil, false
+		return nil, unsupported(e, "negation of %s", x.kind())
 	case *sql.IsNullExpr:
-		x, ok := c.compile(n.X)
-		if !ok {
-			return pred()
+		x, err := c.compile(n.X)
+		if err != nil {
+			return nil, err
 		}
-		return &visnull{x: x, negated: n.Negated}, true
+		return &visnull{x: x, negated: n.Negated}, nil
 	case *sql.BetweenExpr:
-		x, xok := c.compile(n.X)
-		lo, lok := c.compile(n.Lo)
-		hi, hok := c.compile(n.Hi)
-		if !xok || !lok || !hok {
-			return pred()
+		var ops [3]vexpr
+		for i, op := range []sql.Expr{n.X, n.Lo, n.Hi} {
+			var err error
+			if ops[i], err = c.compile(op); err != nil {
+				return nil, err
+			}
 		}
+		x, lo, hi := ops[0], ops[1], ops[2]
 		ks := [3]store.Kind{x.kind(), lo.kind(), hi.kind()}
 		for _, k := range ks {
 			if k == store.KindNull {
-				return allNull(), true
+				return allNull(), nil
 			}
 		}
 		allNum := numericOrNull(ks[0]) && numericOrNull(ks[1]) && numericOrNull(ks[2])
 		allText := ks[0] == store.KindText && ks[1] == store.KindText && ks[2] == store.KindText
 		if !allNum && !allText {
-			return pred()
+			return nil, unsupported(e, "BETWEEN over %s, %s and %s", ks[0], ks[1], ks[2])
 		}
 		if allNum {
 			lk, lok := lo.(*vconst)
 			hk, hok := hi.(*vconst)
 			if lok && hok {
-				return newNumRange(x, &numBound{v: lk.val}, &numBound{v: hk.val}, n.Negated), true
+				return newNumRange(x, &numBound{v: lk.val}, &numBound{v: hk.val}, n.Negated), nil
 			}
 		}
-		return &vbetween{x: x, lo: lo, hi: hi, negated: n.Negated, text: allText}, true
+		return &vbetween{x: x, lo: lo, hi: hi, negated: n.Negated, text: allText}, nil
 	case *sql.InExpr:
-		x, ok := c.compile(n.X)
-		if !ok {
-			return pred()
+		x, err := c.compile(n.X)
+		switch {
+		case err != nil:
+			return nil, err
+		case x.kind() == store.KindNull:
+			return allNull(), nil // NULL IN (...) reads no element
 		}
 		in := &vin{x: x, negated: n.Negated}
 		if n.Sub != nil {
-			if c.ctx.Ev == nil {
-				return pred()
-			}
-			rows, err := c.ctx.Ev.SubqueryRows(c.probe(), n.Sub)
-			if err != nil {
-				return pred()
+			rows, cols, err := c.ctx.subquery(n.Sub)
+			switch {
+			case err != nil:
+				return nil, err
+			case cols != 1:
+				return nil, fmt.Errorf("plan: IN subquery must return one column, got %d", cols)
 			}
 			for _, r := range rows {
 				in.add(r[0])
 			}
 		}
 		for _, le := range n.List {
-			val, ok := boundVal(c.compile(le))
-			if !ok {
-				return pred()
+			ve, err := c.compile(le)
+			if err != nil {
+				return nil, err
 			}
-			in.add(val)
+			k, ok := ve.(*vconst)
+			if !ok {
+				return nil, unsupported(e, "an IN list element that is not constant")
+			}
+			in.add(k.val)
 		}
-		if x.kind() == store.KindNull {
-			return allNull(), true
-		}
-		return in, true
+		return in, nil
 	case *sql.LikeExpr:
-		x, ok := c.compile(n.X)
-		pat, pok := boundVal(c.compile(n.Pattern))
+		x, err := c.compile(n.X)
+		if err != nil {
+			return nil, err
+		}
+		pe, err := c.compile(n.Pattern)
+		if err != nil {
+			return nil, err
+		}
+		pat, ok := pe.(*vconst)
 		switch {
-		case !ok || !pok:
-			return pred()
-		case x.kind() == store.KindNull || pat.IsNull():
-			return allNull(), true
-		case x.kind() != store.KindText || pat.Kind() != store.KindText:
-			return pred()
+		case !ok:
+			return nil, unsupported(e, "a LIKE pattern that is not constant")
+		case x.kind() == store.KindNull || pat.val.IsNull():
+			return allNull(), nil
+		case x.kind() != store.KindText || pat.val.Kind() != store.KindText:
+			return nil, unsupported(e, "LIKE over %s", x.kind())
 		}
-		return &vlike{x: x, pattern: pat.Str(), negated: n.Negated}, true
+		return &vlike{x: x, pattern: pat.val.Str(), negated: n.Negated}, nil
 	case *sql.ExistsExpr:
-		if v, ok := c.bind(n); ok {
-			return &vconst{val: v}, true
+		rows, _, err := c.ctx.subquery(n.Sub)
+		if err != nil {
+			return nil, err
 		}
-		return pred()
+		return &vconst{val: store.Bool((len(rows) > 0) != n.Negated)}, nil
 	case *sql.SubqueryExpr:
-		if v, ok := c.bind(n); ok {
-			return &vconst{val: v}, true
+		rows, cols, err := c.ctx.subquery(n.Sub)
+		switch {
+		case err != nil:
+			return nil, err
+		case cols != 1:
+			return nil, fmt.Errorf("plan: scalar subquery must return one column, got %d", cols)
+		case len(rows) > 1:
+			return nil, fmt.Errorf("plan: scalar subquery returned %d rows", len(rows))
+		case len(rows) == 0:
+			return allNull(), nil
 		}
-		return c.rowwise(n, c.kindOf(n)), true
+		return &vconst{val: rows[0][0]}, nil
+	case *sql.FuncCall:
+		return nil, fmt.Errorf("plan: aggregate %s used outside GROUP BY context", n.Name)
 	}
-	// An aggregate call outside the Aggregate operator.
-	return nil, false
+	return nil, unsupported(e, "%T", e)
 }
 
 // add puts one element into the IN list.

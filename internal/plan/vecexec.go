@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 
-	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/store"
 )
@@ -18,10 +17,10 @@ import (
 // This file is the operator half of the executor: batch-at-a-time
 // scan, filter, project, hash and cross join, aggregate, sort, distinct
 // and limit over the typed column vectors of vec.go. Every operator
-// opens its inputs batch-at-a-time, and every expression compiles (see
-// vcompiler): subqueries and outer references that are constant for
-// the run bind when the operator opens, and the rest evaluates row by
-// row through the executor.
+// opens its inputs batch-at-a-time and compiles its expressions as it
+// opens (see vcompiler): subqueries bind to their values for the run,
+// and an expression no kernel reproduces fails the open with
+// ErrUnsupported.
 //
 // Every operator preserves the reference semantics' output order — the
 // stable order of a row-at-a-time nested evaluation — so a parallel
@@ -163,10 +162,11 @@ func segWindowCol(sc *store.SegCol, lo, hi int, mask []bool) vcol {
 // ---- filter ----
 
 // vopen keeps the rows every conjunct of the predicate passes. The
-// conjuncts narrow the selection one after another, so a conjunct
-// evaluated row by row sees only the rows all earlier ones kept, as
-// with a short-circuit AND. Their vectors die here; the survivor list
-// is lent with the batch, and not at all when every row passed.
+// conjuncts narrow the selection one after another, so a conjunct that
+// fails on a selected row (vfail) fails only on rows all earlier ones
+// kept, as with a short-circuit AND. Their vectors die here; the
+// survivor list is lent with the batch, and not at all when every row
+// passed.
 func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 	in, err := f.In.vopen(ctx)
 	if err != nil {
@@ -176,7 +176,9 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 	conjs := conjuncts(f.Pred)
 	preds := make([]vexpr, len(conjs))
 	for i, conj := range conjs {
-		preds[i] = c.expr(conj)
+		if preds[i], err = c.expr(conj); err != nil {
+			return nil, err
+		}
 	}
 	sc := ctx.arena.borrow()
 	return func() (*vbatch, error) {
@@ -536,9 +538,11 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 		return nil, err
 	}
 	c := newCompiler(p.In.Rel(), ctx)
-	exprs := make([]vexpr, 0, len(p.Items)+len(p.SortKeys))
-	for _, e := range append(slices.Clip(p.Items), p.SortKeys...) {
-		exprs = append(exprs, c.expr(e))
+	exprs := make([]vexpr, len(p.Items)+len(p.SortKeys))
+	for x, e := range append(slices.Clip(p.Items), p.SortKeys...) {
+		if exprs[x], err = c.expr(e); err != nil {
+			return nil, err
+		}
 	}
 	out := &vbatch{cols: make([]vcol, len(exprs))}
 	sc := ctx.arena.borrow()
@@ -589,12 +593,15 @@ type vecAggSlot struct {
 // newSlot compiles an aggregate call over the input relation. SUM and
 // AVG over a non-numeric argument have NULL results and fail on the
 // first non-NULL value (groupTable.add), like the scalar evaluator.
-func newSlot(in *vcompiler, fc *sql.FuncCall) vecAggSlot {
+func newSlot(in *vcompiler, fc *sql.FuncCall) (vecAggSlot, error) {
 	slot := vecAggSlot{fn: fc.Name, star: fc.Star, distinct: fc.Distinct, outKind: store.KindInt}
 	if fc.Star {
-		return slot // COUNT(*), the only starred aggregate the parser accepts
+		return slot, nil // COUNT(*), the only starred aggregate the parser accepts
 	}
-	slot.arg = in.expr(fc.Arg)
+	var err error
+	if slot.arg, err = in.expr(fc.Arg); err != nil {
+		return slot, err
+	}
 	slot.argKind = slot.arg.kind()
 	switch fc.Name {
 	case "SUM", "AVG":
@@ -609,7 +616,7 @@ func newSlot(in *vcompiler, fc *sql.FuncCall) vecAggSlot {
 	case "MIN", "MAX":
 		slot.outKind = slot.argKind
 	}
-	return slot
+	return slot, nil
 }
 
 // vecAggPlan is the decomposed Aggregate: GROUP BY key programs over
@@ -624,18 +631,11 @@ type vecAggPlan struct {
 	nOut   int // len(Items) + len(SortKeys)
 }
 
-// aggBinding names the group frame's aggregate columns (see
-// planVecAgg); the SQL lexer cannot produce it.
-const aggBinding = "#agg"
-
 // planVecAgg decomposes a into a vectorized aggregation plan for one
 // run: every output item reduces to GROUP BY expressions, aggregate
-// slots and vector programs over them. Whatever of an item does not
-// vectorize evaluates per group through the executor, over a frame of
-// the group's first row (the input's columns, as FIRST slots) followed
-// by its keys and aggregates under aggBinding, from which the
-// expression's aggregate calls are read.
-func planVecAgg(a *Aggregate, ctx *Ctx) *vecAggPlan {
+// slots and vector programs over them. A bare column outside GROUP BY
+// reads the group's first row, as a FIRST slot.
+func planVecAgg(a *Aggregate, ctx *Ctx) (*vecAggPlan, error) {
 	rel := a.In.Rel()
 	kinds := relKinds(rel)
 	in := newCompiler(rel, ctx)
@@ -643,85 +643,70 @@ func planVecAgg(a *Aggregate, ctx *Ctx) *vecAggPlan {
 	pseudoIdx := map[string]int{}
 	var pseudoKinds []store.Kind
 	for i, g := range a.GroupBy {
-		ve := in.expr(g)
+		ve, err := in.expr(g)
+		if err != nil {
+			return nil, err
+		}
 		ap.keys = append(ap.keys, ve)
 		pseudoIdx[g.String()] = i
 		pseudoKinds = append(pseudoKinds, ve.kind())
 	}
 	// slot returns the pseudo column of the slot under key, adding it.
-	slot := func(key string, mk func() vecAggSlot) int {
+	slot := func(key string, mk func() (vecAggSlot, error)) (int, error) {
 		if idx, ok := pseudoIdx[key]; ok {
-			return idx
+			return idx, nil
 		}
-		s := mk()
+		s, err := mk()
+		if err != nil {
+			return 0, err
+		}
 		pseudoIdx[key] = len(pseudoKinds)
 		pseudoKinds = append(pseudoKinds, s.outKind)
 		ap.slots = append(ap.slots, s)
-		return len(pseudoKinds) - 1
+		return len(pseudoKinds) - 1, nil
 	}
-	agg := func(fc *sql.FuncCall) int {
-		return slot(fc.String(), func() vecAggSlot { return newSlot(in, fc) })
+	ref := func(idx int, err error) (vexpr, error) {
+		if err != nil {
+			return nil, err
+		}
+		return &vcolRef{off: idx, k: pseudoKinds[idx]}, nil
 	}
-	first := func(off int) int {
-		return slot("FIRST "+strconv.Itoa(off), func() vecAggSlot {
-			return vecAggSlot{fn: "FIRST", arg: &vcolRef{off: off, k: kinds[off]},
-				argKind: kinds[off], outKind: kinds[off]}
-		})
-	}
-	ref := func(idx int) vexpr { return &vcolRef{off: idx, k: pseudoKinds[idx]} }
-	outer := &vcompiler{ctx: ctx, rel: rel}
-	outer.resolve = func(e sql.Expr) (vexpr, bool) {
+	outer := &vcompiler{ctx: ctx}
+	outer.resolve = func(e sql.Expr) (vexpr, error) {
 		if idx, ok := pseudoIdx[e.String()]; ok {
-			return ref(idx), true
+			return ref(idx, nil)
 		}
 		switch n := e.(type) {
 		case *sql.FuncCall:
-			return ref(agg(n)), true
+			return ref(slot(n.String(), func() (vecAggSlot, error) { return newSlot(in, n) }))
 		case sql.ColumnRef:
-			if off, ok, ambiguous := OffsetIn(rel, n); ok && !ambiguous {
-				return ref(first(off)), true // a bare column outside GROUP BY
+			off, ok, ambiguous := OffsetIn(rel, n)
+			if !ok || ambiguous {
+				return in.resolve(e)
 			}
-			return in.resolve(e)
+			// A bare column outside GROUP BY.
+			return ref(slot("FIRST "+strconv.Itoa(off), func() (vecAggSlot, error) {
+				return vecAggSlot{fn: "FIRST", arg: &vcolRef{off: off, k: kinds[off]},
+					argKind: kinds[off], outKind: kinds[off]}, nil
+			}))
 		}
-		return nil, false
-	}
-	var repCols []int
-	framed := false
-	outer.subst = func(e sql.Expr) sql.Expr {
-		framed = true
-		for off := len(repCols); off < rel.Width; off++ {
-			repCols = append(repCols, first(off))
-		}
-		// Every aggregate outside nested statements becomes a column of
-		// the aggregate binding; nested statements stay shared.
-		return sql.Rewrite(e, func(x sql.Expr) (sql.Expr, bool) {
-			fc, ok := x.(*sql.FuncCall)
-			if !ok {
-				return nil, false
-			}
-			return sql.ColumnRef{Table: aggBinding, Column: strconv.Itoa(agg(fc))}, true
-		})
+		return nil, nil
 	}
 	for _, e := range append(slices.Clip(a.Items), a.SortKeys...) {
-		ap.items = append(ap.items, outer.expr(e))
+		ve, err := outer.expr(e)
+		if err != nil {
+			return nil, err
+		}
+		ap.items = append(ap.items, ve)
 	}
 	if a.Having != nil {
-		ap.having = outer.expr(a.Having)
+		var err error
+		if ap.having, err = outer.expr(a.Having); err != nil {
+			return nil, err
+		}
 	}
 	ap.nOut = len(a.Items) + len(a.SortKeys)
-	if framed {
-		n := len(pseudoKinds)
-		b := Binding{Name: aggBinding, Meta: &schema.Table{Name: aggBinding, Columns: make([]schema.Column, n)},
-			Off: rel.Width, Cols: make([]int, n)}
-		for i := range b.Cols {
-			b.Meta.Columns[i].Name, b.Cols[i] = strconv.Itoa(i), i
-		}
-		outer.frame = vframe{
-			rel:  &Rel{Bindings: append(slices.Clip(rel.Bindings), b), Width: rel.Width + n},
-			cols: append(repCols, b.Cols...),
-		}
-	}
-	return ap
+	return ap, nil
 }
 
 // aggState holds the running accumulators of one slot, one entry per
@@ -1244,7 +1229,11 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 		}
 	}
 	if r == nil { // serial: the input as it stands
-		t := newGroupTable(planVecAgg(a, ctx), ctx.arena.borrow())
+		ap, err := planVecAgg(a, ctx)
+		if err != nil {
+			return nil, err
+		}
+		t := newGroupTable(ap, ctx.arena.borrow())
 		in, err := a.In.vopen(ctx)
 		if err == nil {
 			err = t.drain(0, in)
@@ -1257,7 +1246,11 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 	tabs := make([]*groupTable, r.workers)
 	err := r.run(func(w int, wctx *Ctx, m int, in viter) error {
 		if tabs[w] == nil {
-			tabs[w] = newGroupTable(planVecAgg(a, wctx), wctx.arena.borrow())
+			ap, err := planVecAgg(a, wctx)
+			if err != nil {
+				return err
+			}
+			tabs[w] = newGroupTable(ap, wctx.arena.borrow())
 		}
 		return tabs[w].drain(m, in)
 	})
