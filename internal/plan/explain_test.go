@@ -67,6 +67,16 @@ sort by avg_sal desc
       └─ scan departments AS d cols=2/4 [est=6 segments=1 skipped=0] [build]`,
 		},
 		{
+			// The subquery is a plan of its own: dept_id, which only it
+			// reads, is not among the outer scan's columns.
+			name: "a subquery's columns are not the outer scan's",
+			sql:  "SELECT name FROM students WHERE gpa > (SELECT AVG(gpa) FROM students WHERE dept_id = 1)",
+			want: `
+project name
+└─ filter (gpa > (SELECT AVG(gpa) FROM students WHERE (dept_id = 1))) [est=40]
+   └─ scan students cols=2/5 [est=120 segments=1 skipped=0]`,
+		},
+		{
 			name: "distinct projection prunes to one column",
 			sql:  "SELECT DISTINCT dept_id FROM students",
 			want: `

@@ -48,8 +48,8 @@ var poisonA5 uint64 = 0xA5A5A5A5A5A5A5A5
 
 // PoisonScratchPool empties the scratch pool and, until restore runs,
 // hands out every new vscratch with garbage in every buffer: bools
-// true, ints, floats and hashes 0xA5…, strings "☠", selections and
-// dictionary codes −1, column headers of the wrong kind and null
+// true, ints, floats and hashes 0xA5…, strings "☠", selections −1,
+// dictionary codes 0xFFFF, column headers of the wrong kind and null
 // masks all set. A buffer read before it is written then yields a
 // wrong answer instead of a lucky zero.
 func PoisonScratchPool() (restore func()) {
@@ -100,6 +100,7 @@ func UnpoisonedTakes() []string {
 		out = append(out, unpoisoned("strs", &s.strs, poisonBufs, poisonLen)...)
 		out = append(out, unpoisoned("hashes", &s.hashes, poisonBufs, poisonLen)...)
 		out = append(out, unpoisoned("sels", &s.sels, poisonBufs, poisonLen)...)
+		out = append(out, unpoisoned("codes", &s.codes, poisonBufs, poisonLen)...)
 		out = append(out, unpoisoned("cols", &s.cols, poisonCols, poisonColsLen)...)
 		out = append(out, unpoisoned("masks", &s.masks, poisonCols, poisonColsLen)...)
 	}
@@ -182,7 +183,8 @@ func poisonedScratch() *vscratch {
 	poison(&s.strs, poisonBufs, poisonLen, "☠")
 	poison(&s.hashes, poisonBufs, poisonLen, poisonA5)
 	poison(&s.sels, poisonBufs, poisonLen, -1)
-	poison(&s.cols, poisonCols, poisonColsLen, vcol{kind: store.KindText, strs: []string{"☠"}, codes: []int32{-1}})
+	poison(&s.codes, poisonBufs, poisonLen, 0xFFFF)
+	poison(&s.cols, poisonCols, poisonColsLen, vcol{kind: store.KindText, strs: []string{"☠"}, codes: []uint16{0xFFFF}})
 	poison(&s.masks, poisonCols, poisonColsLen, []bool(nil))
 	for _, masks := range s.masks.bufs {
 		for m := range masks {

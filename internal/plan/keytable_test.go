@@ -41,7 +41,7 @@ func TestKeyTableCollisions(t *testing.T) {
 	// The text of the first batch comes through a dictionary, the
 	// second's as plain strings.
 	dictBatch := []vcol{floats([]float64{0, nan, negZero, 3, nan, 0, 0}, 0, 6),
-		{kind: store.KindText, codes: []int32{0, 0, 1, 0, 1, 1, 0}, dict: []string{"a", "b"}}}
+		{kind: store.KindText, codes: []uint16{0, 0, 1, 0, 1, 1, 0}, dict: []string{"a", "b"}}}
 	plainBatch := []vcol{floats([]float64{0, nan, 3, 0, 3, 0}, 3, 5),
 		{kind: store.KindText, strs: []string{"b", "b", "a", "a", "b", "b"}}}
 	ids, fresh := show(&s, dictBatch)

@@ -281,9 +281,10 @@ func fromOrderRel(bindings []Binding) *Rel {
 	return rel
 }
 
-// pruneColumns narrows each binding to the columns the statement (or
-// any nested subquery correlating into it) references. SELECT * keeps
-// everything.
+// pruneColumns narrows each binding to the columns the statement's own
+// level references. A nested subquery is a plan of its own that reads
+// none of them: one that would (a correlated one) does not compile.
+// SELECT * keeps everything.
 func pruneColumns(bindings []Binding, stmt *sql.SelectStmt) {
 	for _, it := range stmt.Items {
 		if it.Star {
@@ -294,28 +295,21 @@ func pruneColumns(bindings []Binding, stmt *sql.SelectStmt) {
 	for i := range retained {
 		retained[i] = map[int]bool{}
 	}
-	var retain func(*sql.SelectStmt)
-	retain = func(s *sql.SelectStmt) {
-		sql.WalkStmt(s, func(e sql.Expr) bool {
-			if sub := sql.Nested(e); sub != nil {
-				retain(sub)
-			}
-			ref, ok := e.(sql.ColumnRef)
-			if !ok {
-				return true
-			}
-			for i, b := range bindings {
-				if ref.Table != "" && ref.Table != b.Name {
-					continue
-				}
-				if ci := indexOfColumn(b.Meta, ref.Column); ci >= 0 {
-					retained[i][ci] = true
-				}
-			}
+	sql.WalkStmt(stmt, func(e sql.Expr) bool {
+		ref, ok := e.(sql.ColumnRef)
+		if !ok {
 			return true
-		})
-	}
-	retain(stmt)
+		}
+		for i, b := range bindings {
+			if ref.Table != "" && ref.Table != b.Name {
+				continue
+			}
+			if ci := indexOfColumn(b.Meta, ref.Column); ci >= 0 {
+				retained[i][ci] = true
+			}
+		}
+		return true
+	})
 	for i := range bindings {
 		cols := make([]int, 0, len(retained[i]))
 		for ci := range retained[i] {

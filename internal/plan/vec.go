@@ -66,7 +66,7 @@ type vcol struct {
 	strs    []string
 	bools   []bool
 	nulls   []bool // nil when the column has no NULLs
-	codes   []int32
+	codes   []uint16
 	dict    []string
 	seg     *store.SegCol
 	off     int
@@ -237,6 +237,7 @@ type vscratch struct {
 	strs   bufPool[string]
 	hashes bufPool[uint64]
 	sels   bufPool[int32]
+	codes  bufPool[uint16]
 	cols   bufPool[vcol]
 	masks  bufPool[[]bool]
 }
@@ -245,14 +246,14 @@ type vscratch struct {
 // once per batch, before evaluating anything over it.
 func (s *vscratch) reset() {
 	s.bools.used, s.ints.used, s.floats.used, s.strs.used, s.hashes.used, s.sels.used = 0, 0, 0, 0, 0, 0
-	s.cols.used, s.masks.used = 0, 0
+	s.codes.used, s.cols.used, s.masks.used = 0, 0, 0
 }
 
 // bytes is what the scratch's buffers hold: the measure the pool's
 // cap (maxPooledScratch) is checked against.
 func (s *vscratch) bytes() int {
 	n := s.bools.elems() + 8*(s.ints.elems()+s.floats.elems()+s.hashes.elems()) +
-		16*s.strs.elems() + 4*s.sels.elems() + vcolBytes*s.cols.elems()
+		16*s.strs.elems() + 4*s.sels.elems() + 2*s.codes.elems() + vcolBytes*s.cols.elems()
 	for _, ms := range s.masks.bufs {
 		for _, m := range ms[:cap(ms)] {
 			n += cap(m)
@@ -392,11 +393,11 @@ func (s *vscratch) strBuf(n int) []string {
 	return buf
 }
 
-func (s *vscratch) codeBuf(n int) []int32 {
+func (s *vscratch) codeBuf(n int) []uint16 {
 	if s == nil {
-		return make([]int32, n)
+		return make([]uint16, n)
 	}
-	buf := s.sels.take(n)
+	buf := s.codes.take(n)
 	clear(buf)
 	return buf
 }

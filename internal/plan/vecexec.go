@@ -323,8 +323,10 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	}
 	// head marks empty buckets with 0, so it starts cleared; next is
 	// written for every chained row before it is read.
+	head := sc.sels.take(buckets)
+	clear(head)
 	bt := &vecBuildTable{cols, keyTable{keys: keys, hs: hashKeys(keys, n, nil, sc),
-		head: sc.codeBuf(buckets), next: sc.sels.take(n)}}
+		head: head, next: sc.sels.take(n)}}
 	// Pushing rows last to first leaves every chain ascending.
 	for i := n - 1; i >= 0; i-- {
 		if !nullKey(keys, i) {
@@ -352,7 +354,7 @@ func rowBytes(c *vcol) int {
 	case c.kind == store.KindInt || c.kind == store.KindFloat:
 		b = 8
 	case c.kind == store.KindText && c.dict != nil:
-		b = 4
+		b = 2
 	case c.kind == store.KindText:
 		b = 16
 	case c.kind == store.KindBool:

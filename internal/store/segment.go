@@ -88,8 +88,9 @@ type SegCol struct {
 	Strs   []string
 	Bools  []bool
 
-	// SegDict
-	Codes []int32
+	// SegDict: a dictionary holds at most segDictMaxCard entries, so
+	// every code fits 16 bits.
+	Codes []uint16
 	Dict  []string
 
 	// SegRLE: value runs with ascending exclusive end offsets.
@@ -360,7 +361,7 @@ func (c *SegCol) Bytes() int {
 	for _, s := range c.Strs {
 		b += 16 + len(s)
 	}
-	b += len(c.Codes) * 4
+	b += len(c.Codes) * 2
 	for _, s := range c.Dict {
 		b += 16 + len(s)
 	}
@@ -448,6 +449,10 @@ const (
 	segDictMaxCard = 1 << 15 // dictionary entries per segment
 	segRLEMinRun   = 8       // average run length that justifies RLE
 )
+
+// A dictionary code is a uint16 (SegCol.Codes): the largest code,
+// segDictMaxCard-1, must fit one.
+const _ uint16 = segDictMaxCard - 1
 
 // transposeBlock is how many rows appendCols hands each column at a
 // time: a block of rows stays in cache while every column takes its
@@ -763,9 +768,9 @@ func encodeSegCol(p *SegCol) *SegCol {
 			c.Strs = strs
 			return c
 		}
-		codes := make([]int32, n)
+		codes := make([]uint16, n)
 		dict := make([]string, 0, 16)
-		byVal := make(map[string]int32, 16)
+		byVal := make(map[string]uint16, 16)
 		for i, s := range strs {
 			if nulls.Get(i) {
 				continue
@@ -776,7 +781,7 @@ func encodeSegCol(p *SegCol) *SegCol {
 					c.Strs = strs
 					return c
 				}
-				code = int32(len(dict))
+				code = uint16(len(dict))
 				dict = append(dict, s)
 				byVal[s] = code
 			}

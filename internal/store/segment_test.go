@@ -383,6 +383,49 @@ func TestSegmentNaNZone(t *testing.T) {
 	}
 }
 
+// TestSegmentDictCodeWidth pins the dictionary at its cap: a 64K-row
+// chunk of exactly segDictMaxCard distinct strings seals as a
+// dictionary whose largest code, segDictMaxCard-1, reads back its
+// string and costs 2 B a row, and one more distinct string seals the
+// chunk plain.
+func TestSegmentDictCodeWidth(t *testing.T) {
+	const n = 1 << 16
+	meta := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "s", Type: schema.Text}}}
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Text(fmt.Sprintf("v%05d", i%segDictMaxCard))}
+	}
+	ss := sealRows(t, meta, rows, n)
+	if len(ss.Segs) != 1 || !ss.Segs[0].Sealed {
+		t.Fatalf("want 1 sealed segment, got %d", len(ss.Segs))
+	}
+	sc := ss.Segs[0].Cols()[0]
+	if sc.Enc != SegDict || len(sc.Dict) != segDictMaxCard {
+		t.Fatalf("encoding %s with %d entries, want %s with %d", sc.Enc, len(sc.Dict), SegDict, segDictMaxCard)
+	}
+	top := segDictMaxCard - 1
+	for _, i := range []int{top, n - 1} {
+		if sc.Codes[i] != uint16(top) {
+			t.Fatalf("row %d: code %d, want %d", i, sc.Codes[i], top)
+		}
+		if got, want := sc.StrAt(i), fmt.Sprintf("v%05d", top); got != want {
+			t.Fatalf("StrAt(%d) = %q, want %q", i, got, want)
+		}
+	}
+	want := 2 * n
+	for _, s := range sc.Dict {
+		want += 16 + len(s)
+	}
+	if got := sc.Bytes(); got != want {
+		t.Fatalf("Bytes() = %d, want %d (2 B a row plus the dictionary)", got, want)
+	}
+
+	rows[n-1] = Row{Text("one more")}
+	if enc := sealRows(t, meta, rows, n).Segs[0].Cols()[0].Enc; enc != SegPlain {
+		t.Fatalf("%d distinct strings sealed as %s, want %s", segDictMaxCard+1, enc, SegPlain)
+	}
+}
+
 // TestSegmentFORBoundaries pins frame-of-reference at extreme spans:
 // exactly 8/16/32-bit ranges and int64 min/max pairs (which must fall
 // back to plain without overflow).
