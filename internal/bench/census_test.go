@@ -19,23 +19,37 @@ import (
 
 // TestExecutorCensus pins the premise of the planned executor's one
 // expression path: every SQL statement the ledger runs plans and runs
-// through exec.Compile and exec.Run without exec.ErrUnsupported. That
-// is, for every ledger case, its gold SQL, the SQL of the engine's top
-// three readings (goldRank's), under the default options, each T2
-// ablation and each of T5's spelling distances, the keyword and pattern
-// baselines' SQL, and each dialogue turn's. A front-end change that
-// emits, say, a correlated subquery fails here, naming the case and the
-// clause, rather than as unanswered lines in the ledger's diff.
+// without exec.ErrUnsupported, both ways a statement reaches the
+// executor at parallelism 1 and 4 — exec.Compile and exec.Run, and the
+// engine's way, sql.Parameterize, exec.PrepareTemplateAt and a run
+// bound to the lifted constants, whose parameter slots must compile as
+// their literals do. The statements are, for every ledger case, its
+// gold SQL, the SQL of the engine's top three readings (goldRank's),
+// under the default options, each T2 ablation and each of T5's spelling
+// distances, the keyword and pattern baselines' SQL, and each dialogue
+// turn's. A front-end change that emits, say, a correlated subquery or
+// an OR fails here, naming the case and the clause, rather than as
+// unanswered lines in the ledger's diff.
 func TestExecutorCensus(t *testing.T) {
 	census := func(db *store.DB, id, what string, stmt *sql.SelectStmt) {
 		t.Helper()
 		sn := db.Snapshot()
-		p, err := exec.Compile(sn, stmt, 1)
-		if err == nil {
-			_, err = exec.Run(context.Background(), sn, p, exec.RunOpts{})
-		}
-		if errors.Is(err, exec.ErrUnsupported) {
-			t.Errorf("%s, %s: %v\nsql: %s", id, what, err, stmt)
+		tmpl, params := sql.Parameterize(stmt)
+		for _, par := range []int{1, 4} {
+			p, err := exec.Compile(sn, stmt, par)
+			if err == nil {
+				_, err = exec.Run(context.Background(), sn, p, exec.RunOpts{})
+			}
+			if errors.Is(err, exec.ErrUnsupported) {
+				t.Errorf("%s, %s, par=%d: %v\nsql: %s", id, what, par, err, stmt)
+			}
+			pq, err := exec.PrepareTemplateAt(sn, tmpl, params, par)
+			if err == nil {
+				_, err = exec.Run(context.Background(), sn, pq.Tmpl.Plan(), exec.RunOpts{Params: params})
+			}
+			if errors.Is(err, exec.ErrUnsupported) {
+				t.Errorf("%s, %s, par=%d, prepared: %v\nsql: %s", id, what, par, err, tmpl)
+			}
 		}
 	}
 	gold := func(db *store.DB, cs Case) {

@@ -3,9 +3,9 @@
 // cost-optimized operator tree (predicate pushdown, column pruning,
 // join ordering from row counts and declared keys, each uncorrelated
 // subquery a plan of its own) and executed by plan's vectorized engine
-// (Compile, Run). What its kernels do not compile — a correlated
-// subquery, a cross-kind comparison and the like, none of which the
-// front end emits — fails with ErrUnsupported.
+// (Compile, Run). It runs the SQL the front end writes (iql.ToSQL) and
+// fails the rest — a correlated subquery, a cartesian product, OR,
+// arithmetic, IS NULL and the like — with ErrUnsupported.
 //
 // ReferenceQueryAt preserves the pre-planner execution strategy
 // (materialize the full join product, then filter, evaluating every
@@ -25,8 +25,8 @@ import (
 )
 
 // ErrUnsupported is wrapped by the error of a statement the planned
-// executor does not run (see plan.ErrUnsupported); the reference
-// executor runs it.
+// executor does not run, any SQL the front end does not write (see
+// plan.ErrUnsupported); the reference executor runs it.
 var ErrUnsupported = plan.ErrUnsupported
 
 // Result is the output of a query.

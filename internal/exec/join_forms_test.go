@@ -133,8 +133,7 @@ type joinFormsCase struct {
 
 // joinFormsCorpus reaches both output forms of the hash-join probe —
 // the input batch forwarded with the build columns written at its match
-// rows, and the dense gather — over every key kind and build layout,
-// and the cross join over drained inputs.
+// rows, and the dense gather — over every key kind and build layout.
 var joinFormsCorpus = []joinFormsCase{
 	// Unique build keys, most probe rows matching: forwarded, with p's
 	// FOR and RLE columns and its lent null masks carried through to a
@@ -182,16 +181,10 @@ var joinFormsCorpus = []joinFormsCase{
 	// its next batch overwrites; whoever holds them longer must copy.
 	// Above an exchange the merge keeps every morsel's batches (par 2
 	// and 4); a join whose probe spans p's three segments, drained whole
-	// as the build side of another join or as a cross join's input,
-	// keeps them at every degree.
+	// as the build side of another join, keeps them at every degree.
 	{"lent/keep", "SELECT p.id, d.name, d.w, d.g FROM p, d WHERE p.k = d.k AND p.s < 15", "scan d"},
 	{"lent/build-join", "SELECT d.name, m.g, p.id FROM p, d, m WHERE p.k = m.k AND p.s < 4 AND p.s = d.id", "hash join on (p.k = m.k)"},
 	{"lent/build-join/gather", "SELECT a.name, d.name, p.id FROM p, d, d a WHERE p.k = d.k AND p.s = 2 AND p.s = a.id", "hash join on (p.k = d.k)"},
-	{"lent/cross", "SELECT d.name, m.g, p.id FROM p, d, m WHERE p.k = m.k AND p.s = 2 AND p.ts = d.id + 1700000000", ""},
-	// Cross joins drain both sides: d filtered, and m from three
-	// dictionaries.
-	{"cross", "SELECT d.id, d.g, m.id, m.g FROM d, m WHERE d.id < 3 AND m.id > 30", ""},
-	{"cross/agg", "SELECT COUNT(*), MIN(m.g), MAX(d.g), SUM(d.w) FROM d, m WHERE d.k IS NULL", ""},
 }
 
 // TestHashJoinOutputForms runs joinFormsCorpus at parallelism 1, 2 and

@@ -92,10 +92,10 @@ func (g *qgen) predicate() (string, bool) {
 			}
 			return fmt.Sprintf("%s BETWEEN %s AND %s", col.Name, lit, lit2), true
 		default:
-			return fmt.Sprintf("%s IS NOT NULL", col.Name), true
+			return fmt.Sprintf("NOT (%s > %s)", col.Name, lit), true
 		}
 	case schema.Bool:
-		return fmt.Sprintf("%s = %s", col.Name, lit), true
+		return fmt.Sprintf("%s IN (%s)", col.Name, lit), true
 	default:
 		switch g.r.Intn(3) {
 		case 0:
@@ -103,7 +103,7 @@ func (g *qgen) predicate() (string, bool) {
 		case 1:
 			return fmt.Sprintf("%s <> %s", col.Name, lit), true
 		default:
-			return fmt.Sprintf("%s IS NOT NULL", col.Name), true
+			return fmt.Sprintf("%s LIKE '%%'", col.Name), true // every non-NULL value
 		}
 	}
 }

@@ -44,7 +44,7 @@ func checkPartial(t *testing.T, sn *store.Snapshot, q, wantMark string) {
 // key and argument column, a key whose values first appear in the last
 // eighth of the rows (groups only late morsels see), and half-batch
 // segments so every morsel is many batches; beside it u, three rows to
-// cross it with.
+// join it with.
 func partialDB(seed int64) (*store.DB, int) {
 	s := schema.MustNew("partial", []*schema.Table{{
 		Name: "t",
@@ -139,14 +139,14 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 		} {
 			checkPartial(t, sn, c.q, c.mark)
 		}
-		// A subquery filter and a cross join under the exchange fold per
-		// worker too: the subquery binds once as each worker's pipeline
-		// opens, and the cross join runs in every worker, once a morsel.
+		// A subquery filter and a join under the exchange fold per worker
+		// too: the subquery binds once as each worker's pipeline opens,
+		// and the join probes u's build in every worker.
 		for _, q := range []string{
 			"SELECT COUNT(*), MIN(seq) FROM t WHERE v > (SELECT AVG(v) FROM t)",
 			"SELECT k1, COUNT(*), MAX(s) FROM t WHERE v > (SELECT AVG(v) FROM t) GROUP BY k1",
-			"SELECT COUNT(*), COUNT(v), MIN(v), MAX(w) FROM t, u",
-			"SELECT k1, COUNT(*), MIN(w) FROM t, u WHERE v > w GROUP BY k1",
+			"SELECT COUNT(*), COUNT(v), MIN(v), MAX(w) FROM t, u WHERE t.v = u.w",
+			"SELECT k1, COUNT(*), MIN(w) FROM t, u WHERE t.v = u.w GROUP BY k1",
 		} {
 			checkPartial(t, sn, q, perWorker)
 		}

@@ -24,7 +24,9 @@ func randSelect(r *rand.Rand) *sql.SelectStmt {
 	case 1:
 		stmt.Where = sql.Cmp(sql.OpLe, sql.Col("", "id"), sql.Number(float64(r.Intn(6))))
 	case 2:
-		stmt.Where = &sql.IsNullExpr{X: sql.Col("", "gpa"), Negated: r.Intn(2) == 0}
+		lo := float64(r.Intn(4))
+		stmt.Where = &sql.BetweenExpr{X: sql.Col("", "gpa"), Lo: sql.Number(lo), Hi: sql.Number(lo + 0.5),
+			Negated: r.Intn(2) == 0}
 	}
 	if r.Intn(2) == 0 {
 		stmt.OrderBy = []sql.OrderItem{{Expr: sql.Col("", cols[r.Intn(len(cols))]), Desc: r.Intn(2) == 0}}

@@ -214,9 +214,9 @@ func joinOne(mr *matRel, b plan.Binding, newRows []store.Row, conds []plan.EquiJ
 	}
 
 	// Cartesian product with a size guard.
-	if len(mr.rows)*len(newRows) > plan.MaxProduct {
+	if len(mr.rows)*len(newRows) > maxProduct {
 		return nil, fmt.Errorf("exec: join of %s would produce over %d rows; add a join condition",
-			b.Meta.Name, plan.MaxProduct)
+			b.Meta.Name, maxProduct)
 	}
 	for _, lr := range mr.rows {
 		for _, nr := range newRows {
@@ -225,6 +225,10 @@ func joinOne(mr *matRel, b plan.Binding, newRows []store.Row, conds []plan.EquiJ
 	}
 	return out, nil
 }
+
+// maxProduct bounds the reference executor's cartesian products so a
+// bad statement cannot take the process down.
+const maxProduct = 5_000_000
 
 func concatRefRow(l, r store.Row, width int) store.Row {
 	row := make(store.Row, 0, width)

@@ -17,8 +17,8 @@ import (
 // an operator helper computes from a segment column travelling encoded
 // (FOR deltas, RLE runs) must equal what it computes from that
 // column's DecodeInts output. The expected side of every predicate is
-// computed here in plain Go from the decoded values, with the generic
-// kernels' semantics spelled out: INT against INT compares integers,
+// computed here in plain Go from the decoded values, with SQL's
+// comparison semantics spelled out: INT against INT compares integers,
 // anything against a FLOAT compares float64s.
 
 // encShape is one way of filling an int column, named for the
@@ -109,13 +109,31 @@ func probeConsts(r *rand.Rand, vals []int64) []store.Value {
 
 var cmpOps = []sql.BinOp{sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe}
 
-// wantCmp is  x OP c  under the generic kernels' semantics.
+// wantCmp is  x OP c  under those semantics.
 func wantCmp(op sql.BinOp, x int64, c store.Value) bool {
 	if c.Kind() == store.KindInt {
-		return cmpOpInt(op, x, c.Int64())
+		return cmpOpNum(op, x, c.Int64())
 	}
 	f, _ := c.AsFloat()
-	return cmpOpFloat(op, float64(x), f)
+	return cmpOpNum(op, float64(x), f)
+}
+
+func cmpOpNum[T int64 | float64](op sql.BinOp, a, b T) bool {
+	switch op {
+	case sql.OpEq:
+		return a == b
+	case sql.OpNe:
+		return a != b
+	case sql.OpLt:
+		return a < b
+	case sql.OpLe:
+		return a <= b
+	case sql.OpGt:
+		return a > b
+	case sql.OpGe:
+		return a >= b
+	}
+	return false
 }
 
 // wantBetween is  x BETWEEN lo AND hi  likewise.

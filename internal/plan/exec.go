@@ -9,10 +9,6 @@ import (
 	"repro/internal/store"
 )
 
-// MaxProduct bounds cartesian products so a bad interpretation cannot
-// take the process down.
-const MaxProduct = 5_000_000
-
 // Ctx carries everything an executing plan needs: the pinned database
 // snapshot, the run's options and the state of the current run.
 //

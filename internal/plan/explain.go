@@ -77,10 +77,6 @@ func (j *HashJoin) describe() string {
 	return fmt.Sprintf("hash join on %s [est=%d]", strings.Join(conds, " AND "), j.Est)
 }
 
-func (j *CrossJoin) describe() string {
-	return fmt.Sprintf("cross join [est=%d]", j.Est)
-}
-
 func (p *Project) describe() string {
 	return "project " + exprList(p.Items)
 }

@@ -111,6 +111,28 @@ func TestOneFanOut(t *testing.T) {
 	})
 }
 
+// TestOneDialect pins that the planned executor compiles the SQL
+// iql.ToSQL writes and no more: neither the kernels for what it never
+// writes — AND/OR inside one expression (vlogic), arithmetic (varith),
+// unary minus over a column (vneg), IS NULL (visnull), BETWEEN other
+// than a number between constants (vbetween) — nor their helpers
+// (cmpOpInt, cmpOpFloat, boolRank, asFloats, floatAt, orNulls), nor the
+// cartesian product (CrossJoin and its MaxProduct guard, now the
+// reference executor's maxProduct), nor CompileWith, which nothing
+// called, is declared or named again, here or in internal/exec. The
+// statements themselves fail with ErrUnsupported (exec's
+// TestOneDialect).
+func TestOneDialect(t *testing.T) {
+	banned := map[string]bool{"vlogic": true, "varith": true, "vneg": true, "visnull": true,
+		"vbetween": true, "cmpOpInt": true, "cmpOpFloat": true, "boolRank": true, "asFloats": true,
+		"floatAt": true, "orNulls": true, "CrossJoin": true, "MaxProduct": true, "CompileWith": true}
+	inspectPackages(t, func(_ string, pos token.Position, n ast.Node) {
+		if id, ok := n.(*ast.Ident); ok && banned[id.Name] {
+			t.Errorf("%s: %s is back", pos, id.Name)
+		}
+	})
+}
+
 // TestOneKeyTable pins that the executor decides key equality in one
 // place: a hash join's build, GROUP BY, DISTINCT and a DISTINCT
 // aggregate all hash their keys (hashKeys), chain them by bucket and

@@ -32,16 +32,6 @@ func Compile(sn *store.Snapshot, stmt *sql.SelectStmt) (*Plan, error) {
 	return optimize(sn, stmt, nil, nil)
 }
 
-// CompileWith compiles a parameterized statement (sql.Param slots in
-// place of lifted literals) against the values it is bound to. Scans
-// keep parameter *slots* in their skip predicates, re-resolved from
-// Ctx.Params at every open, so the compiled tree stays valid for any
-// later binding of the same shape (see Template); the values only feed
-// the skip statistics Explain reports.
-func CompileWith(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value) (*Plan, error) {
-	return optimize(sn, stmt, params, nil)
-}
-
 // optimize compiles stmt, a subquery of statements whose FROM clauses
 // outer lays out (outermost first) when it is not empty.
 func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value, outer []*Rel) (*Plan, error) {
@@ -99,18 +89,18 @@ func optimize(sn *store.Snapshot, stmt *sql.SelectStmt, params []store.Value, ou
 			conds = append(conds, jc.cond.Expr)
 			sel *= joinSelectivity(sn, bindings, jc)
 		}
+		if len(lkey) == 0 {
+			return nil, fmt.Errorf("%w: a cartesian product, no equality joining %s to the tables before it, in %s",
+				ErrUnsupported, bindings[bi].Name, stmt)
+		}
 		buildAcc := outEst < est[bi]
 		outEst = outEst * est[bi] * sel
 		l, r := root, scans[bi]
-		if len(lkey) > 0 {
-			if buildAcc {
-				l, r, lkey, rkey = r, l, rkey, lkey
-			}
-			root = &HashJoin{L: l, R: r, LKey: lkey, RKey: rkey,
-				Conds: conds, Est: ceilEst(outEst), rel: joinRel(l.Rel(), r.Rel())}
-		} else {
-			root = &CrossJoin{L: l, R: r, Est: ceilEst(outEst), rel: joinRel(l.Rel(), r.Rel())}
+		if buildAcc {
+			l, r, lkey, rkey = r, l, rkey, lkey
 		}
+		root = &HashJoin{L: l, R: r, LKey: lkey, RKey: rkey,
+			Conds: conds, Est: ceilEst(outEst), rel: joinRel(l.Rel(), r.Rel())}
 		placed[bi] = true
 	}
 
@@ -220,11 +210,6 @@ func markLive(n Node, need []bool) {
 				r[off] = true
 			}
 		}
-		markLive(t.L, l)
-		markLive(t.R, r)
-	case *CrossJoin:
-		t.live = need
-		l, r := splitNeed(need, t.L.Rel().Width)
 		markLive(t.L, l)
 		markLive(t.R, r)
 	default:
@@ -448,8 +433,8 @@ func selProduct(conds []sql.Expr) float64 {
 // greedyJoinOrder picks the starting binding with the lowest estimated
 // cardinality, then repeatedly joins the connected binding that yields
 // the smallest estimated intermediate result, falling back to the
-// smallest unconnected binding (cartesian). Ties break on declaration
-// order so plans are deterministic.
+// smallest unconnected binding (a cartesian product, which optimize
+// refuses). Ties break on declaration order so plans are deterministic.
 func greedyJoinOrder(sn *store.Snapshot, bindings []Binding, est []float64, joins []boundJoin) []int {
 	n := len(bindings)
 	if n == 1 {

@@ -111,8 +111,6 @@ func pipelineWork(n Node) int {
 			est = t.Est
 		case *HashJoin:
 			est = t.Est
-		case *CrossJoin:
-			est = t.Est
 		}
 		if est > work {
 			work = est
@@ -133,8 +131,6 @@ func partitionLeaf(n Node) *Scan {
 	case *Filter:
 		return partitionLeaf(t.In)
 	case *HashJoin:
-		return partitionLeaf(t.L)
-	case *CrossJoin:
 		return partitionLeaf(t.L)
 	}
 	return nil

@@ -4,12 +4,14 @@
 // driven by row counts and the schema's keys (Compile), a vectorized
 // batch-at-a-time executor (Run) and an Explain renderer.
 //
-// Plan runs what its kernels compile, and only that: an uncorrelated
-// subquery is compiled with its statement as a plan of its own and run
-// once a run, and what no kernel reproduces — a correlated subquery, a
-// cross-kind comparison and the like — fails with ErrUnsupported. The
-// reference executor in internal/exec evaluates those row by row; plan
-// does not call into it.
+// Plan runs one SQL dialect, the one iql.ToSQL writes, and only that:
+// equi-joins, columns compared with constants, NOT, IN, LIKE and
+// numeric BETWEEN, aggregates, DISTINCT, ORDER BY and LIMIT, and
+// uncorrelated subqueries, each compiled with its statement as a plan
+// of its own and run once a run. Everything else — a correlated
+// subquery, a cartesian product, OR, arithmetic, IS NULL and the like
+// — fails with ErrUnsupported. The reference executor in internal/exec
+// evaluates those row by row; plan does not call into it.
 package plan
 
 import (
@@ -139,14 +141,6 @@ type HashJoin struct {
 	live  []bool // output columns the operators above read (markLive); nil: all
 }
 
-// CrossJoin is a guarded cartesian product (no usable equi-join).
-type CrossJoin struct {
-	L, R Node
-	Est  int
-	rel  *Rel
-	live []bool // as HashJoin's
-}
-
 // Project evaluates the select items (plus trailing ORDER BY keys) for
 // each input row, crossing from table slots to output values.
 type Project struct {
@@ -189,7 +183,6 @@ type Limit struct {
 func (s *Scan) Rel() *Rel      { return s.rel }
 func (f *Filter) Rel() *Rel    { return f.In.Rel() }
 func (j *HashJoin) Rel() *Rel  { return j.rel }
-func (j *CrossJoin) Rel() *Rel { return j.rel }
 func (p *Project) Rel() *Rel   { return nil }
 func (a *Aggregate) Rel() *Rel { return nil }
 func (d *Distinct) Rel() *Rel  { return nil }
@@ -199,7 +192,6 @@ func (l *Limit) Rel() *Rel     { return nil }
 func (s *Scan) Children() []Node      { return nil }
 func (f *Filter) Children() []Node    { return []Node{f.In} }
 func (j *HashJoin) Children() []Node  { return []Node{j.L, j.R} }
-func (j *CrossJoin) Children() []Node { return []Node{j.L, j.R} }
 func (p *Project) Children() []Node   { return []Node{p.In} }
 func (a *Aggregate) Children() []Node { return []Node{a.In} }
 func (d *Distinct) Children() []Node  { return []Node{d.In} }
@@ -239,7 +231,7 @@ func Walk(n Node, visit func(Node)) {
 }
 
 // OperatorCounts tallies the plan's node kinds ("scan", "filter",
-// "hash-join", "cross-join", ...) — the plan-shape counters
+// "hash-join", ...) — the plan-shape counters
 // the benchmark harness reports.
 func (p *Plan) OperatorCounts() map[string]int {
 	counts := map[string]int{}
@@ -251,8 +243,6 @@ func (p *Plan) OperatorCounts() map[string]int {
 			counts["filter"]++
 		case *HashJoin:
 			counts["hash-join"]++
-		case *CrossJoin:
-			counts["cross-join"]++
 		case *Project:
 			counts["project"]++
 		case *Aggregate:

@@ -1,10 +1,12 @@
 package plan_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/exec"
 	"repro/internal/plan"
 	"repro/internal/sql"
 )
@@ -86,16 +88,17 @@ func TestNullLiteralStaysInFilter(t *testing.T) {
 	}
 }
 
-// TestCrossProductGuard: an unconstrained many-way self product must
-// be refused, matching the seed executor's bound.
+// TestCrossProductGuard: the planned executor builds no cartesian
+// product, so an unconstrained many-way self product fails to plan
+// with ErrUnsupported; the reference executor refuses it at the seed
+// executor's bound.
 func TestCrossProductGuard(t *testing.T) {
 	db := dataset.University(1)
 	stmt := sql.MustParse("SELECT COUNT(*) FROM enrollments a, enrollments b, enrollments c")
-	p, err := plan.Compile(db.Snapshot(), stmt)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := plan.Compile(db.Snapshot(), stmt); !errors.Is(err, plan.ErrUnsupported) {
+		t.Fatalf("planned: %v, want ErrUnsupported", err)
 	}
-	_, err = plan.Run(p, &plan.Ctx{Snap: db.Snapshot()})
+	_, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
 	if err == nil || !strings.Contains(err.Error(), "add a join condition") {
 		t.Fatalf("cross product guard did not fire: %v", err)
 	}

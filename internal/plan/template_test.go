@@ -172,31 +172,3 @@ func TestTemplateRebindBuildSideDrift(t *testing.T) {
 		t.Errorf("fresh plan should probe with c, now the larger input:\n%s", after)
 	}
 }
-
-// A cross join hashes nothing, so which of its inputs is smaller is not
-// a decision the tree bakes in: after the same drift, a template
-// compiled afresh has the same shape — a cross join with no build side
-// on c.
-func TestTemplateRebindCrossJoinIgnoresSizes(t *testing.T) {
-	db, loadC := driftDB()
-	loadC(0, 50)
-	stmt := sql.MustParse("SELECT a.id, c.w FROM a, b, c WHERE a.id = b.aid")
-	tmplStmt, params := sql.Parameterize(stmt)
-	tmpl, err := plan.CompileTemplate(db.Snapshot(), tmplStmt, params, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tmpl.Plan().Explain()
-	if !strings.Contains(before, "cross join") || strings.Contains(explainLine(before, "scan c "), "[build]") {
-		t.Fatalf("premise: c joins the a-b join by a cross join, with no build side:\n%s", before)
-	}
-	loadC(50, 200)
-	fresh, err := plan.CompileTemplate(db.Snapshot(), tmplStmt, params, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := fresh.Plan().Explain()
-	if !strings.Contains(after, "cross join") || strings.Contains(explainLine(after, "scan c "), "[build]") {
-		t.Errorf("c outgrowing the a-b join changed the cross join's shape:\n%s\n--- became ---\n%s", before, after)
-	}
-}

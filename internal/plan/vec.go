@@ -19,11 +19,12 @@ import (
 // 64-bit hashing used for join, GROUP BY and DISTINCT keys. The
 // operators that consume these live in vecexec.go.
 //
-// The kernels reproduce the scalar semantics exactly for comparison,
-// boolean and arithmetic expressions, BETWEEN, IN over constant lists,
-// LIKE against a constant pattern and IS NULL. Subqueries, constant
-// for the run, bind when the operator opens; what no kernel reproduces
-// is not run (ErrUnsupported). See vcompiler.
+// The kernels reproduce the scalar semantics exactly for the SQL
+// iql.ToSQL writes, and only that: a column compared with a constant
+// (vnumrange, vcmp), numeric BETWEEN between constants, NOT, IN over a
+// constant list or a subquery, and LIKE against a constant pattern.
+// Subqueries, constant for the run, bind when the operator opens; what
+// no kernel reproduces is not run (ErrUnsupported). See vcompiler.
 
 // maxBatch is the number of rows a scan packs into one batch: large
 // enough to amortize per-batch overhead, small enough to keep a
@@ -92,14 +93,6 @@ func (c *vcol) intAt(i int) int64 {
 		return c.seg.IntAt(c.off + i)
 	}
 	return c.ints[i]
-}
-
-// floatAt returns the numeric value at row i widened to float64.
-func (c *vcol) floatAt(i int) float64 {
-	if c.kind == store.KindInt {
-		return float64(c.intAt(i))
-	}
-	return c.floats[i]
 }
 
 // value boxes row i back into a store.Value.
@@ -426,24 +419,6 @@ func relKinds(rel *Rel) []store.Kind {
 	return kinds
 }
 
-// orNulls unions two null masks (either may be nil). With at most one
-// mask present the result aliases it: kernels treat operand masks as
-// read-only, and one that goes on to mark rows of its own takes a copy
-// first (ownNulls).
-func orNulls(s *vscratch, a, b []bool, n int) []bool {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	out := s.boolBuf(n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] || b[i]
-	}
-	return out
-}
-
 // ownNulls returns a mask the kernel may write: a copy of an operand's
 // mask, or a cleared one when the operand has none.
 func ownNulls(s *vscratch, nulls []bool, n int) []bool {
@@ -452,24 +427,10 @@ func ownNulls(s *vscratch, nulls []bool, n int) []bool {
 	return out
 }
 
-// asFloats widens a numeric column to float64s for arithmetic (a view
-// for FLOAT columns, a converted copy for INT). Comparisons never
-// widen: they convert per element.
-func asFloats(s *vscratch, c *vcol, n int) []float64 {
-	if c.kind == store.KindFloat {
-		return c.floats[:n]
-	}
-	out := s.floatBuf(n)
-	for i, v := range c.ints[:n] {
-		out[i] = float64(v)
-	}
-	return out
-}
-
 // vexpr is a compiled vector expression: eval produces a column
-// aligned with the batch's physical rows. Kernels are total — every
-// scalar error case (division by zero, NULL operands) maps to NULL —
-// so evaluation over filtered-out rows is harmless. Result vectors
+// aligned with the batch's physical rows. Kernels are total — a NULL
+// operand maps to NULL — so evaluation over filtered-out rows is
+// harmless. Result vectors
 // come from the batch's scratch handle (see vbatch), operand vectors
 // are read-only, and a result may alias an operand's null mask.
 type vexpr interface {
@@ -564,113 +525,36 @@ func allNull() vexpr { return &vconst{val: store.Null()} }
 
 // ---- comparison ----
 
+// vcmp compares a text expression with a text constant, c, the
+// constant on the right (the compiler flips  c OP x  to  x OP' c). In
+// code space it compares once per dictionary entry, then gathers the
+// results through the codes.
 type vcmp struct {
-	op   sql.BinOp
-	l, r vexpr
+	op sql.BinOp
+	x  vexpr
+	c  string
 }
 
 func (v *vcmp) kind() store.Kind { return store.KindBool }
 
 func (v *vcmp) eval(b *vbatch) vcol {
-	lc, rc := v.l.eval(b), v.r.eval(b)
+	xc := v.x.eval(b)
 	n := b.n
 	out := b.scratch.boolBuf(n)
-	nulls := orNulls(b.scratch, lc.nulls, rc.nulls, n)
-	op := v.op
-	switch {
-	case lc.kind == store.KindInt && rc.kind == store.KindInt:
-		li, ri := lc.ints[:n], rc.ints[:n]
-		for i := 0; i < n; i++ {
-			out[i] = cmpOpInt(op, li[i], ri[i])
+	if xc.dict != nil {
+		res := b.scratch.boolBuf(len(xc.dict))
+		for d, s := range xc.dict {
+			res[d] = cmpOpStr(v.op, s, v.c)
 		}
-	case lc.kind == store.KindText:
-		switch {
-		case lc.dict != nil && rc.isConst && n > 0:
-			// Code space vs constant: one comparison per dictionary
-			// entry, then a table gather over the codes.
-			rv := rc.str(0)
-			res := b.scratch.boolBuf(len(lc.dict))
-			for d, s := range lc.dict {
-				res[d] = cmpOpStr(op, s, rv)
-			}
-			codes := lc.codes[:n]
-			for i := 0; i < n; i++ {
-				out[i] = res[codes[i]]
-			}
-		case rc.dict != nil && lc.isConst && n > 0:
-			lv := lc.str(0)
-			res := b.scratch.boolBuf(len(rc.dict))
-			for d, s := range rc.dict {
-				res[d] = cmpOpStr(op, lv, s)
-			}
-			codes := rc.codes[:n]
-			for i := 0; i < n; i++ {
-				out[i] = res[codes[i]]
-			}
-		case lc.dict == nil && rc.dict == nil:
-			ls, rs := lc.strs[:n], rc.strs[:n]
-			for i := 0; i < n; i++ {
-				out[i] = cmpOpStr(op, ls[i], rs[i])
-			}
-		default:
-			for i := 0; i < n; i++ {
-				out[i] = cmpOpStr(op, lc.str(i), rc.str(i))
-			}
+		for i, code := range xc.codes[:n] {
+			out[i] = res[code]
 		}
-	case lc.kind == store.KindBool:
-		lb, rb := lc.bools[:n], rc.bools[:n]
-		for i := 0; i < n; i++ {
-			out[i] = cmpOpInt(op, boolRank(lb[i]), boolRank(rb[i]))
-		}
-	default: // numeric, at least one side FLOAT: an INT side converts per element
-		for i := 0; i < n; i++ {
-			out[i] = cmpOpFloat(op, lc.floatAt(i), rc.floatAt(i))
+	} else {
+		for i, s := range xc.strs[:n] {
+			out[i] = cmpOpStr(v.op, s, v.c)
 		}
 	}
-	return vcol{kind: store.KindBool, bools: out, nulls: nulls}
-}
-
-func boolRank(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func cmpOpInt(op sql.BinOp, a, b int64) bool {
-	switch op {
-	case sql.OpEq:
-		return a == b
-	case sql.OpNe:
-		return a != b
-	case sql.OpLt:
-		return a < b
-	case sql.OpLe:
-		return a <= b
-	case sql.OpGt:
-		return a > b
-	case sql.OpGe:
-		return a >= b
-	}
-	return false
-}
-
-func cmpOpFloat(op sql.BinOp, a, b float64) bool {
-	switch op {
-	case sql.OpEq:
-		return a == b
-	case sql.OpNe:
-		return a != b
-	case sql.OpLt:
-		return a < b
-	case sql.OpLe:
-		return a <= b
-	case sql.OpGt:
-		return a > b
-	case sql.OpGe:
-		return a >= b
-	}
-	return false
+	return vcol{kind: store.KindBool, bools: out, nulls: xc.nulls}
 }
 
 func cmpOpStr(op sql.BinOp, a, b string) bool {
@@ -699,8 +583,8 @@ func cmpOpStr(op sql.BinOp, a, b string) bool {
 // predicate a question template generates. The bounds fold at compile
 // time into one closed interval in x's own domain, [ilo, ihi] over
 // int64 for an INT x and [flo, fhi] over float64 for a FLOAT x, whose
-// membership (inverted by neg) is exactly what the generic kernels
-// compute row by row: an INT x against a FLOAT bound compares as
+// membership (inverted by neg) is exactly what the reference executor
+// computes row by row: an INT x against a FLOAT bound compares as
 // float64(x), so its interval is the set of integers whose conversion
 // satisfies the bound, found by bisection with that very comparison.
 // An empty interval has lo > hi.
@@ -797,7 +681,7 @@ func newNumRange(x vexpr, lo, hi *numBound, neg bool) *vnumrange {
 		return v
 	}
 	// INT x. With any FLOAT bound every comparison is between float64s,
-	// exactly as the generic kernels widen.
+	// exactly as the reference executor widens.
 	inFloats := (lo != nil && lo.v.Kind() == store.KindFloat) || (hi != nil && hi.v.Kind() == store.KindFloat)
 	// above reports x > c (x >= c unless strict) in that domain. It is
 	// monotone in x, so the integers passing a lower bound, and those
@@ -856,53 +740,7 @@ func firstInt(pred func(int64) bool) (x int64, ok bool) {
 	return lo, true
 }
 
-// ---- boolean logic (three-valued) ----
-
-type vlogic struct {
-	and  bool
-	l, r vexpr
-}
-
-func (v *vlogic) kind() store.Kind { return store.KindBool }
-
-func (v *vlogic) eval(b *vbatch) vcol {
-	lc, rc := v.l.eval(b), v.r.eval(b)
-	n := b.n
-	out := b.scratch.boolBuf(n)
-	var nulls []bool
-	for i := 0; i < n; i++ {
-		lt := !lc.null(i) && lc.kind == store.KindBool && lc.bools[i]
-		lf := !lc.null(i) && lc.kind == store.KindBool && !lc.bools[i]
-		rt := !rc.null(i) && rc.kind == store.KindBool && rc.bools[i]
-		rf := !rc.null(i) && rc.kind == store.KindBool && !rc.bools[i]
-		if v.and {
-			switch {
-			case lf || rf:
-				out[i] = false
-			case lt && rt:
-				out[i] = true
-			default:
-				if nulls == nil {
-					nulls = b.scratch.boolBuf(n)
-				}
-				nulls[i] = true
-			}
-		} else {
-			switch {
-			case lt || rt:
-				out[i] = true
-			case lf && rf:
-				out[i] = false
-			default:
-				if nulls == nil {
-					nulls = b.scratch.boolBuf(n)
-				}
-				nulls[i] = true
-			}
-		}
-	}
-	return vcol{kind: store.KindBool, bools: out, nulls: nulls}
-}
+// ---- NOT / IN / LIKE ----
 
 type vnot struct{ x vexpr }
 
@@ -918,172 +756,6 @@ func (v *vnot) eval(b *vbatch) vcol {
 		}
 	}
 	return vcol{kind: store.KindBool, bools: out, nulls: xc.nulls}
-}
-
-// ---- arithmetic ----
-
-type varith struct {
-	op   sql.BinOp
-	l, r vexpr
-	out  store.Kind
-}
-
-func (v *varith) kind() store.Kind { return v.out }
-
-func (v *varith) eval(b *vbatch) vcol {
-	lc, rc := v.l.eval(b), v.r.eval(b)
-	n := b.n
-	nulls := orNulls(b.scratch, lc.nulls, rc.nulls, n)
-	if v.out == store.KindInt {
-		li, ri := lc.ints[:n], rc.ints[:n]
-		out := b.scratch.intBuf(n)
-		switch v.op {
-		case sql.OpAdd:
-			for i := 0; i < n; i++ {
-				out[i] = li[i] + ri[i]
-			}
-		case sql.OpSub:
-			for i := 0; i < n; i++ {
-				out[i] = li[i] - ri[i]
-			}
-		case sql.OpMul:
-			for i := 0; i < n; i++ {
-				out[i] = li[i] * ri[i]
-			}
-		}
-		return vcol{kind: store.KindInt, ints: out, nulls: nulls}
-	}
-	lf, rf := asFloats(b.scratch, &lc, n), asFloats(b.scratch, &rc, n)
-	out := b.scratch.floatBuf(n)
-	switch v.op {
-	case sql.OpAdd:
-		for i := 0; i < n; i++ {
-			out[i] = lf[i] + rf[i]
-		}
-	case sql.OpSub:
-		for i := 0; i < n; i++ {
-			out[i] = lf[i] - rf[i]
-		}
-	case sql.OpMul:
-		for i := 0; i < n; i++ {
-			out[i] = lf[i] * rf[i]
-		}
-	case sql.OpDiv:
-		// Division by zero yields NULL, exactly like the scalar path.
-		owned := false
-		for i := 0; i < n; i++ {
-			if rf[i] == 0 {
-				if !owned {
-					nulls, owned = ownNulls(b.scratch, nulls, n), true
-				}
-				nulls[i] = true
-				out[i] = 0
-				continue
-			}
-			out[i] = lf[i] / rf[i]
-		}
-	}
-	return vcol{kind: store.KindFloat, floats: out, nulls: nulls}
-}
-
-type vneg struct {
-	x   vexpr
-	out store.Kind
-}
-
-func (v *vneg) kind() store.Kind { return v.out }
-
-func (v *vneg) eval(b *vbatch) vcol {
-	xc := v.x.eval(b)
-	n := b.n
-	if v.out == store.KindInt {
-		out := b.scratch.intBuf(n)
-		for i, x := range xc.ints[:n] {
-			out[i] = -x
-		}
-		return vcol{kind: store.KindInt, ints: out, nulls: xc.nulls}
-	}
-	out := b.scratch.floatBuf(n)
-	for i, x := range xc.floats[:n] {
-		out[i] = -x
-	}
-	return vcol{kind: store.KindFloat, floats: out, nulls: xc.nulls}
-}
-
-// ---- IS NULL / BETWEEN / IN / LIKE ----
-
-type visnull struct {
-	x       vexpr
-	negated bool
-}
-
-func (v *visnull) kind() store.Kind { return store.KindBool }
-
-func (v *visnull) eval(b *vbatch) vcol {
-	xc := v.x.eval(b)
-	n := b.n
-	out := b.scratch.boolBuf(n)
-	for i := 0; i < n; i++ {
-		out[i] = xc.null(i) != v.negated
-	}
-	return vcol{kind: store.KindBool, bools: out}
-}
-
-// vbetween implements BETWEEN directly rather than as an AND of
-// comparisons: the scalar path returns NULL whenever any operand is
-// NULL, even when another bound already disqualifies the row. Numeric
-// BETWEEN against constant bounds compiles to vnumrange instead.
-type vbetween struct {
-	x, lo, hi vexpr
-	negated   bool
-	text      bool
-}
-
-func (v *vbetween) kind() store.Kind { return store.KindBool }
-
-func (v *vbetween) eval(b *vbatch) vcol {
-	xc, loc, hic := v.x.eval(b), v.lo.eval(b), v.hi.eval(b)
-	n := b.n
-	nulls := orNulls(b.scratch, orNulls(b.scratch, xc.nulls, loc.nulls, n), hic.nulls, n)
-	out := b.scratch.boolBuf(n)
-	if v.text {
-		if xc.dict != nil && loc.isConst && hic.isConst && n > 0 {
-			lo, hi := loc.str(0), hic.str(0)
-			res := b.scratch.boolBuf(len(xc.dict))
-			for d, s := range xc.dict {
-				res[d] = (s >= lo && s <= hi) != v.negated
-			}
-			codes := xc.codes[:n]
-			for i := 0; i < n; i++ {
-				out[i] = res[codes[i]]
-			}
-		} else if xc.dict == nil && loc.dict == nil && hic.dict == nil {
-			xs, los, his := xc.strs[:n], loc.strs[:n], hic.strs[:n]
-			for i := 0; i < n; i++ {
-				in := xs[i] >= los[i] && xs[i] <= his[i]
-				out[i] = in != v.negated
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				x := xc.str(i)
-				in := x >= loc.str(i) && x <= hic.str(i)
-				out[i] = in != v.negated
-			}
-		}
-	} else if xc.kind == store.KindInt && loc.kind == store.KindInt && hic.kind == store.KindInt {
-		xs, los, his := xc.ints[:n], loc.ints[:n], hic.ints[:n]
-		for i := 0; i < n; i++ {
-			in := xs[i] >= los[i] && xs[i] <= his[i]
-			out[i] = in != v.negated
-		}
-	} else { // numeric with a FLOAT operand: INT operands convert per element
-		for i := 0; i < n; i++ {
-			x := xc.floatAt(i)
-			in := x >= loc.floatAt(i) && x <= hic.floatAt(i)
-			out[i] = in != v.negated
-		}
-	}
-	return vcol{kind: store.KindBool, bools: out, nulls: nulls}
 }
 
 // vin implements IN over a literal list. Elements are pre-bucketed by
@@ -1217,11 +889,14 @@ func (v *vlike) eval(b *vbatch) vcol {
 // ---- compiler ----
 
 // ErrUnsupported is wrapped by the error of a statement the planned
-// executor does not run: a correlated subquery (Compile reports it),
-// or an expression no kernel compiles — a cross-kind comparison, NOT
-// over a non-bool, a LIKE pattern or IN list that is not constant,
-// arithmetic over a non-number (the operator's open reports it). The
-// front end emits none of these; the reference executor
+// executor does not run, which is any SQL iql.ToSQL does not write:
+// a correlated subquery or a FROM list with no equality join (Compile
+// reports them), or an expression no kernel compiles (the operator's
+// open reports it) — AND or OR inside one expression, arithmetic,
+// unary minus over a column, IS [NOT] NULL, EXISTS, BETWEEN other than
+// a number between constants, two columns compared outside an
+// equi-join, a BOOL or cross-kind comparison, a LIKE pattern or IN
+// list that is not constant. The reference executor
 // (exec.ReferenceQueryAt) evaluates them all.
 var ErrUnsupported = errors.New("plan: not supported by the planned executor")
 
@@ -1255,9 +930,9 @@ func (v *vfail) eval(b *vbatch) vcol {
 //
 // What is constant for the run binds here, the way a parameter does: a
 // parameter slot, and a subquery — a scalar subquery becomes its value,
-// IN (subquery) a vin over its rows, EXISTS a bool — run once for the
-// run by its own plan (Ctx.subquery). Everything else lowers to a
-// kernel or fails (see expr).
+// IN (subquery) a vin over its rows — run once for the run by its own
+// plan (Ctx.subquery). Everything else lowers to a kernel or fails
+// (see expr).
 type vcompiler struct {
 	resolve func(e sql.Expr) (vexpr, error)
 	ctx     *Ctx
@@ -1300,11 +975,13 @@ func numericOrNull(k store.Kind) bool {
 	return k == store.KindInt || k == store.KindFloat || k == store.KindNull
 }
 
-func boolOrNull(k store.Kind) bool {
-	return k == store.KindBool || k == store.KindNull
-}
-
-// compile lowers e to a vexpr (see vcompiler and expr).
+// compile lowers e to a vexpr (see vcompiler and expr). It compiles
+// what iql.ToSQL writes, and no more: a column compared with a
+// constant, numeric BETWEEN between constants, NOT over a predicate,
+// IN over a constant list or a subquery, LIKE with a constant pattern,
+// and a constant, a negated one included. An operator outside that set
+// fails before its operands compile, so its error is ErrUnsupported
+// whatever they hold.
 func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 	if ve, err := c.resolve(e); ve != nil || err != nil {
 		return ve, err
@@ -1318,6 +995,9 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 		}
 		return &vconst{val: c.ctx.Params[n.Idx]}, nil
 	case *sql.BinaryExpr:
+		if !n.Op.IsComparison() {
+			return nil, unsupported(e, "%s inside an expression", n.Op)
+		}
 		l, err := c.compile(n.L)
 		if err != nil {
 			return nil, err
@@ -1326,44 +1006,24 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 		if err != nil {
 			return nil, err
 		}
+		op := n.Op
+		if _, ok := l.(*vconst); ok {
+			l, r, op = r, l, flipCmp(op)
+		}
+		k, ok := r.(*vconst)
 		lk, rk := l.kind(), r.kind()
 		switch {
-		case n.Op == sql.OpAnd || n.Op == sql.OpOr:
-			if !boolOrNull(lk) || !boolOrNull(rk) {
-				return nil, unsupported(e, "%s over %s and %s", n.Op, lk, rk)
-			}
-			return &vlogic{and: n.Op == sql.OpAnd, l: l, r: r}, nil
-		case n.Op.IsComparison():
-			if lk == store.KindNull || rk == store.KindNull {
-				return allNull(), nil
-			}
-			if !(numericOrNull(lk) && numericOrNull(rk)) && lk != rk {
-				return nil, unsupported(e, "a comparison of %s with %s", lk, rk)
-			}
-			if numericOrNull(lk) {
-				if k, ok := r.(*vconst); ok {
-					lo, hi, neg := cmpBounds(n.Op, k.val)
-					return newNumRange(l, lo, hi, neg), nil
-				}
-				if k, ok := l.(*vconst); ok {
-					lo, hi, neg := cmpBounds(flipCmp(n.Op), k.val)
-					return newNumRange(r, lo, hi, neg), nil
-				}
-			}
-			return &vcmp{op: n.Op, l: l, r: r}, nil
-		default: // arithmetic
-			if !numericOrNull(lk) || !numericOrNull(rk) {
-				return nil, unsupported(e, "arithmetic over %s and %s", lk, rk)
-			}
-			if lk == store.KindNull || rk == store.KindNull {
-				return allNull(), nil
-			}
-			out := store.KindFloat
-			if n.Op != sql.OpDiv && lk == store.KindInt && rk == store.KindInt {
-				out = store.KindInt
-			}
-			return &varith{op: n.Op, l: l, r: r, out: out}, nil
+		case lk == store.KindNull || rk == store.KindNull:
+			return allNull(), nil
+		case !ok:
+			return nil, unsupported(e, "a comparison of two columns")
+		case numericOrNull(lk) && numericOrNull(rk):
+			lo, hi, neg := cmpBounds(op, k.val)
+			return newNumRange(l, lo, hi, neg), nil
+		case lk == store.KindText && rk == store.KindText:
+			return &vcmp{op: op, x: l, c: k.val.Str()}, nil
 		}
+		return nil, unsupported(e, "a comparison of %s with %s", lk, rk)
 	case *sql.NotExpr:
 		x, err := c.compile(n.X)
 		switch {
@@ -1376,23 +1036,25 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 		}
 		return nil, unsupported(e, "NOT over %s", x.kind())
 	case *sql.NegExpr:
+		// SQL has no negative literal: -5 is a negation, folded here
+		// as the reference evaluates it.
 		x, err := c.compile(n.X)
 		if err != nil {
 			return nil, err
 		}
-		switch x.kind() {
-		case store.KindNull:
+		k, ok := x.(*vconst)
+		switch {
+		case !ok:
+			return nil, unsupported(e, "negation of what is not a constant")
+		case k.val.Kind() == store.KindInt:
+			return &vconst{val: store.Int(-k.val.Int64())}, nil
+		case k.val.Kind() == store.KindFloat:
+			f, _ := k.val.AsFloat()
+			return &vconst{val: store.Float(-f)}, nil
+		case k.val.IsNull():
 			return allNull(), nil
-		case store.KindInt, store.KindFloat:
-			return &vneg{x: x, out: x.kind()}, nil
 		}
-		return nil, unsupported(e, "negation of %s", x.kind())
-	case *sql.IsNullExpr:
-		x, err := c.compile(n.X)
-		if err != nil {
-			return nil, err
-		}
-		return &visnull{x: x, negated: n.Negated}, nil
+		return nil, unsupported(e, "negation of %s", k.val.Kind())
 	case *sql.BetweenExpr:
 		var ops [3]vexpr
 		for i, op := range []sql.Expr{n.X, n.Lo, n.Hi} {
@@ -1401,26 +1063,18 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 				return nil, err
 			}
 		}
-		x, lo, hi := ops[0], ops[1], ops[2]
-		ks := [3]store.Kind{x.kind(), lo.kind(), hi.kind()}
-		for _, k := range ks {
-			if k == store.KindNull {
+		x := ops[0]
+		lo, lok := ops[1].(*vconst)
+		hi, hok := ops[2].(*vconst)
+		for _, op := range ops {
+			if op.kind() == store.KindNull {
 				return allNull(), nil
 			}
 		}
-		allNum := numericOrNull(ks[0]) && numericOrNull(ks[1]) && numericOrNull(ks[2])
-		allText := ks[0] == store.KindText && ks[1] == store.KindText && ks[2] == store.KindText
-		if !allNum && !allText {
-			return nil, unsupported(e, "BETWEEN over %s, %s and %s", ks[0], ks[1], ks[2])
+		if !lok || !hok || !numericOrNull(x.kind()) || !numericOrNull(lo.kind()) || !numericOrNull(hi.kind()) {
+			return nil, unsupported(e, "BETWEEN other than a number between constants")
 		}
-		if allNum {
-			lk, lok := lo.(*vconst)
-			hk, hok := hi.(*vconst)
-			if lok && hok {
-				return newNumRange(x, &numBound{v: lk.val}, &numBound{v: hk.val}, n.Negated), nil
-			}
-		}
-		return &vbetween{x: x, lo: lo, hi: hi, negated: n.Negated, text: allText}, nil
+		return newNumRange(x, &numBound{v: lo.val}, &numBound{v: hi.val}, n.Negated), nil
 	case *sql.InExpr:
 		x, err := c.compile(n.X)
 		switch {
@@ -1473,12 +1127,6 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 			return nil, unsupported(e, "LIKE over %s", x.kind())
 		}
 		return &vlike{x: x, pattern: pat.val.Str(), negated: n.Negated}, nil
-	case *sql.ExistsExpr:
-		rows, _, err := c.ctx.subquery(n.Sub)
-		if err != nil {
-			return nil, err
-		}
-		return &vconst{val: store.Bool((len(rows) > 0) != n.Negated)}, nil
 	case *sql.SubqueryExpr:
 		rows, cols, err := c.ctx.subquery(n.Sub)
 		switch {
@@ -1495,7 +1143,7 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 	case *sql.FuncCall:
 		return nil, fmt.Errorf("plan: aggregate %s used outside GROUP BY context", n.Name)
 	}
-	return nil, unsupported(e, "%T", e)
+	return nil, unsupported(e, "%T", e) // IS NULL, EXISTS
 }
 
 // add puts one element into the IN list.
@@ -1757,7 +1405,7 @@ func (s *keySet) id(keys []vcol, i int, h uint64) (int, bool) {
 // ---- column builders ----
 
 // colbuf accumulates rows into a growing typed column — the builder
-// behind join and cross-join inputs, keySets and sort buffers.
+// behind join builds, keySets and sort buffers.
 type colbuf struct {
 	kind    store.Kind
 	ints    []int64

@@ -15,8 +15,8 @@ import (
 )
 
 // This file is the operator half of the executor: batch-at-a-time
-// scan, filter, project, hash and cross join, aggregate, sort, distinct
-// and limit over the typed column vectors of vec.go. Every operator
+// scan, filter, project, hash join, aggregate, sort, distinct and
+// limit over the typed column vectors of vec.go. Every operator
 // opens its inputs batch-at-a-time and compiles its expressions as it
 // opens (see vcompiler): subqueries bind to their values for the run,
 // and an expression no kernel reproduces fails the open with
@@ -235,8 +235,8 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 // ---- joins ----
 
 // drainCols materializes an opened input over rel into columns,
-// returning them with the row count: the build side of a hash join,
-// both sides of a cross join. need marks the columns anything reads
+// returning them with the row count: the build side of a hash join.
+// need marks the columns anything reads
 // (nil: all); the rest stay all-NULL. The columns are written into sc,
 // which must outlive them. It keeps the input's batches first and
 // counts them, so every column's builder is sized once and never grows
@@ -456,76 +456,6 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 			}
 			return out, nil
 		}
-	}, nil
-}
-
-// vopen materializes both inputs, refuses a product over MaxProduct,
-// and emits every (left, right) pair left-major, a batch at a time.
-// Pulled again after its nil, it drains its left input anew: inside an
-// exchange worker, the next morsel's rows (segScanBatches).
-func (j *CrossJoin) vopen(ctx *Ctx) (viter, error) {
-	lWidth := j.L.Rel().Width
-	var lneed, rneed []bool
-	if j.live != nil {
-		lneed, rneed = j.live[:lWidth], j.live[lWidth:]
-	}
-	lin, err := j.L.vopen(ctx)
-	if err != nil {
-		return nil, err
-	}
-	rin, err := j.R.vopen(ctx)
-	if err != nil {
-		return nil, err
-	}
-	lsc, rsc := ctx.arena.borrow(), ctx.arena.borrow()
-	var lcols, rcols []vcol
-	li, ri, ln, rn := 0, 0, 0, -1
-	pass := func() (err error) { // the left input's next pass, the right's on the first
-		lsc.reset()
-		li, ri = 0, 0
-		if lcols, ln, err = drainCols(lin, j.L.Rel(), lneed, lsc); err == nil && rn < 0 {
-			rcols, rn, err = drainCols(rin, j.R.Rel(), rneed, rsc)
-		}
-		if err == nil && ln*rn > MaxProduct {
-			err = fmt.Errorf("plan: join of %s would produce over %d rows; add a join condition",
-				j.R.Rel().Bindings[0].Meta.Name, MaxProduct)
-		}
-		return err
-	}
-	if err := pass(); err != nil {
-		return nil, err
-	}
-	out := &vbatch{cols: make([]vcol, len(lcols)+len(rcols))}
-	var lidx, ridx []int32
-	return func() (*vbatch, error) {
-		if ln < 0 {
-			if err := pass(); err != nil {
-				return nil, err
-			}
-		}
-		if rn == 0 || li == ln {
-			ln = -1 // the next pull starts the next pass
-			return nil, nil
-		}
-		lidx, ridx = lidx[:0], ridx[:0]
-		for len(lidx) < maxBatch && li < ln {
-			lidx, ridx = append(lidx, int32(li)), append(ridx, int32(ri))
-			if ri++; ri == rn {
-				li, ri = li+1, 0
-			}
-		}
-		out.n, out.sel = len(lidx), nil
-		for c := range lcols {
-			if lneed == nil || lneed[c] {
-				out.cols[c] = gatherCol(&lcols[c], lidx)
-			}
-		}
-		for c := range rcols {
-			if rneed == nil || rneed[c] {
-				out.cols[len(lcols)+c] = gatherCol(&rcols[c], ridx)
-			}
-		}
-		return out, nil
 	}, nil
 }
 

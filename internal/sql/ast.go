@@ -25,8 +25,8 @@
 //
 // The tree's structure — which children each node has — is known to
 // three functions only: the printer (print.go), the read-only visitor
-// Walk and the copying rewriter Rewrite (walk.go). Everything else
-// asks one of them.
+// Walk and the copying rewriter Parameterize uses (walk.go).
+// Everything else asks one of them.
 package sql
 
 import "repro/internal/store"

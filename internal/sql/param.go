@@ -20,7 +20,7 @@ import "repro/internal/store"
 // expression nodes with it.
 func Parameterize(stmt *SelectStmt) (*SelectStmt, []store.Value) {
 	var vals []store.Value
-	r := rewriter{deep: true, f: func(e Expr) (Expr, bool) {
+	r := rewriter{f: func(e Expr) (Expr, bool) {
 		l, ok := e.(Literal)
 		if !ok || l.Val.IsNull() {
 			return nil, false

@@ -69,27 +69,18 @@ func Nested(e Expr) *SelectStmt {
 	return nil
 }
 
-// Rewrite returns a copy of e. At each node, parents first, f may
-// return a replacement (r, true), which is used as is, its operands
-// unvisited; otherwise the node is copied with its operands rewritten.
-// Like Walk it stays on e's statement level: a nested statement is
-// shared with e, not copied.
-func Rewrite(e Expr, f func(Expr) (Expr, bool)) Expr {
-	r := rewriter{f: f}
-	return r.expr(e)
-}
-
-// rewriter is Rewrite's copy. deep extends it through nested
-// statements, applying f at every level, so the copy shares no node
-// with its input (Parameterize).
+// rewriter is Parameterize's copy of a statement: at each node,
+// parents first, f may return a replacement (r, true), which is used as
+// is, its operands unvisited; otherwise the node is copied with its
+// operands rewritten. It goes through nested statements, applying f at
+// every level, so the copy shares no node with its input.
 type rewriter struct {
-	f    func(Expr) (Expr, bool)
-	deep bool
+	f func(Expr) (Expr, bool)
 }
 
 func (r *rewriter) stmt(s *SelectStmt) *SelectStmt {
-	if s == nil || !r.deep {
-		return s
+	if s == nil {
+		return nil
 	}
 	out := &SelectStmt{Distinct: s.Distinct, Limit: s.Limit}
 	out.Items = make([]SelectItem, len(s.Items))
