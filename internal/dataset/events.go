@@ -11,7 +11,7 @@ import (
 // tests and benchmarks read (TestClusteredScanSpeedup among them): a
 // wide append-only event log whose columns exhibit the distributions
 // segment encodings target — a clustered monotonic timestamp (zone
-// maps + RLE), low-cardinality strings (dictionary), narrow ints (FOR),
+// maps + FOR), low-cardinality strings (dictionary), narrow ints (FOR),
 // and a float measure.
 func EventsSchema() *schema.Schema {
 	return schema.MustNew("events", []*schema.Table{

@@ -29,8 +29,9 @@ var rowPathLayouts = []rowPathLayout{
 		func(i int) string { return fmt.Sprintf("g%02d", (i*7)%37) }, store.SegPlain, store.SegPlain},
 	{"dict", func(i int) int64 { return int64((i*7)%13)<<40 - 1<<45 },
 		func(i int) string { return fmt.Sprintf("g%02d", (i*3)%5) }, store.SegPlain, store.SegDict},
-	{"rle", func(i int) int64 { return int64(i / 24) },
-		func(i int) string { return fmt.Sprintf("g%02d", (i*7)%37) }, store.SegRLE, store.SegPlain},
+	// Clustered runs of 24 equal keys: FOR, beside plain text.
+	{"runs", func(i int) int64 { return int64(i / 24) },
+		func(i int) string { return fmt.Sprintf("g%02d", (i*7)%37) }, store.SegFOR, store.SegPlain},
 	{"for", func(i int) int64 { return int64((i*7)%13) - 6 },
 		func(i int) string { return fmt.Sprintf("g%02d", (i*3)%5) }, store.SegFOR, store.SegDict},
 }
@@ -170,67 +171,67 @@ type unsupportedCase struct {
 var rowPathUnsupported = []unsupportedCase{
 	{"SELECT COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM u WHERE k > 3)", true, map[string]string{
 		"plain": "1 rows 262f6637e321c7e5", "dict": "1 rows 262f6637e321c7e5",
-		"rle": "1 rows 262f6637e321c7e5", "for": "1 rows 262f6637e321c7e5"}},
+		"runs": "1 rows 262f6637e321c7e5", "for": "1 rows 262f6637e321c7e5"}},
 	{"SELECT COUNT(*) FROM t WHERE NOT EXISTS (SELECT 1 FROM u WHERE k > 30)", true, map[string]string{
 		"plain": "1 rows 262f6637e321c7e5", "dict": "1 rows 262f6637e321c7e5",
-		"rle": "1 rows 262f6637e321c7e5", "for": "1 rows 262f6637e321c7e5"}},
+		"runs": "1 rows 262f6637e321c7e5", "for": "1 rows 262f6637e321c7e5"}},
 	{"SELECT COUNT(*) FROM t WHERE EXISTS (SELECT 1 FROM u WHERE k > 30)", true, map[string]string{
 		"plain": "1 rows d8885cb612cf0ccc", "dict": "1 rows d8885cb612cf0ccc",
-		"rle": "1 rows d8885cb612cf0ccc", "for": "1 rows d8885cb612cf0ccc"}},
+		"runs": "1 rows d8885cb612cf0ccc", "for": "1 rows d8885cb612cf0ccc"}},
 	{"SELECT t.id, u.id FROM t, u WHERE t.id < 5 AND u.id < 4 ORDER BY t.id, u.id", true, map[string]string{
 		"plain": "20 rows ede348985687b405", "dict": "20 rows ede348985687b405",
-		"rle": "20 rows ede348985687b405", "for": "20 rows ede348985687b405"}},
+		"runs": "20 rows ede348985687b405", "for": "20 rows ede348985687b405"}},
 	{"SELECT a.g, b.w FROM t a, u b WHERE a.id < 3", false, map[string]string{
 		"plain": "120 rows 65bfe4ec7a68eb31", "dict": "120 rows 6b75814dc299c16d",
-		"rle": "120 rows 65bfe4ec7a68eb31", "for": "120 rows 6b75814dc299c16d"}},
+		"runs": "120 rows 65bfe4ec7a68eb31", "for": "120 rows 6b75814dc299c16d"}},
 	{"SELECT COUNT(*), SUM(t.n), MIN(u.w) FROM t, u", true, map[string]string{
 		"plain": "1 rows 52aad36deefbaa1b", "dict": "1 rows 52aad36deefbaa1b",
-		"rle": "1 rows 52aad36deefbaa1b", "for": "1 rows 52aad36deefbaa1b"}},
+		"runs": "1 rows 52aad36deefbaa1b", "for": "1 rows 52aad36deefbaa1b"}},
 	{"SELECT t.id, u.id FROM t, u WHERE t.n = 1 AND u.k = 2 ORDER BY t.id, u.id", true, map[string]string{
 		"plain": "1200 rows c97f9beda0ce590b", "dict": "1200 rows c97f9beda0ce590b",
-		"rle": "1200 rows c97f9beda0ce590b", "for": "1200 rows c97f9beda0ce590b"}},
+		"runs": "1200 rows c97f9beda0ce590b", "for": "1200 rows c97f9beda0ce590b"}},
 	{"SELECT id FROM t WHERE n IN (SELECT u.k FROM u WHERE u.w = t.g) ORDER BY id", true, map[string]string{
 		"plain": "74 rows 7273b06272771856", "dict": "200 rows 0d2182f16c6b3a6b",
-		"rle": "74 rows 7273b06272771856", "for": "200 rows 0d2182f16c6b3a6b"}},
+		"runs": "74 rows 7273b06272771856", "for": "200 rows 0d2182f16c6b3a6b"}},
 	{"SELECT id FROM t WHERE n NOT IN (SELECT u.k FROM u WHERE u.w = t.g) ORDER BY id", true, map[string]string{
 		"plain": "871 rows 85352828751c8f59", "dict": "800 rows 3691ac07817aacfa",
-		"rle": "871 rows 85352828751c8f59", "for": "800 rows 3691ac07817aacfa"}},
+		"runs": "871 rows 85352828751c8f59", "for": "800 rows 3691ac07817aacfa"}},
 	{"SELECT id FROM t WHERE EXISTS (SELECT 1 FROM u WHERE u.w = t.g AND u.k > t.n) ORDER BY id", true, map[string]string{
 		"plain": "242 rows 69d3cc497d9b6ad5", "dict": "200 rows 0d2182f16c6b3a6b",
-		"rle": "242 rows 69d3cc497d9b6ad5", "for": "200 rows 0d2182f16c6b3a6b"}},
+		"runs": "242 rows 69d3cc497d9b6ad5", "for": "200 rows 0d2182f16c6b3a6b"}},
 	{"SELECT id FROM t WHERE NOT EXISTS (SELECT 1 FROM u WHERE u.w = t.g) ORDER BY id", true, map[string]string{
 		"plain": "550 rows 247cbc9e53f2aed5", "dict": "960 rows 5f075b519aa9e1e9",
-		"rle": "550 rows 247cbc9e53f2aed5", "for": "960 rows 5f075b519aa9e1e9"}},
+		"runs": "550 rows 247cbc9e53f2aed5", "for": "960 rows 5f075b519aa9e1e9"}},
 	{"SELECT id, (SELECT COUNT(*) FROM u WHERE u.w = t.g) FROM t ORDER BY id", true, map[string]string{
 		"plain": "1200 rows c165e7502820e741", "dict": "1200 rows c8da28305a98d6df",
-		"rle": "1200 rows c165e7502820e741", "for": "1200 rows c8da28305a98d6df"}},
+		"runs": "1200 rows c165e7502820e741", "for": "1200 rows c8da28305a98d6df"}},
 	{"SELECT id, (SELECT MAX(u.k) FROM u WHERE u.w = t.g) FROM t ORDER BY id", true, map[string]string{
 		"plain": "1200 rows ce5a817e657f42c1", "dict": "1200 rows 2d4b5c1da9708b7b",
-		"rle": "1200 rows ce5a817e657f42c1", "for": "1200 rows 2d4b5c1da9708b7b"}},
+		"runs": "1200 rows ce5a817e657f42c1", "for": "1200 rows 2d4b5c1da9708b7b"}},
 	{"SELECT id FROM t WHERE n > (SELECT AVG(u.k) FROM u WHERE u.w = t.g) ORDER BY id", true, map[string]string{
 		"plain": "169 rows 8a24d40481b8f851", "dict": "0 rows cbf29ce484222325",
-		"rle": "169 rows 8a24d40481b8f851", "for": "0 rows cbf29ce484222325"}},
+		"runs": "169 rows 8a24d40481b8f851", "for": "0 rows cbf29ce484222325"}},
 	{"SELECT g, COUNT(*) FROM t GROUP BY g HAVING COUNT(*) > (SELECT COUNT(*) FROM u WHERE u.w = t.g) ORDER BY g", true, map[string]string{
 		"plain": "37 rows 5e9314bc564b0ca7", "dict": "5 rows f072fc846aa70eab",
-		"rle": "37 rows 5e9314bc564b0ca7", "for": "5 rows f072fc846aa70eab"}},
+		"runs": "37 rows 5e9314bc564b0ca7", "for": "5 rows f072fc846aa70eab"}},
 	{"SELECT id FROM t WHERE g = k", false, map[string]string{
 		"plain": "0 rows cbf29ce484222325", "dict": "0 rows cbf29ce484222325",
-		"rle": "0 rows cbf29ce484222325", "for": "0 rows cbf29ce484222325"}},
+		"runs": "0 rows cbf29ce484222325", "for": "0 rows cbf29ce484222325"}},
 	{"SELECT id FROM t WHERE g > n ORDER BY id", true, map[string]string{
 		"plain": "1000 rows 71058357095ec09e", "dict": "1000 rows 71058357095ec09e",
-		"rle": "1000 rows 71058357095ec09e", "for": "1000 rows 71058357095ec09e"}},
+		"runs": "1000 rows 71058357095ec09e", "for": "1000 rows 71058357095ec09e"}},
 	{"SELECT id FROM t WHERE v < g ORDER BY id", true, map[string]string{
 		"plain": "1050 rows 26af4bad5ad64f52", "dict": "1050 rows 26af4bad5ad64f52",
-		"rle": "1050 rows 26af4bad5ad64f52", "for": "1050 rows 26af4bad5ad64f52"}},
+		"runs": "1050 rows 26af4bad5ad64f52", "for": "1050 rows 26af4bad5ad64f52"}},
 	{"SELECT id FROM t WHERE NOT n ORDER BY id", true, map[string]string{
 		"plain": "1000 rows 71058357095ec09e", "dict": "1000 rows 71058357095ec09e",
-		"rle": "1000 rows 71058357095ec09e", "for": "1000 rows 71058357095ec09e"}},
+		"runs": "1000 rows 71058357095ec09e", "for": "1000 rows 71058357095ec09e"}},
 	{"SELECT t.id, u.id FROM t, u WHERE t.g LIKE u.w AND u.id < 6 ORDER BY t.id, u.id", true, map[string]string{
 		"plain": "876 rows 347f64025bdbd9b1", "dict": "4320 rows fc1cc4447691e94f",
-		"rle": "876 rows 347f64025bdbd9b1", "for": "4320 rows fc1cc4447691e94f"}},
+		"runs": "876 rows 347f64025bdbd9b1", "for": "4320 rows fc1cc4447691e94f"}},
 	{"SELECT id FROM t WHERE g NOT LIKE g ORDER BY id", true, map[string]string{
 		"plain": "0 rows cbf29ce484222325", "dict": "0 rows cbf29ce484222325",
-		"rle": "0 rows cbf29ce484222325", "for": "0 rows cbf29ce484222325"}},
+		"runs": "0 rows cbf29ce484222325", "for": "0 rows cbf29ce484222325"}},
 }
 
 // rowsDigest fingerprints a result: its row count and an FNV-1a hash of
@@ -269,7 +270,7 @@ func checkUnsupported(t *testing.T, sn *store.Snapshot, layout string, c unsuppo
 }
 
 // TestFormerRowPathCorpus runs rowPathCorpus at parallelism 1, 2 and 4
-// over plain, dictionary, RLE and FOR segments. Every run must match
+// over plain, dictionary and FOR segments (two FOR layouts). Every run must match
 // the reference executor as a bag, error for error, and in order
 // wherever the SQL fixes one; the parallel runs the serial one row for
 // row. Every statement of rowPathUnsupported fails at every degree with

@@ -16,8 +16,8 @@ import (
 //     batch is a whole segment. k (INT, NULL every 13th row) joins d and
 //     m; kf is k as a FLOAT, with non-integral, NaN and -0.0 values
 //     mixed in; g is dictionary text per segment; s cuts sparse
-//     selections; ts seals RLE and id FOR, so forwarded columns travel
-//     encoded.
+//     selections; ts (clustered runs) and id seal FOR, so forwarded
+//     columns travel encoded.
 //   - d, a unique-key build side: 64 devices in one sealed segment, k
 //     unique but NULL in four rows, g dictionary text, name plain text,
 //     w a FLOAT with NULLs.
@@ -95,7 +95,7 @@ func joinFormsDB(t *testing.T) *store.DB {
 		enc     store.SegEncoding
 		ownDict bool // every sealed segment has a dictionary of its own
 	}{
-		{"p", 3, 0, store.SegFOR, false}, {"p", 3, 1, store.SegRLE, false}, {"p", 3, 4, store.SegDict, true},
+		{"p", 3, 0, store.SegFOR, false}, {"p", 3, 1, store.SegFOR, false}, {"p", 3, 4, store.SegDict, true},
 		{"d", 1, 2, store.SegDict, false}, {"d", 1, 3, store.SegPlain, false},
 		{"m", 3, 2, store.SegDict, true},
 	} {
@@ -136,7 +136,7 @@ type joinFormsCase struct {
 // rows, and the dense gather — over every key kind and build layout.
 var joinFormsCorpus = []joinFormsCase{
 	// Unique build keys, most probe rows matching: forwarded, with p's
-	// FOR and RLE columns and its lent null masks carried through to a
+	// FOR columns and its lent null masks carried through to a
 	// projection, an aggregate that keeps the batches, a sort and a limit.
 	{"unique/full", "SELECT p.id, p.ts, p.v, d.name, d.w FROM p, d WHERE p.k = d.k", "scan d"},
 	{"unique/full/agg", "SELECT d.name, COUNT(*), AVG(p.v), MIN(p.ts), MAX(p.id) FROM p, d WHERE p.k = d.k GROUP BY d.name", "scan d"},

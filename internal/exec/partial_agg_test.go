@@ -156,10 +156,10 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 	// exchange: the fold runs above the probe in each worker.
 	sn := retainDB(t, 32*retainSegRows+37).Snapshot()
 	for _, q := range []string{
-		"SELECT status, d8, COUNT(*), COUNT(d32), MIN(ts), MAX(device_id), MIN(service) FROM events WHERE wide > 0 GROUP BY status, d8",
+		"SELECT status, narrow, COUNT(*), COUNT(mid), MIN(ts), MAX(device_id), MIN(service) FROM events WHERE wide > 0 GROUP BY status, narrow",
 		"SELECT ts, COUNT(wide), MAX(wide) FROM events WHERE seq >= 0 GROUP BY ts",
-		"SELECT service, COUNT(latency_ms), MIN(d32), MAX(status) FROM events WHERE latency_ms > 120.5 GROUP BY service",
-		"SELECT d.region, COUNT(*), MIN(e.d32) FROM events e, devices d WHERE e.device_id = d.device_id AND e.status > 250 GROUP BY d.region",
+		"SELECT service, COUNT(latency_ms), MIN(mid), MAX(status) FROM events WHERE latency_ms > 120.5 GROUP BY service",
+		"SELECT d.region, COUNT(*), MIN(e.mid) FROM events e, devices d WHERE e.device_id = d.device_id AND e.status > 250 GROUP BY d.region",
 	} {
 		checkPartial(t, sn, q, perWorker)
 	}

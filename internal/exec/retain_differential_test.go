@@ -17,9 +17,9 @@ const retainSegRows = 512
 
 // retainDB builds a telemetry-shaped pair of tables whose events
 // columns between them seal into every segment encoding — plain, FOR
-// at each delta width, RLE, dictionary — with NULLs in each, plus one
-// NULL-free column (seq) for predicates that pass or reject whole
-// batches. The encodings are asserted, not assumed.
+// (clustered runs and scattered values alike), dictionary — with
+// NULLs in each, plus one NULL-free column (seq) for predicates that
+// pass or reject whole batches. The encodings are asserted, not assumed.
 func retainDB(t *testing.T, n int) *store.DB {
 	t.Helper()
 	intCol := func(name string) schema.Column { return schema.Column{Name: name, Type: schema.Int} }
@@ -29,11 +29,11 @@ func retainDB(t *testing.T, n int) *store.DB {
 		{Name: "events", Columns: []schema.Column{
 			intCol("seq"),                        // FOR, no NULLs
 			intCol("wide"),                       // plain
-			intCol("ts"),                         // RLE
-			intCol("d8"),                         // FOR, 8-bit deltas
-			intCol("device_id"),                  // FOR, 16-bit deltas
-			intCol("d32"),                        // FOR, 32-bit deltas
-			intCol("status"),                     // FOR, 16-bit deltas
+			intCol("ts"),                         // FOR, clustered runs
+			intCol("narrow"),                     // FOR, span 200
+			intCol("device_id"),                  // FOR
+			intCol("mid"),                        // plain, span 2^30
+			intCol("status"),                     // FOR
 			{Name: "service", Type: schema.Text}, // dictionary
 			{Name: "latency_ms", Type: schema.Float},
 		}},
@@ -63,7 +63,7 @@ func retainDB(t *testing.T, n int) *store.DB {
 			store.Float(float64(1+r.Intn(250)) + float64(i%10)/10),
 		}
 		// A different NULL schedule per column; ts rarely, so its runs
-		// stay long enough to seal as RLE.
+		// stay long.
 		for c, every := range []int{0, 41, 211, 29, 31, 37, 47, 43, 23} {
 			if every > 0 && i%every == every/2 {
 				row[c] = store.Null()
@@ -74,23 +74,11 @@ func retainDB(t *testing.T, n int) *store.DB {
 	db.MustBulkInsert("events", rows)
 
 	cols := db.Snapshot().Table("events").Segments().Segs[1].Cols()
-	for ci, want := range []struct {
-		enc   store.SegEncoding
-		width int // FOR delta bits
-	}{{store.SegFOR, 16}, {store.SegPlain, 0}, {store.SegRLE, 0}, {store.SegFOR, 8},
-		{store.SegFOR, 16}, {store.SegFOR, 32}, {store.SegFOR, 16}, {store.SegDict, 0}, {store.SegPlain, 0}} {
+	for ci, want := range []store.SegEncoding{store.SegFOR, store.SegPlain, store.SegFOR, store.SegFOR,
+		store.SegFOR, store.SegPlain, store.SegFOR, store.SegDict, store.SegPlain} {
 		c := cols[ci]
-		width := 0
-		switch {
-		case c.D8 != nil:
-			width = 8
-		case c.D16 != nil:
-			width = 16
-		case c.D32 != nil:
-			width = 32
-		}
-		if c.Enc != want.enc || width != want.width {
-			t.Fatalf("fixture: events column %d sealed as %v/%d bits, want %v/%d", ci, c.Enc, width, want.enc, want.width)
+		if c.Enc != want {
+			t.Fatalf("fixture: events column %d sealed as %v, want %v", ci, c.Enc, want)
 		}
 		if ci > 0 && c.Zone.Nulls == 0 {
 			t.Fatalf("fixture: events column %d has no NULLs in segment 1", ci)
@@ -121,24 +109,24 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 	queries := []string{
 		// Exchange over Project: filtered, then gathered through the selection.
 		"SELECT ts, status FROM events WHERE status > 250.0 ORDER BY ts, status",
-		"SELECT seq, wide, d8, d32, service FROM events WHERE d8 BETWEEN -10 AND 60.5 AND d32 > 1000",
-		"SELECT seq, status, d8, wide FROM events WHERE NOT (status = 200) ORDER BY seq DESC LIMIT 700",
+		"SELECT seq, wide, narrow, mid, service FROM events WHERE narrow BETWEEN -10 AND 60.5 AND mid > 1000",
+		"SELECT seq, status, narrow, wide FROM events WHERE NOT (status = 200) ORDER BY seq DESC LIMIT 700",
 		// No selection at all: encoded columns, and the scan's lent null
 		// masks, leave through a bare projection.
-		"SELECT ts, d8, device_id, d32, status FROM events",
+		"SELECT ts, narrow, device_id, mid, status FROM events",
 		"SELECT seq, latency_ms, service FROM events WHERE seq >= 0",
 		// Float sums, with NULL arguments, fold per worker; kept by the
 		// exchange until a DISTINCT aggregate, which cannot merge
 		// partials, reads them — over a join, with the build column
 		// the probe wrote into its scratch.
 		"SELECT service, AVG(latency_ms), COUNT(*) FROM events WHERE status > 250.0 GROUP BY service",
-		"SELECT d8, SUM(latency_ms), MIN(latency_ms) FROM events GROUP BY d8",
+		"SELECT narrow, SUM(latency_ms), MIN(latency_ms) FROM events GROUP BY narrow",
 		"SELECT service, AVG(DISTINCT latency_ms), COUNT(*) FROM events WHERE status > 250.0 GROUP BY service",
-		"SELECT d.region, COUNT(DISTINCT e.d8), SUM(e.latency_ms) FROM events e, devices d WHERE e.device_id = d.device_id GROUP BY d.region",
+		"SELECT d.region, COUNT(DISTINCT e.narrow), SUM(e.latency_ms) FROM events e, devices d WHERE e.device_id = d.device_id GROUP BY d.region",
 		// Consumers that hold rows across pulls, serial or above the merge:
 		// a streaming LIMIT that ends mid-batch, DISTINCT's seen set.
-		"SELECT seq, d8, service FROM events WHERE d8 > 100 LIMIT 1500",
-		"SELECT DISTINCT status, d8 FROM events WHERE wide > 0",
+		"SELECT seq, narrow, service FROM events WHERE narrow > 100 LIMIT 1500",
+		"SELECT DISTINCT status, narrow FROM events WHERE wide > 0",
 		// The six ask_scan shapes: Exchange over Filter, Aggregate above.
 		"SELECT COUNT(*) FROM events WHERE (events.latency_ms > 120.5)",
 		"SELECT events.service, COUNT(*) FROM events WHERE events.ts BETWEEN " + win(span/4) + " GROUP BY events.service",
@@ -147,7 +135,7 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		"SELECT AVG(events.latency_ms) FROM events WHERE events.ts BETWEEN " + win(span/16),
 		"SELECT COUNT(*) FROM events WHERE ((events.latency_ms > 120.5) AND (events.status > 250.0))",
 		// Aggregates that read encoded columns as keys and arguments.
-		"SELECT status, d8, COUNT(*), SUM(d32), MIN(ts), MAX(device_id) FROM events WHERE wide > 0 GROUP BY status, d8",
+		"SELECT status, narrow, COUNT(*), SUM(mid), MIN(ts), MAX(device_id) FROM events WHERE wide > 0 GROUP BY status, narrow",
 		// Every row passes (the selection stays absent), and none does.
 		"SELECT COUNT(*), SUM(status) FROM events WHERE seq >= 0",
 		"SELECT seq, ts FROM events WHERE seq >= 0.0 ORDER BY seq DESC LIMIT 5",
@@ -155,8 +143,8 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		"SELECT seq FROM events WHERE seq < -0.5",
 		// A filtered events side small enough, by estimate, to be the build
 		// side: the join retains all its batches before hashing them.
-		"SELECT f.seq, e.status, f.ts FROM events e, events f WHERE e.seq = f.seq AND e.status > 450 AND e.d8 < 100",
-		"SELECT d.region, COUNT(*), MIN(e.d32) FROM events e, devices d WHERE e.device_id = d.device_id AND e.status > 250 GROUP BY d.region",
+		"SELECT f.seq, e.status, f.ts FROM events e, events f WHERE e.seq = f.seq AND e.status > 450 AND e.narrow < 100",
+		"SELECT d.region, COUNT(*), MIN(e.mid) FROM events e, devices d WHERE e.device_id = d.device_id AND e.status > 250 GROUP BY d.region",
 	}
 	for _, q := range queries {
 		differential(t, sn, q, diffOpts{pars: []int{1, 2, 4}})
@@ -177,17 +165,17 @@ func TestDistinctAcrossBatches(t *testing.T) {
 		t.Fatalf("fixture: %d segments, want more than three batches", segs)
 	}
 	for _, q := range []string{
-		"SELECT DISTINCT d8 FROM events",
+		"SELECT DISTINCT narrow FROM events",
 		"SELECT DISTINCT service FROM events",
 		"SELECT DISTINCT latency_ms FROM events",
 		"SELECT DISTINCT service, status FROM events",
-		"SELECT DISTINCT status, d8, service FROM events",
+		"SELECT DISTINCT status, narrow, service FROM events",
 		// A filter's selection, gathered by the projection below DISTINCT.
-		"SELECT DISTINCT d8 FROM events WHERE status > 250.0",
-		"SELECT DISTINCT service, d8 FROM events WHERE latency_ms > 100.5",
-		"SELECT DISTINCT status, service FROM events WHERE seq >= 100 AND d32 > 1000",
-		"SELECT DISTINCT d8, status FROM events WHERE wide > 0 ORDER BY d8, status",
-		"SELECT DISTINCT service, d8 FROM events WHERE d8 > 0 LIMIT 700",
+		"SELECT DISTINCT narrow FROM events WHERE status > 250.0",
+		"SELECT DISTINCT service, narrow FROM events WHERE latency_ms > 100.5",
+		"SELECT DISTINCT status, service FROM events WHERE seq >= 100 AND mid > 1000",
+		"SELECT DISTINCT narrow, status FROM events WHERE wide > 0 ORDER BY narrow, status",
+		"SELECT DISTINCT service, narrow FROM events WHERE narrow > 0 LIMIT 700",
 	} {
 		differential(t, sn, q, diffOpts{pars: []int{1, 2, 4}, ordered: strings.Contains(q, "ORDER BY")})
 	}
@@ -202,9 +190,9 @@ func TestReturnedRowsAreCapped(t *testing.T) {
 	const n = 32*retainSegRows + 37
 	sn := retainDB(t, n).Snapshot()
 	for _, q := range []string{
-		"SELECT seq, d8, service FROM events WHERE d8 > -20",
+		"SELECT seq, narrow, service FROM events WHERE narrow > -20",
 		"SELECT ts, status FROM events",
-		"SELECT DISTINCT d8, status, service FROM events",
+		"SELECT DISTINCT narrow, status, service FROM events",
 	} {
 		for _, r := range differential(t, sn, q, diffOpts{pars: []int{1, 2, 4}}) {
 			rows := r.res.Rows

@@ -432,14 +432,12 @@ func selProduct(conds []sql.Expr) float64 {
 
 // greedyJoinOrder picks the starting binding with the lowest estimated
 // cardinality, then repeatedly joins the connected binding that yields
-// the smallest estimated intermediate result, falling back to the
-// smallest unconnected binding (a cartesian product, which optimize
-// refuses). Ties break on declaration order so plans are deterministic.
+// the smallest estimated intermediate result. When no unplaced binding
+// is connected, the rest follow in declaration order: that is a
+// cartesian product, which optimize refuses. Ties break on declaration
+// order so plans are deterministic.
 func greedyJoinOrder(sn *store.Snapshot, bindings []Binding, est []float64, joins []boundJoin) []int {
 	n := len(bindings)
-	if n == 1 {
-		return []int{0}
-	}
 	placed := make([]bool, n)
 	start := 0
 	for i := 1; i < n; i++ {
@@ -451,26 +449,29 @@ func greedyJoinOrder(sn *store.Snapshot, bindings []Binding, est []float64, join
 	placed[start] = true
 	cur := est[start]
 	for len(order) < n {
-		next, bestCost, connectedNext := -1, 0.0, false
+		next, bestCost := -1, 0.0
 		for i := 0; i < n; i++ {
 			if placed[i] {
 				continue
 			}
-			sel := 1.0
-			connected := false
+			sel, connected := 1.0, false
 			for _, jc := range joins {
 				if (placed[jc.bi] && jc.bj == i) || (placed[jc.bj] && jc.bi == i) {
 					connected = true
 					sel *= joinSelectivity(sn, bindings, jc)
 				}
 			}
-			cost := cur * est[i] * sel
-			better := next == -1 ||
-				(connected && !connectedNext) ||
-				(connected == connectedNext && cost < bestCost)
-			if better {
-				next, bestCost, connectedNext = i, cost, connected
+			if cost := cur * est[i] * sel; connected && (next == -1 || cost < bestCost) {
+				next, bestCost = i, cost
 			}
+		}
+		if next == -1 {
+			for i := 0; i < n; i++ {
+				if !placed[i] {
+					order = append(order, i)
+				}
+			}
+			break
 		}
 		placed[next] = true
 		order = append(order, next)

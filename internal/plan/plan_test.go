@@ -91,13 +91,21 @@ func TestNullLiteralStaysInFilter(t *testing.T) {
 // TestCrossProductGuard: the planned executor builds no cartesian
 // product, so an unconstrained many-way self product fails to plan
 // with ErrUnsupported; the reference executor refuses it at the seed
-// executor's bound.
+// executor's bound. Once no binding left joins the ones placed, the
+// rest follow in declaration order, so the refusal names the first of
+// them declared.
 func TestCrossProductGuard(t *testing.T) {
 	db := dataset.University(1)
-	stmt := sql.MustParse("SELECT COUNT(*) FROM enrollments a, enrollments b, enrollments c")
-	if _, err := plan.Compile(db.Snapshot(), stmt); !errors.Is(err, plan.ErrUnsupported) {
-		t.Fatalf("planned: %v, want ErrUnsupported", err)
+	for q, first := range map[string]string{
+		"SELECT COUNT(*) FROM enrollments a, enrollments b, enrollments c":                                     "b",
+		"SELECT COUNT(*) FROM students s, departments d, courses c, instructors i WHERE s.dept_id = d.dept_id": "c",
+	} {
+		_, err := plan.Compile(db.Snapshot(), sql.MustParse(q))
+		if !errors.Is(err, plan.ErrUnsupported) || !strings.Contains(err.Error(), "joining "+first+" to") {
+			t.Fatalf("planned %s: %v, want ErrUnsupported naming %s", q, err, first)
+		}
 	}
+	stmt := sql.MustParse("SELECT COUNT(*) FROM enrollments a, enrollments b, enrollments c")
 	_, err := exec.ReferenceQueryAt(db.Snapshot(), stmt)
 	if err == nil || !strings.Contains(err.Error(), "add a join condition") {
 		t.Fatalf("cross product guard did not fire: %v", err)

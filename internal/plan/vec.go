@@ -46,7 +46,7 @@ const maxBatch = 1024
 //
 // An int column may likewise travel encoded: seg non-nil (ints then
 // nil), the batch's rows being rows [off, off+n) of that immutable
-// FOR- or RLE-encoded segment column. Tests against constants run on
+// FOR-encoded segment column. Tests against constants run on
 // the encoded form (vnumrange), point readers go through intAt or
 // gatherCol, and anything that needs the vector decodes it through
 // vbatch.col. A column only a pushed-down predicate reads is therefore
@@ -592,8 +592,8 @@ func cmpOpStr(op sql.BinOp, a, b string) bool {
 // One interval test serves every operator and both constant kinds,
 // needs no broadcast constant vector, and — the point — runs directly
 // on a segment's encoded ints (store.SegCol.IntsInRange): FOR deltas
-// compare against the interval rebased once per batch, RLE runs
-// compare once each, and the column is never decoded.
+// compare against the interval rebased once per batch, and the column
+// is never decoded.
 type vnumrange struct {
 	x        vexpr
 	neg      bool

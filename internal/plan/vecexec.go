@@ -63,9 +63,8 @@ func (s *Scan) batches(ctx *Ctx) (viter, error) {
 // enters it at its first row: a scan starts on a segment boundary and
 // morsels tile the table, so a run counts each segment once at any
 // degree. Every column is a zero-copy view of immutable segment
-// storage: plain payloads and dictionary codes as slices, RLE- and
-// FOR-encoded ints as the encoded column plus the window's offset (see
-// vcol). The batch itself is lent: one header, one cols slice and one
+// storage: plain payloads and dictionary codes as slices, FOR-encoded
+// ints as the encoded column plus the window's offset (see vcol). The batch itself is lent: one header, one cols slice and one
 // null-mask buffer per column serve every batch of the iterator, the
 // cols slice and the masks in the scan's scratch, so the masks a
 // previous question grew are reused.
@@ -132,10 +131,10 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, mr *morselRun, preds 
 
 // segWindowCol views rows [lo, hi) of one segment column as a kernel
 // column. Dictionary-encoded text surfaces codes+dict unmaterialized —
-// the kernels compare and hash codes directly — and RLE/FOR ints
-// surface encoded, to be tested in place or decoded by whoever first
-// needs the values. The null mask is materialized into mask, grown when
-// the window outgrows it.
+// the kernels compare and hash codes directly — and FOR ints surface
+// encoded, to be tested in place or decoded by whoever first needs
+// the values. The null mask is materialized into mask, grown when the
+// window outgrows it.
 func segWindowCol(sc *store.SegCol, lo, hi int, mask []bool) vcol {
 	vc := vcol{kind: sc.Kind, nulls: sc.NullMask(lo, hi, mask)}
 	switch sc.Kind {

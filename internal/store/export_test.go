@@ -13,7 +13,10 @@ import (
 // — and nothing else. Integers are little-endian, counts are uvarints,
 // and a string is its uvarint length and bytes. A slice the encoding
 // does not read is left out, and a payload slice nil and one empty
-// read alike; only the bitmap's and the FOR deltas' presence count.
+// read alike; only the bitmap's presence counts. An encoding is
+// written as a fixed tag (encTag), not its SegEncoding value, and FOR
+// as its base, the delta width in bytes and the deltas, so the
+// fingerprint of a layout never moves when the constants renumber.
 func SegmentFingerprint(seg *Segment) []byte {
 	cols := seg.Cols()
 	var buf []byte
@@ -21,7 +24,7 @@ func SegmentFingerprint(seg *Segment) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(seg.N))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cols)))
 	for _, c := range cols {
-		buf = append(buf, byte(c.Kind), byte(c.Enc))
+		buf = append(buf, byte(c.Kind), encTag[c.Enc])
 		buf = appendValue(buf, c.Zone.Min)
 		buf = appendValue(buf, c.Zone.Max)
 		buf = binary.AppendUvarint(buf, uint64(c.Zone.Nulls))
@@ -58,34 +61,19 @@ func SegmentFingerprint(seg *Segment) []byte {
 			for _, code := range c.Codes {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(code))
 			}
-		case SegRLE:
-			buf = binary.AppendUvarint(buf, uint64(len(c.RunVals)))
-			for _, v := range c.RunVals {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-			for _, e := range c.RunEnds {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(e))
-			}
 		case SegFOR:
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Base))
-			switch {
-			case c.D8 != nil:
-				buf = append(append(buf, 1), c.D8...)
-			case c.D16 != nil:
-				buf = append(buf, 2)
-				for _, d := range c.D16 {
-					buf = binary.LittleEndian.AppendUint16(buf, d)
-				}
-			default:
-				buf = append(buf, 4)
-				for _, d := range c.D32 {
-					buf = binary.LittleEndian.AppendUint32(buf, d)
-				}
+			buf = append(buf, 2)
+			for _, d := range c.D16 {
+				buf = binary.LittleEndian.AppendUint16(buf, d)
 			}
 		}
 	}
 	return buf
 }
+
+// encTag is the byte SegmentFingerprint writes for each encoding.
+var encTag = [...]byte{SegPlain: 0, SegDict: 1, SegFOR: 3}
 
 func appendBool(buf []byte, b bool) []byte {
 	if b {

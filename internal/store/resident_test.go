@@ -26,13 +26,7 @@ import (
 func TestOneResidentStore(t *testing.T) {
 	banned := regexp.MustCompile(`spill|evict|segcache|fault`)
 	codec := regexp.MustCompile(`^(Encode|Decode)`)
-	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fset, pkgs := parseStore(t)
 	checkName := func(id *ast.Ident) {
 		if id != nil && banned.MatchString(strings.ReplaceAll(strings.ToLower(id.Name), "default", "")) {
 			t.Errorf("%s: %s is declared", fset.Position(id.Pos()), id.Name)
@@ -89,6 +83,19 @@ func TestOneResidentStore(t *testing.T) {
 	}
 }
 
+// parseStore parses the package's non-test files.
+func parseStore(t *testing.T) (*token.FileSet, map[string]*ast.Package) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fset, pkgs
+}
+
 // packageNames lists the names a file declares at package level: its
 // functions (not methods), types, variables and constants.
 func packageNames(f *ast.File) []*ast.Ident {
@@ -137,4 +144,80 @@ func returnsError(ft *ast.FuncType) bool {
 		}
 	}
 	return false
+}
+
+// TestOneIntEncoding pins the sealed integer layouts at two: plain
+// (Ints) and 16-bit frame-of-reference (Base plus D16 deltas).
+// SegEncoding declares exactly SegPlain, SegDict and SegFOR, and
+// SegCol declares no integer field, scalar or slice, besides those
+// three and the dictionary's Codes — no run-length runs and no other
+// delta width. (N, a plain int, is the row count.)
+func TestOneIntEncoding(t *testing.T) {
+	fset, pkgs := parseStore(t)
+	ints := regexp.MustCompile(`^(u?int(8|16|32|64)?|byte|rune|uintptr)$`)
+	allowed := map[string]bool{"Ints": true, "Base": true, "D16": true, "Codes": true}
+	var encs []string
+	sawCol := false
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				// A const spec with neither type nor value repeats the
+				// type of the one before it (the iota form).
+				typ := ""
+				for _, sp := range gd.Specs {
+					switch sp := sp.(type) {
+					case *ast.ValueSpec:
+						if gd.Tok != token.CONST {
+							continue
+						}
+						if sp.Type != nil {
+							id, _ := sp.Type.(*ast.Ident)
+							typ = ""
+							if id != nil {
+								typ = id.Name
+							}
+						} else if len(sp.Values) > 0 {
+							typ = ""
+						}
+						if typ == "SegEncoding" {
+							for _, id := range sp.Names {
+								encs = append(encs, id.Name)
+							}
+						}
+					case *ast.TypeSpec:
+						st, ok := sp.Type.(*ast.StructType)
+						if sp.Name.Name != "SegCol" || !ok {
+							continue
+						}
+						sawCol = true
+						for _, fld := range st.Fields.List {
+							elem, slice := fld.Type, false
+							if at, ok := elem.(*ast.ArrayType); ok {
+								elem, slice = at.Elt, true
+							}
+							id, _ := elem.(*ast.Ident)
+							if id == nil || !ints.MatchString(id.Name) || (!slice && id.Name == "int") {
+								continue
+							}
+							for _, name := range fld.Names {
+								if !allowed[name.Name] {
+									t.Errorf("%s: SegCol declares integer field %s", fset.Position(name.Pos()), name.Name)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if !sawCol {
+		t.Error("SegCol is not declared; this test has gone stale")
+	}
+	if got, want := strings.Join(encs, " "), "SegPlain SegDict SegFOR"; got != want {
+		t.Errorf("SegEncoding declares %q, want %q", got, want)
+	}
 }

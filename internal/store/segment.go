@@ -9,10 +9,10 @@ import (
 // This file is the compressed segment layout of the store — a table's
 // only data. A table version is covered by a run of immutable sealed
 // segments (~64K rows each) whose columns are encoded per segment —
-// dictionary codes for low-cardinality strings, run-length runs for
-// sorted/clustered ints, frame-of-reference deltas for narrow-range
-// ints — plus at most one plain-encoded tail for the rows past the
-// last seal boundary. Every column carries a zone map (min/max + null
+// dictionary codes for low-cardinality strings, 16-bit
+// frame-of-reference deltas for ints whose span fits them — plus at
+// most one plain-encoded tail for the rows past the last seal
+// boundary. Every column carries a zone map (min/max + null
 // count) the planner tests bound predicates against to skip whole
 // segments.
 //
@@ -34,10 +34,8 @@ const (
 	// SegDict stores low-cardinality strings as codes into a
 	// per-segment dictionary of distinct values.
 	SegDict
-	// SegRLE stores sorted/clustered ints as (value, end-offset) runs.
-	SegRLE
-	// SegFOR stores narrow-range ints frame-of-reference packed:
-	// a base plus 8/16/32-bit unsigned deltas.
+	// SegFOR stores ints whose span is below 2^16 frame-of-reference
+	// packed: a base plus 16-bit unsigned deltas.
 	SegFOR
 )
 
@@ -47,8 +45,6 @@ func (e SegEncoding) String() string {
 		return "plain"
 	case SegDict:
 		return "dict"
-	case SegRLE:
-		return "rle"
 	case SegFOR:
 		return "for"
 	}
@@ -93,15 +89,9 @@ type SegCol struct {
 	Codes []uint16
 	Dict  []string
 
-	// SegRLE: value runs with ascending exclusive end offsets.
-	RunVals []int64
-	RunEnds []int32
-
-	// SegFOR: value = Base + delta (exactly one delta width set).
+	// SegFOR: value = Base + delta.
 	Base int64
-	D8   []uint8
 	D16  []uint16
-	D32  []uint32
 }
 
 // IsNull reports whether row i (segment-local) is NULL.
@@ -130,34 +120,10 @@ func (c *SegCol) IntAt(i int) int64 {
 	switch c.Enc {
 	case SegPlain:
 		return c.Ints[i]
-	case SegRLE:
-		return c.RunVals[c.runOf(i)]
 	case SegFOR:
-		switch {
-		case c.D8 != nil:
-			return int64(uint64(c.Base) + uint64(c.D8[i]))
-		case c.D16 != nil:
-			return int64(uint64(c.Base) + uint64(c.D16[i]))
-		default:
-			return int64(uint64(c.Base) + uint64(c.D32[i]))
-		}
+		return int64(uint64(c.Base) + uint64(c.D16[i]))
 	}
 	return 0
-}
-
-// runOf locates the RLE run covering row i by binary search over the
-// ascending exclusive run ends.
-func (c *SegCol) runOf(i int) int {
-	lo, hi := 0, len(c.RunEnds)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(c.RunEnds[mid]) <= i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }
 
 // StrAt decodes the string cell at segment-local row i.
@@ -197,34 +163,10 @@ func (c *SegCol) DecodeInts(lo, hi int, dst []int64) []int64 {
 	switch c.Enc {
 	case SegPlain:
 		copy(dst, c.Ints[lo:hi])
-	case SegRLE:
-		r := c.runOf(lo)
-		for i := lo; i < hi; {
-			end := int(c.RunEnds[r])
-			if end > hi {
-				end = hi
-			}
-			v := c.RunVals[r]
-			for ; i < end; i++ {
-				dst[i-lo] = v
-			}
-			r++
-		}
 	case SegFOR:
 		base := uint64(c.Base)
-		switch {
-		case c.D8 != nil:
-			for i, d := range c.D8[lo:hi] {
-				dst[i] = int64(base + uint64(d))
-			}
-		case c.D16 != nil:
-			for i, d := range c.D16[lo:hi] {
-				dst[i] = int64(base + uint64(d))
-			}
-		default:
-			for i, d := range c.D32[lo:hi] {
-				dst[i] = int64(base + uint64(d))
-			}
+		for i, d := range c.D16[lo:hi] {
+			dst[i] = int64(base + uint64(d))
 		}
 	}
 	return dst
@@ -233,8 +175,7 @@ func (c *SegCol) DecodeInts(lo, hi int, dst []int64) []int64 {
 // GatherInts decodes the cells at rows lo+idxs[k] of an int column
 // into dst[k] — the read a consumer makes when it wants a handful of
 // rows out of an encoded window rather than the window itself. idxs
-// normally ascend (selection vectors, join match lists), which lets
-// the RLE form step from run to run; any order is correct.
+// may come in any order.
 func (c *SegCol) GatherInts(dst []int64, lo int, idxs []int32) {
 	dst = dst[:len(idxs)]
 	switch c.Enc {
@@ -243,38 +184,11 @@ func (c *SegCol) GatherInts(dst []int64, lo int, idxs []int32) {
 		for k, i := range idxs {
 			dst[k] = src[i]
 		}
-	case SegRLE:
-		r, start, end := -1, 0, 0 // run r covers rows [start, end)
-		for k, i := range idxs {
-			row := lo + int(i)
-			if row < start || row >= end {
-				if row >= end && r+1 < len(c.RunEnds) && row < int(c.RunEnds[r+1]) {
-					r++
-				} else {
-					r = c.runOf(row)
-				}
-				start, end = 0, int(c.RunEnds[r])
-				if r > 0 {
-					start = int(c.RunEnds[r-1])
-				}
-			}
-			dst[k] = c.RunVals[r]
-		}
 	case SegFOR:
-		switch {
-		case c.D8 != nil:
-			gatherFOR(dst, c.Base, c.D8[lo:], idxs)
-		case c.D16 != nil:
-			gatherFOR(dst, c.Base, c.D16[lo:], idxs)
-		default:
-			gatherFOR(dst, c.Base, c.D32[lo:], idxs)
+		base, src := uint64(c.Base), c.D16[lo:]
+		for k, i := range idxs {
+			dst[k] = int64(base + uint64(src[i]))
 		}
-	}
-}
-
-func gatherFOR[T uint8 | uint16 | uint32](dst []int64, base int64, ds []T, idxs []int32) {
-	for k, i := range idxs {
-		dst[k] = int64(uint64(base) + uint64(ds[i]))
 	}
 }
 
@@ -282,63 +196,34 @@ func gatherFOR[T uint8 | uint16 | uint32](dst []int64, base int64, ds []T, idxs 
 // [min, max] (an interval with min > max is empty), inverted when neg,
 // for every row of [lo, hi) — evaluated on the encoded form, never
 // through a decoded copy. FOR columns rebase the interval into delta
-// space once and compare the packed deltas; RLE columns compare once
-// per run. NULL cells hold encoding zeros, so their results are
-// meaningless: callers mask them with the null bitmap.
+// space once and compare the packed deltas. NULL cells hold encoding
+// zeros, so their results are meaningless: callers mask them with the
+// null bitmap.
 func (c *SegCol) IntsInRange(dst []bool, lo, hi int, min, max int64, neg bool) {
 	dst = dst[:hi-lo]
 	switch c.Enc {
 	case SegPlain:
 		maskRange(dst, c.Ints[lo:hi], min, max, neg)
-	case SegRLE:
-		r := c.runOf(lo)
-		for i := lo; i < hi; r++ {
-			end := int(c.RunEnds[r])
-			if end > hi {
-				end = hi
-			}
-			v := c.RunVals[r]
-			in := (v >= min && v <= max) != neg
-			for ; i < end; i++ {
-				dst[i-lo] = in
-			}
-		}
 	case SegFOR:
 		// value = Base + delta with delta >= 0, so the interval in delta
-		// space is [min-Base, max-Base] cut off at zero; two's-complement
-		// subtraction is exact for any ordered int64 pair.
-		if min > max || max < c.Base {
-			fillBools(dst, neg)
-			return
-		}
+		// space is [min-Base, max-Base] cut off at zero and clipped to
+		// what 16 bits hold; two's-complement subtraction is exact for
+		// any ordered int64 pair.
+		const top = 1<<16 - 1
 		var dlo uint64
 		if min > c.Base {
 			dlo = uint64(min) - uint64(c.Base)
 		}
-		dhi := uint64(max) - uint64(c.Base)
-		switch {
-		case c.D8 != nil:
-			maskFOR(dst, c.D8[lo:hi], dlo, dhi, neg)
-		case c.D16 != nil:
-			maskFOR(dst, c.D16[lo:hi], dlo, dhi, neg)
-		default:
-			maskFOR(dst, c.D32[lo:hi], dlo, dhi, neg)
+		if min > max || max < c.Base || dlo > top {
+			fillBools(dst, neg)
+			return
 		}
+		dhi := uint64(max) - uint64(c.Base)
+		if dhi > top {
+			dhi = top
+		}
+		maskRange(dst, c.D16[lo:hi], uint16(dlo), uint16(dhi), neg)
 	}
-}
-
-// maskFOR is IntsInRange over packed deltas: the delta-space interval
-// is clipped to what the delta width can hold, then compared narrow.
-func maskFOR[T uint8 | uint16 | uint32](dst []bool, ds []T, dlo, dhi uint64, neg bool) {
-	top := uint64(^T(0))
-	if dlo > top {
-		fillBools(dst, neg)
-		return
-	}
-	if dhi > top {
-		dhi = top
-	}
-	maskRange(dst, ds, T(dlo), T(dhi), neg)
 }
 
 func fillBools(dst []bool, v bool) {
@@ -347,7 +232,7 @@ func fillBools(dst []bool, v bool) {
 	}
 }
 
-func maskRange[T int64 | uint8 | uint16 | uint32](dst []bool, xs []T, min, max T, neg bool) {
+func maskRange[T int64 | uint16](dst []bool, xs []T, min, max T, neg bool) {
 	for i, x := range xs {
 		dst[i] = (x >= min && x <= max) != neg
 	}
@@ -365,8 +250,7 @@ func (c *SegCol) Bytes() int {
 	for _, s := range c.Dict {
 		b += 16 + len(s)
 	}
-	b += len(c.RunVals)*8 + len(c.RunEnds)*4
-	b += len(c.D8) + len(c.D16)*2 + len(c.D32)*4
+	b += len(c.D16) * 2
 	return b
 }
 
@@ -442,13 +326,9 @@ func (s *SegSet) Bytes() int {
 
 // ---- encoders ----
 
-// Encoding thresholds. A dictionary pays when distinct values repeat
-// enough to amortize the dictionary entries; RLE pays when runs are
-// long; FOR width follows the value range.
-const (
-	segDictMaxCard = 1 << 15 // dictionary entries per segment
-	segRLEMinRun   = 8       // average run length that justifies RLE
-)
+// segDictMaxCard caps a segment's dictionary: a dictionary pays when
+// distinct values repeat enough to amortize its entries.
+const segDictMaxCard = 1 << 15
 
 // A dictionary code is a uint16 (SegCol.Codes): the largest code,
 // segDictMaxCard-1, must fit one.
@@ -693,72 +573,19 @@ func encodeSegCol(p *SegCol) *SegCol {
 
 	switch p.Kind {
 	case KindInt:
-		vals := p.Ints
-		if !seen {
-			c.Ints = vals
-			return c
-		}
-		runs, first := 0, true
-		for i, x := range vals {
-			switch {
-			case nulls.Get(i):
-				// A null cell breaks a value run (runs carry nullness).
-				runs++
-			case first:
-				first = false
-				runs++
-			case nulls.Get(i-1) || vals[i-1] != x:
-				runs++
-			}
-		}
-		if runs*segRLEMinRun <= n {
-			c.Enc = SegRLE
-			c.RunVals = make([]int64, 0, runs)
-			c.RunEnds = make([]int32, 0, runs)
-			for i := 0; i < n; i++ {
-				v := vals[i]
-				last := len(c.RunVals) - 1
-				if last >= 0 && c.RunVals[last] == v && int(c.RunEnds[last]) == i &&
-					nulls.Get(i) == nulls.Get(i-1) {
-					c.RunEnds[last] = int32(i + 1)
-					continue
-				}
-				c.RunVals = append(c.RunVals, v)
-				c.RunEnds = append(c.RunEnds, int32(i+1))
-			}
-			return c
-		}
-		// Frame-of-reference: two's-complement subtraction gives the
-		// exact unsigned range for any int64 pair.
+		// Frame-of-reference when the span fits 16 bits: two's-complement
+		// subtraction gives the exact unsigned span for any int64 pair.
 		min, max := p.Zone.Min.Int64(), p.Zone.Max.Int64()
-		span := uint64(max) - uint64(min)
-		switch {
-		case span < 1<<8:
-			c.Enc, c.Base = SegFOR, min
-			c.D8 = make([]uint8, n)
-			for i, v := range vals {
-				if !nulls.Get(i) {
-					c.D8[i] = uint8(uint64(v) - uint64(min))
-				}
+		if !seen || uint64(max)-uint64(min) >= 1<<16 {
+			c.Ints = p.Ints
+			return c
+		}
+		c.Enc, c.Base = SegFOR, min
+		c.D16 = make([]uint16, n)
+		for i, v := range p.Ints {
+			if !nulls.Get(i) {
+				c.D16[i] = uint16(uint64(v) - uint64(min))
 			}
-		case span < 1<<16:
-			c.Enc, c.Base = SegFOR, min
-			c.D16 = make([]uint16, n)
-			for i, v := range vals {
-				if !nulls.Get(i) {
-					c.D16[i] = uint16(uint64(v) - uint64(min))
-				}
-			}
-		case span < 1<<32:
-			c.Enc, c.Base = SegFOR, min
-			c.D32 = make([]uint32, n)
-			for i, v := range vals {
-				if !nulls.Get(i) {
-					c.D32[i] = uint32(uint64(v) - uint64(min))
-				}
-			}
-		default:
-			c.Ints = vals
 		}
 		return c
 

@@ -29,8 +29,8 @@ func segTestTable(t *testing.T) *Table {
 func segTestRow(i int) Row {
 	row := Row{
 		Int(int64(i)),
-		Int(int64(i / 10)),       // clustered: long runs, RLE
-		Int(1000 + int64(i%200)), // narrow range: FOR (8-bit span)
+		Int(int64(i / 10)),       // clustered: long runs, FOR
+		Int(1000 + int64(i%200)), // narrow range: FOR
 		Text(fmt.Sprintf("cat-%d", i%5)),
 		Float(float64(i) * 0.5),
 		Bool(i%2 == 0),
@@ -273,7 +273,7 @@ func TestSegmentEncodingSelection(t *testing.T) {
 		gen  func(i int) Value
 		want SegEncoding
 	}{
-		{"sorted-runs-rle", schema.Int, func(i int) Value { return Int(int64(i / 50)) }, SegRLE},
+		{"sorted-runs-for", schema.Int, func(i int) Value { return Int(int64(i / 50)) }, SegFOR},
 		{"narrow-for", schema.Int, func(i int) Value { return Int(int64(1e9) + int64((i*37)%250)) }, SegFOR},
 		{"wide-plain", schema.Int, func(i int) Value { return Int(int64(i) * (1 << 33)) }, SegPlain},
 		{"lowcard-dict", schema.Text, func(i int) Value { return Text(fmt.Sprintf("s%d", i%20)) }, SegDict},
@@ -295,7 +295,8 @@ func TestSegmentEncodingSelection(t *testing.T) {
 
 // TestSegmentNullExtremes covers all-null and no-null segments,
 // including the all-null zone-map contract (AllNull true, unknown
-// range) and FOR/RLE behavior when every cell is NULL.
+// range) and the encoders' behavior when every cell is NULL: each
+// column seals plain.
 func TestSegmentNullExtremes(t *testing.T) {
 	meta := &schema.Table{Name: "t", Columns: []schema.Column{
 		{Name: "i", Type: schema.Int},
@@ -316,6 +317,9 @@ func TestSegmentNullExtremes(t *testing.T) {
 			}
 			if !sc.Zone.Min.IsNull() || !sc.Zone.Max.IsNull() {
 				t.Fatalf("n=%d col %d: all-null zone has bounds", n, ci)
+			}
+			if sc.Enc != SegPlain {
+				t.Fatalf("n=%d col %d: all-null column sealed as %s, want %s", n, ci, sc.Enc, SegPlain)
 			}
 			for i := 0; i < n; i++ {
 				if !sc.IsNull(i) || !sc.Value(i).IsNull() {
@@ -427,8 +431,8 @@ func TestSegmentDictCodeWidth(t *testing.T) {
 }
 
 // TestSegmentFORBoundaries pins frame-of-reference at extreme spans:
-// exactly 8/16/32-bit ranges and int64 min/max pairs (which must fall
-// back to plain without overflow).
+// a span of 2^16-1 is the widest FOR holds, and wider ones, int64
+// min/max pairs included, fall back to plain without overflow.
 func TestSegmentFORBoundaries(t *testing.T) {
 	meta := &schema.Table{Name: "t", Columns: []schema.Column{{Name: "i", Type: schema.Int}}}
 	cases := []struct {
@@ -437,9 +441,10 @@ func TestSegmentFORBoundaries(t *testing.T) {
 		want SegEncoding
 	}{
 		{"span-255", []int64{100, 355, 200}, SegFOR},
-		{"span-256", []int64{100, 356, 200}, SegFOR}, // 16-bit
+		{"span-256", []int64{100, 356, 200}, SegFOR},
 		{"span-65535", []int64{0, 65535, 1}, SegFOR},
-		{"span-2^32-1", []int64{0, math.MaxUint32, 1}, SegFOR},
+		{"span-65536", []int64{0, 65536, 1}, SegPlain},
+		{"span-2^32-1", []int64{0, math.MaxUint32, 1}, SegPlain},
 		{"span-2^32", []int64{0, math.MaxUint32 + 1, 1}, SegPlain},
 		{"minmax-int64", []int64{math.MinInt64, math.MaxInt64, 0}, SegPlain},
 		{"negative-narrow", []int64{-1000, -950, -999}, SegFOR},
