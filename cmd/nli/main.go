@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -112,7 +113,7 @@ func main() {
 			continue
 		}
 
-		ans, followUp, err := conv.Ask(line)
+		ans, followUp, err := conv.Ask(context.Background(), line, 0)
 		if err != nil {
 			fmt.Println("  sorry:", err)
 			continue

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 
 	for i, q := range turns {
 		fmt.Printf("turn %d> %s\n", i+1, q)
-		ans, followUp, err := conv.Ask(q)
+		ans, followUp, err := conv.Ask(context.Background(), q, 0)
 		if err != nil {
 			fmt.Printf("   sorry: %v\n\n", err)
 			continue

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -30,7 +31,7 @@ func main() {
 
 	for _, q := range questions {
 		fmt.Printf("Q: %s\n", q)
-		ans, err := eng.Ask(q)
+		ans, err := eng.Ask(context.Background(), q, 0)
 		if err != nil {
 			fmt.Printf("   could not answer: %v\n\n", err)
 			continue
@@ -43,7 +44,7 @@ func main() {
 	}
 
 	// Show a full result table once.
-	ans, err := eng.Ask("top 5 countries by gdp")
+	ans, err := eng.Ask(context.Background(), "top 5 countries by gdp", 0)
 	if err != nil {
 		log.Fatal(err)
 	}

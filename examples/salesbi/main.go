@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,7 @@ func main() {
 
 	for _, q := range questions {
 		fmt.Printf("Q: %s\n", q)
-		ans, err := eng.Ask(q)
+		ans, err := eng.Ask(context.Background(), q, 0)
 		if err != nil {
 			fmt.Printf("   could not answer: %v\n\n", err)
 			continue

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -157,7 +158,7 @@ func EvaluateDialogue(opts core.Options, cases []DialogueCase) ([]DialogueOutcom
 		conv := e.NewConversation()
 		var last *core.Answer
 		for i, turn := range cs.Turns {
-			ans, _, err := conv.Ask(turn)
+			ans, _, err := conv.Ask(context.Background(), turn, 0)
 			t := Outcome{Case: Case{ID: fmt.Sprintf("%s#%d", cs.ID, i+1), Domain: cs.Domain, Question: turn},
 				Corrections: ans.Corrections}
 			if ans.SQL != nil {

@@ -43,11 +43,6 @@ func Satisfy[T any](pred func(T) bool) Parser[T, T] {
 	}
 }
 
-// Eq matches exactly the given token (for comparable token types).
-func Eq[T comparable](want T) Parser[T, T] {
-	return Satisfy(func(t T) bool { return t == want })
-}
-
 // Succeed consumes nothing and yields v.
 func Succeed[T, R any](v R) Parser[T, R] {
 	return func(toks []T, pos int) []Result[R] {
@@ -220,16 +215,6 @@ func SepBy1[T, R, S any](p Parser[T, R], sep Parser[T, S]) Parser[T, []R] {
 func Ref[T, R any](p *Parser[T, R]) Parser[T, R] {
 	return func(toks []T, pos int) []Result[R] {
 		return (*p)(toks, pos)
-	}
-}
-
-// End succeeds only at end of input.
-func End[T any]() Parser[T, struct{}] {
-	return func(toks []T, pos int) []Result[struct{}] {
-		if pos == len(toks) {
-			return []Result[struct{}]{{Next: pos}}
-		}
-		return nil
 	}
 }
 

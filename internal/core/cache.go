@@ -216,14 +216,12 @@ func cacheable(ans *Answer, maxRows, maxBytes int) bool {
 
 // cacheableAnswer is the answer as it enters the cache: the struct is
 // copied and its Result shared, not cloned. The rows are read-only once
-// the executor has returned them, the AskShedCtx caller of the miss
-// only reads them, and the entry points that hand a caller rows to
-// keep and mutate clone them (owned). Interpretation structures (Query,
-// SQL, Plan, Ranked) are shared likewise: they are treated as immutable
-// once the answer is built. The per-ask serving flags are cleared:
-// whether this ask ran degraded or queued is a fact about the load at
-// the moment it ran, not about the answer, and must not leak into later
-// asks served from the cache.
+// the executor has returned them, and the caller of the miss only reads
+// them. Interpretation structures (Query, SQL, Plan, Ranked) are shared
+// likewise: they are treated as immutable once the answer is built. The
+// per-ask serving flags are cleared: whether this ask ran degraded or
+// queued is a fact about the load at the moment it ran, not about the
+// answer, and must not leak into later asks served from the cache.
 func cacheableAnswer(ans *Answer) *Answer {
 	cp := *ans
 	cp.Degraded = false
@@ -231,15 +229,12 @@ func cacheableAnswer(ans *Answer) *Answer {
 	return &cp
 }
 
-// owned is what the entry points that promise their caller an answer
-// it may mutate (Ask, AskCtx, Conversation.Ask and AskCtx) hand out:
-// the result cloned, hit or miss, and the entry's rendering slot, which
-// describes rows the caller is now free to change, dropped. A hit's
-// rows are the cache entry's; a miss's rows are shared with the entry
-// it stored, and its Cols is the cached plan's slice (see exec's
-// executor.run), shared with every later ask of the plan shape. The
-// AskShedCtx path serve drives, which only encodes, pays for none of
-// it.
+// owned is what Engine.AskCtx hands out: the result cloned, hit or
+// miss, and the entry's rendering slot, which describes rows the caller
+// is now free to change, dropped. A hit's rows are the cache entry's; a
+// miss's rows are shared with the entry it stored, and its Cols is the
+// cached plan's slice (see exec's executor.run), shared with every later
+// ask of the plan shape.
 func owned(ans *Answer) *Answer {
 	if ans != nil {
 		ans.Result = cloneResult(ans.Result)

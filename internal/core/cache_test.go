@@ -26,7 +26,7 @@ import (
 func TestAnswerCacheEvictionGranularity(t *testing.T) {
 	e := uniEngine(t)
 	q := "students with gpa over 3.5"
-	first, err := e.Ask(q)
+	first, err := e.Ask(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestAnswerCacheEvictionGranularity(t *testing.T) {
 	if err := e.DB.Insert("enrollments", store.Int(1), store.Int(1), store.Text("A")); err != nil {
 		t.Fatal(err)
 	}
-	hot, err := e.Ask(q)
+	hot, err := e.Ask(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestAnswerCacheEvictionGranularity(t *testing.T) {
 		store.Int(4), store.Float(3.97)); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := e.Ask(q)
+	fresh, err := e.Ask(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestAnswerCacheDepsCoverSubqueries(t *testing.T) {
 // never between them.
 func TestConversationsKeepAnsweringMidLoad(t *testing.T) {
 	e := uniEngine(t)
-	base, err := e.Ask("how many students with gpa over 3.8")
+	base, err := e.Ask(context.Background(), "how many students with gpa over 3.8", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestConversationsKeepAnsweringMidLoad(t *testing.T) {
 
 	conv := e.NewConversation()
 	for i := 0; ; i++ {
-		ans, _, err := conv.Ask("how many students with gpa over 3.8")
+		ans, _, err := conv.Ask(context.Background(), "how many students with gpa over 3.8", 0)
 		if err != nil {
 			t.Fatalf("turn %d failed mid-load: %v", i, err)
 		}
@@ -130,7 +130,7 @@ func TestConversationsKeepAnsweringMidLoad(t *testing.T) {
 		}
 		select {
 		case <-done:
-			ans, _, err := conv.Ask("how many students with gpa over 3.8")
+			ans, _, err := conv.Ask(context.Background(), "how many students with gpa over 3.8", 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,14 +165,14 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	e.maxRows = maxRows
 
 	big := "students with gpa over 3.5"
-	first, err := e.Ask(big)
+	first, err := e.Ask(context.Background(), big, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := len(first.Result.Rows); n <= maxRows {
 		t.Fatalf("test premise broken: %q returned only %d rows", big, n)
 	}
-	again, err := e.Ask(big)
+	again, err := e.Ask(context.Background(), big, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +182,10 @@ func TestAnswerCacheEntrySizeCap(t *testing.T) {
 	}
 
 	small := "how many students with gpa over 3.5"
-	if _, err := e.Ask(small); err != nil {
+	if _, err := e.Ask(context.Background(), small, 0); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := e.Ask(small)
+	hit, err := e.Ask(context.Background(), small, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestOversizedAnswerIsNotCopied(t *testing.T) {
 	rows := 0
 	allocs := func(e *Engine) float64 {
 		return testing.AllocsPerRun(20, func() {
-			ans, err := e.AskShedCtx(context.Background(), q, 0)
+			ans, err := e.Ask(context.Background(), q, 0)
 			if err != nil || ans.Cached {
 				t.Fatalf("ask %q: cached %v, err %v", q, ans != nil && ans.Cached, err)
 			}

@@ -14,7 +14,7 @@ import (
 
 func mustTurn(t *testing.T, c *Conversation, q string) (*iql.Query, bool) {
 	t.Helper()
-	ans, followUp, err := c.Ask(q)
+	ans, followUp, err := c.Ask(context.Background(), q, 0)
 	if err != nil {
 		t.Fatalf("Ask(%q): %v", q, err)
 	}
@@ -134,7 +134,7 @@ func TestMultiTurnSessionExecutes(t *testing.T) {
 	c := uniEngine(t).NewConversation()
 	turnRows := func(q string) int {
 		t.Helper()
-		ans, _, err := c.Ask(q)
+		ans, _, err := c.Ask(context.Background(), q, 0)
 		if err != nil {
 			t.Fatalf("%q: %v", q, err)
 		}
@@ -146,7 +146,7 @@ func TestMultiTurnSessionExecutes(t *testing.T) {
 	if refined >= all {
 		t.Errorf("refinement did not narrow: %d -> %d", all, refined)
 	}
-	count, _, err := c.Ask("how many")
+	count, _, err := c.Ask(context.Background(), "how many", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +158,13 @@ func TestMultiTurnSessionExecutes(t *testing.T) {
 func TestErrorsWithoutContext(t *testing.T) {
 	c := uniEngine(t).NewConversation()
 	for _, q := range []string{"only those with gpa over 3.5", "colorless green ideas"} {
-		_, _, err := c.Ask(q)
+		_, _, err := c.Ask(context.Background(), q, 0)
 		if err == nil {
 			t.Errorf("%q without context should fail", q)
 			continue
 		}
 		// No context to relate to: the message is the single-shot one.
-		if _, single := c.e.Ask(q); single == nil || single.Error() != err.Error() {
+		if _, single := c.e.Ask(context.Background(), q, 0); single == nil || single.Error() != err.Error() {
 			t.Errorf("%q: conversation says %q, engine says %v", q, err, single)
 		}
 	}
@@ -173,7 +173,7 @@ func TestErrorsWithoutContext(t *testing.T) {
 func TestUnrelatableFragmentFails(t *testing.T) {
 	c := uniEngine(t).NewConversation()
 	mustTurn(t, c, "students in Computer Science")
-	_, _, err := c.Ask("quantum flux capacitor")
+	_, _, err := c.Ask(context.Background(), "quantum flux capacitor", 0)
 	if err == nil {
 		t.Fatal("unrelatable fragment should fail")
 	}
@@ -189,7 +189,7 @@ func TestReset(t *testing.T) {
 	if c.Context() != nil {
 		t.Error("Reset did not clear context")
 	}
-	if _, _, err := c.Ask("how many"); err == nil {
+	if _, _, err := c.Ask(context.Background(), "how many", 0); err == nil {
 		t.Error("fragment after reset should fail")
 	}
 }
@@ -234,7 +234,7 @@ func TestDropConditionFollowUp(t *testing.T) {
 func TestDropNonexistentConditionFails(t *testing.T) {
 	c := uniEngine(t).NewConversation()
 	mustTurn(t, c, "students in Computer Science")
-	if _, _, err := c.Ask("remove the salary condition"); err == nil {
+	if _, _, err := c.Ask(context.Background(), "remove the salary condition", 0); err == nil {
 		t.Error("dropping a non-existent condition should fail")
 	}
 }
@@ -253,7 +253,7 @@ func TestRollupFollowUp(t *testing.T) {
 		t.Errorf("aggregate lost: %+v", q.Outputs)
 	}
 	// Rolling up an ungrouped query fails.
-	if _, _, err := c.Ask("roll up"); err == nil {
+	if _, _, err := c.Ask(context.Background(), "roll up", 0); err == nil {
 		t.Error("rollup without grouping should fail")
 	}
 }
@@ -263,7 +263,7 @@ func TestRollupFollowUp(t *testing.T) {
 // full question reports the one reading it took.
 func TestFollowUpStageTimings(t *testing.T) {
 	c := uniEngine(t).NewConversation()
-	ans, followUp, err := c.Ask("students in Computer Science")
+	ans, followUp, err := c.Ask(context.Background(), "students in Computer Science", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestFollowUpStageTimings(t *testing.T) {
 		t.Errorf("stage timings not populated: %+v", ans.Timings)
 	}
 
-	frag, followUp, err := c.Ask("only those with gpa over 3.5")
+	frag, followUp, err := c.Ask(context.Background(), "only those with gpa over 3.5", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestFailedTurnKeepsContext(t *testing.T) {
 			mustTurn(t, c, "students in Computer Science")
 			before := c.Context()
 
-			ans, _, err := c.AskCtx(tc.ctx, tc.turn)
+			ans, _, err := c.Ask(tc.ctx, tc.turn, 0)
 			if err == nil {
 				t.Fatalf("%q should fail", tc.turn)
 			}

@@ -110,13 +110,12 @@ type Answer struct {
 	// were bound from the reading cache: the question was not parsed.
 	ReadingCached bool
 
-	// Rendered is non-nil exactly when AskShedCtx served this answer
-	// from the answer cache: Result is then the cache entry's own rows,
-	// shared with every other hit and read-only, and Rendered is the
-	// entry's slot for whatever encoding of them the caller memoizes
-	// (see Rendering). An AskShedCtx miss's Result is read-only too,
-	// the entry it stored sharing it. Ask and AskCtx return owning
-	// copies and leave Rendered nil.
+	// Rendered is non-nil exactly when Ask served this answer from the
+	// answer cache: Result is then the cache entry's own rows, shared
+	// with every other hit and read-only, and Rendered is the entry's
+	// slot for whatever encoding of them the caller memoizes (see
+	// Rendering). A miss's Result is read-only too, the entry it stored
+	// sharing it.
 	Rendered *Rendering
 
 	Timings Timings
@@ -307,39 +306,37 @@ func (e *Engine) interpret(ans *Answer, toks []strutil.Token, prev *iql.Query) (
 // are all unchanged — skip the whole pipeline; writes to unrelated
 // tables leave entries hot. A miss pins one store snapshot for
 // planning and execution, so the answer is computed over a single
-// consistent data version even while writers are active. The answer is
-// the caller's to keep and mutate.
-func (e *Engine) Ask(question string) (*Answer, error) {
-	return e.AskCtx(context.Background(), question)
-}
-
-// AskCtx is Ask under a request context: execution observes ctx
-// cancellation at batch granularity and aborts with context.Cause(ctx)
-// instead of finishing work nobody is waiting for. A background
-// context makes it exactly Ask.
-func (e *Engine) AskCtx(ctx context.Context, question string) (*Answer, error) {
-	ans, err := e.AskShedCtx(ctx, question, 0)
-	return owned(ans), err
-}
-
-// AskShedCtx is AskCtx with an execution-time parallelism cap: execPar
-// == 0 runs at the engine's configured Parallelism, execPar == 1 sheds
-// the (cached, parallel) plan to serial execution — the serving
-// layer's graceful-degradation path under load. Results are row-for-
-// row identical at any degree; the answer reports Degraded when the
-// cap actually lowered the degree.
+// consistent data version even while writers are active. Execution
+// observes ctx cancellation at batch granularity and aborts with
+// context.Cause(ctx) instead of finishing work nobody is waiting for.
 //
-// Unlike Ask and AskCtx, nothing here copies the result. A cache hit
-// copies only the Answer struct: its Result is the cache entry's own
-// and must not be written (see Answer.Rendered). A miss's Result is
-// the one the cache entry it stored shares, rows and all, and its Cols
-// is the cached plan's own slice: read-only likewise. That is the
-// contract the serving layer, which only encodes the result, asks for
-// — the rows of an answer are then written once, by the executor, and
-// what a hit costs does not grow with the size of its result.
-func (e *Engine) AskShedCtx(ctx context.Context, question string, execPar int) (*Answer, error) {
-	ans, _, err := e.ask(ctx, question, nil, execPar)
+// par caps the execution degree: 0 runs at the engine's configured
+// Parallelism, 1 sheds the (cached, parallel) plan to serial execution
+// — the serving layer's graceful-degradation path under load. Results
+// are row-for-row identical at any degree; the answer reports Degraded
+// when the cap actually lowered the degree.
+//
+// Nothing here copies the result. A cache hit copies only the Answer
+// struct: its Result is the cache entry's own and must not be written
+// (see Answer.Rendered). A miss's Result is the one the cache entry it
+// stored shares, rows and all, and its Cols is the cached plan's own
+// slice: read-only likewise. The rows of an answer are written once, by
+// the executor, and what a hit costs does not grow with the size of its
+// result.
+func (e *Engine) Ask(ctx context.Context, question string, par int) (*Answer, error) {
+	ans, _, err := e.ask(ctx, question, nil, par)
 	return ans, err
+}
+
+// AskCtx is Ask at the engine's degree with the result cloned, the
+// caller's to keep and mutate. It exists only because benchmark/ is
+// frozen and its traced replay times the untraced side through this
+// name (like exec.RunBoundCountedAtCtx); it goes when
+// benchmark/replay.go is next opened, and with it owned and
+// cloneResult.
+func (e *Engine) AskCtx(ctx context.Context, question string) (*Answer, error) {
+	ans, err := e.Ask(ctx, question, 0)
+	return owned(ans), err
 }
 
 // ask is the one pipeline behind every entry point, single-shot and
@@ -526,34 +523,20 @@ func (c *Conversation) Context() *iql.Query {
 // Ask interprets one utterance against the conversation context and
 // executes it, reporting whether the context was used. It is
 // Engine.Ask with one more input: the same corrections, timings,
-// snapshot pinning, classified errors and answer cache. A complete
-// question replaces the context and, repeated, is served from the
-// cache single-shot asks share; a fragment ("only those in Math", "how
-// many") refines the context and is never cached, its meaning being
-// the context's as much as its own.
+// snapshot pinning, classified errors, degree cap, answer cache and
+// read-only Result. A complete question replaces the context and,
+// repeated, is served from the cache single-shot asks share; a fragment
+// ("only those in Math", "how many") refines the context and is never
+// cached, its meaning being the context's as much as its own.
 //
 // The context moves only when the turn succeeds. A turn that fails at
 // any stage — outside coverage, unrelatable, a planning or execution
 // error, a deadline, a client gone — leaves it exactly as it was, so
 // the next fragment refines the last question the caller saw answered.
-func (c *Conversation) Ask(question string) (*Answer, bool, error) {
-	return c.AskCtx(context.Background(), question)
-}
-
-// AskCtx is Ask under a request context (see Engine.AskCtx).
-func (c *Conversation) AskCtx(ctx context.Context, question string) (*Answer, bool, error) {
-	ans, followUp, err := c.AskShedCtx(ctx, question, 0)
-	return owned(ans), followUp, err
-}
-
-// AskShedCtx is AskCtx with an execution-time parallelism cap (see
-// Engine.AskShedCtx) — the form the serving layer calls, threading the
-// request deadline and the admission controller's degradation verdict
-// into the turn, and with the same read-only Result on a cache hit.
-func (c *Conversation) AskShedCtx(ctx context.Context, question string, execPar int) (*Answer, bool, error) {
+func (c *Conversation) Ask(ctx context.Context, question string, par int) (*Answer, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ans, followUp, err := c.e.ask(ctx, question, c.prev, execPar)
+	ans, followUp, err := c.e.ask(ctx, question, c.prev, par)
 	if err == nil {
 		c.prev = ans.Query
 	}

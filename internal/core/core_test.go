@@ -20,7 +20,7 @@ func uniEngine(t testing.TB) *Engine {
 
 func TestAskEndToEnd(t *testing.T) {
 	e := uniEngine(t)
-	ans, err := e.Ask("how many students are in Computer Science?")
+	ans, err := e.Ask(context.Background(), "how many students are in Computer Science?", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestAskEndToEnd(t *testing.T) {
 // its plural, not by its singular plus "s".
 func TestEchoNamesTablePlurals(t *testing.T) {
 	e := NewEngine(dataset.Geo(), DefaultOptions())
-	ans, err := e.Ask("rivers in China")
+	ans, err := e.Ask(context.Background(), "rivers in China", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestEchoNamesTablePlurals(t *testing.T) {
 
 func TestAskWithTypo(t *testing.T) {
 	e := uniEngine(t)
-	ans, err := e.Ask("studnets with gpa over 3.5")
+	ans, err := e.Ask(context.Background(), "studnets with gpa over 3.5", 0)
 	if err != nil {
 		t.Fatalf("typo not recovered: %v", err)
 	}
@@ -69,14 +69,14 @@ func TestSpellingDisabled(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SpellMaxDist = 0
 	e := NewEngine(dataset.University(1), opts)
-	if _, err := e.Ask("studnets with gpa over 3.5"); err == nil {
+	if _, err := e.Ask(context.Background(), "studnets with gpa over 3.5", 0); err == nil {
 		t.Error("typo should fail with correction disabled")
 	}
 }
 
 func TestAskOutsideCoverage(t *testing.T) {
 	e := uniEngine(t)
-	_, err := e.Ask("what is the meaning of life")
+	_, err := e.Ask(context.Background(), "what is the meaning of life", 0)
 	if err == nil || !strings.Contains(err.Error(), "coverage") {
 		t.Errorf("err = %v", err)
 	}
@@ -98,7 +98,7 @@ func TestTranslateSystemInterface(t *testing.T) {
 
 func TestAmbiguityReported(t *testing.T) {
 	e := NewEngine(dataset.Geo(), DefaultOptions())
-	ans, err := e.Ask("the population of Brazil")
+	ans, err := e.Ask(context.Background(), "the population of Brazil", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +115,13 @@ func TestConversationFlow(t *testing.T) {
 	e := uniEngine(t)
 	conv := e.NewConversation()
 
-	ans, follow, err := conv.Ask("students in Computer Science")
+	ans, follow, err := conv.Ask(context.Background(), "students in Computer Science", 0)
 	if err != nil || follow {
 		t.Fatalf("turn 1: %v follow=%v", err, follow)
 	}
 	n1 := len(ans.Result.Rows)
 
-	ans, follow, err = conv.Ask("only those with gpa over 3.5")
+	ans, follow, err = conv.Ask(context.Background(), "only those with gpa over 3.5", 0)
 	if err != nil || !follow {
 		t.Fatalf("turn 2: %v follow=%v", err, follow)
 	}
@@ -129,7 +129,7 @@ func TestConversationFlow(t *testing.T) {
 		t.Errorf("refinement did not narrow: %d -> %d", n1, len(ans.Result.Rows))
 	}
 
-	ans, follow, err = conv.Ask("how many")
+	ans, follow, err = conv.Ask(context.Background(), "how many", 0)
 	if err != nil || !follow {
 		t.Fatalf("turn 3: %v follow=%v", err, follow)
 	}
@@ -146,7 +146,7 @@ func TestConversationFlow(t *testing.T) {
 func TestConversationCorrectsSpelling(t *testing.T) {
 	e := uniEngine(t)
 	conv := e.NewConversation()
-	if _, _, err := conv.Ask("studnets in Computer Science"); err != nil {
+	if _, _, err := conv.Ask(context.Background(), "studnets in Computer Science", 0); err != nil {
 		t.Fatalf("conversation typo not recovered: %v", err)
 	}
 }
@@ -158,7 +158,7 @@ func TestConversationCorrectionsAndTimings(t *testing.T) {
 	e := uniEngine(t)
 	conv := e.NewConversation()
 
-	ans, follow, err := conv.Ask("studnets in Computer Science")
+	ans, follow, err := conv.Ask(context.Background(), "studnets in Computer Science", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestConversationCorrectionsAndTimings(t *testing.T) {
 		t.Errorf("turn 1 timings not populated: %+v", ans.Timings)
 	}
 
-	ans, follow, err = conv.Ask("only those with gpq over 3.5")
+	ans, follow, err = conv.Ask(context.Background(), "only those with gpq over 3.5", 0)
 	if err != nil {
 		t.Fatalf("typo'd follow-up failed: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestConversationCorrectionsAndTimings(t *testing.T) {
 // reports its own corrections, and any data mutation invalidates.
 func TestAnswerCache(t *testing.T) {
 	e := uniEngine(t)
-	first, err := e.Ask("students with gpa over 3.5")
+	first, err := e.Ask(context.Background(), "students with gpa over 3.5", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestAnswerCache(t *testing.T) {
 		t.Error("first ask must not be cached")
 	}
 
-	again, err := e.Ask("students with gpa over 3.5")
+	again, err := e.Ask(context.Background(), "students with gpa over 3.5", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,20 +217,30 @@ func TestAnswerCache(t *testing.T) {
 		t.Error("cached answer should still report total latency")
 	}
 
-	// Mutating a returned answer must not poison the cache: answers
-	// cross the cache boundary as defensive copies.
-	if len(again.Result.Rows) > 1 {
-		again.Result.Rows[0], again.Result.Rows[1] = again.Result.Rows[1], again.Result.Rows[0]
-		clean, err := e.Ask("students with gpa over 3.5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !store.Equal(clean.Result.Rows[0][0], first.Result.Rows[0][0]) {
-			t.Error("caller mutation leaked into the cached answer")
-		}
+	// Mutating an answer AskCtx returned must not poison the cache: it
+	// hands out a copy, where Ask hands out the entry's read-only rows.
+	owned, err := e.AskCtx(context.Background(), "students with gpa over 3.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !owned.Cached || owned.Rendered != nil {
+		t.Errorf("AskCtx hit: Cached=%v Rendered=%v, want a hit without the entry's rendering slot", owned.Cached, owned.Rendered)
+	}
+	if len(owned.Result.Rows) < 2 {
+		t.Fatalf("AskCtx hit has %d rows, want several", len(owned.Result.Rows))
+	}
+	want := fmt.Sprint(again.Result.Rows)
+	owned.Result.Rows[0], owned.Result.Rows[1] = owned.Result.Rows[1], owned.Result.Rows[0]
+	owned.Result.Rows[0][0] = store.Text("clobbered")
+	clean, err := e.Ask(context.Background(), "students with gpa over 3.5", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(clean.Result.Rows); got != want {
+		t.Errorf("caller mutation leaked into the cached answer:\n%s\nwant\n%s", got, want)
 	}
 
-	typod, err := e.Ask("studnets with gpa over 3.5")
+	typod, err := e.Ask(context.Background(), "studnets with gpa over 3.5", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +260,7 @@ func TestAnswerCache(t *testing.T) {
 		store.Int(4), store.Float(3.99)); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := e.Ask("students with gpa over 3.5")
+	fresh, err := e.Ask(context.Background(), "students with gpa over 3.5", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,70 +272,55 @@ func TestAnswerCache(t *testing.T) {
 	}
 }
 
-// TestMissOwnsItsCols: a miss's Result must be the caller's own, not
+// TestMissOwnsItsCols: a miss AskCtx returns is the caller's own, not
 // the cached plan's Cols nor the rows the answer-cache entry shares.
 // Overwriting a column name on one answer and then asking the same
 // shape with another constant (plan-cache hit, answer-cache miss) must
 // still report the original name; overwriting, appending to and
 // regrowing the rows of a miss must leave what a later hit of the same
-// question returns as it was — through Ask, AskCtx and a conversation
-// alike.
+// question returns as it was.
 func TestMissOwnsItsCols(t *testing.T) {
-	for _, via := range []string{"Ask", "AskCtx", "Conversation.Ask"} {
-		e := uniEngine(t)
-		var ask func(q string) (*Answer, error)
-		switch via {
-		case "Ask":
-			ask = e.Ask
-		case "AskCtx":
-			ask = func(q string) (*Answer, error) { return e.AskCtx(context.Background(), q) }
-		default:
-			conv := e.NewConversation()
-			ask = func(q string) (*Answer, error) {
-				ans, _, err := conv.Ask(q)
-				return ans, err
-			}
-		}
-		first, err := ask("students with gpa over 3.5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if first.Cached || len(first.Result.Rows) < 2 {
-			t.Fatalf("%s: first ask Cached=%v with %d rows, want a miss of several", via, first.Cached, len(first.Result.Rows))
-		}
-		want := first.Result.Cols[0]
-		wantRows := fmt.Sprint(first.Result.Rows)
-		first.Result.Cols[0] = "clobbered"
-		rows := first.Result.Rows
-		rows[0][0] = store.Text("clobbered")
-		rows[1] = append(rows[1], store.Text("appended"))
-		first.Result.Rows = append(rows[:1], store.Row{store.Text("regrown")})
+	e := uniEngine(t)
+	ctx := context.Background()
+	first, err := e.AskCtx(ctx, "students with gpa over 3.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cached || len(first.Result.Rows) < 2 {
+		t.Fatalf("first ask Cached=%v with %d rows, want a miss of several", first.Cached, len(first.Result.Rows))
+	}
+	want := first.Result.Cols[0]
+	wantRows := fmt.Sprint(first.Result.Rows)
+	first.Result.Cols[0] = "clobbered"
+	rows := first.Result.Rows
+	rows[0][0] = store.Text("clobbered")
+	rows[1] = append(rows[1], store.Text("appended"))
+	first.Result.Rows = append(rows[:1], store.Row{store.Text("regrown")})
 
-		second, err := ask("students with gpa over 3.6")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !second.PlanCached || second.Cached {
-			t.Fatalf("%s: second ask PlanCached=%v Cached=%v, want a plan-cache hit and an answer-cache miss",
-				via, second.PlanCached, second.Cached)
-		}
-		if got := second.Result.Cols[0]; got != want {
-			t.Errorf("%s: column renamed to %q for a later ask of the plan shape, want %q", via, got, want)
-		}
+	second, err := e.AskCtx(ctx, "students with gpa over 3.6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !second.PlanCached || second.Cached {
+		t.Fatalf("second ask PlanCached=%v Cached=%v, want a plan-cache hit and an answer-cache miss",
+			second.PlanCached, second.Cached)
+	}
+	if got := second.Result.Cols[0]; got != want {
+		t.Errorf("column renamed to %q for a later ask of the plan shape, want %q", got, want)
+	}
 
-		hit, err := ask("students with gpa over 3.5")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !hit.Cached {
-			t.Fatalf("%s: third ask Cached=false, want an answer-cache hit", via)
-		}
-		if got := fmt.Sprint(hit.Result.Rows); got != wantRows {
-			t.Errorf("%s: a hit after the miss's rows were written returns\n%s\nwant\n%s", via, got, wantRows)
-		}
-		if got := hit.Result.Cols[0]; got != want {
-			t.Errorf("%s: a hit after the miss's Cols were written names column %q, want %q", via, got, want)
-		}
+	hit, err := e.AskCtx(ctx, "students with gpa over 3.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Fatal("third ask Cached=false, want an answer-cache hit")
+	}
+	if got := fmt.Sprint(hit.Result.Rows); got != wantRows {
+		t.Errorf("a hit after the miss's rows were written returns\n%s\nwant\n%s", got, wantRows)
+	}
+	if got := hit.Result.Cols[0]; got != want {
+		t.Errorf("a hit after the miss's Cols were written names column %q, want %q", got, want)
 	}
 }
 
@@ -346,11 +341,11 @@ func TestParallelismAblation(t *testing.T) {
 		"average salary of instructors per department",
 		"how many students are in Computer Science",
 	} {
-		sa, err := serial.Ask(q)
+		sa, err := serial.Ask(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pa, err := par.Ask(q)
+		pa, err := par.Ask(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,11 +374,11 @@ func TestConcurrentConversations(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			conv := e.NewConversation()
-			if _, _, err := conv.Ask("students in Computer Science"); err != nil {
+			if _, _, err := conv.Ask(context.Background(), "students in Computer Science", 0); err != nil {
 				errs <- err
 				return
 			}
-			ans, follow, err := conv.Ask("only those with gpa over 3.5")
+			ans, follow, err := conv.Ask(context.Background(), "only those with gpa over 3.5", 0)
 			if err != nil {
 				errs <- err
 				return
@@ -403,7 +398,7 @@ func TestConcurrentConversations(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := shared.Ask("students in Computer Science"); err != nil {
+			if _, _, err := shared.Ask(context.Background(), "students in Computer Science", 0); err != nil {
 				errs <- err
 			}
 		}()
@@ -420,11 +415,11 @@ func TestAblatedIndexOptions(t *testing.T) {
 	opts.Index = semindex.Options{Synonyms: false, Stems: false, Values: false}
 	e := NewEngine(dataset.University(1), opts)
 	// Without the value index, a value-conditioned question fails...
-	if _, err := e.Ask("students in Computer Science"); err == nil {
+	if _, err := e.Ask(context.Background(), "students in Computer Science", 0); err == nil {
 		t.Error("value condition should fail without value index")
 	}
 	// ...but schema-name questions still work.
-	if _, err := e.Ask("how many students"); err != nil {
+	if _, err := e.Ask(context.Background(), "how many students", 0); err != nil {
 		t.Errorf("bare count should still work: %v", err)
 	}
 }
@@ -441,13 +436,13 @@ func uncachedOptions() Options {
 // timed ask binds instead of parsing.
 func BenchmarkAskSimple(b *testing.B) {
 	e := NewEngine(dataset.University(1), uncachedOptions())
-	if _, err := e.Ask("students with gpa over 3.5"); err != nil {
+	if _, err := e.Ask(context.Background(), "students with gpa over 3.5", 0); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Ask("students with gpa over 3.5"); err != nil {
+		if _, err := e.Ask(context.Background(), "students with gpa over 3.5", 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -465,7 +460,7 @@ func BenchmarkAskLearn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Ask(qs[i%2]); err != nil {
+		if _, err := e.Ask(context.Background(), qs[i%2], 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -478,7 +473,7 @@ func BenchmarkAskLearn(b *testing.B) {
 // BenchmarkAskFresh is the question benchmark's ask_fresh stream in
 // process: its six question shapes over the university database at
 // scale 4, in rotation, each op with constants no earlier op used,
-// asked through AskShedCtx as the server asks. Every timed op binds its
+// asked through Ask as the server asks. Every timed op binds its
 // candidates from the reading cache, misses the answer cache, plans
 // through the template cache, executes and stores its answer.
 func BenchmarkAskFresh(b *testing.B) {
@@ -507,7 +502,7 @@ func BenchmarkAskFresh(b *testing.B) {
 	const warm = 36
 	ctx := context.Background()
 	for i := 0; i < warm; i++ {
-		if _, err := e.AskShedCtx(ctx, question(i), 0); err != nil {
+		if _, err := e.Ask(ctx, question(i), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -520,7 +515,7 @@ func BenchmarkAskFresh(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, q := range qs {
-		if _, err := e.AskShedCtx(ctx, q, 0); err != nil {
+		if _, err := e.Ask(ctx, q, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -538,7 +533,7 @@ func BenchmarkAskAggregate(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Ask("average salary of instructors per department"); err != nil {
+		if _, err := e.Ask(context.Background(), "average salary of instructors per department", 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -562,7 +557,7 @@ func TestConcurrentAsks(t *testing.T) {
 			wg.Add(1)
 			go func(q string) {
 				defer wg.Done()
-				if _, err := e.Ask(q); err != nil {
+				if _, err := e.Ask(context.Background(), q, 0); err != nil {
 					errs <- fmt.Errorf("%q: %w", q, err)
 				}
 			}(q)

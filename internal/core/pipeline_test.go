@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -124,8 +125,8 @@ func TestConversationMatchesSingleShot(t *testing.T) {
 	for _, cs := range cases {
 		tw := engines[cs.Domain]
 		conv := tw.conv.NewConversation()
-		single, errS := tw.single.Ask(cs.Question)
-		turn, followUp, errC := conv.Ask(cs.Question)
+		single, errS := tw.single.Ask(context.Background(), cs.Question, 0)
+		turn, followUp, errC := conv.Ask(context.Background(), cs.Question, 0)
 
 		if followUp {
 			t.Errorf("%s: a fresh conversation reported a follow-up", cs.ID)
@@ -159,8 +160,8 @@ func TestConversationMatchesSingleShot(t *testing.T) {
 			t.Errorf("%s: rows differ:\n%s\nvs\n%s", cs.ID, a, b)
 		}
 
-		again, errS := tw.single.Ask(cs.Question)
-		repeat, followUp, errC := conv.Ask(cs.Question)
+		again, errS := tw.single.Ask(context.Background(), cs.Question, 0)
+		repeat, followUp, errC := conv.Ask(context.Background(), cs.Question, 0)
 		if errS != nil || errC != nil || followUp {
 			t.Errorf("%s: repeat: %v / %v, followUp=%v", cs.ID, errS, errC, followUp)
 			continue

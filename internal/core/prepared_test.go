@@ -24,9 +24,9 @@ func TestAskErrorPathsFillTimings(t *testing.T) {
 		name string
 		ask  func(string) (*Answer, error)
 	}{
-		{"engine", e.Ask},
+		{"engine", func(q string) (*Answer, error) { return e.Ask(context.Background(), q, 0) }},
 		{"conversation", func(q string) (*Answer, error) {
-			ans, _, err := conv.Ask(q)
+			ans, _, err := conv.Ask(context.Background(), q, 0)
 			return ans, err
 		}},
 	} {
@@ -100,11 +100,11 @@ func TestPlanCacheAcrossConstants(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for _, shape := range planCacheWorkload {
 			for i, q := range shape {
-				got, err := e.Ask(q)
+				got, err := e.Ask(context.Background(), q, 0)
 				if err != nil {
 					t.Fatalf("%q: %v", q, err)
 				}
-				want, err := ref.Ask(q)
+				want, err := ref.Ask(context.Background(), q, 0)
 				if err != nil {
 					t.Fatalf("reference %q: %v", q, err)
 				}
@@ -163,10 +163,10 @@ func TestPlanCacheStatsEpochInvalidation(t *testing.T) {
 	opts.AnswerCacheSize = 0
 	e := NewEngine(dataset.University(1), opts)
 
-	if _, err := e.Ask("students with gpa over 3.5"); err != nil {
+	if _, err := e.Ask(context.Background(), "students with gpa over 3.5", 0); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := e.Ask("students with gpa over 3.0")
+	warm, err := e.Ask(context.Background(), "students with gpa over 3.0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +183,14 @@ func TestPlanCacheStatsEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stale, err := e.Ask("students with gpa over 3.1")
+	stale, err := e.Ask(context.Background(), "students with gpa over 3.1", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stale.PlanCached {
 		t.Error("stats-epoch move must invalidate the cached template")
 	}
-	fresh, err := e.Ask("students with gpa over 3.4")
+	fresh, err := e.Ask(context.Background(), "students with gpa over 3.4", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestConversationAnswerCache(t *testing.T) {
 	conv := e.NewConversation()
 	q := "students with gpa over 3.5"
 
-	first, follow, err := conv.Ask(q)
+	first, follow, err := conv.Ask(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestConversationAnswerCache(t *testing.T) {
 		t.Fatalf("first turn: follow=%v cached=%v", follow, first.Cached)
 	}
 
-	again, follow, err := conv.Ask(q)
+	again, follow, err := conv.Ask(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestConversationAnswerCache(t *testing.T) {
 	}
 
 	// The cached turn still updated context: a follow-up refines it.
-	refined, follow, err := conv.Ask("only those in Computer Science")
+	refined, follow, err := conv.Ask(context.Background(), "only those in Computer Science", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestConversationAnswerCache(t *testing.T) {
 
 	// Conversations and single-shot asks share the cache in both
 	// directions: an Engine.Ask of the same standalone question hits.
-	single, err := e.Ask(q)
+	single, err := e.Ask(context.Background(), q, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"regexp"
@@ -117,8 +118,8 @@ func TestReadingCacheMatchesParse(t *testing.T) {
 	check := func(domain, q string) (readingCached bool) {
 		t.Helper()
 		tw := twins[domain]
-		got, errGot := tw.warm.Ask(q)
-		want, errWant := tw.ref.Ask(q)
+		got, errGot := tw.warm.Ask(context.Background(), q, 0)
+		want, errWant := tw.ref.Ask(context.Background(), q, 0)
 		if d := sameAnswer(got, want, errGot, errWant); d != "" {
 			t.Errorf("%s: %q: %s", domain, q, d)
 		}
@@ -200,8 +201,8 @@ func TestReadingCacheMatchesParse(t *testing.T) {
 		tw := twins[dc.Domain]
 		warm, ref := tw.warm.NewConversation(), tw.ref.NewConversation()
 		for i, turn := range dc.Turns {
-			got, fuGot, errGot := warm.Ask(turn)
-			want, fuWant, errWant := ref.Ask(turn)
+			got, fuGot, errGot := warm.Ask(context.Background(), turn, 0)
+			want, fuWant, errWant := ref.Ask(context.Background(), turn, 0)
 			if d := sameAnswer(got, want, errGot, errWant); d != "" || fuGot != fuWant {
 				t.Errorf("%s turn %d %q: follow-up %v/%v %s", dc.ID, i+1, turn, fuGot, fuWant, d)
 			}
@@ -220,7 +221,7 @@ func TestReadingCacheMatchesParse(t *testing.T) {
 // hit, not a parse.
 func TestReadingCacheMissThenHit(t *testing.T) {
 	e, _ := readingTwins(dataset.University(1))
-	first, err := e.Ask("students with gpa over 3.5")
+	first, err := e.Ask(context.Background(), "students with gpa over 3.5", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestReadingCacheMissThenHit(t *testing.T) {
 	if h, m := e.ReadingCacheStats(); h != 0 || m != 1 {
 		t.Errorf("after the miss: %d hits, %d misses, want 0 and 1", h, m)
 	}
-	second, err := e.Ask("students with gpa over 3.7")
+	second, err := e.Ask(context.Background(), "students with gpa over 3.7", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestReadingCacheMissThenHit(t *testing.T) {
 	// A shape the cache holds but cannot bind (LIMIT takes int(n)) is
 	// found and still parsed: a miss, not a hit.
 	for _, q := range []string{"top 5 instructors by salary", "top 7 instructors by salary"} {
-		ans, err := e.Ask(q)
+		ans, err := e.Ask(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,8 +294,8 @@ func TestReadingCacheConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				q := question(g, i)
-				got, err := warm.Ask(q)
-				want, errWant := ref.Ask(q)
+				got, err := warm.Ask(context.Background(), q, 0)
+				want, errWant := ref.Ask(context.Background(), q, 0)
 				if d := sameAnswer(got, want, err, errWant); d != "" {
 					errs <- fmt.Sprintf("%q: %s", q, d)
 				}

@@ -40,6 +40,7 @@ func TestOneDialect(t *testing.T) {
 		{"BETWEEN over text", "SELECT COUNT(*) FROM t WHERE g BETWEEN 'g01' AND 'g03'", 720},
 		{"two columns compared", "SELECT COUNT(*) FROM t WHERE id > n", 996},
 		{"a BOOL comparison", "SELECT COUNT(*) FROM t WHERE (id < 600) = TRUE", 600},
+		{"IN over a BOOL", "SELECT COUNT(*) FROM t WHERE (id < 600) IN (TRUE)", 600},
 		{"no equality join", "SELECT COUNT(*) FROM t, u WHERE t.id < 5", 200},
 		{"OR over a 40-row scalar subquery", "SELECT COUNT(*) FROM t WHERE id >= 0 OR k > (SELECT k FROM u)", 1200},
 	} {

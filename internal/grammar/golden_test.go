@@ -64,7 +64,11 @@ func (it item) run(g *grammar.Grammar) (out string, n int) {
 		cands = g.ParseUpdate(g.Prepare(it.toks), it.prev)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s %q\n", it.id, kind, strutil.Join(it.toks))
+	texts := make([]string, len(it.toks))
+	for i, t := range it.toks {
+		texts[i] = t.Text
+	}
+	fmt.Fprintf(&b, "%s %s %q\n", it.id, kind, strings.Join(texts, " "))
 	if it.prev != nil {
 		fmt.Fprintf(&b, "  prev %s\n", it.prev)
 	}

@@ -11,6 +11,7 @@ package lexicon
 import (
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/strutil"
 )
@@ -367,18 +368,14 @@ func isVowel(c byte) bool {
 // The semantic index registers every schema term, synonym and indexed
 // data value here so unknown question words can be repaired.
 type Vocabulary struct {
-	words     map[string]bool
-	bySoundex map[string][]string
-	ordered   []string
-	dirty     bool
+	words   map[string]bool
+	ordered []string
+	dirty   bool
 }
 
 // NewVocabulary creates an empty vocabulary.
 func NewVocabulary() *Vocabulary {
-	return &Vocabulary{
-		words:     make(map[string]bool),
-		bySoundex: make(map[string][]string),
-	}
+	return &Vocabulary{words: make(map[string]bool)}
 }
 
 // Add registers one or more lowercase words.
@@ -388,8 +385,6 @@ func (v *Vocabulary) Add(words ...string) {
 			continue
 		}
 		v.words[w] = true
-		code := strutil.Soundex(w)
-		v.bySoundex[code] = append(v.bySoundex[code], w)
 		v.dirty = true
 	}
 }
@@ -416,7 +411,9 @@ func (v *Vocabulary) Words() []string {
 // Correct proposes a correction for w within the given maximum
 // Damerau-Levenshtein distance. Known words are returned unchanged.
 // Candidates are ranked by distance, then Soundex agreement, then
-// lexicographically, making the result deterministic.
+// lexicographically, making the result deterministic. A candidate whose
+// length differs from w's by more than maxDist runes cannot be within
+// it and is skipped before its distance is computed.
 func (v *Vocabulary) Correct(w string, maxDist int) (string, bool) {
 	if v.words[w] {
 		return w, true
@@ -428,11 +425,15 @@ func (v *Vocabulary) Correct(w string, maxDist int) (string, bool) {
 	bestDist := maxDist + 1
 	bestSound := false
 	sound := strutil.Soundex(w)
+	n := utf8.RuneCountInString(w)
 	for _, cand := range v.Words() {
-		if !strutil.WithinDistance(w, cand, maxDist) {
+		if diff := utf8.RuneCountInString(cand) - n; diff > maxDist || -diff > maxDist {
 			continue
 		}
 		d := strutil.Damerau(w, cand)
+		if d > maxDist {
+			continue
+		}
 		sameSound := strutil.Soundex(cand) == sound
 		better := d < bestDist ||
 			(d == bestDist && sameSound && !bestSound) ||

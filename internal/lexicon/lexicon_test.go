@@ -151,20 +151,27 @@ func TestVocabularyCorrect(t *testing.T) {
 	v.Add("salary", "student", "department", "population", "instructor")
 	cases := []struct {
 		in   string
+		dist int
 		want string
 		ok   bool
 	}{
-		{"salary", "salary", true},        // exact
-		{"salery", "salary", true},        // substitution
-		{"studnet", "student", true},      // transposition
-		{"populaton", "population", true}, // deletion
-		{"xyzzyq", "", false},             // hopeless
-		{"de", "", false},                 // too short to correct
+		{"salary", 2, "salary", true},        // exact
+		{"salery", 2, "salary", true},        // substitution
+		{"studnet", 2, "student", true},      // transposition
+		{"populaton", 2, "population", true}, // deletion
+		{"xyzzyq", 2, "", false},             // hopeless
+		{"de", 2, "", false},                 // too short to correct
+		{"salery", 1, "salary", true},        // one typo within 1
+		{"slr", 1, "", false},                // a length gap of 3 cannot be within 1
+		{"populati", 2, "population", true},  // a length gap of exactly 2 is within 2
+		{"salary", 0, "salary", true},        // a known word within 0
+		{"salarys", 0, "", false},            // one edit is not within 0
+		{"salar\u2026", 1, "salary", true},   // the length bound counts runes, not bytes
 	}
 	for _, c := range cases {
-		got, ok := v.Correct(c.in, 2)
+		got, ok := v.Correct(c.in, c.dist)
 		if ok != c.ok || got != c.want {
-			t.Errorf("Correct(%q) = %q,%v want %q,%v", c.in, got, ok, c.want, c.ok)
+			t.Errorf("Correct(%q, %d) = %q,%v want %q,%v", c.in, c.dist, got, ok, c.want, c.ok)
 		}
 	}
 }

@@ -758,10 +758,11 @@ func (v *vnot) eval(b *vbatch) vcol {
 	return vcol{kind: store.KindBool, bools: out, nulls: xc.nulls}
 }
 
-// vin implements IN over a literal list. Elements are pre-bucketed by
-// kind; elements whose kind cannot equal x contribute nothing (SQL
-// equality across non-numeric kinds is false), while NULL elements
-// force the not-found result to NULL.
+// vin implements IN over a literal list, x a number or text (IN over a
+// BOOL is unsupported, as a BOOL comparison is). Elements are
+// pre-bucketed by kind; elements whose kind cannot equal x contribute
+// nothing (SQL equality across non-numeric kinds is false), while NULL
+// elements force the not-found result to NULL.
 type vin struct {
 	x        vexpr
 	negated  bool
@@ -769,8 +770,6 @@ type vin struct {
 	intElems []int64
 	fltElems []float64
 	strElems []string
-	hasTrue  bool
-	hasFalse bool
 }
 
 func (v *vin) kind() store.Kind { return store.KindBool }
@@ -828,8 +827,6 @@ func (v *vin) eval(b *vbatch) vcol {
 				return dictIn[xc.codes[i]]
 			}
 			return strIn(xc.strs[i])
-		case store.KindBool:
-			return (xc.bools[i] && v.hasTrue) || (!xc.bools[i] && v.hasFalse)
 		}
 		return false
 	}
@@ -1082,6 +1079,8 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 			return nil, err
 		case x.kind() == store.KindNull:
 			return allNull(), nil // NULL IN (...) reads no element
+		case x.kind() == store.KindBool:
+			return nil, unsupported(e, "IN over %s", x.kind())
 		}
 		in := &vin{x: x, negated: n.Negated}
 		if n.Sub != nil {
@@ -1158,12 +1157,6 @@ func (v *vin) add(val store.Value) {
 		v.fltElems = append(v.fltElems, f)
 	case store.KindText:
 		v.strElems = append(v.strElems, val.Str())
-	case store.KindBool:
-		if val.BoolVal() {
-			v.hasTrue = true
-		} else {
-			v.hasFalse = true
-		}
 	}
 }
 

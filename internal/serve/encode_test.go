@@ -266,7 +266,7 @@ func TestAnswerBodiesMatchEncodingJSON(t *testing.T) {
 				if w.Code != http.StatusOK {
 					t.Fatalf("%s: %q (%s): status %d: %s", domain, q, pass, w.Code, w.Body)
 				}
-				ans, err := twin.AskShedCtx(ctx, q, 0)
+				ans, err := twin.Ask(ctx, q, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -304,7 +304,7 @@ func TestAnswerBodiesMatchEncodingJSON(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Fatalf("session turn %q: status %d: %s", q, w.Code, w.Body)
 			}
-			ans, followUp, err := conv.AskShedCtx(ctx, q, 0)
+			ans, followUp, err := conv.Ask(ctx, q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -348,7 +348,7 @@ func TestDegradedBodyMatchesEncodingJSON(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	ans, err := twin.AskShedCtx(context.Background(), q, 1)
+	ans, err := twin.Ask(context.Background(), q, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestReadingCachedBodyMatchesEncodingJSON(t *testing.T) {
 		if w.Code != http.StatusOK {
 			t.Fatalf("%q: status %d: %s", q, w.Code, w.Body)
 		}
-		ans, err := twin.AskShedCtx(context.Background(), q, 0)
+		ans, err := twin.Ask(context.Background(), q, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +518,7 @@ func TestNonFiniteFloatIsNull(t *testing.T) {
 
 // TestSharedRowsStayReadOnly: handler hits share one entry's rows and
 // one rendering of them. While a loader invalidates the entries every
-// few milliseconds and Engine.Ask callers scribble over the answers
+// few milliseconds and Engine.AskCtx callers scribble over the copies
 // they were given, every body the handler returns must be, outside its
 // per-request tail, the body of exactly one data version — one the
 // request could have seen — as an uncached engine and encoding/json
@@ -546,7 +546,7 @@ func TestSharedRowsStayReadOnly(t *testing.T) {
 			}
 		}
 		for _, q := range questions {
-			ans, err := ref.Ask(q)
+			ans, err := ref.Ask(context.Background(), q, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -622,7 +622,7 @@ func TestSharedRowsStayReadOnly(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
-			ans, err := eng.Ask(questions[i%len(questions)])
+			ans, err := eng.AskCtx(context.Background(), questions[i%len(questions)])
 			if err != nil {
 				t.Error(err)
 				return

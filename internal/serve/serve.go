@@ -439,9 +439,9 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	var followUp bool
 	if req.Session != "" {
 		conv, _ := s.sessions.get(req.Session)
-		ans, followUp, err = conv.AskShedCtx(ctx, req.Question, execPar)
+		ans, followUp, err = conv.Ask(ctx, req.Question, execPar)
 	} else {
-		ans, err = s.eng.AskShedCtx(ctx, req.Question, execPar)
+		ans, err = s.eng.Ask(ctx, req.Question, execPar)
 	}
 	if err != nil {
 		writeError(w, statusOf(ctx, err), err)
@@ -468,9 +468,4 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeAnswer(w, ans, "", false)
-}
-
-// Stats reports serving-layer observability counters.
-func (s *Server) Stats() (liveSessions int, evictedSessions uint64) {
-	return s.sessions.stats()
 }

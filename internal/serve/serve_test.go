@@ -485,7 +485,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Errorf("post-shutdown healthz: status %d, want 503", w.Code)
 	}
-	if live, _ := s.Stats(); live != 0 {
+	if live, _ := s.sessions.stats(); live != 0 {
 		t.Errorf("%d sessions survived shutdown", live)
 	}
 }

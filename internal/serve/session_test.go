@@ -48,7 +48,7 @@ func TestConcurrentAsksSameSession(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if live, _ := s.Stats(); live != 1 {
+	if live, _ := s.sessions.stats(); live != 1 {
 		t.Errorf("one shared session, table holds %d", live)
 	}
 }
@@ -111,7 +111,7 @@ func TestSessionBoundUnderChurn(t *testing.T) {
 					t.Errorf("worker %d ask %d: status %d", w, i, code)
 					return
 				}
-				if live, _ := s.Stats(); live > bound {
+				if live, _ := s.sessions.stats(); live > bound {
 					t.Errorf("session table grew to %d, bound %d", live, bound)
 					return
 				}
@@ -119,7 +119,7 @@ func TestSessionBoundUnderChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	live, evicted := s.Stats()
+	live, evicted := s.sessions.stats()
 	if live > bound {
 		t.Errorf("final session count %d exceeds bound %d", live, bound)
 	}

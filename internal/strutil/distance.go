@@ -68,26 +68,6 @@ func Damerau(a, b string) int {
 	return d[la][lb]
 }
 
-// WithinDistance reports whether Damerau(a, b) <= max without always
-// computing the full matrix: it first applies the length-difference
-// lower bound, then banded dynamic programming. This is the hot path of
-// spelling correction, called once per vocabulary entry.
-func WithinDistance(a, b string, max int) bool {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	diff := la - lb
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > max {
-		return false
-	}
-	if max == 0 {
-		return a == b
-	}
-	return Damerau(a, b) <= max
-}
-
 func min3(a, b, c int) int {
 	if b < a {
 		a = b

@@ -153,27 +153,6 @@ func matchingQuote(open rune) rune {
 	return open
 }
 
-// Lowers returns the lowercase forms of toks, in order.
-func Lowers(toks []Token) []string {
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Lower
-	}
-	return out
-}
-
-// Join renders tokens back into a readable string (lossy).
-func Join(toks []Token) string {
-	var b strings.Builder
-	for i, t := range toks {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(t.Text)
-	}
-	return b.String()
-}
-
 // Normalize lowercases s, collapses runs of whitespace to a single
 // space, and trims the result. It is used for canonical comparisons of
 // names in the semantic index.

@@ -242,21 +242,6 @@ func TestDamerauTransposition(t *testing.T) {
 	}
 }
 
-func TestWithinDistance(t *testing.T) {
-	if !WithinDistance("salary", "salery", 1) {
-		t.Error("1-typo should be within 1")
-	}
-	if WithinDistance("salary", "slr", 1) {
-		t.Error("length gap 3 cannot be within 1")
-	}
-	if !WithinDistance("exact", "exact", 0) {
-		t.Error("equal strings within 0")
-	}
-	if WithinDistance("exact", "exacts", 0) {
-		t.Error("different strings not within 0")
-	}
-}
-
 func TestLevenshteinProperties(t *testing.T) {
 	symmetric := func(a, b string) bool {
 		if len(a) > 12 {
@@ -383,17 +368,6 @@ func TestFormatNumber(t *testing.T) {
 		if got := FormatNumber(in); got != want {
 			t.Errorf("FormatNumber(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestLowersAndJoin(t *testing.T) {
-	toks := Tokenize("Show Students")
-	lows := Lowers(toks)
-	if len(lows) != 2 || lows[0] != "show" || lows[1] != "students" {
-		t.Errorf("Lowers = %v", lows)
-	}
-	if j := Join(toks); j != "Show Students" {
-		t.Errorf("Join = %q", j)
 	}
 }
 

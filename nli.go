@@ -19,16 +19,23 @@
 //
 //	eng, err := nli.Open("university", 1)
 //	if err != nil { ... }
-//	ans, err := eng.Ask("how many students are in Computer Science?")
+//	ctx := context.Background()
+//	ans, err := eng.Ask(ctx, "how many students are in Computer Science?", 0)
 //	fmt.Println(ans.Response) // "There are 30 matching students."
 //	fmt.Println(ans.SQL)      // the generated SQL
+//
+// Ask's last argument caps the execution degree: 0 runs at
+// Options.Parallelism, 1 runs serially. ctx cancels execution. The
+// answer's Result is read-only: it is shared with the answer cache and
+// the cached plan, so a caller that wants to reorder or edit rows
+// copies them first.
 //
 // Multi-turn exploration:
 //
 //	conv := eng.NewConversation()
-//	conv.Ask("students in Computer Science")
-//	conv.Ask("only those with gpa over 3.5")
-//	conv.Ask("how many")
+//	conv.Ask(ctx, "students in Computer Science", 0)
+//	conv.Ask(ctx, "only those with gpa over 3.5", 0)
+//	conv.Ask(ctx, "how many", 0)
 //
 // A conversation turn is the same pipeline as Ask with one more input,
 // the interpretation of the last turn that succeeded: a complete

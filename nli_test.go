@@ -1,6 +1,7 @@
 package nli
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -12,7 +13,7 @@ func TestOpenAndAsk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := eng.Ask("how many students are in Computer Science?")
+	ans, err := eng.Ask(context.Background(), "how many students are in Computer Science?", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestNewWithCustomOptions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SpellMaxDist = 2
 	eng := New(db, opts)
-	ans, err := eng.Ask("cities in Germny") // two-typo tolerance
+	ans, err := eng.Ask(context.Background(), "cities in Germny", 0) // two-typo tolerance
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +67,10 @@ func TestConversationPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	conv := eng.NewConversation()
-	if _, _, err := conv.Ask("students in Computer Science"); err != nil {
+	if _, _, err := conv.Ask(context.Background(), "students in Computer Science", 0); err != nil {
 		t.Fatal(err)
 	}
-	ans, follow, err := conv.Ask("how many")
+	ans, follow, err := conv.Ask(context.Background(), "how many", 0)
 	if err != nil || !follow {
 		t.Fatalf("follow-up failed: %v", err)
 	}
@@ -83,7 +84,7 @@ func TestFormatResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := eng.Ask("top 3 countries by population")
+	ans, err := eng.Ask(context.Background(), "top 3 countries by population", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +126,14 @@ CREATE TABLE players (
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, err := eng.Ask("players in Leeds")
+	ans, err := eng.Ask(context.Background(), "players in Leeds", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ans.Result.Rows) != 2 {
 		t.Errorf("Leeds players = %d (sql %s)", len(ans.Result.Rows), ans.SQL)
 	}
-	ans, err = eng.Ask("which player has the most goals")
+	ans, err = eng.Ask(context.Background(), "which player has the most goals", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ CREATE TABLE players (
 		t.Errorf("top scorer = %v", ans.Result.Rows[0][0])
 	}
 	// Synonyms from the DDL work too.
-	if _, err := eng.Ask("how many clubs"); err != nil {
+	if _, err := eng.Ask(context.Background(), "how many clubs", 0); err != nil {
 		t.Errorf("table synonym failed: %v", err)
 	}
 }
