@@ -1,6 +1,6 @@
 // Command nlivet is the multichecker for the engine's custom
-// analyzers (internal/analysis): batchretain, atomicfield,
-// skipadvisory, detgen and ctxfirst. It loads every non-test package of the
+// analyzers (internal/analysis): batchretain, atomicfield, detgen and
+// ctxfirst. It loads every non-test package of the
 // module, runs the suite, prints findings as file:line:col messages
 // and exits non-zero when any survive their //nlivet:ignore
 // directives.

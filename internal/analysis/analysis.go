@@ -1,6 +1,6 @@
-// Package analysis is nlivet: a lint suite that mechanically enforces
+// Package analysis is nlivet: four analyzers that mechanically enforce
 // the engine's concurrency and columnar invariants at typecheck speed,
-// before any race has to manifest. The contracts it guards are stated
+// before any race has to manifest. The contracts they guard are stated
 // in DESIGN.md and were previously enforced only by tests:
 //
 //   - batchretain: vectorized operators must not retain zero-copy
@@ -9,9 +9,6 @@
 //   - atomicfield: a field accessed via sync/atomic anywhere must be
 //     accessed atomically everywhere, and mutex- or atomic-holding
 //     structs must not be copied by value.
-//   - skipadvisory: zone-map skip predicates are derived work
-//     avoidance; every conjunct that feeds Scan.Skips must stay
-//     enforced by the Filter above the scan (§2.7).
 //   - detgen: dataset generators and benchmark verification data must
 //     stay deterministic — no wall clock, no global rand state.
 //   - ctxfirst: the request-path packages (serve, core, exec) take
@@ -80,7 +77,7 @@ func (d Diagnostic) String() string {
 
 // Suite returns the nlivet analyzers in reporting order.
 func Suite() []*Analyzer {
-	return []*Analyzer{BatchRetain, AtomicField, SkipAdvisory, DetGen, CtxFirst}
+	return []*Analyzer{BatchRetain, AtomicField, DetGen, CtxFirst}
 }
 
 // Run executes the analyzers over one loaded package and returns the
@@ -251,17 +248,4 @@ func funcPkgPath(info *types.Info, call *ast.CallExpr) (pkgPath, name string, ok
 		return "", "", false
 	}
 	return obj.Pkg().Path(), obj.Name(), true
-}
-
-// calleeName returns the bare name a call resolves to syntactically
-// (And, zonePreds, sql.And → And), for contracts keyed on function
-// identity within the module.
-func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
 }

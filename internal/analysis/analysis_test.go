@@ -96,9 +96,8 @@ func checkAnalyzer(t *testing.T, pkgPath string, analyzers ...*Analyzer) {
 	}
 }
 
-func TestBatchRetain(t *testing.T)  { checkAnalyzer(t, "batchretain", BatchRetain) }
-func TestAtomicField(t *testing.T)  { checkAnalyzer(t, "atomicfield", AtomicField) }
-func TestSkipAdvisory(t *testing.T) { checkAnalyzer(t, "skipadvisory", SkipAdvisory) }
+func TestBatchRetain(t *testing.T) { checkAnalyzer(t, "batchretain", BatchRetain) }
+func TestAtomicField(t *testing.T) { checkAnalyzer(t, "atomicfield", AtomicField) }
 
 func TestDetGen(t *testing.T) {
 	checkAnalyzer(t, "detgen/dataset", DetGen)

@@ -28,23 +28,39 @@ func TelemetrySchema() *schema.Schema {
 				{Name: "priority", Type: schema.Int, Synonyms: []string{"tier"}},
 			},
 		},
-		{
-			Name:       "events",
-			PrimaryKey: "event_id",
-			Synonyms:   []string{"event", "log", "record"},
-			Columns: []schema.Column{
-				{Name: "event_id", Type: schema.Int},
-				{Name: "ts", Type: schema.Int, Synonyms: []string{"time", "timestamp"}},
-				{Name: "device_id", Type: schema.Int, Synonyms: []string{"device", "source"}},
-				{Name: "service", Type: schema.Text, NameLike: true, Synonyms: []string{"component", "app"}},
-				{Name: "level", Type: schema.Text, Synonyms: []string{"severity"}},
-				{Name: "status", Type: schema.Int, Synonyms: []string{"code"}},
-				{Name: "latency_ms", Type: schema.Float, Synonyms: []string{"latency", "duration"}},
-			},
-		},
+		eventsTable(),
 	}, []schema.ForeignKey{
 		{Table: "events", Column: "device_id", RefTable: "devices", RefColumn: "device_id"},
 	})
+}
+
+// eventsTable is the wide append-only event log, in both schemas. Its
+// columns exhibit the distributions segment encodings target: a
+// clustered monotonic timestamp (zone maps + FOR), low-cardinality
+// strings (dictionary), narrow ints (FOR) and a float measure.
+func eventsTable() *schema.Table {
+	return &schema.Table{
+		Name:       "events",
+		PrimaryKey: "event_id",
+		Synonyms:   []string{"event", "log", "record"},
+		Columns: []schema.Column{
+			{Name: "event_id", Type: schema.Int},
+			{Name: "ts", Type: schema.Int, Synonyms: []string{"time", "timestamp"}},
+			{Name: "device_id", Type: schema.Int, Synonyms: []string{"device", "source"}},
+			{Name: "service", Type: schema.Text, NameLike: true, Synonyms: []string{"component", "app"}},
+			{Name: "level", Type: schema.Text, Synonyms: []string{"severity"}},
+			{Name: "status", Type: schema.Int, Synonyms: []string{"code"}},
+			{Name: "latency_ms", Type: schema.Float, Synonyms: []string{"latency", "duration"}},
+		},
+	}
+}
+
+// eventLevels is weighted toward the quiet end, like real logs: the
+// selective values ("error", "fatal") are rare, so predicates on them
+// are selective probes.
+var eventLevels = []string{
+	"debug", "debug", "debug", "info", "info", "info", "info",
+	"warn", "warn", "error",
 }
 
 var deviceRegions = []string{"us-east", "us-west", "eu-central", "ap-south", "sa-east", "af-north"}
@@ -65,11 +81,14 @@ func DeviceRows() []store.Row {
 	return rows
 }
 
-// TelemetryEventRows generates n event rows, fully deterministic in n
-// — the same distributions as Events (clustered monotonic ts, FOR-
-// packable device_id, dictionary-friendly service/level, ~3% NULL
-// latency), exposed as bare rows so a loader can time or split the
-// load itself.
+// TelemetryEventRows generates n event rows, fully deterministic in
+// n, as bare rows so a loader can time or split the load itself. ts
+// advances by one every ~8 rows (clustered and monotonic — the shape
+// zone maps skip on), device_id spans [0, TelemetryDevices)
+// (FOR-packable), service cycles through 24 names and level through a
+// weighted list (both dictionary-encodable), status is a small code
+// set, and latency_ms is a computed float that is NULL on a rotating
+// schedule (~3% of rows).
 func TelemetryEventRows(n int) []store.Row {
 	r := rng(11)
 	rows := make([]store.Row, 0, n)

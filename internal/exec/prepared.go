@@ -17,8 +17,7 @@ import (
 // and safe for concurrent BindPinned calls — the serving setup is one
 // prepared query per shape, shared by every request handler.
 type PreparedQuery struct {
-	Stmt *sql.SelectStmt // the parameterized template statement
-	Tmpl *plan.Template
+	Tmpl *plan.Template // holds the parameterized statement (Tmpl.Stmt)
 }
 
 // PrepareTemplateAt compiles an already-parameterized statement (the
@@ -31,7 +30,7 @@ func PrepareTemplateAt(sn *store.Snapshot, tmpl *sql.SelectStmt, exemplar []stor
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedQuery{Stmt: tmpl, Tmpl: t}, nil
+	return &PreparedQuery{Tmpl: t}, nil
 }
 
 // BindPinned produces a runnable plan for one constant vector whose

@@ -125,8 +125,9 @@ func TestPreparedPlanWithoutVectorErrors(t *testing.T) {
 
 // TestPreparedRebindSupersededBound: "id BETWEEN lo AND hi AND id <=
 // cap" puts two upper bounds on one column, and a rebind can invert
-// which is tighter. Every bound must stay enforced — by the filter, and
-// by zone-map skips re-derived from the bound values — so the rebind
+// which is tighter. Every bound must stay enforced — by the filter,
+// whose kernels compiled from the bound values also decide its zone-map
+// skips — so the rebind
 // below returns rows up to the BETWEEN's hi, not up to cap.
 func TestPreparedRebindSupersededBound(t *testing.T) {
 	db := dataset.University(1)

@@ -70,7 +70,7 @@ func segSkipDB(t *testing.T, n int) *store.DB {
 
 // TestSegZoneSkipCounts pins that zone maps actually skip segments on
 // selective clustered predicates — and that skipping never changes
-// results. Segment sizes straddle batch boundaries (not multiples of
+// results, serial or under an exchange. Segment sizes straddle batch boundaries (not multiples of
 // 64 or 1024) and include single-row tails.
 func TestSegZoneSkipCounts(t *testing.T) {
 	const n = 5000
@@ -86,19 +86,24 @@ func TestSegZoneSkipCounts(t *testing.T) {
 			{"SELECT COUNT(*) FROM events WHERE ts < 50", true},
 			{"SELECT COUNT(*) FROM events WHERE ts >= 1600", true},
 			{"SELECT COUNT(*) FROM events WHERE ts IN (10, 11, 1650)", true},
+			// Skips are the Filter's compiled kernels' verdicts, so a
+			// negated range and a subquery's value skip too.
+			{"SELECT COUNT(*) FROM events WHERE ts NOT BETWEEN 0 AND 1500", true},
+			{"SELECT COUNT(*) FROM events WHERE ts > (SELECT AVG(ts) FROM events)", true},
 			// Unselective on an unclustered column: nothing skippable.
 			{"SELECT COUNT(*) FROM events WHERE level = 'error'", false},
 		}
 		for _, tc := range queries {
 			// The reference executor consults no zone map: the unskipped oracle.
-			c := differential(t, db.Snapshot(), tc.q, diffOpts{counted: true})[0].segc
-			skipped := c.Skipped.Load()
-			if tc.wantSkip && skipped == 0 {
-				t.Errorf("%s (segRows=%d): expected zone-map skips, got none (scanned=%d)",
-					tc.q, segRows, c.Scanned.Load())
-			}
-			if !tc.wantSkip && skipped != 0 {
-				t.Errorf("%s (segRows=%d): unexpected skips: %d", tc.q, segRows, skipped)
+			for _, r := range differential(t, db.Snapshot(), tc.q, diffOpts{pars: []int{1, 4}, counted: true}) {
+				skipped := r.segc.Skipped.Load()
+				if tc.wantSkip && skipped == 0 {
+					t.Errorf("%s (segRows=%d, par=%d): expected zone-map skips, got none (scanned=%d)",
+						tc.q, segRows, r.par, r.segc.Scanned.Load())
+				}
+				if !tc.wantSkip && skipped != 0 {
+					t.Errorf("%s (segRows=%d, par=%d): unexpected skips: %d", tc.q, segRows, r.par, skipped)
+				}
 			}
 		}
 	}

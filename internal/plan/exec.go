@@ -21,9 +21,8 @@ type Ctx struct {
 	Par  int // worker budget; <= 1 executes serially
 
 	// Params is the parameter vector of a prepared execution: the
-	// values sql.Param slots in the plan's expressions and zone-map
-	// skips resolve to. nil for plans
-	// compiled from fully-literal statements.
+	// values sql.Param slots in the plan's expressions resolve to. nil
+	// for plans compiled from fully-literal statements.
 	Params []store.Value
 
 	// SegC, when set, accumulates runtime segment counters: segments

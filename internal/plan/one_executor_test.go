@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -244,7 +245,10 @@ func recvName(recv *ast.FieldList) string {
 // benchmark/ included. No Go file at all, tests included, calls index
 // DDL, and store.Table has no read accessors of its own (a read pins a
 // TableSnap first), nor tableData an index field. The naive lowering
-// (plan.Build, plan.Optimize) is gone with them.
+// (plan.Build, plan.Optimize) is gone with them. A scan skips segments
+// by the compiled kernels of the Filter above it alone: the second
+// reading of its conjuncts into zone-map predicates (ZonePred, its
+// binder and Scan.Skips) is gone too.
 func TestOneAccessPath(t *testing.T) {
 	ddl := map[string]bool{"BuildIndex": true, "BuildOrderedIndex": true, "DropIndex": true,
 		"DropAllIndexes": true, "BuildPrimaryIndexes": true}
@@ -253,7 +257,10 @@ func TestOneAccessPath(t *testing.T) {
 		"publishIndex": true, "extendStats": true, "indexPrune": true, "pathPlan": true,
 		"planPath": true, "rangeBounds": true, "rangeSelectivity": true, "eqColConst": true,
 		"cmpColConst": true, "bindChecks": true, "rebindOK": true, "optimizeChecked": true,
-		"sameDecision": true, "indexDeps": true, "joinNodes": true, "EqColLiteral": true}
+		"sameDecision": true, "indexDeps": true, "joinNodes": true, "EqColLiteral": true,
+		"ZonePred": true, "zoneOp": true, "zonePreds": true, "zoneConst": true, "zoneColIdx": true,
+		"boundZone": true, "bindZonePreds": true, "zoneComparable": true, "skipSegment": true,
+		"segScanStats": true}
 	for name := range ddl {
 		banned[name] = true
 	}
@@ -283,6 +290,9 @@ func TestOneAccessPath(t *testing.T) {
 						t.Errorf("%s: tableData.%s is back", pos, name)
 					}
 				}
+			}
+			if !isTest && dir == "internal/plan" && n.Name.Name == "Scan" && slices.Contains(fieldNames(n), "Skips") {
+				t.Errorf("%s: Scan.Skips is back: a segment skip is the Filter's own kernels' verdict", pos)
 			}
 		}
 	})
@@ -384,16 +394,16 @@ func TestNoColumnStatistics(t *testing.T) {
 // read-only visitor (Walk) and the copying rewriter (rewriter.expr)
 // type-switch on BetweenExpr, the stand-in for every node with
 // operands; outside it only the switches that give nodes their
-// meaning do — the reference evaluator (executor.eval), the vector
-// compiler (vcompiler.compile) and the zone-map derivation
-// (zonePreds). A new node kind is taught to those six. None of the
+// meaning do — the reference evaluator (executor.eval) and the vector
+// compiler (vcompiler.compile), whose kernels also decide zone-map
+// skips. A new node kind is taught to those five. None of the
 // hand-rolled walks the three replaced, nor sql.Shape and sql.ShapeKey
 // (ShapeInto is the form callers use), is
 // declared or named again in a non-test file of the module.
 func TestOneTreeWalk(t *testing.T) {
 	allowed := map[string]bool{
 		"internal/sql printer.expr": true, "internal/sql Walk": true, "internal/sql rewriter.expr": true,
-		"internal/exec executor.eval": true, "internal/plan vcompiler.compile": true, "internal/plan zonePreds": true,
+		"internal/exec executor.eval": true, "internal/plan vcompiler.compile": true,
 	}
 	banned := map[string]bool{"collectStmtTables": true, "collectExprTables": true, "parameterizer": true,
 		"shapeWriter": true, "WalkExprs": true, "containsSubquery": true, "walkRefs": true,

@@ -392,21 +392,39 @@ func (cls *classified) place(bindings []Binding, c sql.Expr) {
 	}
 }
 
-// accessPath reads one binding: a full scan whose zone-map skip
-// predicates derive from the pushed conjuncts, under a filter that
-// re-enforces every one of them. It returns the node and its estimated
-// output rows. The scan bakes in the compile-time skip statistics
-// Explain reports.
+// accessPath reads one binding: a full scan under a filter of the
+// pushed conjuncts. It returns the node and its estimated output rows.
+// The scan bakes in the segment counts Explain reports.
 func accessPath(sn *store.Snapshot, b Binding, pushed []sql.Expr, params []store.Value) (Node, float64) {
-	n := float64(sn.Table(b.Meta.Name).Len())
+	tab := sn.Table(b.Meta.Name)
+	n := float64(tab.Len())
 	sc := &Scan{B: b, Est: ceilEst(n), rel: relFor(b)}
-	sc.Skips = zonePreds(b, pushed)
-	sc.SegN, sc.SegSkip = segScanStats(sn, b, sc.Skips, params)
+	sc.SegN, sc.SegSkip = sc.segSkips(tab.Segments(), pushed, params)
 	out := n * selProduct(pushed)
 	if pred := sql.And(pushed...); pred != nil {
 		return &Filter{In: sc, Pred: pred, Est: ceilEst(out)}, out
 	}
 	return sc, out
+}
+
+// segSkips counts the segments of ss, the scan's table, and those the
+// conjuncts refute when compiled, as Filter.vopen compiles them, with
+// params. The context holds no subquery, so a conjunct holding one
+// compiles to a vfail, which refutes nothing: its value is the run's.
+func (s *Scan) segSkips(ss *store.SegSet, conjs []sql.Expr, params []store.Value) (n, skipped int) {
+	c := newCompiler(s.rel, &Ctx{Params: params})
+	var preds []vexpr
+	for _, conj := range conjs {
+		if p, err := c.expr(conj); err == nil {
+			preds = append(preds, p)
+		}
+	}
+	for _, seg := range ss.Segs {
+		if refuted(preds, seg, s.B.Cols) {
+			skipped++
+		}
+	}
+	return len(ss.Segs), skipped
 }
 
 // selProduct multiplies default selectivities for filter conjuncts:

@@ -108,14 +108,9 @@ type Node interface {
 type Scan struct {
 	B   Binding
 	Est int // estimated output rows
-	// Skips are zone-map predicates derived from the pushed conjuncts
-	// this scan's Filter re-enforces: segments whose zone maps prove a
-	// predicate non-TRUE on every row are skipped wholesale. Parameter
-	// slots inside them are re-resolved from Ctx.Params at every open,
-	// so a prepared template re-derives its skip set per binding.
-	Skips []ZonePred
-	// SegN/SegSkip are the segment count and skip count under the
-	// values the plan was compiled with, reported by Explain.
+	// SegN/SegSkip are the segment count and the segments the Filter
+	// above refutes under the values the plan was compiled with,
+	// reported by Explain. A run's skips are its own (Scan.open).
 	SegN, SegSkip int
 	rel           *Rel
 }

@@ -17,10 +17,10 @@ import (
 //
 // No planning decision reads a parameter value: estimates come from
 // row counts, the schema's keys and shape-based selectivities, and the
-// only value-dependent work — zone-map skips — is re-derived from
-// Ctx.Params at every open. So the cached tree is exactly what a fresh
-// compile would build for as long as the row counts it read stand and
-// the worker degree is the same. Knowing when the row counts have
+// only value-dependent work — zone-map skips — is decided at every
+// open by the Filter's kernels, compiled from Ctx.Params. So the cached
+// tree is exactly what a fresh compile would build for as long as the
+// row counts it read stand and the worker degree is the same. Knowing when the row counts have
 // moved is the caller's job: the engine's plan cache records the
 // version of every table the template reads and misses once one has
 // moved.

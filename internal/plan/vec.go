@@ -883,6 +883,133 @@ func (v *vlike) eval(b *vbatch) vcol {
 	return vcol{kind: store.KindBool, bools: out, nulls: nulls}
 }
 
+// ---- zone-map refutation ----
+
+// refuter is a compiled predicate that can tell, from a segment's zone
+// maps alone, that it is non-TRUE on every row of the segment — so a
+// Filter over a scan drops the segment unread (Scan.open). cols maps
+// the scan's batch columns onto the segment's (Binding.Cols). A skip
+// is the Filter's own verdict on the segment, reached without its
+// rows, so it can never disagree with the Filter.
+type refuter interface {
+	refutes(seg *store.Segment, cols []int) bool
+}
+
+// refuted reports whether some predicate refutes seg.
+func refuted(preds []vexpr, seg *store.Segment, cols []int) bool {
+	for _, p := range preds {
+		if r, ok := p.(refuter); ok && r.refutes(seg, cols) {
+			return true
+		}
+	}
+	return false
+}
+
+// zoneOf returns the zone map of the scanned column x is. ok is false
+// when x is not a column, or when its zone records no range though a
+// row is not NULL (a NaN among its floats): such a zone refutes
+// nothing. An all-NULL zone refutes every kernel, which is NULL on a
+// NULL operand.
+func zoneOf(x vexpr, seg *store.Segment, cols []int) (z store.ZoneMap, ok bool) {
+	ref, isCol := x.(*vcolRef)
+	if !isCol {
+		return z, false
+	}
+	z = seg.Zones[cols[ref.off]]
+	return z, z.AllNull() || !z.Min.IsNull() && !z.Max.IsNull()
+}
+
+// refutes: no row of the zone range falls in the interval, or, under
+// neg, the whole range does.
+func (v *vnumrange) refutes(seg *store.Segment, cols []int) bool {
+	z, ok := zoneOf(v.x, seg, cols)
+	switch {
+	case !ok:
+		return false
+	case z.AllNull():
+		return true
+	case v.x.kind() == store.KindInt:
+		mn, mx := z.Min.Int64(), z.Max.Int64()
+		if v.neg {
+			return v.ilo <= mn && mx <= v.ihi
+		}
+		return v.ilo > v.ihi || mx < v.ilo || mn > v.ihi
+	}
+	mn, _ := z.Min.AsFloat()
+	mx, _ := z.Max.AsFloat()
+	if v.neg {
+		return v.flo <= mn && mx <= v.fhi
+	}
+	return v.flo > v.fhi || mx < v.flo || mn > v.fhi
+}
+
+// refutes: no string of the zone range compares TRUE with the bound.
+func (v *vcmp) refutes(seg *store.Segment, cols []int) bool {
+	z, ok := zoneOf(v.x, seg, cols)
+	switch {
+	case !ok:
+		return false
+	case z.AllNull():
+		return true
+	}
+	mn, mx := z.Min.Str(), z.Max.Str()
+	switch v.op {
+	case sql.OpEq:
+		return v.c < mn || v.c > mx
+	case sql.OpNe:
+		return mn == v.c && mx == v.c
+	case sql.OpLt:
+		return mn >= v.c
+	case sql.OpLe:
+		return mn > v.c
+	case sql.OpGt:
+		return mx <= v.c
+	case sql.OpGe:
+		return mx < v.c
+	}
+	return false
+}
+
+// refutes: no element lies within the zone range (a NULL element makes
+// a miss NULL, still non-TRUE). A negated IN refutes nothing. Numeric
+// elements are judged as float64s, as an INT x meets a FLOAT element:
+// the conversion is monotone, so an element outside the converted
+// range equals no row.
+func (v *vin) refutes(seg *store.Segment, cols []int) bool {
+	z, ok := zoneOf(v.x, seg, cols)
+	switch {
+	case !ok || v.negated:
+		return false
+	case z.AllNull():
+		return true
+	case v.x.kind() == store.KindText:
+		mn, mx := z.Min.Str(), z.Max.Str()
+		for _, e := range v.strElems {
+			if e >= mn && e <= mx {
+				return false
+			}
+		}
+		return true
+	}
+	mn, _ := z.Min.AsFloat()
+	mx, _ := z.Max.AsFloat()
+	for _, e := range v.intElems {
+		if f := float64(e); f >= mn && f <= mx {
+			return false
+		}
+	}
+	for _, f := range v.fltElems {
+		if f >= mn && f <= mx {
+			return false
+		}
+	}
+	return true
+}
+
+// refutes: a constant that is not TRUE (a NULL bound folded, as in
+// ts > NULL) keeps no row anywhere.
+func (v *vconst) refutes(*store.Segment, []int) bool { return !IsTrue(v.val) }
+
 // ---- compiler ----
 
 // ErrUnsupported is wrapped by the error of a statement the planned
@@ -1143,6 +1270,21 @@ func (c *vcompiler) compile(e sql.Expr) (vexpr, error) {
 		return nil, fmt.Errorf("plan: aggregate %s used outside GROUP BY context", n.Name)
 	}
 	return nil, unsupported(e, "%T", e) // IS NULL, EXISTS
+}
+
+// flipCmp turns  c OP x  into  x OP' c.
+func flipCmp(op sql.BinOp) sql.BinOp {
+	switch op {
+	case sql.OpLt:
+		return sql.OpGt
+	case sql.OpLe:
+		return sql.OpGe
+	case sql.OpGt:
+		return sql.OpLt
+	case sql.OpGe:
+		return sql.OpLe
+	}
+	return op // Eq/Ne are symmetric
 }
 
 // add puts one element into the IN list.

@@ -32,43 +32,42 @@ type viter func() (*vbatch, error)
 
 // ---- scans ----
 
-// vopen carries the cancellation checkpoint: every batch a pipeline
-// processes is pulled through a leaf, so a per-batch check here covers
-// the whole operator tree.
-func (s *Scan) vopen(ctx *Ctx) (viter, error) { return ctx.checkpoint(s.batches(ctx)) }
+// vopen reads every segment: only a Filter's conjuncts skip one.
+func (s *Scan) vopen(ctx *Ctx) (viter, error) { return s.open(ctx, nil) }
 
-// batches is the scan's iterator before the cancellation checkpoint.
-func (s *Scan) batches(ctx *Ctx) (viter, error) {
+// open starts the scan under preds, the compiled conjuncts of the
+// Filter above it (Filter.vopen): a segment one of them refutes is
+// skipped unread. It carries the cancellation checkpoint: every batch a
+// pipeline processes is pulled through a leaf, so a per-batch check
+// here covers the whole operator tree.
+func (s *Scan) open(ctx *Ctx, preds []vexpr) (viter, error) {
 	tab := ctx.Snap.Table(s.B.Meta.Name)
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
 	}
-	// Skip predicates re-bind against this run's parameters, so a
-	// prepared template skips per its bound constants.
-	preds, skipAll := bindZonePreds(s.Skips, ctx.Params)
 	mr := ctx.part // an Exchange worker's leaf reads its morsels
 	if mr != nil && mr.node != s {
 		mr = nil // a serial scan reads the table
 	}
-	return segScanBatches(ctx, tab.Segments(), s.B, mr, preds, skipAll), nil
+	return ctx.checkpoint(segScanBatches(ctx, tab.Segments(), s.B, mr, preds), nil)
 }
 
 // segScanBatches iterates the rows of mr's morsel of the segment layout
 // (nil mr: the whole table) as batches, then returns nil; pulled again,
 // it reads the morsel mr holds by then, if its exchange worker has
-// claimed another. Whole segments whose zone maps refute a skip
-// predicate are dropped without touching their data (a segment-wide
-// proof of non-TRUE holds for any window of it, so partial morsel
-// overlap skips too). SegC counts a segment only in the window that
-// enters it at its first row: a scan starts on a segment boundary and
-// morsels tile the table, so a run counts each segment once at any
-// degree. Every column is a zero-copy view of immutable segment
-// storage: plain payloads and dictionary codes as slices, FOR-encoded
-// ints as the encoded column plus the window's offset (see vcol). The batch itself is lent: one header, one cols slice and one
-// null-mask buffer per column serve every batch of the iterator, the
-// cols slice and the masks in the scan's scratch, so the masks a
-// previous question grew are reused.
-func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, mr *morselRun, preds []boundZone, skipAll bool) viter {
+// claimed another. Whole segments that one of preds refutes are dropped
+// without touching their data (a segment-wide proof of non-TRUE holds
+// for any window of it, so partial morsel overlap skips too). SegC
+// counts a segment only in the window that enters it at its first row:
+// a scan starts on a segment boundary and morsels tile the table, so a
+// run counts each segment once at any degree. Every column is a
+// zero-copy view of immutable segment storage: plain payloads and
+// dictionary codes as slices, FOR-encoded ints as the encoded column
+// plus the window's offset (see vcol). The batch itself is lent: one
+// header, one cols slice and one null-mask buffer per column serve
+// every batch of the iterator, the cols slice and the masks in the
+// scan's scratch, so the masks a previous question grew are reused.
+func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, mr *morselRun, preds []vexpr) viter {
 	sc := ctx.SegC
 	// it is where the iterator stands: its morsel, the row it reads
 	// next, the morsel's end, and the segment holding that row (si < 0:
@@ -98,7 +97,7 @@ func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, mr *morselRun, preds 
 				seg := ss.Segs[si]
 				it.si, it.segEnd = si, ss.Start[si]+seg.N
 				count := sc != nil && off == 0
-				if skipAll || skipSegment(seg, preds) {
+				if refuted(preds, seg, b.Cols) {
 					if count {
 						sc.Skipped.Add(1)
 					}
@@ -165,19 +164,26 @@ func segWindowCol(sc *store.SegCol, lo, hi int, mask []bool) vcol {
 // fails on a selected row (vfail) fails only on rows all earlier ones
 // kept, as with a short-circuit AND. Their vectors die here; the
 // survivor list is lent with the batch, and not at all when every row
-// passed.
+// passed. Over a scan the conjuncts compile before it opens, and the
+// scan skips a segment one of them refutes from its zone maps.
 func (f *Filter) vopen(ctx *Ctx) (viter, error) {
-	in, err := f.In.vopen(ctx)
-	if err != nil {
-		return nil, err
-	}
 	c := newCompiler(f.In.Rel(), ctx)
 	conjs := conjuncts(f.Pred)
 	preds := make([]vexpr, len(conjs))
+	var err error
 	for i, conj := range conjs {
 		if preds[i], err = c.expr(conj); err != nil {
 			return nil, err
 		}
+	}
+	var in viter
+	if s, ok := f.In.(*Scan); ok {
+		in, err = s.open(ctx, preds)
+	} else {
+		in, err = f.In.vopen(ctx)
+	}
+	if err != nil {
+		return nil, err
 	}
 	sc := ctx.arena.borrow()
 	return func() (*vbatch, error) {
