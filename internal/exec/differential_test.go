@@ -110,6 +110,14 @@ func differential(t *testing.T, sn *store.Snapshot, q string, o diffOpts) []diff
 	if err != nil {
 		t.Fatalf("%v\nsql: %s", err, q)
 	}
+	return differentialStmt(t, sn, stmt, o)
+}
+
+// differentialStmt is differential over a parsed statement.
+func differentialStmt(t *testing.T, sn *store.Snapshot, stmt *sql.SelectStmt, o diffOpts) []diffRun {
+	t.Helper()
+	var err error
+	q := stmt.String()
 	ref, refErr := exec.ReferenceQueryAt(sn, stmt)
 	if refErr != nil && !o.mayFail {
 		t.Fatalf("reference: %v\nsql: %s", refErr, q)

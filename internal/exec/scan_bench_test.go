@@ -3,6 +3,7 @@ package exec_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/dataset"
@@ -69,15 +70,18 @@ func bindScanTemplate(tb testing.TB, sn *store.Snapshot, q string) (*plan.Plan, 
 // but the run outside the timed region. B/op is what one question
 // allocates inside the executor in the warm-pool steady state: the
 // untimed first run fills the executor's scratch pool, and from then
-// on each run borrows its operator scratch, scan batch headers and
-// null masks and the join's build table from the pool and hands them
-// back, so a run allocates only what it cannot borrow (its compiled
-// programs, per-worker group tables, the rows it returns) and, after
-// a collection empties the pool, what it borrows afresh. That must
-// follow the rows a question keeps, not the rows it scans, which
-// allocs/op cannot see (an 8 KiB slice per batch is one allocation),
-// so cmd/allocguard bounds both columns. It is also the profiling
-// hook for the scan path:
+// on each run borrows from the pool and hands back everything its
+// arena owns — operator scratch, scan iterators, batch and column
+// headers and null masks, the join's build table, the group tables of
+// the workers and of their merge with their key sets and accumulators,
+// the exchange's morsels and worker contexts — so a run allocates only
+// its compiled programs, its goroutines, the rows it returns and, for
+// the join, the copies of the build side's batches it drains, and,
+// after a collection empties the pool, what it borrows afresh
+// (BenchmarkColdScanTemplates). That must follow the rows a question
+// keeps, not the rows it scans, which allocs/op cannot see (an 8 KiB
+// slice per batch is one allocation), so cmd/allocguard bounds both
+// columns. It is also the profiling hook for the scan path:
 //
 //	go test -run none -bench ScanTemplates/region_join -memprofile mem.out ./internal/exec
 func BenchmarkScanTemplates(b *testing.B) {
@@ -95,6 +99,37 @@ func BenchmarkScanTemplates(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				run()
+			}
+		})
+	}
+}
+
+// BenchmarkColdScanTemplates is BenchmarkScanTemplates after an idle
+// spell: two collections before each run, outside the timer, empty the
+// executor's scratch pool, so every run borrows all of its scratch
+// afresh and grows its buffers, key sets and group tables from nothing,
+// as the first question after a quiet period does and as
+// scanBytesPerRun measures. B/op is then what a question costs with
+// nothing to borrow.
+func BenchmarkColdScanTemplates(b *testing.B) {
+	sn := dataset.Telemetry(scanTemplateRows).Snapshot()
+	for _, tc := range scanTemplates() {
+		b.Run(tc.name, func(b *testing.B) {
+			p, params := bindScanTemplate(b, sn, tc.sql)
+			run := func() {
+				if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{Params: params}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			run() // builds the segment layout
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				runtime.GC()
+				runtime.GC()
+				b.StartTimer()
 				run()
 			}
 		})

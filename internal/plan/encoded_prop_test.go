@@ -372,7 +372,10 @@ func testEncodedTextKernels(t *testing.T) {
 		if sc.Enc != store.SegDict || len(sc.Dict) != sh.card {
 			t.Fatalf("fixture: %s sealed as %v with %d entries, want a dictionary of %d", sh.name, sc.Enc, len(sc.Dict), sh.card)
 		}
-		keys := [2]keySet{newKeySet([]vcol{{kind: store.KindText}}), newKeySet([]vcol{{kind: store.KindText}})}
+		var keys [2]keySet
+		for k := range keys {
+			keys[k].init([]vcol{{kind: store.KindText}})
+		}
 		// The first window ends on row dictCap-1, which holds the cap
 		// shape's largest code.
 		windows := [][2]int{{dictCap - 700, dictCap}}

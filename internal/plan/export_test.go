@@ -39,9 +39,15 @@ func CancelAtCheckpoint(ctx *Ctx, n int64) (passed func() int64) {
 const poisonBufs, poisonLen = 4, 4096
 
 // poisonCols and poisonColsLen size a poisoned scratch's column headers
-// and null masks: a scan's batch takes one buffer of each, one entry a
-// column.
-const poisonCols, poisonColsLen = 2, 16
+// and null masks, one entry a column: a group table takes three header
+// buffers (its key and argument columns and two batches'), a join probe
+// two, a build two, a scan one of each. poisonBatches is as many batch
+// headers, a group table taking two. poisonSlots is how many
+// accumulators, key columns and worker contexts a poisoned structure
+// holds, and poisonRows how many garbage rows each of its vectors: a
+// structure not emptied as it is taken then numbers its first group or
+// key past them. All of it stays under the pool's cap.
+const poisonCols, poisonColsLen, poisonBatches, poisonSlots, poisonRows = 4, 16, 2, 6, 32
 
 // poisonA5 is the bit pattern poisoned ints, floats and hashes hold.
 var poisonA5 uint64 = 0xA5A5A5A5A5A5A5A5
@@ -49,9 +55,12 @@ var poisonA5 uint64 = 0xA5A5A5A5A5A5A5A5
 // PoisonScratchPool empties the scratch pool and, until restore runs,
 // hands out every new vscratch with garbage in every buffer: bools
 // true, ints, floats and hashes 0xA5…, strings "☠", selections −1,
-// dictionary codes 0xFFFF, column headers of the wrong kind and null
-// masks all set. A buffer read before it is written then yields a
-// wrong answer instead of a lucky zero.
+// dictionary codes 0xFFFF, column and batch headers of the wrong kind
+// and null masks all set — and in every structure: a scan's position,
+// a build table, key sets holding keys and chains, a group table
+// holding groups and accumulators, worker contexts. A buffer read
+// before it is written, or a structure not emptied as it is taken,
+// then yields a wrong answer instead of a lucky zero.
 func PoisonScratchPool() (restore func()) {
 	emptyScratchPool()
 	old := scratchPool.New
@@ -102,7 +111,15 @@ func UnpoisonedTakes() []string {
 		out = append(out, unpoisoned("sels", &s.sels, poisonBufs, poisonLen)...)
 		out = append(out, unpoisoned("codes", &s.codes, poisonBufs, poisonLen)...)
 		out = append(out, unpoisoned("cols", &s.cols, poisonCols, poisonColsLen)...)
+		out = append(out, unpoisoned("batches", &s.batches, poisonBatches, 1)...)
 		out = append(out, unpoisoned("masks", &s.masks, poisonCols, poisonColsLen)...)
+		table := orZero(s.table)
+		for name, n := range map[string]int{"table states": cap(table.states), "workers": cap(orZero(s.exchange).wk),
+			"table keys": cap(table.groups.bufs), "set keys": cap(orZero(s.set).bufs)} {
+			if n > poisonSlots {
+				out = append(out, fmt.Sprintf("%s: %d, %d poisoned", name, n, poisonSlots))
+			}
+		}
 	}
 	clear(poisoned.all[len(live):])
 	poisoned.all = live
@@ -123,9 +140,11 @@ func unpoisoned[T any](name string, p *bufPool[T], bufs, n int) []string {
 }
 
 // PooledScratch is what DrainScratchPool found in one pooled vscratch:
-// the bytes its buffers hold, and how many column headers and strings
-// in them still reference memory outside it.
-type PooledScratch struct{ Bytes, Refs int }
+// the bytes its buffers and structures hold, how many headers, strings
+// and contexts in them still reference memory outside it, and how many
+// keys its largest key set — a Distinct's, a group table's or a
+// DISTINCT aggregate's — has room for.
+type PooledScratch struct{ Bytes, Refs, Keys int }
 
 // DrainScratchPool empties the pool and describes each vscratch it
 // held. Another P's private slot is out of its reach, so a caller that
@@ -140,26 +159,69 @@ func DrainScratchPool() []PooledScratch {
 		if s == nil {
 			return held
 		}
-		held = append(held, PooledScratch{Bytes: s.bytes(), Refs: s.refs()})
+		table := orZero(s.table)
+		keys := max(cap(orZero(s.set).hs), cap(table.groups.hs))
+		for _, st := range table.states[:cap(table.states)] {
+			keys = max(keys, cap(st.seen.hs))
+		}
+		held = append(held, PooledScratch{Bytes: s.bytes(), Refs: s.refs(), Keys: keys})
 	}
 }
 
-// refs counts the column headers and strings anywhere in s's buffers
-// that are not zero.
+// refs counts what anywhere in s, buffers and structures, references
+// memory outside it: column and batch headers, strings, a scan's
+// position, a build table, a group table's plan and headers and worker
+// contexts that are not zero.
 func (s *vscratch) refs() int {
 	n := 0
 	for _, b := range s.cols.bufs {
-		for _, c := range b[:cap(b)] {
-			if !reflect.ValueOf(c).IsZero() {
-				n++
-			}
-		}
+		n += nonZero(b[:cap(b)])
+	}
+	for _, b := range s.batches.bufs {
+		n += nonZero(b[:cap(b)])
 	}
 	for _, b := range s.strs.bufs {
-		for _, x := range b[:cap(b)] {
-			if x != "" {
-				n++
-			}
+		n += nonEmpty(b[:cap(b)])
+	}
+	x, table := orZero(s.exchange), orZero(s.table)
+	n += nonZero([]segIter{*orZero(s.scan)}) + nonZero([]vecBuildTable{*orZero(s.build)}) + nonZero(x.wk[:cap(x.wk)])
+	if x.x != nil || x.ctx != nil {
+		n++
+	}
+	n += orZero(s.set).refs() + table.groups.refs() + nonZero(table.keyCols) + nonZero(table.argCols)
+	if table.ap != nil || table.sc != nil {
+		n++
+	}
+	for _, st := range table.states[:cap(table.states)] {
+		n += nonEmpty(st.strs[:cap(st.strs)]) + st.seen.refs()
+	}
+	return n
+}
+
+// refs counts the set's key headers and strings that are not zero.
+func (s *keySet) refs() int {
+	n := nonZero(s.keys[:cap(s.keys)])
+	for _, cb := range s.bufs[:cap(s.bufs)] {
+		n += nonEmpty(cb.strs[:cap(cb.strs)])
+	}
+	return n
+}
+
+func nonZero[T any](xs []T) int {
+	n := 0
+	for _, x := range xs {
+		if !reflect.ValueOf(x).IsZero() {
+			n++
+		}
+	}
+	return n
+}
+
+func nonEmpty(xs []string) int {
+	n := 0
+	for _, x := range xs {
+		if x != "" {
+			n++
 		}
 	}
 	return n
@@ -184,17 +246,79 @@ func poisonedScratch() *vscratch {
 	poison(&s.hashes, poisonBufs, poisonLen, poisonA5)
 	poison(&s.sels, poisonBufs, poisonLen, -1)
 	poison(&s.codes, poisonBufs, poisonLen, 0xFFFF)
-	poison(&s.cols, poisonCols, poisonColsLen, vcol{kind: store.KindText, strs: []string{"☠"}, codes: []uint16{0xFFFF}})
+	poison(&s.cols, poisonCols, poisonColsLen, badCol)
+	poison(&s.batches, poisonBatches, 1, vbatch{n: -1, cols: filled(3, badCol), sel: []int32{-1}})
 	poison(&s.masks, poisonCols, poisonColsLen, []bool(nil))
 	for _, masks := range s.masks.bufs {
 		for m := range masks {
-			masks[m] = make([]bool, maxBatch)
-			for i := range masks[m] {
-				masks[m][i] = true
-			}
+			masks[m] = filled(maxBatch, true)
 		}
 	}
+	s.scan = &segIter{m: -1, pos: -1, hi: -1, si: 7, segEnd: -1, cols: []int{-1}, out: &vbatch{n: -1}}
+	s.build = &vecBuildTable{cols: filled(3, badCol), keyTable: poisonedKeySet().keyTable}
+	set := poisonedKeySet()
+	s.set = &set
+	s.table = &groupTable{groups: poisonedKeySet(), born: filled(poisonRows, int32(-1)),
+		states: make([]aggState, poisonSlots), morsel: -1, keyCols: filled(2, badCol), argCols: filled(2, badCol)}
+	for i := range s.table.states {
+		s.table.states[i] = poisonedAggState()
+	}
+	s.exchange = &exchangeRun{}
+	s.exchange.spans = filled(poisonSlots, [2]int{-1, -1})
+	s.exchange.wk = filled(poisonSlots, worker{ctx: Ctx{Par: -1}, mr: morselRun{m: -1, lo: -1, hi: -1}})
+	s.exchange.next.Store(-5)
+	s.exchange.workers = -1
+	if s.bytes() > maxPooledScratch {
+		panic(fmt.Sprintf("a poisoned scratch holds %d bytes, over the pool's cap", s.bytes()))
+	}
 	return s
+}
+
+// orZero is *p, or an empty T when p is nil.
+func orZero[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
+}
+
+// badCol is the header poisoned column headers hold.
+var badCol = vcol{kind: store.KindText, strs: []string{"☠"}, codes: []uint16{0xFFFF}}
+
+// filled returns n copies of v.
+func filled[T any](n int, v T) []T {
+	b := make([]T, n)
+	for i := range b {
+		b[i] = v
+	}
+	return b
+}
+
+// poisonedKeySet holds poisonRows keys of poisonSlots garbage columns,
+// chained through buckets and links that point nowhere.
+func poisonedKeySet() keySet {
+	const n = poisonRows
+	s := keySet{bufs: make([]colbuf, poisonSlots)}
+	s.keys = filled(poisonSlots, badCol)
+	s.hs, s.head, s.next = filled(n, poisonA5), filled(n, int32(-1)), filled(n, int32(-1))
+	for k := range s.bufs {
+		s.bufs[k] = colbuf{kind: store.KindText, ints: filled(n, int64(poisonA5)),
+			floats: filled(n, math.Float64frombits(poisonA5)), strs: filled(n, "☠"),
+			bools: filled(n, true), nulls: filled(n, true), anyNull: true}
+	}
+	return s
+}
+
+// poisonedAggState holds poisonRows groups' garbage accumulators and
+// seen keys.
+func poisonedAggState() aggState {
+	const n = poisonRows
+	return aggState{counts: filled(n, int64(poisonA5)), lo: filled(n, poisonA5), hi: filled(n, int64(poisonA5)),
+		x: xsums{lo: 3, w: 2, chunks: filled(2*n, int64(poisonA5)), spare: filled(n, int64(poisonA5)),
+			spec: filled(n, uint8(0xFF)), pending: xsCarryEvery - 1},
+		ints: filled(n, int64(poisonA5)), floats: filled(n, math.Float64frombits(poisonA5)),
+		strs: filled(n, "☠"), bools: filled(n, true), has: filled(n, true), led: filled(n, true),
+		firstAt: filled(n, int32(-1)), bestAt: filled(n, int32(-1)), seen: poisonedKeySet()}
 }
 
 func poison[T any](p *bufPool[T], bufs, n int, v T) {

@@ -37,7 +37,8 @@ func TestKeyTableCollisions(t *testing.T) {
 		return ids, fresh
 	}
 
-	s := newKeySet([]vcol{{kind: store.KindFloat}, {kind: store.KindText}})
+	var s keySet
+	s.init([]vcol{{kind: store.KindFloat}, {kind: store.KindText}})
 	// The text of the first batch comes through a dictionary, the
 	// second's as plain strings.
 	dictBatch := []vcol{floats([]float64{0, nan, negZero, 3, nan, 0, 0}, 0, 6),

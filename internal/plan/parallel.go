@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -136,6 +137,13 @@ func partitionLeaf(n Node) *Scan {
 	return nil
 }
 
+// worker is what one exchange worker runs under: a copy of the run's
+// context whose leaf scan reads the morsel in mr.
+type worker struct {
+	ctx Ctx
+	mr  morselRun
+}
+
 // morselRun is what an exchange worker's leaf scan reads: the morsel
 // the worker claimed last, m, and its [lo, hi) range of base rows.
 type morselRun struct {
@@ -143,14 +151,35 @@ type morselRun struct {
 	m, lo, hi int
 }
 
-// exchangeRun is one run of an Exchange: its morsels, its workers and
-// the counter they claim morsels by.
+// exchangeRun is one run of an Exchange: its morsels, its workers, the
+// counter they claim morsels by and the contexts they run under. It is
+// a scratch's own (vscratch.exchange), so its vectors keep the capacity
+// an earlier run grew them to.
 type exchangeRun struct {
 	x       *Exchange
 	ctx     *Ctx
 	spans   [][2]int
 	workers int
 	next    atomic.Int64
+	wk      []worker
+}
+
+// bytes is what the run's vectors hold; a nil run holds nothing.
+func (r *exchangeRun) bytes() int {
+	if r == nil {
+		return 0
+	}
+	return 16*cap(r.spans) + workerBytes*cap(r.wk)
+}
+
+// forget drops what the run references outside its vectors: its plan
+// and the contexts of its run and workers.
+func (r *exchangeRun) forget() {
+	if r == nil {
+		return
+	}
+	r.x, r.ctx = nil, nil
+	clear(r.wk[:cap(r.wk)])
 }
 
 // start sizes one run of the exchange. A nil run means the exchange
@@ -173,20 +202,23 @@ func (e *Exchange) start(ctx *Ctx) (*exchangeRun, error) {
 	if tab.Len() <= 1 {
 		return nil, nil
 	}
-	spans := morselSpans(tab.Len(), workers)
-	return &exchangeRun{x: e, ctx: ctx, spans: spans, workers: min(workers, len(spans))}, nil
+	r := own(&ctx.arena.borrow().exchange)
+	r.x, r.ctx, r.spans = e, ctx, morselSpans(r.spans, tab.Len(), workers)
+	r.workers = min(workers, len(r.spans))
+	r.next.Store(0)
+	return r, nil
 }
 
 // morselSpans cuts the n rows of a leaf into contiguous, ascending
 // morsels, about four per worker for stealing slack. Morsels adapt to
 // the leaf, not to the batch: an exchange is placed only where some
 // operator of the pipeline fills a batch, and a small probe leaf
-// driving such joins still splits.
-func morselSpans(n, workers int) [][2]int {
+// driving such joins still splits. The spans are written over dst.
+func morselSpans(dst [][2]int, n, workers int) [][2]int {
 	target := max(1, (n+workers*4-1)/(workers*4))
 	cuts := (n + target - 1) / target
 	step := (n + cuts - 1) / cuts
-	spans := make([][2]int, 0, cuts)
+	spans := slices.Grow(dst[:0], cuts)
 	for lo := 0; lo < n; lo += step {
 		spans = append(spans, [2]int{lo, min(lo+step, n)})
 	}
@@ -209,13 +241,15 @@ func (r *exchangeRun) run(sink workerSink) error {
 	var firstErr error
 	var errOnce sync.Once
 	var wg sync.WaitGroup
+	r.wk = resize(r.wk, r.workers)
 	for w := range r.workers {
+		wk := &r.wk[w]
+		*wk = worker{ctx: *r.ctx, mr: morselRun{node: r.x.part}}
+		wk.ctx.part = &wk.mr
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mr := &morselRun{node: r.x.part}
-			wctx := *r.ctx
-			wctx.part = mr
+			mr, wctx := &wk.mr, &wk.ctx
 			var op viter
 			for {
 				// The counter only grows, so a worker's morsels ascend.
@@ -226,10 +260,10 @@ func (r *exchangeRun) run(sink workerSink) error {
 				mr.m, mr.lo, mr.hi = i, r.spans[i][0], r.spans[i][1]
 				err := r.ctx.canceled()
 				if err == nil && op == nil {
-					op, err = r.x.In.vopen(&wctx)
+					op, err = r.x.In.vopen(wctx)
 				}
 				if err == nil {
-					err = sink(w, &wctx, i, op)
+					err = sink(w, wctx, i, op)
 				}
 				if err != nil {
 					errOnce.Do(func() { firstErr = err })

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"unsafe"
+	"weak"
 
 	"repro/internal/dataset"
 	"repro/internal/exec"
@@ -41,8 +43,10 @@ type poolQuery struct {
 // poolQueries are the six ask_scan question shapes over poolEvents,
 // then a join that keeps its rows, Sort, Limit, Distinct, kernels that
 // set NULLs sparsely (IN over a list holding NULL, NOT over a column
-// with NULLs), a DISTINCT aggregate, and a three-way join over the
-// university tables at scale 4, where it runs under an exchange.
+// with NULLs), a DISTINCT aggregate, every other accumulator (FIRST,
+// MIN and MAX over text, ints and floats, an INT AVG), and a three-way
+// join over the university tables at scale 4, where it runs under an
+// exchange.
 func poolQueries(t *testing.T) []poolQuery {
 	const ts0 = 1_700_000_000
 	span := poolEvents / 8
@@ -66,6 +70,7 @@ func poolQueries(t *testing.T) []poolQuery {
 		{sn, "SELECT events.level, COUNT(*) FROM events WHERE events.status IN (500, NULL) GROUP BY events.level", false},
 		{sn, "SELECT events.service, SUM(events.latency_ms), MAX(events.latency_ms) FROM events WHERE NOT (events.latency_ms > 150.5) GROUP BY events.service", false},
 		{sn, "SELECT events.level, COUNT(DISTINCT events.device_id), SUM(events.latency_ms) FROM events GROUP BY events.level", false},
+		{sn, "SELECT events.service, events.level, MIN(events.level), MAX(events.event_id), MIN(events.latency_ms), AVG(events.status) FROM events WHERE events.status > 250 GROUP BY events.service", false},
 		{uni, "SELECT s.name, c.title, e.grade FROM enrollments e, students s, courses c WHERE e.student_id = s.id AND e.course_id = c.course_id AND s.gpa > 3.0", false},
 	}
 }
@@ -200,10 +205,13 @@ func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 }
 
 // TestOversizedScratchIsNotPooled: a run hands back only scratch within
-// the pool's cap. A self-join of a 2^16-row table builds a hash table
-// of 2^16 rows — hashes, buckets, chains and the key column alone are
-// 1.6 MiB — and the pool holds nothing over the cap after it, so the
-// next borrow gets a fresh scratch, not the big one.
+// the pool's cap. Over a 2^16-row table, a self-join builds a hash
+// table of 2^16 rows — hashes, buckets, chains and the key column alone
+// are 1.6 MiB — and a GROUP BY and a DISTINCT over its 2^16 distinct
+// keys grow key sets as large, the GROUP BY's accumulators on top; the
+// pool holds nothing over the cap after any of them, and no key set
+// with room for the table's keys, so the next borrow gets a fresh
+// scratch, not the big one.
 func TestOversizedScratchIsNotPooled(t *testing.T) {
 	// At one P, every pooled scratch is reachable from this goroutine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -211,53 +219,74 @@ func TestOversizedScratchIsNotPooled(t *testing.T) {
 	db := store.NewDB(dataset.TelemetrySchema())
 	db.MustBulkInsert("events", dataset.TelemetryEventRows(rows))
 	sn := db.Snapshot()
-	stmt := sql.MustParse("SELECT COUNT(*) FROM events a, events b WHERE a.event_id = b.event_id")
-	p, err := exec.Compile(sn, stmt, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.DrainScratchPool()
-	res, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := res.Rows[0][0].AsFloat(); n != rows {
-		t.Fatalf("self-join counted %v rows, want %d", n, rows)
-	}
-	for _, s := range plan.DrainScratchPool() {
-		if s.Bytes > plan.MaxPooledScratch {
-			t.Errorf("pooled a %d-byte scratch; the cap is %d", s.Bytes, plan.MaxPooledScratch)
+	for _, q := range []string{
+		"SELECT a.event_id FROM events a, events b WHERE a.event_id = b.event_id",
+		"SELECT events.event_id, COUNT(*), SUM(events.status) FROM events GROUP BY events.event_id",
+		"SELECT DISTINCT events.event_id FROM events",
+	} {
+		p, err := exec.Compile(sn, sql.MustParse(q), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan.DrainScratchPool()
+		res, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != rows {
+			t.Fatalf("%d rows, want %d\nsql: %s", len(res.Rows), rows, q)
+		}
+		for _, s := range plan.DrainScratchPool() {
+			if s.Bytes > plan.MaxPooledScratch {
+				t.Errorf("pooled a %d-byte scratch; the cap is %d\nsql: %s", s.Bytes, plan.MaxPooledScratch, q)
+			}
+			if s.Keys >= rows {
+				t.Errorf("pooled a key set with room for %d keys\nsql: %s", s.Keys, q)
+			}
 		}
 	}
 }
 
 // TestPooledScratchPinsNothing: a scratch goes back to the pool without
-// the column headers and strings its run left in it — views of segment
-// payloads and dictionaries — so the pool keeps no evicted payload or
-// dropped snapshot's segments alive. The join drains the devices' text
-// columns into its build and scans events in every encoding.
+// the headers, strings and contexts its run left in it — views of
+// segment payloads and dictionaries, a group table's plan, worker
+// contexts holding the snapshot — so the pool keeps no evicted payload
+// or dropped snapshot's segments alive. The join drains the devices'
+// text columns into its build and scans events in every encoding; the
+// grouped runs key, and keep MIN and FIRST strings, on dictionary text;
+// the DISTINCTs number dictionary strings in key sets. Last, with a
+// run of each back in the pool, the snapshot is dropped, and one
+// collection — which leaves pooled items in the pool's victim cache,
+// still reachable — must free every column of its sealed segments.
 func TestPooledScratchPinsNothing(t *testing.T) {
 	// At one P, every pooled scratch is reachable from this goroutine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sn := poolDB(t).Snapshot()
-	stmt := sql.MustParse("SELECT events.event_id, devices.region, devices.model, events.service FROM events, devices WHERE events.device_id = devices.device_id AND events.status > 400")
+	stmts := []*sql.SelectStmt{
+		sql.MustParse("SELECT events.event_id, devices.region, devices.model, events.service FROM events, devices WHERE events.device_id = devices.device_id AND events.status > 400"),
+		sql.MustParse("SELECT events.service, COUNT(*), MIN(events.level), devices.region FROM events, devices WHERE events.device_id = devices.device_id GROUP BY events.service"),
+		sql.MustParse("SELECT DISTINCT events.service, events.level FROM events WHERE events.status > 250"),
+		sql.MustParse("SELECT events.level, COUNT(DISTINCT events.service) FROM events GROUP BY events.level"),
+	}
 	plan.DrainScratchPool()
 	pooled := 0
-	for _, par := range []int{1, 2} {
-		p, err := exec.Compile(sn, stmt, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// A few runs: under the race detector the pool drops a scratch
-		// at random.
-		for range 3 {
-			if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil {
+	for _, stmt := range stmts {
+		for _, par := range []int{1, 2} {
+			p, err := exec.Compile(sn, stmt, par)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, s := range plan.DrainScratchPool() {
-				pooled++
-				if s.Refs > 0 {
-					t.Errorf("par=%d: a pooled scratch holds %d column headers and strings", par, s.Refs)
+			// A few runs: under the race detector the pool drops a scratch
+			// at random.
+			for range 3 {
+				if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil {
+					t.Fatal(err)
+				}
+				for _, s := range plan.DrainScratchPool() {
+					pooled++
+					if s.Refs > 0 {
+						t.Errorf("par=%d: a pooled scratch holds %d headers, strings and contexts\nsql: %s", par, s.Refs, stmt)
+					}
 				}
 			}
 		}
@@ -265,4 +294,54 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	if pooled == 0 {
 		t.Fatal("no scratch went back to the pool")
 	}
+
+	// A column header views a column's payload, not the SegCol, so each
+	// payload array is watched.
+	var payloads []func() bool // alive
+	watch := func(p *byte) {
+		if p != nil {
+			w := weak.Make(p)
+			payloads = append(payloads, func() bool { return w.Value() != nil })
+		}
+	}
+	for _, name := range []string{"events", "devices"} {
+		for _, seg := range sn.Table(name).Segments().Segs {
+			for _, c := range seg.Cols() {
+				watch(firstByte(c.Ints))
+				watch(firstByte(c.Floats))
+				watch(firstByte(c.Strs))
+				watch(firstByte(c.Bools))
+				watch(firstByte(c.Codes))
+				watch(firstByte(c.Dict))
+				watch(firstByte(c.D16))
+			}
+		}
+	}
+	for _, stmt := range stmts {
+		for _, par := range []int{1, 2} {
+			p, err := exec.Compile(sn, stmt, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := exec.Run(context.Background(), sn, p, exec.RunOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sn = nil
+	runtime.GC()
+	for i, alive := range payloads {
+		if alive() {
+			t.Fatalf("segment payload %d of %d outlived its snapshot: the pool keeps it alive", i, len(payloads))
+		}
+	}
+	plan.DrainScratchPool()
+}
+
+// firstByte is where a non-empty slice's array starts; nil when empty.
+func firstByte[T any](s []T) *byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return (*byte)(unsafe.Pointer(&s[0]))
 }

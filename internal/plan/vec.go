@@ -209,20 +209,33 @@ func (b *vbatch) col(c int) vcol {
 	return vc
 }
 
-// vscratch is the reusable working memory of one operator instance:
-// the buffers expression kernels, key hashing and column decoding
-// write results into that do not outlive the operator's handling of
-// one batch. Buffers are handed out in call order and grow to the
-// batch in hand, never ahead of it, so a pipeline over a few hundred
-// rows pays for a few hundred rows. A nil *vscratch allocates.
+// vscratch is the reusable working memory of one operator instance.
+// Every vscratch is borrowed from the run's arena and goes back to the
+// process-wide pool when Run returns (see runArena), so everything in
+// it may hold a previous question's contents: each take either clears
+// what it hands out or is documented as handing out values its caller
+// overwrites before reading, and each structure below is emptied as it
+// is taken. It holds three kinds of memory.
 //
-// A scan keeps its batch's column headers (cols) and null masks
-// (masks) in one, and a hash join its build table (see
-// HashJoin.vecBuildLocal). Every vscratch is borrowed from the run's
-// arena and goes back to the process-wide pool when Run returns (see
-// runArena), so a buffer may hold a previous question's contents: each
-// take either clears what it hands out or is documented as handing out
-// values its caller overwrites before reading.
+// Per batch: the buffers expression kernels, key hashing and column
+// decoding write results into that do not outlive the operator's
+// handling of one batch. They are handed out in call order, again from
+// the first after each reset, and grow to the batch in hand, never
+// ahead of it, so a pipeline over a few hundred rows pays for a few
+// hundred rows. A nil *vscratch allocates.
+//
+// Per run: what the operator takes as it opens and keeps until the run
+// ends — its output batch header (batch), column headers (hdrs) and a
+// scan's null masks. reset leaves them alone.
+//
+// Structures the operator builds over the run, kept for the capacity
+// their vectors grew to: a scan's position (scan), a hash join's build
+// table (build, its vectors in the per-batch buffers, which the build's
+// scratch never resets), a Distinct's key set (set), an aggregate's
+// group table with its key set and accumulators (table), and an
+// exchange's morsels and worker contexts (exchange). An operator uses
+// one of them, made the first time the scratch serves such an operator
+// (own), so a scratch pays only for the ones it has served.
 type vscratch struct {
 	bools  bufPool[bool]
 	ints   bufPool[int64]
@@ -231,22 +244,40 @@ type vscratch struct {
 	hashes bufPool[uint64]
 	sels   bufPool[int32]
 	codes  bufPool[uint16]
-	cols   bufPool[vcol]
-	masks  bufPool[[]bool]
+
+	cols    bufPool[vcol]
+	batches bufPool[vbatch]
+	masks   bufPool[[]bool]
+
+	scan     *segIter
+	build    *vecBuildTable
+	set      *keySet
+	table    *groupTable
+	exchange *exchangeRun
 }
 
-// reset makes every buffer available again; the operator calls it
-// once per batch, before evaluating anything over it.
+// own returns the structure *p, making it the first time.
+func own[T any](p **T) *T {
+	if *p == nil {
+		*p = new(T)
+	}
+	return *p
+}
+
+// reset makes every per-batch buffer available again; the operator
+// calls it once per batch, before evaluating anything over it.
 func (s *vscratch) reset() {
 	s.bools.used, s.ints.used, s.floats.used, s.strs.used, s.hashes.used, s.sels.used = 0, 0, 0, 0, 0, 0
-	s.codes.used, s.cols.used, s.masks.used = 0, 0, 0
+	s.codes.used = 0
 }
 
-// bytes is what the scratch's buffers hold: the measure the pool's
-// cap (maxPooledScratch) is checked against.
+// bytes is what the scratch's buffers and structures hold: the measure
+// the pool's cap (maxPooledScratch) is checked against.
 func (s *vscratch) bytes() int {
 	n := s.bools.elems() + 8*(s.ints.elems()+s.floats.elems()+s.hashes.elems()) +
-		16*s.strs.elems() + 4*s.sels.elems() + 2*s.codes.elems() + vcolBytes*s.cols.elems()
+		16*s.strs.elems() + 4*s.sels.elems() + 2*s.codes.elems() +
+		vcolBytes*s.cols.elems() + vbatchBytes*s.batches.elems() +
+		s.set.bytes() + s.table.bytes() + s.exchange.bytes()
 	for _, ms := range s.masks.bufs {
 		for _, m := range ms[:cap(ms)] {
 			n += cap(m)
@@ -255,35 +286,50 @@ func (s *vscratch) bytes() int {
 	return n
 }
 
-// vcolBytes is the size of one column header in a scan's batch.
-var vcolBytes = int(reflect.TypeFor[vcol]().Size())
+// vcolBytes, vbatchBytes, workerBytes and aggStateBytes are the sizes
+// of a column header, a batch header, an exchange worker's context and
+// one slot's accumulator headers.
+var (
+	vcolBytes     = int(reflect.TypeFor[vcol]().Size())
+	vbatchBytes   = int(reflect.TypeFor[vbatch]().Size())
+	workerBytes   = int(reflect.TypeFor[worker]().Size())
+	aggStateBytes = int(reflect.TypeFor[aggState]().Size())
+)
 
 // maxPooledScratch caps what goes back to the pool: a scratch holding
 // more than 1 MiB of buffers is dropped when its run ends, so one big
-// join build cannot pin its memory in the pool for the questions after
-// it.
+// join build or group table cannot pin its memory in the pool for the
+// questions after it.
 const maxPooledScratch = 1 << 20
 
 // scratchPool holds the vscratches of finished runs for the next ones.
-// A run's operators, its scan batches and its join builds draw their
-// working memory from here instead of allocating it per question; the
-// garbage collector empties the pool like any other sync.Pool.
+// A run's operators, its scan batches, its join builds, key sets and
+// group tables and its exchange workers draw their working memory from
+// here instead of allocating it per question; the garbage collector
+// empties the pool like any other sync.Pool.
 var scratchPool = sync.Pool{New: func() any { return new(vscratch) }}
 
 // runArena is the working memory one Run has borrowed from
-// scratchPool, handed back all at once by release. Every operator
-// instance borrows its vscratch as it opens — an exchange worker opens
-// its pipeline once, for all the morsels it claims — and the workers
-// borrow concurrently, hence the mutex.
+// scratchPool, handed back all at once by release: everything the run
+// allocates but its compiled programs, its goroutines, the rows it
+// returns and the heap copies Sort and keepBatches make. Every
+// operator instance borrows its vscratch as it opens — an exchange
+// worker opens its pipeline once, for all the morsels it claims — and
+// the workers borrow concurrently, hence the mutex. first holds a
+// typical run's borrows without growing held.
 type runArena struct {
-	mu   sync.Mutex
-	held []*vscratch
+	mu    sync.Mutex
+	held  []*vscratch
+	first [16]*vscratch
 }
 
 // borrow takes a vscratch from the pool for the rest of the run.
 func (a *runArena) borrow() *vscratch {
 	s := scratchPool.Get().(*vscratch)
 	a.mu.Lock()
+	if a.held == nil {
+		a.held = a.first[:0]
+	}
 	a.held = append(a.held, s)
 	a.mu.Unlock()
 	return s
@@ -292,29 +338,54 @@ func (a *runArena) borrow() *vscratch {
 // release returns every borrowed vscratch within the cap to the pool.
 // Run calls it once its rows are boxed: every exchange worker has been
 // waited for, and the rows hold only immutable values, so nothing can
-// still read a buffer.
+// still read a buffer. The first borrowed goes back first and the rest
+// last to second: a P's pool hands out the first put, then the last put
+// first, so the next run of the same plan on the same P borrows each
+// scratch for the operator that grew it — the join build's for the
+// build — rather than a shuffle.
 func (a *runArena) release() {
-	for _, s := range a.held {
+	put := func(s *vscratch) {
 		if s.bytes() <= maxPooledScratch {
 			s.forget()
 			scratchPool.Put(s)
 		}
 	}
+	if len(a.held) > 0 {
+		put(a.held[0])
+		for i := len(a.held) - 1; i > 0; i-- {
+			put(a.held[i])
+		}
+	}
+	clear(a.first[:])
 	a.held = nil
 }
 
-// forget resets s and drops what its buffers reference outside it: a
-// scan's column headers view segment payloads and dictionaries, and
-// strings may be a dictionary's, so a pooled scratch does not pin a
-// dropped snapshot's segments.
+// forget resets s and drops what it references outside itself — column
+// and batch headers view segment payloads and dictionaries, strings may
+// be a dictionary's, a group table holds its compiled plan and an
+// exchange its run's and workers' contexts — so a pooled scratch pins
+// no dropped snapshot's segments.
 func (s *vscratch) forget() {
 	s.reset()
+	s.cols.used, s.batches.used, s.masks.used = 0, 0, 0
 	for _, b := range s.cols.bufs {
+		clear(b[:cap(b)])
+	}
+	for _, b := range s.batches.bufs {
 		clear(b[:cap(b)])
 	}
 	for _, b := range s.strs.bufs {
 		clear(b[:cap(b)])
 	}
+	if s.scan != nil {
+		*s.scan = segIter{}
+	}
+	if s.build != nil {
+		*s.build = vecBuildTable{}
+	}
+	s.set.forget()
+	s.table.forget()
+	s.exchange.forget()
 }
 
 // bufPool hands out the k-th buffer of a batch's evaluation from the
@@ -346,6 +417,30 @@ func (p *bufPool[T]) elems() int {
 		n += cap(b)
 	}
 	return n
+}
+
+// resize returns s with length n, over its own array when that is
+// large enough: the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// hdrs returns n cleared column headers for the rest of the run.
+func (s *vscratch) hdrs(n int) []vcol {
+	h := s.cols.take(n)
+	clear(h)
+	return h
+}
+
+// batch returns an empty batch header over w cleared column headers
+// for the rest of the run: an operator's output batch.
+func (s *vscratch) batch(w int) *vbatch {
+	b := &s.batches.take(1)[0]
+	*b = vbatch{cols: s.hdrs(w)}
+	return b
 }
 
 // boolBuf returns n cleared bools — a kernel's result vector or a
@@ -1499,20 +1594,24 @@ chain:
 // keySet numbers keys in first-seen order: key id r is row r of the key
 // columns it builds as it grows (bufs), and it doubles its buckets
 // whenever it holds more keys than buckets, relinking every key from
-// its stored hash. GROUP BY, DISTINCT and a DISTINCT aggregate keep one.
+// its stored hash. GROUP BY, DISTINCT and a DISTINCT aggregate keep
+// one, in the scratch of the operator that owns it (vscratch), so its
+// vectors keep the capacity an earlier run grew them to.
 type keySet struct {
 	keyTable
 	bufs []colbuf
 }
 
-// newKeySet returns an empty set of keys of the kinds of protos.
-func newKeySet(protos []vcol) keySet {
-	s := keySet{bufs: make([]colbuf, len(protos))}
-	s.keys, s.head = make([]vcol, len(protos)), make([]int32, 8)
+// init empties s for keys of the kinds of protos.
+func (s *keySet) init(protos []vcol) {
+	s.bufs, s.keys = resize(s.bufs, len(protos)), resize(s.keys, len(protos))
 	for k := range protos {
-		s.bufs[k].kind = protos[k].kind
+		s.bufs[k].reset(protos[k].kind)
+		s.keys[k] = vcol{}
 	}
-	return s
+	s.hs, s.next = s.hs[:0], s.next[:0]
+	s.head = resize(s.head, 8)
+	clear(s.head)
 }
 
 // id returns the id of row i of keys, whose hash is h, and whether the
@@ -1528,13 +1627,38 @@ func (s *keySet) id(keys []vcol, i int, h uint64) (int, bool) {
 	r := len(s.hs)
 	s.hs, s.next = append(s.hs, h), append(s.next, 0)
 	if r == len(s.head) {
-		s.head = make([]int32, 2*r)
+		s.head = resize(s.head, 2*r)
+		clear(s.head)
 		for q := range r {
 			s.link(q)
 		}
 	}
 	s.link(r)
 	return r, true
+}
+
+// bytes is what the set's vectors hold; a nil set holds nothing.
+func (s *keySet) bytes() int {
+	if s == nil {
+		return 0
+	}
+	n := 8*cap(s.hs) + 4*(cap(s.next)+cap(s.head)) + vcolBytes*cap(s.keys)
+	for _, cb := range s.bufs[:cap(s.bufs)] {
+		n += 8*(cap(cb.ints)+cap(cb.floats)) + 16*cap(cb.strs) + cap(cb.bools) + cap(cb.nulls)
+	}
+	return n
+}
+
+// forget drops the set's key headers and strings, which may be a
+// dictionary's.
+func (s *keySet) forget() {
+	if s == nil {
+		return
+	}
+	clear(s.keys[:cap(s.keys)])
+	for _, cb := range s.bufs[:cap(s.bufs)] {
+		clear(cb.strs[:cap(cb.strs)])
+	}
 }
 
 // ---- column builders ----
@@ -1552,6 +1676,13 @@ type colbuf struct {
 }
 
 func newColbuf(kind store.Kind) *colbuf { return &colbuf{kind: kind} }
+
+// reset empties the builder for a column of kind, keeping its vectors'
+// capacity; push overwrites what they held.
+func (cb *colbuf) reset(kind store.Kind) {
+	*cb = colbuf{kind: kind, ints: cb.ints[:0], floats: cb.floats[:0], strs: cb.strs[:0],
+		bools: cb.bools[:0], nulls: cb.nulls[:0]}
+}
 
 func (cb *colbuf) len() int { return len(cb.nulls) }
 

@@ -65,66 +65,83 @@ func (s *Scan) open(ctx *Ctx, preds []vexpr) (viter, error) {
 // dictionary codes as slices, FOR-encoded ints as the encoded column
 // plus the window's offset (see vcol). The batch itself is lent: one
 // header, one cols slice and one null-mask buffer per column serve
-// every batch of the iterator, the cols slice and the masks in the
-// scan's scratch, so the masks a previous question grew are reused.
+// every batch of the iterator, all of them, and the iterator's own
+// state, in the scan's scratch, so the masks a previous question grew
+// are reused.
 func segScanBatches(ctx *Ctx, ss *store.SegSet, b Binding, mr *morselRun, preds []vexpr) viter {
-	sc := ctx.SegC
-	// it is where the iterator stands: its morsel, the row it reads
-	// next, the morsel's end, and the segment holding that row (si < 0:
-	// not located yet).
-	it := &struct {
-		m, pos, hi, si, segEnd int
-		segCols                []*store.SegCol
-	}{hi: ss.N, si: -1}
+	scr := ctx.arena.borrow()
+	it := own(&scr.scan)
+	// Every column is written before a batch is returned, and NullMask
+	// overwrites the rows of a mask it reuses.
+	*it = segIter{segc: ctx.SegC, ss: ss, cols: b.Cols, mr: mr, preds: preds, hi: ss.N, si: -1,
+		out: scr.batch(len(b.Cols)), masks: scr.masks.take(len(b.Cols))}
 	if mr != nil {
 		it.m, it.pos, it.hi = mr.m, mr.lo, mr.hi
 	}
-	scr := ctx.arena.borrow()
-	// Every column is written before a batch is returned, and NullMask
-	// overwrites the rows of a mask it reuses.
-	out := &vbatch{cols: scr.cols.take(len(b.Cols))}
-	masks := scr.masks.take(len(b.Cols))
-	return func() (*vbatch, error) {
-		for {
-			if it.pos >= it.hi {
-				if mr == nil || mr.m == it.m {
-					return nil, nil
-				}
-				it.m, it.pos, it.hi, it.si = mr.m, mr.lo, mr.hi, -1
+	return it.next
+}
+
+// segIter is a scan in progress (segScanBatches): what it reads — the
+// segment layout, the columns bound, the morsel its worker claims, the
+// Filter's compiled conjuncts — and where it stands: its morsel m, the
+// row it reads next, the morsel's end, and the segment holding that row
+// (si < 0: not located yet).
+type segIter struct {
+	segc  *store.SegCounters
+	ss    *store.SegSet
+	cols  []int
+	mr    *morselRun
+	preds []vexpr
+
+	m, pos, hi, si, segEnd int
+	segCols                []*store.SegCol
+
+	out   *vbatch
+	masks [][]bool
+}
+
+func (it *segIter) next() (*vbatch, error) {
+	mr, ss, out := it.mr, it.ss, it.out
+	for {
+		if it.pos >= it.hi {
+			if mr == nil || mr.m == it.m {
+				return nil, nil
 			}
-			if it.si < 0 || it.pos >= it.segEnd {
-				si, off := ss.Locate(it.pos)
-				seg := ss.Segs[si]
-				it.si, it.segEnd = si, ss.Start[si]+seg.N
-				count := sc != nil && off == 0
-				if refuted(preds, seg, b.Cols) {
-					if count {
-						sc.Skipped.Add(1)
-					}
-					it.pos, it.si = it.segEnd, -1
-					continue
-				}
-				it.segCols = seg.Cols()
-				if count {
-					sc.Scanned.Add(1)
-				}
-			}
-			segStart := ss.Start[it.si]
-			wlo := it.pos - segStart
-			whi := min(it.segEnd, it.hi) - segStart
-			if whi-wlo > maxBatch {
-				whi = wlo + maxBatch
-			}
-			out.n, out.sel = whi-wlo, nil
-			for c, ci := range b.Cols {
-				out.cols[c] = segWindowCol(it.segCols[ci], wlo, whi, masks[c])
-				if out.cols[c].nulls != nil {
-					masks[c] = out.cols[c].nulls
-				}
-			}
-			it.pos = segStart + whi
-			return out, nil
+			it.m, it.pos, it.hi, it.si = mr.m, mr.lo, mr.hi, -1
 		}
+		if it.si < 0 || it.pos >= it.segEnd {
+			si, off := ss.Locate(it.pos)
+			seg := ss.Segs[si]
+			it.si, it.segEnd = si, ss.Start[si]+seg.N
+			count := it.segc != nil && off == 0
+			if refuted(it.preds, seg, it.cols) {
+				if count {
+					it.segc.Skipped.Add(1)
+				}
+				it.pos, it.si = it.segEnd, -1
+				continue
+			}
+			it.segCols = seg.Cols()
+			if count {
+				it.segc.Scanned.Add(1)
+			}
+		}
+		segStart := ss.Start[it.si]
+		wlo := it.pos - segStart
+		whi := min(it.segEnd, it.hi) - segStart
+		if whi-wlo > maxBatch {
+			whi = wlo + maxBatch
+		}
+		out.n, out.sel = whi-wlo, nil
+		for c, ci := range it.cols {
+			out.cols[c] = segWindowCol(it.segCols[ci], wlo, whi, it.masks[c])
+			if out.cols[c].nulls != nil {
+				//nlivet:ignore batchretain NullMask wrote the mask into the scan's own buffer, or grew it: no storage view
+				it.masks[c] = out.cols[c].nulls
+			}
+		}
+		it.pos = segStart + whi
+		return out, nil
 	}
 }
 
@@ -241,11 +258,11 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 
 // drainCols materializes an opened input over rel into columns,
 // returning them with the row count: the build side of a hash join.
-// need marks the columns anything reads
-// (nil: all); the rest stay all-NULL. The columns are written into sc,
-// which must outlive them. It keeps the input's batches first and
-// counts them, so every column's builder is sized once and never grows
-// by appending. Until the copy is made the kept batches also hold what
+// need marks the columns anything reads (nil: all); the rest stay
+// all-NULL. The columns, headers included, are written into sc, which
+// must outlive them. It keeps the input's batches first and counts
+// them, so every column's builder is sized once and never grows by
+// appending. Until the copy is made the kept batches also hold what
 // keep copied of their lent columns — a join's output columns — so a
 // side that is itself a join is briefly in memory twice; a scan's
 // batches are views of segment storage and cost only their headers and
@@ -260,7 +277,7 @@ func drainCols(in viter, rel *Rel, need []bool, sc *vscratch) ([]vcol, int, erro
 		rows += b.rows()
 	}
 	kinds := relKinds(rel)
-	cols := make([]vcol, len(kinds))
+	cols := sc.hdrs(len(kinds))
 	for c, k := range kinds {
 		if need != nil && !need[c] {
 			continue
@@ -299,7 +316,8 @@ func (j *HashJoin) vecBuild(ctx *Ctx) (*vecBuildTable, error) {
 }
 
 // vecBuildLocal drains the right input, hashes its keys once, and
-// chains the rows into a table sized to them.
+// chains the rows into a table sized to them, all of it in one
+// scratch.
 func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	lw := j.L.Rel().Width
 	var need []bool
@@ -322,7 +340,7 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	for buckets < n {
 		buckets <<= 1
 	}
-	keys := make([]vcol, len(j.RKey))
+	keys := sc.hdrs(len(j.RKey))
 	for k, off := range j.RKey {
 		keys[k] = cols[off]
 	}
@@ -330,7 +348,8 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	// written for every chained row before it is read.
 	head := sc.sels.take(buckets)
 	clear(head)
-	bt := &vecBuildTable{cols, keyTable{keys: keys, hs: hashKeys(keys, n, nil, sc),
+	bt := own(&sc.build)
+	*bt = vecBuildTable{cols, keyTable{keys: keys, hs: hashKeys(keys, n, nil, sc),
 		head: head, next: sc.sels.take(n)}}
 	// Pushing rows last to first leaves every chain ascending.
 	for i := n - 1; i >= 0; i-- {
@@ -399,10 +418,11 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 		}
 	}
 	// Probe-side working state — decoded keys, hashes, the match lists —
-	// and the columns written die with each input batch.
+	// and the columns written die with each input batch; the key and
+	// output headers serve every batch.
 	sc := ctx.arena.borrow()
-	keys := make([]vcol, len(j.LKey))
-	out := &vbatch{cols: make([]vcol, j.rel.Width)}
+	keys := sc.hdrs(len(j.LKey))
+	out := sc.batch(j.rel.Width)
 	return func() (*vbatch, error) {
 		for {
 			b, err := in()
@@ -481,8 +501,8 @@ func (p *Project) vopen(ctx *Ctx) (viter, error) {
 			return nil, err
 		}
 	}
-	out := &vbatch{cols: make([]vcol, len(exprs))}
 	sc := ctx.arena.borrow()
+	out := sc.batch(len(exprs))
 	return func() (*vbatch, error) {
 		b, err := in()
 		if err != nil || b == nil {
@@ -648,9 +668,10 @@ func planVecAgg(a *Aggregate, ctx *Ctx) (*vecAggPlan, error) {
 
 // aggState holds the running accumulators of one slot, one entry per
 // group, in per-slot vectors that grow by appending: a group costs no
-// allocation of its own. An INT SUM or AVG adds exactly, into a 128-bit
-// two's-complement (hi, lo) pair per group; a FLOAT one into the
-// group's exact sum in x. Every state merges exactly, in any order
+// allocation of its own, and a table in a pooled scratch (groupTable)
+// appends into the capacity an earlier run left. An INT SUM or AVG
+// adds exactly, into a 128-bit two's-complement (hi, lo) pair per
+// group; a FLOAT one into the group's exact sum in x. Every state merges exactly, in any order
 // (vecAggSlot.merge), so the partials of workers whose morsels
 // interleave combine into the serial fold's state.
 type aggState struct {
@@ -673,6 +694,31 @@ type aggState struct {
 	// which came first.
 	firstAt, bestAt []int32
 	seen            keySet // DISTINCT: the (group, value) pairs folded so far
+}
+
+// reset empties the state for a new table, to accumulate slot.
+func (st *aggState) reset(slot *vecAggSlot) {
+	st.counts, st.lo, st.hi = st.counts[:0], st.lo[:0], st.hi[:0]
+	st.x = xsums{chunks: st.x.chunks[:0], spare: st.x.spare, spec: st.x.spec[:0]}
+	st.ints, st.floats, st.strs, st.bools = st.ints[:0], st.floats[:0], st.strs[:0], st.bools[:0]
+	st.has, st.led, st.firstAt, st.bestAt = st.has[:0], st.led[:0], st.firstAt[:0], st.bestAt[:0]
+	if slot.distinct {
+		st.seen.init([]vcol{{kind: store.KindInt}, {kind: slot.argKind}})
+	}
+}
+
+// bytes is what the state's vectors hold.
+func (st *aggState) bytes() int {
+	return 8*(cap(st.counts)+cap(st.lo)+cap(st.hi)+cap(st.x.chunks)+cap(st.x.spare)+cap(st.ints)+cap(st.floats)) +
+		16*cap(st.strs) + cap(st.x.spec) + cap(st.bools) + cap(st.has) + cap(st.led) +
+		4*(cap(st.firstAt)+cap(st.bestAt)) + st.seen.bytes()
+}
+
+// forget drops the state's strings, which may be a dictionary's, and
+// its DISTINCT keys.
+func (st *aggState) forget() {
+	clear(st.strs[:cap(st.strs)])
+	st.seen.forget()
 }
 
 // errSumOverflow is the error of an INT SUM whose exact value lies
@@ -729,9 +775,6 @@ func (slot *vecAggSlot) fold(st *aggState, gids []int32, arg *vcol, b *vbatch, a
 	if slot.distinct {
 		pair := []vcol{{kind: store.KindInt, ints: sc.intBuf(b.n)}, *arg}
 		b.forSel(func(i int) { pair[0].ints[i] = int64(gid(i)) })
-		if st.seen.head == nil {
-			st.seen = newKeySet([]vcol{{kind: store.KindInt}, {kind: slot.argKind}})
-		}
 		hs := hashKeys(pair, b.n, b.sel, sc)
 		b.forSel(func(i int) {
 			if _, isNew := st.seen.id(pair, i, hs[i]); isNew {
@@ -1035,7 +1078,9 @@ func (a *Aggregate) partialOver() *Exchange {
 // group), the morsel each was born in (the global group's: that of its
 // first row; none yet, MaxInt32), one aggState per slot — and per-batch
 // working state: the morsel being folded and the key and argument
-// vectors, evaluated into sc.
+// vectors, evaluated into sc. It is sc's own table (vscratch.table):
+// all of it goes back to the pool with sc, and the next run's table
+// grows into the vectors this one grew.
 type groupTable struct {
 	ap     *vecAggPlan
 	groups keySet
@@ -1047,24 +1092,56 @@ type groupTable struct {
 	keyCols, argCols []vcol
 }
 
+// newGroupTable empties sc's group table for a run of ap.
 func newGroupTable(ap *vecAggPlan, sc *vscratch) *groupTable {
 	nk, ns := len(ap.keys), len(ap.slots)
-	t := &groupTable{ap: ap, sc: sc, states: make([]aggState, ns)}
-	cols := make([]vcol, nk+ns)
-	t.keyCols, t.argCols = cols[:nk:nk], cols[nk:]
-	if nk == 0 {
-		// The global group exists even over empty input.
-		t.born = []int32{math.MaxInt32}
-		for s := range t.states {
-			ap.slots[s].grow(&t.states[s])
-		}
-		return t
+	t := own(&sc.table)
+	t.ap, t.sc, t.morsel, t.born = ap, sc, 0, t.born[:0]
+	t.states = resize(t.states, ns)
+	for s := range t.states {
+		t.states[s].reset(&ap.slots[s])
 	}
+	cols := sc.hdrs(nk + ns)
+	t.keyCols, t.argCols = cols[:nk:nk], cols[nk:]
 	for k, ve := range ap.keys {
 		t.keyCols[k].kind = ve.kind()
 	}
-	t.groups = newKeySet(t.keyCols)
+	t.groups.init(t.keyCols)
+	if nk == 0 {
+		// The global group exists even over empty input.
+		t.born = append(t.born, math.MaxInt32)
+		for s := range t.states {
+			ap.slots[s].grow(&t.states[s])
+		}
+	}
 	return t
+}
+
+// bytes is what the table's vectors hold; a nil table holds nothing.
+func (t *groupTable) bytes() int {
+	if t == nil {
+		return 0
+	}
+	n := 4*cap(t.born) + t.groups.bytes() + aggStateBytes*cap(t.states)
+	all := t.states[:cap(t.states)]
+	for s := range all {
+		n += all[s].bytes()
+	}
+	return n
+}
+
+// forget drops what the table references outside its vectors: its
+// plan, its strings and its key and argument headers.
+func (t *groupTable) forget() {
+	if t == nil {
+		return
+	}
+	t.ap, t.sc, t.keyCols, t.argCols = nil, nil, nil, nil
+	t.groups.forget()
+	all := t.states[:cap(t.states)]
+	for s := range all {
+		all[s].forget()
+	}
 }
 
 // group returns the id of the group keyed by row i of keys, whose hash
@@ -1224,10 +1301,13 @@ func (t *groupTable) drain(m int, in viter) error {
 }
 
 // finish assembles the group pseudo-relation — keys, then aggregate
-// results — and evaluates HAVING and the output items over it.
+// results — and evaluates HAVING and the output items over it. Both
+// batch headers and HAVING's selection are the table's scratch's.
 func (t *groupTable) finish() (viter, error) {
 	ap, nk, n := t.ap, len(t.ap.keys), len(t.born)
-	g := &vbatch{n: n, cols: make([]vcol, nk+len(ap.slots))}
+	t.sc.reset()
+	g := t.sc.batch(nk + len(ap.slots))
+	g.n = n
 	copy(g.cols, t.groups.keys)
 	for s := range ap.slots {
 		var err error
@@ -1241,7 +1321,7 @@ func (t *groupTable) finish() (viter, error) {
 		if g.err != nil {
 			return nil, g.err
 		}
-		var sel []int32
+		sel := t.sc.selBuf(g.n)
 		for i := 0; i < g.n; i++ {
 			if hc.kind == store.KindBool && !hc.null(i) && hc.bools[i] {
 				sel = append(sel, int32(i))
@@ -1252,7 +1332,8 @@ func (t *groupTable) finish() (viter, error) {
 			return none, nil
 		}
 	}
-	out := &vbatch{n: g.rows(), cols: make([]vcol, len(ap.items))}
+	out := t.sc.batch(len(ap.items))
+	out.n = g.rows()
 	for x, ve := range ap.items {
 		rc := ve.eval(g)
 		if g.err != nil {
@@ -1286,8 +1367,8 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 	if err != nil {
 		return nil, err
 	}
-	var seen keySet
 	sc := ctx.arena.borrow()
+	seen := own(&sc.set)
 	var out *vbatch
 	return func() (*vbatch, error) {
 		for {
@@ -1296,8 +1377,9 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 				return nil, err
 			}
 			keys := b.cols[:min(d.N, len(b.cols))]
-			if seen.head == nil {
-				seen = newKeySet(keys)
+			if out == nil {
+				seen.init(keys)
+				out = sc.batch(len(b.cols))
 			}
 			sc.reset()
 			hs := hashKeys(keys, b.n, b.sel, sc)
@@ -1309,9 +1391,6 @@ func (d *Distinct) vopen(ctx *Ctx) (viter, error) {
 			})
 			if len(kept) == 0 {
 				continue
-			}
-			if out == nil {
-				out = &vbatch{cols: make([]vcol, len(b.cols))}
 			}
 			out.n, out.sel = len(kept), nil
 			for c := range b.cols {

@@ -28,6 +28,7 @@ import (
 type xsums struct {
 	lo, w   int
 	chunks  []int64
+	spare   []int64 // the array cover lays the next window out in
 	spec    []uint8
 	pending int // adds since every group's carries were last propagated
 }
@@ -108,7 +109,9 @@ func (x *xsums) added(n int) {
 
 // cover widens the window to take in chunks [lo, hi), re-laying every
 // group's chunks out over it. An empty window (no finite nonzero value
-// yet) becomes [lo, hi).
+// yet) becomes [lo, hi). The new layout goes into the spare array and
+// the old one becomes the spare, so a table in a pooled scratch
+// (groupTable) widens into arrays an earlier run grew.
 func (x *xsums) cover(lo, hi int) {
 	if x.w > 0 {
 		if lo >= x.lo && hi <= x.lo+x.w {
@@ -117,13 +120,14 @@ func (x *xsums) cover(lo, hi int) {
 		lo, hi = min(lo, x.lo), max(hi, x.lo+x.w)
 	}
 	w := hi - lo
-	chunks := make([]int64, len(x.spec)*w)
+	chunks := resize(x.spare, len(x.spec)*w)
+	clear(chunks)
 	if x.w > 0 {
 		for g := range x.spec {
 			copy(chunks[g*w+x.lo-lo:], x.chunks[g*x.w:(g+1)*x.w])
 		}
 	}
-	x.lo, x.w, x.chunks = lo, w, chunks
+	x.lo, x.w, x.chunks, x.spare = lo, w, chunks, x.chunks
 }
 
 // carry propagates group g's carries: every chunk but the top one ends
