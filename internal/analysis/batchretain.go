@@ -5,7 +5,7 @@ import (
 	"go/types"
 )
 
-// BatchRetain enforces the lend/keep batch contract from DESIGN.md
+// BatchRetain enforces the lend batch contract from DESIGN.md
 // §2.4/§2.7 from both ends. Slices handed out by a batch
 // (vcol/vbatch/colbuf payload slices) or carved from the segment layout
 // (store.SegCol) are views of storage the producer reuses for its next
@@ -19,9 +19,9 @@ import (
 // container out of another (a vcol from a SegCol window) is the
 // layout plumbing itself and is exempt. And a whole *vbatch is lent
 // too — header, null masks and selection are its producer's again at
-// the next pull — so appending a pulled batch to a slice, or storing
-// it in a field or an element, is a finding unless it went through the
-// one helper that copies what was lent (a call: b.keep()).
+// the next pull — and nobody keeps one: appending a pulled batch to a
+// slice, or storing it in a field or an element, is always a finding.
+// Whoever needs its rows past the pull copies them (a colbuf push).
 var BatchRetain = &Analyzer{
 	Name: "batchretain",
 	Doc:  "zero-copy batch/segment slices, and lent batches, must not be retained in fields, slices or captured state without a copy",
@@ -95,13 +95,11 @@ func viewOwner(info *types.Info, lhs ast.Expr) (*types.Named, bool) {
 }
 
 // lentBatch reports whether e evaluates to a *vbatch somebody else
-// made: anything of that type but a call's result (keep's copy), a
-// freshly built &vbatch{...} or nil.
+// made: anything of that type, a pull's result included, but a freshly
+// built &vbatch{...} or nil.
 func lentBatch(info *types.Info, e ast.Expr) bool {
 	e = ast.Unparen(e)
 	switch x := e.(type) {
-	case *ast.CallExpr:
-		return false
 	case *ast.UnaryExpr:
 		if _, lit := x.X.(*ast.CompositeLit); lit {
 			return false
@@ -147,7 +145,7 @@ func runBatchRetain(p *Pass) {
 				for _, arg := range st.Args[1:] {
 					if lentBatch(p.Info, arg) {
 						p.Reportf(arg.Pos(),
-							"lent *vbatch appended to a slice outlives its pull; append its keep() copy")
+							"lent *vbatch appended to a slice outlives its pull; nobody keeps a batch: push its rows into a builder")
 					}
 				}
 			case *ast.AssignStmt:
@@ -160,7 +158,7 @@ func runBatchRetain(p *Pass) {
 						_, isField := viewOwner(p.Info, lhs)
 						if _, isElem := ast.Unparen(lhs).(*ast.IndexExpr); isField || isElem {
 							p.Reportf(rhs.Pos(),
-								"lent *vbatch stored in a field or element outlives its pull; store its keep() copy")
+								"lent *vbatch stored in a field or element outlives its pull; nobody keeps a batch: push its rows into a builder")
 						}
 						continue
 					}

@@ -82,15 +82,12 @@ func good(b *vbatch, sc *SegCol, o *op, c *colbuf) {
 	_ = f()
 }
 
-// A whole batch is lent: its header, null masks and selection are the
-// producer's again at the next pull, so holding one needs keep's copy.
+// A whole batch is lent, and nobody keeps it: its header, null masks
+// and selection are the producer's again at the next pull, so holding
+// one is always a finding, a pull's result held directly included.
 type merge struct {
 	last *vbatch
 	outs [][]*vbatch
-}
-
-func (b *vbatch) keep() *vbatch {
-	return &vbatch{cols: append([]vcol(nil), b.cols...), sel: append([]int(nil), b.sel...)}
 }
 
 func retainPulled(pull func() *vbatch, m *merge) []*vbatch {
@@ -100,19 +97,20 @@ func retainPulled(pull func() *vbatch, m *merge) []*vbatch {
 		m.last = b             // want "stored in a field or element"
 		m.outs[0][0] = b       // want "stored in a field or element"
 	}
+	kept = append(kept, pull()) // want "appended to a slice"
+	m.last = pull()             // want "stored in a field or element"
 	return kept
 }
 
-func keepPulled(pull func() *vbatch, m *merge) []*vbatch {
-	var kept []*vbatch
+// Copying the rows a batch selects, and holding it only for one pull,
+// are fine.
+func copyPulled(pull func() *vbatch, m *merge, c *colbuf) {
 	for b := pull(); b != nil; b = pull() {
-		kept = append(kept, b.keep()) // the one helper: a copy of what was lent
-		m.last = b.keep()
-		m.outs[0] = kept // a slice of kept batches, not a batch
-		cur := b         // local to one pull
+		c.ints = append(c.ints, b.cols[0].ints...) // the rows, copied into a builder
+		cur := b                                   // local to one pull
 		_ = cur
 	}
+	m.outs[0] = nil
 	m.last = &vbatch{} // its own batch
 	m.last = nil
-	return kept
 }

@@ -137,7 +137,7 @@ type joinFormsCase struct {
 var joinFormsCorpus = []joinFormsCase{
 	// Unique build keys, most probe rows matching: forwarded, with p's
 	// FOR columns and its lent null masks carried through to a
-	// projection, an aggregate that keeps the batches, a sort and a limit.
+	// projection, an aggregate that folds them, a sort and a limit.
 	{"unique/full", "SELECT p.id, p.ts, p.v, d.name, d.w FROM p, d WHERE p.k = d.k", "scan d"},
 	{"unique/full/agg", "SELECT d.name, COUNT(*), AVG(p.v), MIN(p.ts), MAX(p.id) FROM p, d WHERE p.k = d.k GROUP BY d.name", "scan d"},
 	{"unique/full/sorted", "SELECT p.ts, d.w, p.id FROM p, d WHERE p.k = d.k ORDER BY d.w DESC, p.id LIMIT 900", "scan d"},
@@ -178,21 +178,21 @@ var joinFormsCorpus = []joinFormsCase{
 	{"build-join/agg", "SELECT m.g, COUNT(*), MIN(p.ts) FROM p, d, m WHERE p.k = d.k AND d.id = m.k AND p.s < 12 GROUP BY m.g", "hash join on (d.id = m.k)"},
 	{"build-join/unique", "SELECT p.id, p.ts, p.v, b.w FROM p, d a, d b WHERE p.k = a.k AND a.id = b.id AND b.id >= 0", "hash join on (a.id = b.id)"},
 	// The build columns a probe writes are lent from its scratch, which
-	// its next batch overwrites; whoever holds them longer must copy.
-	// Above an exchange the merge keeps every morsel's batches (par 2
-	// and 4); a join whose probe spans p's three segments, drained whole
-	// as the build side of another join, keeps them at every degree.
-	{"lent/keep", "SELECT p.id, d.name, d.w, d.g FROM p, d WHERE p.k = d.k AND p.s < 15", "scan d"},
+	// its next batch overwrites; whoever needs them longer copies them:
+	// the projection gathers them, and a join whose probe spans p's
+	// three segments, drained whole as the build side of another join,
+	// pushes them into the build's builders.
+	{"lent/project", "SELECT p.id, d.name, d.w, d.g FROM p, d WHERE p.k = d.k AND p.s < 15", "scan d"},
 	{"lent/build-join", "SELECT d.name, m.g, p.id FROM p, d, m WHERE p.k = m.k AND p.s < 4 AND p.s = d.id", "hash join on (p.k = m.k)"},
 	{"lent/build-join/gather", "SELECT a.name, d.name, p.id FROM p, d, d a WHERE p.k = d.k AND p.s = 2 AND p.s = a.id", "hash join on (p.k = d.k)"},
 }
 
 // TestHashJoinOutputForms runs joinFormsCorpus at parallelism 1, 2 and
 // 4. Every run must equal the reference executor as a bag, and the
-// parallel runs the serial one row for row — the kept batches above an
-// exchange, and a drained join, carry lent probe columns, build columns
-// the probe wrote into its scratch and a selection lent from that
-// scratch through the join.
+// parallel runs the serial one row for row — the aggregates folding
+// per worker, and a join drained into a build, read lent probe columns,
+// build columns the probe wrote into its scratch and a selection lent
+// from that scratch through the join.
 func TestHashJoinOutputForms(t *testing.T) {
 	sn := joinFormsDB(t).Snapshot()
 	for _, c := range joinFormsCorpus {

@@ -13,11 +13,13 @@ import (
 
 // TestParallelDifferentialCorpus runs every gold query of the full
 // benchmark corpus serially and at several degrees: parallel must
-// match serial row for row (exchange merge preserves order) and the
-// reference as a bag (join reordering may permute rows). University
-// runs at scale 10 (1,200 students) and sales at scale 3 (about 1,300
-// order items), so their largest tables fill more than one batch and
-// the exchange paths actually execute.
+// match serial row for row (the per-worker group tables merge into the
+// serial group order) and the reference as a bag (join reordering may
+// permute rows). University runs at scale 10 (1,200 students) and
+// sales at scale 3 (about 1,300 order items), so their largest tables
+// fill more than one batch and the aggregates over them fold inside an
+// exchange's workers; row-returning questions and DISTINCT aggregates
+// run serially at every degree and must still match.
 func TestParallelDifferentialCorpus(t *testing.T) {
 	exchanges := 0
 	for _, domain := range dataset.Names() {
@@ -39,8 +41,9 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 
 // TestParallelJoinHeavyRowForRow pins BenchmarkF5JoinHeavy's join
 // queries and a grouped AVG to exact serial equality at every worker
-// degree, over 1,200 students so that each of them runs under an
-// exchange.
+// degree, over 1,200 students: the two aggregates fold inside an
+// exchange's workers, and the four-table join, which returns rows,
+// runs serially at every degree.
 func TestParallelJoinHeavyRowForRow(t *testing.T) {
 	sn := dataset.University(10).Snapshot()
 	for _, q := range []string{
@@ -78,8 +81,8 @@ func TestParallelExplain(t *testing.T) {
 		t.Errorf("Explain misses per-node parallelism annotations:\n%s", out)
 	}
 	// A COUNT folds inside the exchange's workers and says so, and so
-	// does an AVG, whose exact sums merge; a DISTINCT aggregate
-	// aggregates the merged stream and carries no mark.
+	// does an AVG, whose exact sums merge; a DISTINCT aggregate gets no
+	// exchange and carries no mark.
 	if !strings.Contains(out, "group by d.name [partial ×worker]\n") {
 		t.Errorf("Explain misses the per-worker fold on the COUNT aggregate:\n%s", out)
 	}
@@ -88,8 +91,8 @@ func TestParallelExplain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := p.Explain(); !strings.Contains(out, "exchange workers=4") || strings.Contains(out, "partial") != partial {
-			t.Errorf("%s: want the [partial ×worker] mark %v:\n%s", agg, partial, out)
+		if out := p.Explain(); strings.Contains(out, "exchange workers=4") != partial || strings.Contains(out, "partial") != partial {
+			t.Errorf("%s: want the exchange and its [partial ×worker] mark %v:\n%s", agg, partial, out)
 		}
 	}
 
@@ -112,38 +115,38 @@ func TestParallelExplain(t *testing.T) {
 	}
 }
 
-// TestParallelSkipsStreamingLimit: a LIMIT without ORDER BY stops
-// reading early in the serial pipeline; parallelizing it would
-// materialize every worker's output first, so the rewrite declines.
-// 1,200 students fill more than a batch, so only the LIMIT decides.
-func TestParallelSkipsStreamingLimit(t *testing.T) {
-	db := dataset.University(10)
-	limited, err := exec.Compile(db.Snapshot(), sql.MustParse("SELECT name FROM students LIMIT 3"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := limited.OperatorCounts()["exchange"]; n != 0 {
-		t.Errorf("streaming LIMIT got %d exchange operators, want 0", n)
-	}
-
-	// With a Sort below the Limit everything is read anyway — eligible.
-	sorted, err := exec.Compile(db.Snapshot(), sql.MustParse("SELECT name FROM students ORDER BY gpa DESC LIMIT 3"), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := sorted.OperatorCounts()["exchange"]; n != 1 {
-		t.Errorf("sorted LIMIT got %d exchange operators, want 1", n)
-	}
-
-	serial, err := exec.Query(db.Snapshot(), sql.MustParse("SELECT name FROM students ORDER BY gpa DESC LIMIT 3"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := exec.Run(context.Background(), db.Snapshot(), sorted, exec.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameResult(parallel, serial, true); err != nil {
-		t.Errorf("sorted LIMIT diverges: %v", err)
+// TestParallelRowPlansStaySerial: an exchange goes only under an
+// aggregate that folds inside its workers, so a plan that returns rows
+// — a LIMIT that streams, a LIMIT over a Sort — and a DISTINCT
+// aggregate, whose per-worker partials would count a value once per
+// worker, get none at degree 4 and answer what the serial plan does,
+// row for row. 1,200 students fill more than a batch, so the shape
+// alone decides.
+func TestParallelRowPlansStaySerial(t *testing.T) {
+	sn := dataset.University(10).Snapshot()
+	for _, q := range []string{
+		"SELECT name FROM students LIMIT 3",
+		"SELECT name FROM students ORDER BY gpa DESC LIMIT 3",
+		"SELECT dept_id, COUNT(DISTINCT gpa) FROM students GROUP BY dept_id",
+	} {
+		stmt := sql.MustParse(q)
+		p, err := exec.Compile(sn, stmt, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := p.OperatorCounts()["exchange"]; n != 0 || p.Par > 1 {
+			t.Errorf("got %d exchange operators at degree %d, want none:\n%s\nsql: %s", n, p.Par, p.Explain(), q)
+		}
+		serial, err := exec.Query(sn, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parallel, err := exec.Run(context.Background(), sn, p, exec.RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameResult(parallel, serial, true); err != nil {
+			t.Errorf("degree 4 diverges from serial: %v\nsql: %s", err, q)
+		}
 	}
 }

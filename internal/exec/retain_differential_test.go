@@ -11,8 +11,8 @@ import (
 )
 
 // retainSegRows seals the fixture's events into segments of half a
-// batch, so every morsel of an Exchange yields many small batches for
-// it to retain.
+// batch, so every scan, and every morsel of an Exchange, yields many
+// small batches, each lent only until the next.
 const retainSegRows = 512
 
 // retainDB builds a telemetry-shaped pair of tables whose events
@@ -88,18 +88,20 @@ func retainDB(t *testing.T, n int) *store.DB {
 }
 
 // TestRetainedBatchesNeverSeeScratch pins the vectorized pipeline's
-// ownership rule from the outside: a batch is lent — its header, null
-// masks and selection are reused for the producer's next batch, like
-// the operator scratch behind them — so whoever holds data past the
-// next pull must have copied it: the exchange's keep sink (Project
-// plans and DISTINCT aggregates here; every other aggregate folds
-// inside the workers and keeps nothing), and serially Limit, Sort,
-// Distinct and the join build.
+// ownership rule from the outside: a batch is lent, and nobody keeps it
+// — its header, null masks and selection are reused for the producer's
+// next batch, like the operator scratch behind them — so whoever needs
+// its rows past the next pull copies them: an aggregate folds them (in
+// the exchange's workers, or serially for a DISTINCT aggregate), the
+// join build and Sort push them into builders of their own, Distinct
+// into its key set, Limit hands them on and Run boxes them.
 // Over a table cut into 32 segments, at one, two and four workers (16
-// morsels of two segments each), every query must equal the reference
-// executor as a bag and its one-worker run row for row; anything still
-// pointing at a lent part or at scratch would have been overwritten by
-// the batch's successors long before the merge.
+// morsels of two segments each, for the aggregates that fold per
+// worker; row-returning plans run serially at every degree), every
+// query must equal the reference executor as a bag and its one-worker
+// run row for row; anything still pointing at a lent part or at
+// scratch would have been overwritten by the batch's successors long
+// before the rows were read.
 func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 	const n = 32*retainSegRows + 37
 	db := retainDB(t, n)
@@ -107,7 +109,7 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 	const ts0, span = 1_700_000_000, n / 16
 	win := func(width int) string { return fmt.Sprintf("%d.0 AND %d.0", ts0+span/3, ts0+span/3+width) }
 	queries := []string{
-		// Exchange over Project: filtered, then gathered through the selection.
+		// Project: filtered, then gathered through the selection.
 		"SELECT ts, status FROM events WHERE status > 250.0 ORDER BY ts, status",
 		"SELECT seq, wide, narrow, mid, service FROM events WHERE narrow BETWEEN -10 AND 60.5 AND mid > 1000",
 		"SELECT seq, status, narrow, wide FROM events WHERE NOT (status = 200) ORDER BY seq DESC LIMIT 700",
@@ -115,16 +117,16 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		// masks, leave through a bare projection.
 		"SELECT ts, narrow, device_id, mid, status FROM events",
 		"SELECT seq, latency_ms, service FROM events WHERE seq >= 0",
-		// Float sums, with NULL arguments, fold per worker; kept by the
-		// exchange until a DISTINCT aggregate, which cannot merge
-		// partials, reads them — over a join, with the build column
-		// the probe wrote into its scratch.
+		// Float sums, with NULL arguments, fold per worker; a DISTINCT
+		// aggregate, which cannot merge partials, folds serially — over
+		// a join, with the build column the probe wrote into its
+		// scratch.
 		"SELECT service, AVG(latency_ms), COUNT(*) FROM events WHERE status > 250.0 GROUP BY service",
 		"SELECT narrow, SUM(latency_ms), MIN(latency_ms) FROM events GROUP BY narrow",
 		"SELECT service, AVG(DISTINCT latency_ms), COUNT(*) FROM events WHERE status > 250.0 GROUP BY service",
 		"SELECT d.region, COUNT(DISTINCT e.narrow), SUM(e.latency_ms) FROM events e, devices d WHERE e.device_id = d.device_id GROUP BY d.region",
-		// Consumers that hold rows across pulls, serial or above the merge:
-		// a streaming LIMIT that ends mid-batch, DISTINCT's seen set.
+		// Consumers that hold rows across pulls: a streaming LIMIT that
+		// ends mid-batch, DISTINCT's seen set.
 		"SELECT seq, narrow, service FROM events WHERE narrow > 100 LIMIT 1500",
 		"SELECT DISTINCT status, narrow FROM events WHERE wide > 0",
 		// The six ask_scan shapes: Exchange over Filter, Aggregate above.
@@ -142,7 +144,8 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		"SELECT COUNT(*), MAX(ts) FROM events WHERE seq < 0",
 		"SELECT seq FROM events WHERE seq < -0.5",
 		// A filtered events side small enough, by estimate, to be the build
-		// side: the join retains all its batches before hashing them.
+		// side: the join drains all its batches into builders before
+		// hashing them.
 		"SELECT f.seq, e.status, f.ts FROM events e, events f WHERE e.seq = f.seq AND e.status > 450 AND e.narrow < 100",
 		"SELECT d.region, COUNT(*), MIN(e.mid) FROM events e, devices d WHERE e.device_id = d.device_id AND e.status > 250 GROUP BY d.region",
 	}

@@ -267,13 +267,13 @@ func TestEncodedKernelsEqualDecoded(t *testing.T) {
 							t.Fatalf("%s: hashCol row %d differs", at, i)
 						}
 					}
-					be, bd := newColbuf(store.KindInt), newColbuf(store.KindInt)
+					be, bd := colbuf{kind: store.KindInt}, colbuf{kind: store.KindInt}
 					for _, i := range idxs {
 						be.push(&enc, int(i))
 						bd.push(&dec, int(i))
 					}
 					ce, cd := be.col(), bd.col()
-					sameCol(t, at+": colbuf.push", &ce, &cd, be.len())
+					sameCol(t, at+": colbuf.push", &ce, &cd, len(idxs))
 					for _, scratch := range []*vscratch{nil, {}} {
 						b := batch()
 						b.scratch = scratch

@@ -93,12 +93,13 @@ func (c *Ctx) subquery(sub *sql.SelectStmt) ([]store.Row, int, error) {
 // Run executes a compiled plan batch-at-a-time over typed column
 // vectors and materializes the output rows, boxing each output batch
 // into one slab of cells; the rows are the caller's. A LIMIT without
-// ORDER BY stops reading its inputs early; only sorts, aggregates,
-// join inputs and exchange merges buffer. A plan rewritten by
-// Parallelize carries its worker degree, picked up here unless the
-// caller pinned ctx.Par explicitly. The run's working memory — operator scratch, scan
-// batches, join build tables — is borrowed from a process-wide pool
-// and handed back once the rows are boxed (see runArena).
+// ORDER BY stops reading its inputs early; only sorts, aggregates and
+// join builds buffer, and they buffer rows, never batches. A plan
+// rewritten by Parallelize carries its worker degree, picked up here
+// unless the caller pinned ctx.Par explicitly. The run's working
+// memory — operator scratch, scan batches, join build tables — is
+// borrowed from a process-wide pool and handed back once the rows are
+// boxed (see runArena).
 func Run(p *Plan, ctx *Ctx) ([]store.Row, error) {
 	if ctx.Par == 0 {
 		ctx.Par = p.Par

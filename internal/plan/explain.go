@@ -21,18 +21,18 @@ func (p *Plan) Explain() string {
 // node below an Exchange is annotated with the worker count driving
 // it. build marks the child a hash join hashes — its right input, the
 // one the optimizer estimated smaller — with [build]; the other child
-// streams as the probe. An aggregate that folds inside the workers of
-// the Exchange below it, one group table a worker, carries
-// [partial ×worker]; one left unmarked (with a DISTINCT aggregate call)
-// aggregates the merged stream.
+// streams as the probe. An aggregate over an Exchange folds inside its
+// workers, one group table a worker, and carries [partial ×worker].
 func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, build bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
 	if build {
 		b.WriteString(" [build]")
 	}
-	if a, ok := n.(*Aggregate); ok && a.partialOver() != nil {
-		b.WriteString(" [partial ×worker]")
+	if a, ok := n.(*Aggregate); ok {
+		if _, ok := a.In.(*Exchange); ok {
+			b.WriteString(" [partial ×worker]")
+		}
 	}
 	if par > 1 {
 		fmt.Fprintf(b, " [par=%d]", par)

@@ -42,11 +42,12 @@ const poisonBufs, poisonLen = 4, 4096
 // and null masks, one entry a column: a group table takes three header
 // buffers (its key and argument columns and two batches'), a join probe
 // two, a build two, a scan one of each. poisonBatches is as many batch
-// headers, a group table taking two. poisonSlots is how many
-// accumulators, key columns and worker contexts a poisoned structure
-// holds, and poisonRows how many garbage rows each of its vectors: a
-// structure not emptied as it is taken then numbers its first group or
-// key past them. All of it stays under the pool's cap.
+// headers, a group table taking two. poisonSlots is how many column
+// builders, accumulators, key columns and worker contexts a poisoned
+// structure holds, and poisonRows how many garbage rows each of its
+// vectors: a structure not emptied as it is taken then numbers its
+// first group, key or row past them. All of it stays under the pool's
+// cap.
 const poisonCols, poisonColsLen, poisonBatches, poisonSlots, poisonRows = 4, 16, 2, 6, 32
 
 // poisonA5 is the bit pattern poisoned ints, floats and hashes hold.
@@ -56,11 +57,12 @@ var poisonA5 uint64 = 0xA5A5A5A5A5A5A5A5
 // hands out every new vscratch with garbage in every buffer: bools
 // true, ints, floats and hashes 0xA5…, strings "☠", selections −1,
 // dictionary codes 0xFFFF, column and batch headers of the wrong kind
-// and null masks all set — and in every structure: a scan's position,
-// a build table, key sets holding keys and chains, a group table
-// holding groups and accumulators, worker contexts. A buffer read
-// before it is written, or a structure not emptied as it is taken,
-// then yields a wrong answer instead of a lucky zero.
+// and null masks all set — and in every structure: column builders
+// holding rows, a scan's position, a build table, key sets holding keys
+// and chains, a group table holding groups and accumulators, worker
+// contexts. A buffer read before it is written, or a structure not
+// emptied as it is taken, then yields a wrong answer instead of a lucky
+// zero.
 func PoisonScratchPool() (restore func()) {
 	emptyScratchPool()
 	old := scratchPool.New
@@ -114,7 +116,7 @@ func UnpoisonedTakes() []string {
 		out = append(out, unpoisoned("batches", &s.batches, poisonBatches, 1)...)
 		out = append(out, unpoisoned("masks", &s.masks, poisonCols, poisonColsLen)...)
 		table := orZero(s.table)
-		for name, n := range map[string]int{"table states": cap(table.states), "workers": cap(orZero(s.exchange).wk),
+		for name, n := range map[string]int{"builders": cap(s.bufs), "table states": cap(table.states), "workers": cap(orZero(s.exchange).wk),
 			"table keys": cap(table.groups.bufs), "set keys": cap(orZero(s.set).bufs)} {
 			if n > poisonSlots {
 				out = append(out, fmt.Sprintf("%s: %d, %d poisoned", name, n, poisonSlots))
@@ -141,10 +143,11 @@ func unpoisoned[T any](name string, p *bufPool[T], bufs, n int) []string {
 
 // PooledScratch is what DrainScratchPool found in one pooled vscratch:
 // the bytes its buffers and structures hold, how many headers, strings
-// and contexts in them still reference memory outside it, and how many
+// and contexts in them still reference memory outside it, how many
 // keys its largest key set — a Distinct's, a group table's or a
-// DISTINCT aggregate's — has room for.
-type PooledScratch struct{ Bytes, Refs, Keys int }
+// DISTINCT aggregate's — has room for, and how many rows its largest
+// column builder — a join build's or a Sort's — has room for.
+type PooledScratch struct{ Bytes, Refs, Keys, Rows int }
 
 // DrainScratchPool empties the pool and describes each vscratch it
 // held. Another P's private slot is out of its reach, so a caller that
@@ -164,14 +167,18 @@ func DrainScratchPool() []PooledScratch {
 		for _, st := range table.states[:cap(table.states)] {
 			keys = max(keys, cap(st.seen.hs))
 		}
-		held = append(held, PooledScratch{Bytes: s.bytes(), Refs: s.refs(), Keys: keys})
+		rows := 0
+		for _, cb := range s.bufs[:cap(s.bufs)] {
+			rows = max(rows, cap(cb.nulls))
+		}
+		held = append(held, PooledScratch{Bytes: s.bytes(), Refs: s.refs(), Keys: keys, Rows: rows})
 	}
 }
 
 // refs counts what anywhere in s, buffers and structures, references
-// memory outside it: column and batch headers, strings, a scan's
-// position, a build table, a group table's plan and headers and worker
-// contexts that are not zero.
+// memory outside it: column and batch headers, strings in buffers and
+// builders, a scan's position, a build table, a group table's plan and
+// headers and worker contexts that are not zero.
 func (s *vscratch) refs() int {
 	n := 0
 	for _, b := range s.cols.bufs {
@@ -182,6 +189,9 @@ func (s *vscratch) refs() int {
 	}
 	for _, b := range s.strs.bufs {
 		n += nonEmpty(b[:cap(b)])
+	}
+	for _, cb := range s.bufs[:cap(s.bufs)] {
+		n += nonEmpty(cb.strs[:cap(cb.strs)])
 	}
 	x, table := orZero(s.exchange), orZero(s.table)
 	n += nonZero([]segIter{*orZero(s.scan)}) + nonZero([]vecBuildTable{*orZero(s.build)}) + nonZero(x.wk[:cap(x.wk)])
@@ -254,6 +264,7 @@ func poisonedScratch() *vscratch {
 			masks[m] = filled(maxBatch, true)
 		}
 	}
+	s.bufs = poisonedBuilders()
 	s.scan = &segIter{m: -1, pos: -1, hi: -1, si: 7, segEnd: -1, cols: []int{-1}, out: &vbatch{n: -1}}
 	s.build = &vecBuildTable{cols: filled(3, badCol), keyTable: poisonedKeySet().keyTable}
 	set := poisonedKeySet()
@@ -298,15 +309,23 @@ func filled[T any](n int, v T) []T {
 // chained through buckets and links that point nowhere.
 func poisonedKeySet() keySet {
 	const n = poisonRows
-	s := keySet{bufs: make([]colbuf, poisonSlots)}
+	s := keySet{bufs: poisonedBuilders()}
 	s.keys = filled(poisonSlots, badCol)
 	s.hs, s.head, s.next = filled(n, poisonA5), filled(n, int32(-1)), filled(n, int32(-1))
-	for k := range s.bufs {
-		s.bufs[k] = colbuf{kind: store.KindText, ints: filled(n, int64(poisonA5)),
+	return s
+}
+
+// poisonedBuilders are poisonSlots column builders of the wrong kind,
+// each holding poisonRows garbage rows, every one NULL.
+func poisonedBuilders() []colbuf {
+	const n = poisonRows
+	bufs := make([]colbuf, poisonSlots)
+	for k := range bufs {
+		bufs[k] = colbuf{kind: store.KindText, ints: filled(n, int64(poisonA5)),
 			floats: filled(n, math.Float64frombits(poisonA5)), strs: filled(n, "☠"),
 			bools: filled(n, true), nulls: filled(n, true), anyNull: true}
 	}
-	return s
+	return bufs
 }
 
 // poisonedAggState holds poisonRows groups' garbage accumulators and

@@ -112,6 +112,34 @@ func TestOneFanOut(t *testing.T) {
 	})
 }
 
+// TestNoBatchOutlivesItsPull pins the whole ownership rule of the
+// vectorized executor — a returned batch is lent, and nobody keeps it —
+// by what went with the last batches kept: the exchange's kept morsels
+// and the join build's kept input, both through keepBatches; the copy
+// it took (a keep method on vbatch); and the mark on the columns that
+// copy had to clone (vcol.lent). None is declared or named again, here
+// or in internal/exec: a join build and a Sort push a batch's rows into
+// builders, and an exchange feeds only an aggregate folding in its
+// workers.
+func TestNoBatchOutlivesItsPull(t *testing.T) {
+	inspectPackages(t, func(_ string, pos token.Position, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if n.Name == "keepBatches" {
+				t.Errorf("%s: keepBatches is back", pos)
+			}
+		case *ast.FuncDecl:
+			if n.Recv != nil && n.Name.Name == "keep" && recvName(n.Recv) == "vbatch" {
+				t.Errorf("%s: vbatch.keep is back", pos)
+			}
+		case *ast.TypeSpec:
+			if n.Name.Name == "vcol" && slices.Contains(fieldNames(n), "lent") {
+				t.Errorf("%s: vcol.lent is back", pos)
+			}
+		}
+	})
+}
+
 // TestOneDialect pins that the planned executor compiles the SQL
 // iql.ToSQL writes and no more: neither the kernels for what it never
 // writes — AND/OR inside one expression (vlogic), arithmetic (varith),

@@ -4,17 +4,20 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sql"
 )
 
-// Exchange runs its subtree on a bounded pool of Workers goroutines.
-// Each worker claims morsels (contiguous row ranges of the leaf scan's
+// Exchange runs its subtree on a bounded pool of Workers goroutines for
+// the aggregate directly above it, which folds every morsel a worker
+// claims into one group table of that worker's (Aggregate.vopen). Each
+// worker claims morsels (contiguous row ranges of the leaf scan's
 // table) from a shared counter and opens its own copy of the subtree's
 // iterators once, on its first claim; its leaf scan reads each morsel
-// the worker claims. The output — kept batches in their morsel's slot,
-// or one group table per worker whose groups remember the morsel that
-// created them — merges in morsel order, so parallel execution is
-// row-for-row identical to the serial plan. Build sides of hash joins
-// inside the subtree are built once and shared read-only across
+// the worker claims. A group remembers the morsel that created it, so
+// the tables merge into the serial group order and parallel execution
+// is row-for-row identical to the serial plan. Build sides of hash
+// joins inside the subtree are built once and shared read-only across
 // workers (see HashJoin.vecBuild).
 type Exchange struct {
 	In      Node
@@ -26,70 +29,63 @@ func (e *Exchange) Rel() *Rel        { return e.In.Rel() }
 func (e *Exchange) Children() []Node { return []Node{e.In} }
 
 // Parallelize rewrites a compiled plan for intra-query parallelism at
-// degree par: an Exchange goes over the streaming pipeline segment (the
-// operators between the projection boundary and the leaves), splitting
-// the probe-side leftmost base scan into morsels, and the plan is marked
-// so Run sizes its worker pool. par <= 1, pipelines that fill no batch
-// (see pipelineWork), and plans whose LIMIT streams without a Sort
-// (where early exit beats parallel materialization) are returned
-// unchanged — ablation runs with Parallelism 1 therefore execute
-// exactly today's serial plans.
+// degree par: an Exchange goes directly under the aggregate, if the
+// plan has one below its Limit, Sort and Distinct and it calls no
+// DISTINCT aggregate, splitting the probe-side leftmost base scan of
+// its pipeline into morsels, and the plan is marked so Run sizes its
+// worker pool. Only such an aggregate folds inside the workers, so no
+// batch outlives its pull: row-returning plans and DISTINCT aggregates,
+// whose per-worker partials would count a value once per worker, run
+// serially at any degree, and so do pipelines that fill no batch (see
+// pipelineWork). par <= 1 returns the plan unchanged — ablation runs
+// with Parallelism 1 therefore execute exactly today's serial plans.
 func Parallelize(p *Plan, par int) *Plan {
 	if par <= 1 || p.Par > 1 {
 		return p
 	}
-
-	// Walk from the root down to the projection boundary, remembering
-	// how to splice the rewritten subtree back in.
-	var attach func(Node)
 	node := p.Root
-	attach = func(n Node) { p.Root = n }
-	hasLimit, hasSort := false, false
 walk:
 	for {
 		switch n := node.(type) {
 		case *Limit:
-			hasLimit = true
-			node, attach = n.In, func(c Node) { n.In = c }
+			node = n.In
 		case *Sort:
-			hasSort = true
-			node, attach = n.In, func(c Node) { n.In = c }
+			node = n.In
 		case *Distinct:
-			node, attach = n.In, func(c Node) { n.In = c }
+			node = n.In
 		default:
 			break walk
 		}
 	}
-
-	switch n := node.(type) {
-	case *Aggregate:
-		// The exchange goes below the aggregate (a pipeline breaker
-		// regardless of LIMIT): workers produce partial streams, or fold
-		// them into one group table each when every aggregate merges
-		// exactly (Aggregate.vopen).
-		if pipelineWork(n.In) >= maxBatch {
-			if leaf := partitionLeaf(n.In); leaf != nil {
-				n.In = &Exchange{In: n.In, Workers: par, part: leaf}
-				p.Par = par
-			}
-		}
-	case *Project:
-		if hasLimit && !hasSort {
-			// Rows stream from the scan straight to the LIMIT, which
-			// stops reading early; materializing every worker's output
-			// first would do strictly more work.
-			return p
-		}
-		// The exchange goes above the projection so item evaluation
-		// parallelizes too; output rows merge in morsel order.
-		if pipelineWork(n.In) >= maxBatch {
-			if leaf := partitionLeaf(n.In); leaf != nil {
-				attach(&Exchange{In: n, Workers: par, part: leaf})
-				p.Par = par
-			}
-		}
+	a, ok := node.(*Aggregate)
+	if !ok || callsDistinct(a) || pipelineWork(a.In) < maxBatch {
+		return p
+	}
+	if leaf := partitionLeaf(a.In); leaf != nil {
+		a.In = &Exchange{In: a.In, Workers: par, part: leaf}
+		p.Par = par
 	}
 	return p
+}
+
+// callsDistinct reports whether an item, sort key or HAVING of a calls
+// an aggregate over DISTINCT values.
+func callsDistinct(a *Aggregate) bool {
+	distinct := false
+	visit := func(e sql.Expr) bool {
+		if fc, ok := e.(*sql.FuncCall); ok && fc.Distinct {
+			distinct = true
+		}
+		return !distinct
+	}
+	for _, e := range a.Items {
+		sql.Walk(e, visit)
+	}
+	for _, e := range a.SortKeys {
+		sql.Walk(e, visit)
+	}
+	sql.Walk(a.Having, visit)
+	return distinct
 }
 
 // pipelineWork is the largest estimated operator cardinality in the
@@ -103,21 +99,22 @@ walk:
 // thousands of build rows.
 func pipelineWork(n Node) int {
 	work := 0
-	Walk(n, func(c Node) {
-		est := 0
-		switch t := c.(type) {
-		case *Scan:
-			est = t.Est
-		case *Filter:
-			est = t.Est
-		case *HashJoin:
-			est = t.Est
-		}
-		if est > work {
-			work = est
-		}
-	})
+	Walk(n, func(c Node) { work = max(work, estRows(c)) })
 	return work
+}
+
+// estRows is the optimizer's row estimate of a scan, filter or join; 0
+// for any other operator.
+func estRows(n Node) int {
+	switch t := n.(type) {
+	case *Scan:
+		return t.Est
+	case *Filter:
+		return t.Est
+	case *HashJoin:
+		return t.Est
+	}
+	return 0
 }
 
 // partitionLeaf descends the probe side of the pipeline (left children
@@ -183,9 +180,10 @@ func (r *exchangeRun) forget() {
 }
 
 // start sizes one run of the exchange. A nil run means the exchange
-// degrades to a serial passthrough of its input — ctx.Par caps the
-// plan's worker degree, so an explicit Par of 1 (the serving layer
-// shedding load) or a single-row leaf runs the subtree as it stands.
+// degrades to a serial passthrough of its input (Exchange.vopen) —
+// ctx.Par caps the plan's worker degree, so an explicit Par of 1 (the
+// serving layer shedding load) or a single-row leaf runs the subtree as
+// it stands.
 func (e *Exchange) start(ctx *Ctx) (*exchangeRun, error) {
 	workers := e.Workers
 	if ctx.Par > 0 && ctx.Par < workers {
@@ -227,8 +225,8 @@ func morselSpans(dst [][2]int, n, workers int) [][2]int {
 
 // workerSink is what worker w, running under wctx, does with morsel m:
 // in is the worker's pipeline, which yields the morsel's batches and
-// then nil. What they leave behind — kept batches (Exchange.vopen) or
-// the worker's group table (Aggregate.vopen) — is the sink's business.
+// then nil. The one sink folds them into the worker's group table
+// (Aggregate.vopen).
 type workerSink func(w int, wctx *Ctx, m int, in viter) error
 
 // run is the one worker loop. A worker claims a morsel, only then opens

@@ -116,16 +116,17 @@ func sameAnswer(got, want []store.Row, ordered bool) error {
 // hold a previous question's buffers, so the pool is poisoned — each
 // new scratch garbage in every buffer — and every shape the executor
 // has must still equal the reference executor at par 1, 2 and 4: the
-// ask_scan shapes, a kept join, Sort, Limit, Distinct, a DISTINCT
-// aggregate and a three-way join. A buffer handed out uncleared and read
-// before written — a join build's hash accumulators, an empty bucket,
-// a null mask — shows as a wrong answer. A run that takes a buffer past
-// the poisoned ones — one more of a type, or a longer one — would get
-// zeros there, so it fails the test: every take a fresh borrow makes
-// holds garbage, and a second run holds what the first left. The same
-// again after runs cancelled mid-scan, whose scratch goes back to the
-// pool half-written. Not skipped under -short: under -race it runs
-// concurrent borrowers against the pool.
+// ask_scan shapes, a join that returns its rows, Sort, Limit, Distinct,
+// a DISTINCT aggregate and a three-way join. A buffer handed out
+// uncleared and read before written — a join build's hash
+// accumulators, an empty bucket, a null mask, a column builder that a
+// join build or a Sort drains into — shows as a wrong answer. A run
+// that takes a buffer past the poisoned ones — one more of a type, or
+// a longer one — would get zeros there, so it fails the test: every
+// take a fresh borrow makes holds garbage, and a second run holds what
+// the first left. The same again after runs cancelled mid-scan, whose
+// scratch goes back to the pool half-written. Not skipped under -short:
+// under -race it runs concurrent borrowers against the pool.
 func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 	queries := poolQueries(t)
 	want := make([][]store.Row, len(queries))
@@ -206,12 +207,13 @@ func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 
 // TestOversizedScratchIsNotPooled: a run hands back only scratch within
 // the pool's cap. Over a 2^16-row table, a self-join builds a hash
-// table of 2^16 rows — hashes, buckets, chains and the key column alone
-// are 1.6 MiB — and a GROUP BY and a DISTINCT over its 2^16 distinct
-// keys grow key sets as large, the GROUP BY's accumulators on top; the
-// pool holds nothing over the cap after any of them, and no key set
-// with room for the table's keys, so the next borrow gets a fresh
-// scratch, not the big one.
+// table of 2^16 rows — hashes, buckets, chains and the key column's
+// builder alone are 1.6 MiB — a Sort drains four int columns of 2^16
+// rows into builders (2.3 MiB), and a GROUP BY and a DISTINCT over its
+// 2^16 distinct keys grow key sets as large, the GROUP BY's
+// accumulators on top; the pool holds nothing over the cap after any of
+// them, and no key set or column builder with room for the table's
+// rows, so the next borrow gets a fresh scratch, not the big one.
 func TestOversizedScratchIsNotPooled(t *testing.T) {
 	// At one P, every pooled scratch is reachable from this goroutine.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -221,6 +223,7 @@ func TestOversizedScratchIsNotPooled(t *testing.T) {
 	sn := db.Snapshot()
 	for _, q := range []string{
 		"SELECT a.event_id FROM events a, events b WHERE a.event_id = b.event_id",
+		"SELECT events.event_id, events.ts FROM events ORDER BY events.ts DESC, events.event_id",
 		"SELECT events.event_id, COUNT(*), SUM(events.status) FROM events GROUP BY events.event_id",
 		"SELECT DISTINCT events.event_id FROM events",
 	} {
@@ -243,6 +246,9 @@ func TestOversizedScratchIsNotPooled(t *testing.T) {
 			if s.Keys >= rows {
 				t.Errorf("pooled a key set with room for %d keys\nsql: %s", s.Keys, q)
 			}
+			if s.Rows >= rows {
+				t.Errorf("pooled a column builder with room for %d rows\nsql: %s", s.Rows, q)
+			}
 		}
 	}
 }
@@ -251,10 +257,13 @@ func TestOversizedScratchIsNotPooled(t *testing.T) {
 // the headers, strings and contexts its run left in it — views of
 // segment payloads and dictionaries, a group table's plan, worker
 // contexts holding the snapshot — so the pool keeps no evicted payload
-// or dropped snapshot's segments alive. The join drains the devices'
-// text columns into its build and scans events in every encoding; the
-// grouped runs key, and keep MIN and FIRST strings, on dictionary text;
-// the DISTINCTs number dictionary strings in key sets. Last, with a
+// or dropped snapshot's segments alive. The first join drains the
+// devices' text columns into its build and scans events in every
+// encoding; the second drains events' dictionary text into its build's
+// builders, and the Sort drains it into its own and gathers it through
+// its permutation; the grouped runs key, and keep MIN and FIRST
+// strings, on dictionary text; the DISTINCTs number dictionary strings
+// in key sets. Last, with a
 // run of each back in the pool, the snapshot is dropped, and one
 // collection — which leaves pooled items in the pool's victim cache,
 // still reachable — must free every column of its sealed segments.
@@ -264,6 +273,8 @@ func TestPooledScratchPinsNothing(t *testing.T) {
 	sn := poolDB(t).Snapshot()
 	stmts := []*sql.SelectStmt{
 		sql.MustParse("SELECT events.event_id, devices.region, devices.model, events.service FROM events, devices WHERE events.device_id = devices.device_id AND events.status > 400"),
+		sql.MustParse("SELECT devices.region, events.service, events.level FROM devices, events WHERE devices.device_id = events.device_id AND events.level = 'error'"),
+		sql.MustParse("SELECT events.service, events.level, events.event_id FROM events WHERE events.status > 250 ORDER BY events.service, events.level DESC"),
 		sql.MustParse("SELECT events.service, COUNT(*), MIN(events.level), devices.region FROM events, devices WHERE events.device_id = devices.device_id GROUP BY events.service"),
 		sql.MustParse("SELECT DISTINCT events.service, events.level FROM events WHERE events.status > 250"),
 		sql.MustParse("SELECT events.level, COUNT(DISTINCT events.service) FROM events GROUP BY events.level"),

@@ -54,11 +54,7 @@ const maxBatch = 1024
 // join probe that forwards its input carries it on, and it never
 // crosses the projection boundary.
 //
-// A column marked lent has data vectors that are not the batch's to
-// keep: a join probe, and Project and Distinct gathering the rows they
-// hand on, write their output columns into their own scratch, to be
-// overwritten by their next batch, and vbatch.keep copies them. A
-// column that no operator above its join reads travels as the zero
+// A column that no operator above its join reads travels as the zero
 // vcol, all-NULL, and is never written (HashJoin.live).
 type vcol struct {
 	kind    store.Kind
@@ -72,7 +68,6 @@ type vcol struct {
 	seg     *store.SegCol
 	off     int
 	isConst bool // every row holds the same value (a broadcast constant)
-	lent    bool // the data vector is its producer's scratch (see vbatch)
 }
 
 func (c *vcol) null(i int) bool { return c.nulls != nil && c.nulls[i] }
@@ -118,21 +113,20 @@ func (c *vcol) value(i int) store.Value {
 // that survived upstream filters. Expression kernels compute over all
 // physical rows (cheap, branch-free); consumers iterate the selection.
 //
-// Ownership: a returned batch is lent. It is the consumer's, header
-// included (Filter and Limit set sel on it), until the consumer pulls
-// the next one; then the producer may reuse all of it that is not
-// immutable storage (segment payloads, dictionaries, a constant's
-// broadcast): header, cols slice, null masks, selection, and the data
-// vectors of columns marked lent — what a join probe writes, build
-// columns and gathered matches, and what Project and Distinct gather,
-// lives in their scratch. An operator
-// forwarding lent parts in its own batch (Project's column refs, a join
-// probe's input columns and its match list as the selection) lends them
-// on under the same term. Whoever holds a batch longer takes keep's
-// copy; keepBatches is the one retainer. Every other consumer is done
-// with a batch by its next pull: an aggregate folds it (group keys and
-// held values are copied or immutable strings), Sort and Distinct push
-// its rows into builders of their own, and Run boxes its rows.
+// Ownership: a returned batch is lent, and nobody keeps it. It is the
+// consumer's, header included (Filter and Limit set sel on it), until
+// the consumer pulls the next one; then the producer may reuse all of
+// it that is not immutable storage (segment payloads, dictionaries, a
+// constant's broadcast): header, cols slice, null masks, selection,
+// and the data vectors a join probe writes (build columns and gathered
+// matches) and Project, Distinct and Sort gather, which live in their
+// scratch. An operator forwarding lent parts in its own batch
+// (Project's column refs, a join probe's input columns and its match
+// list as the selection) lends them on under the same term. Every
+// consumer is done with a batch by its next pull: an aggregate folds it
+// (group keys and held values are copied or immutable strings), a join
+// build, Sort and Distinct push its rows into builders of their own,
+// and Run boxes its rows.
 // Everything else an operator computes about a batch lives in scratch
 // the operator instance owns and reuses for its next batch. scratch is
 // how that reaches the expression kernels: an operator whose expression
@@ -150,25 +144,6 @@ type vbatch struct {
 	sel     []int32 // retained physical row indexes, nil = all n rows
 	scratch *vscratch
 	err     error
-}
-
-// keep returns a copy of b that stays valid after b's producer is
-// pulled again: its own header, cols slice, null masks, selection and
-// lent data vectors, over the same immutable payloads.
-func (b *vbatch) keep() *vbatch {
-	out := &vbatch{n: b.n, cols: slices.Clone(b.cols), sel: slices.Clone(b.sel)}
-	for c := range out.cols {
-		col := &out.cols[c]
-		if col.isConst {
-			continue
-		}
-		col.nulls = slices.Clone(col.nulls)
-		if col.lent {
-			col.ints, col.floats, col.strs = slices.Clone(col.ints), slices.Clone(col.floats), slices.Clone(col.strs)
-			col.bools, col.codes, col.lent = slices.Clone(col.bools), slices.Clone(col.codes), false
-		}
-	}
-	return out
 }
 
 // rows returns the number of selected rows.
@@ -229,13 +204,14 @@ func (b *vbatch) col(c int) vcol {
 // scan's null masks. reset leaves them alone.
 //
 // Structures the operator builds over the run, kept for the capacity
-// their vectors grew to: a scan's position (scan), a hash join's build
-// table (build, its vectors in the per-batch buffers, which the build's
-// scratch never resets), a Distinct's key set (set), an aggregate's
-// group table with its key set and accumulators (table), and an
-// exchange's morsels and worker contexts (exchange). An operator uses
-// one of them, made the first time the scratch serves such an operator
-// (own), so a scratch pays only for the ones it has served.
+// their vectors grew to: the column builders a join build or a Sort
+// drains its input into (bufs), a scan's position (scan), a hash join's
+// build table (build, its hashes and chains in the per-batch buffers,
+// which the build's scratch never resets), a Distinct's key set (set),
+// an aggregate's group table with its key set and accumulators (table),
+// and an exchange's morsels and worker contexts (exchange). An operator
+// uses one of them, made the first time the scratch serves such an
+// operator (own), so a scratch pays only for the ones it has served.
 type vscratch struct {
 	bools  bufPool[bool]
 	ints   bufPool[int64]
@@ -249,6 +225,7 @@ type vscratch struct {
 	batches bufPool[vbatch]
 	masks   bufPool[[]bool]
 
+	bufs     []colbuf
 	scan     *segIter
 	build    *vecBuildTable
 	set      *keySet
@@ -278,6 +255,9 @@ func (s *vscratch) bytes() int {
 		16*s.strs.elems() + 4*s.sels.elems() + 2*s.codes.elems() +
 		vcolBytes*s.cols.elems() + vbatchBytes*s.batches.elems() +
 		s.set.bytes() + s.table.bytes() + s.exchange.bytes()
+	for _, cb := range s.bufs[:cap(s.bufs)] {
+		n += cb.bytes()
+	}
 	for _, ms := range s.masks.bufs {
 		for _, m := range ms[:cap(ms)] {
 			n += cap(m)
@@ -311,12 +291,11 @@ var scratchPool = sync.Pool{New: func() any { return new(vscratch) }}
 
 // runArena is the working memory one Run has borrowed from
 // scratchPool, handed back all at once by release: everything the run
-// allocates but its compiled programs, its goroutines, the rows it
-// returns and the heap copies Sort and keepBatches make. Every
-// operator instance borrows its vscratch as it opens — an exchange
-// worker opens its pipeline once, for all the morsels it claims — and
-// the workers borrow concurrently, hence the mutex. first holds a
-// typical run's borrows without growing held.
+// allocates but its compiled programs, its goroutines and the rows it
+// returns. Every operator instance borrows its vscratch as it opens —
+// an exchange worker opens its pipeline once, for all the morsels it
+// claims — and the workers borrow concurrently, hence the mutex. first
+// holds a typical run's borrows without growing held.
 type runArena struct {
 	mu    sync.Mutex
 	held  []*vscratch
@@ -361,10 +340,10 @@ func (a *runArena) release() {
 }
 
 // forget resets s and drops what it references outside itself — column
-// and batch headers view segment payloads and dictionaries, strings may
-// be a dictionary's, a group table holds its compiled plan and an
-// exchange its run's and workers' contexts — so a pooled scratch pins
-// no dropped snapshot's segments.
+// and batch headers view segment payloads and dictionaries, strings,
+// in buffers and builders, may be a dictionary's, a group table holds
+// its compiled plan and an exchange its run's and workers' contexts —
+// so a pooled scratch pins no dropped snapshot's segments.
 func (s *vscratch) forget() {
 	s.reset()
 	s.cols.used, s.batches.used, s.masks.used = 0, 0, 0
@@ -376,6 +355,9 @@ func (s *vscratch) forget() {
 	}
 	for _, b := range s.strs.bufs {
 		clear(b[:cap(b)])
+	}
+	for _, cb := range s.bufs[:cap(s.bufs)] {
+		clear(cb.strs[:cap(cb.strs)])
 	}
 	if s.scan != nil {
 		*s.scan = segIter{}
@@ -1644,7 +1626,7 @@ func (s *keySet) bytes() int {
 	}
 	n := 8*cap(s.hs) + 4*(cap(s.next)+cap(s.head)) + vcolBytes*cap(s.keys)
 	for _, cb := range s.bufs[:cap(s.bufs)] {
-		n += 8*(cap(cb.ints)+cap(cb.floats)) + 16*cap(cb.strs) + cap(cb.bools) + cap(cb.nulls)
+		n += cb.bytes()
 	}
 	return n
 }
@@ -1664,7 +1646,8 @@ func (s *keySet) forget() {
 // ---- column builders ----
 
 // colbuf accumulates rows into a growing typed column — the builder
-// behind join builds, keySets and sort buffers.
+// behind join builds, keySets and sort buffers, each kept in a scratch
+// for the capacity its vectors grew to.
 type colbuf struct {
 	kind    store.Kind
 	ints    []int64
@@ -1675,8 +1658,6 @@ type colbuf struct {
 	anyNull bool
 }
 
-func newColbuf(kind store.Kind) *colbuf { return &colbuf{kind: kind} }
-
 // reset empties the builder for a column of kind, keeping its vectors'
 // capacity; push overwrites what they held.
 func (cb *colbuf) reset(kind store.Kind) {
@@ -1684,23 +1665,24 @@ func (cb *colbuf) reset(kind store.Kind) {
 		bools: cb.bools[:0], nulls: cb.nulls[:0]}
 }
 
-func (cb *colbuf) len() int { return len(cb.nulls) }
-
-// reserve gives an empty builder room for n rows in sc's buffers, so a
-// builder that knows its length takes each vector once; push
-// overwrites whatever they held.
-func (cb *colbuf) reserve(sc *vscratch, n int) {
-	cb.nulls = sc.bools.take(n)[:0]
+// grow gives the builder room for n more rows of its kind.
+func (cb *colbuf) grow(n int) {
+	cb.nulls = slices.Grow(cb.nulls, n)
 	switch cb.kind {
 	case store.KindInt:
-		cb.ints = sc.ints.take(n)[:0]
+		cb.ints = slices.Grow(cb.ints, n)
 	case store.KindFloat:
-		cb.floats = sc.floats.take(n)[:0]
+		cb.floats = slices.Grow(cb.floats, n)
 	case store.KindText:
-		cb.strs = sc.strs.take(n)[:0]
+		cb.strs = slices.Grow(cb.strs, n)
 	case store.KindBool:
-		cb.bools = sc.bools.take(n)[:0]
+		cb.bools = slices.Grow(cb.bools, n)
 	}
+}
+
+// bytes is what the builder's vectors hold.
+func (cb *colbuf) bytes() int {
+	return 8*(cap(cb.ints)+cap(cb.floats)) + 16*cap(cb.strs) + cap(cb.bools) + cap(cb.nulls)
 }
 
 // push appends value i of src.
@@ -1774,10 +1756,10 @@ func gatherCol(src *vcol, idxs []int32) vcol { return scatterCol(src, len(idxs),
 // shares the dictionary, so strings are only built when a consumer
 // finally asks. An encoded int column decodes only the rows it gathers;
 // only drained columns, never encoded, scatter. With sc the column is
-// written into the operator's scratch and marked lent (see vbatch); a
-// nil sc allocates.
+// written into the operator's scratch, lent with the batch (see
+// vbatch); a nil sc allocates.
 func scatterCol(src *vcol, n int, di, si []int32, sc *vscratch) vcol {
-	out := vcol{kind: src.kind, lent: sc != nil}
+	out := vcol{kind: src.kind}
 	if src.nulls != nil {
 		nulls := sc.boolBuf(n)
 		moveVals(nulls, di, src.nulls, si)

@@ -256,38 +256,52 @@ func (f *Filter) vopen(ctx *Ctx) (viter, error) {
 
 // ---- joins ----
 
-// drainCols materializes an opened input over rel into columns,
-// returning them with the row count: the build side of a hash join.
-// need marks the columns anything reads (nil: all); the rest stay
-// all-NULL. The columns, headers included, are written into sc, which
-// must outlive them. It keeps the input's batches first and counts
-// them, so every column's builder is sized once and never grows by
-// appending. Until the copy is made the kept batches also hold what
-// keep copied of their lent columns — a join's output columns — so a
-// side that is itself a join is briefly in memory twice; a scan's
-// batches are views of segment storage and cost only their headers and
-// null masks.
-func drainCols(in viter, rel *Rel, need []bool, sc *vscratch) ([]vcol, int, error) {
-	bs, err := keepBatches(in)
-	if err != nil {
-		return nil, 0, err
+// drain pulls in up to its nil and pushes the selected rows of each
+// batch into builders, one a column, that sc keeps for their capacity
+// (vscratch.bufs), so no batch outlives its pull: the build side of a
+// hash join and a Sort's input. kinds are the columns' kinds, nil for
+// the first batch's; need marks the columns anything reads (nil: all),
+// and the rest stay the zero column, all-NULL. Builders of known kinds
+// first get room for est rows, the input's estimate, so a build the
+// optimizer sized right grows its vectors once. It returns the
+// columns, over the builders' vectors, headers in sc, and the row
+// count.
+func drain(in viter, kinds []store.Kind, need []bool, est int, sc *vscratch) ([]vcol, int, error) {
+	sc.bufs = resize(sc.bufs, len(kinds))
+	for c, k := range kinds {
+		sc.bufs[c].reset(k)
+		if need == nil || need[c] {
+			sc.bufs[c].grow(est)
+		}
 	}
 	rows := 0
-	for _, b := range bs {
+	for {
+		b, err := in()
+		if err != nil {
+			return nil, 0, err
+		}
+		if b == nil {
+			break
+		}
+		if kinds == nil && rows == 0 {
+			sc.bufs = resize(sc.bufs, len(b.cols))
+			for c := range b.cols {
+				sc.bufs[c].reset(b.cols[c].kind)
+			}
+		}
+		for c := range sc.bufs {
+			if need == nil || need[c] {
+				cb := &sc.bufs[c]
+				b.forSel(func(i int) { cb.push(&b.cols[c], i) })
+			}
+		}
 		rows += b.rows()
 	}
-	kinds := relKinds(rel)
-	cols := sc.hdrs(len(kinds))
-	for c, k := range kinds {
-		if need != nil && !need[c] {
-			continue
+	cols := sc.hdrs(len(sc.bufs))
+	for c := range cols {
+		if need == nil || need[c] {
+			cols[c] = sc.bufs[c].col()
 		}
-		cb := newColbuf(k)
-		cb.reserve(sc, rows)
-		for _, b := range bs {
-			b.forSel(func(i int) { cb.push(&b.cols[c], i) })
-		}
-		cols[c] = cb.col()
 	}
 	return cols, rows, nil
 }
@@ -315,9 +329,9 @@ func (j *HashJoin) vecBuild(ctx *Ctx) (*vecBuildTable, error) {
 	return e.build, e.err
 }
 
-// vecBuildLocal drains the right input, hashes its keys once, and
-// chains the rows into a table sized to them, all of it in one
-// scratch.
+// vecBuildLocal drains the right input into builders, hashes its keys
+// once, and chains the rows into a table sized to them, all of it in
+// one scratch.
 func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	lw := j.L.Rel().Width
 	var need []bool
@@ -332,7 +346,7 @@ func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 		return nil, err
 	}
 	sc := ctx.arena.borrow()
-	cols, n, err := drainCols(in, j.R.Rel(), need, sc)
+	cols, n, err := drain(in, relKinds(j.R.Rel()), need, estRows(j.R), sc)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +502,7 @@ func (j *HashJoin) vopen(ctx *Ctx) (viter, error) {
 
 // vopen evaluates the items over each input batch. Over a selection it
 // gathers the selected rows into its scratch, lent with the batch (see
-// vbatch): the consumer that boxes or keeps them makes the one copy.
+// vbatch): the consumer that boxes or builds them makes the one copy.
 func (p *Project) vopen(ctx *Ctx) (viter, error) {
 	in, err := p.In.vopen(ctx)
 	if err != nil {
@@ -904,7 +918,8 @@ func (slot *vecAggSlot) set(st *aggState, gid int, arg *vcol, i int) {
 // holds the group's first row, and its FIRST stands; counts and sums
 // add, and of two float leads or two equal float bests the one from the
 // earlier morsel stands. A DISTINCT slot's partials would count a value
-// once per worker; such slots never merge (partialOver).
+// once per worker; such slots never merge (Parallelize places no
+// exchange under them).
 func (slot *vecAggSlot) merge(st *aggState, gid int, src *aggState, sg int) {
 	switch slot.fn {
 	case "COUNT":
@@ -1040,37 +1055,6 @@ func allNullCol(n int) vcol {
 		nulls[i] = true
 	}
 	return vcol{kind: store.KindNull, nulls: nulls}
-}
-
-// partialOver returns the Exchange whose workers a folds inside — the
-// one directly below it — or nil when a aggregates its input's merged
-// stream: when it has no exchange below, or a DISTINCT aggregate call,
-// whose per-worker partials would count a value once per worker. Every
-// other slot merges exactly (vecAggSlot.merge). vopen and Explain both
-// ask here.
-func (a *Aggregate) partialOver() *Exchange {
-	x, ok := a.In.(*Exchange)
-	if !ok {
-		return nil
-	}
-	distinct := false
-	visit := func(e sql.Expr) bool {
-		if fc, ok := e.(*sql.FuncCall); ok && fc.Distinct {
-			distinct = true
-		}
-		return !distinct
-	}
-	for _, e := range a.Items {
-		sql.Walk(e, visit)
-	}
-	for _, e := range a.SortKeys {
-		sql.Walk(e, visit)
-	}
-	sql.Walk(a.Having, visit)
-	if distinct {
-		return nil
-	}
-	return x
 }
 
 // groupTable is the accumulate half of a vectorized aggregate: the
@@ -1228,15 +1212,15 @@ func (t *groupTable) merge(srcs []*groupTable) {
 	}
 }
 
-// vopen folds the input into a group table and finishes it. Directly
-// above an Exchange, an aggregate without a DISTINCT slot folds where
-// the rows are: each worker folds every morsel it claims into one table
-// of its own — no batch outlives its pull, so a question's bytes follow
-// the groups it returns, not the rows it scans — and the tables merge
-// into the serial group order (groupTable.merge).
+// vopen folds the input into a group table and finishes it. Over an
+// Exchange it folds where the rows are: each worker folds every morsel
+// it claims into one table of its own — no batch outlives its pull, so
+// a question's bytes follow the groups it returns, not the rows it
+// scans — and the tables merge into the serial group order
+// (groupTable.merge).
 func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 	var r *exchangeRun
-	if x := a.partialOver(); x != nil {
+	if x, ok := a.In.(*Exchange); ok {
 		var err error
 		if r, err = x.start(ctx); err != nil {
 			return nil, err
@@ -1453,41 +1437,23 @@ func vcolCompare(a *vcol, i int, b *vcol, j int) int {
 	return 0
 }
 
+// vopen drains the input into builders in its scratch (drain), orders
+// a permutation of their rows, stably, by the sort keys, and gathers
+// the first Keep columns through it into its scratch, lent as one batch.
 func (s *Sort) vopen(ctx *Ctx) (viter, error) {
 	in, err := s.In.vopen(ctx)
 	if err != nil {
 		return nil, err
 	}
-	var bufs []*colbuf
-	for {
-		b, err := in()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if bufs == nil {
-			bufs = make([]*colbuf, len(b.cols))
-			for c := range b.cols {
-				bufs[c] = newColbuf(b.cols[c].kind)
-			}
-		}
-		b.forSel(func(i int) {
-			for c := range bufs {
-				bufs[c].push(&b.cols[c], i)
-			}
-		})
+	sc := ctx.arena.borrow()
+	cols, total, err := drain(in, nil, nil, 0, sc)
+	if err != nil {
+		return nil, err
 	}
-	if bufs == nil || bufs[0].len() == 0 {
+	if total == 0 {
 		return func() (*vbatch, error) { return nil, nil }, nil
 	}
-	cols := make([]vcol, len(bufs))
-	for c := range bufs {
-		cols[c] = bufs[c].col()
-	}
-	total := bufs[0].len()
-	perm := make([]int32, total)
+	perm := sc.sels.take(total)
 	for i := range perm {
 		perm[i] = int32(i)
 	}
@@ -1507,9 +1473,10 @@ func (s *Sort) vopen(ctx *Ctx) (viter, error) {
 		}
 		return false
 	})
-	out := &vbatch{n: total, cols: make([]vcol, keep)}
-	for c := 0; c < keep; c++ {
-		out.cols[c] = gatherCol(&cols[c], perm)
+	out := sc.batch(keep)
+	out.n = total
+	for c := range keep {
+		out.cols[c] = scatterCol(&cols[c], total, nil, perm, sc)
 	}
 	done := false
 	return func() (*vbatch, error) {
@@ -1562,51 +1529,7 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 
 // ---- exchange ----
 
-// vopen runs the exchange's subtree in its workers for a consumer that
-// wants the batches themselves: each kept in the slot of the morsel it
-// came from, and the merged stream concatenates the slots in morsel
-// order — identical rows to the serial plan. An aggregate that merges
-// exactly folds inside the workers instead (Aggregate.vopen).
-func (e *Exchange) vopen(ctx *Ctx) (viter, error) {
-	r, err := e.start(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if r == nil {
-		return e.In.vopen(ctx)
-	}
-	outs := make([][]*vbatch, len(r.spans))
-	err = r.run(func(_ int, _ *Ctx, m int, in viter) (err error) {
-		outs[m], err = keepBatches(in)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return func() (*vbatch, error) {
-		for len(outs) > 0 && len(outs[0]) == 0 {
-			outs = outs[1:]
-		}
-		if len(outs) == 0 {
-			return nil, nil
-		}
-		b := outs[0][0]
-		outs[0] = outs[0][1:]
-		return b, nil
-	}, nil
-}
-
-// keepBatches drains in, up to its nil, into batches that outlive it —
-// an exchange worker's morsel, or a join input until drainCols has
-// copied it: the one place that holds a batch past the next pull, so
-// the one that copies what the batch was lent (see vbatch).
-func keepBatches(in viter) ([]*vbatch, error) {
-	var kept []*vbatch
-	for {
-		b, err := in()
-		if err != nil || b == nil {
-			return kept, err
-		}
-		kept = append(kept, b.keep())
-	}
-}
+// vopen runs the exchange's subtree serially, as it stands: the
+// aggregate above folds inside the workers (Aggregate.vopen) and opens
+// its input here only when the exchange degrades (exchangeRun.start).
+func (e *Exchange) vopen(ctx *Ctx) (viter, error) { return e.In.vopen(ctx) }
