@@ -23,7 +23,7 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 	db := dataset.University(4)
 	queries := []struct {
 		name, query string
-		parallel    bool // an aggregate heavy enough that the rewrite must insert an exchange
+		parallel    bool // an aggregate heavy enough that the rewrite must give it workers
 	}{
 		// It returns rows, so it runs serially at any degree.
 		{"join4", "SELECT s.name, c.title FROM students s, enrollments e, courses c, departments d " +
@@ -37,7 +37,7 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 			"WHERE s.dept_id = d.dept_id AND s.id = 7", false},
 	}
 	// The parallel worker degree: hardware width, but at least 4 so the
-	// exchange machinery is exercised (and regressions fail loudly)
+	// worker machinery is exercised (and regressions fail loudly)
 	// even on small CI boxes.
 	par := runtime.GOMAXPROCS(0)
 	if par < 4 {
@@ -60,8 +60,8 @@ func BenchmarkF5JoinHeavy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if got := p.OperatorCounts()["exchange"] > 0; got != q.parallel {
-				b.Fatalf("%s: exchange operator present=%v, want %v", q.name, got, q.parallel)
+			if got := p.Par > 1; got != q.parallel {
+				b.Fatalf("%s: fans out over workers=%v, want %v", q.name, got, q.parallel)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -33,8 +33,8 @@ type Options struct {
 	Weights      interp.Weights
 	SpellMaxDist int // maximum edit distance for correction; 0 disables
 
-	// Parallelism is the worker degree query execution runs at: plans
-	// get an exchange operator driving that many morsel workers.
+	// Parallelism is the worker degree query execution runs at: a
+	// plan's aggregate gets that many morsel workers.
 	// 0 resolves to runtime.GOMAXPROCS(0); 1 reproduces the serial
 	// plans exactly (the ablation setting).
 	Parallelism int
@@ -386,9 +386,9 @@ func (e *Engine) ask(ctx context.Context, question string, prev *iql.Query, exec
 // runs it on that same snapshot and verbalizes the result into ans,
 // filling the plan/bind/execute timings. Plans are always compiled and
 // cached at the engine's full Parallelism; execPar > 0 caps the degree
-// at run time only (Exchange degrades to a serial passthrough at cap
-// 1), so a load-shed ask reuses the cached parallel plan without
-// recompiling and the template cache never forks per degree.
+// at run time only (a parallel aggregate folds serially at cap 1), so
+// a load-shed ask reuses the cached parallel plan without recompiling
+// and the template cache never forks per degree.
 func (e *Engine) execute(ctx context.Context, ans *Answer, sn *store.Snapshot, execPar int) error {
 	stmt, tm := ans.SQL, &ans.Timings
 	p, params, err := e.planFor(ans, sn)

@@ -13,7 +13,7 @@ import (
 const TelemetryDevices = 4096
 
 // TelemetrySchema is the two-table telemetry schema the ask_scan
-// workload and the exchange join tests read: the Events log joined to
+// workload and the parallel join tests read: the Events log joined to
 // a device dimension through a foreign key on device_id.
 func TelemetrySchema() *schema.Schema {
 	return schema.MustNew("telemetry", []*schema.Table{

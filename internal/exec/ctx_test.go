@@ -14,7 +14,7 @@ import (
 
 // heavyStmt is a join+aggregate over the scaled university data —
 // enough work per ask that an in-flight cancellation lands mid-scan,
-// and wide enough to parallelize (exchange workers actually spawn).
+// and wide enough to parallelize (aggregate workers actually spawn).
 const heavyStmt = `SELECT d.name, AVG(s.gpa) FROM students s, departments d
 	WHERE s.dept_id = d.dept_id AND s.gpa > 1.0 GROUP BY d.name ORDER BY d.name`
 
@@ -110,7 +110,7 @@ func TestRunBoundAtCtxArmsCancellation(t *testing.T) {
 }
 
 // TestRunAtCtxCancelMidFlight: cancelling an in-flight parallel query
-// returns promptly with the context's cause and leaks no exchange
+// returns promptly with the context's cause and leaks no aggregate
 // workers — the goroutine count settles back to its pre-run level.
 func TestRunAtCtxCancelMidFlight(t *testing.T) {
 	db := dataset.University(8)
@@ -147,7 +147,7 @@ func TestRunAtCtxCancelMidFlight(t *testing.T) {
 		cancel(nil)
 	}
 
-	// Exchange workers are joined before open returns, so any growth
+	// Aggregate workers are joined before open returns, so any growth
 	// here is a leak. Allow the runtime a moment to retire exiting
 	// goroutines.
 	deadline := time.Now().Add(2 * time.Second)

@@ -59,8 +59,8 @@ func TestOneDialect(t *testing.T) {
 // plannedUnsupported fails unless the planned executor declines stmt
 // with ErrUnsupported at every degree of pars, both ways a statement
 // reaches it: compiled and run, and parameterized, prepared
-// (PrepareTemplateAt), bound and run. A panic fails it too — one in an
-// exchange worker takes the test binary down.
+// (PrepareTemplateAt), bound and run. A panic fails it too — one in a
+// worker takes the test binary down.
 func plannedUnsupported(t *testing.T, sn *store.Snapshot, stmt *sql.SelectStmt, pars ...int) {
 	t.Helper()
 	tmpl, params := sql.Parameterize(stmt)

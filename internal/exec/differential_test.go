@@ -260,7 +260,7 @@ func TestNullLiteralComparisons(t *testing.T) {
 // now that no table has an index: key equalities and ranges are plain
 // scan filters, over 64-row segments so zone maps skip most of each
 // table, serially and at four workers. At scale 10, where every input
-// fills more than a batch and so runs under an exchange, it adds a
+// fills more than a batch and so runs in an aggregate's workers, it adds a
 // scan-filter-aggregate, a 4-table filtered join, an aggregate over a
 // 3-table join and a DISTINCT projection compared in its ORDER BY.
 func TestDifferentialScaled(t *testing.T) {

@@ -60,8 +60,8 @@ type RunOpts struct {
 	// Par, when > 0, caps the execution-time parallel degree below the
 	// plan's compiled degree; 0 runs at the compiled degree. The serving
 	// layer uses 1 to shed a cached parallel plan to serial execution
-	// under load without recompiling it — Exchange degrades to a
-	// passthrough when its worker cap is 1, rows stay identical.
+	// under load without recompiling it — a parallel aggregate folds
+	// serially when its worker cap is 1, rows stay identical.
 	Par int
 
 	// SegC, when set, accumulates segments decoded vs skipped by zone
@@ -76,7 +76,7 @@ type RunOpts struct {
 // in-flight query sees; to make plan-time choices (estimates, the
 // skip counts Explain reports) and run-time data agree exactly, pass
 // the snapshot the plan was compiled on. The run observes ctx cancellation at batch
-// granularity (leaf scans, materialize loops, exchange morsel claims)
+// granularity (leaf scans, materialize loops, workers' morsel claims)
 // and returns context.Cause(ctx) promptly instead of finishing work
 // nobody is waiting for; see arm for what a background context costs
 // (nothing).
@@ -124,7 +124,7 @@ func RunBoundCountedAtCtx(ctx context.Context, sn *store.Snapshot, p *plan.Plan,
 //     returns iterators unchanged when Done is nil;
 //   - any context with a Done channel — cancelable, deadline-bearing,
 //     or derived from one — always arms the run, so every iterator
-//     checkpoint and exchange morsel claim observes it.
+//     checkpoint and worker's morsel claim observes it.
 //
 // The signal is the Done channel and a context.Cause callback, not a
 // stored context (the ctxfirst rule): contexts flow through call

@@ -61,7 +61,7 @@ func (s *floatSum) value() float64 {
 // exact sum rounded once — AVG that sum divided by the count — grouped
 // and not, in the reference executor and at parallelism 1, 2 and 4,
 // where the sum folds per worker and the partials merge. The tables
-// fill more than one batch, so the plan gets an exchange, and are cut
+// fill more than one batch, so the aggregate gets workers, and are cut
 // into 8-row segments, so morsels are many and short.
 func TestFloatSumExactProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(11))

@@ -44,7 +44,7 @@ var rowPathFloats = []store.Value{
 }
 
 // rowPathDB builds t (1,200 rows over 64-row segments, more than one
-// batch, so its pipelines run under an exchange) and u (40 rows,
+// batch, so its aggregates fold in workers) and u (40 rows,
 // NULL keys, LIKE patterns in w and keys shared with t) under one
 // layout.
 func rowPathDB(t *testing.T, l rowPathLayout) *store.DB {

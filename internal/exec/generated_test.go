@@ -3,6 +3,7 @@ package exec_test
 import (
 	"encoding/binary"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -37,8 +38,8 @@ func TestGeneratedDialect(t *testing.T) {
 	}
 	forms := []string{"SELECT DISTINCT", " GROUP BY ", " HAVING ", " ORDER BY ", " LIMIT ", "(SELECT ",
 		" IN (", " LIKE ", " BETWEEN ", "NOT ", "<>", "COUNT(DISTINCT ", "COUNT(*)", "SUM(", "AVG(", "MIN(", "MAX("}
-	for d, tg := range genTargets(t) {
-		t.Run(dataset.Names()[d], func(t *testing.T) {
+	for _, tg := range genTargets(t) {
+		t.Run(tg.name, func(t *testing.T) {
 			loaded, resealed, gen := tg.loaded, tg.resealed, tg.gen
 			r := rand.New(rand.NewSource(28))
 			seen := map[string]int{}
@@ -88,24 +89,46 @@ func generatedStmt(q *iql.Query, s *schema.Schema) (*sql.SelectStmt, error) {
 	return stmt, nil
 }
 
-// genTarget is one bundled database at scale 1, as loaded and resealed
-// into 100-row segments, with a Generator over it: what
-// TestGeneratedDialect draws from and runs over.
+// genTarget is one database, as loaded and resealed into 100-row
+// segments, with a Generator over it: what TestGeneratedDialect draws
+// from and runs over.
 type genTarget struct {
+	name             string
 	loaded, resealed *store.Snapshot
 	gen              *bench.Generator
 }
 
+// genTargets is every bundled database at scale 1 and the library
+// under testdata/library, a schema no part of the engine was written
+// for, loaded from its DDL and CSVs the way OpenDir loads a user's: a
+// many-to-many table (book_authors), a foreign-key chain (loans →
+// books → publishers) and a NULL-able column (loans.fine).
 func genTargets(t testing.TB) []genTarget {
-	var out []genTarget
+	var dbs []*store.DB
 	for _, name := range dataset.Names() {
 		db, err := dataset.ByName(name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
+		dbs = append(dbs, db)
+	}
+	src, err := os.ReadFile("testdata/library/schema.sql")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := sql.ParseSchema("library", string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := store.NewDB(s)
+	if err := lib.LoadCSVDir("testdata/library"); err != nil {
+		t.Fatal(err)
+	}
+	var out []genTarget
+	for _, db := range append(dbs, lib) {
 		loaded := db.Snapshot()
 		setSegmentRows(db, 100)
-		out = append(out, genTarget{loaded, db.Snapshot(), bench.NewGenerator(loaded)})
+		out = append(out, genTarget{db.Schema.Name, loaded, db.Snapshot(), bench.NewGenerator(loaded)})
 	}
 	return out
 }
@@ -180,36 +203,35 @@ func FuzzIQL(f *testing.F) {
 	})
 }
 
-// TestExchangeFeedsOnlyFoldingAggregate pins where Parallelize puts an
-// exchange: directly under an aggregate with no DISTINCT call, which
-// folds inside its workers, and nowhere else — so no batch outlives its
-// pull. Every plan of the gold corpus (university and sales at scales
-// 1, 4 and 10, geo at its one scale) and of TestGeneratedDialect's
-// generated corpus, compiled at degree 4, must hold no other exchange,
-// and the corpus must hold at least one.
+// TestExchangeFeedsOnlyFoldingAggregate pins where Parallelize puts
+// workers: on an aggregate with no DISTINCT call, which folds inside
+// them, and nowhere else — so no batch outlives its pull. Every plan of
+// the gold corpus (university and sales at scales 1, 4 and 10, geo at
+// its one scale) and of TestGeneratedDialect's generated corpus,
+// compiled at degree 4, must give workers to no aggregate that calls
+// DISTINCT, and fan out (Plan.Par > 1) exactly when one aggregate has
+// workers; the corpus must hold at least one such plan.
 func TestExchangeFeedsOnlyFoldingAggregate(t *testing.T) {
-	exchanges := 0
+	fanned := 0
 	check := func(sn *store.Snapshot, stmt *sql.SelectStmt) {
 		t.Helper()
 		p, err := exec.Compile(sn, stmt, 4)
 		if err != nil {
 			t.Fatalf("%v\nsql: %s", err, stmt)
 		}
-		all, folding := 0, 0
+		folding := 0
 		plan.Walk(p.Root, func(n plan.Node) {
-			switch n := n.(type) {
-			case *plan.Exchange:
-				all++
-			case *plan.Aggregate:
-				if _, ok := n.In.(*plan.Exchange); ok && !callsDistinct(n) {
-					folding++
+			if a, ok := n.(*plan.Aggregate); ok && a.Workers > 1 {
+				folding++
+				if callsDistinct(a) {
+					t.Errorf("an aggregate that calls DISTINCT has workers:\n%s\nsql: %s", p.Explain(), stmt)
 				}
 			}
 		})
-		if all != folding {
-			t.Errorf("%d exchanges, %d of them under an aggregate that folds:\n%s\nsql: %s", all, folding, p.Explain(), stmt)
+		if folding > 1 || (p.Par > 1) != (folding == 1) {
+			t.Errorf("Par %d, %d aggregates with workers:\n%s\nsql: %s", p.Par, folding, p.Explain(), stmt)
 		}
-		exchanges += all
+		fanned += folding
 	}
 	for _, name := range dataset.Names() {
 		scales := []int{1}
@@ -247,8 +269,8 @@ func TestExchangeFeedsOnlyFoldingAggregate(t *testing.T) {
 			check(sn, stmt)
 		}
 	}
-	if exchanges == 0 {
-		t.Fatal("no plan got an exchange; the pin is vacuous")
+	if fanned == 0 {
+		t.Fatal("no plan fans out; the pin is vacuous")
 	}
 }
 

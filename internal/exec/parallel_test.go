@@ -17,11 +17,11 @@ import (
 // serial group order) and the reference as a bag (join reordering may
 // permute rows). University runs at scale 10 (1,200 students) and
 // sales at scale 3 (about 1,300 order items), so their largest tables
-// fill more than one batch and the aggregates over them fold inside an
-// exchange's workers; row-returning questions and DISTINCT aggregates
-// run serially at every degree and must still match.
+// fill more than one batch and the aggregates over them fold inside
+// their workers; row-returning questions and DISTINCT aggregates run
+// serially at every degree and must still match.
 func TestParallelDifferentialCorpus(t *testing.T) {
-	exchanges := 0
+	fanned := 0
 	for _, domain := range dataset.Names() {
 		scale := 1
 		switch domain {
@@ -31,19 +31,21 @@ func TestParallelDifferentialCorpus(t *testing.T) {
 			scale = 3
 		}
 		for _, r := range corpusDifferential(t, domain, scale, 0, diffOpts{pars: []int{1, 2, 4, 8}}) {
-			exchanges += r.plan.OperatorCounts()["exchange"]
+			if r.plan.Par > 1 {
+				fanned++
+			}
 		}
 	}
-	if exchanges == 0 {
-		t.Fatal("no plan in the corpus got an exchange operator; the parallel path was never exercised")
+	if fanned == 0 {
+		t.Fatal("no plan in the corpus fans out over workers; the parallel path was never exercised")
 	}
 }
 
 // TestParallelJoinHeavyRowForRow pins BenchmarkF5JoinHeavy's join
 // queries and a grouped AVG to exact serial equality at every worker
-// degree, over 1,200 students: the two aggregates fold inside an
-// exchange's workers, and the four-table join, which returns rows,
-// runs serially at every degree.
+// degree, over 1,200 students: the two aggregates fold inside their
+// workers, and the four-table join, which returns rows, runs serially
+// at every degree.
 func TestParallelJoinHeavyRowForRow(t *testing.T) {
 	sn := dataset.University(10).Snapshot()
 	for _, q := range []string{
@@ -59,9 +61,10 @@ func TestParallelJoinHeavyRowForRow(t *testing.T) {
 	}
 }
 
-// TestParallelExplain checks the plan rewrite is visible: the exchange
-// operator names its worker degree and the scan it splits, and every
-// node below it is annotated with its degree of parallelism.
+// TestParallelExplain checks the plan rewrite is visible: the aggregate
+// that folds inside its workers names their count and the scan they
+// split, and every node below it is annotated with its degree of
+// parallelism.
 func TestParallelExplain(t *testing.T) {
 	db := dataset.University(4)
 	stmt := sql.MustParse("SELECT d.name, COUNT(*) FROM students s, enrollments e, departments d " +
@@ -74,53 +77,49 @@ func TestParallelExplain(t *testing.T) {
 		t.Fatalf("plan.Par = %d, want 4", p.Par)
 	}
 	out := p.Explain()
-	if !strings.Contains(out, "exchange workers=4") {
-		t.Errorf("Explain misses the exchange operator:\n%s", out)
+	// A COUNT folds inside its workers and says so on its own line, and
+	// so does an AVG, whose exact sums merge; a DISTINCT aggregate gets
+	// no workers and carries no mark.
+	const mark = "group by d.name [partial ×worker] workers=4 (morsels over "
+	if !strings.Contains(out, mark) {
+		t.Errorf("Explain misses the per-worker fold on the COUNT aggregate:\n%s", out)
 	}
 	if !strings.Contains(out, "[par=4]") {
 		t.Errorf("Explain misses per-node parallelism annotations:\n%s", out)
 	}
-	// A COUNT folds inside the exchange's workers and says so, and so
-	// does an AVG, whose exact sums merge; a DISTINCT aggregate gets no
-	// exchange and carries no mark.
-	if !strings.Contains(out, "group by d.name [partial ×worker]\n") {
-		t.Errorf("Explain misses the per-worker fold on the COUNT aggregate:\n%s", out)
+	if strings.Contains(out, "exchange") {
+		t.Errorf("Explain still prints an exchange line:\n%s", out)
 	}
 	for agg, partial := range map[string]bool{"AVG(s.gpa)": true, "COUNT(DISTINCT s.gpa)": false} {
 		p, err := exec.Compile(db.Snapshot(), sql.MustParse(strings.Replace(stmt.String(), "COUNT(*)", agg, 1)), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := p.Explain(); strings.Contains(out, "exchange workers=4") != partial || strings.Contains(out, "partial") != partial {
-			t.Errorf("%s: want the exchange and its [partial ×worker] mark %v:\n%s", agg, partial, out)
+		if out := p.Explain(); strings.Contains(out, "workers=4") != partial || strings.Contains(out, "partial") != partial {
+			t.Errorf("%s: want the workers and their [partial ×worker] mark %v:\n%s", agg, partial, out)
 		}
 	}
 
-	// Parallelism 1 keeps the serial plan: no exchange, no [par=] mark,
-	// and the degree-4 plan's operators less its one exchange.
+	// Parallelism 1 keeps the serial plan: no workers, no [par=] mark,
+	// and the degree-4 plan's operators.
 	serial, err := exec.Compile(db.Snapshot(), stmt, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := serial.Explain(); strings.Contains(out, "exchange") || strings.Contains(out, "[par=") {
+	if out := serial.Explain(); strings.Contains(out, "workers") || strings.Contains(out, "[par=") || serial.Par > 1 {
 		t.Errorf("the Parallelism=1 plan is rewritten for workers:\n%s", out)
 	}
-	want := p.OperatorCounts()
-	if want["exchange"] != 1 {
-		t.Fatalf("the degree-4 plan has %d exchanges, want 1:\n%s", want["exchange"], p.Explain())
-	}
-	delete(want, "exchange")
-	if got := serial.OperatorCounts(); !maps.Equal(got, want) {
-		t.Errorf("Parallelism=1 operators %v, want the degree-4 plan's less its exchange: %v", got, want)
+	if got, want := serial.OperatorCounts(), p.OperatorCounts(); !maps.Equal(got, want) {
+		t.Errorf("Parallelism=1 operators %v, want the degree-4 plan's: %v", got, want)
 	}
 }
 
-// TestParallelRowPlansStaySerial: an exchange goes only under an
-// aggregate that folds inside its workers, so a plan that returns rows
-// — a LIMIT that streams, a LIMIT over a Sort — and a DISTINCT
-// aggregate, whose per-worker partials would count a value once per
-// worker, get none at degree 4 and answer what the serial plan does,
-// row for row. 1,200 students fill more than a batch, so the shape
+// TestParallelRowPlansStaySerial: only an aggregate that folds inside
+// its workers fans out, so a plan that returns rows — a LIMIT that
+// streams, a LIMIT over a Sort — and a DISTINCT aggregate, whose
+// per-worker partials would count a value once per worker, get no
+// workers at degree 4 and answer what the serial plan does, row for
+// row. 1,200 students fill more than a batch, so the shape
 // alone decides.
 func TestParallelRowPlansStaySerial(t *testing.T) {
 	sn := dataset.University(10).Snapshot()
@@ -134,8 +133,8 @@ func TestParallelRowPlansStaySerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := p.OperatorCounts()["exchange"]; n != 0 || p.Par > 1 {
-			t.Errorf("got %d exchange operators at degree %d, want none:\n%s\nsql: %s", n, p.Par, p.Explain(), q)
+		if p.Par > 1 {
+			t.Errorf("fans out at degree %d, want serial:\n%s\nsql: %s", p.Par, p.Explain(), q)
 		}
 		serial, err := exec.Query(sn, stmt)
 		if err != nil {

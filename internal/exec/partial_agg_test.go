@@ -17,27 +17,23 @@ import (
 	"repro/internal/store"
 )
 
-// How Explain shows an aggregate that folds inside the workers of the
-// exchange below it, and one that runs serially: a DISTINCT aggregate
-// gets no exchange.
+// How Explain shows an aggregate that folds inside its workers, and one
+// that runs serially: a DISTINCT aggregate gets no workers.
 const (
 	perWorker  = "[partial ×worker]"
 	notPartial = ""
 )
 
 // checkPartial runs q at par 1, 2, 4 and 8 through differential, and
-// requires each parallel plan to carry exactly the wanted mark: one
-// exchange under the marked aggregate, or none at all.
+// requires each parallel plan to carry exactly the wanted mark: workers
+// on the marked aggregate, or none at all.
 func checkPartial(t *testing.T, sn *store.Snapshot, q, wantMark string) {
 	t.Helper()
-	exchanges := 0
-	if wantMark != notPartial {
-		exchanges = 1
-	}
+	fanOut := wantMark != notPartial
 	for _, r := range differential(t, sn, q, diffOpts{pars: []int{1, 2, 4, 8}})[1:] {
 		explain := r.plan.Explain()
-		if r.plan.OperatorCounts()["exchange"] != exchanges {
-			t.Fatalf("par=%d: want a plan over %d exchanges:\n%s\nsql: %s", r.par, exchanges, explain, q)
+		if r.plan.Par > 1 != fanOut {
+			t.Fatalf("par=%d: want a plan that fans out %v:\n%s\nsql: %s", r.par, fanOut, explain, q)
 		}
 		if got := strings.Count(explain, "[partial"); got != strings.Count(wantMark, "[partial") || !strings.Contains(explain, wantMark) {
 			t.Errorf("par=%d: want mark %q:\n%s\nsql: %s", r.par, wantMark, explain, q)
@@ -100,7 +96,7 @@ func partialDB(seed int64) (*store.DB, int) {
 }
 
 // TestPartialAggregateEqualsSerial is the differential for DESIGN
-// §2.4's "fold where the rows are": an aggregate above an exchange folds
+// §2.4's "fold where the rows are": an aggregate with workers folds
 // the morsels each worker claims into that worker's group table and
 // merges the tables into first-seen order, and must be
 // indistinguishable from the serial fold — group order,
@@ -109,7 +105,7 @@ func partialDB(seed int64) (*store.DB, int) {
 // 128-bit over INT and a superaccumulator over FLOAT, so a float answer
 // is bit for bit the serial one. Only a DISTINCT aggregate, whose
 // partials would count a value once per worker, must not take the path:
-// it gets no exchange and runs serially.
+// it gets no workers and runs serially.
 func TestPartialAggregateEqualsSerial(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		db, n := partialDB(seed)
@@ -145,7 +141,7 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 		} {
 			checkPartial(t, sn, c.q, c.mark)
 		}
-		// A subquery filter and a join under the exchange fold per worker
+		// A subquery filter and a join under the aggregate fold per worker
 		// too: the subquery binds once as each worker's pipeline opens,
 		// and the join probes u's build in every worker.
 		for _, q := range []string{
@@ -159,7 +155,7 @@ func TestPartialAggregateEqualsSerial(t *testing.T) {
 	}
 
 	// Every segment encoding as key and argument, and a join under the
-	// exchange: the fold runs above the probe in each worker.
+	// aggregate: the fold runs above the probe in each worker.
 	sn := retainDB(t, 32*retainSegRows+37).Snapshot()
 	for _, q := range []string{
 		"SELECT status, narrow, COUNT(*), COUNT(mid), MIN(ts), MAX(device_id), MIN(service) FROM events WHERE wide > 0 GROUP BY status, narrow",
@@ -250,7 +246,7 @@ func TestPartialAggregateExtrema(t *testing.T) {
 	}
 }
 
-// TestWorkerFoldKeepsSerialGroupOrder: each exchange worker folds every
+// TestWorkerFoldKeepsSerialGroupOrder: each aggregate worker folds every
 // morsel it claims into one group table, and the merge must rebuild the
 // serial fold's group order, FIRST values and float extrema whichever
 // worker claimed which morsel — the scheduler's call, so one run per

@@ -11,7 +11,7 @@ import (
 )
 
 // retainSegRows seals the fixture's events into segments of half a
-// batch, so every scan, and every morsel of an Exchange, yields many
+// batch, so every scan, and every morsel a worker claims, yields many
 // small batches, each lent only until the next.
 const retainSegRows = 512
 
@@ -92,7 +92,7 @@ func retainDB(t *testing.T, n int) *store.DB {
 // — its header, null masks and selection are reused for the producer's
 // next batch, like the operator scratch behind them — so whoever needs
 // its rows past the next pull copies them: an aggregate folds them (in
-// the exchange's workers, or serially for a DISTINCT aggregate), the
+// the aggregate's workers, or serially for a DISTINCT aggregate), the
 // join build and Sort push them into builders of their own, Distinct
 // into its key set, Limit hands them on and Run boxes them.
 // Over a table cut into 32 segments, at one, two and four workers (16
@@ -129,7 +129,7 @@ func TestRetainedBatchesNeverSeeScratch(t *testing.T) {
 		// ends mid-batch, DISTINCT's seen set.
 		"SELECT seq, narrow, service FROM events WHERE narrow > 100 LIMIT 1500",
 		"SELECT DISTINCT status, narrow FROM events WHERE wide > 0",
-		// The six ask_scan shapes: Exchange over Filter, Aggregate above.
+		// The six ask_scan shapes: an Aggregate with workers over a Filter.
 		"SELECT COUNT(*) FROM events WHERE (events.latency_ms > 120.5)",
 		"SELECT events.service, COUNT(*) FROM events WHERE events.ts BETWEEN " + win(span/4) + " GROUP BY events.service",
 		"SELECT devices.region, AVG(events.latency_ms) FROM events, devices WHERE ((events.device_id = devices.device_id) AND events.ts BETWEEN " + win(span/8) + ") GROUP BY devices.region",

@@ -74,7 +74,7 @@ func bindScanTemplate(tb testing.TB, sn *store.Snapshot, q string) (*plan.Plan, 
 // arena owns — operator scratch, scan iterators, batch and column
 // headers and null masks, the join's build table, the group tables of
 // the workers and of their merge with their key sets and accumulators,
-// the exchange's morsels and worker contexts — so a run allocates only
+// the aggregate's morsels and worker contexts — so a run allocates only
 // its compiled programs, its goroutines, the rows it returns and, for
 // the join, the copies of the build side's batches it drains, and,
 // after a collection empties the pool, what it borrows afresh

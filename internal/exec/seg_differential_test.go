@@ -70,7 +70,7 @@ func segSkipDB(t *testing.T, n int) *store.DB {
 
 // TestSegZoneSkipCounts pins that zone maps actually skip segments on
 // selective clustered predicates — and that skipping never changes
-// results, serial or under an exchange. Segment sizes straddle batch boundaries (not multiples of
+// results, serial or in an aggregate's workers. Segment sizes straddle batch boundaries (not multiples of
 // 64 or 1024) and include single-row tails.
 func TestSegZoneSkipCounts(t *testing.T) {
 	const n = 5000

@@ -129,7 +129,7 @@ func TestUncorrelatedCacheReused(t *testing.T) {
 	_, sub := run(compile("SELECT AVG(devices.priority) FROM devices WHERE devices.region <> 'none'", 1))
 	p := compile(q, 4)
 	if p.Par != 4 {
-		t.Fatalf("the statement runs at degree %d, want an exchange of 4:\n%s", p.Par, p.Explain())
+		t.Fatalf("the statement runs at degree %d, want 4 workers:\n%s", p.Par, p.Explain())
 	}
 	compiled := plan.SubplanCompiles.Load()
 	for i := range 2 {

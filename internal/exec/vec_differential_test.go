@@ -11,7 +11,7 @@ import (
 // TestVecDifferentialCorpus runs every gold query of the full
 // benchmark corpus (all domains) at parallelism 1 and 4: typed hash
 // keys, selection vectors, batch kernels and the per-row fallback must
-// never change results, and the exchange never the serial row order.
+// never change results, and the workers never the serial row order.
 func TestVecDifferentialCorpus(t *testing.T) {
 	for _, domain := range dataset.Names() {
 		corpusDifferential(t, domain, 1, 0, diffOpts{pars: []int{1, 4}})

@@ -7,9 +7,9 @@ import "context"
 // cause callback — never as a context.Context stored in a struct (the
 // ctxfirst analyzer enforces that rule; database/sql's driver layer
 // uses the same split). Checkpoints sit at batch granularity: every
-// leaf scan checks once per emitted batch, every Exchange worker checks
-// before each morsel it claims for its one open pipeline, and Run
-// re-checks as it materializes each batch. A canceled request
+// leaf scan checks once per emitted batch, every worker of a parallel
+// aggregate checks before each morsel it claims for its one open
+// pipeline, and Run re-checks as it materializes each batch. A canceled request
 // therefore stops burning CPU within one batch of work per worker
 // instead of finishing a multi-second scan nobody is waiting for.
 

@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/sql"
 	"repro/internal/store"
@@ -27,7 +26,8 @@ type Ctx struct {
 
 	// SegC, when set, accumulates runtime segment counters: segments
 	// decoded vs segments skipped by zone maps across all scans of the
-	// run (including Exchange workers — the fields are atomic).
+	// run (including a parallel aggregate's workers — the fields are
+	// atomic).
 	SegC *store.SegCounters
 
 	// Done, when non-nil, is the cancellation signal of the request
@@ -48,13 +48,13 @@ type Ctx struct {
 	// the checkpoint it chooses (CancelAtCheckpoint).
 	tick func()
 
-	part   *morselRun   // set inside an Exchange worker: the leaf's morsels
-	shared *sharedState // per-run state shared across Exchange workers
-	arena  *runArena    // the run's borrowed working memory: see runArena
+	part  *morselRun   // set inside a worker: the leaf's morsels
+	run   *exchangeRun // set inside a worker: its run, whose build tables it reads
+	arena *runArena    // the run's borrowed working memory: see runArena
 
 	// subs are the subqueries of the plan being run and subRuns their
-	// results in this run, shared by its exchange workers; both nil for
-	// a plan without subqueries.
+	// results in this run, which a parallel aggregate's workers read;
+	// both nil for a plan without subqueries.
 	subs    []subquery
 	subRuns []subRun
 }
@@ -62,7 +62,7 @@ type Ctx struct {
 // subRun is one subquery's result in one run: its rows and column
 // count, or the error that stopped it.
 type subRun struct {
-	once sync.Once
+	done bool
 	rows []store.Row
 	cols int
 	err  error
@@ -71,22 +71,22 @@ type subRun struct {
 // subquery returns the rows and column count of sub in this run. The
 // first operator to ask runs its plan, serially and under the run's
 // snapshot, parameters, counters and cancellation signal; every later
-// ask, an exchange worker's included, shares that result.
+// ask shares that result. A parallel aggregate asks for every one
+// before it starts its workers (Aggregate.start), so they only read.
 func (c *Ctx) subquery(sub *sql.SelectStmt) ([]store.Row, int, error) {
 	i := slices.IndexFunc(c.subs, func(s subquery) bool { return s.stmt == sub })
 	if i < 0 {
 		return nil, 0, fmt.Errorf("plan: subquery %s was not compiled with its statement", sub)
 	}
 	s, r := &c.subs[i], &c.subRuns[i]
-	r.once.Do(func() {
-		if s.err != nil {
-			r.err = s.err
-			return
+	if !r.done {
+		r.done = true
+		if r.err = s.err; s.err == nil {
+			r.rows, r.err = Run(s.plan, &Ctx{Snap: c.Snap, Par: 1, Params: c.Params,
+				SegC: c.SegC, Done: c.Done, Cause: c.Cause})
+			r.cols = len(s.plan.Cols)
 		}
-		r.rows, r.err = Run(s.plan, &Ctx{Snap: c.Snap, Par: 1, Params: c.Params,
-			SegC: c.SegC, Done: c.Done, Cause: c.Cause})
-		r.cols = len(s.plan.Cols)
-	})
+	}
 	return r.rows, r.cols, r.err
 }
 
@@ -103,13 +103,6 @@ func (c *Ctx) subquery(sub *sql.SelectStmt) ([]store.Row, int, error) {
 func Run(p *Plan, ctx *Ctx) ([]store.Row, error) {
 	if ctx.Par == 0 {
 		ctx.Par = p.Par
-	}
-	// The shared builds and the arena are this run's own: a build
-	// lives in the arena's scratch, which goes back to the pool when
-	// the run ends, so no later run may find it.
-	ctx.shared = nil
-	if ctx.Par > 1 {
-		ctx.shared = &sharedState{}
 	}
 	ctx.subs, ctx.subRuns = p.subs, nil
 	if len(p.subs) > 0 {

@@ -17,29 +17,23 @@ func (p *Plan) Explain() string {
 }
 
 // explainNode renders one operator line. par is the degree of
-// parallelism the node executes under (0 outside any exchange): every
-// node below an Exchange is annotated with the worker count driving
-// it. build marks the child a hash join hashes — its right input, the
-// one the optimizer estimated smaller — with [build]; the other child
-// streams as the probe. An aggregate over an Exchange folds inside its
-// workers, one group table a worker, and carries [partial ×worker].
+// parallelism the node executes under (0 outside a parallel
+// aggregate): every node below an aggregate with workers is annotated
+// with the worker count driving it. build marks the child a hash join
+// hashes — its right input, the one the optimizer estimated smaller —
+// with [build]; the other child streams as the probe.
 func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int, build bool) {
 	b.WriteString(prefix)
 	b.WriteString(n.describe())
 	if build {
 		b.WriteString(" [build]")
 	}
-	if a, ok := n.(*Aggregate); ok {
-		if _, ok := a.In.(*Exchange); ok {
-			b.WriteString(" [partial ×worker]")
-		}
-	}
 	if par > 1 {
 		fmt.Fprintf(b, " [par=%d]", par)
 	}
 	b.WriteByte('\n')
-	if x, ok := n.(*Exchange); ok {
-		par = x.Workers
+	if a, ok := n.(*Aggregate); ok && a.Workers > 1 {
+		par = a.Workers
 	}
 	_, isHashJoin := n.(*HashJoin)
 	children := n.Children()
@@ -50,11 +44,6 @@ func explainNode(b *strings.Builder, n Node, prefix, childPrefix string, par int
 			explainNode(b, c, childPrefix+"├─ ", childPrefix+"│  ", par, false)
 		}
 	}
-}
-
-func (e *Exchange) describe() string {
-	return fmt.Sprintf("exchange workers=%d (morsels over %s, order-preserving merge)",
-		e.Workers, bindingName(e.part.B))
 }
 
 func (s *Scan) describe() string {
@@ -88,6 +77,11 @@ func (a *Aggregate) describe() string {
 	}
 	if a.Having != nil {
 		s += " having " + a.Having.String()
+	}
+	// An aggregate with workers folds inside them, one group table a
+	// worker, each over the morsels of one scan.
+	if a.Workers > 1 {
+		s += fmt.Sprintf(" [partial ×worker] workers=%d (morsels over %s)", a.Workers, bindingName(a.part.B))
 	}
 	return s
 }

@@ -116,7 +116,7 @@ func UnpoisonedTakes() []string {
 		out = append(out, unpoisoned("batches", &s.batches, poisonBatches, 1)...)
 		out = append(out, unpoisoned("masks", &s.masks, poisonCols, poisonColsLen)...)
 		table := orZero(s.table)
-		for name, n := range map[string]int{"builders": cap(s.bufs), "table states": cap(table.states), "workers": cap(orZero(s.exchange).wk),
+		for name, n := range map[string]int{"builders": cap(s.bufs), "table states": cap(table.states), "workers": cap(orZero(s.exchange).wk), "builds": cap(orZero(s.exchange).builds),
 			"table keys": cap(table.groups.bufs), "set keys": cap(orZero(s.set).bufs)} {
 			if n > poisonSlots {
 				out = append(out, fmt.Sprintf("%s: %d, %d poisoned", name, n, poisonSlots))
@@ -178,7 +178,7 @@ func DrainScratchPool() []PooledScratch {
 // refs counts what anywhere in s, buffers and structures, references
 // memory outside it: column and batch headers, strings in buffers and
 // builders, a scan's position, a build table, a group table's plan and
-// headers and worker contexts that are not zero.
+// headers, prebuilt join entries and worker contexts that are not zero.
 func (s *vscratch) refs() int {
 	n := 0
 	for _, b := range s.cols.bufs {
@@ -194,8 +194,9 @@ func (s *vscratch) refs() int {
 		n += nonEmpty(cb.strs[:cap(cb.strs)])
 	}
 	x, table := orZero(s.exchange), orZero(s.table)
-	n += nonZero([]segIter{*orZero(s.scan)}) + nonZero([]vecBuildTable{*orZero(s.build)}) + nonZero(x.wk[:cap(x.wk)])
-	if x.x != nil || x.ctx != nil {
+	n += nonZero([]segIter{*orZero(s.scan)}) + nonZero([]vecBuildTable{*orZero(s.build)}) +
+		nonZero(x.builds[:cap(x.builds)]) + nonZero(x.wk[:cap(x.wk)])
+	if x.a != nil || x.ctx != nil {
 		n++
 	}
 	n += orZero(s.set).refs() + table.groups.refs() + nonZero(table.keyCols) + nonZero(table.argCols)
@@ -276,6 +277,7 @@ func poisonedScratch() *vscratch {
 	}
 	s.exchange = &exchangeRun{}
 	s.exchange.spans = filled(poisonSlots, [2]int{-1, -1})
+	s.exchange.builds = filled(poisonSlots, joinBuild{bt: s.build})
 	s.exchange.wk = filled(poisonSlots, worker{ctx: Ctx{Par: -1}, mr: morselRun{m: -1, lo: -1, hi: -1}})
 	s.exchange.next.Store(-5)
 	s.exchange.workers = -1

@@ -78,16 +78,21 @@ func TestNoRowwiseFallback(t *testing.T) {
 	})
 }
 
-// TestOneFanOut pins that the Exchange is the only operator that fans a
-// subtree out over workers: neither the partition-wise operator nor what
-// existed only for it — its per-worker partition pin (pwRun, Ctx.pw),
-// its plan-time eligibility walk (partitionWise, copartJoins,
-// offsetIsPartCol), the interface over the two fan-outs (fanOut and its
-// unit method) and the exchange's second partition read path
-// (partBoundsFor) — is declared or named again.
+// TestOneFanOut pins that an aggregate's worker run is the one fan-out:
+// a parallel aggregate sizes and runs its workers from its own fields
+// (Aggregate.start, exchangeRun.run). Neither the plan node that once
+// stood for it (Exchange) nor the registry its workers once filled
+// lazily to build each join's table once (sharedState, buildEntry, the
+// Ctx's shared field) is declared or named again; nor is the
+// partition-wise operator or what existed only for it — its per-worker
+// partition pin (pwRun, Ctx.pw), its plan-time eligibility walk
+// (partitionWise, copartJoins, offsetIsPartCol), the interface over the
+// two fan-outs (fanOut and its unit method) and the second partition
+// read path (partBoundsFor).
 func TestOneFanOut(t *testing.T) {
 	banned := map[string]bool{"PartitionWise": true, "pwRun": true, "partitionWise": true,
-		"copartJoins": true, "offsetIsPartCol": true, "fanOut": true, "partBoundsFor": true}
+		"copartJoins": true, "offsetIsPartCol": true, "fanOut": true, "partBoundsFor": true,
+		"Exchange": true, "sharedState": true, "buildEntry": true}
 	inspectPackages(t, func(_ string, pos token.Position, n ast.Node) {
 		switch n := n.(type) {
 		case *ast.Ident:
@@ -102,8 +107,8 @@ func TestOneFanOut(t *testing.T) {
 			if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "Ctx" {
 				for _, f := range st.Fields.List {
 					for _, name := range f.Names {
-						if name.Name == "pw" {
-							t.Errorf("%s: Ctx.pw is back", pos)
+						if name.Name == "pw" || name.Name == "shared" {
+							t.Errorf("%s: Ctx.%s is back", pos, name.Name)
 						}
 					}
 				}
@@ -119,8 +124,7 @@ func TestOneFanOut(t *testing.T) {
 // it took (a keep method on vbatch); and the mark on the columns that
 // copy had to clone (vcol.lent). None is declared or named again, here
 // or in internal/exec: a join build and a Sort push a batch's rows into
-// builders, and an exchange feeds only an aggregate folding in its
-// workers.
+// builders, and only an aggregate folding in its workers fans out.
 func TestNoBatchOutlivesItsPull(t *testing.T) {
 	inspectPackages(t, func(_ string, pos token.Position, n ast.Node) {
 		switch n := n.(type) {

@@ -8,37 +8,18 @@ import (
 	"repro/internal/sql"
 )
 
-// Exchange runs its subtree on a bounded pool of Workers goroutines for
-// the aggregate directly above it, which folds every morsel a worker
-// claims into one group table of that worker's (Aggregate.vopen). Each
-// worker claims morsels (contiguous row ranges of the leaf scan's
-// table) from a shared counter and opens its own copy of the subtree's
-// iterators once, on its first claim; its leaf scan reads each morsel
-// the worker claims. A group remembers the morsel that created it, so
-// the tables merge into the serial group order and parallel execution
-// is row-for-row identical to the serial plan. Build sides of hash
-// joins inside the subtree are built once and shared read-only across
-// workers (see HashJoin.vecBuild).
-type Exchange struct {
-	In      Node
-	Workers int
-	part    *Scan // the scan whose rows are split into morsels
-}
-
-func (e *Exchange) Rel() *Rel        { return e.In.Rel() }
-func (e *Exchange) Children() []Node { return []Node{e.In} }
-
 // Parallelize rewrites a compiled plan for intra-query parallelism at
-// degree par: an Exchange goes directly under the aggregate, if the
-// plan has one below its Limit, Sort and Distinct and it calls no
-// DISTINCT aggregate, splitting the probe-side leftmost base scan of
-// its pipeline into morsels, and the plan is marked so Run sizes its
-// worker pool. Only such an aggregate folds inside the workers, so no
-// batch outlives its pull: row-returning plans and DISTINCT aggregates,
-// whose per-worker partials would count a value once per worker, run
-// serially at any degree, and so do pipelines that fill no batch (see
-// pipelineWork). par <= 1 returns the plan unchanged — ablation runs
-// with Parallelism 1 therefore execute exactly today's serial plans.
+// degree par: the aggregate, if the plan has one below its Limit, Sort
+// and Distinct and it calls no DISTINCT aggregate, gets par workers and
+// the scan they split into morsels — the probe-side leftmost base scan
+// of its input (partitionLeaf) — and the plan is marked so Run sizes
+// its worker pool. Each worker folds every morsel it claims into one
+// group table of its own (Aggregate.vopen), so no batch outlives its
+// pull: row-returning plans and DISTINCT aggregates, whose per-worker
+// partials would count a value once per worker, run serially at any
+// degree, and so do pipelines that fill no batch (see pipelineWork).
+// par <= 1 returns the plan unchanged — ablation runs with Parallelism
+// 1 therefore execute exactly today's serial plans.
 func Parallelize(p *Plan, par int) *Plan {
 	if par <= 1 || p.Par > 1 {
 		return p
@@ -62,7 +43,7 @@ walk:
 		return p
 	}
 	if leaf := partitionLeaf(a.In); leaf != nil {
-		a.In = &Exchange{In: a.In, Workers: par, part: leaf}
+		a.Workers, a.part = par, leaf
 		p.Par = par
 	}
 	return p
@@ -134,28 +115,40 @@ func partitionLeaf(n Node) *Scan {
 	return nil
 }
 
-// worker is what one exchange worker runs under: a copy of the run's
-// context whose leaf scan reads the morsel in mr.
+// worker is what one of an aggregate's workers runs under: a copy of
+// the run's context whose leaf scan reads the morsel in mr and whose
+// probe spine reads the tables built before the workers started, and
+// the error that stopped it.
 type worker struct {
 	ctx Ctx
 	mr  morselRun
+	err error
 }
 
-// morselRun is what an exchange worker's leaf scan reads: the morsel
-// the worker claimed last, m, and its [lo, hi) range of base rows.
+// morselRun is what a worker's leaf scan reads: the morsel the worker
+// claimed last, m, and its [lo, hi) range of base rows.
 type morselRun struct {
 	node      *Scan // identity of the leaf scan
 	m, lo, hi int
 }
 
-// exchangeRun is one run of an Exchange: its morsels, its workers, the
-// counter they claim morsels by and the contexts they run under. It is
-// a scratch's own (vscratch.exchange), so its vectors keep the capacity
-// an earlier run grew them to.
+// joinBuild is the table of a hash join on a parallel aggregate's probe
+// spine, built before the workers start (exchangeRun.buildSpine).
+type joinBuild struct {
+	j  *HashJoin
+	bt *vecBuildTable
+}
+
+// exchangeRun is one parallel run of an aggregate: its morsels, the
+// tables of the joins its workers probe, its workers, the counter they
+// claim morsels by and the contexts they run under. It is a scratch's
+// own (vscratch.exchange), so its vectors keep the capacity an earlier
+// run grew them to.
 type exchangeRun struct {
-	x       *Exchange
+	a       *Aggregate
 	ctx     *Ctx
 	spans   [][2]int
+	builds  []joinBuild
 	workers int
 	next    atomic.Int64
 	wk      []worker
@@ -166,51 +159,97 @@ func (r *exchangeRun) bytes() int {
 	if r == nil {
 		return 0
 	}
-	return 16*cap(r.spans) + workerBytes*cap(r.wk)
+	return 16*cap(r.spans) + joinBuildBytes*cap(r.builds) + workerBytes*cap(r.wk)
 }
 
-// forget drops what the run references outside its vectors: its plan
-// and the contexts of its run and workers.
+// forget drops what the run references outside its vectors: its plan,
+// its build tables and the contexts of its run and workers.
 func (r *exchangeRun) forget() {
 	if r == nil {
 		return
 	}
-	r.x, r.ctx = nil, nil
+	r.a, r.ctx = nil, nil
+	clear(r.builds[:cap(r.builds)])
 	clear(r.wk[:cap(r.wk)])
 }
 
-// start sizes one run of the exchange. A nil run means the exchange
-// degrades to a serial passthrough of its input (Exchange.vopen) —
-// ctx.Par caps the plan's worker degree, so an explicit Par of 1 (the
-// serving layer shedding load) or a single-row leaf runs the subtree as
-// it stands.
-func (e *Exchange) start(ctx *Ctx) (*exchangeRun, error) {
-	workers := e.Workers
+// start sizes one parallel run of a and builds the tables its workers
+// probe (buildSpine). A nil run means a folds serially — ctx.Par caps
+// the plan's worker degree, so an explicit Par of 1 (the serving layer
+// shedding load), an aggregate Parallelize gave no workers or a
+// single-row leaf runs the input as it stands.
+func (a *Aggregate) start(ctx *Ctx) (*exchangeRun, error) {
+	workers := a.Workers
 	if ctx.Par > 0 && ctx.Par < workers {
 		workers = ctx.Par
 	}
 	if workers <= 1 {
 		return nil, nil
 	}
-	tab := ctx.Snap.Table(e.part.B.Meta.Name)
+	tab := ctx.Snap.Table(a.part.B.Meta.Name)
 	if tab == nil {
-		return nil, errUnknownTable(e.part.B.Meta.Name)
+		return nil, errUnknownTable(a.part.B.Meta.Name)
 	}
-	// A leaf of at most one row passes through.
+	// A leaf of at most one row folds serially.
 	if tab.Len() <= 1 {
 		return nil, nil
 	}
 	r := own(&ctx.arena.borrow().exchange)
-	r.x, r.ctx, r.spans = e, ctx, morselSpans(r.spans, tab.Len(), workers)
+	r.a, r.ctx, r.spans = a, ctx, morselSpans(r.spans, tab.Len(), workers)
 	r.workers = min(workers, len(r.spans))
 	r.next.Store(0)
+	if err := r.buildSpine(); err != nil {
+		return nil, err
+	}
+	// The workers read the run's subquery results; they are all filled
+	// here, as every one of them is asked for below the aggregate.
+	for _, s := range ctx.subs {
+		ctx.subquery(s.stmt)
+	}
 	return r, nil
+}
+
+// buildSpine builds the table of every hash join on the probe spine —
+// the joins partitionLeaf descends through — once, outermost first as
+// the serial plan opens them, on the aggregate's goroutine and in
+// scratch borrowed from the run's arena. The workers only read them
+// (built); a join inside a build side is built with it.
+func (r *exchangeRun) buildSpine() error {
+	r.builds = r.builds[:0]
+	for n := r.a.In; n != Node(r.a.part); {
+		switch t := n.(type) {
+		case *Filter:
+			n = t.In
+		case *HashJoin:
+			bt, err := t.vecBuild(r.ctx)
+			if err != nil {
+				return err
+			}
+			r.builds = append(r.builds, joinBuild{t, bt})
+			n = t.L
+		}
+	}
+	return nil
+}
+
+// built is the table buildSpine built for j: nil outside a parallel run
+// (a nil r) and for a join off the probe spine, which builds its own.
+func (r *exchangeRun) built(j *HashJoin) *vecBuildTable {
+	if r == nil {
+		return nil
+	}
+	for _, b := range r.builds {
+		if b.j == j {
+			return b.bt
+		}
+	}
+	return nil
 }
 
 // morselSpans cuts the n rows of a leaf into contiguous, ascending
 // morsels, about four per worker for stealing slack. Morsels adapt to
-// the leaf, not to the batch: an exchange is placed only where some
-// operator of the pipeline fills a batch, and a small probe leaf
+// the leaf, not to the batch: an aggregate gets workers only where
+// some operator of its pipeline fills a batch, and a small probe leaf
 // driving such joins still splits. The spans are written over dst.
 func morselSpans(dst [][2]int, n, workers int) [][2]int {
 	target := max(1, (n+workers*4-1)/(workers*4))
@@ -230,20 +269,19 @@ func morselSpans(dst [][2]int, n, workers int) [][2]int {
 type workerSink func(w int, wctx *Ctx, m int, in viter) error
 
 // run is the one worker loop. A worker claims a morsel, only then opens
-// the subtree, once, under a context whose leaf scan reads the morsel
-// the worker claimed last (segScanBatches), and hands sink the pipeline
-// for each morsel it claims. Every claim checks for cancellation; the
-// first error moves the counter past the last morsel, which stops the
-// pool, and is returned.
+// the aggregate's input, once, under a context whose leaf scan reads
+// the morsel the worker claimed last (segScanBatches) and whose joins
+// probe the tables built before (buildSpine), and hands sink the
+// pipeline for each morsel it claims. Every claim checks for
+// cancellation; an error moves the counter past the last morsel, which
+// stops the pool, and the first worker's is returned.
 func (r *exchangeRun) run(sink workerSink) error {
-	var firstErr error
-	var errOnce sync.Once
 	var wg sync.WaitGroup
 	r.wk = resize(r.wk, r.workers)
 	for w := range r.workers {
 		wk := &r.wk[w]
-		*wk = worker{ctx: *r.ctx, mr: morselRun{node: r.x.part}}
-		wk.ctx.part = &wk.mr
+		*wk = worker{ctx: *r.ctx, mr: morselRun{node: r.a.part}}
+		wk.ctx.part, wk.ctx.run = &wk.mr, r
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -258,13 +296,13 @@ func (r *exchangeRun) run(sink workerSink) error {
 				mr.m, mr.lo, mr.hi = i, r.spans[i][0], r.spans[i][1]
 				err := r.ctx.canceled()
 				if err == nil && op == nil {
-					op, err = r.x.In.vopen(wctx)
+					op, err = r.a.In.vopen(wctx)
 				}
 				if err == nil {
 					err = sink(w, wctx, i, op)
 				}
 				if err != nil {
-					errOnce.Do(func() { firstErr = err })
+					wk.err = err
 					r.next.Store(int64(len(r.spans)))
 					return
 				}
@@ -272,39 +310,16 @@ func (r *exchangeRun) run(sink workerSink) error {
 		}()
 	}
 	wg.Wait()
-	return firstErr
+	for w := range r.wk {
+		if err := r.wk[w].err; err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// FoldingWorkers counts the exchange workers of the process whose group
+// FoldingWorkers counts the aggregate workers of the process whose group
 // table (Aggregate.vopen) folded a row. How many of a run's workers do
 // is the scheduler's call, and each grows its pipeline's scratch, so a
 // test that measures a run's bytes reads here how many workers it had.
 var FoldingWorkers atomic.Int64
-
-// sharedState carries per-execution state shared by the workers of
-// every Exchange in the plan: hash-join build sides are computed once
-// and probed concurrently.
-type sharedState struct {
-	mu     sync.Mutex
-	builds map[*HashJoin]*buildEntry
-}
-
-type buildEntry struct {
-	once  sync.Once
-	build *vecBuildTable
-	err   error
-}
-
-func (s *sharedState) entry(j *HashJoin) *buildEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.builds == nil {
-		s.builds = map[*HashJoin]*buildEntry{}
-	}
-	e, ok := s.builds[j]
-	if !ok {
-		e = &buildEntry{}
-		s.builds[j] = e
-	}
-	return e
-}

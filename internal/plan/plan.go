@@ -146,13 +146,16 @@ type Project struct {
 
 // Aggregate partitions input rows into groups, filters them with
 // HAVING and evaluates the select items (plus trailing ORDER BY keys)
-// per group.
+// per group. Workers is the degree Parallelize gave it (0: it folds
+// serially) and part the scan its workers split into morsels.
 type Aggregate struct {
 	In       Node
 	GroupBy  []sql.Expr
 	Having   sql.Expr // nil when absent
 	Items    []sql.Expr
 	SortKeys []sql.Expr
+	Workers  int
+	part     *Scan
 }
 
 // Distinct drops rows whose first N values repeat an earlier row.
@@ -226,8 +229,8 @@ func Walk(n Node, visit func(Node)) {
 }
 
 // OperatorCounts tallies the plan's node kinds ("scan", "filter",
-// "hash-join", ...) — the plan-shape counters
-// the benchmark harness reports.
+// "hash-join", ...): the plan-shape counters the executor's tests
+// compare plans by.
 func (p *Plan) OperatorCounts() map[string]int {
 	counts := map[string]int{}
 	Walk(p.Root, func(n Node) {
@@ -248,8 +251,6 @@ func (p *Plan) OperatorCounts() map[string]int {
 			counts["sort"]++
 		case *Limit:
 			counts["limit"]++
-		case *Exchange:
-			counts["exchange"]++
 		}
 	})
 	return counts

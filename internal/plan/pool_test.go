@@ -45,8 +45,8 @@ type poolQuery struct {
 // set NULLs sparsely (IN over a list holding NULL, NOT over a column
 // with NULLs), a DISTINCT aggregate, every other accumulator (FIRST,
 // MIN and MAX over text, ints and floats, an INT AVG), and a three-way
-// join over the university tables at scale 4, where it runs under an
-// exchange.
+// join over the university tables at scale 4, where its aggregate
+// folds in workers.
 func poolQueries(t *testing.T) []poolQuery {
 	const ts0 = 1_700_000_000
 	span := poolEvents / 8
@@ -137,7 +137,7 @@ func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 		}
 		want[i] = ref.Rows
 	}
-	exchanges := 0
+	fanned := 0
 	check := func(t *testing.T) {
 		t.Helper()
 		for i, q := range queries {
@@ -147,7 +147,7 @@ func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 					t.Fatal(err)
 				}
 				if p.Par > 1 {
-					exchanges++
+					fanned++
 				}
 				// Twice: the second run borrows what the first handed back.
 				for range 2 {
@@ -169,8 +169,8 @@ func TestBorrowedScratchIsNeverTrusted(t *testing.T) {
 	defer restore()
 
 	t.Run("poisoned", check)
-	if exchanges == 0 {
-		t.Fatal("no query ran under an exchange")
+	if fanned == 0 {
+		t.Fatal("no query fanned out over workers")
 	}
 
 	t.Run("after cancel", func(t *testing.T) {

@@ -209,9 +209,10 @@ func (b *vbatch) col(c int) vcol {
 // build table (build, its hashes and chains in the per-batch buffers,
 // which the build's scratch never resets), a Distinct's key set (set),
 // an aggregate's group table with its key set and accumulators (table),
-// and an exchange's morsels and worker contexts (exchange). An operator
-// uses one of them, made the first time the scratch serves such an
-// operator (own), so a scratch pays only for the ones it has served.
+// and a parallel aggregate's morsels, build tables and worker contexts
+// (exchange). An operator uses one of them, made the first time the
+// scratch serves such an operator (own), so a scratch pays only for the
+// ones it has served.
 type vscratch struct {
 	bools  bufPool[bool]
 	ints   bufPool[int64]
@@ -266,14 +267,16 @@ func (s *vscratch) bytes() int {
 	return n
 }
 
-// vcolBytes, vbatchBytes, workerBytes and aggStateBytes are the sizes
-// of a column header, a batch header, an exchange worker's context and
-// one slot's accumulator headers.
+// vcolBytes, vbatchBytes, workerBytes, joinBuildBytes and
+// aggStateBytes are the sizes of a column header, a batch header, a
+// worker's context, a prebuilt join's entry and one slot's accumulator
+// headers.
 var (
-	vcolBytes     = int(reflect.TypeFor[vcol]().Size())
-	vbatchBytes   = int(reflect.TypeFor[vbatch]().Size())
-	workerBytes   = int(reflect.TypeFor[worker]().Size())
-	aggStateBytes = int(reflect.TypeFor[aggState]().Size())
+	vcolBytes      = int(reflect.TypeFor[vcol]().Size())
+	vbatchBytes    = int(reflect.TypeFor[vbatch]().Size())
+	workerBytes    = int(reflect.TypeFor[worker]().Size())
+	joinBuildBytes = int(reflect.TypeFor[joinBuild]().Size())
+	aggStateBytes  = int(reflect.TypeFor[aggState]().Size())
 )
 
 // maxPooledScratch caps what goes back to the pool: a scratch holding
@@ -284,7 +287,7 @@ const maxPooledScratch = 1 << 20
 
 // scratchPool holds the vscratches of finished runs for the next ones.
 // A run's operators, its scan batches, its join builds, key sets and
-// group tables and its exchange workers draw their working memory from
+// group tables and its aggregate workers draw their working memory from
 // here instead of allocating it per question; the garbage collector
 // empties the pool like any other sync.Pool.
 var scratchPool = sync.Pool{New: func() any { return new(vscratch) }}
@@ -293,9 +296,9 @@ var scratchPool = sync.Pool{New: func() any { return new(vscratch) }}
 // scratchPool, handed back all at once by release: everything the run
 // allocates but its compiled programs, its goroutines and the rows it
 // returns. Every operator instance borrows its vscratch as it opens —
-// an exchange worker opens its pipeline once, for all the morsels it
-// claims — and the workers borrow concurrently, hence the mutex. first
-// holds a typical run's borrows without growing held.
+// a worker opens its pipeline once, for all the morsels it claims —
+// and the workers borrow concurrently, hence the mutex. first holds a
+// typical run's borrows without growing held.
 type runArena struct {
 	mu    sync.Mutex
 	held  []*vscratch
@@ -315,9 +318,9 @@ func (a *runArena) borrow() *vscratch {
 }
 
 // release returns every borrowed vscratch within the cap to the pool.
-// Run calls it once its rows are boxed: every exchange worker has been
-// waited for, and the rows hold only immutable values, so nothing can
-// still read a buffer. The first borrowed goes back first and the rest
+// Run calls it once its rows are boxed: every worker has been waited
+// for, and the rows hold only immutable values, so nothing can still
+// read a buffer. The first borrowed goes back first and the rest
 // last to second: a P's pool hands out the first put, then the last put
 // first, so the next run of the same plan on the same P borrows each
 // scratch for the operator that grew it — the join build's for the
@@ -342,8 +345,9 @@ func (a *runArena) release() {
 // forget resets s and drops what it references outside itself — column
 // and batch headers view segment payloads and dictionaries, strings,
 // in buffers and builders, may be a dictionary's, a group table holds
-// its compiled plan and an exchange its run's and workers' contexts —
-// so a pooled scratch pins no dropped snapshot's segments.
+// its compiled plan and a parallel run its build tables and its run's
+// and workers' contexts — so a pooled scratch pins no dropped
+// snapshot's segments.
 func (s *vscratch) forget() {
 	s.reset()
 	s.cols.used, s.batches.used, s.masks.used = 0, 0, 0

@@ -45,7 +45,7 @@ func (s *Scan) open(ctx *Ctx, preds []vexpr) (viter, error) {
 	if tab == nil {
 		return nil, errUnknownTable(s.B.Meta.Name)
 	}
-	mr := ctx.part // an Exchange worker's leaf reads its morsels
+	mr := ctx.part // a worker's leaf reads its morsels
 	if mr != nil && mr.node != s {
 		mr = nil // a serial scan reads the table
 	}
@@ -54,8 +54,8 @@ func (s *Scan) open(ctx *Ctx, preds []vexpr) (viter, error) {
 
 // segScanBatches iterates the rows of mr's morsel of the segment layout
 // (nil mr: the whole table) as batches, then returns nil; pulled again,
-// it reads the morsel mr holds by then, if its exchange worker has
-// claimed another. Whole segments that one of preds refutes are dropped
+// it reads the morsel mr holds by then, if its worker has claimed
+// another. Whole segments that one of preds refutes are dropped
 // without touching their data (a segment-wide proof of non-TRUE holds
 // for any window of it, so partial morsel overlap skips too). SegC
 // counts a segment only in the window that enters it at its first row:
@@ -316,23 +316,15 @@ type vecBuildTable struct {
 	keyTable
 }
 
-// vecBuild materializes and hashes the join's right input. Inside a
-// parallel run the table is built exactly once (the first worker to
-// arrive builds, the rest wait on the entry's once) and then probed
-// concurrently.
+// vecBuild drains the right input into builders, hashes its keys once,
+// and chains the rows into a table sized to them, all of it in one
+// scratch. A worker's join on its aggregate's probe spine reads the
+// table the aggregate built before it started the workers
+// (exchangeRun.buildSpine).
 func (j *HashJoin) vecBuild(ctx *Ctx) (*vecBuildTable, error) {
-	if ctx.shared == nil {
-		return j.vecBuildLocal(ctx)
+	if bt := ctx.run.built(j); bt != nil {
+		return bt, nil
 	}
-	e := ctx.shared.entry(j)
-	e.once.Do(func() { e.build, e.err = j.vecBuildLocal(ctx) })
-	return e.build, e.err
-}
-
-// vecBuildLocal drains the right input into builders, hashes its keys
-// once, and chains the rows into a table sized to them, all of it in
-// one scratch.
-func (j *HashJoin) vecBuildLocal(ctx *Ctx) (*vecBuildTable, error) {
 	lw := j.L.Rel().Width
 	var need []bool
 	if j.live != nil {
@@ -918,8 +910,8 @@ func (slot *vecAggSlot) set(st *aggState, gid int, arg *vcol, i int) {
 // holds the group's first row, and its FIRST stands; counts and sums
 // add, and of two float leads or two equal float bests the one from the
 // earlier morsel stands. A DISTINCT slot's partials would count a value
-// once per worker; such slots never merge (Parallelize places no
-// exchange under them).
+// once per worker; such slots never merge (Parallelize gives their
+// aggregate no workers).
 func (slot *vecAggSlot) merge(st *aggState, gid int, src *aggState, sg int) {
 	switch slot.fn {
 	case "COUNT":
@@ -1184,7 +1176,7 @@ func (t *groupTable) add(b *vbatch) error {
 	return nil
 }
 
-// merge folds the exchange workers' tables into t, empty but for the
+// merge folds the aggregate's workers' tables into t, empty but for the
 // global group, in the order of the morsels their groups were born in.
 // A worker's morsels ascend, so its groups are in that order already,
 // and a group first reaches t from the worker that read its first row:
@@ -1212,19 +1204,16 @@ func (t *groupTable) merge(srcs []*groupTable) {
 	}
 }
 
-// vopen folds the input into a group table and finishes it. Over an
-// Exchange it folds where the rows are: each worker folds every morsel
-// it claims into one table of its own — no batch outlives its pull, so
-// a question's bytes follow the groups it returns, not the rows it
-// scans — and the tables merge into the serial group order
+// vopen folds the input into a group table and finishes it. With
+// workers (Parallelize) it folds where the rows are: each worker folds
+// every morsel it claims into one table of its own — no batch outlives
+// its pull, so a question's bytes follow the groups it returns, not the
+// rows it scans — and the tables merge into the serial group order
 // (groupTable.merge).
 func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
-	var r *exchangeRun
-	if x, ok := a.In.(*Exchange); ok {
-		var err error
-		if r, err = x.start(ctx); err != nil {
-			return nil, err
-		}
+	r, err := a.start(ctx)
+	if err != nil {
+		return nil, err
 	}
 	if r == nil { // serial: the input as it stands
 		ap, err := planVecAgg(a, ctx)
@@ -1242,7 +1231,7 @@ func (a *Aggregate) vopen(ctx *Ctx) (viter, error) {
 		return t.finish()
 	}
 	tabs := make([]*groupTable, r.workers)
-	err := r.run(func(w int, wctx *Ctx, m int, in viter) error {
+	err = r.run(func(w int, wctx *Ctx, m int, in viter) error {
 		if tabs[w] == nil {
 			ap, err := planVecAgg(a, wctx)
 			if err != nil {
@@ -1526,10 +1515,3 @@ func (l *Limit) vopen(ctx *Ctx) (viter, error) {
 		return b, nil
 	}, nil
 }
-
-// ---- exchange ----
-
-// vopen runs the exchange's subtree serially, as it stands: the
-// aggregate above folds inside the workers (Aggregate.vopen) and opens
-// its input here only when the exchange degrades (exchangeRun.start).
-func (e *Exchange) vopen(ctx *Ctx) (viter, error) { return e.In.vopen(ctx) }

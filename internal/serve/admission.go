@@ -10,7 +10,7 @@ import (
 
 // Admission control. Query execution is gated by a weighted FIFO
 // semaphore sized off the engine's parallelism: a full-degree ask
-// holds Parallelism units (it will fan that many exchange workers), a
+// holds Parallelism units (it will fan out that many workers), a
 // degraded serial ask holds one. The admission ladder for each request
 // is
 //

@@ -622,8 +622,8 @@ func encodeSegCol(p *SegCol) *SegCol {
 }
 
 // SegCounters tallies segment scan activity for one execution —
-// segments visited vs skipped by zone maps. Shared across exchange
-// workers, hence atomic.
+// segments visited vs skipped by zone maps. Shared across a parallel
+// aggregate's workers, hence atomic.
 type SegCounters struct {
 	Scanned atomic.Int64
 	Skipped atomic.Int64

@@ -150,8 +150,9 @@ func FormatResult(r *Result) string { return exec.FormatResult(r) }
 
 // ExplainParallel renders the plan at the given intra-query
 // parallelism degree — what an engine with Options.Parallelism = par
-// actually executes, exchange operator and per-node worker
-// annotations included. The console's :explain command uses this.
+// actually executes, the aggregate's worker count and morsel table and
+// per-node worker annotations included. The console's :explain command
+// uses this.
 func ExplainParallel(db *DB, stmt *sql.SelectStmt, par int) (string, error) {
 	p, err := exec.Compile(db.Snapshot(), stmt, par)
 	if err != nil {
